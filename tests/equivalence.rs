@@ -93,13 +93,17 @@ fn assert_observed_identical(a: &Observed, b: &Observed, what: &str) {
 }
 
 /// Gated and exhaustive runs are bit-identical for every scheme shape:
-/// a single shared network, separate request/reply networks, the
-/// multi-port router, the EquiNox injection routers, and the DA2Mesh
-/// subnet running at 2.5 core cycles per network cycle.
+/// a single shared network with and without VC monopolization, the
+/// concentrated mesh's 13-port routers at half clock, separate
+/// request/reply networks, the multi-port router, the EquiNox injection
+/// routers, and the DA2Mesh subnet running at 2.5 core cycles per
+/// network cycle.
 #[test]
 fn gated_run_is_bit_identical_to_exhaustive_run() {
     for scheme in [
         SchemeKind::SingleBase,
+        SchemeKind::VcMono,
+        SchemeKind::InterposerCMesh,
         SchemeKind::SeparateBase,
         SchemeKind::MultiPort,
         SchemeKind::EquiNox,
