@@ -282,6 +282,7 @@ impl std::error::Error for JsonError {}
 /// Returns a [`JsonError`] locating the first syntax violation.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
+        src: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -295,6 +296,8 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
+    /// `src` as bytes; `pos` indexes both.
     bytes: &'a [u8],
     pos: usize,
 }
@@ -458,11 +461,14 @@ impl<'a> Parser<'a> {
                 }
                 Some(_) => {
                     // Multi-byte UTF-8 sequences pass through unharmed:
-                    // take the whole next char from the source slice.
-                    let rest = &self.bytes[self.pos..];
-                    let s_rest = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = s_rest.chars().next().expect("peeked a byte");
+                    // take the whole next char from the source, which is
+                    // already validated UTF-8 (`pos` only ever advances
+                    // by whole chars, so it sits on a boundary).
+                    let c = self
+                        .src
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.err("invalid UTF-8 in string"))?;
                     if (c as u32) < 0x20 {
                         return Err(self.err("unescaped control character in string"));
                     }
@@ -556,5 +562,33 @@ mod tests {
             Json::Str("\u{1F600}".into())
         );
         assert!(parse(r#""\ud83d""#).is_err(), "unpaired high surrogate");
+    }
+
+    #[test]
+    fn string_errors_name_the_violation() {
+        let msg = |doc: &str| parse(doc).unwrap_err().message;
+        assert_eq!(msg("\"a\u{1}b\""), "unescaped control character in string");
+        assert_eq!(msg("\"é\nx\""), "unescaped control character in string");
+        assert_eq!(msg(r#""a\qb""#), "invalid escape sequence");
+        assert_eq!(msg("\"né"), "unterminated string");
+    }
+
+    #[test]
+    fn large_multibyte_document_round_trips() {
+        // One- to four-byte characters next to every escape the emitter
+        // produces, in keys and values, ≥ 200 kB: the size at which
+        // re-validating the remaining input per character (what the
+        // string path used to do) took most of a second.
+        let text = "naïve — 網路 😀 \"q\" \\ \t\n/ end";
+        let doc = Json::Arr(
+            (0..3000u64)
+                .map(|i| Json::obj().with("id", i).with("ключ", text).with(text, vec![Json::Null]))
+                .collect(),
+        );
+        let emitted = doc.to_compact();
+        assert!(emitted.len() >= 200_000, "only {} bytes", emitted.len());
+        let parsed = parse(&emitted).unwrap();
+        assert_eq!(parsed, doc);
+        assert_eq!(parsed.to_compact(), emitted);
     }
 }

@@ -34,10 +34,10 @@
 //! untouched. Enabled, the sweeps are read-only walks; they allocate only
 //! when a violation is actually found.
 
-use crate::flit::MessageClass;
+use crate::flit::{MessageClass, SlotExt};
 use crate::link::CreditDst;
 use crate::network::Network;
-use crate::router::{OutputRole, PORT_LOCAL};
+use crate::router::{OutputRole, NONE, PORT_LOCAL};
 use equinox_phys::Coord;
 use std::fmt;
 
@@ -414,19 +414,19 @@ pub(crate) fn sweep(net: &Network, out: &mut Vec<Violation>) {
 /// equal the buffer depth.
 fn check_credit_conservation(net: &Network, out: &mut Vec<Violation>) {
     let depth = net.cfg.vc_buf_flits as u32;
+    let vcs = net.core.vcs();
     for (li, link) in net.links.iter().enumerate() {
-        let (r, p) = (link.to_router, link.to_port);
-        let vcs = net.routers[r].inputs[p].vcs.len();
+        let (r, p) = (link.to_router as usize, link.to_port as usize);
         for vc in 0..vcs {
             let upstream = match link.credit_dst {
                 CreditDst::RouterOutput { router, port } => {
-                    net.routers[router].outputs[port].vcs[vc].credits
+                    net.core.credits(router as usize, port as usize * vcs + vc)
                 }
-                CreditDst::Injector { injector } => net.injectors[injector].credits[vc],
+                CreditDst::Injector { injector } => net.injectors[injector as usize].credits[vc],
             };
-            let buffered = net.routers[r].inputs[p].vcs[vc].buf.len() as u32;
-            let flits_in_flight = link.flits_in_flight_on_vc(vc as u8);
-            let credits_in_flight = link.credits_in_flight_for_vc(vc as u8);
+            let buffered = net.core.in_vcs[net.core.vc(r, p * vcs + vc)].len as u32;
+            let flits_in_flight = net.links.flits_in_flight_on_vc(li, vc as u8);
+            let credits_in_flight = net.links.credits_in_flight_for_vc(li, vc as u8);
             if upstream + buffered + flits_in_flight + credits_in_flight != depth {
                 out.push(Violation::CreditConservation {
                     link: li,
@@ -448,24 +448,18 @@ fn check_credit_conservation(net: &Network, out: &mut Vec<Violation>) {
 /// pipelines, and ejection queues.
 pub(crate) fn resident_by_class(net: &Network) -> [u64; 2] {
     let mut resident = [0u64; 2];
-    for r in &net.routers {
-        for ip in &r.inputs {
-            for vc in &ip.vcs {
-                for &(_, f) in &vc.buf {
-                    resident[class_ix(f.class)] += 1;
-                }
-            }
+    for r in 0..net.core.len() {
+        for f in net.core.router_flits(r) {
+            resident[f.class_ix()] += 1;
         }
     }
-    for link in &net.links {
-        for f in link.iter_flits() {
-            resident[class_ix(f.class)] += 1;
+    for li in 0..net.links.len() {
+        for f in net.links.flits(li) {
+            resident[f.class_ix()] += 1;
         }
     }
-    for q in net.eject.iter().flatten() {
-        for f in q {
-            resident[class_ix(f.class)] += 1;
-        }
+    for f in net.core.eject_queues().iter().flatten() {
+        resident[class_ix(f.class)] += 1;
     }
     resident
 }
@@ -494,20 +488,21 @@ fn check_flit_conservation(net: &Network, out: &mut Vec<Violation>) {
 /// escape VC must also have been allocated the escape VC again.
 fn check_escape_compliance(net: &Network, out: &mut Vec<Violation>) {
     let total = net.cfg.vcs_per_port;
+    let vcs = net.core.vcs();
     let captures = net.topo.captures_escape();
-    for (ri, router) in net.routers.iter().enumerate() {
-        let coord = router.coord;
-        for (ip, port) in router.inputs.iter().enumerate() {
-            for (iv, vc) in port.vcs.iter().enumerate() {
-                let (Some(op), Some(ov)) = (vc.out_port, vc.out_vc) else {
-                    continue;
-                };
-                if !matches!(router.outputs[op].role, OutputRole::Link(_)) {
+    for ri in 0..net.core.len() {
+        for ip in 0..net.core.num_ports(ri) {
+            for iv in 0..vcs {
+                let ivc = net.core.vc(ri, ip * vcs + iv);
+                let vc = &net.core.in_vcs[ivc];
+                if vc.out_port == NONE || vc.len == 0 {
                     continue;
                 }
-                let Some(&(_, f)) = vc.buf.front() else {
+                let (op, ov) = (vc.out_port as usize, vc.out_vc);
+                if !matches!(net.core.role(ri, op), OutputRole::Link(_)) {
                     continue;
-                };
+                }
+                let f = net.core.front(ivc).flit();
                 let own = net.cfg.partition.range_for(f.class.is_reply(), total);
                 let captured = captures && ip < PORT_LOCAL && iv == own.start as usize;
                 let constrained = ov == own.start || !own.contains(&ov);
@@ -518,7 +513,7 @@ fn check_escape_compliance(net: &Network, out: &mut Vec<Violation>) {
                 if Some(op) != escape || (captured && ov != own.start) {
                     out.push(Violation::EscapeVcViolation {
                         router: ri,
-                        coord,
+                        coord: net.topo.node_coord(ri),
                         port: ip,
                         vc: iv,
                         out_vc: ov,
@@ -537,43 +532,45 @@ pub(crate) fn deadlock_report(net: &Network, stalled_for: u64) -> DeadlockReport
     let mut stuck = Vec::new();
     let mut edges = Vec::new();
     let mut buffered_flits = 0u64;
-    for (ri, router) in net.routers.iter().enumerate() {
-        for (ip, port) in router.inputs.iter().enumerate() {
-            for (iv, vc) in port.vcs.iter().enumerate() {
-                buffered_flits += vc.buf.len() as u64;
-                let Some(&(_, f)) = vc.buf.front() else {
+    let vcs = net.core.vcs();
+    for ri in 0..net.core.len() {
+        for ip in 0..net.core.num_ports(ri) {
+            for iv in 0..vcs {
+                let ivc = net.core.vc(ri, ip * vcs + iv);
+                let vc = &net.core.in_vcs[ivc];
+                buffered_flits += vc.len as u64;
+                if vc.len == 0 {
                     continue;
-                };
-                let allocation = match (vc.out_port, vc.out_vc) {
-                    (Some(op), Some(ov)) => {
-                        let credits = match router.outputs[op].role {
-                            OutputRole::Link(li) => {
-                                let c = router.outputs[op].vcs[ov as usize].credits;
-                                if c == 0 {
-                                    edges.push(BlockedEdge {
-                                        from: ri,
-                                        via_port: op,
-                                        to: net.links[li].to_router,
-                                        vc: ov,
-                                    });
-                                }
-                                c
+                }
+                let f = net.core.front(ivc).flit();
+                let allocation = (vc.out_port != NONE).then(|| {
+                    let (op, ov) = (vc.out_port as usize, vc.out_vc);
+                    let credits = match net.core.role(ri, op) {
+                        OutputRole::Link(li) => {
+                            let c = net.core.credits(ri, op * vcs + ov as usize);
+                            if c == 0 {
+                                edges.push(BlockedEdge {
+                                    from: ri,
+                                    via_port: op,
+                                    to: net.links[li as usize].to_router as usize,
+                                    vc: ov,
+                                });
                             }
-                            // Eject ports block on queue space, not
-                            // credits; report the free slots instead.
-                            OutputRole::Eject { .. } => {
-                                (net.cfg.eject_cap - net.eject[ri][op].len()) as u32
-                            }
-                            OutputRole::Dead => 0,
-                        };
-                        Some((op, ov, credits))
-                    }
-                    _ => None,
-                };
+                            c
+                        }
+                        // Eject ports block on queue space, not
+                        // credits; report the free slots instead.
+                        OutputRole::Eject { .. } => {
+                            (net.cfg.eject_cap - net.core.eject_queue(ri, op).len()) as u32
+                        }
+                        OutputRole::Dead => 0,
+                    };
+                    (op, ov, credits)
+                });
                 if stuck.len() < MAX_REPORTED_STUCK {
                     stuck.push(StuckFlit {
                         router: ri,
-                        coord: router.coord,
+                        coord: net.topo.node_coord(ri),
                         port: ip,
                         vc: iv,
                         pkt: f.pkt,
@@ -587,7 +584,7 @@ pub(crate) fn deadlock_report(net: &Network, stalled_for: u64) -> DeadlockReport
         }
     }
     let link_flits: u64 = net.links.iter().map(|l| l.in_flight() as u64).sum();
-    let eject_flits: u64 = net.eject.iter().flatten().map(|q| q.len() as u64).sum();
+    let eject_flits: u64 = net.core.eject_queues().iter().map(|q| q.len() as u64).sum();
     DeadlockReport {
         cycle: net.cycle,
         stalled_for,

@@ -150,6 +150,137 @@ impl Flit {
     }
 }
 
+/// One slot of a VC buffer or a link pipeline: a time stamp (the enqueue
+/// cycle in a buffer, the arrival cycle on a link) followed by the flit
+/// packed into four words.
+///
+/// The slot arenas hold a few hundred kB per network (4 MB across
+/// DA2Mesh's eight 40-flit-deep subnets). As a plain integer array
+/// `vec![EMPTY_SLOT; n]` is a zeroed allocation, which the OS backs page
+/// by page on first touch; a `Vec<(u64, Flit)>` would be written
+/// element by element at build time, costing more than the rest of
+/// `Network::new` and keeping every page resident.
+pub(crate) type Slot = [u64; 5];
+
+/// The all-zero slot the arenas are created from.
+pub(crate) const EMPTY_SLOT: Slot = [0; 5];
+
+/// Field access on a packed [`Slot`]. Word 0 is the stamp, word 1 the
+/// packet id, word 2 `src.x | src.y << 16 | dst.x << 32 | dst.y << 48`,
+/// word 3 `seq | len << 16 | sink << 32`, word 4 `vc | class << 8`.
+pub(crate) trait SlotExt {
+    fn pack(stamp: u64, flit: &Flit) -> Self;
+    fn flit(&self) -> Flit;
+    fn stamp(&self) -> u64;
+    fn set_stamp(&mut self, stamp: u64);
+    fn pkt(&self) -> PacketId;
+    fn seq(&self) -> u16;
+    fn dst(&self) -> Coord;
+    /// The destination as one word, comparable with [`SlotExt::coord_key`].
+    fn dst_key(&self) -> u32;
+    /// `c` as [`SlotExt::dst_key`] would return it.
+    fn coord_key(c: Coord) -> u32;
+    fn sink(&self) -> u32;
+    fn vc(&self) -> u8;
+    fn set_vc(&mut self, vc: u8);
+    /// 0 = request, 1 = reply (the per-class ledger index).
+    fn class_ix(&self) -> usize;
+    fn is_head(&self) -> bool;
+    fn is_tail(&self) -> bool;
+}
+
+impl SlotExt for Slot {
+    #[inline]
+    fn pack(stamp: u64, f: &Flit) -> Slot {
+        [
+            stamp,
+            f.pkt.0,
+            f.src.x as u64 | (f.src.y as u64) << 16 | (f.dst.x as u64) << 32 | (f.dst.y as u64) << 48,
+            f.seq as u64 | (f.len as u64) << 16 | (f.sink as u64) << 32,
+            f.vc as u64 | (f.class.is_reply() as u64) << 8,
+        ]
+    }
+
+    #[inline]
+    fn flit(&self) -> Flit {
+        Flit {
+            pkt: self.pkt(),
+            src: Coord::new(self[2] as u16, (self[2] >> 16) as u16),
+            dst: self.dst(),
+            class: if self.class_ix() == 1 { MessageClass::Reply } else { MessageClass::Request },
+            seq: self.seq(),
+            len: (self[3] >> 16) as u16,
+            sink: self.sink(),
+            vc: self.vc(),
+        }
+    }
+
+    #[inline]
+    fn stamp(&self) -> u64 {
+        self[0]
+    }
+
+    #[inline]
+    fn set_stamp(&mut self, stamp: u64) {
+        self[0] = stamp;
+    }
+
+    #[inline]
+    fn pkt(&self) -> PacketId {
+        PacketId(self[1])
+    }
+
+    #[inline]
+    fn seq(&self) -> u16 {
+        self[3] as u16
+    }
+
+    #[inline]
+    fn dst(&self) -> Coord {
+        Coord::new((self[2] >> 32) as u16, (self[2] >> 48) as u16)
+    }
+
+    #[inline]
+    fn dst_key(&self) -> u32 {
+        (self[2] >> 32) as u32
+    }
+
+    #[inline]
+    fn coord_key(c: Coord) -> u32 {
+        c.x as u32 | (c.y as u32) << 16
+    }
+
+    #[inline]
+    fn sink(&self) -> u32 {
+        (self[3] >> 32) as u32
+    }
+
+    #[inline]
+    fn vc(&self) -> u8 {
+        self[4] as u8
+    }
+
+    #[inline]
+    fn set_vc(&mut self, vc: u8) {
+        self[4] = (self[4] & !0xFF) | vc as u64;
+    }
+
+    #[inline]
+    fn class_ix(&self) -> usize {
+        (self[4] >> 8) as usize & 1
+    }
+
+    #[inline]
+    fn is_head(&self) -> bool {
+        self.seq() == 0
+    }
+
+    #[inline]
+    fn is_tail(&self) -> bool {
+        self[3] as u16 as u32 + 1 == (self[3] >> 16) as u16 as u32
+    }
+}
+
 impl equinox_snap::Snap for PacketId {
     fn snap(&self, e: &mut equinox_snap::Enc) {
         e.put_u64(self.0);
@@ -274,6 +405,27 @@ mod tests {
         assert_eq!(f.sink, 9);
         assert_eq!(f.dst, Coord::new(3, 3));
         assert_eq!(f.src, Coord::new(0, 0));
+    }
+
+    #[test]
+    fn packed_slot_round_trips_every_field() {
+        let p = PacketDesc::new(u64::MAX - 3, Coord::new(65535, 2), Coord::new(7, 65534), MessageClass::Reply, 700);
+        for seq in [0u16, 1, 698, 699] {
+            let mut f = p.flit_at(seq, 8).with_sink(u32::MAX - seq as u32);
+            f.vc = 11;
+            let mut s = Slot::pack(u64::MAX - 9, &f);
+            assert_eq!(s.flit(), f);
+            assert_eq!(s.stamp(), u64::MAX - 9);
+            assert_eq!((s.is_head(), s.is_tail()), (f.is_head(), f.is_tail()));
+            assert_eq!((s.dst(), s.sink(), s.vc(), s.class_ix()), (f.dst, f.sink, 11, 1));
+            assert_eq!(s.dst_key(), Slot::coord_key(f.dst));
+            assert_ne!(s.dst_key(), Slot::coord_key(Coord::new(f.dst.y, f.dst.x)));
+            s.set_vc(200);
+            f.vc = 200;
+            assert_eq!(s.flit(), f, "set_vc must touch nothing else");
+        }
+        let req = PacketDesc::new(0, Coord::new(0, 0), Coord::new(1, 0), MessageClass::Request, 1);
+        assert_eq!(Slot::pack(0, &req.flit_at(0, 8)).class_ix(), 0);
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //!
 //! # Architecture
 //!
-//! A [`network::Network`] owns a grid of [`router::Router`]s connected by
-//! `Link`s. Network interfaces (built in `equinox-core`) inject
+//! A [`network::Network`] owns a grid of routers — flat arrays of VC
+//! state, see [`router`] — connected by `Link`s. Network interfaces (built in `equinox-core`) inject
 //! flits through [`network::InjectorId`] handles — each handle is an extra
 //! input port on some router, fed by a link with its own latency and
 //! credit loop, which is exactly how the EquiNox NI's five single-packet
@@ -74,6 +74,7 @@ pub mod routing;
 pub mod stats;
 pub mod topology;
 pub mod trace;
+mod worklist;
 
 pub use audit::{audit_from_env, AuditConfig, DeadlockReport, Violation};
 pub use config::{activity_gate_from_env, NocConfig, RoutingKind, VcPartition};

@@ -6,9 +6,16 @@
 //! EquiNox — an EIR's extra port, in which case the link physically lives
 //! in the interposer's RDL and is tagged [`LinkKind::Interposer`] so the
 //! energy and µbump models can account for it separately).
+//!
+//! A link's latency is fixed and it carries at most one flit and one
+//! credit per cycle (a router output has one switch-allocation winner, a
+//! router input port returns one credit, an injector accepts one flit),
+//! and both are taken off exactly on their arrival cycle. So each
+//! direction is a ring of `latency + 1` slots — the `+ 1` because an
+//! injector sends before the cycle's delivery runs — and all rings of a
+//! network live in two arenas owned by [`Links`].
 
-use crate::flit::Flit;
-use std::collections::VecDeque;
+use crate::flit::{Slot, SlotExt, EMPTY_SLOT};
 
 /// Physical class of a link, for energy/area accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -26,9 +33,9 @@ pub enum LinkKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum CreditDst {
     /// Credits replenish an upstream router's output-VC counters.
-    RouterOutput { router: usize, port: usize },
+    RouterOutput { router: u32, port: u8 },
     /// Credits replenish an injector's NI-side counters.
-    Injector { injector: usize },
+    Injector { injector: u32 },
 }
 
 /// A unidirectional pipelined channel carrying flits downstream and
@@ -38,114 +45,234 @@ pub(crate) struct Link {
     pub kind: LinkKind,
     pub latency: u32,
     /// Downstream endpoint.
-    pub to_router: usize,
-    pub to_port: usize,
+    pub to_router: u32,
+    pub to_port: u8,
     /// Upstream credit endpoint.
     pub credit_dst: CreditDst,
-    /// In-flight flits, as (arrival_cycle, flit), ordered by arrival.
-    flits: VecDeque<(u64, Flit)>,
-    /// In-flight credits, as (arrival_cycle, vc).
-    credits: VecDeque<(u64, u8)>,
     /// Cumulative flits sent down this link (per-link utilization).
     pub flits_carried: u64,
+    /// First slot of this link's two rings (`latency + 1` slots each) in
+    /// the arenas.
+    base: u32,
+    flit_head: u32,
+    flit_len: u32,
+    credit_head: u32,
+    credit_len: u32,
+}
+
+/// Every link of a network, with the flit and credit rings in two flat
+/// arenas.
+#[derive(Debug, Default)]
+pub(crate) struct Links {
+    links: Vec<Link>,
+    /// In-flight flits, stamped with their arrival cycle.
+    flit_slots: Vec<Slot>,
+    /// In-flight credits as `(arrival_cycle, vc)`.
+    credit_slots: Vec<(u64, u8)>,
 }
 
 impl Link {
-    pub fn new(
+    /// Number of flits currently in flight (used by drain checks).
+    #[inline]
+    pub fn in_flight(&self) -> usize {
+        self.flit_len as usize
+    }
+
+    /// Number of credits currently in flight back upstream (used by the
+    /// activity gate to keep a link on the credit worklist).
+    #[inline]
+    pub fn credits_pending(&self) -> usize {
+        self.credit_len as usize
+    }
+}
+
+impl std::ops::Index<usize> for Links {
+    type Output = Link;
+    #[inline]
+    fn index(&self, li: usize) -> &Link {
+        &self.links[li]
+    }
+}
+
+impl Links {
+    /// Appends a link and returns its id.
+    pub fn push(
+        &mut self,
         kind: LinkKind,
         latency: u32,
         to_router: usize,
         to_port: usize,
         credit_dst: CreditDst,
-    ) -> Self {
+    ) -> usize {
         assert!(latency >= 1, "links need at least one cycle of latency");
-        Link {
+        let base = self.flit_slots.len();
+        let cap = latency as usize + 1;
+        self.flit_slots.resize(base + cap, EMPTY_SLOT);
+        self.credit_slots.resize(base + cap, (0, 0));
+        self.links.push(Link {
             kind,
             latency,
-            to_router,
-            to_port,
+            to_router: to_router as u32,
+            to_port: to_port as u8,
             credit_dst,
-            flits: VecDeque::new(),
-            credits: VecDeque::new(),
             flits_carried: 0,
-        }
+            base: base as u32,
+            flit_head: 0,
+            flit_len: 0,
+            credit_head: 0,
+            credit_len: 0,
+        });
+        self.links.len() - 1
+    }
+
+    pub fn len(&self) -> usize {
+        self.links.len()
+    }
+
+    pub fn iter(&self) -> impl Iterator<Item = &Link> {
+        self.links.iter()
+    }
+
+    /// Ring position `head + offset` of a ring of `latency + 1` slots.
+    #[inline]
+    fn ring_pos(l: &Link, head: u32, offset: u32) -> usize {
+        let cap = l.latency + 1;
+        let pos = head + offset;
+        (l.base + if pos >= cap { pos - cap } else { pos }) as usize
     }
 
     /// Sends a flit; it arrives downstream at `now + latency`.
-    pub fn send_flit(&mut self, now: u64, flit: Flit) {
+    #[inline]
+    pub fn send_flit(&mut self, li: usize, now: u64, mut flit: Slot) {
+        let l = &mut self.links[li];
+        assert!(l.flit_len <= l.latency, "link {li} flit ring overflow");
+        flit.set_stamp(now + l.latency as u64);
+        let at = Self::ring_pos(l, l.flit_head, l.flit_len);
         debug_assert!(
-            self.flits.back().is_none_or(|&(t, _)| t < now + self.latency as u64),
+            l.flit_len == 0
+                || self.flit_slots[Self::ring_pos(l, l.flit_head, l.flit_len - 1)].stamp()
+                    < flit.stamp(),
             "more than one flit per cycle on a link"
         );
-        self.flits.push_back((now + self.latency as u64, flit));
-        self.flits_carried += 1;
+        self.flit_slots[at] = flit;
+        l.flit_len += 1;
+        l.flits_carried += 1;
     }
 
     /// Sends a credit back upstream for `vc`; arrives at `now + latency`.
-    pub fn send_credit(&mut self, now: u64, vc: u8) {
-        self.credits.push_back((now + self.latency as u64, vc));
+    #[inline]
+    pub fn send_credit(&mut self, li: usize, now: u64, vc: u8) {
+        let l = &mut self.links[li];
+        assert!(l.credit_len <= l.latency, "link {li} credit ring overflow");
+        let at = Self::ring_pos(l, l.credit_head, l.credit_len);
+        self.credit_slots[at] = (now + l.latency as u64, vc);
+        l.credit_len += 1;
     }
 
-    /// Pops the flit arriving at exactly `now`, if any.
-    pub fn recv_flit(&mut self, now: u64) -> Option<Flit> {
-        if self.flits.front().is_some_and(|&(t, _)| t <= now) {
-            Some(self.flits.pop_front().expect("checked front").1)
-        } else {
-            None
+    /// Pops the oldest flit if it has arrived by `now`.
+    #[inline]
+    pub fn recv_flit(&mut self, li: usize, now: u64) -> Option<Slot> {
+        let l = &mut self.links[li];
+        let slot = &self.flit_slots[(l.base + l.flit_head) as usize];
+        if l.flit_len == 0 || slot.stamp() > now {
+            return None;
         }
+        l.flit_len -= 1;
+        l.flit_head = if l.flit_len == 0 || l.flit_head == l.latency { 0 } else { l.flit_head + 1 };
+        Some(*slot)
     }
 
-    /// Pops all credits that have arrived by `now`.
-    pub fn recv_credits(&mut self, now: u64, out: &mut Vec<u8>) {
-        while self.credits.front().is_some_and(|&(t, _)| t <= now) {
-            out.push(self.credits.pop_front().expect("checked front").1);
+    /// Pops the oldest credit if it has arrived by `now`.
+    #[inline]
+    pub fn recv_credit(&mut self, li: usize, now: u64) -> Option<u8> {
+        let l = &mut self.links[li];
+        let (at, vc) = self.credit_slots[(l.base + l.credit_head) as usize];
+        if l.credit_len == 0 || at > now {
+            return None;
         }
+        l.credit_len -= 1;
+        l.credit_head =
+            if l.credit_len == 0 || l.credit_head == l.latency { 0 } else { l.credit_head + 1 };
+        Some(vc)
     }
 
-    /// Number of flits currently in flight (used by drain checks).
-    pub fn in_flight(&self) -> usize {
-        self.flits.len()
+    /// All in-flight flits of link `li`, oldest first.
+    pub fn flits(&self, li: usize) -> impl Iterator<Item = &Slot> {
+        let l = &self.links[li];
+        (0..l.flit_len).map(move |k| &self.flit_slots[Self::ring_pos(l, l.flit_head, k)])
     }
 
-    /// Number of credits currently in flight back upstream (used by the
-    /// activity gate to keep a link on the credit worklist).
-    pub fn credits_pending(&self) -> usize {
-        self.credits.len()
+    /// All in-flight credits of link `li` as `(arrival, vc)`, oldest first.
+    fn credits(&self, li: usize) -> impl Iterator<Item = (u64, u8)> + '_ {
+        let l = &self.links[li];
+        (0..l.credit_len).map(move |k| self.credit_slots[Self::ring_pos(l, l.credit_head, k)])
     }
 
     /// Flits in flight destined for downstream input VC `vc` (audit).
-    pub fn flits_in_flight_on_vc(&self, vc: u8) -> u32 {
-        self.flits.iter().filter(|&&(_, f)| f.vc == vc).count() as u32
+    pub fn flits_in_flight_on_vc(&self, li: usize, vc: u8) -> u32 {
+        self.flits(li).filter(|f| f.vc() == vc).count() as u32
     }
 
     /// Credits in flight back upstream for VC `vc` (audit).
-    pub fn credits_in_flight_for_vc(&self, vc: u8) -> u32 {
-        self.credits.iter().filter(|&&(_, v)| v == vc).count() as u32
+    pub fn credits_in_flight_for_vc(&self, li: usize, vc: u8) -> u32 {
+        self.credits(li).filter(|&(_, v)| v == vc).count() as u32
     }
 
-    /// All in-flight flits, oldest first (audit).
-    pub fn iter_flits(&self) -> impl Iterator<Item = &Flit> {
-        self.flits.iter().map(|(_, f)| f)
-    }
-
-    /// Serializes the link's dynamic state (in-flight flits/credits and
-    /// the carried counter); endpoints and latency are topology.
-    pub fn snap_state(&self, e: &mut equinox_snap::Enc) {
+    /// Serializes link `li`'s dynamic state (in-flight flits/credits and
+    /// the carried counter) in the format of the `VecDeque` pipelines
+    /// this replaced; endpoints and latency are topology.
+    pub fn snap_state(&self, li: usize, e: &mut equinox_snap::Enc) {
         use equinox_snap::Snap;
-        self.flits.snap(e);
-        self.credits.snap(e);
-        e.put_u64(self.flits_carried);
+        let l = &self.links[li];
+        e.put_usize(l.flit_len as usize);
+        for f in self.flits(li) {
+            (f.stamp(), f.flit()).snap(e);
+        }
+        e.put_usize(l.credit_len as usize);
+        for c in self.credits(li) {
+            c.snap(e);
+        }
+        e.put_u64(l.flits_carried);
     }
 
-    /// Restores state written by [`Link::snap_state`].
+    /// Restores state written by [`Links::snap_state`]. `vcs` bounds the
+    /// VC ids carried by flits and credits, which index flat arrays
+    /// downstream.
     pub fn restore_state(
         &mut self,
+        li: usize,
         d: &mut equinox_snap::Dec,
+        vcs: u8,
     ) -> Result<(), equinox_snap::SnapError> {
-        use equinox_snap::Snap;
-        self.flits = VecDeque::restore(d)?;
-        self.credits = VecDeque::restore(d)?;
-        self.flits_carried = d.u64()?;
+        use crate::flit::Flit;
+        use equinox_snap::{Snap, SnapError};
+        let l = &mut self.links[li];
+        let base = l.base as usize;
+        let n = d.usize()?;
+        if n > l.latency as usize + 1 {
+            return Err(SnapError::BadValue("link flits over latency"));
+        }
+        for k in 0..n {
+            let (at, f) = <(u64, Flit)>::restore(d)?;
+            if f.vc >= vcs {
+                return Err(SnapError::BadValue("link flit vc"));
+            }
+            self.flit_slots[base + k] = Slot::pack(at, &f);
+        }
+        (l.flit_head, l.flit_len) = (0, n as u32);
+        let n = d.usize()?;
+        if n > l.latency as usize + 1 {
+            return Err(SnapError::BadValue("link credits over latency"));
+        }
+        for k in 0..n {
+            let c = <(u64, u8)>::restore(d)?;
+            if c.1 >= vcs {
+                return Err(SnapError::BadValue("link credit vc"));
+            }
+            self.credit_slots[base + k] = c;
+        }
+        (l.credit_head, l.credit_len) = (0, n as u32);
+        l.flits_carried = d.u64()?;
         Ok(())
     }
 }
@@ -156,53 +283,78 @@ mod tests {
     use crate::flit::{MessageClass, PacketDesc};
     use equinox_phys::Coord;
 
-    fn test_flit() -> Flit {
-        PacketDesc::new(0, Coord::new(0, 0), Coord::new(1, 1), MessageClass::Reply, 1).flits(8)[0]
+    fn test_flit() -> Slot {
+        let f = PacketDesc::new(0, Coord::new(0, 0), Coord::new(1, 1), MessageClass::Reply, 1)
+            .flits(8)[0];
+        Slot::pack(0, &f)
     }
 
-    fn test_link(latency: u32) -> Link {
-        Link::new(
+    fn test_link(latency: u32) -> Links {
+        let mut links = Links::default();
+        links.push(
             LinkKind::Mesh,
             latency,
             1,
             0,
             CreditDst::RouterOutput { router: 0, port: 1 },
-        )
+        );
+        links
     }
 
     #[test]
     fn flit_arrives_after_latency() {
         let mut l = test_link(3);
-        l.send_flit(10, test_flit());
-        assert_eq!(l.recv_flit(11), None);
-        assert_eq!(l.recv_flit(12), None);
-        assert!(l.recv_flit(13).is_some());
-        assert_eq!(l.recv_flit(13), None, "only one flit was sent");
+        l.send_flit(0, 10, test_flit());
+        assert_eq!(l.recv_flit(0, 11), None);
+        assert_eq!(l.recv_flit(0, 12), None);
+        assert!(l.recv_flit(0, 13).is_some());
+        assert_eq!(l.recv_flit(0, 13), None, "only one flit was sent");
     }
 
     #[test]
     fn credits_travel_independently() {
         let mut l = test_link(2);
-        l.send_credit(5, 1);
-        l.send_credit(6, 0);
-        let mut got = Vec::new();
-        l.recv_credits(6, &mut got);
-        assert!(got.is_empty());
-        l.recv_credits(7, &mut got);
-        assert_eq!(got, vec![1]);
-        got.clear();
-        l.recv_credits(8, &mut got);
-        assert_eq!(got, vec![0]);
+        l.send_credit(0, 5, 1);
+        l.send_credit(0, 6, 0);
+        assert_eq!(l.recv_credit(0, 6), None);
+        assert_eq!(l.recv_credit(0, 7), Some(1));
+        assert_eq!(l.recv_credit(0, 7), None);
+        assert_eq!(l.recv_credit(0, 8), Some(0));
     }
 
     #[test]
     fn in_flight_counts() {
         let mut l = test_link(5);
-        assert_eq!(l.in_flight(), 0);
-        l.send_flit(0, test_flit());
-        assert_eq!(l.in_flight(), 1);
-        let _ = l.recv_flit(5);
-        assert_eq!(l.in_flight(), 0);
+        assert_eq!(l[0].in_flight(), 0);
+        l.send_flit(0, 0, test_flit());
+        assert_eq!(l[0].in_flight(), 1);
+        let _ = l.recv_flit(0, 5);
+        assert_eq!(l[0].in_flight(), 0);
+    }
+
+    #[test]
+    fn a_full_pipeline_wraps_the_ring_in_order() {
+        // One flit per cycle, an injector's schedule: sent before the
+        // cycle's delivery, so latency + 1 flits are in flight at once.
+        for latency in [1u32, 2, 5] {
+            let mut l = test_link(latency);
+            let mut next = 0u64;
+            for now in 0..40u64 {
+                let mut f = test_flit();
+                f[1] = now; // the packet id
+                l.send_flit(0, now, f);
+                l.send_credit(0, now, (now % 3) as u8);
+                if let Some(got) = l.recv_flit(0, now) {
+                    assert_eq!(got.pkt().0, next, "latency {latency}");
+                    assert_eq!(l.recv_credit(0, now), Some((next % 3) as u8));
+                    next += 1;
+                }
+                assert!(l[0].in_flight() <= latency as usize + 1);
+                let stamps: Vec<u64> = l.flits(0).map(|f| f.stamp()).collect();
+                assert!(stamps.windows(2).all(|w| w[0] < w[1]), "oldest first");
+            }
+            assert_eq!(next, 40 - latency as u64);
+        }
     }
 
     #[test]

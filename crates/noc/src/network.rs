@@ -11,22 +11,27 @@
 //!    which pushes flits onto outgoing links (or ejection queues) and
 //!    returns a credit upstream for the freed buffer slot.
 //!
+//! Router state lives in the flat arrays of [`RouterCore`]; the stages
+//! walk each router's mask words (`occupied`, `allocated`, `out_free`,
+//! `out_ready`) bit by bit, lowest first, which is port-major, VC-minor
+//! order.
+//!
 //! Network interfaces interact only through [`InjectorId`] handles (each an
 //! extra input port fed by a private link with NI-side credit counters) and
 //! the per-port ejection queues.
 
 use crate::audit::{self, AuditConfig, AuditState, Violation};
 use crate::config::NocConfig;
-use crate::flit::{Flit, MessageClass};
-use crate::link::{CreditDst, Link, LinkKind};
-use crate::router::{OutputRole, Router, PORT_LOCAL};
+use crate::flit::{Flit, MessageClass, Slot, SlotExt};
+use crate::link::{CreditDst, LinkKind, Links};
+use crate::router::{OutputRole, RouterCore, NONE, NO_LINK, PORT_LOCAL};
 use crate::stats::NetStats;
 use crate::topology::{Topology, TopologyKind};
 use crate::trace::{Trace, TraceEvent, TraceKind};
+use crate::worklist::Worklist;
 use equinox_obs::{NetCause, StallGrid};
 use equinox_phys::Coord;
 use std::collections::VecDeque;
-use std::ops::Range;
 
 /// Handle to one injection point (an input port on some router, fed by a
 /// dedicated link with credit-based backpressure).
@@ -56,43 +61,42 @@ pub(crate) struct Injector {
     flits: u64,
 }
 
-/// A deduplicated worklist over a dense id space, kept sorted ascending
-/// so a gated sweep visits members in exactly the order the exhaustive
-/// `for id in 0..n` sweep would. The list's capacity always covers the
-/// whole id space, so inserts in the steady state never allocate.
-#[derive(Debug, Default)]
-struct ActiveSet {
-    /// `flags[id]` — membership bit (dedup for `insert`).
-    flags: Vec<bool>,
-    /// Member ids, sorted ascending.
-    list: Vec<u32>,
+/// What [`Topology::route`] and [`Topology::escape_port`] say about one
+/// `(current, destination)` pair, as the VC allocator wants it. Both are
+/// pure functions of the pair, so the answer is computed the first time
+/// a head flit asks and kept: a head that stays blocked for a hundred
+/// cycles costs one virtual call, not a hundred, and a network that
+/// never routes some pair never pays for it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Route {
+    /// 0 while the pair has not been asked for; else `1 +` the number of
+    /// entries of `ports` in use.
+    filled: u8,
+    /// The candidate ports that drive a link, in preference order.
+    ports: [u8; 2],
+    /// The escape port, or [`NONE`] at the destination itself.
+    escape: u8,
 }
 
-impl ActiveSet {
-    fn with_len(n: usize) -> Self {
-        ActiveSet {
-            flags: vec![false; n],
-            list: Vec::with_capacity(n),
-        }
-    }
+impl Route {
+    const UNKNOWN: Route = Route { filled: 0, ports: [NONE; 2], escape: NONE };
 
-    /// Extends the id space by one (new id starts inactive).
-    fn grow(&mut self) {
-        self.flags.push(false);
-        let need = self.flags.len() - self.list.len();
-        self.list.reserve(need);
+    fn candidates(&self) -> &[u8] {
+        &self.ports[..self.filled as usize - 1]
     }
+}
 
-    /// Adds `id` to the worklist, keeping the list sorted. No-op if
-    /// already present.
-    fn insert(&mut self, id: usize) {
-        if !self.flags[id] {
-            self.flags[id] = true;
-            let id = id as u32;
-            let pos = self.list.partition_point(|&x| x < id);
-            self.list.insert(pos, id);
-        }
-    }
+/// The VCs a message class may be allocated, fixed by the partition.
+#[derive(Debug, Clone, Copy, Default)]
+struct ClassVcs {
+    /// The class's own VCs as a mask over one port's VCs.
+    own: u64,
+    /// Its escape VC (the first of its own).
+    escape: u8,
+    /// The other class's VCs, `start..end`, if this class may borrow
+    /// them at a router holding no flit of the other class (VC-Mono);
+    /// empty otherwise.
+    foreign: (u8, u8),
 }
 
 /// Stall-cause attribution state (the `obs/v2` layer), armed by
@@ -103,10 +107,10 @@ pub(crate) struct NetStalls {
     /// Per-router × per-cause stall-cycle counters + per-class totals.
     grid: StallGrid,
     /// Entry cycle of every flit parked in an ejection queue, parallel
-    /// deque-for-deque to [`Network::eject`]. Preallocated to
+    /// deque-for-deque to [`RouterCore::eject_queues`]. Preallocated to
     /// `eject_cap` (the queues' hard bound) so steady-state pushes
     /// never allocate.
-    eject_ts: Vec<Vec<VecDeque<u64>>>,
+    eject_ts: Vec<VecDeque<u64>>,
 }
 
 /// A cycle-accurate network over one of the registered
@@ -117,20 +121,26 @@ pub struct Network {
     /// The fabric description the network was built from: link graph,
     /// productive-direction function, escape contract.
     pub(crate) topo: Box<dyn Topology>,
-    pub(crate) routers: Vec<Router>,
-    pub(crate) links: Vec<Link>,
+    pub(crate) core: RouterCore,
+    pub(crate) links: Links,
     pub(crate) injectors: Vec<Injector>,
-    /// Ejection queues indexed `[router][port]` (only `Eject` ports used).
-    pub(crate) eject: Vec<Vec<VecDeque<Flit>>>,
     stats: NetStats,
     pub(crate) cycle: u64,
     /// Cached local injector ids per node (row-major).
     local_injectors: Vec<InjectorId>,
-    /// Scratch buffer for credit delivery.
-    credit_scratch: Vec<u8>,
-    /// Scratch winner table for switch allocation (one slot per port of
-    /// the router currently being switched).
-    sa_winners: Vec<Option<(usize, usize)>>,
+    /// [`Route`] per `(current, destination)` pair, row per current.
+    routes: Vec<Route>,
+    /// Per message class (0 = request, 1 = reply).
+    class_vcs: [ClassVcs; 2],
+    /// `cfg.pipeline_extra`, widened once.
+    pipeline_extra: u64,
+    /// The port a mask bit belongs to (`bit / vcs_per_port`).
+    bit_port: [u8; 64],
+    /// Switch-allocation scratch: per output port, the input ports whose
+    /// winning VC wants it. All zero between routers.
+    sa_requests: [u64; 64],
+    /// Switch-allocation scratch: per input port, its winning VC.
+    sa_winner_vc: [u8; 64],
     /// Opt-in flit-event recorder (disabled by default).
     trace: Trace,
     /// Opt-in invariant auditor (disabled by default; boxed so the
@@ -140,14 +150,11 @@ pub struct Network {
     /// one-branch discipline as the auditor).
     stall: Option<Box<NetStalls>>,
     /// Routers that may do work this cycle (≥ 1 buffered flit).
-    active_routers: ActiveSet,
+    active_routers: Worklist,
     /// Links with flits in flight.
-    active_flit_links: ActiveSet,
+    active_flit_links: Worklist,
     /// Links with credits in flight.
-    active_credit_links: ActiveSet,
-    /// Buffered flits per router (mirrors `Router::buffered_flits`, kept
-    /// here because router unit tests mutate buffers directly).
-    router_buffered: Vec<u32>,
+    active_credit_links: Worklist,
     /// O(1) idleness aggregates: total flits buffered in routers, flits
     /// in flight on links, credits in flight on links, and flits parked
     /// in ejection queues. `idle()` is the conjunction of all four being
@@ -174,29 +181,46 @@ impl Network {
         }
         let topo = cfg.topology.build(cfg.width, cfg.height);
         let n = topo.num_nodes();
-        let depth = cfg.vc_buf_flits as u32;
-        let routers: Vec<Router> = (0..n)
-            .map(|i| Router::new(topo.node_coord(i), 5, cfg.vcs_per_port, depth))
-            .collect();
+        let coords: Vec<Coord> = (0..n).map(|i| topo.node_coord(i)).collect();
+        let vcs = cfg.vcs_per_port;
+        let class_vcs = [false, true].map(|reply| {
+            let own = cfg.partition.range_for(reply, vcs);
+            let foreign = if reply && cfg.partition.mono() {
+                cfg.partition.range_for(false, vcs)
+            } else {
+                0..0
+            };
+            ClassVcs {
+                own: (own.start..own.end).fold(0, |m, v| m | 1 << v),
+                escape: own.start,
+                foreign: (foreign.start, foreign.end),
+            }
+        });
+        let mut bit_port = [0; 64];
+        for (bit, port) in bit_port.iter_mut().enumerate() {
+            *port = (bit / vcs as usize) as u8;
+        }
         let mut net = Network {
-            eject: (0..n).map(|_| vec![VecDeque::new(); 5]).collect(),
+            core: RouterCore::new(&coords, 5, vcs, cfg.vc_buf_flits, cfg.eject_cap),
             stats: NetStats::new(n),
             topo,
-            routers,
-            links: Vec::new(),
+            links: Links::default(),
             injectors: Vec::new(),
             cycle: 0,
             local_injectors: Vec::new(),
+            routes: vec![Route::UNKNOWN; n * n],
+            class_vcs,
+            pipeline_extra: cfg.pipeline_extra as u64,
+            bit_port,
+            sa_requests: [0; 64],
+            sa_winner_vc: [0; 64],
             cfg,
-            credit_scratch: Vec::new(),
-            sa_winners: Vec::new(),
             trace: Trace::default(),
             audit: None,
             stall: None,
-            active_routers: ActiveSet::with_len(n),
-            active_flit_links: ActiveSet::default(),
-            active_credit_links: ActiveSet::default(),
-            router_buffered: vec![0; n],
+            active_routers: Worklist::with_len(n),
+            active_flit_links: Worklist::default(),
+            active_credit_links: Worklist::default(),
             buffered_total: 0,
             flits_in_flight: 0,
             credits_in_flight: 0,
@@ -206,25 +230,21 @@ impl Network {
         // ids are observable through link-utilization grids, so the order
         // is part of each fabric's contract).
         for l in net.topo.links() {
-            let link_id = net.push_link(Link::new(
+            let link_id = net.push_link(
                 LinkKind::Mesh,
                 net.cfg.link_latency,
                 l.to,
                 l.to_port,
                 CreditDst::RouterOutput {
-                    router: l.from,
-                    port: l.from_port,
+                    router: l.from as u32,
+                    port: l.from_port as u8,
                 },
-            ));
-            net.routers[l.from].outputs[l.from_port].role = OutputRole::Link(link_id);
-            net.routers[l.to].inputs[l.to_port].feed_link = Some(link_id);
+            );
+            net.core.set_role(l.from, l.from_port, OutputRole::Link(link_id as u32));
         }
         // Local ports: ejection with sink tag, plus one NI injector.
-        for i in 0..n {
-            net.routers[i].outputs[PORT_LOCAL].role = OutputRole::Eject {
-                sink: Some(i as u32),
-            };
-            let c = net.topo.node_coord(i);
+        for (i, &c) in coords.iter().enumerate() {
+            net.core.set_role(i, PORT_LOCAL, OutputRole::Eject { sink: Some(i as u32) });
             let id = net.attach_injector(c, PORT_LOCAL, net.cfg.ni_latency, LinkKind::NiLocal);
             net.local_injectors.push(id);
         }
@@ -239,12 +259,21 @@ impl Network {
         Self::new(cfg)
     }
 
-    /// Appends a link and grows the per-link worklists with it.
-    fn push_link(&mut self, link: Link) -> usize {
-        let id = self.links.len();
-        self.links.push(link);
-        self.active_flit_links.grow();
-        self.active_credit_links.grow();
+    /// Appends a link feeding input port `to_port` of `to_router` and
+    /// grows the per-link worklists with it.
+    fn push_link(
+        &mut self,
+        kind: LinkKind,
+        latency: u32,
+        to_router: usize,
+        to_port: usize,
+        credit_dst: CreditDst,
+    ) -> usize {
+        let id = self.links.push(kind, latency, to_router, to_port, credit_dst);
+        let fed = self.core.port(to_router, to_port);
+        self.core.feed_link[fed] = id as u32;
+        self.active_flit_links.grow_to(id + 1);
+        self.active_credit_links.grow_to(id + 1);
         id
     }
 
@@ -257,16 +286,15 @@ impl Network {
     ) -> InjectorId {
         let r = self.topo.node_index(node);
         let injector_idx = self.injectors.len();
-        let link_id = self.push_link(Link::new(
+        let link_id = self.push_link(
             kind,
             latency,
             r,
             port,
             CreditDst::Injector {
-                injector: injector_idx,
+                injector: injector_idx as u32,
             },
-        ));
-        self.routers[r].inputs[port].feed_link = Some(link_id);
+        );
         self.injectors.push(Injector {
             link: link_id,
             router: r,
@@ -283,20 +311,27 @@ impl Network {
     /// MultiPort's extra CB ports and EquiNox's CB→EIR interposer links
     /// are modelled.
     pub fn add_injection_port(&mut self, node: Coord, latency: u32, kind: LinkKind) -> InjectorId {
-        let r = self.topo.node_index(node);
-        let port = self.routers[r].add_port(self.cfg.vcs_per_port, self.cfg.vc_buf_flits as u32);
-        self.eject[r].push(VecDeque::new());
+        let (_, port) = self.add_port(node);
         self.attach_injector(node, port, latency, kind)
+    }
+
+    /// Appends a paired port, dead on both sides, to the router at
+    /// `node` and returns `(router, port)`.
+    fn add_port(&mut self, node: Coord) -> (usize, usize) {
+        assert!(
+            self.stall.is_none(),
+            "ports are added before stall attribution is armed (its timestamp queues are per port)"
+        );
+        let r = self.topo.node_index(node);
+        (r, self.core.add_port(r))
     }
 
     /// Adds an extra ejection port (output only) to the router at `node`,
     /// restricted to flits whose sink tag equals `sink` (or any flit if
     /// `None`). Returns `(router, port)` for use with [`Network::pop_ejected`].
     pub fn add_ejection_port(&mut self, node: Coord, sink: Option<u32>) -> (usize, usize) {
-        let r = self.topo.node_index(node);
-        let port = self.routers[r].add_port(self.cfg.vcs_per_port, self.cfg.vc_buf_flits as u32);
-        self.routers[r].outputs[port].role = OutputRole::Eject { sink };
-        self.eject[r].push(VecDeque::new());
+        let (r, port) = self.add_port(node);
+        self.core.set_role(r, port, OutputRole::Eject { sink });
         (r, port)
     }
 
@@ -307,8 +342,8 @@ impl Network {
     ///
     /// Panics if `(router, port)` is not an ejection port.
     pub fn set_ejection_sink(&mut self, router: usize, port: usize, sink: Option<u32>) {
-        match &mut self.routers[router].outputs[port].role {
-            OutputRole::Eject { sink: s } => *s = sink,
+        match self.core.role(router, port) {
+            OutputRole::Eject { .. } => self.core.set_role(router, port, OutputRole::Eject { sink }),
             other => panic!("port {port} of router {router} is {other:?}, not an ejection port"),
         }
     }
@@ -424,8 +459,8 @@ impl Network {
         flit.vc = vc;
         let link = inj.link;
         let kind = self.links[link].kind;
-        let to_router = self.links[link].to_router;
-        self.links[link].send_flit(self.cycle, flit);
+        let to_router = self.links[link].to_router as usize;
+        self.links.send_flit(link, self.cycle, Slot::pack(0, &flit));
         self.flits_in_flight += 1;
         self.active_flit_links.insert(link);
         self.stats.count_link_flit(kind);
@@ -447,32 +482,20 @@ impl Network {
 
     /// Pops one ejected flit from `(router, port)`, if any.
     pub fn pop_ejected(&mut self, router: usize, port: usize) -> Option<Flit> {
-        let f = self.eject[router][port].pop_front();
-        if let Some(f) = f.as_ref() {
-            self.eject_occupancy -= 1;
-            if let Some(a) = self.audit.as_deref_mut() {
-                a.note_pop(f.class);
-            }
-            self.note_eject_pop(router, port, f);
+        let f = self.core.eject_pop(router, port)?;
+        self.eject_occupancy -= 1;
+        if let Some(a) = self.audit.as_deref_mut() {
+            a.note_pop(f.class);
         }
-        f
+        self.note_eject_pop(router, port, &f);
+        Some(f)
     }
 
     /// Pops one ejected flit from any ejection port of the router at
     /// `node`.
     pub fn pop_ejected_node(&mut self, node: Coord) -> Option<Flit> {
         let r = self.topo.node_index(node);
-        for p in 0..self.eject[r].len() {
-            if let Some(f) = self.eject[r][p].pop_front() {
-                self.eject_occupancy -= 1;
-                if let Some(a) = self.audit.as_deref_mut() {
-                    a.note_pop(f.class);
-                }
-                self.note_eject_pop(r, p, &f);
-                return Some(f);
-            }
-        }
-        None
+        (0..self.core.num_ports(r)).find_map(|p| self.pop_ejected(r, p))
     }
 
     /// Attribution hook for an ejection-queue pop: advances the parallel
@@ -484,7 +507,7 @@ impl Network {
     fn note_eject_pop(&mut self, router: usize, port: usize, f: &Flit) {
         let cycle = self.cycle;
         if let Some(st) = self.stall.as_deref_mut() {
-            let entry = st.eject_ts[router][port]
+            let entry = st.eject_ts[self.core.port(router, port)]
                 .pop_front()
                 .expect("eject timestamps track the eject queues");
             if f.is_tail() {
@@ -519,7 +542,7 @@ impl Network {
         for li in 0..self.links.len() {
             self.deliver_flits_link(li, now);
         }
-        for r in 0..self.routers.len() {
+        for r in 0..self.core.len() {
             self.route_and_allocate(r);
             self.switch(r, now);
         }
@@ -530,268 +553,219 @@ impl Network {
     /// the same relative order as the exhaustive sweep, whose skipped
     /// elements are exact no-ops (an empty router allocates nothing and
     /// grants nothing, so none of its arbiter state advances). Each
-    /// worklist is compacted in place as it is walked; elements are
-    /// re-activated by the arrival edges in the delivery helpers,
-    /// `try_inject_flit` and `traverse`.
+    /// worklist drops the elements that went quiet as it is walked;
+    /// elements are re-activated by the arrival edges in the delivery
+    /// helpers, `try_inject_flit` and `traverse`.
     ///
     /// Taking a worklist out of `self` is safe because no phase inserts
     /// into the set it iterates: credit delivery never sends credits,
     /// flit delivery never sends flits, and the router stages never push
     /// into another router's buffers (links have latency ≥ 1).
     fn step_gated(&mut self, now: u64) {
-        let mut list = std::mem::take(&mut self.active_credit_links.list);
-        let mut kept = 0;
-        for i in 0..list.len() {
-            let li = list[i] as usize;
+        let mut active = std::mem::take(&mut self.active_credit_links);
+        active.sweep(|li| {
             self.deliver_credits_link(li, now);
-            if self.links[li].credits_pending() > 0 {
-                list[kept] = list[i];
-                kept += 1;
-            } else {
-                self.active_credit_links.flags[li] = false;
-            }
-        }
-        list.truncate(kept);
-        self.active_credit_links.list = list;
+            self.links[li].credits_pending() > 0
+        });
+        self.active_credit_links = active;
 
-        let mut list = std::mem::take(&mut self.active_flit_links.list);
-        let mut kept = 0;
-        for i in 0..list.len() {
-            let li = list[i] as usize;
+        let mut active = std::mem::take(&mut self.active_flit_links);
+        active.sweep(|li| {
             self.deliver_flits_link(li, now);
-            if self.links[li].in_flight() > 0 {
-                list[kept] = list[i];
-                kept += 1;
-            } else {
-                self.active_flit_links.flags[li] = false;
-            }
-        }
-        list.truncate(kept);
-        self.active_flit_links.list = list;
+            self.links[li].in_flight() > 0
+        });
+        self.active_flit_links = active;
 
-        let mut list = std::mem::take(&mut self.active_routers.list);
-        let mut kept = 0;
-        for i in 0..list.len() {
-            let r = list[i] as usize;
+        let mut active = std::mem::take(&mut self.active_routers);
+        active.sweep(|r| {
             self.route_and_allocate(r);
             self.switch(r, now);
-            if self.router_buffered[r] > 0 {
-                list[kept] = list[i];
-                kept += 1;
-            } else {
-                self.active_routers.flags[r] = false;
-            }
-        }
-        list.truncate(kept);
-        self.active_routers.list = list;
+            self.core.routers[r].occupied != 0
+        });
+        self.active_routers = active;
     }
 
     /// Delivers the credits arriving on link `li` at `now`.
     fn deliver_credits_link(&mut self, li: usize, now: u64) {
-        let mut scratch = std::mem::take(&mut self.credit_scratch);
-        scratch.clear();
-        self.links[li].recv_credits(now, &mut scratch);
-        if !scratch.is_empty() {
-            self.credits_in_flight -= scratch.len() as u64;
+        while let Some(vc) = self.links.recv_credit(li, now) {
+            self.credits_in_flight -= 1;
             match self.links[li].credit_dst {
                 CreditDst::RouterOutput { router, port } => {
-                    for &vc in &scratch {
-                        self.routers[router].outputs[port].vcs[vc as usize].credits += 1;
-                    }
+                    let out_bit = port as usize * self.core.vcs() + vc as usize;
+                    self.core.return_credit(router as usize, out_bit);
                 }
                 CreditDst::Injector { injector } => {
-                    for &vc in &scratch {
-                        self.injectors[injector].credits[vc as usize] += 1;
-                    }
+                    self.injectors[injector as usize].credits[vc as usize] += 1;
                 }
             }
         }
-        self.credit_scratch = scratch;
     }
 
     /// Delivers the flits arriving on link `li` at `now`, activating the
     /// fed router.
     fn deliver_flits_link(&mut self, li: usize, now: u64) {
-        while let Some(flit) = self.links[li].recv_flit(now) {
-            let (r, p) = (self.links[li].to_router, self.links[li].to_port);
-            let buf = &mut self.routers[r].inputs[p].vcs[flit.vc as usize].buf;
-            debug_assert!(
-                buf.len() < self.cfg.vc_buf_flits,
-                "buffer overflow at router {r} port {p} vc {}",
-                flit.vc
-            );
-            buf.push_back((now, flit));
+        while let Some(mut slot) = self.links.recv_flit(li, now) {
+            let (r, p) = (self.links[li].to_router as usize, self.links[li].to_port as usize);
+            slot.set_stamp(now);
+            self.core.push(r, p * self.core.vcs() + slot.vc() as usize, slot);
             self.stats.buffer_writes += 1;
             self.flits_in_flight -= 1;
-            self.router_buffered[r] += 1;
             self.buffered_total += 1;
             self.active_routers.insert(r);
         }
     }
 
-    /// The VC range `class` may use at router `ri` this cycle, as
-    /// `(escape_vc, usable_vcs)`. Monopolization (VC-Mono) widens the set
-    /// to the foreign partition when no foreign-class flit is buffered at
-    /// the router. Only the *reply* class may monopolize: replies are
-    /// unconditionally consumed at the PEs, so a reply parked in a request
-    /// VC always drains, whereas a request monopolizing reply VCs at a CB
-    /// router can block the very replies whose progress the CB needs to
-    /// accept more requests — a protocol deadlock.
-    fn usable_vcs(&self, ri: usize, class: MessageClass) -> (u8, Range<u8>, Range<u8>) {
-        let total = self.cfg.vcs_per_port;
-        let own = self.cfg.partition.range_for(class.is_reply(), total);
-        let escape = own.start;
-        // VC partitions are contiguous, so both the own and the borrowed
-        // (monopolized) sets are plain ranges — no per-allocation Vecs.
-        let foreign = if self.cfg.partition.mono()
-            && class == MessageClass::Reply
-            && !self.routers[ri].class_present(MessageClass::Request)
-        {
-            self.cfg.partition.range_for(false, total)
-        } else {
-            0..0
+    /// The [`Route`] from router `cur` toward node `dst`.
+    #[inline]
+    fn route(&mut self, cur: usize, dst: usize) -> Route {
+        let at = cur * self.core.len() + dst;
+        let known = self.routes[at];
+        if known.filled != 0 {
+            return known;
+        }
+        let route = self.compute_route(cur, dst);
+        self.routes[at] = route;
+        route
+    }
+
+    /// Asks the fabric. Candidates that do not drive a link are dropped.
+    #[cold]
+    fn compute_route(&self, cur: usize, dst: usize) -> Route {
+        let mut route = Route {
+            filled: 1,
+            ports: [NONE; 2],
+            escape: self.topo.escape_port(cur, dst).map_or(NONE, |p| p as u8),
         };
-        (escape, own, foreign)
+        if cur != dst {
+            for &p in self.topo.route(self.cfg.routing, cur, dst).as_slice() {
+                if matches!(self.core.role(cur, p as usize), OutputRole::Link(_)) {
+                    route.ports[route.filled as usize - 1] = p;
+                    route.filled += 1;
+                }
+            }
+        }
+        route
     }
 
     /// Route computation + VC allocation for every input VC of router `ri`
     /// whose head-of-line flit is a packet head without an allocated
     /// output.
     fn route_and_allocate(&mut self, ri: usize) {
-        let coord = self.routers[ri].coord;
-        let nports = self.routers[ri].num_ports();
-        for ip in 0..nports {
-            for iv in 0..self.routers[ri].inputs[ip].vcs.len() {
-                let head = {
-                    let vc = &self.routers[ri].inputs[ip].vcs[iv];
-                    if vc.out_vc.is_some() {
-                        continue;
-                    }
-                    match vc.buf.front() {
-                        // Pipeline gating: the head must have cleared the
-                        // router's extra stages before allocation.
-                        Some(&(enq, f))
-                            if enq + self.cfg.pipeline_extra as u64 <= self.cycle =>
-                        {
-                            f
-                        }
-                        _ => continue,
-                    }
-                };
-                debug_assert!(head.is_head(), "non-head flit awaiting allocation");
-                let (escape, usable, foreign) = self.usable_vcs(ri, head.class);
-                let grant = if head.dst == coord {
-                    self.alloc_ejection(ri, head.sink, usable)
-                } else {
-                    // Escape capture (ring fabrics): a flit that arrived
-                    // over a network link on its class's escape VC must
-                    // stay on the escape path — port *and* VC — so no
-                    // adaptive detour can re-enter the escape layer and
-                    // create an indirect channel dependence.
-                    let captured = self.topo.captures_escape()
-                        && ip < PORT_LOCAL
-                        && iv == escape as usize;
-                    self.alloc_direction(ri, head.dst, escape, usable, foreign, captured)
-                };
-                if let Some((op, ov)) = grant {
-                    let r = &mut self.routers[ri];
-                    r.outputs[op].vcs[ov as usize].owner = Some((ip, iv as u8));
-                    let vc = &mut r.inputs[ip].vcs[iv];
-                    vc.out_port = Some(op);
-                    vc.out_vc = Some(ov);
-                    self.stats.vc_allocs += 1;
-                } else if let Some(st) = self.stall.as_deref_mut() {
-                    // The head sat pipeline-clear at the front of its VC
-                    // this cycle and got no output VC: one vc_alloc
-                    // stall cycle. Mutually exclusive with the switch
-                    // post-pass charges, which require `out_vc` set.
-                    st.grid
-                        .charge(ri, NetCause::VcAlloc, audit::class_ix(head.class), 1);
-                }
+        let s = &self.core.routers[ri];
+        let mut waiting = s.occupied & !s.allocated;
+        let coord_key = s.coord_key;
+        while waiting != 0 {
+            let bit = waiting.trailing_zeros() as usize;
+            waiting &= waiting - 1;
+            let head = self.core.front(self.core.vc(ri, bit));
+            // Pipeline gating: the head must have cleared the router's
+            // extra stages before allocation.
+            if head.stamp() + self.pipeline_extra > self.cycle {
+                continue;
+            }
+            debug_assert!(head.is_head(), "non-head flit awaiting allocation");
+            let (class, dst, sink) = (head.class_ix(), head.dst(), head.sink());
+            let grant = if head.dst_key() == coord_key {
+                self.alloc_ejection(ri, sink, class)
+            } else {
+                // Row-major node ids are every fabric's convention.
+                self.alloc_direction(ri, bit, dst.to_index(self.cfg.width), class)
+            };
+            if let Some((op, ov)) = grant {
+                self.core.grant(ri, bit, op, ov);
+                self.stats.vc_allocs += 1;
+            } else if let Some(st) = self.stall.as_deref_mut() {
+                // The head sat pipeline-clear at the front of its VC
+                // this cycle and got no output VC: one vc_alloc
+                // stall cycle. Mutually exclusive with the switch
+                // post-pass charges, which require an allocation.
+                st.grid.charge(ri, NetCause::VcAlloc, class, 1);
             }
         }
     }
 
     /// Finds a free output VC on an ejection port accepting `sink`.
-    fn alloc_ejection(&self, ri: usize, sink: u32, usable: Range<u8>) -> Option<(usize, u8)> {
-        let r = &self.routers[ri];
-        for (op, out) in r.outputs.iter().enumerate() {
-            if let OutputRole::Eject { sink: tag } = out.role {
-                if tag.is_some_and(|t| t != sink) {
-                    continue;
-                }
-                for v in usable.clone() {
-                    if out.vcs[v as usize].owner.is_none() {
-                        return Some((op, v));
-                    }
-                }
+    /// Ejection ports are the local port and the extras after it.
+    fn alloc_ejection(&self, ri: usize, sink: u32, class: usize) -> Option<(usize, usize)> {
+        let vcs = self.core.vcs();
+        let free = self.core.routers[ri].out_free;
+        (PORT_LOCAL..self.core.num_ports(ri)).find_map(|op| {
+            let OutputRole::Eject { sink: tag } = self.core.role(ri, op) else {
+                return None;
+            };
+            if tag.is_some_and(|t| t != sink) {
+                return None;
             }
-        }
-        None
+            let usable = (free >> (op * vcs)) & self.class_vcs[class].own;
+            (usable != 0).then(|| (op, usable.trailing_zeros() as usize))
+        })
     }
 
-    /// Finds a free output VC towards `dst`: adaptive VCs on the
-    /// credit-richest candidate port first, then the escape VC on the
-    /// fabric's escape port. A `captured` flit (see
-    /// [`Topology::captures_escape`]) is restricted to the escape
-    /// port/VC pair outright.
+    /// Finds a free output VC towards node `dst` for the head at input
+    /// mask bit `bit`: adaptive VCs on the credit-richest candidate port
+    /// first, then the escape VC on the fabric's escape port.
+    ///
+    /// Escape capture (ring fabrics): a flit that arrived over a network
+    /// link on its class's escape VC must stay on the escape path — port
+    /// *and* VC — so no adaptive detour can re-enter the escape layer
+    /// and create an indirect channel dependence.
+    ///
+    /// Monopolization (VC-Mono) widens the choice to the foreign
+    /// partition when no foreign-class flit is buffered at the router.
+    /// Only the *reply* class may monopolize: replies are unconditionally
+    /// consumed at the PEs, so a reply parked in a request VC always
+    /// drains, whereas a request monopolizing reply VCs at a CB router
+    /// can block the very replies whose progress the CB needs to accept
+    /// more requests — a protocol deadlock.
     fn alloc_direction(
-        &self,
+        &mut self,
         ri: usize,
-        dst: Coord,
-        escape: u8,
-        usable: Range<u8>,
-        foreign: Range<u8>,
-        captured: bool,
-    ) -> Option<(usize, u8)> {
-        let r = &self.routers[ri];
-        let di = self.topo.node_index(dst);
-        let escape_port = self.topo.escape_port(ri, di);
+        bit: usize,
+        dst: usize,
+        class: usize,
+    ) -> Option<(usize, usize)> {
+        let route = self.route(ri, dst);
+        let vcs = self.core.vcs();
+        let ClassVcs { own, escape, foreign } = self.class_vcs[class];
+        let escape = escape as usize;
+        let s = &self.core.routers[ri];
+        // Candidate and escape ports are network ports, whose output is a
+        // link or dead, and a dead port is never ready.
+        let open = s.out_free & s.out_ready;
+        let captured = self.topo.captures_escape()
+            && bit < PORT_LOCAL * vcs
+            && bit == self.bit_port[bit] as usize * vcs + escape;
         if captured {
-            let p = escape_port.expect("captured flit routed at its destination");
-            let ovc = &r.outputs[p].vcs[escape as usize];
-            if matches!(r.outputs[p].role, OutputRole::Link(_))
-                && ovc.owner.is_none()
-                && ovc.credits > 0
-            {
-                return Some((p, escape));
-            }
-            return None;
+            let p = route.escape as usize;
+            debug_assert!(p < PORT_LOCAL, "captured flit routed at its destination");
+            return (open >> (p * vcs + escape) & 1 != 0).then_some((p, escape));
         }
-        // At most two candidate ports on any fabric — keep them in a
-        // fixed pair instead of a sorted Vec.
-        let mut ports = [usize::MAX; 2];
-        let mut n_ports = 0usize;
-        for &p in self.topo.route(self.cfg.routing, ri, di).as_slice() {
-            let p = p as usize;
-            if matches!(r.outputs[p].role, OutputRole::Link(_)) {
-                ports[n_ports] = p;
-                n_ports += 1;
-            }
-        }
+        let mut ports = route.ports;
         // Prefer the port with more free downstream credit (adaptive);
-        // stable on ties, matching the previous stable sort.
-        if n_ports == 2 {
-            let credit_sum = |p: usize| {
-                usable
-                    .clone()
-                    .map(|v| r.outputs[p].vcs[v as usize].credits)
-                    .sum::<u32>()
+        // stable on ties.
+        if let [a, b] = *route.candidates() {
+            let credit_sum = |p: u8| {
+                let mut usable = own;
+                let mut sum = 0;
+                while usable != 0 {
+                    sum += self.core.credits(ri, p as usize * vcs + usable.trailing_zeros() as usize);
+                    usable &= usable - 1;
+                }
+                sum
             };
-            if credit_sum(ports[1]) > credit_sum(ports[0]) {
+            if credit_sum(b) > credit_sum(a) {
                 ports.swap(0, 1);
             }
         }
-        for &p in &ports[..n_ports] {
-            for v in usable.clone() {
-                let is_escape = v == escape;
-                if is_escape && Some(p) != escape_port {
-                    continue; // escape VC only along the escape path
-                }
-                let ovc = &r.outputs[p].vcs[v as usize];
-                if ovc.owner.is_none() && ovc.credits > 0 {
-                    return Some((p, v));
-                }
+        for &p in &ports[..route.candidates().len()] {
+            let on_escape_path = p == route.escape;
+            let p = p as usize;
+            let mut usable = (open >> (p * vcs)) & own;
+            if !on_escape_path {
+                usable &= !(1 << escape); // escape VC only along the escape path
+            }
+            if usable != 0 {
+                return Some((p, usable.trailing_zeros() as usize));
             }
             // Monopolized (foreign-class) VCs are borrowed only when the
             // downstream buffer is completely idle AND only along the
@@ -800,10 +774,12 @@ impl Network {
             // channel-dependence graph acyclic (borrowing as extra
             // *adaptive* channels was observed to wedge wormhole cycles
             // under saturation).
-            if Some(p) == escape_port {
-                for v in foreign.clone() {
-                    let ovc = &r.outputs[p].vcs[v as usize];
-                    if ovc.owner.is_none() && ovc.credits as usize == self.cfg.vc_buf_flits {
+            if on_escape_path && s.class_flits[0] == 0 {
+                for v in foreign.0 as usize..foreign.1 as usize {
+                    let out_bit = p * vcs + v;
+                    if s.out_free >> out_bit & 1 != 0
+                        && self.core.credits(ri, out_bit) as usize == self.cfg.vc_buf_flits
+                    {
                         return Some((p, v));
                     }
                 }
@@ -814,63 +790,58 @@ impl Network {
 
     /// Separable input-first switch allocation followed by traversal.
     fn switch(&mut self, ri: usize, now: u64) {
-        let nports = self.routers[ri].num_ports();
-        // Input arbitration: one candidate VC per input port. The winner
-        // table lives on `Network` so steady-state cycles are
-        // allocation-free (it grows once to the widest router).
-        let mut winners = std::mem::take(&mut self.sa_winners); // (in_vc, out_port)
-        winners.clear();
-        winners.resize(nports, None);
-        for (ip, winner) in winners.iter_mut().enumerate() {
-            let r = &self.routers[ri];
-            let nvcs = r.inputs[ip].vcs.len();
-            let start = r.inputs[ip].sa_ptr;
-            for k in 0..nvcs {
-                let iv = (start + k) % nvcs;
-                let vc = &r.inputs[ip].vcs[iv];
-                if !vc.sa_ready() {
-                    continue;
-                }
-                if vc
-                    .buf
-                    .front()
-                    .is_some_and(|&(enq, _)| enq + self.cfg.pipeline_extra as u64 > now)
+        let s = &self.core.routers[ri];
+        let mut ready = s.occupied & s.allocated;
+        if ready == 0 {
+            return;
+        }
+        let (out_ready, port_base, vc_base) = (s.out_ready, s.port_base as usize, s.vc_base as usize);
+        let nports = s.nports as usize;
+        let vcs = self.core.vcs();
+        let port_mask = (1u64 << vcs) - 1;
+        // Input arbitration: per input port, the first VC at or after the
+        // round-robin pointer that is allocated, pipeline-clear and whose
+        // output can take a flit asks for that output.
+        let mut requested = 0u64;
+        while ready != 0 {
+            let ip = self.bit_port[ready.trailing_zeros() as usize] as usize;
+            let shift = ip * vcs;
+            let candidates = (ready >> shift) & port_mask;
+            ready &= !(port_mask << shift);
+            let start = self.core.in_sa_ptr[port_base + ip] as usize;
+            // Bit k of `turn` is VC (start + k) mod vcs.
+            let mut turn = (candidates >> start | candidates << (vcs - start)) & port_mask;
+            while turn != 0 {
+                let k = start + turn.trailing_zeros() as usize;
+                turn &= turn - 1;
+                let iv = if k >= vcs { k - vcs } else { k };
+                let ivc = vc_base + shift + iv;
+                if self.pipeline_extra != 0
+                    && self.core.front(ivc).stamp() + self.pipeline_extra > now
                 {
                     continue; // still in the pipeline
                 }
-                let (op, ov) = (vc.out_port.expect("ready"), vc.out_vc.expect("ready"));
-                let out = &r.outputs[op];
-                let has_credit = match out.role {
-                    OutputRole::Eject { .. } => self.eject[ri][op].len() < self.cfg.eject_cap,
-                    OutputRole::Link(_) => out.vcs[ov as usize].credits > 0,
-                    OutputRole::Dead => false,
-                };
-                if has_credit {
-                    *winner = Some((iv, op));
+                let vc = &self.core.in_vcs[ivc];
+                if out_ready >> (vc.out_port as usize * vcs + vc.out_vc as usize) & 1 != 0 {
+                    self.sa_requests[vc.out_port as usize] |= 1 << ip;
+                    self.sa_winner_vc[ip] = iv as u8;
+                    requested |= 1 << vc.out_port;
                     break;
                 }
             }
         }
-        // Output arbitration: one input per output port, round-robin.
-        // The nearest requester past the round-robin pointer is found by
-        // a direct scan — no per-port requester Vec.
-        for op in 0..nports {
-            let start = self.routers[ri].outputs[op].sa_ptr;
-            let mut chosen: Option<(usize, usize)> = None; // (rr_key, ip)
-            for (ip, w) in winners.iter().enumerate() {
-                if w.is_some_and(|(_, o)| o == op) {
-                    let key = (ip + nports - start) % nports;
-                    if chosen.is_none_or(|(k, _)| key < k) {
-                        chosen = Some((key, ip));
-                    }
-                }
-            }
-            let Some((_, chosen)) = chosen else { continue };
-            self.routers[ri].outputs[op].sa_ptr = (chosen + 1) % nports;
-            let (iv, _) = winners[chosen].expect("winner recorded");
-            self.traverse(ri, chosen, iv, op, now);
+        // Output arbitration: one input per output port, the nearest
+        // requester at or after the round-robin pointer.
+        while requested != 0 {
+            let op = requested.trailing_zeros() as usize;
+            requested &= requested - 1;
+            let requests = std::mem::take(&mut self.sa_requests[op]);
+            let start = self.core.out_sa_ptr[port_base + op] as usize;
+            let from_start = requests >> start << start;
+            let chosen = if from_start != 0 { from_start } else { requests }.trailing_zeros() as usize;
+            self.core.out_sa_ptr[port_base + op] = if chosen + 1 == nports { 0 } else { chosen as u8 + 1 };
+            self.traverse(ri, chosen, self.sa_winner_vc[chosen] as usize, op, now);
         }
-        self.sa_winners = winners;
         if self.stall.is_some() {
             self.charge_switch_stalls(ri, now);
         }
@@ -879,8 +850,8 @@ impl Network {
     /// Attribution post-pass after switch allocation: any input VC still
     /// fronted by a pipeline-clear *head* flit that holds an output VC
     /// did not traverse this cycle (a traversal would have popped it;
-    /// a departing tail clears `out_vc`, and a head that just arrived
-    /// has none). Charges one stall cycle per such packet — to
+    /// a departing tail releases the output VC, and a head that just
+    /// arrived has none). Charges one stall cycle per such packet — to
     /// `credit_starve` when the allocated output cannot accept a flit,
     /// otherwise to `switch_loss` (it could move but lost input- or
     /// output-stage arbitration). Charging only head-fronted VCs keeps
@@ -888,102 +859,84 @@ impl Network {
     /// packet's head exists in exactly one place), which is what makes
     /// the per-class attribution sum to end-to-end latency.
     fn charge_switch_stalls(&mut self, ri: usize, now: u64) {
-        let nports = self.routers[ri].num_ports();
-        for ip in 0..nports {
-            for iv in 0..self.routers[ri].inputs[ip].vcs.len() {
-                let vc = &self.routers[ri].inputs[ip].vcs[iv];
-                let (Some(op), Some(ov)) = (vc.out_port, vc.out_vc) else {
-                    continue;
-                };
-                let Some(&(enq, head)) = vc.buf.front() else {
-                    continue;
-                };
-                if !head.is_head() || enq + self.cfg.pipeline_extra as u64 > now {
-                    continue;
-                }
-                let out = &self.routers[ri].outputs[op];
-                let has_credit = match out.role {
-                    OutputRole::Eject { .. } => self.eject[ri][op].len() < self.cfg.eject_cap,
-                    OutputRole::Link(_) => out.vcs[ov as usize].credits > 0,
-                    OutputRole::Dead => false,
-                };
-                let cause = if has_credit {
-                    NetCause::SwitchLoss
-                } else {
-                    NetCause::CreditStarve
-                };
-                let st = self.stall.as_deref_mut().expect("stalls enabled");
-                st.grid.charge(ri, cause, audit::class_ix(head.class), 1);
+        let s = &self.core.routers[ri];
+        let (mut held, out_ready) = (s.occupied & s.allocated, s.out_ready);
+        let vcs = self.core.vcs();
+        let st = self.stall.as_deref_mut().expect("stalls enabled");
+        while held != 0 {
+            let ivc = self.core.vc(ri, held.trailing_zeros() as usize);
+            held &= held - 1;
+            let head = self.core.front(ivc);
+            if !head.is_head() || head.stamp() + self.pipeline_extra > now {
+                continue;
             }
+            let vc = &self.core.in_vcs[ivc];
+            let can_go = out_ready >> (vc.out_port as usize * vcs + vc.out_vc as usize) & 1 != 0;
+            let cause = if can_go {
+                NetCause::SwitchLoss
+            } else {
+                NetCause::CreditStarve
+            };
+            st.grid.charge(ri, cause, head.class_ix(), 1);
         }
     }
 
     /// Moves one flit from input `(ip, iv)` through output `op`.
     fn traverse(&mut self, ri: usize, ip: usize, iv: usize, op: usize, now: u64) {
-        let depth_stats = {
-            let r = &mut self.routers[ri];
-            r.inputs[ip].sa_ptr = (iv + 1) % r.inputs[ip].vcs.len();
-            let ov = r.inputs[ip].vcs[iv].out_vc.expect("allocated");
-            let (enq, mut flit) = r.inputs[ip].vcs[iv].buf.pop_front().expect("nonempty");
-            debug_assert_eq!(flit.vc as usize, iv, "flit buffered in wrong VC");
-            let feed = r.inputs[ip].feed_link;
-            if flit.is_tail() {
-                r.outputs[op].vcs[ov as usize].owner = None;
-                r.inputs[ip].vcs[iv].out_port = None;
-                r.inputs[ip].vcs[iv].out_vc = None;
-            }
-            flit.vc = ov;
-            (enq, flit, feed, ov)
-        };
-        let (enq, flit, feed, ov) = depth_stats;
-        self.router_buffered[ri] -= 1;
+        let vcs = self.core.vcs();
+        let bit = ip * vcs + iv;
+        let fed = self.core.port(ri, ip);
+        self.core.in_sa_ptr[fed] = if iv + 1 == vcs { 0 } else { iv as u8 + 1 };
+        let ov = self.core.in_vcs[self.core.vc(ri, bit)].out_vc;
+        let mut flit = self.core.pop(ri, bit);
+        debug_assert_eq!(flit.vc() as usize, iv, "flit buffered in wrong VC");
+        if flit.is_tail() {
+            self.core.release(ri, bit);
+        }
+        let enq = flit.stamp();
+        flit.set_vc(ov);
         self.buffered_total -= 1;
         self.stats.buffer_reads += 1;
         self.stats.xbar_traversals += 1;
         self.stats.router_flits[ri] += 1;
         self.stats.router_cycles[ri] += now.saturating_sub(enq) + 1;
-        if let Some(l) = feed {
+        let feed = self.core.feed_link[fed];
+        if feed != NO_LINK {
             // Return a credit for the freed input-buffer slot.
-            self.links[l].send_credit(now, iv as u8);
+            self.links.send_credit(feed as usize, now, iv as u8);
             self.credits_in_flight += 1;
-            self.active_credit_links.insert(l);
+            self.active_credit_links.insert(feed as usize);
         }
-        match self.routers[ri].outputs[op].role {
+        let kind = match self.core.role(ri, op) {
             OutputRole::Link(l) => {
-                self.routers[ri].outputs[op].vcs[ov as usize].credits -= 1;
+                let l = l as usize;
+                self.core.spend_credit(ri, op * vcs + ov as usize);
                 let kind = self.links[l].kind;
-                self.links[l].send_flit(now, flit);
+                self.links.send_flit(l, now, flit);
                 self.flits_in_flight += 1;
                 self.active_flit_links.insert(l);
                 self.stats.count_link_flit(kind);
-                if self.trace.enabled() {
-                    self.trace.record(TraceEvent {
-                        cycle: now,
-                        router: ri,
-                        pkt: flit.pkt,
-                        seq: flit.seq,
-                        kind: TraceKind::Hop,
-                    });
-                }
+                TraceKind::Hop
             }
             OutputRole::Eject { .. } => {
-                self.eject[ri][op].push_back(flit);
+                self.core.eject_push(ri, op, flit.flit());
                 self.eject_occupancy += 1;
                 self.stats.ejected_flits += 1;
                 if let Some(st) = self.stall.as_deref_mut() {
-                    st.eject_ts[ri][op].push_back(now);
+                    st.eject_ts[self.core.port(ri, op)].push_back(now);
                 }
-                if self.trace.enabled() {
-                    self.trace.record(TraceEvent {
-                        cycle: now,
-                        router: ri,
-                        pkt: flit.pkt,
-                        seq: flit.seq,
-                        kind: TraceKind::Eject,
-                    });
-                }
+                TraceKind::Eject
             }
             OutputRole::Dead => unreachable!("flit routed to dead port"),
+        };
+        if self.trace.enabled() {
+            self.trace.record(TraceEvent {
+                cycle: now,
+                router: ri,
+                pkt: flit.pkt(),
+                seq: flit.seq(),
+                kind,
+            });
         }
     }
 
@@ -993,19 +946,14 @@ impl Network {
         let q = self.buffered_total == 0 && self.flits_in_flight == 0 && self.eject_occupancy == 0;
         debug_assert_eq!(
             q,
-            self.routers.iter().all(|r| r.buffered_flits() == 0)
+            self.core.routers.iter().all(|s| s.occupied == 0)
                 && self.links.iter().all(|l| l.in_flight() == 0)
-                && self.eject.iter().flatten().all(|v| v.is_empty()),
+                && self.core.eject_queues().iter().all(|q| q.is_empty()),
             "idleness aggregates out of sync with network state"
         );
         q
     }
 
-    /// `true` when a cycle of stepping could not change any network
-    /// state: quiescent *and* no credit is still in flight back upstream
-    /// (a late credit would update an output-VC counter or an injector).
-    /// O(1) — this is the per-cycle skip check of the system-level
-    /// quiescence fast-forward.
     /// `true` when any flit sits in an eject queue — the one case a
     /// `pop_ejected` call can succeed, so sink-drain loops can skip the
     /// whole network otherwise. O(1).
@@ -1016,9 +964,11 @@ impl Network {
     /// `true` when the network holds no state that a step could
     /// advance: no buffered flits, nothing in flight on any link, no
     /// credits in flight, and empty eject queues. Stricter than
-    /// [`Network::quiescent`] (which ignores credit returns); an idle
-    /// network's `step` only advances the clock, which is what makes
-    /// [`Network::skip_idle`] sound. O(1).
+    /// [`Network::quiescent`] (which ignores credit returns: a late
+    /// credit would still update an output-VC counter or an injector);
+    /// an idle network's `step` only advances the clock, which is what
+    /// makes [`Network::skip_idle`] sound. O(1) — this is the per-cycle
+    /// skip check of the system-level quiescence fast-forward.
     pub fn idle(&self) -> bool {
         self.buffered_total == 0
             && self.flits_in_flight == 0
@@ -1089,21 +1039,17 @@ impl Network {
     pub fn enable_stalls(&mut self) {
         let cap = self.cfg.eject_cap;
         let eject_ts = self
-            .eject
+            .core
+            .eject_queues()
             .iter()
-            .map(|ports| {
-                ports
-                    .iter()
-                    .map(|q| {
-                        let mut ts = VecDeque::with_capacity(cap.max(q.len()));
-                        ts.extend(std::iter::repeat_n(self.cycle, q.len()));
-                        ts
-                    })
-                    .collect()
+            .map(|q| {
+                let mut ts = VecDeque::with_capacity(cap.max(q.len()));
+                ts.extend(std::iter::repeat_n(self.cycle, q.len()));
+                ts
             })
             .collect();
         self.stall = Some(Box::new(NetStalls {
-            grid: StallGrid::new(self.routers.len()),
+            grid: StallGrid::new(self.core.len()),
             eject_ts,
         }));
     }
@@ -1141,28 +1087,22 @@ impl Network {
     /// links, ejection queues). One per packet in flight, which is what
     /// system-level packet accounting needs.
     pub fn resident_tail_flits(&self) -> u64 {
-        let bufs: u64 = self
-            .routers
-            .iter()
-            .flat_map(|r| &r.inputs)
-            .flat_map(|p| &p.vcs)
-            .flat_map(|vc| &vc.buf)
-            .filter(|(_, f)| f.is_tail())
-            .count() as u64;
-        let links: u64 = self
-            .links
-            .iter()
-            .flat_map(|l| l.iter_flits())
+        let bufs = (0..self.core.len())
+            .flat_map(|r| self.core.router_flits(r))
             .filter(|f| f.is_tail())
-            .count() as u64;
-        let eject: u64 = self
-            .eject
+            .count();
+        let links = (0..self.links.len())
+            .flat_map(|li| self.links.flits(li))
+            .filter(|f| f.is_tail())
+            .count();
+        let eject = self
+            .core
+            .eject_queues()
             .iter()
             .flatten()
-            .flatten()
             .filter(|f| f.is_tail())
-            .count() as u64;
-        bufs + links + eject
+            .count();
+        (bufs + links + eject) as u64
     }
 
     /// Fault-injection hook for auditor tests: steals one credit from the
@@ -1173,9 +1113,10 @@ impl Network {
     #[doc(hidden)]
     pub fn fault_leak_credit(&mut self, node: Coord, vc: u8) -> bool {
         let r = self.topo.node_index(node);
-        for out in &mut self.routers[r].outputs {
-            if matches!(out.role, OutputRole::Link(_)) && out.vcs[vc as usize].credits > 0 {
-                out.vcs[vc as usize].credits -= 1;
+        for p in 0..self.core.num_ports(r) {
+            let out_bit = p * self.core.vcs() + vc as usize;
+            if matches!(self.core.role(r, p), OutputRole::Link(_)) && self.core.credits(r, out_bit) > 0 {
+                self.core.spend_credit(r, out_bit);
                 return true;
             }
         }
@@ -1189,16 +1130,13 @@ impl Network {
     #[doc(hidden)]
     pub fn fault_drop_flit(&mut self, node: Coord) -> bool {
         let r = self.topo.node_index(node);
-        for port in &mut self.routers[r].inputs {
-            for vc in &mut port.vcs {
-                if vc.buf.pop_front().is_some() {
-                    self.router_buffered[r] -= 1;
-                    self.buffered_total -= 1;
-                    return true;
-                }
-            }
+        let occupied = self.core.routers[r].occupied;
+        if occupied == 0 {
+            return false;
         }
-        false
+        self.core.pop(r, occupied.trailing_zeros() as usize);
+        self.buffered_total -= 1;
+        true
     }
 
     /// Per-cycle audit work: watchdog progress tracking every cycle, full
@@ -1266,7 +1204,7 @@ impl Network {
     pub fn buffered_flits(&self) -> usize {
         debug_assert_eq!(
             self.buffered_total,
-            self.routers.iter().map(|r| r.buffered_flits() as u64).sum::<u64>(),
+            (0..self.core.len()).map(|r| self.core.buffered(r) as u64).sum::<u64>(),
             "buffered_total out of sync"
         );
         self.buffered_total as usize
@@ -1274,7 +1212,7 @@ impl Network {
 
     /// Number of ports on the router at `node` (for area accounting).
     pub fn router_ports(&self, node: Coord) -> usize {
-        self.routers[self.topo.node_index(node)].num_ports()
+        self.core.num_ports(self.topo.node_index(node))
     }
 
     /// Enables flit-event tracing with the given ring capacity
@@ -1290,19 +1228,20 @@ impl Network {
 
     /// Mean router port count across the network (for energy scaling).
     pub fn avg_ports(&self) -> f64 {
-        if self.routers.is_empty() {
+        if self.core.len() == 0 {
             return 0.0;
         }
-        self.routers.iter().map(|r| r.num_ports()).sum::<usize>() as f64
-            / self.routers.len() as f64
+        self.core.feed_link.len() as f64 / self.core.len() as f64
     }
 
     /// Serializes all dynamic network state: the clock, statistics, every
     /// router/link/injector, ejection queues, trace events and (when the
-    /// auditor is armed) its ledgers. Topology, config, scratch buffers
-    /// and the activity worklists are *not* written — the worklists are
-    /// recomputed exactly on restore (at a step boundary, membership
-    /// equals the retention predicates the gated sweep itself uses).
+    /// auditor is armed) its ledgers. Topology, config, scratch buffers,
+    /// the route memo and the activity worklists are *not* written — the
+    /// worklists are recomputed exactly on restore (at a step boundary,
+    /// membership equals the retention predicates the gated sweep itself
+    /// uses). The byte format predates the flat router core and is the
+    /// per-router, per-port, per-VC nesting of the structs it replaced.
     pub fn snapshot_state(&self, e: &mut equinox_snap::Enc) {
         use equinox_snap::Snap;
         // Shape tag: restoring into a different fabric would scramble
@@ -1312,13 +1251,13 @@ impl Network {
         e.put_u16(self.cfg.height);
         e.put_u64(self.cycle);
         self.stats.snap(e);
-        e.put_usize(self.routers.len());
-        for r in &self.routers {
-            r.snap_state(e);
+        e.put_usize(self.core.len());
+        for r in 0..self.core.len() {
+            self.core.snap_state(r, e);
         }
         e.put_usize(self.links.len());
-        for l in &self.links {
-            l.snap_state(e);
+        for li in 0..self.links.len() {
+            self.links.snap_state(li, e);
         }
         e.put_usize(self.injectors.len());
         for inj in &self.injectors {
@@ -1327,11 +1266,11 @@ impl Network {
             e.put_u64(inj.last_cycle);
             e.put_u64(inj.flits);
         }
-        e.put_usize(self.eject.len());
-        for ports in &self.eject {
-            e.put_usize(ports.len());
-            for q in ports {
-                q.snap(e);
+        e.put_usize(self.core.len());
+        for r in 0..self.core.len() {
+            e.put_usize(self.core.num_ports(r));
+            for p in 0..self.core.num_ports(r) {
+                self.core.eject_queue(r, p).snap(e);
             }
         }
         self.trace.snap_state(e);
@@ -1347,10 +1286,8 @@ impl Network {
             Some(s) => {
                 e.put_bool(true);
                 s.grid.snap_state(e);
-                for ports in &s.eject_ts {
-                    for q in ports {
-                        q.snap(e);
-                    }
+                for q in &s.eject_ts {
+                    q.snap(e);
                 }
             }
         }
@@ -1376,23 +1313,23 @@ impl Network {
         }
         self.cycle = d.u64()?;
         let stats = NetStats::restore(d)?;
-        if stats.router_flits.len() != self.routers.len() {
+        if stats.router_flits.len() != self.core.len() {
             return Err(SnapError::BadValue("stats router count"));
         }
         self.stats = stats;
         // The shape stamp is build-derived, not serialized: re-stamp.
         self.stats.shape = Some((self.cfg.topology, self.cfg.width, self.cfg.height));
-        if d.usize()? != self.routers.len() {
+        if d.usize()? != self.core.len() {
             return Err(SnapError::BadValue("router count"));
         }
-        for r in &mut self.routers {
-            r.restore_state(d, depth)?;
+        for r in 0..self.core.len() {
+            self.core.restore_state(r, d, self.cycle)?;
         }
         if d.usize()? != self.links.len() {
             return Err(SnapError::BadValue("link count"));
         }
-        for l in &mut self.links {
-            l.restore_state(d)?;
+        for li in 0..self.links.len() {
+            self.links.restore_state(li, d, self.cfg.vcs_per_port)?;
         }
         if d.usize()? != self.injectors.len() {
             return Err(SnapError::BadValue("injector count"));
@@ -1404,18 +1341,21 @@ impl Network {
             }
             inj.credits = credits;
             inj.active_vc = Option::restore(d)?;
+            if inj.active_vc.is_some_and(|v| v >= self.cfg.vcs_per_port) {
+                return Err(SnapError::BadValue("injector active vc"));
+            }
             inj.last_cycle = d.u64()?;
             inj.flits = d.u64()?;
         }
-        if d.usize()? != self.eject.len() {
+        if d.usize()? != self.core.len() {
             return Err(SnapError::BadValue("eject router count"));
         }
-        for ports in &mut self.eject {
-            if d.usize()? != ports.len() {
+        for r in 0..self.core.len() {
+            if d.usize()? != self.core.num_ports(r) {
                 return Err(SnapError::BadValue("eject port count"));
             }
-            for q in ports.iter_mut() {
-                *q = VecDeque::restore(d)?;
+            for p in 0..self.core.num_ports(r) {
+                self.core.restore_eject(r, p, VecDeque::restore(d)?);
             }
         }
         self.trace.restore_state(d)?;
@@ -1426,28 +1366,19 @@ impl Network {
             _ => return Err(SnapError::BadValue("audit arming mismatch")),
         }
         let stalled = d.bool()?;
-        match (stalled, self.stall.is_some()) {
-            (true, true) => {
+        match (stalled, self.stall.as_deref_mut()) {
+            (true, Some(st)) => {
+                st.grid.restore_state(d)?;
                 // The eject queues were restored above; the timestamp
                 // deques must mirror them element-for-element.
-                let eject = std::mem::take(&mut self.eject);
-                let st = self.stall.as_deref_mut().expect("stalls armed");
-                let res = (|| {
-                    st.grid.restore_state(d)?;
-                    for (ports, qs) in st.eject_ts.iter_mut().zip(&eject) {
-                        for (ts, q) in ports.iter_mut().zip(qs) {
-                            *ts = VecDeque::restore(d)?;
-                            if ts.len() != q.len() {
-                                return Err(SnapError::BadValue("eject timestamp shape"));
-                            }
-                        }
+                for (ts, q) in st.eject_ts.iter_mut().zip(self.core.eject_queues()) {
+                    *ts = VecDeque::restore(d)?;
+                    if ts.len() != q.len() {
+                        return Err(SnapError::BadValue("eject timestamp shape"));
                     }
-                    Ok(())
-                })();
-                self.eject = eject;
-                res?;
+                }
             }
-            (false, false) => {}
+            (false, None) => {}
             _ => return Err(SnapError::BadValue("stall arming mismatch")),
         }
         self.recompute_activity();
@@ -1462,24 +1393,20 @@ impl Network {
     /// become positive — so recomputing membership from the predicates
     /// reproduces the worklists bit-for-bit.
     fn recompute_activity(&mut self) {
-        self.router_buffered = self
-            .routers
-            .iter()
-            .map(|r| r.buffered_flits() as u32)
-            .collect();
-        self.buffered_total = self.router_buffered.iter().map(|&b| b as u64).sum();
+        let (routers, links) = (self.core.len(), self.links.len());
+        self.buffered_total = (0..routers).map(|r| self.core.buffered(r) as u64).sum();
         self.flits_in_flight = self.links.iter().map(|l| l.in_flight() as u64).sum();
         self.credits_in_flight = self.links.iter().map(|l| l.credits_pending() as u64).sum();
-        self.eject_occupancy = self.eject.iter().flatten().map(|q| q.len() as u64).sum();
-        self.active_routers = ActiveSet::with_len(self.routers.len());
-        for r in 0..self.routers.len() {
-            if self.router_buffered[r] > 0 {
+        self.eject_occupancy = self.core.eject_queues().iter().map(|q| q.len() as u64).sum();
+        self.active_routers = Worklist::with_len(routers);
+        self.active_flit_links = Worklist::with_len(links);
+        self.active_credit_links = Worklist::with_len(links);
+        for r in 0..routers {
+            if self.core.routers[r].occupied != 0 {
                 self.active_routers.insert(r);
             }
         }
-        self.active_flit_links = ActiveSet::with_len(self.links.len());
-        self.active_credit_links = ActiveSet::with_len(self.links.len());
-        for li in 0..self.links.len() {
+        for li in 0..links {
             if self.links[li].in_flight() > 0 {
                 self.active_flit_links.insert(li);
             }
@@ -1876,6 +1803,111 @@ mod tests {
             unarmed.restore_state(&mut Dec::new(&armed_bytes)),
             Err(SnapError::BadValue(_))
         ));
+    }
+
+    #[test]
+    fn route_memo_equals_the_topology_for_every_pair() {
+        let mut cfgs = vec![NocConfig::mesh_8x8(), NocConfig::mesh(8)];
+        cfgs[1].width = 12;
+        cfgs.push(NocConfig::fabric(TopologyKind::Ring, 6));
+        cfgs.push(NocConfig::fabric(TopologyKind::HierRing, 6));
+        for routing in [RoutingKind::MinimalAdaptive, RoutingKind::Xy] {
+            for cfg in &cfgs {
+                let mut cfg = cfg.clone();
+                cfg.routing = routing;
+                let mut net = Network::new(cfg);
+                let n = net.core.len();
+                // Twice: the first pass fills the memo, the second reads it.
+                for pass in 0..2 {
+                    for cur in 0..n {
+                        for dst in (0..n).filter(|&dst| dst != cur) {
+                            let route = net.route(cur, dst);
+                            let what = format!("{:?} {routing:?} {cur}->{dst} pass {pass}", net.topo.kind());
+                            assert_eq!(
+                                route.candidates(),
+                                net.topo.route(routing, cur, dst).as_slice(),
+                                "{what}"
+                            );
+                            assert_eq!(
+                                Some(route.escape as usize),
+                                net.topo.escape_port(cur, dst),
+                                "{what}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn masks_and_class_counters_equal_a_scan_throughout_a_randomised_run() {
+        use equinox_exec::Rng;
+        // Both classes on a monopolizing single network, an extra
+        // injection port and a tagged extra ejection port, and sinks
+        // that stay shut for a while so ejection queues hit their cap.
+        let mut net = Network::mesh(NocConfig::single_net(4, true));
+        let extra = net.add_injection_port(Coord::new(2, 1), 2, LinkKind::Interposer);
+        let (tr, tp) = net.add_ejection_port(Coord::new(1, 2), Some(77));
+        net.enable_stalls();
+        let mut rng = Rng::seed_from_u64(0xC0FFEE);
+        let nodes: Vec<Coord> = (0..16).map(|i| Coord::from_index(i, 4)).collect();
+        let mut injectors: Vec<(InjectorId, Coord)> =
+            nodes.iter().map(|&c| (net.local_injector(c), c)).collect();
+        injectors.push((extra, Coord::new(0, 0)));
+        let mut streams: Vec<Vec<Flit>> = vec![Vec::new(); injectors.len()];
+        let mut next_id = 0;
+        for t in 0..1500u64 {
+            for (k, &(inj, src)) in injectors.iter().enumerate() {
+                if streams[k].is_empty() && t < 1000 {
+                    let dst = nodes[rng.random_range(0..16usize)];
+                    if dst == src {
+                        continue;
+                    }
+                    let class = if rng.random::<bool>() {
+                        MessageClass::Reply
+                    } else {
+                        MessageClass::Request
+                    };
+                    let tagged = dst == Coord::new(1, 2) && rng.random::<bool>();
+                    let len = rng.random_range(1u16..6);
+                    streams[k] = PacketDesc::new(next_id, src, dst, class, len)
+                        .flits(4)
+                        .into_iter()
+                        .map(|f| if tagged { f.with_sink(77) } else { f })
+                        .rev()
+                        .collect();
+                    next_id += 1;
+                }
+                if let Some(&f) = streams[k].last() {
+                    if net.try_inject_flit(inj, f) {
+                        streams[k].pop();
+                    }
+                }
+            }
+            net.step();
+            if t >= 300 && t % 3 == 0 {
+                for &c in &nodes {
+                    while net.pop_ejected_node(c).is_some() {}
+                }
+                while net.pop_ejected(tr, tp).is_some() {}
+            }
+            for r in 0..net.core.len() {
+                let s = &net.core.routers[r];
+                assert_eq!(
+                    (s.occupied, s.allocated, s.out_free, s.out_ready, s.class_flits),
+                    net.core.scan(r),
+                    "router {r} after cycle {t}"
+                );
+            }
+        }
+        assert!(net.quiescent(), "traffic must drain");
+        assert!(net.stats().ejected_flits > 2000);
+        let capped = net.stall_grid().unwrap();
+        assert!(
+            (0..2).any(|c| capped.class_total(c, equinox_obs::NetCause::CreditStarve) > 0),
+            "the shut sinks never back-pressured the network"
+        );
     }
 
     #[test]

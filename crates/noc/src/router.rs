@@ -1,4 +1,4 @@
-//! Virtual-channel router state.
+//! Virtual-channel router state, laid out flat for the whole network.
 //!
 //! Each router has paired input/output ports. Ports 0–3 are the mesh
 //! directions (N, E, S, W), port 4 is the primary local port (NI injection
@@ -6,12 +6,23 @@
 //! are scheme-specific extras: MultiPort's additional injection/ejection
 //! ports, or the one extra input port every EIR gains in EquiNox (§4.4).
 //!
+//! There is no per-router object tree. [`RouterCore`] holds one
+//! [`RouterState`] line per router and one array per port or VC field,
+//! indexed by dense ids:
+//!
+//! * port `p` of router `r` is `port_base + p`;
+//! * with `V` VCs per port, its input VC `(p, v)` and its output VC
+//!   `(p, v)` are both `vc_base + p * V + v` (`vc_base = port_base * V`);
+//! * `p * V + v` is also the VC's bit in the router's mask words, which
+//!   is why ports × VCs of one router must fit 64.
+//!
 //! The per-cycle pipeline (route computation, VC allocation, separable
 //! input-first switch allocation, switch traversal) is driven by
 //! [`crate::network::Network::step`], which owns the links and statistics;
-//! this module holds the state machines.
+//! this module holds the state and keeps its masks and counters true.
 
-use crate::flit::Flit;
+use crate::flit::{Flit, Slot, SlotExt, EMPTY_SLOT};
+use equinox_phys::Coord;
 use std::collections::VecDeque;
 
 /// Mesh port indices. `PORT_LOCAL` is the first local (NI) port.
@@ -25,11 +36,17 @@ pub const PORT_W: usize = 3;
 /// Primary local port.
 pub const PORT_LOCAL: usize = 4;
 
+/// "No allocation" in [`InVc::out_port`], [`InVc::out_vc`] and
+/// [`RouterCore::out_owner`].
+pub(crate) const NONE: u8 = u8::MAX;
+/// "No feeding link" in [`RouterCore::feed_link`].
+pub(crate) const NO_LINK: u32 = u32::MAX;
+
 /// What an output port drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum OutputRole {
     /// Drives a link (index into the network's link table).
-    Link(usize),
+    Link(u32),
     /// Ejects flits into a local sink queue. `sink` restricts which flits
     /// may leave here (concentrated meshes tag one port per attached
     /// node); `None` accepts anything.
@@ -39,218 +56,534 @@ pub(crate) enum OutputRole {
     Dead,
 }
 
-/// One virtual channel of an input port.
-#[derive(Debug)]
-pub(crate) struct InputVc {
-    /// Buffered flits with their enqueue cycle (for per-router heat
-    /// statistics).
-    pub buf: VecDeque<(u64, Flit)>,
-    /// Output port allocated to the packet currently draining.
-    pub out_port: Option<usize>,
-    /// Output VC allocated to that packet.
-    pub out_vc: Option<u8>,
+/// One virtual channel of an input port: a ring of `depth` slots in the
+/// slot arena plus the output allocated to the packet draining from it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct InVc {
+    /// Ring position of the oldest flit. Reset to 0 whenever the VC
+    /// empties, so a lightly loaded VC keeps reusing its first slots.
+    head: u8,
+    /// Buffered flits.
+    pub len: u8,
+    /// Output port allocated to the packet currently draining, or
+    /// [`NONE`]; set and cleared together with `out_vc`.
+    pub out_port: u8,
+    /// Output VC allocated to that packet, or [`NONE`].
+    pub out_vc: u8,
+    /// First slot of this VC's ring.
+    slot_base: u32,
 }
 
-impl InputVc {
-    /// `depth` is the VC's buffer capacity in flits; the backing deque is
-    /// preallocated to it so steady-state stepping never reallocates.
-    fn new(depth: u32) -> Self {
-        InputVc {
-            buf: VecDeque::with_capacity(depth as usize),
-            out_port: None,
-            out_vc: None,
-        }
-    }
-
-    /// `true` if this VC has a flit ready and a channel allocated.
-    pub fn sa_ready(&self) -> bool {
-        !self.buf.is_empty() && self.out_vc.is_some()
-    }
-}
-
-/// An input port: a set of VCs fed by one link.
-#[derive(Debug)]
-pub(crate) struct InputPort {
-    pub vcs: Vec<InputVc>,
-    /// Link feeding this port (`None` for dead input sides).
-    pub feed_link: Option<usize>,
-    /// Round-robin pointer for input-side switch arbitration.
-    pub sa_ptr: usize,
-}
-
-/// One virtual channel of an output port: downstream credit counter plus
-/// exclusive ownership while a packet is in flight.
-#[derive(Debug)]
-pub(crate) struct OutputVc {
-    pub credits: u32,
-    pub owner: Option<(usize, u8)>,
-}
-
-/// An output port: a set of VC credit counters driving one link, an
-/// ejection queue, or nothing.
-#[derive(Debug)]
-pub(crate) struct OutputPort {
-    pub vcs: Vec<OutputVc>,
-    pub role: OutputRole,
-    /// Round-robin pointer for output-side switch arbitration.
-    pub sa_ptr: usize,
-}
-
-/// A virtual-channel wormhole router.
-#[derive(Debug)]
-pub struct Router {
-    pub(crate) coord: equinox_phys::Coord,
-    pub(crate) inputs: Vec<InputPort>,
-    pub(crate) outputs: Vec<OutputPort>,
-}
-
-impl Router {
-    /// Creates a router with `ports` paired ports, `vcs` VCs per port and
-    /// `depth` flits of buffering per VC. All ports start dead; the
-    /// network builder wires them up.
-    pub(crate) fn new(coord: equinox_phys::Coord, ports: usize, vcs: u8, depth: u32) -> Self {
-        let inputs = (0..ports)
-            .map(|_| InputPort {
-                vcs: (0..vcs).map(|_| InputVc::new(depth)).collect(),
-                feed_link: None,
-                sa_ptr: 0,
-            })
-            .collect();
-        let outputs = (0..ports)
-            .map(|_| OutputPort {
-                vcs: (0..vcs)
-                    .map(|_| OutputVc {
-                        credits: depth,
-                        owner: None,
-                    })
-                    .collect(),
-                role: OutputRole::Dead,
-                sa_ptr: 0,
-            })
-            .collect();
-        Router {
-            coord,
-            inputs,
-            outputs,
-        }
-    }
-
-    /// Appends a fresh paired port and returns its index.
-    pub(crate) fn add_port(&mut self, vcs: u8, depth: u32) -> usize {
-        let idx = self.inputs.len();
-        self.inputs.push(InputPort {
-            vcs: (0..vcs).map(|_| InputVc::new(depth)).collect(),
-            feed_link: None,
-            sa_ptr: 0,
-        });
-        self.outputs.push(OutputPort {
-            vcs: (0..vcs)
-                .map(|_| OutputVc {
-                    credits: depth,
-                    owner: None,
-                })
-                .collect(),
-            role: OutputRole::Dead,
-            sa_ptr: 0,
-        });
-        idx
-    }
-
-    /// This router's mesh coordinate.
-    pub fn coord(&self) -> equinox_phys::Coord {
-        self.coord
-    }
-
+/// The words of one router that every pipeline stage reads, together on
+/// one cache line. Mask bit `p * V + v` stands for VC `v` of port `p`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RouterState {
+    /// Input VCs holding at least one flit.
+    pub occupied: u64,
+    /// Input VCs holding an output VC.
+    pub allocated: u64,
+    /// Output VCs no packet owns.
+    pub out_free: u64,
+    /// Output VCs that can take a flit this cycle: a link output with a
+    /// downstream credit, or any VC of an ejection port whose queue is
+    /// below the cap. Never set on a dead port.
+    pub out_ready: u64,
+    /// Buffered flits per message class (0 = request, 1 = reply).
+    pub class_flits: [u32; 2],
+    /// Global id of port 0.
+    pub port_base: u32,
+    /// Global id of VC 0 of port 0.
+    pub vc_base: u32,
+    /// This router's coordinate as [`SlotExt::dst_key`] packs one.
+    pub coord_key: u32,
     /// Number of paired ports.
-    pub fn num_ports(&self) -> usize {
-        self.inputs.len()
-    }
+    pub nports: u8,
+}
 
-    /// Total flits currently buffered across all input VCs.
-    pub fn buffered_flits(&self) -> usize {
-        self.inputs
+/// The routers of one network.
+#[derive(Debug)]
+pub(crate) struct RouterCore {
+    /// VCs per port.
+    vcs: usize,
+    /// Slots per input VC.
+    depth: usize,
+    /// Flits an ejection queue holds before its port stops granting.
+    eject_cap: usize,
+    pub routers: Vec<RouterState>,
+    // ---- per port
+    /// Link feeding the input side, or [`NO_LINK`].
+    pub feed_link: Vec<u32>,
+    /// Round-robin pointer of the input side's switch arbitration.
+    pub in_sa_ptr: Vec<u8>,
+    /// Round-robin pointer of the output side's switch arbitration.
+    pub out_sa_ptr: Vec<u8>,
+    out_role: Vec<OutputRole>,
+    /// Ejection queue of the output side (used by `Eject` ports only).
+    eject: Vec<VecDeque<Flit>>,
+    // ---- per VC
+    pub in_vcs: Vec<InVc>,
+    /// Downstream credits of each output VC.
+    out_credits: Vec<u8>,
+    /// Mask bit of the input VC owning each output VC, or [`NONE`].
+    out_owner: Vec<u8>,
+    /// Input-VC rings, stamped with the enqueue cycle.
+    slots: Vec<Slot>,
+}
+
+impl RouterCore {
+    /// One router per coordinate, each with `ports` paired ports, `vcs`
+    /// VCs per port and `depth` flits of buffering per VC. All ports
+    /// start dead and unfed; the network builder wires them up.
+    pub fn new(coords: &[Coord], ports: usize, vcs: u8, depth: usize, eject_cap: usize) -> Self {
+        let (n, v) = (coords.len(), vcs as usize);
+        assert!(depth < NONE as usize, "VC buffers are indexed with a u8");
+        let routers = coords
             .iter()
-            .flat_map(|p| p.vcs.iter())
-            .map(|vc| vc.buf.len())
-            .sum()
+            .enumerate()
+            .map(|(r, &c)| RouterState {
+                occupied: 0,
+                allocated: 0,
+                out_free: 0,
+                out_ready: 0,
+                class_flits: [0; 2],
+                port_base: (r * ports) as u32,
+                vc_base: (r * ports * v) as u32,
+                coord_key: Slot::coord_key(c),
+                nports: ports as u8,
+            })
+            .collect();
+        let in_vcs = (0..n * ports * v)
+            .map(|ivc| InVc {
+                head: 0,
+                len: 0,
+                out_port: NONE,
+                out_vc: NONE,
+                slot_base: (ivc * depth) as u32,
+            })
+            .collect();
+        let mut core = RouterCore {
+            vcs: v,
+            depth,
+            eject_cap,
+            routers,
+            feed_link: vec![NO_LINK; n * ports],
+            in_sa_ptr: vec![0; n * ports],
+            out_sa_ptr: vec![0; n * ports],
+            out_role: vec![OutputRole::Dead; n * ports],
+            eject: vec![VecDeque::new(); n * ports],
+            in_vcs,
+            out_credits: vec![depth as u8; n * ports * v],
+            out_owner: vec![NONE; n * ports * v],
+            slots: vec![EMPTY_SLOT; n * ports * v * depth],
+        };
+        for r in 0..n {
+            core.check_width(r);
+            core.routers[r].out_free = core.port_bits(r, 0, ports);
+        }
+        core
     }
 
-    /// `true` if any buffered flit belongs to `class`.
-    pub(crate) fn class_present(&self, class: crate::flit::MessageClass) -> bool {
-        self.inputs
-            .iter()
-            .flat_map(|p| p.vcs.iter())
-            .flat_map(|vc| vc.buf.iter())
-            .any(|&(_, f)| f.class == class)
+    /// Mask of the VCs of ports `from..to` of router `r`.
+    fn port_bits(&self, r: usize, from: usize, to: usize) -> u64 {
+        debug_assert!(from < to && to <= self.num_ports(r));
+        (u64::MAX >> (64 - (to - from) * self.vcs)) << (from * self.vcs)
     }
 
-    /// Serializes the router's dynamic state: per-input-VC buffers and
-    /// allocations, arbiter pointers, and per-output-VC credits/owners.
-    /// Coordinates, port roles and feed links are topology and skipped.
-    pub(crate) fn snap_state(&self, e: &mut equinox_snap::Enc) {
+    fn check_width(&self, r: usize) {
+        let bits = self.num_ports(r) * self.vcs;
+        assert!(
+            (1..=64).contains(&bits),
+            "router {r}: {} ports x {} VCs do not fit the 64-bit allocation masks",
+            self.num_ports(r),
+            self.vcs
+        );
+    }
+
+    /// Appends a fresh paired port to router `r` and returns its index.
+    /// Every later router's ids shift up by one port; nothing outside
+    /// this struct stores a global id, so there is nothing else to fix.
+    /// The new VCs' rings go to the end of the slot arena.
+    pub fn add_port(&mut self, r: usize) -> usize {
+        let port = self.num_ports(r);
+        let gp = self.routers[r].port_base as usize + port;
+        let gv = gp * self.vcs;
+        self.routers[r].nports += 1;
+        self.check_width(r);
+        for later in &mut self.routers[r + 1..] {
+            later.port_base += 1;
+            later.vc_base += self.vcs as u32;
+        }
+        self.feed_link.insert(gp, NO_LINK);
+        self.in_sa_ptr.insert(gp, 0);
+        self.out_sa_ptr.insert(gp, 0);
+        self.out_role.insert(gp, OutputRole::Dead);
+        self.eject.insert(gp, VecDeque::new());
+        for v in 0..self.vcs {
+            let slot_base = self.slots.len() as u32;
+            self.slots.resize(self.slots.len() + self.depth, EMPTY_SLOT);
+            self.in_vcs.insert(
+                gv + v,
+                InVc { head: 0, len: 0, out_port: NONE, out_vc: NONE, slot_base },
+            );
+            self.out_credits.insert(gv + v, self.depth as u8);
+            self.out_owner.insert(gv + v, NONE);
+        }
+        self.routers[r].out_free |= self.port_bits(r, port, port + 1);
+        port
+    }
+
+    /// Gives output port `p` of router `r` its role. A link or ejection
+    /// port starts able to take a flit on every VC.
+    pub fn set_role(&mut self, r: usize, p: usize, role: OutputRole) {
+        let gp = self.port(r, p);
+        self.out_role[gp] = role;
+        let bits = self.port_bits(r, p, p + 1);
+        match role {
+            OutputRole::Dead => self.routers[r].out_ready &= !bits,
+            _ => self.routers[r].out_ready |= bits,
+        }
+    }
+
+    /// The role of output port `p` of router `r`.
+    #[inline]
+    pub fn role(&self, r: usize, p: usize) -> OutputRole {
+        self.out_role[self.port(r, p)]
+    }
+
+    pub fn len(&self) -> usize {
+        self.routers.len()
+    }
+
+    /// VCs per port.
+    #[inline]
+    pub fn vcs(&self) -> usize {
+        self.vcs
+    }
+
+    /// Number of paired ports of router `r`.
+    #[inline]
+    pub fn num_ports(&self, r: usize) -> usize {
+        self.routers[r].nports as usize
+    }
+
+    /// Global id of port `p` of router `r`.
+    #[inline]
+    pub fn port(&self, r: usize, p: usize) -> usize {
+        debug_assert!(p < self.num_ports(r));
+        self.routers[r].port_base as usize + p
+    }
+
+    /// Global id of the VC at mask bit `bit` of router `r`.
+    #[inline]
+    pub fn vc(&self, r: usize, bit: usize) -> usize {
+        self.routers[r].vc_base as usize + bit
+    }
+
+    /// Total flits buffered in router `r`.
+    pub fn buffered(&self, r: usize) -> u32 {
+        let s = &self.routers[r];
+        s.class_flits[0] + s.class_flits[1]
+    }
+
+    /// The oldest flit of input VC `ivc`, which must not be empty.
+    #[inline]
+    pub fn front(&self, ivc: usize) -> &Slot {
+        let vc = &self.in_vcs[ivc];
+        debug_assert!(vc.len > 0);
+        &self.slots[vc.slot_base as usize + vc.head as usize]
+    }
+
+    /// The flits buffered in input VC `ivc`, oldest first.
+    pub fn flits(&self, ivc: usize) -> impl Iterator<Item = &Slot> {
+        let vc = self.in_vcs[ivc];
+        (0..vc.len as usize).map(move |k| {
+            let pos = vc.head as usize + k;
+            &self.slots[vc.slot_base as usize + if pos >= self.depth { pos - self.depth } else { pos }]
+        })
+    }
+
+    /// Every flit buffered in router `r`.
+    pub fn router_flits(&self, r: usize) -> impl Iterator<Item = &Slot> {
+        let base = self.routers[r].vc_base as usize;
+        (base..base + self.num_ports(r) * self.vcs).flat_map(|ivc| self.flits(ivc))
+    }
+
+    /// Appends `slot` to the input VC at mask bit `bit` of router `r`.
+    #[inline]
+    pub fn push(&mut self, r: usize, bit: usize, slot: Slot) {
+        let s = &mut self.routers[r];
+        let vc = &mut self.in_vcs[s.vc_base as usize + bit];
+        assert!((vc.len as usize) < self.depth, "buffer overflow at router {r} input VC bit {bit}");
+        let pos = vc.head as usize + vc.len as usize;
+        self.slots[vc.slot_base as usize + if pos >= self.depth { pos - self.depth } else { pos }] =
+            slot;
+        vc.len += 1;
+        s.occupied |= 1 << bit;
+        s.class_flits[slot.class_ix()] += 1;
+    }
+
+    /// Removes and returns the oldest flit of the (non-empty) input VC at
+    /// mask bit `bit` of router `r`.
+    #[inline]
+    pub fn pop(&mut self, r: usize, bit: usize) -> Slot {
+        let s = &mut self.routers[r];
+        let vc = &mut self.in_vcs[s.vc_base as usize + bit];
+        debug_assert!(vc.len > 0);
+        let slot = self.slots[vc.slot_base as usize + vc.head as usize];
+        vc.len -= 1;
+        if vc.len == 0 {
+            vc.head = 0;
+            s.occupied &= !(1 << bit);
+        } else {
+            vc.head = if vc.head as usize + 1 == self.depth { 0 } else { vc.head + 1 };
+        }
+        s.class_flits[slot.class_ix()] -= 1;
+        slot
+    }
+
+    /// Gives output VC `ov` of port `op` to the packet at the front of
+    /// the input VC at mask bit `bit`.
+    #[inline]
+    pub fn grant(&mut self, r: usize, bit: usize, op: usize, ov: usize) {
+        let s = &mut self.routers[r];
+        let base = s.vc_base as usize;
+        let out_bit = op * self.vcs + ov;
+        debug_assert!(s.out_free & 1 << out_bit != 0 && s.allocated & 1 << bit == 0);
+        self.out_owner[base + out_bit] = bit as u8;
+        s.out_free &= !(1 << out_bit);
+        let vc = &mut self.in_vcs[base + bit];
+        (vc.out_port, vc.out_vc) = (op as u8, ov as u8);
+        s.allocated |= 1 << bit;
+    }
+
+    /// Undoes [`RouterCore::grant`] when the packet's tail leaves.
+    #[inline]
+    pub fn release(&mut self, r: usize, bit: usize) {
+        let s = &mut self.routers[r];
+        let base = s.vc_base as usize;
+        let vc = &mut self.in_vcs[base + bit];
+        let out_bit = vc.out_port as usize * self.vcs + vc.out_vc as usize;
+        (vc.out_port, vc.out_vc) = (NONE, NONE);
+        s.allocated &= !(1 << bit);
+        self.out_owner[base + out_bit] = NONE;
+        s.out_free |= 1 << out_bit;
+    }
+
+    /// Downstream credits of the output VC at mask bit `out_bit`.
+    #[inline]
+    pub fn credits(&self, r: usize, out_bit: usize) -> u32 {
+        self.out_credits[self.vc(r, out_bit)] as u32
+    }
+
+    /// A credit came back for the link output VC at mask bit `out_bit`.
+    #[inline]
+    pub fn return_credit(&mut self, r: usize, out_bit: usize) {
+        let s = &mut self.routers[r];
+        self.out_credits[s.vc_base as usize + out_bit] += 1;
+        s.out_ready |= 1 << out_bit;
+    }
+
+    /// A flit left through the link output VC at mask bit `out_bit`.
+    #[inline]
+    pub fn spend_credit(&mut self, r: usize, out_bit: usize) {
+        let s = &mut self.routers[r];
+        let c = &mut self.out_credits[s.vc_base as usize + out_bit];
+        *c -= 1;
+        if *c == 0 {
+            s.out_ready &= !(1 << out_bit);
+        }
+    }
+
+    /// The ejection queue of port `p` of router `r`.
+    #[inline]
+    pub fn eject_queue(&self, r: usize, p: usize) -> &VecDeque<Flit> {
+        &self.eject[self.port(r, p)]
+    }
+
+    /// All ejection queues, router by router and port by port.
+    pub fn eject_queues(&self) -> &[VecDeque<Flit>] {
+        &self.eject
+    }
+
+    /// Parks `flit` in the ejection queue of port `p`; a queue that
+    /// reaches the cap stops its port from granting.
+    #[inline]
+    pub fn eject_push(&mut self, r: usize, p: usize, flit: Flit) {
+        let gp = self.port(r, p);
+        self.eject[gp].push_back(flit);
+        if self.eject[gp].len() >= self.eject_cap {
+            self.routers[r].out_ready &= !self.port_bits(r, p, p + 1);
+        }
+    }
+
+    /// Takes the oldest flit out of the ejection queue of port `p`.
+    #[inline]
+    pub fn eject_pop(&mut self, r: usize, p: usize) -> Option<Flit> {
+        let gp = self.port(r, p);
+        let flit = self.eject[gp].pop_front()?;
+        if self.eject[gp].len() < self.eject_cap {
+            self.routers[r].out_ready |= self.port_bits(r, p, p + 1);
+        }
+        Some(flit)
+    }
+
+    /// The derived words of router `r` — `(occupied, allocated,
+    /// out_free, out_ready, class_flits)` — recomputed from the arrays
+    /// they summarise.
+    #[cfg(test)]
+    pub fn scan(&self, r: usize) -> (u64, u64, u64, u64, [u32; 2]) {
+        let (mut occupied, mut allocated, mut out_free, mut out_ready) = (0u64, 0u64, 0u64, 0u64);
+        for bit in 0..self.num_ports(r) * self.vcs {
+            let vc = &self.in_vcs[self.vc(r, bit)];
+            occupied |= u64::from(vc.len > 0) << bit;
+            allocated |= u64::from(vc.out_port != NONE) << bit;
+            assert_eq!(vc.out_port == NONE, vc.out_vc == NONE);
+            out_free |= u64::from(self.out_owner[self.vc(r, bit)] == NONE) << bit;
+            let ready = match self.role(r, bit / self.vcs) {
+                OutputRole::Link(_) => self.credits(r, bit) > 0,
+                OutputRole::Eject { .. } => self.eject_queue(r, bit / self.vcs).len() < self.eject_cap,
+                OutputRole::Dead => false,
+            };
+            out_ready |= u64::from(ready) << bit;
+        }
+        let mut class_flits = [0; 2];
+        for f in self.router_flits(r) {
+            class_flits[f.class_ix()] += 1;
+        }
+        (occupied, allocated, out_free, out_ready, class_flits)
+    }
+
+    /// Serializes router `r`'s dynamic state — per-input-VC buffers and
+    /// allocations, arbiter pointers, per-output-VC credits/owners — in
+    /// the format of the per-router structs this layout replaced.
+    /// Port roles and feed links are topology and skipped; ejection
+    /// queues are written by the network, after the injectors.
+    pub fn snap_state(&self, r: usize, e: &mut equinox_snap::Enc) {
         use equinox_snap::Snap;
-        for ip in &self.inputs {
-            e.put_usize(ip.sa_ptr);
-            for vc in &ip.vcs {
-                vc.buf.snap(e);
-                vc.out_port.snap(e);
-                vc.out_vc.snap(e);
+        let base = self.routers[r].port_base as usize;
+        let ports = base..base + self.num_ports(r);
+        let opt = |x: u8| (x != NONE).then_some(x);
+        for gp in ports.clone() {
+            e.put_usize(self.in_sa_ptr[gp] as usize);
+            for ivc in gp * self.vcs..(gp + 1) * self.vcs {
+                let vc = &self.in_vcs[ivc];
+                e.put_usize(vc.len as usize);
+                for s in self.flits(ivc) {
+                    (s.stamp(), s.flit()).snap(e);
+                }
+                opt(vc.out_port).map(usize::from).snap(e);
+                opt(vc.out_vc).snap(e);
             }
         }
-        for op in &self.outputs {
-            e.put_usize(op.sa_ptr);
-            for vc in &op.vcs {
-                e.put_u32(vc.credits);
-                vc.owner.snap(e);
+        for gp in ports {
+            e.put_usize(self.out_sa_ptr[gp] as usize);
+            for ovc in gp * self.vcs..(gp + 1) * self.vcs {
+                e.put_u32(self.out_credits[ovc] as u32);
+                opt(self.out_owner[ovc])
+                    .map(|bit| (bit as usize / self.vcs, (bit as usize % self.vcs) as u8))
+                    .snap(e);
             }
         }
     }
 
-    /// Restores state written by [`Router::snap_state`] into a router of
-    /// the *same* shape; `depth` is the configured per-VC buffer capacity
-    /// used to validate restored buffers and credit counters.
-    pub(crate) fn restore_state(
+    /// Restores state written by [`RouterCore::snap_state`] into router
+    /// `r` of a core of the *same* shape. Everything that later indexes
+    /// a flat array — ports, VCs, buffer lengths, credits — is bounded
+    /// here, and no buffered flit may be stamped after `cycle` (the
+    /// pipeline stages rely on it). The masks and class counters are
+    /// derived from what was read; `out_ready`'s ejection bits follow in
+    /// [`RouterCore::restore_eject`].
+    pub fn restore_state(
         &mut self,
+        r: usize,
         d: &mut equinox_snap::Dec,
-        depth: u32,
+        cycle: u64,
     ) -> Result<(), equinox_snap::SnapError> {
         use equinox_snap::{Snap, SnapError};
-        let nports = self.inputs.len();
-        for ip in &mut self.inputs {
-            ip.sa_ptr = d.usize()?;
-            if ip.sa_ptr >= ip.vcs.len().max(1) {
+        let base = self.routers[r].port_base as usize;
+        let (nports, vcs) = (self.num_ports(r), self.vcs);
+        let s = &mut self.routers[r];
+        (s.occupied, s.allocated, s.out_free, s.out_ready) = (0, 0, 0, 0);
+        s.class_flits = [0; 2];
+        for p in 0..nports {
+            let ptr = d.usize()?;
+            if ptr >= vcs {
                 return Err(SnapError::BadValue("input sa_ptr"));
             }
-            for vc in &mut ip.vcs {
-                let buf: VecDeque<(u64, Flit)> = VecDeque::restore(d)?;
-                if buf.len() > depth as usize {
+            self.in_sa_ptr[base + p] = ptr as u8;
+            for v in 0..vcs {
+                let bit = p * vcs + v;
+                let vc = &mut self.in_vcs[(base + p) * vcs + v];
+                let len = d.usize()?;
+                if len > self.depth {
                     return Err(SnapError::BadValue("input buffer over depth"));
                 }
-                vc.buf = buf;
-                vc.out_port = Option::restore(d)?;
-                vc.out_vc = Option::restore(d)?;
-                if vc.out_port.is_some_and(|p| p >= nports) {
-                    return Err(SnapError::BadValue("allocated out_port"));
+                (vc.head, vc.len) = (0, len as u8);
+                for k in 0..len {
+                    let (enq, f) = <(u64, Flit)>::restore(d)?;
+                    if enq > cycle {
+                        return Err(SnapError::BadValue("buffered flit stamped in the future"));
+                    }
+                    let slot = Slot::pack(enq, &f);
+                    self.slots[vc.slot_base as usize + k] = slot;
+                    s.class_flits[slot.class_ix()] += 1;
                 }
+                if len > 0 {
+                    s.occupied |= 1 << bit;
+                }
+                let out_port: Option<usize> = Option::restore(d)?;
+                let out_vc: Option<u8> = Option::restore(d)?;
+                (vc.out_port, vc.out_vc) = match (out_port, out_vc) {
+                    (None, None) => (NONE, NONE),
+                    (Some(op), Some(ov)) if op < nports && (ov as usize) < vcs => {
+                        s.allocated |= 1 << bit;
+                        (op as u8, ov)
+                    }
+                    _ => return Err(SnapError::BadValue("allocated out_port")),
+                };
             }
         }
-        for op in &mut self.outputs {
-            op.sa_ptr = d.usize()?;
-            if op.sa_ptr >= nports.max(1) {
+        for p in 0..nports {
+            let ptr = d.usize()?;
+            if ptr >= nports {
                 return Err(SnapError::BadValue("output sa_ptr"));
             }
-            for vc in &mut op.vcs {
-                vc.credits = d.u32()?;
-                if vc.credits > depth {
+            self.out_sa_ptr[base + p] = ptr as u8;
+            let is_link = matches!(self.out_role[base + p], OutputRole::Link(_));
+            for v in 0..vcs {
+                let credits = d.u32()?;
+                if credits as usize > self.depth {
                     return Err(SnapError::BadValue("credits over depth"));
                 }
-                vc.owner = Option::restore(d)?;
-                if vc.owner.is_some_and(|(p, _)| p >= nports) {
-                    return Err(SnapError::BadValue("owner input port"));
+                self.out_credits[(base + p) * vcs + v] = credits as u8;
+                if is_link && credits > 0 {
+                    s.out_ready |= 1 << (p * vcs + v);
                 }
+                let owner: Option<(usize, u8)> = Option::restore(d)?;
+                self.out_owner[(base + p) * vcs + v] = match owner {
+                    None => {
+                        s.out_free |= 1 << (p * vcs + v);
+                        NONE
+                    }
+                    Some((ip, iv)) if ip < nports && (iv as usize) < vcs => {
+                        (ip * vcs + iv as usize) as u8
+                    }
+                    Some(_) => return Err(SnapError::BadValue("owner input port")),
+                };
             }
         }
         Ok(())
+    }
+
+    /// Replaces the ejection queue of port `p` of router `r` with a
+    /// restored one and re-derives the port's `out_ready` bits.
+    pub fn restore_eject(&mut self, r: usize, p: usize, q: VecDeque<Flit>) {
+        let gp = self.port(r, p);
+        let room = q.len() < self.eject_cap;
+        self.eject[gp] = q;
+        if room && matches!(self.out_role[gp], OutputRole::Eject { .. }) {
+            self.routers[r].out_ready |= self.port_bits(r, p, p + 1);
+        }
     }
 }
 
@@ -258,50 +591,119 @@ impl Router {
 mod tests {
     use super::*;
     use crate::flit::{MessageClass, PacketDesc};
-    use equinox_phys::Coord;
+
+    fn core(n: usize, vcs: u8, depth: usize) -> RouterCore {
+        let coords: Vec<Coord> = (0..n).map(|i| Coord::new(i as u16, 0)).collect();
+        RouterCore::new(&coords, 5, vcs, depth, 4)
+    }
+
+    fn flit(id: u64, class: MessageClass) -> Slot {
+        let f = PacketDesc::new(id, Coord::new(0, 0), Coord::new(1, 1), class, 1).flits(8)[0];
+        Slot::pack(id, &f)
+    }
 
     #[test]
     fn construction_shapes() {
-        let r = Router::new(Coord::new(1, 1), 5, 2, 5);
-        assert_eq!(r.num_ports(), 5);
-        assert_eq!(r.inputs[0].vcs.len(), 2);
-        assert_eq!(r.outputs[4].vcs.len(), 2);
-        assert_eq!(r.outputs[0].vcs[0].credits, 5);
-        assert_eq!(r.buffered_flits(), 0);
-        assert_eq!(r.coord(), Coord::new(1, 1));
+        let c = core(3, 2, 5);
+        assert_eq!(c.len(), 3);
+        assert_eq!(c.num_ports(1), 5);
+        assert_eq!(c.vc(2, 3), 23);
+        assert_eq!(c.credits(1, 9), 5);
+        assert_eq!(c.routers[0].out_free, (1 << 10) - 1);
+        assert_eq!(c.routers[0].out_ready, 0, "every port starts dead");
+        assert_eq!(c.buffered(0), 0);
     }
 
     #[test]
-    fn add_port_extends_pairs() {
-        let mut r = Router::new(Coord::new(0, 0), 5, 2, 5);
-        let p = r.add_port(2, 5);
+    fn add_port_shifts_later_routers_and_keeps_their_state() {
+        let mut c = core(3, 2, 5);
+        let fed = c.port(2, 1);
+        c.feed_link[fed] = 77;
+        c.push(2, 3, flit(9, MessageClass::Reply));
+        c.grant(2, 3, 4, 1);
+        let p = c.add_port(0);
         assert_eq!(p, 5);
-        assert_eq!(r.num_ports(), 6);
-        assert!(matches!(r.outputs[5].role, OutputRole::Dead));
+        assert_eq!((c.num_ports(0), c.num_ports(1), c.num_ports(2)), (6, 5, 5));
+        assert_eq!(c.routers[0].out_free, (1 << 12) - 1);
+        assert!(matches!(c.role(0, 5), OutputRole::Dead));
+        assert_eq!(c.feed_link[c.port(2, 1)], 77);
+        assert_eq!(c.front(c.vc(2, 3)).pkt().0, 9);
+        assert_eq!(c.out_owner[c.vc(2, 4 * 2 + 1)], 3);
+        // The new port's VCs work and do not alias anyone's ring.
+        c.push(0, 5 * 2, flit(1, MessageClass::Request));
+        assert_eq!(c.front(c.vc(0, 10)).pkt().0, 1);
+        assert_eq!(c.front(c.vc(2, 3)).pkt().0, 9);
+        c.release(2, 3);
+        assert_eq!(c.pop(2, 3).pkt().0, 9);
+        let s = &c.routers[2];
+        assert_eq!((s.occupied, s.allocated, s.out_free), (0, 0, (1 << 10) - 1));
     }
 
     #[test]
-    fn class_presence_detection() {
-        let mut r = Router::new(Coord::new(0, 0), 5, 2, 5);
-        assert!(!r.class_present(MessageClass::Reply));
-        let f = PacketDesc::new(0, Coord::new(0, 0), Coord::new(1, 1), MessageClass::Reply, 1)
-            .flits(8)[0];
-        r.inputs[0].vcs[0].buf.push_back((0, f));
-        assert!(r.class_present(MessageClass::Reply));
-        assert!(!r.class_present(MessageClass::Request));
-        assert_eq!(r.buffered_flits(), 1);
+    #[should_panic(expected = "do not fit the 64-bit allocation masks")]
+    fn a_router_wider_than_the_masks_is_refused() {
+        let mut c = core(1, 12, 2);
+        c.add_port(0);
     }
 
     #[test]
-    fn sa_ready_requires_allocation_and_flit() {
-        let mut vc = InputVc::new(5);
-        assert!(!vc.sa_ready());
-        let f = PacketDesc::new(0, Coord::new(0, 0), Coord::new(1, 1), MessageClass::Reply, 1)
-            .flits(8)[0];
-        vc.buf.push_back((0, f));
-        assert!(!vc.sa_ready(), "no output VC allocated yet");
-        vc.out_port = Some(1);
-        vc.out_vc = Some(0);
-        assert!(vc.sa_ready());
+    fn vc_ring_wraps_in_fifo_order_at_depth_one_and_five() {
+        for depth in [1usize, 5] {
+            let mut c = core(1, 2, depth);
+            let (mut pushed, mut popped) = (0u64, 0u64);
+            // Fill, then alternate partial drains and refills so the head
+            // crosses the end of the ring many times.
+            for round in 0..40 {
+                while (c.in_vcs[3].len as usize) < depth {
+                    c.push(0, 3, flit(pushed, MessageClass::Reply));
+                    pushed += 1;
+                }
+                let ids: Vec<u64> = c.flits(3).map(|s| s.pkt().0).collect();
+                assert_eq!(ids, (popped..pushed).collect::<Vec<_>>(), "depth {depth}");
+                for _ in 0..1 + round % depth {
+                    assert_eq!(c.front(3).pkt().0, popped);
+                    assert_eq!(c.pop(0, 3).stamp(), popped);
+                    popped += 1;
+                }
+                assert_eq!(c.routers[0].occupied != 0, c.in_vcs[3].len > 0);
+            }
+            assert_eq!(c.buffered(0) as u64, pushed - popped);
+            assert_eq!(c.routers[0].class_flits[0], 0);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "buffer overflow")]
+    fn pushing_past_the_depth_is_refused() {
+        let mut c = core(1, 1, 2);
+        for i in 0..3 {
+            c.push(0, 0, flit(i, MessageClass::Reply));
+        }
+    }
+
+    #[test]
+    fn out_ready_follows_credits_and_ejection_room() {
+        let mut c = core(1, 2, 2);
+        c.set_role(0, 1, OutputRole::Link(0));
+        c.set_role(0, 4, OutputRole::Eject { sink: None });
+        let (link_vc1, eject_bits) = (1 << 3, 0b11 << 8);
+        assert_eq!(c.routers[0].out_ready, 0b11 << 2 | eject_bits);
+        c.spend_credit(0, 3);
+        assert_ne!(c.routers[0].out_ready & link_vc1, 0, "one credit left");
+        c.spend_credit(0, 3);
+        assert_eq!(c.routers[0].out_ready & link_vc1, 0);
+        c.return_credit(0, 3);
+        assert_ne!(c.routers[0].out_ready & link_vc1, 0);
+        // The cap (4) closes both VCs of the ejection port at once.
+        let f = flit(0, MessageClass::Reply).flit();
+        for k in 0..4 {
+            assert_eq!(c.routers[0].out_ready & eject_bits, eject_bits, "{k} parked");
+            c.eject_push(0, 4, f);
+        }
+        assert_eq!(c.routers[0].out_ready & eject_bits, 0);
+        assert!(c.eject_pop(0, 4).is_some());
+        assert_eq!(c.routers[0].out_ready & eject_bits, eject_bits);
+        c.set_role(0, 1, OutputRole::Dead);
+        assert_eq!(c.routers[0].out_ready, eject_bits);
     }
 }

@@ -1,0 +1,106 @@
+//! Activity worklists as `u64`-word bitsets.
+//!
+//! The gated sweep must visit active routers and links in exactly the
+//! order the exhaustive `for id in 0..n` sweep would. A bitset gives
+//! that by construction — ascending words, ascending bits within a
+//! word — with an O(1) idempotent insert.
+
+/// A set over a dense id space.
+#[derive(Debug, Default)]
+pub(crate) struct Worklist {
+    words: Vec<u64>,
+}
+
+impl Worklist {
+    /// An empty set over ids `0..n`.
+    pub fn with_len(n: usize) -> Self {
+        Worklist { words: vec![0; n.div_ceil(64)] }
+    }
+
+    /// Extends the id space to cover `0..n` (new ids start absent).
+    pub fn grow_to(&mut self, n: usize) {
+        if n.div_ceil(64) > self.words.len() {
+            self.words.resize(n.div_ceil(64), 0);
+        }
+    }
+
+    /// Adds `id`; a no-op if already present.
+    #[inline]
+    pub fn insert(&mut self, id: usize) {
+        self.words[id >> 6] |= 1 << (id & 63);
+    }
+
+    /// Calls `visit` on every member in ascending id order and drops the
+    /// members for which it returns `false`. Ids inserted or removed
+    /// through another handle while a word is being walked are not seen
+    /// until the next sweep, so callers sweep a set they have taken out
+    /// of its owner (no phase of `Network::step` inserts into the set it
+    /// is sweeping).
+    #[inline]
+    pub fn sweep(&mut self, mut visit: impl FnMut(usize) -> bool) {
+        for (w, word) in self.words.iter_mut().enumerate() {
+            let mut left = *word;
+            while left != 0 {
+                let bit = left.trailing_zeros() as usize;
+                left &= left - 1;
+                if !visit(w * 64 + bit) {
+                    *word &= !(1 << bit);
+                }
+            }
+        }
+    }
+
+    /// The members in ascending order.
+    #[cfg(test)]
+    pub fn ids(&self) -> Vec<usize> {
+        let mut copy = Worklist { words: self.words.clone() };
+        let mut out = Vec::new();
+        copy.sweep(|id| {
+            out.push(id);
+            true
+        });
+        out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sweep_visits_ascending_across_word_boundaries() {
+        let mut w = Worklist::with_len(200);
+        for id in [199, 64, 0, 63, 128, 65, 127, 64, 0] {
+            w.insert(id);
+        }
+        assert_eq!(w.ids(), vec![0, 63, 64, 65, 127, 128, 199]);
+    }
+
+    #[test]
+    fn sweep_drops_exactly_the_rejected_ids() {
+        let mut w = Worklist::with_len(130);
+        for id in 0..130 {
+            w.insert(id);
+        }
+        let mut seen = Vec::new();
+        w.sweep(|id| {
+            seen.push(id);
+            id % 3 == 0
+        });
+        assert_eq!(seen, (0..130).collect::<Vec<_>>(), "dropping the current id must not skip its neighbours");
+        assert_eq!(w.ids(), (0..130).filter(|id| id % 3 == 0).collect::<Vec<_>>());
+        w.sweep(|_| false);
+        assert!(w.ids().is_empty());
+    }
+
+    #[test]
+    fn growing_keeps_members_and_adds_room() {
+        let mut w = Worklist::with_len(3);
+        w.insert(2);
+        w.grow_to(64);
+        w.grow_to(65);
+        w.insert(64);
+        w.grow_to(10);
+        assert_eq!(w.ids(), vec![2, 64]);
+    }
+}
