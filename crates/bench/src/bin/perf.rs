@@ -11,7 +11,7 @@
 //! exhaustive every-router-every-cycle sweep — useful for quantifying
 //! what the gate buys, never for baselines.
 //!
-//! Reports three rates as a single JSON line on stdout:
+//! Reports its rates as a single JSON line on stdout:
 //!
 //! * `single_cycles_per_sec` — simulated cycles per wall-clock second of
 //!   one saturated full-system run (the hot-loop figure of merit; this
@@ -20,7 +20,9 @@
 //!   load–latency point (offered 0.02 replies/CB/cycle, where most
 //!   routers are idle most cycles — the regime that dominates
 //!   load–latency curves and benchmark sweeps, and the figure of merit
-//!   for activity-gated stepping), and
+//!   for activity-gated stepping), with
+//!   `low_load_exhaustive_cycles_per_sec` — the same point under the
+//!   exhaustive sweep — beside it (the perf gate bounds their ratio), and
 //! * `sweep_wall_s` — wall-clock seconds for the quick scheme × benchmark
 //!   repro sweep on the worker pool (the parallel-fan-out figure of
 //!   merit), plus `sweep_cached_wall_s` / `cached_sweep_speedup` for

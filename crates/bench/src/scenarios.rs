@@ -836,7 +836,7 @@ fn perf(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
     let placement = Placement::diamond(8, 8, 8);
     let low_cycles = 50_000u64;
     let audit = audit_cfg(spec);
-    let measure = |cycles: u64| {
+    let measure = |cycles: u64, gate: bool| {
         load_latency_curve_cfg(
             &placement,
             &ReplySide::Local,
@@ -844,17 +844,22 @@ fn perf(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
             cycles,
             1,
             audit.clone(),
-            spec.activity_gate,
+            gate,
         )
     };
-    let _ = measure(5_000);
-    let mut low_load_rate = 0f64;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let pts = measure(low_cycles);
-        let rate = low_cycles as f64 / t0.elapsed().as_secs_f64();
-        assert!(pts[0].throughput > 0.0, "low-load run carried no traffic");
-        low_load_rate = low_load_rate.max(rate);
+    let _ = measure(5_000, spec.activity_gate);
+    // The same point under the exhaustive every-router-every-cycle
+    // sweep rides along: the perf gate bounds gated ÷ exhaustive, which
+    // is what the gate buys, whatever the saturated loop costs.
+    let mut low_load_rate = [0f64; 2];
+    for (slot, gate) in [(0, spec.activity_gate), (1, false)] {
+        for _ in 0..reps {
+            let t0 = Instant::now();
+            let pts = measure(low_cycles, gate);
+            let rate = low_cycles as f64 / t0.elapsed().as_secs_f64();
+            assert!(pts[0].throughput > 0.0, "low-load run carried no traffic");
+            low_load_rate[slot] = low_load_rate[slot].max(rate);
+        }
     }
 
     // Quick repro sweep (7 schemes × 6 benchmarks × seeds) on the pool.
@@ -892,7 +897,8 @@ fn perf(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
         .with("da2mesh_cycles_per_sec", da2_rate[0].round())
         .with("da2mesh_cycles_per_sec_simt4", da2_rate[1].round())
         .with("sim_thread_speedup", (sim_thread_speedup * 1000.0).round() / 1000.0)
-        .with("low_load_cycles_per_sec", low_load_rate.round())
+        .with("low_load_cycles_per_sec", low_load_rate[0].round())
+        .with("low_load_exhaustive_cycles_per_sec", low_load_rate[1].round())
         .with("sweep_wall_s", (sweep_wall_s * 1000.0).round() / 1000.0)
         .with("sweep_cached_wall_s", (sweep_cached_wall_s * 1000.0).round() / 1000.0)
         .with("cached_sweep_speedup", (cached_sweep_speedup * 1000.0).round() / 1000.0)

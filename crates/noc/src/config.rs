@@ -207,8 +207,9 @@ impl NocConfig {
     ///
     /// Returns a description of the first violated constraint: zero
     /// dimensions, dimensions the chosen topology cannot be built on,
-    /// zero VCs/buffers, or a class partition that exceeds
-    /// `vcs_per_port` / overlaps / is empty.
+    /// zero VCs/buffers, more VCs or deeper buffers than the router core
+    /// indexes, or a class partition that exceeds `vcs_per_port` /
+    /// overlaps / is empty.
     pub fn validate(&self) -> Result<(), String> {
         if self.width == 0 || self.height == 0 {
             return Err("grid dimensions must be nonzero".into());
@@ -235,6 +236,15 @@ impl NocConfig {
         }
         if self.vc_buf_flits == 0 {
             return Err("VC buffers must hold at least one flit".into());
+        }
+        // The router core keeps one mask bit per VC of a router and u8
+        // ring positions per VC buffer. Ports added after construction
+        // are checked against the same bound when they are added.
+        if self.vcs_per_port as usize * 5 > 64 {
+            return Err("a five-port router's VCs must fit 64 mask bits (vcs_per_port <= 12)".into());
+        }
+        if self.vc_buf_flits >= u8::MAX as usize {
+            return Err("VC buffers hold at most 254 flits".into());
         }
         if self.link_latency == 0 || self.ni_latency == 0 {
             return Err("link latencies must be at least one cycle".into());
@@ -287,6 +297,18 @@ mod tests {
         let mut c = NocConfig::mesh_8x8();
         c.vc_buf_flits = 0;
         assert!(c.validate().is_err());
+
+        let mut c = NocConfig::mesh_8x8();
+        c.vcs_per_port = 12;
+        assert!(c.validate().is_ok(), "5 ports x 12 VCs = 60 mask bits");
+        c.vcs_per_port = 13;
+        assert!(c.validate().is_err(), "65 mask bits");
+
+        let mut c = NocConfig::mesh_8x8();
+        c.vc_buf_flits = 254;
+        assert!(c.validate().is_ok());
+        c.vc_buf_flits = 255;
+        assert!(c.validate().is_err(), "ring positions are u8 with a sentinel");
 
         let mut c = NocConfig::single_net(8, false);
         c.partition = VcPartition::ByClass {

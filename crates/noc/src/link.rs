@@ -38,6 +38,42 @@ pub(crate) enum CreditDst {
     Injector { injector: u32 },
 }
 
+/// Occupancy of one ring of `cap` slots: where the oldest entry sits and
+/// how many follow it. The head returns to 0 whenever the ring empties.
+#[derive(Debug, Clone, Copy, Default)]
+struct Ring {
+    head: u32,
+    len: u32,
+}
+
+impl Ring {
+    /// Slot of the `k`-th oldest entry.
+    #[inline]
+    fn pos(&self, k: u32, cap: u32) -> u32 {
+        let pos = self.head + k;
+        if pos >= cap {
+            pos - cap
+        } else {
+            pos
+        }
+    }
+
+    /// Claims and returns the slot after the newest entry.
+    #[inline]
+    fn push(&mut self, cap: u32) -> u32 {
+        assert!(self.len < cap, "link ring overflow");
+        self.len += 1;
+        self.pos(self.len - 1, cap)
+    }
+
+    /// Drops the oldest entry.
+    #[inline]
+    fn pop(&mut self, cap: u32) {
+        self.len -= 1;
+        self.head = if self.len == 0 { 0 } else { self.pos(1, cap) };
+    }
+}
+
 /// A unidirectional pipelined channel carrying flits downstream and
 /// credits upstream, each with the link's latency.
 #[derive(Debug)]
@@ -54,10 +90,8 @@ pub(crate) struct Link {
     /// First slot of this link's two rings (`latency + 1` slots each) in
     /// the arenas.
     base: u32,
-    flit_head: u32,
-    flit_len: u32,
-    credit_head: u32,
-    credit_len: u32,
+    flits: Ring,
+    credits: Ring,
 }
 
 /// Every link of a network, with the flit and credit rings in two flat
@@ -75,14 +109,20 @@ impl Link {
     /// Number of flits currently in flight (used by drain checks).
     #[inline]
     pub fn in_flight(&self) -> usize {
-        self.flit_len as usize
+        self.flits.len as usize
     }
 
     /// Number of credits currently in flight back upstream (used by the
     /// activity gate to keep a link on the credit worklist).
     #[inline]
     pub fn credits_pending(&self) -> usize {
-        self.credit_len as usize
+        self.credits.len as usize
+    }
+
+    /// Slots per ring.
+    #[inline]
+    fn cap(&self) -> u32 {
+        self.latency + 1
     }
 }
 
@@ -117,10 +157,8 @@ impl Links {
             credit_dst,
             flits_carried: 0,
             base: base as u32,
-            flit_head: 0,
-            flit_len: 0,
-            credit_head: 0,
-            credit_len: 0,
+            flits: Ring::default(),
+            credits: Ring::default(),
         });
         self.links.len() - 1
     }
@@ -133,29 +171,17 @@ impl Links {
         self.links.iter()
     }
 
-    /// Ring position `head + offset` of a ring of `latency + 1` slots.
-    #[inline]
-    fn ring_pos(l: &Link, head: u32, offset: u32) -> usize {
-        let cap = l.latency + 1;
-        let pos = head + offset;
-        (l.base + if pos >= cap { pos - cap } else { pos }) as usize
-    }
-
     /// Sends a flit; it arrives downstream at `now + latency`.
     #[inline]
     pub fn send_flit(&mut self, li: usize, now: u64, mut flit: Slot) {
-        let l = &mut self.links[li];
-        assert!(l.flit_len <= l.latency, "link {li} flit ring overflow");
-        flit.set_stamp(now + l.latency as u64);
-        let at = Self::ring_pos(l, l.flit_head, l.flit_len);
+        flit.set_stamp(now + self.links[li].latency as u64);
         debug_assert!(
-            l.flit_len == 0
-                || self.flit_slots[Self::ring_pos(l, l.flit_head, l.flit_len - 1)].stamp()
-                    < flit.stamp(),
+            self.flits(li).last().is_none_or(|f| f.stamp() < flit.stamp()),
             "more than one flit per cycle on a link"
         );
-        self.flit_slots[at] = flit;
-        l.flit_len += 1;
+        let l = &mut self.links[li];
+        let at = l.base + l.flits.push(l.cap());
+        self.flit_slots[at as usize] = flit;
         l.flits_carried += 1;
     }
 
@@ -163,49 +189,45 @@ impl Links {
     #[inline]
     pub fn send_credit(&mut self, li: usize, now: u64, vc: u8) {
         let l = &mut self.links[li];
-        assert!(l.credit_len <= l.latency, "link {li} credit ring overflow");
-        let at = Self::ring_pos(l, l.credit_head, l.credit_len);
-        self.credit_slots[at] = (now + l.latency as u64, vc);
-        l.credit_len += 1;
+        let at = l.base + l.credits.push(l.cap());
+        self.credit_slots[at as usize] = (now + l.latency as u64, vc);
     }
 
     /// Pops the oldest flit if it has arrived by `now`.
     #[inline]
     pub fn recv_flit(&mut self, li: usize, now: u64) -> Option<Slot> {
         let l = &mut self.links[li];
-        let slot = &self.flit_slots[(l.base + l.flit_head) as usize];
-        if l.flit_len == 0 || slot.stamp() > now {
+        let slot = self.flit_slots[(l.base + l.flits.head) as usize];
+        if l.flits.len == 0 || slot.stamp() > now {
             return None;
         }
-        l.flit_len -= 1;
-        l.flit_head = if l.flit_len == 0 || l.flit_head == l.latency { 0 } else { l.flit_head + 1 };
-        Some(*slot)
+        l.flits.pop(l.cap());
+        Some(slot)
     }
 
     /// Pops the oldest credit if it has arrived by `now`.
     #[inline]
     pub fn recv_credit(&mut self, li: usize, now: u64) -> Option<u8> {
         let l = &mut self.links[li];
-        let (at, vc) = self.credit_slots[(l.base + l.credit_head) as usize];
-        if l.credit_len == 0 || at > now {
+        let (at, vc) = self.credit_slots[(l.base + l.credits.head) as usize];
+        if l.credits.len == 0 || at > now {
             return None;
         }
-        l.credit_len -= 1;
-        l.credit_head =
-            if l.credit_len == 0 || l.credit_head == l.latency { 0 } else { l.credit_head + 1 };
+        l.credits.pop(l.cap());
         Some(vc)
     }
 
     /// All in-flight flits of link `li`, oldest first.
     pub fn flits(&self, li: usize) -> impl Iterator<Item = &Slot> {
         let l = &self.links[li];
-        (0..l.flit_len).map(move |k| &self.flit_slots[Self::ring_pos(l, l.flit_head, k)])
+        (0..l.flits.len).map(move |k| &self.flit_slots[(l.base + l.flits.pos(k, l.cap())) as usize])
     }
 
     /// All in-flight credits of link `li` as `(arrival, vc)`, oldest first.
     fn credits(&self, li: usize) -> impl Iterator<Item = (u64, u8)> + '_ {
         let l = &self.links[li];
-        (0..l.credit_len).map(move |k| self.credit_slots[Self::ring_pos(l, l.credit_head, k)])
+        (0..l.credits.len)
+            .map(move |k| self.credit_slots[(l.base + l.credits.pos(k, l.cap())) as usize])
     }
 
     /// Flits in flight destined for downstream input VC `vc` (audit).
@@ -224,11 +246,11 @@ impl Links {
     pub fn snap_state(&self, li: usize, e: &mut equinox_snap::Enc) {
         use equinox_snap::Snap;
         let l = &self.links[li];
-        e.put_usize(l.flit_len as usize);
+        e.put_usize(l.in_flight());
         for f in self.flits(li) {
             (f.stamp(), f.flit()).snap(e);
         }
-        e.put_usize(l.credit_len as usize);
+        e.put_usize(l.credits_pending());
         for c in self.credits(li) {
             c.snap(e);
         }
@@ -259,7 +281,7 @@ impl Links {
             }
             self.flit_slots[base + k] = Slot::pack(at, &f);
         }
-        (l.flit_head, l.flit_len) = (0, n as u32);
+        l.flits = Ring { head: 0, len: n as u32 };
         let n = d.usize()?;
         if n > l.latency as usize + 1 {
             return Err(SnapError::BadValue("link credits over latency"));
@@ -271,7 +293,7 @@ impl Links {
             }
             self.credit_slots[base + k] = c;
         }
-        (l.credit_head, l.credit_len) = (0, n as u32);
+        l.credits = Ring { head: 0, len: n as u32 };
         l.flits_carried = d.u64()?;
         Ok(())
     }
@@ -284,8 +306,14 @@ mod tests {
     use equinox_phys::Coord;
 
     fn test_flit() -> Slot {
-        let f = PacketDesc::new(0, Coord::new(0, 0), Coord::new(1, 1), MessageClass::Reply, 1)
-            .flits(8)[0];
+        let f = PacketDesc::new(
+            0,
+            Coord::new(0, 0),
+            Coord::new(1, 1),
+            MessageClass::Reply,
+            1,
+        )
+        .flits(8)[0];
         Slot::pack(0, &f)
     }
 

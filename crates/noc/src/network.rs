@@ -132,8 +132,6 @@ pub struct Network {
     routes: Vec<Route>,
     /// Per message class (0 = request, 1 = reply).
     class_vcs: [ClassVcs; 2],
-    /// `cfg.pipeline_extra`, widened once.
-    pipeline_extra: u64,
     /// The port a mask bit belongs to (`bit / vcs_per_port`).
     bit_port: [u8; 64],
     /// Switch-allocation scratch: per output port, the input ports whose
@@ -210,7 +208,6 @@ impl Network {
             local_injectors: Vec::new(),
             routes: vec![Route::UNKNOWN; n * n],
             class_vcs,
-            pipeline_extra: cfg.pipeline_extra as u64,
             bit_port,
             sa_requests: [0; 64],
             sa_winner_vc: [0; 64],
@@ -492,10 +489,10 @@ impl Network {
     }
 
     /// Pops one ejected flit from any ejection port of the router at
-    /// `node`.
+    /// `node` (the local port or an extra after it).
     pub fn pop_ejected_node(&mut self, node: Coord) -> Option<Flit> {
         let r = self.topo.node_index(node);
-        (0..self.core.num_ports(r)).find_map(|p| self.pop_ejected(r, p))
+        (PORT_LOCAL..self.core.num_ports(r)).find_map(|p| self.pop_ejected(r, p))
     }
 
     /// Attribution hook for an ejection-queue pop: advances the parallel
@@ -660,7 +657,7 @@ impl Network {
             let head = self.core.front(self.core.vc(ri, bit));
             // Pipeline gating: the head must have cleared the router's
             // extra stages before allocation.
-            if head.stamp() + self.pipeline_extra > self.cycle {
+            if head.stamp() + self.cfg.pipeline_extra as u64 > self.cycle {
                 continue;
             }
             debug_assert!(head.is_head(), "non-head flit awaiting allocation");
@@ -799,6 +796,7 @@ impl Network {
         let nports = s.nports as usize;
         let vcs = self.core.vcs();
         let port_mask = (1u64 << vcs) - 1;
+        let pipeline_extra = self.cfg.pipeline_extra as u64;
         // Input arbitration: per input port, the first VC at or after the
         // round-robin pointer that is allocated, pipeline-clear and whose
         // output can take a flit asks for that output.
@@ -816,9 +814,7 @@ impl Network {
                 turn &= turn - 1;
                 let iv = if k >= vcs { k - vcs } else { k };
                 let ivc = vc_base + shift + iv;
-                if self.pipeline_extra != 0
-                    && self.core.front(ivc).stamp() + self.pipeline_extra > now
-                {
+                if pipeline_extra != 0 && self.core.front(ivc).stamp() + pipeline_extra > now {
                     continue; // still in the pipeline
                 }
                 let vc = &self.core.in_vcs[ivc];
@@ -867,7 +863,7 @@ impl Network {
             let ivc = self.core.vc(ri, held.trailing_zeros() as usize);
             held &= held - 1;
             let head = self.core.front(ivc);
-            if !head.is_head() || head.stamp() + self.pipeline_extra > now {
+            if !head.is_head() || head.stamp() + self.cfg.pipeline_extra as u64 > now {
                 continue;
             }
             let vc = &self.core.in_vcs[ivc];
@@ -1846,10 +1842,14 @@ mod tests {
         // Both classes on a monopolizing single network, an extra
         // injection port and a tagged extra ejection port, and sinks
         // that stay shut for a while so ejection queues hit their cap.
-        let mut net = Network::mesh(NocConfig::single_net(4, true));
-        let extra = net.add_injection_port(Coord::new(2, 1), 2, LinkKind::Interposer);
-        let (tr, tp) = net.add_ejection_port(Coord::new(1, 2), Some(77));
-        net.enable_stalls();
+        let build = || {
+            let mut net = Network::mesh(NocConfig::single_net(4, true));
+            let extra = net.add_injection_port(Coord::new(2, 1), 2, LinkKind::Interposer);
+            let tagged = net.add_ejection_port(Coord::new(1, 2), Some(77));
+            net.enable_stalls();
+            (net, extra, tagged)
+        };
+        let (mut net, extra, (tr, tp)) = build();
         let mut rng = Rng::seed_from_u64(0xC0FFEE);
         let nodes: Vec<Coord> = (0..16).map(|i| Coord::from_index(i, 4)).collect();
         let mut injectors: Vec<(InjectorId, Coord)> =
@@ -1899,6 +1899,28 @@ mod tests {
                     net.core.scan(r),
                     "router {r} after cycle {t}"
                 );
+            }
+            // A restore derives the same words from the snapshot: once
+            // with the sinks shut (ejection queues at their cap), once
+            // while they drain.
+            if t == 280 || t == 700 {
+                let mut e = equinox_snap::Enc::new();
+                net.snapshot_state(&mut e);
+                let mut twin = build().0;
+                twin.restore_state(&mut equinox_snap::Dec::new(&e.into_bytes())).unwrap();
+                for r in 0..net.core.len() {
+                    assert_eq!(twin.core.scan(r), net.core.scan(r), "restored router {r}");
+                    let s = &twin.core.routers[r];
+                    assert_eq!(
+                        (s.occupied, s.allocated, s.out_free, s.out_ready, s.class_flits),
+                        twin.core.scan(r),
+                        "restored router {r} at cycle {t}"
+                    );
+                }
+                if t == 280 {
+                    let capped = |n: &Network| n.core.eject_queues().iter().filter(|q| q.len() >= 16).count();
+                    assert!(capped(&twin) > 0, "no ejection queue was at its cap");
+                }
             }
         }
         assert!(net.quiescent(), "traffic must drain");

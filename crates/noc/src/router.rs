@@ -74,6 +74,15 @@ pub(crate) struct InVc {
     slot_base: u32,
 }
 
+impl InVc {
+    /// Arena index of the `k`-th oldest slot of a ring of `depth`.
+    #[inline]
+    fn slot(&self, k: usize, depth: usize) -> usize {
+        let pos = self.head as usize + k;
+        self.slot_base as usize + if pos >= depth { pos - depth } else { pos }
+    }
+}
+
 /// The words of one router that every pipeline stage reads, together on
 /// one cache line. Mask bit `p * V + v` stands for VC `v` of port `p`.
 #[derive(Debug, Clone, Copy)]
@@ -223,7 +232,13 @@ impl RouterCore {
             self.slots.resize(self.slots.len() + self.depth, EMPTY_SLOT);
             self.in_vcs.insert(
                 gv + v,
-                InVc { head: 0, len: 0, out_port: NONE, out_vc: NONE, slot_base },
+                InVc {
+                    head: 0,
+                    len: 0,
+                    out_port: NONE,
+                    out_vc: NONE,
+                    slot_base,
+                },
             );
             self.out_credits.insert(gv + v, self.depth as u8);
             self.out_owner.insert(gv + v, NONE);
@@ -232,16 +247,27 @@ impl RouterCore {
         port
     }
 
-    /// Gives output port `p` of router `r` its role. A link or ejection
-    /// port starts able to take a flit on every VC.
+    /// Gives output port `p` of router `r` its role.
     pub fn set_role(&mut self, r: usize, p: usize, role: OutputRole) {
         let gp = self.port(r, p);
         self.out_role[gp] = role;
+        self.refresh_ready(r, p);
+    }
+
+    /// Re-derives the `out_ready` bits of output port `p` of router `r`
+    /// from its role, credits and ejection queue.
+    fn refresh_ready(&mut self, r: usize, p: usize) {
+        let gp = self.port(r, p);
         let bits = self.port_bits(r, p, p + 1);
-        match role {
-            OutputRole::Dead => self.routers[r].out_ready &= !bits,
-            _ => self.routers[r].out_ready |= bits,
-        }
+        let ready = match self.out_role[gp] {
+            OutputRole::Link(_) => (0..self.vcs)
+                .filter(|&v| self.out_credits[gp * self.vcs + v] > 0)
+                .fold(0, |m, v| m | 1 << (p * self.vcs + v)),
+            OutputRole::Eject { .. } if self.eject[gp].len() < self.eject_cap => bits,
+            _ => 0,
+        };
+        let s = &mut self.routers[r];
+        s.out_ready = s.out_ready & !bits | ready;
     }
 
     /// The role of output port `p` of router `r`.
@@ -296,10 +322,7 @@ impl RouterCore {
     /// The flits buffered in input VC `ivc`, oldest first.
     pub fn flits(&self, ivc: usize) -> impl Iterator<Item = &Slot> {
         let vc = self.in_vcs[ivc];
-        (0..vc.len as usize).map(move |k| {
-            let pos = vc.head as usize + k;
-            &self.slots[vc.slot_base as usize + if pos >= self.depth { pos - self.depth } else { pos }]
-        })
+        (0..vc.len as usize).map(move |k| &self.slots[vc.slot(k, self.depth)])
     }
 
     /// Every flit buffered in router `r`.
@@ -313,10 +336,11 @@ impl RouterCore {
     pub fn push(&mut self, r: usize, bit: usize, slot: Slot) {
         let s = &mut self.routers[r];
         let vc = &mut self.in_vcs[s.vc_base as usize + bit];
-        assert!((vc.len as usize) < self.depth, "buffer overflow at router {r} input VC bit {bit}");
-        let pos = vc.head as usize + vc.len as usize;
-        self.slots[vc.slot_base as usize + if pos >= self.depth { pos - self.depth } else { pos }] =
-            slot;
+        assert!(
+            (vc.len as usize) < self.depth,
+            "buffer overflow at router {r} input VC bit {bit}"
+        );
+        self.slots[vc.slot(vc.len as usize, self.depth)] = slot;
         vc.len += 1;
         s.occupied |= 1 << bit;
         s.class_flits[slot.class_ix()] += 1;
@@ -335,7 +359,11 @@ impl RouterCore {
             vc.head = 0;
             s.occupied &= !(1 << bit);
         } else {
-            vc.head = if vc.head as usize + 1 == self.depth { 0 } else { vc.head + 1 };
+            vc.head = if vc.head as usize + 1 == self.depth {
+                0
+            } else {
+                vc.head + 1
+            };
         }
         s.class_flits[slot.class_ix()] -= 1;
         slot
@@ -441,7 +469,9 @@ impl RouterCore {
             out_free |= u64::from(self.out_owner[self.vc(r, bit)] == NONE) << bit;
             let ready = match self.role(r, bit / self.vcs) {
                 OutputRole::Link(_) => self.credits(r, bit) > 0,
-                OutputRole::Eject { .. } => self.eject_queue(r, bit / self.vcs).len() < self.eject_cap,
+                OutputRole::Eject { .. } => {
+                    self.eject_queue(r, bit / self.vcs).len() < self.eject_cap
+                }
                 OutputRole::Dead => false,
             };
             out_ready |= u64::from(ready) << bit;
@@ -491,8 +521,8 @@ impl RouterCore {
     /// a flat array — ports, VCs, buffer lengths, credits — is bounded
     /// here, and no buffered flit may be stamped after `cycle` (the
     /// pipeline stages rely on it). The masks and class counters are
-    /// derived from what was read; `out_ready`'s ejection bits follow in
-    /// [`RouterCore::restore_eject`].
+    /// derived from what was read, except `out_ready`, which
+    /// [`RouterCore::restore_eject`] completes port by port.
     pub fn restore_state(
         &mut self,
         r: usize,
@@ -549,16 +579,12 @@ impl RouterCore {
                 return Err(SnapError::BadValue("output sa_ptr"));
             }
             self.out_sa_ptr[base + p] = ptr as u8;
-            let is_link = matches!(self.out_role[base + p], OutputRole::Link(_));
             for v in 0..vcs {
                 let credits = d.u32()?;
                 if credits as usize > self.depth {
                     return Err(SnapError::BadValue("credits over depth"));
                 }
                 self.out_credits[(base + p) * vcs + v] = credits as u8;
-                if is_link && credits > 0 {
-                    s.out_ready |= 1 << (p * vcs + v);
-                }
                 let owner: Option<(usize, u8)> = Option::restore(d)?;
                 self.out_owner[(base + p) * vcs + v] = match owner {
                     None => {
@@ -576,14 +602,12 @@ impl RouterCore {
     }
 
     /// Replaces the ejection queue of port `p` of router `r` with a
-    /// restored one and re-derives the port's `out_ready` bits.
+    /// restored one and, the port's credits having been restored before
+    /// it, re-derives its `out_ready` bits.
     pub fn restore_eject(&mut self, r: usize, p: usize, q: VecDeque<Flit>) {
         let gp = self.port(r, p);
-        let room = q.len() < self.eject_cap;
         self.eject[gp] = q;
-        if room && matches!(self.out_role[gp], OutputRole::Eject { .. }) {
-            self.routers[r].out_ready |= self.port_bits(r, p, p + 1);
-        }
+        self.refresh_ready(r, p);
     }
 }
 
@@ -697,7 +721,11 @@ mod tests {
         // The cap (4) closes both VCs of the ejection port at once.
         let f = flit(0, MessageClass::Reply).flit();
         for k in 0..4 {
-            assert_eq!(c.routers[0].out_ready & eject_bits, eject_bits, "{k} parked");
+            assert_eq!(
+                c.routers[0].out_ready & eject_bits,
+                eject_bits,
+                "{k} parked"
+            );
             c.eject_push(0, 4, f);
         }
         assert_eq!(c.routers[0].out_ready & eject_bits, 0);

@@ -14,7 +14,9 @@ pub(crate) struct Worklist {
 impl Worklist {
     /// An empty set over ids `0..n`.
     pub fn with_len(n: usize) -> Self {
-        Worklist { words: vec![0; n.div_ceil(64)] }
+        Worklist {
+            words: vec![0; n.div_ceil(64)],
+        }
     }
 
     /// Extends the id space to cover `0..n` (new ids start absent).
@@ -53,7 +55,9 @@ impl Worklist {
     /// The members in ascending order.
     #[cfg(test)]
     pub fn ids(&self) -> Vec<usize> {
-        let mut copy = Worklist { words: self.words.clone() };
+        let mut copy = Worklist {
+            words: self.words.clone(),
+        };
         let mut out = Vec::new();
         copy.sweep(|id| {
             out.push(id);
@@ -87,8 +91,15 @@ mod tests {
             seen.push(id);
             id % 3 == 0
         });
-        assert_eq!(seen, (0..130).collect::<Vec<_>>(), "dropping the current id must not skip its neighbours");
-        assert_eq!(w.ids(), (0..130).filter(|id| id % 3 == 0).collect::<Vec<_>>());
+        assert_eq!(
+            seen,
+            (0..130).collect::<Vec<_>>(),
+            "dropping the current id must not skip its neighbours"
+        );
+        assert_eq!(
+            w.ids(),
+            (0..130).filter(|id| id % 3 == 0).collect::<Vec<_>>()
+        );
         w.sweep(|_| false);
         assert!(w.ids().is_empty());
     }

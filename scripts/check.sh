@@ -29,6 +29,15 @@ cargo build --release --workspace
 echo "== tests =="
 cargo test -q --workspace
 
+echo "== benchmark harness =="
+# A workspace of its own on the crates' public entry points: its unit
+# tests, and one short untraced run that must come out correct, so a
+# rename that breaks the harness fails here rather than in the pipeline.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
+    --workload sat-kmeans --seconds 4 --trace 0 | tail -n 1 | grep -q '"correct": true'
+echo "OK: benchmark harness builds, passes its tests and completes a correct run"
+
 echo "== perf =="
 # Default 3-rep best-of (not --quick): single-rep rates swing close to
 # the tolerance band on a noisy box.
