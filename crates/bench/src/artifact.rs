@@ -110,7 +110,9 @@ mod tests {
 
     #[test]
     fn run_metrics_emit_the_documented_schema() {
-        let m = crate::run_one(SchemeKind::SeparateBase, 8, "gaussian", 0.02, 1);
+        let mut spec = ExperimentSpec::default();
+        spec.scale = 0.02;
+        let m = crate::run_one_spec(SchemeKind::SeparateBase, 8, "gaussian", 1, &spec);
         let j = run_metrics_json(&m);
         assert_eq!(j.get("schema").and_then(Json::as_str), Some("equinox.run_metrics/v1"));
         assert_eq!(j.get("cycles").and_then(Json::as_u64), Some(m.cycles));

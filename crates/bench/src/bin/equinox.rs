@@ -19,7 +19,7 @@
 use equinox_bench::artifact::artifact;
 use equinox_bench::cache::{artifact_key, cache_for};
 use equinox_bench::scenarios::{scenario, scenarios};
-use equinox_config::{flag_help, parse_cli, resolve_process, CliError, Extras, Json};
+use equinox_config::{flag_help, parse_cli, resolve_process, CliError, Json};
 
 fn usage() -> String {
     let mut u = String::from(
@@ -29,7 +29,7 @@ fn usage() -> String {
         u.push_str(&format!("  {:10} {}\n", s.name, s.about));
     }
     u.push_str("\nflags:\n");
-    u.push_str(&flag_help(Extras::default()));
+    u.push_str(&flag_help());
     u
 }
 
@@ -40,7 +40,7 @@ fn fail(message: &str) -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = match parse_cli(&args, Extras::default()) {
+    let parsed = match parse_cli(&args) {
         Ok(p) => p,
         Err(CliError::Help) => {
             println!("{}", usage());

@@ -109,7 +109,9 @@ mod tests {
 
     #[test]
     fn metrics_round_trip_bit_exactly() {
-        let m = crate::run_one(SchemeKind::EquiNox, 8, "gaussian", 0.02, 1);
+        let mut spec = ExperimentSpec::default();
+        spec.scale = 0.02;
+        let m = crate::run_one_spec(SchemeKind::EquiNox, 8, "gaussian", 1, &spec);
         let bytes = encode_metrics(&m);
         let r = decode_metrics(&bytes).unwrap();
         assert_eq!(r.scheme, m.scheme);

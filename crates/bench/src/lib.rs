@@ -1,15 +1,13 @@
 //! `equinox-bench` — the harness that regenerates every table and figure
 //! of the EquiNox paper.
 //!
-//! The library half holds shared experiment runners (scheme sweeps,
-//! normalization, table formatting, a cached strong EquiNox design); the
-//! `repro` binary drives them per figure; the Criterion benches measure
-//! the performance of the substrate itself (simulator cycle rate, search
-//! throughput) on the same code paths.
+//! The library half holds shared experiment runners (scheme sweeps, a
+//! cached strong EquiNox design) and the scenario registry; the one
+//! binary, `equinox <scenario>`, drives them under the layered spec.
 //!
 //! Figure/table map (§6 of the paper):
 //!
-//! | command  | reproduces |
+//! | scenario | reproduces |
 //! |----------|------------|
 //! | `table1` | Table 1 (simulation parameters) |
 //! | `fig4`   | placement heat maps + variances |
@@ -52,6 +50,19 @@ pub fn design_for(n: u16) -> EquiNoxDesign {
     }
 }
 
+/// Builds the system for `scheme` on benchmark `bench` under the
+/// resolved spec, resolving the EquiNox design through [`design_for`].
+fn build_system(scheme: SchemeKind, n: u16, bench: &str, seed: u64, spec: &ExperimentSpec) -> System {
+    let profile = equinox_traffic::profile::benchmark(bench)
+        .unwrap_or_else(|| panic!("unknown benchmark {bench}"));
+    let workload = Workload::new(profile, spec.scale, seed);
+    let mut cfg = SystemConfig::from_spec(scheme, n, workload, spec);
+    if scheme == SchemeKind::EquiNox {
+        cfg.design = Some(design_for(n));
+    }
+    System::build(cfg)
+}
+
 /// One full-system run of `scheme` on benchmark `bench` under the
 /// resolved spec (mesh `n × n`, workload scale and capacities from the
 /// spec; `seed` passed separately because seed-averaging runners sweep
@@ -63,29 +74,14 @@ pub fn run_one_spec(
     seed: u64,
     spec: &ExperimentSpec,
 ) -> RunMetrics {
-    let profile = equinox_traffic::profile::benchmark(bench)
-        .unwrap_or_else(|| panic!("unknown benchmark {bench}"));
-    let workload = Workload::new(profile, spec.scale, seed);
-    let mut cfg = SystemConfig::from_spec(scheme, n, workload, spec);
-    if scheme == SchemeKind::EquiNox {
-        cfg.design = Some(design_for(n));
-    }
-    System::build(cfg).run()
-}
-
-/// One full-system run of `scheme` on benchmark `bench` at the given
-/// scale and seed (mesh `n × n`), with every other knob at its default.
-pub fn run_one(scheme: SchemeKind, n: u16, bench: &str, scale: f64, seed: u64) -> RunMetrics {
-    let mut spec = ExperimentSpec::default();
-    spec.scale = scale;
-    run_one_spec(scheme, n, bench, seed, &spec)
+    build_system(scheme, n, bench, seed, spec).run()
 }
 
 /// Like [`run_one_spec`], but times only the simulation loop: the
 /// system is built (and the EquiNox design resolved) outside the timer,
 /// so the returned `(cycles, seconds)` measure stepping cost alone.
-/// Short runs make `run_one`-based rates build-dominated; perf figures
-/// use this instead.
+/// Short runs make `run_one_spec`-based rates build-dominated; perf
+/// figures use this instead.
 pub fn timed_run_spec(
     scheme: SchemeKind,
     n: u16,
@@ -93,24 +89,10 @@ pub fn timed_run_spec(
     seed: u64,
     spec: &ExperimentSpec,
 ) -> (u64, f64) {
-    let profile = equinox_traffic::profile::benchmark(bench)
-        .unwrap_or_else(|| panic!("unknown benchmark {bench}"));
-    let workload = Workload::new(profile, spec.scale, seed);
-    let mut cfg = SystemConfig::from_spec(scheme, n, workload, spec);
-    if scheme == SchemeKind::EquiNox {
-        cfg.design = Some(design_for(n));
-    }
-    let mut sys = System::build(cfg);
+    let mut sys = build_system(scheme, n, bench, seed, spec);
     let t0 = std::time::Instant::now();
     let m = sys.run();
     (m.cycles, t0.elapsed().as_secs_f64())
-}
-
-/// [`timed_run_spec`] with defaults for everything but the scale.
-pub fn timed_run(scheme: SchemeKind, n: u16, bench: &str, scale: f64, seed: u64) -> (u64, f64) {
-    let mut spec = ExperimentSpec::default();
-    spec.scale = scale;
-    timed_run_spec(scheme, n, bench, seed, &spec)
 }
 
 /// Runs `scheme` over the spec's seed list and returns the metrics of
@@ -158,14 +140,6 @@ fn run_seeds_uncached(scheme: SchemeKind, n: u16, bench: &str, spec: &Experiment
     rep
 }
 
-/// [`run_seeds_spec`] with an explicit scale and seed list.
-pub fn run_seeds(scheme: SchemeKind, n: u16, bench: &str, scale: f64, seeds: &[u64]) -> RunMetrics {
-    let mut spec = ExperimentSpec::default();
-    spec.scale = scale;
-    spec.seeds = seeds.to_vec();
-    run_seeds_spec(scheme, n, bench, &spec)
-}
-
 /// Runs the full `benches × schemes` sweep matrix on the
 /// [`equinox_exec`] worker pool and returns it bench-major
 /// (`result[bi][si]` = benchmark `bi` under scheme `si`).
@@ -199,20 +173,6 @@ pub fn run_matrix_spec(
     rows
 }
 
-/// [`run_matrix_spec`] with an explicit scale and seed list.
-pub fn run_matrix(
-    schemes: &[SchemeKind],
-    n: u16,
-    benches: &[&str],
-    scale: f64,
-    seeds: &[u64],
-) -> Vec<Vec<RunMetrics>> {
-    let mut spec = ExperimentSpec::default();
-    spec.scale = scale;
-    spec.seeds = seeds.to_vec();
-    run_matrix_spec(schemes, n, benches, &spec)
-}
-
 /// The benchmark set a spec selects: all 29 with `--full`, else the
 /// quick subset.
 pub fn bench_set(spec: &ExperimentSpec) -> Vec<&'static str> {
@@ -238,20 +198,6 @@ pub fn all_bench_names() -> Vec<&'static str> {
     all_benchmarks().iter().map(|b| b.name).collect()
 }
 
-/// Normalizes each value by the first element.
-pub fn normalize_to_first(values: &[f64]) -> Vec<f64> {
-    let base = values.first().copied().unwrap_or(1.0);
-    values
-        .iter()
-        .map(|v| if base != 0.0 { v / base } else { 0.0 })
-        .collect()
-}
-
-/// All seven schemes in paper order (re-exported for binaries/benches).
-pub fn all_schemes() -> [SchemeKind; 7] {
-    SchemeKind::ALL
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,24 +211,26 @@ mod tests {
         assert_eq!(all.len(), 29);
     }
 
-    #[test]
-    fn normalize_to_first_basics() {
-        assert_eq!(normalize_to_first(&[2.0, 4.0, 1.0]), vec![1.0, 2.0, 0.5]);
-        assert!(normalize_to_first(&[]).is_empty());
+    fn spec_at(scale: f64, seeds: &[u64]) -> ExperimentSpec {
+        let mut spec = ExperimentSpec::default();
+        spec.scale = scale;
+        spec.seeds = seeds.to_vec();
+        spec
     }
 
     #[test]
     fn run_one_produces_complete_metrics() {
-        let m = run_one(SchemeKind::SeparateBase, 8, "gaussian", 0.05, 1);
+        let m = run_one_spec(SchemeKind::SeparateBase, 8, "gaussian", 1, &spec_at(0.05, &[1]));
         assert!(m.completed);
         assert!(m.cycles > 0 && m.energy_j() > 0.0);
     }
 
     #[test]
     fn run_seeds_within_seed_range() {
-        let m = run_seeds(SchemeKind::SeparateBase, 8, "gaussian", 0.05, &[1, 2]);
-        let a = run_one(SchemeKind::SeparateBase, 8, "gaussian", 0.05, 1).cycles;
-        let b = run_one(SchemeKind::SeparateBase, 8, "gaussian", 0.05, 2).cycles;
+        let spec = spec_at(0.05, &[1, 2]);
+        let m = run_seeds_spec(SchemeKind::SeparateBase, 8, "gaussian", &spec);
+        let a = run_one_spec(SchemeKind::SeparateBase, 8, "gaussian", 1, &spec).cycles;
+        let b = run_one_spec(SchemeKind::SeparateBase, 8, "gaussian", 2, &spec).cycles;
         assert!(m.cycles >= a.min(b) && m.cycles <= a.max(b));
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! A [`Scenario`] is a pure function of the resolved
 //! [`ExperimentSpec`]: it renders its human-readable report to the
-//! provided writer (the driver sends it to stderr, the legacy wrappers
-//! to stdout) and returns its structured results as [`Json`], which the
+//! provided writer (the driver sends it to stderr) and returns its
+//! structured results as [`Json`], which the
 //! driver wraps in an `equinox.artifact/v1` envelope. Scenario code
 //! never touches `std::env` — everything it needs rides in the spec.
 //!
@@ -730,7 +730,7 @@ fn sweep(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
 }
 
 /// Reply-network load–latency curves: local-buffer baseline vs the
-/// EquiNox injection structure (the old `sweep` binary's experiment).
+/// EquiNox injection structure.
 fn loadlat(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
     out!(
         log,
@@ -777,8 +777,27 @@ fn loadlat(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
         .with("equinox", eq.iter().map(load_point_json).collect::<Vec<_>>())
 }
 
-/// Micro-benchmark of the simulation substrate itself (see the `perf`
-/// wrapper's docs for what each rate means).
+/// Micro-benchmark of the simulation substrate itself. The rates
+/// `scripts/check.sh` and `scripts/perf_gate.sh` read:
+///
+/// * `single_cycles_per_sec` — simulated cycles per wall-clock second
+///   of one saturated full-system run (the hot-loop figure of merit),
+///   with `obs_on_cycles_per_sec` — the same run with the obs layer
+///   armed — beside it;
+/// * `da2mesh_cycles_per_sec[_simt4]` / `sim_thread_speedup` — a
+///   saturated DA2Mesh run at `sim_threads` 1 and 4, and their ratio;
+/// * `low_load_cycles_per_sec` — a low-load load–latency point
+///   (offered 0.02 replies/CB/cycle, most routers idle most cycles: the
+///   figure of merit for activity gating), with
+///   `low_load_exhaustive_cycles_per_sec` — the same point under the
+///   exhaustive sweep — beside it;
+/// * `sweep_wall_s` — the quick scheme × benchmark sweep on the worker
+///   pool, plus `sweep_cached_wall_s` / `cached_sweep_speedup` for the
+///   same sweep served from the content-addressed result cache.
+///
+/// The EquiNox design search is pre-warmed outside the timed regions.
+/// `--audit` / `--no-activity-gate` time the audited / exhaustive
+/// paths — for measuring their overhead, never for baselines.
 fn perf(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
     // Warm everything the timed regions would otherwise pay for once:
     // the cached 8×8 EquiNox design and the allocator's steady state.
@@ -912,8 +931,8 @@ fn perf(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
 }
 
 /// Searches an EquiNox design per the spec and returns it in both the
-/// stable text format and as an SVG wiring diagram (the wrapper's
-/// `--out`/`--svg` write these fields to files).
+/// stable text format (`design_text`, reload with
+/// `EquiNoxDesign::from_text`) and as an SVG wiring diagram (`svg`).
 fn designer(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
     out!(
         log,
@@ -942,7 +961,7 @@ fn designer(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
         .with("svg", design_svg(&design))
 }
 
-/// Every paper table and figure in sequence (the repro default).
+/// Instrumented EquiNox run: the obs blocks plus the Chrome trace.
 fn observe(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
     header(log, "Observability: metrics registry, time series, spans, flit trace");
     let profile = equinox_traffic::profile::benchmark("bfs").expect("known");
@@ -1160,6 +1179,7 @@ fn watch(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
     stats.to_json().with("target", spec.obs_stream.as_str())
 }
 
+/// Every paper table and figure in sequence.
 fn all(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
     let mut j = Json::obj();
     for s in scenarios() {

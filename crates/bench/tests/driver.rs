@@ -130,7 +130,7 @@ fn observe_scenario_emits_obs_block_and_chrome_trace() {
     let series = obs.get("series").expect("series block");
     let cycles = series.get("cycle").and_then(Json::as_arr).expect("cycle axis");
     assert!(!cycles.is_empty(), "the run must have produced samples");
-    for col in ["throughput_flits_per_cycle", "packets_in_flight", "ff_cycles_skipped"] {
+    for col in ["throughput_flits_per_cycle", "packets_in_flight"] {
         let vals = series.get(col).and_then(Json::as_arr).unwrap_or_else(|| panic!("series '{col}'"));
         assert_eq!(vals.len(), cycles.len(), "'{col}' rows match the cycle axis");
     }
@@ -278,9 +278,47 @@ fn fabric_scenario_runs_end_to_end_through_the_driver() {
     assert!(inj > 0 && inj == ej, "ring must move and conserve flits ({inj}/{ej})");
 }
 
+/// `scripts/perf_gate.sh` and `scripts/check.sh` pull these keys out of
+/// the `perf` artifact line by line; a renamed or re-typed key must fail
+/// here, not as an empty match in the shell.
+#[test]
+fn perf_artifact_carries_every_key_the_gate_scripts_read() {
+    let out = driver()
+        .args(["perf", "--quick", "--scale", "0.01", "--seeds", "1"])
+        .output()
+        .expect("run driver");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8(out.stdout).unwrap();
+    let artifact = parse_json(&text).expect("stdout is JSON");
+    assert_eq!(artifact.get("scenario").and_then(Json::as_str), Some("perf"));
+    let results = artifact.get("results").expect("results block");
+    for key in [
+        "single_cycles_per_sec",
+        "obs_on_cycles_per_sec",
+        "low_load_cycles_per_sec",
+        "low_load_exhaustive_cycles_per_sec",
+        "sim_thread_speedup",
+        "cached_sweep_speedup",
+        "cores",
+    ] {
+        let v = results.get(key).and_then(Json::as_f64);
+        assert!(v.is_some_and(|v| v > 0.0), "results.{key} must be a positive number, got {v:?}");
+        // The scripts match `"key": <number>` on a line of its own.
+        let prefix = format!("\"{key}\": ");
+        let on_own_line = text.lines().any(|l| {
+            l.trim_start()
+                .strip_prefix(&prefix)
+                .is_some_and(|rest| rest.trim_end_matches(',').parse::<f64>().is_ok())
+        });
+        assert!(on_own_line, "the pretty artifact must carry {key} on one line");
+    }
+}
+
 #[test]
 fn run_metrics_emission_matches_golden_snapshot() {
-    let m = equinox_bench::run_one(SchemeKind::SeparateBase, 8, "gaussian", 0.05, 1);
+    let mut spec = equinox_config::ExperimentSpec::default();
+    spec.scale = 0.05;
+    let m = equinox_bench::run_one_spec(SchemeKind::SeparateBase, 8, "gaussian", 1, &spec);
     let emitted = run_metrics_json(&m).pretty();
     let golden_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/run_metrics.json");
     if std::env::var("EQUINOX_REGEN_GOLDEN").is_ok() {

@@ -1,11 +1,9 @@
 //! The shared, strict command-line parser.
 //!
-//! Every binary (the unified `equinox` driver and the four legacy
-//! wrappers) parses its arguments here, so they all share one flag
-//! vocabulary — the spec field registry — and one failure discipline:
-//! an unknown flag, a flag missing its value, or a malformed value is a
-//! hard error naming the offender, never a silent fall-back to a
-//! default (the historical behavior this replaces).
+//! The `equinox` driver parses its arguments here: one flag vocabulary
+//! — the spec field registry — and one failure discipline: an unknown
+//! flag, a flag missing its value, or a malformed value is a hard error
+//! naming the offender, never a silent fall-back to a default.
 //!
 //! Grammar:
 //!
@@ -13,20 +11,9 @@
 //! <positional>* [--spec FILE] [--out PATH] [<field flag> [VALUE]]* [--help]
 //! ```
 //!
-//! Field flags come from [`crate::spec::fields`]; callers may register
-//! extra binary-specific flags (e.g. `designer --svg PATH`) through
-//! [`Extras`].
+//! Field flags come from [`crate::spec::fields`].
 
 use crate::spec::{field_by_flag, FieldDef};
-
-/// Binary-specific flags beyond the shared field registry.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Extras<'a> {
-    /// Extra flags that take a value (`[("--svg", "write an SVG")]`).
-    pub value_flags: &'a [(&'a str, &'a str)],
-    /// Extra presence-only flags.
-    pub bool_flags: &'a [(&'a str, &'a str)],
-}
 
 /// A successfully parsed command line.
 #[derive(Debug, Default)]
@@ -40,25 +27,6 @@ pub struct Parsed {
     /// Validated spec-field assignments in command-line order
     /// (presence flags carry `"1"`), ready for the resolver.
     pub sets: Vec<(&'static FieldDef, String)>,
-    /// Values of the caller's extra flags: `(flag, value)`;
-    /// presence-only extras carry an empty value.
-    pub extras: Vec<(String, String)>,
-}
-
-impl Parsed {
-    /// The value of a binary-specific extra flag, if present.
-    pub fn extra(&self, flag: &str) -> Option<&str> {
-        self.extras
-            .iter()
-            .rev()
-            .find(|(f, _)| f == flag)
-            .map(|(_, v)| v.as_str())
-    }
-
-    /// `true` if a presence-only extra flag was given.
-    pub fn has_extra(&self, flag: &str) -> bool {
-        self.extras.iter().any(|(f, _)| f == flag)
-    }
 }
 
 /// A parse failure; [`std::fmt::Display`] names the offending flag, and
@@ -67,7 +35,7 @@ impl Parsed {
 pub enum CliError {
     /// `--help` / `-h` was requested (not an error; print usage, exit 0).
     Help,
-    /// A flag not in the registry or the extras.
+    /// A flag not in the registry.
     UnknownFlag(String),
     /// A value-taking flag at the end of the line, or followed by
     /// another flag.
@@ -97,7 +65,7 @@ impl std::fmt::Display for CliError {
 impl std::error::Error for CliError {}
 
 /// Parses `args` (without the program name) against the shared field
-/// registry plus `extras`.
+/// registry.
 ///
 /// Values are validated eagerly (on a scratch spec) so a malformed
 /// `--scale x` fails here, before any layer resolution or simulation
@@ -107,7 +75,7 @@ impl std::error::Error for CliError {}
 ///
 /// [`CliError::Help`] on `--help`/`-h`; otherwise the first unknown
 /// flag, missing value, or malformed value.
-pub fn parse(args: &[String], extras: Extras<'_>) -> Result<Parsed, CliError> {
+pub fn parse(args: &[String]) -> Result<Parsed, CliError> {
     let mut parsed = Parsed::default();
     let mut scratch = crate::spec::ExperimentSpec::default();
     let mut i = 0;
@@ -141,11 +109,6 @@ pub fn parse(args: &[String], extras: Extras<'_>) -> Result<Parsed, CliError> {
                     message,
                 })?;
             parsed.sets.push((field, raw));
-        } else if let Some((flag, _)) = extras.value_flags.iter().find(|(f, _)| *f == a) {
-            let v = take_value(&mut i)?;
-            parsed.extras.push(((*flag).to_string(), v));
-        } else if let Some((flag, _)) = extras.bool_flags.iter().find(|(f, _)| *f == a) {
-            parsed.extras.push(((*flag).to_string(), String::new()));
         } else if a.starts_with('-') && a.len() > 1 && !a[1..2].chars().all(|c| c.is_ascii_digit())
         {
             return Err(CliError::UnknownFlag(a.to_string()));
@@ -157,9 +120,9 @@ pub fn parse(args: &[String], extras: Extras<'_>) -> Result<Parsed, CliError> {
     Ok(parsed)
 }
 
-/// The shared flag section of a usage message: driver flags, then one
-/// line per registered spec field, then the caller's extras.
-pub fn flag_help(extras: Extras<'_>) -> String {
+/// The flag section of a usage message: driver flags, then one line
+/// per registered spec field.
+pub fn flag_help() -> String {
     let mut out = String::new();
     let mut line = |flag: &str, value: bool, help: &str| {
         let val = if value { " VALUE" } else { "" };
@@ -170,12 +133,6 @@ pub fn flag_help(extras: Extras<'_>) -> String {
     line("--help", false, "print this message");
     for f in crate::spec::fields() {
         line(f.flag, f.takes_value, f.help);
-    }
-    for (flag, help) in extras.value_flags {
-        line(flag, true, help);
-    }
-    for (flag, help) in extras.bool_flags {
-        line(flag, false, help);
     }
     out
 }
@@ -189,31 +146,22 @@ mod tests {
     }
 
     #[test]
-    fn positionals_flags_and_extras() {
-        let extras = Extras {
-            value_flags: &[("--svg", "svg path")],
-            bool_flags: &[("--csv", "emit csv")],
-        };
-        let p = parse(
-            &argv(&["fig9", "--scale", "0.3", "--audit", "--svg", "x.svg", "--csv"]),
-            extras,
-        )
-        .unwrap();
+    fn positionals_and_flags() {
+        let p = parse(&argv(&["fig9", "--scale", "0.3", "--audit", "--out", "a.json"])).unwrap();
         assert_eq!(p.positionals, vec!["fig9"]);
         assert_eq!(p.sets.len(), 2);
-        assert_eq!(p.extra("--svg"), Some("x.svg"));
-        assert!(p.has_extra("--csv"));
+        assert_eq!(p.out.as_deref(), Some("a.json"));
     }
 
     #[test]
     fn unknown_flag_is_fatal() {
-        let e = parse(&argv(&["--bogus"]), Extras::default()).unwrap_err();
+        let e = parse(&argv(&["--bogus"])).unwrap_err();
         assert_eq!(e, CliError::UnknownFlag("--bogus".into()));
     }
 
     #[test]
     fn malformed_value_names_the_flag() {
-        let e = parse(&argv(&["--scale", "fast"]), Extras::default()).unwrap_err();
+        let e = parse(&argv(&["--scale", "fast"])).unwrap_err();
         match e {
             CliError::BadValue { flag, .. } => assert_eq!(flag, "--scale"),
             other => panic!("wrong error {other:?}"),
@@ -222,9 +170,9 @@ mod tests {
 
     #[test]
     fn missing_value_detected() {
-        let e = parse(&argv(&["--threads"]), Extras::default()).unwrap_err();
+        let e = parse(&argv(&["--threads"])).unwrap_err();
         assert_eq!(e, CliError::MissingValue("--threads".into()));
-        let e = parse(&argv(&["--threads", "--audit"]), Extras::default()).unwrap_err();
+        let e = parse(&argv(&["--threads", "--audit"])).unwrap_err();
         assert_eq!(e, CliError::MissingValue("--threads".into()));
     }
 
@@ -232,7 +180,7 @@ mod tests {
     fn negative_numbers_are_values_not_flags() {
         // A leading dash followed by a digit is a (possibly invalid)
         // value, reported as such rather than as an unknown flag.
-        let e = parse(&argv(&["--threads", "-3"]), Extras::default()).unwrap_err();
+        let e = parse(&argv(&["--threads", "-3"])).unwrap_err();
         match e {
             CliError::BadValue { flag, .. } => assert_eq!(flag, "--threads"),
             other => panic!("wrong error {other:?}"),
@@ -241,7 +189,7 @@ mod tests {
 
     #[test]
     fn help_flag() {
-        assert_eq!(parse(&argv(&["-h"]), Extras::default()).unwrap_err(), CliError::Help);
-        assert!(flag_help(Extras::default()).contains("--no-activity-gate"));
+        assert_eq!(parse(&argv(&["-h"])).unwrap_err(), CliError::Help);
+        assert!(flag_help().contains("--no-activity-gate"));
     }
 }

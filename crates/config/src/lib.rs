@@ -26,7 +26,7 @@ pub mod json;
 pub mod resolve;
 pub mod spec;
 
-pub use cli::{flag_help, parse as parse_cli, CliError, Extras, Parsed};
+pub use cli::{flag_help, parse as parse_cli, CliError, Parsed};
 pub use json::{parse as parse_json, Json, JsonError};
 pub use resolve::{resolve, resolve_process, ResolveError};
 pub use spec::{fields, ExperimentSpec, FieldDef, Layer};

@@ -46,7 +46,7 @@ pub type CliSet = (&'static FieldDef, String);
 ///   keys are an error (typos must not silently resolve to defaults).
 /// * `env`: environment lookup, usually `|k| std::env::var(k).ok()`.
 ///   Unset and *empty* variables are skipped (an exported empty string
-///   behaves like unset, matching the legacy readers).
+///   behaves like unset).
 /// * `cli`: validated flag assignments, applied last.
 ///
 /// # Errors

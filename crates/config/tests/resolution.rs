@@ -66,20 +66,28 @@ fn cli_overrides_everything() {
 }
 
 #[test]
-fn legacy_env_vars_keep_their_semantics() {
-    // EQUINOX_AUDIT=1 arms the auditor; EQUINOX_NO_ACTIVITY_GATE=1
-    // disables the gate; empty strings behave like unset.
+fn audit_gate_and_threads_env_vars_resolve_through_the_env_layer() {
+    // The env layer is the only reader of these variables (the
+    // libraries no longer consult the environment themselves):
+    // EQUINOX_AUDIT=1 arms the auditor, EQUINOX_NO_ACTIVITY_GATE=1
+    // disables the gate, EQUINOX_THREADS sizes the pool — each recorded
+    // as `Layer::Env`. Empty strings behave like unset.
     let env = |k: &str| match k {
         "EQUINOX_AUDIT" => Some("1".to_string()),
         "EQUINOX_NO_ACTIVITY_GATE" => Some("1".to_string()),
-        "EQUINOX_THREADS" => Some(String::new()),
+        "EQUINOX_THREADS" => Some("3".to_string()),
+        "EQUINOX_SIM_THREADS" => Some(String::new()),
         _ => None,
     };
     let s = resolve(None, &env, &[]).unwrap();
     assert!(s.audit);
     assert!(!s.activity_gate);
-    assert_eq!(s.threads, 0);
-    assert_eq!(s.provenance_of("threads"), Some(Layer::Default));
+    assert_eq!(s.threads, 3);
+    for name in ["audit", "activity_gate", "threads"] {
+        assert_eq!(s.provenance_of(name), Some(Layer::Env), "{name}");
+    }
+    assert_eq!(s.sim_threads, 1);
+    assert_eq!(s.provenance_of("sim_threads"), Some(Layer::Default));
 }
 
 #[test]

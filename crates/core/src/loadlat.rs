@@ -45,39 +45,8 @@ pub enum ReplySide {
 /// independent simulation, so the sweep fans out on the
 /// [`equinox_exec`] worker pool; results come back in input order and
 /// every point is a pure function of `(rate, seed)`, so the curve is
-/// identical for any worker count. Deterministic in `seed`.
-///
-/// Legacy entry point: auditing and activity gating come from the
-/// `EQUINOX_AUDIT` / `EQUINOX_NO_ACTIVITY_GATE` environment shims. The
-/// drivers call [`load_latency_curve_cfg`] with values from the resolved
-/// experiment spec instead.
-///
-/// # Panics
-///
-/// Panics if `placement` is not square or an offered rate is not in
-/// `(0, 1]`.
-pub fn load_latency_curve(
-    placement: &Placement,
-    side: &ReplySide,
-    offered: &[f64],
-    cycles: u64,
-    seed: u64,
-) -> Vec<LoadPoint> {
-    load_latency_curve_cfg(
-        placement,
-        side,
-        offered,
-        cycles,
-        seed,
-        equinox_noc::audit_from_env(),
-        equinox_noc::config::activity_gate_from_env(),
-    )
-}
-
-/// [`load_latency_curve`] with auditing and activity gating passed
-/// explicitly instead of read from the process environment. The chosen
-/// values ride into every fanned-out worker by value, so the curve is
-/// independent of worker-thread environment state.
+/// identical for any worker count. Deterministic in `seed`. Auditing
+/// and activity gating ride into every fanned-out worker by value.
 ///
 /// # Panics
 ///
@@ -403,7 +372,7 @@ mod tests {
     #[test]
     fn latency_grows_with_load() {
         let p = Placement::diamond(8, 8, 8);
-        let pts = load_latency_curve(&p, &ReplySide::Local, &[0.05, 0.5], 3_000, 1);
+        let pts = load_latency_curve_cfg(&p, &ReplySide::Local, &[0.05, 0.5], 3_000, 1, None, true);
         assert!(pts[0].latency < pts[1].latency, "{pts:?}");
         assert!(pts[1].throughput > pts[0].throughput);
     }
@@ -411,20 +380,11 @@ mod tests {
     #[test]
     fn equinox_extends_saturation_throughput() {
         let design = EquiNoxDesign::quick(8, 8);
-        let base = load_latency_curve(
-            &design.placement,
-            &ReplySide::Local,
-            &[1.0],
-            4_000,
-            2,
-        );
-        let eq = load_latency_curve(
-            &design.placement,
-            &ReplySide::Equinox(design.clone()),
-            &[1.0],
-            4_000,
-            2,
-        );
+        let curve = |side: &ReplySide| {
+            load_latency_curve_cfg(&design.placement, side, &[1.0], 4_000, 2, None, true)
+        };
+        let base = curve(&ReplySide::Local);
+        let eq = curve(&ReplySide::Equinox(design.clone()));
         assert!(
             eq[0].throughput > 1.4 * base[0].throughput,
             "EquiNox {} vs local {} flits/cycle",
@@ -472,6 +432,6 @@ mod tests {
     #[should_panic(expected = "out of (0,1]")]
     fn rejects_bad_rates() {
         let p = Placement::diamond(8, 8, 8);
-        let _ = load_latency_curve(&p, &ReplySide::Local, &[1.5], 100, 1);
+        let _ = load_latency_curve_cfg(&p, &ReplySide::Local, &[1.5], 100, 1, None, true);
     }
 }

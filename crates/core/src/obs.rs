@@ -6,15 +6,14 @@
 //! `Option<Box<_>>` (the audit pattern: one branch per event when off,
 //! preallocated buffers when on) and records:
 //!
-//! * **Counters/histograms** — quiescence fast-forward jumps and cycles
-//!   skipped, delivered request/reply packets, and end-to-end packet
-//!   latency histograms (cycles, request vs reply) with
-//!   p50/p95/p99 from bucket interpolation.
+//! * **Counters/histograms** — delivered request/reply packets, and
+//!   end-to-end packet latency histograms (cycles, request vs reply)
+//!   with p50/p95/p99 from bucket interpolation.
 //! * **Time series** — every `interval` cycles: delivered-flit
 //!   throughput, packets in flight, per-subnet link utilization, and
 //!   per-CB-group EIR injection load.
 //! * **Spans** — wall-clock timings of the phases of `System::step`
-//!   (quiescence scan, CB+HBM tick, PE tick, NI tick, sink drain) plus
+//!   (CB+HBM tick, PE tick, NI tick, sink drain) plus
 //!   one labeled row per subnet (`noc_step_net{i}`) for the NoC
 //!   stepping phase — kept out of the deterministic artifact and
 //!   exported only to the Chrome trace file. Per-subnet rows are
@@ -69,10 +68,8 @@ impl Default for ObsConfig {
 /// race-free — when subnets step on parallel lanes.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Phase {
-    /// Quiescence scan + fast-forward attempt.
-    Quiescence = 0,
     /// Cache-bank ticks (includes the HBM stacks).
-    CbTick,
+    CbTick = 0,
     /// PE execution + request creation.
     PeTick,
     /// NI flit streaming into the networks.
@@ -81,8 +78,7 @@ pub(crate) enum Phase {
     SinkDrain,
 }
 
-const PHASE_NAMES: [&str; 5] = [
-    "quiescence_scan",
+const PHASE_NAMES: [&str; 4] = [
     "cb_tick",
     "pe_tick",
     "ni_tick",
@@ -110,11 +106,9 @@ pub(crate) struct SystemObs {
     registry: Registry,
     series: TimeSeries,
     pub(crate) spans: SpanProfiler,
-    phases: [SpanId; 5],
+    phases: [SpanId; 4],
     /// One span row per network (`noc_step_net{i}`).
     noc_spans: Vec<SpanId>,
-    c_ff_jumps: CounterId,
-    c_ff_cycles: CounterId,
     c_req_pkts: CounterId,
     c_rep_pkts: CounterId,
     h_req_lat: HistogramId,
@@ -126,7 +120,6 @@ pub(crate) struct SystemObs {
     last_ejected: Vec<u64>,
     last_links: Vec<u64>,
     last_eir: Vec<u64>,
-    last_ff: u64,
     /// Scratch row reused by every sample (allocation-free sampling).
     scratch: Vec<f64>,
     /// Original mesh side length (the coordinate space of
@@ -171,19 +164,16 @@ impl SystemObs {
         let interval = cfg.interval.max(1);
         let rows = ((max_cycles / interval) as usize).saturating_add(2).min(MAX_SAMPLES);
         let mut registry = Registry::new();
-        let c_ff_jumps = registry.counter("ff_jumps");
-        let c_ff_cycles = registry.counter("ff_cycles_skipped");
         let c_req_pkts = registry.counter("req_packets_delivered");
         let c_rep_pkts = registry.counter("rep_packets_delivered");
         let h_req_lat = registry.histogram("req_latency_cycles", &LAT_BOUNDS);
         let h_rep_lat = registry.histogram("rep_latency_cycles", &LAT_BOUNDS);
 
         // Column registration order is the row layout `sample` fills:
-        // throughput, in-flight, ff, one per net, one per EIR group.
+        // throughput, in-flight, one per net, one per EIR group.
         let mut series = TimeSeries::new(interval, rows);
         let _ = series.add("throughput_flits_per_cycle");
         let _ = series.add("packets_in_flight");
-        let _ = series.add("ff_cycles_skipped");
         for i in 0..nets.len() {
             let _ = series.add(&format!("link_utilization_net{i}"));
         }
@@ -196,16 +186,14 @@ impl SystemObs {
         let noc_spans: Vec<SpanId> = (0..nets.len())
             .map(|i| spans.register(&format!("noc_step_net{i}")))
             .collect();
-        let width = nets.len() + eir_groups.len() + 3;
+        let width = nets.len() + eir_groups.len() + 2;
         let n_eir = eir_groups.len();
         SystemObs {
             registry,
             series,
             spans,
-            phases: phases.try_into().expect("five phases"),
+            phases: phases.try_into().expect("four phases"),
             noc_spans,
-            c_ff_jumps,
-            c_ff_cycles,
             c_req_pkts,
             c_rep_pkts,
             h_req_lat,
@@ -216,7 +204,6 @@ impl SystemObs {
             last_ejected: vec![0; nets.len()],
             last_links: vec![0; nets.len()],
             last_eir: vec![0; n_eir],
-            last_ff: 0,
             scratch: Vec::with_capacity(width),
             mesh_n,
             inj_wait_total: [0; STALL_CLASSES],
@@ -272,13 +259,6 @@ impl SystemObs {
         self.spans.record_closed(id, net as u64, start_ns, end_ns, cycle);
     }
 
-    /// Notes a quiescence fast-forward of `k` cycles.
-    #[inline]
-    pub(crate) fn note_fast_forward(&mut self, k: u64) {
-        self.registry.inc(self.c_ff_jumps, 1);
-        self.registry.inc(self.c_ff_cycles, k);
-    }
-
     /// Records one delivered packet's end-to-end latency.
     #[inline]
     pub(crate) fn record_latency(&mut self, reply: bool, lat_cycles: u64) {
@@ -308,8 +288,7 @@ impl SystemObs {
     }
 
     /// Records one time-series row at `cycle` and re-arms the sampling
-    /// threshold. Deltas are measured against the previous sample, so
-    /// quiescence fast-forwards simply stretch the row's cycle span
+    /// threshold. Deltas are measured against the previous sample
     /// (cycle-based sampling keeps the series deterministic).
     pub(crate) fn sample(&mut self, cycle: u64, nets: &[Network], tracker: &PacketTracker) {
         let dt = cycle.saturating_sub(self.last_cycle).max(1) as f64;
@@ -323,9 +302,6 @@ impl SystemObs {
         }
         self.scratch.push(ejected as f64 / dt);
         self.scratch.push(tracker.in_flight() as f64);
-        let ff = self.registry.counter_value(self.c_ff_cycles);
-        self.scratch.push((ff - self.last_ff) as f64);
-        self.last_ff = ff;
         for (i, net) in nets.iter().enumerate() {
             let total = net.stats().total_link_flits();
             let delta = total - self.last_links[i];
@@ -358,7 +334,6 @@ impl SystemObs {
             .with("cycle", cycle as f64)
             .with("throughput_flits_per_cycle", self.scratch.first().copied().unwrap_or(0.0))
             .with("packets_in_flight", tracker.in_flight() as f64)
-            .with("ff_cycles_skipped", self.registry.counter_value(self.c_ff_cycles) as f64)
             .with("req_delivered", self.registry.counter_value(self.c_req_pkts) as f64)
             .with("rep_delivered", self.registry.counter_value(self.c_rep_pkts) as f64)
             .with("stall", self.stall_totals_json(nets));
@@ -450,7 +425,6 @@ impl SystemObs {
         self.last_ejected.snap(e);
         self.last_links.snap(e);
         self.last_eir.snap(e);
-        e.put_u64(self.last_ff);
         // Attribution state (the stream writer itself is wall-clock I/O
         // and stays out, like the spans; `stream_seq` is cycle-derived).
         for &v in &self.inj_wait_total {
@@ -488,7 +462,6 @@ impl SystemObs {
         self.last_ejected = last_ejected;
         self.last_links = last_links;
         self.last_eir = last_eir;
-        self.last_ff = d.u64()?;
         for v in &mut self.inj_wait_total {
             *v = d.u64()?;
         }

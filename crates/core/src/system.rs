@@ -66,11 +66,11 @@ pub struct SystemConfig {
     /// environment layer is what gives `EQUINOX_AUDIT` its effect).
     pub audit: Option<equinox_noc::AuditConfig>,
     /// Activity-driven stepping: gate each network's sweep to its active
-    /// routers/links, and fast-forward the whole machine across
-    /// quiescent stretches (PEs blocked on MSHRs while HBM timing runs
-    /// down). Bit-identical to exhaustive stepping by construction, so it
-    /// defaults on; the spec's `--no-activity-gate` /
-    /// `EQUINOX_NO_ACTIVITY_GATE` escape hatch turns it off.
+    /// routers/links, skip idle NIs and empty sinks, and tick a cache
+    /// bank only when its next timed event is due. Bit-identical to
+    /// exhaustive stepping by construction, so it defaults on; the
+    /// spec's `--no-activity-gate` / `EQUINOX_NO_ACTIVITY_GATE` escape
+    /// hatch turns it off.
     pub activity_gate: bool,
     /// Observability configuration. `None` (the default) keeps the hot
     /// loop on the allocation-free fast path — one `Option` branch per
@@ -669,16 +669,8 @@ impl System {
         ((addr / 64) % self.cbs.len() as u64) as usize
     }
 
-    /// Advances the machine one core cycle. When the activity gate is on
-    /// and the machine is provably inert, the clock first jumps across
-    /// the quiescent stretch (see [`System::try_fast_forward`]) and the
-    /// real cycle is then simulated at the landing time.
+    /// Advances the machine one core cycle.
     pub fn step(&mut self) {
-        if self.cfg.activity_gate {
-            let s = self.span_start();
-            self.try_fast_forward();
-            self.span_end(Phase::Quiescence, 0, s);
-        }
         let t = self.cycle;
         let s = self.span_start();
         // Cache banks: memory + reply generation. Under the activity
@@ -876,8 +868,7 @@ impl System {
             self.audit_step();
         }
         // Sampling is keyed to the simulated clock, never wall time, so
-        // the recorded series is deterministic. A fast-forward can jump
-        // past several due points; the next row then spans the gap.
+        // the recorded series is deterministic.
         if let Some(o) = self.obs.as_deref_mut() {
             if self.cycle >= o.next_sample() {
                 o.sample(self.cycle, &self.nets, &self.tracker);
@@ -900,105 +891,6 @@ impl System {
         let cycle = self.cycle;
         if let Some(o) = self.obs.as_deref_mut() {
             o.end_span(phase, track, start_ns, cycle);
-        }
-    }
-
-    /// Jumps the clock across a quiescent stretch, bit-identically.
-    ///
-    /// The machine is *quiescent* when simulating the next cycle would
-    /// change nothing except timed countdowns: every network is empty
-    /// (no buffered, in-flight or ejected flits, no credits in flight),
-    /// every NI is idle, every cache bank is parked on timed events only
-    /// (no ready/retrying/parked replies), and every PE is either done
-    /// or stalled on outstanding MSHR replies. In that state the only
-    /// future source of progress is a cache-bank timed event (an L2 hit
-    /// coming due or a DRAM bank/bus becoming ready), so the clock can
-    /// jump straight to the earliest such event.
-    ///
-    /// The jump length is capped so that every *observable* action lands
-    /// on exactly the cycle it would in an exhaustive run:
-    /// * never past `max_cycles` (the run loop must exit at the same
-    ///   cycle count),
-    /// * never across a system-audit sweep or watchdog expiry (audit
-    ///   checks evaluate at `t+1..=t+k` after the increment; both
-    ///   boundaries would fire mid-jump),
-    /// * never across a per-network audit boundary, translated through
-    ///   each subnet's clock ratio: over `k` core cycles a net with
-    ///   accumulator `a0` and rate `spt` half-steps takes
-    ///   `(a0 + k*spt)/2` steps, so `k` is capped at the largest value
-    ///   keeping that within the net's own [`Network::max_idle_skip`].
-    ///
-    /// Skipped PE cycles are charged to stall statistics via
-    /// [`Pe::note_skipped_stall`] so counters match the exhaustive run.
-    fn try_fast_forward(&mut self) {
-        let t = self.cycle;
-        if !self.nets.iter().all(Network::idle) {
-            return;
-        }
-        if !self
-            .req_nis
-            .iter()
-            .flatten()
-            .chain(self.rep_nis.iter())
-            .all(InjectionQueue::is_idle)
-        {
-            return;
-        }
-        if !self.cbs.iter().all(CacheBank::skippable) {
-            return;
-        }
-        if !self
-            .pes
-            .iter()
-            .flatten()
-            .all(|pe| pe.done() || pe.blocked_on_replies())
-        {
-            return;
-        }
-        let event = self.cbs.iter().filter_map(CacheBank::next_event).min();
-        // Resume real stepping AT the event cycle (events fire when
-        // `tick(now)` runs with `now >= due`).
-        let mut k = match event {
-            Some(e) => e.saturating_sub(t),
-            None => u64::MAX, // wedged; bounded below by max_cycles/audit
-        };
-        k = k.min(self.cfg.max_cycles.saturating_sub(t + 1));
-        if let Some(acfg) = &self.cfg.audit {
-            let interval = acfg.check_interval.max(1);
-            let next_sweep = (t / interval + 1) * interval;
-            k = k.min(next_sweep - 1 - t);
-            if acfg.watchdog_window > 0 {
-                let expiry = self.sys_last_progress_cycle + acfg.watchdog_window;
-                k = k.min(expiry.saturating_sub(t + 1));
-            }
-        }
-        for i in 0..self.nets.len() {
-            let s_max = self.nets[i].max_idle_skip();
-            if s_max > u64::MAX / 4 {
-                continue; // unaudited net: no boundary to respect
-            }
-            let spt = u64::from(self.steps_per_two[i]);
-            let a0 = u64::from(self.step_accum[i]);
-            // steps(k) = (a0 + k*spt) / 2 <= s_max  <=>  k <= budget/spt.
-            let budget = (2 * s_max + 1).saturating_sub(a0);
-            k = k.min(budget / spt);
-        }
-        if k == 0 {
-            return;
-        }
-        self.cycle += k;
-        if let Some(o) = self.obs.as_deref_mut() {
-            o.note_fast_forward(k);
-        }
-        for i in 0..self.nets.len() {
-            let total = u64::from(self.step_accum[i]) + k * u64::from(self.steps_per_two[i]);
-            self.nets[i].skip_idle(total / 2);
-            self.step_accum[i] = (total % 2) as u32;
-        }
-        for pe in self.pes.iter_mut().flatten() {
-            if !pe.done() {
-                pe.note_skipped_stall(k);
-            }
         }
     }
 

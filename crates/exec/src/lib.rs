@@ -6,8 +6,8 @@
 //! * [`pool`] — a scoped-thread worker pool ([`par_map`]) that fans
 //!   independent jobs (scheme × workload sweep cells, MCTS root
 //!   streams, load-latency sample points) across cores with no external
-//!   dependency. Thread count comes from `--threads` /
-//!   `EQUINOX_THREADS` / available parallelism.
+//!   dependency. Thread count comes from [`set_threads`] (the driver
+//!   passes the resolved spec's `threads`) or available parallelism.
 //! * [`team`] — a persistent worker team ([`StepTeam`]) for intra-run
 //!   parallelism: spawned once per `System`, handed a borrowed task
 //!   closure per cycle phase through an epoch barrier, with a fixed

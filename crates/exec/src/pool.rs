@@ -28,25 +28,11 @@ pub fn set_threads(n: usize) {
 }
 
 /// Worker count used by [`par_map`]: the [`set_threads`] override if
-/// set, else `EQUINOX_THREADS` from the environment, else
-/// `std::thread::available_parallelism()`.
-///
-/// The environment read is a fallback-only shim: the binaries resolve
-/// `threads` through the layered `equinox_config` spec (whose env layer
-/// covers `EQUINOX_THREADS`) and call [`set_threads`] explicitly, so
-/// the variable only matters for embedders that never configure the
-/// pool.
+/// set, else `std::thread::available_parallelism()`.
 pub fn thread_count() -> usize {
     let over = THREAD_OVERRIDE.load(Ordering::Relaxed);
     if over > 0 {
         return over;
-    }
-    if let Ok(v) = std::env::var("EQUINOX_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
     }
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
@@ -211,9 +197,7 @@ mod tests {
     }
 
     #[test]
-    fn env_and_override_precedence() {
-        // No override set in this test binary unless we set it: exercise
-        // the setter path (the env path is covered by binaries).
+    fn override_precedence() {
         set_threads(3);
         assert_eq!(thread_count(), 3);
         set_threads(0); // back to auto for other tests

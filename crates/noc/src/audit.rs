@@ -83,31 +83,6 @@ impl AuditConfig {
     }
 }
 
-/// Reads the `EQUINOX_AUDIT` environment variable: unset, empty, `0`,
-/// `false` or `off` mean disabled; anything else enables the default
-/// [`AuditConfig`].
-///
-/// **Fallback-only shim.** The drivers resolve auditing from the layered
-/// `equinox_config::ExperimentSpec` (which folds this variable into its
-/// environment layer) and pass the resulting `AuditConfig` down
-/// explicitly; the library itself no longer consults the environment.
-/// This reader remains for ad-hoc embedders that want the process-wide
-/// opt-in without carrying a spec around.
-pub fn audit_from_env() -> Option<AuditConfig> {
-    match std::env::var("EQUINOX_AUDIT") {
-        Ok(v) => {
-            let v = v.trim();
-            if v.is_empty() || v == "0" || v.eq_ignore_ascii_case("false") || v.eq_ignore_ascii_case("off")
-            {
-                None
-            } else {
-                Some(AuditConfig::default())
-            }
-        }
-        Err(_) => None,
-    }
-}
-
 /// One detected invariant violation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Violation {

@@ -113,24 +113,6 @@ pub struct NocConfig {
     pub activity_gate: bool,
 }
 
-/// `true` unless `EQUINOX_NO_ACTIVITY_GATE` is set to a truthy value.
-///
-/// **Fallback-only shim.** Configuration normally arrives explicitly via
-/// `equinox_config::ExperimentSpec` (which folds this variable into its
-/// environment layer); nothing in the library reads the environment on
-/// its own anymore. This reader remains for ad-hoc embedders that build
-/// `NocConfig`s directly and still want the process-wide escape hatch.
-/// Unset, empty, `0`, `false` and `off` keep the gate enabled.
-pub fn activity_gate_from_env() -> bool {
-    match std::env::var("EQUINOX_NO_ACTIVITY_GATE") {
-        Ok(v) => {
-            let v = v.trim().to_ascii_lowercase();
-            v.is_empty() || v == "0" || v == "false" || v == "off"
-        }
-        Err(_) => true,
-    }
-}
-
 impl NocConfig {
     /// The paper's default 8×8 reply-network configuration (Table 1).
     pub fn mesh_8x8() -> Self {

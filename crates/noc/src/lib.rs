@@ -76,8 +76,8 @@ pub mod topology;
 pub mod trace;
 mod worklist;
 
-pub use audit::{audit_from_env, AuditConfig, DeadlockReport, Violation};
-pub use config::{activity_gate_from_env, NocConfig, RoutingKind, VcPartition};
+pub use audit::{AuditConfig, DeadlockReport, Violation};
+pub use config::{NocConfig, RoutingKind, VcPartition};
 pub use flit::{Flit, MessageClass, PacketDesc, PacketId};
 pub use link::LinkKind;
 pub use network::{InjectorId, Network};

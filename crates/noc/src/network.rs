@@ -154,12 +154,10 @@ pub struct Network {
     /// Links with credits in flight.
     active_credit_links: Worklist,
     /// O(1) idleness aggregates: total flits buffered in routers, flits
-    /// in flight on links, credits in flight on links, and flits parked
-    /// in ejection queues. `idle()` is the conjunction of all four being
-    /// zero.
+    /// in flight on links, and flits parked in ejection queues.
+    /// `quiescent()` is the conjunction of all three being zero.
     buffered_total: u64,
     flits_in_flight: u64,
-    credits_in_flight: u64,
     eject_occupancy: u64,
 }
 
@@ -220,7 +218,6 @@ impl Network {
             active_credit_links: Worklist::default(),
             buffered_total: 0,
             flits_in_flight: 0,
-            credits_in_flight: 0,
             eject_occupancy: 0,
         };
         // Network links, in the fabric's deterministic build order (link
@@ -585,7 +582,6 @@ impl Network {
     /// Delivers the credits arriving on link `li` at `now`.
     fn deliver_credits_link(&mut self, li: usize, now: u64) {
         while let Some(vc) = self.links.recv_credit(li, now) {
-            self.credits_in_flight -= 1;
             match self.links[li].credit_dst {
                 CreditDst::RouterOutput { router, port } => {
                     let out_bit = port as usize * self.core.vcs() + vc as usize;
@@ -900,7 +896,6 @@ impl Network {
         if feed != NO_LINK {
             // Return a credit for the freed input-buffer slot.
             self.links.send_credit(feed as usize, now, iv as u8);
-            self.credits_in_flight += 1;
             self.active_credit_links.insert(feed as usize);
         }
         let kind = match self.core.role(ri, op) {
@@ -955,59 +950,6 @@ impl Network {
     /// whole network otherwise. O(1).
     pub fn has_ejected(&self) -> bool {
         self.eject_occupancy > 0
-    }
-
-    /// `true` when the network holds no state that a step could
-    /// advance: no buffered flits, nothing in flight on any link, no
-    /// credits in flight, and empty eject queues. Stricter than
-    /// [`Network::quiescent`] (which ignores credit returns: a late
-    /// credit would still update an output-VC counter or an injector);
-    /// an idle network's `step` only advances the clock, which is what
-    /// makes [`Network::skip_idle`] sound. O(1) — this is the per-cycle
-    /// skip check of the system-level quiescence fast-forward.
-    pub fn idle(&self) -> bool {
-        self.buffered_total == 0
-            && self.flits_in_flight == 0
-            && self.credits_in_flight == 0
-            && self.eject_occupancy == 0
-    }
-
-    /// Fast-forwards an idle network by `steps` cycles by advancing the
-    /// clock alone. Stepping an idle network only increments the cycle
-    /// counter (every sweep phase is a no-op), so this is bit-identical
-    /// to calling [`Network::step`] `steps` times — provided `steps`
-    /// stays within [`Network::max_idle_skip`] so no audit boundary is
-    /// jumped over.
-    pub fn skip_idle(&mut self, steps: u64) {
-        debug_assert!(self.idle(), "skip_idle on a non-idle network");
-        debug_assert!(steps <= self.max_idle_skip(), "skip crosses an audit boundary");
-        self.cycle += steps;
-        self.stats.cycles = self.cycle;
-    }
-
-    /// Upper bound on [`Network::skip_idle`]: the skip must stop short
-    /// of the next conservation-sweep boundary and the next
-    /// watchdog-window expiry so that every audit action still happens
-    /// inside a real [`Network::step`] (skipped audit evaluations are
-    /// no-ops only while neither boundary is crossed — progress counters
-    /// are constant on an idle network). Unaudited networks are
-    /// unbounded.
-    pub fn max_idle_skip(&self) -> u64 {
-        let Some(a) = self.audit.as_deref() else {
-            return u64::MAX;
-        };
-        let t = self.cycle;
-        let interval = a.cfg.check_interval.max(1);
-        // Audit checks run after the cycle increment, i.e. at values
-        // t+1..=t+k for a skip of k; the largest safe k keeps both
-        // boundaries out of that range.
-        let next_sweep = (t / interval + 1) * interval;
-        let mut cap = next_sweep - 1 - t;
-        if a.cfg.watchdog_window > 0 {
-            let expiry = a.last_progress_cycle + a.cfg.watchdog_window;
-            cap = cap.min(expiry.saturating_sub(t + 1));
-        }
-        cap
     }
 
     /// Enables the invariant auditor. The per-class injection ledgers are
@@ -1392,7 +1334,6 @@ impl Network {
         let (routers, links) = (self.core.len(), self.links.len());
         self.buffered_total = (0..routers).map(|r| self.core.buffered(r) as u64).sum();
         self.flits_in_flight = self.links.iter().map(|l| l.in_flight() as u64).sum();
-        self.credits_in_flight = self.links.iter().map(|l| l.credits_pending() as u64).sum();
         self.eject_occupancy = self.core.eject_queues().iter().map(|q| q.len() as u64).sum();
         self.active_routers = Worklist::with_len(routers);
         self.active_flit_links = Worklist::with_len(links);

@@ -198,30 +198,6 @@ impl Pe {
         self.remaining == 0 && self.outstanding == 0 && self.pending.is_none()
     }
 
-    /// `true` when [`Pe::tick`] is guaranteed to be a pure stall (no RNG
-    /// draw, no issue, no retirement) until a reply arrives — even with
-    /// a ready NI. Two shapes qualify: a held-back op with all MSHRs
-    /// claimed, or a retired quota still waiting on outstanding replies.
-    /// A PE with instructions left and nothing pending does *not*
-    /// qualify: its next tick draws from the RNG.
-    pub fn blocked_on_replies(&self) -> bool {
-        if self.pending.is_some() {
-            self.outstanding >= self.mshr_cap
-        } else {
-            self.remaining == 0 && self.outstanding > 0
-        }
-    }
-
-    /// Accounts for `cycles` skipped ticks of a PE that
-    /// [`Pe::blocked_on_replies`]: the held-op shape would have counted
-    /// a stall per tick, the drained-quota shape counts nothing.
-    pub fn note_skipped_stall(&mut self, cycles: u64) {
-        debug_assert!(self.blocked_on_replies());
-        if self.pending.is_some() {
-            self.stats.stall_cycles += cycles;
-        }
-    }
-
     /// Outstanding memory operations.
     pub fn outstanding(&self) -> u32 {
         self.outstanding

@@ -33,5 +33,5 @@ fn main() {
         );
     }
     println!("\nEquiNox turns the few-to-many reply injection into many-to-many;");
-    println!("run `cargo run --release -p equinox-bench --bin repro -- all` for every figure.");
+    println!("run `cargo run --release -p equinox-bench --bin equinox -- all` for every figure.");
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# CI perf regression gate: runs the `perf` binary at reduced scale and
-# enforces two bounds on the reported rates.
+# CI perf regression gate: runs `equinox perf` at reduced scale and
+# enforces five bounds on the rates in its artifact.
 #
 #   1. `single_cycles_per_sec` must reach at least PERF_GATE_MIN_PCT% of
 #      the checked-in BENCH_perf.json baseline. Baselines are
@@ -58,18 +58,24 @@ CACHE_RATIO="${PERF_GATE_CACHE_RATIO:-3}"
 OBS_RATIO="${PERF_GATE_OBS_RATIO:-2.0}"
 SCALE="${PERF_GATE_SCALE:-0.15}"
 
-if [ ! -x target/release/perf ]; then
-    echo "perf_gate: target/release/perf missing — run cargo build --release first" >&2
+if [ ! -x target/release/equinox ]; then
+    echo "perf_gate: target/release/equinox missing — run cargo build --release --workspace first" >&2
     exit 1
 fi
 
-out=$(./target/release/perf --quick --scale "$SCALE" 2>/dev/null)
-echo "$out"
+art=$(mktemp)
+trap 'rm -f "$art"' EXIT
+./target/release/equinox perf --quick --scale "$SCALE" --out "$art" 2>/dev/null
+sed -n '/"results": {/,$p' "$art"
 
-single=$(echo "$out" | sed -n 's/.*"single_cycles_per_sec": \([0-9]*\).*/\1/p')
-low=$(echo "$out" | sed -n 's/.*"low_load_cycles_per_sec": \([0-9]*\).*/\1/p')
-low_ex=$(echo "$out" | sed -n 's/.*"low_load_exhaustive_cycles_per_sec": \([0-9]*\).*/\1/p')
-base=$(sed -n 's/.*"single_cycles_per_sec": \([0-9]*\).*/\1/p' BENCH_perf.json)
+# The pretty artifact carries each result as `"key": <number>` on a line
+# of its own (pinned by crates/bench/tests/driver.rs).
+field() { sed -n "s/^ *\"$1\": \([0-9.]*\),\{0,1\}\$/\1/p" "$2"; }
+
+single=$(field single_cycles_per_sec "$art")
+low=$(field low_load_cycles_per_sec "$art")
+low_ex=$(field low_load_exhaustive_cycles_per_sec "$art")
+base=$(field single_cycles_per_sec BENCH_perf.json)
 
 if [ -z "$single" ] || [ -z "$low" ] || [ -z "$low_ex" ] || [ "$low_ex" -eq 0 ] || [ -z "$base" ]; then
     echo "perf_gate: failed to parse rates (single='$single' low='$low' low_exhaustive='$low_ex' base='$base')" >&2
@@ -87,8 +93,8 @@ if ! awk -v g="$low" -v e="$low_ex" -v r="$RATIO" 'BEGIN { exit !(g / e >= r) }'
     exit 1
 fi
 
-speedup=$(echo "$out" | sed -n 's/.*"sim_thread_speedup": \([0-9.]*\).*/\1/p')
-cores=$(echo "$out" | sed -n 's/.*"cores": \([0-9]*\).*/\1/p')
+speedup=$(field sim_thread_speedup "$art")
+cores=$(field cores "$art")
 if [ -z "$speedup" ] || [ -z "$cores" ]; then
     echo "perf_gate: failed to parse sim-thread fields (speedup='$speedup' cores='$cores')" >&2
     exit 1
@@ -103,7 +109,7 @@ else
     sim_note="sim-thread speedup check skipped (${cores} cores < 4; measured ${speedup}x)"
 fi
 
-cache_speedup=$(echo "$out" | sed -n 's/.*"cached_sweep_speedup": \([0-9.]*\).*/\1/p')
+cache_speedup=$(field cached_sweep_speedup "$art")
 if [ -z "$cache_speedup" ]; then
     echo "perf_gate: failed to parse cached_sweep_speedup" >&2
     exit 1
@@ -113,7 +119,7 @@ if ! awk -v s="$cache_speedup" -v r="$CACHE_RATIO" 'BEGIN { exit !(s >= r) }'; t
     exit 1
 fi
 
-obs_on=$(echo "$out" | sed -n 's/.*"obs_on_cycles_per_sec": \([0-9]*\).*/\1/p')
+obs_on=$(field obs_on_cycles_per_sec "$art")
 if [ -z "$obs_on" ] || [ "$obs_on" -eq 0 ]; then
     echo "perf_gate: failed to parse obs_on_cycles_per_sec (got '$obs_on')" >&2
     exit 1

@@ -14,7 +14,7 @@
 //! * [`phys`] — interposer physics (wires, crossings, µbumps)
 //! * [`exec`] — worker pool + deterministic PRNG streams
 //! * [`obs`] — metrics registry, span profiler, trace export
-//! * [`bench`] — experiment runners behind the repro binaries
+//! * [`bench`] — experiment runners and scenarios behind the `equinox` driver
 //! * [`snap`] — snapshot codec + content-addressed checkpoint cache
 
 pub use equinox_bench as bench;

@@ -11,8 +11,8 @@
 //! (never via the `EQUINOX_SIM_THREADS` environment variable): env
 //! vars are process-global and tests in this binary run concurrently.
 
-use equinox_suite::bench::run_matrix;
-use equinox_suite::core::loadlat::{load_latency_curve, ReplySide};
+use equinox_suite::bench::run_matrix_spec;
+use equinox_suite::core::loadlat::{load_latency_curve_cfg, ReplySide};
 use equinox_suite::core::{EquiNoxDesign, RunMetrics, SchemeKind, System, SystemConfig};
 use equinox_suite::exec::set_threads;
 use equinox_suite::placement::Placement;
@@ -102,10 +102,13 @@ fn audited_run_is_bit_identical_to_unaudited_run() {
 fn sweep_matrix_is_worker_count_independent() {
     let schemes = &SchemeKind::ALL[..2];
     let benches = ["gaussian", "bfs"];
+    let mut spec = equinox_suite::config::ExperimentSpec::default();
+    spec.scale = 0.05;
+    spec.seeds = vec![1, 2];
     set_threads(1);
-    let seq = run_matrix(schemes, 8, &benches, 0.05, &[1, 2]);
+    let seq = run_matrix_spec(schemes, 8, &benches, &spec);
     set_threads(4);
-    let par = run_matrix(schemes, 8, &benches, 0.05, &[1, 2]);
+    let par = run_matrix_spec(schemes, 8, &benches, &spec);
     set_threads(0);
     assert_eq!(seq.len(), par.len());
     for (row_s, row_p) in seq.iter().zip(&par) {
@@ -121,9 +124,9 @@ fn load_latency_curve_is_worker_count_independent() {
     let p = Placement::diamond(8, 8, 8);
     let rates = [0.05, 0.2, 0.4];
     set_threads(1);
-    let seq = load_latency_curve(&p, &ReplySide::Local, &rates, 2_000, 1);
+    let seq = load_latency_curve_cfg(&p, &ReplySide::Local, &rates, 2_000, 1, None, true);
     set_threads(3);
-    let par = load_latency_curve(&p, &ReplySide::Local, &rates, 2_000, 1);
+    let par = load_latency_curve_cfg(&p, &ReplySide::Local, &rates, 2_000, 1, None, true);
     set_threads(0);
     assert_eq!(seq, par, "curve must not depend on worker count");
 }
