@@ -64,13 +64,16 @@ fn main() {
 
     // With `--checkpoint-dir` armed, finished artifacts are
     // content-addressed by the canonical spec rendering plus the
-    // scenario name: a hit replays the stored document byte-for-byte
-    // (sound because every scenario is a pure function of the resolved
-    // spec), a miss runs the scenario and stores the result. The
-    // artifact itself records only the cache key — identical on the
-    // populating and replaying runs — while hit/miss goes to stderr, so
-    // cold and warm artifacts stay byte-identical.
-    let cache = cache_for(&spec);
+    // scenario name: a hit replays the stored document byte-for-byte, a
+    // miss runs the scenario and stores the result. Sound only where the
+    // artifact is the run's whole output and a function of the spec
+    // alone: `cache_for` declines when the spec names a stream or trace
+    // file the run must write, and the layer is skipped here for `watch`
+    // (reads a feed the spec only names) and for `svg` and `all` (write
+    // `docs/*.svg`). The artifact itself records only the cache key —
+    // identical on the populating and replaying runs — while hit/miss
+    // goes to stderr, so cold and warm artifacts stay byte-identical.
+    let cache = cache_for(&spec).filter(|_| !matches!(sc.name, "watch" | "svg" | "all"));
     let key = artifact_key(sc.name, &spec);
     let cached: Option<String> = cache.as_ref().and_then(|c| {
         let bytes = c.load("artifact", key).ok().flatten()?;

@@ -1,7 +1,7 @@
 //! Content-addressed result caching for the experiment harness.
 //!
 //! A resolved [`ExperimentSpec`] plus a scenario (or a matrix cell's
-//! `(scheme, n, bench)` coordinates) fully determines a run's output —
+//! `(scheme, n, bench)` coordinates) fully determines a run's artifact —
 //! the simulator is bit-deterministic — so finished results can be
 //! cached on disk keyed by a hash of the canonical spec rendering
 //! ([`ExperimentSpec::cache_key_material`]) and replayed verbatim. Two
@@ -21,9 +21,14 @@ use equinox_config::ExperimentSpec;
 use equinox_core::{LatencyBreakdown, RunMetrics, SchemeKind};
 use equinox_snap::{fnv1a, CheckpointCache, Dec, Enc, Snap, SnapError};
 
-/// The cache a spec asks for (`None` when `checkpoint_dir` is empty).
+/// The cache a spec asks for: `None` when `checkpoint_dir` is empty, and
+/// also when the spec names an `obs_stream` or `trace_out` target — those
+/// files are written by the simulation itself and are in no cache entry,
+/// so a replayed hit would leave them missing.
 pub fn cache_for(spec: &ExperimentSpec) -> Option<CheckpointCache> {
-    (!spec.checkpoint_dir.is_empty()).then(|| CheckpointCache::new(&spec.checkpoint_dir))
+    let cacheable =
+        !spec.checkpoint_dir.is_empty() && spec.obs_stream.is_empty() && spec.trace_out.is_empty();
+    cacheable.then(|| CheckpointCache::new(&spec.checkpoint_dir))
 }
 
 /// Cache key for a whole scenario artifact.

@@ -50,19 +50,6 @@ pub fn design_for(n: u16) -> EquiNoxDesign {
     }
 }
 
-/// Builds the system for `scheme` on benchmark `bench` under the
-/// resolved spec, resolving the EquiNox design through [`design_for`].
-fn build_system(scheme: SchemeKind, n: u16, bench: &str, seed: u64, spec: &ExperimentSpec) -> System {
-    let profile = equinox_traffic::profile::benchmark(bench)
-        .unwrap_or_else(|| panic!("unknown benchmark {bench}"));
-    let workload = Workload::new(profile, spec.scale, seed);
-    let mut cfg = SystemConfig::from_spec(scheme, n, workload, spec);
-    if scheme == SchemeKind::EquiNox {
-        cfg.design = Some(design_for(n));
-    }
-    System::build(cfg)
-}
-
 /// One full-system run of `scheme` on benchmark `bench` under the
 /// resolved spec (mesh `n × n`, workload scale and capacities from the
 /// spec; `seed` passed separately because seed-averaging runners sweep
@@ -74,25 +61,14 @@ pub fn run_one_spec(
     seed: u64,
     spec: &ExperimentSpec,
 ) -> RunMetrics {
-    build_system(scheme, n, bench, seed, spec).run()
-}
-
-/// Like [`run_one_spec`], but times only the simulation loop: the
-/// system is built (and the EquiNox design resolved) outside the timer,
-/// so the returned `(cycles, seconds)` measure stepping cost alone.
-/// Short runs make `run_one_spec`-based rates build-dominated; perf
-/// figures use this instead.
-pub fn timed_run_spec(
-    scheme: SchemeKind,
-    n: u16,
-    bench: &str,
-    seed: u64,
-    spec: &ExperimentSpec,
-) -> (u64, f64) {
-    let mut sys = build_system(scheme, n, bench, seed, spec);
-    let t0 = std::time::Instant::now();
-    let m = sys.run();
-    (m.cycles, t0.elapsed().as_secs_f64())
+    let profile = equinox_traffic::profile::benchmark(bench)
+        .unwrap_or_else(|| panic!("unknown benchmark {bench}"));
+    let workload = Workload::new(profile, spec.scale, seed);
+    let mut cfg = SystemConfig::from_spec(scheme, n, workload, spec);
+    if scheme == SchemeKind::EquiNox {
+        cfg.design = Some(design_for(n));
+    }
+    System::build(cfg).run()
 }
 
 /// Runs `scheme` over the spec's seed list and returns the metrics of

@@ -12,10 +12,10 @@
 //! iterate it.
 
 use crate::artifact::{load_point_json, run_metrics_json};
-use crate::{bench_set, design_for, run_matrix_spec, run_one_spec, run_seeds_spec, strong_design_8x8, timed_run_spec};
+use crate::{bench_set, design_for, run_matrix_spec, run_one_spec, run_seeds_spec, strong_design_8x8};
 use equinox_config::{ExperimentSpec, Json};
 use equinox_core::heatmap::placement_heatmap;
-use equinox_core::loadlat::{load_latency_curve_cfg, load_latency_curve_checkpointed, ReplySide};
+use equinox_core::loadlat::{load_latency_curve_cfg, ReplySide};
 use equinox_core::svg::{design_svg, heatmap_svg};
 use equinox_core::{EquiNoxDesign, ObsConfig, RunMetrics, SchemeKind, System, SystemConfig};
 use equinox_mcts::eval::{evaluate, EvalWeights};
@@ -59,7 +59,6 @@ pub fn scenarios() -> &'static [Scenario] {
         Scenario { name: "svg", about: "Write the SVG figures into docs/", run: svg_artifacts },
         Scenario { name: "sweep", about: "Full scheme x benchmark matrix as raw run metrics", run: sweep },
         Scenario { name: "loadlat", about: "Reply-network load-latency curves (baseline vs EquiNox)", run: loadlat },
-        Scenario { name: "perf", about: "Micro-benchmark the simulation substrate", run: perf },
         Scenario { name: "observe", about: "Instrumented EquiNox run: obs/v1 metrics block + Chrome trace", run: observe },
         Scenario { name: "designer", about: "Search and export an EquiNox design", run: designer },
         Scenario { name: "fabric", about: "Synthetic-traffic stress run on any topology (--topology/--traffic)", run: fabric },
@@ -739,195 +738,24 @@ fn loadlat(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
     );
     let design = EquiNoxDesign::search(spec.n, spec.n_cbs, spec.iters, spec.seed);
     let rates: Vec<f64> = (1..=20).map(|i| i as f64 / 20.0).collect();
-    let audit = audit_cfg(spec);
-    let seed = spec.seeds[0];
-    // With a checkpoint dir armed, each point's warm-up phase is
-    // snapshotted/restored through the content-addressed cache; the
-    // curves are bit-identical either way.
-    let curve = |side: &ReplySide, audit: Option<equinox_noc::AuditConfig>| {
-        if spec.checkpoint_dir.is_empty() {
-            load_latency_curve_cfg(
-                &design.placement,
-                side,
-                &rates,
-                spec.cycles,
-                seed,
-                audit,
-                spec.activity_gate,
-            )
-        } else {
-            load_latency_curve_checkpointed(
-                &design.placement,
-                side,
-                &rates,
-                spec.cycles,
-                seed,
-                audit,
-                spec.activity_gate,
-                &spec.checkpoint_dir,
-            )
-        }
+    let curve = |side: &ReplySide| {
+        load_latency_curve_cfg(
+            &design.placement,
+            side,
+            &rates,
+            spec.cycles,
+            spec.seeds[0],
+            audit_cfg(spec),
+            spec.activity_gate,
+        )
     };
-    let base = curve(&ReplySide::Local, audit.clone());
-    let eq = curve(&ReplySide::Equinox(design.clone()), audit);
+    let base = curve(&ReplySide::Local);
+    let eq = curve(&ReplySide::Equinox(design.clone()));
     out!(log, "measured {} rates x 2 sides over {} cycles", rates.len(), spec.cycles);
     Json::obj()
         .with("links", design.num_links())
         .with("baseline", base.iter().map(load_point_json).collect::<Vec<_>>())
         .with("equinox", eq.iter().map(load_point_json).collect::<Vec<_>>())
-}
-
-/// Micro-benchmark of the simulation substrate itself. The rates
-/// `scripts/check.sh` and `scripts/perf_gate.sh` read:
-///
-/// * `single_cycles_per_sec` — simulated cycles per wall-clock second
-///   of one saturated full-system run (the hot-loop figure of merit),
-///   with `obs_on_cycles_per_sec` — the same run with the obs layer
-///   armed — beside it;
-/// * `da2mesh_cycles_per_sec[_simt4]` / `sim_thread_speedup` — a
-///   saturated DA2Mesh run at `sim_threads` 1 and 4, and their ratio;
-/// * `low_load_cycles_per_sec` — a low-load load–latency point
-///   (offered 0.02 replies/CB/cycle, most routers idle most cycles: the
-///   figure of merit for activity gating), with
-///   `low_load_exhaustive_cycles_per_sec` — the same point under the
-///   exhaustive sweep — beside it;
-/// * `sweep_wall_s` — the quick scheme × benchmark sweep on the worker
-///   pool, plus `sweep_cached_wall_s` / `cached_sweep_speedup` for the
-///   same sweep served from the content-addressed result cache.
-///
-/// The EquiNox design search is pre-warmed outside the timed regions.
-/// `--audit` / `--no-activity-gate` time the audited / exhaustive
-/// paths — for measuring their overhead, never for baselines.
-fn perf(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
-    // Warm everything the timed regions would otherwise pay for once:
-    // the cached 8×8 EquiNox design and the allocator's steady state.
-    out!(log, "warming design cache + hot loop…");
-    let _ = design_for(8);
-    let _ = run_one_spec(SchemeKind::SeparateBase, 8, "kmeans", 1, spec);
-
-    // Single-simulation cycle rate (sequential hot loop), saturated.
-    let reps = if spec.quick { 1 } else { 3 };
-    let mut best_rate = 0f64;
-    for _ in 0..reps {
-        let (cycles, secs) = timed_run_spec(SchemeKind::SeparateBase, 8, "kmeans", 1, spec);
-        best_rate = best_rate.max(cycles as f64 / secs);
-    }
-
-    // Intra-run parallelism: the saturated DA2Mesh configuration (one
-    // request mesh + eight reply subnets, the densest subnet fan-out in
-    // the paper) at sim-threads 1 vs 4. The ratio is what the perf gate
-    // bounds on multi-core machines; both absolute rates are recorded
-    // so the refreshed baseline stays honest about the machine it ran
-    // on (a `cores` field rides along in the JSON line).
-    out!(log, "measuring DA2Mesh sim-thread scaling…");
-    let mut da2_rate = [0f64; 2];
-    for (slot, lanes) in [(0usize, 1usize), (1, 4)] {
-        let mut s = spec.clone();
-        s.sim_threads = lanes;
-        for _ in 0..reps {
-            let (cycles, secs) = timed_run_spec(SchemeKind::Da2Mesh, 8, "kmeans", 1, &s);
-            da2_rate[slot] = da2_rate[slot].max(cycles as f64 / secs);
-        }
-    }
-    let sim_thread_speedup = if da2_rate[0] > 0.0 {
-        da2_rate[1] / da2_rate[0]
-    } else {
-        0.0
-    };
-
-    // Observability overhead: the same saturated single-sim hot loop
-    // with the full obs layer armed (registry sampling plus per-router
-    // stall attribution). The perf gate bounds the obs-on/obs-off
-    // ratio, pinning the "one branch per event" cost claim.
-    out!(log, "measuring obs-armed cycle rate…");
-    let mut obs_rate = 0f64;
-    {
-        let mut s = spec.clone();
-        s.obs = true;
-        for _ in 0..reps {
-            let (cycles, secs) = timed_run_spec(SchemeKind::SeparateBase, 8, "kmeans", 1, &s);
-            obs_rate = obs_rate.max(cycles as f64 / secs);
-        }
-    }
-
-    // Low-load cycle rate: one deeply sub-saturation load–latency point,
-    // where activity-gated stepping pays off.
-    let placement = Placement::diamond(8, 8, 8);
-    let low_cycles = 50_000u64;
-    let audit = audit_cfg(spec);
-    let measure = |cycles: u64, gate: bool| {
-        load_latency_curve_cfg(
-            &placement,
-            &ReplySide::Local,
-            &[0.02],
-            cycles,
-            1,
-            audit.clone(),
-            gate,
-        )
-    };
-    let _ = measure(5_000, spec.activity_gate);
-    // The same point under the exhaustive every-router-every-cycle
-    // sweep rides along: the perf gate bounds gated ÷ exhaustive, which
-    // is what the gate buys, whatever the saturated loop costs.
-    let mut low_load_rate = [0f64; 2];
-    for (slot, gate) in [(0, spec.activity_gate), (1, false)] {
-        for _ in 0..reps {
-            let t0 = Instant::now();
-            let pts = measure(low_cycles, gate);
-            let rate = low_cycles as f64 / t0.elapsed().as_secs_f64();
-            assert!(pts[0].throughput > 0.0, "low-load run carried no traffic");
-            low_load_rate[slot] = low_load_rate[slot].max(rate);
-        }
-    }
-
-    // Quick repro sweep (7 schemes × 6 benchmarks × seeds) on the pool.
-    let t0 = Instant::now();
-    let rows = run_matrix_spec(&SchemeKind::ALL, 8, &crate::QUICK_BENCHES, spec);
-    let sweep_wall_s = t0.elapsed().as_secs_f64();
-    let sims = rows.iter().map(Vec::len).sum::<usize>() * spec.seeds.len();
-
-    // The same sweep served from the content-addressed result cache: a
-    // throwaway checkpoint dir is populated (untimed), then the
-    // cache-served pass is timed. The perf gate bounds the speedup.
-    out!(log, "measuring cache-served sweep…");
-    let ckpt = std::env::temp_dir().join(format!("equinox_perf_ckpt_{}", std::process::id()));
-    let mut cspec = spec.clone();
-    cspec.checkpoint_dir = ckpt.to_string_lossy().into_owned();
-    std::fs::remove_dir_all(&ckpt).ok();
-    let warm = run_matrix_spec(&SchemeKind::ALL, 8, &crate::QUICK_BENCHES, &cspec);
-    let t0 = Instant::now();
-    let cached = run_matrix_spec(&SchemeKind::ALL, 8, &crate::QUICK_BENCHES, &cspec);
-    let sweep_cached_wall_s = t0.elapsed().as_secs_f64();
-    std::fs::remove_dir_all(&ckpt).ok();
-    for (a, b) in warm.iter().flatten().zip(cached.iter().flatten()) {
-        assert_eq!(a.cycles, b.cycles, "cache served different metrics");
-        assert_eq!(a.edp.to_bits(), b.edp.to_bits(), "cache served different metrics");
-    }
-    let cached_sweep_speedup = if sweep_cached_wall_s > 0.0 {
-        sweep_wall_s / sweep_cached_wall_s
-    } else {
-        f64::INFINITY
-    };
-
-    Json::obj()
-        .with("single_cycles_per_sec", best_rate.round())
-        .with("obs_on_cycles_per_sec", obs_rate.round())
-        .with("da2mesh_cycles_per_sec", da2_rate[0].round())
-        .with("da2mesh_cycles_per_sec_simt4", da2_rate[1].round())
-        .with("sim_thread_speedup", (sim_thread_speedup * 1000.0).round() / 1000.0)
-        .with("low_load_cycles_per_sec", low_load_rate[0].round())
-        .with("low_load_exhaustive_cycles_per_sec", low_load_rate[1].round())
-        .with("sweep_wall_s", (sweep_wall_s * 1000.0).round() / 1000.0)
-        .with("sweep_cached_wall_s", (sweep_cached_wall_s * 1000.0).round() / 1000.0)
-        .with("cached_sweep_speedup", (cached_sweep_speedup * 1000.0).round() / 1000.0)
-        .with("sweep_sims", sims)
-        .with("threads", equinox_exec::thread_count())
-        .with(
-            "cores",
-            std::thread::available_parallelism().map_or(1, |n| n.get()),
-        )
-        .with("scale", spec.scale)
 }
 
 /// Searches an EquiNox design per the spec and returns it in both the
@@ -1183,7 +1011,7 @@ fn watch(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
 fn all(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
     let mut j = Json::obj();
     for s in scenarios() {
-        if matches!(s.name, "all" | "sweep" | "loadlat" | "perf" | "observe" | "designer" | "fabric" | "watch") {
+        if matches!(s.name, "all" | "sweep" | "loadlat" | "observe" | "designer" | "fabric" | "watch") {
             continue;
         }
         j = j.with(s.name, (s.run)(spec, &mut *log));

@@ -278,40 +278,62 @@ fn fabric_scenario_runs_end_to_end_through_the_driver() {
     assert!(inj > 0 && inj == ej, "ring must move and conserve flits ({inj}/{ej})");
 }
 
-/// `scripts/perf_gate.sh` and `scripts/check.sh` pull these keys out of
-/// the `perf` artifact line by line; a renamed or re-typed key must fail
-/// here, not as an empty match in the shell.
+/// The result cache replays a finished artifact, so it must stand aside
+/// whenever a run's output is more than its artifact: a stream file the
+/// simulation writes, or a `watch` over a feed the spec only names.
 #[test]
-fn perf_artifact_carries_every_key_the_gate_scripts_read() {
-    let out = driver()
-        .args(["perf", "--quick", "--scale", "0.01", "--seeds", "1"])
-        .output()
-        .expect("run driver");
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-    let text = String::from_utf8(out.stdout).unwrap();
-    let artifact = parse_json(&text).expect("stdout is JSON");
-    assert_eq!(artifact.get("scenario").and_then(Json::as_str), Some("perf"));
-    let results = artifact.get("results").expect("results block");
-    for key in [
-        "single_cycles_per_sec",
-        "obs_on_cycles_per_sec",
-        "low_load_cycles_per_sec",
-        "low_load_exhaustive_cycles_per_sec",
-        "sim_thread_speedup",
-        "cached_sweep_speedup",
-        "cores",
-    ] {
-        let v = results.get(key).and_then(Json::as_f64);
-        assert!(v.is_some_and(|v| v > 0.0), "results.{key} must be a positive number, got {v:?}");
-        // The scripts match `"key": <number>` on a line of its own.
-        let prefix = format!("\"{key}\": ");
-        let on_own_line = text.lines().any(|l| {
-            l.trim_start()
-                .strip_prefix(&prefix)
-                .is_some_and(|rest| rest.trim_end_matches(',').parse::<f64>().is_ok())
-        });
-        assert!(on_own_line, "the pretty artifact must carry {key} on one line");
-    }
+fn result_cache_stands_aside_when_output_is_not_in_the_artifact() {
+    let dir = std::env::temp_dir().join(format!("equinox_driver_cache_test_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let ckpt = dir.join("ckpt");
+    let smoke = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs/ci-smoke.json");
+    let run = |args: &[&str], target: &Path| {
+        let out = driver()
+            .args(args)
+            .arg(target)
+            .arg("--checkpoint-dir")
+            .arg(&ckpt)
+            .output()
+            .expect("run driver");
+        assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+        out
+    };
+
+    // A streamed run, twice: the second must simulate again and leave a
+    // complete stream, not replay the first run's artifact.
+    let stream = dir.join("s.jsonl");
+    let fig11 = ["fig11", "--spec", smoke.to_str().unwrap(), "--obs-stream"];
+    run(&fig11, &stream);
+    std::fs::remove_file(&stream).expect("first run wrote the stream");
+    let out = run(&fig11, &stream);
+    assert!(
+        !String::from_utf8_lossy(&out.stderr).contains("checkpoint cache hit"),
+        "a streamed run must not be served from the cache"
+    );
+    let doc = std::fs::read_to_string(&stream).expect("second run wrote the stream");
+    let last = parse_json(doc.lines().last().expect("stream not empty")).expect("frame is JSON");
+    assert_eq!(last.get("schema").and_then(Json::as_str), Some("obs.summary/v1"));
+
+    // `watch` over a feed that grows between two invocations: the second
+    // must read the file again and account for the appended lines.
+    let feed = dir.join("w.jsonl");
+    let sample = doc.lines().next().unwrap();
+    std::fs::write(&feed, format!("{sample}\n")).unwrap();
+    let watch = ["watch", "--obs-stream"];
+    let results = |out: std::process::Output| {
+        let artifact = parse_json(&String::from_utf8(out.stdout).unwrap()).expect("stdout is JSON");
+        artifact.get("results").expect("results block").clone()
+    };
+    let first = results(run(&watch, &feed));
+    assert_eq!(first.get("frames_seen").and_then(Json::as_u64), Some(1));
+    let summary = doc.lines().last().unwrap();
+    std::fs::write(&feed, format!("{sample}\n{{clipped\n{sample}\n{summary}\n")).unwrap();
+    let second = results(run(&watch, &feed));
+    assert_eq!(second.get("frames_seen").and_then(Json::as_u64), Some(3));
+    assert_eq!(second.get("corrupt_lines").and_then(Json::as_u64), Some(1));
+    assert_eq!(second.get("summary_seen").and_then(Json::as_bool), Some(true));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

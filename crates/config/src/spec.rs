@@ -68,8 +68,6 @@ pub struct ExperimentSpec {
     pub seed: u64,
     /// Run all 29 benchmarks instead of the quick 6-benchmark subset.
     pub full: bool,
-    /// Reduced-repetition mode for the perf scenario.
-    pub quick: bool,
     /// Worker-pool threads; 0 = auto (available parallelism).
     pub threads: usize,
     /// Intra-run subnet-stepping lanes inside one `System::step`:
@@ -125,9 +123,10 @@ pub struct ExperimentSpec {
     pub trace_out: String,
     /// Flit-trace ring capacity per network (oldest events drop).
     pub trace_capacity: usize,
-    /// Directory for the content-addressed warm-state and result cache
-    /// (empty = caching off). Never part of a run's cache key: two runs
-    /// that differ only here are the same experiment.
+    /// Result cache directory: finished artifacts and run-metrics
+    /// cells, content-addressed (empty = caching off). Never part of a
+    /// run's cache key: two runs that differ only here are the same
+    /// experiment.
     pub checkpoint_dir: String,
     provenance: Vec<Layer>,
 }
@@ -143,7 +142,6 @@ impl Default for ExperimentSpec {
             seeds: vec![42, 7],
             seed: 7,
             full: false,
-            quick: false,
             threads: 0,
             sim_threads: 1,
             max_cycles: 2_000_000,
@@ -464,7 +462,6 @@ pub fn fields() -> &'static [FieldDef] {
         },
         field!(uint "seed", "--seed", "EQUINOX_SEED", seed: u64, "primary seed (design search)"),
         field!(flag "full", "--full", "EQUINOX_FULL", full, "run all 29 benchmarks (default: quick subset)"),
-        field!(flag "quick", "--quick", "EQUINOX_QUICK", quick, "single-repetition perf measurements"),
         field!(uint "threads", "--threads", "EQUINOX_THREADS", threads: usize, "worker-pool threads (0 = auto)"),
         field!(uint "sim_threads", "--sim-threads", "EQUINOX_SIM_THREADS", sim_threads: usize, "subnet-stepping lanes per run (1 = serial, 0 = cores/threads)"),
         field!(uint "max_cycles", "--max-cycles", "EQUINOX_MAX_CYCLES", max_cycles: u64, "safety cap on simulated cycles"),
@@ -573,7 +570,7 @@ pub fn fields() -> &'static [FieldDef] {
             flag: "--checkpoint-dir",
             env: "EQUINOX_CHECKPOINT_DIR",
             takes_value: true,
-            help: "content-addressed warm-state and result cache directory (empty = off)",
+            help: "result cache directory (empty = off)",
             set_str: |s, v| {
                 s.checkpoint_dir = v.trim().to_string();
                 Ok(())

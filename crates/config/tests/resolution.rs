@@ -135,7 +135,6 @@ fn every_field_is_reachable_from_every_layer() {
     tweaked.seeds = vec![5];
     tweaked.seed = 11;
     tweaked.full = true;
-    tweaked.quick = true;
     tweaked.threads = 3;
     tweaked.max_cycles = 1234;
     tweaked.ni_queue_cap = 4;

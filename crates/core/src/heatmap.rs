@@ -81,7 +81,7 @@ pub fn placement_heatmap(placement: &Placement, offered: f64, cycles: u64, seed:
     let mut pending: Vec<Vec<Flit>> = vec![Vec::new(); placement.cbs.len()];
     let warmup = cycles / 10;
 
-    for t in 0..(cycles + warmup) {
+    for _ in 0..(cycles + warmup) {
         for (ci, &cb) in placement.cbs.iter().enumerate() {
             if pending[ci].is_empty() && rng.random::<f64>() < offered {
                 let dst = pes[rng.random_range(0..pes.len())];
@@ -103,7 +103,6 @@ pub fn placement_heatmap(placement: &Placement, offered: f64, cycles: u64, seed:
         for &pe in &pes {
             while net.pop_ejected_node(pe).is_some() {}
         }
-        let _ = t;
     }
     let stats = net.stats();
     HeatMap::square(n, stats.heat_map(), stats.heat_variance())

@@ -3,8 +3,9 @@
 //! The classic NoC characterization: sweep the offered injection rate at
 //! the CBs and measure average packet latency. The curve's knee is the
 //! saturation point of the few-to-many injection path — the quantity
-//! EquiNox's EIRs push to the right. Used by the `load_latency` example
-//! and the saturation validation tests.
+//! EquiNox's EIRs push to the right. Used by the `loadlat` scenario, the
+//! benchmark's `idle-loadlat` workload and the saturation validation
+//! tests.
 
 use equinox_noc::config::NocConfig;
 use equinox_noc::flit::{Flit, MessageClass};
@@ -52,7 +53,6 @@ pub enum ReplySide {
 ///
 /// Panics if `placement` is not square or an offered rate is not in
 /// `(0, 1]`.
-#[allow(clippy::too_many_arguments)]
 pub fn load_latency_curve_cfg(
     placement: &Placement,
     side: &ReplySide,
@@ -67,181 +67,10 @@ pub fn load_latency_curve_cfg(
         assert!(rate > 0.0 && rate <= 1.0, "offered rate {rate} out of (0,1]");
     }
     equinox_exec::par_map(offered.to_vec(), |_, rate| {
-        measure(placement, side, rate, cycles, seed, audit.clone(), activity_gate, None)
+        measure(placement, side, rate, cycles, seed, audit.clone(), activity_gate)
     })
 }
 
-/// [`load_latency_curve_cfg`] with a content-addressed warm-state cache:
-/// each point's warm-up phase is snapshotted into `checkpoint_dir` (keyed
-/// by placement, reply side, rate, seed, cycle budget and knobs) and
-/// restored on later invocations, skipping the warm-up simulation
-/// entirely. Sound because the simulation is bit-deterministic: the
-/// restored state is byte-identical to the state a straight-through run
-/// reaches at the warm-up boundary, so the measured phase — and the
-/// returned curve — is bit-identical to [`load_latency_curve_cfg`]'s. A
-/// corrupt or mismatched cache entry is ignored (the point runs cold and
-/// rewrites it).
-///
-/// # Panics
-///
-/// Panics if `placement` is not square or an offered rate is not in
-/// `(0, 1]`.
-#[allow(clippy::too_many_arguments)]
-pub fn load_latency_curve_checkpointed(
-    placement: &Placement,
-    side: &ReplySide,
-    offered: &[f64],
-    cycles: u64,
-    seed: u64,
-    audit: Option<equinox_noc::AuditConfig>,
-    activity_gate: bool,
-    checkpoint_dir: &str,
-) -> Vec<LoadPoint> {
-    assert_eq!(placement.width, placement.height, "square meshes only");
-    for &rate in offered {
-        assert!(rate > 0.0 && rate <= 1.0, "offered rate {rate} out of (0,1]");
-    }
-    let cache = equinox_snap::CheckpointCache::new(checkpoint_dir);
-    equinox_exec::par_map(offered.to_vec(), |_, rate| {
-        measure(
-            placement,
-            side,
-            rate,
-            cycles,
-            seed,
-            audit.clone(),
-            activity_gate,
-            Some(&cache),
-        )
-    })
-}
-
-/// Section tags of a load-latency warm checkpoint.
-mod warm_tags {
-    pub const NET: u32 = 1;
-    pub const NIS: u32 = 2;
-    pub const TRACKER: u32 = 3;
-    pub const RNG: u32 = 4;
-    pub const CREATED: u32 = 5;
-}
-
-/// Cache key for one measured point's warm state. Everything the warm
-/// phase's evolution depends on goes in: the placement, the reply-side
-/// structure (EIR groups for EquiNox), the offered rate (injection draws
-/// compare against it every cycle, so warm state is rate-dependent), the
-/// seed, the warm-up length and the audit/gating knobs.
-fn warm_key(
-    placement: &Placement,
-    side: &ReplySide,
-    offered: f64,
-    cycles: u64,
-    seed: u64,
-    audit: &Option<equinox_noc::AuditConfig>,
-    activity_gate: bool,
-) -> u64 {
-    let mut e = equinox_snap::Enc::new();
-    e.put_u16(placement.width);
-    e.put_u16(placement.height);
-    e.put_usize(placement.cbs.len());
-    for &cb in &placement.cbs {
-        e.put_u16(cb.x);
-        e.put_u16(cb.y);
-    }
-    match side {
-        ReplySide::Local => e.put_u8(0),
-        ReplySide::Equinox(design) => {
-            e.put_u8(1);
-            e.put_usize(design.selection.groups.len());
-            for g in &design.selection.groups {
-                e.put_usize(g.len());
-                for &eir in g {
-                    e.put_u16(eir.x);
-                    e.put_u16(eir.y);
-                }
-            }
-        }
-    }
-    e.put_f64(offered);
-    e.put_u64(cycles);
-    e.put_u64(seed);
-    match audit {
-        Some(a) => {
-            e.put_u8(1);
-            e.put_u64(a.check_interval);
-            e.put_u64(a.watchdog_window);
-            e.put_bool(a.panic_on_violation);
-        }
-        None => e.put_u8(0),
-    }
-    e.put_bool(activity_gate);
-    equinox_snap::fnv1a(&e.into_bytes())
-}
-
-/// Serializes the warm-boundary state of one measured point.
-fn warm_snapshot(
-    net: &Network,
-    nis: &[InjectionQueue],
-    tracker: &PacketTracker,
-    rng: &Rng,
-    created: &HashMap<u64, u64>,
-) -> Vec<u8> {
-    use equinox_snap::{Enc, Snap};
-    let mut ne = Enc::new();
-    net.snapshot_state(&mut ne);
-    let mut qe = Enc::new();
-    qe.put_usize(nis.len());
-    for ni in nis {
-        ni.snap_state(&mut qe);
-    }
-    let mut te = Enc::new();
-    tracker.snap(&mut te);
-    let mut re = Enc::new();
-    rng.snap(&mut re);
-    let mut ce = Enc::new();
-    let mut pairs: Vec<(u64, u64)> = created.iter().map(|(&k, &v)| (k, v)).collect();
-    pairs.sort_unstable();
-    pairs.snap(&mut ce);
-    equinox_snap::write_snapshot(&[
-        (warm_tags::NET, ne.into_bytes()),
-        (warm_tags::NIS, qe.into_bytes()),
-        (warm_tags::TRACKER, te.into_bytes()),
-        (warm_tags::RNG, re.into_bytes()),
-        (warm_tags::CREATED, ce.into_bytes()),
-    ])
-}
-
-/// Restores a [`warm_snapshot`] into a freshly-built point simulation.
-fn warm_restore(
-    bytes: &[u8],
-    nets: &mut [Network],
-    nis: &mut [InjectionQueue],
-) -> Result<(PacketTracker, Rng, HashMap<u64, u64>), equinox_snap::SnapError> {
-    use equinox_snap::{read_snapshot, section, Dec, Snap, SnapError};
-    let sections = read_snapshot(bytes)?;
-    let mut d = Dec::new(section(&sections, warm_tags::NET)?);
-    nets[0].restore_state(&mut d)?;
-    d.finish()?;
-    let mut d = Dec::new(section(&sections, warm_tags::NIS)?);
-    if d.usize()? != nis.len() {
-        return Err(SnapError::BadValue("warm checkpoint NI count"));
-    }
-    for ni in nis.iter_mut() {
-        ni.restore_state(&mut d, nets)?;
-    }
-    d.finish()?;
-    let mut d = Dec::new(section(&sections, warm_tags::TRACKER)?);
-    let tracker = PacketTracker::restore(&mut d)?;
-    d.finish()?;
-    let mut d = Dec::new(section(&sections, warm_tags::RNG)?);
-    let rng = Rng::restore(&mut d)?;
-    d.finish()?;
-    let mut d = Dec::new(section(&sections, warm_tags::CREATED)?);
-    let pairs: Vec<(u64, u64)> = Vec::restore(&mut d)?;
-    d.finish()?;
-    Ok((tracker, rng, pairs.into_iter().collect()))
-}
-
-#[allow(clippy::too_many_arguments)]
 fn measure(
     placement: &Placement,
     side: &ReplySide,
@@ -250,13 +79,12 @@ fn measure(
     seed: u64,
     audit: Option<equinox_noc::AuditConfig>,
     activity_gate: bool,
-    cache: Option<&equinox_snap::CheckpointCache>,
 ) -> LoadPoint {
     let n = placement.width;
     let mut cfg = NocConfig::mesh(n);
     cfg.activity_gate = activity_gate;
     let mut net = Network::mesh(cfg);
-    if let Some(acfg) = audit.clone() {
+    if let Some(acfg) = audit {
         net.enable_audit(acfg);
     }
     let mut tracker = PacketTracker::new();
@@ -294,27 +122,7 @@ fn measure(
     let mut created: HashMap<u64, u64> = HashMap::new();
     let mut nets = vec![net];
 
-    // Resume from a cached warm checkpoint when one matches; otherwise
-    // run the warm-up cold and leave a checkpoint behind for next time.
-    let key = cache.map(|_| warm_key(placement, side, offered, cycles, seed, &audit, activity_gate));
-    let mut start = 0u64;
-    if let (Some(c), Some(k)) = (cache, key) {
-        if let Ok(Some(bytes)) = c.load("warm", k) {
-            if let Ok((t, r, m)) = warm_restore(&bytes, &mut nets, &mut nis) {
-                tracker = t;
-                rng = r;
-                created = m;
-                start = warmup;
-            }
-        }
-    }
-
-    for t in start..(cycles + warmup) {
-        if t == warmup && start == 0 {
-            if let (Some(c), Some(k)) = (cache, key) {
-                let _ = c.store("warm", k, &warm_snapshot(&nets[0], &nis, &tracker, &rng, &created));
-            }
-        }
+    for t in 0..(cycles + warmup) {
         for (ci, &cb) in placement.cbs.iter().enumerate() {
             if nis[ci].can_accept() && rng.random::<f64>() < offered {
                 let dst = pes[rng.random_range(0..pes.len())];
@@ -391,41 +199,6 @@ mod tests {
             eq[0].throughput,
             base[0].throughput
         );
-    }
-
-    #[test]
-    fn checkpointed_curve_is_bit_identical_to_straight_through() {
-        let dir = std::env::temp_dir().join(format!("eqsn_loadlat_{}", std::process::id()));
-        let dir_s = dir.to_str().unwrap().to_string();
-        let design = EquiNoxDesign::quick(8, 8);
-        let rates = [0.1, 0.9];
-        for side in [ReplySide::Local, ReplySide::Equinox(design.clone())] {
-            let straight =
-                load_latency_curve_cfg(&design.placement, &side, &rates, 2_500, 7, None, true);
-            // Cold pass populates the warm cache; warm pass resumes from it.
-            let cold = load_latency_curve_checkpointed(
-                &design.placement, &side, &rates, 2_500, 7, None, true, &dir_s,
-            );
-            let warm = load_latency_curve_checkpointed(
-                &design.placement, &side, &rates, 2_500, 7, None, true, &dir_s,
-            );
-            assert_eq!(straight, cold);
-            assert_eq!(straight, warm);
-        }
-        let n_ckpts = std::fs::read_dir(&dir).unwrap().count();
-        assert_eq!(n_ckpts, 4, "one warm checkpoint per (side, rate)");
-        // Corrupt every checkpoint: points must fall back to cold runs
-        // (rewriting the entries) and still produce the exact curve.
-        for entry in std::fs::read_dir(&dir).unwrap() {
-            std::fs::write(entry.unwrap().path(), b"garbage").unwrap();
-        }
-        let straight =
-            load_latency_curve_cfg(&design.placement, &ReplySide::Local, &rates, 2_500, 7, None, true);
-        let recovered = load_latency_curve_checkpointed(
-            &design.placement, &ReplySide::Local, &rates, 2_500, 7, None, true, &dir_s,
-        );
-        assert_eq!(straight, recovered);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

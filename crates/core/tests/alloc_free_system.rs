@@ -7,12 +7,13 @@
 //! channels scheduling, NIs streaming flits, and the activity-gated
 //! stepping maintaining its active-set worklists (whose sorted-insert
 //! lists are capacity-reserved at construction, so activation edges
-//! never allocate).
+//! never allocate) — serially, fanned over the step team, and with the
+//! observability layer armed.
 //!
 //! This file deliberately contains a single test: the counter is
 //! process-global, and a concurrently running test would pollute it.
 
-use equinox_core::{SchemeKind, System, SystemConfig};
+use equinox_core::{ObsConfig, SchemeKind, System, SystemConfig};
 use equinox_traffic::{profile::benchmark, Workload};
 use std::alloc::{GlobalAlloc, Layout, System as SysAlloc};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,15 +41,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-#[test]
-fn full_system_step_is_allocation_free_at_saturation() {
-    // A memory-heavy profile with a large quota keeps every layer busy
-    // for the whole test: request NIs backlogged, networks loaded,
-    // CB/HBM queues full.
-    let workload = Workload::new(benchmark("bfs").unwrap(), 2.0, 7);
-    let mut cfg = SystemConfig::new(SchemeKind::EquiNox, 8, workload);
-    cfg.audit = None;
-    cfg.activity_gate = true;
+/// Builds `cfg`, warms it to steady state, then steps a 2 000-cycle
+/// window that must carry real traffic and allocate nothing. The
+/// counter sees every thread in the process.
+fn steady_state_window(what: &str, cfg: SystemConfig) -> System {
     let mut sys = System::build(cfg);
     // The packet-record table grows for the lifetime of the run; reserve
     // it past any packet count this test can reach so its doubling never
@@ -74,15 +70,29 @@ fn full_system_step_is_allocation_free_at_saturation() {
     assert_eq!(
         after - before,
         0,
-        "System::step allocated {} times in the steady-state window",
+        "{what}: System::step allocated {} times in the steady-state window",
         after - before
     );
     let flits_after: u64 = sys.networks().iter().map(|n| n.stats().ejected_flits).sum();
     assert!(
         flits_after - flits_before > 1_000,
-        "window must carry real traffic (got {} flits)",
+        "{what}: window must carry real traffic (got {} flits)",
         flits_after - flits_before
     );
+    sys
+}
+
+#[test]
+fn full_system_step_is_allocation_free_at_saturation() {
+    // A memory-heavy profile with a large quota keeps every layer busy
+    // for the whole test: request NIs backlogged, networks loaded,
+    // CB/HBM queues full.
+    let saturated = |scheme| SystemConfig::new(scheme, 8, Workload::new(benchmark("bfs").unwrap(), 2.0, 7));
+
+    let mut cfg = saturated(SchemeKind::EquiNox);
+    cfg.audit = None;
+    cfg.activity_gate = true;
+    let sys = steady_state_window("serial", cfg);
     let (outstanding, req_backlog, cb_inflight, rep_backlog) = sys.occupancy();
     assert!(
         outstanding + req_backlog + cb_inflight + rep_backlog > 0,
@@ -94,36 +104,20 @@ fn full_system_step_is_allocation_free_at_saturation() {
     // team (DA2Mesh: one request mesh + eight reply subnets on 4
     // lanes). The team's threads spawn inside `System::build`, task
     // dispatch reuses the preallocated epoch/condvar machinery, and
-    // the per-subnet span scratch is sized at build — so the counter,
-    // which sees *every* thread in the process, must stay flat across
-    // the measured window here too.
-    let workload = Workload::new(benchmark("bfs").unwrap(), 2.0, 7);
-    let mut cfg = SystemConfig::new(SchemeKind::Da2Mesh, 8, workload);
+    // the per-subnet span scratch is sized at build.
+    let mut cfg = saturated(SchemeKind::Da2Mesh);
     cfg.sim_threads = 4;
-    let mut sys = System::build(cfg);
+    let sys = steady_state_window("parallel", cfg);
     assert_eq!(sys.sim_lanes(), 4, "team must actually be armed");
-    sys.reserve_packets(1 << 20);
-    for _ in 0..19_000 {
-        sys.step();
-    }
-    let flits_before: u64 = sys.networks().iter().map(|n| n.stats().ejected_flits).sum();
+    drop(sys);
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for _ in 0..2_000 {
-        sys.step();
-    }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
-
-    assert_eq!(
-        after - before,
-        0,
-        "parallel System::step allocated {} times in the steady-state window",
-        after - before
-    );
-    let flits_after: u64 = sys.networks().iter().map(|n| n.stats().ejected_flits).sum();
-    assert!(
-        flits_after - flits_before > 1_000,
-        "parallel window must carry real traffic (got {} flits)",
-        flits_after - flits_before
-    );
+    // And with the observability layer armed (stream off): stall
+    // attribution charges every blocked flit, the registry counts every
+    // event and two sampler rows land inside the window — all into
+    // buffers preallocated at build. A per-event allocation or a series
+    // that grows row by row fails here.
+    let mut cfg = saturated(SchemeKind::EquiNox);
+    cfg.obs = Some(ObsConfig::default());
+    let sys = steady_state_window("obs-armed", cfg);
+    assert!(sys.obs_json().is_some(), "obs must actually be armed");
 }

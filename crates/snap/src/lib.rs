@@ -21,7 +21,7 @@
 //! * [`fnv1a`] — the 64-bit FNV-1a hash used to content-address cache
 //!   entries by canonical spec bytes.
 //! * [`CheckpointCache`] — a directory of content-addressed blobs
-//!   (warm checkpoints, finished artifacts) with atomic writes.
+//!   (finished artifacts, run-metrics cells) with atomic writes.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -461,8 +461,8 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// A directory of content-addressed blobs: warm checkpoints and
-/// finished artifacts, keyed by the [`fnv1a`] hash of their canonical
+/// A directory of content-addressed blobs: finished artifacts and
+/// run-metrics cells, keyed by the [`fnv1a`] hash of their canonical
 /// spec bytes.
 #[derive(Debug, Clone)]
 pub struct CheckpointCache {
@@ -662,9 +662,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("eqsnap_test_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = CheckpointCache::new(&dir);
-        assert_eq!(cache.load("warm", 0x1234).unwrap(), None);
-        cache.store("warm", 0x1234, b"payload").unwrap();
-        assert_eq!(cache.load("warm", 0x1234).unwrap().as_deref(), Some(&b"payload"[..]));
+        assert_eq!(cache.load("run", 0x1234).unwrap(), None);
+        cache.store("run", 0x1234, b"payload").unwrap();
+        assert_eq!(cache.load("run", 0x1234).unwrap().as_deref(), Some(&b"payload"[..]));
         // Different kind, same key: distinct blob.
         assert_eq!(cache.load("artifact", 0x1234).unwrap(), None);
         let _ = std::fs::remove_dir_all(&dir);

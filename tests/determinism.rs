@@ -377,6 +377,16 @@ fn result_cache_replays_bit_identical_metrics() {
     let warm = run_seeds_spec(SchemeKind::SeparateBase, 8, "gaussian", &spec);
     assert_metrics_identical(&straight, &cold);
     assert_metrics_identical(&straight, &warm);
+    // A replay is bit-identical to a recompute by design, so the two
+    // calls above cannot show the cache was read. Plant a sentinel in
+    // the one `run_*` entry: a real hit returns it.
+    let entries: Vec<_> = std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path()).collect();
+    assert_eq!(entries.len(), 1, "one cell, one entry: {entries:?}");
+    let mut sentinel = straight.clone();
+    sentinel.cycles += 1;
+    std::fs::write(&entries[0], equinox_suite::bench::cache::encode_metrics(&sentinel)).unwrap();
+    let hit = run_seeds_spec(SchemeKind::SeparateBase, 8, "gaussian", &spec);
+    assert_eq!(hit.cycles, straight.cycles + 1, "the stored entry must be served, not recomputed");
     // A corrupted entry is a miss, not bad data: the cell recomputes.
     for entry in std::fs::read_dir(&dir).unwrap() {
         std::fs::write(entry.unwrap().path(), b"junk").unwrap();
