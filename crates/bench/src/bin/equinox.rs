@@ -60,6 +60,9 @@ fn main() {
         Ok(s) => s,
         Err(e) => fail(&e.to_string()),
     };
+    if sc.name == "watch" && spec.obs_stream.is_empty() {
+        fail("watch needs --obs-stream <path|tcp:host:port> naming the feed to attach to");
+    }
     equinox_exec::set_threads(spec.threads);
 
     // With `--checkpoint-dir` armed, finished artifacts are

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! `equinox-bench` — the harness that regenerates every table and figure
 //! of the EquiNox paper.
 //!

@@ -791,7 +791,7 @@ fn designer(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
 
 /// Instrumented EquiNox run: the obs blocks plus the Chrome trace.
 fn observe(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
-    header(log, "Observability: metrics registry, time series, spans, flit trace");
+    header(log, "Observability: latency histograms, time series, spans, flit trace");
     let profile = equinox_traffic::profile::benchmark("bfs").expect("known");
     let seed = spec.seeds[0];
     let mut cfg = SystemConfig::from_spec(

@@ -50,9 +50,11 @@ fn malformed_values_and_unknown_flags_are_fatal() {
         (vec!["fabric", "--topology", "torus"], "--topology"),
         (vec!["fabric", "--traffic", "tornado"], "--traffic"),
         (vec!["observe", "--obs-interval", "0"], "--obs-interval"),
+        // A scenario precondition, not a parse error — same discipline.
+        (vec!["watch"], "--obs-stream"),
     ] {
         let out = driver().args(&args).output().expect("run driver");
-        assert!(!out.status.success(), "{args:?} must exit nonzero");
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
         let err = String::from_utf8(out.stderr).unwrap();
         assert!(err.contains(needle), "{args:?}: stderr must name {needle}: {err}");
         assert!(err.contains("usage:"), "{args:?}: stderr must show usage");

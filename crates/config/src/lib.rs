@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! `equinox-config` — the typed experiment spine.
 //!
 //! One configuration layer for every EquiNox binary and scenario:

@@ -105,7 +105,7 @@ pub struct ExperimentSpec {
     /// MCTS iterations for design searches driven by the spec
     /// (designer/loadlat scenarios).
     pub iters: usize,
-    /// Arm the observability layer (metrics registry + time series +
+    /// Arm the observability layer (latency histograms + time series +
     /// span profiler) on every full-system run built from this spec.
     pub obs: bool,
     /// Cycles between observability time-series samples (must be > 0;

@@ -19,7 +19,7 @@
 //! * [`system`] — scheme assembly and the cycle-level simulation loop;
 //! * [`metrics`], [`msg`] — execution/energy/EDP/latency metrics and
 //!   packet tracking;
-//! * [`obs`] — the system-side observability layer (metric registry,
+//! * [`obs`] — the system-side observability layer (latency histograms,
 //!   time series, step-phase spans, Chrome trace assembly);
 //! * [`heatmap`] — the Figure 4 placement-congestion experiment;
 //! * [`loadlat`] — reply-network load–latency curves (where the

@@ -66,21 +66,6 @@ pub fn geomean(xs: &[f64]) -> f64 {
     (ln_sum / xs.len() as f64).exp()
 }
 
-/// Normalizes `value` against `baseline` (baseline = 1.0).
-///
-/// A zero baseline yields `0.0` rather than `inf`/`NaN` — a scheme with
-/// no baseline measurement plots as absent, not off-scale. A *negative*
-/// baseline is passed through arithmetically (the sign flips); metrics
-/// here are all non-negative, so that only happens on caller error and
-/// is pinned by a test rather than guarded.
-pub fn normalize(value: f64, baseline: f64) -> f64 {
-    if baseline == 0.0 {
-        0.0
-    } else {
-        value / baseline
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,12 +78,6 @@ mod tests {
     }
 
     #[test]
-    fn normalize_guards_zero() {
-        assert_eq!(normalize(5.0, 0.0), 0.0);
-        assert!((normalize(5.0, 10.0) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn geomean_zero_element_collapses_to_zero() {
         assert_eq!(geomean(&[0.0, 2.0, 4.0]), 0.0);
         assert_eq!(geomean(&[0.0]), 0.0);
@@ -108,15 +87,5 @@ mod tests {
     fn geomean_negative_element_is_nan() {
         assert!(geomean(&[-1.0]).is_nan());
         assert!(geomean(&[2.0, -3.0]).is_nan());
-    }
-
-    #[test]
-    fn normalize_zero_value_and_negative_baseline() {
-        assert_eq!(normalize(0.0, 0.0), 0.0, "both zero reads as absent");
-        assert_eq!(normalize(0.0, 7.0), 0.0);
-        // Negative baselines are caller error; the sign passes through.
-        assert!((normalize(5.0, -2.0) - (-2.5)).abs() < 1e-12);
-        // -0.0 == 0.0 in IEEE comparison, so it takes the guard too.
-        assert_eq!(normalize(5.0, -0.0), 0.0);
     }
 }

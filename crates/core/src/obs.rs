@@ -26,15 +26,14 @@
 //! export ([`chrome_trace`]).
 
 use crate::heatmap::HeatMap;
-use crate::msg::PacketTracker;
+use crate::msg::{PacketRecord, PacketTracker};
 use equinox_config::Json;
 use equinox_noc::network::{InjectorId, Network};
 use equinox_noc::trace::{TraceEvent, TraceKind};
 use equinox_obs::{
-    ChromeTrace, CounterId, Histogram, HistogramId, NetCause, Registry, SpanId, SpanProfiler,
-    StreamWriter, TimeSeries, CAUSE_NAMES, NET_CAUSE_NAMES, STALL_CLASSES,
+    ChromeTrace, Histogram, NetCause, SpanId, SpanProfiler, StreamWriter, TimeSeries, CAUSE_NAMES,
+    NET_CAUSE_NAMES, STALL_CLASSES,
 };
-use equinox_phys::Coord;
 
 /// Observability configuration carried by
 /// [`SystemConfig`](crate::system::SystemConfig).
@@ -88,6 +87,11 @@ const PHASE_NAMES: [&str; 4] = [
 /// Latency histogram bucket upper edges, in core cycles.
 const LAT_BOUNDS: [u64; 11] = [16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384];
 
+/// `obs/v1` names of the per-class delivered-packet counters and
+/// latency histograms, indexed by class (0 = request, 1 = reply).
+const DELIVERED_NAMES: [&str; STALL_CLASSES] = ["req_packets_delivered", "rep_packets_delivered"];
+const LATENCY_NAMES: [&str; STALL_CLASSES] = ["req_latency_cycles", "rep_latency_cycles"];
+
 /// In-network stall causes in emission order (matches
 /// [`equinox_obs::NET_CAUSE_NAMES`] indexing).
 const NET_CAUSE_LIST: [NetCause; 4] = [
@@ -103,16 +107,15 @@ const MAX_SAMPLES: usize = 65_536;
 
 /// Per-run observability state owned by the `System`.
 pub(crate) struct SystemObs {
-    registry: Registry,
+    /// Per-class end-to-end packet latency distributions; `count()` is
+    /// the class's delivered-packet counter, `sum()` its measured
+    /// end-to-end cycles.
+    h_latency: [Histogram; STALL_CLASSES],
     series: TimeSeries,
     pub(crate) spans: SpanProfiler,
     phases: [SpanId; 4],
     /// One span row per network (`noc_step_net{i}`).
     noc_spans: Vec<SpanId>,
-    c_req_pkts: CounterId,
-    c_rep_pkts: CounterId,
-    h_req_lat: HistogramId,
-    h_rep_lat: HistogramId,
     /// EIR injector handles per CB group (EquiNox reply net only).
     eir_groups: Vec<Vec<InjectorId>>,
     next_sample: u64,
@@ -125,11 +128,9 @@ pub(crate) struct SystemObs {
     /// Original mesh side length (the coordinate space of
     /// `PacketRecord::src`), for the injection-wait heat grids.
     mesh_n: u16,
-    /// Attribution (`obs/v2`): NI/EIR injection-queue wait, charged at
-    /// delivery. Kept outside the registry so the `obs/v1` block stays
-    /// byte-identical to pre-attribution builds. `[class]` = cycles.
-    inj_wait_total: [u64; STALL_CLASSES],
-    /// Per-class injection-wait distributions.
+    /// Attribution (`obs/v2`): per-class NI/EIR injection-queue wait
+    /// distributions, charged at delivery; `sum()` is the class's
+    /// `inj_queue` cause total.
     h_inj_wait: [Histogram; STALL_CLASSES],
     /// Per-class injection-wait heat over source tiles (row-major
     /// `mesh_n × mesh_n`).
@@ -163,11 +164,6 @@ impl SystemObs {
     ) -> Self {
         let interval = cfg.interval.max(1);
         let rows = ((max_cycles / interval) as usize).saturating_add(2).min(MAX_SAMPLES);
-        let mut registry = Registry::new();
-        let c_req_pkts = registry.counter("req_packets_delivered");
-        let c_rep_pkts = registry.counter("rep_packets_delivered");
-        let h_req_lat = registry.histogram("req_latency_cycles", &LAT_BOUNDS);
-        let h_rep_lat = registry.histogram("rep_latency_cycles", &LAT_BOUNDS);
 
         // Column registration order is the row layout `sample` fills:
         // throughput, in-flight, one per net, one per EIR group.
@@ -189,15 +185,11 @@ impl SystemObs {
         let width = nets.len() + eir_groups.len() + 2;
         let n_eir = eir_groups.len();
         SystemObs {
-            registry,
+            h_latency: [Histogram::new(&LAT_BOUNDS), Histogram::new(&LAT_BOUNDS)],
             series,
             spans,
             phases: phases.try_into().expect("four phases"),
             noc_spans,
-            c_req_pkts,
-            c_rep_pkts,
-            h_req_lat,
-            h_rep_lat,
             eir_groups,
             next_sample: interval,
             last_cycle: 0,
@@ -206,7 +198,6 @@ impl SystemObs {
             last_eir: vec![0; n_eir],
             scratch: Vec::with_capacity(width),
             mesh_n,
-            inj_wait_total: [0; STALL_CLASSES],
             h_inj_wait: [Histogram::new(&LAT_BOUNDS), Histogram::new(&LAT_BOUNDS)],
             inj_heat: [
                 vec![0; mesh_n as usize * mesh_n as usize],
@@ -259,31 +250,20 @@ impl SystemObs {
         self.spans.record_closed(id, net as u64, start_ns, end_ns, cycle);
     }
 
-    /// Records one delivered packet's end-to-end latency.
+    /// Records one packet of `class` (0 = request, 1 = reply) whose
+    /// tail flit reached its sink at `now`: its end-to-end latency, and
+    /// its NI/EIR injection-queue wait (cycles from creation to its head
+    /// flit entering a router) charged to the `inj_queue` cause —
+    /// distribution and the source tile's heat cell.
     #[inline]
-    pub(crate) fn record_latency(&mut self, reply: bool, lat_cycles: u64) {
-        if reply {
-            self.registry.inc(self.c_rep_pkts, 1);
-            self.registry.observe(self.h_rep_lat, lat_cycles);
-        } else {
-            self.registry.inc(self.c_req_pkts, 1);
-            self.registry.observe(self.h_req_lat, lat_cycles);
-        }
-    }
-
-    /// Charges one delivered packet's NI/EIR injection-queue wait
-    /// (cycles from creation to its head flit entering a router) to the
-    /// `inj_queue` cause: per-class total, distribution, and the source
-    /// tile's heat cell.
-    #[inline]
-    pub(crate) fn record_inj_wait(&mut self, reply: bool, wait_cycles: u64, src: Coord) {
-        let c = reply as usize;
-        self.inj_wait_total[c] += wait_cycles;
-        self.h_inj_wait[c].record(wait_cycles);
+    pub(crate) fn delivered(&mut self, class: usize, rec: &PacketRecord, now: u64) {
+        self.h_latency[class].record(now.saturating_sub(rec.created));
+        let wait = rec.injected.map_or(0, |i| i.saturating_sub(rec.created));
+        self.h_inj_wait[class].record(wait);
         // Sources live in original mesh coordinates; anything outside
         // (impossible today) would scramble the grid, so guard.
-        if let Some(cell) = self.inj_heat[c].get_mut(src.to_index(self.mesh_n)) {
-            *cell += wait_cycles;
+        if let Some(cell) = self.inj_heat[class].get_mut(rec.src.to_index(self.mesh_n)) {
+            *cell += wait;
         }
     }
 
@@ -334,8 +314,8 @@ impl SystemObs {
             .with("cycle", cycle as f64)
             .with("throughput_flits_per_cycle", self.scratch.first().copied().unwrap_or(0.0))
             .with("packets_in_flight", tracker.in_flight() as f64)
-            .with("req_delivered", self.registry.counter_value(self.c_req_pkts) as f64)
-            .with("rep_delivered", self.registry.counter_value(self.c_rep_pkts) as f64)
+            .with("req_delivered", self.h_latency[0].count() as f64)
+            .with("rep_delivered", self.h_latency[1].count() as f64)
             .with("stall", self.stall_totals_json(nets));
         self.stream_seq += 1;
         self.stream.as_mut().expect("stream armed").write_line(&frame.to_compact());
@@ -351,8 +331,8 @@ impl SystemObs {
             .with("schema", "obs.summary/v1")
             .with("seq", self.stream_seq as f64)
             .with("cycle", cycle as f64)
-            .with("req_delivered", self.registry.counter_value(self.c_req_pkts) as f64)
-            .with("rep_delivered", self.registry.counter_value(self.c_rep_pkts) as f64)
+            .with("req_delivered", self.h_latency[0].count() as f64)
+            .with("rep_delivered", self.h_latency[1].count() as f64)
             .with(
                 "per_class",
                 Json::obj()
@@ -370,7 +350,7 @@ impl SystemObs {
     fn stall_totals_json(&self, nets: &[Network]) -> Json {
         let mut out = Json::obj().with(
             "inj_queue",
-            (self.inj_wait_total[0] + self.inj_wait_total[1]) as f64,
+            (self.h_inj_wait[0].sum() + self.h_inj_wait[1].sum()) as f64,
         );
         for cause in NET_CAUSE_LIST {
             let total: u64 = (0..STALL_CLASSES)
@@ -386,18 +366,8 @@ impl SystemObs {
     /// makes the row sum to the class's measured end-to-end latency
     /// (exact on completed runs of same-clock schemes; see DESIGN.md).
     fn class_breakdown(&self, class: usize, nets: &[Network]) -> Json {
-        let (delivered, e2e) = if class == 0 {
-            (
-                self.registry.counter_value(self.c_req_pkts),
-                self.registry.histogram_ref(self.h_req_lat).sum(),
-            )
-        } else {
-            (
-                self.registry.counter_value(self.c_rep_pkts),
-                self.registry.histogram_ref(self.h_rep_lat).sum(),
-            )
-        };
-        let inj = self.inj_wait_total[class];
+        let (delivered, e2e) = (self.h_latency[class].count(), self.h_latency[class].sum());
+        let inj = self.h_inj_wait[class].sum();
         let mut charged = inj;
         let mut out = Json::obj()
             .with("delivered", delivered as f64)
@@ -411,14 +381,16 @@ impl SystemObs {
         out.with("serialization", e2e.saturating_sub(charged) as f64)
     }
 
-    /// Serializes the cycle-derived observability state: registry
-    /// values, time-series rows and the sampling/delta cursors. Span
+    /// Serializes the cycle-derived observability state: latency
+    /// histograms, time-series rows and the sampling/delta cursors. Span
     /// (wall-clock) data is intentionally excluded — it never enters
     /// the deterministic artifact, so a restored run reproduces the
     /// `obs/v1` block bit-for-bit without it.
     pub(crate) fn snap_state(&self, e: &mut equinox_snap::Enc) {
         use equinox_snap::Snap;
-        self.registry.snap_state(e);
+        for h in &self.h_latency {
+            h.snap_state(e);
+        }
         self.series.snap_state(e);
         e.put_u64(self.next_sample);
         e.put_u64(self.last_cycle);
@@ -427,9 +399,6 @@ impl SystemObs {
         self.last_eir.snap(e);
         // Attribution state (the stream writer itself is wall-clock I/O
         // and stays out, like the spans; `stream_seq` is cycle-derived).
-        for &v in &self.inj_wait_total {
-            e.put_u64(v);
-        }
         for h in &self.h_inj_wait {
             h.snap_state(e);
         }
@@ -446,7 +415,9 @@ impl SystemObs {
         d: &mut equinox_snap::Dec,
     ) -> Result<(), equinox_snap::SnapError> {
         use equinox_snap::{Snap, SnapError};
-        self.registry.restore_state(d)?;
+        for h in &mut self.h_latency {
+            h.restore_state(d)?;
+        }
         self.series.restore_state(d)?;
         self.next_sample = d.u64()?;
         self.last_cycle = d.u64()?;
@@ -462,9 +433,6 @@ impl SystemObs {
         self.last_ejected = last_ejected;
         self.last_links = last_links;
         self.last_eir = last_eir;
-        for v in &mut self.inj_wait_total {
-            *v = d.u64()?;
-        }
         for h in &mut self.h_inj_wait {
             h.restore_state(d)?;
         }
@@ -483,18 +451,12 @@ impl SystemObs {
     /// interpolated percentiles, the time series, and per-router heat
     /// grids — cycle-derived data only, bit-identical across worker
     /// counts.
-    pub(crate) fn to_json(&self, nets: &[Network]) -> Json {
+    pub(crate) fn to_json(&self, nets: &[Network], heat: &[HeatMap]) -> Json {
         let mut counters = Json::obj();
-        for (name, v) in self.registry.counters() {
-            counters = counters.with(name, v as f64);
-        }
-        let mut gauges = Json::obj();
-        for (name, v) in self.registry.gauges() {
-            gauges = gauges.with(name, v);
-        }
         let mut hists = Json::obj();
-        for (name, h) in self.registry.histograms() {
-            hists = hists.with(name, hist_json(h));
+        for (c, h) in self.h_latency.iter().enumerate() {
+            counters = counters.with(DELIVERED_NAMES[c], h.count() as f64);
+            hists = hists.with(LATENCY_NAMES[c], hist_json(h));
         }
         let mut series = Json::obj().with(
             "cycle",
@@ -503,18 +465,10 @@ impl SystemObs {
         for (name, vals) in self.series.columns() {
             series = series.with(name, vals.iter().map(|&v| Json::Num(v)).collect::<Vec<_>>());
         }
-        let heat: Vec<Json> = nets
+        let heat: Vec<Json> = heat
             .iter()
             .enumerate()
-            .map(|(i, net)| {
-                let hm = HeatMap {
-                    width: net.width(),
-                    height: net.height(),
-                    heat: net.stats().heat_map(),
-                    variance: net.stats().heat_variance(),
-                };
-                hm.to_json().with("net", i as f64)
-            })
+            .map(|(i, hm)| hm.to_json().with("net", i as f64))
             .collect();
         let mut link_scratch = Vec::new();
         let links: Vec<Json> = nets
@@ -536,7 +490,7 @@ impl SystemObs {
             .with("samples", self.series.len() as f64)
             .with("samples_dropped", self.series.dropped() as f64)
             .with("counters", counters)
-            .with("gauges", gauges)
+            .with("gauges", Json::obj())
             .with("histograms", hists)
             .with("series", series)
             .with("heat", heat)
@@ -603,10 +557,10 @@ impl SystemObs {
     /// A one-screen human summary for stderr reports.
     pub(crate) fn summary(&self) -> String {
         let mut out = String::new();
-        for (name, v) in self.registry.counters() {
-            out.push_str(&format!("  {name:24} {v}\n"));
+        for (name, h) in DELIVERED_NAMES.iter().zip(&self.h_latency) {
+            out.push_str(&format!("  {name:24} {}\n", h.count()));
         }
-        for (name, h) in self.registry.histograms() {
+        for (name, h) in LATENCY_NAMES.iter().zip(&self.h_latency) {
             out.push_str(&format!(
                 "  {name:24} n={} p50={:.0} p95={:.0} p99={:.0}\n",
                 h.count(),

@@ -51,22 +51,6 @@ impl SchemeKind {
             SchemeKind::EquiNox => "EquiNox",
         }
     }
-
-    /// `true` for the separate-network family (schemes 4–7).
-    pub fn is_separate(self) -> bool {
-        matches!(
-            self,
-            SchemeKind::SeparateBase
-                | SchemeKind::Da2Mesh
-                | SchemeKind::MultiPort
-                | SchemeKind::EquiNox
-        )
-    }
-
-    /// `true` for schemes exploiting interposer wiring.
-    pub fn uses_interposer_links(self) -> bool {
-        matches!(self, SchemeKind::InterposerCMesh | SchemeKind::EquiNox)
-    }
 }
 
 impl fmt::Display for SchemeKind {
@@ -84,17 +68,5 @@ mod tests {
         assert_eq!(SchemeKind::ALL.len(), 7);
         assert_eq!(SchemeKind::ALL[0].name(), "SingleBase");
         assert_eq!(SchemeKind::ALL[6].name(), "EquiNox");
-    }
-
-    #[test]
-    fn family_classification() {
-        assert!(!SchemeKind::SingleBase.is_separate());
-        assert!(!SchemeKind::VcMono.is_separate());
-        assert!(!SchemeKind::InterposerCMesh.is_separate());
-        assert!(SchemeKind::SeparateBase.is_separate());
-        assert!(SchemeKind::EquiNox.is_separate());
-        assert!(SchemeKind::EquiNox.uses_interposer_links());
-        assert!(SchemeKind::InterposerCMesh.uses_interposer_links());
-        assert!(!SchemeKind::MultiPort.uses_interposer_links());
     }
 }

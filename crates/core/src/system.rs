@@ -74,7 +74,7 @@ pub struct SystemConfig {
     pub activity_gate: bool,
     /// Observability configuration. `None` (the default) keeps the hot
     /// loop on the allocation-free fast path — one `Option` branch per
-    /// event; `Some` arms the metrics registry, the interval time-series
+    /// event; `Some` arms the latency histograms, the interval time-series
     /// sampler and the step-phase span profiler (all preallocated at
     /// build time). Drivers fill it in from the resolved spec's `--obs`.
     pub obs: Option<crate::obs::ObsConfig>,
@@ -274,24 +274,17 @@ impl System {
     pub fn build(cfg: SystemConfig) -> Self {
         let n = cfg.n;
         let scheme = cfg.scheme;
-        let placement = match (&cfg.placement_override, scheme) {
+        // Resolved once: without a configured design this is a full
+        // design search.
+        let design = (scheme == SchemeKind::EquiNox).then(|| {
+            cfg.design
+                .clone()
+                .unwrap_or_else(|| EquiNoxDesign::quick(n, cfg.n_cbs))
+        });
+        let placement = match (&cfg.placement_override, &design) {
             (Some(p), _) => p.clone(),
-            (None, SchemeKind::EquiNox) => {
-                let design = cfg
-                    .design
-                    .clone()
-                    .unwrap_or_else(|| EquiNoxDesign::quick(n, cfg.n_cbs));
-                design.placement.clone()
-            }
-            _ => Placement::diamond(n, n, cfg.n_cbs),
-        };
-        let design = match scheme {
-            SchemeKind::EquiNox => Some(
-                cfg.design
-                    .clone()
-                    .unwrap_or_else(|| EquiNoxDesign::quick(n, cfg.n_cbs)),
-            ),
-            _ => None,
+            (None, Some(d)) => d.placement.clone(),
+            (None, None) => Placement::diamond(n, n, cfg.n_cbs),
         };
 
         let pipe = |mut c: NocConfig| {
@@ -664,11 +657,6 @@ impl System {
         self.tracker.reserve(n);
     }
 
-    /// Index of the cache bank serving `addr` (line-interleaved).
-    pub fn cb_for_addr(&self, addr: u64) -> usize {
-        ((addr / 64) % self.cbs.len() as u64) as usize
-    }
-
     /// Advances the machine one core cycle.
     pub fn step(&mut self) {
         let t = self.cycle;
@@ -818,11 +806,7 @@ impl System {
                 if f.is_tail() {
                     self.tracker.mark_ejected(f.pkt.0, t);
                     if let Some(o) = self.obs.as_deref_mut() {
-                        let rec = self.tracker.record(f.pkt.0);
-                        let created = rec.created;
-                        o.record_latency(true, t.saturating_sub(created));
-                        let wait = rec.injected.map_or(0, |i| i.saturating_sub(created));
-                        o.record_inj_wait(true, wait, rec.src);
+                        o.delivered(1, self.tracker.record(f.pkt.0), t);
                     }
                     let pe = self.pes[node]
                         .as_mut()
@@ -846,11 +830,7 @@ impl System {
                         if f.is_tail() {
                             self.tracker.mark_ejected(f.pkt.0, t);
                             if let Some(o) = self.obs.as_deref_mut() {
-                                let rec = self.tracker.record(f.pkt.0);
-                                let created = rec.created;
-                                o.record_latency(false, t.saturating_sub(created));
-                                let wait = rec.injected.map_or(0, |i| i.saturating_sub(created));
-                                o.record_inj_wait(false, wait, rec.src);
+                                o.delivered(0, self.tracker.record(f.pkt.0), t);
                             }
                             self.cbs[ci].accept(f.pkt.0, &self.tracker, t);
                             // The accepted request re-arms the bank's
@@ -1313,11 +1293,6 @@ impl System {
         self.cbs.iter().filter(|c| !c.can_accept()).count()
     }
 
-    /// Per-CB inflight request counts.
-    pub fn cb_inflights(&self) -> Vec<usize> {
-        self.cbs.iter().map(|c| c.inflight()).collect()
-    }
-
     /// Drains the per-network flit-trace ring buffers, returning
     /// `(net index, events)` for every network that recorded anything.
     /// Always empty unless the config armed tracing
@@ -1336,7 +1311,7 @@ impl System {
     /// interpolated percentiles, the time series, per-router heat grids
     /// and per-link flit counts) — bit-identical across worker counts.
     pub fn obs_json(&self) -> Option<equinox_config::Json> {
-        self.obs.as_ref().map(|o| o.to_json(&self.nets))
+        self.obs.as_ref().map(|o| o.to_json(&self.nets, &self.heat_maps()))
     }
 
     /// The `equinox.obs/v2` artifact block (stall-cause attribution):

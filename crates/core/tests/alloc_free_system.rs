@@ -112,8 +112,8 @@ fn full_system_step_is_allocation_free_at_saturation() {
     drop(sys);
 
     // And with the observability layer armed (stream off): stall
-    // attribution charges every blocked flit, the registry counts every
-    // event and two sampler rows land inside the window — all into
+    // attribution charges every blocked flit, the histograms record every
+    // delivery and two sampler rows land inside the window — all into
     // buffers preallocated at build. A per-event allocation or a series
     // that grows row by row fails here.
     let mut cfg = saturated(SchemeKind::EquiNox);

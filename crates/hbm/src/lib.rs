@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! `equinox-hbm` — a bank-level High Bandwidth Memory model.
 //!
 //! Stands in for the Ramulator integration the paper used (§5): each

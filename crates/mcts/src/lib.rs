@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! `equinox-mcts` — design-space search for Equivalent Injection Routers.
 //!
 //! Selecting the EIR groups is a combinatorial problem (≈1.7 × 10¹⁰

@@ -64,73 +64,9 @@ struct Node {
 }
 
 /// Runs MCTS and returns the best complete selection seen (the best
-/// rollout, which is never worse than the final tree path).
+/// rollout, which is never worse than the final tree path), polished by
+/// one greedy refine pass.
 pub fn search(problem: &EirProblem, cfg: &MctsConfig) -> SearchResult {
-    let (best, evaluations) = search_core(problem, cfg);
-    let (_, selection, eval) = best;
-    let mut rng = EirProblem::rng(cfg.seed);
-    let (selection, eval, extra) = refine(problem, selection, eval, &cfg.weights, &mut rng);
-    SearchResult {
-        selection,
-        eval,
-        evaluations: evaluations + extra,
-    }
-}
-
-/// Root-parallel MCTS (the classic root-parallelization of
-/// Chaslot et al.): `roots` independent trees, each seeded with a
-/// splitmix64-derived stream of `cfg.seed` and given
-/// `ceil(iterations / roots)` of the budget, searched concurrently on
-/// the [`equinox_exec`] worker pool. The best rollout across all roots
-/// (ties broken by lowest root index) is then refined once.
-///
-/// Determinism contract: the result is a pure function of
-/// `(problem, cfg, roots)` — the per-root RNG streams are derived from
-/// the seed and the root index, never from thread identity, so any
-/// worker count (including 1) produces the identical `SearchResult`.
-pub fn search_parallel(problem: &EirProblem, cfg: &MctsConfig, roots: usize) -> SearchResult {
-    if roots <= 1 {
-        return search(problem, cfg);
-    }
-    let per_root = cfg.iterations.div_ceil(roots);
-    let jobs: Vec<MctsConfig> = (0..roots)
-        .map(|r| MctsConfig {
-            iterations: per_root,
-            seed: root_seed(cfg.seed, r as u64),
-            ..*cfg
-        })
-        .collect();
-    let outcomes = equinox_exec::par_map(jobs, |_, root_cfg| search_core(problem, &root_cfg));
-    let evaluations: usize = outcomes.iter().map(|(_, e)| e).sum();
-    // min_by on an in-order Vec keeps the first (= lowest root index) of
-    // any cost tie, independent of which worker finished first.
-    let (best, _) = outcomes
-        .into_iter()
-        .min_by(|(a, _), (b, _)| a.0.partial_cmp(&b.0).expect("no NaN costs"))
-        .expect("roots >= 1");
-    let (_, selection, eval) = best;
-    let mut rng = EirProblem::rng(cfg.seed);
-    let (selection, eval, extra) = refine(problem, selection, eval, &cfg.weights, &mut rng);
-    SearchResult {
-        selection,
-        eval,
-        evaluations: evaluations + extra,
-    }
-}
-
-/// Seed for root stream `r`: splitmix64 over a Weyl offset so nearby
-/// roots get uncorrelated tree shapes.
-fn root_seed(seed: u64, r: u64) -> u64 {
-    let mut st = seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(r.wrapping_add(1)));
-    equinox_exec::splitmix64(&mut st)
-}
-
-/// One sequential MCTS run without the final refine: returns the best
-/// `(cost, selection, eval)` rollout and the evaluation count.
-fn search_core(
-    problem: &EirProblem,
-    cfg: &MctsConfig,
-) -> ((f64, EirSelection, Evaluation), usize) {
     let mut rng = EirProblem::rng(cfg.seed);
     let n_cbs = problem.placement.cbs.len();
     let order = problem.cb_order();
@@ -217,7 +153,16 @@ fn search_core(
         }
     }
 
-    (best.expect("at least one iteration"), evaluations)
+    // Freed before the refine pass allocates, so the two never stack up
+    // in the process's peak memory.
+    drop(nodes);
+    let (_, selection, eval) = best.expect("at least one iteration");
+    let (selection, eval, extra) = refine(problem, selection, eval, &cfg.weights);
+    SearchResult {
+        selection,
+        eval,
+        evaluations: evaluations + extra,
+    }
 }
 
 /// Greedy hill-climbing polish: sweep the CBs, re-sampling each group a
@@ -230,7 +175,6 @@ fn refine(
     mut sel: EirSelection,
     mut eval: Evaluation,
     weights: &EvalWeights,
-    _rng: &mut Rng,
 ) -> (EirSelection, Evaluation, usize) {
     use crate::problem::octant;
     let n = sel.groups.len();
@@ -444,36 +388,5 @@ mod tests {
         let b = search(&p, &quick_cfg(5));
         assert_eq!(a.selection, b.selection);
         assert_eq!(a.eval.cost, b.eval.cost);
-    }
-
-    #[test]
-    fn parallel_search_independent_of_worker_count() {
-        // Root-parallel results depend on (seed, roots) but never on how
-        // many threads execute the roots.
-        let p = problem();
-        let cfg = quick_cfg(6);
-        // Same root partition executed on 1 worker and on 4 workers must
-        // merge to the identical result (other concurrent tests also see
-        // the set_threads global, but their outputs are thread-count
-        // independent by the same contract, so this is safe).
-        equinox_exec::set_threads(1);
-        let one = search_parallel(&p, &cfg, 4);
-        equinox_exec::set_threads(4);
-        let many = search_parallel(&p, &cfg, 4);
-        equinox_exec::set_threads(0);
-        assert_eq!(one.selection, many.selection);
-        assert_eq!(one.eval.cost, many.eval.cost);
-        assert_eq!(one.evaluations, many.evaluations);
-    }
-
-    #[test]
-    fn parallel_search_is_valid_and_competitive() {
-        let p = problem();
-        let cfg = quick_cfg(7);
-        let r = search_parallel(&p, &cfg, 4);
-        assert_eq!(r.selection.groups.len(), 8);
-        assert!(r.selection.is_exclusive(&p.placement));
-        // Same total budget as the sequential run (up to div_ceil).
-        assert!(r.evaluations >= cfg.iterations);
     }
 }

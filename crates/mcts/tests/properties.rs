@@ -57,24 +57,6 @@ fn mcts_results_are_valid() {
 }
 
 #[test]
-fn parallel_mcts_results_are_valid() {
-    let p = problem();
-    for seed in (0u64..100).step_by(24) {
-        let r = tree::search_parallel(
-            &p,
-            &tree::MctsConfig {
-                iterations: 60,
-                seed,
-                ..Default::default()
-            },
-            4,
-        );
-        check_selection(&p, &r.selection);
-        assert!(r.eval.cost.is_finite());
-    }
-}
-
-#[test]
 fn ga_results_are_valid() {
     let p = problem();
     for seed in (0u64..100).step_by(9) {

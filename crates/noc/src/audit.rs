@@ -434,7 +434,7 @@ pub(crate) fn resident_by_class(net: &Network) -> [u64; 2] {
         }
     }
     for f in net.core.eject_queues().iter().flatten() {
-        resident[class_ix(f.class)] += 1;
+        resident[f.class_ix()] += 1;
     }
     resident
 }

@@ -142,12 +142,6 @@ impl Flit {
         self.dst = dst;
         self
     }
-
-    /// Returns a copy with the source coordinate replaced.
-    pub fn with_src(mut self, src: Coord) -> Self {
-        self.src = src;
-        self
-    }
 }
 
 /// One slot of a VC buffer or a link pipeline: a time stamp (the enqueue

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! `equinox-noc` — a cycle-accurate network-on-chip simulator.
 //!
 //! This crate rebuilds, from scratch, the NoC substrate the EquiNox paper

@@ -50,7 +50,6 @@ impl equinox_snap::Snap for InjectorId {
 #[derive(Debug)]
 pub(crate) struct Injector {
     link: usize,
-    router: usize,
     /// NI-side credit counter per VC of the fed input port.
     pub(crate) credits: Vec<u32>,
     /// VC chosen for the packet currently being streamed in.
@@ -99,20 +98,6 @@ struct ClassVcs {
     foreign: (u8, u8),
 }
 
-/// Stall-cause attribution state (the `obs/v2` layer), armed by
-/// [`Network::enable_stalls`]. Boxed behind an `Option` like the
-/// auditor: disabled, every hook costs one branch and no allocation.
-#[derive(Debug)]
-pub(crate) struct NetStalls {
-    /// Per-router × per-cause stall-cycle counters + per-class totals.
-    grid: StallGrid,
-    /// Entry cycle of every flit parked in an ejection queue, parallel
-    /// deque-for-deque to [`RouterCore::eject_queues`]. Preallocated to
-    /// `eject_cap` (the queues' hard bound) so steady-state pushes
-    /// never allocate.
-    eject_ts: Vec<VecDeque<u64>>,
-}
-
 /// A cycle-accurate network over one of the registered
 /// [`crate::topology`] fabrics.
 #[derive(Debug)]
@@ -144,20 +129,19 @@ pub struct Network {
     /// Opt-in invariant auditor (disabled by default; boxed so the
     /// disabled case costs one pointer and a branch per cycle).
     pub(crate) audit: Option<Box<AuditState>>,
-    /// Opt-in stall-cause attribution (disabled by default; same
-    /// one-branch discipline as the auditor).
-    stall: Option<Box<NetStalls>>,
+    /// Opt-in stall-cause attribution (the `obs/v2` layer): per-router ×
+    /// per-cause stall-cycle counters + per-class totals, armed by
+    /// [`Network::enable_stalls`]. Disabled by default; same one-branch
+    /// discipline as the auditor.
+    stall: Option<Box<StallGrid>>,
     /// Routers that may do work this cycle (≥ 1 buffered flit).
     active_routers: Worklist,
     /// Links with flits in flight.
     active_flit_links: Worklist,
     /// Links with credits in flight.
     active_credit_links: Worklist,
-    /// O(1) idleness aggregates: total flits buffered in routers, flits
-    /// in flight on links, and flits parked in ejection queues.
-    /// `quiescent()` is the conjunction of all three being zero.
-    buffered_total: u64,
-    flits_in_flight: u64,
+    /// Flits parked in ejection queues, kept so the per-cycle sink
+    /// drains can skip a network in O(1) ([`Network::has_ejected`]).
     eject_occupancy: u64,
 }
 
@@ -216,8 +200,6 @@ impl Network {
             active_routers: Worklist::with_len(n),
             active_flit_links: Worklist::default(),
             active_credit_links: Worklist::default(),
-            buffered_total: 0,
-            flits_in_flight: 0,
             eject_occupancy: 0,
         };
         // Network links, in the fabric's deterministic build order (link
@@ -291,7 +273,6 @@ impl Network {
         );
         self.injectors.push(Injector {
             link: link_id,
-            router: r,
             credits: vec![self.cfg.vc_buf_flits as u32; self.cfg.vcs_per_port as usize],
             active_vc: None,
             last_cycle: u64::MAX,
@@ -312,10 +293,6 @@ impl Network {
     /// Appends a paired port, dead on both sides, to the router at
     /// `node` and returns `(router, port)`.
     fn add_port(&mut self, node: Coord) -> (usize, usize) {
-        assert!(
-            self.stall.is_none(),
-            "ports are added before stall attribution is armed (its timestamp queues are per port)"
-        );
         let r = self.topo.node_index(node);
         (r, self.core.add_port(r))
     }
@@ -347,21 +324,10 @@ impl Network {
         self.local_injectors[self.topo.node_index(node)]
     }
 
-    /// Router index hosting this injector.
-    pub fn injector_router(&self, id: InjectorId) -> usize {
-        self.injectors[id.0].router
-    }
-
     /// Total flits accepted through this injector since construction
     /// (observability: per-EIR load sampling).
     pub fn injector_flits(&self, id: InjectorId) -> u64 {
         self.injectors[id.0].flits
-    }
-
-    /// Number of injection points (used to bound-check restored
-    /// [`InjectorId`]s).
-    pub fn num_injectors(&self) -> usize {
-        self.injectors.len()
     }
 
     /// `true` if `id` names an injection point of this network (used to
@@ -455,7 +421,6 @@ impl Network {
         let kind = self.links[link].kind;
         let to_router = self.links[link].to_router as usize;
         self.links.send_flit(link, self.cycle, Slot::pack(0, &flit));
-        self.flits_in_flight += 1;
         self.active_flit_links.insert(link);
         self.stats.count_link_flit(kind);
         self.stats.injected_flits += 1;
@@ -476,12 +441,13 @@ impl Network {
 
     /// Pops one ejected flit from `(router, port)`, if any.
     pub fn pop_ejected(&mut self, router: usize, port: usize) -> Option<Flit> {
-        let f = self.core.eject_pop(router, port)?;
+        let slot = self.core.eject_pop(router, port)?;
         self.eject_occupancy -= 1;
+        let f = slot.flit();
         if let Some(a) = self.audit.as_deref_mut() {
             a.note_pop(f.class);
         }
-        self.note_eject_pop(router, port, &f);
+        self.note_eject_pop(router, &slot);
         Some(f)
     }
 
@@ -492,22 +458,19 @@ impl Network {
         (PORT_LOCAL..self.core.num_ports(r)).find_map(|p| self.pop_ejected(r, p))
     }
 
-    /// Attribution hook for an ejection-queue pop: advances the parallel
-    /// timestamp deque and, on a tail flit, charges the packet's wait in
-    /// the queue to `eject_wait`. A flit ejected during the step at
-    /// cycle `t` could earliest be popped once the clock reads `t + 1`,
-    /// so the wait is `(cycle - 1) - entry` — zero for an ideal sink.
+    /// Attribution hook for an ejection-queue pop: on a tail flit,
+    /// charges the packet's wait in the queue — read off the stamp the
+    /// popped slot was parked with — to `eject_wait`. A flit ejected
+    /// during the step at cycle `t` could earliest be popped once the
+    /// clock reads `t + 1`, so the wait is `(cycle - 1) - entry` — zero
+    /// for an ideal sink.
     #[inline]
-    fn note_eject_pop(&mut self, router: usize, port: usize, f: &Flit) {
+    fn note_eject_pop(&mut self, router: usize, slot: &Slot) {
         let cycle = self.cycle;
-        if let Some(st) = self.stall.as_deref_mut() {
-            let entry = st.eject_ts[self.core.port(router, port)]
-                .pop_front()
-                .expect("eject timestamps track the eject queues");
-            if f.is_tail() {
-                let wait = cycle.saturating_sub(1).saturating_sub(entry);
-                st.grid
-                    .charge(router, NetCause::EjectWait, audit::class_ix(f.class), wait);
+        if let Some(grid) = self.stall.as_deref_mut() {
+            if slot.is_tail() {
+                let wait = cycle.saturating_sub(1).saturating_sub(slot.stamp());
+                grid.charge(router, NetCause::EjectWait, slot.class_ix(), wait);
             }
         }
     }
@@ -602,8 +565,6 @@ impl Network {
             slot.set_stamp(now);
             self.core.push(r, p * self.core.vcs() + slot.vc() as usize, slot);
             self.stats.buffer_writes += 1;
-            self.flits_in_flight -= 1;
-            self.buffered_total += 1;
             self.active_routers.insert(r);
         }
     }
@@ -667,12 +628,12 @@ impl Network {
             if let Some((op, ov)) = grant {
                 self.core.grant(ri, bit, op, ov);
                 self.stats.vc_allocs += 1;
-            } else if let Some(st) = self.stall.as_deref_mut() {
+            } else if let Some(grid) = self.stall.as_deref_mut() {
                 // The head sat pipeline-clear at the front of its VC
                 // this cycle and got no output VC: one vc_alloc
                 // stall cycle. Mutually exclusive with the switch
                 // post-pass charges, which require an allocation.
-                st.grid.charge(ri, NetCause::VcAlloc, class, 1);
+                grid.charge(ri, NetCause::VcAlloc, class, 1);
             }
         }
     }
@@ -854,7 +815,7 @@ impl Network {
         let s = &self.core.routers[ri];
         let (mut held, out_ready) = (s.occupied & s.allocated, s.out_ready);
         let vcs = self.core.vcs();
-        let st = self.stall.as_deref_mut().expect("stalls enabled");
+        let grid = self.stall.as_deref_mut().expect("stalls enabled");
         while held != 0 {
             let ivc = self.core.vc(ri, held.trailing_zeros() as usize);
             held &= held - 1;
@@ -869,7 +830,7 @@ impl Network {
             } else {
                 NetCause::CreditStarve
             };
-            st.grid.charge(ri, cause, head.class_ix(), 1);
+            grid.charge(ri, cause, head.class_ix(), 1);
         }
     }
 
@@ -887,7 +848,6 @@ impl Network {
         }
         let enq = flit.stamp();
         flit.set_vc(ov);
-        self.buffered_total -= 1;
         self.stats.buffer_reads += 1;
         self.stats.xbar_traversals += 1;
         self.stats.router_flits[ri] += 1;
@@ -904,18 +864,17 @@ impl Network {
                 self.core.spend_credit(ri, op * vcs + ov as usize);
                 let kind = self.links[l].kind;
                 self.links.send_flit(l, now, flit);
-                self.flits_in_flight += 1;
                 self.active_flit_links.insert(l);
                 self.stats.count_link_flit(kind);
                 TraceKind::Hop
             }
             OutputRole::Eject { .. } => {
-                self.core.eject_push(ri, op, flit.flit());
+                // The stamp is the entry cycle `note_eject_pop` charges
+                // the queue wait from.
+                flit.set_stamp(now);
+                self.core.eject_push(ri, op, flit);
                 self.eject_occupancy += 1;
                 self.stats.ejected_flits += 1;
-                if let Some(st) = self.stall.as_deref_mut() {
-                    st.eject_ts[self.core.port(ri, op)].push_back(now);
-                }
                 TraceKind::Eject
             }
             OutputRole::Dead => unreachable!("flit routed to dead port"),
@@ -932,17 +891,13 @@ impl Network {
     }
 
     /// `true` when no flit is buffered anywhere, in flight on a link, or
-    /// waiting in an ejection queue.
+    /// waiting in an ejection queue. A scan over the router masks and
+    /// the links: nothing on the per-cycle path asks (the auditor's
+    /// watchdog on a stall, drain tails, tests).
     pub fn quiescent(&self) -> bool {
-        let q = self.buffered_total == 0 && self.flits_in_flight == 0 && self.eject_occupancy == 0;
-        debug_assert_eq!(
-            q,
-            self.core.routers.iter().all(|s| s.occupied == 0)
-                && self.links.iter().all(|l| l.in_flight() == 0)
-                && self.core.eject_queues().iter().all(|q| q.is_empty()),
-            "idleness aggregates out of sync with network state"
-        );
-        q
+        self.eject_occupancy == 0
+            && self.core.routers.iter().all(|s| s.occupied == 0)
+            && self.links.iter().all(|l| l.in_flight() == 0)
     }
 
     /// `true` when any flit sits in an eject queue — the one case a
@@ -962,44 +917,23 @@ impl Network {
         self.audit = Some(Box::new(state));
     }
 
-    /// `true` when the auditor is active.
-    pub fn audit_enabled(&self) -> bool {
-        self.audit.is_some()
-    }
-
     /// Arms stall-cause attribution (the `obs/v2` layer): per-router ×
     /// per-cause stall-cycle counters charged by the router pipeline.
-    /// Ejection timestamps for flits already parked in ejection queues
-    /// are seeded with the current cycle, so arming mid-run never
-    /// misaligns the parallel deques (their wait before arming is
-    /// simply not charged). Everything is preallocated here; the armed
-    /// steady state allocates nothing.
+    /// Flits already parked in ejection queues are re-stamped with the
+    /// current cycle, so their wait before arming is simply not charged
+    /// — whether they were parked by this run or by a restore. The grid
+    /// is allocated here; the armed steady state allocates nothing.
     pub fn enable_stalls(&mut self) {
-        let cap = self.cfg.eject_cap;
-        let eject_ts = self
-            .core
-            .eject_queues()
-            .iter()
-            .map(|q| {
-                let mut ts = VecDeque::with_capacity(cap.max(q.len()));
-                ts.extend(std::iter::repeat_n(self.cycle, q.len()));
-                ts
-            })
-            .collect();
-        self.stall = Some(Box::new(NetStalls {
-            grid: StallGrid::new(self.core.len()),
-            eject_ts,
-        }));
-    }
-
-    /// `true` when stall-cause attribution is armed.
-    pub fn stalls_enabled(&self) -> bool {
-        self.stall.is_some()
+        let cycle = self.cycle;
+        for slot in self.core.eject_queues_mut().iter_mut().flatten() {
+            slot.set_stamp(cycle);
+        }
+        self.stall = Some(Box::new(StallGrid::new(self.core.len())));
     }
 
     /// The stall-attribution grid, when armed.
     pub fn stall_grid(&self) -> Option<&StallGrid> {
-        self.stall.as_deref().map(|s| &s.grid)
+        self.stall.as_deref()
     }
 
     /// Violations retained so far (always empty while
@@ -1073,7 +1007,6 @@ impl Network {
             return false;
         }
         self.core.pop(r, occupied.trailing_zeros() as usize);
-        self.buffered_total -= 1;
         true
     }
 
@@ -1140,12 +1073,7 @@ impl Network {
 
     /// Total buffered flits (for saturation diagnostics).
     pub fn buffered_flits(&self) -> usize {
-        debug_assert_eq!(
-            self.buffered_total,
-            (0..self.core.len()).map(|r| self.core.buffered(r) as u64).sum::<u64>(),
-            "buffered_total out of sync"
-        );
-        self.buffered_total as usize
+        (0..self.core.len()).map(|r| self.core.buffered(r) as usize).sum()
     }
 
     /// Number of ports on the router at `node` (for area accounting).
@@ -1208,7 +1136,11 @@ impl Network {
         for r in 0..self.core.len() {
             e.put_usize(self.core.num_ports(r));
             for p in 0..self.core.num_ports(r) {
-                self.core.eject_queue(r, p).snap(e);
+                let q = self.core.eject_queue(r, p);
+                e.put_usize(q.len());
+                for s in q {
+                    s.flit().snap(e);
+                }
             }
         }
         self.trace.snap_state(e);
@@ -1221,11 +1153,16 @@ impl Network {
         }
         match self.stall.as_deref() {
             None => e.put_bool(false),
-            Some(s) => {
+            Some(grid) => {
                 e.put_bool(true);
-                s.grid.snap_state(e);
-                for q in &s.eject_ts {
-                    q.snap(e);
+                grid.snap_state(e);
+                // The parked flits' entry stamps, queue by queue (the
+                // flits themselves went out above, unstamped).
+                for q in self.core.eject_queues() {
+                    e.put_usize(q.len());
+                    for s in q {
+                        e.put_u64(s.stamp());
+                    }
                 }
             }
         }
@@ -1293,7 +1230,14 @@ impl Network {
                 return Err(SnapError::BadValue("eject port count"));
             }
             for p in 0..self.core.num_ports(r) {
-                self.core.restore_eject(r, p, VecDeque::restore(d)?);
+                // Stamped "parked now"; an armed snapshot carries the
+                // real entry stamps further down.
+                let len = d.usize()?;
+                let mut q = VecDeque::with_capacity(len.min(d.remaining()));
+                for _ in 0..len {
+                    q.push_back(Slot::pack(self.cycle, &Flit::restore(d)?));
+                }
+                self.core.restore_eject(r, p, q);
             }
         }
         self.trace.restore_state(d)?;
@@ -1305,14 +1249,16 @@ impl Network {
         }
         let stalled = d.bool()?;
         match (stalled, self.stall.as_deref_mut()) {
-            (true, Some(st)) => {
-                st.grid.restore_state(d)?;
-                // The eject queues were restored above; the timestamp
-                // deques must mirror them element-for-element.
-                for (ts, q) in st.eject_ts.iter_mut().zip(self.core.eject_queues()) {
-                    *ts = VecDeque::restore(d)?;
-                    if ts.len() != q.len() {
+            (true, Some(grid)) => {
+                grid.restore_state(d)?;
+                // The eject queues were restored above; the stamps must
+                // match them element for element.
+                for q in self.core.eject_queues_mut() {
+                    if d.usize()? != q.len() {
                         return Err(SnapError::BadValue("eject timestamp shape"));
+                    }
+                    for s in q {
+                        s.set_stamp(d.u64()?);
                     }
                 }
             }
@@ -1323,7 +1269,7 @@ impl Network {
         Ok(())
     }
 
-    /// Rebuilds the O(1) idleness aggregates and the activity worklists
+    /// Rebuilds the ejection-queue occupancy and the activity worklists
     /// from restored router/link/eject state. At a step boundary the
     /// gated sweep keeps exactly the elements whose retention predicate
     /// is positive (`credits_pending`, `in_flight`, buffered flits), and
@@ -1332,8 +1278,6 @@ impl Network {
     /// reproduces the worklists bit-for-bit.
     fn recompute_activity(&mut self) {
         let (routers, links) = (self.core.len(), self.links.len());
-        self.buffered_total = (0..routers).map(|r| self.core.buffered(r) as u64).sum();
-        self.flits_in_flight = self.links.iter().map(|l| l.in_flight() as u64).sum();
         self.eject_occupancy = self.core.eject_queues().iter().map(|q| q.len() as u64).sum();
         self.active_routers = Worklist::with_len(routers);
         self.active_flit_links = Worklist::with_len(links);
@@ -2007,5 +1951,89 @@ mod tests {
             unarmed.restore_state(&mut Dec::new(&bytes)),
             Err(SnapError::BadValue(_))
         ));
+    }
+
+    #[test]
+    fn parked_flits_keep_their_eject_stamps_across_a_snapshot() {
+        use equinox_snap::{Dec, Enc};
+        // All-to-one with a sink that opens every 4th cycle: between
+        // openings whole packets sit parked in the ejection queue, and
+        // the wait they are charged at the pop depends on the cycle they
+        // were parked. A twin restored mid-run must charge exactly what
+        // the straight-through run does.
+        let dst = Coord::new(0, 0);
+        let build = || {
+            let mut net = Network::mesh(NocConfig::mesh(4));
+            net.enable_stalls();
+            net
+        };
+        type Streams = Vec<(Coord, VecDeque<Flit>)>;
+        let mut streams: Streams = (0..16u64)
+            .map(|i| (i, Coord::from_index(i as usize, 4)))
+            .filter(|&(_, src)| src != dst)
+            .map(|(i, src)| {
+                let pkt = PacketDesc::new(i, src, dst, MessageClass::Reply, 5);
+                (src, pkt.flits(4).into())
+            })
+            .collect();
+        let cycle = |net: &mut Network, streams: &mut Streams| {
+            for (src, flits) in streams.iter_mut() {
+                if let Some(&f) = flits.front() {
+                    if net.try_inject_flit(net.local_injector(*src), f) {
+                        flits.pop_front();
+                    }
+                }
+            }
+            net.step();
+            if net.cycle().is_multiple_of(4) {
+                while net.pop_ejected_node(dst).is_some() {}
+            }
+        };
+        let snapshot = |net: &Network| {
+            let mut e = Enc::new();
+            net.snapshot_state(&mut e);
+            e.into_bytes()
+        };
+        let eject_wait = |net: &Network| {
+            net.stall_grid().expect("armed").class_total(1, NetCause::EjectWait)
+        };
+
+        let mut net = build();
+        // Stop between two sink openings, with flits parked and already
+        // waiting.
+        while !(net.has_ejected() && net.cycle() % 4 == 2 && eject_wait(&net) > 0) {
+            cycle(&mut net, &mut streams);
+            assert!(net.cycle() < 500, "the sink never backed up");
+        }
+        let parked: Vec<u64> = net
+            .core
+            .eject_queues()
+            .iter()
+            .flatten()
+            .map(|s| s.stamp())
+            .collect();
+        assert!(
+            parked.iter().any(|&stamp| stamp + 1 < net.cycle()),
+            "some parked flit must already have waited: stamps {parked:?} at cycle {}",
+            net.cycle()
+        );
+        let bytes = snapshot(&net);
+        let mut twin = build();
+        let mut d = Dec::new(&bytes);
+        twin.restore_state(&mut d).expect("restore into armed twin");
+        d.finish().expect("snapshot fully consumed");
+        // (`assert!`, not `assert_eq!`: a failure should not dump kilobytes.)
+        assert!(snapshot(&twin) == bytes, "second snapshot must be byte-identical");
+
+        let mut twin_streams = streams.clone();
+        while !(net.quiescent() && streams.iter().all(|(_, f)| f.is_empty())) {
+            cycle(&mut net, &mut streams);
+            cycle(&mut twin, &mut twin_streams);
+            assert!(net.cycle() < 5000, "traffic must drain");
+        }
+        assert!(twin.quiescent());
+        assert!(eject_wait(&net) > 0, "a lazy sink must charge ejection wait");
+        assert_eq!(eject_wait(&twin), eject_wait(&net));
+        assert!(snapshot(&twin) == snapshot(&net), "drained states must match");
     }
 }

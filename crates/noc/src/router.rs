@@ -127,8 +127,9 @@ pub(crate) struct RouterCore {
     /// Round-robin pointer of the output side's switch arbitration.
     pub out_sa_ptr: Vec<u8>,
     out_role: Vec<OutputRole>,
-    /// Ejection queue of the output side (used by `Eject` ports only).
-    eject: Vec<VecDeque<Flit>>,
+    /// Ejection queue of the output side (used by `Eject` ports only),
+    /// stamped with the cycle each flit was parked.
+    eject: Vec<VecDeque<Slot>>,
     // ---- per VC
     pub in_vcs: Vec<InVc>,
     /// Downstream credits of each output VC.
@@ -424,21 +425,27 @@ impl RouterCore {
 
     /// The ejection queue of port `p` of router `r`.
     #[inline]
-    pub fn eject_queue(&self, r: usize, p: usize) -> &VecDeque<Flit> {
+    pub fn eject_queue(&self, r: usize, p: usize) -> &VecDeque<Slot> {
         &self.eject[self.port(r, p)]
     }
 
     /// All ejection queues, router by router and port by port.
-    pub fn eject_queues(&self) -> &[VecDeque<Flit>] {
+    pub fn eject_queues(&self) -> &[VecDeque<Slot>] {
         &self.eject
     }
 
-    /// Parks `flit` in the ejection queue of port `p`; a queue that
+    /// The same queues, for re-stamping the parked flits. Their lengths
+    /// feed `out_ready` and must not change through this.
+    pub fn eject_queues_mut(&mut self) -> &mut [VecDeque<Slot>] {
+        &mut self.eject
+    }
+
+    /// Parks `slot` in the ejection queue of port `p`; a queue that
     /// reaches the cap stops its port from granting.
     #[inline]
-    pub fn eject_push(&mut self, r: usize, p: usize, flit: Flit) {
+    pub fn eject_push(&mut self, r: usize, p: usize, slot: Slot) {
         let gp = self.port(r, p);
-        self.eject[gp].push_back(flit);
+        self.eject[gp].push_back(slot);
         if self.eject[gp].len() >= self.eject_cap {
             self.routers[r].out_ready &= !self.port_bits(r, p, p + 1);
         }
@@ -446,13 +453,13 @@ impl RouterCore {
 
     /// Takes the oldest flit out of the ejection queue of port `p`.
     #[inline]
-    pub fn eject_pop(&mut self, r: usize, p: usize) -> Option<Flit> {
+    pub fn eject_pop(&mut self, r: usize, p: usize) -> Option<Slot> {
         let gp = self.port(r, p);
-        let flit = self.eject[gp].pop_front()?;
+        let slot = self.eject[gp].pop_front()?;
         if self.eject[gp].len() < self.eject_cap {
             self.routers[r].out_ready |= self.port_bits(r, p, p + 1);
         }
-        Some(flit)
+        Some(slot)
     }
 
     /// The derived words of router `r` — `(occupied, allocated,
@@ -604,7 +611,7 @@ impl RouterCore {
     /// Replaces the ejection queue of port `p` of router `r` with a
     /// restored one and, the port's credits having been restored before
     /// it, re-derives its `out_ready` bits.
-    pub fn restore_eject(&mut self, r: usize, p: usize, q: VecDeque<Flit>) {
+    pub fn restore_eject(&mut self, r: usize, p: usize, q: VecDeque<Slot>) {
         let gp = self.port(r, p);
         self.eject[gp] = q;
         self.refresh_ready(r, p);
@@ -719,7 +726,7 @@ mod tests {
         c.return_credit(0, 3);
         assert_ne!(c.routers[0].out_ready & link_vc1, 0);
         // The cap (4) closes both VCs of the ejection port at once.
-        let f = flit(0, MessageClass::Reply).flit();
+        let f = flit(0, MessageClass::Reply);
         for k in 0..4 {
             assert_eq!(
                 c.routers[0].out_ready & eject_bits,

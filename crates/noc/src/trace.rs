@@ -80,11 +80,6 @@ impl Trace {
         self.events.is_empty()
     }
 
-    /// The events of one packet, in order.
-    pub fn packet_path(&self, pkt: PacketId) -> Vec<TraceEvent> {
-        self.events.iter().copied().filter(|e| e.pkt == pkt).collect()
-    }
-
     /// Serializes the recorded events. The capacity is build-time
     /// configuration and not written.
     pub fn snap_state(&self, e: &mut equinox_snap::Enc) {
@@ -177,19 +172,5 @@ mod tests {
         assert_eq!(evs[0].cycle, 2);
         assert_eq!(evs[1].cycle, 3);
         assert!(t.is_empty());
-    }
-
-    #[test]
-    fn packet_path_filters() {
-        let mut t = Trace::new(8);
-        t.record(ev(1, TraceKind::Inject));
-        t.record(TraceEvent {
-            pkt: PacketId(2),
-            ..ev(2, TraceKind::Hop)
-        });
-        t.record(ev(3, TraceKind::Eject));
-        let path = t.packet_path(PacketId(1));
-        assert_eq!(path.len(), 2);
-        assert_eq!(path[1].kind, TraceKind::Eject);
     }
 }

@@ -1,14 +1,16 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! `equinox-obs` — a dependency-free observability layer.
 //!
 //! The simulator's end-of-run aggregates (`RunMetrics`, `NetStats`)
 //! answer *how much*; diagnosing a congestion pathology or a perf
-//! regression needs *when* and *where*. This crate supplies the four
+//! regression needs *when* and *where*. This crate supplies the
 //! building blocks the system simulator threads through its hot loop:
 //!
-//! * [`Registry`] — named counters, gauges and fixed-bucket
-//!   [`Histogram`]s addressed by integer handles, so the hot path never
-//!   hashes a string or allocates.
+//! * [`Histogram`] — fixed-bucket distributions with interpolated
+//!   percentiles; `count()` and `sum()` double as the delivered-packet
+//!   counter and cycle total of whatever is recorded, so the simulator
+//!   keeps one per class and quantity and no separate counters.
 //! * [`TimeSeries`] — an interval sampler recording one row of named
 //!   series every N cycles into buffers sized at construction.
 //! * [`SpanProfiler`] — wall-clock phase timings (aggregates plus a
@@ -21,16 +23,15 @@
 //! * [`StreamWriter`] — a line-JSON (NDJSON) frame sink over a file or
 //!   raw TCP connection, for live mid-run telemetry.
 //!
-//! Everything here is plain `std`: registration allocates, recording
+//! Everything here is plain `std`: construction allocates, recording
 //! does not. Wall-clock data ([`SpanProfiler`]) is inherently
 //! nondeterministic and must only be exported to trace files, never
 //! into artifacts that are compared bit-for-bit across runs; the
-//! cycle-derived structures ([`Registry`], [`TimeSeries`]) are
+//! cycle-derived structures ([`Histogram`], [`TimeSeries`]) are
 //! deterministic whenever the simulation driving them is.
 
 pub mod chrome;
 pub mod histogram;
-pub mod registry;
 pub mod series;
 pub mod span;
 pub mod stall;
@@ -38,7 +39,6 @@ pub mod stream;
 
 pub use chrome::ChromeTrace;
 pub use histogram::Histogram;
-pub use registry::{CounterId, GaugeId, HistogramId, Registry};
 pub use series::{SeriesId, TimeSeries};
 pub use span::{SpanEvent, SpanId, SpanProfiler};
 pub use stall::{NetCause, StallGrid, CAUSE_NAMES, NET_CAUSES, NET_CAUSE_NAMES, STALL_CLASSES};

@@ -72,13 +72,6 @@ impl BumpModel {
         let pitch_mm = self.pitch_um * 1e-3;
         count as f64 * pitch_mm * pitch_mm
     }
-
-    /// Area of one bi-directional link of `bits` wires with two die
-    /// attachments per wire, in mm². For 128-bit links at 40 µm pitch this
-    /// is 0.4096 mm², the same order as the paper's ≈0.34 mm² estimate.
-    pub fn bidir_link_area_mm2(&self, bits: usize) -> f64 {
-        self.bump_area_mm2(self.bump_count(1, bits, 2))
-    }
 }
 
 /// Relative saving of `ours` vs `theirs` as a fraction in `[0, 1]`.
@@ -121,12 +114,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_pitch_rejected() {
         let _ = BumpModel::new(0.0);
-    }
-
-    #[test]
-    fn bidir_link_area_reasonable() {
-        // 128-bit bidirectional link at 40um pitch: 256 bumps * 1.6e-3 mm².
-        let m = BumpModel::default();
-        assert!((m.bidir_link_area_mm2(128) - 0.4096).abs() < 1e-9);
     }
 }

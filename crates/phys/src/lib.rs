@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! Silicon-interposer physical model for EquiNox.
 //!
 //! This crate models the *physical* side of an interposer-based 2.5D system

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! Cache-bank (CB) placement engines for EquiNox.
 //!
 //! In an interposer-based throughput processor, the few last-level cache

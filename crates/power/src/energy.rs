@@ -71,47 +71,7 @@ pub struct EnergyModel {
     pub coeffs: EnergyCoeffs,
 }
 
-/// Dynamic energy split by component, joules.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ComponentEnergy {
-    /// Input-buffer writes + reads.
-    pub buffers_j: f64,
-    /// Crossbar traversals.
-    pub xbar_j: f64,
-    /// VC / switch allocation.
-    pub alloc_j: f64,
-    /// On-die wires (mesh + NI links).
-    pub die_links_j: f64,
-    /// Interposer RDL wires.
-    pub rdl_links_j: f64,
-}
-
-impl ComponentEnergy {
-    /// Sum of all components.
-    pub fn total_j(&self) -> f64 {
-        self.buffers_j + self.xbar_j + self.alloc_j + self.die_links_j + self.rdl_links_j
-    }
-}
-
 impl EnergyModel {
-    /// Dynamic energy split by component (sums to
-    /// [`EnergyModel::dynamic_joules`]).
-    pub fn dynamic_breakdown(&self, ev: &EventCounts) -> ComponentEnergy {
-        let w = ev.flit_bits as f64 / 128.0;
-        let p = if ev.avg_ports > 0.0 { ev.avg_ports / 5.0 } else { 1.0 };
-        let c = &self.coeffs;
-        ComponentEnergy {
-            buffers_j: (ev.buffer_writes as f64 * c.buf_write_pj
-                + ev.buffer_reads as f64 * c.buf_read_pj)
-                * w
-                * 1e-12,
-            xbar_j: ev.xbar_traversals as f64 * c.xbar_pj * w * p * 1e-12,
-            alloc_j: ev.allocs as f64 * c.alloc_pj * 1e-12,
-            die_links_j: ev.mesh_flit_mm * c.link_pj_per_mm * w * 1e-12,
-            rdl_links_j: ev.rdl_flit_mm * c.rdl_pj_per_mm * w * 1e-12,
-        }
-    }
-
     /// Dynamic energy of one network in joules.
     ///
     /// ```
@@ -186,15 +146,6 @@ mod tests {
         let a = m.leakage_joules(10.0, 1e-6);
         assert!((m.leakage_joules(20.0, 1e-6) / a - 2.0).abs() < 1e-9);
         assert!((m.leakage_joules(10.0, 2e-6) / a - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn breakdown_sums_to_total() {
-        let m = EnergyModel::default();
-        let ev = base_events();
-        let b = m.dynamic_breakdown(&ev);
-        assert!((b.total_j() - m.dynamic_joules(&ev)).abs() < 1e-18);
-        assert!(b.buffers_j > 0.0 && b.xbar_j > 0.0 && b.die_links_j > 0.0);
     }
 
     #[test]

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! `equinox-power` — NoC energy and area modelling in the style of DSENT.
 //!
 //! The paper feeds BookSim event counts into DSENT (extended with
@@ -24,5 +25,5 @@ pub mod energy;
 pub mod report;
 
 pub use area::{NiGeometry, RouterGeometry};
-pub use energy::{ComponentEnergy, EnergyCoeffs, EnergyModel, EventCounts};
+pub use energy::{EnergyCoeffs, EnergyModel, EventCounts};
 pub use report::{edp, EnergyBreakdown};

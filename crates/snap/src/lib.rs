@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Versioned binary snapshot codec and content-addressed checkpoint cache.
 //!
 //! The simulator is bit-deterministic (pinned in `tests/determinism.rs`),

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! `equinox-traffic` — throughput-processor traffic generation.
 //!
 //! Replaces the GPGPU-Sim + CUDA-benchmark side of the paper's evaluation

@@ -48,6 +48,17 @@ if [ -e BENCH_perf.json ] || [ -e scripts/perf_gate.sh ] \
 fi
 echo "OK: no perf baseline file, no gate script, no stream editor over artifacts"
 
+echo "== unsafe guard =="
+# Every library forbids `unsafe` except the two holding the StepTeam /
+# DisjointMut sites; ROADMAP item 1(b) ends by emptying this list.
+unsafe_exempt="crates/core/src/lib.rs crates/exec/src/lib.rs"
+no_forbid=$(grep -L '^#!\[forbid(unsafe_code)\]' crates/*/src/lib.rs src/lib.rs | xargs)
+if [ "$no_forbid" != "$unsafe_exempt" ]; then
+  echo "FAIL: crates without #![forbid(unsafe_code)] are [$no_forbid], expected exactly [$unsafe_exempt]" >&2
+  exit 1
+fi
+echo "OK: unsafe is forbidden everywhere but $unsafe_exempt"
+
 echo "== build (release) =="
 cargo build --release --workspace
 

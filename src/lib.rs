@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! `equinox-suite` — umbrella crate for the EquiNox reproduction.
 //!
 //! Re-exports every crate of the workspace so examples and downstream
@@ -13,7 +14,7 @@
 //! * [`mcts`] — the EIR design-space search (MCTS, GA, SA)
 //! * [`phys`] — interposer physics (wires, crossings, µbumps)
 //! * [`exec`] — worker pool + deterministic PRNG streams
-//! * [`obs`] — metrics registry, span profiler, trace export
+//! * [`obs`] — histograms, time series, span profiler, trace export
 //! * [`bench`] — experiment runners and scenarios behind the `equinox` driver
 //! * [`snap`] — snapshot codec + content-addressed checkpoint cache
 
