@@ -112,7 +112,8 @@ mod tests {
     fn run_metrics_emit_the_documented_schema() {
         let mut spec = ExperimentSpec::default();
         spec.scale = 0.02;
-        let m = crate::run_one_spec(SchemeKind::SeparateBase, 8, "gaussian", 1, &spec);
+        let cell = crate::Cell::new(SchemeKind::SeparateBase, 8, "gaussian", &spec);
+        let m = crate::run_cells(vec![cell], &mut Vec::new()).remove(0);
         let j = run_metrics_json(&m);
         assert_eq!(j.get("schema").and_then(Json::as_str), Some("equinox.run_metrics/v1"));
         assert_eq!(j.get("cycles").and_then(Json::as_u64), Some(m.cycles));

@@ -17,7 +17,7 @@
 //! scenarios exit nonzero with a message naming the offender.
 
 use equinox_bench::artifact::artifact;
-use equinox_bench::cache::{artifact_key, cache_for};
+use equinox_bench::cache::{artifact_key, cache_for, cached};
 use equinox_bench::scenarios::{scenario, scenarios};
 use equinox_config::{flag_help, parse_cli, resolve_process, CliError, Json};
 
@@ -61,7 +61,7 @@ fn main() {
         Err(e) => fail(&e.to_string()),
     };
     if sc.name == "watch" && spec.obs_stream.is_empty() {
-        fail("watch needs --obs-stream <path|tcp:host:port> naming the feed to attach to");
+        fail("watch needs --obs-stream <path> naming the feed to attach to");
     }
     equinox_exec::set_threads(spec.threads);
 
@@ -78,23 +78,21 @@ fn main() {
     // goes to stderr, so cold and warm artifacts stay byte-identical.
     let cache = cache_for(&spec).filter(|_| !matches!(sc.name, "watch" | "svg" | "all"));
     let key = artifact_key(sc.name, &spec);
-    let cached: Option<String> = cache.as_ref().and_then(|c| {
-        let bytes = c.load("artifact", key).ok().flatten()?;
-        let text = String::from_utf8(bytes).ok()?;
-        equinox_config::parse_json(&text).ok()?;
-        Some(text)
-    });
-    let text = match cached {
-        Some(text) => {
+    let text = cached(
+        cache.as_ref(),
+        "artifact",
+        key,
+        |bytes| {
+            let text = String::from_utf8(bytes.to_vec()).ok()?;
+            equinox_config::parse_json(&text).ok()?;
             eprintln!("checkpoint cache hit: artifact_{key:016x}");
-            text
-        }
-        None => {
+            Some(text)
+        },
+        || {
             if cache.is_some() {
                 eprintln!("checkpoint cache miss: artifact_{key:016x}");
             }
-            let mut log = std::io::stderr();
-            let mut doc = artifact(sc.name, &spec, (sc.run)(&spec, &mut log));
+            let mut doc = artifact(sc.name, &spec, (sc.run)(&spec, &mut std::io::stderr()));
             if cache.is_some() {
                 doc = doc.with(
                     "cache",
@@ -103,15 +101,10 @@ fn main() {
                         .with("key", format!("{key:016x}")),
                 );
             }
-            let text = doc.pretty();
-            if let Some(c) = &cache {
-                if let Err(e) = c.store("artifact", key, text.as_bytes()) {
-                    eprintln!("checkpoint cache store failed: {e}");
-                }
-            }
-            text
-        }
-    };
+            doc.pretty()
+        },
+        |text| text.clone().into_bytes(),
+    );
     match &parsed.out {
         Some(path) => {
             std::fs::write(path, &text).unwrap_or_else(|e| {

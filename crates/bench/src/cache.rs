@@ -1,24 +1,25 @@
 //! Content-addressed result caching for the experiment harness.
 //!
-//! A resolved [`ExperimentSpec`] plus a scenario (or a matrix cell's
-//! `(scheme, n, bench)` coordinates) fully determines a run's artifact —
-//! the simulator is bit-deterministic — so finished results can be
-//! cached on disk keyed by a hash of the canonical spec rendering
-//! ([`ExperimentSpec::cache_key_material`]) and replayed verbatim. Two
-//! kinds live side by side in the spec's `checkpoint_dir`:
+//! The simulator and the design search are bit-deterministic, so a
+//! finished result can be stored on disk under a hash of everything
+//! that determines it and replayed verbatim. Three kinds of entry live
+//! side by side in the spec's `checkpoint_dir`, all behind [`cached`]:
 //!
-//! * `artifact_<key>` — a whole `equinox.artifact/v1` document, stored
-//!   and replayed byte-for-byte by the `equinox` driver.
-//! * `run_<key>` — one [`RunMetrics`] cell of the scheme × benchmark
-//!   matrix, encoded bit-exactly (floats by bit pattern) so a cache hit
-//!   in [`run_seeds_spec`](crate::run_seeds_spec) is indistinguishable
-//!   from recomputation.
+//! * `artifact_<key>` — a whole `equinox.artifact/v1` document, keyed by
+//!   scenario and full spec ([`artifact_key`]), stored and replayed
+//!   byte-for-byte by the `equinox` driver.
+//! * `run_<key>` — one [`Cell`](crate::Cell)'s [`RunMetrics`], keyed by
+//!   [`Cell::key`](crate::Cell::key) and encoded bit-exactly (floats by
+//!   bit pattern) so a hit in [`run_cells`](crate::run_cells) is
+//!   indistinguishable from recomputation.
+//! * `design_<key>` — one searched [`EquiNoxDesign`] in its text format,
+//!   keyed by `(n, n_cbs, iters, seed)` ([`design`](crate::design)).
 //!
 //! A corrupt, truncated or mismatched entry is treated as a miss and
 //! rewritten; caching is never load-bearing for correctness.
 
 use equinox_config::ExperimentSpec;
-use equinox_core::{LatencyBreakdown, RunMetrics, SchemeKind};
+use equinox_core::{EquiNoxDesign, LatencyBreakdown, RunMetrics, SchemeKind};
 use equinox_snap::{fnv1a, CheckpointCache, Dec, Enc, Snap, SnapError};
 
 /// The cache a spec asks for: `None` when `checkpoint_dir` is empty, and
@@ -31,21 +32,54 @@ pub fn cache_for(spec: &ExperimentSpec) -> Option<CheckpointCache> {
     cacheable.then(|| CheckpointCache::new(&spec.checkpoint_dir))
 }
 
-/// Cache key for a whole scenario artifact.
-pub fn artifact_key(scenario: &str, spec: &ExperimentSpec) -> u64 {
-    fnv1a(format!("equinox.artifact/v1\n{scenario}\n{}", spec.cache_key_material()).as_bytes())
+/// Loads and validates the `kind_<key>` entry: `None` without a cache,
+/// on a miss, on a read error, and whenever `decode` rejects the bytes.
+pub fn lookup<T>(
+    cache: Option<&CheckpointCache>,
+    kind: &str,
+    key: u64,
+    decode: impl FnOnce(&[u8]) -> Option<T>,
+) -> Option<T> {
+    decode(&cache?.load(kind, key).ok()??)
 }
 
-/// Cache key for one `(scheme, n, bench)` cell under the spec.
-pub fn run_key(scheme: SchemeKind, n: u16, bench: &str, spec: &ExperimentSpec) -> u64 {
-    fnv1a(
-        format!(
-            "equinox.run_metrics/v1\n{}\n{n}\n{bench}\n{}",
-            scheme.name(),
-            spec.cache_key_material()
-        )
-        .as_bytes(),
-    )
+/// Stores `bytes` as the `kind_<key>` entry; a failure is reported on
+/// stderr and otherwise ignored (the result is already in hand).
+pub fn store(cache: Option<&CheckpointCache>, kind: &str, key: u64, bytes: &[u8]) {
+    if let Some(Err(e)) = cache.map(|c| c.store(kind, key, bytes)) {
+        eprintln!("checkpoint cache store failed: {e}");
+    }
+}
+
+/// The one load → validate → compute → store sequence every entry kind
+/// goes through: a valid stored entry is returned as is, anything else
+/// runs `compute` and stores what it returns.
+pub fn cached<T>(
+    cache: Option<&CheckpointCache>,
+    kind: &str,
+    key: u64,
+    decode: impl FnOnce(&[u8]) -> Option<T>,
+    compute: impl FnOnce() -> T,
+    encode: impl FnOnce(&T) -> Vec<u8>,
+) -> T {
+    lookup(cache, kind, key, decode).unwrap_or_else(|| {
+        let value = compute();
+        store(cache, kind, key, &encode(&value));
+        value
+    })
+}
+
+/// Cache key for a whole scenario artifact.
+pub fn artifact_key(scenario: &str, spec: &ExperimentSpec) -> u64 {
+    let material = spec.cache_key_material(&[]);
+    fnv1a(format!("equinox.artifact/v1\n{scenario}\n{material}").as_bytes())
+}
+
+/// Decodes a `design_<key>` entry: the text must parse and describe an
+/// `n × n` mesh with `n_cbs` cache banks.
+pub fn decode_design(bytes: &[u8], n: u16, n_cbs: u16) -> Option<EquiNoxDesign> {
+    let d = EquiNoxDesign::from_text(std::str::from_utf8(bytes).ok()?).ok()?;
+    (d.placement.width == n && d.placement.cbs.len() == n_cbs as usize).then_some(d)
 }
 
 fn scheme_tag(s: SchemeKind) -> u8 {
@@ -116,7 +150,9 @@ mod tests {
     fn metrics_round_trip_bit_exactly() {
         let mut spec = ExperimentSpec::default();
         spec.scale = 0.02;
-        let m = crate::run_one_spec(SchemeKind::EquiNox, 8, "gaussian", 1, &spec);
+        spec.seeds = vec![1];
+        let cell = crate::Cell::new(SchemeKind::SeparateBase, 8, "gaussian", &spec);
+        let m = crate::run_cells(vec![cell], &mut Vec::new()).remove(0);
         let bytes = encode_metrics(&m);
         let r = decode_metrics(&bytes).unwrap();
         assert_eq!(r.scheme, m.scheme);
@@ -138,15 +174,65 @@ mod tests {
 
     #[test]
     fn keys_separate_cells_but_not_cache_locations() {
-        let mut spec = ExperimentSpec::default();
-        let a = run_key(SchemeKind::EquiNox, 8, "bfs", &spec);
-        assert_ne!(a, run_key(SchemeKind::SingleBase, 8, "bfs", &spec));
-        assert_ne!(a, run_key(SchemeKind::EquiNox, 12, "bfs", &spec));
-        assert_ne!(a, run_key(SchemeKind::EquiNox, 8, "kmeans", &spec));
+        use crate::Cell;
+        let spec = ExperimentSpec::default();
+        let cell = |scheme, n, bench, spec: &ExperimentSpec| Cell::new(scheme, n, bench, spec);
+        let a = cell(SchemeKind::EquiNox, 8, "bfs", &spec).key();
+        assert_ne!(a, cell(SchemeKind::SingleBase, 8, "bfs", &spec).key());
+        assert_ne!(a, cell(SchemeKind::EquiNox, 12, "bfs", &spec).key());
+        assert_ne!(a, cell(SchemeKind::EquiNox, 8, "kmeans", &spec).key());
         assert_ne!(a, artifact_key("sweep", &spec));
-        spec.checkpoint_dir = "/somewhere/else".into();
-        assert_eq!(a, run_key(SchemeKind::EquiNox, 8, "bfs", &spec));
-        spec.scale = 0.07;
-        assert_ne!(a, run_key(SchemeKind::EquiNox, 8, "bfs", &spec));
+        // What no cell's metrics depend on stays out of its key: where
+        // the cache lives, how many workers or lanes ran it, which other
+        // cells the scenario holds.
+        let mut same = spec.clone();
+        same.checkpoint_dir = "/somewhere/else".into();
+        same.threads = 5;
+        same.sim_threads = 3;
+        same.full = true;
+        assert_eq!(a, cell(SchemeKind::EquiNox, 8, "bfs", &same).key());
+        assert_ne!(artifact_key("sweep", &spec), artifact_key("sweep", &same), "it embeds the spec");
+        // Everything else is in it: any other spec field, the seeds that
+        // run, a custom design, a placement override.
+        let mut scaled = spec.clone();
+        scaled.scale = 0.07;
+        assert_ne!(a, cell(SchemeKind::EquiNox, 8, "bfs", &scaled).key());
+        let mut c = cell(SchemeKind::EquiNox, 8, "bfs", &spec);
+        c.seeds = vec![42];
+        assert_ne!(a, c.key());
+        let mut c = cell(SchemeKind::EquiNox, 8, "bfs", &spec);
+        c.design = Some(std::sync::Arc::new(EquiNoxDesign::quick(8, 8)));
+        assert_ne!(a, c.key());
+        let mut c = cell(SchemeKind::EquiNox, 8, "bfs", &spec);
+        c.placement = Some(equinox_placement::Placement::diamond(8, 8, 8));
+        assert_ne!(a, c.key());
+    }
+
+    #[test]
+    fn design_entries_validate_shape_and_survive_corruption() {
+        let d = EquiNoxDesign::quick(8, 8);
+        let bytes = d.to_text().into_bytes();
+        assert_eq!(decode_design(&bytes, 8, 8), Some(d));
+        assert_eq!(decode_design(&bytes, 8, 4), None, "wrong CB count");
+        assert_eq!(decode_design(&bytes, 12, 8), None, "wrong mesh");
+        assert_eq!(decode_design(&bytes[..bytes.len() / 2], 8, 8), None, "clipped mid-line");
+        assert_eq!(decode_design(b"\xff junk", 8, 8), None);
+    }
+
+    #[test]
+    fn cached_serves_valid_entries_and_recomputes_the_rest() {
+        let dir = std::env::temp_dir().join(format!("eqsn_cached_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = CheckpointCache::new(&dir);
+        let get = |cache: Option<&CheckpointCache>, fresh: u8| {
+            cached(cache, "t", 7, |b| (b.len() == 1).then(|| b[0]), || fresh, |v| vec![*v])
+        };
+        assert_eq!(get(None, 1), 1, "no cache: compute");
+        assert_eq!(get(Some(&cache), 2), 2, "miss: compute and store");
+        assert_eq!(get(Some(&cache), 3), 2, "hit: the stored value");
+        std::fs::write(cache.path("t", 7), b"too long").unwrap();
+        assert_eq!(get(Some(&cache), 4), 4, "rejected by decode: recompute");
+        assert_eq!(get(Some(&cache), 5), 4, "…and rewritten");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -2,9 +2,11 @@
 //! `equinox-bench` — the harness that regenerates every table and figure
 //! of the EquiNox paper.
 //!
-//! The library half holds shared experiment runners (scheme sweeps, a
-//! cached strong EquiNox design) and the scenario registry; the one
-//! binary, `equinox <scenario>`, drives them under the layered spec.
+//! The library half holds the two things every scenario is made of —
+//! [`design`], the one memo of searched EquiNox designs, and [`Cell`] /
+//! [`run_cells`], the one path from a spec to a full-system run — plus
+//! the scenario registry; the one binary, `equinox <scenario>`, drives
+//! them under the layered spec.
 //!
 //! Figure/table map (§6 of the paper):
 //!
@@ -23,8 +25,11 @@
 
 use equinox_config::ExperimentSpec;
 use equinox_core::{EquiNoxDesign, RunMetrics, SchemeKind, System, SystemConfig};
+use equinox_placement::Placement;
 use equinox_traffic::{profile::all_benchmarks, Workload};
-use std::sync::OnceLock;
+use std::collections::BTreeMap;
+use std::io::Write;
+use std::sync::{Arc, Mutex};
 
 pub mod artifact;
 pub mod cache;
@@ -36,74 +41,131 @@ pub const STRONG_ITERS: usize = 4_000;
 /// Seed for the strong design (any fixed value; determinism is the point).
 pub const STRONG_SEED: u64 = 7;
 
-/// The 8×8 flagship design, searched once and shared by all experiments.
-pub fn strong_design_8x8() -> &'static EquiNoxDesign {
-    static DESIGN: OnceLock<EquiNoxDesign> = OnceLock::new();
-    DESIGN.get_or_init(|| EquiNoxDesign::search(8, 8, STRONG_ITERS, STRONG_SEED))
-}
-
-/// Builds a design for an arbitrary mesh size (cached only for 8×8).
-pub fn design_for(n: u16) -> EquiNoxDesign {
-    if n == 8 {
-        strong_design_8x8().clone()
-    } else {
-        EquiNoxDesign::search(n, 8, STRONG_ITERS, STRONG_SEED)
-    }
-}
-
-/// One full-system run of `scheme` on benchmark `bench` under the
-/// resolved spec (mesh `n × n`, workload scale and capacities from the
-/// spec; `seed` passed separately because seed-averaging runners sweep
-/// it).
-pub fn run_one_spec(
-    scheme: SchemeKind,
+/// The design [`EquiNoxDesign::search`] finds for `(n, n_cbs, iters,
+/// seed)`, searched at most once per process — and, with the spec's
+/// cache armed, once per cache directory (a `design_<key>` entry). A
+/// real search announces itself on `log`.
+pub fn design(
     n: u16,
-    bench: &str,
+    n_cbs: u16,
+    iters: usize,
     seed: u64,
     spec: &ExperimentSpec,
-) -> RunMetrics {
-    let profile = equinox_traffic::profile::benchmark(bench)
-        .unwrap_or_else(|| panic!("unknown benchmark {bench}"));
-    let workload = Workload::new(profile, spec.scale, seed);
-    let mut cfg = SystemConfig::from_spec(scheme, n, workload, spec);
-    if scheme == SchemeKind::EquiNox {
-        cfg.design = Some(design_for(n));
-    }
-    System::build(cfg).run()
+    log: &mut dyn Write,
+) -> Arc<EquiNoxDesign> {
+    type Key = (u16, u16, usize, u64);
+    static MEMO: Mutex<BTreeMap<Key, Arc<EquiNoxDesign>>> = Mutex::new(BTreeMap::new());
+    // Held across the search: a second caller of the same key waits for
+    // the first instead of searching again.
+    let mut memo = MEMO.lock().expect("a design search panicked");
+    let slot = memo.entry((n, n_cbs, iters, seed));
+    slot.or_insert_with(|| {
+        let key = format!("equinox.design/v1\n{n}\n{n_cbs}\n{iters}\n{seed}");
+        Arc::new(cache::cached(
+            cache::cache_for(spec).as_ref(),
+            "design",
+            equinox_snap::fnv1a(key.as_bytes()),
+            |bytes| cache::decode_design(bytes, n, n_cbs),
+            || {
+                let _ = writeln!(
+                    log,
+                    "searching design ({n}x{n}, {n_cbs} CBs, {iters} iterations, seed {seed})…"
+                );
+                EquiNoxDesign::search(n, n_cbs, iters, seed)
+            },
+            |d| d.to_text().into_bytes(),
+        ))
+    })
+    .clone()
 }
 
-/// Runs `scheme` over the spec's seed list and returns the metrics of
-/// the median-cycles run rescaled to the seed-geomean cycle count
-/// (pinning dynamics make single runs noisy; the paper averages full
-/// benchmarks).
-pub fn run_seeds_spec(scheme: SchemeKind, n: u16, bench: &str, spec: &ExperimentSpec) -> RunMetrics {
-    assert!(!spec.seeds.is_empty(), "need at least one seed");
-    // With a checkpoint dir armed, finished cells are content-addressed
-    // on disk: a hit replays the bit-exact metrics, a miss computes and
-    // stores them. Corrupt or colliding entries fall through to a
-    // recompute (see the `cache` module's soundness notes).
-    if let Some(c) = cache::cache_for(spec) {
-        let key = cache::run_key(scheme, n, bench, spec);
-        if let Ok(Some(bytes)) = c.load("run", key) {
-            if let Ok(m) = cache::decode_metrics(&bytes) {
-                if m.scheme == scheme && m.benchmark == bench {
-                    return m;
-                }
-            }
+/// One full-system experiment: `scheme` on an `n × n` mesh running
+/// `bench` once per seed, every other knob from `spec`.
+#[derive(Debug, Clone)]
+pub struct Cell {
+    pub scheme: SchemeKind,
+    /// Mesh size (scenarios sweep it, so the spec's `n` is not read).
+    pub n: u16,
+    /// Benchmark name (see [`all_bench_names`]).
+    pub bench: &'static str,
+    /// Workload seeds ([`Cell::new`] copies the spec's; only these run).
+    pub seeds: Vec<u64>,
+    pub spec: ExperimentSpec,
+    /// `None` means the strong design for `(n, spec.n_cbs)`.
+    pub design: Option<Arc<EquiNoxDesign>>,
+    /// Overrides the scheme's default CB placement.
+    pub placement: Option<Placement>,
+}
+
+impl Cell {
+    /// A plain matrix cell: the spec's seeds, the strong design, the
+    /// scheme's own placement.
+    pub fn new(scheme: SchemeKind, n: u16, bench: &'static str, spec: &ExperimentSpec) -> Self {
+        Cell {
+            scheme,
+            n,
+            bench,
+            seeds: spec.seeds.clone(),
+            spec: spec.clone(),
+            design: None,
+            placement: None,
         }
-        let m = run_seeds_uncached(scheme, n, bench, spec);
-        let _ = c.store("run", key, &cache::encode_metrics(&m));
-        return m;
     }
-    run_seeds_uncached(scheme, n, bench, spec)
+
+    /// Gives an EquiNox cell that carries no design the strong one.
+    pub fn resolve_design(&mut self, log: &mut dyn Write) {
+        if self.scheme == SchemeKind::EquiNox && self.design.is_none() {
+            let (n, spec) = (self.n, &self.spec);
+            self.design = Some(design(n, spec.n_cbs, STRONG_ITERS, STRONG_SEED, spec, log));
+        }
+    }
+
+    /// The system this cell builds for one `seed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a benchmark name that is not in the suite.
+    pub fn system_config(&self, seed: u64) -> SystemConfig {
+        let profile = equinox_traffic::profile::benchmark(self.bench)
+            .unwrap_or_else(|| panic!("unknown benchmark {}", self.bench));
+        let workload = Workload::new(profile, self.spec.scale, seed);
+        let mut cfg = SystemConfig::from_spec(self.scheme, self.n, workload, &self.spec);
+        cfg.design = self.design.as_deref().cloned();
+        cfg.placement_override = self.placement.clone();
+        cfg
+    }
+
+    /// Run-cache key: everything the cell's metrics depend on. The
+    /// strong design is a function of `n` and the spec's `n_cbs`, so only
+    /// a custom one enters as text. Of the spec, `threads`/`sim_threads`
+    /// are out because artifacts are identical for every value
+    /// (`tests/determinism.rs`), `full` because it only picks which cells
+    /// exist, `seeds` because the cell's own list is what runs.
+    pub fn key(&self) -> u64 {
+        let design = self.design.as_ref().map(|d| d.to_text());
+        let placement = self.placement.as_ref().map(|p| (p.width, p.height, &p.cbs));
+        let material = self.spec.cache_key_material(&["threads", "sim_threads", "full", "seeds"]);
+        equinox_snap::fnv1a(
+            format!(
+                "equinox.cell/v1\n{}\n{}\n{}\n{:?}\n{design:?}\n{placement:?}\n{material}",
+                self.scheme.name(),
+                self.n,
+                self.bench,
+                self.seeds
+            )
+            .as_bytes(),
+        )
+    }
 }
 
-fn run_seeds_uncached(scheme: SchemeKind, n: u16, bench: &str, spec: &ExperimentSpec) -> RunMetrics {
-    let mut runs: Vec<RunMetrics> = spec
-        .seeds
-        .iter()
-        .map(|&s| run_one_spec(scheme, n, bench, s, spec))
-        .collect();
+/// The one seed policy: the median-cycles run rescaled to the
+/// seed-geomean cycle count (pinning dynamics make single runs noisy;
+/// the paper averages full benchmarks). A lone run is returned untouched.
+fn fold_seeds(mut runs: Vec<RunMetrics>) -> RunMetrics {
+    assert!(!runs.is_empty(), "need at least one seed");
+    if runs.len() == 1 {
+        return runs.remove(0);
+    }
     runs.sort_by_key(|m| m.cycles);
     let geo_cycles = equinox_core::metrics::geomean(
         &runs.iter().map(|m| m.cycles as f64).collect::<Vec<_>>(),
@@ -117,37 +179,58 @@ fn run_seeds_uncached(scheme: SchemeKind, n: u16, bench: &str, spec: &Experiment
     rep
 }
 
-/// Runs the full `benches × schemes` sweep matrix on the
-/// [`equinox_exec`] worker pool and returns it bench-major
-/// (`result[bi][si]` = benchmark `bi` under scheme `si`).
+/// Runs `cells` and returns their metrics in input order — the one door
+/// from a spec to a full-system run.
 ///
-/// Every cell is an independent, seed-deterministic job, and
-/// [`equinox_exec::par_map`] returns results in input order, so the
-/// output is identical for any worker count — the determinism
-/// regression tests in `tests/determinism.rs` pin this down.
-pub fn run_matrix_spec(
+/// With a checkpoint dir armed, a hit on the cell's `run_<key>` entry
+/// replays the bit-exact metrics; a miss computes and stores them.
+/// Designs are searched only for cells that missed, once each and before
+/// the fan-out, so one worker's search never holds the others hostage.
+/// The misses run on the [`equinox_exec`] pool: each is an independent,
+/// seed-deterministic job and `par_map` keeps input order, so the output
+/// is identical for any worker count (`tests/determinism.rs`).
+pub fn run_cells(mut cells: Vec<Cell>, log: &mut dyn Write) -> Vec<RunMetrics> {
+    let mut out: Vec<Option<RunMetrics>> = Vec::with_capacity(cells.len());
+    let mut misses = Vec::new();
+    for (i, cell) in cells.iter_mut().enumerate() {
+        let (cache, key) = (cache::cache_for(&cell.spec), cell.key());
+        let hit = cache::lookup(cache.as_ref(), "run", key, |bytes| {
+            let m = cache::decode_metrics(bytes).ok()?;
+            (m.scheme == cell.scheme && m.benchmark == cell.bench).then_some(m)
+        });
+        if hit.is_none() {
+            cell.resolve_design(log);
+            misses.push((i, key, cache));
+        }
+        out.push(hit);
+    }
+    let fresh = equinox_exec::par_map(misses, |_, (i, key, cache)| {
+        let cell = &cells[i];
+        let m = fold_seeds(
+            cell.seeds.iter().map(|&s| System::build(cell.system_config(s)).run()).collect(),
+        );
+        cache::store(cache.as_ref(), "run", key, &cache::encode_metrics(&m));
+        (i, m)
+    });
+    for (i, m) in fresh {
+        out[i] = Some(m);
+    }
+    out.into_iter().map(|m| m.expect("every cell hit or ran")).collect()
+}
+
+/// The `benches × schemes` matrix, bench-major: cell `bi * schemes.len()
+/// + si` is benchmark `bi` under scheme `si`, so `chunks(schemes.len())`
+/// of the [`run_cells`] result are the per-benchmark rows.
+pub fn matrix_cells(
     schemes: &[SchemeKind],
     n: u16,
-    benches: &[&str],
+    benches: &[&'static str],
     spec: &ExperimentSpec,
-) -> Vec<Vec<RunMetrics>> {
-    // The EquiNox design is searched once behind a OnceLock; force it
-    // before the fan-out so one worker doesn't hold the rest hostage.
-    if schemes.contains(&SchemeKind::EquiNox) {
-        let _ = design_for(n);
-    }
-    let jobs: Vec<(usize, usize)> = (0..benches.len())
-        .flat_map(|bi| (0..schemes.len()).map(move |si| (bi, si)))
-        .collect();
-    let cells = equinox_exec::par_map(jobs, |_, (bi, si)| {
-        run_seeds_spec(schemes[si], n, benches[bi], spec)
-    });
-    let mut rows: Vec<Vec<RunMetrics>> = Vec::with_capacity(benches.len());
-    let mut it = cells.into_iter();
-    for _ in 0..benches.len() {
-        rows.push(it.by_ref().take(schemes.len()).collect());
-    }
-    rows
+) -> Vec<Cell> {
+    benches
+        .iter()
+        .flat_map(|&b| schemes.iter().map(move |&s| Cell::new(s, n, b, spec)))
+        .collect()
 }
 
 /// The benchmark set a spec selects: all 29 with `--full`, else the
@@ -195,19 +278,51 @@ mod tests {
         spec
     }
 
+    fn run_one(cell: Cell) -> RunMetrics {
+        run_cells(vec![cell], &mut Vec::new()).remove(0)
+    }
+
     #[test]
-    fn run_one_produces_complete_metrics() {
-        let m = run_one_spec(SchemeKind::SeparateBase, 8, "gaussian", 1, &spec_at(0.05, &[1]));
+    fn a_cell_produces_complete_metrics() {
+        let m = run_one(Cell::new(SchemeKind::SeparateBase, 8, "gaussian", &spec_at(0.05, &[1])));
         assert!(m.completed);
         assert!(m.cycles > 0 && m.energy_j() > 0.0);
     }
 
     #[test]
-    fn run_seeds_within_seed_range() {
-        let spec = spec_at(0.05, &[1, 2]);
-        let m = run_seeds_spec(SchemeKind::SeparateBase, 8, "gaussian", &spec);
-        let a = run_one_spec(SchemeKind::SeparateBase, 8, "gaussian", 1, &spec).cycles;
-        let b = run_one_spec(SchemeKind::SeparateBase, 8, "gaussian", 2, &spec).cycles;
-        assert!(m.cycles >= a.min(b) && m.cycles <= a.max(b));
+    fn seed_policy_stays_within_the_seed_range_and_leaves_a_lone_run_alone() {
+        let cell = |seeds: &[u64]| {
+            Cell::new(SchemeKind::SeparateBase, 8, "gaussian", &spec_at(0.05, seeds))
+        };
+        let (a, b) = (run_one(cell(&[1])), run_one(cell(&[2])));
+        let m = run_one(cell(&[1, 2]));
+        assert!(m.cycles >= a.cycles.min(b.cycles) && m.cycles <= a.cycles.max(b.cycles));
+        let direct = System::build(cell(&[1]).system_config(1)).run();
+        assert_eq!(a.exec_ns.to_bits(), direct.exec_ns.to_bits(), "one seed: the run itself");
+    }
+
+    #[test]
+    fn design_is_memoised_per_key_and_honours_the_cb_count() {
+        let spec = ExperimentSpec::default();
+        let mut log = Vec::new();
+        let a = design(8, 4, 60, 3, &spec, &mut log);
+        let b = design(8, 4, 60, 3, &spec, &mut log);
+        assert!(Arc::ptr_eq(&a, &b), "same key, same Arc");
+        assert_eq!(a.placement.cbs.len(), 4);
+        let said = String::from_utf8(log).unwrap();
+        assert_eq!(said.matches("searching design").count(), 1, "one search, one line: {said}");
+        let other = design(8, 4, 60, 4, &spec, &mut Vec::new());
+        assert!(!Arc::ptr_eq(&a, &other), "seed is in the key");
+    }
+
+    #[test]
+    fn an_equinox_cell_builds_the_cb_count_its_spec_names() {
+        let mut spec = spec_at(0.02, &[1]);
+        spec.n_cbs = 4;
+        let mut cell = Cell::new(SchemeKind::EquiNox, 8, "gaussian", &spec);
+        cell.resolve_design(&mut Vec::new());
+        let sys = System::build(cell.system_config(1));
+        assert_eq!(sys.placement.cbs.len(), 4);
+        assert_eq!(cell.design.as_ref().unwrap().selection.groups.len(), 4);
     }
 }

@@ -12,12 +12,12 @@
 //! iterate it.
 
 use crate::artifact::{load_point_json, run_metrics_json};
-use crate::{bench_set, design_for, run_matrix_spec, run_one_spec, run_seeds_spec, strong_design_8x8};
+use crate::{bench_set, design, matrix_cells, run_cells, Cell, STRONG_ITERS, STRONG_SEED};
 use equinox_config::{ExperimentSpec, Json};
 use equinox_core::heatmap::placement_heatmap;
 use equinox_core::loadlat::{load_latency_curve_cfg, ReplySide};
 use equinox_core::svg::{design_svg, heatmap_svg};
-use equinox_core::{EquiNoxDesign, ObsConfig, RunMetrics, SchemeKind, System, SystemConfig};
+use equinox_core::{EquiNoxDesign, RunMetrics, SchemeKind, System, SystemConfig};
 use equinox_mcts::eval::{evaluate, EvalWeights};
 use equinox_mcts::problem::EirProblem;
 use equinox_mcts::tree::{search, MctsConfig};
@@ -27,9 +27,8 @@ use equinox_phys::{BumpModel, Coord};
 use equinox_placement::nqueen::{solutions, to_placement};
 use equinox_placement::select::best_nqueen_placement;
 use equinox_placement::{Placement, PlacementScorer};
-use equinox_traffic::Workload;
 use std::io::Write;
-use std::time::Instant;
+use std::sync::Arc;
 
 /// One registered scenario.
 pub struct Scenario {
@@ -73,13 +72,9 @@ pub fn scenario(name: &str) -> Option<&'static Scenario> {
     scenarios().iter().find(|s| s.name == name)
 }
 
-/// The auditor configuration a spec asks for (`None` when disarmed).
-pub fn audit_cfg(spec: &ExperimentSpec) -> Option<equinox_noc::AuditConfig> {
-    spec.audit.then_some(equinox_noc::AuditConfig {
-        check_interval: spec.audit_check_interval,
-        watchdog_window: spec.audit_watchdog_window,
-        panic_on_violation: spec.audit_panic,
-    })
+/// The paper's 8×8, 8-CB flagship design (Figure 7, §6.6, the ablations).
+fn flagship(spec: &ExperimentSpec, log: &mut dyn Write) -> Arc<EquiNoxDesign> {
+    design(8, 8, STRONG_ITERS, STRONG_SEED, spec, log)
 }
 
 macro_rules! out {
@@ -165,27 +160,10 @@ fn fig5(_spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
         .with("chosen_penalty", chosen)
 }
 
-fn render_design(log: &mut dyn Write, d: &EquiNoxDesign) {
-    let n = d.placement.width;
-    for y in 0..n {
-        for x in 0..n {
-            let t = Coord::new(x, y);
-            if let Some(ci) = d.placement.cb_index(t) {
-                let _ = write!(log, "C{ci} ");
-            } else if let Some(ci) = d.selection.groups.iter().position(|g| g.contains(&t)) {
-                let _ = write!(log, "e{ci} ");
-            } else {
-                let _ = write!(log, " . ");
-            }
-        }
-        out!(log);
-    }
-}
-
-fn fig7(_spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
+fn fig7(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
     header(log, "Figure 7: MCTS-selected EIR design for 8x8");
-    let d = strong_design_8x8();
-    render_design(log, d);
+    let d = flagship(spec, log);
+    let _ = write!(log, "{}", d.render());
     let problem = EirProblem::new(d.placement.clone());
     let ev = evaluate(&problem, &d.selection, &EvalWeights::default());
     let segs = d.segments();
@@ -231,7 +209,7 @@ fn table_json(
     log: &mut dyn Write,
     title: &str,
     benches: &[&str],
-    all_runs: &[Vec<RunMetrics>],
+    all_runs: &[RunMetrics],
     f: impl Fn(&RunMetrics) -> f64,
 ) -> Json {
     header(log, title);
@@ -242,7 +220,7 @@ fn table_json(
     out!(log);
     let mut per_scheme: Vec<Vec<f64>> = vec![Vec::new(); 7];
     let mut rows = Json::obj();
-    for (bench, runs) in benches.iter().zip(all_runs) {
+    for (bench, runs) in benches.iter().zip(all_runs.chunks(SchemeKind::ALL.len())) {
         let base = f(&runs[0]);
         let _ = write!(log, "{bench:18}");
         let mut row = Vec::new();
@@ -270,7 +248,7 @@ fn fig9(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
     let benches = bench_set(spec);
     // Simulate once (each scheme × benchmark cell in parallel); derive
     // all three tables from the same runs.
-    let all_runs = run_matrix_spec(&SchemeKind::ALL, 8, &benches, spec);
+    let all_runs = run_cells(matrix_cells(&SchemeKind::ALL, 8, &benches, spec), log);
     let time = table_json(
         log,
         "Figure 9(a): normalized execution time (paper geomeans: EquiNox 0.523, CMesh 0.621)",
@@ -306,11 +284,11 @@ fn fig10(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
         "{:18}{:>10}{:>10}{:>10}{:>10}{:>10}",
         "scheme", "req_queue", "req_net", "rep_queue", "rep_net", "total"
     );
-    let runs = run_matrix_spec(&SchemeKind::ALL, 8, &crate::QUICK_BENCHES, spec);
+    let runs = run_cells(matrix_cells(&SchemeKind::ALL, 8, &crate::QUICK_BENCHES, spec), log);
     let mut j = Json::obj();
     for (si, scheme) in SchemeKind::ALL.into_iter().enumerate() {
         let mut qs = [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
-        for row in &runs {
+        for row in runs.chunks(SchemeKind::ALL.len()) {
             let m = &row[si];
             qs[0].push(m.latency.req_queue_ns.max(0.01));
             qs[1].push(m.latency.req_net_ns.max(0.01));
@@ -347,23 +325,20 @@ fn fig11(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
     // Area is load-independent, so a tiny fixed workload suffices.
     let mut area_spec = spec.clone();
     area_spec.scale = 0.02;
-    let mut areas = Vec::new();
-    for scheme in SchemeKind::ALL {
-        let m = run_one_spec(scheme, 8, "gaussian", 1, &area_spec);
-        areas.push((scheme, m.area_mm2));
-    }
-    let single = areas[0].1;
-    let separate = areas[3].1;
+    area_spec.seeds = vec![1];
+    let runs = run_cells(matrix_cells(&SchemeKind::ALL, 8, &["gaussian"], &area_spec), log);
+    let (single, separate) = (runs[0].area_mm2, runs[3].area_mm2);
     let mut j = Json::obj();
-    for (s, a) in &areas {
+    for m in &runs {
+        let a = m.area_mm2;
         out!(
             log,
             "  {:18} {a:8.2} mm^2   ({:.2}x SingleBase, {:+.1}% vs SeparateBase)",
-            s.name(),
+            m.scheme.name(),
             a / single,
             (a / separate - 1.0) * 100.0
         );
-        j = j.with(s.name(), *a);
+        j = j.with(m.scheme.name(), a);
     }
     Json::obj().with("area_mm2", j)
 }
@@ -371,17 +346,9 @@ fn fig11(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
 fn fig12(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
     header(log, "Figure 12: scalability — EquiNox IPC vs SeparateBase (paper: 1.23x/1.31x/1.30x)");
     let sizes = [8u16, 12, 16];
-    let jobs: Vec<(u16, SchemeKind)> = sizes
-        .iter()
-        .flat_map(|&n| [(n, SchemeKind::SeparateBase), (n, SchemeKind::EquiNox)])
-        .collect();
-    // Force the per-size design searches before the fan-out.
-    for &n in &sizes {
-        let _ = design_for(n);
-    }
-    let runs = equinox_exec::par_map(jobs, |_, (n, scheme)| {
-        run_seeds_spec(scheme, n, "kmeans", spec)
-    });
+    let pair = [SchemeKind::SeparateBase, SchemeKind::EquiNox];
+    let cells = sizes.iter().flat_map(|&n| matrix_cells(&pair, n, &["kmeans"], spec)).collect();
+    let runs = run_cells(cells, log);
     let mut j = Json::obj();
     for (i, &n) in sizes.iter().enumerate() {
         let (s, e) = (&runs[2 * i], &runs[2 * i + 1]);
@@ -403,11 +370,11 @@ fn fig12(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
     j
 }
 
-fn ubumps(_spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
+fn ubumps(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
     header(log, "Section 6.6: ubump accounting");
     let m = BumpModel::default();
     let cmesh = m.bump_count(2 * 64, 256, 1);
-    let d = strong_design_8x8();
+    let d = flagship(spec, log);
     let equinox = d.ubump_count(128);
     let saving = equinox_phys::bumps::saving_fraction(equinox as f64, cmesh as f64);
     out!(
@@ -428,28 +395,9 @@ fn ubumps(_spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
         .with("saving_fraction", saving)
 }
 
-fn run_with_design(d: &EquiNoxDesign, bench: &str, spec: &ExperimentSpec) -> RunMetrics {
-    let profile = equinox_traffic::profile::benchmark(bench).expect("known benchmark");
-    let mut best: Option<RunMetrics> = None;
-    for &seed in &spec.seeds {
-        let mut cfg = SystemConfig::from_spec(
-            SchemeKind::EquiNox,
-            d.placement.width,
-            Workload::new(profile, spec.scale, seed),
-            spec,
-        );
-        cfg.design = Some(d.clone());
-        let m = System::build(cfg).run();
-        if best.as_ref().is_none_or(|b| m.cycles < b.cycles) {
-            best = Some(m);
-        }
-    }
-    best.expect("ran at least one seed")
-}
-
 fn ablation(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
     header(log, "Ablation A: search method quality (same evaluation function)");
-    let placement = strong_design_8x8().placement.clone();
+    let placement = flagship(spec, log).placement.clone();
     let problem = EirProblem::new(placement.clone());
     let mcts = search(
         &problem,
@@ -483,77 +431,84 @@ fn ablation(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
         );
     }
 
+    // B–D each search variant designs; their kmeans runs are one batch
+    // of cells, reported section by section below.
+    let variant = |p: EirProblem, iterations: usize| {
+        let r = search(&p, &MctsConfig { iterations, seed: 7, ..Default::default() });
+        let d = EquiNoxDesign { placement: p.placement, selection: r.selection };
+        (r.eval, Arc::new(d))
+    };
+    let hops = [2u32, 3, 4];
+    let sizes = [1usize, 2, 4, 6];
+    let placed = [("N-Queen", placement.clone()), ("Diamond", Placement::diamond(8, 8, 8))];
+    let base = || EirProblem::new(placement.clone());
+    let mut variants = Vec::new();
+    variants.extend(hops.map(|h| variant(EirProblem { max_hops: h, ..base() }, 2_000)));
+    variants.extend(sizes.map(|k| variant(EirProblem { group_size: k, ..base() }, 1_500)));
+    variants.extend(placed.iter().map(|(_, p)| variant(EirProblem::new(p.clone()), 2_000)));
+    let cells = variants
+        .iter()
+        .map(|(_, d)| Cell {
+            design: Some(d.clone()),
+            ..Cell::new(SchemeKind::EquiNox, 8, "kmeans", spec)
+        })
+        .collect();
+    let cycles = run_cells(cells, log).into_iter().map(|m| m.cycles);
+    let rows: Vec<_> = variants.iter().zip(cycles).collect();
+    let (hop_rows, rest) = rows.split_at(hops.len());
+    let (size_rows, placed_rows) = rest.split_at(sizes.len());
+
     header(log, "Ablation B: EIR hop budget (paper: 2 hops suffice)");
     let mut hop_budget = Json::obj();
-    for max_hops in [2u32, 3, 4] {
-        let mut p = EirProblem::new(placement.clone());
-        p.max_hops = max_hops;
-        let r = search(&p, &MctsConfig { iterations: 2_000, seed: 7, ..Default::default() });
-        let d = EquiNoxDesign { placement: placement.clone(), selection: r.selection };
-        let m = run_with_design(&d, "kmeans", spec);
+    for (max_hops, &((eval, _), cycles)) in hops.iter().zip(hop_rows) {
         out!(
             log,
-            "  max_hops {max_hops}: cost {:.3} crossings {} -> exec {} cycles",
-            r.eval.cost, r.eval.crossings, m.cycles
+            "  max_hops {max_hops}: cost {:.3} crossings {} -> exec {cycles} cycles",
+            eval.cost, eval.crossings
         );
         hop_budget = hop_budget.with(
             &max_hops.to_string(),
             Json::obj()
-                .with("cost", r.eval.cost)
-                .with("crossings", r.eval.crossings as u64)
-                .with("cycles", m.cycles),
+                .with("cost", eval.cost)
+                .with("crossings", eval.crossings as u64)
+                .with("cycles", cycles),
         );
     }
 
     header(log, "Ablation C: EIRs per group (paper balances number vs. capability)");
     let mut group_size = Json::obj();
-    for k in [1usize, 2, 4, 6] {
-        let mut p = EirProblem::new(placement.clone());
-        p.group_size = k;
-        let r = search(&p, &MctsConfig { iterations: 1_500, seed: 7, ..Default::default() });
-        let d = EquiNoxDesign { placement: placement.clone(), selection: r.selection };
-        let m = run_with_design(&d, "kmeans", spec);
+    for (k, &((eval, d), cycles)) in sizes.iter().zip(size_rows) {
         out!(
             log,
-            "  group_size {k}: links {:2} load {:.3} -> exec {} cycles",
+            "  group_size {k}: links {:2} load {:.3} -> exec {cycles} cycles",
             d.num_links(),
-            r.eval.max_load_norm,
-            m.cycles
+            eval.max_load_norm
         );
         group_size = group_size.with(
             &k.to_string(),
             Json::obj()
                 .with("links", d.num_links())
-                .with("max_load_norm", r.eval.max_load_norm)
-                .with("cycles", m.cycles),
+                .with("max_load_norm", eval.max_load_norm)
+                .with("cycles", cycles),
         );
     }
 
     header(log, "Ablation D: CB placement under EIRs (N-Queen vs Diamond)");
     let mut placements = Json::obj();
-    for (name, plc) in [
-        ("N-Queen", placement.clone()),
-        ("Diamond", Placement::diamond(8, 8, 8)),
-    ] {
-        let p = EirProblem::new(plc.clone());
-        let r = search(&p, &MctsConfig { iterations: 2_000, seed: 7, ..Default::default() });
-        let d = EquiNoxDesign { placement: plc, selection: r.selection };
-        let m = run_with_design(&d, "kmeans", spec);
+    for ((name, _), &((eval, d), cycles)) in placed.iter().zip(placed_rows) {
         let penalty = PlacementScorer::new(8, 8).penalty(&d.placement.cbs);
         out!(
             log,
-            "  {name:8} crossings {:2} RDL layers {} -> exec {} cycles (penalty {})",
-            r.eval.crossings,
-            d.rdl_layers(),
-            m.cycles,
-            penalty
+            "  {name:8} crossings {:2} RDL layers {} -> exec {cycles} cycles (penalty {penalty})",
+            eval.crossings,
+            d.rdl_layers()
         );
         placements = placements.with(
             name,
             Json::obj()
-                .with("crossings", r.eval.crossings as u64)
+                .with("crossings", eval.crossings as u64)
                 .with("rdl_layers", d.rdl_layers() as u64)
-                .with("cycles", m.cycles)
+                .with("cycles", cycles)
                 .with("penalty", penalty),
         );
     }
@@ -567,7 +522,7 @@ fn ablation(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
 /// §6.8: more CBs than rows — knight-move placement + EIRs.
 fn overfull(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
     header(log, "Section 6.8: 12 cache banks on an 8x8 mesh (knight-move placement)");
-    let d = EquiNoxDesign::search_k(8, 12, 1_500, 7, 1);
+    let d = design(8, 12, 1_500, 7, spec, log);
     out!(log, "{}", d.render());
     out!(
         log,
@@ -577,25 +532,24 @@ fn overfull(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
         count_crossings(&d.segments()),
         d.rdl_layers()
     );
-    let profile = equinox_traffic::profile::benchmark("kmeans").expect("known");
-    let seed = spec.seeds[0];
     let mut j = Json::obj()
         .with("links", d.num_links())
         .with("crossings", count_crossings(&d.segments()) as u64)
         .with("rdl_layers", d.rdl_layers() as u64);
-    for scheme in [SchemeKind::SeparateBase, SchemeKind::EquiNox] {
-        let mut cfg =
-            SystemConfig::from_spec(scheme, 8, Workload::new(profile, spec.scale, seed), spec);
-        cfg.n_cbs = 12;
-        if scheme == SchemeKind::EquiNox {
-            cfg.design = Some(d.clone());
-        } else {
-            cfg.placement_override = Some(d.placement.clone());
-        }
-        let m = System::build(cfg).run();
-        out!(log, "  {:14} {:>7} cycles | EDP {:.2e}", scheme.name(), m.cycles, m.edp);
+    let mut over = spec.clone();
+    over.n_cbs = 12;
+    over.seeds.truncate(1);
+    let cells = vec![
+        Cell {
+            placement: Some(d.placement.clone()),
+            ..Cell::new(SchemeKind::SeparateBase, 8, "kmeans", &over)
+        },
+        Cell { design: Some(d), ..Cell::new(SchemeKind::EquiNox, 8, "kmeans", &over) },
+    ];
+    for m in run_cells(cells, log) {
+        out!(log, "  {:14} {:>7} cycles | EDP {:.2e}", m.scheme.name(), m.cycles, m.edp);
         j = j.with(
-            scheme.name(),
+            m.scheme.name(),
             Json::obj().with("cycles", m.cycles).with("edp", m.edp),
         );
     }
@@ -605,23 +559,35 @@ fn overfull(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
 /// Extensions: reply compression (§7 \[47\], orthogonal) and router
 /// pipeline depth sensitivity.
 fn extensions(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
-    let profile = equinox_traffic::profile::benchmark("kmeans").expect("known");
-    let d = strong_design_8x8();
-    let seed = spec.seeds[0];
-
-    header(log, "Extension: reply compression is complementary to EquiNox (§7)");
-    let mut compression = Vec::new();
-    for (scheme, comp) in [
+    let compressions = [
         (SchemeKind::SeparateBase, 0.0),
         (SchemeKind::SeparateBase, 0.6),
         (SchemeKind::EquiNox, 0.0),
         (SchemeKind::EquiNox, 0.6),
-    ] {
-        let mut cfg =
-            SystemConfig::from_spec(scheme, 8, Workload::new(profile, spec.scale, seed), spec);
-        cfg.design = Some(d.clone());
-        cfg.reply_compression = comp;
-        let m = System::build(cfg).run();
+    ];
+    let depths = [0u32, 1, 2];
+    // One seed, one knob moved per cell; all ten runs are one batch.
+    let cell = |scheme, set: &dyn Fn(&mut ExperimentSpec)| {
+        let mut s = spec.clone();
+        s.seeds.truncate(1);
+        set(&mut s);
+        Cell::new(scheme, 8, "kmeans", &s)
+    };
+    let mut cells: Vec<Cell> = compressions
+        .iter()
+        .map(|&(scheme, comp)| cell(scheme, &|s| s.reply_compression = comp))
+        .collect();
+    for extra in depths {
+        for scheme in [SchemeKind::SeparateBase, SchemeKind::EquiNox] {
+            cells.push(cell(scheme, &|s| s.pipeline_extra = extra));
+        }
+    }
+    let runs = run_cells(cells, log);
+    let (comp_runs, depth_runs) = runs.split_at(compressions.len());
+
+    header(log, "Extension: reply compression is complementary to EquiNox (§7)");
+    let mut compression = Vec::new();
+    for ((scheme, comp), m) in compressions.into_iter().zip(comp_runs) {
         out!(
             log,
             "  {:14} compression {:.0}% -> {:>7} cycles, EDP {:.2e}",
@@ -641,24 +607,8 @@ fn extensions(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
 
     header(log, "Extension: router pipeline depth sensitivity");
     let mut pipeline = Vec::new();
-    for extra in [0u32, 1, 2] {
-        let mut a = SystemConfig::from_spec(
-            SchemeKind::SeparateBase,
-            8,
-            Workload::new(profile, spec.scale, seed),
-            spec,
-        );
-        a.pipeline_extra = extra;
-        let base = System::build(a).run();
-        let mut b = SystemConfig::from_spec(
-            SchemeKind::EquiNox,
-            8,
-            Workload::new(profile, spec.scale, seed),
-            spec,
-        );
-        b.design = Some(d.clone());
-        b.pipeline_extra = extra;
-        let eq = System::build(b).run();
+    for (extra, pair) in depths.into_iter().zip(depth_runs.chunks(2)) {
+        let (base, eq) = (&pair[0], &pair[1]);
         out!(
             log,
             "  +{extra} stages: SeparateBase {:>7} cycles | EquiNox {:>7} cycles | speedup {:.2}x",
@@ -679,11 +629,11 @@ fn extensions(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
 
 /// Writes the SVG artifacts (Figure 7 wiring diagram, Figure 4 heat
 /// maps) into docs/.
-fn svg_artifacts(_spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
+fn svg_artifacts(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
     header(log, "SVG artifacts -> docs/");
     std::fs::create_dir_all("docs").expect("create docs dir");
-    let d = strong_design_8x8();
-    std::fs::write("docs/fig7_design.svg", design_svg(d)).expect("write fig7 svg");
+    let d = flagship(spec, log);
+    std::fs::write("docs/fig7_design.svg", design_svg(&d)).expect("write fig7 svg");
     out!(log, "  docs/fig7_design.svg");
     let mut written = vec![Json::from("docs/fig7_design.svg")];
     for (name, p) in [
@@ -713,12 +663,12 @@ fn sweep(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
         spec.n,
         spec.n
     );
-    let rows = run_matrix_spec(&SchemeKind::ALL, spec.n, &benches, spec);
-    let mut runs = Vec::new();
-    for row in &rows {
-        runs.push(Json::Arr(row.iter().map(run_metrics_json).collect()));
-    }
-    out!(log, "done: {} cells", rows.iter().map(Vec::len).sum::<usize>());
+    let cells = run_cells(matrix_cells(&SchemeKind::ALL, spec.n, &benches, spec), log);
+    let runs: Vec<Json> = cells
+        .chunks(SchemeKind::ALL.len())
+        .map(|row| Json::Arr(row.iter().map(run_metrics_json).collect()))
+        .collect();
+    out!(log, "done: {} cells", cells.len());
     Json::obj()
         .with("benches", benches.iter().map(|&b| Json::from(b)).collect::<Vec<_>>())
         .with(
@@ -731,12 +681,7 @@ fn sweep(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
 /// Reply-network load–latency curves: local-buffer baseline vs the
 /// EquiNox injection structure.
 fn loadlat(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
-    out!(
-        log,
-        "searching design ({}x{}, {} CBs, {} iterations, seed {})…",
-        spec.n, spec.n, spec.n_cbs, spec.iters, spec.seed
-    );
-    let design = EquiNoxDesign::search(spec.n, spec.n_cbs, spec.iters, spec.seed);
+    let design = design(spec.n, spec.n_cbs, spec.iters, spec.seed, spec, log);
     let rates: Vec<f64> = (1..=20).map(|i| i as f64 / 20.0).collect();
     let curve = |side: &ReplySide| {
         load_latency_curve_cfg(
@@ -745,12 +690,12 @@ fn loadlat(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
             &rates,
             spec.cycles,
             spec.seeds[0],
-            audit_cfg(spec),
+            SystemConfig::audit_from_spec(spec),
             spec.activity_gate,
         )
     };
     let base = curve(&ReplySide::Local);
-    let eq = curve(&ReplySide::Equinox(design.clone()));
+    let eq = curve(&ReplySide::Equinox((*design).clone()));
     out!(log, "measured {} rates x 2 sides over {} cycles", rates.len(), spec.cycles);
     Json::obj()
         .with("links", design.num_links())
@@ -762,14 +707,7 @@ fn loadlat(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
 /// stable text format (`design_text`, reload with
 /// `EquiNoxDesign::from_text`) and as an SVG wiring diagram (`svg`).
 fn designer(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
-    out!(
-        log,
-        "searching: {}x{} mesh, {} CBs, {} MCTS iterations, seed {}…",
-        spec.n, spec.n, spec.n_cbs, spec.iters, spec.seed
-    );
-    let start = Instant::now();
-    let design = EquiNoxDesign::search(spec.n, spec.n_cbs, spec.iters, spec.seed);
-    out!(log, "search took {:.1?}", start.elapsed());
+    let design = design(spec.n, spec.n_cbs, spec.iters, spec.seed, spec, log);
     out!(log, "{}", design.render());
     let crossings = count_crossings(&design.segments());
     out!(
@@ -792,25 +730,14 @@ fn designer(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
 /// Instrumented EquiNox run: the obs blocks plus the Chrome trace.
 fn observe(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
     header(log, "Observability: latency histograms, time series, spans, flit trace");
-    let profile = equinox_traffic::profile::benchmark("bfs").expect("known");
-    let seed = spec.seeds[0];
-    let mut cfg = SystemConfig::from_spec(
-        SchemeKind::EquiNox,
-        8,
-        Workload::new(profile, spec.scale, seed),
-        spec,
-    );
-    cfg.design = Some(design_for(8));
     // The scenario exists to exercise the observability layer, so it is
     // armed even when the spec left `--obs` off; the spec's
     // `--obs-interval` / `--trace` / `--trace-capacity` still apply.
-    if cfg.obs.is_none() {
-        cfg.obs = Some(ObsConfig {
-            interval: spec.obs_interval.max(1),
-            ..Default::default()
-        });
-    }
-    let mut sys = System::build(cfg);
+    let mut armed = spec.clone();
+    armed.obs = true;
+    let mut cell = Cell::new(SchemeKind::EquiNox, 8, "bfs", &armed);
+    cell.resolve_design(log);
+    let mut sys = System::build(cell.system_config(spec.seeds[0]));
     let m = sys.run();
     out!(
         log,
@@ -874,7 +801,7 @@ fn fabric(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
     cfg.activity_gate = spec.activity_gate;
     let arm = |cfg: &NocConfig| {
         let mut net = Network::new(cfg.clone());
-        if let Some(a) = audit_cfg(spec) {
+        if let Some(a) = SystemConfig::audit_from_spec(spec) {
             net.enable_audit(a);
         }
         net
@@ -987,22 +914,21 @@ fn fabric(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
 }
 
 /// Attaches to the telemetry stream named by `--obs-stream` and renders
-/// the live dashboard (see the `watch` module). For `tcp:host:port`
-/// targets this side listens and the instrumented run connects out, so
-/// start `equinox watch` first; for file targets it tails the file,
-/// live or post-hoc.
+/// the live dashboard (see the `watch` module): it tails the file, live
+/// or post-hoc.
 fn watch(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
-    assert!(
-        !spec.obs_stream.is_empty(),
-        "watch needs --obs-stream <path|tcp:host:port> naming the feed to attach to"
-    );
     header(log, &format!("Watching telemetry stream {}", spec.obs_stream));
-    let stats = crate::watch::watch(&spec.obs_stream, log)
+    let stats = crate::watch::watch_file(&spec.obs_stream, log)
         .unwrap_or_else(|e| panic!("watch {}: {e}", spec.obs_stream));
     out!(
         log,
-        "  {} frames ({} samples), {} corrupt lines, last cycle {}",
-        stats.frames, stats.samples, stats.corrupt, stats.last_cycle
+        "  {} frames ({} samples) from {} runs, {} summarised, {} corrupt lines, last cycle {}",
+        stats.frames,
+        stats.samples,
+        stats.runs.len(),
+        stats.summaries(),
+        stats.corrupt,
+        stats.last_cycle
     );
     stats.to_json().with("target", spec.obs_stream.as_str())
 }
@@ -1092,19 +1018,5 @@ mod tests {
                 assert!(inj > 0, "{topo}/{traffic} must move traffic");
             }
         }
-    }
-
-    #[test]
-    fn audit_cfg_mirrors_the_spec() {
-        let mut spec = ExperimentSpec::default();
-        assert!(audit_cfg(&spec).is_none());
-        spec.audit = true;
-        spec.audit_check_interval = 32;
-        spec.audit_watchdog_window = 123;
-        spec.audit_panic = false;
-        let a = audit_cfg(&spec).unwrap();
-        assert_eq!(a.check_interval, 32);
-        assert_eq!(a.watchdog_window, 123);
-        assert!(!a.panic_on_violation);
     }
 }

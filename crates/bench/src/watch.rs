@@ -2,31 +2,38 @@
 //! by a run's `--obs-stream` flag and renders a live dashboard.
 //!
 //! Framing is one JSON object per `\n`-terminated line (`obs.sample/v1`
-//! frames during the run, one terminal `obs.summary/v1`). The client is
-//! deliberately forgiving: a line that fails to parse — clipped
-//! mid-write by a dying producer, or plain garbage — is counted and
-//! skipped, never fatal, so a watcher can attach to a stream that is
-//! still being written (or that survived a crash) and keep rendering.
+//! frames during a run, one terminal `obs.summary/v1` per run), each
+//! naming its run as `<scheme>/<benchmark>/<seed>` — a scenario's
+//! concurrent cells all append to the one file, so the client keeps its
+//! state per run. It is deliberately forgiving: a line that fails to
+//! parse — clipped mid-write by a dying producer, or plain garbage — is
+//! counted and skipped, never fatal, so a watcher can attach to a stream
+//! that is still being written (or that survived a crash) and keep
+//! rendering.
 //!
-//! Transport duality mirrors the writer: for `tcp:host:port` targets
-//! the *watcher* is the server — it binds, listens and accepts the one
-//! connection the simulation's stream writer opens. Start `equinox
-//! watch` first, then the instrumented run. For file targets the
-//! watcher tails the file, following appends until the terminal
-//! summary frame or a few seconds of quiet after end-of-file.
+//! The watcher tails the file, following appends until it reaches
+//! end-of-file with a summary in hand for every run it has seen, or
+//! until a few seconds of quiet when some run never finished.
 
 use equinox_config::Json;
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
-/// How often the dashboard re-renders, in sample frames.
+/// How often a run's dashboard row re-renders, in its sample frames.
 const DASH_EVERY: u64 = 10;
 /// File tailing gives up after this much quiet at end-of-file.
 const FILE_IDLE: Duration = Duration::from_secs(3);
-/// TCP accept/read deadlines (generous: the producer may still be
-/// building its design before it connects).
-const TCP_WAIT: Duration = Duration::from_secs(60);
+
+/// What the client knows about one run of the stream.
+#[derive(Debug, Default)]
+pub struct RunState {
+    /// The frames' `run` field (empty for a stream that carries none).
+    pub run: String,
+    /// `obs.sample/v1` frames seen from this run.
+    pub samples: u64,
+    /// The run's terminal frame, when it arrived.
+    pub summary: Option<Json>,
+}
 
 /// Everything the client learned from one stream.
 #[derive(Debug, Default)]
@@ -39,63 +46,71 @@ pub struct WatchStats {
     pub corrupt: u64,
     /// Highest cycle stamp seen on any frame.
     pub last_cycle: u64,
-    /// The terminal frame, when one arrived.
-    pub summary: Option<Json>,
+    /// Every run seen, in order of its first frame.
+    pub runs: Vec<RunState>,
 }
 
 impl WatchStats {
+    /// Runs whose terminal frame arrived.
+    pub fn summaries(&self) -> usize {
+        self.runs.iter().filter(|r| r.summary.is_some()).count()
+    }
+
+    /// `true` once at least one run was seen and none is still open.
+    fn complete(&self) -> bool {
+        !self.runs.is_empty() && self.summaries() == self.runs.len()
+    }
+
     /// The scenario's structured result block.
     pub fn to_json(&self) -> Json {
-        let mut j = Json::obj()
+        let summaries: Vec<Json> = self.runs.iter().filter_map(|r| r.summary.clone()).collect();
+        Json::obj()
             .with("frames_seen", self.frames as f64)
             .with("sample_frames", self.samples as f64)
             .with("corrupt_lines", self.corrupt as f64)
             .with("last_cycle", self.last_cycle as f64)
-            .with("summary_seen", self.summary.is_some());
-        if let Some(s) = &self.summary {
-            j = j.with("summary", s.clone());
-        }
-        j
+            .with("runs_seen", self.runs.len())
+            .with("summaries_seen", self.summaries())
+            .with("summaries", summaries)
     }
 }
 
-/// Consumes one stream line: classifies it, folds it into `stats`, and
-/// renders to `log` on the dashboard cadence. Returns `true` when the
-/// line was the terminal summary frame (the caller's stop signal).
-fn consume_line(line: &str, stats: &mut WatchStats, log: &mut dyn Write) -> bool {
+/// Consumes one stream line: classifies it, folds it into `stats` and
+/// its run's state, and renders to `log` on the dashboard cadence.
+fn consume_line(line: &str, stats: &mut WatchStats, log: &mut dyn Write) {
     let trimmed = line.trim_end_matches(['\n', '\r']);
     if trimmed.is_empty() {
-        return false;
+        return;
     }
-    let Ok(frame) = equinox_config::parse_json(trimmed) else {
-        stats.corrupt += 1;
-        return false;
-    };
-    match frame.get("schema").and_then(|s| s.as_str()) {
-        Some("obs.sample/v1") => {
-            stats.frames += 1;
-            stats.samples += 1;
-            if let Some(c) = frame.get("cycle").and_then(|v| v.as_u64()) {
-                stats.last_cycle = stats.last_cycle.max(c);
-            }
-            if stats.samples % DASH_EVERY == 1 {
-                let _ = writeln!(log, "{}", dashboard(&frame));
-            }
-            false
-        }
-        Some("obs.summary/v1") => {
-            stats.frames += 1;
-            if let Some(c) = frame.get("cycle").and_then(|v| v.as_u64()) {
-                stats.last_cycle = stats.last_cycle.max(c);
-            }
-            let _ = writeln!(log, "{}", summary_table(&frame));
-            stats.summary = Some(frame);
-            true
-        }
+    let frame = equinox_config::parse_json(trimmed).ok();
+    let is_sample = match frame.as_ref().and_then(|f| f.get("schema")?.as_str()) {
+        Some("obs.sample/v1") => true,
+        Some("obs.summary/v1") => false,
         _ => {
             stats.corrupt += 1;
-            false
+            return;
         }
+    };
+    let frame = frame.expect("a schema was read off it");
+    stats.frames += 1;
+    if let Some(c) = frame.get("cycle").and_then(|v| v.as_u64()) {
+        stats.last_cycle = stats.last_cycle.max(c);
+    }
+    let id = frame.get("run").and_then(|r| r.as_str()).unwrap_or("");
+    let at = stats.runs.iter().position(|r| r.run == id).unwrap_or_else(|| {
+        stats.runs.push(RunState { run: id.to_string(), ..Default::default() });
+        stats.runs.len() - 1
+    });
+    let run = &mut stats.runs[at];
+    if is_sample {
+        stats.samples += 1;
+        run.samples += 1;
+        if run.samples % DASH_EVERY == 1 {
+            let _ = writeln!(log, "{id:>28} | {}", dashboard(&frame));
+        }
+    } else {
+        let _ = writeln!(log, "=== run summary {id} ===\n{}", summary_table(&frame));
+        run.summary = Some(frame.clone());
     }
 }
 
@@ -127,7 +142,7 @@ fn dashboard(frame: &Json) -> String {
 
 /// The terminal latency-breakdown table from a summary frame.
 fn summary_table(frame: &Json) -> String {
-    let mut out = String::from("=== run summary ===\n");
+    let mut out = String::new();
     let causes = [
         "inj_queue",
         "vc_alloc",
@@ -162,23 +177,10 @@ fn summary_table(frame: &Json) -> String {
     out
 }
 
-/// Drains a finite reader (a recorded stream, a test fixture): every
-/// line is consumed, stopping early only at the summary frame.
-pub fn watch_reader(r: impl BufRead, log: &mut dyn Write) -> WatchStats {
-    let mut stats = WatchStats::default();
-    for line in r.lines() {
-        let Ok(line) = line else { break };
-        if consume_line(&line, &mut stats, log) {
-            break;
-        }
-    }
-    stats
-}
-
-/// Tails a stream file, following appends. Stops at the summary frame
-/// or after [`FILE_IDLE`] of quiet at end-of-file, so it works both
-/// live (attached before or during the producing run) and post-hoc on
-/// a fully recorded stream.
+/// Tails a stream file, following appends. Stops at end-of-file once
+/// every run seen has its summary frame, else after [`FILE_IDLE`] of
+/// quiet there, so it works both live (attached before or during the
+/// producing run) and post-hoc on a fully recorded stream.
 pub fn watch_file(path: &str, log: &mut dyn Write) -> std::io::Result<WatchStats> {
     let mut r = BufReader::new(std::fs::File::open(path)?);
     let mut stats = WatchStats::default();
@@ -195,12 +197,13 @@ pub fn watch_file(path: &str, log: &mut dyn Write) -> std::io::Result<WatchStats
                 break;
             }
             if n == 0 {
+                if buf.is_empty() && stats.complete() {
+                    return Ok(stats);
+                }
                 if quiet_since.elapsed() > FILE_IDLE {
-                    // Stream over (producer finished, or died mid-line:
+                    // Stream over (a producer died, perhaps mid-line:
                     // the fragment then counts as one corrupt line).
-                    if !buf.is_empty() {
-                        let _ = consume_line(&buf, &mut stats, log);
-                    }
+                    consume_line(&buf, &mut stats, log);
                     return Ok(stats);
                 }
                 std::thread::sleep(Duration::from_millis(50));
@@ -209,59 +212,25 @@ pub fn watch_file(path: &str, log: &mut dyn Write) -> std::io::Result<WatchStats
             }
         }
         quiet_since = Instant::now();
-        if consume_line(&buf, &mut stats, log) {
-            break;
-        }
-    }
-    Ok(stats)
-}
-
-/// Serves one `tcp:host:port` stream: binds the address, accepts the
-/// single connection the producing run opens, and drains it. The watch
-/// side is the listener by design — the simulation connects out, so a
-/// missing watcher fails the run fast instead of blocking it.
-pub fn watch_tcp(addr: &str, log: &mut dyn Write) -> std::io::Result<WatchStats> {
-    let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
-    let deadline = Instant::now() + TCP_WAIT;
-    let stream = loop {
-        match listener.accept() {
-            Ok((s, _)) => break s,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if Instant::now() > deadline {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::TimedOut,
-                        "no producer connected",
-                    ));
-                }
-                std::thread::sleep(Duration::from_millis(50));
-            }
-            Err(e) => return Err(e),
-        }
-    };
-    stream.set_nonblocking(false)?;
-    stream.set_read_timeout(Some(TCP_WAIT))?;
-    let _ = writeln!(log, "producer connected from {:?}", stream.peer_addr());
-    Ok(watch_reader(BufReader::new(stream), log))
-}
-
-/// Dispatches on the target syntax shared with the writer: a `tcp:`
-/// prefix listens, anything else tails a file.
-pub fn watch(target: &str, log: &mut dyn Write) -> std::io::Result<WatchStats> {
-    match target.strip_prefix("tcp:") {
-        Some(addr) => watch_tcp(addr, log),
-        None => watch_file(target, log),
+        consume_line(&buf, &mut stats, log);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
 
-    fn sample(cycle: u64) -> String {
+    /// Feeds a recorded stream through the client, line by line.
+    fn watch_text(text: &str, log: &mut dyn Write) -> WatchStats {
+        let mut stats = WatchStats::default();
+        text.lines().for_each(|line| consume_line(line, &mut stats, log));
+        stats
+    }
+
+    fn sample(run: &str, cycle: u64) -> String {
         Json::obj()
             .with("schema", "obs.sample/v1")
+            .with("run", run)
             .with("cycle", cycle as f64)
             .with("throughput_flits_per_cycle", 1.5)
             .with("packets_in_flight", 7.0)
@@ -272,9 +241,10 @@ mod tests {
             .to_compact()
     }
 
-    fn summary(cycle: u64) -> String {
+    fn summary(run: &str, cycle: u64) -> String {
         Json::obj()
             .with("schema", "obs.summary/v1")
+            .with("run", run)
             .with("cycle", cycle as f64)
             .with("req_delivered", 100.0)
             .with("rep_delivered", 100.0)
@@ -294,14 +264,14 @@ mod tests {
 
     #[test]
     fn clean_stream_is_fully_accounted() {
-        let text = format!("{}\n{}\n{}\n", sample(100), sample(200), summary(250));
+        let text = format!("{}\n{}\n{}\n", sample("a", 100), sample("a", 200), summary("a", 250));
         let mut log = Vec::new();
-        let s = watch_reader(Cursor::new(text), &mut log);
+        let s = watch_text(&text, &mut log);
         assert_eq!((s.frames, s.samples, s.corrupt), (3, 2, 0));
         assert_eq!(s.last_cycle, 250);
-        assert!(s.summary.is_some());
+        assert_eq!((s.runs.len(), s.summaries()), (1, 1));
         let rendered = String::from_utf8(log).unwrap();
-        assert!(rendered.contains("run summary"));
+        assert!(rendered.contains("run summary a"));
         assert!(rendered.contains("inj_queue 20.0%"), "breakdown shares rendered:\n{rendered}");
     }
 
@@ -309,76 +279,66 @@ mod tests {
     fn corrupt_and_truncated_lines_are_skipped_not_fatal() {
         // Garbage, a clipped frame, an unknown schema, and an empty
         // line, interleaved with good frames — the good ones all land.
-        let good = sample(100);
+        let good = sample("a", 100);
         let clipped = &good[..good.len() / 2];
         let text = format!(
             "not json at all\n{clipped}\n{}\n\n{{\"schema\":\"other/v9\"}}\n{}\n",
-            sample(300),
-            summary(400)
+            sample("a", 300),
+            summary("a", 400)
         );
         let mut log = Vec::new();
-        let s = watch_reader(Cursor::new(text), &mut log);
+        let s = watch_text(&text, &mut log);
         assert_eq!((s.frames, s.samples), (2, 1));
         assert_eq!(s.corrupt, 3, "garbage + clipped + unknown schema");
         assert_eq!(s.last_cycle, 400);
-        assert!(s.summary.is_some());
+        assert_eq!(s.summaries(), 1);
     }
 
     #[test]
-    fn stream_stops_at_summary_even_with_trailing_data() {
-        let text = format!("{}\n{}\n{}\n", sample(1), summary(2), sample(99));
-        let s = watch_reader(Cursor::new(text), &mut Vec::new());
-        assert_eq!(s.frames, 2, "nothing consumed past the summary");
-        assert_eq!(s.last_cycle, 2);
+    fn interleaved_runs_are_told_apart_and_read_past_the_first_summary() {
+        // Two cells of one scenario appending to one file: `b` is still
+        // sampling after `a`'s summary, and a third run never finishes.
+        let lines = [
+            sample("a", 100),
+            sample("b", 100),
+            summary("a", 150),
+            sample("b", 200),
+            sample("c", 100),
+            summary("b", 260),
+        ];
+        let s = watch_text(&lines.join("\n"), &mut Vec::new());
+        assert_eq!((s.frames, s.samples, s.corrupt), (6, 4, 0));
+        let runs: Vec<_> =
+            s.runs.iter().map(|r| (r.run.as_str(), r.samples, r.summary.is_some())).collect();
+        assert_eq!(runs, [("a", 1, true), ("b", 2, true), ("c", 1, false)]);
+        assert!(!s.complete(), "c is still open");
+        let j = s.to_json();
+        assert_eq!(j.get("runs_seen").and_then(Json::as_u64), Some(3));
+        assert_eq!(j.get("summaries_seen").and_then(Json::as_u64), Some(2));
+        assert_eq!(j.get("summaries").and_then(Json::as_arr).map(|a| a.len()), Some(2));
     }
 
     #[test]
-    fn tcp_watch_accepts_one_producer_and_drains_it() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        drop(listener); // free the probed port for watch_tcp
-        let addr_s = addr.to_string();
-        let payload = format!("{}\n{}\n", sample(10), summary(20));
-        let producer = std::thread::spawn(move || {
-            // Retry until the watcher's listener is up.
-            let deadline = Instant::now() + Duration::from_secs(10);
-            loop {
-                match std::net::TcpStream::connect(&addr_s) {
-                    Ok(mut s) => {
-                        s.write_all(payload.as_bytes()).unwrap();
-                        break;
-                    }
-                    Err(_) if Instant::now() < deadline => {
-                        std::thread::sleep(Duration::from_millis(20))
-                    }
-                    Err(e) => panic!("producer never connected: {e}"),
-                }
-            }
-        });
-        let mut log = Vec::new();
-        let s = watch_tcp(&addr.to_string(), &mut log).unwrap();
-        producer.join().unwrap();
-        assert_eq!((s.frames, s.samples, s.corrupt), (2, 1, 0));
-        assert!(s.summary.is_some());
-    }
-
-    #[test]
-    fn file_watch_follows_appends_to_the_summary() {
+    fn file_watch_follows_appends_until_every_run_is_summarised() {
         let dir = std::env::temp_dir().join(format!("eqw_tail_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("stream.jsonl");
-        std::fs::write(&path, format!("{}\n", sample(5))).unwrap();
+        // `a` is complete on disk, `b` is not: end-of-file alone must
+        // not stop the watcher.
+        std::fs::write(&path, format!("{}\n{}\n", summary("a", 4), sample("b", 5))).unwrap();
         let p = path.clone();
         let writer = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(150));
             let mut f = std::fs::OpenOptions::new().append(true).open(&p).unwrap();
-            writeln!(f, "{}", summary(9)).unwrap();
+            writeln!(f, "{}", summary("b", 9)).unwrap();
         });
         let mut log = Vec::new();
+        let start = Instant::now();
         let s = watch_file(path.to_str().unwrap(), &mut log).unwrap();
         writer.join().unwrap();
-        assert_eq!(s.frames, 2, "caught the appended summary");
-        assert!(s.summary.is_some());
+        assert_eq!(s.frames, 3, "caught the appended summary");
+        assert_eq!((s.runs.len(), s.summaries()), (2, 2));
+        assert!(start.elapsed() < FILE_IDLE, "complete at end-of-file: no idle wait");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

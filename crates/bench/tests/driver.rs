@@ -219,6 +219,7 @@ fn stream_records_and_watch_replays_end_to_end() {
             other => panic!("unknown frame schema {other:?}"),
         }
         assert!(frame.get("cycle").and_then(Json::as_u64).is_some(), "cycle stamp");
+        assert_eq!(frame.get("run").and_then(Json::as_str), Some("EquiNox/bfs/42"), "run identity");
     }
     assert!(samples > 0, "run long enough to emit samples");
     assert_eq!(summaries, 1, "exactly one terminal summary frame");
@@ -240,7 +241,8 @@ fn stream_records_and_watch_replays_end_to_end() {
         "watch accounts for every recorded frame"
     );
     assert_eq!(results.get("corrupt_lines").and_then(Json::as_u64), Some(0));
-    assert_eq!(results.get("summary_seen").and_then(Json::as_bool), Some(true));
+    assert_eq!(results.get("runs_seen").and_then(Json::as_u64), Some(1));
+    assert_eq!(results.get("summaries_seen").and_then(Json::as_u64), Some(1));
     // The dashboard rendered to stderr.
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("run summary"), "dashboard on stderr: {err}");
@@ -334,15 +336,71 @@ fn result_cache_stands_aside_when_output_is_not_in_the_artifact() {
     let second = results(run(&watch, &feed));
     assert_eq!(second.get("frames_seen").and_then(Json::as_u64), Some(3));
     assert_eq!(second.get("corrupt_lines").and_then(Json::as_u64), Some(1));
-    assert_eq!(second.get("summary_seen").and_then(Json::as_bool), Some(true));
+    assert_eq!(second.get("summaries_seen").and_then(Json::as_u64), Some(1));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Runs the driver with `args` plus `--checkpoint-dir ckpt`; returns
+/// (stdout, stderr).
+fn cached_run(args: &[&str], ckpt: &Path) -> (String, String) {
+    let out = driver().args(args).arg("--checkpoint-dir").arg(ckpt).output().expect("run driver");
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(out.status.success(), "{args:?}: {err}");
+    (String::from_utf8(out.stdout).unwrap(), err)
+}
+
+fn entries(ckpt: &Path, prefix: &str) -> usize {
+    let names = std::fs::read_dir(ckpt).unwrap().map(|e| e.unwrap().file_name());
+    names.filter(|n| n.to_string_lossy().starts_with(prefix)).count()
+}
+
+#[test]
+fn artifact_cache_replays_a_finished_scenario_byte_for_byte() {
+    let ckpt = std::env::temp_dir().join(format!("equinox_driver_artifact_hit_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&ckpt);
+    let smoke = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs/ci-smoke.json");
+    let args = ["fig11", "--spec", smoke.to_str().unwrap()];
+    let (cold, cold_err) = cached_run(&args, &ckpt);
+    assert!(cold_err.contains("checkpoint cache miss"), "first run computes: {cold_err}");
+    let (warm, warm_err) = cached_run(&args, &ckpt);
+    assert!(warm_err.contains("checkpoint cache hit"), "second run replays: {warm_err}");
+    assert!(!warm_err.contains("Figure 11"), "a hit runs no scenario: {warm_err}");
+    assert_eq!(cold, warm, "cold and warm artifacts are the same bytes");
+    let cache = parse_json(&warm).expect("artifact is JSON").get("cache").cloned().expect("cache block");
+    assert_eq!(cache.get("schema").and_then(Json::as_str), Some("equinox.cache/v1"));
+    assert!(warm_err.contains(cache.get("key").and_then(Json::as_str).expect("key")), "{warm_err}");
+    std::fs::remove_dir_all(&ckpt).ok();
+}
+
+/// fig10's cells are a subset of fig9's, whatever the worker count: on a
+/// warm directory it simulates nothing, so it searches no design either.
+#[test]
+fn cells_and_designs_are_shared_across_scenarios_and_thread_counts() {
+    let ckpt = std::env::temp_dir().join(format!("equinox_driver_cell_share_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&ckpt);
+    let tiny = ["--scale", "0.02", "--seeds", "1"];
+    let (_, err) = cached_run(&[&["fig9"], &tiny[..]].concat(), &ckpt);
+    assert_eq!(err.matches("searching design").count(), 1, "fig9 searches its one design: {err}");
+    assert_eq!((entries(&ckpt, "run_"), entries(&ckpt, "design_")), (42, 1));
+    for threads in ["1", "2"] {
+        let (_, err) = cached_run(&[&["fig10", "--threads", threads], &tiny[..]].concat(), &ckpt);
+        assert!(err.contains("checkpoint cache miss"), "a new artifact: {err}");
+        assert!(!err.contains("searching design"), "--threads {threads}: {err}");
+        assert_eq!(entries(&ckpt, "run_"), 42, "--threads {threads} added a cell");
+    }
+    // A scenario that does need the design finds it stored.
+    let (_, err) = cached_run(&[&["fig7"], &tiny[..]].concat(), &ckpt);
+    assert!(!err.contains("searching design"), "fig7 reloads the stored design: {err}");
+    std::fs::remove_dir_all(&ckpt).ok();
 }
 
 #[test]
 fn run_metrics_emission_matches_golden_snapshot() {
     let mut spec = equinox_config::ExperimentSpec::default();
     spec.scale = 0.05;
-    let m = equinox_bench::run_one_spec(SchemeKind::SeparateBase, 8, "gaussian", 1, &spec);
+    spec.seeds = vec![1];
+    let cell = equinox_bench::Cell::new(SchemeKind::SeparateBase, 8, "gaussian", &spec);
+    let m = equinox_bench::run_cells(vec![cell], &mut Vec::new()).remove(0);
     let emitted = run_metrics_json(&m).pretty();
     let golden_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/run_metrics.json");
     if std::env::var("EQUINOX_REGEN_GOLDEN").is_ok() {

@@ -111,7 +111,7 @@ pub struct ExperimentSpec {
     /// Cycles between observability time-series samples (must be > 0;
     /// rejected at spec resolution otherwise).
     pub obs_interval: u64,
-    /// Live-telemetry sink: a file path or `tcp:host:port`. One
+    /// Live-telemetry sink: a file path, appended to. One
     /// `obs.sample/v1` line-JSON frame per sampling interval plus a
     /// terminal `obs.summary/v1` frame. Setting this arms the
     /// observability layer even without `--obs`. Empty = off.
@@ -230,15 +230,17 @@ impl ExperimentSpec {
     }
 
     /// Canonical cache-key material for content-addressed result
-    /// caching: every registered field except `checkpoint_dir`, rendered
-    /// as `name=compact-json` lines in registry order. Provenance is
-    /// excluded (the resolved values define the experiment, not which
-    /// layer set them), and so is the cache location itself — moving the
-    /// cache directory must never change what is cached.
-    pub fn cache_key_material(&self) -> String {
+    /// caching: every registered field except `checkpoint_dir` and the
+    /// names in `skip`, rendered as `name=compact-json` lines in registry
+    /// order. Provenance is excluded (the resolved values define the
+    /// experiment, not which layer set them), and so is the cache
+    /// location itself — moving the cache directory must never change
+    /// what is cached. `skip` is for fields the keyed result provably
+    /// does not depend on (a matrix cell and `threads`, say).
+    pub fn cache_key_material(&self, skip: &[&str]) -> String {
         let mut s = String::new();
         for f in fields() {
-            if f.name == "checkpoint_dir" {
+            if f.name == "checkpoint_dir" || skip.contains(&f.name) {
                 continue;
             }
             s.push_str(f.name);
@@ -530,7 +532,7 @@ pub fn fields() -> &'static [FieldDef] {
             flag: "--obs-stream",
             env: "EQUINOX_OBS_STREAM",
             takes_value: true,
-            help: "stream line-JSON telemetry frames to a path or tcp:host:port",
+            help: "append line-JSON telemetry frames to this file",
             set_str: |s, v| {
                 s.obs_stream = v.trim().to_string();
                 Ok(())
@@ -707,15 +709,15 @@ mod tests {
         assert!(s.obs_stream.is_empty(), "streaming off by default");
         let f = field_by_flag("--obs-stream").unwrap();
         assert_eq!(f.env, "EQUINOX_OBS_STREAM");
-        s.set_str(f, " tcp:127.0.0.1:9000 ", Layer::Cli).unwrap();
-        assert_eq!(s.obs_stream, "tcp:127.0.0.1:9000");
+        s.set_str(f, " frames.ndjson ", Layer::Cli).unwrap();
+        assert_eq!(s.obs_stream, "frames.ndjson");
         s.set_json(f, &Json::Str("/tmp/frames.ndjson".into()), Layer::File).unwrap();
         assert_eq!(s.obs_stream, "/tmp/frames.ndjson");
         assert!(s.set_json(f, &Json::Num(1.0), Layer::File).is_err());
         assert_eq!(s.provenance_of("obs_stream"), Some(Layer::File));
         // Unlike checkpoint_dir, the sink arms observability and thus
         // changes what the run records: it is part of the experiment.
-        assert!(s.cache_key_material().contains("obs_stream"));
+        assert!(s.cache_key_material(&[]).contains("obs_stream"));
     }
 
     #[test]
@@ -743,11 +745,13 @@ mod tests {
         let dir = field_by_name("checkpoint_dir").unwrap();
         b.set_str(dir, "/tmp/elsewhere", Layer::Cli).unwrap();
         // Same experiment, different cache dir and provenance → same key.
-        assert_eq!(a.cache_key_material(), b.cache_key_material());
-        assert!(!a.cache_key_material().contains("checkpoint_dir"));
+        assert_eq!(a.cache_key_material(&[]), b.cache_key_material(&[]));
+        assert!(!a.cache_key_material(&[]).contains("checkpoint_dir"));
         // Any experiment knob changes the key material.
         a.set_str(field_by_name("scale").unwrap(), "0.25", Layer::Cli).unwrap();
-        assert_ne!(a.cache_key_material(), b.cache_key_material());
+        assert_ne!(a.cache_key_material(&[]), b.cache_key_material(&[]));
+        // …unless the caller names it as one its result does not read.
+        assert_eq!(a.cache_key_material(&["scale"]), b.cache_key_material(&["scale"]));
     }
 
     #[test]

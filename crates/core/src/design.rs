@@ -188,12 +188,17 @@ impl EquiNoxDesign {
                 return Err(format!("tile {c} outside the {n}x{n} mesh"));
             }
         }
-        let placement = Placement::new(
-            n,
-            n,
-            cbs,
-            equinox_placement::PlacementKind::NQueen,
-        );
+        if (1..cbs.len()).any(|i| cbs[..i].contains(&cbs[i])) {
+            return Err("two cache banks share a tile".into());
+        }
+        // The kind `search` gives the same CB count, so a stored design
+        // reloads equal to the searched one.
+        let kind = if cbs.len() > n as usize {
+            equinox_placement::PlacementKind::Knight
+        } else {
+            equinox_placement::PlacementKind::NQueen
+        };
+        let placement = Placement::new(n, n, cbs, kind);
         let selection = EirSelection { groups };
         if !selection.is_exclusive(&placement) {
             return Err("EIRs are shared between CBs or collide with a CB".into());
@@ -276,8 +281,10 @@ mod tests {
         let d = EquiNoxDesign::quick(8, 8);
         let text = d.to_text();
         let back = EquiNoxDesign::from_text(&text).expect("parses");
-        assert_eq!(back.placement.cbs, d.placement.cbs);
-        assert_eq!(back.selection, d.selection);
+        assert_eq!(back, d);
+        // More CBs than rows (the knight-move family) reloads equal too.
+        let over = EquiNoxDesign::search_k(8, 12, 100, 7, 1);
+        assert_eq!(EquiNoxDesign::from_text(&over.to_text()).as_ref(), Ok(&over));
     }
 
     #[test]
@@ -294,6 +301,13 @@ mod tests {
             )
             .is_err(),
             "shared EIR"
+        );
+        assert!(
+            EquiNoxDesign::from_text(
+                "equinox-design v1\nmesh 8\ncb 1,0 eirs 3,3\ncb 1,0 eirs 4,4\n"
+            )
+            .is_err(),
+            "duplicate CB is an error, not a panic"
         );
     }
 

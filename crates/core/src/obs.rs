@@ -44,7 +44,7 @@ pub struct ObsConfig {
     /// Span-event ring capacity (wall-clock phase events retained for
     /// the Chrome trace export; aggregates are always kept).
     pub span_capacity: usize,
-    /// Live-telemetry sink (`path` or `tcp:host:port`); empty = off.
+    /// Live-telemetry sink (a file path); empty = off.
     /// When set, one `obs.sample/v1` line-JSON frame goes out per
     /// sampling interval plus a terminal `obs.summary/v1` frame.
     pub stream: String,
@@ -141,6 +141,9 @@ pub(crate) struct SystemObs {
     stream: Option<StreamWriter>,
     /// Frames emitted so far (the `seq` field of each frame).
     stream_seq: u64,
+    /// `<scheme>/<benchmark>/<seed>`: the `run` field of each frame, so
+    /// concurrent runs appending to one file stay tellable apart.
+    run: String,
 }
 
 /// Sums one in-network cause over every armed subnet grid for `class`.
@@ -161,6 +164,7 @@ impl SystemObs {
         eir_groups: Vec<Vec<InjectorId>>,
         max_cycles: u64,
         mesh_n: u16,
+        run: String,
     ) -> Self {
         let interval = cfg.interval.max(1);
         let rows = ((max_cycles / interval) as usize).saturating_add(2).min(MAX_SAMPLES);
@@ -209,6 +213,7 @@ impl SystemObs {
                 })
             }),
             stream_seq: 0,
+            run,
         }
     }
 
@@ -310,6 +315,7 @@ impl SystemObs {
     fn emit_sample_frame(&mut self, cycle: u64, nets: &[Network], tracker: &PacketTracker) {
         let frame = Json::obj()
             .with("schema", "obs.sample/v1")
+            .with("run", self.run.as_str())
             .with("seq", self.stream_seq as f64)
             .with("cycle", cycle as f64)
             .with("throughput_flits_per_cycle", self.scratch.first().copied().unwrap_or(0.0))
@@ -329,6 +335,7 @@ impl SystemObs {
         }
         let frame = Json::obj()
             .with("schema", "obs.summary/v1")
+            .with("run", self.run.as_str())
             .with("seq", self.stream_seq as f64)
             .with("cycle", cycle as f64)
             .with("req_delivered", self.h_latency[0].count() as f64)

@@ -136,6 +136,18 @@ impl SystemConfig {
         cfg
     }
 
+    /// The auditor configuration a spec asks for (`None` when disarmed);
+    /// also what the bare-network scenarios arm their `Network`s with.
+    pub fn audit_from_spec(
+        spec: &equinox_config::ExperimentSpec,
+    ) -> Option<equinox_noc::AuditConfig> {
+        spec.audit.then_some(equinox_noc::AuditConfig {
+            check_interval: spec.audit_check_interval,
+            watchdog_window: spec.audit_watchdog_window,
+            panic_on_violation: spec.audit_panic,
+        })
+    }
+
     /// Overwrites every field the spec covers (capacities, latencies,
     /// auditing, activity gating); structural choices (`scheme`, `n`,
     /// `workload`, `design`, `placement_override`, `hbm`) are untouched.
@@ -152,11 +164,7 @@ impl SystemConfig {
         self.pipeline_extra = spec.pipeline_extra;
         self.reply_compression = spec.reply_compression;
         self.activity_gate = spec.activity_gate;
-        self.audit = spec.audit.then_some(equinox_noc::AuditConfig {
-            check_interval: spec.audit_check_interval,
-            watchdog_window: spec.audit_watchdog_window,
-            panic_on_violation: spec.audit_panic,
-        });
+        self.audit = Self::audit_from_spec(spec);
         // A live stream implies observability: the frames are produced
         // by the sampling path, so `--obs-stream` alone arms it.
         self.obs = (spec.obs || !spec.obs_stream.is_empty()).then_some(crate::obs::ObsConfig {
@@ -417,10 +425,6 @@ impl System {
                 cfg.workload.mshrs,
                 cfg.workload.seed,
             );
-            let pe = match cfg.workload.phase_len {
-                Some(len) => pe.with_phases(len),
-                None => pe,
-            };
             pe_count += 1;
             pes.push(Some(pe));
             let policy = match scheme {
@@ -597,10 +601,11 @@ impl System {
                 net.enable_stalls();
             }
         }
-        let obs = cfg
-            .obs
-            .as_ref()
-            .map(|o| Box::new(SystemObs::new(o, &nets, eir_groups, cfg.max_cycles, cfg.n)));
+        let obs = cfg.obs.as_ref().map(|o| {
+            let w = &cfg.workload;
+            let run = format!("{}/{}/{}", scheme.name(), w.profile.name, w.seed);
+            Box::new(SystemObs::new(o, &nets, eir_groups, cfg.max_cycles, cfg.n, run))
+        });
 
         let total_instrs = cfg.workload.total_instrs(pe_count);
         let lanes = resolved_sim_threads(cfg.sim_threads, nets.len());
@@ -1389,6 +1394,20 @@ mod tests {
         cfg.max_cycles = 200_000;
         let mut sys = System::build(cfg);
         sys.run()
+    }
+
+    #[test]
+    fn audit_from_spec_mirrors_the_spec() {
+        let mut spec = equinox_config::ExperimentSpec::default();
+        assert!(SystemConfig::audit_from_spec(&spec).is_none());
+        spec.audit = true;
+        spec.audit_check_interval = 32;
+        spec.audit_watchdog_window = 123;
+        spec.audit_panic = false;
+        let a = SystemConfig::audit_from_spec(&spec).unwrap();
+        assert_eq!(a.check_interval, 32);
+        assert_eq!(a.watchdog_window, 123);
+        assert!(!a.panic_on_violation);
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //!   events and per-flit NoC trace events onto one timeline.
 //! * [`StallGrid`] — per-router × per-cause stall-cycle attribution
 //!   counters (the `obs/v2` layer), charged by the router pipeline.
-//! * [`StreamWriter`] — a line-JSON (NDJSON) frame sink over a file or
-//!   raw TCP connection, for live mid-run telemetry.
+//! * [`StreamWriter`] — a line-JSON (NDJSON) frame sink over an
+//!   append-mode file, for live mid-run telemetry.
 //!
 //! Everything here is plain `std`: construction allocates, recording
 //! does not. Wall-clock data ([`SpanProfiler`]) is inherently

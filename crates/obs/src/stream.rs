@@ -3,33 +3,22 @@
 //! The live-telemetry leg of the observability layer: the simulator
 //! writes one self-contained JSON object per line — `obs.sample/v1`
 //! frames every sampling interval, one terminal `obs.summary/v1` frame
-//! — to either a file (append mode) or a raw TCP connection
-//! (`tcp:host:port`, hand-rolled on `std::net` per the workspace
-//! zero-dependency rule). Each line goes out as a single `write_all`
-//! call so concurrent writers on a local file interleave whole lines,
-//! and a reader tailing the file never sees a torn frame boundary on
-//! Linux pipes/files smaller than `PIPE_BUF`.
+//! — to a file opened in append mode. Each line goes out as a single
+//! `write_all` call so concurrent writers on a local file interleave
+//! whole lines, and a reader tailing the file never sees a torn frame
+//! boundary on Linux pipes/files smaller than `PIPE_BUF`.
 //!
 //! Sink failures never abort a simulation: the first write error marks
 //! the sink dead, subsequent writes are dropped, and the error count is
 //! reported in the run's artifact so silent data loss is visible.
 
 use std::io::Write;
-use std::net::TcpStream;
 
-/// Where frames go.
-#[derive(Debug)]
-enum Sink {
-    File(std::fs::File),
-    Tcp(TcpStream),
-    /// A write failed; drop everything from here on.
-    Dead,
-}
-
-/// Line-oriented JSON frame writer over a file or TCP sink.
+/// Line-oriented JSON frame writer over an append-mode file.
 #[derive(Debug)]
 pub struct StreamWriter {
-    sink: Sink,
+    /// `None` once a write failed: everything after is dropped.
+    sink: Option<std::fs::File>,
     target: String,
     scratch: Vec<u8>,
     lines: u64,
@@ -37,21 +26,11 @@ pub struct StreamWriter {
 }
 
 impl StreamWriter {
-    /// Opens a sink. `tcp:host:port` connects a TCP stream (the peer —
-    /// e.g. `equinox watch` — must already be listening); anything else
-    /// is a file path opened in create+append mode.
+    /// Opens the file at `target` in create+append mode.
     pub fn open(target: &str) -> std::io::Result<Self> {
-        let sink = match target.strip_prefix("tcp:") {
-            Some(addr) => Sink::Tcp(TcpStream::connect(addr)?),
-            None => Sink::File(
-                std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(target)?,
-            ),
-        };
+        let file = std::fs::OpenOptions::new().create(true).append(true).open(target)?;
         Ok(StreamWriter {
-            sink,
+            sink: Some(file),
             target: target.to_string(),
             scratch: Vec::with_capacity(4096),
             lines: 0,
@@ -72,34 +51,20 @@ impl StreamWriter {
         self.scratch.clear();
         self.scratch.extend_from_slice(frame.as_bytes());
         self.scratch.push(b'\n');
-        let res = match &mut self.sink {
-            Sink::File(f) => f.write_all(&self.scratch),
-            Sink::Tcp(s) => s.write_all(&self.scratch),
-            Sink::Dead => {
+        match self.sink.as_mut().map(|f| f.write_all(&self.scratch)) {
+            Some(Ok(())) => self.lines += 1,
+            _ => {
                 self.errors += 1;
-                return;
-            }
-        };
-        match res {
-            Ok(()) => self.lines += 1,
-            Err(_) => {
-                self.errors += 1;
-                self.sink = Sink::Dead;
+                self.sink = None;
             }
         }
     }
 
-    /// Flushes the underlying sink (TCP streams buffer nothing, but
-    /// file sinks may; called once at end of run).
+    /// Flushes the file (called once at end of run).
     pub fn flush(&mut self) {
-        let res = match &mut self.sink {
-            Sink::File(f) => f.flush(),
-            Sink::Tcp(s) => s.flush(),
-            Sink::Dead => return,
-        };
-        if res.is_err() {
+        if self.sink.as_mut().is_some_and(|f| f.flush().is_err()) {
             self.errors += 1;
-            self.sink = Sink::Dead;
+            self.sink = None;
         }
     }
 
@@ -117,7 +82,6 @@ impl StreamWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{BufRead, BufReader};
 
     #[test]
     fn file_sink_writes_one_frame_per_line() {
@@ -142,33 +106,5 @@ mod tests {
     #[test]
     fn unopenable_path_is_an_error_not_a_panic() {
         assert!(StreamWriter::open("/nonexistent-dir/equinox/frames.ndjson").is_err());
-    }
-
-    #[test]
-    fn refused_tcp_connection_is_an_error() {
-        // Port 1 on localhost: connection refused (or permission denied)
-        // everywhere we run tests.
-        assert!(StreamWriter::open("tcp:127.0.0.1:1").is_err());
-    }
-
-    #[test]
-    fn tcp_sink_delivers_lines_to_a_listener() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
-        let addr = listener.local_addr().unwrap();
-        let reader = std::thread::spawn(move || {
-            let (conn, _) = listener.accept().expect("accept");
-            let mut lines = Vec::new();
-            for line in BufReader::new(conn).lines() {
-                lines.push(line.expect("read line"));
-            }
-            lines
-        });
-        let mut w = StreamWriter::open(&format!("tcp:{addr}")).expect("connect");
-        w.write_line(r#"{"cycle": 1}"#);
-        w.write_line(r#"{"cycle": 2}"#);
-        w.flush();
-        drop(w); // close the connection so the reader sees EOF
-        let lines = reader.join().expect("reader thread");
-        assert_eq!(lines, vec![r#"{"cycle": 1}"#, r#"{"cycle": 2}"#]);
     }
 }

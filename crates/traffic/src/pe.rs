@@ -52,11 +52,6 @@ pub struct Pe {
     span: u64,
     /// A pending mem-op the NI refused; retried before new work.
     pending: Option<MemOp>,
-    /// Optional phase length in instructions: phases alternate between
-    /// 1.5x and 0.5x the profile's memory intensity, modelling the
-    /// compute/memory phase behaviour of real GPU kernels. `None` keeps
-    /// the calibrated uniform behaviour.
-    phase_len: Option<u64>,
     /// Statistics.
     pub stats: PeStats,
 }
@@ -85,36 +80,7 @@ impl Pe {
             base,
             span: 1 << 24,
             pending: None,
-            phase_len: None,
             stats: PeStats::default(),
-        }
-    }
-
-    /// Enables phase behaviour: every `len` retired instructions the PE
-    /// alternates between a memory-hungry (1.5x) and a compute-heavy
-    /// (0.5x) variant of its profile's memory intensity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `len == 0`.
-    pub fn with_phases(mut self, len: u64) -> Self {
-        assert!(len > 0, "phase length must be nonzero");
-        self.phase_len = Some(len);
-        self
-    }
-
-    /// The memory-op probability for the current phase.
-    fn effective_mem_rate(&self, quota: u64) -> f64 {
-        match self.phase_len {
-            None => self.profile.mem_rate,
-            Some(len) => {
-                let retired = quota - self.remaining;
-                if (retired / len).is_multiple_of(2) {
-                    (self.profile.mem_rate * 1.5).min(1.0)
-                } else {
-                    self.profile.mem_rate * 0.5
-                }
-            }
         }
     }
 
@@ -140,7 +106,7 @@ impl Pe {
             // Only waiting for outstanding replies.
             return None;
         }
-        let is_mem = self.rng.random::<f64>() < self.effective_mem_rate(self.quota);
+        let is_mem = self.rng.random::<f64>() < self.profile.mem_rate;
         if !is_mem {
             self.remaining -= 1;
             self.stats.retired += 1;
@@ -203,14 +169,9 @@ impl Pe {
         self.outstanding
     }
 
-    /// Instructions not yet retired.
-    pub fn remaining(&self) -> u64 {
-        self.remaining
-    }
-
     /// Serializes the PE's dynamic state (progress counters, RNG, the
     /// address-stream cursor and a held-back op). The profile, quota,
-    /// MSHR cap, working-set geometry and phase knob are build-time.
+    /// MSHR cap and working-set geometry are build-time.
     pub fn snap_state(&self, e: &mut equinox_snap::Enc) {
         use equinox_snap::Snap;
         e.put_u64(self.remaining);
@@ -401,41 +362,6 @@ mod tests {
     fn spurious_reply_panics() {
         let mut p = pe("bfs", 1.0);
         p.complete();
-    }
-
-    #[test]
-    fn phases_modulate_memory_intensity() {
-        let prof = BenchmarkProfile {
-            name: "phased",
-            mem_rate: 0.4,
-            read_frac: 1.0,
-            l2_hit: 0.5,
-            locality: 0.5,
-            burst: 2,
-            instrs: 2_000,
-        };
-        // Count mem ops in the first phase vs the second.
-        let mut pe = Pe::new(prof, 0, 1.0, 4096, 5).with_phases(1_000);
-        let (mut first, mut second) = (0u64, 0u64);
-        for _ in 0..200_000 {
-            let before = pe.remaining();
-            if let Some(_op) = pe.tick(true) {
-                if 2_000 - before < 1_000 {
-                    first += 1;
-                } else {
-                    second += 1;
-                }
-                pe.complete();
-            }
-            if pe.done() {
-                break;
-            }
-        }
-        assert!(pe.done());
-        assert!(
-            first as f64 > 1.8 * second as f64,
-            "hungry phase {first} vs calm phase {second}"
-        );
     }
 
     #[test]

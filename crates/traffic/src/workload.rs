@@ -15,8 +15,6 @@ pub struct Workload {
     pub mshrs: u32,
     /// RNG seed for reproducibility.
     pub seed: u64,
-    /// Optional phase length in instructions (see [`crate::pe::Pe::with_phases`]).
-    pub phase_len: Option<u64>,
 }
 
 impl Workload {
@@ -27,20 +25,13 @@ impl Workload {
             scale,
             mshrs: 48,
             seed,
-            phase_len: None,
         }
     }
 
     /// Instantiates the PE array (one PE per compute tile).
     pub fn make_pes(&self, num_pes: usize) -> Vec<Pe> {
         (0..num_pes)
-            .map(|i| {
-                let pe = Pe::new(self.profile, i, self.scale, self.mshrs, self.seed);
-                match self.phase_len {
-                    Some(len) => pe.with_phases(len),
-                    None => pe,
-                }
-            })
+            .map(|i| Pe::new(self.profile, i, self.scale, self.mshrs, self.seed))
             .collect()
     }
 

@@ -18,7 +18,6 @@ fn pe_retires_exactly_its_quota() {
             scale: 0.05,
             mshrs,
             seed,
-            phase_len: None,
         };
         let mut pe = w.make_pes(1).remove(0);
         let quota = w.total_instrs(1);
@@ -52,7 +51,6 @@ fn outstanding_never_exceeds_mshrs() {
             scale: 0.05,
             mshrs,
             seed: 1,
-            phase_len: None,
         };
         let mut pe = w.make_pes(1).remove(0);
         for t in 0..50_000u64 {

@@ -11,7 +11,7 @@
 //! (never via the `EQUINOX_SIM_THREADS` environment variable): env
 //! vars are process-global and tests in this binary run concurrently.
 
-use equinox_suite::bench::run_matrix_spec;
+use equinox_suite::bench::{matrix_cells, run_cells, Cell};
 use equinox_suite::core::loadlat::{load_latency_curve_cfg, ReplySide};
 use equinox_suite::core::{EquiNoxDesign, RunMetrics, SchemeKind, System, SystemConfig};
 use equinox_suite::exec::set_threads;
@@ -105,17 +105,15 @@ fn sweep_matrix_is_worker_count_independent() {
     let mut spec = equinox_suite::config::ExperimentSpec::default();
     spec.scale = 0.05;
     spec.seeds = vec![1, 2];
+    let go = || run_cells(matrix_cells(schemes, 8, &benches, &spec), &mut Vec::new());
     set_threads(1);
-    let seq = run_matrix_spec(schemes, 8, &benches, &spec);
+    let seq = go();
     set_threads(4);
-    let par = run_matrix_spec(schemes, 8, &benches, &spec);
+    let par = go();
     set_threads(0);
-    assert_eq!(seq.len(), par.len());
-    for (row_s, row_p) in seq.iter().zip(&par) {
-        assert_eq!(row_s.len(), row_p.len());
-        for (a, b) in row_s.iter().zip(row_p) {
-            assert_metrics_identical(a, b);
-        }
+    assert_eq!((seq.len(), par.len()), (4, 4));
+    for (a, b) in seq.iter().zip(&par) {
+        assert_metrics_identical(a, b);
     }
 }
 
@@ -366,15 +364,18 @@ fn result_cache_replays_bit_identical_metrics() {
     // replays it from disk — and both are bit-identical to an uncached
     // run of the same spec. The cache dir is per-test and set by value
     // on the spec (never via the environment; tests run concurrently).
-    use equinox_suite::bench::run_seeds_spec;
     use equinox_suite::config::ExperimentSpec;
     let dir = std::env::temp_dir().join(format!("eqsn_det_cache_{}", std::process::id()));
     let mut spec = ExperimentSpec::default();
     spec.scale = 0.05;
-    let straight = run_seeds_spec(SchemeKind::SeparateBase, 8, "gaussian", &spec);
+    let run = |spec: &ExperimentSpec| {
+        let cell = Cell::new(SchemeKind::SeparateBase, 8, "gaussian", spec);
+        run_cells(vec![cell], &mut Vec::new()).remove(0)
+    };
+    let straight = run(&spec);
     spec.checkpoint_dir = dir.to_string_lossy().into_owned();
-    let cold = run_seeds_spec(SchemeKind::SeparateBase, 8, "gaussian", &spec);
-    let warm = run_seeds_spec(SchemeKind::SeparateBase, 8, "gaussian", &spec);
+    let cold = run(&spec);
+    let warm = run(&spec);
     assert_metrics_identical(&straight, &cold);
     assert_metrics_identical(&straight, &warm);
     // A replay is bit-identical to a recompute by design, so the two
@@ -385,13 +386,13 @@ fn result_cache_replays_bit_identical_metrics() {
     let mut sentinel = straight.clone();
     sentinel.cycles += 1;
     std::fs::write(&entries[0], equinox_suite::bench::cache::encode_metrics(&sentinel)).unwrap();
-    let hit = run_seeds_spec(SchemeKind::SeparateBase, 8, "gaussian", &spec);
+    let hit = run(&spec);
     assert_eq!(hit.cycles, straight.cycles + 1, "the stored entry must be served, not recomputed");
     // A corrupted entry is a miss, not bad data: the cell recomputes.
     for entry in std::fs::read_dir(&dir).unwrap() {
         std::fs::write(entry.unwrap().path(), b"junk").unwrap();
     }
-    let recovered = run_seeds_spec(SchemeKind::SeparateBase, 8, "gaussian", &spec);
+    let recovered = run(&spec);
     assert_metrics_identical(&straight, &recovered);
     std::fs::remove_dir_all(&dir).ok();
 }
