@@ -32,9 +32,8 @@ pub fn cache_for(spec: &ExperimentSpec) -> Option<CheckpointCache> {
     cacheable.then(|| CheckpointCache::new(&spec.checkpoint_dir))
 }
 
-/// Loads and validates the `kind_<key>` entry: `None` without a cache,
-/// on a miss, on a read error, and whenever `decode` rejects the bytes.
-pub fn lookup<T>(
+/// The `kind_<key>` entry, if one is stored and `decode` accepts it.
+pub(crate) fn lookup<T>(
     cache: Option<&CheckpointCache>,
     kind: &str,
     key: u64,
@@ -43,9 +42,8 @@ pub fn lookup<T>(
     decode(&cache?.load(kind, key).ok()??)
 }
 
-/// Stores `bytes` as the `kind_<key>` entry; a failure is reported on
-/// stderr and otherwise ignored (the result is already in hand).
-pub fn store(cache: Option<&CheckpointCache>, kind: &str, key: u64, bytes: &[u8]) {
+/// Stores the `kind_<key>` entry; a failure only costs a stderr line.
+pub(crate) fn store(cache: Option<&CheckpointCache>, kind: &str, key: u64, bytes: &[u8]) {
     if let Some(Err(e)) = cache.map(|c| c.store(kind, key, bytes)) {
         eprintln!("checkpoint cache store failed: {e}");
     }
@@ -151,8 +149,9 @@ mod tests {
         let mut spec = ExperimentSpec::default();
         spec.scale = 0.02;
         spec.seeds = vec![1];
-        let cell = crate::Cell::new(SchemeKind::SeparateBase, 8, "gaussian", &spec);
+        let cell = crate::Cell::new(SchemeKind::EquiNox, 8, "gaussian", &spec);
         let m = crate::run_cells(vec![cell], &mut Vec::new()).remove(0);
+        assert!(m.ubumps > 0, "a field the baselines leave at zero");
         let bytes = encode_metrics(&m);
         let r = decode_metrics(&bytes).unwrap();
         assert_eq!(r.scheme, m.scheme);

@@ -112,25 +112,25 @@ impl Cell {
         }
     }
 
-    /// Gives an EquiNox cell that carries no design the strong one.
-    pub fn resolve_design(&mut self, log: &mut dyn Write) {
-        if self.scheme == SchemeKind::EquiNox && self.design.is_none() {
-            let (n, spec) = (self.n, &self.spec);
-            self.design = Some(design(n, spec.n_cbs, STRONG_ITERS, STRONG_SEED, spec, log));
-        }
+    /// The design this cell runs with: its own, else — EquiNox only — the
+    /// strong one for `(n, spec.n_cbs)` out of the [`design`] memo.
+    fn resolved_design(&self, log: &mut dyn Write) -> Option<Arc<EquiNoxDesign>> {
+        let strong = || design(self.n, self.spec.n_cbs, STRONG_ITERS, STRONG_SEED, &self.spec, log);
+        self.design.clone().or_else(|| (self.scheme == SchemeKind::EquiNox).then(strong))
     }
 
-    /// The system this cell builds for one `seed`.
+    /// The system this cell builds for one `seed`; an EquiNox cell's
+    /// design is resolved here, so no caller can build one without it.
     ///
     /// # Panics
     ///
     /// Panics on a benchmark name that is not in the suite.
-    pub fn system_config(&self, seed: u64) -> SystemConfig {
+    pub fn system_config(&self, seed: u64, log: &mut dyn Write) -> SystemConfig {
         let profile = equinox_traffic::profile::benchmark(self.bench)
             .unwrap_or_else(|| panic!("unknown benchmark {}", self.bench));
         let workload = Workload::new(profile, self.spec.scale, seed);
         let mut cfg = SystemConfig::from_spec(self.scheme, self.n, workload, &self.spec);
-        cfg.design = self.design.as_deref().cloned();
+        cfg.design = self.resolved_design(log).as_deref().cloned();
         cfg.placement_override = self.placement.clone();
         cfg
     }
@@ -182,40 +182,44 @@ fn fold_seeds(mut runs: Vec<RunMetrics>) -> RunMetrics {
 /// Runs `cells` and returns their metrics in input order — the one door
 /// from a spec to a full-system run.
 ///
-/// With a checkpoint dir armed, a hit on the cell's `run_<key>` entry
-/// replays the bit-exact metrics; a miss computes and stores them.
-/// Designs are searched only for cells that missed, once each and before
-/// the fan-out, so one worker's search never holds the others hostage.
-/// The misses run on the [`equinox_exec`] pool: each is an independent,
+/// A cell that repeats an earlier one of the batch (same [`Cell::key`]:
+/// `extensions`' +0 % and +0-stage rows) takes that one's result. With a
+/// checkpoint dir armed, a hit on the cell's `run_<key>` entry replays
+/// the bit-exact metrics; a miss computes and stores them. Designs are
+/// searched only for cells that missed, once each and before the
+/// fan-out, so one worker's search never holds the others hostage. The
+/// misses run on the [`equinox_exec`] pool: each is an independent,
 /// seed-deterministic job and `par_map` keeps input order, so the output
 /// is identical for any worker count (`tests/determinism.rs`).
 pub fn run_cells(mut cells: Vec<Cell>, log: &mut dyn Write) -> Vec<RunMetrics> {
-    let mut out: Vec<Option<RunMetrics>> = Vec::with_capacity(cells.len());
+    let keys: Vec<u64> = cells.iter().map(Cell::key).collect();
+    let first: Vec<usize> =
+        keys.iter().map(|k| keys.iter().position(|x| x == k).expect("its own")).collect();
+    let mut out: Vec<Option<RunMetrics>> = vec![None; cells.len()];
     let mut misses = Vec::new();
-    for (i, cell) in cells.iter_mut().enumerate() {
-        let (cache, key) = (cache::cache_for(&cell.spec), cell.key());
-        let hit = cache::lookup(cache.as_ref(), "run", key, |bytes| {
+    for (i, cell) in cells.iter_mut().enumerate().filter(|(i, _)| first[*i] == *i) {
+        let cache = cache::cache_for(&cell.spec);
+        out[i] = cache::lookup(cache.as_ref(), "run", keys[i], |bytes| {
             let m = cache::decode_metrics(bytes).ok()?;
             (m.scheme == cell.scheme && m.benchmark == cell.bench).then_some(m)
         });
-        if hit.is_none() {
-            cell.resolve_design(log);
-            misses.push((i, key, cache));
+        if out[i].is_none() {
+            cell.design = cell.resolved_design(log);
+            misses.push((i, cache));
         }
-        out.push(hit);
     }
-    let fresh = equinox_exec::par_map(misses, |_, (i, key, cache)| {
+    let fresh = equinox_exec::par_map(misses, |_, (i, cache)| {
         let cell = &cells[i];
-        let m = fold_seeds(
-            cell.seeds.iter().map(|&s| System::build(cell.system_config(s)).run()).collect(),
-        );
-        cache::store(cache.as_ref(), "run", key, &cache::encode_metrics(&m));
+        // The design is in the cell by now: nothing is left to log.
+        let run = |&s: &u64| System::build(cell.system_config(s, &mut std::io::sink())).run();
+        let m = fold_seeds(cell.seeds.iter().map(run).collect());
+        cache::store(cache.as_ref(), "run", keys[i], &cache::encode_metrics(&m));
         (i, m)
     });
     for (i, m) in fresh {
         out[i] = Some(m);
     }
-    out.into_iter().map(|m| m.expect("every cell hit or ran")).collect()
+    first.iter().map(|&i| out[i].clone().expect("every distinct cell hit or ran")).collect()
 }
 
 /// The `benches × schemes` matrix, bench-major: cell `bi * schemes.len()
@@ -297,8 +301,30 @@ mod tests {
         let (a, b) = (run_one(cell(&[1])), run_one(cell(&[2])));
         let m = run_one(cell(&[1, 2]));
         assert!(m.cycles >= a.cycles.min(b.cycles) && m.cycles <= a.cycles.max(b.cycles));
-        let direct = System::build(cell(&[1]).system_config(1)).run();
+        let direct = System::build(cell(&[1]).system_config(1, &mut Vec::new())).run();
         assert_eq!(a.exec_ns.to_bits(), direct.exec_ns.to_bits(), "one seed: the run itself");
+    }
+
+    #[test]
+    fn a_repeated_cell_runs_once_and_fills_every_slot_it_holds() {
+        let dir = std::env::temp_dir().join(format!("eqsn_repeat_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut spec = spec_at(0.02, &[1]);
+        spec.checkpoint_dir = dir.display().to_string();
+        let cell = |scheme| Cell::new(scheme, 8, "gaussian", &spec);
+        let (a, b) = (cell(SchemeKind::SeparateBase), cell(SchemeKind::SingleBase));
+        let out = run_cells(vec![a.clone(), b, a.clone(), a], &mut Vec::new());
+        let got: Vec<_> = out.iter().map(|m| m.scheme).collect();
+        let (sep, single) = (SchemeKind::SeparateBase, SchemeKind::SingleBase);
+        assert_eq!(got, [sep, single, sep, sep], "input order");
+        assert_eq!(out[0].exec_ns.to_bits(), out[3].exec_ns.to_bits());
+        // One entry per distinct cell, and no worker left a temp file
+        // behind racing another for the same entry.
+        let names: Vec<_> =
+            std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(names.len(), 2, "{names:?}");
+        assert!(names.iter().all(|n| n.to_string_lossy().starts_with("run_")), "{names:?}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -319,10 +345,10 @@ mod tests {
     fn an_equinox_cell_builds_the_cb_count_its_spec_names() {
         let mut spec = spec_at(0.02, &[1]);
         spec.n_cbs = 4;
-        let mut cell = Cell::new(SchemeKind::EquiNox, 8, "gaussian", &spec);
-        cell.resolve_design(&mut Vec::new());
-        let sys = System::build(cell.system_config(1));
-        assert_eq!(sys.placement.cbs.len(), 4);
-        assert_eq!(cell.design.as_ref().unwrap().selection.groups.len(), 4);
+        let cell = Cell::new(SchemeKind::EquiNox, 8, "gaussian", &spec);
+        let cfg = cell.system_config(1, &mut Vec::new());
+        let design = cfg.design.as_ref().expect("resolved here, not left to `System::build`");
+        assert_eq!(design.selection.groups.len(), 4);
+        assert_eq!(System::build(cfg).placement.cbs.len(), 4);
     }
 }

@@ -735,9 +735,8 @@ fn observe(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
     // `--obs-interval` / `--trace` / `--trace-capacity` still apply.
     let mut armed = spec.clone();
     armed.obs = true;
-    let mut cell = Cell::new(SchemeKind::EquiNox, 8, "bfs", &armed);
-    cell.resolve_design(log);
-    let mut sys = System::build(cell.system_config(spec.seeds[0]));
+    let cell = Cell::new(SchemeKind::EquiNox, 8, "bfs", &armed);
+    let mut sys = System::build(cell.system_config(spec.seeds[0], log));
     let m = sys.run();
     out!(
         log,

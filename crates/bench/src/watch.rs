@@ -3,13 +3,13 @@
 //!
 //! Framing is one JSON object per `\n`-terminated line (`obs.sample/v1`
 //! frames during a run, one terminal `obs.summary/v1` per run), each
-//! naming its run as `<scheme>/<benchmark>/<seed>` — a scenario's
-//! concurrent cells all append to the one file, so the client keeps its
-//! state per run. It is deliberately forgiving: a line that fails to
-//! parse — clipped mid-write by a dying producer, or plain garbage — is
-//! counted and skipped, never fatal, so a watcher can attach to a stream
-//! that is still being written (or that survived a crash) and keep
-//! rendering.
+//! naming its run (`<scheme>/<benchmark>/<seed>/<n>x<n>/<config hash>`,
+//! unique per system) — a scenario's concurrent cells all append to the
+//! one file, so the client keeps its state per run. It is deliberately
+//! forgiving: a line that fails to parse — clipped mid-write by a dying
+//! producer, or plain garbage — is counted and skipped, never fatal, so a
+//! watcher can attach to a stream that is still being written (or that
+//! survived a crash) and keep rendering.
 //!
 //! The watcher tails the file, following appends until it reaches
 //! end-of-file with a summary in hand for every run it has seen, or
@@ -106,7 +106,7 @@ fn consume_line(line: &str, stats: &mut WatchStats, log: &mut dyn Write) {
         stats.samples += 1;
         run.samples += 1;
         if run.samples % DASH_EVERY == 1 {
-            let _ = writeln!(log, "{id:>28} | {}", dashboard(&frame));
+            let _ = writeln!(log, "{id:>44} | {}", dashboard(&frame));
         }
     } else {
         let _ = writeln!(log, "=== run summary {id} ===\n{}", summary_table(&frame));
@@ -316,6 +316,37 @@ mod tests {
         assert_eq!(j.get("runs_seen").and_then(Json::as_u64), Some(3));
         assert_eq!(j.get("summaries_seen").and_then(Json::as_u64), Some(2));
         assert_eq!(j.get("summaries").and_then(Json::as_arr).map(|a| a.len()), Some(2));
+    }
+
+    #[test]
+    fn cells_sharing_scheme_benchmark_and_seed_stream_as_separate_runs() {
+        // One scheme, benchmark and seed list at two mesh sizes (`fig12`),
+        // two pipeline depths and two compression rates (`extensions`) and
+        // under two schemes, every system appending to the one file.
+        use crate::{run_cells, Cell};
+        use equinox_core::{EquiNoxDesign, SchemeKind};
+        let dir = std::env::temp_dir().join(format!("eqw_cells_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("stream.jsonl");
+        let mut spec = equinox_config::ExperimentSpec::default();
+        spec.scale = 0.02;
+        spec.seeds = vec![1, 2];
+        spec.obs_stream = path.display().to_string();
+        let base = |n| Cell::new(SchemeKind::SeparateBase, n, "kmeans", &spec);
+        let (mut deeper, mut compressed) = (base(8), base(8));
+        deeper.spec.pipeline_extra = 1;
+        compressed.spec.reply_compression = 0.25;
+        let equinox = Cell {
+            design: Some(std::sync::Arc::new(EquiNoxDesign::quick(8, 8))),
+            ..Cell::new(SchemeKind::EquiNox, 8, "kmeans", &spec)
+        };
+        let cells = vec![base(8), base(12), deeper, compressed, equinox, base(8)];
+        run_cells(cells, &mut Vec::new());
+        let s = watch_file(path.to_str().unwrap(), &mut Vec::new()).unwrap();
+        assert_eq!(s.runs.len(), 5 * 2, "distinct cells × seeds");
+        assert_eq!((s.summaries(), s.corrupt), (10, 0));
+        assert_eq!(s.frames - s.samples, 10, "summary frames: the repeated cell ran once");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -219,7 +219,8 @@ fn stream_records_and_watch_replays_end_to_end() {
             other => panic!("unknown frame schema {other:?}"),
         }
         assert!(frame.get("cycle").and_then(Json::as_u64).is_some(), "cycle stamp");
-        assert_eq!(frame.get("run").and_then(Json::as_str), Some("EquiNox/bfs/42"), "run identity");
+        let run = frame.get("run").and_then(Json::as_str).expect("run identity");
+        assert!(run.starts_with("EquiNox/bfs/42/8x8/"), "{run}");
     }
     assert!(samples > 0, "run long enough to emit samples");
     assert_eq!(summaries, 1, "exactly one terminal summary frame");

@@ -141,7 +141,7 @@ pub(crate) struct SystemObs {
     stream: Option<StreamWriter>,
     /// Frames emitted so far (the `seq` field of each frame).
     stream_seq: u64,
-    /// `<scheme>/<benchmark>/<seed>`: the `run` field of each frame, so
+    /// The `run` field of each frame (`SystemConfig::run_id`), so
     /// concurrent runs appending to one file stay tellable apart.
     run: String,
 }

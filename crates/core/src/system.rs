@@ -175,6 +175,31 @@ impl SystemConfig {
         self.trace_capacity = if spec.trace { spec.trace_capacity } else { 0 };
         self.sim_threads = spec.sim_threads;
     }
+
+    /// The `run` field of this system's stream frames:
+    /// `<scheme>/<benchmark>/<seed>/<n>x<n>/<hash>`. The hash covers every
+    /// field a frame can depend on — the design, the placement override,
+    /// each capacity and latency — so the concurrent cells of one
+    /// scenario, which all append to one file, never share an id; how the
+    /// run was hosted (obs/stream target, auditing, tracing, lanes,
+    /// gating) stays out, so the id is the same wherever it ran.
+    ///
+    /// Kept out of line: inlined into `System::build`, the `Debug`
+    /// formatting moved enough code around to cost the benchmark's
+    /// `repro-sweep` 4 % `wall_s` (13 of 14 pairs) with obs off.
+    #[cold]
+    #[inline(never)]
+    fn run_id(&self) -> String {
+        let mut ident = self.clone();
+        ident.obs = None;
+        ident.audit = None;
+        ident.trace_capacity = 0;
+        ident.sim_threads = 1;
+        ident.activity_gate = true;
+        let hash = equinox_snap::fnv1a(format!("{ident:?}").as_bytes());
+        let (w, n) = (&self.workload, self.n);
+        format!("{}/{}/{}/{n}x{n}/{:08x}", self.scheme.name(), w.profile.name, w.seed, hash as u32)
+    }
 }
 
 /// An ejection point to drain: `(net, router, port)`.
@@ -602,9 +627,7 @@ impl System {
             }
         }
         let obs = cfg.obs.as_ref().map(|o| {
-            let w = &cfg.workload;
-            let run = format!("{}/{}/{}", scheme.name(), w.profile.name, w.seed);
-            Box::new(SystemObs::new(o, &nets, eir_groups, cfg.max_cycles, cfg.n, run))
+            Box::new(SystemObs::new(o, &nets, eir_groups, cfg.max_cycles, cfg.n, cfg.run_id()))
         });
 
         let total_instrs = cfg.workload.total_instrs(pe_count);
@@ -1408,6 +1431,39 @@ mod tests {
         assert_eq!(a.check_interval, 32);
         assert_eq!(a.watchdog_window, 123);
         assert!(!a.panic_on_violation);
+    }
+
+    #[test]
+    fn run_id_separates_systems_but_not_how_they_were_hosted() {
+        let base = SystemConfig::new(SchemeKind::EquiNox, 8, tiny_workload("kmeans"));
+        let id = base.run_id();
+        assert!(id.starts_with("EquiNox/kmeans/42/8x8/"), "{id}");
+        // The variations one scenario streams side by side into one file.
+        let vary = |f: &dyn Fn(&mut SystemConfig)| {
+            let mut cfg = base.clone();
+            f(&mut cfg);
+            cfg.run_id()
+        };
+        let ids = [
+            id.clone(),
+            vary(&|c| c.n = 12),
+            vary(&|c| c.pipeline_extra = 1),
+            vary(&|c| c.reply_compression = 0.25),
+            vary(&|c| c.design = Some(EquiNoxDesign::quick(8, 8))),
+            vary(&|c| c.placement_override = Some(Placement::diamond(8, 8, 8))),
+            vary(&|c| c.workload.scale = 0.1),
+        ];
+        for (i, a) in ids.iter().enumerate() {
+            assert!(ids[i + 1..].iter().all(|b| a != b), "{a} is not unique in {ids:?}");
+        }
+        let hosted = vary(&|c| {
+            c.obs = Some(crate::obs::ObsConfig { stream: "/tmp/f".into(), ..Default::default() });
+            c.audit = Some(equinox_noc::AuditConfig::default());
+            c.trace_capacity = 64;
+            c.sim_threads = 3;
+            c.activity_gate = false;
+        });
+        assert_eq!(id, hosted);
     }
 
     #[test]

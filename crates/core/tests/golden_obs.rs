@@ -8,7 +8,9 @@
 //! block and the concatenated `--obs-stream` frames (`obs.sample/v1`
 //! lines plus the terminal `obs.summary/v1`) of one tiny fixed run per
 //! scheme — EquiNox (EIR groups, one reply subnet) and DA2Mesh (nine
-//! networks on two clock ratios).
+//! networks on two clock ratios). Each frame's `run` id ends in a hash of
+//! the `SystemConfig`'s `Debug` text, so a new or renamed config field
+//! moves the two `stream` lines — and only those.
 //!
 //! To regenerate after an *intentional* change to the emitted blocks,
 //! run with
