@@ -395,6 +395,18 @@ fn cells_and_designs_are_shared_across_scenarios_and_thread_counts() {
     std::fs::remove_dir_all(&ckpt).ok();
 }
 
+/// The flagship 8×8 design every EquiNox figure is built on, pinned as
+/// text: a search change that moves it fails here, not in a figure.
+#[test]
+fn flagship_design_matches_the_checked_in_text() {
+    let out = driver().args(["designer", "--iters", "4000", "--seed", "7"]).output().expect("run driver");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let artifact = parse_json(&String::from_utf8(out.stdout).unwrap()).expect("stdout is JSON");
+    let text = artifact.get("results").and_then(|r| r.get("design_text")).and_then(Json::as_str);
+    let pinned = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs/design-8x8.txt");
+    assert_eq!(text, Some(std::fs::read_to_string(pinned).expect("specs/design-8x8.txt").as_str()));
+}
+
 #[test]
 fn run_metrics_emission_matches_golden_snapshot() {
     let mut spec = equinox_config::ExperimentSpec::default();
