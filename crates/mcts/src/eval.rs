@@ -15,10 +15,12 @@
 //!    `max_hops`-long wires.
 
 use crate::problem::{EirProblem, EirSelection};
-use equinox_phys::segment::count_crossings;
+use equinox_phys::segment::Segment;
 use equinox_phys::Coord;
 
-/// Weights of the four metrics (default: equal, as in the paper).
+/// Weights of the four metrics. The paper sums them equally; the default
+/// here is 3 / 1 / 0.5 / 1, hand-tuned during calibration (DESIGN.md
+/// "Known deviations").
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvalWeights {
     /// Weight of the max-EIR-load term.
@@ -70,121 +72,504 @@ pub struct Evaluation {
     pub cost: f64,
 }
 
-/// Evaluates `sel` for `problem` under `weights`.
-pub fn evaluate(problem: &EirProblem, sel: &EirSelection, weights: &EvalWeights) -> Evaluation {
-    let p = &problem.placement;
-    let pes: Vec<Coord> = p.pe_tiles().collect();
-    let n_cbs = p.cbs.len();
-    debug_assert_eq!(sel.groups.len(), n_cbs);
+/// Marks an unused slot of a group in an id selection.
+pub(crate) const NONE: u16 = u16::MAX;
 
-    // Injection points per CB: local router plus the EIRs (the local
-    // router always remains usable, §4.4). Track load per injection point.
-    let mut load: Vec<Vec<f64>> = sel
-        .groups
-        .iter()
-        .map(|g| vec![0.0; g.len() + 1])
-        .collect();
-    let mut hop_sum = 0.0;
-    let mut base_hop_sum = 0.0;
-    for (i, &cb) in p.cbs.iter().enumerate() {
-        let group = &sel.groups[i];
-        for &pe in &pes {
-            let direct = cb.manhattan(pe);
-            base_hop_sum += direct as f64;
-            // Distance via each injection point; EIR links cost 1 cycle.
-            let mut best = direct; // via local router
-            let mut shortest_eirs: Vec<usize> = Vec::new();
-            for (k, &e) in group.iter().enumerate() {
-                let via = cb.manhattan(e) + e.manhattan(pe);
-                if via == direct {
-                    shortest_eirs.push(k);
-                }
-                let cycles = 1 + e.manhattan(pe); // interposer hop + mesh
-                best = best.min(cycles);
-            }
-            hop_sum += best as f64;
-            // Load split: shortest-path EIRs share the PE's traffic;
-            // with none, the local router takes it (index = group.len()).
-            if shortest_eirs.is_empty() {
-                load[i][group.len()] += 1.0;
-            } else {
-                let share = 1.0 / shortest_eirs.len() as f64;
-                for k in shortest_eirs {
-                    load[i][k] += share;
+/// Everything the evaluation function reads, tabulated once for fixed
+/// per-CB lists of EIR tiles (a search tabulates every candidate, the
+/// one-shot [`evaluate`] the selection's own tiles).
+///
+/// The wire from CB `i` to the `j`-th tile of its list has *id*
+/// `off[i] + j`. A selection is `n_cbs × stride` ids, CB-major; CB `i`'s
+/// group is the prefix of its `stride` slots before the first [`NONE`],
+/// in the order the EIRs were chosen (the f64 sums below follow it).
+pub(crate) struct EvalTables {
+    n_cbs: usize,
+    n_pes: usize,
+    stride: usize,
+    /// Ids `off[i]..off[i + 1]` belong to CB `i`.
+    off: Vec<usize>,
+    /// CB→PE hops, CB-major, PEs in row-major order.
+    direct: Vec<u16>,
+    /// Sum of `direct`: the no-EIR baseline of the hop term.
+    base_hop_sum: u64,
+    /// Per id and PE: cycles via that EIR (interposer hop + mesh hops).
+    via: Vec<u16>,
+    /// Per id: the PEs it lies on a shortest path to, `pe_words` words.
+    shortest: Vec<u64>,
+    /// Per id: wire length in millimetres.
+    len_mm: Vec<f64>,
+    /// Per id: the ids whose wires cross its own, `id_words` words.
+    crosses: Vec<u64>,
+    /// Bits needed to count up to `stride`.
+    planes: usize,
+    max_hops: f64,
+    tile_pitch_mm: f64,
+}
+
+/// Buffers [`EvalTables::evaluate`] fills instead of allocating.
+pub(crate) struct EvalScratch {
+    /// Per PE: fewest cycles from the CB at hand.
+    best: Vec<u16>,
+    /// Load per injection point of the CB at hand, local router last.
+    load: Vec<f64>,
+    /// Per PE: how many EIRs of the group at hand share it (see
+    /// [`EvalTables::loads`]).
+    sharers: Vec<u64>,
+    /// The selected ids as a bitset.
+    selected: Vec<u64>,
+}
+
+fn narrow(hops: u32) -> u16 {
+    u16::try_from(hops).expect("mesh distances fit 16 bits")
+}
+
+impl EvalTables {
+    /// Tabulates `lists[i]` as the EIR tiles of CB `i`, for selections
+    /// with `stride` slots per CB.
+    pub(crate) fn new(problem: &EirProblem, lists: &[Vec<Coord>], stride: usize) -> Self {
+        let p = &problem.placement;
+        let pes: Vec<Coord> = p.pe_tiles().collect();
+        let (n_pes, pe_words) = (pes.len(), pes.len().div_ceil(64));
+        let mut off = vec![0];
+        off.extend(lists.iter().scan(0, |n, l| {
+            *n += l.len();
+            Some(*n)
+        }));
+        let n_ids = off[lists.len()];
+        assert!(n_ids < NONE as usize, "{n_ids} EIR wires exceed the 16-bit id space");
+
+        let direct: Vec<u16> =
+            p.cbs.iter().flat_map(|&cb| pes.iter().map(move |&pe| narrow(cb.manhattan(pe)))).collect();
+        let segments: Vec<Segment> = lists
+            .iter()
+            .enumerate()
+            .flat_map(|(i, l)| l.iter().map(move |&e| Segment::new(p.cbs[i], e)))
+            .collect();
+        let mut via = Vec::with_capacity(n_ids * n_pes);
+        let mut shortest = vec![0u64; n_ids * pe_words];
+        for (id, s) in segments.iter().enumerate() {
+            for (k, &pe) in pes.iter().enumerate() {
+                via.push(narrow(1 + s.b.manhattan(pe)));
+                if s.a.manhattan(s.b) + s.b.manhattan(pe) == s.a.manhattan(pe) {
+                    shortest[id * pe_words + k / 64] |= 1 << (k % 64);
                 }
             }
         }
+        let id_words = n_ids.div_ceil(64);
+        let mut crosses = vec![0u64; n_ids * id_words];
+        for a in 0..n_ids {
+            for b in a + 1..n_ids {
+                if segments[a].crosses(&segments[b]) {
+                    crosses[a * id_words + b / 64] |= 1 << (b % 64);
+                    crosses[b * id_words + a / 64] |= 1 << (a % 64);
+                }
+            }
+        }
+        EvalTables {
+            n_cbs: p.cbs.len(),
+            n_pes,
+            stride,
+            off,
+            base_hop_sum: direct.iter().map(|&d| d as u64).sum(),
+            direct,
+            via,
+            shortest,
+            len_mm: segments.iter().map(|s| problem.wire.length_mm(s)).collect(),
+            crosses,
+            planes: (usize::BITS - stride.leading_zeros()).max(1) as usize,
+            max_hops: problem.max_hops as f64,
+            tile_pitch_mm: problem.wire.tile_pitch_mm,
+        }
     }
-    let pairs = (n_cbs * pes.len()) as f64;
-    let avg_hops = hop_sum / pairs;
-    let base_avg = base_hop_sum / pairs;
-    let avg_hops_norm = if base_avg > 0.0 { avg_hops / base_avg } else { 1.0 };
 
-    // The hottest injection point is what paces the machine, but "max" is
-    // a poor hill-climbing objective (most moves leave the argmax alone).
-    // The cost therefore uses the *sum of squared* per-injector shares —
-    // smooth, minimized by the same perfectly-balanced assignment, and
-    // normalized so the no-EIR baseline (each CB's local router carrying
-    // everything) scores 1.0 and an ideal (k+1)-way split scores 1/(k+1).
-    // The raw max is still reported for analysis.
-    let max_load = load
-        .iter()
-        .flatten()
-        .copied()
-        .fold(0.0_f64, f64::max);
-    let max_load_norm = if pes.is_empty() {
-        0.0
-    } else {
-        let n_pes = pes.len() as f64;
-        let sq: f64 = load
-            .iter()
-            .map(|cb_loads| {
-                cb_loads
-                    .iter()
-                    .map(|l| (l / n_pes) * (l / n_pes))
-                    .sum::<f64>()
+    /// Slots per CB in this table's selections.
+    pub(crate) fn stride(&self) -> usize {
+        self.stride
+    }
+
+    /// The ids of CB `i`'s listed tiles, in list order.
+    pub(crate) fn ids_of(&self, i: usize) -> std::ops::Range<usize> {
+        self.off[i]..self.off[i + 1]
+    }
+
+    /// CB `i`'s group in the selection `ids`.
+    pub(crate) fn group<'a>(&self, ids: &'a [u16], i: usize) -> &'a [u16] {
+        let slots = &ids[i * self.stride..][..self.stride];
+        &slots[..slots.iter().position(|&id| id == NONE).unwrap_or(self.stride)]
+    }
+
+    pub(crate) fn scratch(&self) -> EvalScratch {
+        EvalScratch {
+            best: vec![0; self.n_pes],
+            load: vec![0.0; self.stride + 1],
+            sharers: vec![0; self.n_pes.div_ceil(64) * self.planes],
+            selected: vec![0; self.off[self.n_cbs].div_ceil(64)],
+        }
+    }
+
+    /// The load of each of `group`'s injection points, local router last,
+    /// in PE-traffic units: the EIRs on a shortest path to a PE share its
+    /// traffic equally; with none, the local router takes it.
+    fn loads<'a>(&self, group: &[u16], load: &'a mut [f64], sharers: &mut [u64]) -> &'a [f64] {
+        let pe_words = self.n_pes.div_ceil(64);
+        let on_path = |id: u16, w: usize| self.shortest[id as usize * pe_words + w];
+        // How many EIRs share each PE, as a bit-sliced counter: bit `p` of
+        // plane `j` of word `w` is bit `j` of the count for PE `64 w + p`.
+        sharers.fill(0);
+        for &id in group {
+            for (w, planes) in sharers.chunks_exact_mut(self.planes).enumerate() {
+                let mut carry = on_path(id, w);
+                for plane in planes {
+                    (*plane, carry) = (*plane ^ carry, *plane & carry);
+                }
+            }
+        }
+        let shared: u32 = sharers
+            .chunks_exact(self.planes)
+            .map(|planes| planes.iter().fold(0, |any, plane| any | plane).count_ones())
+            .sum();
+        load[group.len()] = (self.n_pes - shared as usize) as f64;
+
+        // An EIR's load is the sum of its shares in PE order. A share of
+        // 1/2^j is an exact binary fraction, so up to the first share of
+        // another kind every order of adding gives the same sum, and those
+        // PEs are counted per plane; from there on it is one add per PE.
+        for (l, &id) in load.iter_mut().zip(group) {
+            *l = 0.0;
+            let mut exact = true;
+            for (w, planes) in sharers.chunks_exact(self.planes).enumerate() {
+                let mut pes = on_path(id, w);
+                if exact {
+                    // Counts with two or more bits set are no power of two.
+                    let (_, mixed) = planes.iter().fold((0, 0), |(any, mixed), plane| {
+                        (any | plane, mixed | any & plane)
+                    });
+                    let first_mixed = pes & mixed & (pes & mixed).wrapping_neg();
+                    let head = pes & first_mixed.wrapping_sub(1);
+                    for (j, plane) in planes.iter().enumerate() {
+                        *l += (head & plane).count_ones() as f64 / (1u64 << j) as f64;
+                    }
+                    pes ^= head;
+                    exact = first_mixed == 0;
+                }
+                while pes != 0 {
+                    let pe = pes.trailing_zeros();
+                    let n = planes.iter().rev().fold(0, |n, plane| n << 1 | (plane >> pe & 1));
+                    *l += 1.0 / n as f64;
+                    pes &= pes - 1;
+                }
+            }
+        }
+        &load[..group.len() + 1]
+    }
+
+    /// Evaluates the selection `ids` under `weights`.
+    pub(crate) fn evaluate(&self, ids: &[u16], weights: &EvalWeights, s: &mut EvalScratch) -> Evaluation {
+        let (n_cbs, n_pes) = (self.n_cbs, self.n_pes);
+        let id_words = s.selected.len();
+        let all = || (0..n_cbs).flat_map(|i| self.group(ids, i)).map(|&id| id as usize);
+
+        // Injection points per CB: local router plus the EIRs (the local
+        // router always remains usable, §4.4). Track load per injection
+        // point, one CB at a time.
+        let mut hop_sum = 0u64;
+        let mut max_load = 0.0_f64;
+        let n_pes_f = n_pes as f64;
+        // The hottest injection point is what paces the machine, but "max"
+        // is a poor hill-climbing objective (most moves leave the argmax
+        // alone). The cost therefore uses the *sum of squared*
+        // per-injector shares — smooth, minimized by the same
+        // perfectly-balanced assignment, and normalized so the no-EIR
+        // baseline (each CB's local router carrying everything) scores 1.0
+        // and an ideal (k+1)-way split scores 1/(k+1). The raw max is
+        // still reported for analysis.
+        let sq: f64 = (0..n_cbs)
+            .map(|i| {
+                let group = self.group(ids, i);
+                // Distance via each injection point; EIR links cost 1 cycle.
+                s.best.copy_from_slice(&self.direct[i * n_pes..][..n_pes]);
+                for &id in group {
+                    let via = &self.via[id as usize * n_pes..][..n_pes];
+                    for (best, &cycles) in s.best.iter_mut().zip(via) {
+                        *best = (*best).min(cycles);
+                    }
+                }
+                hop_sum += s.best.iter().map(|&b| b as u64).sum::<u64>();
+
+                let load = self.loads(group, &mut s.load, &mut s.sharers);
+                max_load = load.iter().copied().fold(max_load, f64::max);
+                load.iter().map(|l| (l / n_pes_f) * (l / n_pes_f)).sum::<f64>()
             })
             .sum();
-        sq / n_cbs as f64
-    };
+        let max_load_norm = if n_pes == 0 { 0.0 } else { sq / n_cbs as f64 };
+        let pairs = (n_cbs * n_pes) as f64;
+        let avg_hops = hop_sum as f64 / pairs;
+        let base_avg = self.base_hop_sum as f64 / pairs;
+        let avg_hops_norm = if base_avg > 0.0 { avg_hops / base_avg } else { 1.0 };
 
-    let segments = sel.segments(p);
-    let crossings = count_crossings(&segments);
-    let length_mm = problem.wire.total_length_mm(&segments);
-    let budget = segments.len().max(1) as f64
-        * problem.max_hops as f64
-        * problem.wire.tile_pitch_mm;
-    // Crossings are charged *per crossing*, not per wire: each one can
-    // force an extra dual-damascene RDL layer whose yield cost compounds
-    // (§3.2.3), so the term must dominate marginal hop/load trade-offs —
-    // the paper's chosen design accepts smaller EIR groups to reach zero.
-    let crossings_norm = crossings as f64;
-    let length_norm = length_mm / budget;
+        s.selected.fill(0);
+        for id in all() {
+            s.selected[id / 64] |= 1 << (id % 64);
+        }
+        let crossing_ends: u32 = all()
+            .flat_map(|id| self.crosses[id * id_words..][..id_words].iter().zip(&s.selected))
+            .map(|(crossed, selected)| (crossed & selected).count_ones())
+            .sum();
+        let crossings = crossing_ends as usize / 2;
+        let length_mm: f64 = all().map(|id| self.len_mm[id]).sum();
+        let budget = all().count().max(1) as f64 * self.max_hops * self.tile_pitch_mm;
+        // Crossings are charged *per crossing*, not per wire: each one can
+        // force an extra dual-damascene RDL layer whose yield cost compounds
+        // (§3.2.3), so the term must dominate marginal hop/load trade-offs —
+        // the paper's chosen design accepts smaller EIR groups to reach zero.
+        let crossings_norm = crossings as f64;
+        let length_norm = length_mm / budget;
 
-    let cost = weights.load * max_load_norm
-        + weights.hops * avg_hops_norm
-        + weights.crossings * crossings_norm
-        + weights.length * length_norm;
+        let cost = weights.load * max_load_norm
+            + weights.hops * avg_hops_norm
+            + weights.crossings * crossings_norm
+            + weights.length * length_norm;
 
-    Evaluation {
-        max_load,
-        max_load_norm,
-        avg_hops,
-        avg_hops_norm,
-        crossings,
-        length_mm,
-        cost,
+        Evaluation {
+            max_load,
+            max_load_norm,
+            avg_hops,
+            avg_hops_norm,
+            crossings,
+            length_mm,
+            cost,
+        }
     }
+}
+
+/// Evaluates `sel` for `problem` under `weights`: tabulates the
+/// selection's own wires and runs the one evaluator on all of them.
+/// Searches tabulate every candidate once instead.
+pub fn evaluate(problem: &EirProblem, sel: &EirSelection, weights: &EvalWeights) -> Evaluation {
+    debug_assert_eq!(sel.groups.len(), problem.placement.cbs.len());
+    let stride = sel.groups.iter().map(Vec::len).max().unwrap_or(0);
+    let tables = EvalTables::new(problem, &sel.groups, stride);
+    let mut ids = vec![NONE; sel.groups.len() * stride];
+    for i in 0..sel.groups.len() {
+        for (slot, id) in ids[i * stride..].iter_mut().zip(tables.ids_of(i)) {
+            *slot = id as u16;
+        }
+    }
+    tables.evaluate(&ids, weights, &mut tables.scratch())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::problem::EirProblem;
+    use equinox_exec::Rng;
+    use equinox_phys::segment::count_crossings;
     use equinox_placement::select::best_nqueen_placement;
+    use equinox_placement::Placement;
 
     fn problem() -> EirProblem {
         EirProblem::new(best_nqueen_placement(8, 8, usize::MAX, 0))
+    }
+
+    /// The evaluation function as it stood before the tables — one pass
+    /// over CB × PE pairs allocating as it goes — kept as the reference the
+    /// table evaluator must equal bit for bit.
+    fn evaluate_reference(problem: &EirProblem, sel: &EirSelection, weights: &EvalWeights) -> Evaluation {
+        let p = &problem.placement;
+        let pes: Vec<Coord> = p.pe_tiles().collect();
+        let n_cbs = p.cbs.len();
+        debug_assert_eq!(sel.groups.len(), n_cbs);
+
+        // Injection points per CB: local router plus the EIRs (the local
+        // router always remains usable, §4.4). Track load per injection point.
+        let mut load: Vec<Vec<f64>> = sel
+            .groups
+            .iter()
+            .map(|g| vec![0.0; g.len() + 1])
+            .collect();
+        let mut hop_sum = 0.0;
+        let mut base_hop_sum = 0.0;
+        for (i, &cb) in p.cbs.iter().enumerate() {
+            let group = &sel.groups[i];
+            for &pe in &pes {
+                let direct = cb.manhattan(pe);
+                base_hop_sum += direct as f64;
+                // Distance via each injection point; EIR links cost 1 cycle.
+                let mut best = direct; // via local router
+                let mut shortest_eirs: Vec<usize> = Vec::new();
+                for (k, &e) in group.iter().enumerate() {
+                    let via = cb.manhattan(e) + e.manhattan(pe);
+                    if via == direct {
+                        shortest_eirs.push(k);
+                    }
+                    let cycles = 1 + e.manhattan(pe); // interposer hop + mesh
+                    best = best.min(cycles);
+                }
+                hop_sum += best as f64;
+                // Load split: shortest-path EIRs share the PE's traffic;
+                // with none, the local router takes it (index = group.len()).
+                if shortest_eirs.is_empty() {
+                    load[i][group.len()] += 1.0;
+                } else {
+                    let share = 1.0 / shortest_eirs.len() as f64;
+                    for k in shortest_eirs {
+                        load[i][k] += share;
+                    }
+                }
+            }
+        }
+        let pairs = (n_cbs * pes.len()) as f64;
+        let avg_hops = hop_sum / pairs;
+        let base_avg = base_hop_sum / pairs;
+        let avg_hops_norm = if base_avg > 0.0 { avg_hops / base_avg } else { 1.0 };
+
+        let max_load = load
+            .iter()
+            .flatten()
+            .copied()
+            .fold(0.0_f64, f64::max);
+        let max_load_norm = if pes.is_empty() {
+            0.0
+        } else {
+            let n_pes = pes.len() as f64;
+            let sq: f64 = load
+                .iter()
+                .map(|cb_loads| {
+                    cb_loads
+                        .iter()
+                        .map(|l| (l / n_pes) * (l / n_pes))
+                        .sum::<f64>()
+                })
+                .sum();
+            sq / n_cbs as f64
+        };
+
+        let segments = sel.segments(p);
+        let crossings = count_crossings(&segments);
+        let length_mm = problem.wire.total_length_mm(&segments);
+        let budget = segments.len().max(1) as f64
+            * problem.max_hops as f64
+            * problem.wire.tile_pitch_mm;
+        let crossings_norm = crossings as f64;
+        let length_norm = length_mm / budget;
+
+        let cost = weights.load * max_load_norm
+            + weights.hops * avg_hops_norm
+            + weights.crossings * crossings_norm
+            + weights.length * length_norm;
+
+        Evaluation {
+            max_load,
+            max_load_norm,
+            avg_hops,
+            avg_hops_norm,
+            crossings,
+            length_mm,
+            cost,
+        }
+    }
+
+    /// The problems the search goldens cover, plus the ablation's wider
+    /// hop budget and group size and a placement of diagonal neighbours.
+    fn problem_variants() -> Vec<EirProblem> {
+        vec![
+            problem(),
+            EirProblem::new(best_nqueen_placement(12, 12, 500, 0)),
+            EirProblem::new(best_nqueen_placement(8, 4, usize::MAX, 0)),
+            EirProblem::new(best_nqueen_placement(8, 12, usize::MAX, 0)),
+            EirProblem::new(Placement::diamond(8, 8, 8)),
+            EirProblem { max_hops: 2, ..problem() },
+            EirProblem { max_hops: 4, ..problem() },
+            EirProblem { group_size: 2, ..problem() },
+            EirProblem { group_size: 6, ..problem() },
+        ]
+    }
+
+    /// Every candidate of `p` per CB, and the tables over them all — what
+    /// a search builds.
+    fn candidate_tables(p: &EirProblem) -> (Vec<Vec<Coord>>, EvalTables) {
+        let lists: Vec<Vec<Coord>> = (0..p.placement.cbs.len()).map(|i| p.candidates(i)).collect();
+        let tables = EvalTables::new(p, &lists, p.group_size);
+        (lists, tables)
+    }
+
+    fn assert_same_bits(what: &str, a: &Evaluation, b: &Evaluation) {
+        let bits = |e: &Evaluation| {
+            [e.max_load, e.max_load_norm, e.avg_hops, e.avg_hops_norm, e.length_mm, e.cost].map(f64::to_bits)
+        };
+        assert_eq!((bits(a), a.crossings), (bits(b), b.crossings), "{what}: {a:?} vs {b:?}");
+    }
+
+    /// `n` tiles drawn anywhere on the mesh but `cb` itself: a group no
+    /// search would build — repeated tiles, other CBs' tiles, wires across
+    /// the whole die — and so the crossing-heavy end of the input space.
+    fn wild_group(p: &Placement, cb: Coord, n: usize, rng: &mut Rng) -> Vec<Coord> {
+        let tiles = std::iter::repeat_with(|| Coord::new(rng.random_range(0..p.width), rng.random_range(0..p.height)));
+        tiles.filter(|&t| t != cb).take(n).collect()
+    }
+
+    #[test]
+    fn table_evaluator_equals_the_reference_bit_for_bit() {
+        let weights = EvalWeights::default();
+        let mut compared = 0;
+        for (v, p) in problem_variants().iter().enumerate() {
+            let n_cbs = p.placement.cbs.len();
+            let (lists, tables) = candidate_tables(p);
+            let mut scratch = tables.scratch();
+            let mut rng = EirProblem::rng(0xD1FF + v as u64);
+            for round in 0..160 {
+                // What the searches evaluate: sampled selections, some
+                // groups emptied, through the candidate-wide tables.
+                let mut sel = p.random_completion(&[], &mut rng);
+                for g in &mut sel.groups {
+                    if round % 4 == 1 && rng.random::<f64>() < 0.4 {
+                        g.clear();
+                    }
+                }
+                let mut ids = vec![NONE; n_cbs * p.group_size];
+                for (i, g) in sel.groups.iter().enumerate() {
+                    for (slot, e) in ids[i * p.group_size..].iter_mut().zip(g) {
+                        let j = lists[i].iter().position(|c| c == e).expect("sampled from the candidates");
+                        *slot = (tables.ids_of(i).start + j) as u16;
+                    }
+                }
+                let expected = evaluate_reference(p, &sel, &weights);
+                assert_same_bits("tables", &tables.evaluate(&ids, &weights, &mut scratch), &expected);
+                assert_same_bits("wrapper", &evaluate(p, &sel, &weights), &expected);
+
+                // What only the public wrapper can be handed.
+                let groups = p.placement.cbs.iter().map(|&cb| {
+                    let n = rng.random_range(0..2 * p.group_size + 1);
+                    wild_group(&p.placement, cb, n, &mut rng)
+                });
+                let wild = EirSelection { groups: groups.collect() };
+                let expected = evaluate_reference(p, &wild, &weights);
+                if round == 0 {
+                    assert!(expected.crossings > 0, "variant {v}: wild selections must cross");
+                }
+                assert_same_bits("wild", &evaluate(p, &wild, &weights), &expected);
+                compared += 3;
+            }
+        }
+        assert!(compared >= 1000);
+    }
+
+    #[test]
+    fn crossing_matrix_equals_count_crossings() {
+        for p in problem_variants() {
+            let (lists, tables) = candidate_tables(&p);
+            let segments: Vec<Segment> = (lists.iter().zip(&p.placement.cbs))
+                .flat_map(|(l, &cb)| l.iter().map(move |&e| Segment::new(cb, e)))
+                .collect();
+            let id_words = segments.len().div_ceil(64);
+            for (a, sa) in segments.iter().enumerate() {
+                for (b, sb) in segments.iter().enumerate() {
+                    let bit = tables.crosses[a * id_words + b / 64] >> (b % 64) & 1;
+                    assert_eq!(bit as usize, count_crossings(&[*sa, *sb]), "{sa} x {sb}");
+                }
+            }
+        }
     }
 
     #[test]

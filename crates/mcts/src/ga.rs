@@ -6,10 +6,10 @@
 //! CB, with conflict repair) so the comparison in the ablation bench is
 //! fair — and MCTS still wins on evaluations-to-quality.
 
-use crate::eval::{evaluate, EvalWeights, Evaluation};
-use crate::problem::{EirProblem, EirSelection};
+use crate::eval::{EvalWeights, Evaluation, NONE};
+use crate::problem::EirProblem;
+use crate::tables::{Scratch, Tables};
 use crate::tree::SearchResult;
-use equinox_phys::Coord;
 use equinox_exec::Rng;
 
 /// GA parameters.
@@ -39,17 +39,25 @@ impl Default for GaConfig {
     }
 }
 
+/// An individual: a selection as candidate ids, and its evaluation.
+type Individual = (Vec<u16>, Evaluation);
+
 /// Runs the GA and returns the best selection found.
 pub fn search(problem: &EirProblem, cfg: &GaConfig) -> SearchResult {
+    let t = Tables::new(problem);
+    let mut s = t.scratch();
     let mut rng = EirProblem::rng(cfg.seed);
     let mut evaluations = 0usize;
+    let mut evaluated = |sel: Vec<u16>, s: &mut Scratch| {
+        evaluations += 1;
+        let ev = t.evaluate(&sel, &cfg.weights, s);
+        (sel, ev)
+    };
 
-    let mut pop: Vec<(EirSelection, Evaluation)> = (0..cfg.population)
+    let mut pop: Vec<Individual> = (0..cfg.population)
         .map(|_| {
-            let sel = problem.random_completion(&[], &mut rng);
-            let ev = evaluate(problem, &sel, &cfg.weights);
-            evaluations += 1;
-            (sel, ev)
+            let sel = t.random_selection(&mut s, &mut rng);
+            evaluated(sel, &mut s)
         })
         .collect();
 
@@ -61,10 +69,8 @@ pub fn search(problem: &EirProblem, cfg: &GaConfig) -> SearchResult {
         while next.len() < cfg.population {
             let a = tournament(&pop, &mut rng);
             let b = tournament(&pop, &mut rng);
-            let child = crossover(problem, &pop[a].0, &pop[b].0, cfg.mutation, &mut rng);
-            let ev = evaluate(problem, &child, &cfg.weights);
-            evaluations += 1;
-            next.push((child, ev));
+            let child = crossover(&t, &pop[a].0, &pop[b].0, cfg.mutation, &mut s, &mut rng);
+            next.push(evaluated(child, &mut s));
         }
         pop = next;
     }
@@ -72,13 +78,13 @@ pub fn search(problem: &EirProblem, cfg: &GaConfig) -> SearchResult {
     let best = argmin(&pop);
     let (selection, eval) = pop.swap_remove(best);
     SearchResult {
-        selection,
+        selection: t.selection(&selection),
         eval,
         evaluations,
     }
 }
 
-fn argmin(pop: &[(EirSelection, Evaluation)]) -> usize {
+fn argmin(pop: &[Individual]) -> usize {
     pop.iter()
         .enumerate()
         .min_by(|(_, a), (_, b)| a.1.cost.partial_cmp(&b.1.cost).expect("no NaN"))
@@ -86,7 +92,7 @@ fn argmin(pop: &[(EirSelection, Evaluation)]) -> usize {
         .expect("population nonempty")
 }
 
-fn tournament(pop: &[(EirSelection, Evaluation)], rng: &mut Rng) -> usize {
+fn tournament(pop: &[Individual], rng: &mut Rng) -> usize {
     let a = rng.random_range(0..pop.len());
     let b = rng.random_range(0..pop.len());
     if pop[a].1.cost <= pop[b].1.cost {
@@ -98,38 +104,39 @@ fn tournament(pop: &[(EirSelection, Evaluation)], rng: &mut Rng) -> usize {
 
 /// Uniform per-CB crossover with conflict repair and mutation.
 fn crossover(
-    problem: &EirProblem,
-    a: &EirSelection,
-    b: &EirSelection,
+    t: &Tables,
+    a: &[u16],
+    b: &[u16],
     mutation: f64,
+    s: &mut Scratch,
     rng: &mut Rng,
-) -> EirSelection {
-    let n = a.groups.len();
-    let mut groups: Vec<Vec<Coord>> = Vec::with_capacity(n);
-    let mut used: Vec<Coord> = Vec::new();
-    for i in 0..n {
-        let mut g = if rng.random::<f64>() < 0.5 {
-            a.groups[i].clone()
-        } else {
-            b.groups[i].clone()
-        };
+) -> Vec<u16> {
+    let mut child = t.empty_selection();
+    s.used.clear();
+    for i in 0..t.n_cbs() {
+        let parent = if rng.random::<f64>() < 0.5 { a } else { b };
+        let g = t.slots(&mut child, i);
         if rng.random::<f64>() < mutation {
-            g = problem.sample_group(i, &used, rng);
+            t.sample_group(i, g, &s.used, rng);
+        } else {
+            // Repair: drop EIRs already claimed by earlier CBs, refill.
+            let free = t.group(parent, i).iter().filter(|&&e| !s.used.contains(t.candidate(e).tile));
+            for (slot, &e) in g.iter_mut().zip(free) {
+                *slot = e;
+            }
         }
-        // Repair: drop EIRs already claimed by earlier CBs, refill.
-        g.retain(|e| !used.contains(e));
-        if g.is_empty() {
-            g = problem.sample_group(i, &used, rng);
+        if g[0] == NONE {
+            t.sample_group(i, g, &s.used, rng);
         }
-        used.extend(g.iter().copied());
-        groups.push(g);
+        t.mark_used(g, &mut s.used);
     }
-    EirSelection { groups }
+    child
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::evaluate;
     use equinox_placement::select::best_nqueen_placement;
 
     fn problem() -> EirProblem {

@@ -35,6 +35,7 @@ pub mod eval;
 pub mod ga;
 pub mod problem;
 pub mod sa;
+mod tables;
 pub mod tree;
 
 pub use eval::{EvalWeights, Evaluation};

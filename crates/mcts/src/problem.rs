@@ -101,6 +101,65 @@ impl EirSelection {
     }
 }
 
+/// One candidate EIR tile of one CB, with what group sampling reads of it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Candidate {
+    pub(crate) tile: Coord,
+    /// Its [`Octant`] as seen from the CB, as an index.
+    pub(crate) octant: u8,
+    /// `1 / weight` of the distance-biased draw.
+    key_exponent: f64,
+}
+
+impl Candidate {
+    pub(crate) fn new(cb: Coord, tile: Coord) -> Self {
+        let d = cb.manhattan(tile).max(2) as f64;
+        let weight = 1.0 / (d - 1.0);
+        Candidate {
+            tile,
+            octant: octant(cb, tile) as u8,
+            key_exponent: 1.0 / weight,
+        }
+    }
+}
+
+/// Draws a group from `cands`, one CB's candidates in row-major order:
+/// every candidate `is_used` rejects is skipped, the rest draw a
+/// weighted-shuffle key each and are `pick`ed by index, best key first and
+/// one per octant, until `group_size` are taken.
+pub(crate) fn sample_group_from(
+    cands: &[Candidate],
+    group_size: usize,
+    is_used: impl Fn(&Candidate) -> bool,
+    rng: &mut Rng,
+    mut pick: impl FnMut(usize),
+) {
+    // Walking the candidates by descending key (equal keys in row-major
+    // order) and taking each new octant picks, of every octant, only its
+    // best-keyed candidate: keep just those.
+    const EMPTY: (f64, usize) = (f64::NEG_INFINITY, usize::MAX);
+    let mut best = [EMPTY; 8];
+    for (j, c) in cands.iter().enumerate() {
+        if !is_used(c) {
+            // Weighted shuffle via the exponential-sort trick: key =
+            // u^(1/w) sorts like sampling without replacement.
+            let key = rng.random::<f64>().powf(c.key_exponent);
+            if key > best[c.octant as usize].0 {
+                best[c.octant as usize] = (key, j);
+            }
+        }
+    }
+    for _ in 0..group_size {
+        let filled = best.iter_mut().filter(|b| b.1 != EMPTY.1);
+        let earlier = |a: &(f64, usize), b: &(f64, usize)| a.0 > b.0 || (a.0 == b.0 && a.1 < b.1);
+        let Some(next) = filled.reduce(|a, b| if earlier(b, a) { b } else { a }) else {
+            break;
+        };
+        pick(next.1);
+        *next = EMPTY;
+    }
+}
+
 /// The search problem: placement plus physical constraints.
 #[derive(Debug, Clone)]
 pub struct EirProblem {
@@ -170,33 +229,11 @@ impl EirProblem {
     /// EIRs remain reachable, so the search can still disagree.
     pub fn sample_group(&self, i: usize, used: &[Coord], rng: &mut Rng) -> Vec<Coord> {
         let cb = self.placement.cbs[i];
-        let mut cands: Vec<(f64, Coord)> = self
-            .candidates(i)
-            .into_iter()
-            .filter(|c| !used.contains(c))
-            .map(|c| {
-                let d = cb.manhattan(c).max(2) as f64;
-                let weight = 1.0 / (d - 1.0);
-                // Weighted shuffle via the exponential-sort trick: key =
-                // u^(1/w) sorts like sampling without replacement.
-                let key = rng.random::<f64>().powf(1.0 / weight);
-                (key, c)
-            })
-            .collect();
-        cands.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("keys finite"));
-        let cands: Vec<Coord> = cands.into_iter().map(|(_, c)| c).collect();
+        let cands: Vec<Candidate> =
+            self.candidates(i).into_iter().map(|tile| Candidate::new(cb, tile)).collect();
         let mut group = Vec::with_capacity(self.group_size);
-        let mut taken_octants: Vec<Octant> = Vec::with_capacity(self.group_size);
-        for c in cands {
-            if group.len() == self.group_size {
-                break;
-            }
-            let o = octant(cb, c);
-            if !taken_octants.contains(&o) {
-                taken_octants.push(o);
-                group.push(c);
-            }
-        }
+        let is_used = |c: &Candidate| used.contains(&c.tile);
+        sample_group_from(&cands, self.group_size, is_used, rng, |j| group.push(cands[j].tile));
         group
     }
 

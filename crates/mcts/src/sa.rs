@@ -4,8 +4,9 @@
 //! exclusivity repair); geometric cooling. Like the GA, this exists for
 //! the search-method ablation bench.
 
-use crate::eval::{evaluate, EvalWeights};
+use crate::eval::EvalWeights;
 use crate::problem::EirProblem;
+use crate::tables::Tables;
 use crate::tree::SearchResult;
 
 /// SA parameters.
@@ -37,35 +38,35 @@ impl Default for SaConfig {
 
 /// Runs simulated annealing and returns the best selection visited.
 pub fn search(problem: &EirProblem, cfg: &SaConfig) -> SearchResult {
+    let t = Tables::new(problem);
+    let mut s = t.scratch();
     let mut rng = EirProblem::rng(cfg.seed);
-    let mut cur = problem.random_completion(&[], &mut rng);
-    let mut cur_eval = evaluate(problem, &cur, &cfg.weights);
+    let mut cur = t.random_selection(&mut s, &mut rng);
+    let mut cur_eval = t.evaluate(&cur, &cfg.weights, &mut s);
     let mut best = cur.clone();
     let mut best_eval = cur_eval;
     let mut evaluations = 1usize;
     let mut temp = cfg.t0;
+    let mut cand = cur.clone();
 
     for _ in 0..cfg.steps {
         // Move: re-sample one CB's group.
-        let i = rng.random_range(0..cur.groups.len());
-        let mut cand = cur.clone();
-        let used: Vec<_> = cand
-            .groups
-            .iter()
-            .enumerate()
-            .filter(|&(k, _)| k != i)
-            .flat_map(|(_, g)| g.iter().copied())
-            .collect();
-        cand.groups[i] = problem.sample_group(i, &used, &mut rng);
-        let cand_eval = evaluate(problem, &cand, &cfg.weights);
+        let i = rng.random_range(0..t.n_cbs());
+        cand.copy_from_slice(&cur);
+        s.used.clear();
+        for k in (0..t.n_cbs()).filter(|&k| k != i) {
+            t.mark_used(t.group(&cur, k), &mut s.used);
+        }
+        t.sample_group(i, t.slots(&mut cand, i), &s.used, &mut rng);
+        let cand_eval = t.evaluate(&cand, &cfg.weights, &mut s);
         evaluations += 1;
         let delta = cand_eval.cost - cur_eval.cost;
         let accept = delta <= 0.0 || rng.random::<f64>() < (-delta / temp.max(1e-9)).exp();
         if accept {
-            cur = cand;
+            std::mem::swap(&mut cur, &mut cand);
             cur_eval = cand_eval;
             if cur_eval.cost < best_eval.cost {
-                best = cur.clone();
+                best.copy_from_slice(&cur);
                 best_eval = cur_eval;
             }
         }
@@ -73,7 +74,7 @@ pub fn search(problem: &EirProblem, cfg: &SaConfig) -> SearchResult {
     }
 
     SearchResult {
-        selection: best,
+        selection: t.selection(&best),
         eval: best_eval,
         evaluations,
     }
@@ -82,6 +83,7 @@ pub fn search(problem: &EirProblem, cfg: &SaConfig) -> SearchResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::evaluate;
     use equinox_placement::select::best_nqueen_placement;
 
     fn problem() -> EirProblem {

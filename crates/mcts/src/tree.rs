@@ -7,10 +7,11 @@
 //! a random-completion rollout scored by the evaluation function, and
 //! backpropagation of the reward along the path.
 
-use crate::eval::{evaluate, EvalWeights, Evaluation};
+use crate::eval::{EvalWeights, Evaluation, NONE};
 use crate::problem::{EirProblem, EirSelection};
+use crate::tables::{Scratch, Tables, TileSet};
 use equinox_exec::Rng;
-use equinox_phys::Coord;
+use std::cmp::Ordering;
 
 /// Search parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,115 +52,185 @@ pub struct SearchResult {
     pub evaluations: usize,
 }
 
+const NO_NODE: u32 = u32::MAX;
+
 struct Node {
-    /// Group this node assigns to CB `depth-1` (empty for the root).
-    group: Vec<Coord>,
-    depth: usize,
-    children: Vec<usize>,
-    /// Sampled-but-unexpanded group options.
-    untried: Vec<Vec<Coord>>,
+    /// The option (see [`Tree::options`]) this node assigns to CB
+    /// `order[depth - 1]`; unused for the root.
+    group: u32,
+    depth: u32,
+    /// Sampled-but-unexpanded options: `first_option..first_option +
+    /// untried`, expanded from the back; none at depth `#CBs`.
+    first_option: u32,
+    untried: u32,
+    /// The child expanded last; the older ones follow `next_sibling`.
+    first_child: u32,
+    next_sibling: u32,
     visits: u64,
     /// Sum of rewards (reward = -cost).
     reward_sum: f64,
+}
+
+/// The search tree in two arenas sized up front for the iteration budget
+/// (one expansion per iteration), so that growing it never allocates.
+struct Tree {
+    nodes: Vec<Node>,
+    /// Every group sampled as an option, `stride` candidate ids each; a
+    /// node's group stays where it was sampled.
+    options: Vec<u16>,
+    stride: usize,
+}
+
+impl Tree {
+    fn new(t: &Tables, cfg: &MctsConfig) -> Self {
+        Tree {
+            nodes: Vec::with_capacity(cfg.iterations + 1),
+            options: Vec::with_capacity((cfg.iterations + 1) * cfg.branching * t.stride()),
+            stride: t.stride(),
+        }
+    }
+
+    fn option(&self, id: u32) -> &[u16] {
+        &self.options[id as usize * self.stride..][..self.stride]
+    }
+
+    /// Adds a node assigning option `group` under `parent` (the root has
+    /// neither), sampling up to `k` distinct options for the CB it leaves
+    /// next; `used` holds the tiles taken on the way down, `group`'s
+    /// included.
+    fn push(
+        &mut self,
+        group: u32,
+        parent: Option<usize>,
+        t: &Tables,
+        k: usize,
+        used: &TileSet,
+        rng: &mut Rng,
+    ) -> usize {
+        let stride = self.stride;
+        let depth = parent.map_or(0, |p| self.nodes[p].depth as usize + 1);
+        let first_option = self.options.len() / stride;
+        let mut untried = 0;
+        if depth < t.n_cbs() {
+            for _ in 0..k * 3 {
+                if untried == k {
+                    break;
+                }
+                let at = self.options.len();
+                self.options.resize(at + stride, NONE);
+                let (earlier, g) = self.options[first_option * stride..].split_at_mut(untried * stride);
+                t.sample_group(t.order[depth], g, used, rng);
+                let len = g.iter().position(|&id| id == NONE).unwrap_or(stride);
+                g[..len].sort_unstable_by_key(|&id| t.candidate(id).tile);
+                if earlier.chunks_exact(stride).any(|o| o == &*g) {
+                    self.options.truncate(at);
+                } else {
+                    untried += 1;
+                }
+            }
+        }
+        let id = self.nodes.len();
+        self.nodes.push(Node {
+            group,
+            depth: depth as u32,
+            first_option: first_option as u32,
+            untried: untried as u32,
+            first_child: NO_NODE,
+            next_sibling: parent.map_or(NO_NODE, |p| self.nodes[p].first_child),
+            visits: 0,
+            reward_sum: 0.0,
+        });
+        if let Some(p) = parent {
+            self.nodes[p].first_child = id as u32;
+        }
+        id
+    }
+
+    /// The child of `cur` with the highest UCB1 score, the one expanded
+    /// last among equals.
+    fn best_child(&self, cur: usize, exploration: f64) -> usize {
+        let ln_parent_visits = (self.nodes[cur].visits.max(1) as f64).ln();
+        let mut best = (self.nodes[cur].first_child, f64::NEG_INFINITY);
+        let mut child = best.0;
+        while child != NO_NODE {
+            let n = &self.nodes[child as usize];
+            let score = ucb(n, ln_parent_visits, exploration);
+            if score.partial_cmp(&best.1).expect("no NaN rewards") == Ordering::Greater {
+                best = (child, score);
+            }
+            child = n.next_sibling;
+        }
+        best.0 as usize
+    }
 }
 
 /// Runs MCTS and returns the best complete selection seen (the best
 /// rollout, which is never worse than the final tree path), polished by
 /// one greedy refine pass.
 pub fn search(problem: &EirProblem, cfg: &MctsConfig) -> SearchResult {
+    let t = Tables::new(problem);
+    let mut s = t.scratch();
     let mut rng = EirProblem::rng(cfg.seed);
-    let n_cbs = problem.placement.cbs.len();
-    let order = problem.cb_order();
-    let mut nodes: Vec<Node> = vec![Node {
-        group: Vec::new(),
-        depth: 0,
-        children: Vec::new(),
-        untried: sample_options(problem, order[0], &[], cfg.branching, &mut rng),
-        visits: 0,
-        reward_sum: 0.0,
-    }];
-    let mut best: Option<(f64, EirSelection, Evaluation)> = None;
+    let n_cbs = t.n_cbs();
+    assert!(n_cbs > 0, "a search needs at least one cache bank");
+    let mut tree = Tree::new(&t, cfg);
+    tree.push(0, None, &t, cfg.branching, &s.used, &mut rng);
+    let mut path: Vec<usize> = Vec::with_capacity(n_cbs + 1);
+    let mut sel = t.empty_selection();
+    let mut best: Option<Evaluation> = None;
+    let mut best_sel = t.empty_selection();
     let mut evaluations = 0usize;
 
     for _ in 0..cfg.iterations {
         // --- Selection ---
-        let mut path = vec![0usize];
-        let mut used: Vec<Coord> = Vec::new();
-        let mut partial: Vec<Vec<Coord>> = Vec::new();
+        path.clear();
+        path.push(0);
+        s.used.clear();
+        let mut cur = 0;
         loop {
-            let cur = *path.last().expect("path nonempty");
-            if nodes[cur].depth == n_cbs || !nodes[cur].untried.is_empty() {
+            let n = &tree.nodes[cur];
+            if n.untried > 0 || n.first_child == NO_NODE {
                 break;
             }
-            if nodes[cur].children.is_empty() {
-                break;
-            }
-            let parent_visits = nodes[cur].visits.max(1) as f64;
-            let &next = nodes[cur]
-                .children
-                .iter()
-                .max_by(|&&a, &&b| {
-                    ucb(&nodes[a], parent_visits, cfg.exploration)
-                        .partial_cmp(&ucb(&nodes[b], parent_visits, cfg.exploration))
-                        .expect("no NaN rewards")
-                })
-                .expect("children nonempty");
-            path.push(next);
-            used.extend(nodes[next].group.iter().copied());
-            partial.push(nodes[next].group.clone());
+            cur = tree.best_child(cur, cfg.exploration);
+            path.push(cur);
+            t.mark_used(tree.option(tree.nodes[cur].group), &mut s.used);
         }
 
         // --- Expansion ---
-        let cur = *path.last().expect("path nonempty");
-        if nodes[cur].depth < n_cbs {
-            if let Some(group) = nodes[cur].untried.pop() {
-                let depth = nodes[cur].depth + 1;
-                let mut child_used = used.clone();
-                child_used.extend(group.iter().copied());
-                let untried = if depth < n_cbs {
-                    sample_options(problem, order[depth], &child_used, cfg.branching, &mut rng)
-                } else {
-                    Vec::new()
-                };
-                let id = nodes.len();
-                nodes.push(Node {
-                    group: group.clone(),
-                    depth,
-                    children: Vec::new(),
-                    untried,
-                    visits: 0,
-                    reward_sum: 0.0,
-                });
-                nodes[cur].children.push(id);
-                path.push(id);
-                used = child_used;
-                partial.push(group);
-            }
+        if tree.nodes[cur].untried > 0 {
+            tree.nodes[cur].untried -= 1;
+            let group = tree.nodes[cur].first_option + tree.nodes[cur].untried;
+            t.mark_used(tree.option(group), &mut s.used);
+            cur = tree.push(group, Some(cur), &t, cfg.branching, &s.used, &mut rng);
+            path.push(cur);
         }
 
         // --- Rollout ---
-        let sel = problem.random_completion(&partial, &mut rng);
-        let eval = evaluate(problem, &sel, &cfg.weights);
+        sel.fill(NONE);
+        for (d, &n) in path[1..].iter().enumerate() {
+            t.slots(&mut sel, t.order[d]).copy_from_slice(tree.option(tree.nodes[n].group));
+        }
+        t.complete(&mut sel, path.len() - 1, &mut s, &mut rng);
+        let eval = t.evaluate(&sel, &cfg.weights, &mut s);
         evaluations += 1;
-        if best.as_ref().is_none_or(|(c, _, _)| eval.cost < *c) {
-            best = Some((eval.cost, sel, eval));
+        if best.is_none_or(|b| eval.cost < b.cost) {
+            best = Some(eval);
+            best_sel.copy_from_slice(&sel);
         }
 
         // --- Backpropagation ---
         let reward = -eval.cost;
         for &n in &path {
-            nodes[n].visits += 1;
-            nodes[n].reward_sum += reward;
+            tree.nodes[n].visits += 1;
+            tree.nodes[n].reward_sum += reward;
         }
     }
 
-    // Freed before the refine pass allocates, so the two never stack up
-    // in the process's peak memory.
-    drop(nodes);
-    let (_, selection, eval) = best.expect("at least one iteration");
-    let (selection, eval, extra) = refine(problem, selection, eval, &cfg.weights);
+    let eval = best.expect("at least one iteration");
+    let (eval, extra) = refine(&t, &mut best_sel, eval, &cfg.weights, &mut s);
     SearchResult {
-        selection,
+        selection: t.selection(&best_sel),
         eval,
         evaluations: evaluations + extra,
     }
@@ -171,86 +242,86 @@ pub fn search(problem: &EirProblem, cfg: &MctsConfig) -> SearchResult {
 /// expensive full-system simulations (§4.3); it is what drives the last
 /// crossings out of an already-good selection.
 fn refine(
-    problem: &EirProblem,
-    mut sel: EirSelection,
+    t: &Tables,
+    sel: &mut [u16],
     mut eval: Evaluation,
     weights: &EvalWeights,
-) -> (EirSelection, Evaluation, usize) {
-    use crate::problem::octant;
-    let n = sel.groups.len();
+    s: &mut Scratch,
+) -> (Evaluation, usize) {
+    let stride = t.stride();
     let mut evaluations = 0usize;
+    // Evaluates `sel` as a candidate move: `true` if it strictly improves.
+    let mut improves = |sel: &[u16], eval: &mut Evaluation, s: &mut Scratch| {
+        let cand_eval = t.evaluate(sel, weights, s);
+        evaluations += 1;
+        let better = cand_eval.cost < eval.cost;
+        if better {
+            *eval = cand_eval;
+        }
+        better
+    };
+    // The directions of `group`'s EIRs, the one in slot `except` left out.
+    let octants = |group: &[u16], except: Option<usize>| {
+        let others = group.iter().enumerate().filter(|&(j, _)| Some(j) != except);
+        others.fold(0u8, |o, (_, &id)| o | 1 << t.candidate(id).octant)
+    };
     const MAX_SWEEPS: usize = 8;
     for _ in 0..MAX_SWEEPS {
         let mut improved = false;
-        for i in 0..n {
-            for k in 0..sel.groups[i].len() {
-                let cb = problem.placement.cbs[i];
-                let used: Vec<Coord> = sel
-                    .groups
-                    .iter()
-                    .flatten()
-                    .copied()
-                    .filter(|&e| e != sel.groups[i][k])
-                    .collect();
-                let sibling_octants: Vec<_> = sel.groups[i]
-                    .iter()
-                    .enumerate()
-                    .filter(|&(j, _)| j != k)
-                    .map(|(_, &e)| octant(cb, e))
-                    .collect();
-                for c in problem.candidates(i) {
-                    if c == sel.groups[i][k]
-                        || used.contains(&c)
-                        || sibling_octants.contains(&octant(cb, c))
-                    {
+        for i in 0..t.n_cbs() {
+            let at = i * stride;
+            for k in 0..t.group(sel, i).len() {
+                // Every tile in use but this EIR's own, and its siblings'
+                // directions, as they stand before the moves below.
+                s.used.clear();
+                t.mark_used(sel, &mut s.used);
+                s.used.remove(t.candidate(sel[at + k]).tile);
+                let siblings = octants(t.group(sel, i), Some(k));
+                for (id, c) in t.candidates(i) {
+                    let cur = sel[at + k];
+                    if id == cur || s.used.contains(c.tile) || siblings & 1 << c.octant != 0 {
                         continue;
                     }
-                    let mut cand = sel.clone();
-                    cand.groups[i][k] = c;
-                    let cand_eval = evaluate(problem, &cand, weights);
-                    evaluations += 1;
-                    if cand_eval.cost < eval.cost {
-                        sel = cand;
-                        eval = cand_eval;
+                    sel[at + k] = id;
+                    if improves(sel, &mut eval, s) {
                         improved = true;
+                    } else {
+                        sel[at + k] = cur;
                     }
                 }
                 // Dropping the EIR entirely can beat any relocation when
                 // its wire is what crosses — the paper notes some CBs end
                 // up with fewer EIRs for exactly this reason (§4.3).
-                if sel.groups[i].len() > 1 {
-                    let mut cand = sel.clone();
-                    cand.groups[i].remove(k);
-                    let cand_eval = evaluate(problem, &cand, weights);
-                    evaluations += 1;
-                    if cand_eval.cost < eval.cost {
-                        sel = cand;
-                        eval = cand_eval;
+                let len = t.group(sel, i).len();
+                if len > 1 {
+                    let dropped = sel[at + k];
+                    sel[at + k..at + len].rotate_left(1);
+                    sel[at + len - 1] = NONE;
+                    if improves(sel, &mut eval, s) {
                         improved = true;
                         break; // indices shifted; revisit on next sweep
                     }
+                    sel[at + len - 1] = dropped;
+                    sel[at + k..at + len].rotate_right(1);
                 }
             }
             // Growth move: a CB short of the target group size tries to
             // add one more EIR in an unused octant.
-            if sel.groups[i].len() < problem.group_size {
-                let cb = problem.placement.cbs[i];
-                let used: Vec<Coord> = sel.groups.iter().flatten().copied().collect();
-                let octs: Vec<_> = sel.groups[i].iter().map(|&e| octant(cb, e)).collect();
-                for c in problem.candidates(i) {
-                    if used.contains(&c) || octs.contains(&octant(cb, c)) {
+            let len = t.group(sel, i).len();
+            if len < t.group_size() {
+                s.used.clear();
+                t.mark_used(sel, &mut s.used);
+                let taken = octants(t.group(sel, i), None);
+                for (id, c) in t.candidates(i) {
+                    if s.used.contains(c.tile) || taken & 1 << c.octant != 0 {
                         continue;
                     }
-                    let mut cand = sel.clone();
-                    cand.groups[i].push(c);
-                    let cand_eval = evaluate(problem, &cand, weights);
-                    evaluations += 1;
-                    if cand_eval.cost < eval.cost {
-                        sel = cand;
-                        eval = cand_eval;
+                    sel[at + len] = id;
+                    if improves(sel, &mut eval, s) {
                         improved = true;
                         break;
                     }
+                    sel[at + len] = NONE;
                 }
             }
         }
@@ -258,37 +329,15 @@ fn refine(
             break;
         }
     }
-    (sel, eval, evaluations)
+    (eval, evaluations)
 }
 
-fn ucb(n: &Node, parent_visits: f64, c: f64) -> f64 {
+fn ucb(n: &Node, ln_parent_visits: f64, c: f64) -> f64 {
     if n.visits == 0 {
         return f64::INFINITY;
     }
     let mean = n.reward_sum / n.visits as f64;
-    mean + c * (parent_visits.ln() / n.visits as f64).sqrt()
-}
-
-/// Samples up to `k` distinct group options for the given CB.
-fn sample_options(
-    problem: &EirProblem,
-    cb: usize,
-    used: &[Coord],
-    k: usize,
-    rng: &mut Rng,
-) -> Vec<Vec<Coord>> {
-    let mut opts: Vec<Vec<Coord>> = Vec::with_capacity(k);
-    for _ in 0..k * 3 {
-        if opts.len() == k {
-            break;
-        }
-        let mut g = problem.sample_group(cb, used, rng);
-        g.sort();
-        if !opts.contains(&g) {
-            opts.push(g);
-        }
-    }
-    opts
+    mean + c * (ln_parent_visits / n.visits as f64).sqrt()
 }
 
 #[cfg(test)]

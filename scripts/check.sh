@@ -62,6 +62,16 @@ echo "OK: unsafe is forbidden everywhere but $unsafe_exempt"
 echo "== build (release) =="
 cargo build --release --workspace
 
+echo "== flagship design =="
+# The 8x8 design every EquiNox figure is built on, pinned in release mode
+# at the command line (the debug-mode twin is the driver test against
+# specs/design-8x8.txt).
+# (grep reads to the end — no -q — so the driver never writes into a
+# closed pipe under pipefail.)
+./target/release/equinox designer --iters 4000 --seed 7 2>&1 \
+    | grep -F 'links 28 | crossings 0 | RDL layers 1 | ubumps 7168' > /dev/null
+echo "OK: designer --iters 4000 --seed 7 finds the 28-link, crossing-free design"
+
 echo "== tests =="
 cargo test -q --workspace
 
