@@ -849,14 +849,12 @@ fn fabric(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
             }
         }
         net.step();
-        for &node in &nodes {
-            while let Some(f) = net.pop_ejected_node(node) {
-                if f.seq + 1 == len {
-                    delivered += 1;
-                    latency_sum += t + 1 - born[f.pkt.0 as usize];
-                }
+        net.drain_ejected(|_, _, f| {
+            if f.seq + 1 == len {
+                delivered += 1;
+                latency_sum += t + 1 - born[f.pkt.0 as usize];
             }
-        }
+        });
         if t + 1 == cycles / 2 {
             // Snapshot → restore into a fresh identically-armed network
             // → snapshot again: the two byte streams must be identical.

@@ -100,9 +100,7 @@ pub fn placement_heatmap(placement: &Placement, offered: f64, cycles: u64, seed:
         }
         net.step();
         // PEs drain instantly.
-        for &pe in &pes {
-            while net.pop_ejected_node(pe).is_some() {}
-        }
+        net.drain_ejected(|_, _, _| {});
     }
     let stats = net.stats();
     HeatMap::square(n, stats.heat_map(), stats.heat_variance())

@@ -8,13 +8,12 @@
 //! tests.
 
 use equinox_noc::config::NocConfig;
-use equinox_noc::flit::{Flit, MessageClass};
+use equinox_noc::flit::MessageClass;
 use equinox_noc::link::LinkKind;
 use equinox_noc::network::{InjectorId, Network};
 use equinox_phys::Coord;
 use equinox_placement::Placement;
 use equinox_exec::Rng;
-use std::collections::HashMap;
 
 use crate::design::EquiNoxDesign;
 use crate::msg::{MemOpKind, PacketTracker};
@@ -119,7 +118,6 @@ fn measure(
     let warmup = cycles / 5;
     let mut done_lat: Vec<u64> = Vec::new();
     let mut ejected_flits = 0u64;
-    let mut created: HashMap<u64, u64> = HashMap::new();
     let mut nets = vec![net];
 
     for t in 0..(cycles + warmup) {
@@ -127,34 +125,28 @@ fn measure(
             if nis[ci].can_accept() && rng.random::<f64>() < offered {
                 let dst = pes[rng.random_range(0..pes.len())];
                 let msg = tracker.create(cb, dst, MessageClass::Reply, MemOpKind::Read, 0, t);
-                created.insert(msg.id, t);
                 nis[ci].push(msg);
             }
-            nis[ci].tick(&mut nets, &mut tracker, t);
-        }
-        nets[0].step();
-        // With nothing in any eject queue (O(1) check) no pop can
-        // succeed, so the sinks are skipped wholesale.
-        if !nets[0].has_ejected() {
-            continue;
-        }
-        for &pe in &pes {
-            while let Some(f) = sink(&mut nets[0], pe) {
-                if t >= warmup {
-                    ejected_flits += 1;
-                }
-                if f.is_tail() {
-                    // Dropping the entry here bounds the map at the number
-                    // of packets in flight instead of growing one entry
-                    // per packet ever created.
-                    if let Some(c) = created.remove(&f.pkt.0) {
-                        if c >= warmup {
-                            done_lat.push(t - c);
-                        }
-                    }
-                }
+            // An idle NI's tick is a pure no-op (nothing queued, nothing
+            // in flight), so the gate skips the call, as `System::step`
+            // does.
+            if !(activity_gate && nis[ci].is_idle()) {
+                nis[ci].tick(&mut nets, &mut tracker, t);
             }
         }
+        nets[0].step();
+        // PEs drain instantly.
+        nets[0].drain_ejected(|_, _, f| {
+            if t >= warmup {
+                ejected_flits += 1;
+            }
+            if f.is_tail() {
+                let created = tracker.record(f.pkt.0).created;
+                if created >= warmup {
+                    done_lat.push(t - created);
+                }
+            }
+        });
     }
     let latency = if done_lat.is_empty() {
         f64::INFINITY
@@ -166,10 +158,6 @@ fn measure(
         throughput: ejected_flits as f64 / cycles as f64,
         latency,
     }
-}
-
-fn sink(net: &mut Network, pe: Coord) -> Option<Flit> {
-    net.pop_ejected_node(pe)
 }
 
 #[cfg(test)]

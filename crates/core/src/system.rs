@@ -202,8 +202,52 @@ impl SystemConfig {
     }
 }
 
-/// An ejection point to drain: `(net, router, port)`.
-type Sink = (usize, usize, usize);
+/// Who consumes the flits an ejection port parks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Sink {
+    /// The PE at this node index: replies, always accepted.
+    Pe(u32),
+    /// This cache bank: requests, accepted while the bank has room.
+    Cb(u32),
+}
+
+/// `(net, router, port)` → the consumer of that ejection port, fixed at
+/// build time. [`System::step`]'s drain looks up each port a network
+/// reports as holding a flit.
+#[derive(Debug)]
+struct SinkTable {
+    /// Per network: ports per router row (the widest owned port + 1) and
+    /// the rows, router-major.
+    nets: Vec<(usize, Vec<Option<Sink>>)>,
+}
+
+impl SinkTable {
+    fn from_list(n_nets: usize, list: &[((usize, usize, usize), Sink)]) -> Self {
+        let mut nets = Vec::new();
+        for net in 0..n_nets {
+            let ports = || list.iter().filter(move |((n, _, _), _)| *n == net);
+            let stride = ports().map(|((_, _, p), _)| p + 1).max().unwrap_or(0);
+            let routers = ports().map(|((_, r, _), _)| r + 1).max().unwrap_or(0);
+            let mut owners = vec![None; routers * stride];
+            for &((_, r, p), sink) in ports() {
+                let slot = &mut owners[r * stride + p];
+                assert!(slot.is_none(), "net {net} router {r} port {p} has two sinks");
+                *slot = Some(sink);
+            }
+            nets.push((stride, owners));
+        }
+        SinkTable { nets }
+    }
+
+    #[inline]
+    fn owner(&self, net: usize, router: usize, port: usize) -> Option<Sink> {
+        let (stride, owners) = &self.nets[net];
+        if port >= *stride {
+            return None;
+        }
+        *owners.get(router * stride + port)?
+    }
+}
 
 /// Section tags of the [`System::snapshot`] container.
 mod snap_tags {
@@ -245,10 +289,8 @@ pub struct System {
     /// or reports itself non-skippable.
     cb_tick_due: Vec<u64>,
     rep_nis: Vec<InjectionQueue>,
-    /// Reply sinks per PE node: (sinks, node index).
-    pe_sinks: Vec<(Sink, usize)>,
-    /// Request sinks per CB: (sink, cb index).
-    cb_sinks: Vec<(Sink, usize)>,
+    /// Which PE or CB drains each ejection port.
+    sinks: SinkTable,
     /// End-to-end packet registry.
     pub tracker: PacketTracker,
     cycle: u64,
@@ -404,8 +446,8 @@ impl System {
         // --- NIs, sinks, per-scheme extras ---
         let mut pes: Vec<Option<Pe>> = Vec::new();
         let mut req_nis: Vec<Option<InjectionQueue>> = Vec::new();
-        let mut pe_sinks: Vec<(Sink, usize)> = Vec::new();
-        let mut cb_sinks: Vec<(Sink, usize)> = Vec::new();
+        // `((net, router, port), consumer)` of every ejection port in use.
+        let mut sink_list: Vec<((usize, usize, usize), Sink)> = Vec::new();
         let mut rep_nis: Vec<InjectionQueue> = Vec::new();
         let mut cbs: Vec<CacheBank> = Vec::new();
 
@@ -465,12 +507,12 @@ impl System {
             req_nis.push(Some(InjectionQueue::new(node, cfg.ni_queue_cap, policy)));
             // Reply sinks for this PE.
             for &rn in &reply_nets {
-                if scheme == SchemeKind::InterposerCMesh && rn == 1 {
-                    let (r, p) = cmesh_ej[idx];
-                    pe_sinks.push(((1, r, p), idx));
+                let (r, p) = if scheme == SchemeKind::InterposerCMesh && rn == 1 {
+                    cmesh_ej[idx]
                 } else {
-                    pe_sinks.push(((rn, idx, 4), idx));
-                }
+                    (idx, 4)
+                };
+                sink_list.push(((rn, r, p), Sink::Pe(idx as u32)));
             }
         }
 
@@ -536,12 +578,12 @@ impl System {
             cbs.push(bank);
             // Request sinks at the CB.
             for &rn in &request_nets {
-                if scheme == SchemeKind::InterposerCMesh && rn == 1 {
-                    let (r, p) = cmesh_ej[idx];
-                    cb_sinks.push(((1, r, p), ci));
+                let (r, p) = if scheme == SchemeKind::InterposerCMesh && rn == 1 {
+                    cmesh_ej[idx]
                 } else {
-                    cb_sinks.push(((rn, idx, 4), ci));
-                }
+                    (idx, 4)
+                };
+                sink_list.push(((rn, r, p), Sink::Cb(ci as u32)));
             }
             // MultiPort's extra ports target "the reply injection
             // bottleneck" (§5): the scheme modifies only the reply
@@ -656,8 +698,7 @@ impl System {
             cb_tick_due: vec![0; cbs.len()],
             cbs,
             rep_nis,
-            pe_sinks,
-            cb_sinks,
+            sinks: SinkTable::from_list(n_nets, &sink_list),
             tracker: PacketTracker::new(),
             cycle: 0,
             area_mm2: area,
@@ -822,53 +863,11 @@ impl System {
                 }
             }
         }
-        // Drain replies at PEs. A network with nothing in any eject
-        // queue (O(1) check) cannot satisfy a pop, so its sinks are
-        // skipped wholesale.
+        // Drain the ejection ports the networks report as holding a
+        // flit: replies at PEs, requests at CBs.
         let s = self.span_start();
-        for &((net, r, p), node) in &self.pe_sinks {
-            if !self.nets[net].has_ejected() {
-                continue;
-            }
-            while let Some(f) = self.nets[net].pop_ejected(r, p) {
-                if f.is_tail() {
-                    self.tracker.mark_ejected(f.pkt.0, t);
-                    if let Some(o) = self.obs.as_deref_mut() {
-                        o.delivered(1, self.tracker.record(f.pkt.0), t);
-                    }
-                    let pe = self.pes[node]
-                        .as_mut()
-                        .expect("reply sink belongs to a PE");
-                    pe.complete();
-                    if !self.retired[node] && pe.done() {
-                        self.retired[node] = true;
-                        self.done_pes += 1;
-                    }
-                }
-            }
-        }
-        // Drain requests at CBs, gated by bank capacity.
-        for &((net, r, p), ci) in &self.cb_sinks {
-            if !self.nets[net].has_ejected() {
-                continue;
-            }
-            while self.cbs[ci].can_accept() {
-                match self.nets[net].pop_ejected(r, p) {
-                    Some(f) => {
-                        if f.is_tail() {
-                            self.tracker.mark_ejected(f.pkt.0, t);
-                            if let Some(o) = self.obs.as_deref_mut() {
-                                o.delivered(0, self.tracker.record(f.pkt.0), t);
-                            }
-                            self.cbs[ci].accept(f.pkt.0, &self.tracker, t);
-                            // The accepted request re-arms the bank's
-                            // tick schedule (its next event changed).
-                            self.cb_tick_due[ci] = t + 1;
-                        }
-                    }
-                    None => break,
-                }
-            }
+        for net in 0..self.nets.len() {
+            self.drain_net(net, t);
         }
         self.span_end(Phase::SinkDrain, 0, s);
         self.cycle += 1;
@@ -880,6 +879,78 @@ impl System {
         if let Some(o) = self.obs.as_deref_mut() {
             if self.cycle >= o.next_sample() {
                 o.sample(self.cycle, &self.nets, &self.tracker);
+            }
+        }
+    }
+
+    /// Hands the flits parked in network `net` to their consumers, in the
+    /// order net ↑ (the caller), router ↑, port ↑, oldest flit first. A
+    /// PE takes everything; a CB takes requests while it has room and
+    /// leaves the rest parked, which back-pressures the request network.
+    /// Consumers do not interact within a cycle, and each one's ports
+    /// are visited in ascending network order, so every per-consumer
+    /// sequence — all a run's results depend on — is that of polling
+    /// each consumer's ports in turn.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a flit parked at a port no PE or CB drains (say, a
+    /// reply routed to a CB node of a separate reply network): it would
+    /// otherwise sit there until `max_cycles`.
+    fn drain_net(&mut self, net: usize, t: u64) {
+        let mut from = 0;
+        while let Some((r, mut ports)) = self.nets[net].next_ejecting(from) {
+            from = r + 1;
+            while ports != 0 {
+                let p = ports.trailing_zeros() as usize;
+                ports &= ports - 1;
+                match self.sinks.owner(net, r, p) {
+                    Some(Sink::Pe(node)) => {
+                        let node = node as usize;
+                        while let Some(f) = self.nets[net].pop_ejected(r, p) {
+                            if f.is_tail() {
+                                self.tracker.mark_ejected(f.pkt.0, t);
+                                if let Some(o) = self.obs.as_deref_mut() {
+                                    o.delivered(1, self.tracker.record(f.pkt.0), t);
+                                }
+                                let pe = self.pes[node]
+                                    .as_mut()
+                                    .expect("reply sink belongs to a PE");
+                                pe.complete();
+                                if !self.retired[node] && pe.done() {
+                                    self.retired[node] = true;
+                                    self.done_pes += 1;
+                                }
+                            }
+                        }
+                    }
+                    Some(Sink::Cb(ci)) => {
+                        let ci = ci as usize;
+                        while self.cbs[ci].can_accept() {
+                            let Some(f) = self.nets[net].pop_ejected(r, p) else {
+                                break;
+                            };
+                            if f.is_tail() {
+                                self.tracker.mark_ejected(f.pkt.0, t);
+                                if let Some(o) = self.obs.as_deref_mut() {
+                                    o.delivered(0, self.tracker.record(f.pkt.0), t);
+                                }
+                                self.cbs[ci].accept(f.pkt.0, &self.tracker, t);
+                                // The accepted request re-arms the bank's
+                                // tick schedule (its next event changed).
+                                self.cb_tick_due[ci] = t + 1;
+                            }
+                        }
+                    }
+                    None => {
+                        let f = self.nets[net].pop_ejected(r, p).expect("port reported a flit");
+                        panic!(
+                            "net {net} router {r} port {p} holds a flit of packet {} \
+                             (to {:?}) but no PE or CB drains that port",
+                            f.pkt.0, f.dst
+                        );
+                    }
+                }
             }
         }
     }
@@ -1769,6 +1840,59 @@ mod tests {
                 b.obs_json().unwrap().pretty(),
                 "{scheme:?} obs/v1 block diverged"
             );
+        }
+    }
+
+    #[test]
+    fn snapshot_taken_while_a_cb_refuses_requests_forks_identically() {
+        // Banks that hold two requests at a time refuse most of what
+        // arrives, so at the cut request flits sit parked in ejection
+        // queues the drain declined to pop: the restored twin must find
+        // them through its rebuilt ejection set, in the same order.
+        for scheme in [SchemeKind::SeparateBase, SchemeKind::InterposerCMesh] {
+            let mut cfg = SystemConfig::new(scheme, 8, tiny_workload("hotspot"));
+            cfg.max_cycles = 400_000;
+            cfg.cb_inflight_cap = 2;
+            cfg.obs = Some(crate::obs::ObsConfig { interval: 500, ..Default::default() });
+            let mut a = System::build(cfg.clone());
+            let parked = |s: &System| s.nets.iter().filter(|n| n.next_ejecting(0).is_some()).count();
+            while !(a.cycle() >= 500 && parked(&a) > 0 && a.cbs_at_capacity() > 0) {
+                a.step();
+                assert!(a.cycle() < 50_000, "{scheme:?}: no CB ever refused a request");
+            }
+            let snap = a.snapshot();
+            let mut b = System::build(cfg);
+            b.restore(&snap).unwrap();
+            assert_eq!(parked(&b), parked(&a), "{scheme:?}: parked flits lost in the restore");
+            let (ma, mb) = (a.run(), b.run());
+            assert!(ma.completed, "{scheme:?} must finish despite the tiny banks");
+            assert_eq!(ma.cycles, mb.cycles, "{scheme:?} diverged after the fork");
+            assert_eq!(ma.ipc.to_bits(), mb.ipc.to_bits());
+            assert_eq!(ma.latency.total_ns().to_bits(), mb.latency.total_ns().to_bits());
+            let stats = |s: &System| s.networks().iter().map(|n| n.stats().clone()).collect::<Vec<_>>();
+            assert_eq!(stats(&a), stats(&b), "{scheme:?} network counters diverged");
+            assert_eq!(
+                a.obs_json_v2().unwrap().pretty(),
+                b.obs_json_v2().unwrap().pretty(),
+                "{scheme:?} obs/v2 block diverged"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "net 1 router 4 port 4 holds a flit of packet 4242")]
+    fn a_flit_parked_where_nothing_drains_is_named_not_left_to_wedge() {
+        // A reply addressed to a CB node of the separate reply network:
+        // CBs drain requests from net 0 only, so nothing would ever pop it.
+        let mut sys = System::build(SystemConfig::new(SchemeKind::SeparateBase, 8, tiny_workload("bfs")));
+        let cb = sys.placement.cbs[0];
+        assert_eq!(cb.to_index(8), 4, "the diamond placement moved; update the expectation");
+        let src = Coord::new(0, 0);
+        let stray = equinox_noc::PacketDesc::new(4242, src, cb, MessageClass::Reply, 1).flits(8)[0];
+        let inj = sys.nets[1].local_injector(src);
+        assert!(sys.nets[1].try_inject_flit(inj, stray));
+        for _ in 0..100 {
+            sys.step();
         }
     }
 

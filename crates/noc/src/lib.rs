@@ -58,9 +58,9 @@
 //!         }
 //!     }
 //!     net.step();
-//!     while net.pop_ejected_node(Coord::new(3, 3)).is_some() {
-//!         got += 1;
-//!     }
+//!     // The network knows which ejection ports hold a flit; the drain
+//!     // visits only those (here: port 4 of the router at (3, 3)).
+//!     net.drain_ejected(|_router, _port, _flit| got += 1);
 //! }
 //! assert_eq!(got, 5, "all five flits of the packet must arrive");
 //! ```

@@ -140,9 +140,10 @@ pub struct Network {
     active_flit_links: Worklist,
     /// Links with credits in flight.
     active_credit_links: Worklist,
-    /// Flits parked in ejection queues, kept so the per-cycle sink
-    /// drains can skip a network in O(1) ([`Network::has_ejected`]).
-    eject_occupancy: u64,
+    /// Routers with a flit parked in some ejection queue (`ejecting`
+    /// mask non-zero) — what [`Network::next_ejecting`] walks, so a sink
+    /// drain costs per parked flit, not per port.
+    ejecting_routers: Worklist,
 }
 
 impl Network {
@@ -200,7 +201,7 @@ impl Network {
             active_routers: Worklist::with_len(n),
             active_flit_links: Worklist::default(),
             active_credit_links: Worklist::default(),
-            eject_occupancy: 0,
+            ejecting_routers: Worklist::with_len(n),
         };
         // Network links, in the fabric's deterministic build order (link
         // ids are observable through link-utilization grids, so the order
@@ -442,7 +443,9 @@ impl Network {
     /// Pops one ejected flit from `(router, port)`, if any.
     pub fn pop_ejected(&mut self, router: usize, port: usize) -> Option<Flit> {
         let slot = self.core.eject_pop(router, port)?;
-        self.eject_occupancy -= 1;
+        if self.core.routers[router].ejecting == 0 {
+            self.ejecting_routers.remove(router);
+        }
         let f = slot.flit();
         if let Some(a) = self.audit.as_deref_mut() {
             a.note_pop(f.class);
@@ -455,7 +458,54 @@ impl Network {
     /// `node` (the local port or an extra after it).
     pub fn pop_ejected_node(&mut self, node: Coord) -> Option<Flit> {
         let r = self.topo.node_index(node);
-        (PORT_LOCAL..self.core.num_ports(r)).find_map(|p| self.pop_ejected(r, p))
+        let ports = self.core.routers[r].ejecting;
+        if ports == 0 {
+            return None;
+        }
+        self.pop_ejected(r, ports.trailing_zeros() as usize)
+    }
+
+    /// The first router at or after index `from` with a flit parked in an
+    /// ejection queue, and the mask of its ports that hold one (bit `p` =
+    /// port `p`). A cursor rather than a callback so that the caller
+    /// decides, port by port, whether to [`Network::pop_ejected`] — a
+    /// sink that cannot accept leaves the flits where they are — and
+    /// resumes from `router + 1`:
+    ///
+    /// ```text
+    /// let mut from = 0;
+    /// while let Some((router, ports)) = net.next_ejecting(from) {
+    ///     from = router + 1;
+    ///     // for each set bit p of `ports`, lowest first: pop, or don't
+    /// }
+    /// ```
+    ///
+    /// Walked that way the order is router ascending, port ascending,
+    /// oldest flit first — the order of polling every `(router, port)`.
+    /// It is exact: a bit is set if and only if that queue is non-empty
+    /// (set when a flit traverses to the port, cleared by the pop that
+    /// empties the queue, re-derived after a restore).
+    #[inline]
+    pub fn next_ejecting(&self, from: usize) -> Option<(usize, u64)> {
+        let r = self.ejecting_routers.next_from(from)?;
+        Some((r, self.core.routers[r].ejecting))
+    }
+
+    /// Pops every parked flit and hands it to `sink(router, port, flit)`
+    /// in [`Network::next_ejecting`]'s order: the drain of a consumer
+    /// that never declines.
+    pub fn drain_ejected(&mut self, mut sink: impl FnMut(usize, usize, Flit)) {
+        let mut from = 0;
+        while let Some((r, mut ports)) = self.next_ejecting(from) {
+            from = r + 1;
+            while ports != 0 {
+                let p = ports.trailing_zeros() as usize;
+                ports &= ports - 1;
+                while let Some(f) = self.pop_ejected(r, p) {
+                    sink(r, p, f);
+                }
+            }
+        }
     }
 
     /// Attribution hook for an ejection-queue pop: on a tail flit,
@@ -873,7 +923,7 @@ impl Network {
                 // the queue wait from.
                 flit.set_stamp(now);
                 self.core.eject_push(ri, op, flit);
-                self.eject_occupancy += 1;
+                self.ejecting_routers.insert(ri);
                 self.stats.ejected_flits += 1;
                 TraceKind::Eject
             }
@@ -895,16 +945,15 @@ impl Network {
     /// the links: nothing on the per-cycle path asks (the auditor's
     /// watchdog on a stall, drain tails, tests).
     pub fn quiescent(&self) -> bool {
-        self.eject_occupancy == 0
+        !self.has_ejected()
             && self.core.routers.iter().all(|s| s.occupied == 0)
             && self.links.iter().all(|l| l.in_flight() == 0)
     }
 
     /// `true` when any flit sits in an eject queue — the one case a
-    /// `pop_ejected` call can succeed, so sink-drain loops can skip the
-    /// whole network otherwise. O(1).
+    /// `pop_ejected` call can succeed.
     pub fn has_ejected(&self) -> bool {
-        self.eject_occupancy > 0
+        !self.ejecting_routers.is_empty()
     }
 
     /// Enables the invariant auditor. The per-class injection ledgers are
@@ -1103,11 +1152,12 @@ impl Network {
     /// Serializes all dynamic network state: the clock, statistics, every
     /// router/link/injector, ejection queues, trace events and (when the
     /// auditor is armed) its ledgers. Topology, config, scratch buffers,
-    /// the route memo and the activity worklists are *not* written — the
-    /// worklists are recomputed exactly on restore (at a step boundary,
-    /// membership equals the retention predicates the gated sweep itself
-    /// uses). The byte format predates the flat router core and is the
-    /// per-router, per-port, per-VC nesting of the structs it replaced.
+    /// the route memo, the activity worklists and the ejection set are
+    /// *not* written — all are recomputed exactly on restore (at a step
+    /// boundary, worklist membership equals the retention predicates the
+    /// gated sweep itself uses; the ejection set mirrors the queues). The
+    /// byte format predates the flat router core and is the per-router,
+    /// per-port, per-VC nesting of the structs it replaced.
     pub fn snapshot_state(&self, e: &mut equinox_snap::Enc) {
         use equinox_snap::Snap;
         // Shape tag: restoring into a different fabric would scramble
@@ -1237,7 +1287,7 @@ impl Network {
                 for _ in 0..len {
                     q.push_back(Slot::pack(self.cycle, &Flit::restore(d)?));
                 }
-                self.core.restore_eject(r, p, q);
+                self.core.restore_eject(r, p, q)?;
             }
         }
         self.trace.restore_state(d)?;
@@ -1269,22 +1319,26 @@ impl Network {
         Ok(())
     }
 
-    /// Rebuilds the ejection-queue occupancy and the activity worklists
-    /// from restored router/link/eject state. At a step boundary the
+    /// Rebuilds the activity worklists and the ejection set from
+    /// restored router/link/eject state. At a step boundary the
     /// gated sweep keeps exactly the elements whose retention predicate
     /// is positive (`credits_pending`, `in_flight`, buffered flits), and
     /// re-activation edges insert elements only when those predicates
     /// become positive — so recomputing membership from the predicates
-    /// reproduces the worklists bit-for-bit.
+    /// reproduces the worklists bit-for-bit. The ejection set is exact
+    /// at any time (router present ⇔ `ejecting` mask non-zero).
     fn recompute_activity(&mut self) {
         let (routers, links) = (self.core.len(), self.links.len());
-        self.eject_occupancy = self.core.eject_queues().iter().map(|q| q.len() as u64).sum();
         self.active_routers = Worklist::with_len(routers);
+        self.ejecting_routers = Worklist::with_len(routers);
         self.active_flit_links = Worklist::with_len(links);
         self.active_credit_links = Worklist::with_len(links);
         for r in 0..routers {
             if self.core.routers[r].occupied != 0 {
                 self.active_routers.insert(r);
+            }
+            if self.core.routers[r].ejecting != 0 {
+                self.ejecting_routers.insert(r);
             }
         }
         for li in 0..links {
@@ -1686,6 +1740,87 @@ mod tests {
         ));
     }
 
+    /// A snapshot of an idle 4×4 mesh whose ejection section was rewritten
+    /// so that `(router, port)` holds `flits` and every other queue is
+    /// empty — the damaged input the restore must name, not absorb.
+    fn snapshot_with_parked(router: usize, port: usize, flits: &[Flit]) -> Vec<u8> {
+        use equinox_snap::{Enc, Snap};
+        let section = |parked: Option<(usize, usize)>| {
+            let mut e = Enc::new();
+            e.put_usize(16);
+            for r in 0..16 {
+                e.put_usize(5);
+                for p in 0..5 {
+                    if parked == Some((r, p)) {
+                        e.put_usize(flits.len());
+                        flits.iter().for_each(|f| f.snap(&mut e));
+                    } else {
+                        e.put_usize(0);
+                    }
+                }
+            }
+            e.into_bytes()
+        };
+        let mut e = Enc::new();
+        Network::mesh(NocConfig::mesh(4)).snapshot_state(&mut e);
+        let bytes = e.into_bytes();
+        let empty = section(None);
+        let hits: Vec<usize> = (0..=bytes.len() - empty.len())
+            .filter(|&at| bytes[at..at + empty.len()] == empty[..])
+            .collect();
+        let [at] = hits[..] else {
+            panic!("the empty ejection section must occur exactly once, found at {hits:?}");
+        };
+        [&bytes[..at], &section(Some((router, port)))[..], &bytes[at + empty.len()..]].concat()
+    }
+
+    fn reply_flit() -> Flit {
+        PacketDesc::new(0, Coord::new(1, 0), Coord::new(0, 0), MessageClass::Reply, 1).flits(4)[0]
+    }
+
+    #[test]
+    fn restore_rejects_an_eject_queue_on_a_non_ejection_port() {
+        use equinox_snap::{Dec, SnapError};
+        let fresh = || Network::mesh(NocConfig::mesh(4));
+        let role_port = |want: fn(OutputRole) -> bool| {
+            let net = fresh();
+            (0..5).find(|&p| want(net.core.role(0, p))).expect("router 0 has such a port")
+        };
+        let dead = role_port(|r| r == OutputRole::Dead);
+        let link = role_port(|r| matches!(r, OutputRole::Link(_)));
+        for port in [dead, link] {
+            let bytes = snapshot_with_parked(0, port, &[reply_flit()]);
+            assert_eq!(
+                fresh().restore_state(&mut Dec::new(&bytes)),
+                Err(SnapError::BadValue("eject queue on a non-ejection port")),
+                "port {port}"
+            );
+        }
+        // The same flit on the local port is a state a run can reach: it
+        // restores, is in the ejection set, and pops.
+        let bytes = snapshot_with_parked(0, PORT_LOCAL, &[reply_flit()]);
+        let mut net = fresh();
+        net.restore_state(&mut Dec::new(&bytes)).expect("a parked flit on an ejection port");
+        assert_eq!(net.next_ejecting(0), Some((0, 1 << PORT_LOCAL)));
+        assert_eq!(net.pop_ejected(0, PORT_LOCAL), Some(reply_flit()));
+        assert_eq!(net.next_ejecting(0), None);
+    }
+
+    #[test]
+    fn restore_rejects_an_eject_queue_over_its_cap() {
+        use equinox_snap::{Dec, SnapError};
+        let cap = NocConfig::mesh(4).eject_cap;
+        let mut net = Network::mesh(NocConfig::mesh(4));
+        let full = snapshot_with_parked(3, PORT_LOCAL, &vec![reply_flit(); cap]);
+        net.restore_state(&mut Dec::new(&full)).expect("a queue at its cap");
+        assert_eq!(net.core.words(3), net.core.scan(3), "a full queue closes its port");
+        let over = snapshot_with_parked(3, PORT_LOCAL, &vec![reply_flit(); cap + 1]);
+        assert_eq!(
+            Network::mesh(NocConfig::mesh(4)).restore_state(&mut Dec::new(&over)),
+            Err(SnapError::BadValue("eject queue over cap"))
+        );
+    }
+
     #[test]
     fn route_memo_equals_the_topology_for_every_pair() {
         let mut cfgs = vec![NocConfig::mesh_8x8(), NocConfig::mesh(8)];
@@ -1734,6 +1869,17 @@ mod tests {
             net.enable_stalls();
             (net, extra, tagged)
         };
+        // Every derived word of every router equals a scan of the arrays
+        // it summarises, and the ejection set holds exactly the routers
+        // with a non-empty ejection queue.
+        let check = |net: &Network, when: &str| {
+            for r in 0..net.core.len() {
+                assert_eq!(net.core.words(r), net.core.scan(r), "router {r} {when}");
+            }
+            let parked: Vec<usize> = (0..net.core.len()).filter(|&r| net.core.scan(r).4 != 0).collect();
+            assert_eq!(net.ejecting_routers.ids(), parked, "ejection set {when}");
+            assert_eq!(net.has_ejected(), !parked.is_empty(), "{when}");
+        };
         let (mut net, extra, (tr, tp)) = build();
         let mut rng = Rng::seed_from_u64(0xC0FFEE);
         let nodes: Vec<Coord> = (0..16).map(|i| Coord::from_index(i, 4)).collect();
@@ -1771,19 +1917,17 @@ mod tests {
                 }
             }
             net.step();
+            check(&net, &format!("after the step of cycle {t}"));
             if t >= 300 && t % 3 == 0 {
                 for &c in &nodes {
-                    while net.pop_ejected_node(c).is_some() {}
+                    while net.pop_ejected_node(c).is_some() {
+                        check(&net, &format!("after a pop at {c:?} in cycle {t}"));
+                    }
                 }
-                while net.pop_ejected(tr, tp).is_some() {}
-            }
-            for r in 0..net.core.len() {
-                let s = &net.core.routers[r];
-                assert_eq!(
-                    (s.occupied, s.allocated, s.out_free, s.out_ready, s.class_flits),
-                    net.core.scan(r),
-                    "router {r} after cycle {t}"
-                );
+                while net.pop_ejected(tr, tp).is_some() {
+                    check(&net, &format!("after a pop at the tagged port in cycle {t}"));
+                }
+                assert!(!net.has_ejected(), "the sinks drained everything");
             }
             // A restore derives the same words from the snapshot: once
             // with the sinks shut (ejection queues at their cap), once
@@ -1795,13 +1939,9 @@ mod tests {
                 twin.restore_state(&mut equinox_snap::Dec::new(&e.into_bytes())).unwrap();
                 for r in 0..net.core.len() {
                     assert_eq!(twin.core.scan(r), net.core.scan(r), "restored router {r}");
-                    let s = &twin.core.routers[r];
-                    assert_eq!(
-                        (s.occupied, s.allocated, s.out_free, s.out_ready, s.class_flits),
-                        twin.core.scan(r),
-                        "restored router {r} at cycle {t}"
-                    );
                 }
+                check(&twin, &format!("on the twin restored at cycle {t}"));
+                assert_eq!(twin.ejecting_routers.ids(), net.ejecting_routers.ids());
                 if t == 280 {
                     let capped = |n: &Network| n.core.eject_queues().iter().filter(|q| q.len() >= 16).count();
                     assert!(capped(&twin) > 0, "no ejection queue was at its cap");

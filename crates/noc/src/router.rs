@@ -97,6 +97,10 @@ pub(crate) struct RouterState {
     /// downstream credit, or any VC of an ejection port whose queue is
     /// below the cap. Never set on a dead port.
     pub out_ready: u64,
+    /// Ports (bit `p`, not `p * V + v`) whose ejection queue holds a
+    /// flit: set by [`RouterCore::eject_push`], cleared by the
+    /// [`RouterCore::eject_pop`] that empties the queue.
+    pub ejecting: u64,
     /// Buffered flits per message class (0 = request, 1 = reply).
     pub class_flits: [u32; 2],
     /// Global id of port 0.
@@ -108,6 +112,9 @@ pub(crate) struct RouterState {
     /// Number of paired ports.
     pub nports: u8,
 }
+
+// One cache line: every stage of a router's cycle reads these words.
+const _: () = assert!(std::mem::size_of::<RouterState>() <= 64);
 
 /// The routers of one network.
 #[derive(Debug)]
@@ -155,6 +162,7 @@ impl RouterCore {
                 allocated: 0,
                 out_free: 0,
                 out_ready: 0,
+                ejecting: 0,
                 class_flits: [0; 2],
                 port_base: (r * ports) as u32,
                 vc_base: (r * ports * v) as u32,
@@ -446,6 +454,7 @@ impl RouterCore {
     pub fn eject_push(&mut self, r: usize, p: usize, slot: Slot) {
         let gp = self.port(r, p);
         self.eject[gp].push_back(slot);
+        self.routers[r].ejecting |= 1 << p;
         if self.eject[gp].len() >= self.eject_cap {
             self.routers[r].out_ready &= !self.port_bits(r, p, p + 1);
         }
@@ -456,6 +465,9 @@ impl RouterCore {
     pub fn eject_pop(&mut self, r: usize, p: usize) -> Option<Slot> {
         let gp = self.port(r, p);
         let slot = self.eject[gp].pop_front()?;
+        if self.eject[gp].is_empty() {
+            self.routers[r].ejecting &= !(1 << p);
+        }
         if self.eject[gp].len() < self.eject_cap {
             self.routers[r].out_ready |= self.port_bits(r, p, p + 1);
         }
@@ -463,10 +475,10 @@ impl RouterCore {
     }
 
     /// The derived words of router `r` — `(occupied, allocated,
-    /// out_free, out_ready, class_flits)` — recomputed from the arrays
-    /// they summarise.
+    /// out_free, out_ready, ejecting, class_flits)` — recomputed from
+    /// the arrays they summarise.
     #[cfg(test)]
-    pub fn scan(&self, r: usize) -> (u64, u64, u64, u64, [u32; 2]) {
+    pub fn scan(&self, r: usize) -> (u64, u64, u64, u64, u64, [u32; 2]) {
         let (mut occupied, mut allocated, mut out_free, mut out_ready) = (0u64, 0u64, 0u64, 0u64);
         for bit in 0..self.num_ports(r) * self.vcs {
             let vc = &self.in_vcs[self.vc(r, bit)];
@@ -483,11 +495,22 @@ impl RouterCore {
             };
             out_ready |= u64::from(ready) << bit;
         }
+        let ejecting = (0..self.num_ports(r))
+            .filter(|&p| !self.eject_queue(r, p).is_empty())
+            .fold(0, |m, p| m | 1 << p);
         let mut class_flits = [0; 2];
         for f in self.router_flits(r) {
             class_flits[f.class_ix()] += 1;
         }
-        (occupied, allocated, out_free, out_ready, class_flits)
+        (occupied, allocated, out_free, out_ready, ejecting, class_flits)
+    }
+
+    /// The same words as the router's line holds them, in
+    /// [`RouterCore::scan`]'s order.
+    #[cfg(test)]
+    pub fn words(&self, r: usize) -> (u64, u64, u64, u64, u64, [u32; 2]) {
+        let s = &self.routers[r];
+        (s.occupied, s.allocated, s.out_free, s.out_ready, s.ejecting, s.class_flits)
     }
 
     /// Serializes router `r`'s dynamic state — per-input-VC buffers and
@@ -528,8 +551,8 @@ impl RouterCore {
     /// a flat array — ports, VCs, buffer lengths, credits — is bounded
     /// here, and no buffered flit may be stamped after `cycle` (the
     /// pipeline stages rely on it). The masks and class counters are
-    /// derived from what was read, except `out_ready`, which
-    /// [`RouterCore::restore_eject`] completes port by port.
+    /// derived from what was read, except `out_ready` and `ejecting`,
+    /// which [`RouterCore::restore_eject`] completes port by port.
     pub fn restore_state(
         &mut self,
         r: usize,
@@ -540,7 +563,7 @@ impl RouterCore {
         let base = self.routers[r].port_base as usize;
         let (nports, vcs) = (self.num_ports(r), self.vcs);
         let s = &mut self.routers[r];
-        (s.occupied, s.allocated, s.out_free, s.out_ready) = (0, 0, 0, 0);
+        (s.occupied, s.allocated, s.out_free, s.out_ready, s.ejecting) = (0, 0, 0, 0, 0);
         s.class_flits = [0; 2];
         for p in 0..nports {
             let ptr = d.usize()?;
@@ -610,11 +633,29 @@ impl RouterCore {
 
     /// Replaces the ejection queue of port `p` of router `r` with a
     /// restored one and, the port's credits having been restored before
-    /// it, re-derives its `out_ready` bits.
-    pub fn restore_eject(&mut self, r: usize, p: usize, q: VecDeque<Slot>) {
+    /// it, re-derives its `out_ready` bits and its `ejecting` bit. Only
+    /// an ejection port can hold flits, and no more than the cap its
+    /// grants stop at: no run writes anything else, and the flits would
+    /// sit where no sink looks for them.
+    pub fn restore_eject(
+        &mut self,
+        r: usize,
+        p: usize,
+        q: VecDeque<Slot>,
+    ) -> Result<(), equinox_snap::SnapError> {
+        use equinox_snap::SnapError;
         let gp = self.port(r, p);
+        if !q.is_empty() && !matches!(self.out_role[gp], OutputRole::Eject { .. }) {
+            return Err(SnapError::BadValue("eject queue on a non-ejection port"));
+        }
+        if q.len() > self.eject_cap {
+            return Err(SnapError::BadValue("eject queue over cap"));
+        }
+        let s = &mut self.routers[r];
+        s.ejecting = s.ejecting & !(1 << p) | u64::from(!q.is_empty()) << p;
         self.eject[gp] = q;
         self.refresh_ready(r, p);
+        Ok(())
     }
 }
 
@@ -734,10 +775,14 @@ mod tests {
                 "{k} parked"
             );
             c.eject_push(0, 4, f);
+            assert_eq!(c.routers[0].ejecting, 1 << 4);
         }
         assert_eq!(c.routers[0].out_ready & eject_bits, 0);
         assert!(c.eject_pop(0, 4).is_some());
         assert_eq!(c.routers[0].out_ready & eject_bits, eject_bits);
+        assert_eq!(c.routers[0].ejecting, 1 << 4, "three flits still parked");
+        while c.eject_pop(0, 4).is_some() {}
+        assert_eq!(c.routers[0].ejecting, 0, "the emptying pop clears the bit");
         c.set_role(0, 1, OutputRole::Dead);
         assert_eq!(c.routers[0].out_ready, eject_bits);
     }

@@ -3,7 +3,9 @@
 //! The gated sweep must visit active routers and links in exactly the
 //! order the exhaustive `for id in 0..n` sweep would. A bitset gives
 //! that by construction — ascending words, ascending bits within a
-//! word — with an O(1) idempotent insert.
+//! word — with an O(1) idempotent insert. The same holds for the set of
+//! routers with a parked ejected flit, which sink drains walk with a
+//! cursor in the order a poll of every router would.
 
 /// A set over a dense id space.
 #[derive(Debug, Default)]
@@ -30,6 +32,32 @@ impl Worklist {
     #[inline]
     pub fn insert(&mut self, id: usize) {
         self.words[id >> 6] |= 1 << (id & 63);
+    }
+
+    /// Removes `id`; a no-op if absent.
+    #[inline]
+    pub fn remove(&mut self, id: usize) {
+        self.words[id >> 6] &= !(1 << (id & 63));
+    }
+
+    /// `true` when the set has no member.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    /// The smallest member at or after `from`, if any — a cursor for
+    /// callers that walk the set in ascending order while changing it
+    /// (removing the id just returned, or any other, is fine).
+    #[inline]
+    pub fn next_from(&self, from: usize) -> Option<usize> {
+        let mut w = from >> 6;
+        let mut word = *self.words.get(w)? & (u64::MAX << (from & 63));
+        while word == 0 {
+            w += 1;
+            word = *self.words.get(w)?;
+        }
+        Some(w * 64 + word.trailing_zeros() as usize)
     }
 
     /// Calls `visit` on every member in ascending id order and drops the
@@ -102,6 +130,36 @@ mod tests {
         );
         w.sweep(|_| false);
         assert!(w.ids().is_empty());
+    }
+
+    #[test]
+    fn cursor_walks_ascending_while_members_are_removed() {
+        let mut w = Worklist::with_len(200);
+        assert!(w.is_empty());
+        assert_eq!(w.next_from(0), None);
+        for id in [0, 63, 64, 130, 199] {
+            w.insert(id);
+        }
+        assert!(!w.is_empty());
+        assert_eq!(w.next_from(0), Some(0));
+        assert_eq!(w.next_from(1), Some(63));
+        assert_eq!(w.next_from(63), Some(63));
+        assert_eq!(w.next_from(65), Some(130));
+        assert_eq!(w.next_from(200), None, "one past the id space");
+        assert_eq!(w.next_from(10_000), None, "far past the id space");
+        // The drain pattern: take the next member, maybe remove it, move on.
+        let (mut from, mut seen) = (0, Vec::new());
+        while let Some(id) = w.next_from(from) {
+            seen.push(id);
+            if id % 2 == 0 {
+                w.remove(id);
+            }
+            from = id + 1;
+        }
+        assert_eq!(seen, vec![0, 63, 64, 130, 199]);
+        assert_eq!(w.ids(), vec![63, 199]);
+        w.remove(5); // absent: no-op
+        assert_eq!(w.ids(), vec![63, 199]);
     }
 
     #[test]

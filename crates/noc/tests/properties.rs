@@ -138,3 +138,97 @@ fn vc_mono_delivers() {
         exercise(Network::mesh(NocConfig::single_net(4, true)), packets);
     }
 }
+
+/// The ejection cursor against the loop it replaced: one network is
+/// drained through `next_ejecting`, its twin by polling every
+/// `(router, port)` in ascending order, under the same random traffic —
+/// both classes, a tagged extra ejection port on one router (how the
+/// concentrated mesh attaches its nodes) and sinks that refuse to pop
+/// on some cycles, so queues back up to their cap and flits are left
+/// parked across steps. Both must hand over the same flits, from the
+/// same ports, in the same order, on the same cycles.
+#[test]
+fn ejection_cursor_hands_over_what_polling_every_port_does() {
+    const N: u16 = 4;
+    const TAG: u32 = 77;
+    let tagged_node = Coord::new(1, 2);
+    let build = || {
+        let mut net = Network::mesh(NocConfig::single_net(N, false));
+        let tagged = net.add_ejection_port(tagged_node, Some(TAG));
+        (net, tagged)
+    };
+    let ((mut cursor, tagged), (mut polled, _)) = (build(), build());
+    let nodes: Vec<Coord> = (0..(N * N) as usize).map(|i| Coord::from_index(i, N)).collect();
+    // A sink that declines: shut for two cycles out of every seven,
+    // staggered by port so open and shut ports sit side by side.
+    let open = |r: usize, p: usize, t: u64| t >= 2_500 || (t + 3 * r as u64 + p as u64) % 7 >= 2;
+
+    let mut rng = Rng::stream(0xE1EC, 0);
+    let mut streams: Vec<Vec<Flit>> = vec![Vec::new(); nodes.len()];
+    let mut next_id = 0;
+    let (mut from_cursor, mut from_polling) = (Vec::new(), Vec::new());
+    let mut declined_with_flits_parked = 0;
+    for t in 0..3_000u64 {
+        for (k, &src) in nodes.iter().enumerate() {
+            if streams[k].is_empty() && t < 2_000 && rng.random::<f64>() < 0.4 {
+                let tr = traffic(N, &mut rng);
+                if tr.dst == src {
+                    continue;
+                }
+                let tag = tr.dst == tagged_node && rng.random::<bool>();
+                streams[k] = PacketDesc::new(next_id, src, tr.dst, tr.class, tr.len)
+                    .flits(N)
+                    .into_iter()
+                    .map(|f| if tag { f.with_sink(TAG) } else { f })
+                    .rev()
+                    .collect();
+                next_id += 1;
+            }
+            if let Some(&f) = streams[k].last() {
+                let (a, b) = (cursor.local_injector(src), polled.local_injector(src));
+                let accepted = cursor.try_inject_flit(a, f);
+                assert_eq!(accepted, polled.try_inject_flit(b, f), "cycle {t}: back-pressure differs");
+                if accepted {
+                    streams[k].pop();
+                }
+            }
+        }
+        cursor.step();
+        polled.step();
+
+        let mut at = 0;
+        while let Some((r, mut ports)) = cursor.next_ejecting(at) {
+            at = r + 1;
+            while ports != 0 {
+                let p = ports.trailing_zeros() as usize;
+                ports &= ports - 1;
+                if !open(r, p, t) {
+                    declined_with_flits_parked += 1;
+                    continue;
+                }
+                while let Some(f) = cursor.pop_ejected(r, p) {
+                    from_cursor.push((t, r, p, f));
+                }
+            }
+        }
+        for (r, &node) in nodes.iter().enumerate() {
+            for p in (0..polled.router_ports(node)).filter(|&p| open(r, p, t)) {
+                while let Some(f) = polled.pop_ejected(r, p) {
+                    from_polling.push((t, r, p, f));
+                }
+            }
+        }
+        assert_eq!(from_cursor.len(), from_polling.len(), "cycle {t}");
+        assert_eq!(cursor.has_ejected(), polled.has_ejected(), "cycle {t}");
+    }
+    assert!(from_cursor == from_polling, "the two drains handed over different flit sequences");
+    assert!(from_cursor.len() > 3_000, "only {} flits crossed", from_cursor.len());
+    assert!(
+        from_cursor.iter().any(|&(_, r, p, _)| (r, p) == tagged),
+        "nothing left through the tagged port"
+    );
+    assert!(declined_with_flits_parked > 100, "the shut sinks never left a flit parked");
+    assert!(cursor.quiescent() && polled.quiescent(), "traffic must drain");
+    assert_eq!(cursor.stats(), polled.stats());
+    assert_eq!(cursor.next_ejecting(0), None);
+}

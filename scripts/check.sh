@@ -59,6 +59,17 @@ if [ "$no_forbid" != "$unsafe_exempt" ]; then
 fi
 echo "OK: unsafe is forbidden everywhere but $unsafe_exempt"
 
+echo "== ejection-polling guard =="
+# The network says which ejection ports hold a flit; a run path that
+# asks every sink every cycle instead pays per port, not per flit.
+if grep -rnE 'pop_ejected_node|has_ejected\(\)' crates/core/src/system.rs \
+    crates/core/src/loadlat.rs crates/core/src/heatmap.rs crates/bench/src \
+    | grep -vE ':[0-9]+: *(//|\*)'; then
+  echo "FAIL: per-cycle ejection polling on a run path — use Network::drain_ejected, or next_ejecting + pop_ejected for a sink that may decline" >&2
+  exit 1
+fi
+echo "OK: run paths drain ejected flits through the network's ejection set"
+
 echo "== build (release) =="
 cargo build --release --workspace
 
