@@ -18,8 +18,10 @@
 
 use equinox_bench::artifact::artifact;
 use equinox_bench::cache::{artifact_key, cache_for, cached};
+use equinox_bench::matrix_cells;
 use equinox_bench::scenarios::{scenario, scenarios};
 use equinox_config::{flag_help, parse_cli, resolve_process, CliError, Json};
+use equinox_core::SchemeKind;
 
 fn usage() -> String {
     let mut u = String::from(
@@ -62,6 +64,18 @@ fn main() {
     };
     if sc.name == "watch" && spec.obs_stream.is_empty() {
         fail("watch needs --obs-stream <path> naming the feed to attach to");
+    }
+    // Where the command line chooses the mesh, a machine that cannot be
+    // built is named before any work starts (`fabric` builds a bare
+    // network, which has rules of its own).
+    let builds: &[SchemeKind] = match sc.name {
+        "sweep" => &SchemeKind::ALL,
+        "loadlat" | "designer" => &[SchemeKind::EquiNox],
+        _ => &[],
+    };
+    let cells = matrix_cells(builds, spec.n, &["kmeans"], &spec);
+    if let Some(why) = cells.iter().find_map(|c| c.check().err()) {
+        fail(&format!("{}: {why}", sc.name));
     }
     equinox_exec::set_threads(spec.threads);
 

@@ -119,6 +119,17 @@ impl Cell {
         self.design.clone().or_else(|| (self.scheme == SchemeKind::EquiNox).then(strong))
     }
 
+    /// The system this cell builds for one `seed`, its design still to
+    /// be resolved.
+    fn config_without_design(&self, seed: u64) -> SystemConfig {
+        let profile = equinox_traffic::profile::benchmark(self.bench)
+            .unwrap_or_else(|| panic!("unknown benchmark {}", self.bench));
+        let workload = Workload::new(profile, self.spec.scale, seed);
+        let mut cfg = SystemConfig::from_spec(self.scheme, self.n, workload, &self.spec);
+        cfg.placement_override = self.placement.clone();
+        cfg
+    }
+
     /// The system this cell builds for one `seed`; an EquiNox cell's
     /// design is resolved here, so no caller can build one without it.
     ///
@@ -126,13 +137,15 @@ impl Cell {
     ///
     /// Panics on a benchmark name that is not in the suite.
     pub fn system_config(&self, seed: u64, log: &mut dyn Write) -> SystemConfig {
-        let profile = equinox_traffic::profile::benchmark(self.bench)
-            .unwrap_or_else(|| panic!("unknown benchmark {}", self.bench));
-        let workload = Workload::new(profile, self.spec.scale, seed);
-        let mut cfg = SystemConfig::from_spec(self.scheme, self.n, workload, &self.spec);
+        let mut cfg = self.config_without_design(seed);
         cfg.design = self.resolved_design(log).as_deref().cloned();
-        cfg.placement_override = self.placement.clone();
         cfg
+    }
+
+    /// [`SystemConfig::check`] of this cell's machine: the one-line
+    /// reason it cannot be built, asked before any design is searched.
+    pub fn check(&self) -> Result<(), String> {
+        self.config_without_design(0).check().map(drop)
     }
 
     /// Run-cache key: everything the cell's metrics depend on. The

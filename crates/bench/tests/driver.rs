@@ -62,6 +62,36 @@ fn malformed_values_and_unknown_flags_are_fatal() {
 }
 
 #[test]
+fn unbuildable_machines_and_values_under_a_bound_are_named_not_backtraced() {
+    // Each of these used to die in an assert three frames into the build
+    // (exit 101), hang until killed, or emit an artifact of empty runs.
+    for (args, needle) in [
+        (["sweep", "--n", "9"], "n = 9: Interposer-CMesh"),
+        (["sweep", "--n", "6"], "n_cbs = 8: SingleBase"),
+        (["loadlat", "--n", "1"], "--n"),
+        (["sweep", "--n", "0"], "--n"),
+        (["designer", "--cbs", "0"], "--cbs"),
+        (["sweep", "--scale", "nan"], "--scale"),
+        (["sweep", "--scale", "-1"], "--scale"),
+        (["sweep", "--ni-queue-cap", "0"], "--ni-queue-cap"),
+        (["sweep", "--cb-inflight-cap", "0"], "--cb-inflight-cap"),
+        (["sweep", "--max-cycles", "0"], "--max-cycles"),
+        (["loadlat", "--cycles", "0"], "--cycles"),
+    ] {
+        let out = driver().args(args).output().expect("run driver");
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
+        assert!(out.stdout.is_empty(), "{args:?} must emit no artifact");
+        let err = String::from_utf8(out.stderr).unwrap();
+        let named: Vec<&str> = err.lines().filter(|l| l.starts_with("equinox: ")).collect();
+        assert!(named.len() == 1 && named[0].contains(needle), "{args:?}: {named:?}");
+        assert!(!err.contains("panicked") && !err.contains("backtrace"), "{args:?}: {err}");
+    }
+    // A bare 9x9 network is legal: `fabric` has no concentrated mesh to fit.
+    let out = driver().args(["fabric", "--n", "9", "--cycles", "300", "--scale", "0.1"]).output().unwrap();
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+}
+
+#[test]
 fn driver_emits_a_valid_artifact_with_spec_provenance() {
     let out = driver()
         .args(["table1", "--scale", "0.25", "--audit"])

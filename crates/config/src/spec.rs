@@ -318,15 +318,40 @@ fn json_f64(v: &Json) -> Result<f64, String> {
         .ok_or_else(|| format!("expected a number, got {}", v.to_compact()))
 }
 
+/// `scale`'s bound: finite and above zero (`"nan"` and `"inf"` parse as
+/// `f64`, and a spec file can say `-1`).
+fn positive(v: f64) -> Result<f64, String> {
+    if v.is_finite() && v > 0.0 {
+        Ok(v)
+    } else {
+        Err(format!("must be finite and > 0, got {v}"))
+    }
+}
+
 fn json_bool(v: &Json) -> Result<bool, String> {
     v.as_bool()
         .ok_or_else(|| format!("expected a boolean, got {}", v.to_compact()))
+}
+
+/// A field's lower bound, enforced by its setters on every layer (CLI,
+/// env, file): a value under it describes no machine or run (a 0-tile
+/// mesh, a queue that holds nothing, a run capped at 0 cycles).
+fn at_least<T: PartialOrd + std::fmt::Display>(v: T, min: T) -> Result<T, String> {
+    if v >= min {
+        Ok(v)
+    } else {
+        Err(format!("must be >= {min}, got {v}"))
+    }
 }
 
 /// Shorthand for the repetitive numeric/bool field definitions.
 macro_rules! field {
     // Unsigned-integer-like field.
     (uint $name:literal, $flag:literal, $env:literal, $field:ident : $ty:ty, $help:literal) => {
+        field!(uint >= 0, $name, $flag, $env, $field: $ty, $help)
+    };
+    // Unsigned-integer-like field with a lower bound.
+    (uint >= $min:literal, $name:literal, $flag:literal, $env:literal, $field:ident : $ty:ty, $help:literal) => {
         FieldDef {
             name: $name,
             flag: $flag,
@@ -334,12 +359,13 @@ macro_rules! field {
             takes_value: true,
             help: $help,
             set_str: |s, v| {
-                s.$field = parse_num::<$ty>("a non-negative integer", v)?;
+                s.$field = at_least(parse_num::<$ty>("a non-negative integer", v)?, $min)?;
                 Ok(())
             },
             set_json: |s, v| {
-                s.$field = <$ty>::try_from(json_u64(v)?)
+                let v = <$ty>::try_from(json_u64(v)?)
                     .map_err(|_| format!("value out of range for {}", $name))?;
+                s.$field = at_least(v, $min)?;
                 Ok(())
             },
             get_json: |s| Json::Num(s.$field as f64),
@@ -389,7 +415,7 @@ macro_rules! field {
 /// emission order.
 pub fn fields() -> &'static [FieldDef] {
     static FIELDS: &[FieldDef] = &[
-        field!(uint "n", "--n", "EQUINOX_N", n: u16, "grid size (NxN routers)"),
+        field!(uint >= 2, "n", "--n", "EQUINOX_N", n: u16, "grid size (NxN routers, >= 2)"),
         FieldDef {
             name: "topology",
             flag: "--topology",
@@ -428,8 +454,26 @@ pub fn fields() -> &'static [FieldDef] {
             },
             get_json: |s| Json::Str(s.traffic.clone()),
         },
-        field!(uint "n_cbs", "--cbs", "EQUINOX_CBS", n_cbs: u16, "number of cache banks"),
-        field!(float "scale", "--scale", "EQUINOX_SCALE", scale, "per-PE instruction quota multiplier"),
+        field!(uint >= 1, "n_cbs", "--cbs", "EQUINOX_CBS", n_cbs: u16, "number of cache banks (>= 1)"),
+        // Custom instead of `field!(float ...)`: a NaN or non-positive
+        // quota multiplier gives every PE an empty quota, and every cell
+        // "finishes" in the pipeline's fill time.
+        FieldDef {
+            name: "scale",
+            flag: "--scale",
+            env: "EQUINOX_SCALE",
+            takes_value: true,
+            help: "per-PE instruction quota multiplier (finite, > 0)",
+            set_str: |s, v| {
+                s.scale = positive(parse_num::<f64>("a number", v)?)?;
+                Ok(())
+            },
+            set_json: |s, v| {
+                s.scale = positive(json_f64(v)?)?;
+                Ok(())
+            },
+            get_json: |s| Json::Num(s.scale),
+        },
         FieldDef {
             name: "seeds",
             flag: "--seeds",
@@ -466,9 +510,9 @@ pub fn fields() -> &'static [FieldDef] {
         field!(flag "full", "--full", "EQUINOX_FULL", full, "run all 29 benchmarks (default: quick subset)"),
         field!(uint "threads", "--threads", "EQUINOX_THREADS", threads: usize, "worker-pool threads (0 = auto)"),
         field!(uint "sim_threads", "--sim-threads", "EQUINOX_SIM_THREADS", sim_threads: usize, "subnet-stepping lanes per run (1 = serial, 0 = cores/threads)"),
-        field!(uint "max_cycles", "--max-cycles", "EQUINOX_MAX_CYCLES", max_cycles: u64, "safety cap on simulated cycles"),
-        field!(uint "ni_queue_cap", "--ni-queue-cap", "EQUINOX_NI_QUEUE_CAP", ni_queue_cap: usize, "NI message-queue capacity"),
-        field!(uint "cb_inflight_cap", "--cb-inflight-cap", "EQUINOX_CB_INFLIGHT_CAP", cb_inflight_cap: usize, "max requests inside one CB"),
+        field!(uint >= 1, "max_cycles", "--max-cycles", "EQUINOX_MAX_CYCLES", max_cycles: u64, "safety cap on simulated cycles (>= 1)"),
+        field!(uint >= 1, "ni_queue_cap", "--ni-queue-cap", "EQUINOX_NI_QUEUE_CAP", ni_queue_cap: usize, "NI message-queue capacity (>= 1)"),
+        field!(uint >= 1, "cb_inflight_cap", "--cb-inflight-cap", "EQUINOX_CB_INFLIGHT_CAP", cb_inflight_cap: usize, "max requests inside one CB (>= 1)"),
         field!(uint "l2_latency", "--l2-latency", "EQUINOX_L2_LATENCY", l2_latency: u64, "L2 hit latency in cycles"),
         field!(uint "pipeline_extra", "--pipeline-extra", "EQUINOX_PIPELINE_EXTRA", pipeline_extra: u32, "extra router pipeline stages"),
         field!(float "reply_compression", "--reply-compression", "EQUINOX_REPLY_COMPRESSION", reply_compression, "read-reply compression probability"),
@@ -496,7 +540,7 @@ pub fn fields() -> &'static [FieldDef] {
         field!(uint "audit_check_interval", "--audit-check-interval", "EQUINOX_AUDIT_CHECK_INTERVAL", audit_check_interval: u64, "cycles between auditor sweeps"),
         field!(uint "audit_watchdog_window", "--audit-watchdog", "EQUINOX_AUDIT_WATCHDOG", audit_watchdog_window: u64, "auditor deadlock window (0 = off)"),
         field!(flag "audit_panic", "--audit-panic", "EQUINOX_AUDIT_PANIC", audit_panic, "panic on the first auditor violation"),
-        field!(uint "cycles", "--cycles", "EQUINOX_CYCLES", cycles: u64, "measured cycles per load-latency point"),
+        field!(uint >= 1, "cycles", "--cycles", "EQUINOX_CYCLES", cycles: u64, "measured cycles per load-latency point (>= 1)"),
         field!(uint "iters", "--iters", "EQUINOX_ITERS", iters: usize, "MCTS iterations for spec-driven design searches"),
         field!(flag "obs", "--obs", "EQUINOX_OBS", obs, "arm the observability layer (metrics + time series)"),
         // Custom instead of `field!(uint ...)`: an interval of 0 would

@@ -159,3 +159,39 @@ fn every_field_is_reachable_from_every_layer() {
     assert_eq!(text.replace("\"cli\"", "\"file\"").replace("\"default\"", "\"file\""),
         back.to_json().pretty().replace("\"cli\"", "\"file\""));
 }
+
+#[test]
+fn values_under_a_fields_lower_bound_are_refused_on_every_layer() {
+    // (key, flag, env, values that describe no machine or run)
+    let cases: [(&str, &str, &str, &[&str]); 7] = [
+        ("scale", "--scale", "EQUINOX_SCALE", &["nan", "-1", "0", "inf"]),
+        ("n", "--n", "EQUINOX_N", &["0", "1"]),
+        ("n_cbs", "--cbs", "EQUINOX_CBS", &["0"]),
+        ("ni_queue_cap", "--ni-queue-cap", "EQUINOX_NI_QUEUE_CAP", &["0"]),
+        ("cb_inflight_cap", "--cb-inflight-cap", "EQUINOX_CB_INFLIGHT_CAP", &["0"]),
+        ("max_cycles", "--max-cycles", "EQUINOX_MAX_CYCLES", &["0"]),
+        ("cycles", "--cycles", "EQUINOX_CYCLES", &["0"]),
+    ];
+    for (key, flag, var, bad) in cases {
+        for &v in bad {
+            let e = resolve(None, &no_env, &cli(&[(flag, v)])).unwrap_err();
+            assert_eq!((e.layer, e.key.as_str()), (Layer::Cli, flag), "{flag} {v}");
+            assert!(e.message.contains("must be"), "{flag} {v}: {e}");
+
+            let env = |k: &str| (k == var).then(|| v.to_string());
+            let e = resolve(None, &env, &[]).unwrap_err();
+            assert_eq!((e.layer, e.key.as_str()), (Layer::Env, var), "{var}={v}");
+
+            // JSON has no NaN or infinity; the file layer meets the rest.
+            if v.parse::<f64>().is_ok_and(f64::is_finite) {
+                let file = format!("{{\"{key}\": {v}}}");
+                let e = resolve(Some(("t.json", &file)), &no_env, &[]).unwrap_err();
+                assert_eq!((e.layer, e.key.as_str()), (Layer::File, key), "{file}");
+            }
+        }
+    }
+    // The bounds themselves pass, and a refused value does not stick.
+    let ok = cli(&[("--n", "2"), ("--cbs", "1"), ("--max-cycles", "1"), ("--scale", "1e-9")]);
+    let s = resolve(None, &no_env, &ok).unwrap();
+    assert_eq!((s.n, s.n_cbs, s.max_cycles, s.scale), (2, 1, 1, 1e-9));
+}

@@ -283,13 +283,14 @@ impl CacheBank {
 mod tests {
     use super::*;
     use crate::ni::InjectPolicy;
+    use crate::scheme::NiKind;
     use equinox_noc::config::NocConfig;
     use equinox_noc::network::Network;
 
     fn setup(hit_rate: f64) -> (CacheBank, InjectionQueue, Vec<Network>, PacketTracker) {
         let node = Coord::new(0, 0);
         let cb = CacheBank::new(node, 8, hit_rate, 20, HbmConfig::tiny(), 8, 1);
-        let ni = InjectionQueue::new(node, 4, InjectPolicy::Local { net: 0 });
+        let ni = InjectionQueue::new(node, 4, InjectPolicy::for_node(NiKind::Local, &mut [], &[0], node, 0, &[], None));
         let nets = vec![Network::mesh(NocConfig::mesh(4))];
         (cb, ni, nets, PacketTracker::new())
     }
@@ -403,8 +404,8 @@ mod tests {
         tracker.snap(&mut e);
         let tbytes = e.into_bytes();
         let mut tracker2 = PacketTracker::restore(&mut Dec::new(&tbytes)).unwrap();
-        let mut ni2 = InjectionQueue::new(node, 64, InjectPolicy::Local { net: 0 });
-        let mut ni1 = InjectionQueue::new(node, 64, InjectPolicy::Local { net: 0 });
+        let mut ni2 = InjectionQueue::new(node, 64, InjectPolicy::for_node(NiKind::Local, &mut [], &[0], node, 0, &[], None));
+        let mut ni1 = InjectionQueue::new(node, 64, InjectPolicy::for_node(NiKind::Local, &mut [], &[0], node, 0, &[], None));
         for t in 30..600 {
             cb.tick(t, &mut tracker, &mut ni1);
             cb2.tick(t, &mut tracker2, &mut ni2);

@@ -16,7 +16,10 @@
 //!   of all six baselines;
 //! * [`cb`] — cache banks with hit/miss behaviour and FR-FCFS HBM behind
 //!   each memory controller;
-//! * [`system`] — scheme assembly and the cycle-level simulation loop;
+//! * [`scheme`] — the seven schemes and, as `SchemeKind::plan`, what each
+//!   is made of (the paper's §5 table as a value);
+//! * [`system`] — assembly of a machine from that plan and the
+//!   cycle-level simulation loop;
 //! * [`metrics`], [`msg`] — execution/energy/EDP/latency metrics and
 //!   packet tracking;
 //! * [`obs`] — the system-side observability layer (latency histograms,

@@ -9,8 +9,7 @@
 
 use equinox_noc::config::NocConfig;
 use equinox_noc::flit::MessageClass;
-use equinox_noc::link::LinkKind;
-use equinox_noc::network::{InjectorId, Network};
+use equinox_noc::network::Network;
 use equinox_phys::Coord;
 use equinox_placement::Placement;
 use equinox_exec::Rng;
@@ -18,6 +17,7 @@ use equinox_exec::Rng;
 use crate::design::EquiNoxDesign;
 use crate::msg::{MemOpKind, PacketTracker};
 use crate::ni::{InjectPolicy, InjectionQueue};
+use crate::scheme::NiKind;
 
 /// One measured point of the curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -91,26 +91,18 @@ fn measure(
     let pes: Vec<Coord> = placement.pe_tiles().collect();
 
     // Build the CB-side NIs.
+    let (kind, groups) = match side {
+        ReplySide::Local => (NiKind::Local, None),
+        ReplySide::Equinox(design) => (NiKind::Equinox, Some(&design.selection.groups)),
+    };
+    let mut nets = vec![net];
     let mut nis: Vec<InjectionQueue> = placement
         .cbs
         .iter()
         .enumerate()
         .map(|(ci, &cb)| {
-            let policy = match side {
-                ReplySide::Local => InjectPolicy::Local { net: 0 },
-                ReplySide::Equinox(design) => {
-                    let eirs: Vec<(Coord, InjectorId)> = design.selection.groups[ci]
-                        .iter()
-                        .map(|&e| (e, net.add_injection_port(e, 1, LinkKind::Interposer)))
-                        .collect();
-                    InjectPolicy::Equinox {
-                        net: 0,
-                        local: net.local_injector(cb),
-                        eirs,
-                        rr: 0,
-                    }
-                }
-            };
+            let eirs = groups.map_or(&[][..], |g| &g[ci]);
+            let policy = InjectPolicy::for_node(kind, &mut nets, &[0], cb, ci, eirs, None);
             InjectionQueue::new(cb, 16, policy)
         })
         .collect();
@@ -118,7 +110,6 @@ fn measure(
     let warmup = cycles / 5;
     let mut done_lat: Vec<u64> = Vec::new();
     let mut ejected_flits = 0u64;
-    let mut nets = vec![net];
 
     for t in 0..(cycles + warmup) {
         for (ci, &cb) in placement.cbs.iter().enumerate() {

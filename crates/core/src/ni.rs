@@ -4,77 +4,104 @@
 //! [`InjectionQueue`]: a bounded message queue plus the in-flight packet
 //! being serialized one flit per cycle. What distinguishes the seven
 //! schemes is the [`InjectPolicy`] that picks *which network and which
-//! injector* a new packet claims:
-//!
-//! * [`InjectPolicy::Local`] — the node's local injector (baselines);
-//! * [`InjectPolicy::CmeshSplit`] — far packets detour through the
-//!   concentrated interposer mesh (Interposer-CMesh);
-//! * [`InjectPolicy::SubnetRoundRobin`] — reply subnets chosen round-robin
-//!   (DA2Mesh);
-//! * [`InjectPolicy::MultiInjector`] — any free port of the CB router
-//!   (MultiPort);
-//! * [`InjectPolicy::Equinox`] — the Buffer Selector of Figure 8,
-//!   implementing the paper's *Buffer Selection 1* policy: shortest-path
-//!   EIRs only, round-robin between the up-to-two quadrant candidates,
-//!   local-router fallback, retry otherwise.
+//! injector* a new packet claims, wired from the scheme's
+//! [`NiKind`] by [`InjectPolicy::for_node`]. Under [`NiKind::Equinox`] it
+//! is the Buffer Selector of Figure 8, implementing the paper's *Buffer
+//! Selection 1* policy: shortest-path EIRs only, round-robin between the
+//! up-to-two quadrant candidates, local-router fallback, retry otherwise.
 
 use crate::msg::{Message, PacketTracker};
+use crate::scheme::{NiKind, CONCENTRATION};
 use equinox_noc::flit::PacketDesc;
+use equinox_noc::link::LinkKind;
 use equinox_noc::network::{InjectorId, Network};
 use equinox_phys::Coord;
 use std::collections::VecDeque;
 
-/// Scheme-specific choice of network + injector for each new packet.
+/// Minimum base-mesh hop distance at which Interposer-CMesh prefers the
+/// concentrated mesh (for endpoints under different CMesh routers).
+const CMESH_THRESHOLD: u32 = 2;
+
+/// A [`NiKind`] wired into a machine: the scheme-specific choice of
+/// network + injector for each new packet.
 #[derive(Debug)]
-pub enum InjectPolicy {
-    /// Inject at the node's local router of network `net`.
-    Local {
-        /// Index into the system's network list.
-        net: usize,
-    },
-    /// Interposer-CMesh: use the concentrated mesh when the base-mesh
-    /// distance exceeds `threshold` hops and the endpoints sit under
-    /// different CMesh routers; otherwise the base mesh.
-    CmeshSplit {
-        /// Base network index.
-        base: usize,
-        /// CMesh network index.
-        cmesh: usize,
-        /// This node's injector on its CMesh router.
-        cmesh_injector: InjectorId,
-        /// Concentration factor (2 = 2×2 tiles per CMesh router).
-        concentration: u16,
-        /// Minimum base-mesh hop distance to prefer the CMesh.
-        threshold: u32,
-    },
-    /// DA2Mesh: each packet fully travels one narrow subnet, chosen
-    /// round-robin.
-    SubnetRoundRobin {
-        /// Subnet network indices.
-        nets: Vec<usize>,
-        /// Round-robin cursor.
-        rr: usize,
-    },
-    /// MultiPort: several injectors on the same (CB) router.
-    MultiInjector {
-        /// Network index.
-        net: usize,
-        /// The CB router's injection ports.
-        injectors: Vec<InjectorId>,
-        /// Round-robin cursor.
-        rr: usize,
-    },
-    /// EquiNox CB NI: local buffer + one buffer per EIR (Figure 8).
-    Equinox {
-        /// Reply network index.
-        net: usize,
-        /// The local router's injector.
-        local: InjectorId,
-        /// The EIRs of this CB with their interposer injectors.
-        eirs: Vec<(Coord, InjectorId)>,
-        /// Round-robin cursor for two-candidate quadrant cases.
-        rr: usize,
-    },
+pub struct InjectPolicy {
+    kind: NiKind,
+    /// The networks that take the NI's message class, ascending (under
+    /// `CmeshSplit`: the base mesh, then the concentrated one), and the
+    /// first of them inline: `choose` reads it on every call.
+    nets: Vec<usize>,
+    net: usize,
+    /// The injectors the NI holds handles to: `CmeshSplit`'s port on the
+    /// concentrated mesh; `MultiPort`'s ports, the local one first;
+    /// `Equinox`'s local injector, then one per entry of `eirs`. The other
+    /// kinds use each network's local injector.
+    injectors: Vec<InjectorId>,
+    /// `Equinox`: the EIR tiles of this CB.
+    eirs: Vec<Coord>,
+    /// Round-robin cursor (over `nets`, `injectors` or `eirs` by kind).
+    rr: usize,
+}
+
+impl InjectPolicy {
+    /// Wires an NI of `kind` at `node` into `nets`, attaching the ports
+    /// it adds (MultiPort's on the node's router; EquiNox's one per
+    /// entry of `eirs`, in order). `carrying` lists the networks that
+    /// take the NI's message class, ascending; cache bank number `index`
+    /// starts DA2Mesh's round-robin on its own subnet; `cmesh_injector`
+    /// is the node's port on the concentrated mesh, which the caller
+    /// attaches for every node in turn ([`NiKind::CmeshSplit`] panics
+    /// without it).
+    pub fn for_node(
+        kind: NiKind,
+        nets: &mut [Network],
+        carrying: &[usize],
+        node: Coord,
+        index: usize,
+        eirs: &[Coord],
+        cmesh_injector: Option<InjectorId>,
+    ) -> Self {
+        let net = carrying[0];
+        let injectors = match kind {
+            NiKind::Local | NiKind::SubnetRoundRobin => Vec::new(),
+            NiKind::CmeshSplit => {
+                vec![cmesh_injector.expect("the node has a concentrated-mesh port")]
+            }
+            NiKind::MultiPort(ports) => {
+                let mut v = vec![nets[net].local_injector(node)];
+                for _ in 1..ports {
+                    v.push(nets[net].add_injection_port(node, 1, LinkKind::NiLocal));
+                }
+                v
+            }
+            NiKind::Equinox => {
+                let mut v = vec![nets[net].local_injector(node)];
+                for &e in eirs {
+                    v.push(nets[net].add_injection_port(e, 1, LinkKind::Interposer));
+                }
+                v
+            }
+        };
+        let eirs = if kind == NiKind::Equinox { eirs.to_vec() } else { Vec::new() };
+        let rr = if kind == NiKind::SubnetRoundRobin { index } else { 0 };
+        InjectPolicy { kind, nets: carrying.to_vec(), net, injectors, eirs, rr }
+    }
+
+    /// The interposer injectors of an EquiNox CB NI, in group order.
+    pub fn eir_injectors(&self) -> Option<&[InjectorId]> {
+        (self.kind == NiKind::Equinox).then(|| &self.injectors[1..])
+    }
+
+    /// Snapshot tag of the kind, and the bound on the cursor.
+    fn tag_and_rr_bound(&self) -> (u8, usize) {
+        match self.kind {
+            NiKind::Local => (0, 1),
+            NiKind::CmeshSplit => (1, 1),
+            NiKind::SubnetRoundRobin => (2, self.nets.len()),
+            NiKind::MultiPort(_) => (3, self.injectors.len()),
+            NiKind::Equinox => (4, self.eirs.len().max(1)),
+        }
+    }
 }
 
 /// A packet being pushed into a network, one flit per cycle. Holds only
@@ -235,15 +262,8 @@ impl InjectionQueue {
             e.put_usize(fl.net);
             fl.injector.snap(e);
         }
-        let (tag, rr) = match &self.policy {
-            InjectPolicy::Local { .. } => (0u8, 0usize),
-            InjectPolicy::CmeshSplit { .. } => (1, 0),
-            InjectPolicy::SubnetRoundRobin { rr, .. } => (2, *rr),
-            InjectPolicy::MultiInjector { rr, .. } => (3, *rr),
-            InjectPolicy::Equinox { rr, .. } => (4, *rr),
-        };
-        e.put_u8(tag);
-        e.put_usize(rr);
+        e.put_u8(self.policy.tag_and_rr_bound().0);
+        e.put_usize(self.policy.rr);
     }
 
     /// Restores state written by [`InjectionQueue::snap_state`] into a
@@ -288,30 +308,15 @@ impl InjectionQueue {
                 injector,
             });
         }
-        let tag = d.u8()?;
-        let rr = d.usize()?;
-        match (&mut self.policy, tag) {
-            (InjectPolicy::Local { .. }, 0) | (InjectPolicy::CmeshSplit { .. }, 1) => {}
-            (InjectPolicy::SubnetRoundRobin { nets: subnets, rr: cur }, 2) => {
-                if rr >= subnets.len() {
-                    return Err(SnapError::BadValue("subnet rr cursor"));
-                }
-                *cur = rr;
-            }
-            (InjectPolicy::MultiInjector { injectors, rr: cur, .. }, 3) => {
-                if rr >= injectors.len() {
-                    return Err(SnapError::BadValue("multi-injector rr cursor"));
-                }
-                *cur = rr;
-            }
-            (InjectPolicy::Equinox { eirs, rr: cur, .. }, 4) => {
-                if rr >= eirs.len().max(1) {
-                    return Err(SnapError::BadValue("equinox rr cursor"));
-                }
-                *cur = rr;
-            }
-            _ => return Err(SnapError::BadValue("injection policy tag mismatch")),
+        let (tag, rr_bound) = self.policy.tag_and_rr_bound();
+        if d.u8()? != tag {
+            return Err(SnapError::BadValue("injection policy tag mismatch"));
         }
+        let rr = d.usize()?;
+        if rr >= rr_bound {
+            return Err(SnapError::BadValue("ni round-robin cursor"));
+        }
+        self.policy.rr = rr;
         self.queue = queue;
         self.inflight = inflight;
         Ok(())
@@ -325,70 +330,51 @@ impl InjectionQueue {
         msg: &Message,
     ) -> Option<(usize, InjectorId, Coord, Coord, u32)> {
         let node = self.node;
-        match &mut self.policy {
-            InjectPolicy::Local { net } => {
-                let n = *net;
-                let inj = nets[n].local_injector(node);
-                nets[n]
-                    .injector_ready(inj, msg.class)
-                    .then(|| (n, inj, msg.src, msg.dst, msg.dst.to_index(nets[n].width()) as u32))
-            }
-            InjectPolicy::CmeshSplit {
-                base,
-                cmesh,
-                cmesh_injector,
-                concentration,
-                threshold,
-            } => {
-                let c = *concentration;
+        let p = &mut self.policy;
+        let n = p.net;
+        // The (net, injector) pair as a claim, if the injector is free.
+        let claim = |n: usize, inj: InjectorId| {
+            let sink = || msg.dst.to_index(nets[n].width()) as u32;
+            nets[n].injector_ready(inj, msg.class).then(|| (n, inj, msg.src, msg.dst, sink()))
+        };
+        match p.kind {
+            NiKind::Local => claim(n, nets[n].local_injector(node)),
+            NiKind::CmeshSplit => {
+                let (cmesh, cmesh_injector, c) = (p.nets[1], p.injectors[0], CONCENTRATION);
                 let csrc = Coord::new(msg.src.x / c, msg.src.y / c);
                 let cdst = Coord::new(msg.dst.x / c, msg.dst.y / c);
-                let far = msg.src.manhattan(msg.dst) > *threshold && csrc != cdst;
-                if far && nets[*cmesh].injector_ready(*cmesh_injector, msg.class) {
+                let far = msg.src.manhattan(msg.dst) > CMESH_THRESHOLD && csrc != cdst;
+                if far && nets[cmesh].injector_ready(cmesh_injector, msg.class) {
                     // Sink = base-mesh node index, matched by the tagged
                     // ejection port on the destination's CMesh router.
-                    let sink = msg.dst.to_index(nets[*base].width()) as u32;
-                    Some((*cmesh, *cmesh_injector, csrc, cdst, sink))
+                    let sink = msg.dst.to_index(nets[n].width()) as u32;
+                    Some((cmesh, cmesh_injector, csrc, cdst, sink))
                 } else {
-                    let n = *base;
-                    let inj = nets[n].local_injector(node);
-                    nets[n].injector_ready(inj, msg.class).then(|| {
-                        (n, inj, msg.src, msg.dst, msg.dst.to_index(nets[n].width()) as u32)
-                    })
+                    claim(n, nets[n].local_injector(node))
                 }
             }
-            InjectPolicy::SubnetRoundRobin { nets: subnets, rr } => {
-                for k in 0..subnets.len() {
-                    let n = subnets[(*rr + k) % subnets.len()];
-                    let inj = nets[n].local_injector(node);
-                    if nets[n].injector_ready(inj, msg.class) {
-                        *rr = (*rr + k + 1) % subnets.len();
-                        let sink = msg.dst.to_index(nets[n].width()) as u32;
-                        return Some((n, inj, msg.src, msg.dst, sink));
+            NiKind::SubnetRoundRobin => {
+                let len = p.nets.len();
+                for k in 0..len {
+                    let net = p.nets[(p.rr + k) % len];
+                    if let Some(c) = claim(net, nets[net].local_injector(node)) {
+                        p.rr = (p.rr + k + 1) % len;
+                        return Some(c);
                     }
                 }
                 None
             }
-            InjectPolicy::MultiInjector { net, injectors, rr } => {
-                let n = *net;
-                for k in 0..injectors.len() {
-                    let inj = injectors[(*rr + k) % injectors.len()];
-                    if nets[n].injector_ready(inj, msg.class) {
-                        *rr = (*rr + k + 1) % injectors.len();
-                        let sink = msg.dst.to_index(nets[n].width()) as u32;
-                        return Some((n, inj, msg.src, msg.dst, sink));
+            NiKind::MultiPort(_) => {
+                let len = p.injectors.len();
+                for k in 0..len {
+                    if let Some(c) = claim(n, p.injectors[(p.rr + k) % len]) {
+                        p.rr = (p.rr + k + 1) % len;
+                        return Some(c);
                     }
                 }
                 None
             }
-            InjectPolicy::Equinox {
-                net,
-                local,
-                eirs,
-                rr,
-            } => {
-                let n = *net;
-                let sink = msg.dst.to_index(nets[n].width()) as u32;
+            NiKind::Equinox => {
                 // Buffer Selection 1: only EIRs on a shortest path. The
                 // candidates live in an inline bitmask over the full EIR
                 // list (a CB has 4 EIRs; 32 is ample), so the per-message
@@ -397,10 +383,11 @@ impl InjectionQueue {
                 // across messages with different shortest-path sets (a
                 // cursor modulo the per-message candidate count drifts
                 // and can starve one quadrant EIR).
-                debug_assert!(eirs.len() <= 32, "EIR bitmask limited to 32 entries");
+                let (local, eir_injectors) = (p.injectors[0], &p.injectors[1..]);
+                debug_assert!(p.eirs.len() <= 32, "EIR bitmask limited to 32 entries");
                 let direct = msg.src.manhattan(msg.dst);
                 let mut sp_mask = 0u32;
-                for (i, (e, _)) in eirs.iter().enumerate() {
+                for (i, e) in p.eirs.iter().enumerate() {
                     if msg.src.manhattan(*e) + e.manhattan(msg.dst) == direct {
                         sp_mask |= 1 << i;
                     }
@@ -411,30 +398,28 @@ impl InjectionQueue {
                 if dx == 0 || dy == 0 {
                     // On-axis: at most one shortest-path EIR exists.
                     if sp_mask != 0 {
-                        let (_, inj) = eirs[sp_mask.trailing_zeros() as usize];
-                        if nets[n].injector_ready(inj, msg.class) {
-                            return Some((n, inj, msg.src, msg.dst, sink));
+                        let found = claim(n, eir_injectors[sp_mask.trailing_zeros() as usize]);
+                        if found.is_some() {
+                            return found;
                         }
                     }
                 } else if sp_mask != 0 {
                     // Quadrant: up to two candidates, round-robin.
-                    let m = eirs.len();
+                    let m = p.eirs.len();
                     for k in 0..m {
-                        let i = (*rr + k) % m;
+                        let i = (p.rr + k) % m;
                         if sp_mask & (1 << i) == 0 {
                             continue;
                         }
-                        let (_, inj) = eirs[i];
-                        if nets[n].injector_ready(inj, msg.class) {
-                            *rr = (i + 1) % m;
-                            return Some((n, inj, msg.src, msg.dst, sink));
+                        let found = claim(n, eir_injectors[i]);
+                        if found.is_some() {
+                            p.rr = (i + 1) % m;
+                            return found;
                         }
                     }
                 }
                 // Fall back to the local buffer; otherwise retry.
-                nets[n]
-                    .injector_ready(*local, msg.class)
-                    .then_some((n, *local, msg.src, msg.dst, sink))
+                claim(n, local)
             }
         }
     }
@@ -446,10 +431,18 @@ mod tests {
     use crate::msg::MemOpKind;
     use equinox_noc::config::NocConfig;
     use equinox_noc::flit::MessageClass;
-    use equinox_noc::link::LinkKind;
 
     fn setup() -> (Vec<Network>, PacketTracker) {
         (vec![Network::mesh(NocConfig::mesh_8x8())], PacketTracker::new())
+    }
+
+    /// The shared constructor on network 0, as a CB NI with these EIRs.
+    fn wire(kind: NiKind, nets: &mut [Network], node: Coord, eirs: &[Coord]) -> InjectPolicy {
+        InjectPolicy::for_node(kind, nets, &[0], node, 0, eirs, None)
+    }
+
+    fn local(nets: &mut [Network], node: Coord) -> InjectPolicy {
+        wire(NiKind::Local, nets, node, &[])
     }
 
     #[test]
@@ -458,7 +451,7 @@ mod tests {
         let src = Coord::new(0, 0);
         let dst = Coord::new(3, 3);
         let msg = tracker.create(src, dst, MessageClass::Reply, MemOpKind::Read, 0, 0);
-        let mut ni = InjectionQueue::new(src, 4, InjectPolicy::Local { net: 0 });
+        let mut ni = InjectionQueue::new(src, 4, local(&mut nets, src));
         ni.push(msg);
         let mut tail = false;
         for t in 0..200 {
@@ -477,9 +470,9 @@ mod tests {
 
     #[test]
     fn queue_capacity_respected() {
-        let (_, mut tracker) = setup();
+        let (mut nets, mut tracker) = setup();
         let src = Coord::new(0, 0);
-        let mut ni = InjectionQueue::new(src, 2, InjectPolicy::Local { net: 0 });
+        let mut ni = InjectionQueue::new(src, 2, local(&mut nets, src));
         for _ in 0..2 {
             let m = tracker.create(src, Coord::new(1, 1), MessageClass::Request, MemOpKind::Read, 0, 0);
             assert!(ni.can_accept());
@@ -495,19 +488,8 @@ mod tests {
         let mut tracker = PacketTracker::new();
         let cb = Coord::new(2, 2);
         // EIR east at (4,2), EIR west at (0,2).
-        let east = nets[0].add_injection_port(Coord::new(4, 2), 1, LinkKind::Interposer);
-        let west = nets[0].add_injection_port(Coord::new(0, 2), 1, LinkKind::Interposer);
-        let local = nets[0].local_injector(cb);
-        let mut ni = InjectionQueue::new(
-            cb,
-            4,
-            InjectPolicy::Equinox {
-                net: 0,
-                local,
-                eirs: vec![(Coord::new(4, 2), east), (Coord::new(0, 2), west)],
-                rr: 0,
-            },
-        );
+        let policy = wire(NiKind::Equinox, &mut nets, cb, &[Coord::new(4, 2), Coord::new(0, 2)]);
+        let mut ni = InjectionQueue::new(cb, 4, policy);
         // Destination due east: the east EIR is on the shortest path.
         let msg = tracker.create(cb, Coord::new(7, 2), MessageClass::Reply, MemOpKind::Read, 0, 0);
         ni.push(msg);
@@ -527,18 +509,8 @@ mod tests {
         let mut nets = vec![Network::mesh(NocConfig::mesh_8x8())];
         let mut tracker = PacketTracker::new();
         let cb = Coord::new(2, 2);
-        let east = nets[0].add_injection_port(Coord::new(4, 2), 1, LinkKind::Interposer);
-        let local = nets[0].local_injector(cb);
-        let mut ni = InjectionQueue::new(
-            cb,
-            4,
-            InjectPolicy::Equinox {
-                net: 0,
-                local,
-                eirs: vec![(Coord::new(4, 2), east)],
-                rr: 0,
-            },
-        );
+        let policy = wire(NiKind::Equinox, &mut nets, cb, &[Coord::new(4, 2)]);
+        let mut ni = InjectionQueue::new(cb, 4, policy);
         // Destination due WEST: the east EIR is not on a shortest path.
         let msg = tracker.create(cb, Coord::new(0, 2), MessageClass::Reply, MemOpKind::Read, 0, 0);
         ni.push(msg);
@@ -567,14 +539,8 @@ mod tests {
         let mut nets = vec![Network::mesh(cfg.clone()), Network::mesh(cfg)];
         let mut tracker = PacketTracker::new();
         let src = Coord::new(0, 0);
-        let mut ni = InjectionQueue::new(
-            src,
-            8,
-            InjectPolicy::SubnetRoundRobin {
-                nets: vec![0, 1],
-                rr: 0,
-            },
-        );
+        let policy = InjectPolicy::for_node(NiKind::SubnetRoundRobin, &mut nets, &[0, 1], src, 0, &[], None);
+        let mut ni = InjectionQueue::new(src, 8, policy);
         for _ in 0..2 {
             let m = tracker.create(src, Coord::new(3, 3), MessageClass::Reply, MemOpKind::Read, 0, 0);
             ni.push(m);
@@ -595,19 +561,9 @@ mod tests {
         let mut nets = vec![Network::mesh(NocConfig::mesh_8x8())];
         let mut tracker = PacketTracker::new();
         let cb = Coord::new(3, 3);
-        let mut injectors = vec![nets[0].local_injector(cb)];
-        for _ in 0..3 {
-            injectors.push(nets[0].add_injection_port(cb, 1, LinkKind::NiLocal));
-        }
-        let mut ni = InjectionQueue::new(
-            cb,
-            8,
-            InjectPolicy::MultiInjector {
-                net: 0,
-                injectors,
-                rr: 0,
-            },
-        );
+        let policy = wire(NiKind::MultiPort(4), &mut nets, cb, &[]);
+        assert_eq!(nets[0].router_ports(cb), 8, "three ports beside the local one");
+        let mut ni = InjectionQueue::new(cb, 8, policy);
         for k in 0..4 {
             let dst = Coord::new(7, k);
             let m = tracker.create(cb, dst, MessageClass::Reply, MemOpKind::Read, 0, 0);
@@ -648,20 +604,11 @@ mod tests {
         }
         let (er, ep) = cmesh.add_ejection_port(Coord::new(3, 3), Some(63));
         let src = Coord::new(0, 0);
-        let inj = cmesh.add_injection_port(Coord::new(0, 0), 1, LinkKind::Interposer);
+        let inj = cmesh.add_injection_port(Coord::new(0, 0), 1, equinox_noc::link::LinkKind::Interposer);
         let mut nets = vec![base, cmesh];
         let mut tracker = PacketTracker::new();
-        let mut ni = InjectionQueue::new(
-            src,
-            4,
-            InjectPolicy::CmeshSplit {
-                base: 0,
-                cmesh: 1,
-                cmesh_injector: inj,
-                concentration: 2,
-                threshold: 2,
-            },
-        );
+        let policy = InjectPolicy::for_node(NiKind::CmeshSplit, &mut nets, &[0, 1], src, 0, &[], Some(inj));
+        let mut ni = InjectionQueue::new(src, 4, policy);
         let far = tracker.create(src, Coord::new(7, 7), MessageClass::Reply, MemOpKind::Read, 0, 0);
         let near = tracker.create(src, Coord::new(1, 0), MessageClass::Request, MemOpKind::Read, 0, 0);
         ni.push(far);
@@ -715,12 +662,8 @@ mod tests {
         let e1 = Coord::new(4, 2); // shortest-path for (5,5)
         let off = Coord::new(0, 2); // never on a shortest path to (5,5)
         let e2 = Coord::new(2, 4); // shortest-path for (5,5)
-        let eirs: Vec<(Coord, InjectorId)> = [e1, off, e2]
-            .iter()
-            .map(|&e| (e, nets[0].add_injection_port(e, 1, LinkKind::Interposer)))
-            .collect();
-        let local = nets[0].local_injector(cb);
-        let mut ni = InjectionQueue::new(cb, 8, InjectPolicy::Equinox { net: 0, local, eirs, rr: 0 });
+        let policy = wire(NiKind::Equinox, &mut nets, cb, &[e1, off, e2]);
+        let mut ni = InjectionQueue::new(cb, 8, policy);
         let dst = Coord::new(5, 5);
         for _ in 0..4 {
             let m = tracker.create(cb, dst, MessageClass::Reply, MemOpKind::Read, 0, 0);
@@ -751,12 +694,8 @@ mod tests {
         let e1 = Coord::new(4, 2);
         let e2 = Coord::new(3, 3);
         let e3 = Coord::new(2, 4);
-        let eirs: Vec<(Coord, InjectorId)> = [e1, e2, e3]
-            .iter()
-            .map(|&e| (e, nets[0].add_injection_port(e, 1, LinkKind::Interposer)))
-            .collect();
-        let local = nets[0].local_injector(cb);
-        let mut ni = InjectionQueue::new(cb, 8, InjectPolicy::Equinox { net: 0, local, eirs, rr: 0 });
+        let policy = wire(NiKind::Equinox, &mut nets, cb, &[e1, e2, e3]);
+        let mut ni = InjectionQueue::new(cb, 8, policy);
         let dst_a = Coord::new(5, 5); // all three EIRs on a shortest path
         let dst_b = Coord::new(4, 3); // only e1 and e2 on a shortest path
         for i in 0..6 {
@@ -778,9 +717,9 @@ mod tests {
 
     #[test]
     fn try_push_reports_overflow_without_losing_the_message() {
-        let (_, mut tracker) = setup();
+        let (mut nets, mut tracker) = setup();
         let src = Coord::new(0, 0);
-        let mut ni = InjectionQueue::new(src, 1, InjectPolicy::Local { net: 0 });
+        let mut ni = InjectionQueue::new(src, 1, local(&mut nets, src));
         let m1 = tracker.create(src, Coord::new(1, 1), MessageClass::Request, MemOpKind::Read, 0, 0);
         let m2 = tracker.create(src, Coord::new(2, 2), MessageClass::Request, MemOpKind::Read, 1, 0);
         assert!(ni.try_push(m1).is_ok());
@@ -792,9 +731,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "overflow")]
     fn push_beyond_capacity_panics() {
-        let (_, mut tracker) = setup();
+        let (mut nets, mut tracker) = setup();
         let src = Coord::new(0, 0);
-        let mut ni = InjectionQueue::new(src, 1, InjectPolicy::Local { net: 0 });
+        let mut ni = InjectionQueue::new(src, 1, local(&mut nets, src));
         for _ in 0..2 {
             let m = tracker.create(src, Coord::new(1, 1), MessageClass::Request, MemOpKind::Read, 0, 0);
             ni.push(m);

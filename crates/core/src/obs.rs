@@ -116,7 +116,10 @@ pub(crate) struct SystemObs {
     phases: [SpanId; 4],
     /// One span row per network (`noc_step_net{i}`).
     noc_spans: Vec<SpanId>,
-    /// EIR injector handles per CB group (EquiNox reply net only).
+    /// The network EquiNox's EIRs inject into (the plan's first reply
+    /// subnet) and their injector handles per CB group; no groups under
+    /// any other scheme.
+    eir_net: usize,
     eir_groups: Vec<Vec<InjectorId>>,
     next_sample: u64,
     last_cycle: u64,
@@ -156,12 +159,12 @@ fn net_cause_total(nets: &[Network], class: usize, cause: NetCause) -> u64 {
 
 impl SystemObs {
     /// Builds the observability state for a machine with the given
-    /// networks and (possibly empty) per-CB EIR groups. Every buffer is
-    /// sized here; recording allocates nothing.
+    /// networks and (possibly empty) per-CB EIR groups on network
+    /// `eir_net`. Every buffer is sized here; recording allocates nothing.
     pub(crate) fn new(
         cfg: &ObsConfig,
         nets: &[Network],
-        eir_groups: Vec<Vec<InjectorId>>,
+        (eir_net, eir_groups): (usize, Vec<Vec<InjectorId>>),
         max_cycles: u64,
         mesh_n: u16,
         run: String,
@@ -194,6 +197,7 @@ impl SystemObs {
             spans,
             phases: phases.try_into().expect("four phases"),
             noc_spans,
+            eir_net,
             eir_groups,
             next_sample: interval,
             last_cycle: 0,
@@ -295,7 +299,7 @@ impl SystemObs {
                 .push(delta as f64 / (net.num_links().max(1) as f64 * dt));
         }
         for (g, group) in self.eir_groups.iter().enumerate() {
-            let total: u64 = group.iter().map(|&id| nets[1].injector_flits(id)).sum();
+            let total: u64 = group.iter().map(|&id| nets[self.eir_net].injector_flits(id)).sum();
             let delta = total - self.last_eir[g];
             self.last_eir[g] = total;
             self.scratch.push(delta as f64 / dt);

@@ -11,12 +11,11 @@ use crate::metrics::RunMetrics;
 use crate::msg::{MemOpKind, PacketTracker};
 use crate::ni::{InjectPolicy, InjectionQueue};
 use crate::obs::{Phase, SystemObs};
-use crate::scheme::SchemeKind;
+use crate::scheme::{NiKind, SchemeKind, SchemePlan, CONCENTRATION, CORE_GHZ};
 use equinox_hbm::HbmConfig;
-use equinox_noc::config::{NocConfig, VcPartition};
 use equinox_noc::flit::MessageClass;
 use equinox_noc::link::LinkKind;
-use equinox_noc::network::Network;
+use equinox_noc::network::{InjectorId, Network};
 use equinox_phys::{BumpModel, Coord, WireModel};
 use equinox_placement::Placement;
 use equinox_power::{EnergyModel, EventCounts, NiGeometry, RouterGeometry};
@@ -30,10 +29,8 @@ pub struct SystemConfig {
     pub scheme: SchemeKind,
     /// Grid size (8, 12 or 16; the paper evaluates 8×8).
     pub n: u16,
-    /// Fabric for the dedicated reply subnet of the two-network schemes
-    /// (SeparateBase / MultiPort / EquiNox). Request networks and the
-    /// structurally different schemes (single-net, CMesh, DA2Mesh's
-    /// single-VC subnets) always stay a mesh, so this is ignored there.
+    /// Fabric of the dedicated reply subnet, for the schemes whose plan
+    /// lets it follow the spec ([`SchemeKind::plan`]).
     pub reply_topology: equinox_noc::TopologyKind,
     /// Number of cache banks (Table 1: 8).
     pub n_cbs: u16,
@@ -93,35 +90,15 @@ pub struct SystemConfig {
 }
 
 impl SystemConfig {
-    /// Defaults from Table 1. No environment variables are consulted:
-    /// auditing is off and activity gating on until a resolved spec (or
-    /// the caller) says otherwise.
+    /// Table 1's machine: [`SystemConfig::from_spec`] of the default
+    /// spec, which reads no environment (auditing off, gating on).
     pub fn new(scheme: SchemeKind, n: u16, workload: Workload) -> Self {
-        SystemConfig {
-            scheme,
-            n,
-            reply_topology: equinox_noc::TopologyKind::Mesh,
-            n_cbs: 8,
-            workload,
-            max_cycles: 2_000_000,
-            design: None,
-            placement_override: None,
-            ni_queue_cap: 8,
-            cb_inflight_cap: 128,
-            l2_latency: 20,
-            hbm: HbmConfig::hbm2(),
-            pipeline_extra: 0,
-            reply_compression: 0.0,
-            audit: None,
-            activity_gate: true,
-            obs: None,
-            trace_capacity: 0,
-            sim_threads: 1,
-        }
+        Self::from_spec(scheme, n, workload, &equinox_config::ExperimentSpec::default())
     }
 
-    /// Table 1 defaults overlaid with everything a resolved
-    /// [`ExperimentSpec`](equinox_config::ExperimentSpec) dictates.
+    /// Everything a resolved [`ExperimentSpec`](equinox_config::ExperimentSpec)
+    /// dictates (capacities, latencies, auditing, activity gating), with
+    /// no design or placement override yet.
     ///
     /// The spec's `n` is *not* applied here — scenarios sweep mesh sizes
     /// explicitly — which is why the mesh size stays a parameter.
@@ -131,9 +108,36 @@ impl SystemConfig {
         workload: Workload,
         spec: &equinox_config::ExperimentSpec,
     ) -> Self {
-        let mut cfg = Self::new(scheme, n, workload);
-        cfg.apply_spec(spec);
-        cfg
+        SystemConfig {
+            scheme,
+            n,
+            // The spec setter already validated the name, so a parse
+            // failure here means the registries drifted apart — fail loudly.
+            reply_topology: equinox_noc::TopologyKind::parse(&spec.topology)
+                .unwrap_or_else(|e| panic!("spec topology: {e}")),
+            n_cbs: spec.n_cbs,
+            workload,
+            max_cycles: spec.max_cycles,
+            design: None,
+            placement_override: None,
+            ni_queue_cap: spec.ni_queue_cap,
+            cb_inflight_cap: spec.cb_inflight_cap,
+            l2_latency: spec.l2_latency,
+            hbm: HbmConfig::hbm2(),
+            pipeline_extra: spec.pipeline_extra,
+            reply_compression: spec.reply_compression,
+            audit: Self::audit_from_spec(spec),
+            activity_gate: spec.activity_gate,
+            // A live stream implies observability: the frames are produced
+            // by the sampling path, so `--obs-stream` alone arms it.
+            obs: (spec.obs || !spec.obs_stream.is_empty()).then_some(crate::obs::ObsConfig {
+                interval: spec.obs_interval.max(1),
+                stream: spec.obs_stream.clone(),
+                ..Default::default()
+            }),
+            trace_capacity: if spec.trace { spec.trace_capacity } else { 0 },
+            sim_threads: spec.sim_threads,
+        }
     }
 
     /// The auditor configuration a spec asks for (`None` when disarmed);
@@ -148,32 +152,26 @@ impl SystemConfig {
         })
     }
 
-    /// Overwrites every field the spec covers (capacities, latencies,
-    /// auditing, activity gating); structural choices (`scheme`, `n`,
-    /// `workload`, `design`, `placement_override`, `hbm`) are untouched.
-    pub fn apply_spec(&mut self, spec: &equinox_config::ExperimentSpec) {
-        // The spec setter already validated the name, so a parse failure
-        // here means the registries drifted apart — fail loudly.
-        self.reply_topology = equinox_noc::TopologyKind::parse(&spec.topology)
-            .unwrap_or_else(|e| panic!("spec topology: {e}"));
-        self.n_cbs = spec.n_cbs;
-        self.max_cycles = spec.max_cycles;
-        self.ni_queue_cap = spec.ni_queue_cap;
-        self.cb_inflight_cap = spec.cb_inflight_cap;
-        self.l2_latency = spec.l2_latency;
-        self.pipeline_extra = spec.pipeline_extra;
-        self.reply_compression = spec.reply_compression;
-        self.activity_gate = spec.activity_gate;
-        self.audit = Self::audit_from_spec(spec);
-        // A live stream implies observability: the frames are produced
-        // by the sampling path, so `--obs-stream` alone arms it.
-        self.obs = (spec.obs || !spec.obs_stream.is_empty()).then_some(crate::obs::ObsConfig {
-            interval: spec.obs_interval.max(1),
-            stream: spec.obs_stream.clone(),
-            ..Default::default()
-        });
-        self.trace_capacity = if spec.trace { spec.trace_capacity } else { 0 };
-        self.sim_threads = spec.sim_threads;
+    /// What [`System::build`] would assemble, without building it.
+    ///
+    /// # Errors
+    ///
+    /// Returns the one-line reason no such machine exists: the plan's
+    /// ([`SchemeKind::plan`]), or a cache-bank count no Diamond holds (a
+    /// placement override brings its own banks, and EquiNox's search
+    /// places more than `n` along knight moves).
+    pub fn check(&self) -> Result<SchemePlan, String> {
+        let plan = self.scheme.plan(self.n, self.reply_topology)?;
+        let (n, k) = (self.n, self.n_cbs);
+        let diamond = plan.cb_ni != NiKind::Equinox && self.placement_override.is_none();
+        if diamond && !(1..=n).contains(&k) {
+            return Err(format!(
+                "n_cbs = {k}: {} places its cache banks on a diamond, which holds 1 to {n} of \
+                 them on a {n}x{n} mesh",
+                self.scheme
+            ));
+        }
+        Ok(plan)
     }
 
     /// The `run` field of this system's stream frames:
@@ -265,14 +263,11 @@ pub struct System {
     cfg: SystemConfig,
     /// CB placement in use.
     pub placement: Placement,
+    /// What the scheme is made of; `plan.subnets[i]` describes `nets[i]`.
+    plan: SchemePlan,
     nets: Vec<Network>,
-    /// Steps per two core cycles (2 = same clock, 5 = DA2Mesh's 2.5×).
-    steps_per_two: Vec<u32>,
+    /// Per network, half core cycles of stepping owed.
     step_accum: Vec<u32>,
-    /// Nets whose *mesh* links physically live in the interposer (CMesh).
-    mesh_links_in_rdl: Vec<bool>,
-    /// Average interposer-link length per net, mm (for energy).
-    rdl_link_mm: Vec<f64>,
     pes: Vec<Option<Pe>>,
     /// `retired[idx]` mirrors `pes[idx].done()`; with `done_pes` it turns
     /// the per-cycle O(n_PEs) done-scan into an O(1) counter check
@@ -341,17 +336,19 @@ impl<T> DisjointMut<T> {
 unsafe impl<T: Send> Sync for DisjointMut<T> {}
 
 impl System {
-    /// Builds the machine for `cfg`.
+    /// Builds the machine for `cfg`: a loop over its scheme's plan.
     ///
     /// # Panics
     ///
-    /// Panics on inconsistent configuration (zero sizes etc.).
+    /// Panics with [`SystemConfig::check`]'s reason, before any network
+    /// exists, when no such machine can be built.
     pub fn build(cfg: SystemConfig) -> Self {
+        let mut plan = cfg.check().unwrap_or_else(|e| panic!("{e}"));
         let n = cfg.n;
-        let scheme = cfg.scheme;
+        let nodes = n as usize * n as usize;
         // Resolved once: without a configured design this is a full
         // design search.
-        let design = (scheme == SchemeKind::EquiNox).then(|| {
+        let design = (plan.cb_ni == NiKind::Equinox).then(|| {
             cfg.design
                 .clone()
                 .unwrap_or_else(|| EquiNoxDesign::quick(n, cfg.n_cbs))
@@ -362,88 +359,50 @@ impl System {
             (None, None) => Placement::diamond(n, n, cfg.n_cbs),
         };
 
-        let pipe = |mut c: NocConfig| {
-            c.pipeline_extra = cfg.pipeline_extra;
-            c.activity_gate = cfg.activity_gate;
-            c
-        };
-        let mut nets: Vec<Network> = Vec::new();
-        let mut steps_per_two: Vec<u32> = Vec::new();
-        let mut mesh_links_in_rdl: Vec<bool> = Vec::new();
-        let mut rdl_link_mm: Vec<f64> = Vec::new();
+        let mut nets: Vec<Network> = plan
+            .subnets
+            .iter()
+            .map(|row| {
+                let mut c = row.noc.clone();
+                c.pipeline_extra = cfg.pipeline_extra;
+                c.activity_gate = cfg.activity_gate;
+                Network::new(c)
+            })
+            .collect();
+        let request_nets = plan.carrying(MessageClass::Request);
+        let reply_nets = plan.carrying(MessageClass::Reply);
         let mut ubumps = 0usize;
 
-        // --- network construction ---
-        match scheme {
-            SchemeKind::SingleBase | SchemeKind::VcMono => {
-                let mono = scheme == SchemeKind::VcMono;
-                nets.push(Network::mesh(pipe(NocConfig::single_net(n, mono))));
-                steps_per_two.push(2);
-                mesh_links_in_rdl.push(false);
-                rdl_link_mm.push(0.0);
+        // Every node's injection and ejection port on the concentrated mesh.
+        let cmesh = plan.subnets.iter().position(|s| s.concentrated);
+        let pe_ni = if cmesh.is_some() { NiKind::CmeshSplit } else { NiKind::Local };
+        let mut cmesh_ports: Vec<(InjectorId, (usize, usize))> = Vec::new();
+        if let Some(c) = cmesh {
+            let net = &mut nets[c];
+            // Neutralize the CMesh's own local ejection tags so only the
+            // per-node tagged ports match.
+            for r in 0..net.config().num_nodes() {
+                net.set_ejection_sink(r, 4, Some(u32::MAX));
             }
-            SchemeKind::InterposerCMesh => {
-                nets.push(Network::mesh(pipe(NocConfig::single_net(n, false))));
-                let mut ccfg = NocConfig::mesh(n / 2);
-                ccfg.freq_ghz = 1.126 / 2.0;
-                ccfg.link_bits = 256;
-                ccfg.vcs_per_port = 4;
-                ccfg.vc_buf_flits = 3;
-                ccfg.partition = VcPartition::ByClass {
-                    request: 0..2,
-                    reply: 2..4,
-                    mono: false,
-                };
-                nets.push(Network::mesh(pipe(ccfg)));
-                // The CMesh's 10-port 256-bit routers cannot close timing
-                // at the tile clock; the concentrated network runs at half
-                // frequency (same bits/s per link as the base mesh).
-                steps_per_two.extend([2, 1]);
-                mesh_links_in_rdl.extend([false, true]);
-                rdl_link_mm.extend([0.0, 3.0]);
-                // Neutralize the CMesh's own local ejection tags so only
-                // the per-node tagged ports (added below) match.
-                let cn = (n / 2) as usize * (n / 2) as usize;
-                for r in 0..cn {
-                    nets[1].set_ejection_sink(r, 4, Some(u32::MAX));
-                }
-                // 2·n² node↔CMesh uni-directional 256-bit links, one bump
-                // per wire (§6.6's 32,768 for 8×8).
-                ubumps = BumpModel::default().bump_count(2 * n as usize * n as usize, 256, 1);
+            for idx in 0..nodes {
+                let node = Coord::from_index(idx, n);
+                let cnode = Coord::new(node.x / CONCENTRATION, node.y / CONCENTRATION);
+                cmesh_ports.push((
+                    net.add_injection_port(cnode, 1, LinkKind::Interposer),
+                    net.add_ejection_port(cnode, Some(idx as u32)),
+                ));
             }
-            SchemeKind::SeparateBase | SchemeKind::MultiPort | SchemeKind::EquiNox => {
-                nets.push(Network::mesh(pipe(NocConfig::mesh(n)))); // request
-                // Reply subnet: mesh by default, or the spec-selected
-                // ring / hierarchical-ring fabric (same node set, so
-                // NIs, sinks and placement are untouched).
-                nets.push(Network::new(pipe(NocConfig::fabric(cfg.reply_topology, n))));
-                steps_per_two.extend([2, 2]);
-                mesh_links_in_rdl.extend([false, false]);
-                rdl_link_mm.extend([0.0, 0.0]);
-            }
-            SchemeKind::Da2Mesh => {
-                nets.push(Network::mesh(pipe(NocConfig::mesh(n)))); // request
-                steps_per_two.push(2);
-                mesh_links_in_rdl.push(false);
-                rdl_link_mm.push(0.0);
-                for _ in 0..8 {
-                    let mut scfg = NocConfig::mesh(n);
-                    scfg.link_bits = 16;
-                    scfg.vc_buf_flits = 40;
-                    // One VC per port: the subnets' routers are "narrower
-                    // and simpler" (the source design's area advantage);
-                    // with a single VC routing degrades to XY.
-                    scfg.vcs_per_port = 1;
-                    scfg.freq_ghz = 1.126 * 2.5;
-                    nets.push(Network::mesh(pipe(scfg)));
-                    steps_per_two.push(5);
-                    mesh_links_in_rdl.push(false);
-                    rdl_link_mm.push(0.0);
-                }
-            }
+            // 2·n² node↔CMesh uni-directional links, one bump per wire
+            // (§6.6's 32,768 for 8×8).
+            ubumps = BumpModel::default().bump_count(2 * nodes, net.config().link_bits as usize, 1);
         }
+        let cmesh_injector = |idx: usize| cmesh_ports.get(idx).map(|p| p.0);
+        // `(router, port)` of network `net` that ejects to node `idx`.
+        let eject_port = |net: usize, idx: usize| match cmesh {
+            Some(c) if c == net => cmesh_ports[idx].1,
+            _ => (idx, 4),
+        };
 
-        // --- NIs, sinks, per-scheme extras ---
         let mut pes: Vec<Option<Pe>> = Vec::new();
         let mut req_nis: Vec<Option<InjectionQueue>> = Vec::new();
         // `((net, router, port), consumer)` of every ejection port in use.
@@ -451,117 +410,38 @@ impl System {
         let mut rep_nis: Vec<InjectionQueue> = Vec::new();
         let mut cbs: Vec<CacheBank> = Vec::new();
 
-        let req_net = 0usize;
-        let reply_nets: Vec<usize> = match scheme {
-            SchemeKind::SingleBase | SchemeKind::VcMono => vec![0],
-            SchemeKind::InterposerCMesh => vec![0, 1],
-            SchemeKind::SeparateBase | SchemeKind::MultiPort | SchemeKind::EquiNox => vec![1],
-            SchemeKind::Da2Mesh => (1..9).collect(),
-        };
-        let request_nets: Vec<usize> = match scheme {
-            SchemeKind::InterposerCMesh => vec![0, 1],
-            _ => vec![req_net],
-        };
-
-        // Per-node CMesh handles (Interposer-CMesh only).
-        let conc = 2u16;
-        let mut cmesh_inj = Vec::new();
-        let mut cmesh_ej = Vec::new();
-        if scheme == SchemeKind::InterposerCMesh {
-            for idx in 0..(n as usize * n as usize) {
-                let node = Coord::from_index(idx, n);
-                let cnode = Coord::new(node.x / conc, node.y / conc);
-                cmesh_inj.push(nets[1].add_injection_port(cnode, 1, LinkKind::Interposer));
-                cmesh_ej.push(nets[1].add_ejection_port(cnode, Some(idx as u32)));
-            }
-        }
-
-        // PEs and their request NIs.
+        // PEs, their request NIs and reply sinks.
         let mut pe_count = 0usize;
-        for idx in 0..(n as usize * n as usize) {
+        for idx in 0..nodes {
             let node = Coord::from_index(idx, n);
             if placement.is_cb(node) {
                 pes.push(None);
                 req_nis.push(None);
                 continue;
             }
-            let pe = Pe::new(
-                cfg.workload.profile,
-                pe_count,
-                cfg.workload.scale,
-                cfg.workload.mshrs,
-                cfg.workload.seed,
-            );
+            let w = &cfg.workload;
+            pes.push(Some(Pe::new(w.profile, pe_count, w.scale, w.mshrs, w.seed)));
             pe_count += 1;
-            pes.push(Some(pe));
-            let policy = match scheme {
-                SchemeKind::InterposerCMesh => InjectPolicy::CmeshSplit {
-                    base: 0,
-                    cmesh: 1,
-                    cmesh_injector: cmesh_inj[idx],
-                    concentration: conc,
-                    threshold: 2,
-                },
-                _ => InjectPolicy::Local { net: req_net },
-            };
+            let policy = InjectPolicy::for_node(
+                pe_ni, &mut nets, &request_nets, node, 0, &[], cmesh_injector(idx),
+            );
             req_nis.push(Some(InjectionQueue::new(node, cfg.ni_queue_cap, policy)));
-            // Reply sinks for this PE.
             for &rn in &reply_nets {
-                let (r, p) = if scheme == SchemeKind::InterposerCMesh && rn == 1 {
-                    cmesh_ej[idx]
-                } else {
-                    (idx, 4)
-                };
+                let (r, p) = eject_port(rn, idx);
                 sink_list.push(((rn, r, p), Sink::Pe(idx as u32)));
             }
         }
 
-        // CBs, their reply NIs, and request sinks.
-        let mut eir_groups: Vec<Vec<equinox_noc::InjectorId>> = Vec::new();
+        // CBs, their reply NIs and request sinks.
+        let mut eir_groups: Vec<Vec<InjectorId>> = Vec::new();
         for (ci, &cb_node) in placement.cbs.iter().enumerate() {
             let idx = cb_node.to_index(n);
-            let policy = match scheme {
-                SchemeKind::SingleBase | SchemeKind::VcMono => InjectPolicy::Local { net: 0 },
-                SchemeKind::InterposerCMesh => InjectPolicy::CmeshSplit {
-                    base: 0,
-                    cmesh: 1,
-                    cmesh_injector: cmesh_inj[idx],
-                    concentration: conc,
-                    threshold: 2,
-                },
-                SchemeKind::SeparateBase => InjectPolicy::Local { net: 1 },
-                SchemeKind::Da2Mesh => InjectPolicy::SubnetRoundRobin {
-                    nets: (1..9).collect(),
-                    rr: ci,
-                },
-                SchemeKind::MultiPort => {
-                    let mut injectors = vec![nets[1].local_injector(cb_node)];
-                    for _ in 0..3 {
-                        injectors.push(nets[1].add_injection_port(cb_node, 1, LinkKind::NiLocal));
-                    }
-                    InjectPolicy::MultiInjector {
-                        net: 1,
-                        injectors,
-                        rr: 0,
-                    }
-                }
-                SchemeKind::EquiNox => {
-                    let d = design.as_ref().expect("EquiNox has a design");
-                    let eirs: Vec<_> = d.selection.groups[ci]
-                        .iter()
-                        .map(|&e| (e, nets[1].add_injection_port(e, 1, LinkKind::Interposer)))
-                        .collect();
-                    // Keep the injector handles so the observability layer
-                    // can report per-CB-group EIR load.
-                    eir_groups.push(eirs.iter().map(|&(_, id)| id).collect());
-                    InjectPolicy::Equinox {
-                        net: 1,
-                        local: nets[1].local_injector(cb_node),
-                        eirs,
-                        rr: 0,
-                    }
-                }
-            };
+            let eirs = design.as_ref().map_or(&[][..], |d| &d.selection.groups[ci]);
+            let policy = InjectPolicy::for_node(
+                plan.cb_ni, &mut nets, &reply_nets, cb_node, ci, eirs, cmesh_injector(idx),
+            );
+            // The observability layer reports EIR load per CB group.
+            eir_groups.extend(policy.eir_injectors().map(<[_]>::to_vec));
             rep_nis.push(InjectionQueue::new(cb_node, cfg.ni_queue_cap, policy));
             let mut bank = CacheBank::new(
                 cb_node,
@@ -576,36 +456,26 @@ impl System {
                 bank.set_compression(cfg.reply_compression);
             }
             cbs.push(bank);
-            // Request sinks at the CB.
             for &rn in &request_nets {
-                let (r, p) = if scheme == SchemeKind::InterposerCMesh && rn == 1 {
-                    cmesh_ej[idx]
-                } else {
-                    (idx, 4)
-                };
+                let (r, p) = eject_port(rn, idx);
                 sink_list.push(((rn, r, p), Sink::Cb(ci as u32)));
             }
-            // MultiPort's extra ports target "the reply injection
-            // bottleneck" (§5): the scheme modifies only the reply
-            // network's CB routers, so its request path is SeparateBase's.
         }
 
-        // EquiNox physical accounting.
+        // EquiNox physical accounting (its EIRs inject into `eir_net`).
+        let eir_net = reply_nets[0];
         if let Some(d) = &design {
-            ubumps = d.ubump_count(128);
+            ubumps = d.ubump_count(nets[eir_net].config().link_bits as usize);
             let segs = d.segments();
-            let wire = WireModel::default();
-            let avg = if segs.is_empty() {
-                0.0
-            } else {
-                wire.total_length_mm(&segs) / segs.len() as f64
-            };
-            rdl_link_mm[1] = avg;
+            if !segs.is_empty() {
+                plan.subnets[eir_net].rdl_link_mm =
+                    WireModel::default().total_length_mm(&segs) / segs.len() as f64;
+            }
         }
 
         // --- area model ---
         let mut area = 0.0;
-        for (ni, net) in nets.iter().enumerate() {
+        for (row, net) in plan.subnets.iter().zip(&nets) {
             let c = net.config();
             for idx in 0..c.num_nodes() {
                 let node = Coord::from_index(idx, c.width);
@@ -614,11 +484,7 @@ impl System {
                 // crossbar. CMesh routers are the paper's stated "2x more
                 // ports than a basic router" (§6.5) = 10; elsewhere the
                 // simulator's port count matches the physical router.
-                let ports = if mesh_links_in_rdl[ni] {
-                    10
-                } else {
-                    net.router_ports(node)
-                };
+                let ports = if row.concentrated { 10 } else { net.router_ports(node) };
                 area += RouterGeometry {
                     ports,
                     vcs: c.vcs_per_port as usize,
@@ -628,88 +494,59 @@ impl System {
                 .area_mm2();
             }
         }
-        // Request NIs (one per PE) + scheme-specific CB reply NIs.
+        // Request NIs (one per PE) + the scheme's reply NI per placed CB.
         area += pe_count as f64 * NiGeometry::baseline().area_mm2();
-        let cb_ni = match scheme {
-            SchemeKind::EquiNox => NiGeometry {
-                buffers: 5,
-                buf_flits: 5,
-                flit_bits: 128,
-            },
-            SchemeKind::MultiPort => NiGeometry {
-                buffers: 4,
-                buf_flits: 5,
-                flit_bits: 128,
-            },
-            SchemeKind::Da2Mesh => NiGeometry {
-                buffers: 8,
-                buf_flits: 40,
-                flit_bits: 16,
-            },
-            _ => NiGeometry::baseline(),
-        };
-        area += cfg.n_cbs as f64 * cb_ni.area_mm2();
+        area += placement.cbs.len() as f64 * plan.cb_ni_geometry.area_mm2();
 
-        if let Some(acfg) = &cfg.audit {
-            for net in &mut nets {
+        for net in &mut nets {
+            if let Some(acfg) = &cfg.audit {
                 net.enable_audit(acfg.clone());
             }
-        }
-        if cfg.trace_capacity > 0 {
-            for net in &mut nets {
+            if cfg.trace_capacity > 0 {
                 net.enable_trace(cfg.trace_capacity);
             }
-        }
-        if cfg.obs.is_some() {
             // Stall-cause attribution rides with observability: the
             // router pipelines charge per-router × per-cause counters
             // that the obs/v2 block and stream frames aggregate.
-            for net in &mut nets {
+            if cfg.obs.is_some() {
                 net.enable_stalls();
             }
         }
         let obs = cfg.obs.as_ref().map(|o| {
-            Box::new(SystemObs::new(o, &nets, eir_groups, cfg.max_cycles, cfg.n, cfg.run_id()))
+            let groups = (eir_net, eir_groups);
+            Box::new(SystemObs::new(o, &nets, groups, cfg.max_cycles, cfg.n, cfg.run_id()))
         });
 
-        let total_instrs = cfg.workload.total_instrs(pe_count);
         let lanes = resolved_sim_threads(cfg.sim_threads, nets.len());
-        let team = (lanes > 1).then(|| StepTeam::new(lanes));
-        let steps = steps_per_two.clone();
-        let n_nets = steps.len();
         let retired: Vec<bool> = pes
             .iter()
             .map(|p| p.as_ref().is_some_and(|pe| pe.done()))
             .collect();
-        let done_pes = retired.iter().filter(|&&r| r).count();
-        let live_pes = pes.iter().flatten().count();
         System {
             placement,
-            nets,
+            done_pes: retired.iter().filter(|&&r| r).count(),
             retired,
-            done_pes,
-            live_pes,
-            step_accum: vec![0; steps.len()],
-            steps_per_two: steps,
-            mesh_links_in_rdl,
-            rdl_link_mm,
+            live_pes: pe_count,
+            step_accum: vec![0; nets.len()],
             pes,
             req_nis,
             cb_tick_due: vec![0; cbs.len()],
             cbs,
             rep_nis,
-            sinks: SinkTable::from_list(n_nets, &sink_list),
+            sinks: SinkTable::from_list(nets.len(), &sink_list),
             tracker: PacketTracker::new(),
             cycle: 0,
             area_mm2: area,
             ubumps,
-            total_instrs,
+            total_instrs: cfg.workload.total_instrs(pe_count),
             sys_last_progress: 0,
             sys_last_progress_cycle: 0,
             audit_findings: Vec::new(),
             obs,
-            noc_span_scratch: vec![(0, 0); n_nets],
-            team,
+            noc_span_scratch: vec![(0, 0); nets.len()],
+            team: (lanes > 1).then(|| StepTeam::new(lanes)),
+            nets,
+            plan,
             cfg,
         }
     }
@@ -733,9 +570,9 @@ impl System {
         // Cache banks: memory + reply generation. Under the activity
         // gate a bank whose next tick is provably a no-op (see
         // `CacheBank::skippable` / `CacheBank::next_event`) is skipped
-        // until its next timed event comes due — the dominant per-cycle
-        // saving at low load, where the HBM channel scan would otherwise
-        // run every cycle for every bank.
+        // until its next timed event comes due: a fifth of all bank
+        // ticks over the benchmark suite, 8 % of `repro-sweep`'s wall
+        // time (DESIGN.md "System-level gates").
         for ci in 0..self.cbs.len() {
             if self.cfg.activity_gate {
                 if t < self.cb_tick_due[ci] {
@@ -819,8 +656,8 @@ impl System {
                 let nets = DisjointMut(self.nets.as_mut_ptr());
                 let accum = DisjointMut(self.step_accum.as_mut_ptr());
                 let scratch = DisjointMut(self.noc_span_scratch.as_mut_ptr());
-                let steps_per_two = &self.steps_per_two;
-                team.run(steps_per_two.len(), &|i| {
+                let subnets = &self.plan.subnets;
+                team.run(subnets.len(), &|i| {
                     let t0 = epoch.map_or(0, |e| e.elapsed().as_nanos() as u64);
                     // SAFETY: task i touches only element i of each
                     // vector (all sized to the subnet count), and the
@@ -828,7 +665,7 @@ impl System {
                     unsafe {
                         let acc = &mut *accum.at(i);
                         let net = &mut *nets.at(i);
-                        *acc += *steps_per_two.get_unchecked(i);
+                        *acc += subnets.get_unchecked(i).steps_per_two;
                         while *acc >= 2 {
                             net.step();
                             *acc -= 2;
@@ -851,7 +688,7 @@ impl System {
             None => {
                 for i in 0..self.nets.len() {
                     let s = self.span_start();
-                    self.step_accum[i] += self.steps_per_two[i];
+                    self.step_accum[i] += self.plan.subnets[i].steps_per_two;
                     while self.step_accum[i] >= 2 {
                         self.nets[i].step();
                         self.step_accum[i] -= 2;
@@ -1203,7 +1040,7 @@ impl System {
         let sys_last_progress_cycle = d.u64()?;
         let audit_findings: Vec<String> = Vec::restore(&mut d)?;
         d.finish()?;
-        if step_accum.len() != self.steps_per_two.len() || step_accum.iter().any(|&a| a >= 2) {
+        if step_accum.len() != self.nets.len() || step_accum.iter().any(|&a| a >= 2) {
             return Err(SnapError::BadValue("system step accumulators"));
         }
         if cb_tick_due.len() != self.cbs.len() {
@@ -1301,20 +1138,20 @@ impl System {
 
     /// Assembles the metrics of the run so far.
     pub fn metrics(&self) -> RunMetrics {
-        let freq = 1.126; // core clock, GHz (Table 1)
-        let exec_ns = self.cycle as f64 / freq;
+        let exec_ns = self.cycle as f64 / CORE_GHZ;
         let model = EnergyModel::default();
         let mut dynamic = 0.0;
-        for (i, net) in self.nets.iter().enumerate() {
+        for (row, net) in self.plan.subnets.iter().zip(&self.nets) {
             let s = net.stats();
             let c = net.config();
             let tile = 1.5; // mm between adjacent routers
-            let (mesh_mm, mut rdl_mm) = if self.mesh_links_in_rdl[i] {
-                (0.0, s.link_flits_mesh as f64 * self.rdl_link_mm[i])
+            // A concentrated mesh's own links live in the interposer.
+            let (mesh_mm, mut rdl_mm) = if row.concentrated {
+                (0.0, s.link_flits_mesh as f64 * row.rdl_link_mm)
             } else {
                 (s.link_flits_mesh as f64 * tile, 0.0)
             };
-            rdl_mm += s.link_flits_interposer as f64 * self.rdl_link_mm[i].max(3.0);
+            rdl_mm += s.link_flits_interposer as f64 * row.rdl_link_mm.max(3.0);
             let ev = EventCounts {
                 buffer_writes: s.buffer_writes,
                 buffer_reads: s.buffer_reads,
@@ -1336,7 +1173,7 @@ impl System {
             exec_ns,
             ipc: self.total_instrs as f64 / self.cycle.max(1) as f64,
             completed: self.done(),
-            latency: self.tracker.latency_breakdown(freq),
+            latency: self.tracker.latency_breakdown(CORE_GHZ),
             dynamic_j: dynamic,
             leakage_j: leakage,
             edp: energy * exec_ns * 1e-9,
@@ -1535,6 +1372,95 @@ mod tests {
             c.activity_gate = false;
         });
         assert_eq!(id, hosted);
+    }
+
+    #[test]
+    fn the_built_networks_are_the_plan_row_for_row() {
+        for n in [8u16, 12, 16] {
+            // Any design will do for counting networks; keep its search short.
+            let design = EquiNoxDesign::search_k(n, 8, 10, 1, 1);
+            for scheme in SchemeKind::ALL {
+                let mut cfg = SystemConfig::new(scheme, n, tiny_workload("bfs"));
+                cfg.pipeline_extra = 1;
+                cfg.design = Some(design.clone());
+                let plan = cfg.check().unwrap();
+                let sys = System::build(cfg);
+                assert_eq!(sys.networks().len(), plan.subnets.len(), "{scheme} {n}x{n}");
+                for (row, net) in plan.subnets.iter().zip(sys.networks()) {
+                    let want = equinox_noc::NocConfig { pipeline_extra: 1, ..row.noc.clone() };
+                    assert_eq!(net.config(), &want, "{scheme} {n}x{n}");
+                }
+                // The first bank's injection points, counted in ports: its
+                // own router's on each reply subnet (its one on the CMesh),
+                // plus the one each of its EIRs grew.
+                let cb = sys.placement.cbs[0];
+                let group: &[Coord] =
+                    if scheme == SchemeKind::EquiNox { &design.selection.groups[0] } else { &[] };
+                let replies = plan.carrying(MessageClass::Reply);
+                let own = replies.iter().map(|&i| match plan.subnets[i].concentrated {
+                    true => 1,
+                    false => sys.nets[i].router_ports(cb) - 4,
+                });
+                let eirs = group.iter().map(|&e| sys.nets[replies[0]].router_ports(e) - 5);
+                assert_eq!(
+                    own.sum::<usize>() + eirs.sum::<usize>(),
+                    plan.injection_points(group.len()),
+                    "{scheme} {n}x{n}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn check_names_a_cache_bank_count_no_diamond_holds_and_accepts_overfull() {
+        for scheme in SchemeKind::ALL.into_iter().filter(|&s| s != SchemeKind::EquiNox) {
+            for (n_cbs, ok) in [(0, false), (1, true), (8, true), (9, false), (12, false)] {
+                let mut cfg = SystemConfig::new(scheme, 8, tiny_workload("bfs"));
+                cfg.n_cbs = n_cbs;
+                let got = cfg.check();
+                assert_eq!(got.is_ok(), ok, "{scheme} with {n_cbs} CBs: {got:?}");
+                if let Err(e) = got {
+                    assert!(e.starts_with(&format!("n_cbs = {n_cbs}: {scheme}")), "{e}");
+                }
+            }
+        }
+        // `overfull`'s two cells: 12 banks on 8x8, placed by an override
+        // and by a knight-move design.
+        let over = EquiNoxDesign::search_k(8, 12, 10, 7, 1);
+        let mut base = SystemConfig::new(SchemeKind::SeparateBase, 8, tiny_workload("bfs"));
+        base.n_cbs = 12;
+        assert!(base.check().is_err());
+        base.placement_override = Some(over.placement.clone());
+        assert!(base.check().is_ok());
+        let mut eq = SystemConfig::new(SchemeKind::EquiNox, 8, tiny_workload("bfs"));
+        eq.n_cbs = 12;
+        assert!(eq.check().is_ok(), "the search places more than n along knight moves");
+        eq.design = Some(over);
+        assert!(eq.check().is_ok());
+        // The plan's own reasons pass through.
+        let odd = SystemConfig::new(SchemeKind::InterposerCMesh, 9, tiny_workload("bfs"));
+        assert_eq!(odd.check().err(), SchemeKind::InterposerCMesh.plan(9, odd.reply_topology).err());
+    }
+
+    #[test]
+    #[should_panic(expected = "n = 9: Interposer-CMesh puts one concentrated router over each 2x2 block")]
+    fn an_unbuildable_machine_panics_with_the_checks_reason() {
+        System::build(SystemConfig::new(SchemeKind::InterposerCMesh, 9, tiny_workload("bfs")));
+    }
+
+    #[test]
+    fn area_counts_the_cache_banks_that_were_placed() {
+        // `ablation --cbs 4`: an 8-bank override under `n_cbs = 4` builds
+        // eight banks, so Figure 11's area is that of the 8-bank machine.
+        for scheme in [SchemeKind::SeparateBase, SchemeKind::MultiPort] {
+            let eight = System::build(SystemConfig::new(scheme, 8, tiny_workload("bfs")));
+            let mut cfg = SystemConfig::new(scheme, 8, tiny_workload("bfs"));
+            cfg.n_cbs = 4;
+            cfg.placement_override = Some(Placement::diamond(8, 8, 8));
+            let sys = System::build(cfg);
+            assert_eq!(sys.cbs.len(), 8);
+            assert_eq!(sys.area_mm2().to_bits(), eight.area_mm2().to_bits(), "{scheme}");
+        }
     }
 
     #[test]

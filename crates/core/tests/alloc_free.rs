@@ -12,9 +12,9 @@
 
 use equinox_core::msg::{MemOpKind, Message, PacketTracker};
 use equinox_core::ni::{InjectPolicy, InjectionQueue};
+use equinox_core::scheme::NiKind;
 use equinox_noc::config::NocConfig;
 use equinox_noc::flit::MessageClass;
-use equinox_noc::link::LinkKind;
 use equinox_noc::network::Network;
 use equinox_phys::Coord;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -48,26 +48,9 @@ fn equinox_ni_tick_is_allocation_free_in_steady_state() {
     let n = 8u16;
     let mut nets = vec![Network::mesh(NocConfig::mesh(n))];
     let cb = Coord::new(3, 3);
-    let eirs: Vec<(Coord, equinox_noc::InjectorId)> = [
-        Coord::new(5, 3),
-        Coord::new(3, 5),
-        Coord::new(1, 3),
-        Coord::new(3, 1),
-    ]
-    .into_iter()
-    .map(|e| (e, nets[0].add_injection_port(e, 1, LinkKind::Interposer)))
-    .collect();
-    let local = nets[0].local_injector(cb);
-    let mut ni = InjectionQueue::new(
-        cb,
-        1_024,
-        InjectPolicy::Equinox {
-            net: 0,
-            local,
-            eirs,
-            rr: 0,
-        },
-    );
+    let eirs = [Coord::new(5, 3), Coord::new(3, 5), Coord::new(1, 3), Coord::new(3, 1)];
+    let policy = InjectPolicy::for_node(NiKind::Equinox, &mut nets, &[0], cb, 0, &eirs, None);
+    let mut ni = InjectionQueue::new(cb, 1_024, policy);
 
     // Pre-create every message (the tracker's record table grows on
     // `create`, which must stay outside the measured window) and park the

@@ -70,6 +70,20 @@ if grep -rnE 'pop_ejected_node|has_ejected\(\)' crates/core/src/system.rs \
 fi
 echo "OK: run paths drain ejected flits through the network's ejection set"
 
+echo "== scheme-table guard =="
+# What a scheme is made of lives in crates/core/src/scheme.rs
+# (SchemeKind::plan); the files that assemble and observe a machine read
+# the plan and, above their test modules, name no scheme variant
+# (SchemeKind::ALL and the type itself are fine).
+for f in crates/core/src/system.rs crates/core/src/loadlat.rs crates/core/src/obs.rs crates/core/src/ni.rs; do
+  tests_at=$(grep -n -m1 '^#\[cfg(test)\]' "$f" | cut -d: -f1 || true)
+  if head -n "${tests_at:-1000000}" "$f" | grep -nE 'SchemeKind::[A-Z][a-z]'; then
+    echo "FAIL: $f names a scheme variant outside its tests — add what it needs to the plan in scheme.rs" >&2
+    exit 1
+  fi
+done
+echo "OK: only scheme.rs knows what each scheme is made of"
+
 echo "== build (release) =="
 cargo build --release --workspace
 
