@@ -1,9 +1,10 @@
 //! Randomized (seeded, deterministic) tests for the HBM model: every
-//! accepted access completes exactly once, and timing respects the
-//! DRAM floor.
+//! accepted access completes exactly once, timing respects the DRAM
+//! floor, and a step before the stack's next event changes nothing.
 
 use equinox_exec::Rng;
 use equinox_hbm::{HbmConfig, HbmStack, MemAccess};
+use equinox_snap::{Dec, Enc};
 use std::collections::BTreeSet;
 
 const CASES: u64 = 32;
@@ -83,4 +84,52 @@ fn row_stats_account_for_all_accesses() {
         let (h, m, c) = stack.row_stats();
         assert_eq!(h + m + c, submitted, "every issue hits/misses/conflicts");
     }
+}
+
+fn snap(stack: &HbmStack) -> Vec<u8> {
+    let mut e = Enc::new();
+    stack.snap_state(&mut e);
+    e.into_bytes()
+}
+
+/// Stepping at any cycle strictly before `next_event()` is a no-op: it
+/// completes nothing and leaves the snapshot bytes as they were. The
+/// per-bank tick schedule skips exactly those cycles. The steps go to a
+/// restored copy, whose channels restore has made due, so each channel's
+/// own `step` runs on every probed cycle.
+#[test]
+fn steps_before_the_next_event_change_nothing() {
+    let mut probed = 0;
+    for case in 0..CASES / 2 {
+        let mut rng = Rng::stream(0x4B3, case);
+        let cfg = if case % 2 == 0 { HbmConfig::tiny() } else { HbmConfig::hbm2() };
+        let mut stack = HbmStack::new(cfg);
+        let mut next_id = 0;
+        for t in 0..2_000u64 {
+            if t < 1_200 && rng.random::<f64>() < 0.1 {
+                for _ in 0..rng.random_range(1..12u32) {
+                    let addr = rng.random_range(0u64..1 << 16) & !63;
+                    let write = rng.random_range(0..3u32) == 0;
+                    let _ = stack.enqueue(MemAccess { id: next_id, addr, write }, t);
+                    next_id += 1;
+                }
+            }
+            stack.step(t);
+            while stack.pop_completed().is_some() {}
+            let Some(next) = stack.next_event() else { continue };
+            if next <= t + 1 || t % 3 != 0 {
+                continue;
+            }
+            let bytes = snap(&stack);
+            let mut copy = HbmStack::new(cfg);
+            copy.restore_state(&mut Dec::new(&bytes)).expect("restore");
+            for early in (t + 1..next).step_by(1 + (next - t) as usize / 4) {
+                copy.step(early);
+                assert_eq!(copy.pop_completed(), None, "case {case}: step at {early} < {next}");
+                assert!(snap(&copy) == bytes, "case {case}: step at {early} < {next} changed state");
+                probed += 1;
+            }
+        }
+    }
+    assert!(probed > 1_000, "only {probed} early steps probed");
 }
