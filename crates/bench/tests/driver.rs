@@ -65,19 +65,26 @@ fn malformed_values_and_unknown_flags_are_fatal() {
 fn unbuildable_machines_and_values_under_a_bound_are_named_not_backtraced() {
     // Each of these used to die in an assert three frames into the build
     // (exit 101), hang until killed, or emit an artifact of empty runs.
-    for (args, needle) in [
-        (["sweep", "--n", "9"], "n = 9: Interposer-CMesh"),
-        (["sweep", "--n", "6"], "n_cbs = 8: SingleBase"),
-        (["loadlat", "--n", "1"], "--n"),
-        (["sweep", "--n", "0"], "--n"),
-        (["designer", "--cbs", "0"], "--cbs"),
-        (["sweep", "--scale", "nan"], "--scale"),
-        (["sweep", "--scale", "-1"], "--scale"),
-        (["sweep", "--ni-queue-cap", "0"], "--ni-queue-cap"),
-        (["sweep", "--cb-inflight-cap", "0"], "--cb-inflight-cap"),
-        (["sweep", "--max-cycles", "0"], "--max-cycles"),
-        (["loadlat", "--cycles", "0"], "--cycles"),
-    ] {
+    let cases: [(&[&str], &str); 15] = [
+        (&["sweep", "--n", "9"], "n = 9: Interposer-CMesh"),
+        (&["sweep", "--n", "6"], "n_cbs = 8: SingleBase"),
+        (&["loadlat", "--n", "1"], "--n"),
+        (&["sweep", "--n", "0"], "--n"),
+        (&["designer", "--cbs", "0"], "--cbs"),
+        (&["sweep", "--scale", "nan"], "--scale"),
+        (&["sweep", "--scale", "-1"], "--scale"),
+        (&["sweep", "--ni-queue-cap", "0"], "--ni-queue-cap"),
+        (&["sweep", "--cb-inflight-cap", "0"], "--cb-inflight-cap"),
+        (&["sweep", "--max-cycles", "0"], "--max-cycles"),
+        (&["loadlat", "--cycles", "0"], "--cycles"),
+        // No N-Queen solution exists on 2x2 or 3x3, so EquiNox's design
+        // search has no board to start from.
+        (&["designer", "--n", "3", "--cbs", "3"], "n = 3: EquiNox"),
+        (&["designer", "--n", "2", "--cbs", "1"], "n = 2: EquiNox"),
+        (&["loadlat", "--n", "3", "--cbs", "3"], "n = 3: EquiNox"),
+        (&["sweep", "--n", "2", "--cbs", "2"], "n = 2: EquiNox"),
+    ];
+    for (args, needle) in cases {
         let out = driver().args(args).output().expect("run driver");
         assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
         assert!(out.stdout.is_empty(), "{args:?} must emit no artifact");

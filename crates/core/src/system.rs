@@ -157,17 +157,27 @@ impl SystemConfig {
     /// # Errors
     ///
     /// Returns the one-line reason no such machine exists: the plan's
-    /// ([`SchemeKind::plan`]), or a cache-bank count no Diamond holds (a
+    /// ([`SchemeKind::plan`]), a cache-bank count no Diamond holds (a
     /// placement override brings its own banks, and EquiNox's search
-    /// places more than `n` along knight moves).
+    /// places more than `n` along knight moves), or an EquiNox design
+    /// search with no N-Queen board to start from (2×2 and 3×3 have
+    /// none; a placement override does not help, since the EIR groups
+    /// still come from the search — a supplied design does).
     pub fn check(&self) -> Result<SchemePlan, String> {
         let plan = self.scheme.plan(self.n, self.reply_topology)?;
         let (n, k) = (self.n, self.n_cbs);
-        let diamond = plan.cb_ni != NiKind::Equinox && self.placement_override.is_none();
-        if diamond && !(1..=n).contains(&k) {
+        let equinox = plan.cb_ni == NiKind::Equinox;
+        if !equinox && self.placement_override.is_none() && !(1..=n).contains(&k) {
             return Err(format!(
                 "n_cbs = {k}: {} places its cache banks on a diamond, which holds 1 to {n} of \
                  them on a {n}x{n} mesh",
+                self.scheme
+            ));
+        }
+        if equinox && self.design.is_none() && k <= n && !equinox_placement::nqueen::solvable(n) {
+            return Err(format!(
+                "n = {n}: {} places cache banks on an N-Queen solution, and a {n}x{n} mesh \
+                 has none (n_cbs = {k}; more than {n} banks would walk knight moves instead)",
                 self.scheme
             ));
         }
@@ -1440,6 +1450,30 @@ mod tests {
         // The plan's own reasons pass through.
         let odd = SystemConfig::new(SchemeKind::InterposerCMesh, 9, tiny_workload("bfs"));
         assert_eq!(odd.check().err(), SchemeKind::InterposerCMesh.plan(9, odd.reply_topology).err());
+    }
+
+    #[test]
+    fn check_names_an_equinox_search_without_an_n_queen_board() {
+        // 2x2 and 3x3 boards have no N-Queen solution, so the design
+        // search has nothing to start from at up to n banks.
+        for (n, n_cbs, ok) in [(2, 1, false), (2, 2, false), (3, 3, false), (2, 3, true), (3, 4, true), (4, 4, true)] {
+            let mut cfg = SystemConfig::new(SchemeKind::EquiNox, n, tiny_workload("bfs"));
+            cfg.n_cbs = n_cbs;
+            let got = cfg.check();
+            assert_eq!(got.is_ok(), ok, "{n}x{n} with {n_cbs} CBs: {got:?}");
+            if let Err(e) = got {
+                assert!(e.starts_with(&format!("n = {n}: EquiNox places cache banks on an N-Queen")), "{e}");
+                assert!(e.contains(&format!("n_cbs = {n_cbs};")), "{e}");
+            }
+            // An override still leaves the EIR groups to the search.
+            cfg.placement_override = Some(Placement::diamond(n, n, 1));
+            assert_eq!(cfg.check().is_ok(), ok, "{n}x{n} with {n_cbs} CBs and an override");
+        }
+        // A supplied design needs no search.
+        let mut cfg = SystemConfig::new(SchemeKind::EquiNox, 3, tiny_workload("bfs"));
+        cfg.n_cbs = 3;
+        cfg.design = Some(EquiNoxDesign::from_text("equinox-design v1\nmesh 3\ncb 0,0 eirs 2,2\n").unwrap());
+        assert!(cfg.check().is_ok());
     }
 
     #[test]

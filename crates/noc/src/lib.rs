@@ -81,7 +81,7 @@ pub use audit::{AuditConfig, DeadlockReport, Violation};
 pub use config::{NocConfig, RoutingKind, VcPartition};
 pub use flit::{Flit, MessageClass, PacketDesc, PacketId};
 pub use link::LinkKind;
-pub use network::{InjectorId, Network};
+pub use network::{InjectorId, Network, VcAllocCounts};
 pub use stats::NetStats;
 pub use topology::{PortSet, TopoLink, Topology, TopologyKind};
 pub use trace::{Trace, TraceEvent, TraceKind};

@@ -85,6 +85,21 @@ impl Route {
     }
 }
 
+/// What the VC allocator did with the pipeline-clear heads it met, since
+/// the network was built (grants are [`NetStats::vc_allocs`]). A
+/// diagnostic of the simulator, not of the simulated machine: not in the
+/// stats, not serialised, not restored.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct VcAllocCounts {
+    /// Allocator runs.
+    pub attempts: u64,
+    /// Runs for a head whose recorded want had opened — each one a grant.
+    pub retried: u64,
+    /// Heads not re-tried because none of the output VCs they want was
+    /// free and ready (activity gate only).
+    pub skipped: u64,
+}
+
 /// The VCs a message class may be allocated, fixed by the partition.
 #[derive(Debug, Clone, Copy, Default)]
 struct ClassVcs {
@@ -110,6 +125,7 @@ pub struct Network {
     pub(crate) links: Links,
     pub(crate) injectors: Vec<Injector>,
     stats: NetStats,
+    alloc_counts: VcAllocCounts,
     pub(crate) cycle: u64,
     /// Cached local injector ids per node (row-major).
     local_injectors: Vec<InjectorId>,
@@ -184,6 +200,7 @@ impl Network {
         let mut net = Network {
             core: RouterCore::new(&coords, 5, vcs, cfg.vc_buf_flits, cfg.eject_cap),
             stats: NetStats::new(n),
+            alloc_counts: VcAllocCounts::default(),
             topo,
             links: Links::default(),
             injectors: Vec::new(),
@@ -654,60 +671,124 @@ impl Network {
     /// Route computation + VC allocation for every input VC of router `ri`
     /// whose head-of-line flit is a packet head without an allocated
     /// output.
+    ///
+    /// Under the activity gate a head that fails keeps the allocator's
+    /// `want` — the output VCs whose availability would have let it
+    /// through — and is skipped until one of them is free and ready
+    /// (ejection VCs need only be free). The skip is exact: allocation
+    /// succeeds if and only if `want & avail != 0`, and nothing in
+    /// `want` depends on the cycle (DESIGN.md "Blocked heads and due
+    /// channels"). Debug builds re-run the allocator on every skip.
     fn route_and_allocate(&mut self, ri: usize) {
         let s = &self.core.routers[ri];
         let mut waiting = s.occupied & !s.allocated;
-        let coord_key = s.coord_key;
+        let (coord_key, vc_base) = (s.coord_key, s.vc_base as usize);
+        let eject_vcs = self.core.eject_vcs[ri];
         while waiting != 0 {
             let bit = waiting.trailing_zeros() as usize;
             waiting &= waiting - 1;
-            let head = self.core.front(self.core.vc(ri, bit));
+            let head = self.core.front(vc_base + bit);
             // Pipeline gating: the head must have cleared the router's
             // extra stages before allocation.
             if head.stamp() + self.cfg.pipeline_extra as u64 > self.cycle {
                 continue;
             }
             debug_assert!(head.is_head(), "non-head flit awaiting allocation");
-            let (class, dst, sink) = (head.class_ix(), head.dst(), head.sink());
-            let grant = if head.dst_key() == coord_key {
-                self.alloc_ejection(ri, sink, class)
+            let (class, sink) = (head.class_ix(), head.sink());
+            // Row-major node ids are every fabric's convention.
+            let dst = (head.dst_key() != coord_key).then(|| head.dst().to_index(self.cfg.width));
+            let want = self.core.want[vc_base + bit];
+            let s = &self.core.routers[ri];
+            let grant = if want != 0 && want & s.out_free & (s.out_ready | eject_vcs) == 0 {
+                debug_assert!(
+                    {
+                        let route = dst.map(|d| self.routes[ri * self.core.len() + d]);
+                        self.allocate(ri, bit, class, sink, route).is_err()
+                    },
+                    "router {ri} skipped input VC bit {bit}, whose head could be allocated"
+                );
+                self.alloc_counts.skipped += 1;
+                Err(want)
             } else {
-                // Row-major node ids are every fabric's convention.
-                self.alloc_direction(ri, bit, dst.to_index(self.cfg.width), class)
+                let route = dst.map(|d| self.route(ri, d));
+                let grant = self.allocate(ri, bit, class, sink, route);
+                debug_assert!(
+                    want == 0 || grant.is_ok(),
+                    "router {ri} input VC bit {bit}: a wanted output VC opened but allocation failed"
+                );
+                self.alloc_counts.attempts += 1;
+                self.alloc_counts.retried += u64::from(want != 0);
+                grant
             };
-            if let Some((op, ov)) = grant {
-                self.core.grant(ri, bit, op, ov);
-                self.stats.vc_allocs += 1;
-            } else if let Some(grid) = self.stall.as_deref_mut() {
-                // The head sat pipeline-clear at the front of its VC
-                // this cycle and got no output VC: one vc_alloc
-                // stall cycle. Mutually exclusive with the switch
-                // post-pass charges, which require an allocation.
-                grid.charge(ri, NetCause::VcAlloc, class, 1);
+            match grant {
+                Ok((op, ov)) => {
+                    self.core.grant(ri, bit, op, ov);
+                    self.stats.vc_allocs += 1;
+                }
+                Err(want) => {
+                    if self.cfg.activity_gate {
+                        self.core.want[vc_base + bit] = want;
+                    }
+                    if let Some(grid) = self.stall.as_deref_mut() {
+                        // The head sat pipeline-clear at the front of its
+                        // VC this cycle and got no output VC: one vc_alloc
+                        // stall cycle. Mutually exclusive with the switch
+                        // post-pass charges, which require an allocation.
+                        grid.charge(ri, NetCause::VcAlloc, class, 1);
+                    }
+                }
             }
         }
     }
 
-    /// Finds a free output VC on an ejection port accepting `sink`.
-    /// Ejection ports are the local port and the extras after it.
-    fn alloc_ejection(&self, ri: usize, sink: u32, class: usize) -> Option<(usize, usize)> {
-        let vcs = self.core.vcs();
-        let free = self.core.routers[ri].out_free;
-        (PORT_LOCAL..self.core.num_ports(ri)).find_map(|op| {
-            let OutputRole::Eject { sink: tag } = self.core.role(ri, op) else {
-                return None;
-            };
-            if tag.is_some_and(|t| t != sink) {
-                return None;
-            }
-            let usable = (free >> (op * vcs)) & self.class_vcs[class].own;
-            (usable != 0).then(|| (op, usable.trailing_zeros() as usize))
-        })
+    /// VC allocation for the head of class `class` at input mask bit
+    /// `bit` of router `ri`: toward its destination along `route`, or —
+    /// `None` — out of an ejection port accepting `sink`. Returns the
+    /// granted output `(port, vc)`, or `Err(want)`: the output VCs whose
+    /// availability alone decides whether this head can be allocated (0
+    /// when availability does not decide it).
+    fn allocate(
+        &self,
+        ri: usize,
+        bit: usize,
+        class: usize,
+        sink: u32,
+        route: Option<Route>,
+    ) -> Result<(usize, usize), u64> {
+        match route {
+            Some(route) => self.alloc_direction(ri, bit, route, class),
+            None => self.alloc_ejection(ri, sink, class),
+        }
     }
 
-    /// Finds a free output VC towards node `dst` for the head at input
-    /// mask bit `bit`: adaptive VCs on the credit-richest candidate port
-    /// first, then the escape VC on the fabric's escape port.
+    /// Finds a free output VC on an ejection port accepting `sink`.
+    /// Ejection ports are the local port and the extras after it. The
+    /// want is the class's VCs on every such port.
+    fn alloc_ejection(&self, ri: usize, sink: u32, class: usize) -> Result<(usize, usize), u64> {
+        let vcs = self.core.vcs();
+        let (free, own) = (self.core.routers[ri].out_free, self.class_vcs[class].own);
+        let mut want = 0;
+        for op in PORT_LOCAL..self.core.num_ports(ri) {
+            let OutputRole::Eject { sink: tag } = self.core.role(ri, op) else {
+                continue;
+            };
+            if tag.is_some_and(|t| t != sink) {
+                continue;
+            }
+            let usable = (free >> (op * vcs)) & own;
+            if usable != 0 {
+                return Ok((op, usable.trailing_zeros() as usize));
+            }
+            want |= own << (op * vcs);
+        }
+        Err(want)
+    }
+
+    /// Finds a free output VC along `route` for the head at input mask
+    /// bit `bit`: adaptive VCs on the credit-richest candidate port
+    /// first, then the escape VC on the fabric's escape port. The want
+    /// is what the candidate ports offer the class — or the one escape
+    /// VC of a captured flit.
     ///
     /// Escape capture (ring fabrics): a flit that arrived over a network
     /// link on its class's escape VC must stay on the escape path — port
@@ -720,15 +801,16 @@ impl Network {
     /// consumed at the PEs, so a reply parked in a request VC always
     /// drains, whereas a request monopolizing reply VCs at a CB router
     /// can block the very replies whose progress the CB needs to accept
-    /// more requests — a protocol deadlock.
+    /// more requests — a protocol deadlock. Whether a borrow succeeds
+    /// depends on credit counts and on the other class's flits, so a
+    /// class that may borrow keeps no want on its way (`Err(0)`).
     fn alloc_direction(
-        &mut self,
+        &self,
         ri: usize,
         bit: usize,
-        dst: usize,
+        route: Route,
         class: usize,
-    ) -> Option<(usize, usize)> {
-        let route = self.route(ri, dst);
+    ) -> Result<(usize, usize), u64> {
         let vcs = self.core.vcs();
         let ClassVcs { own, escape, foreign } = self.class_vcs[class];
         let escape = escape as usize;
@@ -742,7 +824,8 @@ impl Network {
         if captured {
             let p = route.escape as usize;
             debug_assert!(p < PORT_LOCAL, "captured flit routed at its destination");
-            return (open >> (p * vcs + escape) & 1 != 0).then_some((p, escape));
+            let out_bit = p * vcs + escape;
+            return if open >> out_bit & 1 != 0 { Ok((p, escape)) } else { Err(1 << out_bit) };
         }
         let mut ports = route.ports;
         // Prefer the port with more free downstream credit (adaptive);
@@ -761,15 +844,18 @@ impl Network {
                 ports.swap(0, 1);
             }
         }
+        let mut want = 0;
         for &p in &ports[..route.candidates().len()] {
             let on_escape_path = p == route.escape;
             let p = p as usize;
-            let mut usable = (open >> (p * vcs)) & own;
+            let mut offered = own;
             if !on_escape_path {
-                usable &= !(1 << escape); // escape VC only along the escape path
+                offered &= !(1 << escape); // escape VC only along the escape path
             }
+            want |= offered << (p * vcs);
+            let usable = (open >> (p * vcs)) & offered;
             if usable != 0 {
-                return Some((p, usable.trailing_zeros() as usize));
+                return Ok((p, usable.trailing_zeros() as usize));
             }
             // Monopolized (foreign-class) VCs are borrowed only when the
             // downstream buffer is completely idle AND only along the
@@ -784,12 +870,12 @@ impl Network {
                     if s.out_free >> out_bit & 1 != 0
                         && self.core.credits(ri, out_bit) as usize == self.cfg.vc_buf_flits
                     {
-                        return Some((p, v));
+                        return Ok((p, v));
                     }
                 }
             }
         }
-        None
+        Err(if foreign.0 < foreign.1 { 0 } else { want })
     }
 
     /// Separable input-first switch allocation followed by traversal.
@@ -1055,7 +1141,11 @@ impl Network {
         if occupied == 0 {
             return false;
         }
-        self.core.pop(r, occupied.trailing_zeros() as usize);
+        let bit = occupied.trailing_zeros() as usize;
+        self.core.pop(r, bit);
+        // A want describes the head it was recorded for.
+        let ivc = self.core.vc(r, bit);
+        self.core.want[ivc] = 0;
         true
     }
 
@@ -1098,6 +1188,11 @@ impl Network {
     /// Collected statistics.
     pub fn stats(&self) -> &NetStats {
         &self.stats
+    }
+
+    /// How the VC allocator's attempts split (see [`VcAllocCounts`]).
+    pub fn vc_alloc_counts(&self) -> VcAllocCounts {
+        self.alloc_counts
     }
 
     /// The configuration this network was built from.

@@ -126,6 +126,9 @@ pub(crate) struct RouterCore {
     /// Flits an ejection queue holds before its port stops granting.
     eject_cap: usize,
     pub routers: Vec<RouterState>,
+    /// Per router, the VCs of its ejection ports as mask bits. Kept off
+    /// the [`RouterState`] line, which has no room for another word.
+    pub eject_vcs: Vec<u64>,
     // ---- per port
     /// Link feeding the input side, or [`NO_LINK`].
     pub feed_link: Vec<u32>,
@@ -143,6 +146,11 @@ pub(crate) struct RouterCore {
     out_credits: Vec<u8>,
     /// Mask bit of the input VC owning each output VC, or [`NONE`].
     out_owner: Vec<u8>,
+    /// Per input VC: the output VCs whose availability would let its
+    /// blocked head be allocated, as mask bits; 0 when no such set is
+    /// recorded. Written by the network's VC allocator, cleared by
+    /// [`RouterCore::grant`] and by a restore; never serialised.
+    pub want: Vec<u64>,
     /// Input-VC rings, stamped with the enqueue cycle.
     slots: Vec<Slot>,
 }
@@ -184,6 +192,7 @@ impl RouterCore {
             depth,
             eject_cap,
             routers,
+            eject_vcs: vec![0; n],
             feed_link: vec![NO_LINK; n * ports],
             in_sa_ptr: vec![0; n * ports],
             out_sa_ptr: vec![0; n * ports],
@@ -192,6 +201,7 @@ impl RouterCore {
             in_vcs,
             out_credits: vec![depth as u8; n * ports * v],
             out_owner: vec![NONE; n * ports * v],
+            want: vec![0; n * ports * v],
             slots: vec![EMPTY_SLOT; n * ports * v * depth],
         };
         for r in 0..n {
@@ -251,6 +261,7 @@ impl RouterCore {
             );
             self.out_credits.insert(gv + v, self.depth as u8);
             self.out_owner.insert(gv + v, NONE);
+            self.want.insert(gv + v, 0);
         }
         self.routers[r].out_free |= self.port_bits(r, port, port + 1);
         port
@@ -260,6 +271,9 @@ impl RouterCore {
     pub fn set_role(&mut self, r: usize, p: usize, role: OutputRole) {
         let gp = self.port(r, p);
         self.out_role[gp] = role;
+        let bits = self.port_bits(r, p, p + 1);
+        let eject = if matches!(role, OutputRole::Eject { .. }) { bits } else { 0 };
+        self.eject_vcs[r] = self.eject_vcs[r] & !bits | eject;
         self.refresh_ready(r, p);
     }
 
@@ -391,6 +405,7 @@ impl RouterCore {
         let vc = &mut self.in_vcs[base + bit];
         (vc.out_port, vc.out_vc) = (op as u8, ov as u8);
         s.allocated |= 1 << bit;
+        self.want[base + bit] = 0;
     }
 
     /// Undoes [`RouterCore::grant`] when the packet's tail leaves.
@@ -552,7 +567,8 @@ impl RouterCore {
     /// here, and no buffered flit may be stamped after `cycle` (the
     /// pipeline stages rely on it). The masks and class counters are
     /// derived from what was read, except `out_ready` and `ejecting`,
-    /// which [`RouterCore::restore_eject`] completes port by port.
+    /// which [`RouterCore::restore_eject`] completes port by port; no
+    /// `want` survives (the next allocation attempt records it again).
     pub fn restore_state(
         &mut self,
         r: usize,
@@ -573,6 +589,7 @@ impl RouterCore {
             self.in_sa_ptr[base + p] = ptr as u8;
             for v in 0..vcs {
                 let bit = p * vcs + v;
+                self.want[(base + p) * vcs + v] = 0;
                 let vc = &mut self.in_vcs[(base + p) * vcs + v];
                 let len = d.usize()?;
                 if len > self.depth {
@@ -760,6 +777,7 @@ mod tests {
         c.set_role(0, 4, OutputRole::Eject { sink: None });
         let (link_vc1, eject_bits) = (1 << 3, 0b11 << 8);
         assert_eq!(c.routers[0].out_ready, 0b11 << 2 | eject_bits);
+        assert_eq!(c.eject_vcs[0], eject_bits);
         c.spend_credit(0, 3);
         assert_ne!(c.routers[0].out_ready & link_vc1, 0, "one credit left");
         c.spend_credit(0, 3);
@@ -785,5 +803,7 @@ mod tests {
         assert_eq!(c.routers[0].ejecting, 0, "the emptying pop clears the bit");
         c.set_role(0, 1, OutputRole::Dead);
         assert_eq!(c.routers[0].out_ready, eject_bits);
+        c.set_role(0, 4, OutputRole::Dead);
+        assert_eq!((c.routers[0].out_ready, c.eject_vcs[0]), (0, 0));
     }
 }

@@ -46,6 +46,13 @@ pub fn solutions_limited(n: u16, limit: usize) -> Vec<Vec<u16>> {
     out
 }
 
+/// `true` when an `n × n` board has an N-Queen solution — every `n`
+/// but 0, 2 and 3 (a known result; [`solutions`] agrees up to 9), so
+/// the question costs no search.
+pub fn solvable(n: u16) -> bool {
+    !matches!(n, 0 | 2 | 3)
+}
+
 /// Enumerates *all* N-Queen solutions on an `n × n` board.
 ///
 /// Convenience wrapper for [`solutions_limited`] with no cap; only sensible
@@ -128,6 +135,9 @@ mod tests {
         // The paper: "In case of an 8×8 network, there are 92 different
         // N-Queen placements" (§4.2).
         assert_eq!(solutions(8).len(), 92);
+        for n in 0..10 {
+            assert_eq!(solvable(n), !solutions_limited(n, 1).is_empty(), "n = {n}");
+        }
     }
 
     #[test]

@@ -102,9 +102,13 @@ cargo test -q --workspace
 
 echo "== benchmark harness =="
 # A workspace of its own on the crates' public entry points: its unit
-# tests, and one short untraced run that must come out correct, so a
-# rename that breaks the harness fails here rather than in the pipeline.
+# tests, and one short untraced run of every workload that must come out
+# correct (each warm round runs its cells under the strict auditor), so
+# a rename that breaks the harness, or a schedule that changes what a
+# cell simulates, fails here rather than in the pipeline.
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
-cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
-    --workload sat-kmeans --seconds 4 --trace 0 | tail -n 1 | grep -q '"correct": true'
-echo "OK: benchmark harness builds, passes its tests and completes a correct run"
+for workload in sat-kmeans idle-loadlat repro-sweep; do
+  cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- \
+      --workload "$workload" --seconds 2 --trace 0 | tail -n 1 | grep -q '"correct": true'
+done
+echo "OK: benchmark harness builds, passes its tests and completes a correct run of every workload"
