@@ -5,7 +5,9 @@
 //! its cost, not the number of evaluations spent (which counts the RNG
 //! draws and refine moves on the way). `golden_search.txt` was generated
 //! by the `Vec<Vec<Coord>>`-per-node tree and the allocate-per-call
-//! evaluator that preceded the table-driven search.
+//! evaluator that preceded the table-driven search; its last two lines,
+//! a 4-hop search and a digest of the group sampler's draws, by the
+//! sampler that keyed candidates with `powf` before integer-power keys.
 //!
 //! To regenerate after an *intentional* behavior change, run with
 //! `EQUINOX_REGEN_GOLDEN=1 cargo test -p equinox-mcts --test golden_search`
@@ -15,6 +17,7 @@ use equinox_mcts::eval::EvalWeights;
 use equinox_mcts::problem::EirProblem;
 use equinox_mcts::tree::{MctsConfig, SearchResult};
 use equinox_mcts::{ga, sa, tree};
+use equinox_phys::Coord;
 use equinox_placement::nqueen::{solutions_limited, to_placement};
 use equinox_placement::select::best_nqueen_placement;
 use equinox_placement::{Placement, PlacementScorer};
@@ -115,7 +118,56 @@ fn all_lines() -> String {
     line(&mut out, "narrow-equal-weights", &p, &tree::search(&p, &narrow));
     line(&mut out, "ga-default", &p, &ga::search(&p, &ga::GaConfig::default()));
     line(&mut out, "sa-default", &p, &sa::search(&p, &sa::SaConfig::default()));
+    // Four hops reach the 2x2 diagonals: the only candidates whose hop
+    // excess over one is 3.
+    let p = EirProblem {
+        max_hops: 4,
+        ..EirProblem::new(best8())
+    };
+    line(&mut out, "max_hops4", &p, &tree::search(&p, &mcts(1000, 7)));
+    out.push_str(&draw_stream(&best8()));
     out
+}
+
+/// FNV-1a over the picks of `EirProblem::sample_group`, the sampler every
+/// search draws its groups through: ≥ 100 000 calls on the flagship
+/// N-Queen placement and on the diamond, at hop budgets 2–4 and group
+/// sizes 1, 4 and 6, each for a random CB with about a quarter of the
+/// tiles already in use, all drawn from one generator.
+fn draw_stream(nqueen: &Placement) -> String {
+    const CALLS_PER_PROBLEM: usize = 5_600;
+    let mut rng = EirProblem::rng(0x5EED);
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut fnv = |bytes: &[u8]| {
+        for &b in bytes {
+            hash = (hash ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    let mut calls = 0;
+    for placement in [nqueen.clone(), Placement::diamond(8, 8, 8)] {
+        for max_hops in 2..=4 {
+            for group_size in [1, 4, 6] {
+                let p = EirProblem {
+                    max_hops,
+                    group_size,
+                    ..EirProblem::new(placement.clone())
+                };
+                for _ in 0..CALLS_PER_PROBLEM {
+                    let cb = rng.random_range(0..p.placement.cbs.len());
+                    let in_use = rng.random::<u64>() & rng.random::<u64>();
+                    let used: Vec<Coord> =
+                        (0..64).filter(|k| in_use >> k & 1 == 1).map(|k| Coord::from_index(k, 8)).collect();
+                    for e in p.sample_group(cb, &used, &mut rng) {
+                        fnv(&e.x.to_le_bytes());
+                        fnv(&e.y.to_le_bytes());
+                    }
+                    fnv(&[0xff]);
+                    calls += 1;
+                }
+            }
+        }
+    }
+    format!("draws calls={calls} digest={hash:016x}\n")
 }
 
 #[test]
