@@ -159,10 +159,13 @@ impl SystemConfig {
     /// Returns the one-line reason no such machine exists: the plan's
     /// ([`SchemeKind::plan`]), a cache-bank count no Diamond holds (a
     /// placement override brings its own banks, and EquiNox's search
-    /// places more than `n` along knight moves), or an EquiNox design
-    /// search with no N-Queen board to start from (2×2 and 3×3 have
-    /// none; a placement override does not help, since the EIR groups
-    /// still come from the search — a supplied design does).
+    /// places more than `n` along knight moves), an EquiNox placement
+    /// override that is not the supplied design's placement (the EIR
+    /// groups are attached to the override's banks in CB order, so a
+    /// design made for other banks puts them at the wrong distances, on
+    /// a bank's own router or on another bank's tile), or an EquiNox
+    /// design search with no N-Queen board to start from (2×2 and 3×3
+    /// have none; a supplied design needs no search).
     pub fn check(&self) -> Result<SchemePlan, String> {
         let plan = self.scheme.plan(self.n, self.reply_topology)?;
         let (n, k) = (self.n, self.n_cbs);
@@ -173,6 +176,19 @@ impl SystemConfig {
                  them on a {n}x{n} mesh",
                 self.scheme
             ));
+        }
+        if let (true, Some(over)) = (equinox, &self.placement_override) {
+            if self.design.as_ref().map(|d| &d.placement) != Some(over) {
+                let why = match self.design {
+                    None => "none is supplied, and the search would pick its own N-Queen board",
+                    Some(_) => "the supplied one was made for another placement",
+                };
+                return Err(format!(
+                    "placement override: {} attaches EIR groups from a design made for the \
+                     override's banks; {why}",
+                    self.scheme
+                ));
+            }
         }
         if equinox && self.design.is_none() && k <= n && !equinox_placement::nqueen::solvable(n) {
             return Err(format!(
@@ -1465,14 +1481,54 @@ mod tests {
                 assert!(e.starts_with(&format!("n = {n}: EquiNox places cache banks on an N-Queen")), "{e}");
                 assert!(e.contains(&format!("n_cbs = {n_cbs};")), "{e}");
             }
-            // An override still leaves the EIR groups to the search.
+            // An override without a design made for it is named first,
+            // whether or not the board has a solution.
             cfg.placement_override = Some(Placement::diamond(n, n, 1));
-            assert_eq!(cfg.check().is_ok(), ok, "{n}x{n} with {n_cbs} CBs and an override");
+            let e = cfg.check().unwrap_err();
+            assert!(e.starts_with("placement override: EquiNox attaches EIR groups"), "{e}");
+            assert!(e.ends_with("none is supplied, and the search would pick its own N-Queen board"), "{e}");
         }
         // A supplied design needs no search.
         let mut cfg = SystemConfig::new(SchemeKind::EquiNox, 3, tiny_workload("bfs"));
         cfg.n_cbs = 3;
         cfg.design = Some(EquiNoxDesign::from_text("equinox-design v1\nmesh 3\ncb 0,0 eirs 2,2\n").unwrap());
+        assert!(cfg.check().is_ok());
+    }
+
+    #[test]
+    fn check_names_an_equinox_override_its_design_was_not_made_for() {
+        // The quick design's groups, attached in CB order to the diamond's
+        // banks, would make an impossible machine.
+        let design = EquiNoxDesign::quick(8, 8);
+        let diamond = Placement::diamond(8, 8, 8);
+        let hops = |i: usize| -> Vec<u32> {
+            design.selection.groups[i].iter().map(|&e| diamond.cbs[i].manhattan(e)).collect()
+        };
+        assert_eq!(diamond.cbs[0], Coord::new(4, 0));
+        assert!(hops(0).contains(&0), "CB 0 gets an EIR on its own router: {:?}", hops(0));
+        // Every EIR of CBs 4 and 2 lies beyond the search's 3-hop budget.
+        assert_eq!(hops(4), [6, 9, 9], "CB 4's EIRs");
+        assert_eq!(hops(2), [7, 4, 8], "CB 2's EIRs");
+        for i in [2, 3, 5] {
+            let on_a_bank = |e: &Coord| *e != diamond.cbs[i] && diamond.is_cb(*e);
+            assert!(design.selection.groups[i].iter().any(on_a_bank), "CB {i} gets an EIR on another bank");
+        }
+
+        let mut cfg = SystemConfig::new(SchemeKind::EquiNox, 8, tiny_workload("bfs"));
+        cfg.design = Some(design.clone());
+        cfg.placement_override = Some(diamond);
+        let e = cfg.check().unwrap_err();
+        assert_eq!(
+            e,
+            "placement override: EquiNox attaches EIR groups from a design made for the override's \
+             banks; the supplied one was made for another placement"
+        );
+        // The design's own placement as the override is what it was made for.
+        cfg.placement_override = Some(design.placement.clone());
+        assert!(cfg.check().is_ok());
+        // Other schemes have no EIR groups to misplace.
+        cfg.scheme = SchemeKind::MultiPort;
+        cfg.placement_override = Some(Placement::diamond(8, 8, 8));
         assert!(cfg.check().is_ok());
     }
 

@@ -84,6 +84,29 @@ for f in crates/core/src/system.rs crates/core/src/loadlat.rs crates/core/src/ob
 done
 echo "OK: only scheme.rs knows what each scheme is made of"
 
+echo "== libm-free sampler guard =="
+# Every design search draws its EIR groups through one weighted shuffle
+# whose keys are integer powers of a uniform draw (Candidate::key in
+# crates/mcts/src/problem.rs). libm's pow was a quarter of a search, so
+# non-test code in the crate may call powf only in the key's one
+# fallback arm, for hop excesses of 3 and up.
+powf_calls=""
+for f in crates/mcts/src/*.rs; do
+  tests_at=$(grep -n -m1 '^#\[cfg(test)\]' "$f" | cut -d: -f1 || true)
+  while IFS=: read -r line text; do
+    if [ "$line" -lt "${tests_at:-1000000}" ] && ! [[ "$text" =~ ^[[:space:]]*(//|\*) ]]; then
+      powf_calls+="$f:$line:$text"$'\n'
+    fi
+  done < <(grep -nF 'powf' "$f" || true)
+done
+if [ "$(grep -c . <<< "$powf_calls")" != 1 ] \
+    || ! grep -qE '^crates/mcts/src/problem\.rs:[0-9]+: *n => u\.powf\(n as f64\),$' <<< "$powf_calls"; then
+  printf '%s' "$powf_calls"
+  echo "FAIL: powf in the design search outside Candidate::key's fallback arm — key by integer powers" >&2
+  exit 1
+fi
+echo "OK: the design search calls powf only in the sampler's fallback arm"
+
 echo "== build (release) =="
 cargo build --release --workspace
 
