@@ -8,7 +8,9 @@
 //! extra pipeline stages, VC monopolization under load and ejection
 //! back-pressure — and were generated by the per-router
 //! `Vec<InputPort>`/`VecDeque` implementation that preceded the flat
-//! core. A saturated 8×8 run fires hundreds of thousands of events, so
+//! core. The last, links of three and four cycles, was generated by the
+//! per-link flit and credit rings that preceded the arrival wheels.
+//! A saturated 8×8 run fires hundreds of thousands of events, so
 //! the golden keeps a digest per 256-cycle window (a divergence is
 //! localised to a window) instead of every event, plus the final
 //! counters, the stall-attribution totals and a digest of the snapshot
@@ -460,6 +462,26 @@ fn cmesh(gate: bool) -> Rig {
     rig
 }
 
+/// Links longer than a cycle: a saturated 6×6 adaptive mesh, both
+/// classes, with 3-cycle mesh links, 2-cycle NI links and two 4-cycle
+/// interposer injection ports, so several flits and credits are in
+/// flight on one link at once and the mid-run snapshot carries them.
+fn long_links(gate: bool) -> Rig {
+    let mut cfg = NocConfig::mesh(6);
+    cfg.link_latency = 3;
+    cfg.ni_latency = 2;
+    let mut rig = Rig::new(Network::mesh(gated(cfg, gate)), Drain::Eager);
+    let mut gen = Gen::new(0xE8, 6);
+    let nodes = rig.nodes.clone();
+    all_to(&mut rig, &mut gen, &nodes, 300);
+    for (src, eir) in [(Coord::new(1, 1), Coord::new(3, 1)), (Coord::new(4, 4), Coord::new(4, 2))] {
+        let inj = rig.net.add_injection_port(eir, 4, LinkKind::Interposer);
+        let flits = gen.stream(src, &nodes, 200, 5..6, Some(MessageClass::Reply));
+        rig.sources.push((inj, flits));
+    }
+    rig
+}
+
 fn full(gate: bool) -> String {
     let mut out = String::new();
     out += &run("sat-8x8-eir-tagged", &|| sat_eir(gate), 2048);
@@ -470,6 +492,7 @@ fn full(gate: bool) -> String {
     out += &run("vc-mono-6x6-saturated", &|| mono_sat(gate), 2048);
     out += &run("undrained-sinks", &|| undrained(gate), 2560);
     out += &run("cmesh-13-port", &|| cmesh(gate), 2048);
+    out += &run("long-links-3-2-4", &|| long_links(gate), 2560);
     out
 }
 
