@@ -7,9 +7,10 @@
 //! checks run against a [`Network`] at a configurable interval:
 //!
 //! 1. **Conservation.** For every link/VC pair, the credit loop must be
-//!    airtight: upstream credits held + flits in flight on the link +
-//!    flits buffered downstream + credits in flight back upstream must
-//!    equal the VC buffer depth at every cycle boundary. Independently,
+//!    airtight: upstream credits held + flits in flight on the link
+//!    (staged downstream) + flits buffered downstream + credits in flight
+//!    back upstream must equal the VC buffer depth at every cycle
+//!    boundary. Independently,
 //!    flits are conserved per message class: everything injected is either
 //!    ejected or still resident (buffered, on a link, or in an ejection
 //!    queue).
@@ -386,22 +387,28 @@ pub(crate) fn sweep(net: &Network, out: &mut Vec<Violation>) {
 
 /// Per-link/VC credit-loop conservation: upstream credits + flits on the
 /// link + flits buffered downstream + credits returning upstream must
-/// equal the buffer depth.
+/// equal the buffer depth. A link's flits in flight are its downstream
+/// VCs' staged counts; its credits are counted in one pass over its
+/// slots of the credit wheel.
 fn check_credit_conservation(net: &Network, out: &mut Vec<Violation>) {
     let depth = net.cfg.vc_buf_flits as u32;
     let vcs = net.core.vcs();
     for (li, link) in net.links.iter().enumerate() {
         let (r, p) = (link.to_router as usize, link.to_port as usize);
-        for vc in 0..vcs {
+        // Per VC (≤ 64: a router's VCs fit one mask word).
+        let mut returning = [0u32; 64];
+        for (_, vc) in net.links.credits(li, net.cycle) {
+            returning[vc as usize] += 1;
+        }
+        for (vc, &credits_in_flight) in returning[..vcs].iter().enumerate() {
             let upstream = match link.credit_dst {
                 CreditDst::RouterOutput { router, port } => {
                     net.core.credits(router as usize, port as usize * vcs + vc)
                 }
                 CreditDst::Injector { injector } => net.injectors[injector as usize].credits[vc],
             };
-            let buffered = net.core.in_vcs[net.core.vc(r, p * vcs + vc)].len as u32;
-            let flits_in_flight = net.links.flits_in_flight_on_vc(li, vc as u8);
-            let credits_in_flight = net.links.credits_in_flight_for_vc(li, vc as u8);
+            let ivc = &net.core.in_vcs[net.core.vc(r, p * vcs + vc)];
+            let (buffered, flits_in_flight) = (ivc.len as u32, ivc.pending as u32);
             if upstream + buffered + flits_in_flight + credits_in_flight != depth {
                 out.push(Violation::CreditConservation {
                     link: li,
@@ -419,8 +426,8 @@ fn check_credit_conservation(net: &Network, out: &mut Vec<Violation>) {
     }
 }
 
-/// Counts flits resident in `net` per class: router input buffers, link
-/// pipelines, and ejection queues.
+/// Counts flits resident in `net` per class: router input buffers, links
+/// (staged downstream), and ejection queues.
 pub(crate) fn resident_by_class(net: &Network) -> [u64; 2] {
     let mut resident = [0u64; 2];
     for r in 0..net.core.len() {
@@ -428,10 +435,8 @@ pub(crate) fn resident_by_class(net: &Network) -> [u64; 2] {
             resident[f.class_ix()] += 1;
         }
     }
-    for li in 0..net.links.len() {
-        for f in net.links.flits(li) {
-            resident[f.class_ix()] += 1;
-        }
+    for f in net.core.all_staged() {
+        resident[f.class_ix()] += 1;
     }
     for f in net.core.eject_queues().iter().flatten() {
         resident[f.class_ix()] += 1;
@@ -558,7 +563,7 @@ pub(crate) fn deadlock_report(net: &Network, stalled_for: u64) -> DeadlockReport
             }
         }
     }
-    let link_flits: u64 = net.links.iter().map(|l| l.in_flight() as u64).sum();
+    let link_flits = net.links.flits_in_flight() as u64;
     let eject_flits: u64 = net.core.eject_queues().iter().map(|q| q.len() as u64).sum();
     DeadlockReport {
         cycle: net.cycle,

@@ -105,8 +105,8 @@ pub struct NocConfig {
     /// then propagates into the network, which is how reply-side
     /// congestion stretches request latencies (§6.4's parking-lot effect).
     pub eject_cap: usize,
-    /// Step only routers and links on the active worklist instead of
-    /// sweeping the whole mesh every cycle. A router with no buffered
+    /// Step only routers on the active worklist instead of sweeping the
+    /// whole mesh every cycle. A router with no buffered
     /// flit is an exact no-op in every pipeline stage, so gating is
     /// bit-identical to the exhaustive sweep; this flag exists purely as
     /// a cross-checking escape hatch (`--no-activity-gate`).

@@ -144,9 +144,8 @@ impl Flit {
     }
 }
 
-/// One slot of a VC buffer or a link pipeline: a time stamp (the enqueue
-/// cycle in a buffer, the arrival cycle on a link) followed by the flit
-/// packed into four words.
+/// One slot of a VC buffer: a time stamp (the cycle the flit arrived, or
+/// arrives, in the buffer) followed by the flit packed into four words.
 ///
 /// The slot arenas hold a few hundred kB per network (4 MB across
 /// DA2Mesh's eight 40-flit-deep subnets). As a plain integer array

@@ -30,10 +30,12 @@
 //! credit loop, which is exactly how the EquiNox NI's five single-packet
 //! buffers attach to the local router and the four EIRs.
 //!
-//! Every cycle proceeds in two phases: arrivals (flits and credits land in
-//! input buffers) and router stages (route computation → VC allocation →
-//! switch allocation → traversal). A flit advances at most one hop per
-//! cycle; links add configurable latency on top.
+//! Every cycle proceeds in two phases: arrivals (the flits and credits due
+//! this cycle come off the links' arrival wheels; a flit in flight already
+//! sits, staged and out of sight, in the input buffer it is bound for) and
+//! router stages (route computation → VC allocation → switch allocation →
+//! traversal). A flit advances at most one hop per cycle; links add
+//! configurable latency on top.
 //!
 //! # Example
 //!

@@ -7,15 +7,20 @@
 //! in the interposer's RDL and is tagged [`LinkKind::Interposer`] so the
 //! energy and µbump models can account for it separately).
 //!
-//! A link's latency is fixed and it carries at most one flit and one
-//! credit per cycle (a router output has one switch-allocation winner, a
-//! router input port returns one credit, an injector accepts one flit),
-//! and both are taken off exactly on their arrival cycle. So each
-//! direction is a ring of `latency + 1` slots — the `+ 1` because an
-//! injector sends before the cycle's delivery runs — and all rings of a
-//! network live in two arenas owned by [`Links`].
+//! A link holds no flit. A flit sent down a link is written straight into
+//! the downstream input VC, staged behind the flits buffered there and
+//! invisible until its arrival cycle (see
+//! [`crate::router::RouterCore::stage`]); the link only records *when* it
+//! arrives. A link's latency is fixed and it carries at most one flit and
+//! one credit per cycle (a router output has one switch-allocation
+//! winner, a router input port returns one credit, an injector accepts
+//! one flit), so what is in flight is two timing wheels of
+//! `next_pow2(max latency + 1)` buckets — the `+ 1` because an injector
+//! sends before the cycle's delivery runs — each bucket holding at most
+//! one entry per link: the flits and the credits that arrive at that
+//! cycle.
 
-use crate::flit::{Slot, SlotExt, EMPTY_SLOT};
+use crate::router::NONE;
 
 /// Physical class of a link, for energy/area accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -38,42 +43,6 @@ pub(crate) enum CreditDst {
     Injector { injector: u32 },
 }
 
-/// Occupancy of one ring of `cap` slots: where the oldest entry sits and
-/// how many follow it. The head returns to 0 whenever the ring empties.
-#[derive(Debug, Clone, Copy, Default)]
-struct Ring {
-    head: u32,
-    len: u32,
-}
-
-impl Ring {
-    /// Slot of the `k`-th oldest entry.
-    #[inline]
-    fn pos(&self, k: u32, cap: u32) -> u32 {
-        let pos = self.head + k;
-        if pos >= cap {
-            pos - cap
-        } else {
-            pos
-        }
-    }
-
-    /// Claims and returns the slot after the newest entry.
-    #[inline]
-    fn push(&mut self, cap: u32) -> u32 {
-        assert!(self.len < cap, "link ring overflow");
-        self.len += 1;
-        self.pos(self.len - 1, cap)
-    }
-
-    /// Drops the oldest entry.
-    #[inline]
-    fn pop(&mut self, cap: u32) {
-        self.len -= 1;
-        self.head = if self.len == 0 { 0 } else { self.pos(1, cap) };
-    }
-}
-
 /// A unidirectional pipelined channel carrying flits downstream and
 /// credits upstream, each with the link's latency.
 #[derive(Debug)]
@@ -87,42 +56,46 @@ pub(crate) struct Link {
     pub credit_dst: CreditDst,
     /// Cumulative flits sent down this link (per-link utilization).
     pub flits_carried: u64,
-    /// First slot of this link's two rings (`latency + 1` slots each) in
-    /// the arenas.
-    base: u32,
-    flits: Ring,
-    credits: Ring,
+    /// Arrival cycle of the newest flit sent, plus one (debug builds
+    /// check that a link carries at most one flit per cycle).
+    #[cfg(debug_assertions)]
+    next_free: u64,
 }
 
-/// Every link of a network, with the flit and credit rings in two flat
-/// arenas.
-#[derive(Debug, Default)]
+/// A flit due off a link: the input VC of the fed router it becomes
+/// visible in, as a mask bit, and its class.
+#[derive(Debug)]
+struct FlitArrival {
+    link: u32,
+    bit: u8,
+    class: u8,
+}
+
+/// Every link of a network, and the two arrival wheels.
+#[derive(Debug)]
 pub(crate) struct Links {
     links: Vec<Link>,
-    /// In-flight flits, stamped with their arrival cycle.
-    flit_slots: Vec<Slot>,
-    /// In-flight credits as `(arrival_cycle, vc)`.
-    credit_slots: Vec<(u64, u8)>,
+    /// Buckets minus one; bucket `t & mask` holds what arrives at `t`.
+    mask: u64,
+    /// Per bucket, the flits arriving then.
+    flits: Vec<Vec<FlitArrival>>,
+    /// Per bucket, the links whose credit arrives then.
+    credits: Vec<Vec<u32>>,
+    /// `credit_vc[link * buckets + bucket]`: the VC of the credit that
+    /// link returns at that bucket's cycle, or [`NONE`]. What lets the
+    /// auditor and the snapshot read one link's credits without a scan.
+    credit_vc: Vec<u8>,
 }
 
-impl Link {
-    /// Number of flits currently in flight (used by drain checks).
-    #[inline]
-    pub fn in_flight(&self) -> usize {
-        self.flits.len as usize
-    }
-
-    /// Number of credits currently in flight back upstream (used by the
-    /// activity gate to keep a link on the credit worklist).
-    #[inline]
-    pub fn credits_pending(&self) -> usize {
-        self.credits.len as usize
-    }
-
-    /// Slots per ring.
-    #[inline]
-    fn cap(&self) -> u32 {
-        self.latency + 1
+impl Default for Links {
+    fn default() -> Self {
+        Links {
+            links: Vec::new(),
+            mask: 0,
+            flits: vec![Vec::new()],
+            credits: vec![Vec::new()],
+            credit_vc: Vec::new(),
+        }
     }
 }
 
@@ -135,7 +108,13 @@ impl std::ops::Index<usize> for Links {
 }
 
 impl Links {
-    /// Appends a link and returns its id.
+    /// Appends a link and returns its id. Every bucket gains room for
+    /// one more entry, so a running network never grows a bucket.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a zero latency, and on a link that needs more buckets
+    /// than the wheels have while anything is in flight.
     pub fn push(
         &mut self,
         kind: LinkKind,
@@ -145,10 +124,17 @@ impl Links {
         credit_dst: CreditDst,
     ) -> usize {
         assert!(latency >= 1, "links need at least one cycle of latency");
-        let base = self.flit_slots.len();
-        let cap = latency as usize + 1;
-        self.flit_slots.resize(base + cap, EMPTY_SLOT);
-        self.credit_slots.resize(base + cap, (0, 0));
+        let buckets = (latency as usize + 1).next_power_of_two();
+        if buckets > self.buckets() {
+            assert!(
+                self.flits_in_flight() == 0 && self.credits.iter().all(Vec::is_empty),
+                "a link longer than the others is added only while nothing is in flight"
+            );
+            self.mask = buckets as u64 - 1;
+            self.flits.resize_with(buckets, Vec::new);
+            self.credits.resize_with(buckets, Vec::new);
+            self.credit_vc = vec![NONE; self.links.len() * buckets];
+        }
         self.links.push(Link {
             kind,
             latency,
@@ -156,11 +142,18 @@ impl Links {
             to_port: to_port as u8,
             credit_dst,
             flits_carried: 0,
-            base: base as u32,
-            flits: Ring::default(),
-            credits: Ring::default(),
+            #[cfg(debug_assertions)]
+            next_free: 0,
         });
-        self.links.len() - 1
+        let n = self.links.len();
+        for bucket in self.flits.iter_mut() {
+            bucket.reserve(n - bucket.len());
+        }
+        for bucket in self.credits.iter_mut() {
+            bucket.reserve(n - bucket.len());
+        }
+        self.credit_vc.resize(n * self.buckets(), NONE);
+        n - 1
     }
 
     pub fn len(&self) -> usize {
@@ -171,223 +164,254 @@ impl Links {
         self.links.iter()
     }
 
-    /// Sends a flit; it arrives downstream at `now + latency`.
+    /// Buckets per wheel.
     #[inline]
-    pub fn send_flit(&mut self, li: usize, now: u64, mut flit: Slot) {
-        flit.set_stamp(now + self.links[li].latency as u64);
-        debug_assert!(
-            self.flits(li).last().is_none_or(|f| f.stamp() < flit.stamp()),
-            "more than one flit per cycle on a link"
-        );
-        let l = &mut self.links[li];
-        let at = l.base + l.flits.push(l.cap());
-        self.flit_slots[at as usize] = flit;
-        l.flits_carried += 1;
+    fn buckets(&self) -> usize {
+        self.mask as usize + 1
     }
 
-    /// Sends a credit back upstream for `vc`; arrives at `now + latency`.
+    /// Sends a flit bound for input VC mask bit `bit` of the fed router
+    /// and returns its arrival cycle, `now + latency`; the caller stages
+    /// the flit there.
+    #[inline]
+    pub fn send_flit(&mut self, li: usize, now: u64, bit: usize, class: usize) -> u64 {
+        let l = &mut self.links[li];
+        l.flits_carried += 1;
+        let at = now + l.latency as u64;
+        self.schedule_flit(li, at, bit, class);
+        at
+    }
+
+    /// Records a flit of link `li` arriving at `at`.
+    #[inline]
+    pub fn schedule_flit(&mut self, li: usize, at: u64, bit: usize, class: usize) {
+        #[cfg(debug_assertions)]
+        {
+            let l = &mut self.links[li];
+            assert!(at >= l.next_free, "more than one flit per cycle on link {li}");
+            l.next_free = at + 1;
+        }
+        self.flits[(at & self.mask) as usize].push(FlitArrival {
+            link: li as u32,
+            bit: bit as u8,
+            class: class as u8,
+        });
+    }
+
+    /// Sends a credit for `vc` back upstream; it arrives at
+    /// `now + latency`.
     #[inline]
     pub fn send_credit(&mut self, li: usize, now: u64, vc: u8) {
-        let l = &mut self.links[li];
-        let at = l.base + l.credits.push(l.cap());
-        self.credit_slots[at as usize] = (now + l.latency as u64, vc);
+        self.schedule_credit(li, now + self.links[li].latency as u64, vc);
     }
 
-    /// Pops the oldest flit if it has arrived by `now`.
+    /// Records a credit of link `li` for `vc` arriving at `at`.
     #[inline]
-    pub fn recv_flit(&mut self, li: usize, now: u64) -> Option<Slot> {
-        let l = &mut self.links[li];
-        let slot = self.flit_slots[(l.base + l.flits.head) as usize];
-        if l.flits.len == 0 || slot.stamp() > now {
-            return None;
-        }
-        l.flits.pop(l.cap());
-        Some(slot)
+    pub fn schedule_credit(&mut self, li: usize, at: u64, vc: u8) {
+        let bucket = (at & self.mask) as usize;
+        let i = li * self.buckets() + bucket;
+        let slot = &mut self.credit_vc[i];
+        debug_assert_eq!(*slot, NONE, "more than one credit per cycle on link {li}");
+        *slot = vc;
+        self.credits[bucket].push(li as u32);
     }
 
-    /// Pops the oldest credit if it has arrived by `now`.
+    /// Takes the credits arriving at `now` off their wheel, handing each
+    /// to `deliver(destination, vc)`.
     #[inline]
-    pub fn recv_credit(&mut self, li: usize, now: u64) -> Option<u8> {
-        let l = &mut self.links[li];
-        let (at, vc) = self.credit_slots[(l.base + l.credits.head) as usize];
-        if l.credits.len == 0 || at > now {
-            return None;
+    pub fn take_credits(&mut self, now: u64, mut deliver: impl FnMut(CreditDst, u8)) {
+        let bucket = (now & self.mask) as usize;
+        let stride = self.buckets();
+        for li in self.credits[bucket].drain(..) {
+            let li = li as usize;
+            let vc = std::mem::replace(&mut self.credit_vc[li * stride + bucket], NONE);
+            deliver(self.links[li].credit_dst, vc);
         }
-        l.credits.pop(l.cap());
-        Some(vc)
     }
 
-    /// All in-flight flits of link `li`, oldest first.
-    pub fn flits(&self, li: usize) -> impl Iterator<Item = &Slot> {
-        let l = &self.links[li];
-        (0..l.flits.len).map(move |k| &self.flit_slots[(l.base + l.flits.pos(k, l.cap())) as usize])
+    /// Takes the flits arriving at `now` off their wheel, handing each to
+    /// `deliver(router, bit, class)`: the fed router, the input VC the
+    /// flit is staged in as a mask bit, and its class.
+    #[inline]
+    pub fn take_flits(&mut self, now: u64, mut deliver: impl FnMut(usize, usize, usize)) {
+        for a in self.flits[(now & self.mask) as usize].drain(..) {
+            let r = self.links[a.link as usize].to_router as usize;
+            deliver(r, a.bit as usize, a.class as usize);
+        }
     }
 
-    /// All in-flight credits of link `li` as `(arrival, vc)`, oldest first.
-    fn credits(&self, li: usize) -> impl Iterator<Item = (u64, u8)> + '_ {
-        let l = &self.links[li];
-        (0..l.credits.len)
-            .map(move |k| self.credit_slots[(l.base + l.credits.pos(k, l.cap())) as usize])
+    /// Flits in flight on every link together.
+    pub fn flits_in_flight(&self) -> usize {
+        self.flits.iter().map(Vec::len).sum()
     }
 
-    /// Flits in flight destined for downstream input VC `vc` (audit).
-    pub fn flits_in_flight_on_vc(&self, li: usize, vc: u8) -> u32 {
-        self.flits(li).filter(|f| f.vc() == vc).count() as u32
+    /// The credits in flight back up link `li` as `(arrival, vc)`, oldest
+    /// first, read between steps at cycle `now`: every arrival still due
+    /// lies in `now..now + buckets`, one bucket per cycle.
+    pub fn credits(&self, li: usize, now: u64) -> impl Iterator<Item = (u64, u8)> + '_ {
+        let base = li * self.buckets();
+        (now..now + self.buckets() as u64).filter_map(move |at| {
+            let vc = self.credit_vc[base + (at & self.mask) as usize];
+            (vc != NONE).then_some((at, vc))
+        })
     }
 
-    /// Credits in flight back upstream for VC `vc` (audit).
-    pub fn credits_in_flight_for_vc(&self, li: usize, vc: u8) -> u32 {
-        self.credits(li).filter(|&(_, v)| v == vc).count() as u32
+    /// Empties both wheels, keeping their buckets' room (a restore
+    /// refills them).
+    pub fn clear_in_flight(&mut self) {
+        self.flits.iter_mut().for_each(Vec::clear);
+        self.credits.iter_mut().for_each(Vec::clear);
+        self.credit_vc.fill(NONE);
+        #[cfg(debug_assertions)]
+        for l in &mut self.links {
+            l.next_free = 0;
+        }
     }
 
-    /// Serializes link `li`'s dynamic state (in-flight flits/credits and
-    /// the carried counter) in the format of the `VecDeque` pipelines
-    /// this replaced; endpoints and latency are topology.
-    pub fn snap_state(&self, li: usize, e: &mut equinox_snap::Enc) {
-        use equinox_snap::Snap;
-        let l = &self.links[li];
-        e.put_usize(l.in_flight());
-        for f in self.flits(li) {
-            (f.stamp(), f.flit()).snap(e);
-        }
-        e.put_usize(l.credits_pending());
-        for c in self.credits(li) {
-            c.snap(e);
-        }
-        e.put_u64(l.flits_carried);
-    }
-
-    /// Restores state written by [`Links::snap_state`]. `vcs` bounds the
-    /// VC ids carried by flits and credits, which index flat arrays
-    /// downstream.
-    pub fn restore_state(
-        &mut self,
-        li: usize,
-        d: &mut equinox_snap::Dec,
-        vcs: u8,
-    ) -> Result<(), equinox_snap::SnapError> {
-        use crate::flit::Flit;
-        use equinox_snap::{Snap, SnapError};
-        let l = &mut self.links[li];
-        let base = l.base as usize;
-        let n = d.usize()?;
-        if n > l.latency as usize + 1 {
-            return Err(SnapError::BadValue("link flits over latency"));
-        }
-        for k in 0..n {
-            let (at, f) = <(u64, Flit)>::restore(d)?;
-            if f.vc >= vcs {
-                return Err(SnapError::BadValue("link flit vc"));
-            }
-            self.flit_slots[base + k] = Slot::pack(at, &f);
-        }
-        l.flits = Ring { head: 0, len: n as u32 };
-        let n = d.usize()?;
-        if n > l.latency as usize + 1 {
-            return Err(SnapError::BadValue("link credits over latency"));
-        }
-        for k in 0..n {
-            let c = <(u64, u8)>::restore(d)?;
-            if c.1 >= vcs {
-                return Err(SnapError::BadValue("link credit vc"));
-            }
-            self.credit_slots[base + k] = c;
-        }
-        l.credits = Ring { head: 0, len: n as u32 };
-        l.flits_carried = d.u64()?;
-        Ok(())
+    /// Restores link `li`'s carried counter.
+    pub fn set_flits_carried(&mut self, li: usize, carried: u64) {
+        self.links[li].flits_carried = carried;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flit::{MessageClass, PacketDesc};
-    use equinox_phys::Coord;
 
-    fn test_flit() -> Slot {
-        let f = PacketDesc::new(
-            0,
-            Coord::new(0, 0),
-            Coord::new(1, 1),
-            MessageClass::Reply,
-            1,
-        )
-        .flits(8)[0];
-        Slot::pack(0, &f)
+    fn test_links(latencies: &[u32]) -> Links {
+        let mut links = Links::default();
+        for (k, &latency) in latencies.iter().enumerate() {
+            links.push(
+                LinkKind::Mesh,
+                latency,
+                k + 1,
+                0,
+                CreditDst::RouterOutput { router: 0, port: k as u8 },
+            );
+        }
+        links
     }
 
-    fn test_link(latency: u32) -> Links {
-        let mut links = Links::default();
-        links.push(
-            LinkKind::Mesh,
-            latency,
-            1,
-            0,
-            CreditDst::RouterOutput { router: 0, port: 1 },
-        );
-        links
+    /// `(link, bit, class)` of each flit arriving at `now`; link `k`
+    /// feeds router `k + 1`.
+    fn flits_at(l: &mut Links, now: u64) -> Vec<(usize, usize, usize)> {
+        let mut got = Vec::new();
+        l.take_flits(now, |r, bit, class| got.push((r - 1, bit, class)));
+        got
+    }
+
+    /// `(link, vc)` of each credit arriving at `now`; link `k` returns
+    /// credits to port `k`.
+    fn credits_at(l: &mut Links, now: u64) -> Vec<(usize, u8)> {
+        let mut got = Vec::new();
+        l.take_credits(now, |dst, vc| match dst {
+            CreditDst::RouterOutput { port, .. } => got.push((port as usize, vc)),
+            CreditDst::Injector { .. } => unreachable!("test links return credits to routers"),
+        });
+        got
     }
 
     #[test]
     fn flit_arrives_after_latency() {
-        let mut l = test_link(3);
-        l.send_flit(0, 10, test_flit());
-        assert_eq!(l.recv_flit(0, 11), None);
-        assert_eq!(l.recv_flit(0, 12), None);
-        assert!(l.recv_flit(0, 13).is_some());
-        assert_eq!(l.recv_flit(0, 13), None, "only one flit was sent");
+        let mut l = test_links(&[3]);
+        assert_eq!(l.send_flit(0, 10, 1, 1), 13);
+        assert_eq!(l[0].flits_carried, 1);
+        for now in 11..13 {
+            assert_eq!(flits_at(&mut l, now), []);
+        }
+        assert_eq!(l.flits_in_flight(), 1);
+        assert_eq!(flits_at(&mut l, 13), [(0, 1, 1)]);
+        assert_eq!(flits_at(&mut l, 13), [], "only one flit was sent");
+        assert_eq!(l.flits_in_flight(), 0);
     }
 
     #[test]
     fn credits_travel_independently() {
-        let mut l = test_link(2);
+        let mut l = test_links(&[2]);
         l.send_credit(0, 5, 1);
         l.send_credit(0, 6, 0);
-        assert_eq!(l.recv_credit(0, 6), None);
-        assert_eq!(l.recv_credit(0, 7), Some(1));
-        assert_eq!(l.recv_credit(0, 7), None);
-        assert_eq!(l.recv_credit(0, 8), Some(0));
+        assert_eq!(l.credits(0, 6).collect::<Vec<_>>(), [(7, 1), (8, 0)]);
+        assert_eq!(credits_at(&mut l, 6), []);
+        assert_eq!(credits_at(&mut l, 7), [(0, 1)]);
+        assert_eq!(credits_at(&mut l, 7), []);
+        assert_eq!(l.credits(0, 8).collect::<Vec<_>>(), [(8, 0)]);
+        assert_eq!(credits_at(&mut l, 8), [(0, 0)]);
+        assert_eq!(l.credits(0, 9).count(), 0);
     }
 
     #[test]
     fn in_flight_counts() {
-        let mut l = test_link(5);
-        assert_eq!(l[0].in_flight(), 0);
-        l.send_flit(0, 0, test_flit());
-        assert_eq!(l[0].in_flight(), 1);
-        let _ = l.recv_flit(0, 5);
-        assert_eq!(l[0].in_flight(), 0);
+        let mut l = test_links(&[5, 1]);
+        assert_eq!(l.flits_in_flight(), 0);
+        l.send_flit(0, 0, 0, 0);
+        l.send_flit(1, 0, 0, 0);
+        assert_eq!(l.flits_in_flight(), 2);
+        assert_eq!(flits_at(&mut l, 1).len(), 1);
+        assert_eq!(l.flits_in_flight(), 1);
+        l.send_credit(1, 1, 0);
+        l.clear_in_flight();
+        assert_eq!(l.flits_in_flight(), 0);
+        assert_eq!(l.credits(1, 1).count(), 0);
+        assert_eq!(credits_at(&mut l, 2), []);
     }
 
     #[test]
-    fn a_full_pipeline_wraps_the_ring_in_order() {
-        // One flit per cycle, an injector's schedule: sent before the
-        // cycle's delivery, so latency + 1 flits are in flight at once.
-        for latency in [1u32, 2, 5] {
-            let mut l = test_link(latency);
-            let mut next = 0u64;
-            for now in 0..40u64 {
-                let mut f = test_flit();
-                f[1] = now; // the packet id
-                l.send_flit(0, now, f);
-                l.send_credit(0, now, (now % 3) as u8);
-                if let Some(got) = l.recv_flit(0, now) {
-                    assert_eq!(got.pkt().0, next, "latency {latency}");
-                    assert_eq!(l.recv_credit(0, now), Some((next % 3) as u8));
-                    next += 1;
-                }
-                assert!(l[0].in_flight() <= latency as usize + 1);
-                let stamps: Vec<u64> = l.flits(0).map(|f| f.stamp()).collect();
-                assert!(stamps.windows(2).all(|w| w[0] < w[1]), "oldest first");
+    fn a_full_pipeline_wraps_the_wheel_in_order() {
+        // One flit and one credit per cycle on every link, an injector's
+        // schedule: sent before the cycle's delivery, so latency + 1
+        // flits are in flight at once, and the buckets wrap many times.
+        // The links' latencies differ, so they share buckets unevenly.
+        let latencies = [1u32, 2, 3, 5];
+        let mut l = test_links(&latencies);
+        let mut next = [0u64; 4];
+        for now in 0..40u64 {
+            for li in 0..latencies.len() {
+                l.send_flit(li, now, (now % 4) as usize, 0);
+                l.send_credit(li, now, (now % 3) as u8);
             }
-            assert_eq!(next, 40 - latency as u64);
+            let mut flits = flits_at(&mut l, now);
+            flits.sort();
+            let credits = credits_at(&mut l, now);
+            let due: Vec<usize> = (0..4).filter(|&li| now >= latencies[li] as u64).collect();
+            assert_eq!(flits.iter().map(|a| a.0).collect::<Vec<_>>(), due);
+            assert_eq!(credits.len(), due.len());
+            for (li, bit, _) in flits {
+                assert_eq!(bit as u64, next[li] % 4, "link {li} at {now}");
+                assert!(credits.contains(&(li, (next[li] % 3) as u8)));
+                next[li] += 1;
+            }
+            for (li, &latency) in latencies.iter().enumerate() {
+                let arrivals: Vec<u64> = l.credits(li, now + 1).map(|(at, _)| at).collect();
+                let first = now.max(latency as u64 - 1) + 1;
+                let expected: Vec<u64> = (first..=now + latency as u64).collect();
+                assert_eq!(arrivals, expected, "link {li}: oldest first, one per cycle");
+            }
         }
+        for (li, &latency) in latencies.iter().enumerate() {
+            assert_eq!(next[li], 40 - latency as u64);
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "more than one flit per cycle on link 0")]
+    fn a_second_flit_in_one_cycle_is_refused() {
+        let mut l = test_links(&[2]);
+        l.send_flit(0, 4, 0, 0);
+        l.send_flit(0, 4, 1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "nothing is in flight")]
+    fn a_longer_link_waits_for_empty_wheels() {
+        let mut l = test_links(&[1]);
+        l.send_credit(0, 0, 0);
+        l.push(LinkKind::Interposer, 2, 0, 0, CreditDst::Injector { injector: 0 });
     }
 
     #[test]
     #[should_panic(expected = "at least one cycle")]
     fn zero_latency_rejected() {
-        let _ = test_link(0);
+        let _ = test_links(&[0]);
     }
 }

@@ -2,14 +2,16 @@
 //!
 //! [`Network::step`] advances one clock cycle in two phases:
 //!
-//! 1. **Arrivals** — flits and credits that finished traversing links are
-//!    delivered into router input buffers / credit counters.
+//! 1. **Arrivals** — the credits and flits due this cycle come off the
+//!    links' two arrival wheels: credits into upstream counters, flits
+//!    into sight in the input VCs they were staged in when sent.
 //! 2. **Router stages** — every router performs route computation for new
 //!    head flits, VC allocation (adaptive candidates preferred by
 //!    downstream credit count, XY escape fallback), separable input-first
 //!    switch allocation with round-robin arbiters, and switch traversal,
-//!    which pushes flits onto outgoing links (or ejection queues) and
-//!    returns a credit upstream for the freed buffer slot.
+//!    which stages flits in the downstream input VC of the outgoing link
+//!    (or parks them in an ejection queue) and returns a credit upstream
+//!    for the freed buffer slot.
 //!
 //! Router state lives in the flat arrays of [`RouterCore`]; the stages
 //! walk each router's mask words (`occupied`, `allocated`, `out_free`,
@@ -152,10 +154,6 @@ pub struct Network {
     stall: Option<Box<StallGrid>>,
     /// Routers that may do work this cycle (≥ 1 buffered flit).
     active_routers: Worklist,
-    /// Links with flits in flight.
-    active_flit_links: Worklist,
-    /// Links with credits in flight.
-    active_credit_links: Worklist,
     /// Routers with a flit parked in some ejection queue (`ejecting`
     /// mask non-zero) — what [`Network::next_ejecting`] walks, so a sink
     /// drain costs per parked flit, not per port.
@@ -216,8 +214,6 @@ impl Network {
             audit: None,
             stall: None,
             active_routers: Worklist::with_len(n),
-            active_flit_links: Worklist::default(),
-            active_credit_links: Worklist::default(),
             ejecting_routers: Worklist::with_len(n),
         };
         // Network links, in the fabric's deterministic build order (link
@@ -253,8 +249,7 @@ impl Network {
         Self::new(cfg)
     }
 
-    /// Appends a link feeding input port `to_port` of `to_router` and
-    /// grows the per-link worklists with it.
+    /// Appends a link feeding input port `to_port` of `to_router`.
     fn push_link(
         &mut self,
         kind: LinkKind,
@@ -266,8 +261,6 @@ impl Network {
         let id = self.links.push(kind, latency, to_router, to_port, credit_dst);
         let fed = self.core.port(to_router, to_port);
         self.core.feed_link[fed] = id as u32;
-        self.active_flit_links.grow_to(id + 1);
-        self.active_credit_links.grow_to(id + 1);
         id
     }
 
@@ -436,11 +429,8 @@ impl Network {
         inj.active_vc = if flit.is_tail() { None } else { Some(vc) };
         flit.vc = vc;
         let link = inj.link;
-        let kind = self.links[link].kind;
         let to_router = self.links[link].to_router as usize;
-        self.links.send_flit(link, self.cycle, Slot::pack(0, &flit));
-        self.active_flit_links.insert(link);
-        self.stats.count_link_flit(kind);
+        self.send_flit(link, self.cycle, Slot::pack(0, &flit));
         self.stats.injected_flits += 1;
         if let Some(a) = self.audit.as_deref_mut() {
             a.injected[audit::class_ix(class)] += 1;
@@ -557,49 +547,29 @@ impl Network {
         }
     }
 
-    /// Reference schedule: every link and every router, in id order.
-    /// The gated sweep must match this bit-for-bit.
+    /// Reference schedule: every router, in id order. The gated sweep
+    /// must match this bit-for-bit.
     fn step_exhaustive(&mut self, now: u64) {
-        for li in 0..self.links.len() {
-            self.deliver_credits_link(li, now);
-        }
-        for li in 0..self.links.len() {
-            self.deliver_flits_link(li, now);
-        }
+        self.deliver(now);
         for r in 0..self.core.len() {
             self.route_and_allocate(r);
             self.switch(r, now);
         }
     }
 
-    /// Activity-gated schedule: only links with traffic in flight and
-    /// routers with buffered flits are visited, in ascending id order —
-    /// the same relative order as the exhaustive sweep, whose skipped
-    /// elements are exact no-ops (an empty router allocates nothing and
-    /// grants nothing, so none of its arbiter state advances). Each
-    /// worklist drops the elements that went quiet as it is walked;
-    /// elements are re-activated by the arrival edges in the delivery
-    /// helpers, `try_inject_flit` and `traverse`.
+    /// Activity-gated schedule: only routers with buffered flits are
+    /// visited, in ascending id order — the same relative order as the
+    /// exhaustive sweep, whose skipped routers are exact no-ops (an empty
+    /// router allocates nothing and grants nothing, so none of its
+    /// arbiter state advances). The worklist drops the routers that went
+    /// quiet as it is walked; a router is re-activated when a flit
+    /// arrives at it.
     ///
-    /// Taking a worklist out of `self` is safe because no phase inserts
-    /// into the set it iterates: credit delivery never sends credits,
-    /// flit delivery never sends flits, and the router stages never push
-    /// into another router's buffers (links have latency ≥ 1).
+    /// Taking the worklist out of `self` is safe because the router
+    /// stages never insert into it: a flit they send is staged, and
+    /// arrives at the earliest next cycle (links have latency ≥ 1).
     fn step_gated(&mut self, now: u64) {
-        let mut active = std::mem::take(&mut self.active_credit_links);
-        active.sweep(|li| {
-            self.deliver_credits_link(li, now);
-            self.links[li].credits_pending() > 0
-        });
-        self.active_credit_links = active;
-
-        let mut active = std::mem::take(&mut self.active_flit_links);
-        active.sweep(|li| {
-            self.deliver_flits_link(li, now);
-            self.links[li].in_flight() > 0
-        });
-        self.active_flit_links = active;
-
+        self.deliver(now);
         let mut active = std::mem::take(&mut self.active_routers);
         active.sweep(|r| {
             self.route_and_allocate(r);
@@ -609,31 +579,41 @@ impl Network {
         self.active_routers = active;
     }
 
-    /// Delivers the credits arriving on link `li` at `now`.
-    fn deliver_credits_link(&mut self, li: usize, now: u64) {
-        while let Some(vc) = self.links.recv_credit(li, now) {
-            match self.links[li].credit_dst {
-                CreditDst::RouterOutput { router, port } => {
-                    let out_bit = port as usize * self.core.vcs() + vc as usize;
-                    self.core.return_credit(router as usize, out_bit);
-                }
-                CreditDst::Injector { injector } => {
-                    self.injectors[injector as usize].credits[vc as usize] += 1;
-                }
+    /// Takes what arrives at `now` off the links' wheels: credits into
+    /// their upstream counters, then flits into sight, activating the
+    /// routers they arrive at. Deliveries within a cycle commute — a
+    /// link carries at most one flit and one credit per cycle and feeds
+    /// one `(router, port)` — so the wheels' order is as good as the
+    /// link order it replaces.
+    fn deliver(&mut self, now: u64) {
+        let vcs = self.core.vcs();
+        self.links.take_credits(now, |dst, vc| match dst {
+            CreditDst::RouterOutput { router, port } => {
+                self.core.return_credit(router as usize, port as usize * vcs + vc as usize);
             }
-        }
-    }
-
-    /// Delivers the flits arriving on link `li` at `now`, activating the
-    /// fed router.
-    fn deliver_flits_link(&mut self, li: usize, now: u64) {
-        while let Some(mut slot) = self.links.recv_flit(li, now) {
-            let (r, p) = (self.links[li].to_router as usize, self.links[li].to_port as usize);
-            slot.set_stamp(now);
-            self.core.push(r, p * self.core.vcs() + slot.vc() as usize, slot);
+            CreditDst::Injector { injector } => {
+                self.injectors[injector as usize].credits[vc as usize] += 1;
+            }
+        });
+        self.links.take_flits(now, |r, bit, class| {
+            self.core.arrive(r, bit, class);
             self.stats.buffer_writes += 1;
             self.active_routers.insert(r);
-        }
+        });
+    }
+
+    /// Sends `slot` down link `li` at `now`: it is staged, stamped with
+    /// its arrival cycle, in the downstream input VC it names.
+    #[inline]
+    fn send_flit(&mut self, li: usize, now: u64, mut slot: Slot) {
+        let (r, p, kind) = {
+            let l = &self.links[li];
+            (l.to_router as usize, l.to_port as usize, l.kind)
+        };
+        let bit = p * self.core.vcs() + slot.vc() as usize;
+        slot.set_stamp(self.links.send_flit(li, now, bit, slot.class_ix()));
+        self.core.stage(r, bit, slot);
+        self.stats.count_link_flit(kind);
     }
 
     /// The [`Route`] from router `cur` toward node `dst`.
@@ -678,7 +658,9 @@ impl Network {
     /// (ejection VCs need only be free). The skip is exact: allocation
     /// succeeds if and only if `want & avail != 0`, and nothing in
     /// `want` depends on the cycle (DESIGN.md "Blocked heads and due
-    /// channels"). Debug builds re-run the allocator on every skip.
+    /// channels"). Debug builds re-run the allocator on every skip. A
+    /// head with a want has cleared the pipeline, so without a stall grid
+    /// to charge its class to, it is skipped before its slot is read.
     fn route_and_allocate(&mut self, ri: usize) {
         let s = &self.core.routers[ri];
         let mut waiting = s.occupied & !s.allocated;
@@ -687,6 +669,17 @@ impl Network {
         while waiting != 0 {
             let bit = waiting.trailing_zeros() as usize;
             waiting &= waiting - 1;
+            let want = self.core.want[vc_base + bit];
+            let s = &self.core.routers[ri];
+            let blocked = want != 0 && want & s.out_free & (s.out_ready | eject_vcs) == 0;
+            if blocked && self.stall.is_none() {
+                debug_assert!(
+                    self.refused(ri, bit),
+                    "router {ri} skipped input VC bit {bit}, whose head could be allocated"
+                );
+                self.alloc_counts.skipped += 1;
+                continue;
+            }
             let head = self.core.front(vc_base + bit);
             // Pipeline gating: the head must have cleared the router's
             // extra stages before allocation.
@@ -697,14 +690,9 @@ impl Network {
             let (class, sink) = (head.class_ix(), head.sink());
             // Row-major node ids are every fabric's convention.
             let dst = (head.dst_key() != coord_key).then(|| head.dst().to_index(self.cfg.width));
-            let want = self.core.want[vc_base + bit];
-            let s = &self.core.routers[ri];
-            let grant = if want != 0 && want & s.out_free & (s.out_ready | eject_vcs) == 0 {
+            let grant = if blocked {
                 debug_assert!(
-                    {
-                        let route = dst.map(|d| self.routes[ri * self.core.len() + d]);
-                        self.allocate(ri, bit, class, sink, route).is_err()
-                    },
+                    self.refused(ri, bit),
                     "router {ri} skipped input VC bit {bit}, whose head could be allocated"
                 );
                 self.alloc_counts.skipped += 1;
@@ -739,6 +727,15 @@ impl Network {
                 }
             }
         }
+    }
+
+    /// `true` if the allocator, run read-only, refuses the head of the
+    /// input VC at mask bit `bit` of router `ri` — what a skip asserts.
+    fn refused(&self, ri: usize, bit: usize) -> bool {
+        let head = self.core.front(self.core.vc(ri, bit));
+        let route = (head.dst_key() != self.core.routers[ri].coord_key)
+            .then(|| self.routes[ri * self.core.len() + head.dst().to_index(self.cfg.width)]);
+        self.allocate(ri, bit, head.class_ix(), head.sink(), route).is_err()
     }
 
     /// VC allocation for the head of class `class` at input mask bit
@@ -992,16 +989,11 @@ impl Network {
         if feed != NO_LINK {
             // Return a credit for the freed input-buffer slot.
             self.links.send_credit(feed as usize, now, iv as u8);
-            self.active_credit_links.insert(feed as usize);
         }
         let kind = match self.core.role(ri, op) {
             OutputRole::Link(l) => {
-                let l = l as usize;
                 self.core.spend_credit(ri, op * vcs + ov as usize);
-                let kind = self.links[l].kind;
-                self.links.send_flit(l, now, flit);
-                self.active_flit_links.insert(l);
-                self.stats.count_link_flit(kind);
+                self.send_flit(l as usize, now, flit);
                 TraceKind::Hop
             }
             OutputRole::Eject { .. } => {
@@ -1028,12 +1020,12 @@ impl Network {
 
     /// `true` when no flit is buffered anywhere, in flight on a link, or
     /// waiting in an ejection queue. A scan over the router masks and
-    /// the links: nothing on the per-cycle path asks (the auditor's
+    /// the flit wheel: nothing on the per-cycle path asks (the auditor's
     /// watchdog on a stall, drain tails, tests).
     pub fn quiescent(&self) -> bool {
         !self.has_ejected()
             && self.core.routers.iter().all(|s| s.occupied == 0)
-            && self.links.iter().all(|l| l.in_flight() == 0)
+            && self.links.flits_in_flight() == 0
     }
 
     /// `true` when any flit sits in an eject queue — the one case a
@@ -1098,10 +1090,7 @@ impl Network {
             .flat_map(|r| self.core.router_flits(r))
             .filter(|f| f.is_tail())
             .count();
-        let links = (0..self.links.len())
-            .flat_map(|li| self.links.flits(li))
-            .filter(|f| f.is_tail())
-            .count();
+        let links = self.core.all_staged().filter(|f| f.is_tail()).count();
         let eject = self
             .core
             .eject_queues()
@@ -1252,7 +1241,9 @@ impl Network {
     /// boundary, worklist membership equals the retention predicates the
     /// gated sweep itself uses; the ejection set mirrors the queues). The
     /// byte format predates the flat router core and is the per-router,
-    /// per-port, per-VC nesting of the structs it replaced.
+    /// per-port, per-VC nesting of the structs it replaced; the link
+    /// section is re-derived from the staged flits and the credit wheel
+    /// (`snap_link`).
     pub fn snapshot_state(&self, e: &mut equinox_snap::Enc) {
         use equinox_snap::Snap;
         // Shape tag: restoring into a different fabric would scramble
@@ -1268,7 +1259,7 @@ impl Network {
         }
         e.put_usize(self.links.len());
         for li in 0..self.links.len() {
-            self.links.snap_state(li, e);
+            self.snap_link(li, e);
         }
         e.put_usize(self.injectors.len());
         for inj in &self.injectors {
@@ -1348,8 +1339,9 @@ impl Network {
         if d.usize()? != self.links.len() {
             return Err(SnapError::BadValue("link count"));
         }
+        self.links.clear_in_flight();
         for li in 0..self.links.len() {
-            self.links.restore_state(li, d, self.cfg.vcs_per_port)?;
+            self.restore_link(li, d)?;
         }
         if d.usize()? != self.injectors.len() {
             return Err(SnapError::BadValue("injector count"));
@@ -1414,34 +1406,103 @@ impl Network {
         Ok(())
     }
 
-    /// Rebuilds the activity worklists and the ejection set from
-    /// restored router/link/eject state. At a step boundary the
-    /// gated sweep keeps exactly the elements whose retention predicate
-    /// is positive (`credits_pending`, `in_flight`, buffered flits), and
-    /// re-activation edges insert elements only when those predicates
-    /// become positive — so recomputing membership from the predicates
-    /// reproduces the worklists bit-for-bit. The ejection set is exact
-    /// at any time (router present ⇔ `ejecting` mask non-zero).
+    /// Serializes link `li`'s dynamic state in the format of the
+    /// `VecDeque` pipelines links once were: the flits in flight as
+    /// `(arrival, Flit)` — staged in the fed port's VCs, read there in
+    /// arrival order — then the credits in flight as `(arrival, vc)`,
+    /// oldest first, then the carried counter. Endpoints and latency are
+    /// topology.
+    fn snap_link(&self, li: usize, e: &mut equinox_snap::Enc) {
+        use equinox_snap::Snap;
+        let l = &self.links[li];
+        let (r, p) = (l.to_router as usize, l.to_port as usize);
+        e.put_usize(self.core.staged_on_port(r, p));
+        self.core.visit_staged_on_port(r, p, |s| (s.stamp(), s.flit()).snap(e));
+        e.put_usize(self.links.credits(li, self.cycle).count());
+        for c in self.links.credits(li, self.cycle) {
+            c.snap(e);
+        }
+        e.put_u64(l.flits_carried);
+    }
+
+    /// Restores state written by [`Network::snap_link`] onto empty
+    /// wheels, after the routers. Each flit is staged in the input VC it
+    /// names. Everything a run cannot write is refused: a VC id the port
+    /// does not have, a flit for a VC with no free slot, an arrival
+    /// outside `cycle..=cycle + latency`, and two arrivals on the link in
+    /// one cycle or out of order.
+    fn restore_link(
+        &mut self,
+        li: usize,
+        d: &mut equinox_snap::Dec,
+    ) -> Result<(), equinox_snap::SnapError> {
+        use equinox_snap::{Snap, SnapError};
+        let (vcs, cycle) = (self.core.vcs(), self.cycle);
+        let (r, p, latency) = {
+            let l = &self.links[li];
+            (l.to_router as usize, l.to_port as usize, l.latency as u64)
+        };
+        // The arrival of the entry before, if any.
+        let mut prev: Option<u64> = None;
+        for _ in 0..d.usize()? {
+            let (at, f) = <(u64, Flit)>::restore(d)?;
+            if f.vc as usize >= vcs {
+                return Err(SnapError::BadValue("link flit vc"));
+            }
+            if at < cycle || at - cycle > latency {
+                return Err(SnapError::BadValue(
+                    "link flit arrival outside cycle..=cycle + latency",
+                ));
+            }
+            if prev.is_some_and(|before| at <= before) {
+                return Err(SnapError::BadValue("link flits out of arrival order"));
+            }
+            let bit = p * vcs + f.vc as usize;
+            if !self.core.has_room(r, bit) {
+                return Err(SnapError::BadValue("link flit into a full input VC"));
+            }
+            let slot = Slot::pack(at, &f);
+            self.links.schedule_flit(li, at, bit, slot.class_ix());
+            self.core.stage(r, bit, slot);
+            prev = Some(at);
+        }
+        let mut prev: Option<u64> = None;
+        for _ in 0..d.usize()? {
+            let (at, vc) = <(u64, u8)>::restore(d)?;
+            if vc as usize >= vcs {
+                return Err(SnapError::BadValue("link credit vc"));
+            }
+            if at < cycle || at - cycle > latency {
+                return Err(SnapError::BadValue(
+                    "link credit arrival outside cycle..=cycle + latency",
+                ));
+            }
+            if prev.is_some_and(|before| at <= before) {
+                return Err(SnapError::BadValue("link credits out of arrival order"));
+            }
+            self.links.schedule_credit(li, at, vc);
+            prev = Some(at);
+        }
+        self.links.set_flits_carried(li, d.u64()?);
+        Ok(())
+    }
+
+    /// Rebuilds the router worklist and the ejection set from restored
+    /// router and eject state. At a step boundary the gated sweep keeps
+    /// exactly the routers with a buffered flit, and arrivals insert a
+    /// router only when it gains one — so recomputing membership from
+    /// `occupied` reproduces the worklist bit-for-bit. The ejection set
+    /// is exact at any time (router present ⇔ `ejecting` mask non-zero).
     fn recompute_activity(&mut self) {
-        let (routers, links) = (self.core.len(), self.links.len());
+        let routers = self.core.len();
         self.active_routers = Worklist::with_len(routers);
         self.ejecting_routers = Worklist::with_len(routers);
-        self.active_flit_links = Worklist::with_len(links);
-        self.active_credit_links = Worklist::with_len(links);
         for r in 0..routers {
             if self.core.routers[r].occupied != 0 {
                 self.active_routers.insert(r);
             }
             if self.core.routers[r].ejecting != 0 {
                 self.ejecting_routers.insert(r);
-            }
-        }
-        for li in 0..links {
-            if self.links[li].in_flight() > 0 {
-                self.active_flit_links.insert(li);
-            }
-            if self.links[li].credits_pending() > 0 {
-                self.active_credit_links.insert(li);
             }
         }
     }
@@ -1914,6 +1975,91 @@ mod tests {
             Network::mesh(NocConfig::mesh(4)).restore_state(&mut Dec::new(&over)),
             Err(SnapError::BadValue("eject queue over cap"))
         );
+    }
+
+    /// A snapshot of a 4×4 mesh whose router (1, 1) holds a five-flit
+    /// packet in one local input VC, full (50 extra pipeline stages keep
+    /// it there), while the NI link feeding that port carries one flit of
+    /// the next packet toward the other VC. Returns the config, the
+    /// snapshot's cycle, its bytes, where that flit's encoding starts (its
+    /// arrival stamp is the 8 bytes before, its VC id the last byte) and
+    /// the full VC.
+    fn snapshot_with_a_link_flit() -> (NocConfig, u64, Vec<u8>, usize, u8) {
+        use equinox_snap::{Enc, Snap};
+        let mut cfg = NocConfig::mesh(4);
+        cfg.pipeline_extra = 50;
+        let mut net = Network::mesh(cfg.clone());
+        let (node, dst) = (Coord::new(1, 1), Coord::new(3, 3));
+        let inj = net.local_injector(node);
+        for f in PacketDesc::new(1, node, dst, MessageClass::Reply, 5).flits(4) {
+            assert!(net.try_inject_flit(inj, f));
+            net.step();
+        }
+        net.step();
+        let r = net.topo.node_index(node);
+        let full = (0..2u8)
+            .find(|&v| net.core.in_vcs[net.core.vc(r, PORT_LOCAL * 2 + v as usize)].len == 5)
+            .expect("the packet fills a VC");
+        let mut next = PacketDesc::new(0xFEED, node, dst, MessageClass::Reply, 1).flits(4)[0];
+        assert!(net.try_inject_flit(inj, next));
+        next.vc = 1 - full;
+        let mut e = Enc::new();
+        next.snap(&mut e);
+        let pattern = e.into_bytes();
+        let mut e = Enc::new();
+        net.snapshot_state(&mut e);
+        let bytes = e.into_bytes();
+        let hits: Vec<usize> = (0..=bytes.len() - pattern.len())
+            .filter(|&at| bytes[at..at + pattern.len()] == pattern[..])
+            .collect();
+        let [at] = hits[..] else {
+            panic!("the flit in flight must occur exactly once, found at {hits:?}");
+        };
+        let stamp = (net.cycle() + 1).to_le_bytes();
+        assert_eq!(bytes[at - 8..at], stamp, "sent now, one cycle of latency");
+        (cfg, net.cycle(), bytes, at, full)
+    }
+
+    #[test]
+    fn restore_rejects_a_link_flit_into_a_full_input_vc() {
+        use equinox_snap::{Dec, SnapError};
+        let (cfg, _, bytes, at, full) = snapshot_with_a_link_flit();
+        let restore =
+            |bytes: &[u8]| Network::mesh(cfg.clone()).restore_state(&mut Dec::new(bytes));
+        assert_eq!(restore(&bytes), Ok(()));
+        // The same flit bound for the full VC: a restore used to accept
+        // it, and the arrival a step later overflowed the buffer.
+        let mut bad = bytes.clone();
+        bad[at + 25] = full;
+        assert_eq!(restore(&bad), Err(SnapError::BadValue("link flit into a full input VC")));
+    }
+
+    #[test]
+    fn restore_rejects_a_link_flit_arriving_outside_the_latency() {
+        use equinox_snap::{Dec, SnapError};
+        let (cfg, cycle, bytes, at, _) = snapshot_with_a_link_flit();
+        let restamped = |stamp: u64| {
+            let mut b = bytes.clone();
+            b[at - 8..at].copy_from_slice(&stamp.to_le_bytes());
+            let mut net = Network::mesh(cfg.clone());
+            net.restore_state(&mut Dec::new(&b)).map(|()| net)
+        };
+        // NI links here take one cycle: the flit may arrive now or next.
+        for stamp in [cycle, cycle + 1] {
+            let mut net = restamped(stamp).expect("an arrival in the window");
+            net.step();
+            net.step();
+            assert_eq!(net.buffered_flits(), 6, "the flit arrived");
+        }
+        // Stamped before the snapshot's cycle, it used to be delivered
+        // late with its stamp rewritten.
+        for stamp in [0, cycle - 1, cycle + 2, u64::MAX] {
+            assert_eq!(
+                restamped(stamp).err(),
+                Some(SnapError::BadValue("link flit arrival outside cycle..=cycle + latency")),
+                "stamp {stamp} at cycle {cycle}"
+            );
+        }
     }
 
     #[test]

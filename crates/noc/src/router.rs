@@ -58,13 +58,18 @@ pub(crate) enum OutputRole {
 
 /// One virtual channel of an input port: a ring of `depth` slots in the
 /// slot arena plus the output allocated to the packet draining from it.
+/// The ring holds the `len` buffered flits, oldest first, and behind them
+/// the `pending` flits still on the feeding link, staged in arrival order.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct InVc {
-    /// Ring position of the oldest flit. Reset to 0 whenever the VC
+    /// Ring position of the oldest flit. Reset to 0 whenever the ring
     /// empties, so a lightly loaded VC keeps reusing its first slots.
     head: u8,
-    /// Buffered flits.
+    /// Buffered flits: the ones the pipeline sees.
     pub len: u8,
+    /// Staged flits: sent down the feeding link, not yet arrived, and
+    /// invisible to every stage, mask and counter until they do.
+    pub pending: u8,
     /// Output port allocated to the packet currently draining, or
     /// [`NONE`]; set and cleared together with `out_vc`.
     pub out_port: u8,
@@ -182,6 +187,7 @@ impl RouterCore {
             .map(|ivc| InVc {
                 head: 0,
                 len: 0,
+                pending: 0,
                 out_port: NONE,
                 out_vc: NONE,
                 slot_base: (ivc * depth) as u32,
@@ -254,6 +260,7 @@ impl RouterCore {
                 InVc {
                     head: 0,
                     len: 0,
+                    pending: 0,
                     out_port: NONE,
                     out_vc: NONE,
                     slot_base,
@@ -354,19 +361,81 @@ impl RouterCore {
         (base..base + self.num_ports(r) * self.vcs).flat_map(|ivc| self.flits(ivc))
     }
 
-    /// Appends `slot` to the input VC at mask bit `bit` of router `r`.
+    /// The flits staged in input VC `ivc`, oldest first.
+    pub fn staged(&self, ivc: usize) -> impl Iterator<Item = &Slot> {
+        let vc = self.in_vcs[ivc];
+        (vc.len as usize..(vc.len + vc.pending) as usize)
+            .map(move |k| &self.slots[vc.slot(k, self.depth)])
+    }
+
+    /// Every flit staged anywhere in the network.
+    pub fn all_staged(&self) -> impl Iterator<Item = &Slot> {
+        (0..self.in_vcs.len()).flat_map(|ivc| self.staged(ivc))
+    }
+
+    /// Flits staged in the VCs of input port `p` of router `r`: what its
+    /// feeding link has in flight.
+    pub fn staged_on_port(&self, r: usize, p: usize) -> usize {
+        let base = self.vc(r, p * self.vcs);
+        self.in_vcs[base..base + self.vcs].iter().map(|vc| vc.pending as usize).sum()
+    }
+
+    /// Hands the flits staged in the VCs of input port `p` of router `r`
+    /// to `visit` in arrival order — the order the feeding link carries
+    /// them, one per cycle, so no two share a stamp. Read in place.
+    pub fn visit_staged_on_port(&self, r: usize, p: usize, mut visit: impl FnMut(&Slot)) {
+        let base = self.vc(r, p * self.vcs);
+        // Per VC of the port, how many of its staged flits went out.
+        let mut taken = [0u8; 64];
+        loop {
+            let mut next: Option<(usize, &Slot)> = None;
+            for (v, vc) in self.in_vcs[base..base + self.vcs].iter().enumerate() {
+                if taken[v] < vc.pending {
+                    let s = &self.slots[vc.slot((vc.len + taken[v]) as usize, self.depth)];
+                    if next.is_none_or(|(_, n)| s.stamp() < n.stamp()) {
+                        next = Some((v, s));
+                    }
+                }
+            }
+            let Some((v, s)) = next else { return };
+            taken[v] += 1;
+            visit(s);
+        }
+    }
+
+    /// `true` if the input VC at mask bit `bit` of router `r` has a free
+    /// slot for one more staged flit.
+    pub fn has_room(&self, r: usize, bit: usize) -> bool {
+        let vc = &self.in_vcs[self.vc(r, bit)];
+        ((vc.len + vc.pending) as usize) < self.depth
+    }
+
+    /// Stages `slot`, stamped with its arrival cycle, behind everything
+    /// in the input VC at mask bit `bit` of router `r`; it stays out of
+    /// sight until [`RouterCore::arrive`]. Credits leave the room: an
+    /// upstream sends only into a slot it holds a credit for.
     #[inline]
-    pub fn push(&mut self, r: usize, bit: usize, slot: Slot) {
-        let s = &mut self.routers[r];
-        let vc = &mut self.in_vcs[s.vc_base as usize + bit];
+    pub fn stage(&mut self, r: usize, bit: usize, slot: Slot) {
+        let vc = &mut self.in_vcs[self.routers[r].vc_base as usize + bit];
         assert!(
-            (vc.len as usize) < self.depth,
+            ((vc.len + vc.pending) as usize) < self.depth,
             "buffer overflow at router {r} input VC bit {bit}"
         );
-        self.slots[vc.slot(vc.len as usize, self.depth)] = slot;
+        self.slots[vc.slot((vc.len + vc.pending) as usize, self.depth)] = slot;
+        vc.pending += 1;
+    }
+
+    /// The oldest flit staged in the input VC at mask bit `bit` of router
+    /// `r`, of class `class`, arrives: it joins the buffered flits.
+    #[inline]
+    pub fn arrive(&mut self, r: usize, bit: usize, class: usize) {
+        let s = &mut self.routers[r];
+        let vc = &mut self.in_vcs[s.vc_base as usize + bit];
+        debug_assert!(vc.pending > 0, "router {r} input VC bit {bit}: nothing staged arrives");
+        vc.pending -= 1;
         vc.len += 1;
         s.occupied |= 1 << bit;
-        s.class_flits[slot.class_ix()] += 1;
+        s.class_flits[class] += 1;
     }
 
     /// Removes and returns the oldest flit of the (non-empty) input VC at
@@ -379,15 +448,13 @@ impl RouterCore {
         let slot = self.slots[vc.slot_base as usize + vc.head as usize];
         vc.len -= 1;
         if vc.len == 0 {
-            vc.head = 0;
             s.occupied &= !(1 << bit);
-        } else {
-            vc.head = if vc.head as usize + 1 == self.depth {
-                0
-            } else {
-                vc.head + 1
-            };
         }
+        vc.head = if vc.len + vc.pending == 0 || vc.head as usize + 1 == self.depth {
+            0
+        } else {
+            vc.head + 1
+        };
         s.class_flits[slot.class_ix()] -= 1;
         slot
     }
@@ -569,6 +636,8 @@ impl RouterCore {
     /// derived from what was read, except `out_ready` and `ejecting`,
     /// which [`RouterCore::restore_eject`] completes port by port; no
     /// `want` survives (the next allocation attempt records it again).
+    /// Nothing is staged afterwards: the network stages what the link
+    /// section of the snapshot carries.
     pub fn restore_state(
         &mut self,
         r: usize,
@@ -595,7 +664,7 @@ impl RouterCore {
                 if len > self.depth {
                     return Err(SnapError::BadValue("input buffer over depth"));
                 }
-                (vc.head, vc.len) = (0, len as u8);
+                (vc.head, vc.len, vc.pending) = (0, len as u8, 0);
                 for k in 0..len {
                     let (enq, f) = <(u64, Flit)>::restore(d)?;
                     if enq > cycle {
@@ -691,6 +760,12 @@ mod tests {
         Slot::pack(id, &f)
     }
 
+    /// Stages `slot` and lets it arrive at once.
+    fn push(c: &mut RouterCore, r: usize, bit: usize, slot: Slot) {
+        c.stage(r, bit, slot);
+        c.arrive(r, bit, slot.class_ix());
+    }
+
     #[test]
     fn construction_shapes() {
         let c = core(3, 2, 5);
@@ -708,7 +783,7 @@ mod tests {
         let mut c = core(3, 2, 5);
         let fed = c.port(2, 1);
         c.feed_link[fed] = 77;
-        c.push(2, 3, flit(9, MessageClass::Reply));
+        push(&mut c, 2, 3, flit(9, MessageClass::Reply));
         c.grant(2, 3, 4, 1);
         let p = c.add_port(0);
         assert_eq!(p, 5);
@@ -719,7 +794,7 @@ mod tests {
         assert_eq!(c.front(c.vc(2, 3)).pkt().0, 9);
         assert_eq!(c.out_owner[c.vc(2, 4 * 2 + 1)], 3);
         // The new port's VCs work and do not alias anyone's ring.
-        c.push(0, 5 * 2, flit(1, MessageClass::Request));
+        push(&mut c, 0, 5 * 2, flit(1, MessageClass::Request));
         assert_eq!(c.front(c.vc(0, 10)).pkt().0, 1);
         assert_eq!(c.front(c.vc(2, 3)).pkt().0, 9);
         c.release(2, 3);
@@ -739,35 +814,74 @@ mod tests {
     fn vc_ring_wraps_in_fifo_order_at_depth_one_and_five() {
         for depth in [1usize, 5] {
             let mut c = core(1, 2, depth);
-            let (mut pushed, mut popped) = (0u64, 0u64);
-            // Fill, then alternate partial drains and refills so the head
-            // crosses the end of the ring many times.
+            let (mut staged, mut arrived, mut popped) = (0u64, 0u64, 0u64);
+            // Fill with staged flits, let some arrive, drain part of what
+            // arrived, and repeat, so the head crosses the end of the
+            // ring many times with and without flits staged behind it.
             for round in 0..40 {
-                while (c.in_vcs[3].len as usize) < depth {
-                    c.push(0, 3, flit(pushed, MessageClass::Reply));
-                    pushed += 1;
+                while c.has_room(0, 3) {
+                    c.stage(0, 3, flit(staged, MessageClass::Reply));
+                    staged += 1;
+                }
+                for _ in 0..(staged - arrived).min(1 + round % 3) {
+                    c.arrive(0, 3, 1);
+                    arrived += 1;
                 }
                 let ids: Vec<u64> = c.flits(3).map(|s| s.pkt().0).collect();
-                assert_eq!(ids, (popped..pushed).collect::<Vec<_>>(), "depth {depth}");
-                for _ in 0..1 + round % depth {
+                assert_eq!(ids, (popped..arrived).collect::<Vec<_>>(), "depth {depth}");
+                let ids: Vec<u64> = c.staged(3).map(|s| s.pkt().0).collect();
+                assert_eq!(ids, (arrived..staged).collect::<Vec<_>>(), "depth {depth}");
+                for _ in 0..(arrived - popped).min(1 + round % depth as u64) {
                     assert_eq!(c.front(3).pkt().0, popped);
                     assert_eq!(c.pop(0, 3).stamp(), popped);
                     popped += 1;
                 }
                 assert_eq!(c.routers[0].occupied != 0, c.in_vcs[3].len > 0);
+                assert_eq!(c.words(0), c.scan(0), "depth {depth} round {round}");
             }
-            assert_eq!(c.buffered(0) as u64, pushed - popped);
+            assert_eq!(c.buffered(0) as u64, arrived - popped);
             assert_eq!(c.routers[0].class_flits[0], 0);
         }
     }
 
     #[test]
+    fn staged_flits_stay_out_of_sight_until_they_arrive() {
+        let mut c = core(1, 2, 3);
+        // Port 1: a visible request on VC 0, replies staged on both VCs
+        // arriving at cycles 7 (VC 1), 8 (VC 0) and 9 (VC 1).
+        push(&mut c, 0, 2, flit(1, MessageClass::Request));
+        for (bit, at) in [(3, 7), (2, 8), (3, 9)] {
+            c.stage(0, bit, flit(at, MessageClass::Reply));
+        }
+        assert_eq!(c.words(0), c.scan(0));
+        assert_eq!((c.routers[0].occupied, c.routers[0].class_flits), (1 << 2, [1, 0]));
+        assert_eq!(c.staged_on_port(0, 1), 3);
+        let mut order = Vec::new();
+        c.visit_staged_on_port(0, 1, |s| order.push(s.stamp()));
+        assert_eq!(order, [7, 8, 9], "arrival order across the port's VCs");
+        assert_eq!(c.all_staged().count(), 3);
+        // The visible request leaves; its VC keeps the staged reply.
+        assert_eq!(c.pop(0, 2).pkt().0, 1);
+        assert_eq!(c.routers[0].occupied, 0);
+        assert_eq!(c.staged(2).map(|s| s.stamp()).collect::<Vec<_>>(), [8]);
+        c.arrive(0, 3, 1);
+        c.arrive(0, 2, 1);
+        assert_eq!(c.words(0), c.scan(0));
+        assert_eq!((c.routers[0].occupied, c.routers[0].class_flits), (0b11 << 2, [0, 2]));
+        assert_eq!(c.front(c.vc(0, 2)).stamp(), 8);
+        assert_eq!(c.staged_on_port(0, 1), 1);
+    }
+
+    #[test]
     #[should_panic(expected = "buffer overflow")]
     fn pushing_past_the_depth_is_refused() {
+        // Staged flits hold their slots: one buffered and one staged fill
+        // a VC two deep.
         let mut c = core(1, 1, 2);
-        for i in 0..3 {
-            c.push(0, 0, flit(i, MessageClass::Reply));
-        }
+        push(&mut c, 0, 0, flit(0, MessageClass::Reply));
+        c.stage(0, 0, flit(1, MessageClass::Reply));
+        assert!(!c.has_room(0, 0));
+        c.stage(0, 0, flit(2, MessageClass::Reply));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Activity worklists as `u64`-word bitsets.
 //!
-//! The gated sweep must visit active routers and links in exactly the
-//! order the exhaustive `for id in 0..n` sweep would. A bitset gives
+//! The gated sweep must visit active routers in exactly the order the
+//! exhaustive `for id in 0..n` sweep would. A bitset gives
 //! that by construction — ascending words, ascending bits within a
 //! word — with an O(1) idempotent insert. The same holds for the set of
 //! routers with a parked ejected flit, which sink drains walk with a
@@ -18,13 +18,6 @@ impl Worklist {
     pub fn with_len(n: usize) -> Self {
         Worklist {
             words: vec![0; n.div_ceil(64)],
-        }
-    }
-
-    /// Extends the id space to cover `0..n` (new ids start absent).
-    pub fn grow_to(&mut self, n: usize) {
-        if n.div_ceil(64) > self.words.len() {
-            self.words.resize(n.div_ceil(64), 0);
         }
     }
 
@@ -160,16 +153,5 @@ mod tests {
         assert_eq!(w.ids(), vec![63, 199]);
         w.remove(5); // absent: no-op
         assert_eq!(w.ids(), vec![63, 199]);
-    }
-
-    #[test]
-    fn growing_keeps_members_and_adds_room() {
-        let mut w = Worklist::with_len(3);
-        w.insert(2);
-        w.grow_to(64);
-        w.grow_to(65);
-        w.insert(64);
-        w.grow_to(10);
-        assert_eq!(w.ids(), vec![2, 64]);
     }
 }

@@ -84,6 +84,20 @@ for f in crates/core/src/system.rs crates/core/src/loadlat.rs crates/core/src/ob
 done
 echo "OK: only scheme.rs knows what each scheme is made of"
 
+echo "== one-home-per-flit guard =="
+# A flit sent down a link is staged in the input VC it is bound for until
+# its arrival cycle (RouterCore::stage); the link records only when it
+# arrives, on the arrival wheels. So non-test code in link.rs names no
+# Slot, and the per-link flit and credit worklists the wheels replaced
+# stay gone.
+tests_at=$(grep -n -m1 '^#\[cfg(test)\]' crates/noc/src/link.rs | cut -d: -f1 || true)
+if head -n "${tests_at:-1000000}" crates/noc/src/link.rs | grep -nE '\bSlot' \
+    || grep -rnE 'active_(flit|credit)_links' --include='*.rs' crates src examples benchmark/src; then
+  echo "FAIL: a link holds flits again — stage them in the downstream VC and record the arrival on the wheel" >&2
+  exit 1
+fi
+echo "OK: a flit in flight has one home, its downstream buffer"
+
 echo "== libm-free sampler guard =="
 # Every design search draws its EIR groups through one weighted shuffle
 # whose keys are integer powers of a uniform draw (Candidate::key in
