@@ -296,6 +296,14 @@ impl Network {
     /// of the given latency and kind, and returns its handle. This is how
     /// MultiPort's extra CB ports and EquiNox's CB→EIR interposer links
     /// are modelled.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a zero `latency`. Also panics if a flit or credit is in
+    /// flight and `(latency + 1).next_power_of_two()` exceeds the arrival
+    /// wheels' bucket count, which the longest existing link set: the
+    /// wheels grow only while they are empty. Adding every port before
+    /// the first step never panics.
     pub fn add_injection_port(&mut self, node: Coord, latency: u32, kind: LinkKind) -> InjectorId {
         let (_, port) = self.add_port(node);
         self.attach_injector(node, port, latency, kind)
@@ -659,8 +667,8 @@ impl Network {
     /// succeeds if and only if `want & avail != 0`, and nothing in
     /// `want` depends on the cycle (DESIGN.md "Blocked heads and due
     /// channels"). Debug builds re-run the allocator on every skip. A
-    /// head with a want has cleared the pipeline, so without a stall grid
-    /// to charge its class to, it is skipped before its slot is read.
+    /// head with a want has cleared the pipeline, so it is skipped before
+    /// its slot is read; only an armed stall grid reads its class.
     fn route_and_allocate(&mut self, ri: usize) {
         let s = &self.core.routers[ri];
         let mut waiting = s.occupied & !s.allocated;
@@ -672,12 +680,16 @@ impl Network {
             let want = self.core.want[vc_base + bit];
             let s = &self.core.routers[ri];
             let blocked = want != 0 && want & s.out_free & (s.out_ready | eject_vcs) == 0;
-            if blocked && self.stall.is_none() {
+            if blocked {
                 debug_assert!(
                     self.refused(ri, bit),
                     "router {ri} skipped input VC bit {bit}, whose head could be allocated"
                 );
                 self.alloc_counts.skipped += 1;
+                if let Some(grid) = self.stall.as_deref_mut() {
+                    // A vc_alloc stall cycle, as for a refused head below.
+                    grid.charge(ri, NetCause::VcAlloc, self.core.front(vc_base + bit).class_ix(), 1);
+                }
                 continue;
             }
             let head = self.core.front(vc_base + bit);
@@ -690,24 +702,14 @@ impl Network {
             let (class, sink) = (head.class_ix(), head.sink());
             // Row-major node ids are every fabric's convention.
             let dst = (head.dst_key() != coord_key).then(|| head.dst().to_index(self.cfg.width));
-            let grant = if blocked {
-                debug_assert!(
-                    self.refused(ri, bit),
-                    "router {ri} skipped input VC bit {bit}, whose head could be allocated"
-                );
-                self.alloc_counts.skipped += 1;
-                Err(want)
-            } else {
-                let route = dst.map(|d| self.route(ri, d));
-                let grant = self.allocate(ri, bit, class, sink, route);
-                debug_assert!(
-                    want == 0 || grant.is_ok(),
-                    "router {ri} input VC bit {bit}: a wanted output VC opened but allocation failed"
-                );
-                self.alloc_counts.attempts += 1;
-                self.alloc_counts.retried += u64::from(want != 0);
-                grant
-            };
+            let route = dst.map(|d| self.route(ri, d));
+            let grant = self.allocate(ri, bit, class, sink, route);
+            debug_assert!(
+                want == 0 || grant.is_ok(),
+                "router {ri} input VC bit {bit}: a wanted output VC opened but allocation failed"
+            );
+            self.alloc_counts.attempts += 1;
+            self.alloc_counts.retried += u64::from(want != 0);
             match grant {
                 Ok((op, ov)) => {
                     self.core.grant(ri, bit, op, ov);
