@@ -65,7 +65,7 @@ fn malformed_values_and_unknown_flags_are_fatal() {
 fn unbuildable_machines_and_values_under_a_bound_are_named_not_backtraced() {
     // Each of these used to die in an assert three frames into the build
     // (exit 101), hang until killed, or emit an artifact of empty runs.
-    let cases: [(&[&str], &str); 15] = [
+    let cases: [(&[&str], &str); 17] = [
         (&["sweep", "--n", "9"], "n = 9: Interposer-CMesh"),
         (&["sweep", "--n", "6"], "n_cbs = 8: SingleBase"),
         (&["loadlat", "--n", "1"], "--n"),
@@ -77,6 +77,8 @@ fn unbuildable_machines_and_values_under_a_bound_are_named_not_backtraced() {
         (&["sweep", "--cb-inflight-cap", "0"], "--cb-inflight-cap"),
         (&["sweep", "--max-cycles", "0"], "--max-cycles"),
         (&["loadlat", "--cycles", "0"], "--cycles"),
+        (&["designer", "--iters", "0"], "--iters"),
+        (&["loadlat", "--iters", "0"], "--iters"),
         // No N-Queen solution exists on 2x2 or 3x3, so EquiNox's design
         // search has no board to start from.
         (&["designer", "--n", "3", "--cbs", "3"], "n = 3: EquiNox"),

@@ -541,7 +541,7 @@ pub fn fields() -> &'static [FieldDef] {
         field!(uint "audit_watchdog_window", "--audit-watchdog", "EQUINOX_AUDIT_WATCHDOG", audit_watchdog_window: u64, "auditor deadlock window (0 = off)"),
         field!(flag "audit_panic", "--audit-panic", "EQUINOX_AUDIT_PANIC", audit_panic, "panic on the first auditor violation"),
         field!(uint >= 1, "cycles", "--cycles", "EQUINOX_CYCLES", cycles: u64, "measured cycles per load-latency point (>= 1)"),
-        field!(uint "iters", "--iters", "EQUINOX_ITERS", iters: usize, "MCTS iterations for spec-driven design searches"),
+        field!(uint >= 1, "iters", "--iters", "EQUINOX_ITERS", iters: usize, "MCTS iterations for spec-driven design searches (>= 1)"),
         field!(flag "obs", "--obs", "EQUINOX_OBS", obs, "arm the observability layer (metrics + time series)"),
         // Custom instead of `field!(uint ...)`: an interval of 0 would
         // mean "sample every cycle of nothing" — degenerate sampling

@@ -163,7 +163,7 @@ fn every_field_is_reachable_from_every_layer() {
 #[test]
 fn values_under_a_fields_lower_bound_are_refused_on_every_layer() {
     // (key, flag, env, values that describe no machine or run)
-    let cases: [(&str, &str, &str, &[&str]); 7] = [
+    let cases: [(&str, &str, &str, &[&str]); 8] = [
         ("scale", "--scale", "EQUINOX_SCALE", &["nan", "-1", "0", "inf"]),
         ("n", "--n", "EQUINOX_N", &["0", "1"]),
         ("n_cbs", "--cbs", "EQUINOX_CBS", &["0"]),
@@ -171,6 +171,8 @@ fn values_under_a_fields_lower_bound_are_refused_on_every_layer() {
         ("cb_inflight_cap", "--cb-inflight-cap", "EQUINOX_CB_INFLIGHT_CAP", &["0"]),
         ("max_cycles", "--max-cycles", "EQUINOX_MAX_CYCLES", &["0"]),
         ("cycles", "--cycles", "EQUINOX_CYCLES", &["0"]),
+        // A design search of no iterations has no rollout to return.
+        ("iters", "--iters", "EQUINOX_ITERS", &["0"]),
     ];
     for (key, flag, var, bad) in cases {
         for &v in bad {
@@ -191,7 +193,13 @@ fn values_under_a_fields_lower_bound_are_refused_on_every_layer() {
         }
     }
     // The bounds themselves pass, and a refused value does not stick.
-    let ok = cli(&[("--n", "2"), ("--cbs", "1"), ("--max-cycles", "1"), ("--scale", "1e-9")]);
+    let ok = cli(&[
+        ("--n", "2"),
+        ("--cbs", "1"),
+        ("--max-cycles", "1"),
+        ("--scale", "1e-9"),
+        ("--iters", "1"),
+    ]);
     let s = resolve(None, &no_env, &ok).unwrap();
-    assert_eq!((s.n, s.n_cbs, s.max_cycles, s.scale), (2, 1, 1, 1e-9));
+    assert_eq!((s.n, s.n_cbs, s.max_cycles, s.scale, s.iters), (2, 1, 1, 1e-9, 1));
 }

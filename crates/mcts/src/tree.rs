@@ -5,7 +5,8 @@
 //! exactly `#CBs` deep instead of `ΣEIRs`). Each iteration runs the four
 //! classic stages — UCB1 selection, expansion of an untried sampled group,
 //! a random-completion rollout scored by the evaluation function, and
-//! backpropagation of the reward along the path.
+//! backpropagation of the reward along the path. A complete leaf (depth
+//! `#CBs`) is scored once; later visits reuse its stored cost.
 
 use crate::eval::{EvalWeights, Evaluation, NONE};
 use crate::problem::{EirProblem, EirSelection};
@@ -47,18 +48,21 @@ pub struct SearchResult {
     pub selection: EirSelection,
     /// Its evaluation.
     pub eval: Evaluation,
-    /// Evaluation-function invocations (the paper reports exploring
-    /// 0.047% of the space; this is the comparable effort number).
+    /// Rollouts and refine moves scored, one rollout per iteration; a
+    /// complete leaf scored from its stored cost still counts (the paper
+    /// reports exploring 0.047% of the space; this is the comparable
+    /// effort number).
     pub evaluations: usize,
 }
 
 const NO_NODE: u32 = u32::MAX;
 
+/// A node's depth is its position on the selection path, so it is not
+/// stored.
 struct Node {
     /// The option (see [`Tree::options`]) this node assigns to CB
     /// `order[depth - 1]`; unused for the root.
     group: u32,
-    depth: u32,
     /// Sampled-but-unexpanded options: `first_option..first_option +
     /// untried`, expanded from the back; none at depth `#CBs`.
     first_option: u32,
@@ -66,10 +70,16 @@ struct Node {
     /// The child expanded last; the older ones follow `next_sibling`.
     first_child: u32,
     next_sibling: u32,
-    visits: u64,
+    visits: u32,
     /// Sum of rewards (reward = -cost).
     reward_sum: f64,
+    /// A complete leaf's (depth `#CBs`) rollout cost, NaN until its first
+    /// rollout is scored and at every other depth. Such a rollout draws
+    /// nothing, so the cost is fixed.
+    cost: f64,
 }
+
+const _: () = assert!(std::mem::size_of::<Node>() == 40);
 
 /// The search tree in two arenas sized up front for the iteration budget
 /// (one expansion per iteration), so that growing it never allocates.
@@ -94,21 +104,21 @@ impl Tree {
         &self.options[id as usize * self.stride..][..self.stride]
     }
 
-    /// Adds a node assigning option `group` under `parent` (the root has
-    /// neither), sampling up to `k` distinct options for the CB it leaves
-    /// next; `used` holds the tiles taken on the way down, `group`'s
-    /// included.
+    /// Adds a node assigning option `group` at the end of `path`, the
+    /// nodes from the root to its parent (the root has neither), sampling
+    /// up to `k` distinct options for the CB it leaves next; `used` holds
+    /// the tiles taken on the way down, `group`'s included.
     fn push(
         &mut self,
         group: u32,
-        parent: Option<usize>,
+        path: &[usize],
         t: &Tables,
         k: usize,
         used: &TileSet,
         rng: &mut Rng,
     ) -> usize {
         let stride = self.stride;
-        let depth = parent.map_or(0, |p| self.nodes[p].depth as usize + 1);
+        let (parent, depth) = (path.last().copied(), path.len());
         let first_option = self.options.len() / stride;
         let mut untried = 0;
         if depth < t.n_cbs() {
@@ -132,13 +142,13 @@ impl Tree {
         let id = self.nodes.len();
         self.nodes.push(Node {
             group,
-            depth: depth as u32,
             first_option: first_option as u32,
             untried: untried as u32,
             first_child: NO_NODE,
             next_sibling: parent.map_or(NO_NODE, |p| self.nodes[p].first_child),
             visits: 0,
             reward_sum: 0.0,
+            cost: f64::NAN,
         });
         if let Some(p) = parent {
             self.nodes[p].first_child = id as u32;
@@ -162,19 +172,34 @@ impl Tree {
         }
         best.0 as usize
     }
+
+    /// Writes the groups of the nodes on `path` (root first) into `sel`,
+    /// every other CB's slots left empty.
+    fn fill_path(&self, path: &[usize], t: &Tables, sel: &mut [u16]) {
+        sel.fill(NONE);
+        for (d, &n) in path[1..].iter().enumerate() {
+            t.slots(sel, t.order[d]).copy_from_slice(self.option(self.nodes[n].group));
+        }
+    }
 }
 
 /// Runs MCTS and returns the best complete selection seen (the best
 /// rollout, which is never worse than the final tree path), polished by
 /// one greedy refine pass.
+///
+/// # Panics
+///
+/// If the problem has no cache bank, or `cfg.iterations` is 0 or more
+/// than `u32::MAX` (a node counts its visits in a `u32`).
 pub fn search(problem: &EirProblem, cfg: &MctsConfig) -> SearchResult {
     let t = Tables::new(problem);
     let mut s = t.scratch();
     let mut rng = EirProblem::rng(cfg.seed);
     let n_cbs = t.n_cbs();
     assert!(n_cbs > 0, "a search needs at least one cache bank");
+    assert!(u32::try_from(cfg.iterations).is_ok(), "at most u32::MAX iterations");
     let mut tree = Tree::new(&t, cfg);
-    tree.push(0, None, &t, cfg.branching, &s.used, &mut rng);
+    tree.push(0, &[], &t, cfg.branching, &s.used, &mut rng);
     let mut path: Vec<usize> = Vec::with_capacity(n_cbs + 1);
     let mut sel = t.empty_selection();
     let mut best: Option<Evaluation> = None;
@@ -202,25 +227,39 @@ pub fn search(problem: &EirProblem, cfg: &MctsConfig) -> SearchResult {
             tree.nodes[cur].untried -= 1;
             let group = tree.nodes[cur].first_option + tree.nodes[cur].untried;
             t.mark_used(tree.option(group), &mut s.used);
-            cur = tree.push(group, Some(cur), &t, cfg.branching, &s.used, &mut rng);
+            cur = tree.push(group, &path, &t, cfg.branching, &s.used, &mut rng);
             path.push(cur);
         }
 
         // --- Rollout ---
-        sel.fill(NONE);
-        for (d, &n) in path[1..].iter().enumerate() {
-            t.slots(&mut sel, t.order[d]).copy_from_slice(tree.option(tree.nodes[n].group));
-        }
-        t.complete(&mut sel, path.len() - 1, &mut s, &mut rng);
-        let eval = t.evaluate(&sel, &cfg.weights, &mut s);
+        // A complete leaf's rollout draws nothing, so its first score is
+        // kept; a repeat cannot replace `best`, which has only fallen
+        // since that score was compared with it.
+        let memo = tree.nodes[cur].cost;
+        let cost = if memo.is_nan() {
+            tree.fill_path(&path, &t, &mut sel);
+            t.complete(&mut sel, path.len() - 1, &mut s, &mut rng);
+            let eval = t.evaluate(&sel, &cfg.weights, &mut s);
+            if best.is_none_or(|b| eval.cost < b.cost) {
+                best = Some(eval);
+                best_sel.copy_from_slice(&sel);
+            }
+            if path.len() == n_cbs + 1 {
+                tree.nodes[cur].cost = eval.cost;
+            }
+            eval.cost
+        } else {
+            if cfg!(debug_assertions) {
+                tree.fill_path(&path, &t, &mut sel);
+                let again = t.evaluate(&sel, &cfg.weights, &mut s).cost;
+                assert_eq!(again.to_bits(), memo.to_bits(), "a complete leaf's cost is fixed");
+            }
+            memo
+        };
         evaluations += 1;
-        if best.is_none_or(|b| eval.cost < b.cost) {
-            best = Some(eval);
-            best_sel.copy_from_slice(&sel);
-        }
 
         // --- Backpropagation ---
-        let reward = -eval.cost;
+        let reward = -cost;
         for &n in &path {
             tree.nodes[n].visits += 1;
             tree.nodes[n].reward_sum += reward;
