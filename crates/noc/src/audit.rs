@@ -482,7 +482,7 @@ fn check_escape_compliance(net: &Network, out: &mut Vec<Violation>) {
                 if !matches!(net.core.role(ri, op), OutputRole::Link(_)) {
                     continue;
                 }
-                let f = net.core.front(ivc).flit();
+                let f = net.core.packets.flit(net.core.front(ivc));
                 let own = net.cfg.partition.range_for(f.class.is_reply(), total);
                 let captured = captures && ip < PORT_LOCAL && iv == own.start as usize;
                 let constrained = ov == own.start || !own.contains(&ov);
@@ -522,7 +522,7 @@ pub(crate) fn deadlock_report(net: &Network, stalled_for: u64) -> DeadlockReport
                 if vc.len == 0 {
                     continue;
                 }
-                let f = net.core.front(ivc).flit();
+                let f = net.core.packets.flit(net.core.front(ivc));
                 let allocation = (vc.out_port != NONE).then(|| {
                     let (op, ov) = (vc.out_port as usize, vc.out_vc);
                     let credits = match net.core.role(ri, op) {

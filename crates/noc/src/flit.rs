@@ -7,6 +7,7 @@
 //! is what makes the reply network carry ~3/4 of all NoC bits (§2.2).
 
 use equinox_phys::Coord;
+use std::collections::HashMap;
 use std::fmt;
 
 /// Globally-unique packet identifier (assigned by the traffic layer).
@@ -144,36 +145,36 @@ impl Flit {
     }
 }
 
-/// One slot of a VC buffer: a time stamp (the cycle the flit arrived, or
-/// arrives, in the buffer) followed by the flit packed into four words.
+/// One slot of a VC buffer or ejection queue: a time stamp (the cycle the
+/// flit arrived, or arrives, in the buffer) and one word of what differs
+/// between the flits of a packet. What they share — id, source,
+/// destination, length, sink — is stored once per packet, in the
+/// network's [`PacketTable`], under the handle the slot carries.
 ///
-/// The slot arenas hold a few hundred kB per network (4 MB across
+/// The slot arenas hold a few tens of kB per network (1.6 MB across
 /// DA2Mesh's eight 40-flit-deep subnets). As a plain integer array
 /// `vec![EMPTY_SLOT; n]` is a zeroed allocation, which the OS backs page
 /// by page on first touch; a `Vec<(u64, Flit)>` would be written
 /// element by element at build time, costing more than the rest of
 /// `Network::new` and keeping every page resident.
-pub(crate) type Slot = [u64; 5];
+pub(crate) type Slot = [u64; 2];
 
 /// The all-zero slot the arenas are created from.
-pub(crate) const EMPTY_SLOT: Slot = [0; 5];
+pub(crate) const EMPTY_SLOT: Slot = [0; 2];
 
-/// Field access on a packed [`Slot`]. Word 0 is the stamp, word 1 the
-/// packet id, word 2 `src.x | src.y << 16 | dst.x << 32 | dst.y << 48`,
-/// word 3 `seq | len << 16 | sink << 32`, word 4 `vc | class << 8`.
+// Slot bytes are what the buffers cost in memory, not in time.
+const _: () = assert!(std::mem::size_of::<Slot>() == 16);
+
+/// Field access on a packed [`Slot`]. Word 0 is the stamp, word 1
+/// `handle | seq << 32 | vc << 48 | class << 56 | tail << 57`.
 pub(crate) trait SlotExt {
-    fn pack(stamp: u64, flit: &Flit) -> Self;
-    fn flit(&self) -> Flit;
+    /// The slot of `flit`, whose packet's entry is `handle`.
+    fn pack(stamp: u64, handle: u32, flit: &Flit) -> Self;
     fn stamp(&self) -> u64;
     fn set_stamp(&mut self, stamp: u64);
-    fn pkt(&self) -> PacketId;
+    /// The packet's entry in the [`PacketTable`].
+    fn handle(&self) -> u32;
     fn seq(&self) -> u16;
-    fn dst(&self) -> Coord;
-    /// The destination as one word, comparable with [`SlotExt::coord_key`].
-    fn dst_key(&self) -> u32;
-    /// `c` as [`SlotExt::dst_key`] would return it.
-    fn coord_key(c: Coord) -> u32;
-    fn sink(&self) -> u32;
     fn vc(&self) -> u8;
     fn set_vc(&mut self, vc: u8);
     /// 0 = request, 1 = reply (the per-class ledger index).
@@ -184,28 +185,15 @@ pub(crate) trait SlotExt {
 
 impl SlotExt for Slot {
     #[inline]
-    fn pack(stamp: u64, f: &Flit) -> Slot {
+    fn pack(stamp: u64, handle: u32, f: &Flit) -> Slot {
         [
             stamp,
-            f.pkt.0,
-            f.src.x as u64 | (f.src.y as u64) << 16 | (f.dst.x as u64) << 32 | (f.dst.y as u64) << 48,
-            f.seq as u64 | (f.len as u64) << 16 | (f.sink as u64) << 32,
-            f.vc as u64 | (f.class.is_reply() as u64) << 8,
+            handle as u64
+                | (f.seq as u64) << 32
+                | (f.vc as u64) << 48
+                | (f.class.is_reply() as u64) << 56
+                | (f.is_tail() as u64) << 57,
         ]
-    }
-
-    #[inline]
-    fn flit(&self) -> Flit {
-        Flit {
-            pkt: self.pkt(),
-            src: Coord::new(self[2] as u16, (self[2] >> 16) as u16),
-            dst: self.dst(),
-            class: if self.class_ix() == 1 { MessageClass::Reply } else { MessageClass::Request },
-            seq: self.seq(),
-            len: (self[3] >> 16) as u16,
-            sink: self.sink(),
-            vc: self.vc(),
-        }
     }
 
     #[inline]
@@ -219,48 +207,28 @@ impl SlotExt for Slot {
     }
 
     #[inline]
-    fn pkt(&self) -> PacketId {
-        PacketId(self[1])
+    fn handle(&self) -> u32 {
+        self[1] as u32
     }
 
     #[inline]
     fn seq(&self) -> u16 {
-        self[3] as u16
-    }
-
-    #[inline]
-    fn dst(&self) -> Coord {
-        Coord::new((self[2] >> 32) as u16, (self[2] >> 48) as u16)
-    }
-
-    #[inline]
-    fn dst_key(&self) -> u32 {
-        (self[2] >> 32) as u32
-    }
-
-    #[inline]
-    fn coord_key(c: Coord) -> u32 {
-        c.x as u32 | (c.y as u32) << 16
-    }
-
-    #[inline]
-    fn sink(&self) -> u32 {
-        (self[3] >> 32) as u32
+        (self[1] >> 32) as u16
     }
 
     #[inline]
     fn vc(&self) -> u8 {
-        self[4] as u8
+        (self[1] >> 48) as u8
     }
 
     #[inline]
     fn set_vc(&mut self, vc: u8) {
-        self[4] = (self[4] & !0xFF) | vc as u64;
+        self[1] = self[1] & !(0xFF << 48) | (vc as u64) << 48;
     }
 
     #[inline]
     fn class_ix(&self) -> usize {
-        (self[4] >> 8) as usize & 1
+        (self[1] >> 56) as usize & 1
     }
 
     #[inline]
@@ -270,7 +238,151 @@ impl SlotExt for Slot {
 
     #[inline]
     fn is_tail(&self) -> bool {
-        self[3] as u16 as u32 + 1 == (self[3] >> 16) as u16 as u32
+        self[1] >> 57 & 1 != 0
+    }
+}
+
+/// What every flit of one packet shares, stored once per live packet.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PacketEntry {
+    pub id: PacketId,
+    pub src: Coord,
+    pub dst: Coord,
+    pub sink: u32,
+    /// Length in flits; 0 marks a free entry.
+    pub len: u16,
+}
+
+const _: () = assert!(std::mem::size_of::<PacketEntry>() <= 24);
+
+impl PacketEntry {
+    fn of(f: &Flit) -> Self {
+        PacketEntry { id: f.pkt, src: f.src, dst: f.dst, sink: f.sink, len: f.len }
+    }
+}
+
+/// The [`PacketEntry`] of every packet with a flit in one network, or
+/// streaming from one of its injectors, indexed by the handle its slots
+/// carry. A handle is taken when an injector accepts a head and given
+/// back when the tail — a packet's last flit in the network — is popped
+/// from its ejection queue; freed handles are reused last in, first out,
+/// so the entries in use stay at the front of the table.
+#[derive(Debug, Default)]
+pub(crate) struct PacketTable {
+    entries: Vec<PacketEntry>,
+    free: Vec<u32>,
+}
+
+impl PacketTable {
+    /// Makes room for `bound` live packets, so that taking a handle never
+    /// allocates. Capacity at least doubles when it grows, so a build
+    /// that adds ports one by one reallocates a few times, not once per
+    /// port. An empty table gets a fresh allocation instead of a grown
+    /// one: nothing is copied, so none of it is touched, and untouched
+    /// capacity costs no resident memory.
+    pub fn reserve(&mut self, bound: usize) {
+        let cap = self.entries.capacity();
+        if bound <= cap {
+            return;
+        }
+        if self.entries.is_empty() {
+            let cap = bound.max(2 * cap);
+            self.entries = Vec::with_capacity(cap);
+            self.free = Vec::with_capacity(cap);
+        } else {
+            self.entries.reserve(bound - self.entries.len());
+            self.free.reserve(bound - self.free.len());
+        }
+    }
+
+    /// Takes a handle for the packet `f` belongs to.
+    #[inline]
+    pub fn alloc(&mut self, f: &Flit) -> u32 {
+        let entry = PacketEntry::of(f);
+        match self.free.pop() {
+            Some(h) => {
+                self.entries[h as usize] = entry;
+                h
+            }
+            None => {
+                self.entries.push(entry);
+                (self.entries.len() - 1) as u32
+            }
+        }
+    }
+
+    /// Gives back the handle of a packet that left the network.
+    #[inline]
+    pub fn release(&mut self, h: u32) {
+        debug_assert!(self.entries[h as usize].len != 0, "handle {h} released twice");
+        self.entries[h as usize].len = 0;
+        self.free.push(h);
+    }
+
+    #[inline]
+    pub fn get(&self, h: u32) -> &PacketEntry {
+        &self.entries[h as usize]
+    }
+
+    /// The flit `s` holds.
+    pub fn flit(&self, s: &Slot) -> Flit {
+        let e = self.get(s.handle());
+        Flit {
+            pkt: e.id,
+            src: e.src,
+            dst: e.dst,
+            class: if s.class_ix() == 1 { MessageClass::Reply } else { MessageClass::Request },
+            seq: s.seq(),
+            len: e.len,
+            sink: e.sink,
+            vc: s.vc(),
+        }
+    }
+
+    /// The handle of a live packet `f` belongs to, taking one if there is
+    /// none: how an injector finds the packet it was streaming when a
+    /// restore left it without a handle. A scan, paid once per such
+    /// injector.
+    pub fn find_or_alloc(&mut self, f: &Flit) -> u32 {
+        let entry = PacketEntry::of(f);
+        match self.entries.iter().position(|e| *e == entry) {
+            Some(h) => h as u32,
+            None => self.alloc(f),
+        }
+    }
+
+    /// The handle of `f`'s packet while a restore runs, through `seen`
+    /// (packet id → handle, kept by the caller for the restore only):
+    /// the first flit of a packet takes one, the others must agree with
+    /// it.
+    pub fn intern(
+        &mut self,
+        seen: &mut HashMap<PacketId, u32>,
+        f: &Flit,
+    ) -> Result<u32, equinox_snap::SnapError> {
+        match seen.get(&f.pkt) {
+            Some(&h) if *self.get(h) == PacketEntry::of(f) => Ok(h),
+            Some(_) => Err(equinox_snap::SnapError::BadValue(
+                "flits of one packet disagree on src, dst, sink or len",
+            )),
+            None => {
+                let h = self.alloc(f);
+                seen.insert(f.pkt, h);
+                Ok(h)
+            }
+        }
+    }
+
+    /// Frees every entry, keeping the capacity.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+        self.free.clear();
+    }
+
+    /// The handles in use, ascending.
+    #[cfg(test)]
+    pub fn live(&self) -> Vec<u32> {
+        (0..self.entries.len() as u32).filter(|&h| self.get(h).len != 0).collect()
     }
 }
 
@@ -402,23 +514,72 @@ mod tests {
 
     #[test]
     fn packed_slot_round_trips_every_field() {
-        let p = PacketDesc::new(u64::MAX - 3, Coord::new(65535, 2), Coord::new(7, 65534), MessageClass::Reply, 700);
-        for seq in [0u16, 1, 698, 699] {
-            let mut f = p.flit_at(seq, 8).with_sink(u32::MAX - seq as u32);
+        let mut table = PacketTable::default();
+        table.reserve(4);
+        let p = PacketDesc::new(u64::MAX - 3, Coord::new(65535, 2), Coord::new(7, 65534), MessageClass::Reply, 65535);
+        let sink = u32::MAX - 1;
+        let h = table.alloc(&p.flit_at(0, 8).with_sink(sink));
+        for seq in [0u16, 1, 65533, 65534] {
+            let mut f = p.flit_at(seq, 8).with_sink(sink);
             f.vc = 11;
-            let mut s = Slot::pack(u64::MAX - 9, &f);
-            assert_eq!(s.flit(), f);
-            assert_eq!(s.stamp(), u64::MAX - 9);
+            let mut s = Slot::pack(u64::MAX - 9, h, &f);
+            assert_eq!(table.flit(&s), f);
+            assert_eq!((s.stamp(), s.handle(), s.seq()), (u64::MAX - 9, h, seq));
             assert_eq!((s.is_head(), s.is_tail()), (f.is_head(), f.is_tail()));
-            assert_eq!((s.dst(), s.sink(), s.vc(), s.class_ix()), (f.dst, f.sink, 11, 1));
-            assert_eq!(s.dst_key(), Slot::coord_key(f.dst));
-            assert_ne!(s.dst_key(), Slot::coord_key(Coord::new(f.dst.y, f.dst.x)));
-            s.set_vc(200);
-            f.vc = 200;
-            assert_eq!(s.flit(), f, "set_vc must touch nothing else");
+            assert_eq!((s.vc(), s.class_ix()), (11, 1));
+            s.set_vc(255);
+            f.vc = 255;
+            assert_eq!(table.flit(&s), f, "set_vc must touch nothing else");
+            s.set_stamp(3);
+            assert_eq!((s.stamp(), table.flit(&s)), (3, f));
         }
-        let req = PacketDesc::new(0, Coord::new(0, 0), Coord::new(1, 0), MessageClass::Request, 1);
-        assert_eq!(Slot::pack(0, &req.flit_at(0, 8)).class_ix(), 0);
+        // The handle takes all 32 bits without spilling into the seq.
+        let f = PacketDesc::new(0, Coord::new(0, 0), Coord::new(1, 0), MessageClass::Request, 1).flit_at(0, 8);
+        let s = Slot::pack(0, u32::MAX, &f);
+        assert_eq!((s.handle(), s.seq(), s.vc(), s.class_ix()), (u32::MAX, 0, 0, 0));
+        assert!(s.is_head() && s.is_tail());
+    }
+
+    #[test]
+    fn packet_table_reuses_handles_last_in_first_out() {
+        let mut table = PacketTable::default();
+        table.reserve(8);
+        let pkt = |id| PacketDesc::new(id, Coord::new(0, 0), Coord::new(1, 1), MessageClass::Reply, 5).flit_at(0, 8);
+        let hs: Vec<u32> = (0..4).map(|id| table.alloc(&pkt(id))).collect();
+        assert_eq!(hs, [0, 1, 2, 3]);
+        table.release(1);
+        table.release(3);
+        assert_eq!(table.live(), [0, 2]);
+        assert_eq!(table.alloc(&pkt(9)), 3, "the last handle freed is the first reused");
+        assert_eq!(table.get(3).id, PacketId(9));
+        assert_eq!(table.alloc(&pkt(10)), 1);
+        assert_eq!(table.alloc(&pkt(11)), 4);
+        // A lookup finds a live packet by its shared fields and takes a
+        // fresh handle for one it does not hold.
+        assert_eq!(table.find_or_alloc(&pkt(9)), 3);
+        assert_eq!(table.find_or_alloc(&pkt(12)), 5);
+        assert_eq!(table.find_or_alloc(&pkt(12).with_sink(4)), 6, "a different sink is another packet");
+    }
+
+    #[test]
+    fn interning_names_flits_of_one_packet_that_disagree() {
+        let mut table = PacketTable::default();
+        let mut seen = HashMap::new();
+        let p = PacketDesc::new(5, Coord::new(0, 0), Coord::new(2, 1), MessageClass::Reply, 3);
+        let h = table.intern(&mut seen, &p.flit_at(0, 4)).unwrap();
+        assert_eq!(table.intern(&mut seen, &p.flit_at(2, 4)), Ok(h));
+        let other = PacketDesc::new(6, Coord::new(0, 0), Coord::new(2, 1), MessageClass::Reply, 3);
+        assert_ne!(table.intern(&mut seen, &other.flit_at(1, 4)), Ok(h));
+        let disagree = "flits of one packet disagree on src, dst, sink or len";
+        for f in [
+            p.flit_at(1, 4).with_sink(0),
+            p.flit_at(1, 4).with_dst(Coord::new(1, 2)),
+            PacketDesc::new(5, Coord::new(0, 1), Coord::new(2, 1), MessageClass::Reply, 3).flit_at(1, 4),
+            PacketDesc::new(5, Coord::new(0, 0), Coord::new(2, 1), MessageClass::Reply, 4).flit_at(1, 4),
+        ] {
+            assert_eq!(table.intern(&mut seen, &f), Err(equinox_snap::SnapError::BadValue(disagree)));
+        }
+        assert_eq!(table.live(), [0, 1]);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 
 use crate::audit::{self, AuditConfig, AuditState, Violation};
 use crate::config::NocConfig;
-use crate::flit::{Flit, MessageClass, Slot, SlotExt};
+use crate::flit::{Flit, MessageClass, PacketEntry, PacketId, Slot, SlotExt};
 use crate::link::{CreditDst, LinkKind, Links};
 use crate::router::{OutputRole, RouterCore, NONE, NO_LINK, PORT_LOCAL};
 use crate::stats::NetStats;
@@ -33,7 +33,7 @@ use crate::trace::{Trace, TraceEvent, TraceKind};
 use crate::worklist::Worklist;
 use equinox_obs::{NetCause, StallGrid};
 use equinox_phys::Coord;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 /// Handle to one injection point (an input port on some router, fed by a
 /// dedicated link with credit-based backpressure).
@@ -56,6 +56,10 @@ pub(crate) struct Injector {
     pub(crate) credits: Vec<u32>,
     /// VC chosen for the packet currently being streamed in.
     active_vc: Option<u8>,
+    /// That packet's handle in the packet table, for its body flits.
+    /// `None` between packets, and after a restore until the packet's
+    /// next body flit looks it up (snapshots do not name it).
+    handle: Option<u32>,
     /// Cycle of the last accepted flit (enforces one flit per cycle).
     last_cycle: u64,
     /// Total flits accepted through this injector (observability).
@@ -239,6 +243,7 @@ impl Network {
             net.local_injectors.push(id);
         }
         net.stats.shape = Some((net.cfg.topology, net.cfg.width, net.cfg.height));
+        net.core.reserve_packets(net.injectors.len());
         net
     }
 
@@ -286,6 +291,7 @@ impl Network {
             link: link_id,
             credits: vec![self.cfg.vc_buf_flits as u32; self.cfg.vcs_per_port as usize],
             active_vc: None,
+            handle: None,
             last_cycle: u64::MAX,
             flits: 0,
         });
@@ -306,7 +312,9 @@ impl Network {
     /// the first step never panics.
     pub fn add_injection_port(&mut self, node: Coord, latency: u32, kind: LinkKind) -> InjectorId {
         let (_, port) = self.add_port(node);
-        self.attach_injector(node, port, latency, kind)
+        let id = self.attach_injector(node, port, latency, kind);
+        self.core.reserve_packets(self.injectors.len());
+        id
     }
 
     /// Appends a paired port, dead on both sides, to the router at
@@ -322,6 +330,7 @@ impl Network {
     pub fn add_ejection_port(&mut self, node: Coord, sink: Option<u32>) -> (usize, usize) {
         let (r, port) = self.add_port(node);
         self.core.set_role(r, port, OutputRole::Eject { sink });
+        self.core.reserve_packets(self.injectors.len());
         (r, port)
     }
 
@@ -429,16 +438,27 @@ impl Network {
                 }
             }
         };
+        // A head takes its packet's handle; body flits reuse it.
+        let handle = match self.injectors[id.0].handle {
+            _ if flit.is_head() => self.core.packets.alloc(&flit),
+            Some(h) => h,
+            None => self.core.packets.find_or_alloc(&flit),
+        };
+        debug_assert_eq!(
+            self.core.packets.get(handle).id,
+            flit.pkt,
+            "a body flit of another packet than its injector is streaming"
+        );
         let inj = &mut self.injectors[id.0];
         debug_assert!(inj.credits[vc as usize] > 0 && inj.credits[vc as usize] <= cfgdepth);
         inj.credits[vc as usize] -= 1;
         inj.last_cycle = self.cycle;
         inj.flits += 1;
-        inj.active_vc = if flit.is_tail() { None } else { Some(vc) };
+        (inj.active_vc, inj.handle) = if flit.is_tail() { (None, None) } else { (Some(vc), Some(handle)) };
         flit.vc = vc;
         let link = inj.link;
         let to_router = self.links[link].to_router as usize;
-        self.send_flit(link, self.cycle, Slot::pack(0, &flit));
+        self.send_flit(link, self.cycle, Slot::pack(0, handle, &flit));
         self.stats.injected_flits += 1;
         if let Some(a) = self.audit.as_deref_mut() {
             a.injected[audit::class_ix(class)] += 1;
@@ -455,13 +475,18 @@ impl Network {
         true
     }
 
-    /// Pops one ejected flit from `(router, port)`, if any.
+    /// Pops one ejected flit from `(router, port)`, if any. A tail is its
+    /// packet's last flit in the network, so popping it frees the
+    /// packet's entry.
     pub fn pop_ejected(&mut self, router: usize, port: usize) -> Option<Flit> {
         let slot = self.core.eject_pop(router, port)?;
         if self.core.routers[router].ejecting == 0 {
             self.ejecting_routers.remove(router);
         }
-        let f = slot.flit();
+        let f = self.core.packets.flit(&slot);
+        if slot.is_tail() {
+            self.core.packets.release(slot.handle());
+        }
         if let Some(a) = self.audit.as_deref_mut() {
             a.note_pop(f.class);
         }
@@ -668,11 +693,13 @@ impl Network {
     /// `want` depends on the cycle (DESIGN.md "Blocked heads and due
     /// channels"). Debug builds re-run the allocator on every skip. A
     /// head with a want has cleared the pipeline, so it is skipped before
-    /// its slot is read; only an armed stall grid reads its class.
+    /// its slot is read; only an armed stall grid reads its class. Only a
+    /// pipeline-clear head that is tried reads its packet's entry, for
+    /// the destination and sink.
     fn route_and_allocate(&mut self, ri: usize) {
         let s = &self.core.routers[ri];
         let mut waiting = s.occupied & !s.allocated;
-        let (coord_key, vc_base) = (s.coord_key, s.vc_base as usize);
+        let (coord, vc_base) = (s.coord, s.vc_base as usize);
         let eject_vcs = self.core.eject_vcs[ri];
         while waiting != 0 {
             let bit = waiting.trailing_zeros() as usize;
@@ -699,10 +726,10 @@ impl Network {
                 continue;
             }
             debug_assert!(head.is_head(), "non-head flit awaiting allocation");
-            let (class, sink) = (head.class_ix(), head.sink());
+            let class = head.class_ix();
+            let &PacketEntry { dst, sink, .. } = self.core.packets.get(head.handle());
             // Row-major node ids are every fabric's convention.
-            let dst = (head.dst_key() != coord_key).then(|| head.dst().to_index(self.cfg.width));
-            let route = dst.map(|d| self.route(ri, d));
+            let route = (dst != coord).then(|| self.route(ri, dst.to_index(self.cfg.width)));
             let grant = self.allocate(ri, bit, class, sink, route);
             debug_assert!(
                 want == 0 || grant.is_ok(),
@@ -735,9 +762,10 @@ impl Network {
     /// input VC at mask bit `bit` of router `ri` — what a skip asserts.
     fn refused(&self, ri: usize, bit: usize) -> bool {
         let head = self.core.front(self.core.vc(ri, bit));
-        let route = (head.dst_key() != self.core.routers[ri].coord_key)
-            .then(|| self.routes[ri * self.core.len() + head.dst().to_index(self.cfg.width)]);
-        self.allocate(ri, bit, head.class_ix(), head.sink(), route).is_err()
+        let &PacketEntry { dst, sink, .. } = self.core.packets.get(head.handle());
+        let route = (dst != self.core.routers[ri].coord)
+            .then(|| self.routes[ri * self.core.len() + dst.to_index(self.cfg.width)]);
+        self.allocate(ri, bit, head.class_ix(), sink, route).is_err()
     }
 
     /// VC allocation for the head of class `class` at input mask bit
@@ -1013,7 +1041,7 @@ impl Network {
             self.trace.record(TraceEvent {
                 cycle: now,
                 router: ri,
-                pkt: flit.pkt(),
+                pkt: self.core.packets.get(flit.handle()).id,
                 seq: flit.seq(),
                 kind,
             });
@@ -1124,7 +1152,8 @@ impl Network {
     /// Fault-injection hook for auditor tests: silently discards the
     /// oldest flit of the first non-empty input VC of the router at
     /// `node`. Returns `false` when nothing was buffered there. Breaks
-    /// both flit and credit conservation — never call outside tests.
+    /// both flit and credit conservation, and a dropped tail leaves its
+    /// packet's entry taken — never call outside tests.
     #[doc(hidden)]
     pub fn fault_drop_flit(&mut self, node: Coord) -> bool {
         let r = self.topo.node_index(node);
@@ -1277,7 +1306,7 @@ impl Network {
                 let q = self.core.eject_queue(r, p);
                 e.put_usize(q.len());
                 for s in q {
-                    s.flit().snap(e);
+                    self.core.packets.flit(s).snap(e);
                 }
             }
         }
@@ -1335,15 +1364,19 @@ impl Network {
         if d.usize()? != self.core.len() {
             return Err(SnapError::BadValue("router count"));
         }
+        // The snapshot writes whole flits; the packets they belong to are
+        // interned, by id, into a fresh table.
+        self.core.packets.clear();
+        let mut seen = HashMap::new();
         for r in 0..self.core.len() {
-            self.core.restore_state(r, d, self.cycle)?;
+            self.core.restore_state(r, d, self.cycle, &mut seen)?;
         }
         if d.usize()? != self.links.len() {
             return Err(SnapError::BadValue("link count"));
         }
         self.links.clear_in_flight();
         for li in 0..self.links.len() {
-            self.restore_link(li, d)?;
+            self.restore_link(li, d, &mut seen)?;
         }
         if d.usize()? != self.injectors.len() {
             return Err(SnapError::BadValue("injector count"));
@@ -1358,6 +1391,7 @@ impl Network {
             if inj.active_vc.is_some_and(|v| v >= self.cfg.vcs_per_port) {
                 return Err(SnapError::BadValue("injector active vc"));
             }
+            inj.handle = None;
             inj.last_cycle = d.u64()?;
             inj.flits = d.u64()?;
         }
@@ -1374,7 +1408,8 @@ impl Network {
                 let len = d.usize()?;
                 let mut q = VecDeque::with_capacity(len.min(d.remaining()));
                 for _ in 0..len {
-                    q.push_back(Slot::pack(self.cycle, &Flit::restore(d)?));
+                    let f = Flit::restore(d)?;
+                    q.push_back(Slot::pack(self.cycle, self.core.packets.intern(&mut seen, &f)?, &f));
                 }
                 self.core.restore_eject(r, p, q)?;
             }
@@ -1419,7 +1454,8 @@ impl Network {
         let l = &self.links[li];
         let (r, p) = (l.to_router as usize, l.to_port as usize);
         e.put_usize(self.core.staged_on_port(r, p));
-        self.core.visit_staged_on_port(r, p, |s| (s.stamp(), s.flit()).snap(e));
+        let packets = &self.core.packets;
+        self.core.visit_staged_on_port(r, p, |s| (s.stamp(), packets.flit(s)).snap(e));
         e.put_usize(self.links.credits(li, self.cycle).count());
         for c in self.links.credits(li, self.cycle) {
             c.snap(e);
@@ -1437,6 +1473,7 @@ impl Network {
         &mut self,
         li: usize,
         d: &mut equinox_snap::Dec,
+        seen: &mut HashMap<PacketId, u32>,
     ) -> Result<(), equinox_snap::SnapError> {
         use equinox_snap::{Snap, SnapError};
         let (vcs, cycle) = (self.core.vcs(), self.cycle);
@@ -1463,7 +1500,7 @@ impl Network {
             if !self.core.has_room(r, bit) {
                 return Err(SnapError::BadValue("link flit into a full input VC"));
             }
-            let slot = Slot::pack(at, &f);
+            let slot = Slot::pack(at, self.core.packets.intern(seen, &f)?, &f);
             self.links.schedule_flit(li, at, bit, slot.class_ix());
             self.core.stage(r, bit, slot);
             prev = Some(at);
@@ -1987,7 +2024,7 @@ mod tests {
     /// arrival stamp is the 8 bytes before, its VC id the last byte) and
     /// the full VC.
     fn snapshot_with_a_link_flit() -> (NocConfig, u64, Vec<u8>, usize, u8) {
-        use equinox_snap::{Enc, Snap};
+        use equinox_snap::Enc;
         let mut cfg = NocConfig::mesh(4);
         cfg.pipeline_extra = 50;
         let mut net = Network::mesh(cfg.clone());
@@ -2006,20 +2043,93 @@ mod tests {
         assert!(net.try_inject_flit(inj, next));
         next.vc = 1 - full;
         let mut e = Enc::new();
-        next.snap(&mut e);
-        let pattern = e.into_bytes();
-        let mut e = Enc::new();
         net.snapshot_state(&mut e);
         let bytes = e.into_bytes();
+        let at = locate(&bytes, &next);
+        let stamp = (net.cycle() + 1).to_le_bytes();
+        assert_eq!(bytes[at - 8..at], stamp, "sent now, one cycle of latency");
+        (cfg, net.cycle(), bytes, at, full)
+    }
+
+    /// Where the encoding of `f` starts in `bytes`, which must hold it
+    /// exactly once. In a flit's encoding the seq is at +17, the sink at
+    /// +21 and the VC at +25.
+    fn locate(bytes: &[u8], f: &Flit) -> usize {
+        use equinox_snap::{Enc, Snap};
+        let mut e = Enc::new();
+        f.snap(&mut e);
+        let pattern = e.into_bytes();
         let hits: Vec<usize> = (0..=bytes.len() - pattern.len())
             .filter(|&at| bytes[at..at + pattern.len()] == pattern[..])
             .collect();
         let [at] = hits[..] else {
-            panic!("the flit in flight must occur exactly once, found at {hits:?}");
+            panic!("{f:?} must occur exactly once, found at {hits:?}");
         };
-        let stamp = (net.cycle() + 1).to_le_bytes();
-        assert_eq!(bytes[at - 8..at], stamp, "sent now, one cycle of latency");
-        (cfg, net.cycle(), bytes, at, full)
+        at
+    }
+
+    /// Flit `seq` of the packet [`snapshot_with_a_link_flit`] buffers, in
+    /// the VC it fills.
+    fn buffered_flit(seq: usize, full: u8) -> Flit {
+        let mut f = PacketDesc::new(1, Coord::new(1, 1), Coord::new(3, 3), MessageClass::Reply, 5).flits(4)[seq];
+        f.vc = full;
+        f
+    }
+
+    #[test]
+    fn restore_rejects_a_buffered_flit_naming_another_vc_of_its_port() {
+        use equinox_snap::{Dec, SnapError};
+        let (cfg, _, bytes, _, full) = snapshot_with_a_link_flit();
+        let restore =
+            |bytes: &[u8]| Network::mesh(cfg.clone()).restore_state(&mut Dec::new(bytes));
+        // A run buffers a flit in the VC it names; restored elsewhere, its
+        // traversal used to trip "flit buffered in wrong VC".
+        for seq in [0, 3] {
+            let mut bad = bytes.clone();
+            bad[locate(&bytes, &buffered_flit(seq, full)) + 25] = 1 - full;
+            assert_eq!(
+                restore(&bad),
+                Err(SnapError::BadValue("buffered flit names another VC of its port")),
+                "flit {seq}"
+            );
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_body_flit_awaiting_allocation() {
+        use equinox_snap::{Dec, SnapError};
+        let (cfg, _, bytes, _, full) = snapshot_with_a_link_flit();
+        let mut net = Network::mesh(cfg.clone());
+        net.restore_state(&mut Dec::new(&bytes)).expect("the snapshot as written");
+        let ivc = net.core.vc(net.topo.node_index(Coord::new(1, 1)), PORT_LOCAL * 2 + full as usize);
+        assert_eq!(net.core.in_vcs[ivc].out_port, NONE, "the pipeline holds the head unallocated");
+        // The head renumbered as a body flit: the VC's front would ask for
+        // an output VC, which only a head may.
+        let mut bad = bytes.clone();
+        let at = locate(&bytes, &buffered_flit(0, full)) + 17;
+        bad[at..at + 2].copy_from_slice(&1u16.to_le_bytes());
+        assert_eq!(
+            Network::mesh(cfg).restore_state(&mut Dec::new(&bad)),
+            Err(SnapError::BadValue("body flit at the front of an unallocated input VC"))
+        );
+    }
+
+    #[test]
+    fn restore_rejects_flits_of_one_packet_that_disagree() {
+        use equinox_snap::{Dec, SnapError};
+        let (cfg, _, bytes, link_at, full) = snapshot_with_a_link_flit();
+        let restore =
+            |bytes: &[u8]| Network::mesh(cfg.clone()).restore_state(&mut Dec::new(bytes));
+        let disagree = Err(SnapError::BadValue("flits of one packet disagree on src, dst, sink or len"));
+        // A buffered body flit with another sink than its head.
+        let mut bad = bytes.clone();
+        bad[locate(&bytes, &buffered_flit(3, full)) + 21] ^= 1;
+        assert_eq!(restore(&bad), disagree);
+        // The one-flit packet on the link renamed after the five-flit
+        // packet buffered in the router: one id, two lengths.
+        let mut bad = bytes.clone();
+        bad[link_at..link_at + 8].copy_from_slice(&1u64.to_le_bytes());
+        assert_eq!(restore(&bad), disagree);
     }
 
     #[test]
@@ -2115,6 +2225,8 @@ mod tests {
         // Every derived word of every router equals a scan of the arrays
         // it summarises, and the ejection set holds exactly the routers
         // with a non-empty ejection queue.
+        // The packet table holds exactly the packets with a flit buffered,
+        // staged or parked, and those the injectors are streaming.
         let check = |net: &Network, when: &str| {
             for r in 0..net.core.len() {
                 assert_eq!(net.core.words(r), net.core.scan(r), "router {r} {when}");
@@ -2122,6 +2234,16 @@ mod tests {
             let parked: Vec<usize> = (0..net.core.len()).filter(|&r| net.core.scan(r).4 != 0).collect();
             assert_eq!(net.ejecting_routers.ids(), parked, "ejection set {when}");
             assert_eq!(net.has_ejected(), !parked.is_empty(), "{when}");
+            let mut held: Vec<u32> = (0..net.core.len())
+                .flat_map(|r| net.core.router_flits(r))
+                .chain(net.core.all_staged())
+                .chain(net.core.eject_queues().iter().flatten())
+                .map(|s| s.handle())
+                .chain(net.injectors.iter().filter_map(|inj| inj.handle))
+                .collect();
+            held.sort_unstable();
+            held.dedup();
+            assert_eq!(net.core.packets.live(), held, "packet table {when}");
         };
         let (mut net, extra, (tr, tp)) = build();
         let mut rng = Rng::seed_from_u64(0xC0FFEE);
@@ -2193,6 +2315,7 @@ mod tests {
         }
         assert!(net.quiescent(), "traffic must drain");
         assert!(net.stats().ejected_flits > 2000);
+        assert_eq!(net.core.packets.live(), [], "a drained network holds no packet");
         let capped = net.stall_grid().unwrap();
         assert!(
             (0..2).any(|c| capped.class_total(c, equinox_obs::NetCause::CreditStarve) > 0),
@@ -2418,5 +2541,82 @@ mod tests {
         assert!(eject_wait(&net) > 0, "a lazy sink must charge ejection wait");
         assert_eq!(eject_wait(&twin), eject_wait(&net));
         assert!(snapshot(&twin) == snapshot(&net), "drained states must match");
+    }
+
+    #[test]
+    fn a_restore_mid_packet_resumes_streams_whose_sent_flits_have_all_left() {
+        use equinox_snap::{Dec, Enc};
+        // Two NIs stream 40-flit packets. A sends three flits one hop and
+        // pauses; by the snapshot they have been ejected and popped, so
+        // nothing in the network names A's packet, yet its injector is
+        // part-way through it. B streams on, with flits in the network.
+        // Each restored injector must find its packet's entry at its next
+        // body flit: A by a fresh allocation, B by a lookup.
+        let (a, b) = (PacketId(10), PacketId(11));
+        let build = || {
+            let mut net = Network::mesh(NocConfig::mesh(4));
+            net.enable_trace(1024);
+            net
+        };
+        type Streams = Vec<(Coord, VecDeque<Flit>)>;
+        let mut streams: Streams = [(a, Coord::new(0, 0), Coord::new(1, 0)), (b, Coord::new(3, 3), Coord::new(0, 3))]
+            .into_iter()
+            .map(|(id, src, dst)| {
+                (src, VecDeque::from(PacketDesc::new(id.0, src, dst, MessageClass::Reply, 40).flits(4)))
+            })
+            .collect();
+        let cycle = |net: &mut Network, streams: &mut Streams, ejected: &mut Vec<(u64, usize, usize, Flit)>| {
+            let paused = (3..30).contains(&net.cycle());
+            for (k, (src, flits)) in streams.iter_mut().enumerate() {
+                if let Some(&f) = flits.front() {
+                    if !(k == 0 && paused) && net.try_inject_flit(net.local_injector(*src), f) {
+                        flits.pop_front();
+                    }
+                }
+            }
+            net.step();
+            let now = net.cycle();
+            net.drain_ejected(|r, p, f| ejected.push((now, r, p, f)));
+        };
+        let snapshot = |net: &Network| {
+            let mut e = Enc::new();
+            net.snapshot_state(&mut e);
+            e.into_bytes()
+        };
+        let live_ids = |net: &Network| -> Vec<PacketId> {
+            net.core.packets.live().into_iter().map(|h| net.core.packets.get(h).id).collect()
+        };
+
+        let (mut net, mut ejected) = (build(), Vec::new());
+        while net.cycle() < 29 {
+            cycle(&mut net, &mut streams, &mut ejected);
+        }
+        assert_eq!(streams[0].1.len(), 37, "A sent three flits");
+        assert_eq!(ejected.iter().filter(|e| e.3.pkt == a).count(), 3, "A's flits left");
+        assert!(ejected.iter().any(|e| e.3.pkt == b) && streams[1].1.len() < 30);
+        let inj_a = net.local_injector(Coord::new(0, 0)).0;
+        assert!(net.injectors[inj_a].active_vc.is_some(), "A's injector is mid-packet");
+        assert_eq!(live_ids(&net), [a, b]);
+        let bytes = snapshot(&net);
+        let mut twin = build();
+        let mut d = Dec::new(&bytes);
+        twin.restore_state(&mut d).expect("restore mid-packet");
+        d.finish().expect("snapshot fully consumed");
+        assert_eq!(live_ids(&twin), [b], "only B has flits in the network");
+        assert!(twin.injectors.iter().all(|inj| inj.handle.is_none()));
+        assert!(snapshot(&twin) == bytes, "second snapshot must be byte-identical");
+
+        let (mut twin_streams, mut twin_ejected) = (streams.clone(), ejected.clone());
+        while !(net.quiescent() && streams.iter().all(|(_, f)| f.is_empty())) {
+            cycle(&mut net, &mut streams, &mut ejected);
+            cycle(&mut twin, &mut twin_streams, &mut twin_ejected);
+            assert!(net.cycle() < 500, "traffic must drain");
+        }
+        assert!(twin.quiescent() && twin_streams.iter().all(|(_, f)| f.is_empty()));
+        assert_eq!(ejected.len(), 80);
+        assert!(twin_ejected == ejected, "ejection streams diverged after the restore");
+        assert_eq!(twin.stats(), net.stats());
+        assert!(twin.drain_trace() == net.drain_trace(), "flit traces diverged after the restore");
+        assert_eq!((live_ids(&net), live_ids(&twin)), (vec![], vec![]));
     }
 }

@@ -21,9 +21,9 @@
 //! [`crate::network::Network::step`], which owns the links and statistics;
 //! this module holds the state and keeps its masks and counters true.
 
-use crate::flit::{Flit, Slot, SlotExt, EMPTY_SLOT};
+use crate::flit::{Flit, PacketId, PacketTable, Slot, SlotExt, EMPTY_SLOT};
 use equinox_phys::Coord;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 /// Mesh port indices. `PORT_LOCAL` is the first local (NI) port.
 pub const PORT_N: usize = 0;
@@ -112,8 +112,8 @@ pub(crate) struct RouterState {
     pub port_base: u32,
     /// Global id of VC 0 of port 0.
     pub vc_base: u32,
-    /// This router's coordinate as [`SlotExt::dst_key`] packs one.
-    pub coord_key: u32,
+    /// This router's coordinate.
+    pub coord: Coord,
     /// Number of paired ports.
     pub nports: u8,
 }
@@ -158,6 +158,9 @@ pub(crate) struct RouterCore {
     pub want: Vec<u64>,
     /// Input-VC rings, stamped with the enqueue cycle.
     slots: Vec<Slot>,
+    /// What the flits of each live packet share; the slots carry handles
+    /// into it.
+    pub packets: PacketTable,
 }
 
 impl RouterCore {
@@ -179,7 +182,7 @@ impl RouterCore {
                 class_flits: [0; 2],
                 port_base: (r * ports) as u32,
                 vc_base: (r * ports * v) as u32,
-                coord_key: Slot::coord_key(c),
+                coord: c,
                 nports: ports as u8,
             })
             .collect();
@@ -209,6 +212,7 @@ impl RouterCore {
             out_owner: vec![NONE; n * ports * v],
             want: vec![0; n * ports * v],
             slots: vec![EMPTY_SLOT; n * ports * v * depth],
+            packets: PacketTable::default(),
         };
         for r in 0..n {
             core.check_width(r);
@@ -272,6 +276,17 @@ impl RouterCore {
         }
         self.routers[r].out_free |= self.port_bits(r, port, port + 1);
         port
+    }
+
+    /// Makes room in the packet table for every packet that can be live
+    /// at once, so that a run never grows it: each live packet has a flit
+    /// in a VC slot or an ejection queue (at most `eject_cap` per
+    /// ejection port), or is the packet one of the network's `injectors`
+    /// is streaming, all of whose sent flits have left. The network calls
+    /// this whenever it adds a port.
+    pub fn reserve_packets(&mut self, injectors: usize) {
+        let eject_ports = self.out_role.iter().filter(|r| matches!(r, OutputRole::Eject { .. })).count();
+        self.packets.reserve(self.slots.len() + self.eject_cap * eject_ports + injectors);
     }
 
     /// Gives output port `p` of router `r` its role.
@@ -611,7 +626,7 @@ impl RouterCore {
                 let vc = &self.in_vcs[ivc];
                 e.put_usize(vc.len as usize);
                 for s in self.flits(ivc) {
-                    (s.stamp(), s.flit()).snap(e);
+                    (s.stamp(), self.packets.flit(s)).snap(e);
                 }
                 opt(vc.out_port).map(usize::from).snap(e);
                 opt(vc.out_vc).snap(e);
@@ -632,17 +647,23 @@ impl RouterCore {
     /// `r` of a core of the *same* shape. Everything that later indexes
     /// a flat array — ports, VCs, buffer lengths, credits — is bounded
     /// here, and no buffered flit may be stamped after `cycle` (the
-    /// pipeline stages rely on it). The masks and class counters are
+    /// pipeline stages rely on it). Two more buffer states no run writes
+    /// are refused, because the first step would trip over them: a flit
+    /// naming another VC of its port than the one it is buffered in, and
+    /// a body flit at the front of a VC holding no output VC (only a head
+    /// waits for allocation). The masks and class counters are
     /// derived from what was read, except `out_ready` and `ejecting`,
     /// which [`RouterCore::restore_eject`] completes port by port; no
     /// `want` survives (the next allocation attempt records it again).
     /// Nothing is staged afterwards: the network stages what the link
-    /// section of the snapshot carries.
+    /// section of the snapshot carries. Each flit takes its packet's
+    /// handle through `seen` (see [`PacketTable::intern`]).
     pub fn restore_state(
         &mut self,
         r: usize,
         d: &mut equinox_snap::Dec,
         cycle: u64,
+        seen: &mut HashMap<PacketId, u32>,
     ) -> Result<(), equinox_snap::SnapError> {
         use equinox_snap::{Snap, SnapError};
         let base = self.routers[r].port_base as usize;
@@ -670,7 +691,10 @@ impl RouterCore {
                     if enq > cycle {
                         return Err(SnapError::BadValue("buffered flit stamped in the future"));
                     }
-                    let slot = Slot::pack(enq, &f);
+                    if f.vc as usize != v {
+                        return Err(SnapError::BadValue("buffered flit names another VC of its port"));
+                    }
+                    let slot = Slot::pack(enq, self.packets.intern(seen, &f)?, &f);
                     self.slots[vc.slot_base as usize + k] = slot;
                     s.class_flits[slot.class_ix()] += 1;
                 }
@@ -680,6 +704,9 @@ impl RouterCore {
                 let out_port: Option<usize> = Option::restore(d)?;
                 let out_vc: Option<u8> = Option::restore(d)?;
                 (vc.out_port, vc.out_vc) = match (out_port, out_vc) {
+                    (None, None) if len > 0 && !self.slots[vc.slot_base as usize].is_head() => {
+                        return Err(SnapError::BadValue("body flit at the front of an unallocated input VC"))
+                    }
                     (None, None) => (NONE, NONE),
                     (Some(op), Some(ov)) if op < nports && (ov as usize) < vcs => {
                         s.allocated |= 1 << bit;
@@ -755,9 +782,11 @@ mod tests {
         RouterCore::new(&coords, 5, vcs, depth, 4)
     }
 
+    /// A one-flit packet stamped `id`, under handle `id` (these tests keep
+    /// no packet table: the handle only tells the slots apart).
     fn flit(id: u64, class: MessageClass) -> Slot {
         let f = PacketDesc::new(id, Coord::new(0, 0), Coord::new(1, 1), class, 1).flits(8)[0];
-        Slot::pack(id, &f)
+        Slot::pack(id, id as u32, &f)
     }
 
     /// Stages `slot` and lets it arrive at once.
@@ -791,14 +820,14 @@ mod tests {
         assert_eq!(c.routers[0].out_free, (1 << 12) - 1);
         assert!(matches!(c.role(0, 5), OutputRole::Dead));
         assert_eq!(c.feed_link[c.port(2, 1)], 77);
-        assert_eq!(c.front(c.vc(2, 3)).pkt().0, 9);
+        assert_eq!(c.front(c.vc(2, 3)).handle() as u64, 9);
         assert_eq!(c.out_owner[c.vc(2, 4 * 2 + 1)], 3);
         // The new port's VCs work and do not alias anyone's ring.
         push(&mut c, 0, 5 * 2, flit(1, MessageClass::Request));
-        assert_eq!(c.front(c.vc(0, 10)).pkt().0, 1);
-        assert_eq!(c.front(c.vc(2, 3)).pkt().0, 9);
+        assert_eq!(c.front(c.vc(0, 10)).handle() as u64, 1);
+        assert_eq!(c.front(c.vc(2, 3)).handle() as u64, 9);
         c.release(2, 3);
-        assert_eq!(c.pop(2, 3).pkt().0, 9);
+        assert_eq!(c.pop(2, 3).handle() as u64, 9);
         let s = &c.routers[2];
         assert_eq!((s.occupied, s.allocated, s.out_free), (0, 0, (1 << 10) - 1));
     }
@@ -827,12 +856,12 @@ mod tests {
                     c.arrive(0, 3, 1);
                     arrived += 1;
                 }
-                let ids: Vec<u64> = c.flits(3).map(|s| s.pkt().0).collect();
+                let ids: Vec<u64> = c.flits(3).map(|s| s.handle() as u64).collect();
                 assert_eq!(ids, (popped..arrived).collect::<Vec<_>>(), "depth {depth}");
-                let ids: Vec<u64> = c.staged(3).map(|s| s.pkt().0).collect();
+                let ids: Vec<u64> = c.staged(3).map(|s| s.handle() as u64).collect();
                 assert_eq!(ids, (arrived..staged).collect::<Vec<_>>(), "depth {depth}");
                 for _ in 0..(arrived - popped).min(1 + round % depth as u64) {
-                    assert_eq!(c.front(3).pkt().0, popped);
+                    assert_eq!(c.front(3).handle() as u64, popped);
                     assert_eq!(c.pop(0, 3).stamp(), popped);
                     popped += 1;
                 }
@@ -861,7 +890,7 @@ mod tests {
         assert_eq!(order, [7, 8, 9], "arrival order across the port's VCs");
         assert_eq!(c.all_staged().count(), 3);
         // The visible request leaves; its VC keeps the staged reply.
-        assert_eq!(c.pop(0, 2).pkt().0, 1);
+        assert_eq!(c.pop(0, 2).handle() as u64, 1);
         assert_eq!(c.routers[0].occupied, 0);
         assert_eq!(c.staged(2).map(|s| s.stamp()).collect::<Vec<_>>(), [8]);
         c.arrive(0, 3, 1);

@@ -98,6 +98,27 @@ if head -n "${tests_at:-1000000}" crates/noc/src/link.rs | grep -nE '\bSlot' \
 fi
 echo "OK: a flit in flight has one home, its downstream buffer"
 
+echo "== one-descriptor-per-packet guard =="
+# What the flits of a packet share (id, src, dst, len, sink) is stored
+# once, in the network's PacketTable; a VC slot is a stamp and one word
+# of per-flit fields around the packet's handle. So flit.rs keeps Slot at
+# two words, and the SlotExt trait reads no per-packet field.
+flit_rs=crates/noc/src/flit.rs
+slot_trait=""
+while IFS= read -r line; do
+  [[ "$line" == "pub(crate) trait SlotExt "* ]] && slot_trait+=$'\n'
+  if [ -n "$slot_trait" ]; then
+    slot_trait+="$line"$'\n'
+    [ "$line" = "}" ] && break
+  fi
+done < "$flit_rs"
+if ! grep -qE '^pub\(crate\) type Slot = \[u64; 2\];$' "$flit_rs" || [ -z "$slot_trait" ] \
+    || grep -nE '\bfn (pkt|dst|dst_key|sink|flit)\b' <<< "$slot_trait"; then
+  echo "FAIL: a slot holds per-packet fields again — keep them in the PacketTable entry its handle names" >&2
+  exit 1
+fi
+echo "OK: each packet's descriptor is stored once; slots are two words"
+
 echo "== libm-free sampler guard =="
 # Every design search draws its EIR groups through one weighted shuffle
 # whose keys are integer powers of a uniform draw (Candidate::key in
