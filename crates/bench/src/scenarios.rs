@@ -732,7 +732,7 @@ fn observe(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
     header(log, "Observability: latency histograms, time series, spans, flit trace");
     // The scenario exists to exercise the observability layer, so it is
     // armed even when the spec left `--obs` off; the spec's
-    // `--obs-interval` / `--trace` / `--trace-capacity` still apply.
+    // `--obs-interval` / `--trace` still apply.
     let mut armed = spec.clone();
     armed.obs = true;
     let cell = Cell::new(SchemeKind::EquiNox, 8, "bfs", &armed);

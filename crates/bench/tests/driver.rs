@@ -7,8 +7,8 @@
 
 use equinox_bench::artifact::run_metrics_json;
 use equinox_bench::scenarios::{scenario, scenarios};
-use equinox_config::{parse_json, Json};
-use equinox_core::SchemeKind;
+use equinox_config::{parse_json, ExperimentSpec, Json};
+use equinox_core::{SchemeKind, SystemConfig};
 use std::path::Path;
 use std::process::Command;
 
@@ -50,6 +50,9 @@ fn malformed_values_and_unknown_flags_are_fatal() {
         (vec!["fabric", "--topology", "torus"], "--topology"),
         (vec!["fabric", "--traffic", "tornado"], "--traffic"),
         (vec!["observe", "--obs-interval", "0"], "--obs-interval"),
+        // Fields nothing read, since removed: unknown like any typo.
+        (vec!["fabric", "--trace-capacity", "128"], "--trace-capacity"),
+        (vec!["fabric", "--audit-watchdog", "0"], "--audit-watchdog"),
         // A scenario precondition, not a parse error — same discipline.
         (vec!["watch"], "--obs-stream"),
     ] {
@@ -315,6 +318,9 @@ fn fabric_scenario_runs_end_to_end_through_the_driver() {
     assert_eq!(prov.get("traffic").and_then(Json::as_str), Some("cli"));
     let results = artifact.get("results").expect("results block");
     assert_eq!(results.get("topology").and_then(Json::as_str), Some("ring"));
+    assert_eq!(results.get("traffic").and_then(Json::as_str), Some("hotspot"));
+    assert_eq!(results.get("width").and_then(Json::as_u64), Some(6));
+    assert_eq!(results.get("cycles").and_then(Json::as_u64), Some(600));
     assert_eq!(results.get("snapshot_roundtrip").and_then(Json::as_bool), Some(true));
     assert_eq!(results.get("audit_violations").and_then(Json::as_u64), Some(0));
     let inj = results.get("injected_flits").and_then(Json::as_u64).unwrap();
@@ -444,6 +450,79 @@ fn flagship_design_matches_the_checked_in_text() {
     let text = artifact.get("results").and_then(|r| r.get("design_text")).and_then(Json::as_str);
     let pinned = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../specs/design-8x8.txt");
     assert_eq!(text, Some(std::fs::read_to_string(pinned).expect("specs/design-8x8.txt").as_str()));
+}
+
+/// The driver's path from a command line to a cell's machine — parse,
+/// resolve, `Cell::system_config` — for every field a cell reads: each
+/// flag moves its field away from the default machine's value.
+#[test]
+fn cell_fields_reach_the_machine() {
+    let resolve = |args: &[&str]| {
+        let argv: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        let parsed = equinox_config::parse_cli(&argv).expect("parses");
+        equinox_config::resolve(None, &|_| None, &parsed.sets).expect("resolves")
+    };
+    type ReadField = fn(&SystemConfig, &ExperimentSpec) -> String;
+    let cases: [(&[&str], ReadField, &str); 18] = [
+        (&["--topology", "ring"], |c, _| format!("{:?}", c.reply_topology), "Ring"),
+        (&["--cbs", "4"], |c, _| c.n_cbs.to_string(), "4"),
+        (&["--scale", "0.125"], |c, _| c.workload.scale.to_string(), "0.125"),
+        (&["--seeds", "9,3"], |c, _| c.workload.seed.to_string(), "9"),
+        (&["--full"], |_, s| equinox_bench::bench_set(s).len().to_string(), "29"),
+        (&["--sim-threads", "2"], |c, _| c.sim_threads.to_string(), "2"),
+        (&["--max-cycles", "1234"], |c, _| c.max_cycles.to_string(), "1234"),
+        (&["--ni-queue-cap", "3"], |c, _| c.ni_queue_cap.to_string(), "3"),
+        (&["--cb-inflight-cap", "16"], |c, _| c.cb_inflight_cap.to_string(), "16"),
+        (&["--l2-latency", "40"], |c, _| c.l2_latency.to_string(), "40"),
+        (&["--pipeline-extra", "2"], |c, _| c.pipeline_extra.to_string(), "2"),
+        (&["--reply-compression", "0.5"], |c, _| c.reply_compression.to_string(), "0.5"),
+        (&["--no-activity-gate"], |c, _| c.activity_gate.to_string(), "false"),
+        (&["--audit"], |c, _| c.audit.as_ref().map_or(0, |a| a.watchdog_window).to_string(), "20000"),
+        (&["--obs"], |c, _| c.obs.is_some().to_string(), "true"),
+        (&["--obs", "--obs-interval", "250"], |c, _| c.obs.as_ref().map_or(0, |o| o.interval).to_string(), "250"),
+        (&["--obs-stream", "f.jsonl"], |c, _| c.obs.as_ref().map_or("", |o| &o.stream).into(), "f.jsonl"),
+        (&["--trace"], |c, _| c.trace_capacity.to_string(), "65536"),
+    ];
+    let machine = |spec: &ExperimentSpec| {
+        let cell = equinox_bench::Cell::new(SchemeKind::SeparateBase, 8, "gaussian", spec);
+        cell.system_config(cell.seeds[0], &mut std::io::sink())
+    };
+    let default_spec = resolve(&[]);
+    let default = machine(&default_spec);
+    for (args, read, want) in cases {
+        let spec = resolve(args);
+        assert_ne!(read(&default, &default_spec), want, "{args:?} is already the default");
+        assert_eq!(read(&machine(&spec), &spec), want, "{args:?}");
+    }
+}
+
+/// Every registered spec field has a row in DESIGN.md's "Spec fields and
+/// who reads them" naming its reader and a test of this file, and every
+/// row names a registered field.
+#[test]
+fn every_spec_field_has_a_row_naming_its_reader_and_test() {
+    let design = include_str!("../../../DESIGN.md");
+    let this_file = include_str!("driver.rs");
+    let table = design
+        .split("### Spec fields and who reads them")
+        .nth(1)
+        .expect("DESIGN.md has the spec-field table");
+    let rows: Vec<Vec<&str>> = table
+        .lines()
+        .skip_while(|l| !l.starts_with("| `"))
+        .take_while(|l| l.starts_with('|'))
+        .map(|l| l.trim_matches('|').split('|').map(|c| c.trim().trim_matches('`')).collect())
+        .collect();
+    let names: Vec<&str> = rows.iter().map(|r| r[0]).collect();
+    let registered: Vec<&str> = equinox_config::fields().iter().map(|f| f.name).collect();
+    assert_eq!(names, registered, "one row per registered field, in registry order");
+    for row in &rows {
+        let [field, reader, test] = row[..] else {
+            panic!("{row:?}: a row is | field | read by | test |");
+        };
+        assert!(!reader.is_empty(), "{field}: no reader");
+        assert!(this_file.contains(&format!("#[test]\nfn {test}()")), "{field}: no test `{test}` here");
+    }
 }
 
 #[test]

@@ -1,10 +1,12 @@
 //! The typed experiment specification and its field registry.
 //!
 //! [`ExperimentSpec`] is the single description of *how* an experiment
-//! runs: every knob of the full-system simulator (`SystemConfig`), the
-//! invariant auditor (`AuditConfig`), the worker pool, and the
-//! workload scaling/seeding that the binaries used to pass around as
-//! ad-hoc flags and process-global environment variables. What it does
+//! runs: the knobs of the full-system simulator (`SystemConfig`) that a
+//! scenario or the benchmark reads, whether the invariant auditor and
+//! the observability layer are armed, the worker pool, and the workload
+//! scaling/seeding. DESIGN.md's "Spec fields and who reads them" names
+//! each field's reader and the driver test that shows the value
+//! arriving there; a field without one does not belong here. What it does
 //! **not** pick is the scenario itself — that is a positional argument
 //! of the driver — or per-scenario structural choices (which mesh sizes
 //! fig12 sweeps, which schemes fig9 compares), which stay in scenario
@@ -91,15 +93,10 @@ pub struct ExperimentSpec {
     /// Activity-driven stepping (bit-identical fast path); the inverse
     /// of the `--no-activity-gate` escape hatch.
     pub activity_gate: bool,
-    /// Arm the invariant auditor.
+    /// Arm the invariant auditor at `AuditConfig::default()`: a sweep
+    /// every 64 cycles, a 20 000-cycle watchdog, panic on the first
+    /// violation.
     pub audit: bool,
-    /// Cycles between auditor conservation sweeps.
-    pub audit_check_interval: u64,
-    /// Auditor zero-progress window before declaring deadlock
-    /// (0 disables the watchdog).
-    pub audit_watchdog_window: u64,
-    /// Panic on the first auditor violation (else accumulate findings).
-    pub audit_panic: bool,
     /// Measured cycles per load–latency point (loadlat scenario).
     pub cycles: u64,
     /// MCTS iterations for design searches driven by the spec
@@ -116,13 +113,12 @@ pub struct ExperimentSpec {
     /// terminal `obs.summary/v1` frame. Setting this arms the
     /// observability layer even without `--obs`. Empty = off.
     pub obs_stream: String,
-    /// Record per-flit NoC trace events (Inject/Hop/Eject).
+    /// Record per-flit NoC trace events (Inject/Hop/Eject) in a ring of
+    /// `SystemConfig::TRACE_CAPACITY` events per network.
     pub trace: bool,
     /// Path for the Chrome trace-event JSON export (empty = don't
     /// write a file; scenarios that honor tracing discard the trace).
     pub trace_out: String,
-    /// Flit-trace ring capacity per network (oldest events drop).
-    pub trace_capacity: usize,
     /// Result cache directory: finished artifacts and run-metrics
     /// cells, content-addressed (empty = caching off). Never part of a
     /// run's cache key: two runs that differ only here are the same
@@ -152,9 +148,6 @@ impl Default for ExperimentSpec {
             reply_compression: 0.0,
             activity_gate: true,
             audit: false,
-            audit_check_interval: 64,
-            audit_watchdog_window: 20_000,
-            audit_panic: true,
             cycles: 6_000,
             iters: 4_000,
             obs: false,
@@ -162,7 +155,6 @@ impl Default for ExperimentSpec {
             obs_stream: String::new(),
             trace: false,
             trace_out: String::new(),
-            trace_capacity: 65_536,
             checkpoint_dir: String::new(),
             provenance: vec![Layer::Default; fields().len()],
         }
@@ -537,9 +529,6 @@ pub fn fields() -> &'static [FieldDef] {
             get_json: |s| Json::Bool(s.activity_gate),
         },
         field!(flag "audit", "--audit", "EQUINOX_AUDIT", audit, "arm the invariant auditor"),
-        field!(uint "audit_check_interval", "--audit-check-interval", "EQUINOX_AUDIT_CHECK_INTERVAL", audit_check_interval: u64, "cycles between auditor sweeps"),
-        field!(uint "audit_watchdog_window", "--audit-watchdog", "EQUINOX_AUDIT_WATCHDOG", audit_watchdog_window: u64, "auditor deadlock window (0 = off)"),
-        field!(flag "audit_panic", "--audit-panic", "EQUINOX_AUDIT_PANIC", audit_panic, "panic on the first auditor violation"),
         field!(uint >= 1, "cycles", "--cycles", "EQUINOX_CYCLES", cycles: u64, "measured cycles per load-latency point (>= 1)"),
         field!(uint >= 1, "iters", "--iters", "EQUINOX_ITERS", iters: usize, "MCTS iterations for spec-driven design searches (>= 1)"),
         field!(flag "obs", "--obs", "EQUINOX_OBS", obs, "arm the observability layer (metrics + time series)"),
@@ -610,7 +599,6 @@ pub fn fields() -> &'static [FieldDef] {
             },
             get_json: |s| Json::Str(s.trace_out.clone()),
         },
-        field!(uint "trace_capacity", "--trace-capacity", "EQUINOX_TRACE_CAPACITY", trace_capacity: usize, "flit-trace ring capacity per network"),
         FieldDef {
             name: "checkpoint_dir",
             flag: "--checkpoint-dir",
@@ -719,12 +707,9 @@ mod tests {
             .unwrap();
         s.set_str(field_by_flag("--trace-out").unwrap(), "/tmp/t.json", Layer::Cli)
             .unwrap();
-        s.set_str(field_by_flag("--trace-capacity").unwrap(), "128", Layer::Cli)
-            .unwrap();
         assert!(s.obs && s.trace);
         assert_eq!(s.obs_interval, 250);
         assert_eq!(s.trace_out, "/tmp/t.json");
-        assert_eq!(s.trace_capacity, 128);
         // Spec-file forms.
         let f = field_by_name("trace_out").unwrap();
         s.set_json(f, &Json::Str("x.json".into()), Layer::File).unwrap();

@@ -144,9 +144,6 @@ fn every_field_is_reachable_from_every_layer() {
     tweaked.reply_compression = 0.5;
     tweaked.activity_gate = false;
     tweaked.audit = true;
-    tweaked.audit_check_interval = 32;
-    tweaked.audit_watchdog_window = 500;
-    tweaked.audit_panic = false;
     tweaked.cycles = 999;
     tweaked.iters = 50;
     let text = tweaked.to_json().pretty();

@@ -76,7 +76,8 @@ pub struct SystemConfig {
     /// build time). Drivers fill it in from the resolved spec's `--obs`.
     pub obs: Option<crate::obs::ObsConfig>,
     /// Per-network flit-trace ring capacity; 0 (the default) disables
-    /// tracing. Drivers fill it in from `--trace` / `--trace-capacity`.
+    /// tracing. Drivers set [`SystemConfig::TRACE_CAPACITY`] from
+    /// `--trace`.
     pub trace_capacity: usize,
     /// Intra-run subnet-stepping lanes: 1 (the default) steps every
     /// network serially on the caller; `k > 1` fans the per-subnet NoC
@@ -90,6 +91,10 @@ pub struct SystemConfig {
 }
 
 impl SystemConfig {
+    /// The flit-trace ring capacity per network that the spec's `trace`
+    /// arms; the oldest events drop once a ring is full.
+    pub const TRACE_CAPACITY: usize = 65_536;
+
     /// Table 1's machine: [`SystemConfig::from_spec`] of the default
     /// spec, which reads no environment (auditing off, gating on).
     pub fn new(scheme: SchemeKind, n: u16, workload: Workload) -> Self {
@@ -135,7 +140,7 @@ impl SystemConfig {
                 stream: spec.obs_stream.clone(),
                 ..Default::default()
             }),
-            trace_capacity: if spec.trace { spec.trace_capacity } else { 0 },
+            trace_capacity: if spec.trace { Self::TRACE_CAPACITY } else { 0 },
             sim_threads: spec.sim_threads,
         }
     }
@@ -145,11 +150,7 @@ impl SystemConfig {
     pub fn audit_from_spec(
         spec: &equinox_config::ExperimentSpec,
     ) -> Option<equinox_noc::AuditConfig> {
-        spec.audit.then_some(equinox_noc::AuditConfig {
-            check_interval: spec.audit_check_interval,
-            watchdog_window: spec.audit_watchdog_window,
-            panic_on_violation: spec.audit_panic,
-        })
+        spec.audit.then(equinox_noc::AuditConfig::default)
     }
 
     /// What [`System::build`] would assemble, without building it.
@@ -1358,13 +1359,11 @@ mod tests {
         let mut spec = equinox_config::ExperimentSpec::default();
         assert!(SystemConfig::audit_from_spec(&spec).is_none());
         spec.audit = true;
-        spec.audit_check_interval = 32;
-        spec.audit_watchdog_window = 123;
-        spec.audit_panic = false;
         let a = SystemConfig::audit_from_spec(&spec).unwrap();
-        assert_eq!(a.check_interval, 32);
-        assert_eq!(a.watchdog_window, 123);
-        assert!(!a.panic_on_violation);
+        assert_eq!(
+            (a.check_interval, a.watchdog_window, a.panic_on_violation),
+            (64, 20_000, true)
+        );
     }
 
     #[test]
