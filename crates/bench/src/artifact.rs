@@ -95,7 +95,7 @@ pub fn net_stats_json(s: &NetStats) -> Json {
 }
 
 /// One load–latency point as JSON (`equinox.load_point/v1`).
-pub fn load_point_json(p: &LoadPoint) -> Json {
+pub(crate) fn load_point_json(p: &LoadPoint) -> Json {
     Json::obj()
         .with("schema", "equinox.load_point/v1")
         .with("offered", p.offered)

@@ -40,6 +40,18 @@ fn fail(message: &str) -> ! {
     std::process::exit(2);
 }
 
+/// Opens `path` for appending, as the run will, so that a path it
+/// cannot write is named before any work starts. Removes the file again
+/// if this check created it.
+fn check_writable(path: &str) -> std::io::Result<()> {
+    let existed = std::path::Path::new(path).exists();
+    std::fs::OpenOptions::new().append(true).create(true).open(path)?;
+    if !existed {
+        std::fs::remove_file(path)?;
+    }
+    Ok(())
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let parsed = match parse_cli(&args) {
@@ -62,8 +74,23 @@ fn main() {
         Ok(s) => s,
         Err(e) => fail(&e.to_string()),
     };
-    if sc.name == "watch" && spec.obs_stream.is_empty() {
-        fail("watch needs --obs-stream <path> naming the feed to attach to");
+    if sc.name == "watch" {
+        if spec.obs_stream.is_empty() {
+            fail("watch needs --obs-stream <path> naming the feed to attach to");
+        }
+        if let Err(e) = std::fs::File::open(&spec.obs_stream) {
+            fail(&format!("--obs-stream {}: cannot read the feed: {e}", spec.obs_stream));
+        }
+    } else {
+        // Otherwise a bad path panics on a pool worker (the stream) or
+        // after the whole run (the trace).
+        for (flag, path) in [("--obs-stream", &spec.obs_stream), ("--trace-out", &spec.trace_out)] {
+            if !path.is_empty() {
+                if let Err(e) = check_writable(path) {
+                    fail(&format!("{flag} {path}: cannot open for writing: {e}"));
+                }
+            }
+        }
     }
     // Where the command line chooses the mesh, a machine that cannot be
     // built is named before any work starts (`fabric` builds a bare

@@ -75,7 +75,7 @@ pub fn artifact_key(scenario: &str, spec: &ExperimentSpec) -> u64 {
 
 /// Decodes a `design_<key>` entry: the text must parse and describe an
 /// `n × n` mesh with `n_cbs` cache banks.
-pub fn decode_design(bytes: &[u8], n: u16, n_cbs: u16) -> Option<EquiNoxDesign> {
+pub(crate) fn decode_design(bytes: &[u8], n: u16, n_cbs: u16) -> Option<EquiNoxDesign> {
     let d = EquiNoxDesign::from_text(std::str::from_utf8(bytes).ok()?).ok()?;
     (d.placement.width == n && d.placement.cbs.len() == n_cbs as usize).then_some(d)
 }
@@ -112,7 +112,7 @@ pub fn encode_metrics(m: &RunMetrics) -> Vec<u8> {
 ///
 /// Any malformed byte stream (truncation, trailing bytes, an unknown
 /// scheme tag) returns a [`SnapError`]; the caller treats it as a miss.
-pub fn decode_metrics(bytes: &[u8]) -> Result<RunMetrics, SnapError> {
+pub(crate) fn decode_metrics(bytes: &[u8]) -> Result<RunMetrics, SnapError> {
     let mut d = Dec::new(bytes);
     let tag = d.u8()? as usize;
     let scheme = *SchemeKind::ALL.get(tag).ok_or(SnapError::BadValue("scheme tag"))?;

@@ -37,15 +37,15 @@ pub mod scenarios;
 pub mod watch;
 
 /// Iterations used for the "strong" (publication-quality) design search.
-pub const STRONG_ITERS: usize = 4_000;
+pub(crate) const STRONG_ITERS: usize = 4_000;
 /// Seed for the strong design (any fixed value; determinism is the point).
-pub const STRONG_SEED: u64 = 7;
+pub(crate) const STRONG_SEED: u64 = 7;
 
 /// The design [`EquiNoxDesign::search`] finds for `(n, n_cbs, iters,
 /// seed)`, searched at most once per process — and, with the spec's
 /// cache armed, once per cache directory (a `design_<key>` entry). A
 /// real search announces itself on `log`.
-pub fn design(
+pub(crate) fn design(
     n: u16,
     n_cbs: u16,
     iters: usize,
@@ -154,7 +154,7 @@ impl Cell {
     /// are out because artifacts are identical for every value
     /// (`tests/determinism.rs`), `full` because it only picks which cells
     /// exist, `seeds` because the cell's own list is what runs.
-    pub fn key(&self) -> u64 {
+    pub(crate) fn key(&self) -> u64 {
         let design = self.design.as_ref().map(|d| d.to_text());
         let placement = self.placement.as_ref().map(|p| (p.width, p.height, &p.cbs));
         let material = self.spec.cache_key_material(&["threads", "sim_threads", "full", "seeds"]);
@@ -261,7 +261,7 @@ pub fn bench_set(spec: &ExperimentSpec) -> Vec<&'static str> {
 }
 
 /// The benchmark subset used by quick modes (network-heavy + light).
-pub const QUICK_BENCHES: [&str; 6] = [
+pub(crate) const QUICK_BENCHES: [&str; 6] = [
     "kmeans",
     "heartwall",
     "fastWalshTrans",
@@ -271,7 +271,7 @@ pub const QUICK_BENCHES: [&str; 6] = [
 ];
 
 /// All 29 benchmark names.
-pub fn all_bench_names() -> Vec<&'static str> {
+pub(crate) fn all_bench_names() -> Vec<&'static str> {
     all_benchmarks().iter().map(|b| b.name).collect()
 }
 

@@ -26,7 +26,7 @@ const FILE_IDLE: Duration = Duration::from_secs(3);
 
 /// What the client knows about one run of the stream.
 #[derive(Debug, Default)]
-pub struct RunState {
+pub(crate) struct RunState {
     /// The frames' `run` field (empty for a stream that carries none).
     pub run: String,
     /// `obs.sample/v1` frames seen from this run.
@@ -37,7 +37,7 @@ pub struct RunState {
 
 /// Everything the client learned from one stream.
 #[derive(Debug, Default)]
-pub struct WatchStats {
+pub(crate) struct WatchStats {
     /// Frames that parsed and carried a known schema.
     pub frames: u64,
     /// The `obs.sample/v1` subset of `frames`.
@@ -52,7 +52,7 @@ pub struct WatchStats {
 
 impl WatchStats {
     /// Runs whose terminal frame arrived.
-    pub fn summaries(&self) -> usize {
+    pub(crate) fn summaries(&self) -> usize {
         self.runs.iter().filter(|r| r.summary.is_some()).count()
     }
 
@@ -62,7 +62,7 @@ impl WatchStats {
     }
 
     /// The scenario's structured result block.
-    pub fn to_json(&self) -> Json {
+    pub(crate) fn to_json(&self) -> Json {
         let summaries: Vec<Json> = self.runs.iter().filter_map(|r| r.summary.clone()).collect();
         Json::obj()
             .with("frames_seen", self.frames as f64)
@@ -181,7 +181,7 @@ fn summary_table(frame: &Json) -> String {
 /// every run seen has its summary frame, else after [`FILE_IDLE`] of
 /// quiet there, so it works both live (attached before or during the
 /// producing run) and post-hoc on a fully recorded stream.
-pub fn watch_file(path: &str, log: &mut dyn Write) -> std::io::Result<WatchStats> {
+pub(crate) fn watch_file(path: &str, log: &mut dyn Write) -> std::io::Result<WatchStats> {
     let mut r = BufReader::new(std::fs::File::open(path)?);
     let mut stats = WatchStats::default();
     let mut buf = String::new();

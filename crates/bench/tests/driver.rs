@@ -68,7 +68,7 @@ fn malformed_values_and_unknown_flags_are_fatal() {
 fn unbuildable_machines_and_values_under_a_bound_are_named_not_backtraced() {
     // Each of these used to die in an assert three frames into the build
     // (exit 101), hang until killed, or emit an artifact of empty runs.
-    let cases: [(&[&str], &str); 17] = [
+    let cases: [(&[&str], &str); 18] = [
         (&["sweep", "--n", "9"], "n = 9: Interposer-CMesh"),
         (&["sweep", "--n", "6"], "n_cbs = 8: SingleBase"),
         (&["loadlat", "--n", "1"], "--n"),
@@ -76,6 +76,7 @@ fn unbuildable_machines_and_values_under_a_bound_are_named_not_backtraced() {
         (&["designer", "--cbs", "0"], "--cbs"),
         (&["sweep", "--scale", "nan"], "--scale"),
         (&["sweep", "--scale", "-1"], "--scale"),
+        (&["sweep", "--reply-compression", "1.5"], "--reply-compression"),
         (&["sweep", "--ni-queue-cap", "0"], "--ni-queue-cap"),
         (&["sweep", "--cb-inflight-cap", "0"], "--cb-inflight-cap"),
         (&["sweep", "--max-cycles", "0"], "--max-cycles"),
@@ -293,6 +294,29 @@ fn stream_records_and_watch_replays_end_to_end() {
     // A watcher with no stream target dies loudly.
     let out = driver().arg("watch").output().expect("run driver");
     assert!(!out.status.success(), "watch without --obs-stream must fail");
+}
+
+#[test]
+fn unusable_output_and_feed_paths_are_named_before_any_run() {
+    // Each of these used to panic: the stream on a pool worker, the
+    // trace after the whole run, the feed in the watcher. A path under
+    // a regular file can be neither created nor read.
+    let bad = Path::new(env!("CARGO_MANIFEST_DIR")).join("Cargo.toml").join("out.json");
+    let missing = std::env::temp_dir().join(format!("equinox_no_feed_{}.ndjson", std::process::id()));
+    let (bad, missing) = (bad.to_str().unwrap(), missing.to_str().unwrap());
+    for args in [
+        ["observe", "--obs-stream", bad],
+        ["observe", "--trace-out", bad],
+        ["watch", "--obs-stream", missing],
+    ] {
+        let out = driver().args(args).output().expect("run driver");
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2");
+        assert!(out.stdout.is_empty(), "{args:?} must emit no artifact");
+        let err = String::from_utf8(out.stderr).unwrap();
+        let named: Vec<&str> = err.lines().filter(|l| l.starts_with("equinox: ")).collect();
+        assert!(named.len() == 1 && named[0].contains(args[1]) && named[0].contains(args[2]), "{args:?}: {named:?}");
+        assert!(!err.contains("panicked") && !err.contains("Observability"), "{args:?}: {err}");
+    }
 }
 
 #[test]

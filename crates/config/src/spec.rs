@@ -36,7 +36,7 @@ pub enum Layer {
 
 impl Layer {
     /// Lower-case name used in emitted provenance JSON.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Layer::Default => "default",
             Layer::File => "file",
@@ -162,10 +162,6 @@ impl Default for ExperimentSpec {
 }
 
 impl ExperimentSpec {
-    /// Provenance of the field registered at `index` in [`fields`].
-    pub fn provenance(&self, index: usize) -> Layer {
-        self.provenance[index]
-    }
 
     /// Provenance of the named field, if registered.
     pub fn provenance_of(&self, name: &str) -> Option<Layer> {
@@ -193,7 +189,7 @@ impl ExperimentSpec {
     /// # Errors
     ///
     /// Returns a message describing the type/range mismatch.
-    pub fn set_json(&mut self, field: &FieldDef, value: &Json, layer: Layer) -> Result<(), String> {
+    pub(crate) fn set_json(&mut self, field: &FieldDef, value: &Json, layer: Layer) -> Result<(), String> {
         (field.set_json)(self, value)?;
         self.note(field.name, layer);
         Ok(())
@@ -311,12 +307,24 @@ fn json_f64(v: &Json) -> Result<f64, String> {
 }
 
 /// `scale`'s bound: finite and above zero (`"nan"` and `"inf"` parse as
-/// `f64`, and a spec file can say `-1`).
+/// `f64`, and a spec file can say `-1`). A NaN or non-positive quota
+/// multiplier gives every PE an empty quota, and every cell "finishes"
+/// in the pipeline's fill time.
 fn positive(v: f64) -> Result<f64, String> {
     if v.is_finite() && v > 0.0 {
         Ok(v)
     } else {
         Err(format!("must be finite and > 0, got {v}"))
+    }
+}
+
+/// `reply_compression`'s bound: a probability in [0, 1], the range
+/// `CacheBank::set_compression` asserts on a pool worker.
+fn probability(v: f64) -> Result<f64, String> {
+    if (0.0..=1.0).contains(&v) {
+        Ok(v)
+    } else {
+        Err(format!("must be a probability in [0, 1], got {v}"))
     }
 }
 
@@ -363,8 +371,8 @@ macro_rules! field {
             get_json: |s| Json::Num(s.$field as f64),
         }
     };
-    // Float field.
-    (float $name:literal, $flag:literal, $env:literal, $field:ident, $help:literal) => {
+    // Float field, checked by a bound function.
+    (float $bound:ident, $name:literal, $flag:literal, $env:literal, $field:ident, $help:literal) => {
         FieldDef {
             name: $name,
             flag: $flag,
@@ -372,11 +380,11 @@ macro_rules! field {
             takes_value: true,
             help: $help,
             set_str: |s, v| {
-                s.$field = parse_num::<f64>("a number", v)?;
+                s.$field = $bound(parse_num::<f64>("a number", v)?)?;
                 Ok(())
             },
             set_json: |s, v| {
-                s.$field = json_f64(v)?;
+                s.$field = $bound(json_f64(v)?)?;
                 Ok(())
             },
             get_json: |s| Json::Num(s.$field),
@@ -447,25 +455,7 @@ pub fn fields() -> &'static [FieldDef] {
             get_json: |s| Json::Str(s.traffic.clone()),
         },
         field!(uint >= 1, "n_cbs", "--cbs", "EQUINOX_CBS", n_cbs: u16, "number of cache banks (>= 1)"),
-        // Custom instead of `field!(float ...)`: a NaN or non-positive
-        // quota multiplier gives every PE an empty quota, and every cell
-        // "finishes" in the pipeline's fill time.
-        FieldDef {
-            name: "scale",
-            flag: "--scale",
-            env: "EQUINOX_SCALE",
-            takes_value: true,
-            help: "per-PE instruction quota multiplier (finite, > 0)",
-            set_str: |s, v| {
-                s.scale = positive(parse_num::<f64>("a number", v)?)?;
-                Ok(())
-            },
-            set_json: |s, v| {
-                s.scale = positive(json_f64(v)?)?;
-                Ok(())
-            },
-            get_json: |s| Json::Num(s.scale),
-        },
+        field!(float positive, "scale", "--scale", "EQUINOX_SCALE", scale, "per-PE instruction quota multiplier (finite, > 0)"),
         FieldDef {
             name: "seeds",
             flag: "--seeds",
@@ -507,7 +497,7 @@ pub fn fields() -> &'static [FieldDef] {
         field!(uint >= 1, "cb_inflight_cap", "--cb-inflight-cap", "EQUINOX_CB_INFLIGHT_CAP", cb_inflight_cap: usize, "max requests inside one CB (>= 1)"),
         field!(uint "l2_latency", "--l2-latency", "EQUINOX_L2_LATENCY", l2_latency: u64, "L2 hit latency in cycles"),
         field!(uint "pipeline_extra", "--pipeline-extra", "EQUINOX_PIPELINE_EXTRA", pipeline_extra: u32, "extra router pipeline stages"),
-        field!(float "reply_compression", "--reply-compression", "EQUINOX_REPLY_COMPRESSION", reply_compression, "read-reply compression probability"),
+        field!(float probability, "reply_compression", "--reply-compression", "EQUINOX_REPLY_COMPRESSION", reply_compression, "read-reply compression probability (in [0, 1])"),
         FieldDef {
             name: "activity_gate",
             flag: "--no-activity-gate",
@@ -628,7 +618,7 @@ pub fn field_by_flag(flag: &str) -> Option<&'static FieldDef> {
 }
 
 /// Looks a field up by its spec-file key.
-pub fn field_by_name(name: &str) -> Option<&'static FieldDef> {
+pub(crate) fn field_by_name(name: &str) -> Option<&'static FieldDef> {
     fields().iter().find(|f| f.name == name)
 }
 

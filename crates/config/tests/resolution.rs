@@ -160,8 +160,10 @@ fn every_field_is_reachable_from_every_layer() {
 #[test]
 fn values_under_a_fields_lower_bound_are_refused_on_every_layer() {
     // (key, flag, env, values that describe no machine or run)
-    let cases: [(&str, &str, &str, &[&str]); 8] = [
+    let cases: [(&str, &str, &str, &[&str]); 9] = [
         ("scale", "--scale", "EQUINOX_SCALE", &["nan", "-1", "0", "inf"]),
+        // A probability, which the cache banks assert.
+        ("reply_compression", "--reply-compression", "EQUINOX_REPLY_COMPRESSION", &["1.5", "-0.5", "nan", "inf"]),
         ("n", "--n", "EQUINOX_N", &["0", "1"]),
         ("n_cbs", "--cbs", "EQUINOX_CBS", &["0"]),
         ("ni_queue_cap", "--ni-queue-cap", "EQUINOX_NI_QUEUE_CAP", &["0"]),
@@ -196,7 +198,9 @@ fn values_under_a_fields_lower_bound_are_refused_on_every_layer() {
         ("--max-cycles", "1"),
         ("--scale", "1e-9"),
         ("--iters", "1"),
+        ("--reply-compression", "1"),
     ]);
     let s = resolve(None, &no_env, &ok).unwrap();
     assert_eq!((s.n, s.n_cbs, s.max_cycles, s.scale, s.iters), (2, 1, 1, 1e-9, 1));
+    assert_eq!(s.reply_compression, 1.0);
 }

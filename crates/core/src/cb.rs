@@ -19,7 +19,7 @@ use std::collections::VecDeque;
 
 /// One cache bank with its memory controller and HBM stack.
 #[derive(Debug)]
-pub struct CacheBank {
+pub(crate) struct CacheBank {
     /// Tile this bank occupies.
     pub node: Coord,
     /// Number of CBs the global address space is striped over; used to
@@ -53,7 +53,7 @@ pub struct CacheBank {
 impl CacheBank {
     /// Creates a bank with the given hit rate, L2 hit latency (cycles) and
     /// HBM configuration.
-    pub fn new(
+    pub(crate) fn new(
         node: Coord,
         n_cbs: u64,
         hit_rate: f64,
@@ -87,13 +87,13 @@ impl CacheBank {
     /// # Panics
     ///
     /// Panics unless `0.0 <= p <= 1.0`.
-    pub fn set_compression(&mut self, p: f64) {
+    pub(crate) fn set_compression(&mut self, p: f64) {
         assert!((0.0..=1.0).contains(&p), "probability out of range");
         self.compression = p;
     }
 
     /// `true` if the bank can take another request this cycle.
-    pub fn can_accept(&self) -> bool {
+    pub(crate) fn can_accept(&self) -> bool {
         self.inflight < self.max_inflight
     }
 
@@ -102,7 +102,7 @@ impl CacheBank {
     /// # Panics
     ///
     /// Panics if called while [`CacheBank::can_accept`] is false.
-    pub fn accept(&mut self, pkt_id: u64, tracker: &PacketTracker, now: u64) {
+    pub(crate) fn accept(&mut self, pkt_id: u64, tracker: &PacketTracker, now: u64) {
         assert!(self.can_accept(), "CB over capacity");
         self.inflight += 1;
         let rec = tracker.record(pkt_id);
@@ -135,7 +135,7 @@ impl CacheBank {
 
     /// One cycle: advance HBM, collect finished accesses and due hits,
     /// and hand ready replies to the reply NI while it has room.
-    pub fn tick(
+    pub(crate) fn tick(
         &mut self,
         now: u64,
         tracker: &mut PacketTracker,
@@ -204,7 +204,7 @@ impl CacheBank {
     }
 
     /// Requests inside the bank (accepted, not yet replied).
-    pub fn inflight(&self) -> usize {
+    pub(crate) fn inflight(&self) -> usize {
         self.inflight
     }
 
@@ -212,7 +212,7 @@ impl CacheBank {
     /// queue, the HBM stack itself, ready/parked replies and the
     /// in-flight window. Node, striping, rates and latencies are
     /// build-time configuration and are skipped.
-    pub fn snap_state(&self, e: &mut equinox_snap::Enc) {
+    pub(crate) fn snap_state(&self, e: &mut equinox_snap::Enc) {
         use equinox_snap::Snap;
         self.rng.snap(e);
         self.hits_due.snap(e);
@@ -226,7 +226,7 @@ impl CacheBank {
 
     /// Restores state written by [`CacheBank::snap_state`] into a bank
     /// built with the same configuration.
-    pub fn restore_state(
+    pub(crate) fn restore_state(
         &mut self,
         d: &mut equinox_snap::Dec,
     ) -> Result<(), equinox_snap::SnapError> {
@@ -253,14 +253,14 @@ impl CacheBank {
     /// hit latency, DRAM timing) whose due cycles
     /// [`CacheBank::next_event`] reports, and ticking before the first
     /// of those draws no RNG and touches no queue.
-    pub fn skippable(&self) -> bool {
+    pub(crate) fn skippable(&self) -> bool {
         self.pending_reply.is_none() && self.ready.is_empty() && self.hbm_retry.is_empty()
     }
 
     /// Earliest cycle at which [`CacheBank::tick`] could make progress —
     /// the next L2 hit coming due or the HBM's next scheduling event —
     /// or `None` when the bank holds no timed work.
-    pub fn next_event(&self) -> Option<u64> {
+    pub(crate) fn next_event(&self) -> Option<u64> {
         let hit = self.hits_due.front().map(|&(t, _)| t);
         match (hit, self.hbm.next_event()) {
             (Some(a), Some(b)) => Some(a.min(b)),
@@ -268,8 +268,10 @@ impl CacheBank {
         }
     }
 
-    /// `true` when no request is anywhere inside the bank or its HBM.
-    pub fn is_idle(&self) -> bool {
+    /// `true` when no request is anywhere inside the bank or its HBM
+    /// (the tests' emptiness oracle).
+    #[cfg(test)]
+    fn is_idle(&self) -> bool {
         self.inflight == 0
             && self.hits_due.is_empty()
             && self.hbm_retry.is_empty()
@@ -291,7 +293,7 @@ mod tests {
         let node = Coord::new(0, 0);
         let cb = CacheBank::new(node, 8, hit_rate, 20, HbmConfig::tiny(), 8, 1);
         let ni = InjectionQueue::new(node, 4, InjectPolicy::for_node(NiKind::Local, &mut [], &[0], node, 0, &[], None));
-        let nets = vec![Network::mesh(NocConfig::mesh(4))];
+        let nets = vec![Network::new(NocConfig::mesh(4))];
         (cb, ni, nets, PacketTracker::new())
     }
 

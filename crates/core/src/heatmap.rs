@@ -30,7 +30,7 @@ pub struct HeatMap {
 impl HeatMap {
     /// A `width × width` map (every paper scenario; rectangular grids
     /// come from the topology-generalized fabrics).
-    pub fn square(width: u16, heat: Vec<f64>, variance: f64) -> Self {
+    pub(crate) fn square(width: u16, heat: Vec<f64>, variance: f64) -> Self {
         HeatMap { width, height: width, heat, variance }
     }
 
@@ -39,7 +39,7 @@ impl HeatMap {
     /// A `"height"` key is emitted only for non-square grids, keeping
     /// the block byte-identical for every historical (square) run.
     /// The ASCII [`HeatMap::render`] stays for stderr reports.
-    pub fn to_json(&self) -> equinox_config::Json {
+    pub(crate) fn to_json(&self) -> equinox_config::Json {
         use equinox_config::Json;
         let mut j = Json::obj().with("width", self.width);
         if self.height != self.width {
@@ -73,7 +73,7 @@ impl HeatMap {
 pub fn placement_heatmap(placement: &Placement, offered: f64, cycles: u64, seed: u64) -> HeatMap {
     assert_eq!(placement.width, placement.height, "square meshes only");
     let n = placement.width;
-    let mut net = Network::mesh(NocConfig::mesh(n));
+    let mut net = Network::new(NocConfig::mesh(n));
     let mut rng = Rng::seed_from_u64(seed);
     let pes: Vec<Coord> = placement.pe_tiles().collect();
     let mut pkt_id = 0u64;

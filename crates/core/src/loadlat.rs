@@ -82,7 +82,7 @@ fn measure(
     let n = placement.width;
     let mut cfg = NocConfig::mesh(n);
     cfg.activity_gate = activity_gate;
-    let mut net = Network::mesh(cfg);
+    let mut net = Network::new(cfg);
     if let Some(acfg) = audit {
         net.enable_audit(acfg);
     }

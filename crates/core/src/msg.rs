@@ -25,9 +25,9 @@ pub enum MemOpKind {
 }
 
 /// Packet header size in bytes.
-pub const HEADER_BYTES: u32 = 8;
+pub(crate) const HEADER_BYTES: u32 = 8;
 /// Cache-line size in bytes.
-pub const LINE_BYTES: u32 = 64;
+pub(crate) const LINE_BYTES: u32 = 64;
 
 /// A protocol message between a PE and a cache bank.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,7 +51,7 @@ pub struct Message {
 
 impl Message {
     /// Payload + header size in bytes.
-    pub fn bytes(&self) -> u32 {
+    pub(crate) fn bytes(&self) -> u32 {
         let line = if self.compressed {
             LINE_BYTES / 2
         } else {
@@ -85,7 +85,7 @@ impl Message {
     /// Builds the packet descriptor for a network with the given link
     /// width and coordinate space (`src`/`dst` may be remapped for
     /// concentrated networks).
-    pub fn to_desc(&self, link_bits: u32, src: Coord, dst: Coord) -> PacketDesc {
+    pub(crate) fn to_desc(self, link_bits: u32, src: Coord, dst: Coord) -> PacketDesc {
         PacketDesc::new(self.id, src, dst, self.class, self.flit_len(link_bits))
     }
 }
@@ -236,7 +236,7 @@ impl PacketTracker {
     /// Reserves room for at least `additional` more packet records, so a
     /// measured run can move the record-table growth out of its timed
     /// (allocation-free) window.
-    pub fn reserve(&mut self, additional: usize) {
+    pub(crate) fn reserve(&mut self, additional: usize) {
         self.records.reserve(additional);
     }
 
@@ -275,7 +275,7 @@ impl PacketTracker {
 
     /// Flags packet `id` (and returns the updated message) as carrying a
     /// compressed payload.
-    pub fn set_compressed(&mut self, msg: Message) -> Message {
+    pub(crate) fn set_compressed(&mut self, msg: Message) -> Message {
         self.records[msg.id as usize].compressed = true;
         Message {
             compressed: true,
@@ -289,7 +289,7 @@ impl PacketTracker {
     }
 
     /// Marks the first-flit injection time (idempotent).
-    pub fn mark_injected(&mut self, id: u64, now: u64) {
+    pub(crate) fn mark_injected(&mut self, id: u64, now: u64) {
         let r = &mut self.records[id as usize];
         if r.injected.is_none() {
             r.injected = Some(now);
@@ -299,7 +299,7 @@ impl PacketTracker {
 
     /// Marks tail-flit arrival (idempotent, like
     /// [`PacketTracker::mark_injected`]).
-    pub fn mark_ejected(&mut self, id: u64, now: u64) {
+    pub(crate) fn mark_ejected(&mut self, id: u64, now: u64) {
         let r = &mut self.records[id as usize];
         if r.ejected.is_none() {
             r.ejected = Some(now);
@@ -311,7 +311,7 @@ impl PacketTracker {
     /// system-level packet-accounting invariant (it must equal the tail
     /// flits resident in the networks plus the packets streaming out of
     /// NIs).
-    pub fn in_flight(&self) -> u64 {
+    pub(crate) fn in_flight(&self) -> u64 {
         self.injected_count - self.ejected_count
     }
 
@@ -331,7 +331,7 @@ impl PacketTracker {
     }
 
     /// Fraction of transferred bits that were replies (§2.2 check).
-    pub fn reply_bit_fraction(&self) -> f64 {
+    pub(crate) fn reply_bit_fraction(&self) -> f64 {
         let (mut rep, mut total) = (0u64, 0u64);
         for r in &self.records {
             let msg = Message {
@@ -358,7 +358,7 @@ impl PacketTracker {
 
     /// Mean latencies over all *delivered* packets, in nanoseconds at
     /// `freq_ghz`.
-    pub fn latency_breakdown(&self, freq_ghz: f64) -> LatencyBreakdown {
+    pub(crate) fn latency_breakdown(&self, freq_ghz: f64) -> LatencyBreakdown {
         let ns = 1.0 / freq_ghz;
         let mut out = LatencyBreakdown::default();
         let (mut n_req, mut n_rep) = (0u64, 0u64);

@@ -88,7 +88,7 @@ impl InjectPolicy {
     }
 
     /// The interposer injectors of an EquiNox CB NI, in group order.
-    pub fn eir_injectors(&self) -> Option<&[InjectorId]> {
+    pub(crate) fn eir_injectors(&self) -> Option<&[InjectorId]> {
         (self.kind == NiKind::Equinox).then(|| &self.injectors[1..])
     }
 
@@ -156,13 +156,13 @@ impl InjectionQueue {
     }
 
     /// `true` if another message fits.
-    pub fn can_accept(&self) -> bool {
+    pub(crate) fn can_accept(&self) -> bool {
         self.queue.len() < self.cap
     }
 
     /// Enqueues a message, handing it back when the queue is full so the
     /// caller can apply backpressure instead of crashing.
-    pub fn try_push(&mut self, msg: Message) -> Result<(), Message> {
+    pub(crate) fn try_push(&mut self, msg: Message) -> Result<(), Message> {
         if self.can_accept() {
             self.queue.push_back(msg);
             Ok(())
@@ -191,7 +191,7 @@ impl InjectionQueue {
     }
 
     /// `true` when nothing is queued or in flight.
-    pub fn is_idle(&self) -> bool {
+    pub(crate) fn is_idle(&self) -> bool {
         self.queue.is_empty() && self.inflight.is_empty()
     }
 
@@ -199,7 +199,7 @@ impl InjectionQueue {
     /// not — the NI-side residency term of system-level packet accounting
     /// (packets with the head still pending count with the queue, packets
     /// fully streamed leave `inflight`).
-    pub fn streaming_packets(&self) -> usize {
+    pub(crate) fn streaming_packets(&self) -> usize {
         self.inflight.iter().filter(|fl| fl.next >= 1).count()
     }
 
@@ -251,7 +251,7 @@ impl InjectionQueue {
     /// the policy's round-robin cursor (if any). Node, capacity and the
     /// policy's wiring (networks, injectors, thresholds) are build-time
     /// configuration and are skipped.
-    pub fn snap_state(&self, e: &mut equinox_snap::Enc) {
+    pub(crate) fn snap_state(&self, e: &mut equinox_snap::Enc) {
         use equinox_snap::Snap;
         self.queue.snap(e);
         e.put_usize(self.inflight.len());
@@ -270,7 +270,7 @@ impl InjectionQueue {
     /// queue built with the same capacity and policy wiring. `nets` is
     /// the system's network list, used to bound-check restored injector
     /// handles and network indices.
-    pub fn restore_state(
+    pub(crate) fn restore_state(
         &mut self,
         d: &mut equinox_snap::Dec,
         nets: &[Network],
@@ -433,7 +433,7 @@ mod tests {
     use equinox_noc::flit::MessageClass;
 
     fn setup() -> (Vec<Network>, PacketTracker) {
-        (vec![Network::mesh(NocConfig::mesh_8x8())], PacketTracker::new())
+        (vec![Network::new(NocConfig::mesh(8))], PacketTracker::new())
     }
 
     /// The shared constructor on network 0, as a CB NI with these EIRs.
@@ -484,7 +484,7 @@ mod tests {
 
     #[test]
     fn equinox_policy_prefers_shortest_path_eir() {
-        let mut nets = vec![Network::mesh(NocConfig::mesh_8x8())];
+        let mut nets = vec![Network::new(NocConfig::mesh(8))];
         let mut tracker = PacketTracker::new();
         let cb = Coord::new(2, 2);
         // EIR east at (4,2), EIR west at (0,2).
@@ -506,7 +506,7 @@ mod tests {
 
     #[test]
     fn equinox_policy_falls_back_to_local_when_no_sp_eir() {
-        let mut nets = vec![Network::mesh(NocConfig::mesh_8x8())];
+        let mut nets = vec![Network::new(NocConfig::mesh(8))];
         let mut tracker = PacketTracker::new();
         let cb = Coord::new(2, 2);
         let policy = wire(NiKind::Equinox, &mut nets, cb, &[Coord::new(4, 2)]);
@@ -536,7 +536,7 @@ mod tests {
         let mut cfg = NocConfig::mesh(4);
         cfg.link_bits = 16;
         cfg.vc_buf_flits = 40;
-        let mut nets = vec![Network::mesh(cfg.clone()), Network::mesh(cfg)];
+        let mut nets = vec![Network::new(cfg.clone()), Network::new(cfg)];
         let mut tracker = PacketTracker::new();
         let src = Coord::new(0, 0);
         let policy = InjectPolicy::for_node(NiKind::SubnetRoundRobin, &mut nets, &[0, 1], src, 0, &[], None);
@@ -558,7 +558,7 @@ mod tests {
 
     #[test]
     fn multi_injector_streams_packets_in_parallel() {
-        let mut nets = vec![Network::mesh(NocConfig::mesh_8x8())];
+        let mut nets = vec![Network::new(NocConfig::mesh(8))];
         let mut tracker = PacketTracker::new();
         let cb = Coord::new(3, 3);
         let policy = wire(NiKind::MultiPort(4), &mut nets, cb, &[]);
@@ -592,11 +592,11 @@ mod tests {
     fn cmesh_split_routes_far_packets_through_the_cmesh() {
         // Base 8x8 + a 4x4 concentrated net; a far packet must use the
         // CMesh, a near one the base mesh.
-        let base = Network::mesh(NocConfig::mesh_8x8());
+        let base = Network::new(NocConfig::mesh(8));
         let mut ccfg = NocConfig::mesh(4);
         ccfg.link_bits = 256;
         ccfg.vc_buf_flits = 3;
-        let mut cmesh = Network::mesh(ccfg);
+        let mut cmesh = Network::new(ccfg);
         // Tag ejection for the far destination (7,7) = node 63 on its
         // cmesh router (3,3); neutralize the default tag.
         for r in 0..16 {
@@ -656,7 +656,7 @@ mod tests {
     fn equinox_two_equal_candidates_alternate() {
         // Two shortest-path EIRs for every message: round-robin must split
         // the packets exactly evenly between them.
-        let mut nets = vec![Network::mesh(NocConfig::mesh_8x8())];
+        let mut nets = vec![Network::new(NocConfig::mesh(8))];
         let mut tracker = PacketTracker::new();
         let cb = Coord::new(2, 2);
         let e1 = Coord::new(4, 2); // shortest-path for (5,5)
@@ -688,7 +688,7 @@ mod tests {
         // destination pattern keeps selecting the same EIRs and starves
         // another that is eligible every other message. The cursor must
         // range over the full EIR list.
-        let mut nets = vec![Network::mesh(NocConfig::mesh_8x8())];
+        let mut nets = vec![Network::new(NocConfig::mesh(8))];
         let mut tracker = PacketTracker::new();
         let cb = Coord::new(2, 2);
         let e1 = Coord::new(4, 2);

@@ -60,11 +60,11 @@ impl SchemeKind {
 }
 
 /// Core clock in GHz (Table 1); subnets run at a ratio of it.
-pub const CORE_GHZ: f64 = 1.126;
+pub(crate) const CORE_GHZ: f64 = 1.126;
 
 /// Tiles per side under one router of the concentrated interposer mesh
 /// (2 × 2 = the "4×-concentrated" of Interposer-CMesh).
-pub const CONCENTRATION: u16 = 2;
+pub(crate) const CONCENTRATION: u16 = 2;
 
 /// One physical network of a scheme.
 #[derive(Debug, Clone, PartialEq)]
@@ -113,14 +113,16 @@ pub struct SchemePlan {
 
 impl SchemePlan {
     /// Indices of the subnets that carry `class`, ascending.
-    pub fn carrying(&self, class: MessageClass) -> Vec<usize> {
+    pub(crate) fn carrying(&self, class: MessageClass) -> Vec<usize> {
         let carries = |i: &usize| self.subnets[*i].carries.is_none_or(|c| c == class);
         (0..self.subnets.len()).filter(carries).collect()
     }
 
     /// Points at which a cache bank with `eirs` EIRs can inject a reply
-    /// flit in one cycle.
-    pub fn injection_points(&self, eirs: usize) -> usize {
+    /// flit in one cycle: the table's column, which the tests hold the
+    /// built NIs to.
+    #[cfg(test)]
+    pub(crate) fn injection_points(&self, eirs: usize) -> usize {
         match self.cb_ni {
             NiKind::Local => 1,
             NiKind::CmeshSplit => 2,
@@ -138,7 +140,7 @@ impl SchemePlan {
     /// # Errors
     ///
     /// Returns the first violated rule, naming the subnet.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         for (i, s) in self.subnets.iter().enumerate() {
             s.noc.validate().map_err(|e| format!("subnet {i}: {e}"))?;
         }
@@ -155,7 +157,7 @@ impl SchemeKind {
     ///
     /// Returns the one-line reason no such machine exists: `n < 2`, an
     /// odd `n` under Interposer-CMesh, or [`SchemePlan::validate`]'s.
-    pub fn plan(self, n: u16, reply_topology: TopologyKind) -> Result<SchemePlan, String> {
+    pub(crate) fn plan(self, n: u16, reply_topology: TopologyKind) -> Result<SchemePlan, String> {
         if n < 2 {
             return Err(format!("n = {n}: a machine needs a mesh of at least 2x2 tiles"));
         }

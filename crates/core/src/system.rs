@@ -93,7 +93,7 @@ pub struct SystemConfig {
 impl SystemConfig {
     /// The flit-trace ring capacity per network that the spec's `trace`
     /// arms; the oldest events drop once a ring is full.
-    pub const TRACE_CAPACITY: usize = 65_536;
+    pub(crate) const TRACE_CAPACITY: usize = 65_536;
 
     /// Table 1's machine: [`SystemConfig::from_spec`] of the default
     /// spec, which reads no environment (auditing off, gating on).
@@ -276,13 +276,13 @@ impl SinkTable {
 
 /// Section tags of the [`System::snapshot`] container.
 mod snap_tags {
-    pub const SYS: u32 = 1;
-    pub const NETS: u32 = 2;
-    pub const PES: u32 = 3;
-    pub const NIS: u32 = 4;
-    pub const CBS: u32 = 5;
-    pub const TRACKER: u32 = 6;
-    pub const OBS: u32 = 7;
+    pub(crate) const SYS: u32 = 1;
+    pub(crate) const NETS: u32 = 2;
+    pub(crate) const PES: u32 = 3;
+    pub(crate) const NIS: u32 = 4;
+    pub(crate) const CBS: u32 = 5;
+    pub(crate) const TRACKER: u32 = 6;
+    pub(crate) const OBS: u32 = 7;
 }
 
 /// The assembled machine.
@@ -1252,7 +1252,7 @@ impl System {
     }
 
     /// Number of CBs currently refusing new requests (at capacity).
-    pub fn cbs_at_capacity(&self) -> usize {
+    pub(crate) fn cbs_at_capacity(&self) -> usize {
         self.cbs.iter().filter(|c| !c.can_accept()).count()
     }
 

@@ -46,7 +46,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 #[test]
 fn equinox_ni_tick_is_allocation_free_in_steady_state() {
     let n = 8u16;
-    let mut nets = vec![Network::mesh(NocConfig::mesh(n))];
+    let mut nets = vec![Network::new(NocConfig::mesh(n))];
     let cb = Coord::new(3, 3);
     let eirs = [Coord::new(5, 3), Coord::new(3, 5), Coord::new(1, 3), Coord::new(3, 1)];
     let policy = InjectPolicy::for_node(NiKind::Equinox, &mut nets, &[0], cb, 0, &eirs, None);

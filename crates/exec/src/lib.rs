@@ -28,5 +28,5 @@ pub mod rng;
 pub mod team;
 
 pub use pool::{par_map, par_map_with, set_threads, thread_count};
-pub use rng::{splitmix64, RangeSample, Rng, Sample};
+pub use rng::{RangeSample, Rng, Sample};
 pub use team::StepTeam;

@@ -20,7 +20,7 @@
 /// Used both as the seeding PRNG for xoshiro and as a standalone mixer
 /// for deriving per-stream seeds.
 #[inline]
-pub fn splitmix64(state: &mut u64) -> u64 {
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

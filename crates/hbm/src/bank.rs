@@ -4,7 +4,7 @@ use crate::config::HbmTiming;
 
 /// Row-buffer outcome of an access, in decreasing speed order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RowOutcome {
+pub(crate) enum RowOutcome {
     /// Requested row already open: column access only.
     Hit,
     /// Bank idle (no row open): activate + column access.
@@ -15,7 +15,7 @@ pub enum RowOutcome {
 
 /// One DRAM bank.
 #[derive(Debug, Clone, Default)]
-pub struct Bank {
+pub(crate) struct Bank {
     /// Currently open row (open-page policy: rows stay open).
     open_row: Option<u64>,
     /// Cycle until which the bank is busy with its current access.
@@ -30,17 +30,17 @@ pub struct Bank {
 
 impl Bank {
     /// `true` if the bank can accept a new access at `now`.
-    pub fn ready(&self, now: u64) -> bool {
+    pub(crate) fn ready(&self, now: u64) -> bool {
         now >= self.busy_until
     }
 
     /// First cycle at which the bank is ready again (next-event query).
-    pub fn busy_until(&self) -> u64 {
+    pub(crate) fn busy_until(&self) -> u64 {
         self.busy_until
     }
 
     /// What the row buffer would do for `row` (without issuing).
-    pub fn probe(&self, row: u64) -> RowOutcome {
+    pub(crate) fn probe(&self, row: u64) -> RowOutcome {
         match self.open_row {
             Some(r) if r == row => RowOutcome::Hit,
             Some(_) => RowOutcome::Conflict,
@@ -54,7 +54,7 @@ impl Bank {
     /// # Panics
     ///
     /// Panics (debug) if the bank is still busy.
-    pub fn access(&mut self, row: u64, write: bool, now: u64, t: &HbmTiming) -> u64 {
+    pub(crate) fn access(&mut self, row: u64, write: bool, now: u64, t: &HbmTiming) -> u64 {
         debug_assert!(self.ready(now), "bank busy until {}", self.busy_until);
         let outcome = self.probe(row);
         let latency = match outcome {

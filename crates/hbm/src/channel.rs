@@ -34,7 +34,7 @@ pub(crate) struct Channel {
 }
 
 impl Channel {
-    pub fn new(cfg: &HbmConfig) -> Self {
+    pub(crate) fn new(cfg: &HbmConfig) -> Self {
         Channel {
             banks: (0..cfg.banks_per_channel).map(|_| Bank::default()).collect(),
             queue: VecDeque::new(),
@@ -45,19 +45,19 @@ impl Channel {
     }
 
     /// `true` if the queue has room for another request.
-    pub fn can_accept(&self) -> bool {
+    pub(crate) fn can_accept(&self) -> bool {
         self.queue.len() < self.cap
     }
 
     /// Enqueues a request; caller must have checked [`Channel::can_accept`].
-    pub fn enqueue(&mut self, req: ChannelRequest) {
+    pub(crate) fn enqueue(&mut self, req: ChannelRequest) {
         debug_assert!(self.can_accept());
         self.queue.push_back(req);
     }
 
     /// One scheduling step at cycle `now`; completed request ids are pushed
     /// into `done`.
-    pub fn step(&mut self, now: u64, cfg: &HbmConfig, done: &mut Vec<(u64, u64)>) {
+    pub(crate) fn step(&mut self, now: u64, cfg: &HbmConfig, done: &mut Vec<(u64, u64)>) {
         // Retire finished accesses.
         let mut i = 0;
         while i < self.in_service.len() {
@@ -100,7 +100,7 @@ impl Channel {
     }
 
     /// Outstanding work (queued + in service).
-    pub fn outstanding(&self) -> usize {
+    pub(crate) fn outstanding(&self) -> usize {
         self.queue.len() + self.in_service.len()
     }
 
@@ -114,7 +114,7 @@ impl Channel {
     /// `None` strictly before the returned cycle (no targeted bank is
     /// ready and the retire loop has nothing due), so skipped `step`
     /// calls are no-ops.
-    pub fn next_event(&self) -> Option<u64> {
+    pub(crate) fn next_event(&self) -> Option<u64> {
         let mut next = self.in_service.iter().map(|&(t, _)| t).min();
         if !self.queue.is_empty() {
             let bank_free = self
@@ -131,7 +131,7 @@ impl Channel {
 
     /// Aggregate row-buffer statistics over all banks:
     /// `(hits, misses, conflicts)`.
-    pub fn row_stats(&self) -> (u64, u64, u64) {
+    pub(crate) fn row_stats(&self) -> (u64, u64, u64) {
         self.banks.iter().fold((0, 0, 0), |(h, m, c), b| {
             (h + b.hits, m + b.misses, c + b.conflicts)
         })
@@ -139,7 +139,7 @@ impl Channel {
 
     /// Serializes the channel's dynamic state (banks, queue, bus, the
     /// in-service list). `cap` is build-time config and not written.
-    pub fn snap_state(&self, e: &mut equinox_snap::Enc) {
+    pub(crate) fn snap_state(&self, e: &mut equinox_snap::Enc) {
         use equinox_snap::Snap;
         self.banks.snap(e);
         self.queue.snap(e);
@@ -149,7 +149,7 @@ impl Channel {
 
     /// Restores state written by [`Channel::snap_state`] into a channel
     /// built from the *same* config; shape mismatches are rejected.
-    pub fn restore_state(
+    pub(crate) fn restore_state(
         &mut self,
         d: &mut equinox_snap::Dec,
     ) -> Result<(), equinox_snap::SnapError> {

@@ -80,7 +80,7 @@ impl HbmConfig {
     /// # Errors
     ///
     /// Returns the first violated constraint as a message.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.channels == 0 || self.banks_per_channel == 0 {
             return Err("need at least one channel and one bank".into());
         }

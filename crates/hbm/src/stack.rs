@@ -116,12 +116,6 @@ impl HbmStack {
         Ok(())
     }
 
-    /// `true` if an access to `addr` could be enqueued right now.
-    pub fn can_accept(&self, addr: u64) -> bool {
-        let (ch, _, _) = self.decode(addr);
-        self.channels[ch].can_accept()
-    }
-
     /// Advances the stack to cycle `now`: steps the channels that have
     /// an event due — the others' steps would be no-ops.
     pub fn step(&mut self, now: u64) {
@@ -172,11 +166,6 @@ impl HbmStack {
             let (h2, m2, c2) = ch.row_stats();
             (h + h2, m + m2, c + c2)
         })
-    }
-
-    /// This stack's configuration.
-    pub fn config(&self) -> &HbmConfig {
-        &self.cfg
     }
 
     /// Serializes the stack's dynamic state: every channel, the pending
@@ -289,7 +278,7 @@ mod tests {
             }
         }
         assert!(accepted <= 5, "queue must fill: accepted {accepted}");
-        assert!(!s.can_accept(11 * 128));
+        assert!(s.enqueue(MemAccess { id: 11, addr: 11 * 128, write: false }, 0).is_err());
     }
 
     #[test]

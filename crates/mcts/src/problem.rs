@@ -216,7 +216,7 @@ impl EirProblem {
     /// forbidden, since on an 8×8 board with 8 CBs the union of all hot
     /// zones covers nearly every tile), not a CB, and reachable by a
     /// repeater-free wire.
-    pub fn candidates(&self, i: usize) -> Vec<Coord> {
+    pub(crate) fn candidates(&self, i: usize) -> Vec<Coord> {
         let p = &self.placement;
         let cb = p.cbs[i];
         let (w, h) = (p.width, p.height);
@@ -267,7 +267,7 @@ impl EirProblem {
     /// richer CBs consume the shared tiles. Without this, sequential
     /// assignment systematically starves boundary CBs — and one starved
     /// CB paces the whole machine.
-    pub fn cb_order(&self) -> Vec<usize> {
+    pub(crate) fn cb_order(&self) -> Vec<usize> {
         let mut order: Vec<usize> = (0..self.placement.cbs.len()).collect();
         order.sort_by_key(|&i| self.candidates(i).len());
         order

@@ -44,7 +44,7 @@ pub enum VcPartition {
 impl VcPartition {
     /// The VC range class `reply` may *normally* use (ignoring
     /// monopolization) given `total` VCs per port.
-    pub fn range_for(&self, reply: bool, total: u8) -> Range<u8> {
+    pub(crate) fn range_for(&self, reply: bool, total: u8) -> Range<u8> {
         match self {
             VcPartition::Shared => 0..total,
             VcPartition::ByClass { request, reply: rep, .. } => {
@@ -58,7 +58,7 @@ impl VcPartition {
     }
 
     /// `true` if monopolization is enabled.
-    pub fn mono(&self) -> bool {
+    pub(crate) fn mono(&self) -> bool {
         matches!(self, VcPartition::ByClass { mono: true, .. })
     }
 }
@@ -114,12 +114,12 @@ pub struct NocConfig {
 }
 
 impl NocConfig {
-    /// The paper's default 8×8 reply-network configuration (Table 1).
-    pub fn mesh_8x8() -> Self {
+    /// Square mesh of the given size with Table 1's parameters.
+    pub fn mesh(n: u16) -> Self {
         NocConfig {
             topology: TopologyKind::Mesh,
-            width: 8,
-            height: 8,
+            width: n,
+            height: n,
             vcs_per_port: 2,
             vc_buf_flits: 5,
             routing: RoutingKind::MinimalAdaptive,
@@ -135,15 +135,6 @@ impl NocConfig {
             // cross-checking escape hatch set this explicitly (the
             // drivers plumb it down from the resolved experiment spec).
             activity_gate: true,
-        }
-    }
-
-    /// Square mesh of the given size with otherwise default parameters.
-    pub fn mesh(n: u16) -> Self {
-        NocConfig {
-            width: n,
-            height: n,
-            ..Self::mesh_8x8()
         }
     }
 
@@ -166,15 +157,13 @@ impl NocConfig {
     /// with no buffered request, restoring some adaptivity and buffering.
     pub fn single_net(n: u16, mono: bool) -> Self {
         NocConfig {
-            width: n,
-            height: n,
             vcs_per_port: 2,
             partition: VcPartition::ByClass {
                 request: 0..1,
                 reply: 1..2,
                 mono,
             },
-            ..Self::mesh_8x8()
+            ..Self::mesh(n)
         }
     }
 
@@ -265,28 +254,28 @@ mod tests {
 
     #[test]
     fn default_is_valid() {
-        assert!(NocConfig::mesh_8x8().validate().is_ok());
+        assert!(NocConfig::mesh(8).validate().is_ok());
         assert!(NocConfig::mesh(12).validate().is_ok());
         assert!(NocConfig::single_net(8, true).validate().is_ok());
     }
 
     #[test]
     fn invalid_configs_rejected() {
-        let mut c = NocConfig::mesh_8x8();
+        let mut c = NocConfig::mesh(8);
         c.width = 0;
         assert!(c.validate().is_err());
 
-        let mut c = NocConfig::mesh_8x8();
+        let mut c = NocConfig::mesh(8);
         c.vc_buf_flits = 0;
         assert!(c.validate().is_err());
 
-        let mut c = NocConfig::mesh_8x8();
+        let mut c = NocConfig::mesh(8);
         c.vcs_per_port = 12;
         assert!(c.validate().is_ok(), "5 ports x 12 VCs = 60 mask bits");
         c.vcs_per_port = 13;
         assert!(c.validate().is_err(), "65 mask bits");
 
-        let mut c = NocConfig::mesh_8x8();
+        let mut c = NocConfig::mesh(8);
         c.vc_buf_flits = 254;
         assert!(c.validate().is_ok());
         c.vc_buf_flits = 255;
@@ -342,7 +331,7 @@ mod tests {
 
     #[test]
     fn node_count() {
-        assert_eq!(NocConfig::mesh_8x8().num_nodes(), 64);
+        assert_eq!(NocConfig::mesh(8).num_nodes(), 64);
         assert_eq!(NocConfig::mesh(16).num_nodes(), 256);
     }
 }

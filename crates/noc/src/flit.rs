@@ -136,13 +136,6 @@ impl Flit {
         self.sink = sink;
         self
     }
-
-    /// Returns a copy re-addressed to `dst` (used when mapping a packet
-    /// into a concentrated network's coordinate space).
-    pub fn with_dst(mut self, dst: Coord) -> Self {
-        self.dst = dst;
-        self
-    }
 }
 
 /// One slot of a VC buffer or ejection queue: a time stamp (the cycle the
@@ -280,7 +273,7 @@ impl PacketTable {
     /// port. An empty table gets a fresh allocation instead of a grown
     /// one: nothing is copied, so none of it is touched, and untouched
     /// capacity costs no resident memory.
-    pub fn reserve(&mut self, bound: usize) {
+    pub(crate) fn reserve(&mut self, bound: usize) {
         let cap = self.entries.capacity();
         if bound <= cap {
             return;
@@ -297,7 +290,7 @@ impl PacketTable {
 
     /// Takes a handle for the packet `f` belongs to.
     #[inline]
-    pub fn alloc(&mut self, f: &Flit) -> u32 {
+    pub(crate) fn alloc(&mut self, f: &Flit) -> u32 {
         let entry = PacketEntry::of(f);
         match self.free.pop() {
             Some(h) => {
@@ -313,19 +306,19 @@ impl PacketTable {
 
     /// Gives back the handle of a packet that left the network.
     #[inline]
-    pub fn release(&mut self, h: u32) {
+    pub(crate) fn release(&mut self, h: u32) {
         debug_assert!(self.entries[h as usize].len != 0, "handle {h} released twice");
         self.entries[h as usize].len = 0;
         self.free.push(h);
     }
 
     #[inline]
-    pub fn get(&self, h: u32) -> &PacketEntry {
+    pub(crate) fn get(&self, h: u32) -> &PacketEntry {
         &self.entries[h as usize]
     }
 
     /// The flit `s` holds.
-    pub fn flit(&self, s: &Slot) -> Flit {
+    pub(crate) fn flit(&self, s: &Slot) -> Flit {
         let e = self.get(s.handle());
         Flit {
             pkt: e.id,
@@ -343,7 +336,7 @@ impl PacketTable {
     /// none: how an injector finds the packet it was streaming when a
     /// restore left it without a handle. A scan, paid once per such
     /// injector.
-    pub fn find_or_alloc(&mut self, f: &Flit) -> u32 {
+    pub(crate) fn find_or_alloc(&mut self, f: &Flit) -> u32 {
         let entry = PacketEntry::of(f);
         match self.entries.iter().position(|e| *e == entry) {
             Some(h) => h as u32,
@@ -355,7 +348,7 @@ impl PacketTable {
     /// (packet id → handle, kept by the caller for the restore only):
     /// the first flit of a packet takes one, the others must agree with
     /// it.
-    pub fn intern(
+    pub(crate) fn intern(
         &mut self,
         seen: &mut HashMap<PacketId, u32>,
         f: &Flit,
@@ -374,14 +367,14 @@ impl PacketTable {
     }
 
     /// Frees every entry, keeping the capacity.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.entries.clear();
         self.free.clear();
     }
 
     /// The handles in use, ascending.
     #[cfg(test)]
-    pub fn live(&self) -> Vec<u32> {
+    pub(crate) fn live(&self) -> Vec<u32> {
         (0..self.entries.len() as u32).filter(|&h| self.get(h).len != 0).collect()
     }
 }
@@ -506,7 +499,7 @@ mod tests {
     #[test]
     fn with_sink_and_dst() {
         let p = PacketDesc::new(2, Coord::new(0, 0), Coord::new(7, 7), MessageClass::Reply, 2);
-        let f = p.flits(8)[0].with_sink(9).with_dst(Coord::new(3, 3));
+        let f = Flit { dst: Coord::new(3, 3), ..p.flits(8)[0].with_sink(9) };
         assert_eq!(f.sink, 9);
         assert_eq!(f.dst, Coord::new(3, 3));
         assert_eq!(f.src, Coord::new(0, 0));
@@ -573,7 +566,7 @@ mod tests {
         let disagree = "flits of one packet disagree on src, dst, sink or len";
         for f in [
             p.flit_at(1, 4).with_sink(0),
-            p.flit_at(1, 4).with_dst(Coord::new(1, 2)),
+            Flit { dst: Coord::new(1, 2), ..p.flit_at(1, 4) },
             PacketDesc::new(5, Coord::new(0, 1), Coord::new(2, 1), MessageClass::Reply, 3).flit_at(1, 4),
             PacketDesc::new(5, Coord::new(0, 0), Coord::new(2, 1), MessageClass::Reply, 4).flit_at(1, 4),
         ] {

@@ -45,8 +45,7 @@
 //! use equinox_noc::network::Network;
 //! use equinox_phys::Coord;
 //!
-//! let cfg = NocConfig::mesh_8x8();
-//! let mut net = Network::mesh(cfg);
+//! let mut net = Network::new(NocConfig::mesh(8));
 //! let injector = net.local_injector(Coord::new(0, 0));
 //! let pkt = PacketDesc::new(0, Coord::new(0, 0), Coord::new(3, 3), MessageClass::Reply, 5);
 //!
@@ -73,7 +72,6 @@ pub mod flit;
 pub mod link;
 pub mod network;
 pub mod router;
-pub mod routing;
 pub mod stats;
 pub mod topology;
 pub mod trace;
@@ -85,5 +83,5 @@ pub use flit::{Flit, MessageClass, PacketDesc, PacketId};
 pub use link::LinkKind;
 pub use network::{InjectorId, Network, VcAllocCounts};
 pub use stats::NetStats;
-pub use topology::{PortSet, TopoLink, Topology, TopologyKind};
-pub use trace::{Trace, TraceEvent, TraceKind};
+pub use topology::TopologyKind;
+pub use trace::{TraceEvent, TraceKind};

@@ -115,7 +115,7 @@ impl Links {
     ///
     /// Panics on a zero latency, and on a link that needs more buckets
     /// than the wheels have while anything is in flight.
-    pub fn push(
+    pub(crate) fn push(
         &mut self,
         kind: LinkKind,
         latency: u32,
@@ -156,11 +156,11 @@ impl Links {
         n - 1
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.links.len()
     }
 
-    pub fn iter(&self) -> impl Iterator<Item = &Link> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Link> {
         self.links.iter()
     }
 
@@ -174,7 +174,7 @@ impl Links {
     /// and returns its arrival cycle, `now + latency`; the caller stages
     /// the flit there.
     #[inline]
-    pub fn send_flit(&mut self, li: usize, now: u64, bit: usize, class: usize) -> u64 {
+    pub(crate) fn send_flit(&mut self, li: usize, now: u64, bit: usize, class: usize) -> u64 {
         let l = &mut self.links[li];
         l.flits_carried += 1;
         let at = now + l.latency as u64;
@@ -184,7 +184,7 @@ impl Links {
 
     /// Records a flit of link `li` arriving at `at`.
     #[inline]
-    pub fn schedule_flit(&mut self, li: usize, at: u64, bit: usize, class: usize) {
+    pub(crate) fn schedule_flit(&mut self, li: usize, at: u64, bit: usize, class: usize) {
         #[cfg(debug_assertions)]
         {
             let l = &mut self.links[li];
@@ -201,13 +201,13 @@ impl Links {
     /// Sends a credit for `vc` back upstream; it arrives at
     /// `now + latency`.
     #[inline]
-    pub fn send_credit(&mut self, li: usize, now: u64, vc: u8) {
+    pub(crate) fn send_credit(&mut self, li: usize, now: u64, vc: u8) {
         self.schedule_credit(li, now + self.links[li].latency as u64, vc);
     }
 
     /// Records a credit of link `li` for `vc` arriving at `at`.
     #[inline]
-    pub fn schedule_credit(&mut self, li: usize, at: u64, vc: u8) {
+    pub(crate) fn schedule_credit(&mut self, li: usize, at: u64, vc: u8) {
         let bucket = (at & self.mask) as usize;
         let i = li * self.buckets() + bucket;
         let slot = &mut self.credit_vc[i];
@@ -219,7 +219,7 @@ impl Links {
     /// Takes the credits arriving at `now` off their wheel, handing each
     /// to `deliver(destination, vc)`.
     #[inline]
-    pub fn take_credits(&mut self, now: u64, mut deliver: impl FnMut(CreditDst, u8)) {
+    pub(crate) fn take_credits(&mut self, now: u64, mut deliver: impl FnMut(CreditDst, u8)) {
         let bucket = (now & self.mask) as usize;
         let stride = self.buckets();
         for li in self.credits[bucket].drain(..) {
@@ -233,7 +233,7 @@ impl Links {
     /// `deliver(router, bit, class)`: the fed router, the input VC the
     /// flit is staged in as a mask bit, and its class.
     #[inline]
-    pub fn take_flits(&mut self, now: u64, mut deliver: impl FnMut(usize, usize, usize)) {
+    pub(crate) fn take_flits(&mut self, now: u64, mut deliver: impl FnMut(usize, usize, usize)) {
         for a in self.flits[(now & self.mask) as usize].drain(..) {
             let r = self.links[a.link as usize].to_router as usize;
             deliver(r, a.bit as usize, a.class as usize);
@@ -241,14 +241,14 @@ impl Links {
     }
 
     /// Flits in flight on every link together.
-    pub fn flits_in_flight(&self) -> usize {
+    pub(crate) fn flits_in_flight(&self) -> usize {
         self.flits.iter().map(Vec::len).sum()
     }
 
     /// The credits in flight back up link `li` as `(arrival, vc)`, oldest
     /// first, read between steps at cycle `now`: every arrival still due
     /// lies in `now..now + buckets`, one bucket per cycle.
-    pub fn credits(&self, li: usize, now: u64) -> impl Iterator<Item = (u64, u8)> + '_ {
+    pub(crate) fn credits(&self, li: usize, now: u64) -> impl Iterator<Item = (u64, u8)> + '_ {
         let base = li * self.buckets();
         (now..now + self.buckets() as u64).filter_map(move |at| {
             let vc = self.credit_vc[base + (at & self.mask) as usize];
@@ -258,7 +258,7 @@ impl Links {
 
     /// Empties both wheels, keeping their buckets' room (a restore
     /// refills them).
-    pub fn clear_in_flight(&mut self) {
+    pub(crate) fn clear_in_flight(&mut self) {
         self.flits.iter_mut().for_each(Vec::clear);
         self.credits.iter_mut().for_each(Vec::clear);
         self.credit_vc.fill(NONE);
@@ -269,7 +269,7 @@ impl Links {
     }
 
     /// Restores link `li`'s carried counter.
-    pub fn set_flits_carried(&mut self, li: usize, carried: u64) {
+    pub(crate) fn set_flits_carried(&mut self, li: usize, carried: u64) {
         self.links[li].flits_carried = carried;
     }
 }

@@ -242,16 +242,8 @@ impl Network {
             let id = net.attach_injector(c, PORT_LOCAL, net.cfg.ni_latency, LinkKind::NiLocal);
             net.local_injectors.push(id);
         }
-        net.stats.shape = Some((net.cfg.topology, net.cfg.width, net.cfg.height));
         net.core.reserve_packets(net.injectors.len());
         net
-    }
-
-    /// [`Network::new`] under its historical name. Kept because most of
-    /// the stack builds meshes and reads better saying so; the
-    /// constructor itself honours whatever `cfg.topology` requests.
-    pub fn mesh(cfg: NocConfig) -> Self {
-        Self::new(cfg)
     }
 
     /// Appends a link feeding input port `to_port` of `to_router`.
@@ -1099,13 +1091,6 @@ impl Network {
         self.audit.as_deref().map_or(&[], |a| &a.violations)
     }
 
-    /// Drains and returns the retained violations.
-    pub fn take_audit_violations(&mut self) -> Vec<Violation> {
-        self.audit
-            .as_deref_mut()
-            .map_or_else(Vec::new, |a| std::mem::take(&mut a.violations))
-    }
-
     /// Conservation/escape sweeps performed so far — lets tests assert the
     /// auditor actually ran rather than being vacuously green.
     pub fn audit_sweeps(&self) -> u64 {
@@ -1200,11 +1185,6 @@ impl Network {
         audit::record_violations(self, fresh);
     }
 
-    /// Current cycle count.
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
     /// Collected statistics.
     pub fn stats(&self) -> &NetStats {
         &self.stats
@@ -1218,11 +1198,6 @@ impl Network {
     /// The configuration this network was built from.
     pub fn config(&self) -> &NocConfig {
         &self.cfg
-    }
-
-    /// The fabric this network was built from.
-    pub fn topology(&self) -> &dyn Topology {
-        self.topo.as_ref()
     }
 
     /// Grid width in routers.
@@ -1359,8 +1334,6 @@ impl Network {
             return Err(SnapError::BadValue("stats router count"));
         }
         self.stats = stats;
-        // The shape stamp is build-derived, not serialized: re-stamp.
-        self.stats.shape = Some((self.cfg.topology, self.cfg.width, self.cfg.height));
         if d.usize()? != self.core.len() {
             return Err(SnapError::BadValue("router count"));
         }
@@ -1556,7 +1529,7 @@ mod tests {
     fn drive_packet(net: &mut Network, pkt: PacketDesc, max_cycles: u64) -> Option<u64> {
         let injector = net.local_injector(pkt.src);
         let mut flits = pkt.flits(net.width()).into_iter().peekable();
-        let start = net.cycle();
+        let start = net.cycle;
         for _ in 0..max_cycles {
             if let Some(&f) = flits.peek() {
                 if net.try_inject_flit(injector, f) {
@@ -1572,7 +1545,7 @@ mod tests {
                 }
             }
             if tail_seen {
-                return Some(net.cycle() - start);
+                return Some(net.cycle - start);
             }
         }
         None
@@ -1580,9 +1553,9 @@ mod tests {
 
     #[test]
     fn single_packet_delivery_xy() {
-        let mut cfg = NocConfig::mesh_8x8();
+        let mut cfg = NocConfig::mesh(8);
         cfg.routing = RoutingKind::Xy;
-        let mut net = Network::mesh(cfg);
+        let mut net = Network::new(cfg);
         let pkt = PacketDesc::new(0, Coord::new(0, 0), Coord::new(7, 7), MessageClass::Reply, 5);
         let lat = drive_packet(&mut net, pkt, 500).expect("delivered");
         // 14 hops with ~2 cycles/hop + serialization; sanity band.
@@ -1593,7 +1566,7 @@ mod tests {
 
     #[test]
     fn single_packet_delivery_adaptive() {
-        let mut net = Network::mesh(NocConfig::mesh_8x8());
+        let mut net = Network::new(NocConfig::mesh(8));
         let pkt = PacketDesc::new(1, Coord::new(7, 0), Coord::new(0, 7), MessageClass::Reply, 5);
         assert!(drive_packet(&mut net, pkt, 500).is_some());
         assert!(net.quiescent());
@@ -1601,7 +1574,7 @@ mod tests {
 
     #[test]
     fn delivery_to_self_distance_one() {
-        let mut net = Network::mesh(NocConfig::mesh_8x8());
+        let mut net = Network::new(NocConfig::mesh(8));
         let pkt = PacketDesc::new(2, Coord::new(3, 3), Coord::new(3, 4), MessageClass::Request, 1);
         assert!(drive_packet(&mut net, pkt, 100).is_some());
     }
@@ -1610,7 +1583,7 @@ mod tests {
     fn many_packets_all_to_one_drain() {
         // Few-to-many reversed: every node sends to (0,0); network must
         // deliver all and drain (no deadlock under contention).
-        let mut net = Network::mesh(NocConfig::mesh(4));
+        let mut net = Network::new(NocConfig::mesh(4));
         let dst = Coord::new(0, 0);
         let mut pending: Vec<std::iter::Peekable<std::vec::IntoIter<Flit>>> = Vec::new();
         let mut expected = 0;
@@ -1650,7 +1623,7 @@ mod tests {
 
     #[test]
     fn extra_injection_port_works() {
-        let mut net = Network::mesh(NocConfig::mesh_8x8());
+        let mut net = Network::new(NocConfig::mesh(8));
         // Inject at a remote router (2 hops from source tile), like an EIR.
         let eir = net.add_injection_port(Coord::new(4, 2), 1, LinkKind::Interposer);
         let pkt = PacketDesc::new(9, Coord::new(2, 2), Coord::new(7, 2), MessageClass::Reply, 5);
@@ -1675,7 +1648,7 @@ mod tests {
 
     #[test]
     fn tagged_ejection_ports_separate_sinks() {
-        let mut net = Network::mesh(NocConfig::mesh(4));
+        let mut net = Network::new(NocConfig::mesh(4));
         // Give router (1,1) a second ejection port for sink 99; packets
         // tagged 99 leave there, others via the default port.
         let (r, p) = net.add_ejection_port(Coord::new(1, 1), Some(99));
@@ -1692,7 +1665,7 @@ mod tests {
 
     #[test]
     fn one_flit_per_cycle_per_injector() {
-        let mut net = Network::mesh(NocConfig::mesh_8x8());
+        let mut net = Network::new(NocConfig::mesh(8));
         let inj = net.local_injector(Coord::new(0, 0));
         let pkt = PacketDesc::new(0, Coord::new(0, 0), Coord::new(5, 5), MessageClass::Reply, 3);
         let flits = pkt.flits(8);
@@ -1708,7 +1681,7 @@ mod tests {
         // away; eventually all VC buffers fill and injection refuses.
         let mut cfg = NocConfig::mesh(4);
         cfg.vcs_per_port = 1;
-        let mut net = Network::mesh(cfg);
+        let mut net = Network::new(cfg);
         let inj = net.local_injector(Coord::new(0, 0));
         let mut id = 0u64;
         let mut refused = false;
@@ -1733,7 +1706,7 @@ mod tests {
 
     #[test]
     fn single_network_class_partition_respected() {
-        let mut net = Network::mesh(NocConfig::single_net(4, false));
+        let mut net = Network::new(NocConfig::single_net(4, false));
         let inj = net.local_injector(Coord::new(0, 0));
         // Request packets must land in VCs 0..2, replies in 2..4.
         let req = PacketDesc::new(0, Coord::new(0, 0), Coord::new(2, 0), MessageClass::Request, 1);
@@ -1754,7 +1727,7 @@ mod tests {
 
     #[test]
     fn injector_ready_reflects_credits() {
-        let mut net = Network::mesh(NocConfig::mesh_8x8());
+        let mut net = Network::new(NocConfig::mesh(8));
         let inj = net.local_injector(Coord::new(0, 0));
         assert!(net.injector_ready(inj, MessageClass::Reply));
         let pkt = PacketDesc::new(0, Coord::new(0, 0), Coord::new(1, 0), MessageClass::Reply, 2);
@@ -1767,14 +1740,14 @@ mod tests {
     #[test]
     fn pipeline_extra_adds_per_hop_latency() {
         let base = {
-            let mut net = Network::mesh(NocConfig::mesh_8x8());
+            let mut net = Network::new(NocConfig::mesh(8));
             let pkt = PacketDesc::new(0, Coord::new(0, 0), Coord::new(5, 0), MessageClass::Reply, 1);
             drive_packet(&mut net, pkt, 400).expect("delivered")
         };
         let deep = {
-            let mut cfg = NocConfig::mesh_8x8();
+            let mut cfg = NocConfig::mesh(8);
             cfg.pipeline_extra = 2;
-            let mut net = Network::mesh(cfg);
+            let mut net = Network::new(cfg);
             let pkt = PacketDesc::new(0, Coord::new(0, 0), Coord::new(5, 0), MessageClass::Reply, 1);
             drive_packet(&mut net, pkt, 400).expect("delivered")
         };
@@ -1791,7 +1764,7 @@ mod tests {
         // single-cycle (RC/VA/SA/ST all resolve within a step when
         // uncontended), so the ideal is: 1 cycle NI link + 1 cycle per
         // hop (link traversal) + ejection pop on arrival.
-        let mut net = Network::mesh(NocConfig::mesh_8x8());
+        let mut net = Network::new(NocConfig::mesh(8));
         let hops = 6u64; // (0,0) -> (3,3)
         let pkt = PacketDesc::new(0, Coord::new(0, 0), Coord::new(3, 3), MessageClass::Request, 1);
         let lat = drive_packet(&mut net, pkt, 300).expect("delivered");
@@ -1805,7 +1778,7 @@ mod tests {
 
     #[test]
     fn trace_records_a_packet_journey() {
-        let mut net = Network::mesh(NocConfig::mesh(4));
+        let mut net = Network::new(NocConfig::mesh(4));
         net.enable_trace(256);
         let pkt = PacketDesc::new(7, Coord::new(0, 0), Coord::new(2, 1), MessageClass::Reply, 2);
         drive_packet(&mut net, pkt, 200).expect("delivered");
@@ -1823,7 +1796,7 @@ mod tests {
     /// Saturating many-to-one traffic for `cycles`, returning the network
     /// mid-flight (buffers, links and eject queues all populated).
     fn loaded_net(cycles: u64) -> (Network, Vec<std::iter::Peekable<std::vec::IntoIter<Flit>>>) {
-        let mut net = Network::mesh(NocConfig::mesh(4));
+        let mut net = Network::new(NocConfig::mesh(4));
         net.enable_trace(64);
         let dst = Coord::new(0, 0);
         let mut pending = Vec::new();
@@ -1856,13 +1829,13 @@ mod tests {
         let mut e = Enc::new();
         net.snapshot_state(&mut e);
         let bytes = e.into_bytes();
-        let mut restored = Network::mesh(NocConfig::mesh(4));
+        let mut restored = Network::new(NocConfig::mesh(4));
         restored.enable_trace(64);
         let mut d = Dec::new(&bytes);
         restored.restore_state(&mut d).unwrap();
         d.finish().unwrap();
         // Same aggregates immediately after restore...
-        assert_eq!(restored.cycle(), net.cycle());
+        assert_eq!(restored.cycle, net.cycle);
         assert_eq!(restored.buffered_flits(), net.buffered_flits());
         assert_eq!(restored.stats(), net.stats());
         // ...and bit-identical evolution: drive both with the remaining
@@ -1883,7 +1856,7 @@ mod tests {
                 }
                 net.step();
                 while let Some(f) = net.pop_ejected_node(dst) {
-                    ejected.push((net.cycle(), f));
+                    ejected.push((net.cycle, f));
                 }
             }
             ejected
@@ -1908,7 +1881,7 @@ mod tests {
         let bytes = e.into_bytes();
         // Every truncation point must fail with an error, never panic.
         for cut in (0..bytes.len()).step_by(7) {
-            let mut fresh = Network::mesh(NocConfig::mesh(4));
+            let mut fresh = Network::new(NocConfig::mesh(4));
             fresh.enable_trace(64);
             assert!(
                 fresh.restore_state(&mut Dec::new(&bytes[..cut])).is_err(),
@@ -1916,15 +1889,15 @@ mod tests {
             );
         }
         // A topology mismatch is a BadValue, not a crash.
-        let mut wrong = Network::mesh(NocConfig::mesh_8x8());
+        let mut wrong = Network::new(NocConfig::mesh(8));
         assert!(matches!(
             wrong.restore_state(&mut Dec::new(&bytes)),
             Err(SnapError::BadValue(_))
         ));
         // Audit arming must match between snapshot and target.
-        let mut unarmed = Network::mesh(NocConfig::mesh(4));
+        let mut unarmed = Network::new(NocConfig::mesh(4));
         unarmed.enable_trace(64);
-        let mut armed_src = Network::mesh(NocConfig::mesh(4));
+        let mut armed_src = Network::new(NocConfig::mesh(4));
         armed_src.enable_audit(AuditConfig::default());
         let mut e = Enc::new();
         armed_src.snapshot_state(&mut e);
@@ -1957,7 +1930,7 @@ mod tests {
             e.into_bytes()
         };
         let mut e = Enc::new();
-        Network::mesh(NocConfig::mesh(4)).snapshot_state(&mut e);
+        Network::new(NocConfig::mesh(4)).snapshot_state(&mut e);
         let bytes = e.into_bytes();
         let empty = section(None);
         let hits: Vec<usize> = (0..=bytes.len() - empty.len())
@@ -1976,7 +1949,7 @@ mod tests {
     #[test]
     fn restore_rejects_an_eject_queue_on_a_non_ejection_port() {
         use equinox_snap::{Dec, SnapError};
-        let fresh = || Network::mesh(NocConfig::mesh(4));
+        let fresh = || Network::new(NocConfig::mesh(4));
         let role_port = |want: fn(OutputRole) -> bool| {
             let net = fresh();
             (0..5).find(|&p| want(net.core.role(0, p))).expect("router 0 has such a port")
@@ -2005,13 +1978,13 @@ mod tests {
     fn restore_rejects_an_eject_queue_over_its_cap() {
         use equinox_snap::{Dec, SnapError};
         let cap = NocConfig::mesh(4).eject_cap;
-        let mut net = Network::mesh(NocConfig::mesh(4));
+        let mut net = Network::new(NocConfig::mesh(4));
         let full = snapshot_with_parked(3, PORT_LOCAL, &vec![reply_flit(); cap]);
         net.restore_state(&mut Dec::new(&full)).expect("a queue at its cap");
         assert_eq!(net.core.words(3), net.core.scan(3), "a full queue closes its port");
         let over = snapshot_with_parked(3, PORT_LOCAL, &vec![reply_flit(); cap + 1]);
         assert_eq!(
-            Network::mesh(NocConfig::mesh(4)).restore_state(&mut Dec::new(&over)),
+            Network::new(NocConfig::mesh(4)).restore_state(&mut Dec::new(&over)),
             Err(SnapError::BadValue("eject queue over cap"))
         );
     }
@@ -2027,7 +2000,7 @@ mod tests {
         use equinox_snap::Enc;
         let mut cfg = NocConfig::mesh(4);
         cfg.pipeline_extra = 50;
-        let mut net = Network::mesh(cfg.clone());
+        let mut net = Network::new(cfg.clone());
         let (node, dst) = (Coord::new(1, 1), Coord::new(3, 3));
         let inj = net.local_injector(node);
         for f in PacketDesc::new(1, node, dst, MessageClass::Reply, 5).flits(4) {
@@ -2046,9 +2019,9 @@ mod tests {
         net.snapshot_state(&mut e);
         let bytes = e.into_bytes();
         let at = locate(&bytes, &next);
-        let stamp = (net.cycle() + 1).to_le_bytes();
+        let stamp = (net.cycle + 1).to_le_bytes();
         assert_eq!(bytes[at - 8..at], stamp, "sent now, one cycle of latency");
-        (cfg, net.cycle(), bytes, at, full)
+        (cfg, net.cycle, bytes, at, full)
     }
 
     /// Where the encoding of `f` starts in `bytes`, which must hold it
@@ -2081,7 +2054,7 @@ mod tests {
         use equinox_snap::{Dec, SnapError};
         let (cfg, _, bytes, _, full) = snapshot_with_a_link_flit();
         let restore =
-            |bytes: &[u8]| Network::mesh(cfg.clone()).restore_state(&mut Dec::new(bytes));
+            |bytes: &[u8]| Network::new(cfg.clone()).restore_state(&mut Dec::new(bytes));
         // A run buffers a flit in the VC it names; restored elsewhere, its
         // traversal used to trip "flit buffered in wrong VC".
         for seq in [0, 3] {
@@ -2099,7 +2072,7 @@ mod tests {
     fn restore_rejects_a_body_flit_awaiting_allocation() {
         use equinox_snap::{Dec, SnapError};
         let (cfg, _, bytes, _, full) = snapshot_with_a_link_flit();
-        let mut net = Network::mesh(cfg.clone());
+        let mut net = Network::new(cfg.clone());
         net.restore_state(&mut Dec::new(&bytes)).expect("the snapshot as written");
         let ivc = net.core.vc(net.topo.node_index(Coord::new(1, 1)), PORT_LOCAL * 2 + full as usize);
         assert_eq!(net.core.in_vcs[ivc].out_port, NONE, "the pipeline holds the head unallocated");
@@ -2109,7 +2082,7 @@ mod tests {
         let at = locate(&bytes, &buffered_flit(0, full)) + 17;
         bad[at..at + 2].copy_from_slice(&1u16.to_le_bytes());
         assert_eq!(
-            Network::mesh(cfg).restore_state(&mut Dec::new(&bad)),
+            Network::new(cfg).restore_state(&mut Dec::new(&bad)),
             Err(SnapError::BadValue("body flit at the front of an unallocated input VC"))
         );
     }
@@ -2119,7 +2092,7 @@ mod tests {
         use equinox_snap::{Dec, SnapError};
         let (cfg, _, bytes, link_at, full) = snapshot_with_a_link_flit();
         let restore =
-            |bytes: &[u8]| Network::mesh(cfg.clone()).restore_state(&mut Dec::new(bytes));
+            |bytes: &[u8]| Network::new(cfg.clone()).restore_state(&mut Dec::new(bytes));
         let disagree = Err(SnapError::BadValue("flits of one packet disagree on src, dst, sink or len"));
         // A buffered body flit with another sink than its head.
         let mut bad = bytes.clone();
@@ -2137,7 +2110,7 @@ mod tests {
         use equinox_snap::{Dec, SnapError};
         let (cfg, _, bytes, at, full) = snapshot_with_a_link_flit();
         let restore =
-            |bytes: &[u8]| Network::mesh(cfg.clone()).restore_state(&mut Dec::new(bytes));
+            |bytes: &[u8]| Network::new(cfg.clone()).restore_state(&mut Dec::new(bytes));
         assert_eq!(restore(&bytes), Ok(()));
         // The same flit bound for the full VC: a restore used to accept
         // it, and the arrival a step later overflowed the buffer.
@@ -2153,7 +2126,7 @@ mod tests {
         let restamped = |stamp: u64| {
             let mut b = bytes.clone();
             b[at - 8..at].copy_from_slice(&stamp.to_le_bytes());
-            let mut net = Network::mesh(cfg.clone());
+            let mut net = Network::new(cfg.clone());
             net.restore_state(&mut Dec::new(&b)).map(|()| net)
         };
         // NI links here take one cycle: the flit may arrive now or next.
@@ -2176,7 +2149,7 @@ mod tests {
 
     #[test]
     fn route_memo_equals_the_topology_for_every_pair() {
-        let mut cfgs = vec![NocConfig::mesh_8x8(), NocConfig::mesh(8)];
+        let mut cfgs = vec![NocConfig::mesh(8), NocConfig::mesh(8)];
         cfgs[1].width = 12;
         cfgs.push(NocConfig::fabric(TopologyKind::Ring, 6));
         cfgs.push(NocConfig::fabric(TopologyKind::HierRing, 6));
@@ -2216,7 +2189,7 @@ mod tests {
         // injection port and a tagged extra ejection port, and sinks
         // that stay shut for a while so ejection queues hit their cap.
         let build = || {
-            let mut net = Network::mesh(NocConfig::single_net(4, true));
+            let mut net = Network::new(NocConfig::single_net(4, true));
             let extra = net.add_injection_port(Coord::new(2, 1), 2, LinkKind::Interposer);
             let tagged = net.add_ejection_port(Coord::new(1, 2), Some(77));
             net.enable_stalls();
@@ -2325,7 +2298,7 @@ mod tests {
 
     #[test]
     fn stats_accumulate() {
-        let mut net = Network::mesh(NocConfig::mesh_8x8());
+        let mut net = Network::new(NocConfig::mesh(8));
         let pkt = PacketDesc::new(0, Coord::new(0, 0), Coord::new(3, 0), MessageClass::Reply, 5);
         drive_packet(&mut net, pkt, 300).expect("delivered");
         let s = net.stats();
@@ -2344,7 +2317,7 @@ mod tests {
         // ever blocks it, so every in-network cause must stay at zero —
         // the attribution layer must not invent stalls.
         use equinox_obs::NetCause;
-        let mut net = Network::mesh(NocConfig::mesh_8x8());
+        let mut net = Network::new(NocConfig::mesh(8));
         net.enable_stalls();
         let pkt = PacketDesc::new(0, Coord::new(0, 0), Coord::new(5, 4), MessageClass::Reply, 5);
         drive_packet(&mut net, pkt, 400).expect("delivered");
@@ -2372,7 +2345,7 @@ mod tests {
         // router must show switch contention and the stalled sink must
         // show ejection wait. Per-router cells and per-class totals are
         // two views of the same charges and must agree.
-        let mut net = Network::mesh(NocConfig::mesh(4));
+        let mut net = Network::new(NocConfig::mesh(4));
         net.enable_stalls();
         let dst = Coord::new(0, 0);
         let mut pending = Vec::new();
@@ -2429,7 +2402,7 @@ mod tests {
     #[test]
     fn stall_state_snapshots_and_rejects_arming_mismatch() {
         use equinox_snap::{Dec, Enc, SnapError};
-        let mut net = Network::mesh(NocConfig::mesh(4));
+        let mut net = Network::new(NocConfig::mesh(4));
         net.enable_stalls();
         let pkt = PacketDesc::new(0, Coord::new(0, 0), Coord::new(3, 3), MessageClass::Request, 3);
         drive_packet(&mut net, pkt, 300).expect("delivered");
@@ -2437,7 +2410,7 @@ mod tests {
         net.snapshot_state(&mut e);
         let bytes = e.into_bytes();
 
-        let mut armed = Network::mesh(NocConfig::mesh(4));
+        let mut armed = Network::new(NocConfig::mesh(4));
         armed.enable_stalls();
         let mut d = Dec::new(&bytes);
         armed.restore_state(&mut d).expect("restore into armed net");
@@ -2452,7 +2425,7 @@ mod tests {
             assert_eq!(a.heat(cause).sum::<u64>(), b.heat(cause).sum::<u64>());
         }
 
-        let mut unarmed = Network::mesh(NocConfig::mesh(4));
+        let mut unarmed = Network::new(NocConfig::mesh(4));
         assert!(matches!(
             unarmed.restore_state(&mut Dec::new(&bytes)),
             Err(SnapError::BadValue(_))
@@ -2469,7 +2442,7 @@ mod tests {
         // the straight-through run does.
         let dst = Coord::new(0, 0);
         let build = || {
-            let mut net = Network::mesh(NocConfig::mesh(4));
+            let mut net = Network::new(NocConfig::mesh(4));
             net.enable_stalls();
             net
         };
@@ -2491,7 +2464,7 @@ mod tests {
                 }
             }
             net.step();
-            if net.cycle().is_multiple_of(4) {
+            if net.cycle.is_multiple_of(4) {
                 while net.pop_ejected_node(dst).is_some() {}
             }
         };
@@ -2507,9 +2480,9 @@ mod tests {
         let mut net = build();
         // Stop between two sink openings, with flits parked and already
         // waiting.
-        while !(net.has_ejected() && net.cycle() % 4 == 2 && eject_wait(&net) > 0) {
+        while !(net.has_ejected() && net.cycle % 4 == 2 && eject_wait(&net) > 0) {
             cycle(&mut net, &mut streams);
-            assert!(net.cycle() < 500, "the sink never backed up");
+            assert!(net.cycle < 500, "the sink never backed up");
         }
         let parked: Vec<u64> = net
             .core
@@ -2519,9 +2492,9 @@ mod tests {
             .map(|s| s.stamp())
             .collect();
         assert!(
-            parked.iter().any(|&stamp| stamp + 1 < net.cycle()),
+            parked.iter().any(|&stamp| stamp + 1 < net.cycle),
             "some parked flit must already have waited: stamps {parked:?} at cycle {}",
-            net.cycle()
+            net.cycle
         );
         let bytes = snapshot(&net);
         let mut twin = build();
@@ -2535,7 +2508,7 @@ mod tests {
         while !(net.quiescent() && streams.iter().all(|(_, f)| f.is_empty())) {
             cycle(&mut net, &mut streams);
             cycle(&mut twin, &mut twin_streams);
-            assert!(net.cycle() < 5000, "traffic must drain");
+            assert!(net.cycle < 5000, "traffic must drain");
         }
         assert!(twin.quiescent());
         assert!(eject_wait(&net) > 0, "a lazy sink must charge ejection wait");
@@ -2554,7 +2527,7 @@ mod tests {
         // body flit: A by a fresh allocation, B by a lookup.
         let (a, b) = (PacketId(10), PacketId(11));
         let build = || {
-            let mut net = Network::mesh(NocConfig::mesh(4));
+            let mut net = Network::new(NocConfig::mesh(4));
             net.enable_trace(1024);
             net
         };
@@ -2566,7 +2539,7 @@ mod tests {
             })
             .collect();
         let cycle = |net: &mut Network, streams: &mut Streams, ejected: &mut Vec<(u64, usize, usize, Flit)>| {
-            let paused = (3..30).contains(&net.cycle());
+            let paused = (3..30).contains(&net.cycle);
             for (k, (src, flits)) in streams.iter_mut().enumerate() {
                 if let Some(&f) = flits.front() {
                     if !(k == 0 && paused) && net.try_inject_flit(net.local_injector(*src), f) {
@@ -2575,7 +2548,7 @@ mod tests {
                 }
             }
             net.step();
-            let now = net.cycle();
+            let now = net.cycle;
             net.drain_ejected(|r, p, f| ejected.push((now, r, p, f)));
         };
         let snapshot = |net: &Network| {
@@ -2588,7 +2561,7 @@ mod tests {
         };
 
         let (mut net, mut ejected) = (build(), Vec::new());
-        while net.cycle() < 29 {
+        while net.cycle < 29 {
             cycle(&mut net, &mut streams, &mut ejected);
         }
         assert_eq!(streams[0].1.len(), 37, "A sent three flits");
@@ -2610,7 +2583,7 @@ mod tests {
         while !(net.quiescent() && streams.iter().all(|(_, f)| f.is_empty())) {
             cycle(&mut net, &mut streams, &mut ejected);
             cycle(&mut twin, &mut twin_streams, &mut twin_ejected);
-            assert!(net.cycle() < 500, "traffic must drain");
+            assert!(net.cycle < 500, "traffic must drain");
         }
         assert!(twin.quiescent() && twin_streams.iter().all(|(_, f)| f.is_empty()));
         assert_eq!(ejected.len(), 80);

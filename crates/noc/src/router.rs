@@ -25,16 +25,9 @@ use crate::flit::{Flit, PacketId, PacketTable, Slot, SlotExt, EMPTY_SLOT};
 use equinox_phys::Coord;
 use std::collections::{HashMap, VecDeque};
 
-/// Mesh port indices. `PORT_LOCAL` is the first local (NI) port.
-pub const PORT_N: usize = 0;
-/// East.
-pub const PORT_E: usize = 1;
-/// South.
-pub const PORT_S: usize = 2;
-/// West.
-pub const PORT_W: usize = 3;
-/// Primary local port.
-pub const PORT_LOCAL: usize = 4;
+/// Primary local port; ports `0..PORT_LOCAL` are the network ports
+/// (`Direction::index` order on a mesh).
+pub(crate) const PORT_LOCAL: usize = 4;
 
 /// "No allocation" in [`InVc::out_port`], [`InVc::out_vc`] and
 /// [`RouterCore::out_owner`].
@@ -167,7 +160,7 @@ impl RouterCore {
     /// One router per coordinate, each with `ports` paired ports, `vcs`
     /// VCs per port and `depth` flits of buffering per VC. All ports
     /// start dead and unfed; the network builder wires them up.
-    pub fn new(coords: &[Coord], ports: usize, vcs: u8, depth: usize, eject_cap: usize) -> Self {
+    pub(crate) fn new(coords: &[Coord], ports: usize, vcs: u8, depth: usize, eject_cap: usize) -> Self {
         let (n, v) = (coords.len(), vcs as usize);
         assert!(depth < NONE as usize, "VC buffers are indexed with a u8");
         let routers = coords
@@ -241,7 +234,7 @@ impl RouterCore {
     /// Every later router's ids shift up by one port; nothing outside
     /// this struct stores a global id, so there is nothing else to fix.
     /// The new VCs' rings go to the end of the slot arena.
-    pub fn add_port(&mut self, r: usize) -> usize {
+    pub(crate) fn add_port(&mut self, r: usize) -> usize {
         let port = self.num_ports(r);
         let gp = self.routers[r].port_base as usize + port;
         let gv = gp * self.vcs;
@@ -284,13 +277,13 @@ impl RouterCore {
     /// ejection port), or is the packet one of the network's `injectors`
     /// is streaming, all of whose sent flits have left. The network calls
     /// this whenever it adds a port.
-    pub fn reserve_packets(&mut self, injectors: usize) {
+    pub(crate) fn reserve_packets(&mut self, injectors: usize) {
         let eject_ports = self.out_role.iter().filter(|r| matches!(r, OutputRole::Eject { .. })).count();
         self.packets.reserve(self.slots.len() + self.eject_cap * eject_ports + injectors);
     }
 
     /// Gives output port `p` of router `r` its role.
-    pub fn set_role(&mut self, r: usize, p: usize, role: OutputRole) {
+    pub(crate) fn set_role(&mut self, r: usize, p: usize, role: OutputRole) {
         let gp = self.port(r, p);
         self.out_role[gp] = role;
         let bits = self.port_bits(r, p, p + 1);
@@ -317,80 +310,80 @@ impl RouterCore {
 
     /// The role of output port `p` of router `r`.
     #[inline]
-    pub fn role(&self, r: usize, p: usize) -> OutputRole {
+    pub(crate) fn role(&self, r: usize, p: usize) -> OutputRole {
         self.out_role[self.port(r, p)]
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.routers.len()
     }
 
     /// VCs per port.
     #[inline]
-    pub fn vcs(&self) -> usize {
+    pub(crate) fn vcs(&self) -> usize {
         self.vcs
     }
 
     /// Number of paired ports of router `r`.
     #[inline]
-    pub fn num_ports(&self, r: usize) -> usize {
+    pub(crate) fn num_ports(&self, r: usize) -> usize {
         self.routers[r].nports as usize
     }
 
     /// Global id of port `p` of router `r`.
     #[inline]
-    pub fn port(&self, r: usize, p: usize) -> usize {
+    pub(crate) fn port(&self, r: usize, p: usize) -> usize {
         debug_assert!(p < self.num_ports(r));
         self.routers[r].port_base as usize + p
     }
 
     /// Global id of the VC at mask bit `bit` of router `r`.
     #[inline]
-    pub fn vc(&self, r: usize, bit: usize) -> usize {
+    pub(crate) fn vc(&self, r: usize, bit: usize) -> usize {
         self.routers[r].vc_base as usize + bit
     }
 
     /// Total flits buffered in router `r`.
-    pub fn buffered(&self, r: usize) -> u32 {
+    pub(crate) fn buffered(&self, r: usize) -> u32 {
         let s = &self.routers[r];
         s.class_flits[0] + s.class_flits[1]
     }
 
     /// The oldest flit of input VC `ivc`, which must not be empty.
     #[inline]
-    pub fn front(&self, ivc: usize) -> &Slot {
+    pub(crate) fn front(&self, ivc: usize) -> &Slot {
         let vc = &self.in_vcs[ivc];
         debug_assert!(vc.len > 0);
         &self.slots[vc.slot_base as usize + vc.head as usize]
     }
 
     /// The flits buffered in input VC `ivc`, oldest first.
-    pub fn flits(&self, ivc: usize) -> impl Iterator<Item = &Slot> {
+    pub(crate) fn flits(&self, ivc: usize) -> impl Iterator<Item = &Slot> {
         let vc = self.in_vcs[ivc];
         (0..vc.len as usize).map(move |k| &self.slots[vc.slot(k, self.depth)])
     }
 
     /// Every flit buffered in router `r`.
-    pub fn router_flits(&self, r: usize) -> impl Iterator<Item = &Slot> {
+    pub(crate) fn router_flits(&self, r: usize) -> impl Iterator<Item = &Slot> {
         let base = self.routers[r].vc_base as usize;
         (base..base + self.num_ports(r) * self.vcs).flat_map(|ivc| self.flits(ivc))
     }
 
     /// The flits staged in input VC `ivc`, oldest first.
-    pub fn staged(&self, ivc: usize) -> impl Iterator<Item = &Slot> {
+    pub(crate) fn staged(&self, ivc: usize) -> impl Iterator<Item = &Slot> {
         let vc = self.in_vcs[ivc];
         (vc.len as usize..(vc.len + vc.pending) as usize)
             .map(move |k| &self.slots[vc.slot(k, self.depth)])
     }
 
     /// Every flit staged anywhere in the network.
-    pub fn all_staged(&self) -> impl Iterator<Item = &Slot> {
+    pub(crate) fn all_staged(&self) -> impl Iterator<Item = &Slot> {
         (0..self.in_vcs.len()).flat_map(|ivc| self.staged(ivc))
     }
 
     /// Flits staged in the VCs of input port `p` of router `r`: what its
     /// feeding link has in flight.
-    pub fn staged_on_port(&self, r: usize, p: usize) -> usize {
+    pub(crate) fn staged_on_port(&self, r: usize, p: usize) -> usize {
         let base = self.vc(r, p * self.vcs);
         self.in_vcs[base..base + self.vcs].iter().map(|vc| vc.pending as usize).sum()
     }
@@ -398,7 +391,7 @@ impl RouterCore {
     /// Hands the flits staged in the VCs of input port `p` of router `r`
     /// to `visit` in arrival order — the order the feeding link carries
     /// them, one per cycle, so no two share a stamp. Read in place.
-    pub fn visit_staged_on_port(&self, r: usize, p: usize, mut visit: impl FnMut(&Slot)) {
+    pub(crate) fn visit_staged_on_port(&self, r: usize, p: usize, mut visit: impl FnMut(&Slot)) {
         let base = self.vc(r, p * self.vcs);
         // Per VC of the port, how many of its staged flits went out.
         let mut taken = [0u8; 64];
@@ -420,7 +413,7 @@ impl RouterCore {
 
     /// `true` if the input VC at mask bit `bit` of router `r` has a free
     /// slot for one more staged flit.
-    pub fn has_room(&self, r: usize, bit: usize) -> bool {
+    pub(crate) fn has_room(&self, r: usize, bit: usize) -> bool {
         let vc = &self.in_vcs[self.vc(r, bit)];
         ((vc.len + vc.pending) as usize) < self.depth
     }
@@ -430,7 +423,7 @@ impl RouterCore {
     /// sight until [`RouterCore::arrive`]. Credits leave the room: an
     /// upstream sends only into a slot it holds a credit for.
     #[inline]
-    pub fn stage(&mut self, r: usize, bit: usize, slot: Slot) {
+    pub(crate) fn stage(&mut self, r: usize, bit: usize, slot: Slot) {
         let vc = &mut self.in_vcs[self.routers[r].vc_base as usize + bit];
         assert!(
             ((vc.len + vc.pending) as usize) < self.depth,
@@ -443,7 +436,7 @@ impl RouterCore {
     /// The oldest flit staged in the input VC at mask bit `bit` of router
     /// `r`, of class `class`, arrives: it joins the buffered flits.
     #[inline]
-    pub fn arrive(&mut self, r: usize, bit: usize, class: usize) {
+    pub(crate) fn arrive(&mut self, r: usize, bit: usize, class: usize) {
         let s = &mut self.routers[r];
         let vc = &mut self.in_vcs[s.vc_base as usize + bit];
         debug_assert!(vc.pending > 0, "router {r} input VC bit {bit}: nothing staged arrives");
@@ -456,7 +449,7 @@ impl RouterCore {
     /// Removes and returns the oldest flit of the (non-empty) input VC at
     /// mask bit `bit` of router `r`.
     #[inline]
-    pub fn pop(&mut self, r: usize, bit: usize) -> Slot {
+    pub(crate) fn pop(&mut self, r: usize, bit: usize) -> Slot {
         let s = &mut self.routers[r];
         let vc = &mut self.in_vcs[s.vc_base as usize + bit];
         debug_assert!(vc.len > 0);
@@ -477,7 +470,7 @@ impl RouterCore {
     /// Gives output VC `ov` of port `op` to the packet at the front of
     /// the input VC at mask bit `bit`.
     #[inline]
-    pub fn grant(&mut self, r: usize, bit: usize, op: usize, ov: usize) {
+    pub(crate) fn grant(&mut self, r: usize, bit: usize, op: usize, ov: usize) {
         let s = &mut self.routers[r];
         let base = s.vc_base as usize;
         let out_bit = op * self.vcs + ov;
@@ -492,7 +485,7 @@ impl RouterCore {
 
     /// Undoes [`RouterCore::grant`] when the packet's tail leaves.
     #[inline]
-    pub fn release(&mut self, r: usize, bit: usize) {
+    pub(crate) fn release(&mut self, r: usize, bit: usize) {
         let s = &mut self.routers[r];
         let base = s.vc_base as usize;
         let vc = &mut self.in_vcs[base + bit];
@@ -505,13 +498,13 @@ impl RouterCore {
 
     /// Downstream credits of the output VC at mask bit `out_bit`.
     #[inline]
-    pub fn credits(&self, r: usize, out_bit: usize) -> u32 {
+    pub(crate) fn credits(&self, r: usize, out_bit: usize) -> u32 {
         self.out_credits[self.vc(r, out_bit)] as u32
     }
 
     /// A credit came back for the link output VC at mask bit `out_bit`.
     #[inline]
-    pub fn return_credit(&mut self, r: usize, out_bit: usize) {
+    pub(crate) fn return_credit(&mut self, r: usize, out_bit: usize) {
         let s = &mut self.routers[r];
         self.out_credits[s.vc_base as usize + out_bit] += 1;
         s.out_ready |= 1 << out_bit;
@@ -519,7 +512,7 @@ impl RouterCore {
 
     /// A flit left through the link output VC at mask bit `out_bit`.
     #[inline]
-    pub fn spend_credit(&mut self, r: usize, out_bit: usize) {
+    pub(crate) fn spend_credit(&mut self, r: usize, out_bit: usize) {
         let s = &mut self.routers[r];
         let c = &mut self.out_credits[s.vc_base as usize + out_bit];
         *c -= 1;
@@ -530,25 +523,25 @@ impl RouterCore {
 
     /// The ejection queue of port `p` of router `r`.
     #[inline]
-    pub fn eject_queue(&self, r: usize, p: usize) -> &VecDeque<Slot> {
+    pub(crate) fn eject_queue(&self, r: usize, p: usize) -> &VecDeque<Slot> {
         &self.eject[self.port(r, p)]
     }
 
     /// All ejection queues, router by router and port by port.
-    pub fn eject_queues(&self) -> &[VecDeque<Slot>] {
+    pub(crate) fn eject_queues(&self) -> &[VecDeque<Slot>] {
         &self.eject
     }
 
     /// The same queues, for re-stamping the parked flits. Their lengths
     /// feed `out_ready` and must not change through this.
-    pub fn eject_queues_mut(&mut self) -> &mut [VecDeque<Slot>] {
+    pub(crate) fn eject_queues_mut(&mut self) -> &mut [VecDeque<Slot>] {
         &mut self.eject
     }
 
     /// Parks `slot` in the ejection queue of port `p`; a queue that
     /// reaches the cap stops its port from granting.
     #[inline]
-    pub fn eject_push(&mut self, r: usize, p: usize, slot: Slot) {
+    pub(crate) fn eject_push(&mut self, r: usize, p: usize, slot: Slot) {
         let gp = self.port(r, p);
         self.eject[gp].push_back(slot);
         self.routers[r].ejecting |= 1 << p;
@@ -559,7 +552,7 @@ impl RouterCore {
 
     /// Takes the oldest flit out of the ejection queue of port `p`.
     #[inline]
-    pub fn eject_pop(&mut self, r: usize, p: usize) -> Option<Slot> {
+    pub(crate) fn eject_pop(&mut self, r: usize, p: usize) -> Option<Slot> {
         let gp = self.port(r, p);
         let slot = self.eject[gp].pop_front()?;
         if self.eject[gp].is_empty() {
@@ -575,7 +568,7 @@ impl RouterCore {
     /// out_free, out_ready, ejecting, class_flits)` — recomputed from
     /// the arrays they summarise.
     #[cfg(test)]
-    pub fn scan(&self, r: usize) -> (u64, u64, u64, u64, u64, [u32; 2]) {
+    pub(crate) fn scan(&self, r: usize) -> (u64, u64, u64, u64, u64, [u32; 2]) {
         let (mut occupied, mut allocated, mut out_free, mut out_ready) = (0u64, 0u64, 0u64, 0u64);
         for bit in 0..self.num_ports(r) * self.vcs {
             let vc = &self.in_vcs[self.vc(r, bit)];
@@ -605,7 +598,7 @@ impl RouterCore {
     /// The same words as the router's line holds them, in
     /// [`RouterCore::scan`]'s order.
     #[cfg(test)]
-    pub fn words(&self, r: usize) -> (u64, u64, u64, u64, u64, [u32; 2]) {
+    pub(crate) fn words(&self, r: usize) -> (u64, u64, u64, u64, u64, [u32; 2]) {
         let s = &self.routers[r];
         (s.occupied, s.allocated, s.out_free, s.out_ready, s.ejecting, s.class_flits)
     }
@@ -615,7 +608,7 @@ impl RouterCore {
     /// the format of the per-router structs this layout replaced.
     /// Port roles and feed links are topology and skipped; ejection
     /// queues are written by the network, after the injectors.
-    pub fn snap_state(&self, r: usize, e: &mut equinox_snap::Enc) {
+    pub(crate) fn snap_state(&self, r: usize, e: &mut equinox_snap::Enc) {
         use equinox_snap::Snap;
         let base = self.routers[r].port_base as usize;
         let ports = base..base + self.num_ports(r);
@@ -658,7 +651,7 @@ impl RouterCore {
     /// Nothing is staged afterwards: the network stages what the link
     /// section of the snapshot carries. Each flit takes its packet's
     /// handle through `seen` (see [`PacketTable::intern`]).
-    pub fn restore_state(
+    pub(crate) fn restore_state(
         &mut self,
         r: usize,
         d: &mut equinox_snap::Dec,
@@ -750,7 +743,7 @@ impl RouterCore {
     /// an ejection port can hold flits, and no more than the cap its
     /// grants stop at: no run writes anything else, and the flits would
     /// sit where no sink looks for them.
-    pub fn restore_eject(
+    pub(crate) fn restore_eject(
         &mut self,
         r: usize,
         p: usize,

@@ -11,18 +11,10 @@
 //!   spends in each router).
 
 use crate::link::LinkKind;
-use crate::topology::TopologyKind;
 
 /// Aggregate event counters for one physical network.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct NetStats {
-    /// Shape of the network the counters came from, as
-    /// `(topology, width, height)`. Build-derived (stamped by the network
-    /// constructor, `None` for hand-built stats): it is neither
-    /// serialized in snapshots nor emitted in artifacts, but
-    /// [`NetStats::merge`] uses it to reject mixing counters from
-    /// different fabrics, not just different router counts.
-    pub shape: Option<(TopologyKind, u16, u16)>,
     /// Simulated cycles (of this network's clock).
     pub cycles: u64,
     /// Flits written into input-VC buffers.
@@ -67,8 +59,6 @@ impl equinox_snap::Snap for NetStats {
     }
     fn restore(d: &mut equinox_snap::Dec) -> Result<Self, equinox_snap::SnapError> {
         let s = NetStats {
-            // Build-derived; the restoring network re-stamps its own.
-            shape: None,
             cycles: d.u64()?,
             buffer_writes: d.u64()?,
             buffer_reads: d.u64()?,
@@ -91,7 +81,7 @@ impl equinox_snap::Snap for NetStats {
 
 impl NetStats {
     /// Creates zeroed stats for `routers` routers.
-    pub fn new(routers: usize) -> Self {
+    pub(crate) fn new(routers: usize) -> Self {
         NetStats {
             router_flits: vec![0; routers],
             router_cycles: vec![0; routers],
@@ -111,7 +101,7 @@ impl NetStats {
     /// Average number of cycles a flit spends in router `r`, the quantity
     /// plotted in the paper's Figure 4 heat maps. Routers that never saw a
     /// flit report 0.
-    pub fn avg_router_cycles(&self, r: usize) -> f64 {
+    pub(crate) fn avg_router_cycles(&self, r: usize) -> f64 {
         if self.router_flits[r] == 0 {
             0.0
         } else {
@@ -140,48 +130,6 @@ impl NetStats {
     /// Total flits over all link classes.
     pub fn total_link_flits(&self) -> u64 {
         self.link_flits_mesh + self.link_flits_interposer + self.link_flits_ni
-    }
-
-    /// Merges another stats block into this one (used when a scheme runs
-    /// several physical networks, e.g. DA2Mesh's eight reply subnets).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a topology-shape or router count mismatch: merging stats
-    /// from differently shaped networks would silently drop the
-    /// per-router accumulators and corrupt the Figure 4 heat maps, so it
-    /// is rejected loudly instead. The shape check only fires when both
-    /// sides carry a stamp (hand-built stats have none).
-    pub fn merge(&mut self, other: &NetStats) {
-        if let (Some(a), Some(b)) = (self.shape, other.shape) {
-            assert_eq!(
-                a, b,
-                "topology shape mismatch in NetStats::merge: per-router counters \
-                 only merge between networks of the same fabric and dimensions"
-            );
-        }
-        self.cycles = self.cycles.max(other.cycles);
-        self.buffer_writes += other.buffer_writes;
-        self.buffer_reads += other.buffer_reads;
-        self.xbar_traversals += other.xbar_traversals;
-        self.vc_allocs += other.vc_allocs;
-        self.link_flits_mesh += other.link_flits_mesh;
-        self.link_flits_interposer += other.link_flits_interposer;
-        self.link_flits_ni += other.link_flits_ni;
-        self.ejected_flits += other.ejected_flits;
-        self.injected_flits += other.injected_flits;
-        assert_eq!(
-            self.router_flits.len(),
-            other.router_flits.len(),
-            "router count mismatch in NetStats::merge ({} vs {}): \
-             per-router counters only merge between equally sized networks",
-            self.router_flits.len(),
-            other.router_flits.len()
-        );
-        for i in 0..self.router_flits.len() {
-            self.router_flits[i] += other.router_flits[i];
-            self.router_cycles[i] += other.router_cycles[i];
-        }
     }
 }
 
@@ -212,53 +160,6 @@ mod tests {
         assert_eq!(s.link_flits_interposer, 2);
         assert_eq!(s.link_flits_ni, 1);
         assert_eq!(s.total_link_flits(), 4);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = NetStats::new(2);
-        a.buffer_writes = 5;
-        a.cycles = 100;
-        a.router_flits = vec![1, 2];
-        a.router_cycles = vec![3, 4];
-        let mut b = NetStats::new(2);
-        b.buffer_writes = 7;
-        b.cycles = 50;
-        b.router_flits = vec![10, 20];
-        b.router_cycles = vec![30, 40];
-        a.merge(&b);
-        assert_eq!(a.buffer_writes, 12);
-        assert_eq!(a.cycles, 100, "cycles take the max, not the sum");
-        assert_eq!(a.router_flits, vec![11, 22]);
-        assert_eq!(a.router_cycles, vec![33, 44]);
-    }
-
-    #[test]
-    #[should_panic(expected = "router count mismatch")]
-    fn merge_rejects_mismatched_router_counts() {
-        let mut a = NetStats::new(2);
-        let b = NetStats::new(3);
-        a.merge(&b);
-    }
-
-    #[test]
-    #[should_panic(expected = "topology shape mismatch")]
-    fn merge_rejects_mismatched_topologies() {
-        // Same router count, different fabric: the shape stamp catches
-        // what the router-count check cannot.
-        let mut a = NetStats::new(16);
-        a.shape = Some((TopologyKind::Mesh, 4, 4));
-        let mut b = NetStats::new(16);
-        b.shape = Some((TopologyKind::Ring, 4, 4));
-        a.merge(&b);
-    }
-
-    #[test]
-    fn merge_allows_unstamped_stats() {
-        let mut a = NetStats::new(2);
-        a.shape = Some((TopologyKind::Mesh, 2, 1));
-        let b = NetStats::new(2);
-        a.merge(&b); // other side unstamped: only the count check applies
     }
 
     #[test]

@@ -45,8 +45,7 @@
 //!   packets are captured exactly as on the ring.
 
 use crate::config::RoutingKind;
-use crate::routing::{candidate_set, dor_direction};
-use equinox_phys::Coord;
+use equinox_phys::{Coord, Direction};
 use std::fmt;
 
 /// The registered fabrics.
@@ -112,7 +111,7 @@ impl TopologyKind {
     ///
     /// Panics on dimensions the fabric cannot be built on; call
     /// [`crate::config::NocConfig::validate`] first for an error value.
-    pub fn build(self, width: u16, height: u16) -> Box<dyn Topology> {
+    pub(crate) fn build(self, width: u16, height: u16) -> Box<dyn Topology> {
         match self {
             TopologyKind::Mesh => Box::new(Mesh { width, height }),
             TopologyKind::Ring => Box::new(Ring::new(width, height)),
@@ -123,7 +122,7 @@ impl TopologyKind {
 
 /// One directed network link of a fabric's graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TopoLink {
+pub(crate) struct TopoLink {
     /// Source node (row-major grid index).
     pub from: usize,
     /// Output port on the source router (`< PORT_LOCAL`).
@@ -134,18 +133,19 @@ pub struct TopoLink {
     pub to_port: usize,
 }
 
-/// Up to two candidate output ports in preference order — the
-/// port-index analogue of [`crate::routing::DirSet`]. Fixed capacity
-/// keeps route compute allocation-free on the hot path.
+/// Up to two candidate output ports in preference order. Two slots
+/// suffice for every registered fabric (a mesh has at most two
+/// productive directions, a ring a minimal and an escape port), and the
+/// fixed capacity keeps route compute allocation-free.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct PortSet {
+pub(crate) struct PortSet {
     ports: [u8; 2],
     len: u8,
 }
 
 impl PortSet {
     /// The empty set.
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         PortSet { ports: [0; 2], len: 0 }
     }
 
@@ -155,7 +155,7 @@ impl PortSet {
     ///
     /// Panics beyond two distinct ports — no supported fabric offers
     /// more than two productive directions per hop.
-    pub fn push(&mut self, port: usize) {
+    pub(crate) fn push(&mut self, port: usize) {
         if self.as_slice().contains(&(port as u8)) {
             return;
         }
@@ -165,7 +165,7 @@ impl PortSet {
     }
 
     /// The candidate ports, in preference order.
-    pub fn as_slice(&self) -> &[u8] {
+    pub(crate) fn as_slice(&self) -> &[u8] {
         &self.ports[..self.len as usize]
     }
 }
@@ -173,7 +173,7 @@ impl PortSet {
 /// A fabric: link graph + productive-direction function + escape
 /// contract. See the module docs for the conventions implementations
 /// must uphold.
-pub trait Topology: fmt::Debug + Send + Sync {
+pub(crate) trait Topology: fmt::Debug + Send + Sync {
     /// Which registered fabric this is.
     fn kind(&self) -> TopologyKind;
     /// Grid width (node `i` is at `Coord::from_index(i, width)`).
@@ -222,13 +222,12 @@ pub trait Topology: fmt::Debug + Send + Sync {
 
 // ---------------------------------------------------------------- mesh
 
-/// The 2D mesh, re-expressed behind the trait. Route compute and the
-/// escape port delegate to the original [`crate::routing`] functions,
-/// and [`Mesh::links`] enumerates links in exactly the order the old
-/// mesh builder did — the refactor is behavior-preserving down to link
-/// IDs and the golden flit trace.
+/// The 2D mesh: minimal adaptive routing over the productive
+/// directions, X-first dimension-order escape. [`Mesh::links`]
+/// enumerates links in the order the golden flit traces and link IDs
+/// were pinned with.
 #[derive(Debug, Clone, Copy)]
-pub struct Mesh {
+pub(crate) struct Mesh {
     width: u16,
     height: u16,
 }
@@ -248,7 +247,7 @@ impl Topology for Mesh {
         let mut out = Vec::new();
         for i in 0..self.num_nodes() {
             let c = self.node_coord(i);
-            for dir in equinox_phys::Direction::ALL {
+            for dir in Direction::ALL {
                 if let Some(nc) = c.step(dir, self.width, self.height) {
                     out.push(TopoLink {
                         from: i,
@@ -264,14 +263,40 @@ impl Topology for Mesh {
 
     fn route(&self, routing: RoutingKind, cur: usize, dst: usize) -> PortSet {
         let mut set = PortSet::new();
-        for &d in candidate_set(routing, self.node_coord(cur), self.node_coord(dst)).as_slice() {
-            set.push(d.index());
+        if routing == RoutingKind::Xy {
+            // Deterministic routing degenerates to the escape path.
+            if let Some(p) = self.escape_port(cur, dst) {
+                set.push(p);
+            }
+            return set;
+        }
+        // Every productive direction, X before Y, so the X-first escape
+        // port is always one of them.
+        let (c, d) = (self.node_coord(cur), self.node_coord(dst));
+        if c.x != d.x {
+            set.push(if c.x < d.x { Direction::East } else { Direction::West }.index());
+        }
+        if c.y != d.y {
+            set.push(if c.y < d.y { Direction::South } else { Direction::North }.index());
         }
         set
     }
 
     fn escape_port(&self, cur: usize, dst: usize) -> Option<usize> {
-        dor_direction(self.node_coord(cur), self.node_coord(dst)).map(|d| d.index())
+        // X-first dimension order: exhaust X, then Y.
+        let (c, d) = (self.node_coord(cur), self.node_coord(dst));
+        let dir = if c.x < d.x {
+            Direction::East
+        } else if c.x > d.x {
+            Direction::West
+        } else if c.y < d.y {
+            Direction::South
+        } else if c.y > d.y {
+            Direction::North
+        } else {
+            return None;
+        };
+        Some(dir.index())
     }
 }
 
@@ -287,7 +312,7 @@ const PORT_NEXT: usize = 1;
 /// physically adjacent on the grid. Port [`PORT_PREV`] faces the
 /// previous node, [`PORT_NEXT`] the next; ports 2 and 3 stay dead.
 #[derive(Debug, Clone, Copy)]
-pub struct Ring {
+pub(crate) struct Ring {
     width: u16,
     height: u16,
 }
@@ -296,7 +321,7 @@ impl Ring {
     /// # Panics
     ///
     /// Panics with fewer than two nodes.
-    pub fn new(width: u16, height: u16) -> Self {
+    pub(crate) fn new(width: u16, height: u16) -> Self {
         assert!(
             width as usize * height as usize >= 2,
             "a ring needs at least two nodes"
@@ -389,7 +414,7 @@ const PORT_GLOBAL_NEXT: usize = 3;
 /// the column-0 hubs (ports [`PORT_GLOBAL_PREV`]/[`PORT_GLOBAL_NEXT`]
 /// along y with wrap). Traffic between rows transfers at the hubs.
 #[derive(Debug, Clone, Copy)]
-pub struct HierRing {
+pub(crate) struct HierRing {
     width: u16,
     height: u16,
 }
@@ -399,7 +424,7 @@ impl HierRing {
     ///
     /// Panics unless both dimensions are at least two (each row must be
     /// a real ring and there must be a global ring to bridge them).
-    pub fn new(width: u16, height: u16) -> Self {
+    pub(crate) fn new(width: u16, height: u16) -> Self {
         assert!(
             width >= 2 && height >= 2,
             "a hierarchical ring needs width >= 2 and height >= 2"
@@ -579,30 +604,33 @@ mod tests {
     }
 
     #[test]
-    fn mesh_route_matches_the_legacy_routing_functions() {
-        // The trait is a re-expression, not a re-implementation: for
-        // every pair, candidates and escape port equal the historical
-        // candidate_set / dor_direction results, in order.
+    fn mesh_candidates_shorten_the_distance_and_the_escape_is_x_first() {
+        // Every pair of a 5x4 mesh under both routing kinds. Adaptive
+        // routing offers one candidate per dimension still to cover, X
+        // first; XY offers the escape port alone.
         let m = Mesh { width: 5, height: 4 };
+        let hop = |c: Coord, p: usize| c.step(Direction::ALL[p], 5, 4).expect("port stays on the grid");
         for cur in 0..m.num_nodes() {
             for dst in 0..m.num_nodes() {
-                if cur == dst {
-                    continue;
-                }
                 let (c, d) = (m.node_coord(cur), m.node_coord(dst));
-                for routing in [RoutingKind::Xy, RoutingKind::MinimalAdaptive] {
-                    let got: Vec<u8> = m.route(routing, cur, dst).as_slice().to_vec();
-                    let want: Vec<u8> = candidate_set(routing, c, d)
-                        .as_slice()
-                        .iter()
-                        .map(|dir| dir.index() as u8)
-                        .collect();
-                    assert_eq!(got, want, "{cur}->{dst} {routing:?}");
+                let Some(esc) = m.escape_port(cur, dst) else {
+                    assert_eq!(cur, dst, "only the destination has no escape port");
+                    continue;
+                };
+                // X-first: the escape hop moves along X until X matches.
+                let next = hop(c, esc);
+                assert!(next.manhattan(d) < c.manhattan(d), "{c:?}->{d:?}");
+                assert_eq!(next.y != c.y, c.x == d.x, "{c:?}->{d:?} escape {esc}");
+                let xy = m.route(RoutingKind::Xy, cur, dst);
+                assert_eq!(xy.as_slice(), [esc as u8]);
+                let adaptive = m.route(RoutingKind::MinimalAdaptive, cur, dst);
+                let dims = usize::from(c.x != d.x) + usize::from(c.y != d.y);
+                assert_eq!(adaptive.as_slice().len(), dims, "{c:?}->{d:?}");
+                assert_eq!(adaptive.as_slice()[0], esc as u8, "{c:?}->{d:?}");
+                for &p in adaptive.as_slice() {
+                    let next = hop(c, p as usize);
+                    assert!(next.manhattan(d) < c.manhattan(d), "{c:?}->{d:?} port {p}");
                 }
-                assert_eq!(
-                    m.escape_port(cur, dst),
-                    dor_direction(c, d).map(|dir| dir.index())
-                );
             }
         }
     }

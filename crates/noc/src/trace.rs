@@ -35,14 +35,14 @@ pub struct TraceEvent {
 
 /// Bounded event recorder (oldest events are dropped at capacity).
 #[derive(Debug, Default)]
-pub struct Trace {
+pub(crate) struct Trace {
     events: VecDeque<TraceEvent>,
     capacity: usize,
 }
 
 impl Trace {
     /// Creates a recorder holding up to `capacity` events.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         Trace {
             events: VecDeque::with_capacity(capacity.min(4096)),
             capacity,
@@ -50,12 +50,12 @@ impl Trace {
     }
 
     /// `true` when tracing is active.
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.capacity > 0
     }
 
     /// Records an event (drops the oldest at capacity).
-    pub fn record(&mut self, ev: TraceEvent) {
+    pub(crate) fn record(&mut self, ev: TraceEvent) {
         if self.capacity == 0 {
             return;
         }
@@ -66,29 +66,19 @@ impl Trace {
     }
 
     /// Drains and returns all recorded events in order.
-    pub fn drain(&mut self) -> Vec<TraceEvent> {
+    pub(crate) fn drain(&mut self) -> Vec<TraceEvent> {
         self.events.drain(..).collect()
-    }
-
-    /// Events currently held.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// `true` if nothing is recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 
     /// Serializes the recorded events. The capacity is build-time
     /// configuration and not written.
-    pub fn snap_state(&self, e: &mut equinox_snap::Enc) {
+    pub(crate) fn snap_state(&self, e: &mut equinox_snap::Enc) {
         use equinox_snap::Snap;
         self.events.snap(e);
     }
 
     /// Restores events into a recorder of the *same* capacity.
-    pub fn restore_state(
+    pub(crate) fn restore_state(
         &mut self,
         d: &mut equinox_snap::Dec,
     ) -> Result<(), equinox_snap::SnapError> {
@@ -158,7 +148,7 @@ mod tests {
         let mut t = Trace::new(0);
         assert!(!t.enabled());
         t.record(ev(1, TraceKind::Inject));
-        assert!(t.is_empty());
+        assert!(t.drain().is_empty());
     }
 
     #[test]
@@ -171,6 +161,6 @@ mod tests {
         assert_eq!(evs.len(), 2);
         assert_eq!(evs[0].cycle, 2);
         assert_eq!(evs[1].cycle, 3);
-        assert!(t.is_empty());
+        assert!(t.drain().is_empty());
     }
 }

@@ -15,7 +15,7 @@ pub(crate) struct Worklist {
 
 impl Worklist {
     /// An empty set over ids `0..n`.
-    pub fn with_len(n: usize) -> Self {
+    pub(crate) fn with_len(n: usize) -> Self {
         Worklist {
             words: vec![0; n.div_ceil(64)],
         }
@@ -23,19 +23,19 @@ impl Worklist {
 
     /// Adds `id`; a no-op if already present.
     #[inline]
-    pub fn insert(&mut self, id: usize) {
+    pub(crate) fn insert(&mut self, id: usize) {
         self.words[id >> 6] |= 1 << (id & 63);
     }
 
     /// Removes `id`; a no-op if absent.
     #[inline]
-    pub fn remove(&mut self, id: usize) {
+    pub(crate) fn remove(&mut self, id: usize) {
         self.words[id >> 6] &= !(1 << (id & 63));
     }
 
     /// `true` when the set has no member.
     #[inline]
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
     }
 
@@ -43,7 +43,7 @@ impl Worklist {
     /// callers that walk the set in ascending order while changing it
     /// (removing the id just returned, or any other, is fine).
     #[inline]
-    pub fn next_from(&self, from: usize) -> Option<usize> {
+    pub(crate) fn next_from(&self, from: usize) -> Option<usize> {
         let mut w = from >> 6;
         let mut word = *self.words.get(w)? & (u64::MAX << (from & 63));
         while word == 0 {
@@ -60,7 +60,7 @@ impl Worklist {
     /// of its owner (no phase of `Network::step` inserts into the set it
     /// is sweeping).
     #[inline]
-    pub fn sweep(&mut self, mut visit: impl FnMut(usize) -> bool) {
+    pub(crate) fn sweep(&mut self, mut visit: impl FnMut(usize) -> bool) {
         for (w, word) in self.words.iter_mut().enumerate() {
             let mut left = *word;
             while left != 0 {
@@ -75,7 +75,7 @@ impl Worklist {
 
     /// The members in ascending order.
     #[cfg(test)]
-    pub fn ids(&self) -> Vec<usize> {
+    pub(crate) fn ids(&self) -> Vec<usize> {
         let mut copy = Worklist {
             words: self.words.clone(),
         };

@@ -93,7 +93,7 @@ fn drive(net: &mut Network, sources: &mut [(Coord, Vec<Flit>)], cycles: u64) {
 #[test]
 fn step_is_allocation_free_in_steady_state() {
     let n = 8u16;
-    let mut net = Network::mesh(NocConfig::mesh_8x8());
+    let mut net = Network::new(NocConfig::mesh(8));
     let mut sources = schedule(n, 400, 0xA110C);
 
     // Warm-up: scratch buffers, link queues and eject queues grow to

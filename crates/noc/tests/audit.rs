@@ -63,7 +63,7 @@ fn crossing_flows() -> Vec<(Coord, Coord)> {
 
 #[test]
 fn clean_traffic_passes_strict_audit() {
-    let mut net = Network::mesh(NocConfig::mesh(4));
+    let mut net = Network::new(NocConfig::mesh(4));
     // Per-cycle sweeps, panic on the first violation: a healthy network
     // must run this gauntlet silently.
     net.enable_audit(AuditConfig::strict());
@@ -75,7 +75,7 @@ fn clean_traffic_passes_strict_audit() {
 
 #[test]
 fn auditor_detects_a_leaked_credit() {
-    let mut net = Network::mesh(NocConfig::mesh(4));
+    let mut net = Network::new(NocConfig::mesh(4));
     let cfg = AuditConfig {
         panic_on_violation: false,
         ..AuditConfig::strict()
@@ -86,7 +86,7 @@ fn auditor_detects_a_leaked_credit() {
         "fault hook found a credit to leak"
     );
     net.step();
-    let vs = net.take_audit_violations();
+    let vs = net.audit_violations();
     assert!(
         vs.iter()
             .any(|v| matches!(v, Violation::CreditConservation { .. })),
@@ -96,7 +96,7 @@ fn auditor_detects_a_leaked_credit() {
 
 #[test]
 fn auditor_detects_a_dropped_flit() {
-    let mut net = Network::mesh(NocConfig::mesh(4));
+    let mut net = Network::new(NocConfig::mesh(4));
     let cfg = AuditConfig {
         panic_on_violation: false,
         ..AuditConfig::strict()
@@ -136,7 +136,7 @@ fn auditor_detects_a_dropped_flit() {
         }
     }
     assert!(dropped, "traffic never reached a router buffer");
-    let vs = net.take_audit_violations();
+    let vs = net.audit_violations();
     assert!(
         vs.iter()
             .any(|v| matches!(v, Violation::FlitConservation { .. })),
@@ -146,7 +146,7 @@ fn auditor_detects_a_dropped_flit() {
 
 #[test]
 fn watchdog_diagnoses_a_wedged_network() {
-    let mut net = Network::mesh(NocConfig::mesh(4));
+    let mut net = Network::new(NocConfig::mesh(4));
     net.enable_audit(AuditConfig {
         check_interval: 64,
         watchdog_window: 200,
@@ -187,7 +187,7 @@ fn watchdog_diagnoses_a_wedged_network() {
         net.step();
         // No pops: the sink is wedged.
     }
-    let vs = net.take_audit_violations();
+    let vs = net.audit_violations();
     let report = vs
         .iter()
         .find_map(|v| match v {
@@ -210,7 +210,7 @@ fn watchdog_diagnoses_a_wedged_network() {
 #[test]
 #[should_panic(expected = "credit conservation")]
 fn audit_panics_on_violation_by_default() {
-    let mut net = Network::mesh(NocConfig::mesh(4));
+    let mut net = Network::new(NocConfig::mesh(4));
     net.enable_audit(AuditConfig::strict());
     assert!(net.fault_leak_credit(Coord::new(2, 2), 1));
     net.step();

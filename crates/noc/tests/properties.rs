@@ -108,7 +108,7 @@ fn adaptive_mesh_delivers_everything() {
     for case in 0..CASES {
         let mut rng = Rng::stream(0xAD, case);
         let packets = traffic_vec(5, 24, &mut rng);
-        exercise(Network::mesh(NocConfig::mesh(5)), packets);
+        exercise(Network::new(NocConfig::mesh(5)), packets);
     }
 }
 
@@ -119,7 +119,7 @@ fn xy_mesh_delivers_everything() {
         let packets = traffic_vec(5, 24, &mut rng);
         let mut cfg = NocConfig::mesh(5);
         cfg.routing = RoutingKind::Xy;
-        exercise(Network::mesh(cfg), packets);
+        exercise(Network::new(cfg), packets);
     }
 }
 
@@ -128,7 +128,7 @@ fn single_network_with_classes_delivers() {
     for case in 0..CASES {
         let mut rng = Rng::stream(0x51, case);
         let packets = traffic_vec(4, 16, &mut rng);
-        exercise(Network::mesh(NocConfig::single_net(4, false)), packets);
+        exercise(Network::new(NocConfig::single_net(4, false)), packets);
     }
 }
 
@@ -137,7 +137,7 @@ fn vc_mono_delivers() {
     for case in 0..CASES {
         let mut rng = Rng::stream(0x7C, case);
         let packets = traffic_vec(4, 16, &mut rng);
-        exercise(Network::mesh(NocConfig::single_net(4, true)), packets);
+        exercise(Network::new(NocConfig::single_net(4, true)), packets);
     }
 }
 
@@ -155,7 +155,7 @@ fn ejection_cursor_hands_over_what_polling_every_port_does() {
     const TAG: u32 = 77;
     let tagged_node = Coord::new(1, 2);
     let build = || {
-        let mut net = Network::mesh(NocConfig::single_net(N, false));
+        let mut net = Network::new(NocConfig::single_net(N, false));
         let tagged = net.add_ejection_port(tagged_node, Some(TAG));
         (net, tagged)
     };

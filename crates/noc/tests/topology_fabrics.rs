@@ -318,7 +318,7 @@ fn restore_rejects_cross_topology_snapshots() {
     ring.snapshot_state(&mut enc);
     let bytes = enc.into_bytes();
 
-    let mut mesh = Network::mesh(NocConfig::mesh(4));
+    let mut mesh = Network::new(NocConfig::mesh(4));
     let mut dec = equinox_snap::Dec::new(&bytes);
     assert!(matches!(
         mesh.restore_state(&mut dec),

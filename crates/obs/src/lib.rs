@@ -41,5 +41,5 @@ pub use chrome::ChromeTrace;
 pub use histogram::Histogram;
 pub use series::{SeriesId, TimeSeries};
 pub use span::{SpanEvent, SpanId, SpanProfiler};
-pub use stall::{NetCause, StallGrid, CAUSE_NAMES, NET_CAUSES, NET_CAUSE_NAMES, STALL_CLASSES};
+pub use stall::{NetCause, StallGrid, CAUSE_NAMES, NET_CAUSE_NAMES, STALL_CLASSES};
 pub use stream::StreamWriter;

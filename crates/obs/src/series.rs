@@ -134,7 +134,8 @@ impl TimeSeries {
     }
 
     /// One column's recorded values.
-    pub fn values(&self, id: SeriesId) -> &[f64] {
+    #[cfg(test)]
+    fn values(&self, id: SeriesId) -> &[f64] {
         &self.columns[id.0].1
     }
 

@@ -13,10 +13,6 @@ use std::time::Instant;
 pub struct SpanId(pub(crate) usize);
 
 impl SpanId {
-    /// The span's registration index.
-    pub fn index(self) -> usize {
-        self.0
-    }
 }
 
 /// One recorded span occurrence.
@@ -45,7 +41,6 @@ pub struct SpanProfiler {
     cap: usize,
     /// Oldest element once the ring is full (next overwrite target).
     head: usize,
-    overwritten: u64,
     epoch: Instant,
 }
 
@@ -60,7 +55,6 @@ impl SpanProfiler {
             ring: Vec::with_capacity(capacity),
             cap: capacity,
             head: 0,
-            overwritten: 0,
             epoch: Instant::now(),
         }
     }
@@ -123,7 +117,6 @@ impl SpanProfiler {
         } else if self.cap > 0 {
             self.ring[self.head] = ev;
             self.head = (self.head + 1) % self.cap;
-            self.overwritten += 1;
         }
     }
 
@@ -146,11 +139,6 @@ impl SpanProfiler {
     pub fn events(&self) -> impl Iterator<Item = &SpanEvent> {
         let (newer, older) = self.ring.split_at(self.head.min(self.ring.len()));
         older.iter().chain(newer.iter())
-    }
-
-    /// Events dropped to the ring bound (oldest-overwritten count).
-    pub fn overwritten(&self) -> u64 {
-        self.overwritten
     }
 }
 
@@ -180,7 +168,6 @@ mod tests {
         }
         let cycles: Vec<u64> = p.events().map(|e| e.cycle).collect();
         assert_eq!(cycles, vec![3, 4]);
-        assert_eq!(p.overwritten(), 3);
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub enum NetCause {
 }
 
 /// Number of in-network causes a [`StallGrid`] tracks.
-pub const NET_CAUSES: usize = 4;
+pub(crate) const NET_CAUSES: usize = 4;
 
 /// Names of the in-network causes, indexed by `NetCause as usize`.
 pub const NET_CAUSE_NAMES: [&str; NET_CAUSES] =
@@ -88,11 +88,6 @@ impl StallGrid {
         }
     }
 
-    /// Number of routers the grid covers.
-    pub fn routers(&self) -> usize {
-        self.routers
-    }
-
     /// Charges `cycles` stall cycles of `cause` to `router` on behalf
     /// of message class `class` (0 = request, 1 = reply).
     #[inline]
@@ -102,7 +97,7 @@ impl StallGrid {
     }
 
     /// Stall cycles of `cause` charged to `router`.
-    pub fn cell(&self, router: usize, cause: NetCause) -> u64 {
+    pub(crate) fn cell(&self, router: usize, cause: NetCause) -> u64 {
         self.cells[router * NET_CAUSES + cause as usize]
     }
 

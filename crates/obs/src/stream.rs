@@ -19,7 +19,6 @@ use std::io::Write;
 pub struct StreamWriter {
     /// `None` once a write failed: everything after is dropped.
     sink: Option<std::fs::File>,
-    target: String,
     scratch: Vec<u8>,
     lines: u64,
     errors: u64,
@@ -31,16 +30,10 @@ impl StreamWriter {
         let file = std::fs::OpenOptions::new().create(true).append(true).open(target)?;
         Ok(StreamWriter {
             sink: Some(file),
-            target: target.to_string(),
             scratch: Vec::with_capacity(4096),
             lines: 0,
             errors: 0,
         })
-    }
-
-    /// The target string the writer was opened with.
-    pub fn target(&self) -> &str {
-        &self.target
     }
 
     /// Writes one frame as a single line (a trailing `\n` is appended;

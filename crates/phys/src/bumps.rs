@@ -32,15 +32,6 @@ impl Default for BumpModel {
 }
 
 impl BumpModel {
-    /// Creates a model with the given bump pitch in µm.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pitch_um` is not strictly positive.
-    pub fn new(pitch_um: f64) -> Self {
-        assert!(pitch_um > 0.0, "bump pitch must be positive");
-        BumpModel { pitch_um }
-    }
 
     /// Total µbump count for `links` uni-directional links of
     /// `bits_per_link` wires, each wire attaching to `attachments_per_wire`
@@ -105,14 +96,8 @@ mod tests {
 
     #[test]
     fn area_scales_with_pitch_squared() {
-        let a = BumpModel::new(40.0).bump_area_mm2(100);
-        let b = BumpModel::new(80.0).bump_area_mm2(100);
+        let a = BumpModel { pitch_um: 40.0 }.bump_area_mm2(100);
+        let b = BumpModel { pitch_um: 80.0 }.bump_area_mm2(100);
         assert!((b / a - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_pitch_rejected() {
-        let _ = BumpModel::new(0.0);
     }
 }

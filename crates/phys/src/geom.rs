@@ -117,7 +117,8 @@ impl Coord {
     /// clipped to the grid. Direct-access-zone (DAZ) tiles are the four
     /// orthogonal neighbours; corner-access-zone (CAZ) tiles are the four
     /// diagonal neighbours.
-    pub fn hot_zone(self, width: u16, height: u16) -> Vec<Coord> {
+    #[cfg(test)]
+    fn hot_zone(self, width: u16, height: u16) -> Vec<Coord> {
         let mut out = Vec::with_capacity(8);
         for dy in -1i32..=1 {
             for dx in -1i32..=1 {
@@ -194,7 +195,7 @@ impl Direction {
     ];
 
     /// The `(dx, dy)` unit offset of this direction.
-    pub const fn offset(self) -> (i32, i32) {
+    pub(crate) const fn offset(self) -> (i32, i32) {
         match self {
             Direction::North => (0, -1),
             Direction::East => (1, 0),

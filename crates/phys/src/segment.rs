@@ -138,7 +138,7 @@ pub fn count_crossings(segments: &[Segment]) -> usize {
 }
 
 /// Returns the list of crossing pairs (indices into `segments`).
-pub fn crossing_pairs(segments: &[Segment]) -> Vec<(usize, usize)> {
+pub(crate) fn crossing_pairs(segments: &[Segment]) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
     for i in 0..segments.len() {
         for j in (i + 1)..segments.len() {

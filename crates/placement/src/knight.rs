@@ -44,7 +44,7 @@ pub fn knight_walk(n: u16, n_cbs: u16, start_x: u16, start_y: u16) -> Placement 
 ///
 /// Returns the placement with the lowest hot-zone penalty; ties break on
 /// the lexicographically-smallest start.
-pub fn best_knight_placement(n: u16, n_cbs: u16) -> Placement {
+pub(crate) fn best_knight_placement(n: u16, n_cbs: u16) -> Placement {
     let scorer = PlacementScorer::new(n, n);
     let mut best: Option<(u64, Placement)> = None;
     for sy in 0..n {

@@ -79,16 +79,6 @@ impl Placement {
         }
     }
 
-    /// Number of tiles in the mesh.
-    pub fn num_tiles(&self) -> usize {
-        self.width as usize * self.height as usize
-    }
-
-    /// Number of PE tiles (total minus CBs).
-    pub fn num_pes(&self) -> usize {
-        self.num_tiles() - self.cbs.len()
-    }
-
     /// `true` if `tile` hosts a cache bank.
     pub fn is_cb(&self, tile: Coord) -> bool {
         self.cbs.contains(&tile)
@@ -245,7 +235,6 @@ mod tests {
     #[test]
     fn pe_tiles_complement_cbs() {
         let p = Placement::diamond(8, 8, 8);
-        assert_eq!(p.num_pes(), 56);
         assert_eq!(p.pe_tiles().count(), 56);
         assert!(p.pe_tiles().all(|t| !p.is_cb(t)));
     }

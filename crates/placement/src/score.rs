@@ -16,7 +16,7 @@ use equinox_phys::Coord;
 
 /// Which hot-zone class a tile belongs to for a given CB.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ZoneKind {
+pub(crate) enum ZoneKind {
     /// Direct Access Zone — orthogonal neighbour of the CB.
     Daz,
     /// Corner Access Zone — diagonal neighbour of the CB.
@@ -109,15 +109,11 @@ impl PlacementScorer {
         total
     }
 
-    /// `true` if `tile` lies in the hot zone (DAZ or CAZ) of any CB.
-    pub fn in_any_hot_zone(&self, cbs: &[Coord], tile: Coord) -> bool {
-        cbs.iter().any(|cb| cb.chebyshev(tile) == 1)
-    }
-
     /// Counts overlap tiles by the pair of zone kinds involved, returned as
     /// `(daz_daz, daz_caz, caz_caz)`. Used by the knight-placement analysis
     /// of §6.8 and to verify the N-Queen impossibility claim.
-    pub fn overlap_kinds(&self, cbs: &[Coord]) -> (usize, usize, usize) {
+    #[cfg(test)]
+    fn overlap_kinds(&self, cbs: &[Coord]) -> (usize, usize, usize) {
         let map = self.zone_map(cbs);
         let (mut dd, mut dc, mut cc) = (0, 0, 0);
         for members in &map {
@@ -212,12 +208,14 @@ mod tests {
 
     #[test]
     fn hot_zone_membership() {
+        // A CB's DAZ and CAZ are the eight tiles around it: not its own
+        // tile, nothing two steps away.
         let s = PlacementScorer::new(8, 8);
-        let cbs = [Coord::new(3, 3)];
-        assert!(s.in_any_hot_zone(&cbs, Coord::new(4, 4)));
-        assert!(s.in_any_hot_zone(&cbs, Coord::new(3, 2)));
-        assert!(!s.in_any_hot_zone(&cbs, Coord::new(3, 3)), "CB itself is not its hot zone");
-        assert!(!s.in_any_hot_zone(&cbs, Coord::new(5, 3)));
+        let map = s.zone_map(&[Coord::new(3, 3)]);
+        let zoned = |x, y| !map[Coord::new(x, y).to_index(8)].is_empty();
+        assert!(zoned(4, 4) && zoned(3, 2));
+        assert!(!zoned(3, 3), "CB itself is not its hot zone");
+        assert!(!zoned(5, 3));
     }
 
     #[test]

@@ -42,7 +42,7 @@ impl RouterGeometry {
     }
 
     /// Total input buffering in bits.
-    pub fn buffer_bits(&self) -> usize {
+    pub(crate) fn buffer_bits(&self) -> usize {
         self.ports * self.vcs * self.buf_flits * self.flit_bits
     }
 

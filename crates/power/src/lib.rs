@@ -12,8 +12,7 @@
 //! * [`area`] — router area from port count, VC count, buffer depth and
 //!   flit width (matrix-crossbar wiring scales with `(ports × bits)²`,
 //!   which is why Interposer-CMesh's wide 10-port routers dominate
-//!   Figure 11 and DA2Mesh's narrow subnets are cheap), plus NI buffers;
-//! * [`report`] — energy breakdowns and energy-delay product.
+//!   Figure 11 and DA2Mesh's narrow subnets are cheap), plus NI buffers.
 //!
 //! Absolute joules are not the point (our substrate is a simulator, not
 //! the authors' synthesis flow); the *relative* energy and area between
@@ -22,8 +21,6 @@
 
 pub mod area;
 pub mod energy;
-pub mod report;
 
 pub use area::{NiGeometry, RouterGeometry};
 pub use energy::{EnergyCoeffs, EnergyModel, EventCounts};
-pub use report::{edp, EnergyBreakdown};

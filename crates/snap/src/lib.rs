@@ -26,12 +26,12 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Magic bytes opening every snapshot container.
-pub const MAGIC: [u8; 4] = *b"EQSN";
+pub(crate) const MAGIC: [u8; 4] = *b"EQSN";
 /// Container format version written by this crate.
-pub const VERSION: u16 = 1;
+pub(crate) const VERSION: u16 = 1;
 
 /// Structured decode/restore failure. Restoring from bytes never
 /// panics: every malformed input maps to one of these.
@@ -133,13 +133,13 @@ impl Enc {
     }
 
     /// Length-prefixed raw bytes.
-    pub fn put_bytes(&mut self, v: &[u8]) {
+    pub(crate) fn put_bytes(&mut self, v: &[u8]) {
         self.put_usize(v.len());
         self.buf.extend_from_slice(v);
     }
 
     /// Length-prefixed UTF-8 string.
-    pub fn put_str(&mut self, v: &str) {
+    pub(crate) fn put_str(&mut self, v: &str) {
         self.put_bytes(v.as_bytes());
     }
 }
@@ -208,7 +208,7 @@ impl<'a> Dec<'a> {
     /// Length-prefixed raw bytes. The length is validated against the
     /// remaining input *before* any slicing, so a corrupt huge length
     /// fails cleanly instead of attempting a giant allocation.
-    pub fn bytes(&mut self) -> Result<&'a [u8], SnapError> {
+    pub(crate) fn bytes(&mut self) -> Result<&'a [u8], SnapError> {
         let n = self.usize()?;
         if self.remaining() < n {
             return Err(SnapError::Truncated);
@@ -217,7 +217,7 @@ impl<'a> Dec<'a> {
     }
 
     /// Length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<String, SnapError> {
+    pub(crate) fn str(&mut self) -> Result<String, SnapError> {
         let b = self.bytes()?;
         String::from_utf8(b.to_vec()).map_err(|_| SnapError::BadValue("utf-8 string"))
     }
@@ -474,11 +474,6 @@ impl CheckpointCache {
     /// Cache rooted at `dir` (created on first store).
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         CheckpointCache { dir: dir.into() }
-    }
-
-    /// The cache root.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Path of the blob for (`kind`, `key`): `<dir>/<kind>_<key:016x>`.

@@ -57,7 +57,7 @@ pub struct Pe {
 }
 
 /// Cache-line size in bytes (64 B, Table 1's L2 line).
-pub const LINE_BYTES: u64 = 64;
+pub(crate) const LINE_BYTES: u64 = 64;
 
 impl Pe {
     /// Creates a PE running `profile`, with its instruction quota scaled

@@ -40,7 +40,8 @@ impl BenchmarkProfile {
     /// Expected fraction of NoC *bits* that are replies for this profile,
     /// assuming 1-flit read requests / write replies and 5-flit read
     /// replies / write requests.
-    pub fn reply_bit_fraction(&self) -> f64 {
+    #[cfg(test)]
+    fn reply_bit_fraction(&self) -> f64 {
         let r = self.read_frac;
         (4.0 * r + 1.0) / 6.0
     }

@@ -14,14 +14,14 @@
 use equinox_exec::Rng;
 
 /// Fraction of hotspot-pattern packets aimed at the hotspot node.
-pub const HOTSPOT_FRACTION: f64 = 0.3;
+pub(crate) const HOTSPOT_FRACTION: f64 = 0.3;
 
 /// Bursty on/off duty cycle: each source injects during the first
 /// [`BURST_ON`] cycles of every [`BURST_PERIOD`]-cycle window, with a
 /// per-source phase shift so bursts collide but are not global.
-pub const BURST_PERIOD: u64 = 64;
+pub(crate) const BURST_PERIOD: u64 = 64;
 /// On-cycles per burst window (25% duty).
-pub const BURST_ON: u64 = 16;
+pub(crate) const BURST_ON: u64 = 16;
 
 /// A synthetic destination/activity pattern over a `w × h` node grid.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -1,6 +1,5 @@
 //! Workload assembly: a benchmark profile instantiated over a PE array.
 
-use crate::pe::Pe;
 use crate::profile::BenchmarkProfile;
 
 /// A benchmark run description.
@@ -28,13 +27,6 @@ impl Workload {
         }
     }
 
-    /// Instantiates the PE array (one PE per compute tile).
-    pub fn make_pes(&self, num_pes: usize) -> Vec<Pe> {
-        (0..num_pes)
-            .map(|i| Pe::new(self.profile, i, self.scale, self.mshrs, self.seed))
-            .collect()
-    }
-
     /// Total instructions across `num_pes` PEs (the IPC denominator's
     /// numerator).
     pub fn total_instrs(&self, num_pes: usize) -> u64 {
@@ -45,13 +37,8 @@ impl Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pe::Pe;
     use crate::profile::benchmark;
-
-    #[test]
-    fn pe_array_has_requested_size() {
-        let w = Workload::new(benchmark("hotspot").unwrap(), 0.1, 1);
-        assert_eq!(w.make_pes(56).len(), 56);
-    }
 
     #[test]
     fn total_instrs_scales() {
@@ -63,7 +50,7 @@ mod tests {
     #[test]
     fn pes_have_distinct_address_streams() {
         let w = Workload::new(benchmark("bfs").unwrap(), 1.0, 9);
-        let mut pes = w.make_pes(2);
+        let mut pes: Vec<Pe> = (0..2).map(|i| Pe::new(w.profile, i, w.scale, w.mshrs, w.seed)).collect();
         let mut a0 = None;
         let mut a1 = None;
         for _ in 0..200 {

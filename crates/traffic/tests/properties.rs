@@ -19,7 +19,7 @@ fn pe_retires_exactly_its_quota() {
             mshrs,
             seed,
         };
-        let mut pe = w.make_pes(1).remove(0);
+        let mut pe = Pe::new(w.profile, 0, w.scale, w.mshrs, w.seed);
         let quota = w.total_instrs(1);
         let mut issued = 0u64;
         for _ in 0..1_000_000u64 {
@@ -52,7 +52,7 @@ fn outstanding_never_exceeds_mshrs() {
             mshrs,
             seed: 1,
         };
-        let mut pe = w.make_pes(1).remove(0);
+        let mut pe = Pe::new(w.profile, 0, w.scale, w.mshrs, w.seed);
         for t in 0..50_000u64 {
             let _ = pe.tick(true);
             assert!(pe.outstanding() <= mshrs);

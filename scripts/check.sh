@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 gate: source guards, release build, full test suite, and the
+# Tier-1 gate: source guards, clippy, release build, full test suite, and the
 # benchmark harness's own tests plus one short correct run. Nothing here
 # reads a clock; speed claims go through benchmark/ (benchmark/README.md).
 #
@@ -141,6 +141,12 @@ if [ "$(grep -c . <<< "$powf_calls")" != 1 ] \
   exit 1
 fi
 echo "OK: the design search calls powf only in the sampler's fallback arm"
+
+echo "== clippy =="
+# Warnings are errors, as in CI. With every library item crate-private
+# unless another crate reads it, the dead_code lint names the items only
+# tests call.
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== build (release) =="
 cargo build --release --workspace
