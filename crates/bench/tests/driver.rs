@@ -68,7 +68,7 @@ fn malformed_values_and_unknown_flags_are_fatal() {
 fn unbuildable_machines_and_values_under_a_bound_are_named_not_backtraced() {
     // Each of these used to die in an assert three frames into the build
     // (exit 101), hang until killed, or emit an artifact of empty runs.
-    let cases: [(&[&str], &str); 18] = [
+    let cases: [(&[&str], &str); 21] = [
         (&["sweep", "--n", "9"], "n = 9: Interposer-CMesh"),
         (&["sweep", "--n", "6"], "n_cbs = 8: SingleBase"),
         (&["loadlat", "--n", "1"], "--n"),
@@ -81,6 +81,11 @@ fn unbuildable_machines_and_values_under_a_bound_are_named_not_backtraced() {
         (&["sweep", "--cb-inflight-cap", "0"], "--cb-inflight-cap"),
         (&["sweep", "--max-cycles", "0"], "--max-cycles"),
         (&["loadlat", "--cycles", "0"], "--cycles"),
+        // Packet cycles are 32-bit; `cycles + cycles / 5` used to
+        // overflow in the load-latency loop.
+        (&["sweep", "--max-cycles", "4294967296"], "'--max-cycles': must be <= 4294967295, got 4294967296"),
+        (&["loadlat", "--cycles", "3579139413"], "'--cycles': must be <= 3579139412, got 3579139413"),
+        (&["loadlat", "--cycles", "18446744073709551615"], "got 18446744073709551615"),
         (&["designer", "--iters", "0"], "--iters"),
         (&["loadlat", "--iters", "0"], "--iters"),
         // No N-Queen solution exists on 2x2 or 3x3, so EquiNox's design

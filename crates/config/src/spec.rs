@@ -286,6 +286,23 @@ pub const TOPOLOGY_CHOICES: &[&str] = &["mesh", "ring", "hring"];
 /// bench test).
 pub const TRAFFIC_CHOICES: &[&str] = &["uniform", "hotspot", "transpose", "bursty"];
 
+/// Largest `max_cycles`. The packet tracker stamps cycles as `u32`, with
+/// `u32::MAX` for "not yet", and a run capped at `max_cycles` steps
+/// cycles `0..max_cycles`. `SystemConfig::check` enforces it for library
+/// callers.
+pub const MAX_CYCLES_LIMIT: u64 = u32::MAX as u64;
+
+/// Largest `cycles`: a load-latency point steps `cycles / 5` warm-up
+/// cycles, then `cycles` measured ones, all packet-tracker cycles (see
+/// [`MAX_CYCLES_LIMIT`]), so `cycles + cycles / 5 < u32::MAX`.
+/// `load_latency_curve_cfg` asserts it for library callers.
+pub const LOADLAT_CYCLES_LIMIT: u64 = 3_579_139_412;
+
+const _: () = {
+    let (m, next) = (LOADLAT_CYCLES_LIMIT, LOADLAT_CYCLES_LIMIT + 1);
+    assert!(m + m / 5 < MAX_CYCLES_LIMIT && next + next / 5 >= MAX_CYCLES_LIMIT);
+};
+
 /// Validates a closed-choice string field (lower-cased, trimmed).
 fn parse_choice(kind: &str, allowed: &[&str], v: &str) -> Result<String, String> {
     let t = v.trim().to_ascii_lowercase();
@@ -344,6 +361,16 @@ fn at_least<T: PartialOrd + std::fmt::Display>(v: T, min: T) -> Result<T, String
     }
 }
 
+/// A field's upper bound, enforced like [`at_least`]: `max_cycles` and
+/// `cycles` count cycles the packet tracker stamps in 32 bits.
+fn at_most<T: PartialOrd + std::fmt::Display>(v: T, max: T) -> Result<T, String> {
+    if v <= max {
+        Ok(v)
+    } else {
+        Err(format!("must be <= {max}, got {v}"))
+    }
+}
+
 /// Shorthand for the repetitive numeric/bool field definitions.
 macro_rules! field {
     // Unsigned-integer-like field.
@@ -352,6 +379,10 @@ macro_rules! field {
     };
     // Unsigned-integer-like field with a lower bound.
     (uint >= $min:literal, $name:literal, $flag:literal, $env:literal, $field:ident : $ty:ty, $help:literal) => {
+        field!(uint >= $min, <= <$ty>::MAX, $name, $flag, $env, $field: $ty, $help)
+    };
+    // Unsigned-integer-like field with a lower and an upper bound.
+    (uint >= $min:literal, <= $max:expr, $name:literal, $flag:literal, $env:literal, $field:ident : $ty:ty, $help:literal) => {
         FieldDef {
             name: $name,
             flag: $flag,
@@ -359,13 +390,13 @@ macro_rules! field {
             takes_value: true,
             help: $help,
             set_str: |s, v| {
-                s.$field = at_least(parse_num::<$ty>("a non-negative integer", v)?, $min)?;
+                s.$field = at_most(at_least(parse_num::<$ty>("a non-negative integer", v)?, $min)?, $max)?;
                 Ok(())
             },
             set_json: |s, v| {
                 let v = <$ty>::try_from(json_u64(v)?)
                     .map_err(|_| format!("value out of range for {}", $name))?;
-                s.$field = at_least(v, $min)?;
+                s.$field = at_most(at_least(v, $min)?, $max)?;
                 Ok(())
             },
             get_json: |s| Json::Num(s.$field as f64),
@@ -492,7 +523,7 @@ pub fn fields() -> &'static [FieldDef] {
         field!(flag "full", "--full", "EQUINOX_FULL", full, "run all 29 benchmarks (default: quick subset)"),
         field!(uint "threads", "--threads", "EQUINOX_THREADS", threads: usize, "worker-pool threads (0 = auto)"),
         field!(uint "sim_threads", "--sim-threads", "EQUINOX_SIM_THREADS", sim_threads: usize, "subnet-stepping lanes per run (1 = serial, 0 = cores/threads)"),
-        field!(uint >= 1, "max_cycles", "--max-cycles", "EQUINOX_MAX_CYCLES", max_cycles: u64, "safety cap on simulated cycles (>= 1)"),
+        field!(uint >= 1, <= MAX_CYCLES_LIMIT, "max_cycles", "--max-cycles", "EQUINOX_MAX_CYCLES", max_cycles: u64, "safety cap on simulated cycles (1 to 4294967295)"),
         field!(uint >= 1, "ni_queue_cap", "--ni-queue-cap", "EQUINOX_NI_QUEUE_CAP", ni_queue_cap: usize, "NI message-queue capacity (>= 1)"),
         field!(uint >= 1, "cb_inflight_cap", "--cb-inflight-cap", "EQUINOX_CB_INFLIGHT_CAP", cb_inflight_cap: usize, "max requests inside one CB (>= 1)"),
         field!(uint "l2_latency", "--l2-latency", "EQUINOX_L2_LATENCY", l2_latency: u64, "L2 hit latency in cycles"),
@@ -519,7 +550,7 @@ pub fn fields() -> &'static [FieldDef] {
             get_json: |s| Json::Bool(s.activity_gate),
         },
         field!(flag "audit", "--audit", "EQUINOX_AUDIT", audit, "arm the invariant auditor"),
-        field!(uint >= 1, "cycles", "--cycles", "EQUINOX_CYCLES", cycles: u64, "measured cycles per load-latency point (>= 1)"),
+        field!(uint >= 1, <= LOADLAT_CYCLES_LIMIT, "cycles", "--cycles", "EQUINOX_CYCLES", cycles: u64, "measured cycles per load-latency point (1 to 3579139412)"),
         field!(uint >= 1, "iters", "--iters", "EQUINOX_ITERS", iters: usize, "MCTS iterations for spec-driven design searches (>= 1)"),
         field!(flag "obs", "--obs", "EQUINOX_OBS", obs, "arm the observability layer (metrics + time series)"),
         // Custom instead of `field!(uint ...)`: an interval of 0 would

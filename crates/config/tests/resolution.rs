@@ -204,3 +204,39 @@ fn values_under_a_fields_lower_bound_are_refused_on_every_layer() {
     assert_eq!((s.n, s.n_cbs, s.max_cycles, s.scale, s.iters), (2, 1, 1, 1e-9, 1));
     assert_eq!(s.reply_compression, 1.0);
 }
+
+#[test]
+fn cycle_counts_past_the_packet_trackers_range_are_refused_on_every_layer() {
+    use equinox_config::{LOADLAT_CYCLES_LIMIT, MAX_CYCLES_LIMIT};
+    // `cycles + cycles / 5` once overflowed in the load-latency loop.
+    let cases = [
+        ("max_cycles", "--max-cycles", "EQUINOX_MAX_CYCLES", MAX_CYCLES_LIMIT),
+        ("cycles", "--cycles", "EQUINOX_CYCLES", LOADLAT_CYCLES_LIMIT),
+    ];
+    for (key, flag, var, limit) in cases {
+        for bad in [limit + 1, u64::from(u32::MAX) + 7, 1 << 53, u64::MAX] {
+            let v = bad.to_string();
+            let named = |e: &equinox_config::ResolveError| {
+                e.message.contains(&format!("must be <= {limit}, got {v}"))
+            };
+            let e = resolve(None, &no_env, &cli(&[(flag, &v)])).unwrap_err();
+            assert_eq!((e.layer, e.key.as_str()), (Layer::Cli, flag), "{flag} {v}");
+            assert!(named(&e), "{flag} {v}: {e}");
+
+            let env = |k: &str| (k == var).then(|| v.clone());
+            let e = resolve(None, &env, &[]).unwrap_err();
+            assert_eq!((e.layer, e.key.as_str()), (Layer::Env, var), "{var}={v}");
+            assert!(named(&e), "{var}={v}: {e}");
+
+            // JSON numbers are f64: past 2^53 the file layer refuses the
+            // number before the bound sees it.
+            let file = format!("{{\"{key}\": {v}}}");
+            let e = resolve(Some(("t.json", &file)), &no_env, &[]).unwrap_err();
+            assert_eq!((e.layer, e.key.as_str()), (Layer::File, key), "{file}");
+            assert!(bad > 1 << 53 || named(&e), "{file}: {e}");
+        }
+        let v = limit.to_string();
+        let s = resolve(None, &no_env, &cli(&[(flag, &v)])).unwrap();
+        assert_eq!(s.to_json().get(key).and_then(|j| j.as_u64()), Some(limit), "{flag} {v}");
+    }
+}

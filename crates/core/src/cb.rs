@@ -178,7 +178,7 @@ impl CacheBank {
         }
         while self.pending_reply.is_none() && !self.ready.is_empty() {
             let req = self.ready.pop_front().expect("nonempty");
-            let rec = *tracker.record(req);
+            let rec = tracker.record(req);
             let mut reply = tracker.create(
                 self.node,
                 rec.src,

@@ -50,8 +50,8 @@ pub enum ReplySide {
 ///
 /// # Panics
 ///
-/// Panics if `placement` is not square or an offered rate is not in
-/// `(0, 1]`.
+/// Panics if `placement` is not square, an offered rate is not in
+/// `(0, 1]` or `cycles` is over [`equinox_config::LOADLAT_CYCLES_LIMIT`].
 pub fn load_latency_curve_cfg(
     placement: &Placement,
     side: &ReplySide,
@@ -62,6 +62,11 @@ pub fn load_latency_curve_cfg(
     activity_gate: bool,
 ) -> Vec<LoadPoint> {
     assert_eq!(placement.width, placement.height, "square meshes only");
+    assert!(
+        cycles <= equinox_config::LOADLAT_CYCLES_LIMIT,
+        "cycles = {cycles}: a point's {cycles} + {} warm-up cycles must stay under u32::MAX",
+        cycles / 5
+    );
     for &rate in offered {
         assert!(rate > 0.0 && rate <= 1.0, "offered rate {rate} out of (0,1]");
     }
@@ -108,7 +113,8 @@ fn measure(
         .collect();
 
     let warmup = cycles / 5;
-    let mut done_lat: Vec<u64> = Vec::new();
+    // Sum and count of the measured packets' latencies: exact in u64.
+    let (mut lat_sum, mut lat_count) = (0u64, 0u64);
     let mut ejected_flits = 0u64;
 
     for t in 0..(cycles + warmup) {
@@ -134,15 +140,16 @@ fn measure(
             if f.is_tail() {
                 let created = tracker.record(f.pkt.0).created;
                 if created >= warmup {
-                    done_lat.push(t - created);
+                    lat_sum += t - created;
+                    lat_count += 1;
                 }
             }
         });
     }
-    let latency = if done_lat.is_empty() {
+    let latency = if lat_count == 0 {
         f64::INFINITY
     } else {
-        done_lat.iter().sum::<u64>() as f64 / done_lat.len() as f64
+        lat_sum as f64 / lat_count as f64
     };
     LoadPoint {
         offered,
@@ -178,6 +185,14 @@ mod tests {
             eq[0].throughput,
             base[0].throughput
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "cycles = 3579139413: ")]
+    fn rejects_a_point_past_the_trackers_last_cycle() {
+        let p = Placement::diamond(8, 8, 8);
+        let cycles = equinox_config::LOADLAT_CYCLES_LIMIT + 1;
+        let _ = load_latency_curve_cfg(&p, &ReplySide::Local, &[0.5], cycles, 1, None, true);
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //! and produces the queuing / non-queuing, request / reply latency split
 //! of Figure 10: *queuing* is time spent waiting in the source NI before
 //! the first flit enters a router (where the injection bottleneck bites),
-//! *network* is first-flit-in to tail-flit-out.
+//! *network* is first-flit-in to tail-flit-out. It keeps one 32-byte row
+//! per packet the run ever created (cycles as `u32`, so a run must stay
+//! under cycle `u32::MAX`) and hands out the wider [`PacketRecord`] by
+//! value.
 
 use equinox_noc::flit::{MessageClass, PacketDesc};
 use equinox_phys::Coord;
@@ -111,6 +114,76 @@ pub struct PacketRecord {
     pub ejected: Option<u64>,
     /// Whether the payload travelled compressed.
     pub compressed: bool,
+}
+
+/// A row's cycle field before the event happened.
+const NOT_YET: u32 = u32::MAX;
+/// [`Row::flags`] bits.
+const REPLY: u8 = 1;
+const WRITE: u8 = 2;
+const COMPRESSED: u8 = 4;
+
+/// How the tracker stores a [`PacketRecord`]: cycles as `u32` with
+/// [`NOT_YET`] for `None`, class, op and compression in one byte.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    addr: u64,
+    src: Coord,
+    dst: Coord,
+    created: u32,
+    injected: u32,
+    ejected: u32,
+    flags: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<Row>() == 32);
+
+/// `now` as a row cycle.
+///
+/// # Panics
+///
+/// Panics from cycle `u32::MAX` on; `SystemConfig::check` and
+/// `load_latency_curve_cfg` keep runs below it.
+#[inline]
+fn stamp(now: u64) -> u32 {
+    assert!(now < u64::from(NOT_YET), "cycle {now} is past the packet tracker's last cycle");
+    now as u32
+}
+
+impl Row {
+    /// The row of `r`, or `None` if one of its cycles is `u32::MAX` or
+    /// later.
+    fn pack(r: &PacketRecord) -> Option<Row> {
+        let cycle = |c: u64| u32::try_from(c).ok().filter(|&c| c != NOT_YET);
+        let opt = |c: Option<u64>| c.map_or(Some(NOT_YET), cycle);
+        Some(Row {
+            addr: r.addr,
+            src: r.src,
+            dst: r.dst,
+            created: cycle(r.created)?,
+            injected: opt(r.injected)?,
+            ejected: opt(r.ejected)?,
+            flags: if r.class.is_reply() { REPLY } else { 0 }
+                | if r.op == MemOpKind::Write { WRITE } else { 0 }
+                | if r.compressed { COMPRESSED } else { 0 },
+        })
+    }
+
+    #[inline]
+    fn unpack(&self) -> PacketRecord {
+        let opt = |c: u32| (c != NOT_YET).then_some(u64::from(c));
+        PacketRecord {
+            src: self.src,
+            dst: self.dst,
+            class: if self.flags & REPLY != 0 { MessageClass::Reply } else { MessageClass::Request },
+            op: if self.flags & WRITE != 0 { MemOpKind::Write } else { MemOpKind::Read },
+            addr: self.addr,
+            created: u64::from(self.created),
+            injected: opt(self.injected),
+            ejected: opt(self.ejected),
+            compressed: self.flags & COMPRESSED != 0,
+        }
+    }
 }
 
 impl equinox_snap::Snap for MemOpKind {
@@ -220,7 +293,8 @@ impl equinox_snap::Snap for PacketRecord {
 /// Central registry of every packet in a run.
 #[derive(Debug, Default)]
 pub struct PacketTracker {
-    records: Vec<PacketRecord>,
+    /// Row `id` is packet `id`.
+    rows: Vec<Row>,
     /// Packets whose head flit entered a network (first transitions only).
     injected_count: u64,
     /// Packets whose tail flit left a network (first transitions only).
@@ -237,10 +311,14 @@ impl PacketTracker {
     /// measured run can move the record-table growth out of its timed
     /// (allocation-free) window.
     pub(crate) fn reserve(&mut self, additional: usize) {
-        self.records.reserve(additional);
+        self.rows.reserve(additional);
     }
 
     /// Registers a new message and returns it, with its id assigned.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `now` is `u32::MAX` or later.
     pub fn create(
         &mut self,
         src: Coord,
@@ -250,17 +328,16 @@ impl PacketTracker {
         addr: u64,
         now: u64,
     ) -> Message {
-        let id = self.records.len() as u64;
-        self.records.push(PacketRecord {
+        let id = self.rows.len() as u64;
+        self.rows.push(Row {
+            addr,
             src,
             dst,
-            class,
-            op,
-            addr,
-            created: now,
-            injected: None,
-            ejected: None,
-            compressed: false,
+            created: stamp(now),
+            injected: NOT_YET,
+            ejected: NOT_YET,
+            flags: if class.is_reply() { REPLY } else { 0 }
+                | if op == MemOpKind::Write { WRITE } else { 0 },
         });
         Message {
             id,
@@ -276,7 +353,7 @@ impl PacketTracker {
     /// Flags packet `id` (and returns the updated message) as carrying a
     /// compressed payload.
     pub(crate) fn set_compressed(&mut self, msg: Message) -> Message {
-        self.records[msg.id as usize].compressed = true;
+        self.rows[msg.id as usize].flags |= COMPRESSED;
         Message {
             compressed: true,
             ..msg
@@ -284,25 +361,28 @@ impl PacketTracker {
     }
 
     /// The record of packet `id`.
-    pub fn record(&self, id: u64) -> &PacketRecord {
-        &self.records[id as usize]
+    #[inline]
+    pub fn record(&self, id: u64) -> PacketRecord {
+        self.rows[id as usize].unpack()
     }
 
     /// Marks the first-flit injection time (idempotent).
+    #[inline]
     pub(crate) fn mark_injected(&mut self, id: u64, now: u64) {
-        let r = &mut self.records[id as usize];
-        if r.injected.is_none() {
-            r.injected = Some(now);
+        let r = &mut self.rows[id as usize];
+        if r.injected == NOT_YET {
+            r.injected = stamp(now);
             self.injected_count += 1;
         }
     }
 
     /// Marks tail-flit arrival (idempotent, like
     /// [`PacketTracker::mark_injected`]).
+    #[inline]
     pub(crate) fn mark_ejected(&mut self, id: u64, now: u64) {
-        let r = &mut self.records[id as usize];
-        if r.ejected.is_none() {
-            r.ejected = Some(now);
+        let r = &mut self.rows[id as usize];
+        if r.ejected == NOT_YET {
+            r.ejected = stamp(now);
             self.ejected_count += 1;
         }
     }
@@ -322,18 +402,18 @@ impl PacketTracker {
 
     /// Number of packets created.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.rows.len()
     }
 
     /// `true` if no packet was created.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.rows.is_empty()
     }
 
     /// Fraction of transferred bits that were replies (§2.2 check).
     pub(crate) fn reply_bit_fraction(&self) -> f64 {
         let (mut rep, mut total) = (0u64, 0u64);
-        for r in &self.records {
+        for r in self.rows.iter().map(Row::unpack) {
             let msg = Message {
                 id: 0,
                 src: r.src,
@@ -362,7 +442,7 @@ impl PacketTracker {
         let ns = 1.0 / freq_ghz;
         let mut out = LatencyBreakdown::default();
         let (mut n_req, mut n_rep) = (0u64, 0u64);
-        for r in &self.records {
+        for r in self.rows.iter().map(Row::unpack) {
             let (Some(inj), Some(ej)) = (r.injected, r.ejected) else {
                 continue;
             };
@@ -390,27 +470,39 @@ impl PacketTracker {
     }
 }
 
+/// Written as the `Vec<PacketRecord>` of the rows, then the two
+/// counters, so the bytes do not depend on how the rows are stored.
 impl equinox_snap::Snap for PacketTracker {
     fn snap(&self, e: &mut equinox_snap::Enc) {
-        self.records.snap(e);
+        e.put_usize(self.rows.len());
+        for row in &self.rows {
+            row.unpack().snap(e);
+        }
         e.put_u64(self.injected_count);
         e.put_u64(self.ejected_count);
     }
 
     fn restore(d: &mut equinox_snap::Dec) -> Result<Self, equinox_snap::SnapError> {
         use equinox_snap::SnapError;
-        let records: Vec<PacketRecord> = Vec::restore(d)?;
+        let n = d.usize()?;
+        // Capped by what the input could hold, as `Vec::restore` does.
+        let mut rows = Vec::with_capacity(n.min(d.remaining()));
+        for _ in 0..n {
+            let row = Row::pack(&PacketRecord::restore(d)?)
+                .ok_or(SnapError::BadValue("packet record stamped at or past cycle u32::MAX"))?;
+            rows.push(row);
+        }
         let injected_count = d.u64()?;
         let ejected_count = d.u64()?;
         // The counters increment exactly once per record's None→Some
         // transition, so they must agree with the record table.
-        if injected_count != records.iter().filter(|r| r.injected.is_some()).count() as u64
-            || ejected_count != records.iter().filter(|r| r.ejected.is_some()).count() as u64
+        if injected_count != rows.iter().filter(|r| r.injected != NOT_YET).count() as u64
+            || ejected_count != rows.iter().filter(|r| r.ejected != NOT_YET).count() as u64
         {
             return Err(SnapError::BadValue("tracker counters disagree with records"));
         }
         Ok(PacketTracker {
-            records,
+            rows,
             injected_count,
             ejected_count,
         })
@@ -536,6 +628,90 @@ mod tests {
         // Truncation anywhere is structural, never a panic.
         for cut in 0..bytes.len() {
             assert!(PacketTracker::restore(&mut Dec::new(&bytes[..cut])).is_err());
+        }
+    }
+
+    fn record_at(created: u64, injected: Option<u64>, ejected: Option<u64>) -> PacketRecord {
+        PacketRecord {
+            src: Coord::new(0, 0),
+            dst: Coord::new(3, 2),
+            class: MessageClass::Reply,
+            op: MemOpKind::Read,
+            addr: 64,
+            created,
+            injected,
+            ejected,
+            compressed: false,
+        }
+    }
+
+    #[test]
+    fn rows_round_trip_every_record_whose_cycles_fit() {
+        let mut rng = equinox_exec::Rng::seed_from_u64(32);
+        let last = u64::from(u32::MAX - 1);
+        let cycle = |rng: &mut equinox_exec::Rng| match rng.random_range(0..4u32) {
+            0 => 0,
+            1 => last,
+            _ => rng.random_range(0..last + 1),
+        };
+        for i in 0..10_000 {
+            let stamp = |rng: &mut equinox_exec::Rng| {
+                (rng.random_range(0..3u32) != 0).then(|| cycle(rng))
+            };
+            let r = PacketRecord {
+                src: Coord::new(rng.random_range(0..u16::MAX), rng.random_range(0..u16::MAX)),
+                dst: Coord::new(rng.random_range(0..u16::MAX), rng.random_range(0..u16::MAX)),
+                class: if rng.random::<bool>() { MessageClass::Reply } else { MessageClass::Request },
+                op: if rng.random::<bool>() { MemOpKind::Write } else { MemOpKind::Read },
+                addr: if i == 0 { u64::MAX } else { rng.next_u64() },
+                created: if i == 0 { last } else { cycle(&mut rng) },
+                injected: if i == 0 { Some(last) } else { stamp(&mut rng) },
+                ejected: if i == 0 { None } else { stamp(&mut rng) },
+                compressed: rng.random::<bool>(),
+            };
+            assert_eq!(Row::pack(&r).expect("cycles fit").unpack(), r);
+        }
+        // A tracker stamps the last cycle a row holds, and no later one.
+        let mut t = PacketTracker::new();
+        let m = t.create(Coord::new(0, 0), Coord::new(1, 0), MessageClass::Request, MemOpKind::Write, 8, last);
+        t.mark_injected(m.id, last);
+        t.mark_ejected(m.id, last);
+        assert_eq!(t.record(m.id), PacketRecord {
+            class: MessageClass::Request,
+            op: MemOpKind::Write,
+            dst: Coord::new(1, 0),
+            addr: 8,
+            ..record_at(last, Some(last), Some(last))
+        });
+        let late = std::panic::catch_unwind(|| {
+            PacketTracker::new().create(Coord::new(0, 0), Coord::new(1, 0), MessageClass::Request, MemOpKind::Read, 0, last + 1)
+        });
+        assert!(late.is_err(), "cycle u32::MAX has no row");
+    }
+
+    #[test]
+    fn restore_names_a_record_stamped_at_or_past_cycle_u32_max() {
+        use equinox_snap::{Dec, Enc, Snap, SnapError};
+        let at = u64::from(u32::MAX);
+        for bad in [
+            record_at(at, None, None),
+            record_at(u64::MAX, None, None),
+            record_at(0, Some(at), None),
+            record_at(0, Some(1), Some(at)),
+            record_at(0, Some(1 << 40), Some(1 << 40)),
+        ] {
+            let mut e = Enc::new();
+            e.put_usize(2);
+            record_at(0, Some(1), None).snap(&mut e);
+            bad.snap(&mut e);
+            e.put_u64(1 + bad.injected.is_some() as u64);
+            e.put_u64(bad.ejected.is_some() as u64);
+            let bytes = e.into_bytes();
+            assert_eq!(
+                PacketTracker::restore(&mut Dec::new(&bytes)).err(),
+                Some(SnapError::BadValue("packet record stamped at or past cycle u32::MAX")),
+                "{bad:?}"
+            );
         }
     }
 

@@ -157,7 +157,8 @@ impl SystemConfig {
     ///
     /// # Errors
     ///
-    /// Returns the one-line reason no such machine exists: the plan's
+    /// Returns the one-line reason no such machine exists or run fits: a
+    /// `max_cycles` over [`equinox_config::MAX_CYCLES_LIMIT`], the plan's
     /// ([`SchemeKind::plan`]), a cache-bank count no Diamond holds (a
     /// placement override brings its own banks, and EquiNox's search
     /// places more than `n` along knight moves), an EquiNox placement
@@ -168,6 +169,14 @@ impl SystemConfig {
     /// design search with no N-Queen board to start from (2×2 and 3×3
     /// have none; a supplied design needs no search).
     pub fn check(&self) -> Result<SchemePlan, String> {
+        if self.max_cycles > equinox_config::MAX_CYCLES_LIMIT {
+            return Err(format!(
+                "max_cycles = {}: the packet tracker stamps cycles in 32 bits, so a run stops \
+                 by cycle {}",
+                self.max_cycles,
+                equinox_config::MAX_CYCLES_LIMIT
+            ));
+        }
         let plan = self.scheme.plan(self.n, self.reply_topology)?;
         let (n, k) = (self.n, self.n_cbs);
         let equinox = plan.cb_ni == NiKind::Equinox;
@@ -775,7 +784,7 @@ impl System {
                             if f.is_tail() {
                                 self.tracker.mark_ejected(f.pkt.0, t);
                                 if let Some(o) = self.obs.as_deref_mut() {
-                                    o.delivered(1, self.tracker.record(f.pkt.0), t);
+                                    o.delivered(1, &self.tracker.record(f.pkt.0), t);
                                 }
                                 let pe = self.pes[node]
                                     .as_mut()
@@ -797,7 +806,7 @@ impl System {
                             if f.is_tail() {
                                 self.tracker.mark_ejected(f.pkt.0, t);
                                 if let Some(o) = self.obs.as_deref_mut() {
-                                    o.delivered(0, self.tracker.record(f.pkt.0), t);
+                                    o.delivered(0, &self.tracker.record(f.pkt.0), t);
                                 }
                                 self.cbs[ci].accept(f.pkt.0, &self.tracker, t);
                                 // The accepted request re-arms the bank's
@@ -1492,6 +1501,18 @@ mod tests {
         cfg.n_cbs = 3;
         cfg.design = Some(EquiNoxDesign::from_text("equinox-design v1\nmesh 3\ncb 0,0 eirs 2,2\n").unwrap());
         assert!(cfg.check().is_ok());
+    }
+
+    #[test]
+    fn check_names_a_cycle_cap_past_the_trackers_last_cycle() {
+        let mut cfg = SystemConfig::new(SchemeKind::SeparateBase, 8, tiny_workload("bfs"));
+        cfg.max_cycles = equinox_config::MAX_CYCLES_LIMIT;
+        assert!(cfg.check().is_ok());
+        for cap in [equinox_config::MAX_CYCLES_LIMIT + 1, u64::MAX] {
+            cfg.max_cycles = cap;
+            let e = cfg.check().unwrap_err();
+            assert!(e.starts_with(&format!("max_cycles = {cap}: ")), "{e}");
+        }
     }
 
     #[test]

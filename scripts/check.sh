@@ -119,6 +119,30 @@ if ! grep -qE '^pub\(crate\) type Slot = \[u64; 2\];$' "$flit_rs" || [ -z "$slot
 fi
 echo "OK: each packet's descriptor is stored once; slots are two words"
 
+echo "== one-row-per-packet guard =="
+# The packet tracker is the one run-path store that grows with every
+# packet, so it keeps each packet as one 32-byte row (msg.rs) and hands
+# PacketRecord out by value; the load-latency sweep keeps a running sum
+# of its packets' latencies, not one entry per packet.
+per_packet=""
+for f in crates/core/src/*.rs; do
+  tests_at=$(grep -n -m1 '^#\[cfg(test)\]' "$f" | cut -d: -f1 || true)
+  pattern='Vec<PacketRecord>'
+  [ "$f" = crates/core/src/loadlat.rs ] \
+    && pattern+='|Vec<(u8|u16|u32|u64|usize|f32|f64)>|Vec::(new|with_capacity)\('
+  while IFS=: read -r line text; do
+    if [ "$line" -lt "${tests_at:-1000000}" ] && ! [[ "$text" =~ ^[[:space:]]*(//|\*) ]]; then
+      per_packet+="$f:$line:$text"$'\n'
+    fi
+  done < <(grep -nE "$pattern" "$f" || true)
+done
+if [ -n "$per_packet" ]; then
+  printf '%s' "$per_packet"
+  echo "FAIL: a per-packet store outside the tracker's rows — keep one 32-byte row per packet" >&2
+  exit 1
+fi
+echo "OK: each packet has one tracker row; the load-latency sweep keeps no per-packet vector"
+
 echo "== libm-free sampler guard =="
 # Every design search draws its EIR groups through one weighted shuffle
 # whose keys are integer powers of a uniform draw (Candidate::key in
