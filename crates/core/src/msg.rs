@@ -146,8 +146,17 @@ const _: () = assert!(std::mem::size_of::<Row>() == 32);
 /// `load_latency_curve_cfg` keep runs below it.
 #[inline]
 fn stamp(now: u64) -> u32 {
-    assert!(now < u64::from(NOT_YET), "cycle {now} is past the packet tracker's last cycle");
+    if now >= u64::from(NOT_YET) {
+        past_the_last_cycle(now);
+    }
     now as u32
+}
+
+/// Out of line, so the callers [`stamp`] is inlined into keep one compare.
+#[cold]
+#[inline(never)]
+fn past_the_last_cycle(now: u64) -> ! {
+    panic!("cycle {now} is past the packet tracker's last cycle")
 }
 
 impl Row {
@@ -163,10 +172,14 @@ impl Row {
             created: cycle(r.created)?,
             injected: opt(r.injected)?,
             ejected: opt(r.ejected)?,
-            flags: if r.class.is_reply() { REPLY } else { 0 }
-                | if r.op == MemOpKind::Write { WRITE } else { 0 }
-                | if r.compressed { COMPRESSED } else { 0 },
+            flags: Row::flags(r.class, r.op, r.compressed),
         })
+    }
+
+    fn flags(class: MessageClass, op: MemOpKind, compressed: bool) -> u8 {
+        u8::from(class.is_reply()) * REPLY
+            | u8::from(op == MemOpKind::Write) * WRITE
+            | u8::from(compressed) * COMPRESSED
     }
 
     #[inline]
@@ -336,8 +349,7 @@ impl PacketTracker {
             created: stamp(now),
             injected: NOT_YET,
             ejected: NOT_YET,
-            flags: if class.is_reply() { REPLY } else { 0 }
-                | if op == MemOpKind::Write { WRITE } else { 0 },
+            flags: Row::flags(class, op, false),
         });
         Message {
             id,
