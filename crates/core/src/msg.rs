@@ -177,9 +177,9 @@ impl Row {
     }
 
     fn flags(class: MessageClass, op: MemOpKind, compressed: bool) -> u8 {
-        u8::from(class.is_reply()) * REPLY
-            | u8::from(op == MemOpKind::Write) * WRITE
-            | u8::from(compressed) * COMPRESSED
+        (u8::from(class.is_reply()) * REPLY)
+            | (u8::from(op == MemOpKind::Write) * WRITE)
+            | (u8::from(compressed) * COMPRESSED)
     }
 
     #[inline]
