@@ -152,7 +152,7 @@ fn stamp(now: u64) -> u32 {
     now as u32
 }
 
-/// Out of line, so the callers [`stamp`] is inlined into keep one compare.
+/// Kept out of line, so that [`stamp`] inlines as one compare and branch.
 #[cold]
 #[inline(never)]
 fn past_the_last_cycle(now: u64) -> ! {
@@ -172,11 +172,11 @@ impl Row {
             created: cycle(r.created)?,
             injected: opt(r.injected)?,
             ejected: opt(r.ejected)?,
-            flags: Row::flags(r.class, r.op, r.compressed),
+            flags: Row::flag_bits(r.class, r.op, r.compressed),
         })
     }
 
-    fn flags(class: MessageClass, op: MemOpKind, compressed: bool) -> u8 {
+    fn flag_bits(class: MessageClass, op: MemOpKind, compressed: bool) -> u8 {
         (u8::from(class.is_reply()) * REPLY)
             | (u8::from(op == MemOpKind::Write) * WRITE)
             | (u8::from(compressed) * COMPRESSED)
@@ -349,7 +349,7 @@ impl PacketTracker {
             created: stamp(now),
             injected: NOT_YET,
             ejected: NOT_YET,
-            flags: Row::flags(class, op, false),
+            flags: Row::flag_bits(class, op, false),
         });
         Message {
             id,
