@@ -14,14 +14,13 @@
 //! `equinox.artifact/v1` JSON artifact (scenario name, fully resolved
 //! spec with provenance, results) goes to **stdout**, or to the `--out`
 //! path when given. Malformed values, unknown flags and unknown
-//! scenarios exit nonzero with a message naming the offender.
+//! scenarios exit 2 with a message naming the offender, and so does a
+//! scenario that cannot run (`equinox: <scenario>: <reason>`).
 
 use equinox_bench::artifact::artifact;
 use equinox_bench::cache::{artifact_key, cache_for, cached};
-use equinox_bench::matrix_cells;
 use equinox_bench::scenarios::{scenario, scenarios};
 use equinox_config::{flag_help, parse_cli, resolve_process, CliError, Json};
-use equinox_core::SchemeKind;
 
 fn usage() -> String {
     let mut u = String::from(
@@ -74,16 +73,10 @@ fn main() {
         Ok(s) => s,
         Err(e) => fail(&e.to_string()),
     };
-    if sc.name == "watch" {
-        if spec.obs_stream.is_empty() {
-            fail("watch needs --obs-stream <path> naming the feed to attach to");
-        }
-        if let Err(e) = std::fs::File::open(&spec.obs_stream) {
-            fail(&format!("--obs-stream {}: cannot read the feed: {e}", spec.obs_stream));
-        }
-    } else {
-        // Otherwise a bad path panics on a pool worker (the stream) or
-        // after the whole run (the trace).
+    // Otherwise a bad path panics on a pool worker (the stream) or after
+    // the whole run (the trace). A scenario that reads the stream names
+    // its own feed.
+    if !sc.reads_stream {
         for (flag, path) in [("--obs-stream", &spec.obs_stream), ("--trace-out", &spec.trace_out)] {
             if !path.is_empty() {
                 if let Err(e) = check_writable(path) {
@@ -91,18 +84,6 @@ fn main() {
                 }
             }
         }
-    }
-    // Where the command line chooses the mesh, a machine that cannot be
-    // built is named before any work starts (`fabric` builds a bare
-    // network, which has rules of its own).
-    let builds: &[SchemeKind] = match sc.name {
-        "sweep" => &SchemeKind::ALL,
-        "loadlat" | "designer" => &[SchemeKind::EquiNox],
-        _ => &[],
-    };
-    let cells = matrix_cells(builds, spec.n, &["kmeans"], &spec);
-    if let Some(why) = cells.iter().find_map(|c| c.check().err()) {
-        fail(&format!("{}: {why}", sc.name));
     }
     equinox_exec::set_threads(spec.threads);
 
@@ -112,12 +93,11 @@ fn main() {
     // miss runs the scenario and stores the result. Sound only where the
     // artifact is the run's whole output and a function of the spec
     // alone: `cache_for` declines when the spec names a stream or trace
-    // file the run must write, and the layer is skipped here for `watch`
-    // (reads a feed the spec only names) and for `svg` and `all` (write
-    // `docs/*.svg`). The artifact itself records only the cache key —
+    // file the run must write, and the registry says which scenarios
+    // are `replayable`. The artifact itself records only the cache key —
     // identical on the populating and replaying runs — while hit/miss
     // goes to stderr, so cold and warm artifacts stay byte-identical.
-    let cache = cache_for(&spec).filter(|_| !matches!(sc.name, "watch" | "svg" | "all"));
+    let cache = cache_for(&spec).filter(|_| sc.replayable);
     let key = artifact_key(sc.name, &spec);
     let text = cached(
         cache.as_ref(),
@@ -133,7 +113,9 @@ fn main() {
             if cache.is_some() {
                 eprintln!("checkpoint cache miss: artifact_{key:016x}");
             }
-            let mut doc = artifact(sc.name, &spec, (sc.run)(&spec, &mut std::io::stderr()));
+            let results = (sc.run)(&spec, &mut std::io::stderr())
+                .unwrap_or_else(|why| fail(&format!("{}: {why}", sc.name)));
+            let mut doc = artifact(sc.name, &spec, results);
             if cache.is_some() {
                 doc = doc.with(
                     "cache",

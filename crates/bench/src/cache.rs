@@ -150,7 +150,7 @@ mod tests {
         spec.scale = 0.02;
         spec.seeds = vec![1];
         let cell = crate::Cell::new(SchemeKind::EquiNox, 8, "gaussian", &spec);
-        let m = crate::run_cells(vec![cell], &mut Vec::new()).remove(0);
+        let m = crate::run_cells(vec![cell], &mut Vec::new()).unwrap().remove(0);
         assert!(m.ubumps > 0, "a field the baselines leave at zero");
         let bytes = encode_metrics(&m);
         let r = decode_metrics(&bytes).unwrap();

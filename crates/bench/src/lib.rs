@@ -5,23 +5,10 @@
 //! The library half holds the two things every scenario is made of —
 //! [`design`], the one memo of searched EquiNox designs, and [`Cell`] /
 //! [`run_cells`], the one path from a spec to a full-system run — plus
-//! the scenario registry; the one binary, `equinox <scenario>`, drives
-//! them under the layered spec.
-//!
-//! Figure/table map (§6 of the paper):
-//!
-//! | scenario | reproduces |
-//! |----------|------------|
-//! | `table1` | Table 1 (simulation parameters) |
-//! | `fig4`   | placement heat maps + variances |
-//! | `fig5`   | N-Queen scoring policy |
-//! | `fig7`   | the MCTS-selected EIR design |
-//! | `fig9`   | execution time / energy / EDP across 7 schemes × 29 benchmarks |
-//! | `fig10`  | packet-latency split (request/reply × queue/network) |
-//! | `fig11`  | NoC area |
-//! | `fig12`  | scalability (8×8 / 12×12 / 16×16) |
-//! | `ubumps` | §6.6 µbump accounting |
-//! | `ablation` | §4 design-choice studies (search method, hop budget, group size, placement) |
+//! the scenario registry ([`scenarios`]); the one binary, `equinox
+//! <scenario>`, drives them under the layered spec. DESIGN.md
+//! "Scenarios and who reads them" says which paper figure or workflow
+//! each scenario serves.
 
 use equinox_config::ExperimentSpec;
 use equinox_core::{EquiNoxDesign, RunMetrics, SchemeKind, System, SystemConfig};
@@ -144,7 +131,7 @@ impl Cell {
 
     /// [`SystemConfig::check`] of this cell's machine: the one-line
     /// reason it cannot be built, asked before any design is searched.
-    pub fn check(&self) -> Result<(), String> {
+    pub(crate) fn check(&self) -> Result<(), String> {
         self.config_without_design(0).check().map(drop)
     }
 
@@ -193,7 +180,8 @@ fn fold_seeds(mut runs: Vec<RunMetrics>) -> RunMetrics {
 }
 
 /// Runs `cells` and returns their metrics in input order — the one door
-/// from a spec to a full-system run.
+/// from a spec to a full-system run — or the first cell's [`Cell::check`]
+/// failure, before any design is searched or any cell runs.
 ///
 /// A cell that repeats an earlier one of the batch (same [`Cell::key`]:
 /// `extensions`' +0 % and +0-stage rows) takes that one's result. With a
@@ -204,7 +192,8 @@ fn fold_seeds(mut runs: Vec<RunMetrics>) -> RunMetrics {
 /// misses run on the [`equinox_exec`] pool: each is an independent,
 /// seed-deterministic job and `par_map` keeps input order, so the output
 /// is identical for any worker count (`tests/determinism.rs`).
-pub fn run_cells(mut cells: Vec<Cell>, log: &mut dyn Write) -> Vec<RunMetrics> {
+pub fn run_cells(mut cells: Vec<Cell>, log: &mut dyn Write) -> Result<Vec<RunMetrics>, String> {
+    cells.iter().try_for_each(Cell::check)?;
     let keys: Vec<u64> = cells.iter().map(Cell::key).collect();
     let first: Vec<usize> =
         keys.iter().map(|k| keys.iter().position(|x| x == k).expect("its own")).collect();
@@ -232,7 +221,7 @@ pub fn run_cells(mut cells: Vec<Cell>, log: &mut dyn Write) -> Vec<RunMetrics> {
     for (i, m) in fresh {
         out[i] = Some(m);
     }
-    first.iter().map(|&i| out[i].clone().expect("every distinct cell hit or ran")).collect()
+    Ok(first.iter().map(|&i| out[i].clone().expect("every distinct cell hit or ran")).collect())
 }
 
 /// The `benches × schemes` matrix, bench-major: cell `bi * schemes.len()
@@ -296,7 +285,7 @@ mod tests {
     }
 
     fn run_one(cell: Cell) -> RunMetrics {
-        run_cells(vec![cell], &mut Vec::new()).remove(0)
+        run_cells(vec![cell], &mut Vec::new()).unwrap().remove(0)
     }
 
     #[test]
@@ -326,7 +315,7 @@ mod tests {
         spec.checkpoint_dir = dir.display().to_string();
         let cell = |scheme| Cell::new(scheme, 8, "gaussian", &spec);
         let (a, b) = (cell(SchemeKind::SeparateBase), cell(SchemeKind::SingleBase));
-        let out = run_cells(vec![a.clone(), b, a.clone(), a], &mut Vec::new());
+        let out = run_cells(vec![a.clone(), b, a.clone(), a], &mut Vec::new()).unwrap();
         let got: Vec<_> = out.iter().map(|m| m.scheme).collect();
         let (sep, single) = (SchemeKind::SeparateBase, SchemeKind::SingleBase);
         assert_eq!(got, [sep, single, sep, sep], "input order");
@@ -338,6 +327,18 @@ mod tests {
         assert_eq!(names.len(), 2, "{names:?}");
         assert!(names.iter().all(|n| n.to_string_lossy().starts_with("run_")), "{names:?}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn an_unbuildable_cell_is_named_before_any_design_is_searched() {
+        let mut spec = spec_at(0.02, &[1]);
+        spec.n_cbs = 9;
+        let schemes = [SchemeKind::EquiNox, SchemeKind::SeparateBase];
+        let cells = matrix_cells(&schemes, 8, &["kmeans"], &spec);
+        let mut log = Vec::new();
+        let why = run_cells(cells, &mut log).expect_err("nine banks do not fit a diamond on 8x8");
+        assert!(why.starts_with("n_cbs = 9: SeparateBase"), "{why}");
+        assert!(log.is_empty(), "{}", String::from_utf8_lossy(&log));
     }
 
     #[test]

@@ -3,13 +3,17 @@
 //! A [`Scenario`] is a pure function of the resolved
 //! [`ExperimentSpec`]: it renders its human-readable report to the
 //! provided writer (the driver sends it to stderr) and returns its
-//! structured results as [`Json`], which the
-//! driver wraps in an `equinox.artifact/v1` envelope. Scenario code
-//! never touches `std::env` — everything it needs rides in the spec.
+//! structured results as [`Json`], which the driver wraps in an
+//! `equinox.artifact/v1` envelope, or the one-line reason it cannot run
+//! (a machine no scheme can build, a file it cannot read or write),
+//! which the driver names and exits 2 on. Scenario code never touches
+//! `std::env` — everything it needs rides in the spec.
 //!
-//! The registry is the single source of truth for scenario names: the
-//! driver's dispatch, its `--help` listing, and the `all` meta-scenario
-//! iterate it.
+//! The registry is the single source of truth for scenario names and
+//! for what the driver must know about each: whether `all` runs it,
+//! whether the artifact cache may replay it, and whether it reads
+//! `--obs-stream` rather than writing it. No other file compares a
+//! scenario's name (`scripts/check.sh` guards this).
 
 use crate::artifact::{load_point_json, run_metrics_json};
 use crate::{bench_set, design, matrix_cells, run_cells, Cell, STRONG_ITERS, STRONG_SEED};
@@ -30,39 +34,69 @@ use equinox_placement::{Placement, PlacementScorer};
 use std::io::Write;
 use std::sync::Arc;
 
-/// One registered scenario.
+type Run = fn(&ExperimentSpec, &mut dyn Write) -> Result<Json, String>;
+
+/// One registered scenario, with what the driver must know about it.
 pub struct Scenario {
     /// Name used as the driver's positional argument.
     pub name: &'static str,
     /// One-line description for `--help`.
     pub about: &'static str,
-    /// Runs the scenario: human report to `log`, structured results out.
-    pub run: fn(&ExperimentSpec, &mut dyn Write) -> Json,
+    /// Runs the scenario: human report to `log`, structured results out,
+    /// or the one-line reason it cannot run.
+    pub run: Run,
+    /// `all` runs it: it is one of the paper's tables and figures.
+    pub in_all: bool,
+    /// Its artifact is its whole output and a function of the spec, so
+    /// the artifact cache may replay it.
+    pub replayable: bool,
+    /// It reads `--obs-stream` as its feed rather than writing it.
+    pub reads_stream: bool,
+}
+
+impl Scenario {
+    /// A paper table or figure: `all` runs it, the cache may replay it.
+    const fn paper(name: &'static str, about: &'static str, run: Run) -> Self {
+        Scenario { name, about, run, in_all: true, replayable: true, reads_stream: false }
+    }
+
+    /// A tool beside the paper: only its own name runs it.
+    const fn tool(name: &'static str, about: &'static str, run: Run) -> Self {
+        Scenario { in_all: false, ..Scenario::paper(name, about, run) }
+    }
 }
 
 /// All scenarios, in paper order.
 pub fn scenarios() -> &'static [Scenario] {
+    use Scenario as S;
     static SCENARIOS: &[Scenario] = &[
-        Scenario { name: "table1", about: "Table 1: key simulation parameters", run: table1 },
-        Scenario { name: "fig4", about: "Figure 4: placement heat maps + variances", run: fig4 },
-        Scenario { name: "fig5", about: "Figure 5: N-Queen scoring policy", run: fig5 },
-        Scenario { name: "fig7", about: "Figure 7: MCTS-selected EIR design", run: fig7 },
-        Scenario { name: "fig9", about: "Figure 9: time/energy/EDP across schemes x benchmarks", run: fig9 },
-        Scenario { name: "fig10", about: "Figure 10: packet-latency split", run: fig10 },
-        Scenario { name: "fig11", about: "Figure 11: NoC area", run: fig11 },
-        Scenario { name: "fig12", about: "Figure 12: scalability (8/12/16)", run: fig12 },
-        Scenario { name: "ubumps", about: "Section 6.6: ubump accounting", run: ubumps },
-        Scenario { name: "ablation", about: "Section 4 design-choice ablations", run: ablation },
-        Scenario { name: "overfull", about: "Section 6.8: 12 CBs on an 8x8 mesh", run: overfull },
-        Scenario { name: "extensions", about: "Reply compression + pipeline-depth extensions", run: extensions },
-        Scenario { name: "svg", about: "Write the SVG figures into docs/", run: svg_artifacts },
-        Scenario { name: "sweep", about: "Full scheme x benchmark matrix as raw run metrics", run: sweep },
-        Scenario { name: "loadlat", about: "Reply-network load-latency curves (baseline vs EquiNox)", run: loadlat },
-        Scenario { name: "observe", about: "Instrumented EquiNox run: obs/v1 metrics block + Chrome trace", run: observe },
-        Scenario { name: "designer", about: "Search and export an EquiNox design", run: designer },
-        Scenario { name: "fabric", about: "Synthetic-traffic stress run on any topology (--topology/--traffic)", run: fabric },
-        Scenario { name: "watch", about: "Attach to an --obs-stream telemetry feed and render a live dashboard", run: watch },
-        Scenario { name: "all", about: "Every paper table and figure in sequence", run: all },
+        S::paper("table1", "Table 1: key simulation parameters", table1),
+        S::paper("fig4", "Figure 4: placement heat maps + variances", fig4),
+        S::paper("fig5", "Figure 5: N-Queen scoring policy", fig5),
+        S::paper("fig7", "Figure 7: MCTS-selected EIR design", fig7),
+        S::paper("fig9", "Figure 9: time/energy/EDP across schemes x benchmarks", fig9),
+        S::paper("fig10", "Figure 10: packet-latency split", fig10),
+        S::paper("fig11", "Figure 11: NoC area", fig11),
+        S::paper("fig12", "Figure 12: scalability (8/12/16)", fig12),
+        S::paper("ubumps", "Section 6.6: ubump accounting", ubumps),
+        S::paper("ablation", "Section 4 design-choice ablations", ablation),
+        S::paper("overfull", "Section 6.8: 12 CBs on an 8x8 mesh", overfull),
+        S::paper("extensions", "Reply compression + pipeline-depth extensions", extensions),
+        // Writes docs/*.svg, which no artifact holds.
+        S { replayable: false, ..S::paper("svg", "Write the SVG figures into docs/", svg) },
+        S::tool("sweep", "Full scheme x benchmark matrix as raw run metrics", sweep),
+        S::tool("loadlat", "Reply-network load-latency curves (baseline vs EquiNox)", loadlat),
+        S::tool("observe", "Instrumented EquiNox run: obs/v1 metrics block + Chrome trace", observe),
+        S::tool("designer", "Search and export an EquiNox design", designer),
+        S::tool("fabric", "Synthetic-traffic stress run on any topology (--topology/--traffic)", fabric),
+        // Its feed may grow between two runs of one spec.
+        S {
+            replayable: false,
+            reads_stream: true,
+            ..S::tool("watch", "Attach to an --obs-stream telemetry feed and render a live dashboard", watch)
+        },
+        // Runs `svg`.
+        S { replayable: false, ..S::tool("all", "Every paper table and figure in sequence", all) },
     ];
     SCENARIOS
 }
@@ -86,7 +120,7 @@ fn header(log: &mut dyn Write, title: &str) {
     out!(log, "\n=== {title} ===");
 }
 
-fn table1(_spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
+fn table1(_spec: &ExperimentSpec, log: &mut dyn Write) -> Result<Json, String> {
     header(log, "Table 1: key simulation parameters");
     let rows = [
         ("Network size", "8x8 (12x12, 16x16 for scalability)"),
@@ -105,10 +139,10 @@ fn table1(_spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
         out!(log, "  {k:26} {v}");
         j = j.with(k, v);
     }
-    j
+    Ok(j)
 }
 
-fn fig4(_spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
+fn fig4(_spec: &ExperimentSpec, log: &mut dyn Write) -> Result<Json, String> {
     header(log, "Figure 4: placement heat maps (avg cycles per router; variance)");
     let placements: Vec<(&str, Placement)> = vec![
         ("Top", Placement::top(8, 8, 8)),
@@ -131,10 +165,10 @@ fn fig4(_spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
     for (name, v) in rows {
         out!(log, "  {name:9} {v:8.2}");
     }
-    Json::obj().with("variance", variances)
+    Ok(Json::obj().with("variance", variances))
 }
 
-fn fig5(_spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
+fn fig5(_spec: &ExperimentSpec, log: &mut dyn Write) -> Result<Json, String> {
     header(log, "Figure 5: N-Queen scoring policy");
     let sols = solutions(8);
     out!(log, "  8x8 N-Queen solutions: {} (paper: 92)", sols.len());
@@ -151,16 +185,16 @@ fn fig5(_spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
     let chosen = scorer.penalty(&best.cbs);
     out!(log, "  chosen placement (penalty {chosen}):");
     let _ = write!(log, "{best}");
-    Json::obj()
+    Ok(Json::obj()
         .with("solutions", sols.len())
         .with(
             "penalty",
             Json::obj().with("best", best_p).with("median", median_p).with("worst", worst_p),
         )
-        .with("chosen_penalty", chosen)
+        .with("chosen_penalty", chosen))
 }
 
-fn fig7(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
+fn fig7(spec: &ExperimentSpec, log: &mut dyn Write) -> Result<Json, String> {
     header(log, "Figure 7: MCTS-selected EIR design for 8x8");
     let d = flagship(spec, log);
     let _ = write!(log, "{}", d.render());
@@ -187,7 +221,7 @@ fn fig7(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
         ev.avg_hops_norm * 100.0,
         ev.cost
     );
-    Json::obj()
+    Ok(Json::obj()
         .with("links", d.num_links())
         .with("crossings", count_crossings(&segs) as u64)
         .with("rdl_layers", d.rdl_layers() as u64)
@@ -200,7 +234,7 @@ fn fig7(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
                 .with("avg_hops", ev.avg_hops)
                 .with("avg_hops_norm", ev.avg_hops_norm)
                 .with("cost", ev.cost),
-        )
+        ))
 }
 
 /// Renders one normalized table to the log and returns it as JSON:
@@ -244,11 +278,11 @@ fn table_json(
     Json::obj().with("normalized", rows).with("geomean", geo)
 }
 
-fn fig9(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
+fn fig9(spec: &ExperimentSpec, log: &mut dyn Write) -> Result<Json, String> {
     let benches = bench_set(spec);
     // Simulate once (each scheme × benchmark cell in parallel); derive
     // all three tables from the same runs.
-    let all_runs = run_cells(matrix_cells(&SchemeKind::ALL, 8, &benches, spec), log);
+    let all_runs = run_cells(matrix_cells(&SchemeKind::ALL, 8, &benches, spec), log)?;
     let time = table_json(
         log,
         "Figure 9(a): normalized execution time (paper geomeans: EquiNox 0.523, CMesh 0.621)",
@@ -270,21 +304,21 @@ fn fig9(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
         &all_runs,
         |m| m.edp,
     );
-    Json::obj()
+    Ok(Json::obj()
         .with("benches", benches.iter().map(|&b| Json::from(b)).collect::<Vec<_>>())
         .with("exec_time", time)
         .with("energy", energy)
-        .with("edp", edp)
+        .with("edp", edp))
 }
 
-fn fig10(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
+fn fig10(spec: &ExperimentSpec, log: &mut dyn Write) -> Result<Json, String> {
     header(log, "Figure 10: packet latency split, ns (geomean over quick subset)");
     out!(
         log,
         "{:18}{:>10}{:>10}{:>10}{:>10}{:>10}",
         "scheme", "req_queue", "req_net", "rep_queue", "rep_net", "total"
     );
-    let runs = run_cells(matrix_cells(&SchemeKind::ALL, 8, &crate::QUICK_BENCHES, spec), log);
+    let runs = run_cells(matrix_cells(&SchemeKind::ALL, 8, &crate::QUICK_BENCHES, spec), log)?;
     let mut j = Json::obj();
     for (si, scheme) in SchemeKind::ALL.into_iter().enumerate() {
         let mut qs = [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
@@ -317,16 +351,16 @@ fn fig10(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
         );
     }
     out!(log, "(paper: request latency >> reply latency — reply-injection backpressure)");
-    j
+    Ok(j)
 }
 
-fn fig11(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
+fn fig11(spec: &ExperimentSpec, log: &mut dyn Write) -> Result<Json, String> {
     header(log, "Figure 11: NoC area, mm^2 (relative; paper: EquiNox +4.6% vs SeparateBase)");
     // Area is load-independent, so a tiny fixed workload suffices.
     let mut area_spec = spec.clone();
     area_spec.scale = 0.02;
     area_spec.seeds = vec![1];
-    let runs = run_cells(matrix_cells(&SchemeKind::ALL, 8, &["gaussian"], &area_spec), log);
+    let runs = run_cells(matrix_cells(&SchemeKind::ALL, 8, &["gaussian"], &area_spec), log)?;
     let (single, separate) = (runs[0].area_mm2, runs[3].area_mm2);
     let mut j = Json::obj();
     for m in &runs {
@@ -340,15 +374,15 @@ fn fig11(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
         );
         j = j.with(m.scheme.name(), a);
     }
-    Json::obj().with("area_mm2", j)
+    Ok(Json::obj().with("area_mm2", j))
 }
 
-fn fig12(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
+fn fig12(spec: &ExperimentSpec, log: &mut dyn Write) -> Result<Json, String> {
     header(log, "Figure 12: scalability — EquiNox IPC vs SeparateBase (paper: 1.23x/1.31x/1.30x)");
     let sizes = [8u16, 12, 16];
     let pair = [SchemeKind::SeparateBase, SchemeKind::EquiNox];
     let cells = sizes.iter().flat_map(|&n| matrix_cells(&pair, n, &["kmeans"], spec)).collect();
-    let runs = run_cells(cells, log);
+    let runs = run_cells(cells, log)?;
     let mut j = Json::obj();
     for (i, &n) in sizes.iter().enumerate() {
         let (s, e) = (&runs[2 * i], &runs[2 * i + 1]);
@@ -367,10 +401,10 @@ fn fig12(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
                 .with("speedup", e.ipc / s.ipc),
         );
     }
-    j
+    Ok(j)
 }
 
-fn ubumps(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
+fn ubumps(spec: &ExperimentSpec, log: &mut dyn Write) -> Result<Json, String> {
     header(log, "Section 6.6: ubump accounting");
     let m = BumpModel::default();
     let cmesh = m.bump_count(2 * 64, 256, 1);
@@ -389,13 +423,13 @@ fn ubumps(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
         m.bump_area_mm2(equinox)
     );
     out!(log, "  saving: {:.2}% (paper: 81.25% with 24 links)", saving * 100.0);
-    Json::obj()
+    Ok(Json::obj()
         .with("cmesh_ubumps", cmesh as u64)
         .with("equinox_ubumps", equinox as u64)
-        .with("saving_fraction", saving)
+        .with("saving_fraction", saving))
 }
 
-fn ablation(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
+fn ablation(spec: &ExperimentSpec, log: &mut dyn Write) -> Result<Json, String> {
     header(log, "Ablation A: search method quality (same evaluation function)");
     let placement = flagship(spec, log).placement.clone();
     let problem = EirProblem::new(placement.clone());
@@ -453,7 +487,7 @@ fn ablation(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
             ..Cell::new(SchemeKind::EquiNox, 8, "kmeans", spec)
         })
         .collect();
-    let cycles = run_cells(cells, log).into_iter().map(|m| m.cycles);
+    let cycles = run_cells(cells, log)?.into_iter().map(|m| m.cycles);
     let rows: Vec<_> = variants.iter().zip(cycles).collect();
     let (hop_rows, rest) = rows.split_at(hops.len());
     let (size_rows, placed_rows) = rest.split_at(sizes.len());
@@ -512,15 +546,15 @@ fn ablation(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
                 .with("penalty", penalty),
         );
     }
-    Json::obj()
+    Ok(Json::obj()
         .with("search_methods", methods)
         .with("hop_budget", hop_budget)
         .with("group_size", group_size)
-        .with("placement", placements)
+        .with("placement", placements))
 }
 
 /// §6.8: more CBs than rows — knight-move placement + EIRs.
-fn overfull(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
+fn overfull(spec: &ExperimentSpec, log: &mut dyn Write) -> Result<Json, String> {
     header(log, "Section 6.8: 12 cache banks on an 8x8 mesh (knight-move placement)");
     let d = design(8, 12, 1_500, 7, spec, log);
     out!(log, "{}", d.render());
@@ -546,19 +580,19 @@ fn overfull(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
         },
         Cell { design: Some(d), ..Cell::new(SchemeKind::EquiNox, 8, "kmeans", &over) },
     ];
-    for m in run_cells(cells, log) {
+    for m in run_cells(cells, log)? {
         out!(log, "  {:14} {:>7} cycles | EDP {:.2e}", m.scheme.name(), m.cycles, m.edp);
         j = j.with(
             m.scheme.name(),
             Json::obj().with("cycles", m.cycles).with("edp", m.edp),
         );
     }
-    j
+    Ok(j)
 }
 
 /// Extensions: reply compression (§7 \[47\], orthogonal) and router
 /// pipeline depth sensitivity.
-fn extensions(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
+fn extensions(spec: &ExperimentSpec, log: &mut dyn Write) -> Result<Json, String> {
     let compressions = [
         (SchemeKind::SeparateBase, 0.0),
         (SchemeKind::SeparateBase, 0.6),
@@ -582,7 +616,7 @@ fn extensions(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
             cells.push(cell(scheme, &|s| s.pipeline_extra = extra));
         }
     }
-    let runs = run_cells(cells, log);
+    let runs = run_cells(cells, log)?;
     let (comp_runs, depth_runs) = runs.split_at(compressions.len());
 
     header(log, "Extension: reply compression is complementary to EquiNox (§7)");
@@ -624,16 +658,19 @@ fn extensions(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
                 .with("speedup", base.cycles as f64 / eq.cycles as f64),
         );
     }
-    Json::obj().with("compression", compression).with("pipeline_depth", pipeline)
+    Ok(Json::obj().with("compression", compression).with("pipeline_depth", pipeline))
 }
 
 /// Writes the SVG artifacts (Figure 7 wiring diagram, Figure 4 heat
 /// maps) into docs/.
-fn svg_artifacts(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
+fn svg(spec: &ExperimentSpec, log: &mut dyn Write) -> Result<Json, String> {
     header(log, "SVG artifacts -> docs/");
-    std::fs::create_dir_all("docs").expect("create docs dir");
+    std::fs::create_dir_all("docs").map_err(|e| format!("docs: cannot create the directory: {e}"))?;
+    let write = |path: &str, text: String| {
+        std::fs::write(path, text).map_err(|e| format!("{path}: cannot write: {e}"))
+    };
     let d = flagship(spec, log);
-    std::fs::write("docs/fig7_design.svg", design_svg(&d)).expect("write fig7 svg");
+    write("docs/fig7_design.svg", design_svg(&d))?;
     out!(log, "  docs/fig7_design.svg");
     let mut written = vec![Json::from("docs/fig7_design.svg")];
     for (name, p) in [
@@ -643,16 +680,16 @@ fn svg_artifacts(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
     ] {
         let h = placement_heatmap(&p, 0.85, 8_000, 1);
         let path = format!("docs/fig4_{name}.svg");
-        std::fs::write(&path, heatmap_svg(&h, &p.cbs)).expect("write heat svg");
+        write(&path, heatmap_svg(&h, &p.cbs))?;
         out!(log, "  {path} (variance {:.2})", h.variance);
         written.push(Json::from(path));
     }
-    Json::obj().with("written", written)
+    Ok(Json::obj().with("written", written))
 }
 
 /// Full scheme × benchmark matrix emitted as raw per-run metrics — the
 /// machine-readable counterpart of fig9/fig10's derived tables.
-fn sweep(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
+fn sweep(spec: &ExperimentSpec, log: &mut dyn Write) -> Result<Json, String> {
     let benches = bench_set(spec);
     out!(
         log,
@@ -663,24 +700,25 @@ fn sweep(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
         spec.n,
         spec.n
     );
-    let cells = run_cells(matrix_cells(&SchemeKind::ALL, spec.n, &benches, spec), log);
+    let cells = run_cells(matrix_cells(&SchemeKind::ALL, spec.n, &benches, spec), log)?;
     let runs: Vec<Json> = cells
         .chunks(SchemeKind::ALL.len())
         .map(|row| Json::Arr(row.iter().map(run_metrics_json).collect()))
         .collect();
     out!(log, "done: {} cells", cells.len());
-    Json::obj()
+    Ok(Json::obj()
         .with("benches", benches.iter().map(|&b| Json::from(b)).collect::<Vec<_>>())
         .with(
             "schemes",
             SchemeKind::ALL.iter().map(|s| Json::from(s.name())).collect::<Vec<_>>(),
         )
-        .with("runs", runs)
+        .with("runs", runs))
 }
 
 /// Reply-network load–latency curves: local-buffer baseline vs the
 /// EquiNox injection structure.
-fn loadlat(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
+fn loadlat(spec: &ExperimentSpec, log: &mut dyn Write) -> Result<Json, String> {
+    Cell::new(SchemeKind::EquiNox, spec.n, "kmeans", spec).check()?;
     let design = design(spec.n, spec.n_cbs, spec.iters, spec.seed, spec, log);
     let rates: Vec<f64> = (1..=20).map(|i| i as f64 / 20.0).collect();
     let curve = |side: &ReplySide| {
@@ -697,16 +735,17 @@ fn loadlat(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
     let base = curve(&ReplySide::Local);
     let eq = curve(&ReplySide::Equinox((*design).clone()));
     out!(log, "measured {} rates x 2 sides over {} cycles", rates.len(), spec.cycles);
-    Json::obj()
+    Ok(Json::obj()
         .with("links", design.num_links())
         .with("baseline", base.iter().map(load_point_json).collect::<Vec<_>>())
-        .with("equinox", eq.iter().map(load_point_json).collect::<Vec<_>>())
+        .with("equinox", eq.iter().map(load_point_json).collect::<Vec<_>>()))
 }
 
 /// Searches an EquiNox design per the spec and returns it in both the
 /// stable text format (`design_text`, reload with
 /// `EquiNoxDesign::from_text`) and as an SVG wiring diagram (`svg`).
-fn designer(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
+fn designer(spec: &ExperimentSpec, log: &mut dyn Write) -> Result<Json, String> {
+    Cell::new(SchemeKind::EquiNox, spec.n, "kmeans", spec).check()?;
     let design = design(spec.n, spec.n_cbs, spec.iters, spec.seed, spec, log);
     out!(log, "{}", design.render());
     let crossings = count_crossings(&design.segments());
@@ -718,17 +757,17 @@ fn designer(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
         design.rdl_layers(),
         design.ubump_count(128)
     );
-    Json::obj()
+    Ok(Json::obj()
         .with("links", design.num_links())
         .with("crossings", crossings as u64)
         .with("rdl_layers", design.rdl_layers() as u64)
         .with("ubumps", design.ubump_count(128) as u64)
         .with("design_text", design.to_text())
-        .with("svg", design_svg(&design))
+        .with("svg", design_svg(&design)))
 }
 
 /// Instrumented EquiNox run: the obs blocks plus the Chrome trace.
-fn observe(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
+fn observe(spec: &ExperimentSpec, log: &mut dyn Write) -> Result<Json, String> {
     header(log, "Observability: latency histograms, time series, spans, flit trace");
     // The scenario exists to exercise the observability layer, so it is
     // armed even when the spec left `--obs` off; the spec's
@@ -736,6 +775,7 @@ fn observe(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
     let mut armed = spec.clone();
     armed.obs = true;
     let cell = Cell::new(SchemeKind::EquiNox, 8, "bfs", &armed);
+    cell.check()?;
     let mut sys = System::build(cell.system_config(spec.seeds[0], log));
     let m = sys.run();
     out!(
@@ -765,11 +805,12 @@ fn observe(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
     out!(log, "  chrome trace: {events} events");
     j = j.with("trace_events", events as u64);
     if !spec.trace_out.is_empty() {
-        std::fs::write(&spec.trace_out, &doc).expect("write trace file");
+        std::fs::write(&spec.trace_out, &doc)
+            .map_err(|e| format!("--trace-out {}: cannot write the trace: {e}", spec.trace_out))?;
         out!(log, "  wrote {}", spec.trace_out);
         j = j.with("trace_out", spec.trace_out.as_str());
     }
-    j
+    Ok(j)
 }
 
 /// Synthetic-traffic stress run on an arbitrary fabric: builds a bare
@@ -779,7 +820,7 @@ fn observe(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
 /// mid-flight snapshot → restore → snapshot byte round-trip. With
 /// `--audit` the invariant auditor sweeps the whole run, so this is the
 /// deadlock-freedom gauntlet for new topologies.
-fn fabric(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
+fn fabric(spec: &ExperimentSpec, log: &mut dyn Write) -> Result<Json, String> {
     use equinox_exec::Rng;
     use equinox_noc::flit::{Flit, MessageClass, PacketDesc};
     use equinox_noc::network::Network;
@@ -907,16 +948,19 @@ fn fabric(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
             .with("audit_sweeps", net.audit_sweeps())
             .with("audit_violations", net.audit_violations().len() as u64);
     }
-    j
+    Ok(j)
 }
 
 /// Attaches to the telemetry stream named by `--obs-stream` and renders
 /// the live dashboard (see the `watch` module): it tails the file, live
 /// or post-hoc.
-fn watch(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
+fn watch(spec: &ExperimentSpec, log: &mut dyn Write) -> Result<Json, String> {
+    if spec.obs_stream.is_empty() {
+        return Err("needs --obs-stream <path> naming the feed to attach to".into());
+    }
     header(log, &format!("Watching telemetry stream {}", spec.obs_stream));
     let stats = crate::watch::watch_file(&spec.obs_stream, log)
-        .unwrap_or_else(|e| panic!("watch {}: {e}", spec.obs_stream));
+        .map_err(|e| format!("--obs-stream {}: cannot read the feed: {e}", spec.obs_stream))?;
     out!(
         log,
         "  {} frames ({} samples) from {} runs, {} summarised, {} corrupt lines, last cycle {}",
@@ -927,19 +971,16 @@ fn watch(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
         stats.corrupt,
         stats.last_cycle
     );
-    stats.to_json().with("target", spec.obs_stream.as_str())
+    Ok(stats.to_json().with("target", spec.obs_stream.as_str()))
 }
 
 /// Every paper table and figure in sequence.
-fn all(spec: &ExperimentSpec, log: &mut dyn Write) -> Json {
+fn all(spec: &ExperimentSpec, log: &mut dyn Write) -> Result<Json, String> {
     let mut j = Json::obj();
-    for s in scenarios() {
-        if matches!(s.name, "all" | "sweep" | "loadlat" | "observe" | "designer" | "fabric" | "watch") {
-            continue;
-        }
-        j = j.with(s.name, (s.run)(spec, &mut *log));
+    for s in scenarios().iter().filter(|s| s.in_all) {
+        j = j.with(s.name, (s.run)(spec, &mut *log).map_err(|e| format!("{}: {e}", s.name))?);
     }
-    j
+    Ok(j)
 }
 
 #[cfg(test)]
@@ -962,7 +1003,7 @@ mod tests {
     #[test]
     fn table1_logs_and_returns_rows() {
         let mut log = Vec::new();
-        let j = table1(&ExperimentSpec::default(), &mut log);
+        let j = table1(&ExperimentSpec::default(), &mut log).unwrap();
         let text = String::from_utf8(log).unwrap();
         assert!(text.contains("Table 1"));
         assert_eq!(
@@ -1006,7 +1047,7 @@ mod tests {
                 spec.cycles = 400;
                 spec.audit = true;
                 let mut log = Vec::new();
-                let j = fabric(&spec, &mut log);
+                let j = fabric(&spec, &mut log).unwrap();
                 assert_eq!(j.get("topology").and_then(Json::as_str), Some(*topo));
                 assert_eq!(j.get("traffic").and_then(Json::as_str), Some(*traffic));
                 assert_eq!(j.get("snapshot_roundtrip"), Some(&Json::Bool(true)));

@@ -341,7 +341,7 @@ mod tests {
             ..Cell::new(SchemeKind::EquiNox, 8, "kmeans", &spec)
         };
         let cells = vec![base(8), base(12), deeper, compressed, equinox, base(8)];
-        run_cells(cells, &mut Vec::new());
+        run_cells(cells, &mut Vec::new()).unwrap();
         let s = watch_file(path.to_str().unwrap(), &mut Vec::new()).unwrap();
         assert_eq!(s.runs.len(), 5 * 2, "distinct cells × seeds");
         assert_eq!((s.summaries(), s.corrupt), (10, 0));

@@ -1,12 +1,12 @@
 //! Integration tests of the §4 design pipeline across crates:
 //! placement → MCTS → physical checks.
 
-use equinox_suite::core::{EquiNoxDesign, SchemeKind, System, SystemConfig};
-use equinox_suite::mcts::eval::{evaluate, EvalWeights};
-use equinox_suite::mcts::problem::EirProblem;
-use equinox_suite::noc::AuditConfig;
-use equinox_suite::phys::segment::count_crossings;
-use equinox_suite::traffic::{profile::benchmark, Workload};
+use equinox_core::{EquiNoxDesign, SchemeKind, System, SystemConfig};
+use equinox_mcts::eval::{evaluate, EvalWeights};
+use equinox_mcts::problem::EirProblem;
+use equinox_noc::AuditConfig;
+use equinox_phys::segment::count_crossings;
+use equinox_traffic::{profile::benchmark, Workload};
 
 fn design() -> EquiNoxDesign {
     EquiNoxDesign::search_k(8, 8, 600, 7, 2)
@@ -55,7 +55,7 @@ fn design_improves_the_evaluation_over_no_eirs() {
     let with = evaluate(&problem, &d.selection, &w);
     let without = evaluate(
         &problem,
-        &equinox_suite::mcts::problem::EirSelection {
+        &equinox_mcts::problem::EirSelection {
             groups: vec![Vec::new(); 8],
         },
         &w,

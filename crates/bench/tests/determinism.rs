@@ -11,12 +11,12 @@
 //! (never via the `EQUINOX_SIM_THREADS` environment variable): env
 //! vars are process-global and tests in this binary run concurrently.
 
-use equinox_suite::bench::{matrix_cells, run_cells, Cell};
-use equinox_suite::core::loadlat::{load_latency_curve_cfg, ReplySide};
-use equinox_suite::core::{EquiNoxDesign, RunMetrics, SchemeKind, System, SystemConfig};
-use equinox_suite::exec::set_threads;
-use equinox_suite::placement::Placement;
-use equinox_suite::traffic::{profile::benchmark, Workload};
+use equinox_bench::{matrix_cells, run_cells, Cell};
+use equinox_core::loadlat::{load_latency_curve_cfg, ReplySide};
+use equinox_core::{EquiNoxDesign, RunMetrics, SchemeKind, System, SystemConfig};
+use equinox_exec::set_threads;
+use equinox_placement::Placement;
+use equinox_traffic::{profile::benchmark, Workload};
 
 fn run(seed: u64) -> (u64, f64) {
     let workload = Workload::new(benchmark("hotspot").unwrap(), 0.08, seed);
@@ -90,7 +90,7 @@ fn audited_run_is_bit_identical_to_unaudited_run() {
     let go = |audit: bool| {
         let workload = Workload::new(benchmark("hotspot").unwrap(), 0.08, 11);
         let mut cfg = SystemConfig::new(SchemeKind::SeparateBase, 8, workload);
-        cfg.audit = audit.then(equinox_suite::noc::AuditConfig::default);
+        cfg.audit = audit.then(equinox_noc::AuditConfig::default);
         System::build(cfg).run()
     };
     let plain = go(false);
@@ -102,10 +102,10 @@ fn audited_run_is_bit_identical_to_unaudited_run() {
 fn sweep_matrix_is_worker_count_independent() {
     let schemes = &SchemeKind::ALL[..2];
     let benches = ["gaussian", "bfs"];
-    let mut spec = equinox_suite::config::ExperimentSpec::default();
+    let mut spec = equinox_config::ExperimentSpec::default();
     spec.scale = 0.05;
     spec.seeds = vec![1, 2];
-    let go = || run_cells(matrix_cells(schemes, 8, &benches, &spec), &mut Vec::new());
+    let go = || run_cells(matrix_cells(schemes, 8, &benches, &spec), &mut Vec::new()).unwrap();
     set_threads(1);
     let seq = go();
     set_threads(4);
@@ -143,7 +143,7 @@ fn design_search_is_worker_count_independent() {
 fn obs_snapshot() -> String {
     let workload = Workload::new(benchmark("bfs").unwrap(), 0.05, 7);
     let mut cfg = SystemConfig::new(SchemeKind::EquiNox, 8, workload);
-    cfg.obs = Some(equinox_suite::core::ObsConfig {
+    cfg.obs = Some(equinox_core::ObsConfig {
         interval: 500,
         ..Default::default()
     });
@@ -163,12 +163,12 @@ fn obs_snapshot() -> String {
 /// the config level and everything *observable* — metrics, NetStats,
 /// obs/v1 — must be byte-identical.
 fn artifact_snapshot(scheme: SchemeKind, sim_threads: usize) -> String {
-    use equinox_suite::bench::artifact::{artifact, net_stats_json, run_metrics_json};
-    use equinox_suite::config::{ExperimentSpec, Json};
+    use equinox_bench::artifact::{artifact, net_stats_json, run_metrics_json};
+    use equinox_config::{ExperimentSpec, Json};
     let spec = ExperimentSpec::default();
     let workload = Workload::new(benchmark("bfs").unwrap(), 0.05, 7);
     let mut cfg = SystemConfig::from_spec(scheme, 8, workload, &spec);
-    cfg.obs = Some(equinox_suite::core::ObsConfig {
+    cfg.obs = Some(equinox_core::ObsConfig {
         interval: 500,
         ..Default::default()
     });
@@ -208,9 +208,9 @@ fn ring_reply_fabric_artifact_is_sim_thread_count_independent() {
     // The sim-thread contract extends to the generalized topologies: a
     // SeparateBase run whose reply subnet is a ring produces the same
     // full artifact (metrics + NetStats + obs/v1) for any lane count.
-    use equinox_suite::bench::artifact::{artifact, net_stats_json, run_metrics_json};
-    use equinox_suite::config::spec::field_by_flag;
-    use equinox_suite::config::{ExperimentSpec, Json, Layer};
+    use equinox_bench::artifact::{artifact, net_stats_json, run_metrics_json};
+    use equinox_config::spec::field_by_flag;
+    use equinox_config::{ExperimentSpec, Json, Layer};
     let mut spec = ExperimentSpec::default();
     spec.set_str(field_by_flag("--topology").unwrap(), "ring", Layer::Cli)
         .unwrap();
@@ -219,10 +219,10 @@ fn ring_reply_fabric_artifact_is_sim_thread_count_independent() {
         let mut cfg = SystemConfig::from_spec(SchemeKind::SeparateBase, 8, workload, &spec);
         assert_eq!(
             cfg.reply_topology,
-            equinox_suite::noc::TopologyKind::Ring,
+            equinox_noc::TopologyKind::Ring,
             "apply_spec must thread the topology through"
         );
-        cfg.obs = Some(equinox_suite::core::ObsConfig {
+        cfg.obs = Some(equinox_core::ObsConfig {
             interval: 500,
             ..Default::default()
         });
@@ -246,8 +246,8 @@ fn ring_reply_fabric_artifact_is_sim_thread_count_independent() {
 
 #[test]
 fn sim_threads_spec_field_reaches_the_system() {
-    use equinox_suite::config::spec::field_by_flag;
-    use equinox_suite::config::{ExperimentSpec, Layer};
+    use equinox_config::spec::field_by_flag;
+    use equinox_config::{ExperimentSpec, Layer};
     let mut spec = ExperimentSpec::default();
     spec.set_str(field_by_flag("--sim-threads").unwrap(), "8", Layer::Env)
         .unwrap();
@@ -294,13 +294,13 @@ fn parallel_flit_trace_matches_serial_golden() {
 /// finished the run. Returns the artifact and the run's cycle count (so
 /// callers can pick fork points strictly inside the run).
 fn forked_artifact_snapshot(scheme: SchemeKind, fork_cycle: Option<u64>) -> (String, u64) {
-    use equinox_suite::bench::artifact::{artifact, net_stats_json, run_metrics_json};
-    use equinox_suite::config::{ExperimentSpec, Json};
+    use equinox_bench::artifact::{artifact, net_stats_json, run_metrics_json};
+    use equinox_config::{ExperimentSpec, Json};
     let spec = ExperimentSpec::default();
     let build = || {
         let workload = Workload::new(benchmark("bfs").unwrap(), 0.05, 7);
         let mut cfg = SystemConfig::from_spec(scheme, 8, workload, &spec);
-        cfg.obs = Some(equinox_suite::core::ObsConfig {
+        cfg.obs = Some(equinox_core::ObsConfig {
             interval: 500,
             ..Default::default()
         });
@@ -364,13 +364,13 @@ fn result_cache_replays_bit_identical_metrics() {
     // replays it from disk — and both are bit-identical to an uncached
     // run of the same spec. The cache dir is per-test and set by value
     // on the spec (never via the environment; tests run concurrently).
-    use equinox_suite::config::ExperimentSpec;
+    use equinox_config::ExperimentSpec;
     let dir = std::env::temp_dir().join(format!("eqsn_det_cache_{}", std::process::id()));
     let mut spec = ExperimentSpec::default();
     spec.scale = 0.05;
     let run = |spec: &ExperimentSpec| {
         let cell = Cell::new(SchemeKind::SeparateBase, 8, "gaussian", spec);
-        run_cells(vec![cell], &mut Vec::new()).remove(0)
+        run_cells(vec![cell], &mut Vec::new()).unwrap().remove(0)
     };
     let straight = run(&spec);
     spec.checkpoint_dir = dir.to_string_lossy().into_owned();
@@ -385,7 +385,7 @@ fn result_cache_replays_bit_identical_metrics() {
     assert_eq!(entries.len(), 1, "one cell, one entry: {entries:?}");
     let mut sentinel = straight.clone();
     sentinel.cycles += 1;
-    std::fs::write(&entries[0], equinox_suite::bench::cache::encode_metrics(&sentinel)).unwrap();
+    std::fs::write(&entries[0], equinox_bench::cache::encode_metrics(&sentinel)).unwrap();
     let hit = run(&spec);
     assert_eq!(hit.cycles, straight.cycles + 1, "the stored entry must be served, not recomputed");
     // A corrupted entry is a miss, not bad data: the cell recomputes.

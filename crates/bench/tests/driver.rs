@@ -68,7 +68,7 @@ fn malformed_values_and_unknown_flags_are_fatal() {
 fn unbuildable_machines_and_values_under_a_bound_are_named_not_backtraced() {
     // Each of these used to die in an assert three frames into the build
     // (exit 101), hang until killed, or emit an artifact of empty runs.
-    let cases: [(&[&str], &str); 21] = [
+    let cases: [(&[&str], &str); 28] = [
         (&["sweep", "--n", "9"], "n = 9: Interposer-CMesh"),
         (&["sweep", "--n", "6"], "n_cbs = 8: SingleBase"),
         (&["loadlat", "--n", "1"], "--n"),
@@ -94,6 +94,15 @@ fn unbuildable_machines_and_values_under_a_bound_are_named_not_backtraced() {
         (&["designer", "--n", "2", "--cbs", "1"], "n = 2: EquiNox"),
         (&["loadlat", "--n", "3", "--cbs", "3"], "n = 3: EquiNox"),
         (&["sweep", "--n", "2", "--cbs", "2"], "n = 2: EquiNox"),
+        // A scenario's own cells are checked before any design search or
+        // fan-out; these died on a pool worker.
+        (&["fig9", "--cbs", "9"], "equinox: fig9: n_cbs = 9: SingleBase"),
+        (&["fig10", "--cbs", "9"], "equinox: fig10: n_cbs = 9"),
+        (&["fig11", "--cbs", "9"], "equinox: fig11: n_cbs = 9"),
+        (&["fig12", "--cbs", "9"], "equinox: fig12: n_cbs = 9"),
+        (&["fig12", "--cbs", "13"], "equinox: fig12: n_cbs = 13"),
+        (&["extensions", "--cbs", "9"], "equinox: extensions: n_cbs = 9"),
+        (&["all", "--cbs", "9"], "equinox: all: fig9: n_cbs = 9"),
     ];
     for (args, needle) in cases {
         let out = driver().args(args).output().expect("run driver");
@@ -322,6 +331,51 @@ fn unusable_output_and_feed_paths_are_named_before_any_run() {
         assert!(named.len() == 1 && named[0].contains(args[1]) && named[0].contains(args[2]), "{args:?}: {named:?}");
         assert!(!err.contains("panicked") && !err.contains("Observability"), "{args:?}: {err}");
     }
+}
+
+/// A fresh directory under the system temp dir, named for `tag`.
+fn fresh_temp_dir(tag: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("equinox_driver_{tag}_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+#[test]
+fn svg_names_the_docs_path_it_cannot_create() {
+    let dir = fresh_temp_dir("svg_blocked");
+    std::fs::write(dir.join("docs"), "a file where the directory goes").unwrap();
+    let out = driver().arg("svg").current_dir(&dir).output().expect("run driver");
+    assert_eq!(out.status.code(), Some(2), "svg must exit 2");
+    assert!(out.stdout.is_empty(), "svg must emit no artifact");
+    let err = String::from_utf8(out.stderr).unwrap();
+    let named: Vec<&str> = err.lines().filter(|l| l.starts_with("equinox: ")).collect();
+    assert!(named.len() == 1 && named[0].starts_with("equinox: svg: docs: "), "{named:?}");
+    assert!(!err.contains("panicked"), "{err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `all` runs exactly the registry's `in_all` scenarios, in registry
+/// order, and `svg` among them writes its figures under the working
+/// directory.
+#[test]
+fn all_runs_every_paper_scenario_and_writes_the_svgs() {
+    let dir = fresh_temp_dir("all");
+    let out = driver()
+        .args(["all", "--scale", "0.02", "--seeds", "1"])
+        .current_dir(&dir)
+        .output()
+        .expect("run driver");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let artifact = parse_json(&String::from_utf8(out.stdout).unwrap()).expect("stdout is JSON");
+    let Some(Json::Obj(results)) = artifact.get("results") else { panic!("results block") };
+    let ran: Vec<&str> = results.iter().map(|(k, _)| k.as_str()).collect();
+    let paper: Vec<&str> = scenarios().iter().filter(|s| s.in_all).map(|s| s.name).collect();
+    assert_eq!(ran, paper);
+    for svg in ["fig7_design", "fig4_top", "fig4_diamond", "fig4_nqueen"] {
+        assert!(dir.join(format!("docs/{svg}.svg")).is_file(), "{svg}.svg");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -554,13 +608,56 @@ fn every_spec_field_has_a_row_naming_its_reader_and_test() {
     }
 }
 
+/// Every registered scenario has a row in DESIGN.md's "Scenarios and who
+/// reads them", in registry order, naming its reader and a test of this
+/// file; each reader is `<document> "<text>"`, and the text must be in
+/// that document.
+#[test]
+fn every_scenario_has_a_row_naming_its_reader_and_test() {
+    let design = include_str!("../../../DESIGN.md");
+    let this_file = include_str!("driver.rs");
+    let documents = [
+        ("EXPERIMENTS.md", include_str!("../../../EXPERIMENTS.md")),
+        ("README.md", include_str!("../../../README.md")),
+        ("ci.yml", include_str!("../../../.github/workflows/ci.yml")),
+        ("check.sh", include_str!("../../../scripts/check.sh")),
+    ];
+    let table = design
+        .split("### Scenarios and who reads them")
+        .nth(1)
+        .expect("DESIGN.md has the scenario table");
+    let rows: Vec<Vec<&str>> = table
+        .lines()
+        .skip_while(|l| !l.starts_with("| `"))
+        .take_while(|l| l.starts_with('|'))
+        .map(|l| l.trim_matches('|').split('|').map(|c| c.trim().trim_matches('`')).collect())
+        .collect();
+    let names: Vec<&str> = rows.iter().map(|r| r[0]).collect();
+    let registered: Vec<&str> = scenarios().iter().map(|s| s.name).collect();
+    assert_eq!(names, registered, "one row per registered scenario, in registry order");
+    for row in &rows {
+        let [scenario, readers, test] = row[..] else {
+            panic!("{row:?}: a row is | scenario | read by | test |");
+        };
+        for reader in readers.split("; ") {
+            let (doc, text) = reader.split_once(' ').unwrap_or((reader, ""));
+            let body = documents.iter().find(|(name, _)| *name == doc).map(|(_, body)| body);
+            let text = text.trim_matches('"');
+            assert!(!text.is_empty(), "{scenario}: reader `{reader}` is not <document> \"<text>\"");
+            assert!(body.is_some_and(|b| b.contains(text)), "{scenario}: {doc} has no \"{text}\"");
+        }
+        let named = format!("#[test]\nfn {test}()");
+        assert!(this_file.contains(&named), "{scenario}: no test `{test}` here");
+    }
+}
+
 #[test]
 fn run_metrics_emission_matches_golden_snapshot() {
     let mut spec = equinox_config::ExperimentSpec::default();
     spec.scale = 0.05;
     spec.seeds = vec![1];
     let cell = equinox_bench::Cell::new(SchemeKind::SeparateBase, 8, "gaussian", &spec);
-    let m = equinox_bench::run_cells(vec![cell], &mut Vec::new()).remove(0);
+    let m = equinox_bench::run_cells(vec![cell], &mut Vec::new()).unwrap().remove(0);
     let emitted = run_metrics_json(&m).pretty();
     let golden_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/run_metrics.json");
     if std::env::var("EQUINOX_REGEN_GOLDEN").is_ok() {

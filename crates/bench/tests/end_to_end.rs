@@ -1,11 +1,11 @@
 //! Cross-crate integration tests: every scheme boots, runs a benchmark to
 //! completion, and reports coherent metrics.
 
-use equinox_suite::core::{SchemeKind, System, SystemConfig};
-use equinox_suite::noc::AuditConfig;
-use equinox_suite::traffic::{profile::benchmark, Workload};
+use equinox_core::{SchemeKind, System, SystemConfig};
+use equinox_noc::AuditConfig;
+use equinox_traffic::{profile::benchmark, Workload};
 
-fn run(scheme: SchemeKind, bench: &str, scale: f64) -> equinox_suite::core::RunMetrics {
+fn run(scheme: SchemeKind, bench: &str, scale: f64) -> equinox_core::RunMetrics {
     let profile = benchmark(bench).expect("benchmark in suite");
     let workload = Workload::new(profile, scale, 42);
     let mut cfg = SystemConfig::new(scheme, 8, workload);

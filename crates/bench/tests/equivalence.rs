@@ -11,10 +11,10 @@
 //! `EQUINOX_NO_ACTIVITY_GATE` environment variable): the env var is
 //! process-global and tests in this binary run concurrently.
 
-use equinox_suite::core::{RunMetrics, SchemeKind, System, SystemConfig};
-use equinox_suite::noc::stats::NetStats;
-use equinox_suite::noc::AuditConfig;
-use equinox_suite::traffic::{profile::benchmark, Workload};
+use equinox_core::{RunMetrics, SchemeKind, System, SystemConfig};
+use equinox_noc::stats::NetStats;
+use equinox_noc::AuditConfig;
+use equinox_traffic::{profile::benchmark, Workload};
 
 /// Everything a run observably produces: its metrics, each network's
 /// full event-counter block, and each network's audit sweep count.

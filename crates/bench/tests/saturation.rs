@@ -3,9 +3,9 @@
 //! the numbers from which every full-system result follows, so they are
 //! pinned here as a regression fence.
 
-use equinox_suite::core::loadlat::{load_latency_curve_cfg, ReplySide};
-use equinox_suite::core::EquiNoxDesign;
-use equinox_suite::placement::Placement;
+use equinox_core::loadlat::{load_latency_curve_cfg, ReplySide};
+use equinox_core::EquiNoxDesign;
+use equinox_placement::Placement;
 
 #[test]
 fn baseline_reply_injection_saturates_at_one_flit_per_cb_cycle() {
@@ -49,7 +49,7 @@ fn audited_load_point_matches_unaudited_point() {
         &[0.3],
         2_000,
         5,
-        Some(equinox_suite::noc::AuditConfig::default()),
+        Some(equinox_noc::AuditConfig::default()),
         true,
     );
     let ungated = load_latency_curve_cfg(&p, &ReplySide::Local, &[0.3], 2_000, 5, None, false);

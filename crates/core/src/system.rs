@@ -980,7 +980,7 @@ impl System {
     /// Because every component of the simulation is bit-deterministic,
     /// `build + restore + run` produces byte-identical artifacts to the
     /// straight-through run that took the snapshot — the contract
-    /// `tests/determinism.rs` enforces.
+    /// `crates/bench/tests/determinism.rs` enforces.
     pub fn snapshot(&self) -> Vec<u8> {
         use equinox_snap::{Enc, Snap};
         let mut sys = Enc::new();

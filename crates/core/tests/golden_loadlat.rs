@@ -2,7 +2,7 @@
 //!
 //! `load_latency_curve_cfg` is the whole timed path of the benchmark's
 //! `idle-loadlat` workload and the source of the `loadlat` scenario's
-//! curves, yet `tests/saturation.rs` only fences its numbers with bands
+//! curves, yet `crates/bench/tests/saturation.rs` only fences its numbers with bands
 //! and equalities between two runs of the same code. This test pins the
 //! bits: `offered`, `throughput` and `latency` of every [`LoadPoint`]
 //! as `to_bits`, for the local-injector baseline and the quick EquiNox

@@ -1,6 +1,6 @@
 //! Absolute golden for the bytes of a system snapshot.
 //!
-//! The fork tests in `tests/determinism.rs` compare a restored run with
+//! The fork tests in `crates/bench/tests/determinism.rs` compare a restored run with
 //! the straight-through one, and the other goldens pin what a run
 //! reports; neither pins the bytes `System::snapshot` writes, and no
 //! golden reads its TRACKER section (one record per packet the run

@@ -1,7 +1,7 @@
 #![forbid(unsafe_code)]
 //! Versioned binary snapshot codec and content-addressed checkpoint cache.
 //!
-//! The simulator is bit-deterministic (pinned in `tests/determinism.rs`),
+//! The simulator is bit-deterministic (pinned in `crates/bench/tests/determinism.rs`),
 //! which makes snapshot/fork and result caching *provably sound*: a run
 //! restored from a snapshot taken at cycle `t` produces exactly the bytes
 //! a straight-through run would have produced from cycle `t` on. This

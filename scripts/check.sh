@@ -10,7 +10,7 @@ cd "$(dirname "$0")/.."
 echo "== env-mutation guard =="
 # Configuration flows by value through the equinox-config spec; nothing
 # outside test code may mutate the process environment.
-if grep -rn "set_var(" --include='*.rs' crates/*/src src examples 2>/dev/null \
+if grep -rn "set_var(" --include='*.rs' crates/*/src crates/*/examples 2>/dev/null \
     | grep -vE ':[0-9]+: *(//|\*)'; then
   echo "FAIL: std::env::set_var outside tests — thread configuration through ExperimentSpec instead" >&2
   exit 1
@@ -21,7 +21,7 @@ echo "== env-read guard =="
 # The spec's env layer (crates/config/src/resolve.rs) is the one place
 # EQUINOX_* variables are read; a library that consults the environment
 # on its own escapes provenance and the resolved-spec artifact block.
-if grep -rn "env::var" --include='*.rs' crates/*/src src examples 2>/dev/null \
+if grep -rn "env::var" --include='*.rs' crates/*/src crates/*/examples 2>/dev/null \
     | grep -v '^crates/config/src/resolve.rs:' | grep -vE ':[0-9]+: *(//|\*)'; then
   echo "FAIL: std::env::var outside crates/config/src/resolve.rs — add a spec field instead" >&2
   exit 1
@@ -36,6 +36,25 @@ if [ -n "$extra_bins" ]; then
   exit 1
 fi
 echo "OK: equinox is the only binary"
+
+echo "== scenario-name guard =="
+# Only the registry knows a scenario by name: whether `all` runs one,
+# whether the artifact cache may replay it and whether it reads
+# --obs-stream are fields of its entry in crates/bench/src/scenarios.rs,
+# so no other file compares a name with ==, != or a match arm.
+registry=crates/bench/src/scenarios.rs
+names=$(grep -oE 'S::(paper|tool)\("[a-z0-9]+"' "$registry" | grep -oE '[a-z0-9]+"$' | tr -d '"' | paste -sd'|')
+if [ -z "$names" ]; then
+  echo "FAIL: no S::paper/S::tool entries found in $registry — update this guard with the registry" >&2
+  exit 1
+fi
+lit="\"($names)\""
+if grep -rnE --include='*.rs' "(==|!=) *$lit|$lit *(==|!=|=>|\|)" crates benchmark/src \
+    | grep -v "^$registry:" | grep -vE ':[0-9]+: *(//|\*)'; then
+  echo "FAIL: a scenario name compared outside $registry — record what the driver needs in the scenario's entry" >&2
+  exit 1
+fi
+echo "OK: only the registry knows a scenario by name"
 
 echo "== one-speed-instrument guard =="
 # The benchmark is the only thing that times the simulator: no second
@@ -52,7 +71,7 @@ echo "== unsafe guard =="
 # Every library forbids `unsafe` except the two holding the StepTeam /
 # DisjointMut sites; ROADMAP item 1(b) ends by emptying this list.
 unsafe_exempt="crates/core/src/lib.rs crates/exec/src/lib.rs"
-no_forbid=$(grep -L '^#!\[forbid(unsafe_code)\]' crates/*/src/lib.rs src/lib.rs | xargs)
+no_forbid=$(grep -L '^#!\[forbid(unsafe_code)\]' crates/*/src/lib.rs | xargs)
 if [ "$no_forbid" != "$unsafe_exempt" ]; then
   echo "FAIL: crates without #![forbid(unsafe_code)] are [$no_forbid], expected exactly [$unsafe_exempt]" >&2
   exit 1
@@ -92,7 +111,7 @@ echo "== one-home-per-flit guard =="
 # stay gone.
 tests_at=$(grep -n -m1 '^#\[cfg(test)\]' crates/noc/src/link.rs | cut -d: -f1 || true)
 if head -n "${tests_at:-1000000}" crates/noc/src/link.rs | grep -nE '\bSlot' \
-    || grep -rnE 'active_(flit|credit)_links' --include='*.rs' crates src examples benchmark/src; then
+    || grep -rnE 'active_(flit|credit)_links' --include='*.rs' crates benchmark/src; then
   echo "FAIL: a link holds flits again — stage them in the downstream VC and record the arrival on the wheel" >&2
   exit 1
 fi
