@@ -182,12 +182,11 @@ mod tests {
         assert_ne!(a, cell(SchemeKind::EquiNox, 8, "kmeans", &spec).key());
         assert_ne!(a, artifact_key("sweep", &spec));
         // What no cell's metrics depend on stays out of its key: where
-        // the cache lives, how many workers or lanes ran it, which other
+        // the cache lives, how many workers ran it, which other
         // cells the scenario holds.
         let mut same = spec.clone();
         same.checkpoint_dir = "/somewhere/else".into();
         same.threads = 5;
-        same.sim_threads = 3;
         same.full = true;
         assert_eq!(a, cell(SchemeKind::EquiNox, 8, "bfs", &same).key());
         assert_ne!(artifact_key("sweep", &spec), artifact_key("sweep", &same), "it embeds the spec");

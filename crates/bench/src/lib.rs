@@ -137,10 +137,11 @@ impl Cell {
 
     /// Run-cache key: everything the cell's metrics depend on. The
     /// strong design is a function of `n` and the spec's `n_cbs`, so only
-    /// a custom one enters as text. Of the spec, `threads`/`sim_threads`
-    /// are out because artifacts are identical for every value
-    /// (`tests/determinism.rs`), `full` because it only picks which cells
-    /// exist, `seeds` because the cell's own list is what runs.
+    /// a custom one enters as text. Of the spec, `threads` is out because
+    /// artifacts are identical for every value (`tests/determinism.rs`),
+    /// `sim_threads` because no run reads it, `full` because it only
+    /// picks which cells exist, `seeds` because the cell's own list is
+    /// what runs.
     pub(crate) fn key(&self) -> u64 {
         let design = self.design.as_ref().map(|d| d.to_text());
         let placement = self.placement.as_ref().map(|p| (p.width, p.height, &p.cbs));

@@ -1,15 +1,12 @@
 //! Reproducibility: every layer of the stack is deterministic in its
 //! seed, so published numbers can be regenerated bit-for-bit — and,
-//! since PR 1 fans experiments out on the `equinox-exec` worker pool,
-//! also independent of the worker count. Intra-run parallelism
-//! (`--sim-threads`, the per-subnet `StepTeam` fan-out inside one
-//! `System::step`) extends the same contract: full artifacts, obs/v1
-//! blocks and golden flit traces must be byte-identical for any lane
-//! count.
+//! since experiments fan out on the `equinox-exec` worker pool, also
+//! independent of the worker count. One simulation always runs on one
+//! thread.
 //!
-//! The sim-thread count is always set **by value** on the spec/config
-//! (never via the `EQUINOX_SIM_THREADS` environment variable): env
-//! vars are process-global and tests in this binary run concurrently.
+//! The worker count is always set **by value** (`set_threads`, never
+//! via the `EQUINOX_THREADS` environment variable): env vars are
+//! process-global and tests in this binary run concurrently.
 
 use equinox_bench::{matrix_cells, run_cells, Cell};
 use equinox_core::loadlat::{load_latency_curve_cfg, ReplySide};
@@ -153,141 +150,29 @@ fn obs_snapshot() -> String {
     sys.obs_json().expect("obs armed").pretty()
 }
 
-/// One full `equinox.artifact/v1` envelope (metrics + per-network
-/// counters + the obs/v1 block) for a run at the given sim-thread
-/// count, pretty-printed.
-///
-/// One canonical spec is embedded in every envelope: the spec block
-/// records the `sim_threads` knob itself, which legitimately differs
-/// between the runs under comparison, so the lane count is applied at
-/// the config level and everything *observable* — metrics, NetStats,
-/// obs/v1 — must be byte-identical.
-fn artifact_snapshot(scheme: SchemeKind, sim_threads: usize) -> String {
-    use equinox_bench::artifact::{artifact, net_stats_json, run_metrics_json};
-    use equinox_config::{ExperimentSpec, Json};
-    let spec = ExperimentSpec::default();
-    let workload = Workload::new(benchmark("bfs").unwrap(), 0.05, 7);
-    let mut cfg = SystemConfig::from_spec(scheme, 8, workload, &spec);
-    cfg.obs = Some(equinox_core::ObsConfig {
-        interval: 500,
-        ..Default::default()
-    });
-    cfg.sim_threads = sim_threads;
-    let mut sys = System::build(cfg);
-    let m = sys.run();
-    assert!(m.completed);
-    let nets: Vec<Json> = sys.networks().iter().map(|n| net_stats_json(n.stats())).collect();
-    let results = Json::obj()
-        .with("metrics", run_metrics_json(&m))
-        .with("net_stats", nets)
-        .with("obs", sys.obs_json().expect("obs armed"));
-    artifact("determinism", &spec, results).pretty()
-}
-
 #[test]
-fn artifact_is_sim_thread_count_independent() {
-    // DA2Mesh exercises the real fan-out (nine subnets, 2.5:1 subnet
-    // clocks); SingleBase pins the degenerate single-net path, which
-    // must resolve to serial stepping and the same bytes.
-    for scheme in [SchemeKind::Da2Mesh, SchemeKind::SingleBase] {
-        let serial = artifact_snapshot(scheme, 1);
-        for k in [2usize, 8] {
-            let par = artifact_snapshot(scheme, k);
-            assert_eq!(
-                serial,
-                par,
-                "{}: artifact diverged at {k} sim-threads",
-                scheme.name()
-            );
-        }
-    }
-}
-
-#[test]
-fn ring_reply_fabric_artifact_is_sim_thread_count_independent() {
-    // The sim-thread contract extends to the generalized topologies: a
-    // SeparateBase run whose reply subnet is a ring produces the same
-    // full artifact (metrics + NetStats + obs/v1) for any lane count.
-    use equinox_bench::artifact::{artifact, net_stats_json, run_metrics_json};
-    use equinox_config::spec::field_by_flag;
-    use equinox_config::{ExperimentSpec, Json, Layer};
-    let mut spec = ExperimentSpec::default();
-    spec.set_str(field_by_flag("--topology").unwrap(), "ring", Layer::Cli)
-        .unwrap();
-    let snapshot = |sim_threads: usize| {
-        let workload = Workload::new(benchmark("bfs").unwrap(), 0.05, 7);
-        let mut cfg = SystemConfig::from_spec(SchemeKind::SeparateBase, 8, workload, &spec);
-        assert_eq!(
-            cfg.reply_topology,
-            equinox_noc::TopologyKind::Ring,
-            "apply_spec must thread the topology through"
-        );
-        cfg.obs = Some(equinox_core::ObsConfig {
-            interval: 500,
-            ..Default::default()
-        });
-        cfg.sim_threads = sim_threads;
-        let mut sys = System::build(cfg);
-        let m = sys.run();
-        assert!(m.completed, "ring reply fabric must finish the workload");
-        let nets: Vec<Json> = sys.networks().iter().map(|n| net_stats_json(n.stats())).collect();
-        let results = Json::obj()
-            .with("metrics", run_metrics_json(&m))
-            .with("net_stats", nets)
-            .with("obs", sys.obs_json().expect("obs armed"));
-        artifact("determinism", &spec, results).pretty()
-    };
-    let serial = snapshot(1);
-    for k in [2usize, 8] {
-        let par = snapshot(k);
-        assert_eq!(serial, par, "ring artifact diverged at {k} sim-threads");
-    }
-}
-
-#[test]
-fn sim_threads_spec_field_reaches_the_system() {
+fn ring_reply_fabric_completes_with_its_topology_threaded_through() {
+    // A SeparateBase run whose reply subnet is a ring: the spec's
+    // topology reaches the config, and the ring finishes the workload.
     use equinox_config::spec::field_by_flag;
     use equinox_config::{ExperimentSpec, Layer};
     let mut spec = ExperimentSpec::default();
-    spec.set_str(field_by_flag("--sim-threads").unwrap(), "8", Layer::Env)
+    spec.set_str(field_by_flag("--topology").unwrap(), "ring", Layer::Cli)
         .unwrap();
-    assert_eq!(spec.sim_threads, 8);
-    let workload = Workload::new(benchmark("hotspot").unwrap(), 0.05, 3);
-    let cfg = SystemConfig::from_spec(SchemeKind::Da2Mesh, 8, workload, &spec);
-    assert_eq!(cfg.sim_threads, 8, "apply_spec must copy the field");
-    let sys = System::build(cfg);
-    assert_eq!(sys.sim_lanes(), 8, "nine subnets stepped on eight lanes");
-}
-
-#[test]
-fn parallel_flit_trace_matches_serial_golden() {
-    // The flit trace is the finest-grained observable the simulator
-    // has: every injection, hop and ejection with its cycle, router,
-    // packet and sequence number. Serial and parallel stepping must
-    // produce literally the same event streams, per network, in order.
-    let go = |sim_threads: usize| {
-        let workload = Workload::new(benchmark("hotspot").unwrap(), 0.08, 13);
-        let mut cfg = SystemConfig::new(SchemeKind::Da2Mesh, 8, workload);
-        cfg.max_cycles = 30_000;
-        cfg.trace_capacity = 1 << 16;
-        cfg.sim_threads = sim_threads;
-        let mut sys = System::build(cfg);
-        let m = sys.run();
-        (m.cycles, sys.drain_traces())
-    };
-    let (c1, t1) = go(1);
-    let (c4, t4) = go(4);
-    assert_eq!(c1, c4, "cycle counts diverged");
-    let events: usize = t1.iter().map(|(_, e)| e.len()).sum();
-    assert!(events > 0, "trace must capture real flit events");
+    let workload = Workload::new(benchmark("bfs").unwrap(), 0.05, 7);
+    let cfg = SystemConfig::from_spec(SchemeKind::SeparateBase, 8, workload, &spec);
     assert_eq!(
-        t1, t4,
-        "golden flit traces diverged between serial and parallel stepping"
+        cfg.reply_topology,
+        equinox_noc::TopologyKind::Ring,
+        "apply_spec must thread the topology through"
     );
+    let m = System::build(cfg).run();
+    assert!(m.completed, "ring reply fabric must finish the workload");
 }
 
-/// The [`artifact_snapshot`] envelope for a run that is optionally
-/// forked: when `fork_cycle` is `Some(c)`, the system is stepped to
+/// One full `equinox.artifact/v1` envelope (metrics + per-network
+/// counters + the obs/v1 block) of a bfs run, pretty-printed, that is
+/// optionally forked: when `fork_cycle` is `Some(c)`, the system is stepped to
 /// cycle `c`, snapshotted, restored into a *fresh* identically-
 /// configured build, and finished there. Everything observable —
 /// metrics, NetStats and the obs/v1 block — comes from whichever system

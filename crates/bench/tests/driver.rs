@@ -68,7 +68,7 @@ fn malformed_values_and_unknown_flags_are_fatal() {
 fn unbuildable_machines_and_values_under_a_bound_are_named_not_backtraced() {
     // Each of these used to die in an assert three frames into the build
     // (exit 101), hang until killed, or emit an artifact of empty runs.
-    let cases: [(&[&str], &str); 28] = [
+    let cases: [(&[&str], &str); 33] = [
         (&["sweep", "--n", "9"], "n = 9: Interposer-CMesh"),
         (&["sweep", "--n", "6"], "n_cbs = 8: SingleBase"),
         (&["loadlat", "--n", "1"], "--n"),
@@ -94,6 +94,14 @@ fn unbuildable_machines_and_values_under_a_bound_are_named_not_backtraced() {
         (&["designer", "--n", "2", "--cbs", "1"], "n = 2: EquiNox"),
         (&["loadlat", "--n", "3", "--cbs", "3"], "n = 3: EquiNox"),
         (&["sweep", "--n", "2", "--cbs", "2"], "n = 2: EquiNox"),
+        // More banks than rows walk knight moves, which visit each tile
+        // once: these died in the walk, or on a pool worker sampling a
+        // PE from an empty list.
+        (&["loadlat", "--n", "2"], "n_cbs = 8: EquiNox"),
+        (&["designer", "--n", "2"], "n_cbs = 8: EquiNox"),
+        (&["designer", "--n", "3", "--cbs", "10"], "n_cbs = 10: EquiNox"),
+        (&["loadlat", "--n", "3", "--cbs", "9"], "n_cbs = 9: a 3x3 mesh has 9 tiles"),
+        (&["loadlat", "--n", "4", "--cbs", "16"], "n_cbs = 16: a 4x4 mesh has 16 tiles"),
         // A scenario's own cells are checked before any design search or
         // fan-out; these died on a pool worker.
         (&["fig9", "--cbs", "9"], "equinox: fig9: n_cbs = 9: SingleBase"),
@@ -116,6 +124,35 @@ fn unbuildable_machines_and_values_under_a_bound_are_named_not_backtraced() {
     // A bare 9x9 network is legal: `fabric` has no concentrated mesh to fit.
     let out = driver().args(["fabric", "--n", "9", "--cycles", "300", "--scale", "0.1"]).output().unwrap();
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+}
+
+#[test]
+fn sim_threads_other_than_1_is_named_on_every_layer() {
+    // Every run is single-threaded, so a value that would once have
+    // picked a lane count is refused on whichever layer sets it.
+    let dir = std::env::temp_dir().join(format!("equinox_sim_threads_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec_path = dir.join("spec.json");
+    std::fs::write(&spec_path, r#"{"sim_threads": 4}"#).unwrap();
+    let mut cli = driver();
+    cli.args(["table1", "--sim-threads", "2"]);
+    let mut env = driver();
+    env.arg("table1").env("EQUINOX_SIM_THREADS", "0");
+    let mut file = driver();
+    file.args(["table1", "--spec"]).arg(&spec_path);
+    for (mut cmd, needle) in [
+        (cli, "'--sim-threads': must be <= 1, got 2"),
+        (env, "EQUINOX_SIM_THREADS: must be >= 1, got 0"),
+        (file, "sim_threads: must be <= 1, got 4"),
+    ] {
+        let out = cmd.output().expect("run driver");
+        let err = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(2), "{needle}: {err}");
+        assert!(out.stdout.is_empty(), "{needle}: must emit no artifact");
+        assert!(err.lines().next().is_some_and(|l| l.contains(needle)), "{err}");
+        assert!(!err.contains("panicked"), "{err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -546,13 +583,12 @@ fn cell_fields_reach_the_machine() {
         equinox_config::resolve(None, &|_| None, &parsed.sets).expect("resolves")
     };
     type ReadField = fn(&SystemConfig, &ExperimentSpec) -> String;
-    let cases: [(&[&str], ReadField, &str); 18] = [
+    let cases: [(&[&str], ReadField, &str); 17] = [
         (&["--topology", "ring"], |c, _| format!("{:?}", c.reply_topology), "Ring"),
         (&["--cbs", "4"], |c, _| c.n_cbs.to_string(), "4"),
         (&["--scale", "0.125"], |c, _| c.workload.scale.to_string(), "0.125"),
         (&["--seeds", "9,3"], |c, _| c.workload.seed.to_string(), "9"),
         (&["--full"], |_, s| equinox_bench::bench_set(s).len().to_string(), "29"),
-        (&["--sim-threads", "2"], |c, _| c.sim_threads.to_string(), "2"),
         (&["--max-cycles", "1234"], |c, _| c.max_cycles.to_string(), "1234"),
         (&["--ni-queue-cap", "3"], |c, _| c.ni_queue_cap.to_string(), "3"),
         (&["--cb-inflight-cap", "16"], |c, _| c.cb_inflight_cap.to_string(), "16"),

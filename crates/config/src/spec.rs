@@ -72,11 +72,10 @@ pub struct ExperimentSpec {
     pub full: bool,
     /// Worker-pool threads; 0 = auto (available parallelism).
     pub threads: usize,
-    /// Intra-run subnet-stepping lanes inside one `System::step`:
-    /// 1 (the default) steps subnets serially on the caller, `k > 1`
-    /// fans them over a persistent worker team, 0 picks
-    /// `cores / outer-pool threads` so outer × inner stays within the
-    /// machine. Artifacts are byte-identical for every value.
+    /// Threads stepping one simulation: 1, the only value the field
+    /// accepts, since every run is single-threaded. It stays registered
+    /// because the benchmark's leak check reads it, and so every
+    /// artifact's spec block still records `"sim_threads": 1`.
     pub sim_threads: usize,
     /// Safety cap on simulated cycles per run.
     pub max_cycles: u64,
@@ -522,7 +521,7 @@ pub fn fields() -> &'static [FieldDef] {
         field!(uint "seed", "--seed", "EQUINOX_SEED", seed: u64, "primary seed (design search)"),
         field!(flag "full", "--full", "EQUINOX_FULL", full, "run all 29 benchmarks (default: quick subset)"),
         field!(uint "threads", "--threads", "EQUINOX_THREADS", threads: usize, "worker-pool threads (0 = auto)"),
-        field!(uint "sim_threads", "--sim-threads", "EQUINOX_SIM_THREADS", sim_threads: usize, "subnet-stepping lanes per run (1 = serial, 0 = cores/threads)"),
+        field!(uint >= 1, <= 1, "sim_threads", "--sim-threads", "EQUINOX_SIM_THREADS", sim_threads: usize, "threads per simulation (1, the only value: runs are single-threaded)"),
         field!(uint >= 1, <= MAX_CYCLES_LIMIT, "max_cycles", "--max-cycles", "EQUINOX_MAX_CYCLES", max_cycles: u64, "safety cap on simulated cycles (1 to 4294967295)"),
         field!(uint >= 1, "ni_queue_cap", "--ni-queue-cap", "EQUINOX_NI_QUEUE_CAP", ni_queue_cap: usize, "NI message-queue capacity (>= 1)"),
         field!(uint >= 1, "cb_inflight_cap", "--cb-inflight-cap", "EQUINOX_CB_INFLIGHT_CAP", cb_inflight_cap: usize, "max requests inside one CB (>= 1)"),
@@ -805,17 +804,23 @@ mod tests {
     }
 
     #[test]
-    fn sim_threads_parses_through_every_layer_form() {
+    fn sim_threads_accepts_only_1_on_every_layer() {
         let mut s = ExperimentSpec::default();
         assert_eq!(s.sim_threads, 1, "serial by default");
         let f = field_by_flag("--sim-threads").unwrap();
         assert_eq!(f.env, "EQUINOX_SIM_THREADS");
-        s.set_str(f, "4", Layer::Env).unwrap();
-        assert_eq!(s.sim_threads, 4);
-        s.set_json(f, &Json::Num(8.0), Layer::File).unwrap();
-        assert_eq!(s.sim_threads, 8);
+        for (layer, res) in [
+            (Layer::Cli, s.set_str(f, "2", Layer::Cli)),
+            (Layer::Env, s.set_str(f, "0", Layer::Env)),
+            (Layer::File, s.set_json(f, &Json::Num(4.0), Layer::File)),
+            (Layer::Cli, s.set_str(f, "many", Layer::Cli)),
+        ] {
+            assert!(res.is_err(), "{layer:?} must reject the value");
+        }
+        assert_eq!(s.sim_threads, 1, "rejected values must not stick");
+        assert_eq!(s.provenance_of("sim_threads"), Some(Layer::Default));
+        s.set_json(f, &Json::Num(1.0), Layer::File).unwrap();
         assert_eq!(s.provenance_of("sim_threads"), Some(Layer::File));
-        assert!(s.set_str(f, "many", Layer::Cli).is_err());
     }
 
     #[test]

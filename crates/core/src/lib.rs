@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! `equinox-core` — the EquiNox system: Equivalent Injection Routers for
 //! silicon-interposer throughput processors.
 //!

@@ -16,9 +16,7 @@
 //!   (CB+HBM tick, PE tick, NI tick, sink drain) plus
 //!   one labeled row per subnet (`noc_step_net{i}`) for the NoC
 //!   stepping phase — kept out of the deterministic artifact and
-//!   exported only to the Chrome trace file. Per-subnet rows are
-//!   recorded through a scratch-and-fold path when subnets step on
-//!   parallel lanes, so the profiler stays single-writer.
+//!   exported only to the Chrome trace file.
 //!
 //! The `obs/v1` artifact block ([`SystemObs::to_json`]) contains only
 //! cycle-derived data, so it is bit-identical across worker counts and
@@ -63,8 +61,8 @@ impl Default for ObsConfig {
 /// The serial instrumented phases of `System::step`, in registration
 /// order. The per-subnet NoC stepping phase is *not* here: each subnet
 /// gets its own labeled span row (`noc_step_net{i}`, see
-/// [`SystemObs::end_noc_span`]) so the rows stay meaningful — and
-/// race-free — when subnets step on parallel lanes.
+/// [`SystemObs::end_noc_span`]), so a scheme's subnets can be told
+/// apart.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Phase {
     /// Cache-bank ticks (includes the HBM stacks).
@@ -241,22 +239,11 @@ impl SystemObs {
         self.spans.record(id, track, start_ns, cycle);
     }
 
-    /// Closes subnet `net`'s NoC-step span opened at `start_ns`
-    /// (serial stepping path).
+    /// Closes subnet `net`'s NoC-step span opened at `start_ns`.
     #[inline]
     pub(crate) fn end_noc_span(&mut self, net: usize, start_ns: u64, cycle: u64) {
         let id = self.noc_spans[net];
         self.spans.record(id, net as u64, start_ns, cycle);
-    }
-
-    /// Records subnet `net`'s NoC-step span from endpoints stamped on a
-    /// worker lane (both relative to the profiler's epoch). The caller
-    /// folds these in subnet-index order after the barrier, so the span
-    /// profile stays single-writer no matter how many lanes stepped.
-    #[inline]
-    pub(crate) fn end_noc_span_closed(&mut self, net: usize, start_ns: u64, end_ns: u64, cycle: u64) {
-        let id = self.noc_spans[net];
-        self.spans.record_closed(id, net as u64, start_ns, end_ns, cycle);
     }
 
     /// Records one packet of `class` (0 = request, 1 = reply) whose
@@ -315,7 +302,7 @@ impl SystemObs {
     /// Emits one `obs.sample/v1` line-JSON frame: the row just sampled
     /// plus cumulative delivery counts and aggregate stall-cause totals
     /// (cycle-derived only, so frames are byte-identical across
-    /// `--sim-threads`).
+    /// `--threads`).
     fn emit_sample_frame(&mut self, cycle: u64, nets: &[Network], tracker: &PacketTracker) {
         let frame = Json::obj()
             .with("schema", "obs.sample/v1")

@@ -19,7 +19,6 @@ use equinox_noc::network::{InjectorId, Network};
 use equinox_phys::{BumpModel, Coord, WireModel};
 use equinox_placement::Placement;
 use equinox_power::{EnergyModel, EventCounts, NiGeometry, RouterGeometry};
-use equinox_exec::StepTeam;
 use equinox_traffic::{Pe, Workload};
 
 /// Build-time parameters of a run.
@@ -79,15 +78,6 @@ pub struct SystemConfig {
     /// tracing. Drivers set [`SystemConfig::TRACE_CAPACITY`] from
     /// `--trace`.
     pub trace_capacity: usize,
-    /// Intra-run subnet-stepping lanes: 1 (the default) steps every
-    /// network serially on the caller; `k > 1` fans the per-subnet NoC
-    /// phase over a persistent [`equinox_exec::StepTeam`] spawned once
-    /// at build time; 0 picks `available cores / outer worker-pool
-    /// threads` so outer × inner stays within the machine. Subnets own
-    /// all their mutable state and the task→lane assignment is a fixed
-    /// stride, so artifacts are byte-identical for every value. Drivers
-    /// fill it in from `--sim-threads` / `EQUINOX_SIM_THREADS`.
-    pub sim_threads: usize,
 }
 
 impl SystemConfig {
@@ -141,7 +131,6 @@ impl SystemConfig {
                 ..Default::default()
             }),
             trace_capacity: if spec.trace { Self::TRACE_CAPACITY } else { 0 },
-            sim_threads: spec.sim_threads,
         }
     }
 
@@ -161,7 +150,8 @@ impl SystemConfig {
     /// `max_cycles` over [`equinox_config::MAX_CYCLES_LIMIT`], the plan's
     /// ([`SchemeKind::plan`]), a cache-bank count no Diamond holds (a
     /// placement override brings its own banks, and EquiNox's search
-    /// places more than `n` along knight moves), an EquiNox placement
+    /// places more than `n` along knight moves), more banks than that
+    /// knight walk places, a bank on every tile, an EquiNox placement
     /// override that is not the supplied design's placement (the EIR
     /// groups are attached to the override's banks in CB order, so a
     /// design made for other banks puts them at the wrong distances, on
@@ -200,6 +190,20 @@ impl SystemConfig {
                 ));
             }
         }
+        let tiles = u32::from(n) * u32::from(n);
+        if equinox && self.design.is_none() && !equinox_placement::knight::knight_walk_places(n, k)
+        {
+            return Err(format!(
+                "n_cbs = {k}: {} places more than {n} cache banks along a knight walk, which \
+                 visits each of a {n}x{n} mesh's {tiles} tiles once",
+                self.scheme
+            ));
+        }
+        if u32::from(k) >= tiles {
+            return Err(format!(
+                "n_cbs = {k}: a {n}x{n} mesh has {tiles} tiles, so a bank on each leaves no PE"
+            ));
+        }
         if equinox && self.design.is_none() && k <= n && !equinox_placement::nqueen::solvable(n) {
             return Err(format!(
                 "n = {n}: {} places cache banks on an N-Queen solution, and a {n}x{n} mesh \
@@ -215,8 +219,8 @@ impl SystemConfig {
     /// field a frame can depend on — the design, the placement override,
     /// each capacity and latency — so the concurrent cells of one
     /// scenario, which all append to one file, never share an id; how the
-    /// run was hosted (obs/stream target, auditing, tracing, lanes,
-    /// gating) stays out, so the id is the same wherever it ran.
+    /// run was hosted (obs/stream target, auditing, tracing, gating)
+    /// stays out, so the id is the same wherever it ran.
     ///
     /// Kept out of line: inlined into `System::build`, the `Debug`
     /// formatting moved enough code around to cost the benchmark's
@@ -228,7 +232,6 @@ impl SystemConfig {
         ident.obs = None;
         ident.audit = None;
         ident.trace_capacity = 0;
-        ident.sim_threads = 1;
         ident.activity_gate = true;
         let hash = equinox_snap::fnv1a(format!("{ident:?}").as_bytes());
         let (w, n) = (&self.workload, self.n);
@@ -339,37 +342,7 @@ pub struct System {
     /// Observability state; `None` keeps the hot loop on the
     /// one-branch-per-event fast path.
     obs: Option<Box<SystemObs>>,
-    /// Persistent subnet-stepping team, armed when the resolved
-    /// `sim_threads` and the subnet count both exceed 1; `None` keeps
-    /// the per-subnet NoC phase serial on the caller.
-    team: Option<StepTeam>,
-    /// Per-subnet `(start_ns, end_ns)` wall-clock scratch for the
-    /// parallel NoC phase: each lane stamps only its own subnets'
-    /// slots, the leader folds them into the span profiler in
-    /// subnet-index order after the barrier. Preallocated at build so
-    /// the parallel step path stays allocation-free.
-    noc_span_scratch: Vec<(u64, u64)>,
 }
-
-/// Raw-pointer wrapper for `&mut`-disjoint element access from
-/// [`StepTeam`] tasks: task `i` may touch only element `i`, so the
-/// aliasing is index-disjoint even though the pointer is shared.
-struct DisjointMut<T>(*mut T);
-
-impl<T> DisjointMut<T> {
-    /// Pointer to element `i`. Going through a method (rather than the
-    /// `.0` field) keeps closure capture on the whole wrapper, so the
-    /// `Sync` impl below applies.
-    fn at(&self, i: usize) -> *mut T {
-        self.0.wrapping_add(i)
-    }
-}
-
-// SAFETY: sharing the wrapper across lanes is sound because every task
-// dereferences a distinct element (enforced by the single caller
-// below), and the team's barrier orders all writes before the leader
-// resumes.
-unsafe impl<T: Send> Sync for DisjointMut<T> {}
 
 impl System {
     /// Builds the machine for `cfg`: a loop over its scheme's plan.
@@ -553,7 +526,6 @@ impl System {
             Box::new(SystemObs::new(o, &nets, groups, cfg.max_cycles, cfg.n, cfg.run_id()))
         });
 
-        let lanes = resolved_sim_threads(cfg.sim_threads, nets.len());
         let retired: Vec<bool> = pes
             .iter()
             .map(|p| p.as_ref().is_some_and(|pe| pe.done()))
@@ -579,17 +551,10 @@ impl System {
             sys_last_progress_cycle: 0,
             audit_findings: Vec::new(),
             obs,
-            noc_span_scratch: vec![(0, 0); nets.len()],
-            team: (lanes > 1).then(|| StepTeam::new(lanes)),
             nets,
             plan,
             cfg,
         }
-    }
-
-    /// Lanes the per-subnet NoC phase actually runs on (1 = serial).
-    pub fn sim_lanes(&self) -> usize {
-        self.team.as_ref().map_or(1, StepTeam::lanes)
     }
 
     /// Pre-reserves packet-tracker capacity for `n` more packets, so a
@@ -679,61 +644,17 @@ impl System {
             ni.tick(&mut self.nets, &mut self.tracker, t);
         }
         self.span_end(Phase::NiTick, 0, s);
-        // Networks advance (subnets may step more than once). Each
-        // network owns every piece of state its `step` touches (VC
-        // buffers, stats, audit, trace ring, worklists), so with a
-        // team armed the per-subnet phase fans out between two
-        // barriers; the phases before and after stay serial at the
-        // boundaries. Task i = subnet i always, so results are
-        // byte-identical to the serial loop below.
-        match &self.team {
-            Some(team) => {
-                let epoch = self.obs.as_ref().map(|o| o.spans.epoch());
-                let nets = DisjointMut(self.nets.as_mut_ptr());
-                let accum = DisjointMut(self.step_accum.as_mut_ptr());
-                let scratch = DisjointMut(self.noc_span_scratch.as_mut_ptr());
-                let subnets = &self.plan.subnets;
-                team.run(subnets.len(), &|i| {
-                    let t0 = epoch.map_or(0, |e| e.elapsed().as_nanos() as u64);
-                    // SAFETY: task i touches only element i of each
-                    // vector (all sized to the subnet count), and the
-                    // team runs each task exactly once per round.
-                    unsafe {
-                        let acc = &mut *accum.at(i);
-                        let net = &mut *nets.at(i);
-                        *acc += subnets.get_unchecked(i).steps_per_two;
-                        while *acc >= 2 {
-                            net.step();
-                            *acc -= 2;
-                        }
-                        if let Some(e) = epoch {
-                            *scratch.at(i) = (t0, e.elapsed().as_nanos() as u64);
-                        }
-                    }
-                });
-                if self.obs.is_some() {
-                    let cycle = self.cycle;
-                    for i in 0..self.noc_span_scratch.len() {
-                        let (s_ns, e_ns) = self.noc_span_scratch[i];
-                        if let Some(o) = self.obs.as_deref_mut() {
-                            o.end_noc_span_closed(i, s_ns, e_ns, cycle);
-                        }
-                    }
-                }
+        // Networks advance (subnets may step more than once).
+        for i in 0..self.nets.len() {
+            let s = self.span_start();
+            self.step_accum[i] += self.plan.subnets[i].steps_per_two;
+            while self.step_accum[i] >= 2 {
+                self.nets[i].step();
+                self.step_accum[i] -= 2;
             }
-            None => {
-                for i in 0..self.nets.len() {
-                    let s = self.span_start();
-                    self.step_accum[i] += self.plan.subnets[i].steps_per_two;
-                    while self.step_accum[i] >= 2 {
-                        self.nets[i].step();
-                        self.step_accum[i] -= 2;
-                    }
-                    let cycle = self.cycle;
-                    if let Some(o) = self.obs.as_deref_mut() {
-                        o.end_noc_span(i, s, cycle);
-                    }
-                }
+            let cycle = self.cycle;
+            if let Some(o) = self.obs.as_deref_mut() {
+                o.end_noc_span(i, s, cycle);
             }
         }
         // Drain the ejection ports the networks report as holding a
@@ -972,10 +893,9 @@ impl System {
 
     /// Serializes the machine's complete dynamic state into one
     /// [`equinox_snap`] container. Build-derived state (topology,
-    /// placement, area, sinks, clock ratios, the step team) is not
-    /// written: a snapshot restores only into a [`System::build`] of the
-    /// *same* [`SystemConfig`] (up to snapshot-neutral knobs like
-    /// `sim_threads`, which changes lane assignment but not state).
+    /// placement, area, sinks, clock ratios) is not written: a snapshot
+    /// restores only into a [`System::build`] of the *same*
+    /// [`SystemConfig`].
     ///
     /// Because every component of the simulation is bit-deterministic,
     /// `build + restore + run` produces byte-identical artifacts to the
@@ -1331,22 +1251,6 @@ impl System {
     }
 }
 
-/// Resolves the configured `sim_threads` into a lane count for this
-/// machine. `0` = auto: `available_parallelism / outer worker-pool
-/// threads` (at least 1), the documented heuristic keeping
-/// outer × inner within the machine when sweeps fan whole simulations
-/// out via [`equinox_exec::par_map`]. The result is clamped to the
-/// subnet count — extra lanes would only idle at the barrier.
-fn resolved_sim_threads(requested: usize, n_nets: usize) -> usize {
-    let k = if requested == 0 {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        (cores / equinox_exec::thread_count().max(1)).max(1)
-    } else {
-        requested
-    };
-    k.min(n_nets)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1402,7 +1306,6 @@ mod tests {
             c.obs = Some(crate::obs::ObsConfig { stream: "/tmp/f".into(), ..Default::default() });
             c.audit = Some(equinox_noc::AuditConfig::default());
             c.trace_capacity = 64;
-            c.sim_threads = 3;
             c.activity_gate = false;
         });
         assert_eq!(id, hosted);
@@ -1698,90 +1601,32 @@ mod tests {
     }
 
     #[test]
-    fn sim_thread_resolution_clamps_and_autosizes() {
-        assert_eq!(resolved_sim_threads(1, 9), 1, "explicit serial stays serial");
-        assert_eq!(resolved_sim_threads(4, 9), 4);
-        assert_eq!(resolved_sim_threads(16, 9), 9, "clamped to the subnet count");
-        assert_eq!(resolved_sim_threads(4, 1), 1, "single-net schemes stay serial");
-        assert!(resolved_sim_threads(0, 9) >= 1, "auto is always at least 1");
-    }
+    fn da2mesh_completes_under_audit_and_a_live_stream() {
+        // DA2Mesh's nine networks at 2.5:1 subnet clocks exercise the
+        // step accumulator, plain and with the auditor and a stream armed.
+        let mut cfg = SystemConfig::new(SchemeKind::Da2Mesh, 8, tiny_workload("hotspot"));
+        cfg.max_cycles = 200_000;
+        let m = System::build(cfg).run();
+        assert!(m.completed, "stalled at cycle {}", m.cycles);
 
-    #[test]
-    fn parallel_subnet_stepping_is_bit_identical() {
-        // The acceptance contract of intra-run parallelism: the nine
-        // DA2Mesh networks (2.5:1 subnet clocks exercise the accumulator
-        // math) produce the same cycles/energy/latency for any lane
-        // count, including lane counts above the subnet count.
-        let go = |sim_threads: usize| {
-            let mut cfg = SystemConfig::new(SchemeKind::Da2Mesh, 8, tiny_workload("hotspot"));
-            cfg.max_cycles = 200_000;
-            cfg.sim_threads = sim_threads;
-            let mut sys = System::build(cfg);
-            let m = sys.run();
-            assert!(m.completed, "stalled at cycle {}", m.cycles);
-            let stats: Vec<_> = sys.networks().iter().map(|n| n.stats().clone()).collect();
-            (m.cycles, m.energy_j(), m.latency.total_ns(), stats)
-        };
-        let serial = go(1);
-        for k in [2, 4, 16] {
-            let par = go(k);
-            assert_eq!(serial.0, par.0, "cycles diverged at {k} lanes");
-            assert_eq!(
-                serial.1.to_bits(),
-                par.1.to_bits(),
-                "energy diverged at {k} lanes"
-            );
-            assert_eq!(
-                serial.2.to_bits(),
-                par.2.to_bits(),
-                "latency diverged at {k} lanes"
-            );
-            assert_eq!(serial.3, par.3, "per-network counters diverged at {k} lanes");
-        }
-    }
-
-    #[test]
-    fn parallel_stepping_composes_with_gate_audit_and_obs() {
         let dir = std::env::temp_dir().join(format!("eqsn_obs_stream_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let go = |sim_threads: usize| {
-            let path = dir.join(format!("frames_{sim_threads}.jsonl"));
-            let _ = std::fs::remove_file(&path);
-            let mut cfg = SystemConfig::new(SchemeKind::Da2Mesh, 8, tiny_workload("bfs"));
-            cfg.max_cycles = 200_000;
-            cfg.audit = Some(equinox_noc::AuditConfig::default());
-            cfg.obs = Some(crate::obs::ObsConfig {
-                interval: 500,
-                stream: path.display().to_string(),
-                ..Default::default()
-            });
-            cfg.sim_threads = sim_threads;
-            let mut sys = System::build(cfg);
-            let m = sys.run();
-            assert!(m.completed);
-            let sweeps: Vec<u64> = sys.networks().iter().map(|n| n.audit_sweeps()).collect();
-            let frames = std::fs::read_to_string(&path).unwrap();
-            (
-                m.cycles,
-                sweeps,
-                sys.obs_json().expect("obs armed").pretty(),
-                sys.obs_json_v2().expect("obs armed").pretty(),
-                frames,
-            )
-        };
-        let serial = go(1);
+        let path = dir.join("frames.jsonl");
+        let _ = std::fs::remove_file(&path);
+        let mut cfg = SystemConfig::new(SchemeKind::Da2Mesh, 8, tiny_workload("bfs"));
+        cfg.max_cycles = 200_000;
+        cfg.audit = Some(equinox_noc::AuditConfig::default());
+        cfg.obs = Some(crate::obs::ObsConfig {
+            interval: 500,
+            stream: path.display().to_string(),
+            ..Default::default()
+        });
+        assert!(System::build(cfg).run().completed);
+        let frames = std::fs::read_to_string(&path).unwrap();
         assert!(
-            serial.4.contains("obs.sample/v1") && serial.4.contains("obs.summary/v1"),
+            frames.contains("obs.sample/v1") && frames.contains("obs.summary/v1"),
             "stream must carry sample and summary frames"
         );
-        for k in [2, 8] {
-            let par = go(k);
-            assert_eq!(serial.0, par.0, "cycles diverged at {k} lanes");
-            assert_eq!(serial.1, par.1, "audit sweep schedules diverged at {k} lanes");
-            assert_eq!(serial.2, par.2, "obs/v1 block must be byte-identical");
-            assert_eq!(serial.3, par.3, "obs/v2 block must be byte-identical");
-            assert_eq!(serial.4, par.4, "stream frames must be byte-identical");
-        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,7 +1,7 @@
 //! Absolute golden for the observability output.
 //!
-//! Every other obs test compares one run against another (serial vs
-//! parallel lanes, forked vs straight-through), so a change that
+//! Every other obs test compares one run against another (one worker
+//! vs four, forked vs straight-through), so a change that
 //! reorders a key or renames a counter in *both* runs passes them all.
 //! This test pins the bytes themselves: FNV-1a digests of the
 //! `.pretty()` text of the `equinox.obs/v1` block, the `equinox.obs/v2`
@@ -32,7 +32,6 @@ fn digest_lines(scheme: SchemeKind, dir: &std::path::Path) -> String {
     let workload = Workload::new(benchmark("bfs").unwrap(), 0.05, 42);
     let mut cfg = SystemConfig::new(scheme, 8, workload);
     cfg.max_cycles = 200_000;
-    cfg.sim_threads = 1;
     cfg.obs = Some(ObsConfig {
         interval: 100,
         stream: path.display().to_string(),

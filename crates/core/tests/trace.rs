@@ -92,3 +92,17 @@ fn chrome_export_is_valid_json_with_flit_events() {
         "no instant flit events in the export"
     );
 }
+
+#[test]
+fn multi_clock_subnets_record_flit_events() {
+    // DA2Mesh's nine networks step at 2.5:1 subnet clocks; tracing
+    // arms every one of them.
+    let workload = Workload::new(benchmark("hotspot").unwrap(), 0.08, 13);
+    let mut cfg = SystemConfig::new(SchemeKind::Da2Mesh, 8, workload);
+    cfg.max_cycles = 30_000;
+    cfg.trace_capacity = 1 << 16;
+    let mut sys = System::build(cfg);
+    sys.run();
+    let traced: Vec<usize> = sys.drain_traces().iter().map(|(net, _)| *net).collect();
+    assert_eq!(traced, (0..9).collect::<Vec<_>>(), "every network records flit events");
+}

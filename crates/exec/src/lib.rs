@@ -8,10 +8,10 @@
 //!   streams, load-latency sample points) across cores with no external
 //!   dependency. Thread count comes from [`set_threads`] (the driver
 //!   passes the resolved spec's `threads`) or available parallelism.
-//! * [`team`] — a persistent worker team ([`StepTeam`]) for intra-run
-//!   parallelism: spawned once per `System`, handed a borrowed task
-//!   closure per cycle phase through an epoch barrier, with a fixed
-//!   task→lane stride so work placement is reproducible.
+//! * [`team`] — a persistent worker team ([`StepTeam`]) handed a
+//!   borrowed task closure per round through an epoch barrier. No
+//!   simulation uses it: its one reader is the benchmark's barrier
+//!   probe, and it goes with that probe (ROADMAP.md item 1).
 //! * [`rng`] — a deterministic splitmix64 + xoshiro256** PRNG
 //!   ([`Rng`]) replacing the external `rand` crate, with explicit
 //!   stream splitting ([`Rng::stream`]) so parallel work is
@@ -20,8 +20,6 @@
 //! The determinism contract: any function that uses `par_map` +
 //! per-job `Rng::stream` produces output that is a pure function of
 //! its inputs and seed — never of thread count or scheduling order.
-//! [`StepTeam`] extends it to mutable fan-out: tasks own disjoint
-//! state, so results are independent of the lane count too.
 
 pub mod pool;
 pub mod rng;

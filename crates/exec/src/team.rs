@@ -1,9 +1,12 @@
 //! Persistent cycle-step worker team.
 //!
-//! [`par_map`](crate::par_map) spawns scoped threads per call, which is
-//! fine when a job is a whole simulation but far too heavy for work
-//! dispatched **every simulated cycle** — e.g. stepping the nine
-//! independent subnets of a DA2Mesh system inside one `System::step`.
+//! `System::step` once fanned its per-subnet NoC phase over a team; it
+//! never paid (two lanes ran DA2Mesh's nine subnets at 0.73–0.89× the
+//! serial speed) and every simulation is single-threaded now. The one
+//! remaining reader is `benchmark/src/probes.rs`, whose
+//! `exec.team_round_ns.2l` probe times a round; ROADMAP.md item 1(a)
+//! drops that probe, and this module goes with it.
+//!
 //! A [`StepTeam`] spawns its workers exactly once, then hands them a
 //! borrowed task closure per *round* through an epoch-numbered barrier:
 //!

@@ -79,16 +79,6 @@ impl SpanProfiler {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    /// The profiler's epoch. Threads that cannot hold a reference to
-    /// the profiler (e.g. worker lanes stepping subnets in parallel)
-    /// capture timestamps against this instant (`epoch().elapsed()`)
-    /// and hand them back to the owner for a deterministic-order fold
-    /// via [`SpanProfiler::record_closed`].
-    #[inline]
-    pub fn epoch(&self) -> Instant {
-        self.epoch
-    }
-
     /// Closes a span opened at `start_ns` (from [`SpanProfiler::start`])
     /// and records it. Allocation-free.
     pub fn record(&mut self, span: SpanId, track: u64, start_ns: u64, cycle: u64) {
@@ -96,12 +86,9 @@ impl SpanProfiler {
         self.record_closed(span, track, start_ns, now, cycle);
     }
 
-    /// Records a span whose **end** timestamp was captured by the
-    /// caller (nanoseconds since [`SpanProfiler::epoch`], like the
-    /// start). This is the fold half of off-thread span capture: lanes
-    /// stamp `(start, end)` pairs into their own scratch, the owner
-    /// records them in a deterministic order. Allocation-free.
-    pub fn record_closed(&mut self, span: SpanId, track: u64, start_ns: u64, end_ns: u64, cycle: u64) {
+    /// Records a span from both endpoints (nanoseconds since the
+    /// profiler's epoch); an end before the start records 0 ns.
+    fn record_closed(&mut self, span: SpanId, track: u64, start_ns: u64, end_ns: u64, cycle: u64) {
         let dur_ns = end_ns.saturating_sub(start_ns);
         self.total_ns[span.0] += dur_ns;
         self.calls[span.0] += 1;
@@ -174,13 +161,13 @@ mod tests {
     fn closed_spans_fold_with_explicit_endpoints() {
         let mut p = SpanProfiler::new(4);
         let a = p.register("net0");
-        // Endpoints captured elsewhere (relative to p.epoch()).
+        // Endpoints given explicitly (nanoseconds since the epoch).
         p.record_closed(a, 0, 100, 350, 9);
         let ev = *p.events().next().unwrap();
         assert_eq!((ev.start_ns, ev.dur_ns, ev.cycle), (100, 250, 9));
         let (_, calls, total) = p.summary().next().unwrap();
         assert_eq!((calls, total), (1, 250));
-        // Clock skew between lanes must never underflow.
+        // An end before the start must never underflow.
         p.record_closed(a, 0, 500, 400, 10);
         assert_eq!(p.summary().next().unwrap().2, 250);
     }

@@ -12,30 +12,36 @@ use crate::scheme::{Placement, PlacementKind};
 use crate::score::PlacementScorer;
 use equinox_phys::Coord;
 
+/// Whether [`knight_walk`] places `n_cbs` banks on distinct tiles of an
+/// `n × n` mesh, from any start: it does up to one bank per tile.
+///
+/// Step `i` lands on `(start_x + i, start_y + 2i + ⌊i/n⌋) mod n`. Steps
+/// `i` and `i + m·n` share a column and their rows differ by `m mod n`,
+/// so the walk first returns to a tile after `n²` steps.
+pub fn knight_walk_places(n: u16, n_cbs: u16) -> bool {
+    u32::from(n_cbs) <= u32::from(n) * u32::from(n)
+}
+
 /// Generates a knight-walk placement of `n_cbs` banks on an `n × n` mesh,
 /// starting from `(start_x, start_y)` and stepping `(+1, +2)` with
 /// wrap-around.
 ///
 /// # Panics
 ///
-/// Panics if the walk revisits a tile before placing `n_cbs` banks (can
-/// happen for degenerate `n`; `n >= 5` with `n_cbs <= 2n` is always safe
-/// in practice — the walk cycle has length `n·lcm-ish` ≥ 2n there).
+/// Panics unless [`knight_walk_places`]`(n, n_cbs)`.
 pub fn knight_walk(n: u16, n_cbs: u16, start_x: u16, start_y: u16) -> Placement {
+    assert!(
+        knight_walk_places(n, n_cbs),
+        "a knight walk on {n}x{n} revisits a tile before placing {n_cbs} banks"
+    );
     let mut cbs = Vec::with_capacity(n_cbs as usize);
     for i in 0..n_cbs as u32 {
-        // The raw (+1, +2) walk on an n×n torus has period n (or n/2 for
-        // odd interactions), so once per lap we shift to the next coset by
-        // nudging y — this keeps tiles unique for n_cbs up to ~n²/2.
+        // The raw (+1, +2) walk on an n×n torus has period n, so once per
+        // lap we shift to the next coset by nudging y.
         let lap = i / n as u32;
         let x = ((start_x as u32 + i) % n as u32) as u16;
         let y = ((start_y as u32 + 2 * i + lap) % n as u32) as u16;
-        let c = Coord::new(x, y);
-        assert!(
-            !cbs.contains(&c),
-            "knight walk revisited {c} after {i} placements on {n}x{n}"
-        );
-        cbs.push(c);
+        cbs.push(Coord::new(x, y));
     }
     Placement::new(n, n, cbs, PlacementKind::Knight)
 }

@@ -2,7 +2,7 @@
 //! the scoring policy.
 
 use equinox_exec::Rng;
-use equinox_placement::knight::knight_walk;
+use equinox_placement::knight::{knight_walk, knight_walk_places};
 use equinox_placement::nqueen::{solutions_limited, to_placement};
 use equinox_placement::score::PlacementScorer;
 use equinox_placement::select::best_nqueen_placement;
@@ -40,20 +40,18 @@ fn deleting_queens_preserves_safety() {
 
 #[test]
 fn knight_walks_are_duplicate_free() {
-    let mut rng = Rng::seed_from_u64(0x9E3);
-    for _ in 0..128 {
-        let n = rng.random_range(5u16..10);
-        let cbs = rng.random_range(1u16..12);
-        if cbs > 2 * n {
-            continue;
+    // Every shorter walk is a prefix of the n²-bank one, so this covers
+    // every count `knight_walk_places` admits, from every start; one
+    // bank more would need a tile twice.
+    for n in 2u16..=10 {
+        assert!(!knight_walk_places(n, n * n + 1));
+        for (sx, sy) in (0..n).flat_map(|x| (0..n).map(move |y| (x, y))) {
+            let p = knight_walk(n, n * n, sx, sy);
+            let mut seen = p.cbs.clone();
+            seen.sort();
+            seen.dedup();
+            assert_eq!(seen.len(), usize::from(n * n), "{n}x{n} from ({sx}, {sy})");
         }
-        let sx = rng.random_range(0u16..8);
-        let sy = rng.random_range(0u16..8);
-        let p = knight_walk(n, cbs, sx % n, sy % n);
-        let mut seen = p.cbs.clone();
-        seen.sort();
-        seen.dedup();
-        assert_eq!(seen.len(), cbs as usize);
     }
 }
 
