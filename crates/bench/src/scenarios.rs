@@ -1031,6 +1031,11 @@ mod tests {
         );
     }
 
+    #[test]
+    fn spec_iters_limit_is_what_one_search_holds() {
+        assert_eq!(equinox_config::ITERS_LIMIT, equinox_mcts::tree::ITERS_LIMIT);
+    }
+
     /// Every topology × pattern combination runs the fabric scenario
     /// end-to-end under audit, including the snapshot round-trip
     /// self-check. Short window, small grid: this is a smoke matrix,

@@ -68,7 +68,7 @@ fn malformed_values_and_unknown_flags_are_fatal() {
 fn unbuildable_machines_and_values_under_a_bound_are_named_not_backtraced() {
     // Each of these used to die in an assert three frames into the build
     // (exit 101), hang until killed, or emit an artifact of empty runs.
-    let cases: [(&[&str], &str); 33] = [
+    let cases: [(&[&str], &str); 36] = [
         (&["sweep", "--n", "9"], "n = 9: Interposer-CMesh"),
         (&["sweep", "--n", "6"], "n_cbs = 8: SingleBase"),
         (&["loadlat", "--n", "1"], "--n"),
@@ -88,6 +88,12 @@ fn unbuildable_machines_and_values_under_a_bound_are_named_not_backtraced() {
         (&["loadlat", "--cycles", "18446744073709551615"], "got 18446744073709551615"),
         (&["designer", "--iters", "0"], "--iters"),
         (&["loadlat", "--iters", "0"], "--iters"),
+        // A search reserves its tree for the whole budget up front: these
+        // died on a pool worker asserting `u32::MAX`, or aborted
+        // allocating 19 GB.
+        (&["designer", "--iters", "5000000000"], "'--iters': must be <= 1000000, got 5000000000"),
+        (&["loadlat", "--iters", "5000000000"], "'--iters': must be <= 1000000, got 5000000000"),
+        (&["designer", "--iters", "100000000"], "'--iters': must be <= 1000000, got 100000000"),
         // No N-Queen solution exists on 2x2 or 3x3, so EquiNox's design
         // search has no board to start from.
         (&["designer", "--n", "3", "--cbs", "3"], "n = 3: EquiNox"),

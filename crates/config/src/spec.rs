@@ -297,6 +297,13 @@ pub const MAX_CYCLES_LIMIT: u64 = u32::MAX as u64;
 /// `load_latency_curve_cfg` asserts it for library callers.
 pub const LOADLAT_CYCLES_LIMIT: u64 = 3_579_139_412;
 
+/// Largest `iters`: `equinox_mcts::tree::ITERS_LIMIT`, the most
+/// iterations one design search holds (cross-checked by a bench test).
+/// A search sizes its tree for the whole budget up front, about 230 MB at
+/// this limit with the default branching of 24, and
+/// `equinox_mcts::tree::search` asserts it for library callers.
+pub const ITERS_LIMIT: usize = 1_000_000;
+
 const _: () = {
     let (m, next) = (LOADLAT_CYCLES_LIMIT, LOADLAT_CYCLES_LIMIT + 1);
     assert!(m + m / 5 < MAX_CYCLES_LIMIT && next + next / 5 >= MAX_CYCLES_LIMIT);
@@ -550,7 +557,7 @@ pub fn fields() -> &'static [FieldDef] {
         },
         field!(flag "audit", "--audit", "EQUINOX_AUDIT", audit, "arm the invariant auditor"),
         field!(uint >= 1, <= LOADLAT_CYCLES_LIMIT, "cycles", "--cycles", "EQUINOX_CYCLES", cycles: u64, "measured cycles per load-latency point (1 to 3579139412)"),
-        field!(uint >= 1, "iters", "--iters", "EQUINOX_ITERS", iters: usize, "MCTS iterations for spec-driven design searches (>= 1)"),
+        field!(uint >= 1, <= ITERS_LIMIT, "iters", "--iters", "EQUINOX_ITERS", iters: usize, "MCTS iterations for spec-driven design searches (1 to 1000000)"),
         field!(flag "obs", "--obs", "EQUINOX_OBS", obs, "arm the observability layer (metrics + time series)"),
         // Custom instead of `field!(uint ...)`: an interval of 0 would
         // mean "sample every cycle of nothing" — degenerate sampling

@@ -209,11 +209,23 @@ fn values_under_a_fields_lower_bound_are_refused_on_every_layer() {
 fn cycle_counts_past_the_packet_trackers_range_are_refused_on_every_layer() {
     use equinox_config::{LOADLAT_CYCLES_LIMIT, MAX_CYCLES_LIMIT};
     // `cycles + cycles / 5` once overflowed in the load-latency loop.
-    let cases = [
+    refused_above_on_every_layer(&[
         ("max_cycles", "--max-cycles", "EQUINOX_MAX_CYCLES", MAX_CYCLES_LIMIT),
         ("cycles", "--cycles", "EQUINOX_CYCLES", LOADLAT_CYCLES_LIMIT),
-    ];
-    for (key, flag, var, limit) in cases {
+    ]);
+}
+
+#[test]
+fn iteration_budgets_past_what_one_search_holds_are_refused_on_every_layer() {
+    // A search reserves its tree for the whole budget up front.
+    let limit = equinox_config::ITERS_LIMIT as u64;
+    refused_above_on_every_layer(&[("iters", "--iters", "EQUINOX_ITERS", limit)]);
+}
+
+/// Each `(key, flag, var, limit)` field takes `limit` and names the bound
+/// for values over it, on the CLI, env and file layers.
+fn refused_above_on_every_layer(cases: &[(&str, &str, &str, u64)]) {
+    for &(key, flag, var, limit) in cases {
         for bad in [limit + 1, u64::from(u32::MAX) + 7, 1 << 53, u64::MAX] {
             let v = bad.to_string();
             let named = |e: &equinox_config::ResolveError| {

@@ -10,21 +10,31 @@
 //! never allocate) — on one network and on DA2Mesh's nine, and with
 //! the observability layer armed.
 //!
-//! This file deliberately contains a single test: the counter is
-//! process-global, and a concurrently running test would pollute it.
+//! The counter counts only while the measuring thread has switched it on
+//! for itself: libtest's main thread allocates while a test runs. This
+//! file still contains a single test, so no other test shares the
+//! window.
 
 use equinox_core::{ObsConfig, SchemeKind, System, SystemConfig};
 use equinox_traffic::{profile::benchmark, Workload};
 use std::alloc::{GlobalAlloc, Layout, System as SysAlloc};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Whether this thread's allocations are counted.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        if COUNTING.get() {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
         unsafe { SysAlloc.alloc(layout) }
     }
 
@@ -33,7 +43,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        if COUNTING.get() {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
         unsafe { SysAlloc.realloc(ptr, layout, new_size) }
     }
 }
@@ -42,8 +54,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Builds `cfg`, warms it to steady state, then steps a 2 000-cycle
-/// window that must carry real traffic and allocate nothing. The
-/// counter sees every thread in the process.
+/// window that must carry real traffic and allocate nothing. A run is
+/// single-threaded, so the counter watches the thread that steps it.
 fn steady_state_window(what: &str, cfg: SystemConfig) -> System {
     let mut sys = System::build(cfg);
     // The packet-record table grows for the lifetime of the run; reserve
@@ -61,11 +73,14 @@ fn steady_state_window(what: &str, cfg: SystemConfig) -> System {
     }
     let flits_before: u64 = sys.networks().iter().map(|n| n.stats().ejected_flits).sum();
 
+    COUNTING.set(true);
+
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for _ in 0..2_000 {
         sys.step();
     }
     let after = ALLOCATIONS.load(Ordering::Relaxed);
+    COUNTING.set(false);
 
     assert_eq!(
         after - before,

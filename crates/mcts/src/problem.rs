@@ -125,13 +125,51 @@ impl Candidate {
     /// weight `w = 1/excess`, i.e. `u^excess`. Two and three hops, all
     /// the paper's budget admits, are multiplications.
     #[inline]
-    fn key(&self, u: f64) -> f64 {
+    pub(crate) fn key(&self, u: f64) -> f64 {
         match self.excess {
             1 => u,
             2 => u * u,
             n => u.powf(n as f64),
         }
     }
+}
+
+/// Each octant's best weighted-shuffle key and the row-major position of
+/// the candidate that drew it, [`NO_WINNER`] where no candidate was free.
+pub(crate) type Winners = [(f64, usize); 8];
+
+/// An octant without a free candidate: its key is below every drawn one.
+pub(crate) const NO_WINNER: (f64, usize) = (f64::NEG_INFINITY, usize::MAX);
+
+/// Keeps `key`, drawn by the candidate at row-major position `at`, in
+/// `best[slot]` if it beats the best there so far; an earlier position
+/// keeps a tie. Which of two uniform keys is larger is a coin toss no
+/// branch predictor learns, so this selects rather than branches.
+#[inline]
+pub(crate) fn offer(best: &mut Winners, slot: u8, key: f64, at: usize) {
+    let b = &mut best[slot as usize];
+    *b = if key > b.0 { (key, at) } else { *b };
+}
+
+/// The indices of `best`'s winners in pick order, best key first and
+/// equal keys by position, and how many winners there are. Walking the
+/// candidates by descending key and taking each new octant picks exactly
+/// this order, so a group is its first `group_size` entries. A winner's
+/// rank is the number of winners ahead of it, counted without a branch on
+/// the keys' bits (a drawn key is at least +0, where bit order is value
+/// order, and −∞'s bits are below them as an `i64`). An empty entry is
+/// ahead of none and lands after every winner.
+#[inline]
+pub(crate) fn rank_winners(best: &[(f64, usize)]) -> ([u8; 8], usize) {
+    let ahead = |b: &(f64, usize), a: &(f64, usize)| {
+        let (kb, ka) = (b.0.to_bits() as i64, a.0.to_bits() as i64);
+        ((kb > ka) | ((kb == ka) & (b.1 < a.1))) as usize
+    };
+    let mut order = [0; 8];
+    for (i, a) in best.iter().enumerate() {
+        order[best.iter().map(|b| ahead(b, a)).sum::<usize>() % 8] = i as u8;
+    }
+    (order, best.iter().filter(|b| b.1 != NO_WINNER.1).count())
 }
 
 /// Draws a group from `cands`, one CB's candidates in row-major order:
@@ -159,29 +197,17 @@ fn sample_group_keyed(
     mut pick: impl FnMut(usize),
     key_of: impl Fn(&Candidate, f64) -> f64,
 ) {
-    // Walking the candidates by descending key (equal keys in row-major
-    // order) and taking each new octant picks, of every octant, only its
-    // best-keyed candidate: keep just those.
-    const EMPTY: (f64, usize) = (f64::NEG_INFINITY, usize::MAX);
-    let mut best = [EMPTY; 8];
+    let mut best = [NO_WINNER; 8];
     for (j, c) in cands.iter().enumerate() {
         if !is_used(c) {
             // Weighted shuffle via the exponential-sort trick: key =
             // u^(1/w) sorts like sampling without replacement.
-            let key = key_of(c, rng.random::<f64>());
-            if key > best[c.octant as usize].0 {
-                best[c.octant as usize] = (key, j);
-            }
+            offer(&mut best, c.octant, key_of(c, rng.random::<f64>()), j);
         }
     }
-    for _ in 0..group_size {
-        let filled = best.iter_mut().filter(|b| b.1 != EMPTY.1);
-        let earlier = |a: &(f64, usize), b: &(f64, usize)| a.0 > b.0 || (a.0 == b.0 && a.1 < b.1);
-        let Some(next) = filled.reduce(|a, b| if earlier(b, a) { b } else { a }) else {
-            break;
-        };
-        pick(next.1);
-        *next = EMPTY;
+    let (order, n) = rank_winners(&best);
+    for &o in &order[..n.min(group_size)] {
+        pick(best[o as usize].1);
     }
 }
 
@@ -406,6 +432,48 @@ mod tests {
             assert_eq!(a, b, "draw {draw}");
             a.clear();
             b.clear();
+        }
+    }
+
+    /// The picks as the sampler made them before winners were ranked by
+    /// count: `group_size` passes, each reducing the winners left to the
+    /// best key, equal keys by index.
+    fn picks_by_reduce(best: &Winners, group_size: usize) -> Vec<usize> {
+        let mut best = *best;
+        let mut picks = Vec::new();
+        for _ in 0..group_size {
+            let filled = best.iter_mut().filter(|b| b.1 != NO_WINNER.1);
+            let earlier = |a: &(f64, usize), b: &(f64, usize)| a.0 > b.0 || (a.0 == b.0 && a.1 < b.1);
+            let Some(next) = filled.reduce(|a, b| if earlier(b, a) { b } else { a }) else {
+                break;
+            };
+            picks.push(next.1);
+            *next = NO_WINNER;
+        }
+        picks
+    }
+
+    /// Ranking the winners by one count picks what `group_size` reduce
+    /// passes picked, for every group size up to past eight, with some
+    /// octants empty and ties in key broken by index.
+    #[test]
+    fn counted_ranks_pick_what_reduce_passes_pick() {
+        let mut rng = EirProblem::rng(5);
+        for case in 0..100_000 {
+            let mut best = [NO_WINNER; 8];
+            for (o, b) in best.iter_mut().enumerate() {
+                match rng.random_range(0..4u32) {
+                    0 => {}
+                    // Few distinct keys, so that ties are common.
+                    1 => *b = (rng.random_range(0..3u32) as f64 / 4.0, o * 7),
+                    _ => *b = (rng.random::<f64>(), 63 - o * 5),
+                }
+            }
+            let (order, n) = rank_winners(&best);
+            for group_size in 0..10 {
+                let counted: Vec<usize> = order[..n.min(group_size)].iter().map(|&o| best[o as usize].1).collect();
+                assert_eq!(counted, picks_by_reduce(&best, group_size), "case {case}, {best:?}");
+            }
         }
     }
 

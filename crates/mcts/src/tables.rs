@@ -4,10 +4,13 @@
 //! CB's candidate list, the assignment order, and the evaluator's tables
 //! over every candidate wire. They hold selections as candidate ids (see
 //! [`EvalTables`]) and share the [`Scratch`] buffers, so the hot loops
-//! rescan no tiles and allocate nothing.
+//! rescan no tiles and allocate nothing. The tree draws and keeps its
+//! sampled options through a [`Pool`].
 
 use crate::eval::{EvalScratch, EvalTables, EvalWeights, Evaluation, NONE};
-use crate::problem::{sample_group_from, Candidate, EirProblem, EirSelection};
+use crate::problem::{
+    offer, rank_winners, sample_group_from, Candidate, EirProblem, EirSelection, NO_WINNER,
+};
 use equinox_exec::Rng;
 use equinox_phys::Coord;
 
@@ -184,6 +187,116 @@ impl Tables {
     }
 }
 
+/// Most candidates one CB may have in a tree search: an option is a `u64`
+/// mask over them.
+const MAX_POOLED: usize = 64;
+
+/// How the tree draws and keeps its options. An option is a `u64` mask
+/// over one CB's candidates in tile order (bit `b` is its `b`-th candidate
+/// by [`Coord`] order), so telling a duplicate is one integer compare and
+/// its ids come out in the tile order a kept group is stored in. Each
+/// expansion gathers the free candidates of the CB it leaves next once
+/// ([`Pool::fill`]) and draws every option from them ([`Pool::draw`]).
+pub(crate) struct Pool {
+    /// Every candidate's bit in its CB's mask, by id.
+    bit: Vec<u8>,
+    /// Every CB's candidate ids in tile order, laid out like the ids.
+    by_tile: Vec<u16>,
+    /// The free candidates of the CB being expanded, in row-major order.
+    members: Vec<Member>,
+    /// The octants the members cover: each draw has a winner in every
+    /// one of them.
+    slots: usize,
+    group_size: usize,
+}
+
+/// A free candidate of the CB being expanded.
+struct Member {
+    cand: Candidate,
+    /// Its bit in the CB's mask.
+    bit: u8,
+    /// Its octant's rank among the octants the members cover.
+    slot: u8,
+}
+
+impl Pool {
+    /// # Panics
+    ///
+    /// If a CB has more than [`MAX_POOLED`] candidates.
+    pub(crate) fn new(t: &Tables) -> Self {
+        let mut bit = vec![0; t.cands.len()];
+        let mut by_tile = Vec::with_capacity(bit.len());
+        for i in 0..t.n_cbs() {
+            let ids = t.eval.ids_of(i);
+            let n = ids.len();
+            assert!(
+                n <= MAX_POOLED,
+                "CB {i} has {n} candidate EIR tiles; a tree search keeps an option as a {MAX_POOLED}-bit mask over one CB's candidates"
+            );
+            let at = by_tile.len();
+            by_tile.extend(ids.map(|id| id as u16));
+            by_tile[at..].sort_unstable_by_key(|&id| t.candidate(id).tile);
+            for (b, &id) in by_tile[at..].iter().enumerate() {
+                bit[id as usize] = b as u8;
+            }
+        }
+        Pool {
+            bit,
+            by_tile,
+            members: Vec::with_capacity(MAX_POOLED),
+            slots: 0,
+            group_size: t.group_size,
+        }
+    }
+
+    /// Gathers CB `i`'s candidates outside `used` for the draws that
+    /// follow.
+    pub(crate) fn fill(&mut self, t: &Tables, i: usize, used: &TileSet) {
+        let ids = t.eval.ids_of(i);
+        let free = || ids.clone().filter(|&id| !used.contains(t.cands[id].tile));
+        let covered = free().fold(0u16, |o, id| o | 1 << t.cands[id].octant);
+        self.slots = covered.count_ones() as usize;
+        self.members.clear();
+        for id in free() {
+            let cand = t.cands[id];
+            let slot = (covered & ((1 << cand.octant) - 1)).count_ones() as u8;
+            self.members.push(Member { cand, bit: self.bit[id], slot });
+        }
+    }
+
+    /// Draws one option from the members: a uniform each, exactly the
+    /// draws [`Tables::sample_group`] makes with the same tiles in use,
+    /// and the group it would pick as a mask. Every covered octant has a
+    /// winner, so with no more of them than `group_size` all are kept
+    /// unranked.
+    pub(crate) fn draw(&self, rng: &mut Rng) -> u64 {
+        let mut best = [NO_WINNER; 8];
+        for (at, m) in self.members.iter().enumerate() {
+            offer(&mut best, m.slot, m.cand.key(rng.random::<f64>()), at);
+        }
+        let winners = &best[..self.slots];
+        let bit = |w: &(f64, usize)| 1 << self.members[w.1].bit;
+        if self.slots <= self.group_size {
+            return winners.iter().fold(0, |mask, w| mask | bit(w));
+        }
+        let (order, _) = rank_winners(winners);
+        order[..self.group_size].iter().fold(0, |mask, &s| mask | bit(&winners[s as usize]))
+    }
+
+    /// The ids of CB `i`'s option `mask`, in tile order.
+    pub(crate) fn ids(&self, t: &Tables, i: usize, mask: u64) -> impl Iterator<Item = u16> + '_ {
+        let by_tile = &self.by_tile[t.eval.ids_of(i)];
+        let mut rest = mask;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let b = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                by_tile[b]
+            })
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,6 +350,55 @@ mod tests {
                 let tiles: Vec<Coord> =
                     slots.iter().filter(|&&id| id != NONE).map(|&id| t.candidate(id).tile).collect();
                 assert_eq!(tiles, p.sample_group(0, &used, &mut on_tiles));
+            }
+        }
+    }
+
+    /// A pooled option is the group [`Tables::sample_group`] draws from
+    /// the same generator with the same tiles in use, its ids in tile
+    /// order, and the pool consumes exactly its draws: over 10⁵ options,
+    /// three per fill, on the problems of the `powf` key test (`max_hops`
+    /// 4 is its fallback arm; group sizes 1, 4 and 6).
+    #[test]
+    fn pooled_masks_hold_what_the_sampler_picks_in_tile_order() {
+        let best8 = || EirProblem::new(best_nqueen_placement(8, 8, usize::MAX, 0));
+        let problems = [
+            best8(),
+            EirProblem { max_hops: 2, group_size: 1, ..best8() },
+            EirProblem { max_hops: 4, group_size: 6, ..best8() },
+            EirProblem::new(Placement::diamond(8, 8, 8)),
+            EirProblem { max_hops: 4, ..EirProblem::new(Placement::diamond(8, 8, 8)) },
+        ];
+        let mut tables: Vec<(Tables, Pool)> = problems
+            .iter()
+            .map(|p| {
+                let t = Tables::new(p);
+                let pool = Pool::new(&t);
+                (t, pool)
+            })
+            .collect();
+        let mut uses = EirProblem::rng(1);
+        let (mut pooled, mut sampled) = (EirProblem::rng(2), EirProblem::rng(2));
+        let mut slots = Vec::new();
+        for fill in 0..34_000 {
+            let (t, pool) = &mut tables[fill % problems.len()];
+            let mut s = t.scratch();
+            // About a quarter of the tiles in use.
+            let in_use = uses.random::<u64>() & uses.random::<u64>();
+            for k in (0..64).filter(|k| in_use >> k & 1 == 1) {
+                s.used.insert(Coord::from_index(k, 8));
+            }
+            let cb = uses.random_range(0..t.n_cbs());
+            pool.fill(t, cb, &s.used);
+            for _ in 0..3 {
+                let mask = pool.draw(&mut pooled);
+                let ids: Vec<u16> = pool.ids(t, cb, mask).collect();
+                slots.resize(t.stride(), NONE);
+                t.sample_group(cb, &mut slots, &s.used, &mut sampled);
+                slots.retain(|&id| id != NONE);
+                slots.sort_unstable_by_key(|&id| t.candidate(id).tile);
+                assert_eq!(ids, slots, "fill {fill}, CB {cb}");
+                assert_eq!(pooled, sampled, "fill {fill}: the same draws");
             }
         }
     }

@@ -10,7 +10,7 @@
 
 use crate::eval::{EvalWeights, Evaluation, NONE};
 use crate::problem::{EirProblem, EirSelection};
-use crate::tables::{Scratch, Tables, TileSet};
+use crate::tables::{Pool, Scratch, Tables, TileSet};
 use equinox_exec::Rng;
 use std::cmp::Ordering;
 
@@ -55,6 +55,15 @@ pub struct SearchResult {
     pub evaluations: usize,
 }
 
+/// Most iterations one search runs. Its tree is sized for the whole
+/// budget up front, a 40-byte node and `branching` 8-byte options per
+/// iteration, and a node counts its visits in a `u32`.
+/// `equinox_config::ITERS_LIMIT` bounds the `iters` spec field to the
+/// same value.
+pub const ITERS_LIMIT: usize = 1_000_000;
+
+const _: () = assert!(ITERS_LIMIT < u32::MAX as usize);
+
 const NO_NODE: u32 = u32::MAX;
 
 /// A node's depth is its position on the selection path, so it is not
@@ -85,23 +94,33 @@ const _: () = assert!(std::mem::size_of::<Node>() == 40);
 /// (one expansion per iteration), so that growing it never allocates.
 struct Tree {
     nodes: Vec<Node>,
-    /// Every group sampled as an option, `stride` candidate ids each; a
-    /// node's group stays where it was sampled.
-    options: Vec<u16>,
-    stride: usize,
+    /// Every group sampled as an option, as a mask over the candidates of
+    /// the CB it is for (see [`Pool`]); a node's group stays where it was
+    /// sampled.
+    options: Vec<u64>,
+    pool: Pool,
 }
 
 impl Tree {
     fn new(t: &Tables, cfg: &MctsConfig) -> Self {
         Tree {
             nodes: Vec::with_capacity(cfg.iterations + 1),
-            options: Vec::with_capacity((cfg.iterations + 1) * cfg.branching * t.stride()),
-            stride: t.stride(),
+            options: Vec::with_capacity((cfg.iterations + 1) * cfg.branching),
+            pool: Pool::new(t),
         }
     }
 
-    fn option(&self, id: u32) -> &[u16] {
-        &self.options[id as usize * self.stride..][..self.stride]
+    /// The ids of option `group` of a node at `depth` ≥ 1, for CB
+    /// `order[depth - 1]`, in tile order.
+    fn option(&self, t: &Tables, depth: usize, group: u32) -> impl Iterator<Item = u16> + '_ {
+        self.pool.ids(t, t.order[depth - 1], self.options[group as usize])
+    }
+
+    /// Adds the tiles of option `group`, at `depth`, to `used`.
+    fn mark_used(&self, t: &Tables, depth: usize, group: u32, used: &mut TileSet) {
+        for id in self.option(t, depth, group) {
+            used.insert(t.candidate(id).tile);
+        }
     }
 
     /// Adds a node assigning option `group` at the end of `path`, the
@@ -117,25 +136,32 @@ impl Tree {
         used: &TileSet,
         rng: &mut Rng,
     ) -> usize {
-        let stride = self.stride;
         let (parent, depth) = (path.last().copied(), path.len());
-        let first_option = self.options.len() / stride;
-        let mut untried = 0;
+        let first_option = self.options.len();
         if depth < t.n_cbs() {
+            let cb = t.order[depth];
+            self.pool.fill(t, cb, used);
             for _ in 0..k * 3 {
-                if untried == k {
+                if self.options.len() - first_option == k {
                     break;
                 }
-                let at = self.options.len();
-                self.options.resize(at + stride, NONE);
-                let (earlier, g) = self.options[first_option * stride..].split_at_mut(untried * stride);
-                t.sample_group(t.order[depth], g, used, rng);
-                let len = g.iter().position(|&id| id == NONE).unwrap_or(stride);
-                g[..len].sort_unstable_by_key(|&id| t.candidate(id).tile);
-                if earlier.chunks_exact(stride).any(|o| o == &*g) {
-                    self.options.truncate(at);
-                } else {
-                    untried += 1;
+                let before = cfg!(debug_assertions).then(|| rng.clone());
+                let option = self.pool.draw(rng);
+                if !self.options[first_option..].contains(&option) {
+                    if let Some(mut redraw) = before {
+                        // The draw `Tables::sample_group` makes, filtering
+                        // `used` itself, picks the same set.
+                        let mut kept = [NONE; 8];
+                        for (slot, id) in kept.iter_mut().zip(self.pool.ids(t, cb, option)) {
+                            *slot = id;
+                        }
+                        let mut again = [NONE; 8];
+                        t.sample_group(cb, &mut again[..t.stride().min(8)], used, &mut redraw);
+                        let within = |a: &[u16], b: &[u16]| a.iter().all(|id| b.contains(id));
+                        assert!(within(&kept, &again) && within(&again, &kept), "{kept:?} vs {again:?}");
+                        assert_eq!(redraw, *rng, "an option draws what a sampled group draws");
+                    }
+                    self.options.push(option);
                 }
             }
         }
@@ -143,7 +169,7 @@ impl Tree {
         self.nodes.push(Node {
             group,
             first_option: first_option as u32,
-            untried: untried as u32,
+            untried: (self.options.len() - first_option) as u32,
             first_child: NO_NODE,
             next_sibling: parent.map_or(NO_NODE, |p| self.nodes[p].first_child),
             visits: 0,
@@ -178,7 +204,10 @@ impl Tree {
     fn fill_path(&self, path: &[usize], t: &Tables, sel: &mut [u16]) {
         sel.fill(NONE);
         for (d, &n) in path[1..].iter().enumerate() {
-            t.slots(sel, t.order[d]).copy_from_slice(self.option(self.nodes[n].group));
+            let slots = t.slots(sel, t.order[d]);
+            for (slot, id) in slots.iter_mut().zip(self.option(t, d + 1, self.nodes[n].group)) {
+                *slot = id;
+            }
         }
     }
 }
@@ -189,15 +218,20 @@ impl Tree {
 ///
 /// # Panics
 ///
-/// If the problem has no cache bank, or `cfg.iterations` is 0 or more
-/// than `u32::MAX` (a node counts its visits in a `u32`).
+/// If `cfg.iterations` is 0 or over [`ITERS_LIMIT`], the problem has no
+/// cache bank, or a CB has more than 64 candidate tiles (an option is a
+/// `u64` mask over them).
 pub fn search(problem: &EirProblem, cfg: &MctsConfig) -> SearchResult {
+    assert!(
+        cfg.iterations <= ITERS_LIMIT,
+        "iterations = {} is over ITERS_LIMIT = {ITERS_LIMIT}: the tree is sized for the whole budget up front",
+        cfg.iterations
+    );
     let t = Tables::new(problem);
     let mut s = t.scratch();
     let mut rng = EirProblem::rng(cfg.seed);
     let n_cbs = t.n_cbs();
     assert!(n_cbs > 0, "a search needs at least one cache bank");
-    assert!(u32::try_from(cfg.iterations).is_ok(), "at most u32::MAX iterations");
     let mut tree = Tree::new(&t, cfg);
     tree.push(0, &[], &t, cfg.branching, &s.used, &mut rng);
     let mut path: Vec<usize> = Vec::with_capacity(n_cbs + 1);
@@ -219,14 +253,14 @@ pub fn search(problem: &EirProblem, cfg: &MctsConfig) -> SearchResult {
             }
             cur = tree.best_child(cur, cfg.exploration);
             path.push(cur);
-            t.mark_used(tree.option(tree.nodes[cur].group), &mut s.used);
+            tree.mark_used(&t, path.len() - 1, tree.nodes[cur].group, &mut s.used);
         }
 
         // --- Expansion ---
         if tree.nodes[cur].untried > 0 {
             tree.nodes[cur].untried -= 1;
             let group = tree.nodes[cur].first_option + tree.nodes[cur].untried;
-            t.mark_used(tree.option(group), &mut s.used);
+            tree.mark_used(&t, path.len(), group, &mut s.used);
             cur = tree.push(group, &path, &t, cfg.branching, &s.used, &mut rng);
             path.push(cur);
         }
@@ -476,5 +510,28 @@ mod tests {
         let b = search(&p, &quick_cfg(5));
         assert_eq!(a.selection, b.selection);
         assert_eq!(a.eval.cost, b.eval.cost);
+    }
+
+    #[test]
+    #[should_panic(expected = "iterations = 1000001 is over ITERS_LIMIT = 1000000")]
+    fn a_budget_over_the_limit_is_refused_by_name() {
+        search(&problem(), &MctsConfig { iterations: ITERS_LIMIT + 1, ..quick_cfg(1) });
+    }
+
+    /// A wire that reaches across a 12×12 board gives each CB over a
+    /// hundred candidates, more than one option's mask holds. No
+    /// scenario comes close: a 4-hop budget gives at most 32.
+    #[test]
+    #[should_panic(expected = "candidate EIR tiles; a tree search keeps an option as a 64-bit mask")]
+    fn a_cb_with_more_candidates_than_a_mask_holds_is_refused() {
+        let wide = EirProblem {
+            max_hops: 22,
+            wire: equinox_phys::WireModel {
+                max_single_cycle_mm: 100.0,
+                ..Default::default()
+            },
+            ..EirProblem::new(best_nqueen_placement(12, 12, 500, 0))
+        };
+        search(&wide, &quick_cfg(1));
     }
 }

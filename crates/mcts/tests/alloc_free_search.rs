@@ -6,22 +6,32 @@
 //! 4000-iteration search must therefore allocate exactly as often as a
 //! 1000-iteration one.
 //!
-//! This file deliberately contains a single test: the counter is
-//! process-global, and a concurrently running test would pollute it.
+//! The counter counts only while the measuring thread has switched it on
+//! for itself: libtest's main thread allocates while a test runs. This
+//! file still contains a single test, so no other test shares the
+//! window.
 
 use equinox_mcts::problem::EirProblem;
 use equinox_mcts::tree::{search, MctsConfig};
 use equinox_placement::select::best_nqueen_placement;
 use std::alloc::{GlobalAlloc, Layout, System as SysAlloc};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Whether this thread's allocations are counted.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        if COUNTING.get() {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
         unsafe { SysAlloc.alloc(layout) }
     }
 
@@ -30,7 +40,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        if COUNTING.get() {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
         unsafe { SysAlloc.realloc(ptr, layout, new_size) }
     }
 }
@@ -44,9 +56,11 @@ fn allocations_of_a_search(problem: &EirProblem, iterations: usize) -> u64 {
         seed: 7,
         ..Default::default()
     };
+    COUNTING.set(true);
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let result = search(problem, &cfg);
     let after = ALLOCATIONS.load(Ordering::Relaxed);
+    COUNTING.set(false);
     assert!(result.evaluations >= iterations);
     after - before
 }

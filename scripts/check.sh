@@ -186,6 +186,21 @@ if [ "$(grep -c . <<< "$powf_calls")" != 1 ] \
 fi
 echo "OK: the design search calls powf only in the sampler's fallback arm"
 
+echo "== option-mask guard =="
+# The design search keeps every sampled option as one u64 mask over its
+# CB's candidates in tile order (Pool in crates/mcts/src/tables.rs): a
+# duplicate is one integer compare, and decoding a mask bit by bit yields
+# the ids in tile order, so non-test code in tree.rs sorts nothing and
+# compares no option as a slice.
+tree_rs=crates/mcts/src/tree.rs
+tests_at=$(grep -n -m1 '^#\[cfg(test)\]' "$tree_rs" | cut -d: -f1 || true)
+if head -n "${tests_at:-1000000}" "$tree_rs" | grep -nE '\bsort|chunks|== *&\*|\[u16\] *==' \
+    || ! grep -qE '^    options: Vec<u64>,$' "$tree_rs"; then
+  echo "FAIL: the tree sorts a group or compares options as slices — keep each option as a u64 mask" >&2
+  exit 1
+fi
+echo "OK: tree options are masks; the tree sorts nothing"
+
 echo "== clippy =="
 # Warnings are errors, as in CI. With every library item crate-private
 # unless another crate reads it, the dead_code lint names the items only
@@ -204,6 +219,17 @@ echo "== flagship design =="
 ./target/release/equinox designer --iters 4000 --seed 7 2>&1 \
     | grep -F 'links 28 | crossings 0 | RDL layers 1 | ubumps 7168' > /dev/null
 echo "OK: designer --iters 4000 --seed 7 finds the 28-link, crossing-free design"
+# A search sizes its tree for the whole budget up front, so one past
+# ITERS_LIMIT (crates/config/src/spec.rs) is refused by name before any
+# search starts.
+status=0
+refusal=$(./target/release/equinox designer --iters 1000001 2>&1 >/dev/null) || status=$?
+if [ "$status" != 2 ] || ! grep -qF "'--iters': must be <= 1000000, got 1000001" <<< "$refusal"; then
+  echo "$refusal" >&2
+  echo "FAIL: designer --iters 1000001 exited $status without naming --iters" >&2
+  exit 1
+fi
+echo "OK: designer --iters 1000001 exits 2 naming --iters"
 
 echo "== tests =="
 cargo test -q --workspace
