@@ -252,3 +252,78 @@ fn refused_above_on_every_layer(cases: &[(&str, &str, &str, u64)]) {
         assert_eq!(s.to_json().get(key).and_then(|j| j.as_u64()), Some(limit), "{flag} {v}");
     }
 }
+
+#[test]
+fn every_field_resolves_alike_from_every_layer() {
+    // (field, CLI / env text, spec-file JSON): one non-default value per
+    // field, given on each layer alone. A presence flag's text is "1",
+    // the value its flag stands for on the command line.
+    let rows: &[(&str, &str, &str)] = &[
+        ("n", "12", "12"),
+        ("topology", "ring", r#""ring""#),
+        ("traffic", "hotspot", r#""hotspot""#),
+        ("n_cbs", "4", "4"),
+        ("scale", "0.25", "0.25"),
+        ("seeds", "1,2,3", "[1, 2, 3]"),
+        ("seed", "11", "11"),
+        ("full", "1", "true"),
+        ("threads", "3", "3"),
+        // 1 is the only value this field takes, and its default.
+        ("sim_threads", "1", "1"),
+        ("max_cycles", "1234", "1234"),
+        ("ni_queue_cap", "4", "4"),
+        ("cb_inflight_cap", "64", "64"),
+        ("l2_latency", "25", "25"),
+        ("pipeline_extra", "2", "2"),
+        ("reply_compression", "0.5", "0.5"),
+        // The flag and variable say "no activity gate"; the file says it
+        // directly.
+        ("activity_gate", "1", "false"),
+        ("audit", "1", "true"),
+        ("cycles", "999", "999"),
+        ("iters", "50", "50"),
+        ("obs", "1", "true"),
+        ("obs_interval", "250", "250"),
+        ("obs_stream", "frames.ndjson", r#""frames.ndjson""#),
+        ("trace", "1", "true"),
+        ("trace_out", "t.json", r#""t.json""#),
+        ("checkpoint_dir", "ck", r#""ck""#),
+    ];
+    let fields = equinox_config::fields();
+    let names: Vec<&str> = rows.iter().map(|r| r.0).collect();
+    assert_eq!(names, fields.iter().map(|f| f.name).collect::<Vec<_>>(), "one row per field, in order");
+
+    let defaults = resolve(None, &no_env, &[]).unwrap().to_json();
+    let values = |spec: &equinox_config::ExperimentSpec| {
+        let mut j = spec.to_json();
+        if let equinox_config::Json::Obj(pairs) = &mut j {
+            pairs.retain(|(k, _)| k != "provenance");
+        }
+        j
+    };
+    for (f, &(name, text, json)) in fields.iter().zip(rows) {
+        let mut argv = vec![f.flag.to_string()];
+        if f.takes_value {
+            argv.push(text.to_string());
+        }
+        let parsed = equinox_config::parse_cli(&argv).unwrap_or_else(|e| panic!("{argv:?}: {e}"));
+        let env = |k: &str| (k == f.env).then(|| text.to_string());
+        let file = format!("{{\"{name}\": {json}}}");
+        let layers = [
+            (Layer::Cli, resolve(None, &no_env, &parsed.sets)),
+            (Layer::Env, resolve(None, &env, &[])),
+            (Layer::File, resolve(Some(("t.json", &file)), &no_env, &[])),
+        ];
+        let mut seen = Vec::new();
+        for (layer, spec) in layers {
+            let spec = spec.unwrap_or_else(|e| panic!("{name} from {layer:?}: {e}"));
+            assert_eq!(spec.provenance_of(name), Some(layer), "{name} from {layer:?}");
+            seen.push(values(&spec));
+        }
+        assert_eq!(seen[0], seen[1], "{name}: CLI {text:?} and env {text:?} differ");
+        assert_eq!(seen[0], seen[2], "{name}: CLI {text:?} and file {json} differ");
+        if name != "sim_threads" {
+            assert_ne!(seen[0].get(name), defaults.get(name), "{name}: pick a non-default value");
+        }
+    }
+}
