@@ -815,8 +815,8 @@ fn observe(spec: &ExperimentSpec, log: &mut dyn Write) -> Result<Json, String> {
 
 /// Synthetic-traffic stress run on an arbitrary fabric: builds a bare
 /// network from the spec's `--topology` / `--n`, drives the spec's
-/// `--traffic` pattern at `--scale` packets per node per cycle for
-/// `--cycles` cycles, drains to quiescence, and self-checks a
+/// `--traffic` pattern at `--scale` (at most one) packets per node per
+/// cycle for `--cycles` cycles, drains to quiescence, and self-checks a
 /// mid-flight snapshot → restore → snapshot byte round-trip. With
 /// `--audit` the invariant auditor sweeps the whole run, so this is the
 /// deadlock-freedom gauntlet for new topologies.
@@ -827,6 +827,16 @@ fn fabric(spec: &ExperimentSpec, log: &mut dyn Write) -> Result<Json, String> {
     use equinox_noc::{NocConfig, TopologyKind};
     use equinox_traffic::SyntheticPattern;
 
+    // `scale` is a chance per node and cycle here, so a value over 1
+    // would run as 1 and be recorded as an offered load it never was.
+    // The field's own bound (> 0) also serves the workload quota, which
+    // may exceed 1.
+    if spec.scale > 1.0 {
+        return Err(format!(
+            "scale = {}: --scale is each node's chance to inject a packet in a cycle, at most 1",
+            spec.scale
+        ));
+    }
     // The spec layer validated both names; failure here means the spec
     // and noc/traffic registries drifted apart.
     let topo = TopologyKind::parse(&spec.topology).expect("spec-validated topology");

@@ -155,9 +155,9 @@ fn ring_reply_fabric_completes_with_its_topology_threaded_through() {
     // A SeparateBase run whose reply subnet is a ring: the spec's
     // topology reaches the config, and the ring finishes the workload.
     use equinox_config::spec::field_by_flag;
-    use equinox_config::{ExperimentSpec, Layer};
+    use equinox_config::{ExperimentSpec, Layer, Raw};
     let mut spec = ExperimentSpec::default();
-    spec.set_str(field_by_flag("--topology").unwrap(), "ring", Layer::Cli)
+    spec.set(field_by_flag("--topology").unwrap(), Raw::Text("ring"), Layer::Cli)
         .unwrap();
     let workload = Workload::new(benchmark("bfs").unwrap(), 0.05, 7);
     let cfg = SystemConfig::from_spec(SchemeKind::SeparateBase, 8, workload, &spec);

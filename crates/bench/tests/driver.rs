@@ -68,7 +68,7 @@ fn malformed_values_and_unknown_flags_are_fatal() {
 fn unbuildable_machines_and_values_under_a_bound_are_named_not_backtraced() {
     // Each of these used to die in an assert three frames into the build
     // (exit 101), hang until killed, or emit an artifact of empty runs.
-    let cases: [(&[&str], &str); 36] = [
+    let cases: [(&[&str], &str); 37] = [
         (&["sweep", "--n", "9"], "n = 9: Interposer-CMesh"),
         (&["sweep", "--n", "6"], "n_cbs = 8: SingleBase"),
         (&["loadlat", "--n", "1"], "--n"),
@@ -117,6 +117,9 @@ fn unbuildable_machines_and_values_under_a_bound_are_named_not_backtraced() {
         (&["fig12", "--cbs", "13"], "equinox: fig12: n_cbs = 13"),
         (&["extensions", "--cbs", "9"], "equinox: extensions: n_cbs = 9"),
         (&["all", "--cbs", "9"], "equinox: all: fig9: n_cbs = 9"),
+        // `fabric` injects with chance `--scale` per node and cycle: this
+        // ran as 1 and recorded an offered load of 5.
+        (&["fabric", "--scale", "5", "--cycles", "100"], "equinox: fabric: scale = 5: --scale is each node's chance"),
     ];
     for (args, needle) in cases {
         let out = driver().args(args).output().expect("run driver");

@@ -2,8 +2,10 @@
 //!
 //! The `equinox` driver parses its arguments here: one flag vocabulary
 //! — the spec field registry — and one failure discipline: an unknown
-//! flag, a flag missing its value, or a malformed value is a hard error
-//! naming the offender, never a silent fall-back to a default.
+//! flag or a flag missing its value is a hard error naming the offender,
+//! never a silent fall-back to a default. Values are collected as text;
+//! the resolver ([`crate::resolve`]) checks them, as it checks every
+//! layer's, and names a malformed one by its flag.
 //!
 //! Grammar:
 //!
@@ -24,8 +26,8 @@ pub struct Parsed {
     pub spec_file: Option<String>,
     /// `--out PATH`, if given.
     pub out: Option<String>,
-    /// Validated spec-field assignments in command-line order
-    /// (presence flags carry `"1"`), ready for the resolver.
+    /// Spec-field assignments in command-line order (presence flags
+    /// carry `"1"`), for the resolver to check and apply.
     pub sets: Vec<(&'static FieldDef, String)>,
 }
 
@@ -40,13 +42,6 @@ pub enum CliError {
     /// A value-taking flag at the end of the line, or followed by
     /// another flag.
     MissingValue(String),
-    /// A value that does not parse for its field.
-    BadValue {
-        /// The flag at fault.
-        flag: String,
-        /// What was wrong with its value.
-        message: String,
-    },
 }
 
 impl std::fmt::Display for CliError {
@@ -55,9 +50,6 @@ impl std::fmt::Display for CliError {
             CliError::Help => write!(f, "help requested"),
             CliError::UnknownFlag(flag) => write!(f, "unknown flag '{flag}'"),
             CliError::MissingValue(flag) => write!(f, "flag '{flag}' is missing its value"),
-            CliError::BadValue { flag, message } => {
-                write!(f, "bad value for '{flag}': {message}")
-            }
         }
     }
 }
@@ -65,19 +57,15 @@ impl std::fmt::Display for CliError {
 impl std::error::Error for CliError {}
 
 /// Parses `args` (without the program name) against the shared field
-/// registry.
-///
-/// Values are validated eagerly (on a scratch spec) so a malformed
-/// `--scale x` fails here, before any layer resolution or simulation
-/// starts.
+/// registry. A field's value is not checked here: [`crate::resolve`]
+/// does that, before any simulation starts.
 ///
 /// # Errors
 ///
 /// [`CliError::Help`] on `--help`/`-h`; otherwise the first unknown
-/// flag, missing value, or malformed value.
+/// flag or missing value.
 pub fn parse(args: &[String]) -> Result<Parsed, CliError> {
     let mut parsed = Parsed::default();
-    let mut scratch = crate::spec::ExperimentSpec::default();
     let mut i = 0;
     while i < args.len() {
         let a = args[i].as_str();
@@ -102,12 +90,6 @@ pub fn parse(args: &[String]) -> Result<Parsed, CliError> {
             } else {
                 "1".to_string()
             };
-            scratch
-                .set_str(field, &raw, crate::spec::Layer::Cli)
-                .map_err(|message| CliError::BadValue {
-                    flag: a.to_string(),
-                    message,
-                })?;
             parsed.sets.push((field, raw));
         } else if a.starts_with('-') && a.len() > 1 && !a[1..2].chars().all(|c| c.is_ascii_digit())
         {
@@ -159,13 +141,15 @@ mod tests {
         assert_eq!(e, CliError::UnknownFlag("--bogus".into()));
     }
 
+    /// The resolver's refusal of the one flag in `args`, which parses.
+    fn refusal(args: &[&str]) -> String {
+        let p = parse(&argv(args)).expect("values are not checked while parsing");
+        crate::resolve(None, &|_| None, &p.sets).unwrap_err().to_string()
+    }
+
     #[test]
     fn malformed_value_names_the_flag() {
-        let e = parse(&argv(&["--scale", "fast"])).unwrap_err();
-        match e {
-            CliError::BadValue { flag, .. } => assert_eq!(flag, "--scale"),
-            other => panic!("wrong error {other:?}"),
-        }
+        assert_eq!(refusal(&["--scale", "fast"]), "bad value for '--scale': expected a number, got 'fast'");
     }
 
     #[test]
@@ -180,11 +164,10 @@ mod tests {
     fn negative_numbers_are_values_not_flags() {
         // A leading dash followed by a digit is a (possibly invalid)
         // value, reported as such rather than as an unknown flag.
-        let e = parse(&argv(&["--threads", "-3"])).unwrap_err();
-        match e {
-            CliError::BadValue { flag, .. } => assert_eq!(flag, "--threads"),
-            other => panic!("wrong error {other:?}"),
-        }
+        assert_eq!(
+            refusal(&["--threads", "-3"]),
+            "bad value for '--threads': expected a non-negative integer, got '-3'"
+        );
     }
 
     #[test]

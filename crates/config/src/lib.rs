@@ -9,12 +9,13 @@
 //! * [`spec`] — [`ExperimentSpec`], the typed description of a run
 //!   (simulator knobs, auditor knobs, worker-pool threads, workload
 //!   scale and seeds), with a field registry binding each field to one
-//!   spec-file key, one `EQUINOX_*` environment variable and one CLI
-//!   flag, and per-field provenance.
+//!   spec-file key, one `EQUINOX_*` environment variable, one CLI flag
+//!   and one setter for all three, and per-field provenance.
 //! * [`resolve`] — layered resolution: built-in defaults → optional
-//!   spec file → environment → CLI flags, last writer wins.
+//!   spec file → environment → CLI flags, last writer wins; the one
+//!   place a value is checked.
 //! * [`cli`] — the shared strict argument parser (unknown flags and
-//!   malformed values are fatal, never silently defaulted).
+//!   missing values are fatal, never silently defaulted).
 //!
 //! The crate is a dependency-free leaf: `equinox-core` consumes the
 //! resolved spec (`SystemConfig::from_spec`) and `equinox-bench`'s
@@ -30,4 +31,4 @@ pub mod spec;
 pub use cli::{flag_help, parse as parse_cli, CliError, Parsed};
 pub use json::{parse as parse_json, Json, JsonError};
 pub use resolve::{resolve, resolve_process, ResolveError};
-pub use spec::{fields, ExperimentSpec, FieldDef, Layer, ITERS_LIMIT, LOADLAT_CYCLES_LIMIT, MAX_CYCLES_LIMIT};
+pub use spec::{fields, ExperimentSpec, FieldDef, Layer, Raw, ITERS_LIMIT, LOADLAT_CYCLES_LIMIT, MAX_CYCLES_LIMIT};

@@ -9,7 +9,7 @@
 //! environment.
 
 use crate::json::{self, Json};
-use crate::spec::{fields, ExperimentSpec, FieldDef, Layer};
+use crate::spec::{fields, ExperimentSpec, FieldDef, Layer, Raw};
 
 /// A resolution failure, pointing at the offending layer and key.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,20 +24,20 @@ pub struct ResolveError {
 
 impl std::fmt::Display for ResolveError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let where_ = match self.layer {
-            Layer::Default => "default",
-            Layer::File => "spec file",
-            Layer::Env => "environment",
-            Layer::Cli => "flag",
-        };
-        write!(f, "bad {where_} {}: {}", self.key, self.message)
+        let (key, message) = (&self.key, &self.message);
+        match self.layer {
+            Layer::Cli => write!(f, "bad value for '{key}': {message}"),
+            Layer::File => write!(f, "bad spec file {key}: {message}"),
+            Layer::Env => write!(f, "bad environment {key}: {message}"),
+            Layer::Default => write!(f, "bad default {key}: {message}"),
+        }
     }
 }
 
 impl std::error::Error for ResolveError {}
 
-/// One validated CLI assignment produced by [`crate::cli::parse`]:
-/// the field plus the raw value string (presence flags carry `"1"`).
+/// One CLI assignment collected by [`crate::cli::parse`]: the field plus
+/// its value text (presence flags carry `"1"`), checked by [`resolve`].
 pub type CliSet = (&'static FieldDef, String);
 
 /// Resolves a spec from its four layers.
@@ -47,7 +47,10 @@ pub type CliSet = (&'static FieldDef, String);
 /// * `env`: environment lookup, usually `|k| std::env::var(k).ok()`.
 ///   Unset and *empty* variables are skipped (an exported empty string
 ///   behaves like unset).
-/// * `cli`: validated flag assignments, applied last.
+/// * `cli`: flag assignments, applied last.
+///
+/// Every layer's value goes through its field's one setter
+/// ([`ExperimentSpec::set`]), so this is where values are checked.
 ///
 /// # Errors
 ///
@@ -64,27 +67,25 @@ pub fn resolve(
     }
 
     for f in fields() {
-        if let Some(v) = env(f.env) {
-            if v.trim().is_empty() {
-                continue;
-            }
-            spec.set_str(f, &v, Layer::Env).map_err(|message| ResolveError {
-                layer: Layer::Env,
-                key: f.env.to_string(),
-                message,
-            })?;
+        if let Some(v) = env(f.env).filter(|v| !v.trim().is_empty()) {
+            set(&mut spec, f, Raw::Text(&v), Layer::Env, f.env)?;
         }
     }
 
     for (f, v) in cli {
-        spec.set_str(f, v, Layer::Cli).map_err(|message| ResolveError {
-            layer: Layer::Cli,
-            key: f.flag.to_string(),
-            message,
-        })?;
+        set(&mut spec, f, Raw::Text(v), Layer::Cli, f.flag)?;
     }
 
     Ok(spec)
+}
+
+/// [`ExperimentSpec::set`], with a refusal naming `layer` and `key`.
+fn set(spec: &mut ExperimentSpec, f: &FieldDef, value: Raw, layer: Layer, key: &str) -> Result<(), ResolveError> {
+    spec.set(f, value, layer).map_err(|message| ResolveError {
+        layer,
+        key: key.to_string(),
+        message,
+    })
 }
 
 fn apply_file(spec: &mut ExperimentSpec, path: &str, contents: &str) -> Result<(), ResolveError> {
@@ -111,12 +112,7 @@ fn apply_file(spec: &mut ExperimentSpec, path: &str, contents: &str) -> Result<(
             key: key.clone(),
             message: format!("unknown spec key (known: {})", known_keys()),
         })?;
-        spec.set_json(field, value, Layer::File)
-            .map_err(|message| ResolveError {
-                layer: Layer::File,
-                key: key.clone(),
-                message,
-            })?;
+        set(spec, field, Raw::Json(value), Layer::File, key)?;
     }
     Ok(())
 }

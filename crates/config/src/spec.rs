@@ -104,8 +104,8 @@ pub struct ExperimentSpec {
     /// Arm the observability layer (latency histograms + time series +
     /// span profiler) on every full-system run built from this spec.
     pub obs: bool,
-    /// Cycles between observability time-series samples (must be > 0;
-    /// rejected at spec resolution otherwise).
+    /// Cycles between observability time-series samples (>= 1, on
+    /// every layer).
     pub obs_interval: u64,
     /// Live-telemetry sink: a file path, appended to. One
     /// `obs.sample/v1` line-JSON frame per sampling interval plus a
@@ -161,7 +161,6 @@ impl Default for ExperimentSpec {
 }
 
 impl ExperimentSpec {
-
     /// Provenance of the named field, if registered.
     pub fn provenance_of(&self, name: &str) -> Option<Layer> {
         fields()
@@ -170,36 +169,22 @@ impl ExperimentSpec {
             .map(|i| self.provenance[i])
     }
 
-    /// Applies one field from a string (env var or CLI value) and
-    /// records `layer` as its provenance.
+    /// Applies one field's value as `layer` supplies it and records
+    /// `layer` as its provenance. A refused value leaves the spec as it
+    /// was.
     ///
     /// # Errors
     ///
-    /// Returns a message describing the malformed value (the caller
-    /// prefixes the flag/variable name).
-    pub fn set_str(&mut self, field: &FieldDef, value: &str, layer: Layer) -> Result<(), String> {
-        (field.set_str)(self, value)?;
-        self.note(field.name, layer);
-        Ok(())
-    }
-
-    /// Applies one field from a spec-file JSON value.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message describing the type/range mismatch.
-    pub(crate) fn set_json(&mut self, field: &FieldDef, value: &Json, layer: Layer) -> Result<(), String> {
-        (field.set_json)(self, value)?;
-        self.note(field.name, layer);
-        Ok(())
-    }
-
-    fn note(&mut self, name: &str, layer: Layer) {
+    /// Returns a message describing the malformed or out-of-bound value
+    /// (the caller prefixes the flag, variable or key).
+    pub fn set(&mut self, field: &FieldDef, value: Raw, layer: Layer) -> Result<(), String> {
+        (field.set)(self, value)?;
         let i = fields()
             .iter()
-            .position(|f| f.name == name)
+            .position(|f| f.name == field.name)
             .expect("registered field");
         self.provenance[i] = layer;
+        Ok(())
     }
 
     /// The full spec as JSON: every field's resolved value plus a
@@ -239,8 +224,83 @@ impl ExperimentSpec {
     }
 }
 
+/// A field's value as one layer supplies it: the text of a CLI flag or
+/// an `EQUINOX_*` variable, or a spec file's JSON value. Each accessor
+/// reads one kind of value from either form, so a field has one setter
+/// for every layer.
+#[derive(Debug, Clone, Copy)]
+pub enum Raw<'a> {
+    /// A CLI value or environment variable (presence flags carry `"1"`).
+    Text(&'a str),
+    /// A spec-file value.
+    Json(&'a Json),
+}
+
+impl<'a> Raw<'a> {
+    fn uint(self) -> Result<u64, String> {
+        match self {
+            Raw::Text(v) => v.trim().parse().map_err(|_| format!("expected a non-negative integer, got '{v}'")),
+            Raw::Json(v) => v
+                .as_u64()
+                .ok_or_else(|| format!("expected a non-negative integer, got {}", v.to_compact())),
+        }
+    }
+
+    fn float(self) -> Result<f64, String> {
+        match self {
+            Raw::Text(v) => v.trim().parse().map_err(|_| format!("expected a number, got '{v}'")),
+            Raw::Json(v) => v.as_f64().ok_or_else(|| format!("expected a number, got {}", v.to_compact())),
+        }
+    }
+
+    /// Truthy text: `1`, `true`, `on`, `yes` (case-insensitive); falsy:
+    /// empty, `0`, `false`, `off`, `no`. Anything else is an error, so a
+    /// typo is not read as either.
+    fn bool(self) -> Result<bool, String> {
+        match self {
+            Raw::Text(v) => match v.trim().to_ascii_lowercase().as_str() {
+                "1" | "true" | "on" | "yes" => Ok(true),
+                "" | "0" | "false" | "off" | "no" => Ok(false),
+                _ => Err(format!("expected a boolean (1/0/true/false/on/off), got '{v}'")),
+            },
+            Raw::Json(v) => v.as_bool().ok_or_else(|| format!("expected a boolean, got {}", v.to_compact())),
+        }
+    }
+
+    /// A string, trimmed on every layer.
+    fn text(self) -> Result<&'a str, String> {
+        match self {
+            Raw::Text(v) => Ok(v.trim()),
+            Raw::Json(v) => v
+                .as_str()
+                .map(str::trim)
+                .ok_or_else(|| format!("expected a string, got {}", v.to_compact())),
+        }
+    }
+
+    /// A comma-separated list or an array of seeds, at least one.
+    fn seeds(self) -> Result<Vec<u64>, String> {
+        let seeds = match self {
+            Raw::Text(v) => v
+                .split(',')
+                .map(|p| p.trim().parse().map_err(|_| format!("expected a seed (u64), got '{p}'")))
+                .collect::<Result<Vec<_>, _>>()?,
+            Raw::Json(v) => v
+                .as_arr()
+                .ok_or_else(|| format!("expected an array of seeds, got {}", v.to_compact()))?
+                .iter()
+                .map(|j| Raw::Json(j).uint())
+                .collect::<Result<Vec<_>, _>>()?,
+        };
+        if seeds.is_empty() {
+            return Err("need at least one seed".into());
+        }
+        Ok(seeds)
+    }
+}
+
 /// One registered spec field: its spec-file key (`name`), CLI flag,
-/// environment variable, and typed setters/getter.
+/// environment variable, its one setter for every layer and its getter.
 #[derive(Debug)]
 pub struct FieldDef {
     /// Spec-file key and provenance name.
@@ -253,27 +313,8 @@ pub struct FieldDef {
     pub takes_value: bool,
     /// One-line help for the usage text.
     pub help: &'static str,
-    set_str: fn(&mut ExperimentSpec, &str) -> Result<(), String>,
-    set_json: fn(&mut ExperimentSpec, &Json) -> Result<(), String>,
+    set: fn(&mut ExperimentSpec, Raw) -> Result<(), String>,
     get_json: fn(&ExperimentSpec) -> Json,
-}
-
-fn parse_num<T: std::str::FromStr>(kind: &str, v: &str) -> Result<T, String> {
-    v.trim()
-        .parse::<T>()
-        .map_err(|_| format!("expected {kind}, got '{v}'"))
-}
-
-/// Truthy strings: `1`, `true`, `on`, `yes` (case-insensitive);
-/// falsy: empty, `0`, `false`, `off`, `no`. Anything else is an error
-/// (unlike the legacy env readers, which treated typos as "on").
-fn parse_bool(v: &str) -> Result<bool, String> {
-    let t = v.trim().to_ascii_lowercase();
-    match t.as_str() {
-        "1" | "true" | "on" | "yes" => Ok(true),
-        "" | "0" | "false" | "off" | "no" => Ok(false),
-        _ => Err(format!("expected a boolean (1/0/true/false/on/off), got '{v}'")),
-    }
 }
 
 /// Topology names the spec accepts; must match
@@ -309,24 +350,14 @@ const _: () = {
     assert!(m + m / 5 < MAX_CYCLES_LIMIT && next + next / 5 >= MAX_CYCLES_LIMIT);
 };
 
-/// Validates a closed-choice string field (lower-cased, trimmed).
-fn parse_choice(kind: &str, allowed: &[&str], v: &str) -> Result<String, String> {
-    let t = v.trim().to_ascii_lowercase();
+/// A closed-choice string field's value, lower-cased.
+fn choice(kind: &str, allowed: &[&str], v: &str) -> Result<String, String> {
+    let t = v.to_ascii_lowercase();
     if allowed.contains(&t.as_str()) {
         Ok(t)
     } else {
         Err(format!("expected one of {} for {kind}, got '{v}'", allowed.join("/")))
     }
-}
-
-fn json_u64(v: &Json) -> Result<u64, String> {
-    v.as_u64()
-        .ok_or_else(|| format!("expected a non-negative integer, got {}", v.to_compact()))
-}
-
-fn json_f64(v: &Json) -> Result<f64, String> {
-    v.as_f64()
-        .ok_or_else(|| format!("expected a number, got {}", v.to_compact()))
 }
 
 /// `scale`'s bound: finite and above zero (`"nan"` and `"inf"` parse as
@@ -351,99 +382,84 @@ fn probability(v: f64) -> Result<f64, String> {
     }
 }
 
-fn json_bool(v: &Json) -> Result<bool, String> {
-    v.as_bool()
-        .ok_or_else(|| format!("expected a boolean, got {}", v.to_compact()))
-}
-
-/// A field's lower bound, enforced by its setters on every layer (CLI,
-/// env, file): a value under it describes no machine or run (a 0-tile
-/// mesh, a queue that holds nothing, a run capped at 0 cycles).
-fn at_least<T: PartialOrd + std::fmt::Display>(v: T, min: T) -> Result<T, String> {
-    if v >= min {
-        Ok(v)
-    } else {
-        Err(format!("must be >= {min}, got {v}"))
+/// An integer field's bounds, enforced by its setter on every layer
+/// (CLI, env, file). A value under `min` describes no machine or run (a
+/// 0-tile mesh, a queue that holds nothing, a run capped at 0 cycles); one
+/// over `max` does not fit the field's type, or counts more cycles than
+/// the packet tracker stamps in 32 bits, or more iterations than one
+/// search holds.
+fn in_range<T: TryFrom<u64> + PartialOrd + std::fmt::Display>(v: u64, min: T, max: T) -> Result<T, String> {
+    match T::try_from(v) {
+        Ok(t) if t < min => Err(format!("must be >= {min}, got {v}")),
+        Ok(t) if t <= max => Ok(t),
+        _ => Err(format!("must be <= {max}, got {v}")),
     }
 }
 
-/// A field's upper bound, enforced like [`at_least`]: `max_cycles` and
-/// `cycles` count cycles the packet tracker stamps in 32 bits.
-fn at_most<T: PartialOrd + std::fmt::Display>(v: T, max: T) -> Result<T, String> {
-    if v <= max {
-        Ok(v)
-    } else {
-        Err(format!("must be <= {max}, got {v}"))
-    }
-}
-
-/// Shorthand for the repetitive numeric/bool field definitions.
+/// Registers one field. Each arm names how the field reads its value;
+/// every arm ends in the one `FieldDef` literal, whose setter serves
+/// every layer.
 macro_rules! field {
-    // Unsigned-integer-like field.
+    // Unsigned integer, optionally bounded below and above.
     (uint $name:literal, $flag:literal, $env:literal, $field:ident : $ty:ty, $help:literal) => {
         field!(uint >= 0, $name, $flag, $env, $field: $ty, $help)
     };
-    // Unsigned-integer-like field with a lower bound.
     (uint >= $min:literal, $name:literal, $flag:literal, $env:literal, $field:ident : $ty:ty, $help:literal) => {
         field!(uint >= $min, <= <$ty>::MAX, $name, $flag, $env, $field: $ty, $help)
     };
-    // Unsigned-integer-like field with a lower and an upper bound.
     (uint >= $min:literal, <= $max:expr, $name:literal, $flag:literal, $env:literal, $field:ident : $ty:ty, $help:literal) => {
-        FieldDef {
-            name: $name,
-            flag: $flag,
-            env: $env,
-            takes_value: true,
-            help: $help,
-            set_str: |s, v| {
-                s.$field = at_most(at_least(parse_num::<$ty>("a non-negative integer", v)?, $min)?, $max)?;
+        field!(custom $name, $flag, $env, true, $help,
+            |s, v| {
+                s.$field = in_range::<$ty>(v.uint()?, $min, $max)?;
                 Ok(())
             },
-            set_json: |s, v| {
-                let v = <$ty>::try_from(json_u64(v)?)
-                    .map_err(|_| format!("value out of range for {}", $name))?;
-                s.$field = at_most(at_least(v, $min)?, $max)?;
-                Ok(())
-            },
-            get_json: |s| Json::Num(s.$field as f64),
-        }
+            |s| Json::Num(s.$field as f64))
     };
-    // Float field, checked by a bound function.
+    // Float, checked by a bound function.
     (float $bound:ident, $name:literal, $flag:literal, $env:literal, $field:ident, $help:literal) => {
-        FieldDef {
-            name: $name,
-            flag: $flag,
-            env: $env,
-            takes_value: true,
-            help: $help,
-            set_str: |s, v| {
-                s.$field = $bound(parse_num::<f64>("a number", v)?)?;
+        field!(custom $name, $flag, $env, true, $help,
+            |s, v| {
+                s.$field = $bound(v.float()?)?;
                 Ok(())
             },
-            set_json: |s, v| {
-                s.$field = $bound(json_f64(v)?)?;
-                Ok(())
-            },
-            get_json: |s| Json::Num(s.$field),
-        }
+            |s| Json::Num(s.$field))
     };
-    // Plain boolean field set *true* by flag presence.
+    // Boolean, set true by the flag's presence.
     (flag $name:literal, $flag:literal, $env:literal, $field:ident, $help:literal) => {
+        field!(custom $name, $flag, $env, false, $help,
+            |s, v| {
+                s.$field = v.bool()?;
+                Ok(())
+            },
+            |s| Json::Bool(s.$field))
+    };
+    // One of a closed list of names.
+    (choice $choices:ident, $name:literal, $flag:literal, $env:literal, $field:ident, $help:literal) => {
+        field!(custom $name, $flag, $env, true, $help,
+            |s, v| {
+                s.$field = choice($name, $choices, v.text()?)?;
+                Ok(())
+            },
+            |s| Json::Str(s.$field.clone()))
+    };
+    // A file or directory path; empty = off.
+    (path $name:literal, $flag:literal, $env:literal, $field:ident, $help:literal) => {
+        field!(custom $name, $flag, $env, true, $help,
+            |s, v| {
+                s.$field = v.text()?.to_string();
+                Ok(())
+            },
+            |s| Json::Str(s.$field.clone()))
+    };
+    (custom $name:literal, $flag:literal, $env:literal, $takes_value:literal, $help:literal, $set:expr, $get:expr) => {
         FieldDef {
             name: $name,
             flag: $flag,
             env: $env,
-            takes_value: false,
+            takes_value: $takes_value,
             help: $help,
-            set_str: |s, v| {
-                s.$field = parse_bool(v)?;
-                Ok(())
-            },
-            set_json: |s, v| {
-                s.$field = json_bool(v)?;
-                Ok(())
-            },
-            get_json: |s| Json::Bool(s.$field),
+            set: $set,
+            get_json: $get,
         }
     };
 }
@@ -453,78 +469,16 @@ macro_rules! field {
 pub fn fields() -> &'static [FieldDef] {
     static FIELDS: &[FieldDef] = &[
         field!(uint >= 2, "n", "--n", "EQUINOX_N", n: u16, "grid size (NxN routers, >= 2)"),
-        FieldDef {
-            name: "topology",
-            flag: "--topology",
-            env: "EQUINOX_TOPOLOGY",
-            takes_value: true,
-            help: "reply-fabric topology: mesh, ring or hring",
-            set_str: |s, v| {
-                s.topology = parse_choice("topology", TOPOLOGY_CHOICES, v)?;
-                Ok(())
-            },
-            set_json: |s, v| {
-                let t = v
-                    .as_str()
-                    .ok_or_else(|| format!("expected a topology name, got {}", v.to_compact()))?;
-                s.topology = parse_choice("topology", TOPOLOGY_CHOICES, t)?;
-                Ok(())
-            },
-            get_json: |s| Json::Str(s.topology.clone()),
-        },
-        FieldDef {
-            name: "traffic",
-            flag: "--traffic",
-            env: "EQUINOX_TRAFFIC",
-            takes_value: true,
-            help: "synthetic traffic pattern: uniform, hotspot, transpose or bursty",
-            set_str: |s, v| {
-                s.traffic = parse_choice("traffic", TRAFFIC_CHOICES, v)?;
-                Ok(())
-            },
-            set_json: |s, v| {
-                let t = v
-                    .as_str()
-                    .ok_or_else(|| format!("expected a traffic pattern, got {}", v.to_compact()))?;
-                s.traffic = parse_choice("traffic", TRAFFIC_CHOICES, t)?;
-                Ok(())
-            },
-            get_json: |s| Json::Str(s.traffic.clone()),
-        },
+        field!(choice TOPOLOGY_CHOICES, "topology", "--topology", "EQUINOX_TOPOLOGY", topology, "reply-fabric topology: mesh, ring or hring"),
+        field!(choice TRAFFIC_CHOICES, "traffic", "--traffic", "EQUINOX_TRAFFIC", traffic, "synthetic traffic pattern: uniform, hotspot, transpose or bursty"),
         field!(uint >= 1, "n_cbs", "--cbs", "EQUINOX_CBS", n_cbs: u16, "number of cache banks (>= 1)"),
         field!(float positive, "scale", "--scale", "EQUINOX_SCALE", scale, "per-PE instruction quota multiplier (finite, > 0)"),
-        FieldDef {
-            name: "seeds",
-            flag: "--seeds",
-            env: "EQUINOX_SEEDS",
-            takes_value: true,
-            help: "comma-separated seed list for seed-averaged runs",
-            set_str: |s, v| {
-                let seeds: Result<Vec<u64>, String> = v
-                    .split(',')
-                    .map(|p| parse_num::<u64>("a seed (u64)", p))
-                    .collect();
-                let seeds = seeds?;
-                if seeds.is_empty() {
-                    return Err("need at least one seed".into());
-                }
-                s.seeds = seeds;
+        field!(custom "seeds", "--seeds", "EQUINOX_SEEDS", true, "comma-separated seed list for seed-averaged runs",
+            |s, v| {
+                s.seeds = v.seeds()?;
                 Ok(())
             },
-            set_json: |s, v| {
-                let arr = v
-                    .as_arr()
-                    .ok_or_else(|| format!("expected an array of seeds, got {}", v.to_compact()))?;
-                let seeds: Result<Vec<u64>, String> = arr.iter().map(json_u64).collect();
-                let seeds = seeds?;
-                if seeds.is_empty() {
-                    return Err("need at least one seed".into());
-                }
-                s.seeds = seeds;
-                Ok(())
-            },
-            get_json: |s| Json::Arr(s.seeds.iter().map(|&x| Json::Num(x as f64)).collect()),
-        },
+            |s| Json::Arr(s.seeds.iter().map(|&x| Json::Num(x as f64)).collect())),
         field!(uint "seed", "--seed", "EQUINOX_SEED", seed: u64, "primary seed (design search)"),
         field!(flag "full", "--full", "EQUINOX_FULL", full, "run all 29 benchmarks (default: quick subset)"),
         field!(uint "threads", "--threads", "EQUINOX_THREADS", threads: usize, "worker-pool threads (0 = auto)"),
@@ -535,116 +489,26 @@ pub fn fields() -> &'static [FieldDef] {
         field!(uint "l2_latency", "--l2-latency", "EQUINOX_L2_LATENCY", l2_latency: u64, "L2 hit latency in cycles"),
         field!(uint "pipeline_extra", "--pipeline-extra", "EQUINOX_PIPELINE_EXTRA", pipeline_extra: u32, "extra router pipeline stages"),
         field!(float probability, "reply_compression", "--reply-compression", "EQUINOX_REPLY_COMPRESSION", reply_compression, "read-reply compression probability (in [0, 1])"),
-        FieldDef {
-            name: "activity_gate",
-            flag: "--no-activity-gate",
-            env: "EQUINOX_NO_ACTIVITY_GATE",
-            takes_value: false,
-            help: "fall back to exhaustive every-router-every-cycle stepping",
-            // Flag/env polarity is inverted for compatibility with the
-            // historical escape hatch: the flag's presence (or a truthy
-            // EQUINOX_NO_ACTIVITY_GATE) *disables* the gate. The spec
-            // file uses the direct form: "activity_gate": false.
-            set_str: |s, v| {
-                s.activity_gate = !parse_bool(v)?;
+        // The flag and variable keep the historical escape hatch's
+        // polarity: their presence (or a truthy EQUINOX_NO_ACTIVITY_GATE)
+        // *disables* the gate. The spec file says it directly:
+        // "activity_gate": false.
+        field!(custom "activity_gate", "--no-activity-gate", "EQUINOX_NO_ACTIVITY_GATE", false, "fall back to exhaustive every-router-every-cycle stepping",
+            |s, v| {
+                s.activity_gate = v.bool()? != matches!(v, Raw::Text(_));
                 Ok(())
             },
-            set_json: |s, v| {
-                s.activity_gate = json_bool(v)?;
-                Ok(())
-            },
-            get_json: |s| Json::Bool(s.activity_gate),
-        },
+            |s| Json::Bool(s.activity_gate)),
         field!(flag "audit", "--audit", "EQUINOX_AUDIT", audit, "arm the invariant auditor"),
         field!(uint >= 1, <= LOADLAT_CYCLES_LIMIT, "cycles", "--cycles", "EQUINOX_CYCLES", cycles: u64, "measured cycles per load-latency point (1 to 3579139412)"),
         field!(uint >= 1, <= ITERS_LIMIT, "iters", "--iters", "EQUINOX_ITERS", iters: usize, "MCTS iterations for spec-driven design searches (1 to 1000000)"),
         field!(flag "obs", "--obs", "EQUINOX_OBS", obs, "arm the observability layer (metrics + time series)"),
-        // Custom instead of `field!(uint ...)`: an interval of 0 would
-        // mean "sample every cycle of nothing" — degenerate sampling
-        // that silently records one row per cycle forever. Rejected at
-        // spec-resolution time on every layer (CLI, env, file).
-        FieldDef {
-            name: "obs_interval",
-            flag: "--obs-interval",
-            env: "EQUINOX_OBS_INTERVAL",
-            takes_value: true,
-            help: "cycles between observability samples (> 0)",
-            set_str: |s, v| {
-                let n = parse_num::<u64>("a positive integer", v)?;
-                if n == 0 {
-                    return Err("must be > 0 (an interval of 0 cannot sample)".into());
-                }
-                s.obs_interval = n;
-                Ok(())
-            },
-            set_json: |s, v| {
-                let n = json_u64(v)?;
-                if n == 0 {
-                    return Err("must be > 0 (an interval of 0 cannot sample)".into());
-                }
-                s.obs_interval = n;
-                Ok(())
-            },
-            get_json: |s| Json::Num(s.obs_interval as f64),
-        },
-        FieldDef {
-            name: "obs_stream",
-            flag: "--obs-stream",
-            env: "EQUINOX_OBS_STREAM",
-            takes_value: true,
-            help: "append line-JSON telemetry frames to this file",
-            set_str: |s, v| {
-                s.obs_stream = v.trim().to_string();
-                Ok(())
-            },
-            set_json: |s, v| {
-                s.obs_stream = v
-                    .as_str()
-                    .ok_or_else(|| format!("expected a string sink, got {}", v.to_compact()))?
-                    .to_string();
-                Ok(())
-            },
-            get_json: |s| Json::Str(s.obs_stream.clone()),
-        },
+        // An interval of 0 would sample every cycle of nothing.
+        field!(uint >= 1, "obs_interval", "--obs-interval", "EQUINOX_OBS_INTERVAL", obs_interval: u64, "cycles between observability samples (>= 1)"),
+        field!(path "obs_stream", "--obs-stream", "EQUINOX_OBS_STREAM", obs_stream, "append line-JSON telemetry frames to this file"),
         field!(flag "trace", "--trace", "EQUINOX_TRACE", trace, "record per-flit NoC trace events"),
-        FieldDef {
-            name: "trace_out",
-            flag: "--trace-out",
-            env: "EQUINOX_TRACE_OUT",
-            takes_value: true,
-            help: "write Chrome trace-event JSON to this path",
-            set_str: |s, v| {
-                s.trace_out = v.trim().to_string();
-                Ok(())
-            },
-            set_json: |s, v| {
-                s.trace_out = v
-                    .as_str()
-                    .ok_or_else(|| format!("expected a string path, got {}", v.to_compact()))?
-                    .to_string();
-                Ok(())
-            },
-            get_json: |s| Json::Str(s.trace_out.clone()),
-        },
-        FieldDef {
-            name: "checkpoint_dir",
-            flag: "--checkpoint-dir",
-            env: "EQUINOX_CHECKPOINT_DIR",
-            takes_value: true,
-            help: "result cache directory (empty = off)",
-            set_str: |s, v| {
-                s.checkpoint_dir = v.trim().to_string();
-                Ok(())
-            },
-            set_json: |s, v| {
-                s.checkpoint_dir = v
-                    .as_str()
-                    .ok_or_else(|| format!("expected a string path, got {}", v.to_compact()))?
-                    .to_string();
-                Ok(())
-            },
-            get_json: |s| Json::Str(s.checkpoint_dir.clone()),
-        },
+        field!(path "trace_out", "--trace-out", "EQUINOX_TRACE_OUT", trace_out, "write Chrome trace-event JSON to this path"),
+        field!(path "checkpoint_dir", "--checkpoint-dir", "EQUINOX_CHECKPOINT_DIR", checkpoint_dir, "result cache directory (empty = off)"),
     ];
     FIELDS
 }
@@ -685,14 +549,14 @@ mod tests {
     }
 
     #[test]
-    fn set_str_and_provenance() {
+    fn set_records_provenance() {
         let mut s = ExperimentSpec::default();
         let f = field_by_flag("--scale").unwrap();
-        s.set_str(f, "0.25", Layer::Cli).unwrap();
+        s.set(f, Raw::Text("0.25"), Layer::Cli).unwrap();
         assert_eq!(s.scale, 0.25);
         assert_eq!(s.provenance_of("scale"), Some(Layer::Cli));
         assert_eq!(s.provenance_of("n"), Some(Layer::Default));
-        assert!(s.set_str(f, "abc", Layer::Cli).is_err());
+        assert!(s.set(f, Raw::Text("abc"), Layer::Cli).is_err());
     }
 
     #[test]
@@ -700,10 +564,10 @@ mod tests {
         let mut s = ExperimentSpec::default();
         let f = field_by_name("activity_gate").unwrap();
         // Env/flag form is inverted ("no-activity-gate"):
-        s.set_str(f, "1", Layer::Env).unwrap();
+        s.set(f, Raw::Text("1"), Layer::Env).unwrap();
         assert!(!s.activity_gate);
         // Spec-file form is direct:
-        s.set_json(f, &Json::Bool(true), Layer::File).unwrap();
+        s.set(f, Raw::Json(&Json::Bool(true)), Layer::File).unwrap();
         assert!(s.activity_gate);
     }
 
@@ -711,37 +575,30 @@ mod tests {
     fn seeds_parse_both_ways() {
         let mut s = ExperimentSpec::default();
         let f = field_by_name("seeds").unwrap();
-        s.set_str(f, "1,2,3", Layer::Cli).unwrap();
+        s.set(f, Raw::Text("1,2,3"), Layer::Cli).unwrap();
         assert_eq!(s.seeds, vec![1, 2, 3]);
-        s.set_json(
-            f,
-            &crate::json::parse("[9, 8]").unwrap(),
-            Layer::File,
-        )
-        .unwrap();
+        s.set(f, Raw::Json(&crate::json::parse("[9, 8]").unwrap()), Layer::File)
+            .unwrap();
         assert_eq!(s.seeds, vec![9, 8]);
-        assert!(s.set_str(f, "", Layer::Cli).is_err());
-        assert!(s.set_json(f, &Json::Arr(vec![]), Layer::File).is_err());
+        assert!(s.set(f, Raw::Text(""), Layer::Cli).is_err());
+        assert!(s.set(f, Raw::Json(&Json::Arr(vec![])), Layer::File).is_err());
     }
 
     #[test]
     fn obs_and_trace_fields_parse_both_ways() {
         let mut s = ExperimentSpec::default();
         assert!(!s.obs && !s.trace && s.trace_out.is_empty());
-        s.set_str(field_by_flag("--obs").unwrap(), "1", Layer::Cli).unwrap();
-        s.set_str(field_by_flag("--trace").unwrap(), "1", Layer::Cli).unwrap();
-        s.set_str(field_by_flag("--obs-interval").unwrap(), "250", Layer::Cli)
-            .unwrap();
-        s.set_str(field_by_flag("--trace-out").unwrap(), "/tmp/t.json", Layer::Cli)
-            .unwrap();
+        for (flag, v) in [("--obs", "1"), ("--trace", "1"), ("--obs-interval", "250"), ("--trace-out", "/tmp/t.json")] {
+            s.set(field_by_flag(flag).unwrap(), Raw::Text(v), Layer::Cli).unwrap();
+        }
         assert!(s.obs && s.trace);
         assert_eq!(s.obs_interval, 250);
         assert_eq!(s.trace_out, "/tmp/t.json");
         // Spec-file forms.
         let f = field_by_name("trace_out").unwrap();
-        s.set_json(f, &Json::Str("x.json".into()), Layer::File).unwrap();
+        s.set(f, Raw::Json(&Json::Str("x.json".into())), Layer::File).unwrap();
         assert_eq!(s.trace_out, "x.json");
-        assert!(s.set_json(f, &Json::Num(3.0), Layer::File).is_err());
+        assert!(s.set(f, Raw::Json(&Json::Num(3.0)), Layer::File).is_err());
         assert_eq!(s.provenance_of("trace_out"), Some(Layer::File));
     }
 
@@ -751,11 +608,11 @@ mod tests {
         assert!(s.checkpoint_dir.is_empty(), "caching off by default");
         let f = field_by_flag("--checkpoint-dir").unwrap();
         assert_eq!(f.env, "EQUINOX_CHECKPOINT_DIR");
-        s.set_str(f, " /tmp/ck ", Layer::Cli).unwrap();
+        s.set(f, Raw::Text(" /tmp/ck "), Layer::Cli).unwrap();
         assert_eq!(s.checkpoint_dir, "/tmp/ck");
-        s.set_json(f, &Json::Str("/tmp/other".into()), Layer::File).unwrap();
+        s.set(f, Raw::Json(&Json::Str(" /tmp/other ".into())), Layer::File).unwrap();
         assert_eq!(s.checkpoint_dir, "/tmp/other");
-        assert!(s.set_json(f, &Json::Num(1.0), Layer::File).is_err());
+        assert!(s.set(f, Raw::Json(&Json::Num(1.0)), Layer::File).is_err());
         assert_eq!(s.provenance_of("checkpoint_dir"), Some(Layer::File));
     }
 
@@ -765,11 +622,11 @@ mod tests {
         assert!(s.obs_stream.is_empty(), "streaming off by default");
         let f = field_by_flag("--obs-stream").unwrap();
         assert_eq!(f.env, "EQUINOX_OBS_STREAM");
-        s.set_str(f, " frames.ndjson ", Layer::Cli).unwrap();
+        s.set(f, Raw::Text(" frames.ndjson "), Layer::Cli).unwrap();
         assert_eq!(s.obs_stream, "frames.ndjson");
-        s.set_json(f, &Json::Str("/tmp/frames.ndjson".into()), Layer::File).unwrap();
+        s.set(f, Raw::Json(&Json::Str("/tmp/frames.ndjson".into())), Layer::File).unwrap();
         assert_eq!(s.obs_stream, "/tmp/frames.ndjson");
-        assert!(s.set_json(f, &Json::Num(1.0), Layer::File).is_err());
+        assert!(s.set(f, Raw::Json(&Json::Num(1.0)), Layer::File).is_err());
         assert_eq!(s.provenance_of("obs_stream"), Some(Layer::File));
         // Unlike checkpoint_dir, the sink arms observability and thus
         // changes what the run records: it is part of the experiment.
@@ -780,17 +637,16 @@ mod tests {
     fn obs_interval_zero_is_a_fatal_config_error() {
         let mut s = ExperimentSpec::default();
         let f = field_by_flag("--obs-interval").unwrap();
-        s.set_str(f, "250", Layer::Cli).unwrap();
+        s.set(f, Raw::Text("250"), Layer::Cli).unwrap();
         assert_eq!(s.obs_interval, 250);
         for (layer, res) in [
-            (Layer::Cli, s.set_str(f, "0", Layer::Cli)),
-            (Layer::Env, s.set_str(f, " 0 ", Layer::Env)),
+            (Layer::Cli, s.set(f, Raw::Text("0"), Layer::Cli)),
+            (Layer::Env, s.set(f, Raw::Text(" 0 "), Layer::Env)),
+            (Layer::File, s.set(f, Raw::Json(&Json::Num(0.0)), Layer::File)),
         ] {
             let err = res.unwrap_err();
-            assert!(err.contains("> 0"), "{layer:?}: error must say > 0: {err}");
+            assert!(err.contains(">= 1"), "{layer:?}: error must say >= 1: {err}");
         }
-        let err = s.set_json(f, &Json::Num(0.0), Layer::File).unwrap_err();
-        assert!(err.contains("> 0"), "file layer must reject 0 too: {err}");
         assert_eq!(s.obs_interval, 250, "rejected values must not stick");
     }
 
@@ -799,12 +655,12 @@ mod tests {
         let mut a = ExperimentSpec::default();
         let mut b = ExperimentSpec::default();
         let dir = field_by_name("checkpoint_dir").unwrap();
-        b.set_str(dir, "/tmp/elsewhere", Layer::Cli).unwrap();
+        b.set(dir, Raw::Text("/tmp/elsewhere"), Layer::Cli).unwrap();
         // Same experiment, different cache dir and provenance → same key.
         assert_eq!(a.cache_key_material(&[]), b.cache_key_material(&[]));
         assert!(!a.cache_key_material(&[]).contains("checkpoint_dir"));
         // Any experiment knob changes the key material.
-        a.set_str(field_by_name("scale").unwrap(), "0.25", Layer::Cli).unwrap();
+        a.set(field_by_name("scale").unwrap(), Raw::Text("0.25"), Layer::Cli).unwrap();
         assert_ne!(a.cache_key_material(&[]), b.cache_key_material(&[]));
         // …unless the caller names it as one its result does not read.
         assert_eq!(a.cache_key_material(&["scale"]), b.cache_key_material(&["scale"]));
@@ -817,16 +673,16 @@ mod tests {
         let f = field_by_flag("--sim-threads").unwrap();
         assert_eq!(f.env, "EQUINOX_SIM_THREADS");
         for (layer, res) in [
-            (Layer::Cli, s.set_str(f, "2", Layer::Cli)),
-            (Layer::Env, s.set_str(f, "0", Layer::Env)),
-            (Layer::File, s.set_json(f, &Json::Num(4.0), Layer::File)),
-            (Layer::Cli, s.set_str(f, "many", Layer::Cli)),
+            (Layer::Cli, s.set(f, Raw::Text("2"), Layer::Cli)),
+            (Layer::Env, s.set(f, Raw::Text("0"), Layer::Env)),
+            (Layer::File, s.set(f, Raw::Json(&Json::Num(4.0)), Layer::File)),
+            (Layer::Cli, s.set(f, Raw::Text("many"), Layer::Cli)),
         ] {
             assert!(res.is_err(), "{layer:?} must reject the value");
         }
         assert_eq!(s.sim_threads, 1, "rejected values must not stick");
         assert_eq!(s.provenance_of("sim_threads"), Some(Layer::Default));
-        s.set_json(f, &Json::Num(1.0), Layer::File).unwrap();
+        s.set(f, Raw::Json(&Json::Num(1.0)), Layer::File).unwrap();
         assert_eq!(s.provenance_of("sim_threads"), Some(Layer::File));
     }
 
@@ -837,21 +693,21 @@ mod tests {
         assert_eq!(s.traffic, "uniform");
         let topo = field_by_flag("--topology").unwrap();
         assert_eq!(topo.env, "EQUINOX_TOPOLOGY");
-        s.set_str(topo, " Ring ", Layer::Cli).unwrap();
+        s.set(topo, Raw::Text(" Ring "), Layer::Cli).unwrap();
         assert_eq!(s.topology, "ring", "trimmed and lower-cased");
-        s.set_json(topo, &Json::Str("hring".into()), Layer::File).unwrap();
+        s.set(topo, Raw::Json(&Json::Str("hring".into())), Layer::File).unwrap();
         assert_eq!(s.topology, "hring");
-        let err = s.set_str(topo, "torus", Layer::Cli).unwrap_err();
+        let err = s.set(topo, Raw::Text("torus"), Layer::Cli).unwrap_err();
         assert!(err.contains("mesh/ring/hring"), "error lists choices: {err}");
-        assert!(s.set_json(topo, &Json::Num(3.0), Layer::File).is_err());
+        assert!(s.set(topo, Raw::Json(&Json::Num(3.0)), Layer::File).is_err());
         assert_eq!(s.provenance_of("topology"), Some(Layer::File));
 
         let traffic = field_by_flag("--traffic").unwrap();
         for p in TRAFFIC_CHOICES {
-            s.set_str(traffic, p, Layer::Env).unwrap();
+            s.set(traffic, Raw::Text(p), Layer::Env).unwrap();
             assert_eq!(s.traffic, *p);
         }
-        assert!(s.set_str(traffic, "tornado", Layer::Cli).is_err());
+        assert!(s.set(traffic, Raw::Text("tornado"), Layer::Cli).is_err());
         assert_eq!(s.provenance_of("traffic"), Some(Layer::Env));
     }
 
@@ -859,7 +715,7 @@ mod tests {
     fn to_json_embeds_provenance() {
         let mut s = ExperimentSpec::default();
         let f = field_by_flag("--audit").unwrap();
-        s.set_str(f, "1", Layer::Env).unwrap();
+        s.set(f, Raw::Text("1"), Layer::Env).unwrap();
         let j = s.to_json();
         assert_eq!(j.get("audit"), Some(&Json::Bool(true)));
         let prov = j.get("provenance").unwrap();

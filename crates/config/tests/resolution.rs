@@ -292,38 +292,54 @@ fn every_field_resolves_alike_from_every_layer() {
     let fields = equinox_config::fields();
     let names: Vec<&str> = rows.iter().map(|r| r.0).collect();
     assert_eq!(names, fields.iter().map(|f| f.name).collect::<Vec<_>>(), "one row per field, in order");
-
     let defaults = resolve(None, &no_env, &[]).unwrap().to_json();
-    let values = |spec: &equinox_config::ExperimentSpec| {
-        let mut j = spec.to_json();
-        if let equinox_config::Json::Obj(pairs) = &mut j {
-            pairs.retain(|(k, _)| k != "provenance");
-        }
-        j
-    };
-    for (f, &(name, text, json)) in fields.iter().zip(rows) {
-        let mut argv = vec![f.flag.to_string()];
-        if f.takes_value {
-            argv.push(text.to_string());
-        }
-        let parsed = equinox_config::parse_cli(&argv).unwrap_or_else(|e| panic!("{argv:?}: {e}"));
-        let env = |k: &str| (k == f.env).then(|| text.to_string());
-        let file = format!("{{\"{name}\": {json}}}");
-        let layers = [
-            (Layer::Cli, resolve(None, &no_env, &parsed.sets)),
-            (Layer::Env, resolve(None, &env, &[])),
-            (Layer::File, resolve(Some(("t.json", &file)), &no_env, &[])),
-        ];
-        let mut seen = Vec::new();
-        for (layer, spec) in layers {
-            let spec = spec.unwrap_or_else(|e| panic!("{name} from {layer:?}: {e}"));
-            assert_eq!(spec.provenance_of(name), Some(layer), "{name} from {layer:?}");
-            seen.push(values(&spec));
-        }
-        assert_eq!(seen[0], seen[1], "{name}: CLI {text:?} and env {text:?} differ");
-        assert_eq!(seen[0], seen[2], "{name}: CLI {text:?} and file {json} differ");
+    for &(name, text, json) in rows {
+        let value = resolves_alike(name, text, json);
         if name != "sim_threads" {
-            assert_ne!(seen[0].get(name), defaults.get(name), "{name}: pick a non-default value");
+            assert_ne!(value.get(name), defaults.get(name), "{name}: pick a non-default value");
         }
     }
+    // Strings are trimmed on every layer, the spec file's included.
+    for (name, text, json) in [
+        ("topology", " Ring ", r#"" Ring ""#),
+        ("obs_stream", " frames.ndjson ", r#"" frames.ndjson ""#),
+        ("trace_out", "\tt.json ", r#""\tt.json ""#),
+        ("checkpoint_dir", " ck ", r#"" ck ""#),
+    ] {
+        let value = resolves_alike(name, text, json);
+        assert_eq!(value.get(name).and_then(|j| j.as_str()), Some(text.trim().to_lowercase().as_str()));
+    }
+}
+
+/// Resolves field `name` from `text` on the command line, from `text` in
+/// its `EQUINOX_*` variable and from `json` in a spec file, each alone,
+/// and checks that each layer is the field's provenance and that all
+/// three give the same spec. Returns that spec's values.
+fn resolves_alike(name: &str, text: &str, json: &str) -> equinox_config::Json {
+    let f = equinox_config::fields().iter().find(|f| f.name == name).expect("registered");
+    let mut argv = vec![f.flag.to_string()];
+    if f.takes_value {
+        argv.push(text.to_string());
+    }
+    let parsed = equinox_config::parse_cli(&argv).unwrap_or_else(|e| panic!("{argv:?}: {e}"));
+    let env = |k: &str| (k == f.env).then(|| text.to_string());
+    let file = format!("{{\"{name}\": {json}}}");
+    let layers = [
+        (Layer::Cli, resolve(None, &no_env, &parsed.sets)),
+        (Layer::Env, resolve(None, &env, &[])),
+        (Layer::File, resolve(Some(("t.json", &file)), &no_env, &[])),
+    ];
+    let mut seen = Vec::new();
+    for (layer, spec) in layers {
+        let spec = spec.unwrap_or_else(|e| panic!("{name} from {layer:?}: {e}"));
+        assert_eq!(spec.provenance_of(name), Some(layer), "{name} from {layer:?}");
+        let mut values = spec.to_json();
+        if let equinox_config::Json::Obj(pairs) = &mut values {
+            pairs.retain(|(k, _)| k != "provenance");
+        }
+        seen.push(values);
+    }
+    assert_eq!(seen[0], seen[1], "{name}: CLI {text:?} and env {text:?} differ");
+    assert_eq!(seen[0], seen[2], "{name}: CLI {text:?} and file {json} differ");
+    seen.swap_remove(0)
 }

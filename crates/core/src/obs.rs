@@ -33,15 +33,16 @@ use equinox_obs::{
     NET_CAUSE_NAMES, STALL_CLASSES,
 };
 
+/// Span-event ring capacity: the wall-clock phase events a run keeps for
+/// the Chrome trace export (aggregates are always kept).
+const SPAN_CAPACITY: usize = 32_768;
+
 /// Observability configuration carried by
 /// [`SystemConfig`](crate::system::SystemConfig).
 #[derive(Debug, Clone)]
 pub struct ObsConfig {
     /// Cycles between time-series samples.
     pub interval: u64,
-    /// Span-event ring capacity (wall-clock phase events retained for
-    /// the Chrome trace export; aggregates are always kept).
-    pub span_capacity: usize,
     /// Live-telemetry sink (a file path); empty = off.
     /// When set, one `obs.sample/v1` line-JSON frame goes out per
     /// sampling interval plus a terminal `obs.summary/v1` frame.
@@ -52,7 +53,6 @@ impl Default for ObsConfig {
     fn default() -> Self {
         ObsConfig {
             interval: 1_000,
-            span_capacity: 32_768,
             stream: String::new(),
         }
     }
@@ -182,7 +182,7 @@ impl SystemObs {
             let _ = series.add(&format!("eir_load_cb{g}"));
         }
 
-        let mut spans = SpanProfiler::new(cfg.span_capacity);
+        let mut spans = SpanProfiler::new(SPAN_CAPACITY);
         let phases: Vec<SpanId> = PHASE_NAMES.iter().map(|n| spans.register(n)).collect();
         let noc_spans: Vec<SpanId> = (0..nets.len())
             .map(|i| spans.register(&format!("noc_step_net{i}")))

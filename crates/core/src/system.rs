@@ -128,7 +128,6 @@ impl SystemConfig {
             obs: (spec.obs || !spec.obs_stream.is_empty()).then_some(crate::obs::ObsConfig {
                 interval: spec.obs_interval.max(1),
                 stream: spec.obs_stream.clone(),
-                ..Default::default()
             }),
             trace_capacity: if spec.trace { Self::TRACE_CAPACITY } else { 0 },
         }
@@ -1619,7 +1618,6 @@ mod tests {
         cfg.obs = Some(crate::obs::ObsConfig {
             interval: 500,
             stream: path.display().to_string(),
-            ..Default::default()
         });
         assert!(System::build(cfg).run().completed);
         let frames = std::fs::read_to_string(&path).unwrap();

@@ -35,7 +35,6 @@ fn digest_lines(scheme: SchemeKind, dir: &std::path::Path) -> String {
     cfg.obs = Some(ObsConfig {
         interval: 100,
         stream: path.display().to_string(),
-        ..Default::default()
     });
     let mut sys = System::build(cfg);
     let m = sys.run();

@@ -201,6 +201,33 @@ if head -n "${tests_at:-1000000}" "$tree_rs" | grep -nE '\bsort|chunks|== *&\*|\
 fi
 echo "OK: tree options are masks; the tree sorts nothing"
 
+echo "== one-setter guard =="
+# Each spec field has one setter, which the CLI, environment and spec-file
+# layers all call with a Raw value, and every field is registered through
+# the field! macro. So non-test spec.rs names no per-layer setter, and a
+# FieldDef literal appears only inside macro_rules! field.
+spec_rs=crates/config/src/spec.rs
+tests_at=$(grep -n -m1 '^#\[cfg(test)\]' "$spec_rs" | cut -d: -f1 || true)
+setters=""
+in_macro=""
+n=0
+while IFS= read -r line; do
+  n=$((n + 1))
+  [ "$n" -lt "${tests_at:-1000000}" ] || break
+  [[ "$line" == "macro_rules! field {" ]] && in_macro=1
+  if [[ "$line" =~ set_(str|json) ]] || { [ -z "$in_macro" ] \
+      && [[ "$line" =~ FieldDef[[:space:]]*\{ ]] && ! [[ "$line" =~ struct[[:space:]]+FieldDef ]]; }; then
+    setters+="$spec_rs:$n:$line"$'\n'
+  fi
+  [[ -n "$in_macro" && "$line" == "}" ]] && in_macro=""
+done < "$spec_rs"
+if [ -n "$setters" ]; then
+  printf '%s' "$setters"
+  echo "FAIL: a spec field parses its value per layer, or is registered outside field! — give it one setter over Raw" >&2
+  exit 1
+fi
+echo "OK: every spec field has one setter, registered through field!"
+
 echo "== clippy =="
 # Warnings are errors, as in CI. With every library item crate-private
 # unless another crate reads it, the dead_code lint names the items only
