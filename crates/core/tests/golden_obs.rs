@@ -12,6 +12,13 @@
 //! the `SystemConfig`'s `Debug` text, so a new or renamed config field
 //! moves the two `stream` lines — and only those.
 //!
+//! The `values` line digests a listing of every distinct value the blocks
+//! carry, one canonical name per value with its `to_compact()` text, in
+//! an order of its own. A change to the blocks' layout (key names,
+//! nesting, which block holds what) rewrites the reader of the listing
+//! but must not move this line; only a change to what the simulator
+//! records does.
+//!
 //! To regenerate after an *intentional* change to the emitted blocks,
 //! run with
 //! `EQUINOX_REGEN_GOLDEN=1 cargo test -p equinox-core --test golden_obs`
@@ -20,9 +27,57 @@
 use equinox_core::obs::ObsConfig;
 use equinox_core::scheme::SchemeKind;
 use equinox_core::system::{System, SystemConfig};
+use equinox_config::Json;
 use equinox_snap::fnv1a;
 use equinox_traffic::{profile::benchmark, Workload};
 use std::fmt::Write as _;
+
+/// The cause keys of a class's latency-breakdown row, after
+/// `delivered` and `e2e_cycles`.
+const CAUSES: [&str; 6] =
+    ["inj_queue", "vc_alloc", "switch_loss", "credit_starve", "eject_wait", "serialization"];
+/// The in-network causes, each with a per-router grid per network.
+const NET_CAUSES: [&str; 4] = ["vc_alloc", "switch_loss", "credit_starve", "eject_wait"];
+
+fn at<'a>(j: &'a Json, path: &[&str]) -> &'a Json {
+    path.iter()
+        .fold(j, |j, k| j.get(k).unwrap_or_else(|| panic!("missing key {k} of {path:?}")))
+}
+
+/// Every distinct value of the `equinox.obs/v1` and `/v2` blocks, one
+/// `name value` line each.
+fn values_listing(v1: &Json, v2: &Json) -> String {
+    let mut out = String::new();
+    let mut put = |name: String, v: &Json| writeln!(out, "{name} {}", v.to_compact()).unwrap();
+    let inj_heat = v2.get("inj_heat").and_then(Json::as_arr).expect("inj_heat");
+    for (c, (class, hist)) in
+        [("request", "req_latency_cycles"), ("reply", "rep_latency_cycles")].into_iter().enumerate()
+    {
+        for key in ["delivered", "e2e_cycles"].into_iter().chain(CAUSES) {
+            put(format!("{class}.{key}"), at(v2, &["per_class", class, key]));
+        }
+        put(format!("{class}.latency"), at(v1, &["histograms", hist]));
+        put(format!("{class}.inj_wait"), at(v2, &["inj_wait_histograms", class]));
+        assert_eq!(at(&inj_heat[c], &["class"]).as_str(), Some(class));
+        put(format!("{class}.inj_heat"), at(&inj_heat[c], &["heat"]));
+    }
+    put("series".into(), at(v1, &["series"]));
+    let heat = v1.get("heat").and_then(Json::as_arr).expect("heat");
+    let links = v1.get("links").and_then(Json::as_arr).expect("links");
+    let stall = v2.get("stall_heat").and_then(Json::as_arr).expect("stall_heat");
+    assert_eq!((links.len(), stall.len()), (heat.len(), 4 * heat.len()));
+    for (i, (h, l)) in heat.iter().zip(links).enumerate() {
+        put(format!("net{i}.heat"), at(h, &["heat"]));
+        put(format!("net{i}.variance"), at(h, &["variance"]));
+        put(format!("net{i}.link_flits"), at(l, &["flits"]));
+        for (grid, cause) in stall[4 * i..4 * i + 4].iter().zip(NET_CAUSES) {
+            assert_eq!(at(grid, &["cause"]).as_str(), Some(cause));
+            assert_eq!(at(grid, &["net"]).as_u64(), Some(i as u64));
+            put(format!("net{i}.stall.{cause}"), at(grid, &["heat"]));
+        }
+    }
+    out
+}
 
 /// Runs `scheme` on the fixed tiny `bfs` workload with obs and a file
 /// stream armed, and returns its digest lines.
@@ -39,8 +94,9 @@ fn digest_lines(scheme: SchemeKind, dir: &std::path::Path) -> String {
     let mut sys = System::build(cfg);
     let m = sys.run();
     assert!(m.completed, "{scheme:?} stalled at cycle {}", m.cycles);
-    let v1 = sys.obs_json().expect("obs armed").pretty();
-    let v2 = sys.obs_json_v2().expect("obs armed").pretty();
+    let (v1, v2) = (sys.obs_json().expect("obs armed"), sys.obs_json_v2().expect("obs armed"));
+    let values = values_listing(&v1, &v2);
+    let (v1, v2) = (v1.pretty(), v2.pretty());
     let frames = std::fs::read_to_string(&path).expect("stream file written");
     assert!(
         frames.contains("obs.sample/v1") && frames.contains("obs.summary/v1"),
@@ -48,7 +104,9 @@ fn digest_lines(scheme: SchemeKind, dir: &std::path::Path) -> String {
     );
     let mut out = String::new();
     writeln!(out, "{scheme:?} cycles {}", m.cycles).unwrap();
-    for (what, text) in [("obs/v1", &v1), ("obs/v2", &v2), ("stream", &frames)] {
+    for (what, text) in
+        [("obs/v1", &v1), ("obs/v2", &v2), ("values", &values), ("stream", &frames)]
+    {
         writeln!(
             out,
             "{scheme:?} {what} bytes {} fnv1a {:016x}",
