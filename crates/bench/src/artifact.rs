@@ -18,11 +18,13 @@
 //!   counts by link kind, injected/ejected totals.
 //! * `equinox.load_point/v1` — one load–latency measurement
 //!   ([`LoadPoint`]): offered rate, accepted throughput, mean latency.
-//! * `equinox.obs/v1` — the observability block of an obs-armed run
+//! * `equinox.obs/v3` — the observability block of an obs-armed run
 //!   (emitted by the `observe` scenario via
-//!   [`System::obs_json`](equinox_core::System::obs_json)): counters,
-//!   latency histograms with interpolated p50/p95/p99, the interval
-//!   time series, per-router heat grids and per-link flit counts. The
+//!   [`System::obs_json`](equinox_core::System::obs_json)): per class
+//!   the stall-cause latency breakdown, latency and injection-wait
+//!   histograms with interpolated p50/p95/p99 and injection-wait heat;
+//!   the interval time series; and per network the router heat grid and
+//!   its variance, per-link flit counts and per-cause stall grids. The
 //!   block is cycle-derived only, so it is bit-identical across
 //!   `EQUINOX_THREADS` settings; wall-clock span timings go to the
 //!   separate `--trace-out` Chrome trace file instead.
@@ -147,8 +149,8 @@ mod tests {
         let m = sys.run();
         assert!(m.completed);
         let obs = sys.obs_json().expect("obs was armed");
-        assert_eq!(obs.get("schema").and_then(Json::as_str), Some("equinox.obs/v1"));
-        assert!(obs.get("histograms").and_then(|h| h.get("rep_latency_cycles")).is_some());
+        assert_eq!(obs.get("schema").and_then(Json::as_str), Some("equinox.obs/v3"));
+        assert!(obs.get("classes").and_then(|c| c.get("reply")).and_then(|r| r.get("latency")).is_some());
         // The block embeds into the artifact envelope and survives a
         // write → parse round trip bit-for-bit.
         let spec = ExperimentSpec::default();

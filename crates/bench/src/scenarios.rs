@@ -766,7 +766,7 @@ fn designer(spec: &ExperimentSpec, log: &mut dyn Write) -> Result<Json, String> 
         .with("svg", design_svg(&design)))
 }
 
-/// Instrumented EquiNox run: the obs blocks plus the Chrome trace.
+/// Instrumented EquiNox run: the obs block plus the Chrome trace.
 fn observe(spec: &ExperimentSpec, log: &mut dyn Write) -> Result<Json, String> {
     header(log, "Observability: latency histograms, time series, spans, flit trace");
     // The scenario exists to exercise the observability layer, so it is
@@ -785,15 +785,12 @@ fn observe(spec: &ExperimentSpec, log: &mut dyn Write) -> Result<Json, String> {
         sys.tracker.delivered()
     );
     let _ = log.write_all(sys.obs_summary().as_bytes());
-    for (i, hm) in sys.heat_maps().iter().enumerate() {
-        out!(log, "  net{i} heat variance {:.3}", hm.variance);
-    }
     let obs = sys.obs_json().expect("observe arms the obs layer");
-    let obs_v2 = sys.obs_json_v2().expect("observe arms the obs layer");
-    let mut j = Json::obj()
-        .with("metrics", run_metrics_json(&m))
-        .with("obs", obs)
-        .with("obs_v2", obs_v2);
+    for (i, net) in obs.get("nets").and_then(Json::as_arr).unwrap_or_default().iter().enumerate() {
+        let variance = net.get("variance").and_then(Json::as_f64).unwrap_or_default();
+        out!(log, "  net{i} heat variance {variance:.3}");
+    }
+    let mut j = Json::obj().with("metrics", run_metrics_json(&m)).with("obs", obs);
     if let Some((lines, errors)) = sys.obs_stream_stats() {
         out!(log, "  stream: {lines} frames written, {errors} write errors");
     }
@@ -871,9 +868,10 @@ fn fabric(spec: &ExperimentSpec, log: &mut dyn Write) -> Result<Json, String> {
     let mut roundtrip = false;
 
     let mut t = 0u64;
-    // Measured window, then drain with injection stopped (budget scales
-    // with what is still in flight; a healthy fabric needs a fraction).
-    while t < cycles + 200_000 {
+    // Measured window, then a drain with injection stopped, for at most a
+    // fixed budget; a healthy fabric needs a fraction of it.
+    const DRAIN_BUDGET: u64 = 200_000;
+    while t < cycles + DRAIN_BUDGET {
         for (i, &src) in nodes.iter().enumerate() {
             // New packets only inside the measured window; flits of a
             // packet already started keep streaming during the drain.
@@ -925,9 +923,15 @@ fn fabric(spec: &ExperimentSpec, log: &mut dyn Write) -> Result<Json, String> {
             break;
         }
     }
-    assert!(net.quiescent(), "fabric failed to drain after injection stopped");
-
     let s = net.stats();
+    if !net.quiescent() {
+        return Err(format!(
+            "{} flits still in the network after the drain budget of {DRAIN_BUDGET} cycles \
+             with injection stopped",
+            s.injected_flits - s.ejected_flits
+        ));
+    }
+
     let avg_lat = if delivered > 0 { latency_sum as f64 / delivered as f64 } else { 0.0 };
     let throughput = s.ejected_flits as f64 / t.max(1) as f64 / nodes.len() as f64;
     out!(log, "  offered {offered} pkt/node/cycle for {cycles} cycles (+{} drain)", t.saturating_sub(cycles));

@@ -136,7 +136,7 @@ fn design_search_is_worker_count_independent() {
     assert_eq!(a, b, "top-k placement fan-out must not depend on worker count");
 }
 
-/// One obs-armed EquiNox run's `equinox.obs/v1` block, pretty-printed.
+/// One obs-armed EquiNox run's `equinox.obs/v3` block, pretty-printed.
 fn obs_snapshot() -> String {
     let workload = Workload::new(benchmark("bfs").unwrap(), 0.05, 7);
     let mut cfg = SystemConfig::new(SchemeKind::EquiNox, 8, workload);
@@ -171,11 +171,11 @@ fn ring_reply_fabric_completes_with_its_topology_threaded_through() {
 }
 
 /// One full `equinox.artifact/v1` envelope (metrics + per-network
-/// counters + the obs/v1 block) of a bfs run, pretty-printed, that is
+/// counters + the obs block) of a bfs run, pretty-printed, that is
 /// optionally forked: when `fork_cycle` is `Some(c)`, the system is stepped to
 /// cycle `c`, snapshotted, restored into a *fresh* identically-
 /// configured build, and finished there. Everything observable —
-/// metrics, NetStats and the obs/v1 block — comes from whichever system
+/// metrics, NetStats and the obs block — comes from whichever system
 /// finished the run. Returns the artifact and the run's cycle count (so
 /// callers can pick fork points strictly inside the run).
 fn forked_artifact_snapshot(scheme: SchemeKind, fork_cycle: Option<u64>) -> (String, u64) {
@@ -215,7 +215,7 @@ fn forked_artifact_snapshot(scheme: SchemeKind, fork_cycle: Option<u64>) -> (Str
 fn forked_run_artifact_is_byte_identical_to_straight_through() {
     // The checkpoint/fork contract: snapshotting mid-run and finishing
     // from a restored fresh build must change nothing observable — the
-    // full artifact, including the obs/v1 block, is byte-identical to a
+    // full artifact, including the obs block, is byte-identical to a
     // straight-through run's. Da2Mesh exercises the multi-network shape,
     // EquiNox the EIR injection ports. Fork points are fractions of the
     // measured completion cycle so the snapshot always lands mid-run.
@@ -284,10 +284,10 @@ fn result_cache_replays_bit_identical_metrics() {
 
 #[test]
 fn obs_block_is_worker_count_independent() {
-    // The artifact's obs/v1 block holds only cycle-derived data (the
+    // The artifact's obs block holds only cycle-derived data (the
     // wall-clock span profile is exported separately, to the Chrome
-    // trace), so its full rendering — counters, latency histograms,
-    // time series, heat grids, link counters — must be byte-identical
+    // trace), so its full rendering — breakdown rows, histograms, time
+    // series, heat and stall grids, link counters — must be byte-identical
     // across repeated runs and worker counts.
     set_threads(1);
     let seq = obs_snapshot();

@@ -68,7 +68,7 @@ fn malformed_values_and_unknown_flags_are_fatal() {
 fn unbuildable_machines_and_values_under_a_bound_are_named_not_backtraced() {
     // Each of these used to die in an assert three frames into the build
     // (exit 101), hang until killed, or emit an artifact of empty runs.
-    let cases: [(&[&str], &str); 37] = [
+    let cases: [(&[&str], &str); 40] = [
         (&["sweep", "--n", "9"], "n = 9: Interposer-CMesh"),
         (&["sweep", "--n", "6"], "n_cbs = 8: SingleBase"),
         (&["loadlat", "--n", "1"], "--n"),
@@ -120,6 +120,14 @@ fn unbuildable_machines_and_values_under_a_bound_are_named_not_backtraced() {
         // `fabric` injects with chance `--scale` per node and cycle: this
         // ran as 1 and recorded an offered load of 5.
         (&["fabric", "--scale", "5", "--cycles", "100"], "equinox: fabric: scale = 5: --scale is each node's chance"),
+        // A hit or a sample past the cycle cap never comes: the first ran
+        // like `--l2-latency 0` (the sum wrapped), the second panicked in
+        // debug builds.
+        (&["observe", "--scale", "0.05", "--l2-latency", "18446744073709551615"], "'--l2-latency': must be <= 4294967295, got 18446744073709551615"),
+        (&["observe", "--obs-interval", "18446744073709551615"], "'--obs-interval': must be <= 4294967295, got 18446744073709551615"),
+        // A pipeline this deep outlasts the fixed drain budget: this died
+        // on an assert (exit 101).
+        (&["fabric", "--pipeline-extra", "300000", "--cycles", "100"], "equinox: fabric: 640 flits still in the network after the drain budget of 200000 cycles"),
     ];
     for (args, needle) in cases {
         let out = driver().args(args).output().expect("run driver");
@@ -225,12 +233,13 @@ fn observe_scenario_emits_obs_block_and_chrome_trace() {
         .expect("run driver");
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
 
-    // The artifact carries the obs/v1 block with series, percentile
-    // histograms and heat grids.
+    // The artifact carries the one obs block: per-class breakdowns and
+    // histograms, the series, and per-network heat and stall grids.
     let artifact = parse_json(&String::from_utf8(out.stdout).unwrap()).expect("stdout is JSON");
     let results = artifact.get("results").expect("results block");
+    assert!(results.get("obs_v2").is_none(), "one obs block, not two");
     let obs = results.get("obs").expect("obs block");
-    assert_eq!(obs.get("schema").and_then(Json::as_str), Some("equinox.obs/v1"));
+    assert_eq!(obs.get("schema").and_then(Json::as_str), Some("equinox.obs/v3"));
     assert_eq!(obs.get("interval").and_then(Json::as_u64), Some(500));
     let series = obs.get("series").expect("series block");
     let cycles = series.get("cycle").and_then(Json::as_arr).expect("cycle axis");
@@ -239,47 +248,43 @@ fn observe_scenario_emits_obs_block_and_chrome_trace() {
         let vals = series.get(col).and_then(Json::as_arr).unwrap_or_else(|| panic!("series '{col}'"));
         assert_eq!(vals.len(), cycles.len(), "'{col}' rows match the cycle axis");
     }
-    let hist = obs
-        .get("histograms")
-        .and_then(|h| h.get("rep_latency_cycles"))
-        .expect("reply latency histogram");
-    assert!(hist.get("count").and_then(Json::as_u64).unwrap() > 0);
-    for q in ["p50", "p95", "p99"] {
-        let v = hist.get(q).and_then(Json::as_f64).unwrap_or_else(|| panic!("{q} present"));
-        assert!(v > 0.0, "{q} must be positive, got {v}");
-    }
-    let heat = obs.get("heat").and_then(Json::as_arr).expect("heat grids");
-    assert_eq!(heat.len(), 2, "EquiNox runs request + reply nets");
-    for hm in heat {
-        let w = hm.get("width").and_then(Json::as_u64).expect("width");
-        let grid = hm.get("heat").and_then(Json::as_arr).expect("grid");
-        assert_eq!(grid.len() as u64, w * w, "row-major width² grid");
-    }
     // EquiNox arms EIR load series, one per CB group.
     assert!(series.get("eir_load_cb0").is_some(), "EIR load series present");
 
-    // The obs/v2 block rides along: stall taxonomy, per-class latency
-    // breakdown summing to the measured end-to-end latency, heat grids.
-    let v2 = results.get("obs_v2").expect("obs_v2 block");
-    assert_eq!(v2.get("schema").and_then(Json::as_str), Some("equinox.obs/v2"));
-    let causes = v2.get("causes").and_then(Json::as_arr).expect("cause list");
-    assert_eq!(causes.len(), 6, "six named stall causes");
+    let mesh = obs.get("mesh").and_then(Json::as_u64).expect("mesh side");
     for class in ["request", "reply"] {
-        let row = v2.get("per_class").and_then(|p| p.get(class)).expect("class row");
+        let row = obs.get("classes").and_then(|p| p.get(class)).expect("class row");
         let get = |k: &str| row.get(k).and_then(Json::as_u64).unwrap_or_else(|| panic!("{class}.{k}"));
         let sum: u64 = ["inj_queue", "vc_alloc", "switch_loss", "credit_starve", "eject_wait", "serialization"]
             .iter()
             .map(|&c| get(c))
             .sum();
         assert_eq!(sum, get("e2e_cycles"), "{class}: causes reconstruct e2e");
+        let hist = row.get("latency").expect("latency histogram");
+        assert_eq!(hist.get("count").and_then(Json::as_u64), Some(get("delivered")));
+        for q in ["p50", "p95", "p99"] {
+            let v = hist.get(q).and_then(Json::as_f64).unwrap_or_else(|| panic!("{q} present"));
+            assert!(v > 0.0, "{class} {q} must be positive, got {v}");
+        }
+        assert!(row.get("inj_wait").and_then(|h| h.get("count")).is_some(), "{class} inj_wait");
+        let heat = row.get("inj_heat").and_then(Json::as_arr).expect("inj heat grid");
+        assert_eq!(heat.len() as u64, mesh * mesh, "{class}: row-major mesh² grid");
     }
-    let stall_heat = v2.get("stall_heat").and_then(Json::as_arr).expect("stall heat grids");
-    assert_eq!(stall_heat.len(), 2 * 4, "2 nets x 4 in-network causes");
-    for hm in stall_heat {
-        let w = hm.get("width").and_then(Json::as_u64).expect("width");
-        let h = hm.get("height").and_then(Json::as_u64).expect("height");
-        let grid = hm.get("heat").and_then(Json::as_arr).expect("grid");
-        assert_eq!(grid.len() as u64, w * h, "row-major width x height grid");
+
+    let nets = obs.get("nets").and_then(Json::as_arr).expect("per-network entries");
+    assert_eq!(nets.len(), 2, "EquiNox runs request + reply nets");
+    for (i, net) in nets.iter().enumerate() {
+        assert_eq!(net.get("net").and_then(Json::as_u64), Some(i as u64));
+        let w = net.get("width").and_then(Json::as_u64).expect("width");
+        let h = net.get("height").and_then(Json::as_u64).expect("height");
+        assert!(net.get("variance").and_then(Json::as_f64).is_some(), "net{i} variance");
+        let grid = |g: Option<&Json>| g.and_then(Json::as_arr).map_or(0, |g| g.len() as u64);
+        assert_eq!(grid(net.get("heat")), w * h, "net{i}: row-major width x height heat");
+        assert!(grid(net.get("link_flits")) > 0, "net{i} link flit counts");
+        for cause in ["vc_alloc", "switch_loss", "credit_starve", "eject_wait"] {
+            let g = net.get("stall").and_then(|s| s.get(cause));
+            assert_eq!(grid(g), w * h, "net{i} {cause}: row-major width x height grid");
+        }
     }
 
     // The trace file is valid Chrome trace-event JSON with both span

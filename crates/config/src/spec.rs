@@ -328,8 +328,9 @@ pub const TRAFFIC_CHOICES: &[&str] = &["uniform", "hotspot", "transpose", "burst
 
 /// Largest `max_cycles`. The packet tracker stamps cycles as `u32`, with
 /// `u32::MAX` for "not yet", and a run capped at `max_cycles` steps
-/// cycles `0..max_cycles`. `SystemConfig::check` enforces it for library
-/// callers.
+/// cycles `0..max_cycles`. It also bounds `l2_latency` and `obs_interval`,
+/// which count cycles of such a run. `SystemConfig::check` enforces all
+/// three for library callers.
 pub const MAX_CYCLES_LIMIT: u64 = u32::MAX as u64;
 
 /// Largest `cycles`: a load-latency point steps `cycles / 5` warm-up
@@ -486,7 +487,8 @@ pub fn fields() -> &'static [FieldDef] {
         field!(uint >= 1, <= MAX_CYCLES_LIMIT, "max_cycles", "--max-cycles", "EQUINOX_MAX_CYCLES", max_cycles: u64, "safety cap on simulated cycles (1 to 4294967295)"),
         field!(uint >= 1, "ni_queue_cap", "--ni-queue-cap", "EQUINOX_NI_QUEUE_CAP", ni_queue_cap: usize, "NI message-queue capacity (>= 1)"),
         field!(uint >= 1, "cb_inflight_cap", "--cb-inflight-cap", "EQUINOX_CB_INFLIGHT_CAP", cb_inflight_cap: usize, "max requests inside one CB (>= 1)"),
-        field!(uint "l2_latency", "--l2-latency", "EQUINOX_L2_LATENCY", l2_latency: u64, "L2 hit latency in cycles"),
+        // A hit slower than the cycle cap never completes.
+        field!(uint >= 0, <= MAX_CYCLES_LIMIT, "l2_latency", "--l2-latency", "EQUINOX_L2_LATENCY", l2_latency: u64, "L2 hit latency in cycles (0 to 4294967295)"),
         field!(uint "pipeline_extra", "--pipeline-extra", "EQUINOX_PIPELINE_EXTRA", pipeline_extra: u32, "extra router pipeline stages"),
         field!(float probability, "reply_compression", "--reply-compression", "EQUINOX_REPLY_COMPRESSION", reply_compression, "read-reply compression probability (in [0, 1])"),
         // The flag and variable keep the historical escape hatch's
@@ -503,8 +505,9 @@ pub fn fields() -> &'static [FieldDef] {
         field!(uint >= 1, <= LOADLAT_CYCLES_LIMIT, "cycles", "--cycles", "EQUINOX_CYCLES", cycles: u64, "measured cycles per load-latency point (1 to 3579139412)"),
         field!(uint >= 1, <= ITERS_LIMIT, "iters", "--iters", "EQUINOX_ITERS", iters: usize, "MCTS iterations for spec-driven design searches (1 to 1000000)"),
         field!(flag "obs", "--obs", "EQUINOX_OBS", obs, "arm the observability layer (metrics + time series)"),
-        // An interval of 0 would sample every cycle of nothing.
-        field!(uint >= 1, "obs_interval", "--obs-interval", "EQUINOX_OBS_INTERVAL", obs_interval: u64, "cycles between observability samples (>= 1)"),
+        // An interval of 0 would sample every cycle of nothing; one past
+        // the cycle cap never samples.
+        field!(uint >= 1, <= MAX_CYCLES_LIMIT, "obs_interval", "--obs-interval", "EQUINOX_OBS_INTERVAL", obs_interval: u64, "cycles between observability samples (1 to 4294967295)"),
         field!(path "obs_stream", "--obs-stream", "EQUINOX_OBS_STREAM", obs_stream, "append line-JSON telemetry frames to this file"),
         field!(flag "trace", "--trace", "EQUINOX_TRACE", trace, "record per-flit NoC trace events"),
         field!(path "trace_out", "--trace-out", "EQUINOX_TRACE_OUT", trace_out, "write Chrome trace-event JSON to this path"),

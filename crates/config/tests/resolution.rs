@@ -212,6 +212,9 @@ fn cycle_counts_past_the_packet_trackers_range_are_refused_on_every_layer() {
     refused_above_on_every_layer(&[
         ("max_cycles", "--max-cycles", "EQUINOX_MAX_CYCLES", MAX_CYCLES_LIMIT),
         ("cycles", "--cycles", "EQUINOX_CYCLES", LOADLAT_CYCLES_LIMIT),
+        // `now + l2_latency` and `cycle + interval` once wrapped.
+        ("l2_latency", "--l2-latency", "EQUINOX_L2_LATENCY", MAX_CYCLES_LIMIT),
+        ("obs_interval", "--obs-interval", "EQUINOX_OBS_INTERVAL", MAX_CYCLES_LIMIT),
     ]);
 }
 

@@ -17,10 +17,8 @@ use equinox_exec::Rng;
 /// Result of a heat-map run.
 #[derive(Debug, Clone)]
 pub struct HeatMap {
-    /// Grid width (the map is row-major `width × height`).
+    /// Grid side (the map is row-major `width × width`).
     pub width: u16,
-    /// Grid height. [`HeatMap::square`] builds the common square case.
-    pub height: u16,
     /// Average cycles a flit spends in each router.
     pub heat: Vec<f64>,
     /// Population variance across routers.
@@ -28,34 +26,10 @@ pub struct HeatMap {
 }
 
 impl HeatMap {
-    /// A `width × width` map (every paper scenario; rectangular grids
-    /// come from the topology-generalized fabrics).
-    pub(crate) fn square(width: u16, heat: Vec<f64>, variance: f64) -> Self {
-        HeatMap { width, height: width, heat, variance }
-    }
-
-    /// The map as structured JSON for the `obs/v1` artifact block:
-    /// `{"width": W, "variance": V, "heat": [W*H values, row-major]}`.
-    /// A `"height"` key is emitted only for non-square grids, keeping
-    /// the block byte-identical for every historical (square) run.
-    /// The ASCII [`HeatMap::render`] stays for stderr reports.
-    pub(crate) fn to_json(&self) -> equinox_config::Json {
-        use equinox_config::Json;
-        let mut j = Json::obj().with("width", self.width);
-        if self.height != self.width {
-            j = j.with("height", self.height);
-        }
-        j.with("variance", self.variance)
-            .with(
-                "heat",
-                self.heat.iter().map(|&v| Json::Num(v)).collect::<Vec<_>>(),
-            )
-    }
-
     /// Renders the map as an ASCII grid (one row per grid row).
     pub fn render(&self) -> String {
         let mut out = String::new();
-        for y in 0..self.height {
+        for y in 0..self.width {
             for x in 0..self.width {
                 let v = self.heat[(y * self.width + x) as usize];
                 out.push_str(&format!("{v:5.1} "));
@@ -103,7 +77,7 @@ pub fn placement_heatmap(placement: &Placement, offered: f64, cycles: u64, seed:
         net.drain_ejected(|_, _, _| {});
     }
     let stats = net.stats();
-    HeatMap::square(n, stats.heat_map(), stats.heat_variance())
+    HeatMap { width: n, heat: stats.heat_map(), variance: stats.heat_variance() }
 }
 
 #[cfg(test)]
@@ -150,38 +124,6 @@ mod tests {
         let a = placement_heatmap(&p, 0.2, 1_000, 9);
         let b = placement_heatmap(&p, 0.2, 1_000, 9);
         assert_eq!(a.heat, b.heat);
-    }
-
-    #[test]
-    fn json_shape_matches_grid() {
-        let p = Placement::diamond(8, 8, 8);
-        let h = placement_heatmap(&p, 0.1, 500, 3);
-        let j = h.to_json();
-        assert_eq!(j.get("width").and_then(|v| v.as_u64()), Some(8));
-        let heat = j.get("heat").and_then(|v| v.as_arr()).expect("heat array");
-        assert_eq!(heat.len(), 64, "row-major width*width grid");
-        assert!(heat.iter().all(|v| v.as_f64().is_some()));
-        let var = j.get("variance").and_then(|v| v.as_f64()).expect("variance");
-        assert!((var - h.variance).abs() < 1e-12);
-        // The JSON block must round-trip through the artifact parser.
-        let parsed = equinox_config::parse_json(&j.pretty()).expect("valid JSON");
-        assert_eq!(parsed, j);
-    }
-
-    #[test]
-    fn non_square_maps_carry_height() {
-        let h = HeatMap {
-            width: 3,
-            height: 2,
-            heat: vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
-            variance: 0.0,
-        };
-        assert_eq!(h.render().lines().count(), 2, "one line per grid row");
-        let j = h.to_json();
-        assert_eq!(j.get("height").and_then(|v| v.as_u64()), Some(2));
-        // Square maps keep the historical shape: no "height" key.
-        let sq = HeatMap::square(2, vec![0.0; 4], 0.0);
-        assert!(sq.to_json().get("height").is_none());
     }
 
     #[test]

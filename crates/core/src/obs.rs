@@ -6,9 +6,13 @@
 //! `Option<Box<_>>` (the audit pattern: one branch per event when off,
 //! preallocated buffers when on) and records:
 //!
-//! * **Counters/histograms** — delivered request/reply packets, and
-//!   end-to-end packet latency histograms (cycles, request vs reply)
-//!   with p50/p95/p99 from bucket interpolation.
+//! * **Histograms** — per class (request, reply), end-to-end packet
+//!   latency and injection-queue wait in cycles, with p50/p95/p99 from
+//!   bucket interpolation; a histogram's count is the class's delivered
+//!   packets.
+//! * **Stall attribution** — injection wait per source tile here, the
+//!   in-network causes in each network's stall grid; together with the
+//!   serialization residual they sum to each class's end-to-end latency.
 //! * **Time series** — every `interval` cycles: delivered-flit
 //!   throughput, packets in flight, per-subnet link utilization, and
 //!   per-CB-group EIR injection load.
@@ -18,18 +22,17 @@
 //!   stepping phase — kept out of the deterministic artifact and
 //!   exported only to the Chrome trace file.
 //!
-//! The `obs/v1` artifact block ([`SystemObs::to_json`]) contains only
-//! cycle-derived data, so it is bit-identical across worker counts and
+//! The `equinox.obs/v3` artifact block ([`SystemObs::to_json`]) contains
+//! only cycle-derived data, so it is bit-identical across worker counts and
 //! repeated runs; wall-clock span data goes only to the Perfetto
 //! export ([`chrome_trace`]).
 
-use crate::heatmap::HeatMap;
 use crate::msg::{PacketRecord, PacketTracker};
 use equinox_config::Json;
 use equinox_noc::network::{InjectorId, Network};
 use equinox_noc::trace::{TraceEvent, TraceKind};
 use equinox_obs::{
-    ChromeTrace, Histogram, NetCause, SpanId, SpanProfiler, StreamWriter, TimeSeries, CAUSE_NAMES,
+    ChromeTrace, Histogram, NetCause, SpanId, SpanProfiler, StreamWriter, TimeSeries,
     NET_CAUSE_NAMES, STALL_CLASSES,
 };
 
@@ -85,8 +88,12 @@ const PHASE_NAMES: [&str; 4] = [
 /// Latency histogram bucket upper edges, in core cycles.
 const LAT_BOUNDS: [u64; 11] = [16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 16384];
 
-/// `obs/v1` names of the per-class delivered-packet counters and
-/// latency histograms, indexed by class (0 = request, 1 = reply).
+/// The message classes as the artifact block and the summary frame name
+/// them, indexed by class (0 = request, 1 = reply).
+const CLASS_NAMES: [&str; STALL_CLASSES] = ["request", "reply"];
+
+/// The human summary's names of the per-class delivered-packet counts
+/// and latency histograms, indexed by class.
 const DELIVERED_NAMES: [&str; STALL_CLASSES] = ["req_packets_delivered", "rep_packets_delivered"];
 const LATENCY_NAMES: [&str; STALL_CLASSES] = ["req_latency_cycles", "rep_latency_cycles"];
 
@@ -129,7 +136,7 @@ pub(crate) struct SystemObs {
     /// Original mesh side length (the coordinate space of
     /// `PacketRecord::src`), for the injection-wait heat grids.
     mesh_n: u16,
-    /// Attribution (`obs/v2`): per-class NI/EIR injection-queue wait
+    /// Attribution: per-class NI/EIR injection-queue wait
     /// distributions, charged at delivery; `sum()` is the class's
     /// `inj_queue` cause total.
     h_inj_wait: [Histogram; STALL_CLASSES],
@@ -334,8 +341,8 @@ impl SystemObs {
             .with(
                 "per_class",
                 Json::obj()
-                    .with("request", self.class_breakdown(0, nets))
-                    .with("reply", self.class_breakdown(1, nets)),
+                    .with(CLASS_NAMES[0], self.class_breakdown(0, nets))
+                    .with(CLASS_NAMES[1], self.class_breakdown(1, nets)),
             );
         self.stream_seq += 1;
         let w = self.stream.as_mut().expect("stream armed");
@@ -383,7 +390,7 @@ impl SystemObs {
     /// histograms, time-series rows and the sampling/delta cursors. Span
     /// (wall-clock) data is intentionally excluded — it never enters
     /// the deterministic artifact, so a restored run reproduces the
-    /// `obs/v1` block bit-for-bit without it.
+    /// obs block bit-for-bit without it.
     pub(crate) fn snap_state(&self, e: &mut equinox_snap::Enc) {
         use equinox_snap::Snap;
         for h in &self.h_latency {
@@ -445,106 +452,58 @@ impl SystemObs {
         Ok(())
     }
 
-    /// The `equinox.obs/v1` artifact block: counters, histograms with
-    /// interpolated percentiles, the time series, and per-router heat
-    /// grids — cycle-derived data only, bit-identical across worker
-    /// counts.
-    pub(crate) fn to_json(&self, nets: &[Network], heat: &[HeatMap]) -> Json {
-        let mut counters = Json::obj();
-        let mut hists = Json::obj();
-        for (c, h) in self.h_latency.iter().enumerate() {
-            counters = counters.with(DELIVERED_NAMES[c], h.count() as f64);
-            hists = hists.with(LATENCY_NAMES[c], hist_json(h));
+    /// The `equinox.obs/v3` artifact block, every value once: per class
+    /// the latency-breakdown row (summing to the class's measured
+    /// end-to-end latency), the latency and injection-wait histograms and
+    /// the injection-wait heat over source tiles; the time series; and per
+    /// network the router heat grid and its variance, per-link flit counts
+    /// and one per-router stall grid per in-network cause. Cycle-derived
+    /// only, so bit-identical across worker counts.
+    pub(crate) fn to_json(&self, nets: &[Network]) -> Json {
+        let mut classes = Json::obj();
+        for (c, name) in CLASS_NAMES.iter().enumerate() {
+            let row = self
+                .class_breakdown(c, nets)
+                .with("latency", hist_json(&self.h_latency[c]))
+                .with("inj_wait", hist_json(&self.h_inj_wait[c]))
+                .with("inj_heat", nums(self.inj_heat[c].iter().copied()));
+            classes = classes.with(name, row);
         }
-        let mut series = Json::obj().with(
-            "cycle",
-            self.series.cycles().iter().map(|&c| Json::Num(c as f64)).collect::<Vec<_>>(),
-        );
+        let mut series = Json::obj().with("cycle", nums(self.series.cycles().iter().copied()));
         for (name, vals) in self.series.columns() {
             series = series.with(name, vals.iter().map(|&v| Json::Num(v)).collect::<Vec<_>>());
         }
-        let heat: Vec<Json> = heat
-            .iter()
-            .enumerate()
-            .map(|(i, hm)| hm.to_json().with("net", i as f64))
-            .collect();
         let mut link_scratch = Vec::new();
-        let links: Vec<Json> = nets
+        let nets_json: Vec<Json> = nets
             .iter()
             .enumerate()
             .map(|(i, net)| {
+                let grid = net.stall_grid().expect("obs arms every network's stall grid");
+                let mut stall = Json::obj();
+                for cause in NET_CAUSE_LIST {
+                    stall = stall.with(NET_CAUSE_NAMES[cause as usize], nums(grid.heat(cause)));
+                }
                 net.link_flit_counts(&mut link_scratch);
+                let stats = net.stats();
                 Json::obj()
-                    .with("net", i as f64)
-                    .with(
-                        "flits",
-                        link_scratch.iter().map(|&f| Json::Num(f as f64)).collect::<Vec<_>>(),
-                    )
+                    .with("net", i)
+                    .with("width", net.width())
+                    .with("height", net.height())
+                    .with("variance", stats.heat_variance())
+                    .with("heat", stats.heat_map().into_iter().map(Json::Num).collect::<Vec<_>>())
+                    .with("link_flits", nums(link_scratch.iter().copied()))
+                    .with("stall", stall)
             })
             .collect();
         Json::obj()
-            .with("schema", "equinox.obs/v1")
+            .with("schema", "equinox.obs/v3")
             .with("interval", self.series.interval() as f64)
             .with("samples", self.series.len() as f64)
             .with("samples_dropped", self.series.dropped() as f64)
-            .with("counters", counters)
-            .with("gauges", Json::obj())
-            .with("histograms", hists)
+            .with("mesh", self.mesh_n)
+            .with("classes", classes)
             .with("series", series)
-            .with("heat", heat)
-            .with("links", links)
-    }
-
-    /// The `equinox.obs/v2` artifact block: the stall-cause attribution
-    /// layer. Per-class latency-breakdown rows (each summing to the
-    /// class's measured end-to-end latency), per-router × per-cause
-    /// stall heat grids for every subnet, injection-wait distributions
-    /// and per-source-tile injection-wait heat. Cycle-derived only —
-    /// bit-identical across worker counts. Emitted *next to* the v1
-    /// block, which stays byte-for-byte unchanged.
-    pub(crate) fn to_json_v2(&self, nets: &[Network]) -> Json {
-        let causes: Vec<Json> = CAUSE_NAMES.iter().map(|&c| Json::Str(c.into())).collect();
-        let per_class = Json::obj()
-            .with("request", self.class_breakdown(0, nets))
-            .with("reply", self.class_breakdown(1, nets));
-        let mut stall_heat = Vec::new();
-        for (i, net) in nets.iter().enumerate() {
-            let Some(g) = net.stall_grid() else { continue };
-            for cause in NET_CAUSE_LIST {
-                stall_heat.push(
-                    Json::obj()
-                        .with("net", i as f64)
-                        .with("cause", NET_CAUSE_NAMES[cause as usize])
-                        .with("width", net.width() as f64)
-                        .with("height", net.height() as f64)
-                        .with(
-                            "heat",
-                            g.heat(cause).map(|v| Json::Num(v as f64)).collect::<Vec<_>>(),
-                        ),
-                );
-            }
-        }
-        let inj_hists = Json::obj()
-            .with("request", hist_json(&self.h_inj_wait[0]))
-            .with("reply", hist_json(&self.h_inj_wait[1]));
-        let inj_heat: Vec<Json> = ["request", "reply"]
-            .iter()
-            .zip(&self.inj_heat)
-            .map(|(&name, grid)| {
-                Json::obj()
-                    .with("class", name)
-                    .with("width", self.mesh_n as f64)
-                    .with("height", self.mesh_n as f64)
-                    .with("heat", grid.iter().map(|&v| Json::Num(v as f64)).collect::<Vec<_>>())
-            })
-            .collect();
-        Json::obj()
-            .with("schema", "equinox.obs/v2")
-            .with("causes", causes)
-            .with("per_class", per_class)
-            .with("stall_heat", stall_heat)
-            .with("inj_wait_histograms", inj_hists)
-            .with("inj_heat", inj_heat)
+            .with("nets", nets_json)
     }
 
     /// `(frames_written, write_errors)` of the live sink, when armed.
@@ -577,12 +536,17 @@ impl SystemObs {
     }
 }
 
-/// One histogram's artifact emission (shared by the `obs/v1` and
-/// `obs/v2` blocks — field order is part of the byte-identity contract).
+/// Counts as a JSON array.
+fn nums(vals: impl Iterator<Item = u64>) -> Json {
+    Json::Arr(vals.map(|v| Json::Num(v as f64)).collect())
+}
+
+/// One histogram's artifact emission (field order is part of the
+/// byte-identity contract).
 fn hist_json(h: &Histogram) -> Json {
     Json::obj()
-        .with("bounds", h.bounds().iter().map(|&b| Json::Num(b as f64)).collect::<Vec<_>>())
-        .with("counts", h.counts().iter().map(|&c| Json::Num(c as f64)).collect::<Vec<_>>())
+        .with("bounds", nums(h.bounds().iter().copied()))
+        .with("counts", nums(h.counts().iter().copied()))
         .with("count", h.count() as f64)
         .with("min", h.min().unwrap_or(0) as f64)
         .with("max", h.max().unwrap_or(0) as f64)

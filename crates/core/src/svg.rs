@@ -98,15 +98,14 @@ pub fn design_svg(design: &EquiNoxDesign) -> String {
 pub fn heatmap_svg(map: &HeatMap, cbs: &[Coord]) -> String {
     let n = map.width;
     let size = MARGIN * 2.0 + n as f64 * TILE;
-    let vsize = MARGIN * 2.0 + map.height as f64 * TILE;
     let max = map.heat.iter().cloned().fold(1.0_f64, f64::max);
     let mut s = String::new();
     let _ = write!(
         s,
-        r#"<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{vsize}" viewBox="0 0 {size} {vsize}">"#
+        r#"<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" viewBox="0 0 {size} {size}">"#
     );
-    let _ = write!(s, r#"<rect width="{size}" height="{vsize}" fill="white"/>"#);
-    for y in 0..map.height {
+    let _ = write!(s, r#"<rect width="{size}" height="{size}" fill="white"/>"#);
+    for y in 0..n {
         for x in 0..n {
             let c = Coord::new(x, y);
             let v = map.heat[c.to_index(n)];

@@ -146,7 +146,8 @@ impl SystemConfig {
     /// # Errors
     ///
     /// Returns the one-line reason no such machine exists or run fits: a
-    /// `max_cycles` over [`equinox_config::MAX_CYCLES_LIMIT`], the plan's
+    /// `max_cycles`, `l2_latency` or observability interval over
+    /// [`equinox_config::MAX_CYCLES_LIMIT`], the plan's
     /// ([`SchemeKind::plan`]), a cache-bank count no Diamond holds (a
     /// placement override brings its own banks, and EquiNox's search
     /// places more than `n` along knight moves), more banks than that
@@ -158,12 +159,26 @@ impl SystemConfig {
     /// design search with no N-Queen board to start from (2×2 and 3×3
     /// have none; a supplied design needs no search).
     pub fn check(&self) -> Result<SchemePlan, String> {
-        if self.max_cycles > equinox_config::MAX_CYCLES_LIMIT {
+        let limit = equinox_config::MAX_CYCLES_LIMIT;
+        if self.max_cycles > limit {
             return Err(format!(
                 "max_cycles = {}: the packet tracker stamps cycles in 32 bits, so a run stops \
-                 by cycle {}",
-                self.max_cycles,
-                equinox_config::MAX_CYCLES_LIMIT
+                 by cycle {limit}",
+                self.max_cycles
+            ));
+        }
+        if self.l2_latency > limit {
+            return Err(format!(
+                "l2_latency = {}: a hit that slow completes after cycle {limit}, where every \
+                 run stops",
+                self.l2_latency
+            ));
+        }
+        if let Some(obs) = self.obs.as_ref().filter(|o| o.interval > limit) {
+            return Err(format!(
+                "obs interval = {}: the first sample falls after cycle {limit}, where every run \
+                 stops",
+                obs.interval
             ));
         }
         let plan = self.scheme.plan(self.n, self.reply_topology)?;
@@ -515,7 +530,7 @@ impl System {
             }
             // Stall-cause attribution rides with observability: the
             // router pipelines charge per-router × per-cause counters
-            // that the obs/v2 block and stream frames aggregate.
+            // that the obs block and stream frames report.
             if cfg.obs.is_some() {
                 net.enable_stalls();
             }
@@ -1197,20 +1212,13 @@ impl System {
             .collect()
     }
 
-    /// The `equinox.obs/v1` artifact block, when observability is armed.
-    /// Contains only cycle-derived data (counters, histograms with
-    /// interpolated percentiles, the time series, per-router heat grids
-    /// and per-link flit counts) — bit-identical across worker counts.
+    /// The `equinox.obs/v3` artifact block, when observability is armed:
+    /// per-class latency breakdowns, histograms and injection-wait heat,
+    /// the time series, and per network its router heat, link flit counts
+    /// and per-cause stall grids. Cycle-derived only — bit-identical
+    /// across worker counts.
     pub fn obs_json(&self) -> Option<equinox_config::Json> {
-        self.obs.as_ref().map(|o| o.to_json(&self.nets, &self.heat_maps()))
-    }
-
-    /// The `equinox.obs/v2` artifact block (stall-cause attribution):
-    /// per-class latency breakdowns summing to end-to-end latency,
-    /// per-router × per-cause stall heat grids, and injection-wait
-    /// distributions. Cycle-derived, bit-identical across worker counts.
-    pub fn obs_json_v2(&self) -> Option<equinox_config::Json> {
-        self.obs.as_ref().map(|o| o.to_json_v2(&self.nets))
+        self.obs.as_ref().map(|o| o.to_json(&self.nets))
     }
 
     /// `(frames_written, write_errors)` of the `--obs-stream` sink when
@@ -1227,20 +1235,6 @@ impl System {
     pub fn export_chrome_trace(&mut self) -> String {
         let traces = self.drain_traces();
         crate::obs::chrome_trace(self.obs.as_ref().map(|o| &o.spans), &traces)
-    }
-
-    /// Per-network live-run heat maps (the Figure 4 quantity, taken from
-    /// the run's own router counters rather than a synthetic workload).
-    pub fn heat_maps(&self) -> Vec<crate::heatmap::HeatMap> {
-        self.nets
-            .iter()
-            .map(|n| crate::heatmap::HeatMap {
-                width: n.width(),
-                height: n.height(),
-                heat: n.stats().heat_map(),
-                variance: n.stats().heat_variance(),
-            })
-            .collect()
     }
 
     /// One-screen observability summary for stderr reports (empty when
@@ -1407,13 +1401,29 @@ mod tests {
 
     #[test]
     fn check_names_a_cycle_cap_past_the_trackers_last_cycle() {
+        // A hit latency or a sample interval past the cap counts cycles no
+        // run reaches (`now + l2_latency`, `cycle + interval` once wrapped).
+        let limit = equinox_config::MAX_CYCLES_LIMIT;
         let mut cfg = SystemConfig::new(SchemeKind::SeparateBase, 8, tiny_workload("bfs"));
-        cfg.max_cycles = equinox_config::MAX_CYCLES_LIMIT;
+        type Set = fn(&mut SystemConfig, u64);
+        let setters: [(&str, Set); 3] = [
+            ("max_cycles", |c, v| c.max_cycles = v),
+            ("l2_latency", |c, v| c.l2_latency = v),
+            ("obs interval", |c, v| {
+                c.obs = Some(crate::obs::ObsConfig { interval: v, ..Default::default() })
+            }),
+        ];
+        for (_, set) in setters {
+            set(&mut cfg, limit);
+        }
         assert!(cfg.check().is_ok());
-        for cap in [equinox_config::MAX_CYCLES_LIMIT + 1, u64::MAX] {
-            cfg.max_cycles = cap;
-            let e = cfg.check().unwrap_err();
-            assert!(e.starts_with(&format!("max_cycles = {cap}: ")), "{e}");
+        for (name, set) in setters {
+            for v in [limit + 1, u64::MAX] {
+                let mut c = cfg.clone();
+                set(&mut c, v);
+                let e = c.check().unwrap_err();
+                assert!(e.starts_with(&format!("{name} = {v}: ")), "{e}");
+            }
         }
     }
 
@@ -1642,12 +1652,12 @@ mod tests {
             let mut sys = System::build(cfg);
             let m = sys.run();
             assert!(m.completed, "{scheme:?} stalled at {}", m.cycles);
-            let v2 = sys.obs_json_v2().expect("obs armed");
+            let obs = sys.obs_json().expect("obs armed");
             assert_eq!(
-                v2.get("schema").and_then(|s| s.as_str()),
-                Some("equinox.obs/v2")
+                obs.get("schema").and_then(|s| s.as_str()),
+                Some("equinox.obs/v3")
             );
-            let pc = v2.get("per_class").unwrap();
+            let pc = obs.get("classes").unwrap();
             let mut queueing = 0u64;
             for class in ["request", "reply"] {
                 let row = pc.get(class).unwrap();
@@ -1717,7 +1727,7 @@ mod tests {
             assert_eq!(
                 a.obs_json().unwrap().pretty(),
                 b.obs_json().unwrap().pretty(),
-                "{scheme:?} obs/v1 block diverged"
+                "{scheme:?} obs block diverged"
             );
         }
     }
@@ -1751,9 +1761,9 @@ mod tests {
             let stats = |s: &System| s.networks().iter().map(|n| n.stats().clone()).collect::<Vec<_>>();
             assert_eq!(stats(&a), stats(&b), "{scheme:?} network counters diverged");
             assert_eq!(
-                a.obs_json_v2().unwrap().pretty(),
-                b.obs_json_v2().unwrap().pretty(),
-                "{scheme:?} obs/v2 block diverged"
+                a.obs_json().unwrap().pretty(),
+                b.obs_json().unwrap().pretty(),
+                "{scheme:?} obs block diverged"
             );
         }
     }

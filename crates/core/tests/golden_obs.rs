@@ -4,20 +4,19 @@
 //! vs four, forked vs straight-through), so a change that
 //! reorders a key or renames a counter in *both* runs passes them all.
 //! This test pins the bytes themselves: FNV-1a digests of the
-//! `.pretty()` text of the `equinox.obs/v1` block, the `equinox.obs/v2`
-//! block and the concatenated `--obs-stream` frames (`obs.sample/v1`
-//! lines plus the terminal `obs.summary/v1`) of one tiny fixed run per
+//! `.pretty()` text of the `equinox.obs/v3` block and of the concatenated
+//! `--obs-stream` frames (`obs.sample/v1` lines plus the terminal
+//! `obs.summary/v1`) of one tiny fixed run per
 //! scheme — EquiNox (EIR groups, one reply subnet) and DA2Mesh (nine
 //! networks on two clock ratios). Each frame's `run` id ends in a hash of
 //! the `SystemConfig`'s `Debug` text, so a new or renamed config field
 //! moves the two `stream` lines — and only those.
 //!
-//! The `values` line digests a listing of every distinct value the blocks
-//! carry, one canonical name per value with its `to_compact()` text, in
-//! an order of its own. A change to the blocks' layout (key names,
-//! nesting, which block holds what) rewrites the reader of the listing
-//! but must not move this line; only a change to what the simulator
-//! records does.
+//! The `values` line digests a listing of every distinct value the block
+//! carries, one canonical name per value with its `to_compact()` text, in
+//! an order of its own. A change to the block's layout (key names,
+//! nesting) rewrites the reader of the listing but must not move this
+//! line; only a change to what the simulator records does.
 //!
 //! To regenerate after an *intentional* change to the emitted blocks,
 //! run with
@@ -44,36 +43,28 @@ fn at<'a>(j: &'a Json, path: &[&str]) -> &'a Json {
         .fold(j, |j, k| j.get(k).unwrap_or_else(|| panic!("missing key {k} of {path:?}")))
 }
 
-/// Every distinct value of the `equinox.obs/v1` and `/v2` blocks, one
-/// `name value` line each.
-fn values_listing(v1: &Json, v2: &Json) -> String {
+/// Every distinct value of the `equinox.obs/v3` block, one `name value`
+/// line each.
+fn values_listing(obs: &Json) -> String {
     let mut out = String::new();
     let mut put = |name: String, v: &Json| writeln!(out, "{name} {}", v.to_compact()).unwrap();
-    let inj_heat = v2.get("inj_heat").and_then(Json::as_arr).expect("inj_heat");
-    for (c, (class, hist)) in
-        [("request", "req_latency_cycles"), ("reply", "rep_latency_cycles")].into_iter().enumerate()
-    {
+    for class in ["request", "reply"] {
         for key in ["delivered", "e2e_cycles"].into_iter().chain(CAUSES) {
-            put(format!("{class}.{key}"), at(v2, &["per_class", class, key]));
+            put(format!("{class}.{key}"), at(obs, &["classes", class, key]));
         }
-        put(format!("{class}.latency"), at(v1, &["histograms", hist]));
-        put(format!("{class}.inj_wait"), at(v2, &["inj_wait_histograms", class]));
-        assert_eq!(at(&inj_heat[c], &["class"]).as_str(), Some(class));
-        put(format!("{class}.inj_heat"), at(&inj_heat[c], &["heat"]));
+        for key in ["latency", "inj_wait", "inj_heat"] {
+            put(format!("{class}.{key}"), at(obs, &["classes", class, key]));
+        }
     }
-    put("series".into(), at(v1, &["series"]));
-    let heat = v1.get("heat").and_then(Json::as_arr).expect("heat");
-    let links = v1.get("links").and_then(Json::as_arr).expect("links");
-    let stall = v2.get("stall_heat").and_then(Json::as_arr).expect("stall_heat");
-    assert_eq!((links.len(), stall.len()), (heat.len(), 4 * heat.len()));
-    for (i, (h, l)) in heat.iter().zip(links).enumerate() {
-        put(format!("net{i}.heat"), at(h, &["heat"]));
-        put(format!("net{i}.variance"), at(h, &["variance"]));
-        put(format!("net{i}.link_flits"), at(l, &["flits"]));
-        for (grid, cause) in stall[4 * i..4 * i + 4].iter().zip(NET_CAUSES) {
-            assert_eq!(at(grid, &["cause"]).as_str(), Some(cause));
-            assert_eq!(at(grid, &["net"]).as_u64(), Some(i as u64));
-            put(format!("net{i}.stall.{cause}"), at(grid, &["heat"]));
+    put("series".into(), at(obs, &["series"]));
+    let nets = obs.get("nets").and_then(Json::as_arr).expect("nets");
+    for (i, net) in nets.iter().enumerate() {
+        assert_eq!(at(net, &["net"]).as_u64(), Some(i as u64));
+        for key in ["heat", "variance", "link_flits"] {
+            put(format!("net{i}.{key}"), at(net, &[key]));
+        }
+        for cause in NET_CAUSES {
+            put(format!("net{i}.stall.{cause}"), at(net, &["stall", cause]));
         }
     }
     out
@@ -94,9 +85,9 @@ fn digest_lines(scheme: SchemeKind, dir: &std::path::Path) -> String {
     let mut sys = System::build(cfg);
     let m = sys.run();
     assert!(m.completed, "{scheme:?} stalled at cycle {}", m.cycles);
-    let (v1, v2) = (sys.obs_json().expect("obs armed"), sys.obs_json_v2().expect("obs armed"));
-    let values = values_listing(&v1, &v2);
-    let (v1, v2) = (v1.pretty(), v2.pretty());
+    let obs = sys.obs_json().expect("obs armed");
+    let values = values_listing(&obs);
+    let obs = obs.pretty();
     let frames = std::fs::read_to_string(&path).expect("stream file written");
     assert!(
         frames.contains("obs.sample/v1") && frames.contains("obs.summary/v1"),
@@ -104,9 +95,7 @@ fn digest_lines(scheme: SchemeKind, dir: &std::path::Path) -> String {
     );
     let mut out = String::new();
     writeln!(out, "{scheme:?} cycles {}", m.cycles).unwrap();
-    for (what, text) in
-        [("obs/v1", &v1), ("obs/v2", &v2), ("values", &values), ("stream", &frames)]
-    {
+    for (what, text) in [("obs/v3", &obs), ("values", &values), ("stream", &frames)] {
         writeln!(
             out,
             "{scheme:?} {what} bytes {} fnv1a {:016x}",

@@ -151,8 +151,9 @@ pub struct Network {
     /// Opt-in invariant auditor (disabled by default; boxed so the
     /// disabled case costs one pointer and a branch per cycle).
     pub(crate) audit: Option<Box<AuditState>>,
-    /// Opt-in stall-cause attribution (the `obs/v2` layer): per-router ×
-    /// per-cause stall-cycle counters + per-class totals, armed by
+    /// Opt-in stall-cause attribution (reported by the system's obs
+    /// block): per-router × per-cause stall-cycle counters + per-class
+    /// totals, armed by
     /// [`Network::enable_stalls`]. Disabled by default; same one-branch
     /// discipline as the auditor.
     stall: Option<Box<StallGrid>>,
@@ -1066,8 +1067,9 @@ impl Network {
         self.audit = Some(Box::new(state));
     }
 
-    /// Arms stall-cause attribution (the `obs/v2` layer): per-router ×
-    /// per-cause stall-cycle counters charged by the router pipeline.
+    /// Arms stall-cause attribution (reported by the system's obs block):
+    /// per-router × per-cause stall-cycle counters charged by the router
+    /// pipeline.
     /// Flits already parked in ejection queues are re-stamped with the
     /// current cycle, so their wait before arming is simply not charged
     /// — whether they were parked by this run or by a restore. The grid

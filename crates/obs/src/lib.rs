@@ -19,7 +19,7 @@
 //!   (loadable in Perfetto / `chrome://tracing`), used to export span
 //!   events and per-flit NoC trace events onto one timeline.
 //! * [`StallGrid`] — per-router × per-cause stall-cycle attribution
-//!   counters (the `obs/v2` layer), charged by the router pipeline.
+//!   counters, charged by the router pipeline.
 //! * [`StreamWriter`] — a line-JSON (NDJSON) frame sink over an
 //!   append-mode file, for live mid-run telemetry.
 //!
@@ -41,5 +41,5 @@ pub use chrome::ChromeTrace;
 pub use histogram::Histogram;
 pub use series::{SeriesId, TimeSeries};
 pub use span::{SpanEvent, SpanId, SpanProfiler};
-pub use stall::{NetCause, StallGrid, CAUSE_NAMES, NET_CAUSE_NAMES, STALL_CLASSES};
+pub use stall::{NetCause, StallGrid, NET_CAUSE_NAMES, STALL_CLASSES};
 pub use stream::StreamWriter;

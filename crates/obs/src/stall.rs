@@ -25,18 +25,6 @@ use equinox_snap::{Dec, Enc, Snap, SnapError};
 /// (0 = request, 1 = reply).
 pub const STALL_CLASSES: usize = 2;
 
-/// Canonical cause names in emission order, spanning both layers.
-/// Artifact blocks and stream frames key their breakdown tables on
-/// these exact strings.
-pub const CAUSE_NAMES: [&str; 6] = [
-    "inj_queue",
-    "vc_alloc",
-    "switch_loss",
-    "credit_starve",
-    "serialization",
-    "eject_wait",
-];
-
 /// In-network stall causes charged per router by the pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
@@ -66,9 +54,10 @@ pub const NET_CAUSE_NAMES: [&str; NET_CAUSES] =
 
 /// Per-router × per-cause stall-cycle counters plus per-class totals.
 ///
-/// One network (subnet) owns one grid; the system layer merges grids
-/// across subnets when emitting the `equinox.obs/v2` block. All values
-/// are cycle-derived and therefore deterministic.
+/// One network (subnet) owns one grid; the system layer emits each grid
+/// in its network's entry of the `equinox.obs/v3` block and sums the
+/// class totals across subnets for the breakdown rows and stream frames.
+/// All values are cycle-derived and therefore deterministic.
 #[derive(Debug, Clone)]
 pub struct StallGrid {
     routers: usize,
@@ -188,9 +177,5 @@ mod tests {
         assert_eq!(NET_CAUSE_NAMES[NetCause::SwitchLoss as usize], "switch_loss");
         assert_eq!(NET_CAUSE_NAMES[NetCause::CreditStarve as usize], "credit_starve");
         assert_eq!(NET_CAUSE_NAMES[NetCause::EjectWait as usize], "eject_wait");
-        // Every in-network cause appears in the canonical emission list.
-        for n in NET_CAUSE_NAMES {
-            assert!(CAUSE_NAMES.contains(&n));
-        }
     }
 }

@@ -228,6 +228,27 @@ if [ -n "$setters" ]; then
 fi
 echo "OK: every spec field has one setter, registered through field!"
 
+echo "== one-obs-block guard =="
+# The observability artifact is one block written by one emitter
+# (SystemObs::to_json in crates/core/src/obs.rs), so non-test code holds
+# exactly one "equinox.obs/v…" schema literal and no second block's
+# emitter or artifact key.
+obs_hits=""
+while IFS= read -r f; do
+  tests_at=$(grep -n -m1 '^#\[cfg(test)\]' "$f" | cut -d: -f1 || true)
+  while IFS=: read -r line text; do
+    if [ "$line" -lt "${tests_at:-1000000}" ] && ! [[ "$text" =~ ^[[:space:]]*(//|\*) ]]; then
+      obs_hits+="$f:$line:$text"$'\n'
+    fi
+  done < <(grep -nE '"equinox\.obs/v|obs_json_v2|"obs_v2"' "$f" || true)
+done < <(find crates/*/src -name '*.rs' | sort)
+if [ "$(grep -c . <<< "$obs_hits")" != 1 ] || ! grep -qF '"equinox.obs/v' <<< "$obs_hits"; then
+  printf '%s' "$obs_hits"
+  echo "FAIL: expected one obs block schema literal and no second block — extend SystemObs::to_json instead" >&2
+  exit 1
+fi
+echo "OK: one obs block, written by one emitter"
+
 echo "== clippy =="
 # Warnings are errors, as in CI. With every library item crate-private
 # unless another crate reads it, the dead_code lint names the items only
