@@ -167,19 +167,13 @@ impl SystemConfig {
                 self.max_cycles
             ));
         }
-        if self.l2_latency > limit {
-            return Err(format!(
-                "l2_latency = {}: a hit that slow completes after cycle {limit}, where every \
-                 run stops",
-                self.l2_latency
-            ));
-        }
-        if let Some(obs) = self.obs.as_ref().filter(|o| o.interval > limit) {
-            return Err(format!(
-                "obs interval = {}: the first sample falls after cycle {limit}, where every run \
-                 stops",
-                obs.interval
-            ));
+        let interval = self.obs.as_ref().map_or(1, |o| o.interval);
+        for (name, v) in [("l2_latency", self.l2_latency), ("obs interval", interval)] {
+            if v > limit {
+                return Err(format!(
+                    "{name} = {v}: longer than any run, which stops by cycle {limit}"
+                ));
+            }
         }
         let plan = self.scheme.plan(self.n, self.reply_topology)?;
         let (n, k) = (self.n, self.n_cbs);
