@@ -13,9 +13,6 @@
 //!   `completed`, the four-way `latency_ns` split, `dynamic_j`,
 //!   `leakage_j`, `energy_j`, `edp`, `area_mm2`, `ubumps`,
 //!   `reply_bit_fraction`.
-//! * `equinox.net_stats/v1` — raw per-network counters
-//!   ([`NetStats`]): buffer/crossbar/VC-allocation activity, link-flit
-//!   counts by link kind, injected/ejected totals.
 //! * `equinox.load_point/v1` — one load–latency measurement
 //!   ([`LoadPoint`]): offered rate, accepted throughput, mean latency.
 //! * `equinox.obs/v3` — the observability block of an obs-armed run
@@ -36,7 +33,6 @@
 use equinox_config::{ExperimentSpec, Json};
 use equinox_core::loadlat::LoadPoint;
 use equinox_core::RunMetrics;
-use equinox_noc::NetStats;
 
 /// The driver's top-level artifact envelope (`equinox.artifact/v1`).
 pub fn artifact(scenario: &str, spec: &ExperimentSpec, results: Json) -> Json {
@@ -72,28 +68,6 @@ pub fn run_metrics_json(m: &RunMetrics) -> Json {
         .with("area_mm2", m.area_mm2)
         .with("ubumps", m.ubumps as u64)
         .with("reply_bit_fraction", m.reply_bit_fraction)
-}
-
-/// Raw per-network counters as JSON (`equinox.net_stats/v1`). The
-/// per-router vectors are summarized (length + totals) rather than
-/// dumped — they scale with mesh size and the totals are what the
-/// energy model consumes.
-pub fn net_stats_json(s: &NetStats) -> Json {
-    Json::obj()
-        .with("schema", "equinox.net_stats/v1")
-        .with("cycles", s.cycles)
-        .with("buffer_writes", s.buffer_writes)
-        .with("buffer_reads", s.buffer_reads)
-        .with("xbar_traversals", s.xbar_traversals)
-        .with("vc_allocs", s.vc_allocs)
-        .with("link_flits_mesh", s.link_flits_mesh)
-        .with("link_flits_interposer", s.link_flits_interposer)
-        .with("link_flits_ni", s.link_flits_ni)
-        .with("injected_flits", s.injected_flits)
-        .with("ejected_flits", s.ejected_flits)
-        .with("routers", s.router_flits.len() as u64)
-        .with("router_flits_total", s.router_flits.iter().sum::<u64>())
-        .with("router_cycles_total", s.router_cycles.iter().sum::<u64>())
 }
 
 /// One load–latency point as JSON (`equinox.load_point/v1`).

@@ -14,13 +14,13 @@
 //! `equinox.artifact/v1` JSON artifact (scenario name, fully resolved
 //! spec with provenance, results) goes to **stdout**, or to the `--out`
 //! path when given. Malformed values, unknown flags and unknown
-//! scenarios exit 2 with a message naming the offender, and so does a
-//! scenario that cannot run (`equinox: <scenario>: <reason>`).
+//! scenarios exit 2 with a message naming the offender, and so do an
+//! output path that cannot be opened for writing, checked before any
+//! run, and a scenario that cannot run (`equinox: <scenario>: <reason>`).
 
 use equinox_bench::artifact::artifact;
-use equinox_bench::cache::{artifact_key, cache_for, cached};
 use equinox_bench::scenarios::{scenario, scenarios};
-use equinox_config::{flag_help, parse_cli, resolve_process, CliError, Json};
+use equinox_config::{flag_help, parse_cli, resolve_process, CliError};
 
 fn usage() -> String {
     let mut u = String::from(
@@ -74,60 +74,22 @@ fn main() {
         Err(e) => fail(&e.to_string()),
     };
     // Otherwise a bad path panics on a pool worker (the stream) or after
-    // the whole run (the trace). A scenario that reads the stream names
-    // its own feed.
-    if !sc.reads_stream {
-        for (flag, path) in [("--obs-stream", &spec.obs_stream), ("--trace-out", &spec.trace_out)] {
-            if !path.is_empty() {
-                if let Err(e) = check_writable(path) {
-                    fail(&format!("{flag} {path}: cannot open for writing: {e}"));
-                }
+    // the whole run (the trace, the artifact). A scenario that reads the
+    // stream names its own feed.
+    let written = [("--obs-stream", spec.obs_stream.as_str()), ("--trace-out", &spec.trace_out)];
+    let out = ("--out", parsed.out.as_deref().unwrap_or(""));
+    for (flag, path) in written.into_iter().filter(|_| !sc.reads_stream).chain([out]) {
+        if !path.is_empty() {
+            if let Err(e) = check_writable(path) {
+                fail(&format!("{flag} {path}: cannot open for writing: {e}"));
             }
         }
     }
     equinox_exec::set_threads(spec.threads);
 
-    // With `--checkpoint-dir` armed, finished artifacts are
-    // content-addressed by the canonical spec rendering plus the
-    // scenario name: a hit replays the stored document byte-for-byte, a
-    // miss runs the scenario and stores the result. Sound only where the
-    // artifact is the run's whole output and a function of the spec
-    // alone: `cache_for` declines when the spec names a stream or trace
-    // file the run must write, and the registry says which scenarios
-    // are `replayable`. The artifact itself records only the cache key —
-    // identical on the populating and replaying runs — while hit/miss
-    // goes to stderr, so cold and warm artifacts stay byte-identical.
-    let cache = cache_for(&spec).filter(|_| sc.replayable);
-    let key = artifact_key(sc.name, &spec);
-    let text = cached(
-        cache.as_ref(),
-        "artifact",
-        key,
-        |bytes| {
-            let text = String::from_utf8(bytes.to_vec()).ok()?;
-            equinox_config::parse_json(&text).ok()?;
-            eprintln!("checkpoint cache hit: artifact_{key:016x}");
-            Some(text)
-        },
-        || {
-            if cache.is_some() {
-                eprintln!("checkpoint cache miss: artifact_{key:016x}");
-            }
-            let results = (sc.run)(&spec, &mut std::io::stderr())
-                .unwrap_or_else(|why| fail(&format!("{}: {why}", sc.name)));
-            let mut doc = artifact(sc.name, &spec, results);
-            if cache.is_some() {
-                doc = doc.with(
-                    "cache",
-                    Json::obj()
-                        .with("schema", "equinox.cache/v1")
-                        .with("key", format!("{key:016x}")),
-                );
-            }
-            doc.pretty()
-        },
-        |text| text.clone().into_bytes(),
-    );
+    let results = (sc.run)(&spec, &mut std::io::stderr())
+        .unwrap_or_else(|why| fail(&format!("{}: {why}", sc.name)));
+    let text = artifact(sc.name, &spec, results).pretty();
     match &parsed.out {
         Some(path) => {
             std::fs::write(path, &text).unwrap_or_else(|e| {

@@ -2,12 +2,10 @@
 //!
 //! The simulator and the design search are bit-deterministic, so a
 //! finished result can be stored on disk under a hash of everything
-//! that determines it and replayed verbatim. Three kinds of entry live
-//! side by side in the spec's `checkpoint_dir`, all behind [`cached`]:
+//! that determines it and replayed verbatim. Two kinds of entry live
+//! side by side in the spec's `checkpoint_dir`, both behind [`lookup`]
+//! and [`store`]:
 //!
-//! * `artifact_<key>` — a whole `equinox.artifact/v1` document, keyed by
-//!   scenario and full spec ([`artifact_key`]), stored and replayed
-//!   byte-for-byte by the `equinox` driver.
 //! * `run_<key>` — one [`Cell`](crate::Cell)'s [`RunMetrics`], keyed by
 //!   [`Cell::key`](crate::Cell::key) and encoded bit-exactly (floats by
 //!   bit pattern) so a hit in [`run_cells`](crate::run_cells) is
@@ -20,15 +18,14 @@
 
 use equinox_config::ExperimentSpec;
 use equinox_core::{EquiNoxDesign, LatencyBreakdown, RunMetrics, SchemeKind};
-use equinox_snap::{fnv1a, CheckpointCache, Dec, Enc, Snap, SnapError};
+use equinox_snap::{CheckpointCache, Dec, Enc, Snap, SnapError};
 
 /// The cache a spec asks for: `None` when `checkpoint_dir` is empty, and
-/// also when the spec names an `obs_stream` or `trace_out` target — those
-/// files are written by the simulation itself and are in no cache entry,
-/// so a replayed hit would leave them missing.
-pub fn cache_for(spec: &ExperimentSpec) -> Option<CheckpointCache> {
-    let cacheable =
-        !spec.checkpoint_dir.is_empty() && spec.obs_stream.is_empty() && spec.trace_out.is_empty();
+/// also when the spec names an `obs_stream` target — the stream is
+/// written by the simulation itself and is in no cache entry, so a
+/// replayed cell would leave it incomplete.
+pub(crate) fn cache_for(spec: &ExperimentSpec) -> Option<CheckpointCache> {
+    let cacheable = !spec.checkpoint_dir.is_empty() && spec.obs_stream.is_empty();
     cacheable.then(|| CheckpointCache::new(&spec.checkpoint_dir))
 }
 
@@ -47,30 +44,6 @@ pub(crate) fn store(cache: Option<&CheckpointCache>, kind: &str, key: u64, bytes
     if let Some(Err(e)) = cache.map(|c| c.store(kind, key, bytes)) {
         eprintln!("checkpoint cache store failed: {e}");
     }
-}
-
-/// The one load → validate → compute → store sequence every entry kind
-/// goes through: a valid stored entry is returned as is, anything else
-/// runs `compute` and stores what it returns.
-pub fn cached<T>(
-    cache: Option<&CheckpointCache>,
-    kind: &str,
-    key: u64,
-    decode: impl FnOnce(&[u8]) -> Option<T>,
-    compute: impl FnOnce() -> T,
-    encode: impl FnOnce(&T) -> Vec<u8>,
-) -> T {
-    lookup(cache, kind, key, decode).unwrap_or_else(|| {
-        let value = compute();
-        store(cache, kind, key, &encode(&value));
-        value
-    })
-}
-
-/// Cache key for a whole scenario artifact.
-pub fn artifact_key(scenario: &str, spec: &ExperimentSpec) -> u64 {
-    let material = spec.cache_key_material(&[]);
-    fnv1a(format!("equinox.artifact/v1\n{scenario}\n{material}").as_bytes())
 }
 
 /// Decodes a `design_<key>` entry: the text must parse and describe an
@@ -180,7 +153,6 @@ mod tests {
         assert_ne!(a, cell(SchemeKind::SingleBase, 8, "bfs", &spec).key());
         assert_ne!(a, cell(SchemeKind::EquiNox, 12, "bfs", &spec).key());
         assert_ne!(a, cell(SchemeKind::EquiNox, 8, "kmeans", &spec).key());
-        assert_ne!(a, artifact_key("sweep", &spec));
         // What no cell's metrics depend on stays out of its key: where
         // the cache lives, how many workers ran it, which other
         // cells the scenario holds.
@@ -189,7 +161,6 @@ mod tests {
         same.threads = 5;
         same.full = true;
         assert_eq!(a, cell(SchemeKind::EquiNox, 8, "bfs", &same).key());
-        assert_ne!(artifact_key("sweep", &spec), artifact_key("sweep", &same), "it embeds the spec");
         // Everything else is in it: any other spec field, the seeds that
         // run, a custom design, a placement override.
         let mut scaled = spec.clone();
@@ -218,19 +189,41 @@ mod tests {
     }
 
     #[test]
-    fn cached_serves_valid_entries_and_recomputes_the_rest() {
-        let dir = std::env::temp_dir().join(format!("eqsn_cached_{}", std::process::id()));
+    fn design_serves_a_valid_entry_and_recomputes_a_corrupt_one() {
+        let dir = std::env::temp_dir().join(format!("eqsn_design_entry_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
+        let mut spec = ExperimentSpec::default();
+        spec.checkpoint_dir = dir.display().to_string();
         let cache = CheckpointCache::new(&dir);
-        let get = |cache: Option<&CheckpointCache>, fresh: u8| {
-            cached(cache, "t", 7, |b| (b.len() == 1).then(|| b[0]), || fresh, |v| vec![*v])
+        // Each seed is a key no other call in this process asks the memo
+        // for, so every `design` call below reaches the entry. Its name
+        // is pinned: a parent's cache directory still serves.
+        let entry = |seed: u64| {
+            let key = format!("equinox.design/v1\n8\n5\n41\n{seed}");
+            cache.path("design", equinox_snap::fnv1a(key.as_bytes()))
         };
-        assert_eq!(get(None, 1), 1, "no cache: compute");
-        assert_eq!(get(Some(&cache), 2), 2, "miss: compute and store");
-        assert_eq!(get(Some(&cache), 3), 2, "hit: the stored value");
-        std::fs::write(cache.path("t", 7), b"too long").unwrap();
-        assert_eq!(get(Some(&cache), 4), 4, "rejected by decode: recompute");
-        assert_eq!(get(Some(&cache), 5), 4, "…and rewritten");
+        let get = |seed| {
+            let mut log = Vec::new();
+            let d = crate::design(8, 5, 41, seed, &spec, &mut log);
+            (d, String::from_utf8(log).unwrap().contains("searching design"))
+        };
+        let (fresh, searched) = get(9001);
+        assert!(searched, "miss: search");
+        assert_eq!(std::fs::read_to_string(entry(9001)).unwrap(), fresh.to_text(), "…and store");
+        // A valid entry is served as is: no search, even for a design the
+        // search would not find.
+        let stored = EquiNoxDesign::quick(8, 5);
+        std::fs::write(entry(9002), stored.to_text()).unwrap();
+        let (hit, searched) = get(9002);
+        assert!(!searched && *hit == stored, "hit: the stored design");
+        // An entry decode rejects is a miss: search again and rewrite it.
+        let clipped = &fresh.to_text()[..fresh.to_text().len() / 2];
+        for (seed, corrupt) in [(9003, clipped.to_string()), (9004, EquiNoxDesign::quick(8, 4).to_text())] {
+            std::fs::write(entry(seed), corrupt).unwrap();
+            let (d, searched) = get(seed);
+            assert!(searched, "seed {seed}: recompute");
+            assert_eq!(std::fs::read_to_string(entry(seed)).unwrap(), d.to_text(), "seed {seed}: rewritten");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

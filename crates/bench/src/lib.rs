@@ -47,21 +47,19 @@ pub(crate) fn design(
     let mut memo = MEMO.lock().expect("a design search panicked");
     let slot = memo.entry((n, n_cbs, iters, seed));
     slot.or_insert_with(|| {
+        let cache = cache::cache_for(spec);
         let key = format!("equinox.design/v1\n{n}\n{n_cbs}\n{iters}\n{seed}");
-        Arc::new(cache::cached(
-            cache::cache_for(spec).as_ref(),
-            "design",
-            equinox_snap::fnv1a(key.as_bytes()),
-            |bytes| cache::decode_design(bytes, n, n_cbs),
-            || {
-                let _ = writeln!(
-                    log,
-                    "searching design ({n}x{n}, {n_cbs} CBs, {iters} iterations, seed {seed})…"
-                );
-                EquiNoxDesign::search(n, n_cbs, iters, seed)
-            },
-            |d| d.to_text().into_bytes(),
-        ))
+        let key = equinox_snap::fnv1a(key.as_bytes());
+        let stored = cache::lookup(cache.as_ref(), "design", key, |b| cache::decode_design(b, n, n_cbs));
+        Arc::new(stored.unwrap_or_else(|| {
+            let _ = writeln!(
+                log,
+                "searching design ({n}x{n}, {n_cbs} CBs, {iters} iterations, seed {seed})…"
+            );
+            let d = EquiNoxDesign::search(n, n_cbs, iters, seed);
+            cache::store(cache.as_ref(), "design", key, d.to_text().as_bytes());
+            d
+        }))
     })
     .clone()
 }

@@ -10,10 +10,9 @@
 //! `std::env` — everything it needs rides in the spec.
 //!
 //! The registry is the single source of truth for scenario names and
-//! for what the driver must know about each: whether `all` runs it,
-//! whether the artifact cache may replay it, and whether it reads
-//! `--obs-stream` rather than writing it. No other file compares a
-//! scenario's name (`scripts/check.sh` guards this).
+//! for what the driver must know about each: whether `all` runs it and
+//! whether it reads `--obs-stream` rather than writing it. No other file
+//! compares a scenario's name (`scripts/check.sh` guards this).
 
 use crate::artifact::{load_point_json, run_metrics_json};
 use crate::{bench_set, design, matrix_cells, run_cells, Cell, STRONG_ITERS, STRONG_SEED};
@@ -47,17 +46,14 @@ pub struct Scenario {
     pub run: Run,
     /// `all` runs it: it is one of the paper's tables and figures.
     pub in_all: bool,
-    /// Its artifact is its whole output and a function of the spec, so
-    /// the artifact cache may replay it.
-    pub replayable: bool,
     /// It reads `--obs-stream` as its feed rather than writing it.
     pub reads_stream: bool,
 }
 
 impl Scenario {
-    /// A paper table or figure: `all` runs it, the cache may replay it.
+    /// A paper table or figure: `all` runs it.
     const fn paper(name: &'static str, about: &'static str, run: Run) -> Self {
-        Scenario { name, about, run, in_all: true, replayable: true, reads_stream: false }
+        Scenario { name, about, run, in_all: true, reads_stream: false }
     }
 
     /// A tool beside the paper: only its own name runs it.
@@ -82,21 +78,17 @@ pub fn scenarios() -> &'static [Scenario] {
         S::paper("ablation", "Section 4 design-choice ablations", ablation),
         S::paper("overfull", "Section 6.8: 12 CBs on an 8x8 mesh", overfull),
         S::paper("extensions", "Reply compression + pipeline-depth extensions", extensions),
-        // Writes docs/*.svg, which no artifact holds.
-        S { replayable: false, ..S::paper("svg", "Write the SVG figures into docs/", svg) },
+        S::paper("svg", "Write the SVG figures into docs/", svg),
         S::tool("sweep", "Full scheme x benchmark matrix as raw run metrics", sweep),
         S::tool("loadlat", "Reply-network load-latency curves (baseline vs EquiNox)", loadlat),
-        S::tool("observe", "Instrumented EquiNox run: obs/v1 metrics block + Chrome trace", observe),
+        S::tool("observe", "Instrumented EquiNox run: equinox.obs/v3 block + Chrome trace", observe),
         S::tool("designer", "Search and export an EquiNox design", designer),
         S::tool("fabric", "Synthetic-traffic stress run on any topology (--topology/--traffic)", fabric),
-        // Its feed may grow between two runs of one spec.
         S {
-            replayable: false,
             reads_stream: true,
             ..S::tool("watch", "Attach to an --obs-stream telemetry feed and render a live dashboard", watch)
         },
-        // Runs `svg`.
-        S { replayable: false, ..S::tool("all", "Every paper table and figure in sequence", all) },
+        S::tool("all", "Every paper table and figure in sequence", all),
     ];
     SCENARIOS
 }

@@ -170,8 +170,9 @@ fn ring_reply_fabric_completes_with_its_topology_threaded_through() {
     assert!(m.completed, "ring reply fabric must finish the workload");
 }
 
-/// One full `equinox.artifact/v1` envelope (metrics + per-network
-/// counters + the obs block) of a bfs run, pretty-printed, that is
+/// One full `equinox.artifact/v1` envelope (metrics + the obs block) of
+/// a bfs run, pretty-printed and followed by every network's `NetStats`
+/// `Debug` text (every counter and both per-router vectors), that is
 /// optionally forked: when `fork_cycle` is `Some(c)`, the system is stepped to
 /// cycle `c`, snapshotted, restored into a *fresh* identically-
 /// configured build, and finished there. Everything observable —
@@ -179,7 +180,7 @@ fn ring_reply_fabric_completes_with_its_topology_threaded_through() {
 /// finished the run. Returns the artifact and the run's cycle count (so
 /// callers can pick fork points strictly inside the run).
 fn forked_artifact_snapshot(scheme: SchemeKind, fork_cycle: Option<u64>) -> (String, u64) {
-    use equinox_bench::artifact::{artifact, net_stats_json, run_metrics_json};
+    use equinox_bench::artifact::{artifact, run_metrics_json};
     use equinox_config::{ExperimentSpec, Json};
     let spec = ExperimentSpec::default();
     let build = || {
@@ -203,12 +204,14 @@ fn forked_artifact_snapshot(scheme: SchemeKind, fork_cycle: Option<u64>) -> (Str
     }
     let m = sys.run();
     assert!(m.completed);
-    let nets: Vec<Json> = sys.networks().iter().map(|n| net_stats_json(n.stats())).collect();
     let results = Json::obj()
         .with("metrics", run_metrics_json(&m))
-        .with("net_stats", nets)
         .with("obs", sys.obs_json().expect("obs armed"));
-    (artifact("determinism", &spec, results).pretty(), m.cycles)
+    let mut text = artifact("determinism", &spec, results).pretty();
+    for net in sys.networks() {
+        text += &format!("\n{:?}", net.stats());
+    }
+    (text, m.cycles)
 }
 
 #[test]

@@ -31,4 +31,4 @@ pub mod spec;
 pub use cli::{flag_help, parse as parse_cli, CliError, Parsed};
 pub use json::{parse as parse_json, Json, JsonError};
 pub use resolve::{resolve, resolve_process, ResolveError};
-pub use spec::{fields, ExperimentSpec, FieldDef, Layer, Raw, ITERS_LIMIT, LOADLAT_CYCLES_LIMIT, MAX_CYCLES_LIMIT};
+pub use spec::{fields, ExperimentSpec, FieldDef, Layer, Raw, ITERS_LIMIT, LOADLAT_CYCLES_LIMIT, MAX_CYCLES_LIMIT, MESH_LIMIT};

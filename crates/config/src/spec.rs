@@ -346,6 +346,12 @@ pub const LOADLAT_CYCLES_LIMIT: u64 = 3_579_139_412;
 /// `equinox_mcts::tree::search` asserts it for library callers.
 pub const ITERS_LIMIT: usize = 1_000_000;
 
+/// Largest `n`. A network's route table holds `(n²)²` entries, so a
+/// 300×300 mesh asked for 32 GB, and a design search grows steeply with
+/// the board: 24×24 takes seconds, 32×32 over 100 s. The paper's largest
+/// mesh is 16×16. `SystemConfig::check` enforces it for library callers.
+pub const MESH_LIMIT: u16 = 24;
+
 const _: () = {
     let (m, next) = (LOADLAT_CYCLES_LIMIT, LOADLAT_CYCLES_LIMIT + 1);
     assert!(m + m / 5 < MAX_CYCLES_LIMIT && next + next / 5 >= MAX_CYCLES_LIMIT);
@@ -388,7 +394,7 @@ fn probability(v: f64) -> Result<f64, String> {
 /// 0-tile mesh, a queue that holds nothing, a run capped at 0 cycles); one
 /// over `max` does not fit the field's type, or counts more cycles than
 /// the packet tracker stamps in 32 bits, or more iterations than one
-/// search holds.
+/// search holds, or a mesh whose route table does not fit in memory.
 fn in_range<T: TryFrom<u64> + PartialOrd + std::fmt::Display>(v: u64, min: T, max: T) -> Result<T, String> {
     match T::try_from(v) {
         Ok(t) if t < min => Err(format!("must be >= {min}, got {v}")),
@@ -469,7 +475,7 @@ macro_rules! field {
 /// emission order.
 pub fn fields() -> &'static [FieldDef] {
     static FIELDS: &[FieldDef] = &[
-        field!(uint >= 2, "n", "--n", "EQUINOX_N", n: u16, "grid size (NxN routers, >= 2)"),
+        field!(uint >= 2, <= MESH_LIMIT, "n", "--n", "EQUINOX_N", n: u16, "grid size (NxN routers, 2 to 24)"),
         field!(choice TOPOLOGY_CHOICES, "topology", "--topology", "EQUINOX_TOPOLOGY", topology, "reply-fabric topology: mesh, ring or hring"),
         field!(choice TRAFFIC_CHOICES, "traffic", "--traffic", "EQUINOX_TRAFFIC", traffic, "synthetic traffic pattern: uniform, hotspot, transpose or bursty"),
         field!(uint >= 1, "n_cbs", "--cbs", "EQUINOX_CBS", n_cbs: u16, "number of cache banks (>= 1)"),

@@ -225,6 +225,13 @@ fn iteration_budgets_past_what_one_search_holds_are_refused_on_every_layer() {
     refused_above_on_every_layer(&[("iters", "--iters", "EQUINOX_ITERS", limit)]);
 }
 
+#[test]
+fn meshes_past_the_limit_are_refused_on_every_layer() {
+    // A 1000x1000 network asked for a 4 TB route table.
+    let limit = u64::from(equinox_config::MESH_LIMIT);
+    refused_above_on_every_layer(&[("n", "--n", "EQUINOX_N", limit)]);
+}
+
 /// Each `(key, flag, var, limit)` field takes `limit` and names the bound
 /// for values over it, on the CLI, env and file layers.
 fn refused_above_on_every_layer(cases: &[(&str, &str, &str, u64)]) {
@@ -262,7 +269,8 @@ fn every_field_resolves_alike_from_every_layer() {
     // field, given on each layer alone. A presence flag's text is "1",
     // the value its flag stands for on the command line.
     let rows: &[(&str, &str, &str)] = &[
-        ("n", "12", "12"),
+        // The largest mesh, MESH_LIMIT, is accepted on every layer.
+        ("n", "24", "24"),
         ("topology", "ring", r#""ring""#),
         ("traffic", "hotspot", r#""hotspot""#),
         ("n_cbs", "4", "4"),

@@ -147,7 +147,8 @@ impl SystemConfig {
     ///
     /// Returns the one-line reason no such machine exists or run fits: a
     /// `max_cycles`, `l2_latency` or observability interval over
-    /// [`equinox_config::MAX_CYCLES_LIMIT`], the plan's
+    /// [`equinox_config::MAX_CYCLES_LIMIT`], an `n` over
+    /// [`equinox_config::MESH_LIMIT`], the plan's
     /// ([`SchemeKind::plan`]), a cache-bank count no Diamond holds (a
     /// placement override brings its own banks, and EquiNox's search
     /// places more than `n` along knight moves), more banks than that
@@ -174,6 +175,14 @@ impl SystemConfig {
                     "{name} = {v}: longer than any run, which stops by cycle {limit}"
                 ));
             }
+        }
+        let mesh = equinox_config::MESH_LIMIT;
+        if self.n > mesh {
+            return Err(format!(
+                "n = {}: a network's route table holds (n²)² entries, so meshes stop at \
+                 {mesh}x{mesh}",
+                self.n
+            ));
         }
         let plan = self.scheme.plan(self.n, self.reply_topology)?;
         let (n, k) = (self.n, self.n_cbs);
@@ -1418,6 +1427,17 @@ mod tests {
                 let e = c.check().unwrap_err();
                 assert!(e.starts_with(&format!("{name} = {v}: ")), "{e}");
             }
+        }
+    }
+
+    #[test]
+    fn check_names_a_mesh_past_the_limit() {
+        let limit = equinox_config::MESH_LIMIT;
+        let cfg = SystemConfig::new(SchemeKind::SeparateBase, limit, tiny_workload("bfs"));
+        assert!(cfg.check().is_ok());
+        for n in [limit + 1, 300, u16::MAX] {
+            let e = SystemConfig { n, ..cfg.clone() }.check().unwrap_err();
+            assert!(e.starts_with(&format!("n = {n}: a network's route table")), "{e}");
         }
     }
 

@@ -38,10 +38,10 @@ fi
 echo "OK: equinox is the only binary"
 
 echo "== scenario-name guard =="
-# Only the registry knows a scenario by name: whether `all` runs one,
-# whether the artifact cache may replay it and whether it reads
-# --obs-stream are fields of its entry in crates/bench/src/scenarios.rs,
-# so no other file compares a name with ==, != or a match arm.
+# Only the registry knows a scenario by name: whether `all` runs one and
+# whether it reads --obs-stream are fields of its entry in
+# crates/bench/src/scenarios.rs, so no other file compares a name with
+# ==, != or a match arm.
 registry=crates/bench/src/scenarios.rs
 names=$(grep -oE 'S::(paper|tool)\("[a-z0-9]+"' "$registry" | grep -oE '[a-z0-9]+"$' | tr -d '"' | paste -sd'|')
 if [ -z "$names" ]; then
@@ -248,6 +248,28 @@ if [ "$(grep -c . <<< "$obs_hits")" != 1 ] || ! grep -qF '"equinox.obs/v' <<< "$
   exit 1
 fi
 echo "OK: one obs block, written by one emitter"
+
+echo "== two-entry-cache guard =="
+# The cache is cells (run_) and designs (design_); the driver resolves the
+# spec, runs the scenario and writes the artifact. So non-test code names
+# no "equinox.cache/v…" block and no "artifact" entry kind, and the
+# driver calls nothing in equinox_bench::cache.
+cache_hits=""
+while IFS= read -r f; do
+  tests_at=$(grep -n -m1 '^#\[cfg(test)\]' "$f" | cut -d: -f1 || true)
+  while IFS=: read -r line text; do
+    if [ "$line" -lt "${tests_at:-1000000}" ] && ! [[ "$text" =~ ^[[:space:]]*(//|\*) ]]; then
+      cache_hits+="$f:$line:$text"$'\n'
+    fi
+  done < <(grep -nE '"equinox\.cache/v|"artifact"' "$f" || true)
+done < <(find crates/*/src -name '*.rs' | sort)
+cache_hits+=$(grep -nE '\bcache::' crates/bench/src/bin/equinox.rs | grep -vE ':[0-9]+: *(//|\*)' || true)
+if [ -n "$cache_hits" ]; then
+  printf '%s\n' "$cache_hits"
+  echo "FAIL: a whole-artifact cache is back — let the run_ and design_ entries serve the scenario" >&2
+  exit 1
+fi
+echo "OK: the cache holds cells and designs; the driver runs every scenario"
 
 echo "== clippy =="
 # Warnings are errors, as in CI. With every library item crate-private
