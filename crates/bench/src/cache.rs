@@ -217,8 +217,9 @@ mod tests {
         let (hit, searched) = get(9002);
         assert!(!searched && *hit == stored, "hit: the stored design");
         // An entry decode rejects is a miss: search again and rewrite it.
-        let clipped = &fresh.to_text()[..fresh.to_text().len() / 2];
-        for (seed, corrupt) in [(9003, clipped.to_string()), (9004, EquiNoxDesign::quick(8, 4).to_text())] {
+        let mut clipped = fresh.to_text();
+        clipped.truncate(clipped.len() / 2);
+        for (seed, corrupt) in [(9003, clipped), (9004, EquiNoxDesign::quick(8, 4).to_text())] {
             std::fs::write(entry(seed), corrupt).unwrap();
             let (d, searched) = get(seed);
             assert!(searched, "seed {seed}: recompute");
