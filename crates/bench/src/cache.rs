@@ -91,7 +91,7 @@ pub(crate) fn decode_metrics(bytes: &[u8]) -> Result<RunMetrics, SnapError> {
     let scheme = *SchemeKind::ALL.get(tag).ok_or(SnapError::BadValue("scheme tag"))?;
     let m = RunMetrics {
         scheme,
-        benchmark: String::restore(&mut d)?,
+        benchmark: d.str()?,
         cycles: d.u64()?,
         exec_ns: d.f64()?,
         ipc: d.f64()?,

@@ -805,9 +805,8 @@ fn observe(spec: &ExperimentSpec, log: &mut dyn Write) -> Result<Json, String> {
 /// Synthetic-traffic stress run on an arbitrary fabric: builds a bare
 /// network from the spec's `--topology` / `--n`, drives the spec's
 /// `--traffic` pattern at `--scale` (at most one) packets per node per
-/// cycle for `--cycles` cycles, drains to quiescence, and self-checks a
-/// mid-flight snapshot → restore → snapshot byte round-trip. With
-/// `--audit` the invariant auditor sweeps the whole run, so this is the
+/// cycle for `--cycles` cycles and drains to quiescence. With `--audit`
+/// the invariant auditor sweeps the whole run, so this is the
 /// deadlock-freedom gauntlet for new topologies.
 fn fabric(spec: &ExperimentSpec, log: &mut dyn Write) -> Result<Json, String> {
     use equinox_exec::Rng;
@@ -838,14 +837,10 @@ fn fabric(spec: &ExperimentSpec, log: &mut dyn Write) -> Result<Json, String> {
     let mut cfg = NocConfig::fabric(topo, spec.n);
     cfg.pipeline_extra = spec.pipeline_extra;
     cfg.activity_gate = spec.activity_gate;
-    let arm = |cfg: &NocConfig| {
-        let mut net = Network::new(cfg.clone());
-        if let Some(a) = SystemConfig::audit_from_spec(spec) {
-            net.enable_audit(a);
-        }
-        net
-    };
-    let mut net = arm(&cfg);
+    let mut net = Network::new(cfg);
+    if let Some(a) = SystemConfig::audit_from_spec(spec) {
+        net.enable_audit(a);
+    }
     let (w, h) = (net.width(), net.height());
     let nodes: Vec<Coord> = (0..h).flat_map(|y| (0..w).map(move |x| Coord::new(x, y))).collect();
     let offered = spec.scale;
@@ -857,7 +852,6 @@ fn fabric(spec: &ExperimentSpec, log: &mut dyn Write) -> Result<Json, String> {
     let mut born: Vec<u64> = Vec::new();
     let mut delivered = 0u64;
     let mut latency_sum = 0u64;
-    let mut roundtrip = false;
 
     let mut t = 0u64;
     // Measured window, then a drain with injection stopped, for at most a
@@ -896,20 +890,6 @@ fn fabric(spec: &ExperimentSpec, log: &mut dyn Write) -> Result<Json, String> {
                 latency_sum += t + 1 - born[f.pkt.0 as usize];
             }
         });
-        if t + 1 == cycles / 2 {
-            // Snapshot → restore into a fresh identically-armed network
-            // → snapshot again: the two byte streams must be identical.
-            let mut e = equinox_snap::Enc::new();
-            net.snapshot_state(&mut e);
-            let bytes = e.into_bytes();
-            let mut twin = arm(&cfg);
-            twin.restore_state(&mut equinox_snap::Dec::new(&bytes))
-                .expect("mid-flight snapshot restores");
-            let mut e2 = equinox_snap::Enc::new();
-            twin.snapshot_state(&mut e2);
-            assert_eq!(bytes, e2.into_bytes(), "snapshot round-trip drifted");
-            roundtrip = true;
-        }
         t += 1;
         if t >= cycles && net.quiescent() && pending.iter().all(Vec::is_empty) {
             break;
@@ -947,8 +927,7 @@ fn fabric(spec: &ExperimentSpec, log: &mut dyn Write) -> Result<Json, String> {
         .with("avg_packet_latency", avg_lat)
         .with("throughput_flits_per_node_cycle", throughput)
         .with("injected_flits", s.injected_flits)
-        .with("ejected_flits", s.ejected_flits)
-        .with("snapshot_roundtrip", roundtrip);
+        .with("ejected_flits", s.ejected_flits);
     if spec.audit {
         j = j
             .with("audit_sweeps", net.audit_sweeps())
@@ -1043,8 +1022,7 @@ mod tests {
     }
 
     /// Every topology × pattern combination runs the fabric scenario
-    /// end-to-end under audit, including the snapshot round-trip
-    /// self-check. Short window, small grid: this is a smoke matrix,
+    /// end-to-end under audit. Short window, small grid: this is a smoke matrix,
     /// the deep soaks live in the noc crate's property tests.
     #[test]
     fn fabric_scenario_runs_every_topology_and_pattern() {
@@ -1061,7 +1039,6 @@ mod tests {
                 let j = fabric(&spec, &mut log).unwrap();
                 assert_eq!(j.get("topology").and_then(Json::as_str), Some(*topo));
                 assert_eq!(j.get("traffic").and_then(Json::as_str), Some(*traffic));
-                assert_eq!(j.get("snapshot_roundtrip"), Some(&Json::Bool(true)));
                 assert_eq!(j.get("audit_violations").and_then(Json::as_u64), Some(0));
                 let inj = j.get("injected_flits").and_then(Json::as_u64).unwrap();
                 assert!(inj > 0, "{topo}/{traffic} must move traffic");

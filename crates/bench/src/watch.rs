@@ -295,6 +295,14 @@ mod tests {
     }
 
     #[test]
+    fn a_line_nested_too_deep_is_one_corrupt_line() {
+        let deep = "[".repeat(200_000);
+        let text = format!("{}\n{deep}\n{}\n", sample("a", 100), summary("a", 200));
+        let s = watch_text(&text, &mut Vec::new());
+        assert_eq!((s.frames, s.corrupt, s.summaries()), (2, 1, 1));
+    }
+
+    #[test]
     fn interleaved_runs_are_told_apart_and_read_past_the_first_summary() {
         // Two cells of one scenario appending to one file: `b` is still
         // sampling after `a`'s summary, and a third run never finishes.

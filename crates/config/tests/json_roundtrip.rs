@@ -3,7 +3,7 @@
 //! nesting, escapes, unicode — and canonical texts survive
 //! `write(parse(text))`.
 
-use equinox_config::json::{parse, Json};
+use equinox_config::json::{parse, Json, MAX_DEPTH};
 
 fn roundtrip(v: &Json) {
     for text in [v.to_compact(), v.pretty()] {
@@ -75,6 +75,29 @@ fn deep_nesting_round_trips() {
         )
         .with("curve", vec![Json::Num(0.1), Json::Num(0.30000000000000004)]);
     roundtrip(&v);
+}
+
+#[test]
+fn nesting_parses_to_the_depth_limit_and_is_named_past_it() {
+    let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+    let objects = |depth: usize| format!("{}1{}", "{\"a\": ".repeat(depth), "}".repeat(depth));
+    for text in [arrays(MAX_DEPTH), objects(MAX_DEPTH)] {
+        let v = parse(&text).unwrap_or_else(|e| panic!("{MAX_DEPTH} levels must parse: {e}"));
+        assert_eq!(v.to_compact(), text);
+        roundtrip(&v);
+    }
+    // Past the limit, and far past it (a recursive descent without the
+    // bound overflows its stack on this one), the error names the limit
+    // where the first level too many opens.
+    for (text, offset) in [
+        (arrays(MAX_DEPTH + 1), MAX_DEPTH),
+        (objects(MAX_DEPTH + 1), MAX_DEPTH * 6),
+        ("[".repeat(200_000), MAX_DEPTH),
+    ] {
+        let e = parse(&text).expect_err("too deep");
+        assert_eq!(e.message, format!("nesting deeper than {MAX_DEPTH} levels"));
+        assert_eq!((e.offset, e.line), (offset, 1));
+    }
 }
 
 #[test]

@@ -224,27 +224,6 @@ impl CacheBank {
         e.put_u64(self.served);
     }
 
-    /// Restores state written by [`CacheBank::snap_state`] into a bank
-    /// built with the same configuration.
-    pub(crate) fn restore_state(
-        &mut self,
-        d: &mut equinox_snap::Dec,
-    ) -> Result<(), equinox_snap::SnapError> {
-        use equinox_snap::{Snap, SnapError};
-        self.rng = Rng::restore(d)?;
-        self.hits_due = VecDeque::restore(d)?;
-        self.hbm_retry = VecDeque::restore(d)?;
-        self.hbm.restore_state(d)?;
-        self.ready = VecDeque::restore(d)?;
-        self.pending_reply = Option::restore(d)?;
-        self.inflight = d.usize()?;
-        self.served = d.u64()?;
-        if self.inflight > self.max_inflight {
-            return Err(SnapError::BadValue("cb inflight over window"));
-        }
-        Ok(())
-    }
-
     /// `true` when the next [`CacheBank::tick`] is guaranteed to change
     /// no state other than the HBM clock: no reply is ready for the NI,
     /// none is parked on NI backpressure, and nothing is waiting to
@@ -371,57 +350,6 @@ mod tests {
             cb.accept(req, &tracker, 0);
         }
         assert!(!cb.can_accept(), "8 in flight = full");
-    }
-
-    #[test]
-    fn snapshot_round_trip_resumes_identically() {
-        use equinox_snap::{Dec, Enc};
-        // Mixed hits and misses, mid-flight snapshot, then identical
-        // reply streams from the original and the restored bank.
-        let (mut cb, mut ni, _nets, mut tracker) = setup(0.5);
-        for i in 0..8 {
-            let req = request(&mut tracker, i * 64);
-            cb.accept(req, &tracker, 0);
-        }
-        for t in 0..30 {
-            cb.tick(t, &mut tracker, &mut ni);
-        }
-        let mut e = Enc::new();
-        cb.snap_state(&mut e);
-        let bytes = e.into_bytes();
-
-        let node = Coord::new(0, 0);
-        let mut cb2 = CacheBank::new(node, 8, 0.5, 20, HbmConfig::tiny(), 8, 1);
-        let mut d = Dec::new(&bytes);
-        cb2.restore_state(&mut d).unwrap();
-        d.finish().unwrap();
-        assert_eq!(cb2.inflight(), cb.inflight());
-        assert_eq!(cb2.served, cb.served);
-        assert_eq!(cb2.is_idle(), cb.is_idle());
-
-        // Drive both against cloned trackers/NIs and compare the exact
-        // reply emission order.
-        let mut e = Enc::new();
-        use equinox_snap::Snap;
-        tracker.snap(&mut e);
-        let tbytes = e.into_bytes();
-        let mut tracker2 = PacketTracker::restore(&mut Dec::new(&tbytes)).unwrap();
-        let mut ni2 = InjectionQueue::new(node, 64, InjectPolicy::for_node(NiKind::Local, &mut [], &[0], node, 0, &[], None));
-        let mut ni1 = InjectionQueue::new(node, 64, InjectPolicy::for_node(NiKind::Local, &mut [], &[0], node, 0, &[], None));
-        for t in 30..600 {
-            cb.tick(t, &mut tracker, &mut ni1);
-            cb2.tick(t, &mut tracker2, &mut ni2);
-            assert_eq!(ni1.backlog(), ni2.backlog(), "diverged at cycle {t}");
-        }
-        assert_eq!(cb.served, cb2.served);
-        assert!(cb.is_idle() && cb2.is_idle());
-
-        // Corrupting the in-flight window count past the cap must be
-        // refused, and truncation anywhere must be structural.
-        let mut cb3 = CacheBank::new(node, 8, 0.5, 20, HbmConfig::tiny(), 8, 1);
-        for cut in 0..bytes.len() {
-            assert!(cb3.restore_state(&mut Dec::new(&bytes[..cut])).is_err());
-        }
     }
 
     #[test]

@@ -162,6 +162,7 @@ fn past_the_last_cycle(now: u64) -> ! {
 impl Row {
     /// The row of `r`, or `None` if one of its cycles is `u32::MAX` or
     /// later.
+    #[cfg(test)]
     fn pack(r: &PacketRecord) -> Option<Row> {
         let cycle = |c: u64| u32::try_from(c).ok().filter(|&c| c != NOT_YET);
         let opt = |c: Option<u64>| c.map_or(Some(NOT_YET), cycle);
@@ -206,14 +207,6 @@ impl equinox_snap::Snap for MemOpKind {
             MemOpKind::Write => 1,
         });
     }
-
-    fn restore(d: &mut equinox_snap::Dec) -> Result<Self, equinox_snap::SnapError> {
-        match d.u8()? {
-            0 => Ok(MemOpKind::Read),
-            1 => Ok(MemOpKind::Write),
-            _ => Err(equinox_snap::SnapError::BadValue("mem op tag")),
-        }
-    }
 }
 
 impl equinox_snap::Snap for Message {
@@ -227,18 +220,6 @@ impl equinox_snap::Snap for Message {
         self.op.snap(e);
         e.put_u64(self.addr);
         e.put_bool(self.compressed);
-    }
-
-    fn restore(d: &mut equinox_snap::Dec) -> Result<Self, equinox_snap::SnapError> {
-        Ok(Message {
-            id: d.u64()?,
-            src: Coord::new(d.u16()?, d.u16()?),
-            dst: Coord::new(d.u16()?, d.u16()?),
-            class: MessageClass::restore(d)?,
-            op: MemOpKind::restore(d)?,
-            addr: d.u64()?,
-            compressed: d.bool()?,
-        })
     }
 }
 
@@ -286,20 +267,6 @@ impl equinox_snap::Snap for PacketRecord {
         self.injected.snap(e);
         self.ejected.snap(e);
         e.put_bool(self.compressed);
-    }
-
-    fn restore(d: &mut equinox_snap::Dec) -> Result<Self, equinox_snap::SnapError> {
-        Ok(PacketRecord {
-            src: Coord::new(d.u16()?, d.u16()?),
-            dst: Coord::new(d.u16()?, d.u16()?),
-            class: MessageClass::restore(d)?,
-            op: MemOpKind::restore(d)?,
-            addr: d.u64()?,
-            created: d.u64()?,
-            injected: Option::restore(d)?,
-            ejected: Option::restore(d)?,
-            compressed: d.bool()?,
-        })
     }
 }
 
@@ -493,32 +460,6 @@ impl equinox_snap::Snap for PacketTracker {
         e.put_u64(self.injected_count);
         e.put_u64(self.ejected_count);
     }
-
-    fn restore(d: &mut equinox_snap::Dec) -> Result<Self, equinox_snap::SnapError> {
-        use equinox_snap::SnapError;
-        let n = d.usize()?;
-        // Capped by what the input could hold, as `Vec::restore` does.
-        let mut rows = Vec::with_capacity(n.min(d.remaining()));
-        for _ in 0..n {
-            let row = Row::pack(&PacketRecord::restore(d)?)
-                .ok_or(SnapError::BadValue("packet record stamped at or past cycle u32::MAX"))?;
-            rows.push(row);
-        }
-        let injected_count = d.u64()?;
-        let ejected_count = d.u64()?;
-        // The counters increment exactly once per record's None→Some
-        // transition, so they must agree with the record table.
-        if injected_count != rows.iter().filter(|r| r.injected != NOT_YET).count() as u64
-            || ejected_count != rows.iter().filter(|r| r.ejected != NOT_YET).count() as u64
-        {
-            return Err(SnapError::BadValue("tracker counters disagree with records"));
-        }
-        Ok(PacketTracker {
-            rows,
-            injected_count,
-            ejected_count,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -594,55 +535,6 @@ mod tests {
         assert_eq!(b.total_ns(), 0.0);
     }
 
-    #[test]
-    fn tracker_snapshot_round_trips_and_validates() {
-        use equinox_snap::{Dec, Enc, Snap, SnapError};
-        let mut t = PacketTracker::new();
-        for i in 0..6u64 {
-            let m = t.create(
-                Coord::new(0, 0),
-                Coord::new(3, 2),
-                if i % 2 == 0 { MessageClass::Request } else { MessageClass::Reply },
-                if i % 3 == 0 { MemOpKind::Write } else { MemOpKind::Read },
-                i * 64,
-                i,
-            );
-            if i < 4 {
-                t.mark_injected(m.id, i + 2);
-            }
-            if i < 2 {
-                t.mark_ejected(m.id, i + 9);
-            }
-        }
-        let mut e = Enc::new();
-        t.snap(&mut e);
-        let bytes = e.into_bytes();
-
-        let mut d = Dec::new(&bytes);
-        let back = PacketTracker::restore(&mut d).unwrap();
-        d.finish().unwrap();
-        assert_eq!(back.len(), t.len());
-        assert_eq!(back.in_flight(), t.in_flight());
-        assert_eq!(back.delivered(), t.delivered());
-        for i in 0..t.len() as u64 {
-            assert_eq!(back.record(i), t.record(i));
-        }
-        assert_eq!(back.latency_breakdown(2.0), t.latency_breakdown(2.0));
-
-        // A corrupted injected-counter must be caught, not restored.
-        let mut bad = bytes.clone();
-        let cut = bad.len() - 16; // injected_count is the 2nd-to-last u64
-        bad[cut] ^= 0xff;
-        assert!(matches!(
-            PacketTracker::restore(&mut Dec::new(&bad)),
-            Err(SnapError::BadValue(_))
-        ));
-        // Truncation anywhere is structural, never a panic.
-        for cut in 0..bytes.len() {
-            assert!(PacketTracker::restore(&mut Dec::new(&bytes[..cut])).is_err());
-        }
-    }
-
     fn record_at(created: u64, injected: Option<u64>, ejected: Option<u64>) -> PacketRecord {
         PacketRecord {
             src: Coord::new(0, 0),
@@ -699,32 +591,6 @@ mod tests {
             PacketTracker::new().create(Coord::new(0, 0), Coord::new(1, 0), MessageClass::Request, MemOpKind::Read, 0, last + 1)
         });
         assert!(late.is_err(), "cycle u32::MAX has no row");
-    }
-
-    #[test]
-    fn restore_names_a_record_stamped_at_or_past_cycle_u32_max() {
-        use equinox_snap::{Dec, Enc, Snap, SnapError};
-        let at = u64::from(u32::MAX);
-        for bad in [
-            record_at(at, None, None),
-            record_at(u64::MAX, None, None),
-            record_at(0, Some(at), None),
-            record_at(0, Some(1), Some(at)),
-            record_at(0, Some(1 << 40), Some(1 << 40)),
-        ] {
-            let mut e = Enc::new();
-            e.put_usize(2);
-            record_at(0, Some(1), None).snap(&mut e);
-            bad.snap(&mut e);
-            e.put_u64(1 + bad.injected.is_some() as u64);
-            e.put_u64(bad.ejected.is_some() as u64);
-            let bytes = e.into_bytes();
-            assert_eq!(
-                PacketTracker::restore(&mut Dec::new(&bytes)).err(),
-                Some(SnapError::BadValue("packet record stamped at or past cycle u32::MAX")),
-                "{bad:?}"
-            );
-        }
     }
 
     #[test]

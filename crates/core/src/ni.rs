@@ -266,62 +266,6 @@ impl InjectionQueue {
         e.put_usize(self.policy.rr);
     }
 
-    /// Restores state written by [`InjectionQueue::snap_state`] into a
-    /// queue built with the same capacity and policy wiring. `nets` is
-    /// the system's network list, used to bound-check restored injector
-    /// handles and network indices.
-    pub(crate) fn restore_state(
-        &mut self,
-        d: &mut equinox_snap::Dec,
-        nets: &[Network],
-    ) -> Result<(), equinox_snap::SnapError> {
-        use equinox_snap::{Snap, SnapError};
-        let queue: VecDeque<Message> = VecDeque::restore(d)?;
-        if queue.len() > self.cap {
-            return Err(SnapError::BadValue("ni queue over capacity"));
-        }
-        let n_inflight = d.usize()?;
-        if n_inflight > d.remaining() {
-            return Err(SnapError::Truncated);
-        }
-        let mut inflight = Vec::with_capacity(n_inflight);
-        for _ in 0..n_inflight {
-            let desc = PacketDesc::restore(d)?;
-            let sink = d.u32()?;
-            let next = d.u16()?;
-            let net = d.usize()?;
-            let injector = InjectorId::restore(d)?;
-            if net >= nets.len() {
-                return Err(SnapError::BadValue("ni inflight network index"));
-            }
-            if !nets[net].injector_valid(injector) {
-                return Err(SnapError::BadValue("ni inflight injector"));
-            }
-            if next > desc.len {
-                return Err(SnapError::BadValue("ni inflight flit cursor"));
-            }
-            inflight.push(Inflight {
-                desc,
-                sink,
-                next,
-                net,
-                injector,
-            });
-        }
-        let (tag, rr_bound) = self.policy.tag_and_rr_bound();
-        if d.u8()? != tag {
-            return Err(SnapError::BadValue("injection policy tag mismatch"));
-        }
-        let rr = d.usize()?;
-        if rr >= rr_bound {
-            return Err(SnapError::BadValue("ni round-robin cursor"));
-        }
-        self.policy.rr = rr;
-        self.queue = queue;
-        self.inflight = inflight;
-        Ok(())
-    }
-
     /// Applies the policy: returns `(net, injector, src, dst, sink)` for
     /// the message, or `None` to retry next cycle.
     fn choose(

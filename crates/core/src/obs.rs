@@ -389,8 +389,8 @@ impl SystemObs {
     /// Serializes the cycle-derived observability state: latency
     /// histograms, time-series rows and the sampling/delta cursors. Span
     /// (wall-clock) data is intentionally excluded — it never enters
-    /// the deterministic artifact, so a restored run reproduces the
-    /// obs block bit-for-bit without it.
+    /// the deterministic artifact, so a replayed run writes the same
+    /// bytes without it.
     pub(crate) fn snap_state(&self, e: &mut equinox_snap::Enc) {
         use equinox_snap::Snap;
         for h in &self.h_latency {
@@ -411,45 +411,6 @@ impl SystemObs {
             grid.snap(e);
         }
         e.put_u64(self.stream_seq);
-    }
-
-    /// Restores state written by [`SystemObs::snap_state`] into an
-    /// identically-configured instance.
-    pub(crate) fn restore_state(
-        &mut self,
-        d: &mut equinox_snap::Dec,
-    ) -> Result<(), equinox_snap::SnapError> {
-        use equinox_snap::{Snap, SnapError};
-        for h in &mut self.h_latency {
-            h.restore_state(d)?;
-        }
-        self.series.restore_state(d)?;
-        self.next_sample = d.u64()?;
-        self.last_cycle = d.u64()?;
-        let last_ejected: Vec<u64> = Vec::restore(d)?;
-        let last_links: Vec<u64> = Vec::restore(d)?;
-        let last_eir: Vec<u64> = Vec::restore(d)?;
-        if last_ejected.len() != self.last_ejected.len()
-            || last_links.len() != self.last_links.len()
-            || last_eir.len() != self.last_eir.len()
-        {
-            return Err(SnapError::BadValue("obs delta cursor lengths"));
-        }
-        self.last_ejected = last_ejected;
-        self.last_links = last_links;
-        self.last_eir = last_eir;
-        for h in &mut self.h_inj_wait {
-            h.restore_state(d)?;
-        }
-        for grid in &mut self.inj_heat {
-            let g: Vec<u64> = Vec::restore(d)?;
-            if g.len() != grid.len() {
-                return Err(SnapError::BadValue("inj heat grid shape"));
-            }
-            *grid = g;
-        }
-        self.stream_seq = d.u64()?;
-        Ok(())
     }
 
     /// The `equinox.obs/v3` artifact block, every value once: per class

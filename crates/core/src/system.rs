@@ -314,6 +314,9 @@ mod snap_tags {
     pub(crate) const OBS: u32 = 7;
 }
 
+/// What [`System::restore`] names a snapshot its replay did not reach.
+const NOT_THIS_STATE: &str = "not this build's state at the snapshot's cycle";
+
 /// The assembled machine.
 pub struct System {
     cfg: SystemConfig,
@@ -909,10 +912,9 @@ impl System {
     }
 
     /// Serializes the machine's complete dynamic state into one
-    /// [`equinox_snap`] container. Build-derived state (topology,
-    /// placement, area, sinks, clock ratios) is not written: a snapshot
-    /// restores only into a [`System::build`] of the *same*
-    /// [`SystemConfig`].
+    /// [`equinox_snap`] container: a canonical digest of the state, which
+    /// `golden_snapshot.txt` pins section by section. Build-derived state
+    /// (topology, placement, area, sinks, clock ratios) is not written.
     ///
     /// Because every component of the simulation is bit-deterministic,
     /// `build + restore + run` produces byte-identical artifacts to the
@@ -993,119 +995,32 @@ impl System {
         ])
     }
 
-    /// Restores a [`System::snapshot`] into this machine, which must
-    /// have been built from the same configuration. Every section is
-    /// shape-validated against the built topology (counts, capacities,
-    /// audit/obs arming); any mismatch, truncation or corruption
-    /// returns a structured [`equinox_snap::SnapError`]. On error the
-    /// machine may be partially overwritten and must be discarded.
+    /// Restores a [`System::snapshot`] by replaying it: rebuilds this
+    /// machine from its own [`SystemConfig`] and steps it to the
+    /// snapshot's cycle. Every run is bit-deterministic, so the replay
+    /// reaches the snapshot's state exactly when the snapshot was taken
+    /// between steps of a build of this configuration; anything else —
+    /// another configuration, a corrupt or truncated blob, a cycle past
+    /// `max_cycles` — returns a [`equinox_snap::SnapError`] (after the
+    /// replay the machine holds the rebuilt state, so discard it). A
+    /// machine with a live `--obs-stream` is refused before the rebuild,
+    /// since the replay would write the stream's frames again.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), equinox_snap::SnapError> {
-        use equinox_snap::{read_snapshot, section, Dec, Snap, SnapError};
-        let sections = read_snapshot(bytes)?;
-
-        let mut d = Dec::new(section(&sections, snap_tags::SYS)?);
-        let cycle = d.u64()?;
-        let step_accum: Vec<u32> = Vec::restore(&mut d)?;
-        let cb_tick_due: Vec<u64> = Vec::restore(&mut d)?;
-        let retired: Vec<bool> = Vec::restore(&mut d)?;
-        let done_pes = d.usize()?;
-        let sys_last_progress = d.u64()?;
-        let sys_last_progress_cycle = d.u64()?;
-        let audit_findings: Vec<String> = Vec::restore(&mut d)?;
-        d.finish()?;
-        if step_accum.len() != self.nets.len() || step_accum.iter().any(|&a| a >= 2) {
-            return Err(SnapError::BadValue("system step accumulators"));
+        use equinox_snap::{read_snapshot, section, Dec, SnapError};
+        let cycle = Dec::new(section(&read_snapshot(bytes)?, snap_tags::SYS)?).u64()?;
+        if cycle > self.cfg.max_cycles {
+            return Err(SnapError::BadValue("snapshot cycle past max_cycles"));
         }
-        if cb_tick_due.len() != self.cbs.len() {
-            return Err(SnapError::BadValue("cb tick schedule length"));
+        if self.cfg.obs.as_ref().is_some_and(|o| !o.stream.is_empty()) {
+            return Err(SnapError::BadValue("a replay would rewrite the live obs stream"));
         }
-        if retired.len() != self.pes.len()
-            || done_pes != retired.iter().filter(|&&r| r).count()
-            || retired
-                .iter()
-                .zip(&self.pes)
-                .any(|(&r, pe)| r && pe.is_none())
-        {
-            return Err(SnapError::BadValue("retired-PE flags"));
+        *self = System::build(self.cfg.clone());
+        while self.cycle < cycle {
+            self.step();
         }
-
-        let mut d = Dec::new(section(&sections, snap_tags::NETS)?);
-        if d.usize()? != self.nets.len() {
-            return Err(SnapError::BadValue("network count"));
+        if self.snapshot() != bytes {
+            return Err(SnapError::BadValue(NOT_THIS_STATE));
         }
-        for n in &mut self.nets {
-            n.restore_state(&mut d)?;
-        }
-        d.finish()?;
-
-        let mut d = Dec::new(section(&sections, snap_tags::PES)?);
-        if d.usize()? != self.pes.len() {
-            return Err(SnapError::BadValue("pe count"));
-        }
-        for p in &mut self.pes {
-            let present = d.u8()?;
-            match (p.as_mut(), present) {
-                (Some(pe), 1) => pe.restore_state(&mut d)?,
-                (None, 0) => {}
-                _ => return Err(SnapError::BadValue("pe placement mismatch")),
-            }
-        }
-        d.finish()?;
-
-        let mut d = Dec::new(section(&sections, snap_tags::NIS)?);
-        if d.usize()? != self.req_nis.len() {
-            return Err(SnapError::BadValue("request NI count"));
-        }
-        for i in 0..self.req_nis.len() {
-            let present = d.u8()?;
-            match (self.req_nis[i].is_some(), present) {
-                (true, 1) => {
-                    let q = self.req_nis[i].as_mut().expect("checked present");
-                    q.restore_state(&mut d, &self.nets)?;
-                }
-                (false, 0) => {}
-                _ => return Err(SnapError::BadValue("request NI placement mismatch")),
-            }
-        }
-        if d.usize()? != self.rep_nis.len() {
-            return Err(SnapError::BadValue("reply NI count"));
-        }
-        for i in 0..self.rep_nis.len() {
-            self.rep_nis[i].restore_state(&mut d, &self.nets)?;
-        }
-        d.finish()?;
-
-        let mut d = Dec::new(section(&sections, snap_tags::CBS)?);
-        if d.usize()? != self.cbs.len() {
-            return Err(SnapError::BadValue("cache bank count"));
-        }
-        for cb in &mut self.cbs {
-            cb.restore_state(&mut d)?;
-        }
-        d.finish()?;
-
-        let mut d = Dec::new(section(&sections, snap_tags::TRACKER)?);
-        let tracker = PacketTracker::restore(&mut d)?;
-        d.finish()?;
-
-        let mut d = Dec::new(section(&sections, snap_tags::OBS)?);
-        let obs_armed = d.bool()?;
-        match (self.obs.as_deref_mut(), obs_armed) {
-            (Some(o), true) => o.restore_state(&mut d)?,
-            (None, false) => {}
-            _ => return Err(SnapError::BadValue("obs arming mismatch")),
-        }
-        d.finish()?;
-
-        self.cycle = cycle;
-        self.step_accum = step_accum;
-        self.cb_tick_due = cb_tick_due;
-        self.retired = retired;
-        self.done_pes = done_pes;
-        self.sys_last_progress = sys_last_progress;
-        self.sys_last_progress_cycle = sys_last_progress_cycle;
-        self.audit_findings = audit_findings;
-        self.tracker = tracker;
         Ok(())
     }
 
@@ -1813,16 +1728,13 @@ mod tests {
         let other = SystemConfig::new(SchemeKind::Da2Mesh, 8, tiny_workload("bfs"));
         assert!(System::build(other).restore(&snap).is_err());
 
-        // An obs-armed build must refuse an obs-less snapshot. Arming obs
-        // also arms per-network stall attribution, and the networks restore
-        // first, so the stall section is where the mismatch surfaces.
+        // An obs-armed build must refuse an obs-less snapshot: its replay
+        // reaches the cycle with obs sections the snapshot does not hold.
         let mut armed = cfg.clone();
         armed.obs = Some(crate::obs::ObsConfig::default());
         assert!(matches!(
             System::build(armed).restore(&snap),
-            Err(equinox_snap::SnapError::BadValue(
-                "stall arming mismatch" | "obs arming mismatch"
-            ))
+            Err(equinox_snap::SnapError::BadValue(NOT_THIS_STATE))
         ));
 
         // Truncations and header corruption are structural errors.
@@ -1835,6 +1747,91 @@ mod tests {
             System::build(cfg.clone()).restore(&bad),
             Err(equinox_snap::SnapError::BadMagic)
         ));
+    }
+
+    /// The restore input surface: every truncation, one flipped byte in
+    /// each section, a cycle past `max_cycles` and the snapshot of
+    /// another scheme or reply fabric are each refused with an error, and
+    /// no refusal replays past `max_cycles`.
+    #[test]
+    fn restore_refuses_truncations_flips_late_cycles_and_other_schemes() {
+        use equinox_snap::{read_snapshot, write_snapshot, SnapError};
+        let small = |scheme| {
+            let mut cfg = SystemConfig::new(scheme, 8, tiny_workload("bfs"));
+            cfg.max_cycles = 2_000;
+            cfg
+        };
+        let cfg = small(SchemeKind::SeparateBase);
+        let mid = |cfg: &SystemConfig| {
+            let mut sys = System::build(cfg.clone());
+            for _ in 0..600 {
+                sys.step();
+            }
+            sys.snapshot()
+        };
+        let snap = mid(&cfg);
+        let mut sys = System::build(cfg.clone());
+        sys.restore(&snap).expect("the snapshot of this build restores");
+        assert_eq!(sys.cycle(), 600);
+        let mut refuse = |bytes: &[u8], what: &str| {
+            let r = sys.restore(bytes);
+            assert!(r.is_err(), "{what}: accepted");
+            assert!(sys.cycle() <= cfg.max_cycles, "{what}: replayed past max_cycles");
+            r.unwrap_err()
+        };
+
+        for cut in 0..snap.len() {
+            refuse(&snap[..cut], &format!("truncated to {cut} bytes"));
+        }
+        let sections: Vec<(u32, Vec<u8>)> = read_snapshot(&snap)
+            .unwrap()
+            .into_iter()
+            .map(|(tag, bytes)| (tag, bytes.to_vec()))
+            .collect();
+        let with = |tag: u32, edit: &dyn Fn(&mut Vec<u8>)| {
+            let mut s = sections.clone();
+            s.iter_mut().filter(|(t, _)| *t == tag).for_each(|(_, b)| edit(b));
+            write_snapshot(&s)
+        };
+        for (tag, bytes) in &sections {
+            let at = bytes.len() / 2;
+            let flipped = with(*tag, &|b| b[at] ^= 0x10);
+            refuse(&flipped, &format!("byte {at} of section {tag} flipped"));
+        }
+        let late = with(snap_tags::SYS, &|b| b[..8].copy_from_slice(&2_001u64.to_le_bytes()));
+        assert_eq!(
+            refuse(&late, "cycle past max_cycles"),
+            SnapError::BadValue("snapshot cycle past max_cycles")
+        );
+        let other = mid(&small(SchemeKind::Da2Mesh));
+        assert_eq!(refuse(&other, "DA2Mesh snapshot"), SnapError::BadValue(NOT_THIS_STATE));
+        // The same scheme with a ring reply subnet: as many networks and
+        // routers, another fabric.
+        let mut ring = small(SchemeKind::SeparateBase);
+        ring.reply_topology = equinox_noc::TopologyKind::Ring;
+        assert_eq!(refuse(&mid(&ring), "ring-reply snapshot"), SnapError::BadValue(NOT_THIS_STATE));
+    }
+
+    #[test]
+    fn restore_refuses_a_build_with_a_live_stream_before_touching_it() {
+        let dir = std::env::temp_dir().join(format!("eqsn_restore_stream_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("frames.jsonl");
+        let mut cfg = SystemConfig::new(SchemeKind::SeparateBase, 8, tiny_workload("bfs"));
+        cfg.obs = Some(crate::obs::ObsConfig { interval: 100, stream: path.display().to_string() });
+        let mut sys = System::build(cfg);
+        for _ in 0..500 {
+            sys.step();
+        }
+        let snap = sys.snapshot();
+        let frames = std::fs::metadata(&path).unwrap().len();
+        assert_eq!(
+            sys.restore(&snap),
+            Err(equinox_snap::SnapError::BadValue("a replay would rewrite the live obs stream"))
+        );
+        assert_eq!(sys.cycle(), 500, "the machine was left as it was");
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), frames, "no frame went out again");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -119,14 +119,6 @@ impl equinox_snap::Snap for Rng {
     fn snap(&self, e: &mut equinox_snap::Enc) {
         self.s.snap(e);
     }
-    fn restore(d: &mut equinox_snap::Dec) -> Result<Self, equinox_snap::SnapError> {
-        let s = <[u64; 4]>::restore(d)?;
-        if s == [0; 4] {
-            // The all-zero state is the one state xoshiro cannot leave.
-            return Err(equinox_snap::SnapError::BadValue("all-zero rng state"));
-        }
-        Ok(Rng { s })
-    }
 }
 
 /// Types that [`Rng::random`] can produce.
@@ -258,32 +250,6 @@ mod tests {
     fn empty_range_panics() {
         let mut rng = Rng::seed_from_u64(0);
         let _ = rng.random_range(3usize..3);
-    }
-
-    #[test]
-    fn snapshot_resumes_the_exact_stream() {
-        use equinox_snap::{Dec, Enc, Snap, SnapError};
-        let mut rng = Rng::stream(7, 3);
-        for _ in 0..100 {
-            rng.next_u64();
-        }
-        let mut e = Enc::new();
-        rng.snap(&mut e);
-        let bytes = e.into_bytes();
-        let expect: Vec<u64> = (0..16).map(|_| rng.next_u64()).collect();
-        let mut d = Dec::new(&bytes);
-        let mut restored = Rng::restore(&mut d).unwrap();
-        d.finish().unwrap();
-        let got: Vec<u64> = (0..16).map(|_| restored.next_u64()).collect();
-        assert_eq!(expect, got, "restored rng must continue the stream");
-        // The all-zero state must be refused, never restored.
-        let mut e = Enc::new();
-        [0u64; 4].snap(&mut e);
-        let z = e.into_bytes();
-        assert_eq!(
-            Rng::restore(&mut Dec::new(&z)).unwrap_err(),
-            SnapError::BadValue("all-zero rng state")
-        );
     }
 
     #[test]

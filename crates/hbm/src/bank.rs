@@ -85,15 +85,6 @@ impl equinox_snap::Snap for Bank {
         e.put_u64(self.misses);
         e.put_u64(self.conflicts);
     }
-    fn restore(d: &mut equinox_snap::Dec) -> Result<Self, equinox_snap::SnapError> {
-        Ok(Bank {
-            open_row: Option::restore(d)?,
-            busy_until: d.u64()?,
-            hits: d.u64()?,
-            misses: d.u64()?,
-            conflicts: d.u64()?,
-        })
-    }
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@ pub(crate) struct ChannelRequest {
 }
 
 /// One HBM channel.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct Channel {
     banks: Vec<Bank>,
     queue: VecDeque<ChannelRequest>,
@@ -146,31 +146,6 @@ impl Channel {
         e.put_u64(self.bus_busy_until);
         self.in_service.snap(e);
     }
-
-    /// Restores state written by [`Channel::snap_state`] into a channel
-    /// built from the *same* config; shape mismatches are rejected.
-    pub(crate) fn restore_state(
-        &mut self,
-        d: &mut equinox_snap::Dec,
-    ) -> Result<(), equinox_snap::SnapError> {
-        use equinox_snap::{Snap, SnapError};
-        let banks = Vec::restore(d)?;
-        if banks.len() != self.banks.len() {
-            return Err(SnapError::BadValue("channel bank count"));
-        }
-        let queue: std::collections::VecDeque<ChannelRequest> = VecDeque::restore(d)?;
-        if queue.len() > self.cap {
-            return Err(SnapError::BadValue("channel queue over capacity"));
-        }
-        if queue.iter().any(|r| r.bank >= banks.len()) {
-            return Err(SnapError::BadValue("channel request bank index"));
-        }
-        self.banks = banks;
-        self.queue = queue;
-        self.bus_busy_until = d.u64()?;
-        self.in_service = Vec::restore(d)?;
-        Ok(())
-    }
 }
 
 impl equinox_snap::Snap for ChannelRequest {
@@ -180,15 +155,6 @@ impl equinox_snap::Snap for ChannelRequest {
         e.put_u64(self.row);
         e.put_bool(self.write);
         e.put_u64(self.arrival);
-    }
-    fn restore(d: &mut equinox_snap::Dec) -> Result<Self, equinox_snap::SnapError> {
-        Ok(ChannelRequest {
-            id: d.u64()?,
-            bank: d.usize()?,
-            row: d.u64()?,
-            write: d.bool()?,
-            arrival: d.u64()?,
-        })
     }
 }
 

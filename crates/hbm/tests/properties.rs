@@ -4,7 +4,7 @@
 
 use equinox_exec::Rng;
 use equinox_hbm::{HbmConfig, HbmStack, MemAccess};
-use equinox_snap::{Dec, Enc};
+use equinox_snap::Enc;
 use std::collections::BTreeSet;
 
 const CASES: u64 = 32;
@@ -95,8 +95,8 @@ fn snap(stack: &HbmStack) -> Vec<u8> {
 /// Stepping at any cycle strictly before `next_event()` is a no-op: it
 /// completes nothing and leaves the snapshot bytes as they were. The
 /// per-bank tick schedule skips exactly those cycles. The steps go to a
-/// restored copy, whose channels restore has made due, so each channel's
-/// own `step` runs on every probed cycle.
+/// copy through [`HbmStack::step_every_channel`], so each channel's own
+/// `step` runs on every probed cycle, not only the stack's schedule.
 #[test]
 fn steps_before_the_next_event_change_nothing() {
     let mut probed = 0;
@@ -121,10 +121,9 @@ fn steps_before_the_next_event_change_nothing() {
                 continue;
             }
             let bytes = snap(&stack);
-            let mut copy = HbmStack::new(cfg);
-            copy.restore_state(&mut Dec::new(&bytes)).expect("restore");
+            let mut copy = stack.clone();
             for early in (t + 1..next).step_by(1 + (next - t) as usize / 4) {
-                copy.step(early);
+                copy.step_every_channel(early);
                 assert_eq!(copy.pop_completed(), None, "case {case}: step at {early} < {next}");
                 assert!(snap(&copy) == bytes, "case {case}: step at {early} < {next} changed state");
                 probed += 1;

@@ -350,22 +350,6 @@ impl AuditState {
         e.put_u64(self.last_progress_cycle);
         e.put_u64(self.sweeps);
     }
-
-    /// Restores state written by [`AuditState::snap_state`].
-    pub(crate) fn restore_state(
-        &mut self,
-        d: &mut equinox_snap::Dec,
-    ) -> Result<(), equinox_snap::SnapError> {
-        use equinox_snap::Snap;
-        self.injected = <[u64; 2]>::restore(d)?;
-        self.ejected = <[u64; 2]>::restore(d)?;
-        self.pops = d.u64()?;
-        self.last_progress = d.u64()?;
-        self.last_progress_cycle = d.u64()?;
-        self.sweeps = d.u64()?;
-        self.violations.clear();
-        Ok(())
-    }
 }
 
 /// Class index for the per-class ledgers.

@@ -7,7 +7,6 @@
 //! is what makes the reply network carry ~3/4 of all NoC bits (§2.2).
 
 use equinox_phys::Coord;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Globally-unique packet identifier (assigned by the traffic layer).
@@ -332,46 +331,6 @@ impl PacketTable {
         }
     }
 
-    /// The handle of a live packet `f` belongs to, taking one if there is
-    /// none: how an injector finds the packet it was streaming when a
-    /// restore left it without a handle. A scan, paid once per such
-    /// injector.
-    pub(crate) fn find_or_alloc(&mut self, f: &Flit) -> u32 {
-        let entry = PacketEntry::of(f);
-        match self.entries.iter().position(|e| *e == entry) {
-            Some(h) => h as u32,
-            None => self.alloc(f),
-        }
-    }
-
-    /// The handle of `f`'s packet while a restore runs, through `seen`
-    /// (packet id → handle, kept by the caller for the restore only):
-    /// the first flit of a packet takes one, the others must agree with
-    /// it.
-    pub(crate) fn intern(
-        &mut self,
-        seen: &mut HashMap<PacketId, u32>,
-        f: &Flit,
-    ) -> Result<u32, equinox_snap::SnapError> {
-        match seen.get(&f.pkt) {
-            Some(&h) if *self.get(h) == PacketEntry::of(f) => Ok(h),
-            Some(_) => Err(equinox_snap::SnapError::BadValue(
-                "flits of one packet disagree on src, dst, sink or len",
-            )),
-            None => {
-                let h = self.alloc(f);
-                seen.insert(f.pkt, h);
-                Ok(h)
-            }
-        }
-    }
-
-    /// Frees every entry, keeping the capacity.
-    pub(crate) fn clear(&mut self) {
-        self.entries.clear();
-        self.free.clear();
-    }
-
     /// The handles in use, ascending.
     #[cfg(test)]
     pub(crate) fn live(&self) -> Vec<u32> {
@@ -382,9 +341,6 @@ impl PacketTable {
 impl equinox_snap::Snap for PacketId {
     fn snap(&self, e: &mut equinox_snap::Enc) {
         e.put_u64(self.0);
-    }
-    fn restore(d: &mut equinox_snap::Dec) -> Result<Self, equinox_snap::SnapError> {
-        Ok(PacketId(d.u64()?))
     }
 }
 
@@ -398,23 +354,6 @@ impl equinox_snap::Snap for PacketDesc {
         self.class.snap(e);
         e.put_u16(self.len);
     }
-    fn restore(d: &mut equinox_snap::Dec) -> Result<Self, equinox_snap::SnapError> {
-        let id = PacketId::restore(d)?;
-        let src = Coord::new(d.u16()?, d.u16()?);
-        let dst = Coord::new(d.u16()?, d.u16()?);
-        let class = MessageClass::restore(d)?;
-        let len = d.u16()?;
-        if len == 0 {
-            return Err(equinox_snap::SnapError::BadValue("packet len zero"));
-        }
-        Ok(PacketDesc {
-            id,
-            src,
-            dst,
-            class,
-            len,
-        })
-    }
 }
 
 impl equinox_snap::Snap for MessageClass {
@@ -423,13 +362,6 @@ impl equinox_snap::Snap for MessageClass {
             MessageClass::Request => 0,
             MessageClass::Reply => 1,
         });
-    }
-    fn restore(d: &mut equinox_snap::Dec) -> Result<Self, equinox_snap::SnapError> {
-        match d.u8()? {
-            0 => Ok(MessageClass::Request),
-            1 => Ok(MessageClass::Reply),
-            _ => Err(equinox_snap::SnapError::BadValue("message class tag")),
-        }
     }
 }
 
@@ -447,22 +379,6 @@ impl equinox_snap::Snap for Flit {
         e.put_u16(self.len);
         e.put_u32(self.sink);
         e.put_u8(self.vc);
-    }
-    fn restore(d: &mut equinox_snap::Dec) -> Result<Self, equinox_snap::SnapError> {
-        let f = Flit {
-            pkt: PacketId::restore(d)?,
-            src: Coord::new(d.u16()?, d.u16()?),
-            dst: Coord::new(d.u16()?, d.u16()?),
-            class: MessageClass::restore(d)?,
-            seq: d.u16()?,
-            len: d.u16()?,
-            sink: d.u32()?,
-            vc: d.u8()?,
-        };
-        if f.len == 0 || f.seq >= f.len {
-            return Err(equinox_snap::SnapError::BadValue("flit seq/len"));
-        }
-        Ok(f)
     }
 }
 
@@ -547,32 +463,6 @@ mod tests {
         assert_eq!(table.get(3).id, PacketId(9));
         assert_eq!(table.alloc(&pkt(10)), 1);
         assert_eq!(table.alloc(&pkt(11)), 4);
-        // A lookup finds a live packet by its shared fields and takes a
-        // fresh handle for one it does not hold.
-        assert_eq!(table.find_or_alloc(&pkt(9)), 3);
-        assert_eq!(table.find_or_alloc(&pkt(12)), 5);
-        assert_eq!(table.find_or_alloc(&pkt(12).with_sink(4)), 6, "a different sink is another packet");
-    }
-
-    #[test]
-    fn interning_names_flits_of_one_packet_that_disagree() {
-        let mut table = PacketTable::default();
-        let mut seen = HashMap::new();
-        let p = PacketDesc::new(5, Coord::new(0, 0), Coord::new(2, 1), MessageClass::Reply, 3);
-        let h = table.intern(&mut seen, &p.flit_at(0, 4)).unwrap();
-        assert_eq!(table.intern(&mut seen, &p.flit_at(2, 4)), Ok(h));
-        let other = PacketDesc::new(6, Coord::new(0, 0), Coord::new(2, 1), MessageClass::Reply, 3);
-        assert_ne!(table.intern(&mut seen, &other.flit_at(1, 4)), Ok(h));
-        let disagree = "flits of one packet disagree on src, dst, sink or len";
-        for f in [
-            p.flit_at(1, 4).with_sink(0),
-            Flit { dst: Coord::new(1, 2), ..p.flit_at(1, 4) },
-            PacketDesc::new(5, Coord::new(0, 1), Coord::new(2, 1), MessageClass::Reply, 3).flit_at(1, 4),
-            PacketDesc::new(5, Coord::new(0, 0), Coord::new(2, 1), MessageClass::Reply, 4).flit_at(1, 4),
-        ] {
-            assert_eq!(table.intern(&mut seen, &f), Err(equinox_snap::SnapError::BadValue(disagree)));
-        }
-        assert_eq!(table.live(), [0, 1]);
     }
 
     #[test]

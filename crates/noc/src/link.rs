@@ -255,23 +255,6 @@ impl Links {
             (vc != NONE).then_some((at, vc))
         })
     }
-
-    /// Empties both wheels, keeping their buckets' room (a restore
-    /// refills them).
-    pub(crate) fn clear_in_flight(&mut self) {
-        self.flits.iter_mut().for_each(Vec::clear);
-        self.credits.iter_mut().for_each(Vec::clear);
-        self.credit_vc.fill(NONE);
-        #[cfg(debug_assertions)]
-        for l in &mut self.links {
-            l.next_free = 0;
-        }
-    }
-
-    /// Restores link `li`'s carried counter.
-    pub(crate) fn set_flits_carried(&mut self, li: usize, carried: u64) {
-        self.links[li].flits_carried = carried;
-    }
 }
 
 #[cfg(test)]
@@ -348,11 +331,6 @@ mod tests {
         assert_eq!(l.flits_in_flight(), 2);
         assert_eq!(flits_at(&mut l, 1).len(), 1);
         assert_eq!(l.flits_in_flight(), 1);
-        l.send_credit(1, 1, 0);
-        l.clear_in_flight();
-        assert_eq!(l.flits_in_flight(), 0);
-        assert_eq!(l.credits(1, 1).count(), 0);
-        assert_eq!(credits_at(&mut l, 2), []);
     }
 
     #[test]

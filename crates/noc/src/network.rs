@@ -24,16 +24,15 @@
 
 use crate::audit::{self, AuditConfig, AuditState, Violation};
 use crate::config::NocConfig;
-use crate::flit::{Flit, MessageClass, PacketEntry, PacketId, Slot, SlotExt};
+use crate::flit::{Flit, MessageClass, PacketEntry, Slot, SlotExt};
 use crate::link::{CreditDst, LinkKind, Links};
 use crate::router::{OutputRole, RouterCore, NONE, NO_LINK, PORT_LOCAL};
 use crate::stats::NetStats;
-use crate::topology::{Topology, TopologyKind};
+use crate::topology::Topology;
 use crate::trace::{Trace, TraceEvent, TraceKind};
 use crate::worklist::Worklist;
 use equinox_obs::{NetCause, StallGrid};
 use equinox_phys::Coord;
-use std::collections::{HashMap, VecDeque};
 
 /// Handle to one injection point (an input port on some router, fed by a
 /// dedicated link with credit-based backpressure).
@@ -44,9 +43,6 @@ impl equinox_snap::Snap for InjectorId {
     fn snap(&self, e: &mut equinox_snap::Enc) {
         e.put_usize(self.0);
     }
-    fn restore(d: &mut equinox_snap::Dec) -> Result<Self, equinox_snap::SnapError> {
-        Ok(InjectorId(d.usize()?))
-    }
 }
 
 #[derive(Debug)]
@@ -54,12 +50,10 @@ pub(crate) struct Injector {
     link: usize,
     /// NI-side credit counter per VC of the fed input port.
     pub(crate) credits: Vec<u32>,
-    /// VC chosen for the packet currently being streamed in.
-    active_vc: Option<u8>,
-    /// That packet's handle in the packet table, for its body flits.
-    /// `None` between packets, and after a restore until the packet's
-    /// next body flit looks it up (snapshots do not name it).
-    handle: Option<u32>,
+    /// The VC chosen for the packet currently being streamed in and that
+    /// packet's handle in the packet table, for its body flits; `None`
+    /// between packets.
+    streaming: Option<(u8, u32)>,
     /// Cycle of the last accepted flit (enforces one flit per cycle).
     last_cycle: u64,
     /// Total flits accepted through this injector (observability).
@@ -94,7 +88,7 @@ impl Route {
 /// What the VC allocator did with the pipeline-clear heads it met, since
 /// the network was built (grants are [`NetStats::vc_allocs`]). A
 /// diagnostic of the simulator, not of the simulated machine: not in the
-/// stats, not serialised, not restored.
+/// stats, not serialised.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VcAllocCounts {
     /// Allocator runs.
@@ -283,8 +277,7 @@ impl Network {
         self.injectors.push(Injector {
             link: link_id,
             credits: vec![self.cfg.vc_buf_flits as u32; self.cfg.vcs_per_port as usize],
-            active_vc: None,
-            handle: None,
+            streaming: None,
             last_cycle: u64::MAX,
             flits: 0,
         });
@@ -351,12 +344,6 @@ impl Network {
         self.injectors[id.0].flits
     }
 
-    /// `true` if `id` names an injection point of this network (used to
-    /// validate restored snapshot state).
-    pub fn injector_valid(&self, id: InjectorId) -> bool {
-        id.0 < self.injectors.len()
-    }
-
     /// Number of links in the network (mesh links plus every NI/EIR
     /// feed), the denominator of link-utilization figures.
     pub fn num_links(&self) -> usize {
@@ -383,7 +370,7 @@ impl Network {
         if inj.last_cycle == self.cycle {
             return false;
         }
-        if inj.active_vc.is_some() {
+        if inj.streaming.is_some() {
             return false;
         }
         self.free_vc(inj, class).is_some()
@@ -408,35 +395,26 @@ impl Network {
     pub fn try_inject_flit(&mut self, id: InjectorId, mut flit: Flit) -> bool {
         let cfgdepth = self.cfg.vc_buf_flits as u32;
         let class = flit.class;
-        let vc = {
+        let (vc, handle) = {
             let inj = &self.injectors[id.0];
             if inj.last_cycle == self.cycle {
                 return false;
             }
-            if flit.is_head() {
-                if inj.active_vc.is_some() {
-                    // A packet is still streaming through this buffer; a
-                    // new head must wait for its tail (single-packet
-                    // injector discipline).
-                    return false;
-                }
-                match self.free_vc(inj, class) {
-                    Some(v) => v,
+            match (flit.is_head(), inj.streaming) {
+                // A packet is still streaming through this buffer; a new
+                // head must wait for its tail (single-packet injector
+                // discipline).
+                (true, Some(_)) => return false,
+                (true, None) => match self.free_vc(inj, class) {
+                    Some(v) => (v, None),
                     None => return false,
-                }
-            } else {
-                match inj.active_vc {
-                    Some(v) if inj.credits[v as usize] > 0 => v,
-                    _ => return false,
-                }
+                },
+                (false, Some((v, h))) if inj.credits[v as usize] > 0 => (v, Some(h)),
+                (false, _) => return false,
             }
         };
         // A head takes its packet's handle; body flits reuse it.
-        let handle = match self.injectors[id.0].handle {
-            _ if flit.is_head() => self.core.packets.alloc(&flit),
-            Some(h) => h,
-            None => self.core.packets.find_or_alloc(&flit),
-        };
+        let handle = handle.unwrap_or_else(|| self.core.packets.alloc(&flit));
         debug_assert_eq!(
             self.core.packets.get(handle).id,
             flit.pkt,
@@ -447,7 +425,7 @@ impl Network {
         inj.credits[vc as usize] -= 1;
         inj.last_cycle = self.cycle;
         inj.flits += 1;
-        (inj.active_vc, inj.handle) = if flit.is_tail() { (None, None) } else { (Some(vc), Some(handle)) };
+        inj.streaming = (!flit.is_tail()).then_some((vc, handle));
         flit.vc = vc;
         let link = inj.link;
         let to_router = self.links[link].to_router as usize;
@@ -517,7 +495,7 @@ impl Network {
     /// oldest flit first — the order of polling every `(router, port)`.
     /// It is exact: a bit is set if and only if that queue is non-empty
     /// (set when a flit traverses to the port, cleared by the pop that
-    /// empties the queue, re-derived after a restore).
+    /// empties the queue).
     #[inline]
     pub fn next_ejecting(&self, from: usize) -> Option<(usize, u64)> {
         let r = self.ejecting_routers.next_from(from)?;
@@ -1071,9 +1049,8 @@ impl Network {
     /// per-router × per-cause stall-cycle counters charged by the router
     /// pipeline.
     /// Flits already parked in ejection queues are re-stamped with the
-    /// current cycle, so their wait before arming is simply not charged
-    /// — whether they were parked by this run or by a restore. The grid
-    /// is allocated here; the armed steady state allocates nothing.
+    /// current cycle, so their wait before arming is not charged. The
+    /// grid is allocated here; the armed steady state allocates nothing.
     pub fn enable_stalls(&mut self) {
         let cycle = self.cycle;
         for slot in self.core.eject_queues_mut().iter_mut().flatten() {
@@ -1245,17 +1222,16 @@ impl Network {
     /// router/link/injector, ejection queues, trace events and (when the
     /// auditor is armed) its ledgers. Topology, config, scratch buffers,
     /// the route memo, the activity worklists and the ejection set are
-    /// *not* written — all are recomputed exactly on restore (at a step
-    /// boundary, worklist membership equals the retention predicates the
-    /// gated sweep itself uses; the ejection set mirrors the queues). The
+    /// *not* written: all follow from what is (at a step boundary,
+    /// worklist membership equals the retention predicates the gated
+    /// sweep itself uses; the ejection set mirrors the queues). The
     /// byte format predates the flat router core and is the per-router,
     /// per-port, per-VC nesting of the structs it replaced; the link
     /// section is re-derived from the staged flits and the credit wheel
     /// (`snap_link`).
     pub fn snapshot_state(&self, e: &mut equinox_snap::Enc) {
         use equinox_snap::Snap;
-        // Shape tag: restoring into a different fabric would scramble
-        // link/port meanings silently, so the target validates it first.
+        // Shape tag: another fabric's state never writes these bytes.
         e.put_u8(self.topo.kind().tag());
         e.put_u16(self.cfg.width);
         e.put_u16(self.cfg.height);
@@ -1272,7 +1248,7 @@ impl Network {
         e.put_usize(self.injectors.len());
         for inj in &self.injectors {
             inj.credits.snap(e);
-            inj.active_vc.snap(e);
+            inj.streaming.map(|(vc, _)| vc).snap(e);
             e.put_u64(inj.last_cycle);
             e.put_u64(inj.flits);
         }
@@ -1312,112 +1288,6 @@ impl Network {
         }
     }
 
-    /// Restores state written by [`Network::snapshot_state`] into a
-    /// network built from the *same* configuration (same topology, same
-    /// extra ports, same audit/trace arming). Shape mismatches and
-    /// malformed input are rejected with a structured error; on error the
-    /// network may be partially overwritten and must be discarded.
-    pub fn restore_state(
-        &mut self,
-        d: &mut equinox_snap::Dec,
-    ) -> Result<(), equinox_snap::SnapError> {
-        use equinox_snap::{Snap, SnapError};
-        let depth = self.cfg.vc_buf_flits as u32;
-        let kind = TopologyKind::from_tag(d.u8()?);
-        if kind != Some(self.topo.kind()) {
-            return Err(SnapError::BadValue("snapshot topology kind"));
-        }
-        if (d.u16()?, d.u16()?) != (self.cfg.width, self.cfg.height) {
-            return Err(SnapError::BadValue("snapshot grid dimensions"));
-        }
-        self.cycle = d.u64()?;
-        let stats = NetStats::restore(d)?;
-        if stats.router_flits.len() != self.core.len() {
-            return Err(SnapError::BadValue("stats router count"));
-        }
-        self.stats = stats;
-        if d.usize()? != self.core.len() {
-            return Err(SnapError::BadValue("router count"));
-        }
-        // The snapshot writes whole flits; the packets they belong to are
-        // interned, by id, into a fresh table.
-        self.core.packets.clear();
-        let mut seen = HashMap::new();
-        for r in 0..self.core.len() {
-            self.core.restore_state(r, d, self.cycle, &mut seen)?;
-        }
-        if d.usize()? != self.links.len() {
-            return Err(SnapError::BadValue("link count"));
-        }
-        self.links.clear_in_flight();
-        for li in 0..self.links.len() {
-            self.restore_link(li, d, &mut seen)?;
-        }
-        if d.usize()? != self.injectors.len() {
-            return Err(SnapError::BadValue("injector count"));
-        }
-        for inj in &mut self.injectors {
-            let credits: Vec<u32> = Vec::restore(d)?;
-            if credits.len() != inj.credits.len() || credits.iter().any(|&c| c > depth) {
-                return Err(SnapError::BadValue("injector credits"));
-            }
-            inj.credits = credits;
-            inj.active_vc = Option::restore(d)?;
-            if inj.active_vc.is_some_and(|v| v >= self.cfg.vcs_per_port) {
-                return Err(SnapError::BadValue("injector active vc"));
-            }
-            inj.handle = None;
-            inj.last_cycle = d.u64()?;
-            inj.flits = d.u64()?;
-        }
-        if d.usize()? != self.core.len() {
-            return Err(SnapError::BadValue("eject router count"));
-        }
-        for r in 0..self.core.len() {
-            if d.usize()? != self.core.num_ports(r) {
-                return Err(SnapError::BadValue("eject port count"));
-            }
-            for p in 0..self.core.num_ports(r) {
-                // Stamped "parked now"; an armed snapshot carries the
-                // real entry stamps further down.
-                let len = d.usize()?;
-                let mut q = VecDeque::with_capacity(len.min(d.remaining()));
-                for _ in 0..len {
-                    let f = Flit::restore(d)?;
-                    q.push_back(Slot::pack(self.cycle, self.core.packets.intern(&mut seen, &f)?, &f));
-                }
-                self.core.restore_eject(r, p, q)?;
-            }
-        }
-        self.trace.restore_state(d)?;
-        let audited = d.bool()?;
-        match (audited, self.audit.as_deref_mut()) {
-            (true, Some(a)) => a.restore_state(d)?,
-            (false, None) => {}
-            _ => return Err(SnapError::BadValue("audit arming mismatch")),
-        }
-        let stalled = d.bool()?;
-        match (stalled, self.stall.as_deref_mut()) {
-            (true, Some(grid)) => {
-                grid.restore_state(d)?;
-                // The eject queues were restored above; the stamps must
-                // match them element for element.
-                for q in self.core.eject_queues_mut() {
-                    if d.usize()? != q.len() {
-                        return Err(SnapError::BadValue("eject timestamp shape"));
-                    }
-                    for s in q {
-                        s.set_stamp(d.u64()?);
-                    }
-                }
-            }
-            (false, None) => {}
-            _ => return Err(SnapError::BadValue("stall arming mismatch")),
-        }
-        self.recompute_activity();
-        Ok(())
-    }
-
     /// Serializes link `li`'s dynamic state in the format of the
     /// `VecDeque` pipelines links once were: the flits in flight as
     /// `(arrival, Flit)` — staged in the fed port's VCs, read there in
@@ -1437,89 +1307,6 @@ impl Network {
         }
         e.put_u64(l.flits_carried);
     }
-
-    /// Restores state written by [`Network::snap_link`] onto empty
-    /// wheels, after the routers. Each flit is staged in the input VC it
-    /// names. Everything a run cannot write is refused: a VC id the port
-    /// does not have, a flit for a VC with no free slot, an arrival
-    /// outside `cycle..=cycle + latency`, and two arrivals on the link in
-    /// one cycle or out of order.
-    fn restore_link(
-        &mut self,
-        li: usize,
-        d: &mut equinox_snap::Dec,
-        seen: &mut HashMap<PacketId, u32>,
-    ) -> Result<(), equinox_snap::SnapError> {
-        use equinox_snap::{Snap, SnapError};
-        let (vcs, cycle) = (self.core.vcs(), self.cycle);
-        let (r, p, latency) = {
-            let l = &self.links[li];
-            (l.to_router as usize, l.to_port as usize, l.latency as u64)
-        };
-        // The arrival of the entry before, if any.
-        let mut prev: Option<u64> = None;
-        for _ in 0..d.usize()? {
-            let (at, f) = <(u64, Flit)>::restore(d)?;
-            if f.vc as usize >= vcs {
-                return Err(SnapError::BadValue("link flit vc"));
-            }
-            if at < cycle || at - cycle > latency {
-                return Err(SnapError::BadValue(
-                    "link flit arrival outside cycle..=cycle + latency",
-                ));
-            }
-            if prev.is_some_and(|before| at <= before) {
-                return Err(SnapError::BadValue("link flits out of arrival order"));
-            }
-            let bit = p * vcs + f.vc as usize;
-            if !self.core.has_room(r, bit) {
-                return Err(SnapError::BadValue("link flit into a full input VC"));
-            }
-            let slot = Slot::pack(at, self.core.packets.intern(seen, &f)?, &f);
-            self.links.schedule_flit(li, at, bit, slot.class_ix());
-            self.core.stage(r, bit, slot);
-            prev = Some(at);
-        }
-        let mut prev: Option<u64> = None;
-        for _ in 0..d.usize()? {
-            let (at, vc) = <(u64, u8)>::restore(d)?;
-            if vc as usize >= vcs {
-                return Err(SnapError::BadValue("link credit vc"));
-            }
-            if at < cycle || at - cycle > latency {
-                return Err(SnapError::BadValue(
-                    "link credit arrival outside cycle..=cycle + latency",
-                ));
-            }
-            if prev.is_some_and(|before| at <= before) {
-                return Err(SnapError::BadValue("link credits out of arrival order"));
-            }
-            self.links.schedule_credit(li, at, vc);
-            prev = Some(at);
-        }
-        self.links.set_flits_carried(li, d.u64()?);
-        Ok(())
-    }
-
-    /// Rebuilds the router worklist and the ejection set from restored
-    /// router and eject state. At a step boundary the gated sweep keeps
-    /// exactly the routers with a buffered flit, and arrivals insert a
-    /// router only when it gains one — so recomputing membership from
-    /// `occupied` reproduces the worklist bit-for-bit. The ejection set
-    /// is exact at any time (router present ⇔ `ejecting` mask non-zero).
-    fn recompute_activity(&mut self) {
-        let routers = self.core.len();
-        self.active_routers = Worklist::with_len(routers);
-        self.ejecting_routers = Worklist::with_len(routers);
-        for r in 0..routers {
-            if self.core.routers[r].occupied != 0 {
-                self.active_routers.insert(r);
-            }
-            if self.core.routers[r].ejecting != 0 {
-                self.ejecting_routers.insert(r);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1527,6 +1314,7 @@ mod tests {
     use super::*;
     use crate::config::RoutingKind;
     use crate::flit::PacketDesc;
+    use crate::topology::TopologyKind;
 
     fn drive_packet(net: &mut Network, pkt: PacketDesc, max_cycles: u64) -> Option<u64> {
         let injector = net.local_injector(pkt.src);
@@ -1795,360 +1583,6 @@ mod tests {
         assert!(head.windows(2).all(|w| w[0].cycle <= w[1].cycle));
     }
 
-    /// Saturating many-to-one traffic for `cycles`, returning the network
-    /// mid-flight (buffers, links and eject queues all populated).
-    fn loaded_net(cycles: u64) -> (Network, Vec<std::iter::Peekable<std::vec::IntoIter<Flit>>>) {
-        let mut net = Network::new(NocConfig::mesh(4));
-        net.enable_trace(64);
-        let dst = Coord::new(0, 0);
-        let mut pending = Vec::new();
-        for i in 0..16u64 {
-            let src = Coord::from_index(i as usize, 4);
-            if src == dst {
-                continue;
-            }
-            let pkt = PacketDesc::new(i, src, dst, MessageClass::Reply, 5);
-            pending.push((src, pkt.flits(4).into_iter().peekable()));
-        }
-        for _ in 0..cycles {
-            for (src, flits) in pending.iter_mut() {
-                let inj = net.local_injector(*src);
-                if let Some(&f) = flits.peek() {
-                    if net.try_inject_flit(inj, f) {
-                        flits.next();
-                    }
-                }
-            }
-            net.step();
-        }
-        (net, pending.into_iter().map(|(_, f)| f).collect())
-    }
-
-    #[test]
-    fn snapshot_round_trip_is_bit_exact_under_load() {
-        use equinox_snap::{Dec, Enc};
-        let (mut net, mut flits_a) = loaded_net(9);
-        let mut e = Enc::new();
-        net.snapshot_state(&mut e);
-        let bytes = e.into_bytes();
-        let mut restored = Network::new(NocConfig::mesh(4));
-        restored.enable_trace(64);
-        let mut d = Dec::new(&bytes);
-        restored.restore_state(&mut d).unwrap();
-        d.finish().unwrap();
-        // Same aggregates immediately after restore...
-        assert_eq!(restored.cycle, net.cycle);
-        assert_eq!(restored.buffered_flits(), net.buffered_flits());
-        assert_eq!(restored.stats(), net.stats());
-        // ...and bit-identical evolution: drive both with the remaining
-        // flits and compare everything observable.
-        let mut flits_b: Vec<_> = flits_a.to_vec();
-        let dst = Coord::new(0, 0);
-        let drive = |net: &mut Network,
-                     pend: &mut Vec<std::iter::Peekable<std::vec::IntoIter<Flit>>>| {
-            let mut ejected = Vec::new();
-            for _ in 0..600 {
-                for flits in pend.iter_mut() {
-                    if let Some(&f) = flits.peek() {
-                        let inj = net.local_injector(f.src);
-                        if net.try_inject_flit(inj, f) {
-                            flits.next();
-                        }
-                    }
-                }
-                net.step();
-                while let Some(f) = net.pop_ejected_node(dst) {
-                    ejected.push((net.cycle, f));
-                }
-            }
-            ejected
-        };
-        let a = drive(&mut net, &mut flits_a);
-        let b = drive(&mut restored, &mut flits_b);
-        assert_eq!(a, b, "ejection streams diverged after restore");
-        assert_eq!(net.stats(), restored.stats(), "stats diverged after restore");
-        assert_eq!(
-            net.drain_trace(),
-            restored.drain_trace(),
-            "flit traces diverged after restore"
-        );
-    }
-
-    #[test]
-    fn snapshot_restore_rejects_corruption_structurally() {
-        use equinox_snap::{Dec, Enc, SnapError};
-        let (net, _) = loaded_net(9);
-        let mut e = Enc::new();
-        net.snapshot_state(&mut e);
-        let bytes = e.into_bytes();
-        // Every truncation point must fail with an error, never panic.
-        for cut in (0..bytes.len()).step_by(7) {
-            let mut fresh = Network::new(NocConfig::mesh(4));
-            fresh.enable_trace(64);
-            assert!(
-                fresh.restore_state(&mut Dec::new(&bytes[..cut])).is_err(),
-                "cut at {cut} must fail"
-            );
-        }
-        // A topology mismatch is a BadValue, not a crash.
-        let mut wrong = Network::new(NocConfig::mesh(8));
-        assert!(matches!(
-            wrong.restore_state(&mut Dec::new(&bytes)),
-            Err(SnapError::BadValue(_))
-        ));
-        // Audit arming must match between snapshot and target.
-        let mut unarmed = Network::new(NocConfig::mesh(4));
-        unarmed.enable_trace(64);
-        let mut armed_src = Network::new(NocConfig::mesh(4));
-        armed_src.enable_audit(AuditConfig::default());
-        let mut e = Enc::new();
-        armed_src.snapshot_state(&mut e);
-        let armed_bytes = e.into_bytes();
-        assert!(matches!(
-            unarmed.restore_state(&mut Dec::new(&armed_bytes)),
-            Err(SnapError::BadValue(_))
-        ));
-    }
-
-    /// A snapshot of an idle 4×4 mesh whose ejection section was rewritten
-    /// so that `(router, port)` holds `flits` and every other queue is
-    /// empty — the damaged input the restore must name, not absorb.
-    fn snapshot_with_parked(router: usize, port: usize, flits: &[Flit]) -> Vec<u8> {
-        use equinox_snap::{Enc, Snap};
-        let section = |parked: Option<(usize, usize)>| {
-            let mut e = Enc::new();
-            e.put_usize(16);
-            for r in 0..16 {
-                e.put_usize(5);
-                for p in 0..5 {
-                    if parked == Some((r, p)) {
-                        e.put_usize(flits.len());
-                        flits.iter().for_each(|f| f.snap(&mut e));
-                    } else {
-                        e.put_usize(0);
-                    }
-                }
-            }
-            e.into_bytes()
-        };
-        let mut e = Enc::new();
-        Network::new(NocConfig::mesh(4)).snapshot_state(&mut e);
-        let bytes = e.into_bytes();
-        let empty = section(None);
-        let hits: Vec<usize> = (0..=bytes.len() - empty.len())
-            .filter(|&at| bytes[at..at + empty.len()] == empty[..])
-            .collect();
-        let [at] = hits[..] else {
-            panic!("the empty ejection section must occur exactly once, found at {hits:?}");
-        };
-        [&bytes[..at], &section(Some((router, port)))[..], &bytes[at + empty.len()..]].concat()
-    }
-
-    fn reply_flit() -> Flit {
-        PacketDesc::new(0, Coord::new(1, 0), Coord::new(0, 0), MessageClass::Reply, 1).flits(4)[0]
-    }
-
-    #[test]
-    fn restore_rejects_an_eject_queue_on_a_non_ejection_port() {
-        use equinox_snap::{Dec, SnapError};
-        let fresh = || Network::new(NocConfig::mesh(4));
-        let role_port = |want: fn(OutputRole) -> bool| {
-            let net = fresh();
-            (0..5).find(|&p| want(net.core.role(0, p))).expect("router 0 has such a port")
-        };
-        let dead = role_port(|r| r == OutputRole::Dead);
-        let link = role_port(|r| matches!(r, OutputRole::Link(_)));
-        for port in [dead, link] {
-            let bytes = snapshot_with_parked(0, port, &[reply_flit()]);
-            assert_eq!(
-                fresh().restore_state(&mut Dec::new(&bytes)),
-                Err(SnapError::BadValue("eject queue on a non-ejection port")),
-                "port {port}"
-            );
-        }
-        // The same flit on the local port is a state a run can reach: it
-        // restores, is in the ejection set, and pops.
-        let bytes = snapshot_with_parked(0, PORT_LOCAL, &[reply_flit()]);
-        let mut net = fresh();
-        net.restore_state(&mut Dec::new(&bytes)).expect("a parked flit on an ejection port");
-        assert_eq!(net.next_ejecting(0), Some((0, 1 << PORT_LOCAL)));
-        assert_eq!(net.pop_ejected(0, PORT_LOCAL), Some(reply_flit()));
-        assert_eq!(net.next_ejecting(0), None);
-    }
-
-    #[test]
-    fn restore_rejects_an_eject_queue_over_its_cap() {
-        use equinox_snap::{Dec, SnapError};
-        let cap = NocConfig::mesh(4).eject_cap;
-        let mut net = Network::new(NocConfig::mesh(4));
-        let full = snapshot_with_parked(3, PORT_LOCAL, &vec![reply_flit(); cap]);
-        net.restore_state(&mut Dec::new(&full)).expect("a queue at its cap");
-        assert_eq!(net.core.words(3), net.core.scan(3), "a full queue closes its port");
-        let over = snapshot_with_parked(3, PORT_LOCAL, &vec![reply_flit(); cap + 1]);
-        assert_eq!(
-            Network::new(NocConfig::mesh(4)).restore_state(&mut Dec::new(&over)),
-            Err(SnapError::BadValue("eject queue over cap"))
-        );
-    }
-
-    /// A snapshot of a 4×4 mesh whose router (1, 1) holds a five-flit
-    /// packet in one local input VC, full (50 extra pipeline stages keep
-    /// it there), while the NI link feeding that port carries one flit of
-    /// the next packet toward the other VC. Returns the config, the
-    /// snapshot's cycle, its bytes, where that flit's encoding starts (its
-    /// arrival stamp is the 8 bytes before, its VC id the last byte) and
-    /// the full VC.
-    fn snapshot_with_a_link_flit() -> (NocConfig, u64, Vec<u8>, usize, u8) {
-        use equinox_snap::Enc;
-        let mut cfg = NocConfig::mesh(4);
-        cfg.pipeline_extra = 50;
-        let mut net = Network::new(cfg.clone());
-        let (node, dst) = (Coord::new(1, 1), Coord::new(3, 3));
-        let inj = net.local_injector(node);
-        for f in PacketDesc::new(1, node, dst, MessageClass::Reply, 5).flits(4) {
-            assert!(net.try_inject_flit(inj, f));
-            net.step();
-        }
-        net.step();
-        let r = net.topo.node_index(node);
-        let full = (0..2u8)
-            .find(|&v| net.core.in_vcs[net.core.vc(r, PORT_LOCAL * 2 + v as usize)].len == 5)
-            .expect("the packet fills a VC");
-        let mut next = PacketDesc::new(0xFEED, node, dst, MessageClass::Reply, 1).flits(4)[0];
-        assert!(net.try_inject_flit(inj, next));
-        next.vc = 1 - full;
-        let mut e = Enc::new();
-        net.snapshot_state(&mut e);
-        let bytes = e.into_bytes();
-        let at = locate(&bytes, &next);
-        let stamp = (net.cycle + 1).to_le_bytes();
-        assert_eq!(bytes[at - 8..at], stamp, "sent now, one cycle of latency");
-        (cfg, net.cycle, bytes, at, full)
-    }
-
-    /// Where the encoding of `f` starts in `bytes`, which must hold it
-    /// exactly once. In a flit's encoding the seq is at +17, the sink at
-    /// +21 and the VC at +25.
-    fn locate(bytes: &[u8], f: &Flit) -> usize {
-        use equinox_snap::{Enc, Snap};
-        let mut e = Enc::new();
-        f.snap(&mut e);
-        let pattern = e.into_bytes();
-        let hits: Vec<usize> = (0..=bytes.len() - pattern.len())
-            .filter(|&at| bytes[at..at + pattern.len()] == pattern[..])
-            .collect();
-        let [at] = hits[..] else {
-            panic!("{f:?} must occur exactly once, found at {hits:?}");
-        };
-        at
-    }
-
-    /// Flit `seq` of the packet [`snapshot_with_a_link_flit`] buffers, in
-    /// the VC it fills.
-    fn buffered_flit(seq: usize, full: u8) -> Flit {
-        let mut f = PacketDesc::new(1, Coord::new(1, 1), Coord::new(3, 3), MessageClass::Reply, 5).flits(4)[seq];
-        f.vc = full;
-        f
-    }
-
-    #[test]
-    fn restore_rejects_a_buffered_flit_naming_another_vc_of_its_port() {
-        use equinox_snap::{Dec, SnapError};
-        let (cfg, _, bytes, _, full) = snapshot_with_a_link_flit();
-        let restore =
-            |bytes: &[u8]| Network::new(cfg.clone()).restore_state(&mut Dec::new(bytes));
-        // A run buffers a flit in the VC it names; restored elsewhere, its
-        // traversal used to trip "flit buffered in wrong VC".
-        for seq in [0, 3] {
-            let mut bad = bytes.clone();
-            bad[locate(&bytes, &buffered_flit(seq, full)) + 25] = 1 - full;
-            assert_eq!(
-                restore(&bad),
-                Err(SnapError::BadValue("buffered flit names another VC of its port")),
-                "flit {seq}"
-            );
-        }
-    }
-
-    #[test]
-    fn restore_rejects_a_body_flit_awaiting_allocation() {
-        use equinox_snap::{Dec, SnapError};
-        let (cfg, _, bytes, _, full) = snapshot_with_a_link_flit();
-        let mut net = Network::new(cfg.clone());
-        net.restore_state(&mut Dec::new(&bytes)).expect("the snapshot as written");
-        let ivc = net.core.vc(net.topo.node_index(Coord::new(1, 1)), PORT_LOCAL * 2 + full as usize);
-        assert_eq!(net.core.in_vcs[ivc].out_port, NONE, "the pipeline holds the head unallocated");
-        // The head renumbered as a body flit: the VC's front would ask for
-        // an output VC, which only a head may.
-        let mut bad = bytes.clone();
-        let at = locate(&bytes, &buffered_flit(0, full)) + 17;
-        bad[at..at + 2].copy_from_slice(&1u16.to_le_bytes());
-        assert_eq!(
-            Network::new(cfg).restore_state(&mut Dec::new(&bad)),
-            Err(SnapError::BadValue("body flit at the front of an unallocated input VC"))
-        );
-    }
-
-    #[test]
-    fn restore_rejects_flits_of_one_packet_that_disagree() {
-        use equinox_snap::{Dec, SnapError};
-        let (cfg, _, bytes, link_at, full) = snapshot_with_a_link_flit();
-        let restore =
-            |bytes: &[u8]| Network::new(cfg.clone()).restore_state(&mut Dec::new(bytes));
-        let disagree = Err(SnapError::BadValue("flits of one packet disagree on src, dst, sink or len"));
-        // A buffered body flit with another sink than its head.
-        let mut bad = bytes.clone();
-        bad[locate(&bytes, &buffered_flit(3, full)) + 21] ^= 1;
-        assert_eq!(restore(&bad), disagree);
-        // The one-flit packet on the link renamed after the five-flit
-        // packet buffered in the router: one id, two lengths.
-        let mut bad = bytes.clone();
-        bad[link_at..link_at + 8].copy_from_slice(&1u64.to_le_bytes());
-        assert_eq!(restore(&bad), disagree);
-    }
-
-    #[test]
-    fn restore_rejects_a_link_flit_into_a_full_input_vc() {
-        use equinox_snap::{Dec, SnapError};
-        let (cfg, _, bytes, at, full) = snapshot_with_a_link_flit();
-        let restore =
-            |bytes: &[u8]| Network::new(cfg.clone()).restore_state(&mut Dec::new(bytes));
-        assert_eq!(restore(&bytes), Ok(()));
-        // The same flit bound for the full VC: a restore used to accept
-        // it, and the arrival a step later overflowed the buffer.
-        let mut bad = bytes.clone();
-        bad[at + 25] = full;
-        assert_eq!(restore(&bad), Err(SnapError::BadValue("link flit into a full input VC")));
-    }
-
-    #[test]
-    fn restore_rejects_a_link_flit_arriving_outside_the_latency() {
-        use equinox_snap::{Dec, SnapError};
-        let (cfg, cycle, bytes, at, _) = snapshot_with_a_link_flit();
-        let restamped = |stamp: u64| {
-            let mut b = bytes.clone();
-            b[at - 8..at].copy_from_slice(&stamp.to_le_bytes());
-            let mut net = Network::new(cfg.clone());
-            net.restore_state(&mut Dec::new(&b)).map(|()| net)
-        };
-        // NI links here take one cycle: the flit may arrive now or next.
-        for stamp in [cycle, cycle + 1] {
-            let mut net = restamped(stamp).expect("an arrival in the window");
-            net.step();
-            net.step();
-            assert_eq!(net.buffered_flits(), 6, "the flit arrived");
-        }
-        // Stamped before the snapshot's cycle, it used to be delivered
-        // late with its stamp rewritten.
-        for stamp in [0, cycle - 1, cycle + 2, u64::MAX] {
-            assert_eq!(
-                restamped(stamp).err(),
-                Some(SnapError::BadValue("link flit arrival outside cycle..=cycle + latency")),
-                "stamp {stamp} at cycle {cycle}"
-            );
-        }
-    }
-
     #[test]
     fn route_memo_equals_the_topology_for_every_pair() {
         let mut cfgs = vec![NocConfig::mesh(8), NocConfig::mesh(8)];
@@ -2214,7 +1648,7 @@ mod tests {
                 .chain(net.core.all_staged())
                 .chain(net.core.eject_queues().iter().flatten())
                 .map(|s| s.handle())
-                .chain(net.injectors.iter().filter_map(|inj| inj.handle))
+                .chain(net.injectors.iter().filter_map(|inj| inj.streaming.map(|(_, h)| h)))
                 .collect();
             held.sort_unstable();
             held.dedup();
@@ -2269,23 +1703,9 @@ mod tests {
                 }
                 assert!(!net.has_ejected(), "the sinks drained everything");
             }
-            // A restore derives the same words from the snapshot: once
-            // with the sinks shut (ejection queues at their cap), once
-            // while they drain.
-            if t == 280 || t == 700 {
-                let mut e = equinox_snap::Enc::new();
-                net.snapshot_state(&mut e);
-                let mut twin = build().0;
-                twin.restore_state(&mut equinox_snap::Dec::new(&e.into_bytes())).unwrap();
-                for r in 0..net.core.len() {
-                    assert_eq!(twin.core.scan(r), net.core.scan(r), "restored router {r}");
-                }
-                check(&twin, &format!("on the twin restored at cycle {t}"));
-                assert_eq!(twin.ejecting_routers.ids(), net.ejecting_routers.ids());
-                if t == 280 {
-                    let capped = |n: &Network| n.core.eject_queues().iter().filter(|q| q.len() >= 16).count();
-                    assert!(capped(&twin) > 0, "no ejection queue was at its cap");
-                }
+            if t == 280 {
+                let capped = net.core.eject_queues().iter().filter(|q| q.len() >= 16).count();
+                assert!(capped > 0, "no ejection queue was at its cap");
             }
         }
         assert!(net.quiescent(), "traffic must drain");
@@ -2401,197 +1821,4 @@ mod tests {
         }
     }
 
-    #[test]
-    fn stall_state_snapshots_and_rejects_arming_mismatch() {
-        use equinox_snap::{Dec, Enc, SnapError};
-        let mut net = Network::new(NocConfig::mesh(4));
-        net.enable_stalls();
-        let pkt = PacketDesc::new(0, Coord::new(0, 0), Coord::new(3, 3), MessageClass::Request, 3);
-        drive_packet(&mut net, pkt, 300).expect("delivered");
-        let mut e = Enc::new();
-        net.snapshot_state(&mut e);
-        let bytes = e.into_bytes();
-
-        let mut armed = Network::new(NocConfig::mesh(4));
-        armed.enable_stalls();
-        let mut d = Dec::new(&bytes);
-        armed.restore_state(&mut d).expect("restore into armed net");
-        d.finish().expect("snapshot fully consumed");
-        let (a, b) = (net.stall_grid().unwrap(), armed.stall_grid().unwrap());
-        for cause in [
-            NetCause::VcAlloc,
-            NetCause::SwitchLoss,
-            NetCause::CreditStarve,
-            NetCause::EjectWait,
-        ] {
-            assert_eq!(a.heat(cause).sum::<u64>(), b.heat(cause).sum::<u64>());
-        }
-
-        let mut unarmed = Network::new(NocConfig::mesh(4));
-        assert!(matches!(
-            unarmed.restore_state(&mut Dec::new(&bytes)),
-            Err(SnapError::BadValue(_))
-        ));
-    }
-
-    #[test]
-    fn parked_flits_keep_their_eject_stamps_across_a_snapshot() {
-        use equinox_snap::{Dec, Enc};
-        // All-to-one with a sink that opens every 4th cycle: between
-        // openings whole packets sit parked in the ejection queue, and
-        // the wait they are charged at the pop depends on the cycle they
-        // were parked. A twin restored mid-run must charge exactly what
-        // the straight-through run does.
-        let dst = Coord::new(0, 0);
-        let build = || {
-            let mut net = Network::new(NocConfig::mesh(4));
-            net.enable_stalls();
-            net
-        };
-        type Streams = Vec<(Coord, VecDeque<Flit>)>;
-        let mut streams: Streams = (0..16u64)
-            .map(|i| (i, Coord::from_index(i as usize, 4)))
-            .filter(|&(_, src)| src != dst)
-            .map(|(i, src)| {
-                let pkt = PacketDesc::new(i, src, dst, MessageClass::Reply, 5);
-                (src, pkt.flits(4).into())
-            })
-            .collect();
-        let cycle = |net: &mut Network, streams: &mut Streams| {
-            for (src, flits) in streams.iter_mut() {
-                if let Some(&f) = flits.front() {
-                    if net.try_inject_flit(net.local_injector(*src), f) {
-                        flits.pop_front();
-                    }
-                }
-            }
-            net.step();
-            if net.cycle.is_multiple_of(4) {
-                while net.pop_ejected_node(dst).is_some() {}
-            }
-        };
-        let snapshot = |net: &Network| {
-            let mut e = Enc::new();
-            net.snapshot_state(&mut e);
-            e.into_bytes()
-        };
-        let eject_wait = |net: &Network| {
-            net.stall_grid().expect("armed").class_total(1, NetCause::EjectWait)
-        };
-
-        let mut net = build();
-        // Stop between two sink openings, with flits parked and already
-        // waiting.
-        while !(net.has_ejected() && net.cycle % 4 == 2 && eject_wait(&net) > 0) {
-            cycle(&mut net, &mut streams);
-            assert!(net.cycle < 500, "the sink never backed up");
-        }
-        let parked: Vec<u64> = net
-            .core
-            .eject_queues()
-            .iter()
-            .flatten()
-            .map(|s| s.stamp())
-            .collect();
-        assert!(
-            parked.iter().any(|&stamp| stamp + 1 < net.cycle),
-            "some parked flit must already have waited: stamps {parked:?} at cycle {}",
-            net.cycle
-        );
-        let bytes = snapshot(&net);
-        let mut twin = build();
-        let mut d = Dec::new(&bytes);
-        twin.restore_state(&mut d).expect("restore into armed twin");
-        d.finish().expect("snapshot fully consumed");
-        // (`assert!`, not `assert_eq!`: a failure should not dump kilobytes.)
-        assert!(snapshot(&twin) == bytes, "second snapshot must be byte-identical");
-
-        let mut twin_streams = streams.clone();
-        while !(net.quiescent() && streams.iter().all(|(_, f)| f.is_empty())) {
-            cycle(&mut net, &mut streams);
-            cycle(&mut twin, &mut twin_streams);
-            assert!(net.cycle < 5000, "traffic must drain");
-        }
-        assert!(twin.quiescent());
-        assert!(eject_wait(&net) > 0, "a lazy sink must charge ejection wait");
-        assert_eq!(eject_wait(&twin), eject_wait(&net));
-        assert!(snapshot(&twin) == snapshot(&net), "drained states must match");
-    }
-
-    #[test]
-    fn a_restore_mid_packet_resumes_streams_whose_sent_flits_have_all_left() {
-        use equinox_snap::{Dec, Enc};
-        // Two NIs stream 40-flit packets. A sends three flits one hop and
-        // pauses; by the snapshot they have been ejected and popped, so
-        // nothing in the network names A's packet, yet its injector is
-        // part-way through it. B streams on, with flits in the network.
-        // Each restored injector must find its packet's entry at its next
-        // body flit: A by a fresh allocation, B by a lookup.
-        let (a, b) = (PacketId(10), PacketId(11));
-        let build = || {
-            let mut net = Network::new(NocConfig::mesh(4));
-            net.enable_trace(1024);
-            net
-        };
-        type Streams = Vec<(Coord, VecDeque<Flit>)>;
-        let mut streams: Streams = [(a, Coord::new(0, 0), Coord::new(1, 0)), (b, Coord::new(3, 3), Coord::new(0, 3))]
-            .into_iter()
-            .map(|(id, src, dst)| {
-                (src, VecDeque::from(PacketDesc::new(id.0, src, dst, MessageClass::Reply, 40).flits(4)))
-            })
-            .collect();
-        let cycle = |net: &mut Network, streams: &mut Streams, ejected: &mut Vec<(u64, usize, usize, Flit)>| {
-            let paused = (3..30).contains(&net.cycle);
-            for (k, (src, flits)) in streams.iter_mut().enumerate() {
-                if let Some(&f) = flits.front() {
-                    if !(k == 0 && paused) && net.try_inject_flit(net.local_injector(*src), f) {
-                        flits.pop_front();
-                    }
-                }
-            }
-            net.step();
-            let now = net.cycle;
-            net.drain_ejected(|r, p, f| ejected.push((now, r, p, f)));
-        };
-        let snapshot = |net: &Network| {
-            let mut e = Enc::new();
-            net.snapshot_state(&mut e);
-            e.into_bytes()
-        };
-        let live_ids = |net: &Network| -> Vec<PacketId> {
-            net.core.packets.live().into_iter().map(|h| net.core.packets.get(h).id).collect()
-        };
-
-        let (mut net, mut ejected) = (build(), Vec::new());
-        while net.cycle < 29 {
-            cycle(&mut net, &mut streams, &mut ejected);
-        }
-        assert_eq!(streams[0].1.len(), 37, "A sent three flits");
-        assert_eq!(ejected.iter().filter(|e| e.3.pkt == a).count(), 3, "A's flits left");
-        assert!(ejected.iter().any(|e| e.3.pkt == b) && streams[1].1.len() < 30);
-        let inj_a = net.local_injector(Coord::new(0, 0)).0;
-        assert!(net.injectors[inj_a].active_vc.is_some(), "A's injector is mid-packet");
-        assert_eq!(live_ids(&net), [a, b]);
-        let bytes = snapshot(&net);
-        let mut twin = build();
-        let mut d = Dec::new(&bytes);
-        twin.restore_state(&mut d).expect("restore mid-packet");
-        d.finish().expect("snapshot fully consumed");
-        assert_eq!(live_ids(&twin), [b], "only B has flits in the network");
-        assert!(twin.injectors.iter().all(|inj| inj.handle.is_none()));
-        assert!(snapshot(&twin) == bytes, "second snapshot must be byte-identical");
-
-        let (mut twin_streams, mut twin_ejected) = (streams.clone(), ejected.clone());
-        while !(net.quiescent() && streams.iter().all(|(_, f)| f.is_empty())) {
-            cycle(&mut net, &mut streams, &mut ejected);
-            cycle(&mut twin, &mut twin_streams, &mut twin_ejected);
-            assert!(net.cycle < 500, "traffic must drain");
-        }
-        assert!(twin.quiescent() && twin_streams.iter().all(|(_, f)| f.is_empty()));
-        assert_eq!(ejected.len(), 80);
-        assert!(twin_ejected == ejected, "ejection streams diverged after the restore");
-        assert_eq!(twin.stats(), net.stats());
-        assert!(twin.drain_trace() == net.drain_trace(), "flit traces diverged after the restore");
-        assert_eq!((live_ids(&net), live_ids(&twin)), (vec![], vec![]));
-    }
 }

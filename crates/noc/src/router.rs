@@ -21,9 +21,9 @@
 //! [`crate::network::Network::step`], which owns the links and statistics;
 //! this module holds the state and keeps its masks and counters true.
 
-use crate::flit::{Flit, PacketId, PacketTable, Slot, SlotExt, EMPTY_SLOT};
+use crate::flit::{PacketTable, Slot, SlotExt, EMPTY_SLOT};
 use equinox_phys::Coord;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Primary local port; ports `0..PORT_LOCAL` are the network ports
 /// (`Direction::index` order on a mesh).
@@ -147,7 +147,7 @@ pub(crate) struct RouterCore {
     /// Per input VC: the output VCs whose availability would let its
     /// blocked head be allocated, as mask bits; 0 when no such set is
     /// recorded. Written by the network's VC allocator, cleared by
-    /// [`RouterCore::grant`] and by a restore; never serialised.
+    /// [`RouterCore::grant`]; never serialised.
     pub want: Vec<u64>,
     /// Input-VC rings, stamped with the enqueue cycle.
     slots: Vec<Slot>,
@@ -413,6 +413,7 @@ impl RouterCore {
 
     /// `true` if the input VC at mask bit `bit` of router `r` has a free
     /// slot for one more staged flit.
+    #[cfg(test)]
     pub(crate) fn has_room(&self, r: usize, bit: usize) -> bool {
         let vc = &self.in_vcs[self.vc(r, bit)];
         ((vc.len + vc.pending) as usize) < self.depth
@@ -634,134 +635,6 @@ impl RouterCore {
                     .snap(e);
             }
         }
-    }
-
-    /// Restores state written by [`RouterCore::snap_state`] into router
-    /// `r` of a core of the *same* shape. Everything that later indexes
-    /// a flat array — ports, VCs, buffer lengths, credits — is bounded
-    /// here, and no buffered flit may be stamped after `cycle` (the
-    /// pipeline stages rely on it). Two more buffer states no run writes
-    /// are refused, because the first step would trip over them: a flit
-    /// naming another VC of its port than the one it is buffered in, and
-    /// a body flit at the front of a VC holding no output VC (only a head
-    /// waits for allocation). The masks and class counters are
-    /// derived from what was read, except `out_ready` and `ejecting`,
-    /// which [`RouterCore::restore_eject`] completes port by port; no
-    /// `want` survives (the next allocation attempt records it again).
-    /// Nothing is staged afterwards: the network stages what the link
-    /// section of the snapshot carries. Each flit takes its packet's
-    /// handle through `seen` (see [`PacketTable::intern`]).
-    pub(crate) fn restore_state(
-        &mut self,
-        r: usize,
-        d: &mut equinox_snap::Dec,
-        cycle: u64,
-        seen: &mut HashMap<PacketId, u32>,
-    ) -> Result<(), equinox_snap::SnapError> {
-        use equinox_snap::{Snap, SnapError};
-        let base = self.routers[r].port_base as usize;
-        let (nports, vcs) = (self.num_ports(r), self.vcs);
-        let s = &mut self.routers[r];
-        (s.occupied, s.allocated, s.out_free, s.out_ready, s.ejecting) = (0, 0, 0, 0, 0);
-        s.class_flits = [0; 2];
-        for p in 0..nports {
-            let ptr = d.usize()?;
-            if ptr >= vcs {
-                return Err(SnapError::BadValue("input sa_ptr"));
-            }
-            self.in_sa_ptr[base + p] = ptr as u8;
-            for v in 0..vcs {
-                let bit = p * vcs + v;
-                self.want[(base + p) * vcs + v] = 0;
-                let vc = &mut self.in_vcs[(base + p) * vcs + v];
-                let len = d.usize()?;
-                if len > self.depth {
-                    return Err(SnapError::BadValue("input buffer over depth"));
-                }
-                (vc.head, vc.len, vc.pending) = (0, len as u8, 0);
-                for k in 0..len {
-                    let (enq, f) = <(u64, Flit)>::restore(d)?;
-                    if enq > cycle {
-                        return Err(SnapError::BadValue("buffered flit stamped in the future"));
-                    }
-                    if f.vc as usize != v {
-                        return Err(SnapError::BadValue("buffered flit names another VC of its port"));
-                    }
-                    let slot = Slot::pack(enq, self.packets.intern(seen, &f)?, &f);
-                    self.slots[vc.slot_base as usize + k] = slot;
-                    s.class_flits[slot.class_ix()] += 1;
-                }
-                if len > 0 {
-                    s.occupied |= 1 << bit;
-                }
-                let out_port: Option<usize> = Option::restore(d)?;
-                let out_vc: Option<u8> = Option::restore(d)?;
-                (vc.out_port, vc.out_vc) = match (out_port, out_vc) {
-                    (None, None) if len > 0 && !self.slots[vc.slot_base as usize].is_head() => {
-                        return Err(SnapError::BadValue("body flit at the front of an unallocated input VC"))
-                    }
-                    (None, None) => (NONE, NONE),
-                    (Some(op), Some(ov)) if op < nports && (ov as usize) < vcs => {
-                        s.allocated |= 1 << bit;
-                        (op as u8, ov)
-                    }
-                    _ => return Err(SnapError::BadValue("allocated out_port")),
-                };
-            }
-        }
-        for p in 0..nports {
-            let ptr = d.usize()?;
-            if ptr >= nports {
-                return Err(SnapError::BadValue("output sa_ptr"));
-            }
-            self.out_sa_ptr[base + p] = ptr as u8;
-            for v in 0..vcs {
-                let credits = d.u32()?;
-                if credits as usize > self.depth {
-                    return Err(SnapError::BadValue("credits over depth"));
-                }
-                self.out_credits[(base + p) * vcs + v] = credits as u8;
-                let owner: Option<(usize, u8)> = Option::restore(d)?;
-                self.out_owner[(base + p) * vcs + v] = match owner {
-                    None => {
-                        s.out_free |= 1 << (p * vcs + v);
-                        NONE
-                    }
-                    Some((ip, iv)) if ip < nports && (iv as usize) < vcs => {
-                        (ip * vcs + iv as usize) as u8
-                    }
-                    Some(_) => return Err(SnapError::BadValue("owner input port")),
-                };
-            }
-        }
-        Ok(())
-    }
-
-    /// Replaces the ejection queue of port `p` of router `r` with a
-    /// restored one and, the port's credits having been restored before
-    /// it, re-derives its `out_ready` bits and its `ejecting` bit. Only
-    /// an ejection port can hold flits, and no more than the cap its
-    /// grants stop at: no run writes anything else, and the flits would
-    /// sit where no sink looks for them.
-    pub(crate) fn restore_eject(
-        &mut self,
-        r: usize,
-        p: usize,
-        q: VecDeque<Slot>,
-    ) -> Result<(), equinox_snap::SnapError> {
-        use equinox_snap::SnapError;
-        let gp = self.port(r, p);
-        if !q.is_empty() && !matches!(self.out_role[gp], OutputRole::Eject { .. }) {
-            return Err(SnapError::BadValue("eject queue on a non-ejection port"));
-        }
-        if q.len() > self.eject_cap {
-            return Err(SnapError::BadValue("eject queue over cap"));
-        }
-        let s = &mut self.routers[r];
-        s.ejecting = s.ejecting & !(1 << p) | u64::from(!q.is_empty()) << p;
-        self.eject[gp] = q;
-        self.refresh_ready(r, p);
-        Ok(())
     }
 }
 

@@ -57,26 +57,6 @@ impl equinox_snap::Snap for NetStats {
         self.router_flits.snap(e);
         self.router_cycles.snap(e);
     }
-    fn restore(d: &mut equinox_snap::Dec) -> Result<Self, equinox_snap::SnapError> {
-        let s = NetStats {
-            cycles: d.u64()?,
-            buffer_writes: d.u64()?,
-            buffer_reads: d.u64()?,
-            xbar_traversals: d.u64()?,
-            vc_allocs: d.u64()?,
-            link_flits_mesh: d.u64()?,
-            link_flits_interposer: d.u64()?,
-            link_flits_ni: d.u64()?,
-            ejected_flits: d.u64()?,
-            injected_flits: d.u64()?,
-            router_flits: Vec::restore(d)?,
-            router_cycles: Vec::restore(d)?,
-        };
-        if s.router_flits.len() != s.router_cycles.len() {
-            return Err(equinox_snap::SnapError::BadValue("router stats lengths"));
-        }
-        Ok(s)
-    }
 }
 
 impl NetStats {

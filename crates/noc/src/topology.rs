@@ -86,22 +86,12 @@ impl TopologyKind {
         }
     }
 
-    /// Stable tag for snapshot shape validation.
+    /// Stable tag written into a network's snapshot.
     pub(crate) fn tag(self) -> u8 {
         match self {
             TopologyKind::Mesh => 0,
             TopologyKind::Ring => 1,
             TopologyKind::HierRing => 2,
-        }
-    }
-
-    /// Inverse of [`TopologyKind::tag`].
-    pub(crate) fn from_tag(t: u8) -> Option<Self> {
-        match t {
-            0 => Some(TopologyKind::Mesh),
-            1 => Some(TopologyKind::Ring),
-            2 => Some(TopologyKind::HierRing),
-            _ => None,
         }
     }
 
@@ -665,9 +655,7 @@ mod tests {
     fn kind_names_round_trip() {
         for k in [TopologyKind::Mesh, TopologyKind::Ring, TopologyKind::HierRing] {
             assert_eq!(TopologyKind::parse(k.name()), Ok(k));
-            assert_eq!(TopologyKind::from_tag(k.tag()), Some(k));
         }
         assert!(TopologyKind::parse("torus").is_err());
-        assert_eq!(TopologyKind::from_tag(9), None);
     }
 }

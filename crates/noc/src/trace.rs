@@ -76,20 +76,6 @@ impl Trace {
         use equinox_snap::Snap;
         self.events.snap(e);
     }
-
-    /// Restores events into a recorder of the *same* capacity.
-    pub(crate) fn restore_state(
-        &mut self,
-        d: &mut equinox_snap::Dec,
-    ) -> Result<(), equinox_snap::SnapError> {
-        use equinox_snap::Snap;
-        let events: VecDeque<TraceEvent> = VecDeque::restore(d)?;
-        if events.len() > self.capacity {
-            return Err(equinox_snap::SnapError::BadValue("trace over capacity"));
-        }
-        self.events = events;
-        Ok(())
-    }
 }
 
 impl equinox_snap::Snap for TraceKind {
@@ -100,14 +86,6 @@ impl equinox_snap::Snap for TraceKind {
             TraceKind::Eject => 2,
         });
     }
-    fn restore(d: &mut equinox_snap::Dec) -> Result<Self, equinox_snap::SnapError> {
-        match d.u8()? {
-            0 => Ok(TraceKind::Inject),
-            1 => Ok(TraceKind::Hop),
-            2 => Ok(TraceKind::Eject),
-            _ => Err(equinox_snap::SnapError::BadValue("trace kind tag")),
-        }
-    }
 }
 
 impl equinox_snap::Snap for TraceEvent {
@@ -117,15 +95,6 @@ impl equinox_snap::Snap for TraceEvent {
         self.pkt.snap(e);
         e.put_u16(self.seq);
         self.kind.snap(e);
-    }
-    fn restore(d: &mut equinox_snap::Dec) -> Result<Self, equinox_snap::SnapError> {
-        Ok(TraceEvent {
-            cycle: d.u64()?,
-            router: d.usize()?,
-            pkt: PacketId::restore(d)?,
-            seq: d.u16()?,
-            kind: TraceKind::restore(d)?,
-        })
     }
 }
 

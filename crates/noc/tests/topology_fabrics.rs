@@ -1,7 +1,6 @@
 //! Network-level tests for the non-mesh reply fabrics (ring and
-//! hierarchical ring): randomized delivery, saturating many-to-one
-//! drains under the strict auditor, and snapshot round-trips including
-//! cross-topology rejection.
+//! hierarchical ring): randomized delivery and saturating many-to-one
+//! drains under the strict auditor.
 //!
 //! The mesh has golden-trace coverage; these fabrics are validated by
 //! property instead — every packet delivered exactly once, in order,
@@ -238,104 +237,4 @@ fn ring_saturating_hotspot_drains_under_audit() {
 fn hring_saturating_hotspot_drains_under_audit() {
     saturate_one_hotspot(TopologyKind::HierRing, RoutingKind::MinimalAdaptive);
     saturate_one_hotspot(TopologyKind::HierRing, RoutingKind::Xy);
-}
-
-/// Snapshots a ring mid-flight, keeps running the original, restores
-/// the snapshot into a fresh network and runs it the same number of
-/// cycles: both must finish with identical statistics (the snapshot
-/// captures the complete dynamic state).
-#[test]
-fn ring_snapshot_round_trip_mid_flight() {
-    let cfg = fabric_cfg(TopologyKind::Ring, 4, 4, RoutingKind::MinimalAdaptive);
-    let mut net = Network::new(cfg.clone());
-    let w = net.width();
-    let mut rng = Rng::stream(0x25, 7);
-    let packets = random_traffic(4, 4, 20, &mut rng);
-    let mut sources: Vec<(Coord, Vec<Flit>)> = packets
-        .iter()
-        .enumerate()
-        .map(|(i, t)| {
-            let mut flits = PacketDesc::new(i as u64, t.src, t.dst, t.class, t.len).flits(w);
-            flits.reverse();
-            (t.src, flits)
-        })
-        .collect();
-    // Inject everything and run a handful of cycles so flits are in
-    // flight, then snapshot.
-    for _ in 0..6 {
-        for (src, flits) in sources.iter_mut() {
-            if let Some(&f) = flits.last() {
-                let inj = net.local_injector(*src);
-                if net.try_inject_flit(inj, f) {
-                    flits.pop();
-                }
-            }
-        }
-        net.step();
-    }
-    let mut enc = equinox_snap::Enc::new();
-    net.snapshot_state(&mut enc);
-    let bytes = enc.into_bytes();
-
-    let drain = |net: &mut Network| {
-        for _ in 0..4_000 {
-            net.step();
-            for y in 0..net.height() {
-                for x in 0..net.width() {
-                    while net.pop_ejected_node(Coord::new(x, y)).is_some() {}
-                }
-            }
-            if net.quiescent() {
-                break;
-            }
-        }
-    };
-
-    drain(&mut net);
-    assert!(net.quiescent());
-
-    let mut restored = Network::new(cfg);
-    let mut dec = equinox_snap::Dec::new(&bytes);
-    restored
-        .restore_state(&mut dec)
-        .expect("restore into identically configured network");
-    drain(&mut restored);
-    assert!(restored.quiescent());
-    assert_eq!(net.stats(), restored.stats(), "divergent replay after restore");
-}
-
-/// A snapshot taken on one fabric must refuse to restore into another,
-/// even at identical dimensions — link and port meanings differ.
-#[test]
-fn restore_rejects_cross_topology_snapshots() {
-    let mut ring = Network::new(fabric_cfg(
-        TopologyKind::Ring,
-        4,
-        4,
-        RoutingKind::MinimalAdaptive,
-    ));
-    let mut enc = equinox_snap::Enc::new();
-    ring.snapshot_state(&mut enc);
-    let bytes = enc.into_bytes();
-
-    let mut mesh = Network::new(NocConfig::mesh(4));
-    let mut dec = equinox_snap::Dec::new(&bytes);
-    assert!(matches!(
-        mesh.restore_state(&mut dec),
-        Err(equinox_snap::SnapError::BadValue("snapshot topology kind"))
-    ));
-
-    // Same fabric, different dimensions: also rejected.
-    let mut small = Network::new(fabric_cfg(
-        TopologyKind::Ring,
-        4,
-        3,
-        RoutingKind::MinimalAdaptive,
-    ));
-    let mut dec = equinox_snap::Dec::new(&bytes);
-    assert!(matches!(
-        small.restore_state(&mut dec),
-        Err(equinox_snap::SnapError::BadValue("snapshot grid dimensions"))
-    ));
-    let _ = ring.pop_ejected_node(Coord::new(0, 0));
 }

@@ -93,7 +93,7 @@ impl Histogram {
 
     /// Serializes the recorded values (per-bucket counts and the running
     /// aggregates). The bucket bounds are construction-time configuration
-    /// and are *not* written; restore validates shape against them.
+    /// and are *not* written.
     pub fn snap_state(&self, e: &mut equinox_snap::Enc) {
         use equinox_snap::Snap;
         self.counts.snap(e);
@@ -101,25 +101,6 @@ impl Histogram {
         e.put_u64(self.sum);
         e.put_u64(self.min);
         e.put_u64(self.max);
-    }
-
-    /// Restores state written by [`Histogram::snap_state`] into a
-    /// histogram constructed with the same bounds.
-    pub fn restore_state(
-        &mut self,
-        d: &mut equinox_snap::Dec,
-    ) -> Result<(), equinox_snap::SnapError> {
-        use equinox_snap::{Snap, SnapError};
-        let counts: Vec<u64> = Vec::restore(d)?;
-        if counts.len() != self.bounds.len() + 1 {
-            return Err(SnapError::BadValue("histogram bucket count"));
-        }
-        self.counts = counts;
-        self.count = d.u64()?;
-        self.sum = d.u64()?;
-        self.min = d.u64()?;
-        self.max = d.u64()?;
-        Ok(())
     }
 
     /// The `q`-quantile (`q` clamped to `0.0..=1.0`) by linear

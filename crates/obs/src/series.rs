@@ -98,36 +98,6 @@ impl TimeSeries {
         e.put_u64(self.dropped);
     }
 
-    /// Restores state written by [`TimeSeries::snap_state`] into a
-    /// sampler with the same registrations.
-    pub fn restore_state(
-        &mut self,
-        d: &mut equinox_snap::Dec,
-    ) -> Result<(), equinox_snap::SnapError> {
-        use equinox_snap::{Snap, SnapError};
-        let cycles: Vec<u64> = Vec::restore(d)?;
-        if cycles.len() > self.capacity {
-            return Err(SnapError::BadValue("series over capacity"));
-        }
-        if d.usize()? != self.columns.len() {
-            return Err(SnapError::BadValue("series column count"));
-        }
-        let mut cols = Vec::with_capacity(self.columns.len());
-        for _ in 0..self.columns.len() {
-            let vals: Vec<f64> = Vec::restore(d)?;
-            if vals.len() != cycles.len() {
-                return Err(SnapError::BadValue("series column length"));
-            }
-            cols.push(vals);
-        }
-        self.cycles = cycles;
-        for ((_, dst), src) in self.columns.iter_mut().zip(cols) {
-            *dst = src;
-        }
-        self.dropped = d.u64()?;
-        Ok(())
-    }
-
     /// The shared cycle axis.
     pub fn cycles(&self) -> &[u64] {
         &self.cycles

@@ -19,7 +19,7 @@
 //! pattern's obs-off zero-cost discipline — when attribution is off the
 //! router pipeline holds no grid at all and pays one branch per event.
 
-use equinox_snap::{Dec, Enc, Snap, SnapError};
+use equinox_snap::{Enc, Snap};
 
 /// Number of message classes attribution distinguishes
 /// (0 = request, 1 = reply).
@@ -105,8 +105,8 @@ impl StallGrid {
         (0..self.routers).map(move |r| self.cell(r, cause))
     }
 
-    /// Serializes the counters (shape is build-derived and validated on
-    /// restore, not written).
+    /// Serializes the counters (the shape is build-derived and not
+    /// written).
     pub fn snap_state(&self, e: &mut Enc) {
         self.cells.snap(e);
         for class in &self.class_cycles {
@@ -114,22 +114,6 @@ impl StallGrid {
                 e.put_u64(v);
             }
         }
-    }
-
-    /// Restores counters written by [`StallGrid::snap_state`] into a
-    /// grid of the same shape.
-    pub fn restore_state(&mut self, d: &mut Dec) -> Result<(), SnapError> {
-        let cells: Vec<u64> = Vec::restore(d)?;
-        if cells.len() != self.cells.len() {
-            return Err(SnapError::BadValue("stall grid shape"));
-        }
-        self.cells = cells;
-        for class in &mut self.class_cycles {
-            for v in class.iter_mut() {
-                *v = d.u64()?;
-            }
-        }
-        Ok(())
     }
 }
 
@@ -151,24 +135,6 @@ mod tests {
         assert_eq!(g.class_sum(1), 6);
         let heat: Vec<u64> = g.heat(NetCause::VcAlloc).collect();
         assert_eq!(heat, vec![0, 0, 4, 0]);
-    }
-
-    #[test]
-    fn snapshot_round_trips_and_rejects_shape_mismatch() {
-        let mut g = StallGrid::new(3);
-        g.charge(1, NetCause::CreditStarve, 0, 7);
-        g.charge(2, NetCause::SwitchLoss, 1, 2);
-        let mut e = Enc::new();
-        g.snap_state(&mut e);
-        let bytes = e.into_bytes();
-
-        let mut back = StallGrid::new(3);
-        back.restore_state(&mut Dec::new(&bytes)).expect("restore");
-        assert_eq!(back.cell(1, NetCause::CreditStarve), 7);
-        assert_eq!(back.class_total(1, NetCause::SwitchLoss), 2);
-
-        let mut wrong = StallGrid::new(5);
-        assert!(wrong.restore_state(&mut Dec::new(&bytes)).is_err());
     }
 
     #[test]

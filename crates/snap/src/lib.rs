@@ -2,18 +2,18 @@
 //! Versioned binary snapshot codec and content-addressed checkpoint cache.
 //!
 //! The simulator is bit-deterministic (pinned in `crates/bench/tests/determinism.rs`),
-//! which makes snapshot/fork and result caching *provably sound*: a run
-//! restored from a snapshot taken at cycle `t` produces exactly the bytes
-//! a straight-through run would have produced from cycle `t` on. This
+//! so a snapshot is a canonical digest of a machine's state, and a
+//! rebuilt machine stepped to the same cycle writes the same bytes. This
 //! crate supplies the plumbing:
 //!
 //! * [`Enc`]/[`Dec`] — a little-endian, length-prefixed binary
 //!   encoder/decoder pair with no external dependencies, mirroring the
 //!   hand-rolled JSON discipline of `equinox-config`.
-//! * [`Snap`] — the round-trip trait (`snap` writes, `restore` reads).
-//!   Implemented here for primitives and std containers; stateful
-//!   simulator components implement it (or inherent equivalents) in
-//!   their owning crates.
+//! * [`Snap`] — the encoding trait (`snap` writes). Implemented here
+//!   for primitives and std containers; stateful simulator components
+//!   implement it (or an inherent `snap_state`) in their owning crates.
+//!   Nothing decodes simulator state: `System::restore` replays the
+//!   build instead.
 //! * [`write_snapshot`]/[`read_snapshot`] — a versioned container:
 //!   magic `EQSN`, a format version, and a section table of
 //!   `(tag, offset, len)` entries, so readers can locate sections
@@ -33,8 +33,8 @@ pub(crate) const MAGIC: [u8; 4] = *b"EQSN";
 /// Container format version written by this crate.
 pub(crate) const VERSION: u16 = 1;
 
-/// Structured decode/restore failure. Restoring from bytes never
-/// panics: every malformed input maps to one of these.
+/// Structured decode failure. Reading bytes never panics:
+/// every malformed input maps to one of these.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapError {
     /// The container does not start with [`MAGIC`].
@@ -122,7 +122,7 @@ impl Enc {
         self.put_u64(v as u64);
     }
 
-    /// Floats travel as raw bit patterns: restore is bit-exact, NaNs
+    /// Floats travel as raw bit patterns: a decode is bit-exact, NaNs
     /// and signed zeros included.
     pub fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
@@ -217,7 +217,7 @@ impl<'a> Dec<'a> {
     }
 
     /// Length-prefixed UTF-8 string.
-    pub(crate) fn str(&mut self) -> Result<String, SnapError> {
+    pub fn str(&mut self) -> Result<String, SnapError> {
         let b = self.bytes()?;
         String::from_utf8(b.to_vec()).map_err(|_| SnapError::BadValue("utf-8 string"))
     }
@@ -232,41 +232,33 @@ impl<'a> Dec<'a> {
     }
 }
 
-/// Round-trip serialization: `restore(snap(x)) == x` bit-for-bit.
-pub trait Snap: Sized {
+/// Canonical binary encoding of a value into an [`Enc`].
+pub trait Snap {
     /// Appends this value's encoding to `e`.
     fn snap(&self, e: &mut Enc);
-    /// Reads one value back; structured error on malformed input.
-    fn restore(d: &mut Dec) -> Result<Self, SnapError>;
 }
 
 macro_rules! snap_prim {
-    ($t:ty, $put:ident, $get:ident) => {
+    ($t:ty, $put:ident) => {
         impl Snap for $t {
             fn snap(&self, e: &mut Enc) {
                 e.$put(*self);
-            }
-            fn restore(d: &mut Dec) -> Result<Self, SnapError> {
-                d.$get()
             }
         }
     };
 }
 
-snap_prim!(u8, put_u8, u8);
-snap_prim!(u16, put_u16, u16);
-snap_prim!(u32, put_u32, u32);
-snap_prim!(u64, put_u64, u64);
-snap_prim!(usize, put_usize, usize);
-snap_prim!(f64, put_f64, f64);
-snap_prim!(bool, put_bool, bool);
+snap_prim!(u8, put_u8);
+snap_prim!(u16, put_u16);
+snap_prim!(u32, put_u32);
+snap_prim!(u64, put_u64);
+snap_prim!(usize, put_usize);
+snap_prim!(f64, put_f64);
+snap_prim!(bool, put_bool);
 
 impl Snap for String {
     fn snap(&self, e: &mut Enc) {
         e.put_str(self);
-    }
-    fn restore(d: &mut Dec) -> Result<Self, SnapError> {
-        d.str()
     }
 }
 
@@ -277,16 +269,6 @@ impl<T: Snap> Snap for Vec<T> {
             v.snap(e);
         }
     }
-    fn restore(d: &mut Dec) -> Result<Self, SnapError> {
-        let n = d.usize()?;
-        // Cap the pre-allocation by what the input could possibly hold
-        // (1 byte/element minimum) so corrupt lengths can't OOM.
-        let mut out = Vec::with_capacity(n.min(d.remaining()));
-        for _ in 0..n {
-            out.push(T::restore(d)?);
-        }
-        Ok(out)
-    }
 }
 
 impl<T: Snap> Snap for VecDeque<T> {
@@ -295,14 +277,6 @@ impl<T: Snap> Snap for VecDeque<T> {
         for v in self {
             v.snap(e);
         }
-    }
-    fn restore(d: &mut Dec) -> Result<Self, SnapError> {
-        let n = d.usize()?;
-        let mut out = VecDeque::with_capacity(n.min(d.remaining()));
-        for _ in 0..n {
-            out.push_back(T::restore(d)?);
-        }
-        Ok(out)
     }
 }
 
@@ -316,22 +290,12 @@ impl<T: Snap> Snap for Option<T> {
             }
         }
     }
-    fn restore(d: &mut Dec) -> Result<Self, SnapError> {
-        match d.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(T::restore(d)?)),
-            _ => Err(SnapError::BadValue("option tag")),
-        }
-    }
 }
 
 impl<A: Snap, B: Snap> Snap for (A, B) {
     fn snap(&self, e: &mut Enc) {
         self.0.snap(e);
         self.1.snap(e);
-    }
-    fn restore(d: &mut Dec) -> Result<Self, SnapError> {
-        Ok((A::restore(d)?, B::restore(d)?))
     }
 }
 
@@ -341,9 +305,6 @@ impl<A: Snap, B: Snap, C: Snap> Snap for (A, B, C) {
         self.1.snap(e);
         self.2.snap(e);
     }
-    fn restore(d: &mut Dec) -> Result<Self, SnapError> {
-        Ok((A::restore(d)?, B::restore(d)?, C::restore(d)?))
-    }
 }
 
 impl<T: Snap, const N: usize> Snap for [T; N] {
@@ -351,14 +312,6 @@ impl<T: Snap, const N: usize> Snap for [T; N] {
         for v in self {
             v.snap(e);
         }
-    }
-    fn restore(d: &mut Dec) -> Result<Self, SnapError> {
-        let mut out = Vec::with_capacity(N);
-        for _ in 0..N {
-            out.push(T::restore(d)?);
-        }
-        out.try_into()
-            .map_err(|_| SnapError::BadValue("array length"))
     }
 }
 
@@ -529,15 +482,15 @@ mod tests {
         "héllo".to_string().snap(&mut e);
         let bytes = e.into_bytes();
         let mut d = Dec::new(&bytes);
-        assert_eq!(u8::restore(&mut d).unwrap(), 0xab);
-        assert_eq!(u16::restore(&mut d).unwrap(), 0x1234);
-        assert_eq!(u32::restore(&mut d).unwrap(), 0xdead_beef);
-        assert_eq!(u64::restore(&mut d).unwrap(), 0x0123_4567_89ab_cdef);
-        assert_eq!(usize::restore(&mut d).unwrap(), 42);
-        assert_eq!(f64::restore(&mut d).unwrap().to_bits(), (-0.0f64).to_bits());
-        assert!(f64::restore(&mut d).unwrap().is_nan());
-        assert!(bool::restore(&mut d).unwrap());
-        assert_eq!(String::restore(&mut d).unwrap(), "héllo");
+        assert_eq!(d.u8().unwrap(), 0xab);
+        assert_eq!(d.u16().unwrap(), 0x1234);
+        assert_eq!(d.u32().unwrap(), 0xdead_beef);
+        assert_eq!(d.u64().unwrap(), 0x0123_4567_89ab_cdef);
+        assert_eq!(d.usize().unwrap(), 42);
+        assert_eq!(d.f64().unwrap().to_bits(), (-0.0f64).to_bits());
+        assert!(d.f64().unwrap().is_nan());
+        assert!(d.bool().unwrap());
+        assert_eq!(d.str().unwrap(), "héllo");
         d.finish().unwrap();
     }
 
@@ -551,14 +504,16 @@ mod tests {
         [9u64, 10, 11, 12].snap(&mut e);
         let bytes = e.into_bytes();
         let mut d = Dec::new(&bytes);
-        assert_eq!(Vec::<u64>::restore(&mut d).unwrap(), vec![1, 2, 3]);
-        assert_eq!(
-            VecDeque::<(u32, u64)>::restore(&mut d).unwrap(),
-            VecDeque::from([(4u32, 5u64)])
-        );
-        assert_eq!(Option::<u8>::restore(&mut d).unwrap(), Some(7));
-        assert_eq!(Option::<u8>::restore(&mut d).unwrap(), None);
-        assert_eq!(<[u64; 4]>::restore(&mut d).unwrap(), [9, 10, 11, 12]);
+        // Sequences are length-prefixed, options tagged, arrays bare.
+        assert_eq!(d.usize().unwrap(), 3);
+        assert_eq!([d.u64().unwrap(), d.u64().unwrap(), d.u64().unwrap()], [1, 2, 3]);
+        assert_eq!(d.usize().unwrap(), 1);
+        assert_eq!((d.u32().unwrap(), d.u64().unwrap()), (4, 5));
+        assert_eq!((d.u8().unwrap(), d.u8().unwrap()), (1, 7));
+        assert_eq!(d.u8().unwrap(), 0);
+        for v in [9, 10, 11, 12] {
+            assert_eq!(d.u64().unwrap(), v);
+        }
         d.finish().unwrap();
     }
 
@@ -567,9 +522,12 @@ mod tests {
         let mut e = Enc::new();
         vec![1u64, 2, 3].snap(&mut e);
         let bytes = e.into_bytes();
+        let read = |d: &mut Dec| -> Result<Vec<u64>, SnapError> {
+            (0..d.usize()?).map(|_| d.u64()).collect()
+        };
+        assert_eq!(read(&mut Dec::new(&bytes)), Ok(vec![1, 2, 3]));
         for cut in 0..bytes.len() {
-            let mut d = Dec::new(&bytes[..cut]);
-            let r = Vec::<u64>::restore(&mut d);
+            let r = read(&mut Dec::new(&bytes[..cut]));
             assert_eq!(r.unwrap_err(), SnapError::Truncated, "cut at {cut}");
         }
     }
@@ -581,19 +539,14 @@ mod tests {
         e.put_u8(0);
         let bytes = e.into_bytes();
         let mut d = Dec::new(&bytes);
-        u64::restore(&mut d).unwrap();
+        d.u64().unwrap();
         assert_eq!(d.finish().unwrap_err(), SnapError::TrailingBytes);
     }
 
     #[test]
     fn bad_tags_are_bad_values() {
         let mut d = Dec::new(&[2]);
-        assert_eq!(bool::restore(&mut d).unwrap_err(), SnapError::BadValue("bool tag"));
-        let mut d = Dec::new(&[9]);
-        assert_eq!(
-            Option::<u8>::restore(&mut d).unwrap_err(),
-            SnapError::BadValue("option tag")
-        );
+        assert_eq!(d.bool().unwrap_err(), SnapError::BadValue("bool tag"));
     }
 
     #[test]

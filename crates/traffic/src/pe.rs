@@ -38,7 +38,6 @@ pub struct PeStats {
 #[derive(Debug)]
 pub struct Pe {
     profile: BenchmarkProfile,
-    quota: u64,
     remaining: u64,
     outstanding: u32,
     mshr_cap: u32,
@@ -70,7 +69,6 @@ impl Pe {
         let cursor = base + (rng.random_range(0..1u64 << 16)) * LINE_BYTES;
         Pe {
             profile,
-            quota,
             remaining: quota,
             outstanding: 0,
             mshr_cap,
@@ -170,8 +168,8 @@ impl Pe {
     }
 
     /// Serializes the PE's dynamic state (progress counters, RNG, the
-    /// address-stream cursor and a held-back op). The profile, quota,
-    /// MSHR cap and working-set geometry are build-time.
+    /// address-stream cursor and a held-back op). The profile, MSHR
+    /// cap and working-set geometry are build-time.
     pub fn snap_state(&self, e: &mut equinox_snap::Enc) {
         use equinox_snap::Snap;
         e.put_u64(self.remaining);
@@ -190,40 +188,6 @@ impl Pe {
         e.put_u64(self.stats.retired);
         e.put_u64(self.stats.stall_cycles);
         e.put_u64(self.stats.mem_ops);
-    }
-
-    /// Restores state written by [`Pe::snap_state`] into a PE built with
-    /// the same constructor arguments.
-    pub fn restore_state(
-        &mut self,
-        d: &mut equinox_snap::Dec,
-    ) -> Result<(), equinox_snap::SnapError> {
-        use equinox_snap::{Snap, SnapError};
-        let remaining = d.u64()?;
-        if remaining > self.quota {
-            return Err(SnapError::BadValue("pe remaining over quota"));
-        }
-        let outstanding = d.u32()?;
-        if outstanding > self.mshr_cap {
-            return Err(SnapError::BadValue("pe outstanding over mshr cap"));
-        }
-        self.remaining = remaining;
-        self.outstanding = outstanding;
-        self.rng = Rng::restore(d)?;
-        self.cursor = d.u64()?;
-        self.burst_left = d.u32()?;
-        self.pending = if d.bool()? {
-            Some(MemOp {
-                addr: d.u64()?,
-                write: d.bool()?,
-            })
-        } else {
-            None
-        };
-        self.stats.retired = d.u64()?;
-        self.stats.stall_cycles = d.u64()?;
-        self.stats.mem_ops = d.u64()?;
-        Ok(())
     }
 }
 

@@ -271,6 +271,39 @@ if [ -n "$cache_hits" ]; then
 fi
 echo "OK: the cache holds cells and designs; the driver runs every scenario"
 
+echo "== replay-restore guard =="
+# A snapshot is a digest of the machine's state, not something decoded:
+# System::restore (crates/core/src/system.rs) rebuilds the machine from
+# its own config and replays it to the snapshot's cycle. So non-test code
+# declares no other fn restore*, and the Snap trait only writes.
+restore_hits=""
+while IFS= read -r f; do
+  tests_at=$(grep -n -m1 '^#\[cfg(test)\]' "$f" | cut -d: -f1 || true)
+  while IFS=: read -r line text; do
+    if [ "$line" -lt "${tests_at:-1000000}" ] && ! [[ "$text" =~ ^[[:space:]]*(//|\*) ]]; then
+      restore_hits+="$f:$line:$text"$'\n'
+    fi
+  done < <(grep -nE '\bfn restore[A-Za-z0-9_]*\b' "$f" || true)
+done < <(find crates/*/src -name '*.rs' | sort)
+snap_fns=""
+in_trait=""
+while IFS= read -r line; do
+  [[ "$line" == "pub trait Snap "* ]] && in_trait=1
+  if [ -n "$in_trait" ]; then
+    [[ "$line" =~ ^[[:space:]]*fn\  ]] && snap_fns+="$line"$'\n'
+    [ "$line" = "}" ] && break
+  fi
+done < crates/snap/src/lib.rs
+if [ "$(grep -c . <<< "$restore_hits")" != 1 ] \
+    || ! grep -qE '^crates/core/src/system\.rs:[0-9]+: +pub fn restore\(&mut self, bytes: &\[u8\]\)' <<< "$restore_hits" \
+    || [ "$(grep -c . <<< "$snap_fns")" != 1 ] || ! grep -qE '^ +fn snap\(' <<< "$snap_fns"; then
+  printf '%s' "$restore_hits"
+  printf 'Snap declares:\n%s\n' "$snap_fns"
+  echo "FAIL: a simulator state decoder is back — let System::restore replay the build instead" >&2
+  exit 1
+fi
+echo "OK: System::restore replays; nothing else decodes simulator state"
+
 echo "== clippy =="
 # Warnings are errors, as in CI. With every library item crate-private
 # unless another crate reads it, the dead_code lint names the items only
