@@ -999,12 +999,14 @@ impl System {
     /// machine from its own [`SystemConfig`] and steps it to the
     /// snapshot's cycle. Every run is bit-deterministic, so the replay
     /// reaches the snapshot's state exactly when the snapshot was taken
-    /// between steps of a build of this configuration; anything else —
-    /// another configuration, a corrupt or truncated blob, a cycle past
-    /// `max_cycles` — returns a [`equinox_snap::SnapError`] (after the
-    /// replay the machine holds the rebuilt state, so discard it). A
-    /// machine with a live `--obs-stream` is refused before the rebuild,
-    /// since the replay would write the stream's frames again.
+    /// between steps of a build of this configuration (not after
+    /// [`System::run`] with obs armed: its closing sample is no step's
+    /// work). Anything else — another configuration, a corrupt or
+    /// truncated blob, a cycle past `max_cycles` — returns a
+    /// [`equinox_snap::SnapError`] (after the replay the machine holds
+    /// the rebuilt state, so discard it). A machine with a live
+    /// `--obs-stream` is refused before the rebuild, since the replay
+    /// would write the stream's frames again.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), equinox_snap::SnapError> {
         use equinox_snap::{read_snapshot, section, Dec, SnapError};
         let cycle = Dec::new(section(&read_snapshot(bytes)?, snap_tags::SYS)?).u64()?;

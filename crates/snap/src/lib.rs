@@ -299,14 +299,6 @@ impl<A: Snap, B: Snap> Snap for (A, B) {
     }
 }
 
-impl<A: Snap, B: Snap, C: Snap> Snap for (A, B, C) {
-    fn snap(&self, e: &mut Enc) {
-        self.0.snap(e);
-        self.1.snap(e);
-        self.2.snap(e);
-    }
-}
-
 impl<T: Snap, const N: usize> Snap for [T; N] {
     fn snap(&self, e: &mut Enc) {
         for v in self {
