@@ -178,6 +178,12 @@ impl Tables {
         self.eval.evaluate(ids, weights, &mut s.eval)
     }
 
+    /// [`Tables::evaluate`] without the term cache (see
+    /// [`EvalTables::evaluate_uncached`]).
+    pub(crate) fn evaluate_uncached(&self, ids: &[u16], weights: &EvalWeights, s: &mut Scratch) -> Evaluation {
+        self.eval.evaluate_uncached(ids, weights, &mut s.eval)
+    }
+
     /// The selection `ids` as tiles.
     pub(crate) fn selection(&self, ids: &[u16]) -> EirSelection {
         let tiles = |i| self.group(ids, i).iter().map(|&id| self.candidate(id).tile).collect();

@@ -56,8 +56,9 @@ pub struct SearchResult {
 }
 
 /// Most iterations one search runs. Its tree is sized for the whole
-/// budget up front, a 40-byte node and `branching` 8-byte options per
-/// iteration, and a node counts its visits in a `u32`.
+/// budget up front, a 40-byte node, its 8-byte mean reward and
+/// `branching` 8-byte options per iteration, and a node counts its
+/// visits in a `u32`.
 /// `equinox_config::ITERS_LIMIT` bounds the `iters` spec field to the
 /// same value.
 pub const ITERS_LIMIT: usize = 1_000_000;
@@ -90,10 +91,14 @@ struct Node {
 
 const _: () = assert!(std::mem::size_of::<Node>() == 40);
 
-/// The search tree in two arenas sized up front for the iteration budget
+/// The search tree in arenas sized up front for the iteration budget
 /// (one expansion per iteration), so that growing it never allocates.
 struct Tree {
     nodes: Vec<Node>,
+    /// Per node, `reward_sum / visits` as of its last backpropagation,
+    /// what [`Tree::best_child`] reads; beside `nodes`, not in [`Node`],
+    /// so that a node stays 40 bytes.
+    means: Vec<f64>,
     /// Every group sampled as an option, as a mask over the candidates of
     /// the CB it is for (see [`Pool`]); a node's group stays where it was
     /// sampled.
@@ -105,6 +110,7 @@ impl Tree {
     fn new(t: &Tables, cfg: &MctsConfig) -> Self {
         Tree {
             nodes: Vec::with_capacity(cfg.iterations + 1),
+            means: Vec::with_capacity(cfg.iterations + 1),
             options: Vec::with_capacity((cfg.iterations + 1) * cfg.branching),
             pool: Pool::new(t),
         }
@@ -176,21 +182,56 @@ impl Tree {
             reward_sum: 0.0,
             cost: f64::NAN,
         });
+        self.means.push(0.0);
         if let Some(p) = parent {
             self.nodes[p].first_child = id as u32;
         }
         id
     }
 
+    /// Counts one more visit of node `n`, which scored `reward`.
+    fn backpropagate(&mut self, n: usize, reward: f64) {
+        let node = &mut self.nodes[n];
+        node.visits += 1;
+        node.reward_sum += reward;
+        self.means[n] = node.reward_sum / node.visits as f64;
+    }
+
     /// The child of `cur` with the highest UCB1 score, the one expanded
-    /// last among equals.
+    /// last among equals: its mean reward plus `exploration ·
+    /// sqrt(ln N / n)` for `N` visits of `cur` and `n` of the child, and
+    /// infinite for an unvisited child.
     fn best_child(&self, cur: usize, exploration: f64) -> usize {
         let ln_parent_visits = (self.nodes[cur].visits.max(1) as f64).ln();
+        // The bonus depends on a child's visit count alone, and siblings
+        // share a few small counts: each count under 16 is worked out
+        // once per call.
+        let (mut bonuses, mut known) = ([0.0; 16], 0u16);
+        let mut bonus = |n: u32| {
+            let fresh = || exploration * (ln_parent_visits / n as f64).sqrt();
+            match bonuses.get_mut(n as usize) {
+                None => fresh(),
+                Some(b) => {
+                    if known >> n & 1 == 0 {
+                        *b = fresh();
+                        known |= 1 << n;
+                    }
+                    *b
+                }
+            }
+        };
         let mut best = (self.nodes[cur].first_child, f64::NEG_INFINITY);
         let mut child = best.0;
         while child != NO_NODE {
             let n = &self.nodes[child as usize];
-            let score = ucb(n, ln_parent_visits, exploration);
+            let score = match n.visits {
+                0 => f64::INFINITY,
+                visits => {
+                    let mean = self.means[child as usize];
+                    debug_assert_eq!(mean.to_bits(), (n.reward_sum / visits as f64).to_bits());
+                    mean + bonus(visits)
+                }
+            };
             if score.partial_cmp(&best.1).expect("no NaN rewards") == Ordering::Greater {
                 best = (child, score);
             }
@@ -284,8 +325,10 @@ pub fn search(problem: &EirProblem, cfg: &MctsConfig) -> SearchResult {
             eval.cost
         } else {
             if cfg!(debug_assertions) {
+                // Past the term cache, so that the memo is checked
+                // against a computation, not against another memo.
                 tree.fill_path(&path, &t, &mut sel);
-                let again = t.evaluate(&sel, &cfg.weights, &mut s).cost;
+                let again = t.evaluate_uncached(&sel, &cfg.weights, &mut s).cost;
                 assert_eq!(again.to_bits(), memo.to_bits(), "a complete leaf's cost is fixed");
             }
             memo
@@ -293,10 +336,8 @@ pub fn search(problem: &EirProblem, cfg: &MctsConfig) -> SearchResult {
         evaluations += 1;
 
         // --- Backpropagation ---
-        let reward = -cost;
         for &n in &path {
-            tree.nodes[n].visits += 1;
-            tree.nodes[n].reward_sum += reward;
+            tree.backpropagate(n, -cost);
         }
     }
 
@@ -403,14 +444,6 @@ fn refine(
         }
     }
     (eval, evaluations)
-}
-
-fn ucb(n: &Node, ln_parent_visits: f64, c: f64) -> f64 {
-    if n.visits == 0 {
-        return f64::INFINITY;
-    }
-    let mean = n.reward_sum / n.visits as f64;
-    mean + c * (ln_parent_visits / n.visits as f64).sqrt()
 }
 
 #[cfg(test)]
