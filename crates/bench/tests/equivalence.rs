@@ -1,6 +1,6 @@
 //! Activity-gated stepping must be a pure optimization: skipping idle
-//! routers, idle links, idle NIs and parked cache banks may change how
-//! much work the simulator does, never what it computes. These tests pin
+//! routers, blocked heads and idle NIs may change how much work the
+//! simulator does, never what it computes. These tests pin
 //! bit-identity between gated (the default) and exhaustive
 //! (`--no-activity-gate`) runs — metrics, per-network event counters,
 //! and, when the invariant auditor is on, its sweep schedule — across
@@ -147,9 +147,9 @@ fn audited_gated_run_matches_audited_exhaustive_run() {
 }
 
 /// Strict auditing (a sweep every cycle, a tight watchdog) on
-/// memory-heavy traffic, where cache banks spend most cycles parked on
-/// timed events: every per-cycle check must see the same state gated as
-/// exhaustive — no missed or doubled check, no finding.
+/// memory-heavy traffic, where heads wait on busy cache banks: every
+/// per-cycle check must see the same state gated as exhaustive — no
+/// missed or doubled check, no finding.
 #[test]
 fn strict_audit_caps_every_skip_and_stays_identical() {
     let gated = run_observed(

@@ -224,29 +224,6 @@ impl CacheBank {
         e.put_u64(self.served);
     }
 
-    /// `true` when the next [`CacheBank::tick`] is guaranteed to change
-    /// no state other than the HBM clock: no reply is ready for the NI,
-    /// none is parked on NI backpressure, and nothing is waiting to
-    /// retry into a full channel queue. A skippable bank may still hold
-    /// in-flight requests — they are all parked on *timed* events (L2
-    /// hit latency, DRAM timing) whose due cycles
-    /// [`CacheBank::next_event`] reports, and ticking before the first
-    /// of those draws no RNG and touches no queue.
-    pub(crate) fn skippable(&self) -> bool {
-        self.pending_reply.is_none() && self.ready.is_empty() && self.hbm_retry.is_empty()
-    }
-
-    /// Earliest cycle at which [`CacheBank::tick`] could make progress —
-    /// the next L2 hit coming due or the HBM's next scheduling event —
-    /// or `None` when the bank holds no timed work.
-    pub(crate) fn next_event(&self) -> Option<u64> {
-        let hit = self.hits_due.front().map(|&(t, _)| t);
-        match (hit, self.hbm.next_event()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
     /// `true` when no request is anywhere inside the bank or its HBM
     /// (the tests' emptiness oracle).
     #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Randomized (seeded, deterministic) tests for the HBM model: every
 //! accepted access completes exactly once, timing respects the DRAM
-//! floor, and a step before the stack's next event changes nothing.
+//! floor, and stepping only the due channels changes nothing.
 
 use equinox_exec::Rng;
 use equinox_hbm::{HbmConfig, HbmStack, MemAccess};
@@ -92,43 +92,40 @@ fn snap(stack: &HbmStack) -> Vec<u8> {
     e.into_bytes()
 }
 
-/// Stepping at any cycle strictly before `next_event()` is a no-op: it
-/// completes nothing and leaves the snapshot bytes as they were. The
-/// per-bank tick schedule skips exactly those cycles. The steps go to a
-/// copy through [`HbmStack::step_every_channel`], so each channel's own
-/// `step` runs on every probed cycle, not only the stack's schedule.
+/// The due-channel schedule changes nothing: a stack stepped through
+/// [`HbmStack::step`], which steps only the channels with an event due,
+/// and its twin stepped through [`HbmStack::step_every_channel`] accept
+/// the same requests, complete the same accesses at the same cycles and
+/// hold byte-identical `snap_state` after every cycle.
 #[test]
-fn steps_before_the_next_event_change_nothing() {
-    let mut probed = 0;
+fn due_channels_match_stepping_every_channel() {
+    let mut completions = 0;
     for case in 0..CASES / 2 {
         let mut rng = Rng::stream(0x4B3, case);
         let cfg = if case % 2 == 0 { HbmConfig::tiny() } else { HbmConfig::hbm2() };
         let mut stack = HbmStack::new(cfg);
+        let mut every = stack.clone();
         let mut next_id = 0;
         for t in 0..2_000u64 {
             if t < 1_200 && rng.random::<f64>() < 0.1 {
                 for _ in 0..rng.random_range(1..12u32) {
                     let addr = rng.random_range(0u64..1 << 16) & !63;
                     let write = rng.random_range(0..3u32) == 0;
-                    let _ = stack.enqueue(MemAccess { id: next_id, addr, write }, t);
+                    let acc = MemAccess { id: next_id, addr, write };
+                    let ok = stack.enqueue(acc, t).is_ok();
+                    assert_eq!(every.enqueue(acc, t).is_ok(), ok, "case {case}: cycle {t}");
                     next_id += 1;
                 }
             }
             stack.step(t);
-            while stack.pop_completed().is_some() {}
-            let Some(next) = stack.next_event() else { continue };
-            if next <= t + 1 || t % 3 != 0 {
-                continue;
+            every.step_every_channel(t);
+            while let Some(c) = stack.pop_completed() {
+                assert_eq!(every.pop_completed(), Some(c), "case {case}: cycle {t}");
+                completions += 1;
             }
-            let bytes = snap(&stack);
-            let mut copy = stack.clone();
-            for early in (t + 1..next).step_by(1 + (next - t) as usize / 4) {
-                copy.step_every_channel(early);
-                assert_eq!(copy.pop_completed(), None, "case {case}: step at {early} < {next}");
-                assert!(snap(&copy) == bytes, "case {case}: step at {early} < {next} changed state");
-                probed += 1;
-            }
+            assert_eq!(every.pop_completed(), None, "case {case}: cycle {t}");
+            assert!(snap(&stack) == snap(&every), "case {case}: state differs at cycle {t}");
         }
     }
-    assert!(probed > 1_000, "only {probed} early steps probed");
+    assert!(completions > 1_000, "only {completions} completions compared");
 }
