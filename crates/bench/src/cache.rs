@@ -13,12 +13,17 @@
 //! * `design_<key>` — one searched [`EquiNoxDesign`] in its text format,
 //!   keyed by `(n, n_cbs, iters, seed)` ([`design`](crate::design)).
 //!
-//! A corrupt, truncated or mismatched entry is treated as a miss and
-//! rewritten; caching is never load-bearing for correctness.
+//! Every entry ends in an 8-byte FNV-1a-64 of its payload ([`seal`]),
+//! checked and stripped before the payload is decoded. FNV-1a's step is
+//! a bijection of its state for each byte, so every one-byte change of
+//! an entry breaks the sum: a damaged byte in a metric or a design
+//! coordinate cannot replay as a hit. A corrupt, truncated or
+//! mismatched entry is treated as a miss and rewritten; caching is never
+//! load-bearing for correctness.
 
 use equinox_config::ExperimentSpec;
 use equinox_core::{EquiNoxDesign, LatencyBreakdown, RunMetrics, SchemeKind};
-use equinox_snap::{CheckpointCache, Dec, Enc, Snap, SnapError};
+use equinox_snap::{fnv1a, CheckpointCache, Dec, Enc, Snap, SnapError};
 
 /// The cache a spec asks for: `None` when `checkpoint_dir` is empty, and
 /// also when the spec names an `obs_stream` target — the stream is
@@ -29,21 +34,35 @@ pub(crate) fn cache_for(spec: &ExperimentSpec) -> Option<CheckpointCache> {
     cacheable.then(|| CheckpointCache::new(&spec.checkpoint_dir))
 }
 
-/// The `kind_<key>` entry, if one is stored and `decode` accepts it.
+/// The `kind_<key>` entry, if one is stored, its checksum holds and
+/// `decode` accepts its payload.
 pub(crate) fn lookup<T>(
     cache: Option<&CheckpointCache>,
     kind: &str,
     key: u64,
     decode: impl FnOnce(&[u8]) -> Option<T>,
 ) -> Option<T> {
-    decode(&cache?.load(kind, key).ok()??)
+    decode(unseal(&cache?.load(kind, key).ok()??)?)
 }
 
-/// Stores the `kind_<key>` entry; a failure only costs a stderr line.
-pub(crate) fn store(cache: Option<&CheckpointCache>, kind: &str, key: u64, bytes: &[u8]) {
-    if let Some(Err(e)) = cache.map(|c| c.store(kind, key, bytes)) {
+/// Stores `payload` as the `kind_<key>` entry; a failure only costs a
+/// stderr line.
+pub(crate) fn store(cache: Option<&CheckpointCache>, kind: &str, key: u64, payload: &[u8]) {
+    if let Some(Err(e)) = cache.map(|c| c.store(kind, key, &seal(payload))) {
         eprintln!("checkpoint cache store failed: {e}");
     }
+}
+
+/// What an entry holds on disk: `payload`, then its FNV-1a-64
+/// little-endian.
+pub fn seal(payload: &[u8]) -> Vec<u8> {
+    [payload, &fnv1a(payload).to_le_bytes()].concat()
+}
+
+/// The payload of a [`seal`]ed entry, or `None` when its sum fails.
+fn unseal(entry: &[u8]) -> Option<&[u8]> {
+    let (payload, sum) = entry.split_at(entry.len().checked_sub(8)?);
+    (fnv1a(payload).to_le_bytes() == sum).then_some(payload)
 }
 
 /// Decodes a `design_<key>` entry: the text must parse and describe an
@@ -207,23 +226,89 @@ mod tests {
             let d = crate::design(8, 5, 41, seed, &spec, &mut log);
             (d, String::from_utf8(log).unwrap().contains("searching design"))
         };
+        let sealed = |d: &EquiNoxDesign| seal(d.to_text().as_bytes());
         let (fresh, searched) = get(9001);
         assert!(searched, "miss: search");
-        assert_eq!(std::fs::read_to_string(entry(9001)).unwrap(), fresh.to_text(), "…and store");
+        assert_eq!(std::fs::read(entry(9001)).unwrap(), sealed(&fresh), "…and store");
         // A valid entry is served as is: no search, even for a design the
         // search would not find.
         let stored = EquiNoxDesign::quick(8, 5);
-        std::fs::write(entry(9002), stored.to_text()).unwrap();
+        std::fs::write(entry(9002), sealed(&stored)).unwrap();
         let (hit, searched) = get(9002);
         assert!(!searched && *hit == stored, "hit: the stored design");
         // An entry decode rejects is a miss: search again and rewrite it.
         let mut clipped = fresh.to_text();
         clipped.truncate(clipped.len() / 2);
         for (seed, corrupt) in [(9003, clipped), (9004, EquiNoxDesign::quick(8, 4).to_text())] {
-            std::fs::write(entry(seed), corrupt).unwrap();
+            std::fs::write(entry(seed), seal(corrupt.as_bytes())).unwrap();
             let (d, searched) = get(seed);
             assert!(searched, "seed {seed}: recompute");
-            assert_eq!(std::fs::read_to_string(entry(seed)).unwrap(), d.to_text(), "seed {seed}: rewritten");
+            assert_eq!(std::fs::read(entry(seed)).unwrap(), sealed(&d), "seed {seed}: rewritten");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Every entry with one byte changed, to any other value: the sum
+    /// fails. Through the cache, one change per byte of a stored `run_`
+    /// and a stored `design_` entry is a miss that recomputes and
+    /// rewrites the entry.
+    #[test]
+    fn every_one_byte_change_of_an_entry_is_a_miss_that_recomputes() {
+        let changes = |good: &[u8]| {
+            for i in 0..good.len() {
+                let mut bad = good.to_vec();
+                for v in (0..=255u8).filter(|&v| v != good[i]) {
+                    bad[i] = v;
+                    assert_eq!(unseal(&bad), None, "byte {i} set to {v}");
+                }
+            }
+            assert_eq!(unseal(good), Some(&good[..good.len() - 8]));
+        };
+        let dir = std::env::temp_dir().join(format!("eqsn_entry_bytes_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut spec = ExperimentSpec::default();
+        spec.checkpoint_dir = dir.display().to_string();
+        spec.scale = 0.02;
+        spec.seeds = vec![1];
+        let cache = CheckpointCache::new(&dir);
+
+        let cell = crate::Cell::new(SchemeKind::SeparateBase, 8, "gaussian", &spec);
+        let path = cache.path("run", cell.key());
+        let run = || crate::run_cells(vec![cell.clone()], &mut Vec::new()).unwrap().remove(0);
+        let m = encode_metrics(&run());
+        let good = std::fs::read(&path).unwrap();
+        assert_eq!(good, seal(&m));
+        changes(&good);
+        for i in 0..good.len() {
+            let mut bad = good.clone();
+            bad[i] ^= 1;
+            std::fs::write(&path, &bad).unwrap();
+            assert_eq!(encode_metrics(&run()), m, "run_ byte {i}: recomputed");
+            assert_eq!(std::fs::read(&path).unwrap(), good, "run_ byte {i}: rewritten");
+        }
+
+        // Each design call below asks for a key the process memo has not
+        // seen, so it reaches the entry planted under that key.
+        let entry = |seed: u64| {
+            let key = format!("equinox.design/v1\n8\n5\n1\n{seed}");
+            cache.path("design", equinox_snap::fnv1a(key.as_bytes()))
+        };
+        let get = |seed| {
+            let mut log = Vec::new();
+            let d = crate::design(8, 5, 1, seed, &spec, &mut log);
+            (d, String::from_utf8(log).unwrap().contains("searching design"))
+        };
+        let (_, searched) = get(9100);
+        assert!(searched, "a fresh key searches");
+        let good = std::fs::read(entry(9100)).unwrap();
+        changes(&good);
+        for (i, seed) in (0..good.len()).zip(9101..) {
+            let mut bad = good.clone();
+            bad[i] ^= 1;
+            std::fs::write(entry(seed), &bad).unwrap();
+            let (d, searched) = get(seed);
+            assert!(searched, "design_ byte {i}: recomputed");
+            assert_eq!(std::fs::read(entry(seed)).unwrap(), seal(d.to_text().as_bytes()), "design_ byte {i}: rewritten");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -273,7 +273,8 @@ fn result_cache_replays_bit_identical_metrics() {
     assert_eq!(entries.len(), 1, "one cell, one entry: {entries:?}");
     let mut sentinel = straight.clone();
     sentinel.cycles += 1;
-    std::fs::write(&entries[0], equinox_bench::cache::encode_metrics(&sentinel)).unwrap();
+    let sealed = equinox_bench::cache::seal(&equinox_bench::cache::encode_metrics(&sentinel));
+    std::fs::write(&entries[0], sealed).unwrap();
     let hit = run(&spec);
     assert_eq!(hit.cycles, straight.cycles + 1, "the stored entry must be served, not recomputed");
     // A corrupted entry is a miss, not bad data: the cell recomputes.
