@@ -11,7 +11,8 @@
 //! * [`team`] — a persistent worker team ([`StepTeam`]) handed a
 //!   borrowed task closure per round through an epoch barrier. No
 //!   simulation uses it: its one reader is the benchmark's barrier
-//!   probe, and it goes with that probe (ROADMAP.md item 1).
+//!   probe. ROADMAP.md item 1(a) drops the probe, and item 2 deletes
+//!   `StepTeam`.
 //! * [`rng`] — a deterministic splitmix64 + xoshiro256** PRNG
 //!   ([`Rng`]) replacing the external `rand` crate, with explicit
 //!   stream splitting ([`Rng::stream`]) so parallel work is

@@ -70,7 +70,7 @@ echo "OK: no perf baseline file, no gate script, no stream editor over artifacts
 echo "== unsafe guard =="
 # Every library forbids `unsafe` except crates/exec, whose StepTeam is
 # kept only for the benchmark's barrier probe (benchmark/src/probes.rs);
-# ROADMAP item 1(b) deletes it and empties this list.
+# ROADMAP item 2 deletes it and empties this list.
 unsafe_exempt="crates/exec/src/lib.rs"
 no_forbid=$(grep -L '^#!\[forbid(unsafe_code)\]' crates/*/src/lib.rs | xargs)
 if [ "$no_forbid" != "$unsafe_exempt" ]; then
