@@ -360,6 +360,58 @@ mod tests {
         }
     }
 
+    /// Pins both group draws bit for bit: FNV-1a over the masks of 102 000
+    /// [`Pool::draw`] calls and over the pick order of 102 000
+    /// [`Tables::sample_group`] calls, three of each per fill, round-robin
+    /// over [`problems`], each fill for a random CB with about a quarter
+    /// of its board's tiles in use. `golden_search.txt` reaches tree
+    /// options only through the selections its searches end with.
+    #[test]
+    fn pooled_masks_and_sampled_picks_match_their_digests() {
+        let fnv = |hash: &mut u64, bytes: &[u8]| {
+            for &b in bytes {
+                *hash = (*hash ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        let mut tables: Vec<(Tables, Pool)> = problems()
+            .iter()
+            .map(|p| {
+                let t = Tables::new(p);
+                let pool = Pool::new(&t);
+                (t, pool)
+            })
+            .collect();
+        let mut uses = EirProblem::rng(3);
+        let (mut pooled, mut sampled) = (EirProblem::rng(4), EirProblem::rng(5));
+        let (mut masks, mut picks) = (0xcbf2_9ce4_8422_2325u64, 0xcbf2_9ce4_8422_2325u64);
+        let mut slots = Vec::new();
+        for fill in 0..34_000 {
+            let n_tables = tables.len();
+            let (t, pool) = &mut tables[fill % n_tables];
+            let mut s = t.scratch();
+            let tiles = t.width as usize * t.height as usize;
+            for word in 0..tiles.div_ceil(64) {
+                let in_use = uses.random::<u64>() & uses.random::<u64>();
+                for k in (0..64).filter(|k| in_use >> k & 1 == 1 && word * 64 + k < tiles) {
+                    s.used.insert(Coord::from_index(word * 64 + k, t.width));
+                }
+            }
+            let cb = uses.random_range(0..t.n_cbs());
+            pool.fill(t, cb, &s.used);
+            for _ in 0..3 {
+                fnv(&mut masks, &pool.draw(&mut pooled).to_le_bytes());
+                slots.clear();
+                slots.resize(t.stride(), NONE);
+                t.sample_group(cb, &mut slots, &s.used, &mut sampled);
+                for &id in slots.iter().filter(|&&id| id != NONE) {
+                    fnv(&mut picks, &id.to_le_bytes());
+                }
+                fnv(&mut picks, &[0xff]);
+            }
+        }
+        assert_eq!(format!("{masks:016x} {picks:016x}"), "ee1eb4e6df667a94 e2034063f277e280");
+    }
+
     /// A pooled option is the group [`Tables::sample_group`] draws from
     /// the same generator with the same tiles in use, its ids in tile
     /// order, and the pool consumes exactly its draws: over 10⁵ options,
