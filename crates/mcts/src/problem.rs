@@ -136,17 +136,17 @@ impl Candidate {
 
 /// Each octant's best weighted-shuffle key and the row-major position of
 /// the candidate that drew it, [`NO_WINNER`] where no candidate was free.
-pub(crate) type Winners = [(f64, usize); 8];
+type Winners = [(f64, usize); 8];
 
 /// An octant without a free candidate: its key is below every drawn one.
-pub(crate) const NO_WINNER: (f64, usize) = (f64::NEG_INFINITY, usize::MAX);
+const NO_WINNER: (f64, usize) = (f64::NEG_INFINITY, usize::MAX);
 
 /// Keeps `key`, drawn by the candidate at row-major position `at`, in
 /// `best[slot]` if it beats the best there so far; an earlier position
 /// keeps a tie. Which of two uniform keys is larger is a coin toss no
 /// branch predictor learns, so this selects rather than branches.
 #[inline]
-pub(crate) fn offer(best: &mut Winners, slot: u8, key: f64, at: usize) {
+fn offer(best: &mut Winners, slot: u8, key: f64, at: usize) {
     let b = &mut best[slot as usize];
     *b = if key > b.0 { (key, at) } else { *b };
 }
@@ -160,7 +160,7 @@ pub(crate) fn offer(best: &mut Winners, slot: u8, key: f64, at: usize) {
 /// order, and −∞'s bits are below them as an `i64`). An empty entry is
 /// ahead of none and lands after every winner.
 #[inline]
-pub(crate) fn rank_winners(best: &[(f64, usize)]) -> ([u8; 8], usize) {
+fn rank_winners(best: &[(f64, usize)]) -> ([u8; 8], usize) {
     let ahead = |b: &(f64, usize), a: &(f64, usize)| {
         let (kb, ka) = (b.0.to_bits() as i64, a.0.to_bits() as i64);
         ((kb > ka) | ((kb == ka) & (b.1 < a.1))) as usize
@@ -170,6 +170,162 @@ pub(crate) fn rank_winners(best: &[(f64, usize)]) -> ([u8; 8], usize) {
         order[best.iter().map(|b| ahead(b, a)).sum::<usize>() % 8] = i as u8;
     }
     (order, best.iter().filter(|b| b.1 != NO_WINNER.1).count())
+}
+
+/// Most candidates a packed draw tells apart: a packed word holds a
+/// winner's position in six bits.
+pub(crate) const MAX_PACKED: usize = 64;
+
+/// The key `key` in [0, 1), drawn by the candidate at row-major position
+/// `at` < [`MAX_PACKED`], as one word that orders like the pair: the key's
+/// bits without their low four, plus one, above `63 − at`. A key in
+/// [0, 1) has bits below 2⁶², so the word fits, and the plus one keeps it
+/// above 0, the empty octant. A larger word is a larger key or, on equal
+/// truncated keys, an earlier position; keys that differ only in their
+/// low four bits are the case where the word's order can be wrong.
+#[inline]
+fn pack(key: f64, at: usize) -> u64 {
+    debug_assert!((0.0..1.0).contains(&key) && at < MAX_PACKED, "{key} at {at}");
+    ((key.to_bits() >> 4) + 1) << 6 | (63 - at) as u64
+}
+
+/// The position a packed word was drawn at.
+#[inline]
+fn unpack(word: u64) -> usize {
+    63 - (word & 63) as usize
+}
+
+/// Whether two packed words hold equal truncated keys.
+#[inline]
+fn same_key(a: u64, b: u64) -> bool {
+    (a ^ b) >> 6 == 0
+}
+
+/// `words` in descending order, by an optimal sorting network on eight
+/// inputs: 19 compare-exchanges in six layers, each a `max` and a `min`
+/// on constant indices, so the sort has no branch on the keys and keeps
+/// the words in registers.
+#[inline]
+fn sort_descending(mut w: [u64; 8]) -> [u64; 8] {
+    macro_rules! exchange {
+        ($(($i:literal, $j:literal))*) => {
+            $(
+                let (a, b) = (w[$i], w[$j]);
+                w[$i] = a.max(b);
+                w[$j] = a.min(b);
+            )*
+        };
+    }
+    exchange!((0, 2) (1, 3) (4, 6) (5, 7));
+    exchange!((0, 4) (1, 5) (2, 6) (3, 7));
+    exchange!((0, 1) (2, 3) (4, 5) (6, 7));
+    exchange!((2, 4) (3, 5));
+    exchange!((1, 4) (3, 6));
+    exchange!((1, 2) (3, 4) (5, 6));
+    w
+}
+
+/// The row-major positions of a draw's winners, in pick order where the
+/// draw ranked them, and how many winners there are.
+pub(crate) type Picks = ([usize; 8], usize);
+
+/// Draws a key for every candidate of `cands` that `is_used` does not
+/// reject, in row-major order, and keeps each octant's best: the
+/// winners, best key first and equal keys by position where `ranked`,
+/// and in octant order otherwise. Each octant's best is kept as one
+/// packed word and the winners are ranked by a sorting network on those
+/// words. Where the words cannot tell two keys apart (equal truncated
+/// keys in one octant, or between winners the sort makes neighbours) or
+/// a position would not fit (more than [`MAX_PACKED`] candidates), the
+/// generator is restored and the draw re-run on the f64 keys, so the
+/// picks and the generator state after are those of [`draw_f64`] either
+/// way. Debug builds run [`draw_f64`] on every draw and assert both.
+#[inline]
+pub(crate) fn draw_winners(
+    cands: &[Candidate],
+    is_used: impl Fn(&Candidate) -> bool,
+    rng: &mut Rng,
+    key_of: impl Fn(&Candidate, f64) -> f64,
+    ranked: bool,
+) -> Picks {
+    let before = rng.clone();
+    let packed = if cands.len() <= MAX_PACKED {
+        draw_packed(cands, &is_used, rng, &key_of, ranked)
+    } else {
+        None
+    };
+    let Some(picks) = packed else {
+        *rng = before;
+        return draw_f64(cands, is_used, rng, key_of);
+    };
+    if cfg!(debug_assertions) {
+        let mut again = before;
+        let (mut slow, mut fast) = (draw_f64(cands, is_used, &mut again, key_of), picks);
+        if !ranked {
+            slow.0[..slow.1].sort_unstable();
+            fast.0[..fast.1].sort_unstable();
+        }
+        assert_eq!(&fast.0[..fast.1], &slow.0[..slow.1], "a packed draw picks what the f64 draw picks");
+        assert_eq!(again, *rng, "a packed draw draws what the f64 draw draws");
+    }
+    picks
+}
+
+/// [`draw_winners`] on packed words; `None` where they cannot tell two
+/// keys apart.
+#[inline]
+fn draw_packed(
+    cands: &[Candidate],
+    is_used: impl Fn(&Candidate) -> bool,
+    rng: &mut Rng,
+    key_of: impl Fn(&Candidate, f64) -> f64,
+    ranked: bool,
+) -> Option<Picks> {
+    let mut best = [0u64; 8];
+    let mut tie = false;
+    for (at, c) in cands.iter().enumerate() {
+        if !is_used(c) {
+            let word = pack(key_of(c, rng.random::<f64>()), at);
+            let b = &mut best[c.octant as usize & 7];
+            tie |= same_key(*b, word);
+            *b = (*b).max(word);
+        }
+    }
+    if ranked {
+        best = sort_descending(best);
+        // Words with one truncated key are neighbours once sorted; two
+        // empty octants tie harmlessly.
+        tie |= (1..8).fold(false, |t, i| t | (same_key(best[i - 1], best[i]) & (best[i] != 0)));
+    }
+    if tie {
+        return None;
+    }
+    let (mut picks, mut n) = ([0; 8], 0);
+    for word in best {
+        picks[n] = unpack(word);
+        n += (word != 0) as usize;
+    }
+    Some((picks, n))
+}
+
+/// [`draw_winners`] on f64 keys, ranked by [`rank_winners`]: what every
+/// draw computed before keys were packed, and its fallback.
+pub(crate) fn draw_f64(
+    cands: &[Candidate],
+    is_used: impl Fn(&Candidate) -> bool,
+    rng: &mut Rng,
+    key_of: impl Fn(&Candidate, f64) -> f64,
+) -> Picks {
+    let mut best = [NO_WINNER; 8];
+    for (j, c) in cands.iter().enumerate() {
+        if !is_used(c) {
+            // Weighted shuffle via the exponential-sort trick: key =
+            // u^(1/w) sorts like sampling without replacement.
+            offer(&mut best, c.octant, key_of(c, rng.random::<f64>()), j);
+        }
+    }
+    let (order, n) = rank_winners(&best);
+    (order.map(|o| best[o as usize].1), n)
 }
 
 /// Draws a group from `cands`, one CB's candidates in row-major order:
@@ -194,21 +350,11 @@ fn sample_group_keyed(
     group_size: usize,
     is_used: impl Fn(&Candidate) -> bool,
     rng: &mut Rng,
-    mut pick: impl FnMut(usize),
+    pick: impl FnMut(usize),
     key_of: impl Fn(&Candidate, f64) -> f64,
 ) {
-    let mut best = [NO_WINNER; 8];
-    for (j, c) in cands.iter().enumerate() {
-        if !is_used(c) {
-            // Weighted shuffle via the exponential-sort trick: key =
-            // u^(1/w) sorts like sampling without replacement.
-            offer(&mut best, c.octant, key_of(c, rng.random::<f64>()), j);
-        }
-    }
-    let (order, n) = rank_winners(&best);
-    for &o in &order[..n.min(group_size)] {
-        pick(best[o as usize].1);
-    }
+    let (picks, n) = draw_winners(cands, is_used, rng, key_of, true);
+    picks[..n.min(group_size)].iter().copied().for_each(pick);
 }
 
 /// The search problem: placement plus physical constraints.
@@ -328,6 +474,25 @@ impl EirProblem {
     /// reproducible).
     pub fn rng(seed: u64) -> Rng {
         Rng::seed_from_u64(seed)
+    }
+}
+
+/// Key functions whose keys tie, for the tests of the packed draws.
+#[cfg(test)]
+pub(crate) mod tie_keys {
+    use super::Candidate;
+
+    /// Keys equal at full precision: a quarter of the draws' keys each.
+    pub(crate) fn quarters(_: &Candidate, u: f64) -> f64 {
+        (u * 4.0).floor() / 4.0
+    }
+
+    /// Keys one of four values in their high bits and random in their low
+    /// four, so that they are equal only after `>> 4`, where the packed
+    /// order is by position and the f64 order by those four bits.
+    pub(crate) fn low_bits(_: &Candidate, u: f64) -> f64 {
+        let high = 0.5 + (u * 4.0).floor() / 8.0;
+        f64::from_bits(high.to_bits() | ((u * 65_536.0) as u64 & 0xF))
     }
 }
 
@@ -474,6 +639,149 @@ mod tests {
                 let counted: Vec<usize> = order[..n.min(group_size)].iter().map(|&o| best[o as usize].1).collect();
                 assert_eq!(counted, picks_by_reduce(&best, group_size), "case {case}, {best:?}");
             }
+        }
+    }
+
+    /// The sorting network sorts every input of zeros and ones, so by the
+    /// zero-one principle it sorts every input; and random words too.
+    #[test]
+    fn the_sorting_network_sorts_every_input() {
+        for bits in 0..256u64 {
+            let words: [u64; 8] = std::array::from_fn(|i| bits >> i & 1);
+            let mut want = words;
+            want.sort_unstable_by(|a, b| b.cmp(a));
+            assert_eq!(sort_descending(words), want, "{bits:08b}");
+        }
+        let mut rng = EirProblem::rng(9);
+        for _ in 0..10_000 {
+            let words: [u64; 8] = std::array::from_fn(|_| rng.random::<u64>() >> rng.random_range(0..64u32));
+            let mut want = words;
+            want.sort_unstable_by(|a, b| b.cmp(a));
+            assert_eq!(sort_descending(words), want);
+        }
+    }
+
+    /// `sample_group_keyed` with every winner taken picks what
+    /// [`draw_f64`] picks from the same generator state, in the same
+    /// order, and leaves the same state; returns whether the packed words
+    /// told every key apart and how many winners there were.
+    fn assert_sampled_as_f64(
+        cands: &[Candidate],
+        is_used: impl Fn(&Candidate) -> bool + Copy,
+        rng: &mut Rng,
+        key_of: impl Fn(&Candidate, f64) -> f64 + Copy,
+    ) -> (bool, usize) {
+        let (mut slow, mut probe) = (rng.clone(), rng.clone());
+        let packed = cands.len() <= MAX_PACKED && draw_packed(cands, is_used, &mut probe, key_of, true).is_some();
+        let mut picks = Vec::new();
+        sample_group_keyed(cands, 8, is_used, rng, |j| picks.push(j), key_of);
+        let (want, n) = draw_f64(cands, is_used, &mut slow, key_of);
+        assert_eq!(picks, want[..n], "{} candidates", cands.len());
+        assert_eq!(*rng, slow, "the same draws");
+        (packed, n)
+    }
+
+    /// Through ties at full precision and ties only after `>> 4`, with
+    /// octants emptied and fewer than eight winners, the group sampler
+    /// picks what the f64 draw picks and leaves the generator where it
+    /// leaves it: the packed words fall back wherever they cannot tell
+    /// two keys apart.
+    #[test]
+    fn packed_draws_pick_what_f64_draws_pick_through_ties() {
+        let best8 = || EirProblem::new(best_nqueen_placement(8, 8, usize::MAX, 0));
+        let problems = [
+            best8(),
+            EirProblem { max_hops: 2, ..best8() },
+            EirProblem { max_hops: 4, ..best8() },
+            EirProblem::new(Placement::diamond(8, 8, 8)),
+        ];
+        let lists: Vec<Vec<Candidate>> = problems
+            .iter()
+            .flat_map(|p| {
+                (0..p.placement.cbs.len()).map(move |i| {
+                    let cb = p.placement.cbs[i];
+                    p.candidates(i).into_iter().map(|t| Candidate::new(cb, t)).collect()
+                })
+            })
+            .collect();
+        let keys: [fn(&Candidate, f64) -> f64; 3] = [Candidate::key, tie_keys::quarters, tie_keys::low_bits];
+        let mut uses = EirProblem::rng(1);
+        let mut rng = EirProblem::rng(2);
+        // Per key: draws the packed words refused, draws with an octant
+        // left empty (fewer than eight winners), draws with no winner.
+        let mut seen = [[0usize; 3]; 3];
+        for draw in 0..60_000 {
+            let cands = &lists[draw % lists.len()];
+            let in_use = uses.random::<u64>() & uses.random::<u64>();
+            // Now and then whole octants in use as well.
+            let gone = uses.random::<u64>() & uses.random::<u64>() & uses.random::<u64>();
+            let is_used = |c: &Candidate| in_use >> c.tile.to_index(8) & 1 == 1 || gone >> c.octant & 1 == 1;
+            for (k, &key_of) in keys.iter().enumerate() {
+                let (packed, n) = assert_sampled_as_f64(cands, is_used, &mut rng, key_of);
+                seen[k][0] += !packed as usize;
+                seen[k][1] += (n < 8) as usize;
+                seen[k][2] += (n == 0) as usize;
+            }
+        }
+        assert_eq!(seen[0][0], 0, "uniform keys never tie: {seen:?}");
+        assert!(seen[1][0] > 10_000 && seen[2][0] > 10_000, "ties fall back: {seen:?}");
+        assert!(seen.iter().all(|s| s[1] > 10_000 && s[2] > 100), "{seen:?}");
+    }
+
+    /// A problem where some CB has more candidates than a packed word
+    /// tells apart: a 7-hop budget and a wire long enough for it, on
+    /// 12×12.
+    fn wide_problem() -> EirProblem {
+        EirProblem {
+            max_hops: 7,
+            wire: equinox_phys::WireModel {
+                max_single_cycle_mm: 100.0,
+                ..Default::default()
+            },
+            ..EirProblem::new(best_nqueen_placement(12, 12, 500, 0))
+        }
+    }
+
+    /// Winners at positions 0 and 63 pack and unpack; a list one longer
+    /// than a packed word holds is drawn on the f64 keys; and the public
+    /// sampler on a CB with more than 64 candidates, which a tree search
+    /// refuses by name, picks what the f64 draw picks.
+    #[test]
+    fn the_first_and_last_packed_positions_and_longer_lists_draw_as_f64() {
+        let p = wide_problem();
+        let (i, tiles) = (0..p.placement.cbs.len())
+            .map(|i| (i, p.candidates(i)))
+            .max_by_key(|(_, tiles)| tiles.len())
+            .unwrap();
+        assert!(tiles.len() > MAX_PACKED + 1, "{} candidates", tiles.len());
+        let cb = p.placement.cbs[i];
+        let cands: Vec<Candidate> = tiles.iter().map(|&t| Candidate::new(cb, t)).collect();
+        let (ends, longer) = (&cands[..MAX_PACKED], &cands[..MAX_PACKED + 1]);
+        assert_ne!(ends[0].octant, ends[MAX_PACKED - 1].octant);
+        // The two ends outdraw every other candidate.
+        let (first, last) = (ends[0].tile, ends[MAX_PACKED - 1].tile);
+        let ends_win = move |c: &Candidate, u: f64| if c.tile == first || c.tile == last { 0.5 + u / 2.0 } else { u / 2.0 };
+        let mut rng = EirProblem::rng(3);
+        for _ in 0..1_000 {
+            let mut picks = Vec::new();
+            let mut probe = rng.clone();
+            assert!(draw_packed(ends, |_| false, &mut probe, ends_win, true).is_some());
+            sample_group_keyed(ends, 8, |_| false, &mut rng, |j| picks.push(j), ends_win);
+            assert!(picks[..2].contains(&0) && picks[..2].contains(&(MAX_PACKED - 1)), "{picks:?}");
+            assert_sampled_as_f64(ends, |_| false, &mut rng, ends_win);
+            assert_sampled_as_f64(longer, |_| false, &mut rng, Candidate::key);
+            assert_sampled_as_f64(&cands, |_| false, &mut rng, tie_keys::low_bits);
+        }
+        // The public sampler, with some tiles in use.
+        let mut uses = EirProblem::rng(4);
+        for _ in 0..1_000 {
+            let used: Vec<Coord> = tiles.iter().copied().filter(|_| uses.random_range(0..4u32) == 0).collect();
+            let mut slow = rng.clone();
+            let group = p.sample_group(i, &used, &mut rng);
+            let (want, n) = draw_f64(&cands, |c| used.contains(&c.tile), &mut slow, Candidate::key);
+            let want: Vec<Coord> = want[..n.min(p.group_size)].iter().map(|&j| cands[j].tile).collect();
+            assert_eq!(group, want);
+            assert_eq!(rng, slow, "the same draws");
         }
     }
 

@@ -8,9 +8,7 @@
 //! sampled options through a [`Pool`].
 
 use crate::eval::{EvalScratch, EvalTables, EvalWeights, Evaluation, NONE};
-use crate::problem::{
-    offer, rank_winners, sample_group_from, Candidate, EirProblem, EirSelection, NO_WINNER,
-};
+use crate::problem::{draw_winners, sample_group_from, Candidate, EirProblem, EirSelection};
 use equinox_exec::Rng;
 use equinox_phys::Coord;
 
@@ -209,20 +207,13 @@ pub(crate) struct Pool {
     /// Every CB's candidate ids in tile order, laid out like the ids.
     by_tile: Vec<u16>,
     /// The free candidates of the CB being expanded, in row-major order.
-    members: Vec<Member>,
-    /// The octants the members cover: each draw has a winner in every
-    /// one of them.
-    slots: usize,
+    members: Vec<Candidate>,
+    /// Each member's bit in the CB's mask.
+    member_bits: Vec<u8>,
+    /// How many octants the members cover: each draw has a winner in
+    /// every one of them.
+    covered: usize,
     group_size: usize,
-}
-
-/// A free candidate of the CB being expanded.
-struct Member {
-    cand: Candidate,
-    /// Its bit in the CB's mask.
-    bit: u8,
-    /// Its octant's rank among the octants the members cover.
-    slot: u8,
 }
 
 impl Pool {
@@ -250,7 +241,8 @@ impl Pool {
             bit,
             by_tile,
             members: Vec::with_capacity(MAX_POOLED),
-            slots: 0,
+            member_bits: Vec::with_capacity(MAX_POOLED),
+            covered: 0,
             group_size: t.group_size,
         }
     }
@@ -258,16 +250,15 @@ impl Pool {
     /// Gathers CB `i`'s candidates outside `used` for the draws that
     /// follow.
     pub(crate) fn fill(&mut self, t: &Tables, i: usize, used: &TileSet) {
-        let ids = t.eval.ids_of(i);
-        let free = || ids.clone().filter(|&id| !used.contains(t.cands[id].tile));
-        let covered = free().fold(0u16, |o, id| o | 1 << t.cands[id].octant);
-        self.slots = covered.count_ones() as usize;
         self.members.clear();
-        for id in free() {
-            let cand = t.cands[id];
-            let slot = (covered & ((1 << cand.octant) - 1)).count_ones() as u8;
-            self.members.push(Member { cand, bit: self.bit[id], slot });
+        self.member_bits.clear();
+        let mut covered = 0u8;
+        for id in t.eval.ids_of(i).filter(|&id| !used.contains(t.cands[id].tile)) {
+            self.members.push(t.cands[id]);
+            self.member_bits.push(self.bit[id]);
+            covered |= 1 << t.cands[id].octant;
         }
+        self.covered = covered.count_ones() as usize;
     }
 
     /// Draws one option from the members: a uniform each, exactly the
@@ -276,17 +267,16 @@ impl Pool {
     /// winner, so with no more of them than `group_size` all are kept
     /// unranked.
     pub(crate) fn draw(&self, rng: &mut Rng) -> u64 {
-        let mut best = [NO_WINNER; 8];
-        for (at, m) in self.members.iter().enumerate() {
-            offer(&mut best, m.slot, m.cand.key(rng.random::<f64>()), at);
-        }
-        let winners = &best[..self.slots];
-        let bit = |w: &(f64, usize)| 1 << self.members[w.1].bit;
-        if self.slots <= self.group_size {
-            return winners.iter().fold(0, |mask, w| mask | bit(w));
-        }
-        let (order, _) = rank_winners(winners);
-        order[..self.group_size].iter().fold(0, |mask, &s| mask | bit(&winners[s as usize]))
+        self.draw_keyed(rng, Candidate::key)
+    }
+
+    /// [`Pool::draw`] with the key a function of the candidate and its
+    /// uniform draw.
+    #[inline]
+    fn draw_keyed(&self, rng: &mut Rng, key_of: impl Fn(&Candidate, f64) -> f64) -> u64 {
+        let ranked = self.covered > self.group_size;
+        let (picks, n) = draw_winners(&self.members, |_| false, rng, key_of, ranked);
+        picks[..n.min(self.group_size)].iter().fold(0, |mask, &at| mask | 1 << self.member_bits[at])
     }
 
     /// The ids of CB `i`'s option `mask`, in tile order.
@@ -306,6 +296,7 @@ impl Pool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::problem::{draw_f64, tie_keys};
     use equinox_placement::select::best_nqueen_placement;
     use equinox_placement::Placement;
 
@@ -410,6 +401,46 @@ mod tests {
             }
         }
         assert_eq!(format!("{masks:016x} {picks:016x}"), "ee1eb4e6df667a94 e2034063f277e280");
+    }
+
+    /// Through ties at full precision and ties only after `>> 4`, a pooled
+    /// option is the group the f64 draw picks from the pool's members and
+    /// leaves the generator where that draw leaves it, ranked or not.
+    #[test]
+    fn pooled_draws_keep_their_masks_through_ties() {
+        let keys: [fn(&Candidate, f64) -> f64; 3] = [Candidate::key, tie_keys::quarters, tie_keys::low_bits];
+        let mut tables: Vec<(Tables, Pool)> = problems()
+            .iter()
+            .map(|p| {
+                let t = Tables::new(p);
+                let pool = Pool::new(&t);
+                (t, pool)
+            })
+            .collect();
+        let mut uses = EirProblem::rng(6);
+        let mut rng = EirProblem::rng(7);
+        let mut ranked = [0; 2];
+        for fill in 0..12_000 {
+            let n_tables = tables.len();
+            let (t, pool) = &mut tables[fill % n_tables];
+            let mut s = t.scratch();
+            let tiles = t.width as usize * t.height as usize;
+            for k in (0..tiles).filter(|_| uses.random_range(0..4u32) == 0) {
+                s.used.insert(Coord::from_index(k, t.width));
+            }
+            let cb = uses.random_range(0..t.n_cbs());
+            pool.fill(t, cb, &s.used);
+            ranked[(pool.covered > pool.group_size) as usize] += 1;
+            for key_of in keys {
+                let mut slow = rng.clone();
+                let mask = pool.draw_keyed(&mut rng, key_of);
+                let (want, n) = draw_f64(&pool.members, |_| false, &mut slow, key_of);
+                let want = want[..n.min(pool.group_size)].iter().fold(0u64, |m, &at| m | 1 << pool.member_bits[at]);
+                assert_eq!(mask, want, "fill {fill}, CB {cb}");
+                assert_eq!(rng, slow, "fill {fill}: the same draws");
+            }
+        }
+        assert!(ranked.iter().all(|&n| n > 1_000), "unranked and ranked fills: {ranked:?}");
     }
 
     /// A pooled option is the group [`Tables::sample_group`] draws from

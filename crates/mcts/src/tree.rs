@@ -56,9 +56,9 @@ pub struct SearchResult {
 }
 
 /// Most iterations one search runs. Its tree is sized for the whole
-/// budget up front, a 40-byte node, its 8-byte mean reward and
-/// `branching` 8-byte options per iteration, and a node counts its
-/// visits in a `u32`.
+/// budget up front, a 40-byte node, its 8-byte mean reward, `branching`
+/// 8-byte options and an 8-byte logarithm per iteration, and a node
+/// counts its visits in a `u32`.
 /// `equinox_config::ITERS_LIMIT` bounds the `iters` spec field to the
 /// same value.
 pub const ITERS_LIMIT: usize = 1_000_000;
@@ -103,6 +103,9 @@ struct Tree {
     /// the CB it is for (see [`Pool`]); a node's group stays where it was
     /// sampled.
     options: Vec<u64>,
+    /// `ln N` for every visit count `N` a node can reach in the budget
+    /// (`ln 1` for none), what [`Tree::best_child`] reads.
+    ln: Vec<f64>,
     pool: Pool,
 }
 
@@ -112,6 +115,7 @@ impl Tree {
             nodes: Vec::with_capacity(cfg.iterations + 1),
             means: Vec::with_capacity(cfg.iterations + 1),
             options: Vec::with_capacity((cfg.iterations + 1) * cfg.branching),
+            ln: (0..=cfg.iterations).map(|n| (n.max(1) as f64).ln()).collect(),
             pool: Pool::new(t),
         }
     }
@@ -202,7 +206,7 @@ impl Tree {
     /// sqrt(ln N / n)` for `N` visits of `cur` and `n` of the child, and
     /// infinite for an unvisited child.
     fn best_child(&self, cur: usize, exploration: f64) -> usize {
-        let ln_parent_visits = (self.nodes[cur].visits.max(1) as f64).ln();
+        let ln_parent_visits = self.ln[self.nodes[cur].visits as usize];
         // The bonus depends on a child's visit count alone, and siblings
         // share a few small counts: each count under 16 is worked out
         // once per call.
