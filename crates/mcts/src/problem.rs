@@ -308,8 +308,8 @@ fn draw_packed(
     Some((picks, n))
 }
 
-/// [`draw_winners`] on f64 keys, ranked by [`rank_winners`]: what every
-/// draw computed before keys were packed, and its fallback.
+/// [`draw_winners`] on f64 keys, ranked by [`rank_winners`]: its fallback,
+/// and what its debug check and the tests compare the packed draws with.
 pub(crate) fn draw_f64(
     cands: &[Candidate],
     is_used: impl Fn(&Candidate) -> bool,
