@@ -203,9 +203,9 @@ echo "OK: tree options are masks; the tree sorts nothing"
 
 echo "== ln-table guard =="
 # Tree::best_child reads ln N from a table of every visit count the budget
-# can reach (Tree::ln in crates/mcts/src/tree.rs), built once per search:
-# an ln on every descent step was about 8 % of a search. So non-test tree.rs
-# calls ln only in that table's constructor.
+# can reach (Tree::ln in crates/mcts/src/tree.rs), built once per search,
+# so that a descent step calls no libm. So non-test tree.rs calls ln only
+# in that table's constructor.
 ln_calls=$(head -n "${tests_at:-1000000}" "$tree_rs" | grep -nF '.ln(' | grep -vE '^[0-9]+: *(//|\*)' || true)
 if [ "$(grep -c . <<< "$ln_calls")" != 1 ] \
     || ! grep -qE '^[0-9]+: *ln: \(0\.\.=cfg\.iterations\)\.map\(\|n\| \(n\.max\(1\) as f64\)\.ln\(\)\)\.collect\(\),$' <<< "$ln_calls"; then
