@@ -11,7 +11,8 @@
 //!   bit pattern) so a hit in [`run_cells`](crate::run_cells) is
 //!   indistinguishable from recomputation.
 //! * `design_<key>` — one searched [`EquiNoxDesign`] in its text format,
-//!   keyed by `(n, n_cbs, iters, seed)` ([`design`](crate::design)).
+//!   keyed by `(n, n_cbs, iters, seed)` and the search's format version
+//!   ([`design`](crate::design)).
 //!
 //! Every entry ends in an 8-byte FNV-1a-64 of its payload ([`seal`]),
 //! checked and stripped before the payload is decoded. FNV-1a's step is
@@ -216,9 +217,9 @@ mod tests {
         let cache = CheckpointCache::new(&dir);
         // Each seed is a key no other call in this process asks the memo
         // for, so every `design` call below reaches the entry. Its name
-        // is pinned: a parent's cache directory still serves.
+        // is pinned: a cache directory of the same search still serves.
         let entry = |seed: u64| {
-            let key = format!("equinox.design/v1\n8\n5\n41\n{seed}");
+            let key = format!("equinox.design/v2\n8\n5\n41\n{seed}");
             cache.path("design", equinox_snap::fnv1a(key.as_bytes()))
         };
         let get = |seed| {
@@ -245,6 +246,33 @@ mod tests {
             assert!(searched, "seed {seed}: recompute");
             assert_eq!(std::fs::read(entry(seed)).unwrap(), sealed(&d), "seed {seed}: rewritten");
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A `design_` entry stored under the key of the search before
+    /// progressive widening (`equinox.design/v1`) is not read: the
+    /// search runs and stores its own design under the v2 key, and the
+    /// old entry stays as it was.
+    #[test]
+    fn a_design_entry_under_the_v1_key_is_not_read() {
+        let dir = std::env::temp_dir().join(format!("eqsn_design_v1_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut spec = ExperimentSpec::default();
+        spec.checkpoint_dir = dir.display().to_string();
+        let cache = CheckpointCache::new(&dir);
+        let entry = |version: &str| {
+            let key = format!("equinox.design/{version}\n8\n5\n41\n9101");
+            cache.path("design", equinox_snap::fnv1a(key.as_bytes()))
+        };
+        let old = seal(EquiNoxDesign::quick(8, 5).to_text().as_bytes());
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(entry("v1"), &old).unwrap();
+        let mut log = Vec::new();
+        let d = crate::design(8, 5, 41, 9101, &spec, &mut log);
+        assert!(String::from_utf8(log).unwrap().contains("searching design"), "v1 entry: a miss");
+        assert_eq!(*d, EquiNoxDesign::search(8, 5, 41, 9101));
+        assert_eq!(std::fs::read(entry("v2")).unwrap(), seal(d.to_text().as_bytes()));
+        assert_eq!(std::fs::read(entry("v1")).unwrap(), old, "left as it was");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -290,7 +318,7 @@ mod tests {
         // Each design call below asks for a key the process memo has not
         // seen, so it reaches the entry planted under that key.
         let entry = |seed: u64| {
-            let key = format!("equinox.design/v1\n8\n5\n1\n{seed}");
+            let key = format!("equinox.design/v2\n8\n5\n1\n{seed}");
             cache.path("design", equinox_snap::fnv1a(key.as_bytes()))
         };
         let get = |seed| {

@@ -32,6 +32,11 @@ pub(crate) const STRONG_SEED: u64 = 7;
 /// seed)`, searched at most once per process — and, with the spec's
 /// cache armed, once per cache directory (a `design_<key>` entry). A
 /// real search announces itself on `log`.
+///
+/// The entry's key names the search by a format version, since nothing
+/// else in it changes when the search does: `equinox.design/v2` is the
+/// search that draws options as visits allow, and an entry of an older
+/// search is never read.
 pub(crate) fn design(
     n: u16,
     n_cbs: u16,
@@ -48,7 +53,7 @@ pub(crate) fn design(
     let slot = memo.entry((n, n_cbs, iters, seed));
     slot.or_insert_with(|| {
         let cache = cache::cache_for(spec);
-        let key = format!("equinox.design/v1\n{n}\n{n_cbs}\n{iters}\n{seed}");
+        let key = format!("equinox.design/v2\n{n}\n{n_cbs}\n{iters}\n{seed}");
         let key = equinox_snap::fnv1a(key.as_bytes());
         let stored = cache::lookup(cache.as_ref(), "design", key, |b| cache::decode_design(b, n, n_cbs));
         Arc::new(stored.unwrap_or_else(|| {
@@ -134,8 +139,10 @@ impl Cell {
     }
 
     /// Run-cache key: everything the cell's metrics depend on. The
-    /// strong design is a function of `n` and the spec's `n_cbs`, so only
-    /// a custom one enters as text. Of the spec, `threads` is out because
+    /// strong design is a function of `n`, the spec's `n_cbs` and the
+    /// search, so only a custom one enters as text, and the format
+    /// version (`equinox.cell/v2`) moves with the search as the
+    /// `design_` entry's does. Of the spec, `threads` is out because
     /// artifacts are identical for every value (`tests/determinism.rs`),
     /// `sim_threads` because no run reads it, `full` because it only
     /// picks which cells exist, `seeds` because the cell's own list is
@@ -146,7 +153,7 @@ impl Cell {
         let material = self.spec.cache_key_material(&["threads", "sim_threads", "full", "seeds"]);
         equinox_snap::fnv1a(
             format!(
-                "equinox.cell/v1\n{}\n{}\n{}\n{:?}\n{design:?}\n{placement:?}\n{material}",
+                "equinox.cell/v2\n{}\n{}\n{}\n{:?}\n{design:?}\n{placement:?}\n{material}",
                 self.scheme.name(),
                 self.n,
                 self.bench,

@@ -341,8 +341,8 @@ pub const LOADLAT_CYCLES_LIMIT: u64 = 3_579_139_412;
 
 /// Largest `iters`: `equinox_mcts::tree::ITERS_LIMIT`, the most
 /// iterations one design search holds (cross-checked by a bench test).
-/// A search sizes its tree for the whole budget up front, about 230 MB at
-/// this limit with the default branching of 24, and
+/// A search sizes its tree for the whole budget up front, 64 bytes per
+/// iteration (64 MB at this limit), and
 /// `equinox_mcts::tree::search` asserts it for library callers.
 pub const ITERS_LIMIT: usize = 1_000_000;
 

@@ -382,6 +382,11 @@ impl System {
             (None, None) => Placement::diamond(n, n, cfg.n_cbs),
         };
 
+        // A PE on every other tile, each with at most `mshrs` memops in
+        // flight, and a memop is one live packet at a time: its request's
+        // handle is freed before its reply takes one. So no network holds
+        // more packets than this, whatever its buffers could.
+        let live_packets = (nodes - placement.cbs.len()) * cfg.workload.mshrs as usize;
         let mut nets: Vec<Network> = plan
             .subnets
             .iter()
@@ -389,7 +394,9 @@ impl System {
                 let mut c = row.noc.clone();
                 c.pipeline_extra = cfg.pipeline_extra;
                 c.activity_gate = cfg.activity_gate;
-                Network::new(c)
+                let mut net = Network::new(c);
+                net.cap_packets(live_packets);
+                net
             })
             .collect();
         let request_nets = plan.carrying(MessageClass::Request);
@@ -1341,9 +1348,9 @@ mod tests {
         assert_eq!(diamond.cbs[0], Coord::new(4, 0));
         assert!(hops(0).contains(&0), "CB 0 gets an EIR on its own router: {:?}", hops(0));
         // Every EIR of CBs 4 and 2 lies beyond the search's 3-hop budget.
-        assert_eq!(hops(4), [6, 9, 9], "CB 4's EIRs");
-        assert_eq!(hops(2), [7, 4, 8], "CB 2's EIRs");
-        for i in [2, 3, 5] {
+        assert_eq!(hops(4), [8, 9, 9], "CB 4's EIRs");
+        assert_eq!(hops(2), [7, 7, 8], "CB 2's EIRs");
+        for i in [2, 4, 5] {
             let on_a_bank = |e: &Coord| *e != diamond.cbs[i] && diamond.is_cb(*e);
             assert!(design.selection.groups[i].iter().any(on_a_bank), "CB {i} gets an EIR on another bank");
         }
@@ -1509,6 +1516,22 @@ mod tests {
         }
         assert_eq!(req, rep, "one reply per request");
         assert_eq!(undelivered, 0, "everything delivered at completion");
+    }
+
+    /// Each of DA2Mesh's networks reserves packet-table room for the
+    /// machine's live packets at most, PEs × MSHRs, not one entry per VC
+    /// slot, ejection place and injector.
+    #[test]
+    fn da2mesh_reserves_no_more_packets_than_the_machine_holds() {
+        let cfg = SystemConfig::new(SchemeKind::Da2Mesh, 8, tiny_workload("bfs"));
+        let bound = (64 - cfg.n_cbs as usize) * cfg.workload.mshrs as usize;
+        let sys = System::build(cfg);
+        assert_eq!(sys.networks().len(), 9);
+        for (i, net) in sys.networks().iter().enumerate() {
+            let reserved = net.packet_capacity();
+            assert!(reserved <= bound, "network {i}: room for {reserved} packets, bound {bound}");
+        }
+        assert!(sys.networks().iter().any(|net| net.packet_capacity() == bound), "the bound binds");
     }
 
     #[test]

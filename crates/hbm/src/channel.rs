@@ -39,7 +39,10 @@ impl Channel {
             banks: (0..cfg.banks_per_channel).map(|_| Bank::default()).collect(),
             queue: VecDeque::new(),
             bus_busy_until: 0,
-            in_service: Vec::new(),
+            // Full size up front, so that a step never grows it: a bank
+            // issues only once its last access has finished and been
+            // retired.
+            in_service: Vec::with_capacity(cfg.banks_per_channel),
             cap: cfg.queue_cap,
         }
     }

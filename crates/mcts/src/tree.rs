@@ -3,10 +3,13 @@
 //! One tree level per cache bank: a node at depth `d` fixes the groups of
 //! CBs `0..d` (the paper's group-by-group expansion, which keeps the tree
 //! exactly `#CBs` deep instead of `ΣEIRs`). Each iteration runs the four
-//! classic stages — UCB1 selection, expansion of an untried sampled group,
-//! a random-completion rollout scored by the evaluation function, and
-//! backpropagation of the reward along the path. A complete leaf (depth
-//! `#CBs`) is scored once; later visits reuse its stored cost.
+//! classic stages — UCB1 selection, expansion of a newly sampled group, a
+//! random-completion rollout scored by the evaluation function, and
+//! backpropagation of the reward along the path. A node's options are
+//! drawn on demand (progressive widening): it gains a child only when its
+//! visit count allows one more, so the draws go where the search spends
+//! its visits. A complete leaf (depth `#CBs`) is scored once; later
+//! visits reuse its stored cost.
 
 use crate::eval::{EvalWeights, Evaluation, NONE};
 use crate::problem::{EirProblem, EirSelection};
@@ -21,7 +24,9 @@ pub struct MctsConfig {
     pub iterations: usize,
     /// UCB exploration constant `C`.
     pub exploration: f64,
-    /// Sampled group options per node (lazy branching factor).
+    /// Most children a node gains, one distinct sampled group option
+    /// each, as its visits allow (progressive widening); it draws at
+    /// most three times as many options.
     pub branching: usize,
     /// Metric weights.
     pub weights: EvalWeights,
@@ -56,9 +61,9 @@ pub struct SearchResult {
 }
 
 /// Most iterations one search runs. Its tree is sized for the whole
-/// budget up front, a 40-byte node, its 8-byte mean reward, `branching`
-/// 8-byte options and an 8-byte logarithm per iteration, and a node
-/// counts its visits in a `u32`.
+/// budget up front, a 40-byte node, its 8-byte mean reward, its 8-byte
+/// option and an 8-byte logarithm per iteration, and a node counts its
+/// visits in a `u32`.
 /// `equinox_config::ITERS_LIMIT` bounds the `iters` spec field to the
 /// same value.
 pub const ITERS_LIMIT: usize = 1_000_000;
@@ -67,17 +72,44 @@ const _: () = assert!(ITERS_LIMIT < u32::MAX as usize);
 
 const NO_NODE: u32 = u32::MAX;
 
+/// The widening schedule: a node at depth < #CBs with `N` visits may
+/// have up to `⌈C·(N+1)^e⌉` children, and never more than `branching`,
+/// with `C = 14/5` and `e = 2/5` (numerator, denominator). They were
+/// chosen on search quality alone, among exponents that integers
+/// evaluate exactly (1/2, 2/5, 1/3): over the flagship search's seeds
+/// 1–12, and over 13–24 held out, they keep the mean best cost of
+/// drawing every option up front (EXPERIMENTS.md "Options on demand").
+const WIDEN_C: (u64, u64) = (14, 5);
+const WIDEN_EXP: (u32, u32) = (2, 5);
+
+/// Whether `children` leave room for one more after `visits` visits:
+/// `children < C·(visits+1)^e`, that is `(5·children)^5 < 14^5·(visits+1)^2`,
+/// exact in integers. `children` never passes the schedule (704 at
+/// [`ITERS_LIMIT`] visits), so neither side nears `u64::MAX`.
+fn room_to_widen(children: u32, visits: u32) -> bool {
+    let ((num, den), (p, q)) = (WIDEN_C, WIDEN_EXP);
+    (den * u64::from(children)).pow(q) < num.pow(q) * (u64::from(visits) + 1).pow(p)
+}
+
+// At the top of the schedule the left side is under 5 times the right.
+const _: () = assert!(matches!(
+    WIDEN_C.0.pow(WIDEN_EXP.1).checked_mul((ITERS_LIMIT as u64 + 1).pow(WIDEN_EXP.0)),
+    Some(right) if right < u64::MAX / 16
+));
+
+/// Most options a node draws over its life, per child it may have: a
+/// draw that repeats a sibling's option is spent all the same.
+const DRAWS_PER_CHILD: usize = 3;
+
 /// A node's depth is its position on the selection path, so it is not
-/// stored.
+/// stored; its group is `options[id]` (see [`Tree::options`]).
 struct Node {
-    /// The option (see [`Tree::options`]) this node assigns to CB
-    /// `order[depth - 1]`; unused for the root.
-    group: u32,
-    /// Sampled-but-unexpanded options: `first_option..first_option +
-    /// untried`, expanded from the back; none at depth `#CBs`.
-    first_option: u32,
-    untried: u32,
-    /// The child expanded last; the older ones follow `next_sibling`.
+    /// Children so far, each with a distinct option for CB
+    /// `order[depth]`; none at depth `#CBs`.
+    children: u32,
+    /// Options drawn for its children so far, repeats included.
+    draws: u32,
+    /// The child added last; the older ones follow `next_sibling`.
     first_child: u32,
     next_sibling: u32,
     visits: u32,
@@ -92,16 +124,16 @@ struct Node {
 const _: () = assert!(std::mem::size_of::<Node>() == 40);
 
 /// The search tree in arenas sized up front for the iteration budget
-/// (one expansion per iteration), so that growing it never allocates.
+/// (at most one new node per iteration), so that growing it never
+/// allocates.
 struct Tree {
     nodes: Vec<Node>,
     /// Per node, `reward_sum / visits` as of its last backpropagation,
     /// what [`Tree::best_child`] reads; beside `nodes`, not in [`Node`],
     /// so that a node stays 40 bytes.
     means: Vec<f64>,
-    /// Every group sampled as an option, as a mask over the candidates of
-    /// the CB it is for (see [`Pool`]); a node's group stays where it was
-    /// sampled.
+    /// Per node, the group it assigns to CB `order[depth - 1]`, as a mask
+    /// over that CB's candidates (see [`Pool`]); the root's is unused.
     options: Vec<u64>,
     /// `ln N` for every visit count `N` a node can reach in the budget
     /// (`ln 1` for none), what [`Tree::best_child`] reads.
@@ -111,75 +143,37 @@ struct Tree {
 
 impl Tree {
     fn new(t: &Tables, cfg: &MctsConfig) -> Self {
-        Tree {
+        let mut tree = Tree {
             nodes: Vec::with_capacity(cfg.iterations + 1),
             means: Vec::with_capacity(cfg.iterations + 1),
-            options: Vec::with_capacity((cfg.iterations + 1) * cfg.branching),
+            options: Vec::with_capacity(cfg.iterations + 1),
             ln: (0..=cfg.iterations).map(|n| (n.max(1) as f64).ln()).collect(),
             pool: Pool::new(t),
-        }
+        };
+        tree.push(None, 0);
+        tree
     }
 
-    /// The ids of option `group` of a node at `depth` ≥ 1, for CB
+    /// The ids of node `n`'s group, at `depth` ≥ 1, for CB
     /// `order[depth - 1]`, in tile order.
-    fn option(&self, t: &Tables, depth: usize, group: u32) -> impl Iterator<Item = u16> + '_ {
-        self.pool.ids(t, t.order[depth - 1], self.options[group as usize])
+    fn option(&self, t: &Tables, depth: usize, n: usize) -> impl Iterator<Item = u16> + '_ {
+        self.pool.ids(t, t.order[depth - 1], self.options[n])
     }
 
-    /// Adds the tiles of option `group`, at `depth`, to `used`.
-    fn mark_used(&self, t: &Tables, depth: usize, group: u32, used: &mut TileSet) {
-        for id in self.option(t, depth, group) {
+    /// Adds the tiles of node `n`'s group, at `depth`, to `used`.
+    fn mark_used(&self, t: &Tables, depth: usize, n: usize, used: &mut TileSet) {
+        for id in self.option(t, depth, n) {
             used.insert(t.candidate(id).tile);
         }
     }
 
-    /// Adds a node assigning option `group` at the end of `path`, the
-    /// nodes from the root to its parent (the root has neither), sampling
-    /// up to `k` distinct options for the CB it leaves next; `used` holds
-    /// the tiles taken on the way down, `group`'s included.
-    fn push(
-        &mut self,
-        group: u32,
-        path: &[usize],
-        t: &Tables,
-        k: usize,
-        used: &TileSet,
-        rng: &mut Rng,
-    ) -> usize {
-        let (parent, depth) = (path.last().copied(), path.len());
-        let first_option = self.options.len();
-        if depth < t.n_cbs() {
-            let cb = t.order[depth];
-            self.pool.fill(t, cb, used);
-            for _ in 0..k * 3 {
-                if self.options.len() - first_option == k {
-                    break;
-                }
-                let before = cfg!(debug_assertions).then(|| rng.clone());
-                let option = self.pool.draw(rng);
-                if !self.options[first_option..].contains(&option) {
-                    if let Some(mut redraw) = before {
-                        // The draw `Tables::sample_group` makes, filtering
-                        // `used` itself, picks the same set.
-                        let mut kept = [NONE; 8];
-                        for (slot, id) in kept.iter_mut().zip(self.pool.ids(t, cb, option)) {
-                            *slot = id;
-                        }
-                        let mut again = [NONE; 8];
-                        t.sample_group(cb, &mut again[..t.stride().min(8)], used, &mut redraw);
-                        let within = |a: &[u16], b: &[u16]| a.iter().all(|id| b.contains(id));
-                        assert!(within(&kept, &again) && within(&again, &kept), "{kept:?} vs {again:?}");
-                        assert_eq!(redraw, *rng, "an option draws what a sampled group draws");
-                    }
-                    self.options.push(option);
-                }
-            }
-        }
+    /// Adds a node assigning `option` below `parent` (the root has
+    /// neither).
+    fn push(&mut self, parent: Option<usize>, option: u64) -> usize {
         let id = self.nodes.len();
         self.nodes.push(Node {
-            group,
-            first_option: first_option as u32,
-            untried: (self.options.len() - first_option) as u32,
+            children: 0,
+            draws: 0,
             first_child: NO_NODE,
             next_sibling: parent.map_or(NO_NODE, |p| self.nodes[p].first_child),
             visits: 0,
@@ -187,10 +181,73 @@ impl Tree {
             cost: f64::NAN,
         });
         self.means.push(0.0);
+        self.options.push(option);
         if let Some(p) = parent {
             self.nodes[p].first_child = id as u32;
+            self.nodes[p].children += 1;
         }
         id
+    }
+
+    /// Whether node `n` may gain a child now: it has room in the
+    /// schedule, fewer than `branching` children and draws left.
+    fn may_widen(&self, n: usize, branching: usize) -> bool {
+        let node = &self.nodes[n];
+        (node.children as usize) < branching
+            && (node.draws as usize) < DRAWS_PER_CHILD * branching
+            && room_to_widen(node.children, node.visits)
+    }
+
+    /// Whether a child of `n` holds `option`.
+    fn has_child_with(&self, n: usize, option: u64) -> bool {
+        let mut child = self.nodes[n].first_child;
+        while child != NO_NODE {
+            if self.options[child as usize] == option {
+                return true;
+            }
+            child = self.nodes[child as usize].next_sibling;
+        }
+        false
+    }
+
+    /// Draws options for CB `order[depth]` below node `n`, at `depth`,
+    /// until one differs from every child's, and adds it as a child;
+    /// `None` if `n`'s draws run out first. `used` holds the tiles taken
+    /// on the way down to `n`.
+    fn widen(
+        &mut self,
+        n: usize,
+        depth: usize,
+        t: &Tables,
+        branching: usize,
+        used: &TileSet,
+        rng: &mut Rng,
+    ) -> Option<usize> {
+        let cb = t.order[depth];
+        self.pool.fill(t, cb, used);
+        while (self.nodes[n].draws as usize) < DRAWS_PER_CHILD * branching {
+            self.nodes[n].draws += 1;
+            let before = cfg!(debug_assertions).then(|| rng.clone());
+            let option = self.pool.draw(rng);
+            if self.has_child_with(n, option) {
+                continue;
+            }
+            if let Some(mut redraw) = before {
+                // The draw `Tables::sample_group` makes, filtering
+                // `used` itself, picks the same set.
+                let mut kept = [NONE; 8];
+                for (slot, id) in kept.iter_mut().zip(self.pool.ids(t, cb, option)) {
+                    *slot = id;
+                }
+                let mut again = [NONE; 8];
+                t.sample_group(cb, &mut again[..t.stride().min(8)], used, &mut redraw);
+                let within = |a: &[u16], b: &[u16]| a.iter().all(|id| b.contains(id));
+                assert!(within(&kept, &again) && within(&again, &kept), "{kept:?} vs {again:?}");
+                assert_eq!(redraw, *rng, "an option draws what a sampled group draws");
+            }
+            return Some(self.push(Some(n), option));
+        }
+        None
     }
 
     /// Counts one more visit of node `n`, which scored `reward`.
@@ -201,10 +258,10 @@ impl Tree {
         self.means[n] = node.reward_sum / node.visits as f64;
     }
 
-    /// The child of `cur` with the highest UCB1 score, the one expanded
-    /// last among equals: its mean reward plus `exploration ·
-    /// sqrt(ln N / n)` for `N` visits of `cur` and `n` of the child, and
-    /// infinite for an unvisited child.
+    /// The child of `cur` with the highest UCB1 score, the one added last
+    /// among equals: its mean reward plus `exploration · sqrt(ln N / n)`
+    /// for `N` visits of `cur` and `n` of the child, and infinite for an
+    /// unvisited child.
     fn best_child(&self, cur: usize, exploration: f64) -> usize {
         let ln_parent_visits = self.ln[self.nodes[cur].visits as usize];
         // The bonus depends on a child's visit count alone, and siblings
@@ -250,7 +307,7 @@ impl Tree {
         sel.fill(NONE);
         for (d, &n) in path[1..].iter().enumerate() {
             let slots = t.slots(sel, t.order[d]);
-            for (slot, id) in slots.iter_mut().zip(self.option(t, d + 1, self.nodes[n].group)) {
+            for (slot, id) in slots.iter_mut().zip(self.option(t, d + 1, n)) {
                 *slot = id;
             }
         }
@@ -267,6 +324,11 @@ impl Tree {
 /// cache bank, or a CB has more than 64 candidate tiles (an option is a
 /// `u64` mask over them).
 pub fn search(problem: &EirProblem, cfg: &MctsConfig) -> SearchResult {
+    grow(problem, cfg).0
+}
+
+/// [`search`], and the tree it grew.
+fn grow(problem: &EirProblem, cfg: &MctsConfig) -> (SearchResult, Tree) {
     assert!(
         cfg.iterations <= ITERS_LIMIT,
         "iterations = {} is over ITERS_LIMIT = {ITERS_LIMIT}: the tree is sized for the whole budget up front",
@@ -278,7 +340,6 @@ pub fn search(problem: &EirProblem, cfg: &MctsConfig) -> SearchResult {
     let n_cbs = t.n_cbs();
     assert!(n_cbs > 0, "a search needs at least one cache bank");
     let mut tree = Tree::new(&t, cfg);
-    tree.push(0, &[], &t, cfg.branching, &s.used, &mut rng);
     let mut path: Vec<usize> = Vec::with_capacity(n_cbs + 1);
     let mut sel = t.empty_selection();
     let mut best: Option<Evaluation> = None;
@@ -286,28 +347,29 @@ pub fn search(problem: &EirProblem, cfg: &MctsConfig) -> SearchResult {
     let mut evaluations = 0usize;
 
     for _ in 0..cfg.iterations {
-        // --- Selection ---
+        // --- Selection and expansion ---
+        // Down by UCB1 until a node may widen, which then adds the child
+        // the rollout starts from; a complete leaf stops the descent.
         path.clear();
         path.push(0);
         s.used.clear();
         let mut cur = 0;
-        loop {
-            let n = &tree.nodes[cur];
-            if n.untried > 0 || n.first_child == NO_NODE {
+        while path.len() <= n_cbs {
+            let depth = path.len() - 1;
+            let fresh = if tree.may_widen(cur, cfg.branching) {
+                tree.widen(cur, depth, &t, cfg.branching, &s.used, &mut rng)
+            } else {
+                None
+            };
+            if fresh.is_none() && tree.nodes[cur].first_child == NO_NODE {
                 break;
             }
-            cur = tree.best_child(cur, cfg.exploration);
+            cur = fresh.unwrap_or_else(|| tree.best_child(cur, cfg.exploration));
             path.push(cur);
-            tree.mark_used(&t, path.len() - 1, tree.nodes[cur].group, &mut s.used);
-        }
-
-        // --- Expansion ---
-        if tree.nodes[cur].untried > 0 {
-            tree.nodes[cur].untried -= 1;
-            let group = tree.nodes[cur].first_option + tree.nodes[cur].untried;
-            tree.mark_used(&t, path.len(), group, &mut s.used);
-            cur = tree.push(group, &path, &t, cfg.branching, &s.used, &mut rng);
-            path.push(cur);
+            tree.mark_used(&t, depth + 1, cur, &mut s.used);
+            if fresh.is_some() {
+                break;
+            }
         }
 
         // --- Rollout ---
@@ -347,11 +409,12 @@ pub fn search(problem: &EirProblem, cfg: &MctsConfig) -> SearchResult {
 
     let eval = best.expect("at least one iteration");
     let (eval, extra) = refine(&t, &mut best_sel, eval, &cfg.weights, &mut s);
-    SearchResult {
+    let result = SearchResult {
         selection: t.selection(&best_sel),
         eval,
         evaluations: evaluations + extra,
-    }
+    };
+    (result, tree)
 }
 
 /// Greedy hill-climbing polish: sweep the CBs, re-sampling each group a
@@ -547,6 +610,62 @@ mod tests {
         let b = search(&p, &quick_cfg(5));
         assert_eq!(a.selection, b.selection);
         assert_eq!(a.eval.cost, b.eval.cost);
+    }
+
+    /// Every node of `tree` after a search with `branching`: at most
+    /// `min(branching, ⌈C·(N+1)^e⌉)` children for `N` visits, at most
+    /// `3·branching` draws, options distinct among siblings, and one
+    /// option per node.
+    fn check_widening(tree: &Tree, branching: usize) {
+        assert_eq!(tree.options.len(), tree.nodes.len());
+        let mut children_seen = 0;
+        for (id, node) in tree.nodes.iter().enumerate() {
+            let k = node.children;
+            assert!(k as usize <= branching, "node {id}: {k} children");
+            assert!(k == 0 || room_to_widen(k - 1, node.visits), "node {id}: {k} children, {} visits", node.visits);
+            assert!(node.draws as usize <= DRAWS_PER_CHILD * branching, "node {id}: {} draws", node.draws);
+            assert!(node.draws >= k, "node {id}: a child per distinct draw");
+            let mut siblings = Vec::new();
+            let mut child = node.first_child;
+            while child != NO_NODE {
+                let option = tree.options[child as usize];
+                assert!(!siblings.contains(&option), "node {id}: option {option:#x} twice");
+                siblings.push(option);
+                child = tree.nodes[child as usize].next_sibling;
+            }
+            assert_eq!(siblings.len(), k as usize, "node {id}: its children count");
+            children_seen += siblings.len();
+        }
+        assert_eq!(children_seen + 1, tree.nodes.len(), "every node but the root is a child");
+    }
+
+    #[test]
+    fn widening_keeps_the_schedule_the_caps_and_distinct_siblings() {
+        let p = problem();
+        for (branching, seed) in [(24, 1), (24, 2), (3, 3), (1, 4)] {
+            let cfg = MctsConfig { iterations: 2_000, branching, ..quick_cfg(seed) };
+            let (_, tree) = grow(&p, &cfg);
+            check_widening(&tree, branching);
+            let full = tree.nodes.iter().filter(|n| n.children as usize == branching).count();
+            assert!(full > 0, "branching {branching}: no node reached the cap");
+        }
+    }
+
+    /// With a one-hop budget every candidate is in its CB's own hot zone,
+    /// so every pool is empty: each node below the leaves gets one empty
+    /// option, then spends its draws on repeats of it and stops there.
+    #[test]
+    fn a_cb_with_an_empty_pool_gets_exactly_one_empty_option() {
+        let p = EirProblem { max_hops: 1, ..problem() };
+        let (result, tree) = grow(&p, &quick_cfg(1));
+        assert!(result.selection.groups.iter().all(Vec::is_empty));
+        check_widening(&tree, MctsConfig::default().branching);
+        assert_eq!(tree.nodes.len(), 9, "a chain down to one complete leaf");
+        for node in &tree.nodes[..8] {
+            assert_eq!(node.children, 1);
+            assert_eq!(node.draws as usize, DRAWS_PER_CHILD * 24, "repeats spent the draws");
+        }
+        assert!(tree.options[1..].iter().all(|&o| o == 0), "{:?}", tree.options);
     }
 
     #[test]

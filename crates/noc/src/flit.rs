@@ -287,6 +287,20 @@ impl PacketTable {
         }
     }
 
+    /// Gives back the room past `bound` live packets while none has been
+    /// taken yet: the table is allocated afresh, not shrunk in place.
+    pub(crate) fn limit(&mut self, bound: usize) {
+        if self.entries.is_empty() && self.entries.capacity() > bound {
+            self.entries = Vec::with_capacity(bound);
+            self.free = Vec::with_capacity(bound);
+        }
+    }
+
+    /// Live packets the table holds without allocating.
+    pub(crate) fn capacity(&self) -> usize {
+        self.entries.capacity()
+    }
+
     /// Takes a handle for the packet `f` belongs to.
     #[inline]
     pub(crate) fn alloc(&mut self, f: &Flit) -> u32 {

@@ -1270,6 +1270,20 @@ impl Network {
         (0..self.core.len()).map(|r| self.core.buffered(r) as usize).sum()
     }
 
+    /// Sizes the packet table for at most `bound` live packets, now and
+    /// as ports are added, where the machine around the network holds
+    /// fewer than its VC slots, ejection queues and injectors could (a
+    /// system's PEs × MSHRs). Call it before the first step: a packet past
+    /// the bound makes taking a handle allocate.
+    pub fn cap_packets(&mut self, bound: usize) {
+        self.core.cap_packets(bound);
+    }
+
+    /// Live packets the packet table holds without allocating.
+    pub fn packet_capacity(&self) -> usize {
+        self.core.packets.capacity()
+    }
+
     /// Number of ports on the router at `node` (for area accounting).
     pub fn router_ports(&self, node: Coord) -> usize {
         self.core.num_ports(self.topo.node_index(node))

@@ -154,6 +154,10 @@ pub(crate) struct RouterCore {
     /// What the flits of each live packet share; the slots carry handles
     /// into it.
     pub packets: PacketTable,
+    /// Most live packets [`RouterCore::reserve_packets`] makes room for:
+    /// unbounded unless the machine around the network bounds them
+    /// ([`RouterCore::cap_packets`]).
+    packet_cap: usize,
 }
 
 impl RouterCore {
@@ -206,6 +210,7 @@ impl RouterCore {
             want: vec![0; n * ports * v],
             slots: vec![EMPTY_SLOT; n * ports * v * depth],
             packets: PacketTable::default(),
+            packet_cap: usize::MAX,
         };
         for r in 0..n {
             core.check_width(r);
@@ -276,10 +281,19 @@ impl RouterCore {
     /// in a VC slot or an ejection queue (at most `eject_cap` per
     /// ejection port), or is the packet one of the network's `injectors`
     /// is streaming, all of whose sent flits have left. The network calls
-    /// this whenever it adds a port.
+    /// this whenever it adds a port. A cap set by
+    /// [`RouterCore::cap_packets`] bounds the room.
     pub(crate) fn reserve_packets(&mut self, injectors: usize) {
         let eject_ports = self.out_role.iter().filter(|r| matches!(r, OutputRole::Eject { .. })).count();
-        self.packets.reserve(self.slots.len() + self.eject_cap * eject_ports + injectors);
+        let bound = self.slots.len() + self.eject_cap * eject_ports + injectors;
+        self.packets.reserve(bound.min(self.packet_cap));
+    }
+
+    /// Sizes the packet table for at most `bound` live packets, now and
+    /// whenever a port is added later.
+    pub(crate) fn cap_packets(&mut self, bound: usize) {
+        self.packet_cap = bound;
+        self.packets.limit(bound);
     }
 
     /// Gives output port `p` of router `r` its role.

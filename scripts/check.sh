@@ -329,16 +329,26 @@ cargo build --release --workspace
 
 echo "== flagship design =="
 # The 8x8 design every EquiNox figure is built on, pinned in release mode
-# at the command line: the summary line, and every line of
-# specs/design-8x8.txt in the artifact's design_text, each ending where
-# the JSON string has its "\n" (the debug-mode twin is the driver test
-# against the same file).
+# at the command line: the summary line, whose link count (one per EIR
+# in specs/design-8x8.txt) and µbumps (256 per 128-bit link, two per
+# wire) are derived from that file, and every line of the file in the
+# artifact's design_text, each ending where the JSON string has its "\n"
+# (the debug-mode twin is the driver test against the same file).
 # (grep reads to the end — no -q — so the driver never writes into a
 # closed pipe under pipefail.)
 flagship=$(mktemp)
 trap 'rm -f "$flagship"' EXIT
-./target/release/equinox designer --iters 4000 --seed 7 --out "$flagship" 2>&1 \
-    | grep -F 'links 28 | crossings 0 | RDL layers 1 | ubumps 7168' > /dev/null
+links=0
+while read -r -a field; do
+  # "cb X,Y eirs E1 E2 ...": one link per EIR.
+  if [ "${field[0]}" = cb ]; then links=$((links + ${#field[@]} - 3)); fi
+done < specs/design-8x8.txt
+summary="links $links | crossings 0 | RDL layers 1 | ubumps $((links * 256))"
+if ! ./target/release/equinox designer --iters 4000 --seed 7 --out "$flagship" 2>&1 \
+    | grep -F "$summary" > /dev/null; then
+  echo "FAIL: the release design search does not report '$summary'" >&2
+  exit 1
+fi
 pinned=0
 while IFS= read -r line; do
   if ! grep -F -- "$line\\n" "$flagship" > /dev/null; then
@@ -351,7 +361,7 @@ if [ "$pinned" -lt 10 ]; then
   echo "FAIL: specs/design-8x8.txt holds $pinned lines, expected a header, the mesh and 8 CBs" >&2
   exit 1
 fi
-echo "OK: designer --iters 4000 --seed 7 finds the 28-link, crossing-free design of specs/design-8x8.txt"
+echo "OK: designer --iters 4000 --seed 7 finds the $links-link, crossing-free design of specs/design-8x8.txt"
 # A search sizes its tree for the whole budget up front, so one past
 # ITERS_LIMIT (crates/config/src/spec.rs) is refused by name before any
 # search starts.
