@@ -809,8 +809,9 @@ fn observe(spec: &ExperimentSpec, log: &mut dyn Write) -> Result<Json, String> {
 /// the invariant auditor sweeps the whole run, so this is the
 /// deadlock-freedom gauntlet for new topologies.
 fn fabric(spec: &ExperimentSpec, log: &mut dyn Write) -> Result<Json, String> {
+    use equinox_core::{MemOpKind, PacketTracker};
     use equinox_exec::Rng;
-    use equinox_noc::flit::{Flit, MessageClass, PacketDesc};
+    use equinox_noc::flit::{MessageClass, PacketDesc};
     use equinox_noc::network::Network;
     use equinox_noc::{NocConfig, TopologyKind};
     use equinox_traffic::SyntheticPattern;
@@ -847,9 +848,10 @@ fn fabric(spec: &ExperimentSpec, log: &mut dyn Write) -> Result<Json, String> {
     let cycles = spec.cycles;
     let mut rng = Rng::seed_from_u64(spec.seed);
     let len = 5u16;
-    let mut pending: Vec<Vec<Flit>> = vec![Vec::new(); nodes.len()];
-    let mut pkt_id = 0u64;
-    let mut born: Vec<u64> = Vec::new();
+    // Per node, the packet it is streaming and the index of its next
+    // flit; per packet, only a tracker row while it is live.
+    let mut pending: Vec<Option<(PacketDesc, u16)>> = vec![None; nodes.len()];
+    let mut tracker = PacketTracker::new();
     let mut delivered = 0u64;
     let mut latency_sum = 0u64;
 
@@ -862,24 +864,26 @@ fn fabric(spec: &ExperimentSpec, log: &mut dyn Write) -> Result<Json, String> {
             // New packets only inside the measured window; flits of a
             // packet already started keep streaming during the drain.
             if t < cycles
-                && pending[i].is_empty()
+                && pending[i].is_none()
                 && pattern.active(t, i)
                 && rng.random::<f64>() < offered
             {
                 if let Some(d) = pattern.dest(i, w, h, &mut rng) {
                     let dst = nodes[d];
-                    let desc = PacketDesc::new(pkt_id, src, dst, MessageClass::Reply, len);
-                    pkt_id += 1;
-                    born.push(t);
-                    let mut flits = desc.flits(w);
-                    flits.reverse(); // pop from the back
-                    pending[i] = flits;
+                    let msg = tracker.create(src, dst, MessageClass::Reply, MemOpKind::Read, 0, t);
+                    pending[i] = Some((PacketDesc::new(msg.id, src, dst, MessageClass::Reply, len), 0));
                 }
             }
-            if let Some(&f) = pending[i].last() {
+            if let Some((desc, next)) = &mut pending[i] {
                 let inj = net.local_injector(src);
-                if net.try_inject_flit(inj, f) {
-                    pending[i].pop();
+                if net.try_inject_flit(inj, desc.flit_at(*next, w)) {
+                    if *next == 0 {
+                        tracker.mark_injected(desc.id.0, t);
+                    }
+                    *next += 1;
+                    if *next == len {
+                        pending[i] = None;
+                    }
                 }
             }
         }
@@ -887,14 +891,17 @@ fn fabric(spec: &ExperimentSpec, log: &mut dyn Write) -> Result<Json, String> {
         net.drain_ejected(|_, _, f| {
             if f.seq + 1 == len {
                 delivered += 1;
-                latency_sum += t + 1 - born[f.pkt.0 as usize];
+                tracker.mark_ejected(f.pkt.0, t + 1);
+                latency_sum += t + 1 - tracker.record(f.pkt.0).created;
             }
         });
+        tracker.retire();
         t += 1;
-        if t >= cycles && net.quiescent() && pending.iter().all(Vec::is_empty) {
+        if t >= cycles && net.quiescent() && pending.iter().all(Option::is_none) {
             break;
         }
     }
+    let pkt_id = tracker.len() as u64;
     let s = net.stats();
     if !net.quiescent() {
         return Err(format!(

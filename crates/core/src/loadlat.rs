@@ -71,10 +71,12 @@ pub fn load_latency_curve_cfg(
         assert!(rate > 0.0 && rate <= 1.0, "offered rate {rate} out of (0,1]");
     }
     equinox_exec::par_map(offered.to_vec(), |_, rate| {
-        measure(placement, side, rate, cycles, seed, audit.clone(), activity_gate)
+        measure(placement, side, rate, cycles, seed, audit.clone(), activity_gate, |_| {})
     })
 }
 
+/// One point; `watch` sees the tracker at the end of every cycle.
+#[allow(clippy::too_many_arguments)]
 fn measure(
     placement: &Placement,
     side: &ReplySide,
@@ -83,6 +85,7 @@ fn measure(
     seed: u64,
     audit: Option<equinox_noc::AuditConfig>,
     activity_gate: bool,
+    mut watch: impl FnMut(&PacketTracker),
 ) -> LoadPoint {
     let n = placement.width;
     let mut cfg = NocConfig::mesh(n);
@@ -138,6 +141,7 @@ fn measure(
                 ejected_flits += 1;
             }
             if f.is_tail() {
+                tracker.mark_ejected(f.pkt.0, t);
                 let created = tracker.record(f.pkt.0).created;
                 if created >= warmup {
                     lat_sum += t - created;
@@ -145,6 +149,10 @@ fn measure(
                 }
             }
         });
+        // A tail's row is read only as it arrives, so the point keeps
+        // just its live window of rows.
+        tracker.retire();
+        watch(&tracker);
     }
     let latency = if lat_count == 0 {
         f64::INFINITY
@@ -185,6 +193,31 @@ mod tests {
             eq[0].throughput,
             base[0].throughput
         );
+    }
+
+    #[test]
+    fn a_saturated_point_holds_only_its_live_window() {
+        // After `retire` the delivered prefix P is under max(RETIRE_MIN,
+        // held / 2), and held = P + L for the live window L (the oldest
+        // packet not yet ejected and every later one). So held <
+        // max(RETIRE_MIN + L, 2L), and while L stays under RETIRE_MIN a
+        // point holds under 2 · RETIRE_MIN rows, however long it runs.
+        use crate::msg::RETIRE_MIN;
+        let p = Placement::diamond(8, 8, 8);
+        let (mut peak_held, mut peak_window, mut created) = (0, 0, 0);
+        measure(&p, &ReplySide::Local, 1.0, 20_000, 3, None, true, |tr| {
+            let window = (tr.len() as u64 - tr.oldest_live()) as usize;
+            assert!(tr.held() < (RETIRE_MIN + window).max(2 * window), "{} rows, window {window}", tr.held());
+            peak_held = peak_held.max(tr.held());
+            peak_window = peak_window.max(window);
+            created = tr.len();
+        });
+        // The live window is the network's, not the tracker's: about 190
+        // packets here (8 CBs create at most 8 a cycle, and the oldest
+        // live packet is some 120 cycles old).
+        assert!(peak_window < RETIRE_MIN, "live window {peak_window}");
+        assert!(peak_held < 2 * RETIRE_MIN, "{peak_held} rows held");
+        assert!(created > 10 * 2 * RETIRE_MIN, "only {created} packets: the bound says nothing");
     }
 
     #[test]

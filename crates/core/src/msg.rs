@@ -11,9 +11,11 @@
 //! of Figure 10: *queuing* is time spent waiting in the source NI before
 //! the first flit enters a router (where the injection bottleneck bites),
 //! *network* is first-flit-in to tail-flit-out. It keeps one 32-byte row
-//! per packet the run ever created (cycles as `u32`, so a run must stay
-//! under cycle `u32::MAX`) and hands out the wider [`PacketRecord`] by
-//! value.
+//! per packet (cycles as `u32`, so a run must stay under cycle
+//! `u32::MAX`) and hands out the wider [`PacketRecord`] by value. A
+//! `System` keeps every row for its whole run; a load–latency point or
+//! `fabric` run retires the delivered prefix as it goes
+//! ([`PacketTracker::retire`]), so it holds only its live window.
 
 use equinox_noc::flit::{MessageClass, PacketDesc};
 use equinox_phys::Coord;
@@ -273,13 +275,21 @@ impl equinox_snap::Snap for PacketRecord {
 /// Central registry of every packet in a run.
 #[derive(Debug, Default)]
 pub struct PacketTracker {
-    /// Row `id` is packet `id`.
+    /// Row `id - first` is packet `id`.
     rows: Vec<Row>,
+    /// Id of `rows[0]`: packets below it were retired.
+    first: u64,
+    /// `rows[..delivered_prefix]` are all ejected: how far
+    /// [`PacketTracker::retire`] has scanned.
+    delivered_prefix: usize,
     /// Packets whose head flit entered a network (first transitions only).
     injected_count: u64,
     /// Packets whose tail flit left a network (first transitions only).
     ejected_count: u64,
 }
+
+/// Fewest delivered rows [`PacketTracker::retire`] drops at once.
+pub(crate) const RETIRE_MIN: usize = 1024;
 
 impl PacketTracker {
     /// Creates an empty tracker.
@@ -308,7 +318,7 @@ impl PacketTracker {
         addr: u64,
         now: u64,
     ) -> Message {
-        let id = self.rows.len() as u64;
+        let id = self.len() as u64;
         self.rows.push(Row {
             addr,
             src,
@@ -329,10 +339,36 @@ impl PacketTracker {
         }
     }
 
+    /// Index of packet `id`'s row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if packet `id` was retired or never created.
+    #[inline]
+    fn index(&self, id: u64) -> usize {
+        let i = id.wrapping_sub(self.first);
+        if i >= self.rows.len() as u64 {
+            self.no_row(id);
+        }
+        i as usize
+    }
+
+    /// Kept out of line, so that [`PacketTracker::index`] inlines as one
+    /// compare and branch.
+    #[cold]
+    #[inline(never)]
+    fn no_row(&self, id: u64) -> ! {
+        if id < self.first {
+            panic!("packet {id} was retired: the tracker keeps packets {} on", self.first)
+        }
+        panic!("packet {id} was never created: the tracker has {} packets", self.len())
+    }
+
     /// Flags packet `id` (and returns the updated message) as carrying a
     /// compressed payload.
     pub(crate) fn set_compressed(&mut self, msg: Message) -> Message {
-        self.rows[msg.id as usize].flags |= COMPRESSED;
+        let i = self.index(msg.id);
+        self.rows[i].flags |= COMPRESSED;
         Message {
             compressed: true,
             ..msg
@@ -340,15 +376,20 @@ impl PacketTracker {
     }
 
     /// The record of packet `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if packet `id` was retired or never created.
     #[inline]
     pub fn record(&self, id: u64) -> PacketRecord {
-        self.rows[id as usize].unpack()
+        self.rows[self.index(id)].unpack()
     }
 
     /// Marks the first-flit injection time (idempotent).
     #[inline]
-    pub(crate) fn mark_injected(&mut self, id: u64, now: u64) {
-        let r = &mut self.rows[id as usize];
+    pub fn mark_injected(&mut self, id: u64, now: u64) {
+        let i = self.index(id);
+        let r = &mut self.rows[i];
         if r.injected == NOT_YET {
             r.injected = stamp(now);
             self.injected_count += 1;
@@ -358,12 +399,61 @@ impl PacketTracker {
     /// Marks tail-flit arrival (idempotent, like
     /// [`PacketTracker::mark_injected`]).
     #[inline]
-    pub(crate) fn mark_ejected(&mut self, id: u64, now: u64) {
-        let r = &mut self.rows[id as usize];
+    pub fn mark_ejected(&mut self, id: u64, now: u64) {
+        let i = self.index(id);
+        let r = &mut self.rows[i];
         if r.ejected == NOT_YET {
             r.ejected = stamp(now);
             self.ejected_count += 1;
         }
+    }
+
+    /// Drops the rows of the delivered prefix once it holds at least
+    /// max(1024, half the rows): every packet below the first one not
+    /// yet ejected. Ids keep counting ([`PacketTracker::len`]), and a
+    /// retired id's row is gone ([`PacketTracker::record`] panics). Each
+    /// row is scanned once and moved at most once per drop of at least
+    /// as many, so a call costs amortized O(1) per packet.
+    ///
+    /// A `System` never calls it: its whole-run readers (the latency
+    /// split, the reply bit fraction, the snapshot) need every row.
+    pub fn retire(&mut self) {
+        let rows = &self.rows;
+        let mut at = self.delivered_prefix;
+        while at < rows.len() && rows[at].ejected != NOT_YET {
+            at += 1;
+        }
+        if at >= RETIRE_MIN.max(rows.len() / 2) {
+            self.rows.drain(..at);
+            self.first += at as u64;
+            at = 0;
+        }
+        self.delivered_prefix = at;
+    }
+
+    /// Rows held: the live window, plus a delivered prefix not yet
+    /// dropped.
+    #[cfg(test)]
+    pub(crate) fn held(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Id of the oldest held packet not yet ejected ([`PacketTracker::len`]
+    /// if there is none), found by a scan of its own.
+    #[cfg(test)]
+    pub(crate) fn oldest_live(&self) -> u64 {
+        let live = self.rows.iter().position(|r| r.ejected == NOT_YET);
+        self.first + live.unwrap_or(self.rows.len()) as u64
+    }
+
+    /// Asserts that every row is still held, for a reader of the whole
+    /// run.
+    fn whole_run(&self, reader: &str) {
+        assert!(
+            self.first == 0,
+            "{reader} reads every packet, but packets below {} were retired",
+            self.first
+        );
     }
 
     /// Packets injected but not yet delivered — the tracker side of the
@@ -379,18 +469,23 @@ impl PacketTracker {
         self.ejected_count
     }
 
-    /// Number of packets created.
+    /// Number of packets created, retired ones included.
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.first as usize + self.rows.len()
     }
 
     /// `true` if no packet was created.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.len() == 0
     }
 
     /// Fraction of transferred bits that were replies (§2.2 check).
+    ///
+    /// # Panics
+    ///
+    /// Panics if packets were retired.
     pub(crate) fn reply_bit_fraction(&self) -> f64 {
+        self.whole_run("the reply bit fraction");
         let (mut rep, mut total) = (0u64, 0u64);
         for r in self.rows.iter().map(Row::unpack) {
             let msg = Message {
@@ -417,7 +512,12 @@ impl PacketTracker {
 
     /// Mean latencies over all *delivered* packets, in nanoseconds at
     /// `freq_ghz`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if packets were retired.
     pub(crate) fn latency_breakdown(&self, freq_ghz: f64) -> LatencyBreakdown {
+        self.whole_run("the latency breakdown");
         let ns = 1.0 / freq_ghz;
         let mut out = LatencyBreakdown::default();
         let (mut n_req, mut n_rep) = (0u64, 0u64);
@@ -450,9 +550,11 @@ impl PacketTracker {
 }
 
 /// Written as the `Vec<PacketRecord>` of the rows, then the two
-/// counters, so the bytes do not depend on how the rows are stored.
+/// counters, so the bytes do not depend on how the rows are stored. It
+/// panics if packets were retired.
 impl equinox_snap::Snap for PacketTracker {
     fn snap(&self, e: &mut equinox_snap::Enc) {
+        self.whole_run("a snapshot");
         e.put_usize(self.rows.len());
         for row in &self.rows {
             row.unpack().snap(e);
@@ -591,6 +693,98 @@ mod tests {
             PacketTracker::new().create(Coord::new(0, 0), Coord::new(1, 0), MessageClass::Request, MemOpKind::Read, 0, last + 1)
         });
         assert!(late.is_err(), "cycle u32::MAX has no row");
+    }
+
+    /// A tracker with `n` read requests created at cycle 0, every one
+    /// ejected at cycle 5 but those in `live`.
+    fn delivered_but(n: u64, live: &[u64]) -> PacketTracker {
+        let mut t = PacketTracker::new();
+        for id in 0..n {
+            let m = t.create(Coord::new(0, 0), Coord::new(1, 0), MessageClass::Request, MemOpKind::Read, id, 0);
+            assert_eq!(m.id, id);
+            t.mark_injected(id, 1);
+            if !live.contains(&id) {
+                t.mark_ejected(id, 5);
+            }
+        }
+        t
+    }
+
+    #[test]
+    fn ids_and_len_keep_counting_across_a_retirement() {
+        let mut t = delivered_but(3000, &[]);
+        t.retire();
+        assert_eq!((t.held(), t.len(), t.delivered(), t.in_flight()), (0, 3000, 3000, 0));
+        let m = t.create(Coord::new(2, 0), Coord::new(1, 0), MessageClass::Reply, MemOpKind::Write, 9, 7);
+        assert_eq!(m.id, 3000);
+        assert_eq!(t.len(), 3001);
+        assert_eq!(t.record(3000), PacketRecord {
+            src: Coord::new(2, 0),
+            dst: Coord::new(1, 0),
+            op: MemOpKind::Write,
+            addr: 9,
+            ..record_at(7, None, None)
+        });
+        t.mark_injected(3000, 8);
+        t.mark_ejected(3000, 12);
+        assert_eq!(t.record(3000).ejected, Some(12));
+        // A prefix under RETIRE_MIN stays, however few rows there are.
+        t.retire();
+        assert_eq!((t.held(), t.oldest_live()), (1, 3001));
+    }
+
+    #[test]
+    fn an_undelivered_row_stops_the_prefix() {
+        let mut t = delivered_but(3000, &[1500]);
+        t.retire();
+        // 1 500 delivered rows come first: past RETIRE_MIN and half of
+        // 3 000, so they go; the rest wait behind packet 1500.
+        assert_eq!((t.held(), t.oldest_live()), (1500, 1500));
+        assert_eq!(t.record(2999).addr, 2999);
+        // A prefix under half the rows stays: 1 200 of 3 000.
+        let mut t = delivered_but(3000, &[1200]);
+        t.retire();
+        assert_eq!((t.held(), t.oldest_live()), (3000, 1200));
+        t.mark_ejected(1200, 6);
+        t.retire();
+        assert_eq!((t.held(), t.oldest_live(), t.len()), (0, 3000, 3000));
+    }
+
+    #[test]
+    #[should_panic(expected = "packet 5 was retired: the tracker keeps packets 3000 on")]
+    fn a_retired_id_has_no_record() {
+        let mut t = delivered_but(3000, &[]);
+        t.retire();
+        t.record(5);
+    }
+
+    #[test]
+    #[should_panic(expected = "packet 3000 was never created: the tracker has 3000 packets")]
+    fn an_id_past_the_last_has_no_record() {
+        let mut t = delivered_but(3000, &[]);
+        t.retire();
+        t.mark_ejected(3000, 9);
+    }
+
+    #[test]
+    fn whole_run_readers_refuse_a_retired_tracker() {
+        let mut t = delivered_but(3000, &[]);
+        // Nothing retired yet: every reader reads every row.
+        let _ = (t.latency_breakdown(1.0), t.reply_bit_fraction());
+        equinox_snap::Snap::snap(&t, &mut equinox_snap::Enc::new());
+        t.retire();
+        let message = |r: std::thread::Result<()>| {
+            let e = r.expect_err("a whole-run reader panics");
+            e.downcast_ref::<String>().cloned().unwrap_or_default()
+        };
+        let t = std::panic::AssertUnwindSafe(&t);
+        for (reader, r) in [
+            ("the latency breakdown", std::panic::catch_unwind(|| { t.latency_breakdown(1.0); })),
+            ("the reply bit fraction", std::panic::catch_unwind(|| { t.reply_bit_fraction(); })),
+            ("a snapshot", std::panic::catch_unwind(|| equinox_snap::Snap::snap(*t, &mut equinox_snap::Enc::new()))),
+        ] {
+            assert_eq!(message(r), format!("{reader} reads every packet, but packets below 3000 were retired"));
+        }
     }
 
     #[test]

@@ -142,8 +142,12 @@ echo "OK: each packet's descriptor is stored once; slots are two words"
 echo "== one-row-per-packet guard =="
 # The packet tracker is the one run-path store that grows with every
 # packet, so it keeps each packet as one 32-byte row (msg.rs) and hands
-# PacketRecord out by value; the load-latency sweep keeps a running sum
-# of its packets' latencies, not one entry per packet.
+# PacketRecord out by value. A System keeps every row for its whole run;
+# a load-latency point and the fabric scenario read a row only as its
+# tail arrives, so they mark it ejected and retire the delivered prefix,
+# keeping only their live window. Neither keeps a vector of its own per
+# packet: the load-latency sweep sums latencies into a running total and
+# fabric streams each node's packet by flit index.
 per_packet=""
 for f in crates/core/src/*.rs; do
   tests_at=$(grep -n -m1 '^#\[cfg(test)\]' "$f" | cut -d: -f1 || true)
@@ -156,12 +160,33 @@ for f in crates/core/src/*.rs; do
     fi
   done < <(grep -nE "$pattern" "$f" || true)
 done
+# Code lines (comments dropped) of non-test loadlat.rs and of the body
+# of scenarios.rs's `fn fabric`.
+loadlat_code=""
+while IFS= read -r text; do
+  [ "$text" = "#[cfg(test)]" ] && break
+  [[ "$text" =~ ^[[:space:]]*// ]] || loadlat_code+="$text"$'\n'
+done < crates/core/src/loadlat.rs
+fabric_code=""
+while IFS= read -r text; do
+  [[ -z "$fabric_code" && "$text" != "fn fabric("* ]] && continue
+  [[ "$text" =~ ^[[:space:]]*// ]] || fabric_code+="$text"$'\n'
+  [ "$text" = "}" ] && break
+done < crates/bench/src/scenarios.rs
+for call in 'tracker\.mark_ejected\(' 'tracker\.retire\(\)'; do
+  grep -qE "$call" <<< "$loadlat_code" || per_packet+="crates/core/src/loadlat.rs: no ${call//\\/} call"$'\n'
+  grep -qE "$call" <<< "$fabric_code" || per_packet+="crates/bench/src/scenarios.rs fabric: no ${call//\\/} call"$'\n'
+done
+[ -n "$fabric_code" ] || per_packet+="crates/bench/src/scenarios.rs: no fn fabric to check"$'\n'
+while IFS= read -r text; do
+  per_packet+="crates/bench/src/scenarios.rs fabric:$text"$'\n'
+done < <(grep -E 'Vec<(Flit|u64)>|Vec::(new|with_capacity)\(|\.push\(|\.flits\(' <<< "$fabric_code" || true)
 if [ -n "$per_packet" ]; then
   printf '%s' "$per_packet"
-  echo "FAIL: a per-packet store outside the tracker's rows — keep one 32-byte row per packet" >&2
+  echo "FAIL: a per-packet store outside the tracker's rows, or a load-latency point or fabric run that keeps every row — keep one 32-byte row per live packet" >&2
   exit 1
 fi
-echo "OK: each packet has one tracker row; the load-latency sweep keeps no per-packet vector"
+echo "OK: each packet has one tracker row; load-latency points and fabric retire delivered rows and keep no per-packet vector"
 
 echo "== libm-free sampler guard =="
 # Every design search draws its EIR groups through one weighted shuffle
