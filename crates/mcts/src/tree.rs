@@ -160,17 +160,17 @@ impl Tree {
         self.pool.ids(t, t.order[depth - 1], self.options[n])
     }
 
-    /// Adds the tiles of the groups of `path[*marked + 1..]` (root
-    /// first, so `path[d]` is at depth `d`) to `used`, and notes them in
-    /// `marked`. Only a widening and a fresh rollout read `used`, so a
-    /// descent that ends on a memoized leaf marks nothing.
-    fn mark_path(&self, t: &Tables, path: &[usize], marked: &mut usize, used: &mut TileSet) {
-        for (depth, &n) in path.iter().enumerate().skip(*marked + 1) {
+    /// Sets `used` to the tiles of the groups on `path` (root first, so
+    /// `path[d]` is at depth `d`). Only a widening and a fresh rollout
+    /// read `used`, so a descent that ends on a memoized leaf marks
+    /// nothing.
+    fn mark_path(&self, t: &Tables, path: &[usize], used: &mut TileSet) {
+        used.clear();
+        for (depth, &n) in path.iter().enumerate().skip(1) {
             for id in self.option(t, depth, n) {
                 used.insert(t.candidate(id).tile);
             }
         }
-        *marked = path.len() - 1;
     }
 
     /// Adds a node assigning `option` below `parent` (the root has
@@ -358,14 +358,11 @@ fn grow(problem: &EirProblem, cfg: &MctsConfig) -> (SearchResult, Tree) {
         // the rollout starts from; a complete leaf stops the descent.
         path.clear();
         path.push(0);
-        s.used.clear();
-        // Nodes of `path` past the root whose tiles are in `s.used`.
-        let mut marked = 0;
         let mut cur = 0;
         while path.len() <= n_cbs {
             let depth = path.len() - 1;
             let fresh = if tree.may_widen(cur, cfg.branching) {
-                tree.mark_path(&t, &path, &mut marked, &mut s.used);
+                tree.mark_path(&t, &path, &mut s.used);
                 tree.widen(cur, depth, &t, cfg.branching, &s.used, &mut rng)
             } else {
                 None
@@ -387,7 +384,7 @@ fn grow(problem: &EirProblem, cfg: &MctsConfig) -> (SearchResult, Tree) {
         let memo = tree.nodes[cur].cost;
         let cost = if memo.is_nan() {
             tree.fill_path(&path, &t, &mut sel);
-            tree.mark_path(&t, &path, &mut marked, &mut s.used);
+            tree.mark_path(&t, &path, &mut s.used);
             t.complete(&mut sel, path.len() - 1, &mut s, &mut rng);
             let eval = t.evaluate(&sel, &cfg.weights, &mut s);
             if best.is_none_or(|b| eval.cost < b.cost) {
