@@ -888,11 +888,11 @@ fn fabric(spec: &ExperimentSpec, log: &mut dyn Write) -> Result<Json, String> {
             }
         }
         net.step();
+        // A tail popped right after the step at `t` ejected at `t`.
         net.drain_ejected(|_, _, f| {
             if f.seq + 1 == len {
                 delivered += 1;
-                tracker.mark_ejected(f.pkt.0, t + 1);
-                latency_sum += t + 1 - tracker.record(f.pkt.0).created;
+                latency_sum += tracker.mark_ejected(f.pkt.0, t);
             }
         });
         tracker.retire();

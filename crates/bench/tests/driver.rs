@@ -485,6 +485,52 @@ fn fabric_scenario_runs_end_to_end_through_the_driver() {
     assert!(inj > 0 && inj == ej, "ring must move and conserve flits ({inj}/{ej})");
 }
 
+#[test]
+fn fabric_counts_a_packet_latency_up_to_the_step_that_ejects_its_tail() {
+    use equinox_noc::flit::{MessageClass, PacketDesc};
+    use equinox_noc::network::Network;
+    use equinox_noc::{NocConfig, TopologyKind};
+    use equinox_phys::Coord;
+    // Transpose traffic at a chance of 1 for one cycle: every node off
+    // the diagonal sends one 5-flit packet to its mirror at cycle 0.
+    let out = driver()
+        .args(["fabric", "--traffic", "transpose", "--scale", "1", "--cycles", "1", "--n", "4"])
+        .output()
+        .expect("run driver");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let artifact = parse_json(&String::from_utf8(out.stdout).unwrap()).expect("stdout is JSON");
+    let results = artifact.get("results").expect("results block");
+    assert_eq!(results.get("packets").and_then(Json::as_u64), Some(12));
+    let reported = results.get("avg_packet_latency").and_then(Json::as_f64).expect("latency");
+    // The same packets on the same network, each latency counted as a
+    // System and a load-latency point count it: a tail popped after the
+    // step at cycle t ejected at t.
+    let mut net = Network::new(NocConfig::fabric(TopologyKind::Mesh, 4));
+    let mirror = |i: u16| (Coord::new(i % 4, i / 4), Coord::new(i / 4, i % 4));
+    let mut streams: Vec<(PacketDesc, u16)> = (0..16u16)
+        .filter(|&i| mirror(i).0 != mirror(i).1)
+        .map(|i| (PacketDesc::new(i as u64, mirror(i).0, mirror(i).1, MessageClass::Reply, 5), 0))
+        .collect();
+    let (mut sum, mut delivered) = (0u64, 0u64);
+    for t in 0..1000u64 {
+        for (desc, next) in &mut streams {
+            if *next < desc.len && net.try_inject_flit(net.local_injector(desc.src), desc.flit_at(*next, 4)) {
+                *next += 1;
+            }
+        }
+        net.step();
+        net.drain_ejected(|_, _, f| {
+            if f.is_tail() {
+                sum += t;
+                delivered += 1;
+            }
+        });
+    }
+    assert_eq!(delivered, 12);
+    let expected = sum as f64 / delivered as f64;
+    assert!((reported - expected).abs() < 1e-9, "fabric reports {reported}, the step count gives {expected}");
+}
+
 /// The result cache replays finished cells, so it must stand aside when
 /// a run's output is more than their metrics: a stream file the
 /// simulation writes. A `watch` reads its feed afresh every time.

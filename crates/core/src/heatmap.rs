@@ -8,7 +8,7 @@
 //! N-Queen, whose variance is 0.54 in Figure 4).
 
 use equinox_noc::config::NocConfig;
-use equinox_noc::flit::{Flit, MessageClass, PacketDesc};
+use equinox_noc::flit::{MessageClass, PacketDesc};
 use equinox_noc::network::Network;
 use equinox_phys::Coord;
 use equinox_placement::Placement;
@@ -51,24 +51,24 @@ pub fn placement_heatmap(placement: &Placement, offered: f64, cycles: u64, seed:
     let mut rng = Rng::seed_from_u64(seed);
     let pes: Vec<Coord> = placement.pe_tiles().collect();
     let mut pkt_id = 0u64;
-    // Per-CB injection state: queued flits of the packet being streamed.
-    let mut pending: Vec<Vec<Flit>> = vec![Vec::new(); placement.cbs.len()];
+    // Per CB, the packet it is streaming and the index of its next flit.
+    let mut pending: Vec<Option<(PacketDesc, u16)>> = vec![None; placement.cbs.len()];
     let warmup = cycles / 10;
 
     for _ in 0..(cycles + warmup) {
         for (ci, &cb) in placement.cbs.iter().enumerate() {
-            if pending[ci].is_empty() && rng.random::<f64>() < offered {
+            if pending[ci].is_none() && rng.random::<f64>() < offered {
                 let dst = pes[rng.random_range(0..pes.len())];
-                let desc = PacketDesc::new(pkt_id, cb, dst, MessageClass::Reply, 5);
+                pending[ci] = Some((PacketDesc::new(pkt_id, cb, dst, MessageClass::Reply, 5), 0));
                 pkt_id += 1;
-                let mut flits = desc.flits(n);
-                flits.reverse(); // pop from the back
-                pending[ci] = flits;
             }
-            if let Some(&flit) = pending[ci].last() {
+            if let Some((desc, next)) = &mut pending[ci] {
                 let inj = net.local_injector(cb);
-                if net.try_inject_flit(inj, flit) {
-                    pending[ci].pop();
+                if net.try_inject_flit(inj, desc.flit_at(*next, n)) {
+                    *next += 1;
+                    if *next == desc.len {
+                        pending[ci] = None;
+                    }
                 }
             }
         }

@@ -141,10 +141,9 @@ fn measure(
                 ejected_flits += 1;
             }
             if f.is_tail() {
-                tracker.mark_ejected(f.pkt.0, t);
-                let created = tracker.record(f.pkt.0).created;
-                if created >= warmup {
-                    lat_sum += t - created;
+                let latency = tracker.mark_ejected(f.pkt.0, t);
+                if t - latency >= warmup {
+                    lat_sum += latency;
                     lat_count += 1;
                 }
             }

@@ -396,16 +396,21 @@ impl PacketTracker {
         }
     }
 
-    /// Marks tail-flit arrival (idempotent, like
-    /// [`PacketTracker::mark_injected`]).
+    /// Marks tail-flit arrival at `now` (idempotent, like
+    /// [`PacketTracker::mark_injected`]) and returns the packet's
+    /// latency: its ejection cycle less its creation cycle. `now` is the
+    /// cycle of the network step that ejected the tail, as a `System`
+    /// counts it, so a sink drained right after the step at cycle `t`
+    /// passes `t`.
     #[inline]
-    pub fn mark_ejected(&mut self, id: u64, now: u64) {
+    pub fn mark_ejected(&mut self, id: u64, now: u64) -> u64 {
         let i = self.index(id);
         let r = &mut self.rows[i];
         if r.ejected == NOT_YET {
             r.ejected = stamp(now);
             self.ejected_count += 1;
         }
+        u64::from(r.ejected - r.created)
     }
 
     /// Drops the rows of the delivered prefix once it holds at least
@@ -612,7 +617,8 @@ mod tests {
         );
         t.mark_injected(m.id, 14);
         t.mark_injected(m.id, 99); // idempotent: first wins
-        t.mark_ejected(m.id, 30);
+        assert_eq!(t.mark_ejected(m.id, 30), 20, "ejected at 30, created at 10");
+        assert_eq!(t.mark_ejected(m.id, 99), 20, "idempotent: the first ejection counts");
         let b = t.latency_breakdown(1.0); // 1 GHz -> cycles == ns
         assert!((b.rep_queue_ns - 4.0).abs() < 1e-9);
         assert!((b.rep_net_ns - 16.0).abs() < 1e-9);

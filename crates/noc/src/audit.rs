@@ -422,7 +422,7 @@ pub(crate) fn resident_by_class(net: &Network) -> [u64; 2] {
     for f in net.core.all_staged() {
         resident[f.class_ix()] += 1;
     }
-    for f in net.core.eject_queues().iter().flatten() {
+    for (f, _) in net.core.eject_queues().iter().flatten() {
         resident[f.class_ix()] += 1;
     }
     resident
@@ -466,7 +466,7 @@ fn check_escape_compliance(net: &Network, out: &mut Vec<Violation>) {
                 if !matches!(net.core.role(ri, op), OutputRole::Link(_)) {
                     continue;
                 }
-                let f = net.core.packets.flit(net.core.front(ivc));
+                let f = net.core.packets.flit(net.core.front(ivc), iv as u8);
                 let own = net.cfg.partition.range_for(f.class.is_reply(), total);
                 let captured = captures && ip < PORT_LOCAL && iv == own.start as usize;
                 let constrained = ov == own.start || !own.contains(&ov);
@@ -506,7 +506,7 @@ pub(crate) fn deadlock_report(net: &Network, stalled_for: u64) -> DeadlockReport
                 if vc.len == 0 {
                     continue;
                 }
-                let f = net.core.packets.flit(net.core.front(ivc));
+                let f = net.core.packets.flit(net.core.front(ivc), iv as u8);
                 let allocation = (vc.out_port != NONE).then(|| {
                     let (op, ov) = (vc.out_port as usize, vc.out_vc);
                     let credits = match net.core.role(ri, op) {

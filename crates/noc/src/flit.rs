@@ -137,38 +137,56 @@ impl Flit {
     }
 }
 
-/// One slot of a VC buffer or ejection queue: a time stamp (the cycle the
-/// flit arrived, or arrives, in the buffer) and one word of what differs
-/// between the flits of a packet. What they share — id, source,
-/// destination, length, sink — is stored once per packet, in the
-/// network's [`PacketTable`], under the handle the slot carries.
+/// One slot of a VC ring or ejection queue: two `u32` words, a time
+/// stamp and what differs between the flits of a packet. What they share
+/// — id, source, destination, length, sink — is stored once per packet,
+/// in the network's [`PacketTable`], under the handle the slot carries.
+/// The VC is not stored: a ring's slots all belong to its VC, and an
+/// ejection queue keeps the VC beside each slot.
 ///
-/// The slot arenas hold a few tens of kB per network (1.6 MB across
-/// DA2Mesh's eight 40-flit-deep subnets). As a plain integer array
+/// The stamp is the low 32 bits of the cycle the flit arrived, or
+/// arrives, in the buffer. A network's clock may pass 2³² (a DA2Mesh
+/// subnet steps 2.5 times per core cycle), so stamps are compared as
+/// ages ([`SlotExt::age`], [`SlotExt::lead`]), which wrap with the
+/// clock, and only the snapshot writers rebuild the absolute cycle.
+///
+/// The arenas hold a few tens of kB per network (0.8 MB across DA2Mesh's
+/// eight 40-flit-deep subnets), and DA2Mesh's is what sets the peak
+/// memory of a Figure 9 sweep. As a plain integer array
 /// `vec![EMPTY_SLOT; n]` is a zeroed allocation, which the OS backs page
-/// by page on first touch; a `Vec<(u64, Flit)>` would be written
-/// element by element at build time, costing more than the rest of
+/// by page on first touch; a `Vec<(u64, Flit)>` would be written element
+/// by element at build time, costing more than the rest of
 /// `Network::new` and keeping every page resident.
-pub(crate) type Slot = [u64; 2];
+pub(crate) type Slot = [u32; 2];
 
 /// The all-zero slot the arenas are created from.
 pub(crate) const EMPTY_SLOT: Slot = [0; 2];
 
 // Slot bytes are what the buffers cost in memory, not in time.
-const _: () = assert!(std::mem::size_of::<Slot>() == 16);
+const _: () = assert!(std::mem::size_of::<Slot>() == 8);
+
+/// Bits of a slot's packet handle: the most packets one network may
+/// hold at once is `1 << HANDLE_BITS`.
+pub(crate) const HANDLE_BITS: u32 = 24;
+
+/// The longest packet a slot's 6-bit flit index numbers.
+pub(crate) const MAX_PACKET_FLITS: u16 = 64;
 
 /// Field access on a packed [`Slot`]. Word 0 is the stamp, word 1
-/// `handle | seq << 32 | vc << 48 | class << 56 | tail << 57`.
+/// `handle | seq << 24 | class << 30 | tail << 31`.
 pub(crate) trait SlotExt {
-    /// The slot of `flit`, whose packet's entry is `handle`.
-    fn pack(stamp: u64, handle: u32, flit: &Flit) -> Self;
-    fn stamp(&self) -> u64;
-    fn set_stamp(&mut self, stamp: u64);
+    /// The slot of `flit`, whose packet's entry is `handle`, stamped
+    /// with the low bits of `cycle`.
+    fn pack(cycle: u64, handle: u32, flit: &Flit) -> Self;
+    /// Stamps the slot with the low bits of `cycle`.
+    fn set_stamp(&mut self, cycle: u64);
+    /// Cycles from the stamp to `now`, for a stamp at or before `now`.
+    fn age(&self, now: u64) -> u32;
+    /// Cycles from `now` to the stamp, for a stamp at or after `now`.
+    fn lead(&self, now: u64) -> u32;
     /// The packet's entry in the [`PacketTable`].
     fn handle(&self) -> u32;
     fn seq(&self) -> u16;
-    fn vc(&self) -> u8;
-    fn set_vc(&mut self, vc: u8);
     /// 0 = request, 1 = reply (the per-class ledger index).
     fn class_ix(&self) -> usize;
     fn is_head(&self) -> bool;
@@ -177,50 +195,42 @@ pub(crate) trait SlotExt {
 
 impl SlotExt for Slot {
     #[inline]
-    fn pack(stamp: u64, handle: u32, f: &Flit) -> Slot {
+    fn pack(cycle: u64, handle: u32, f: &Flit) -> Slot {
+        debug_assert!(handle < 1 << HANDLE_BITS && f.seq < MAX_PACKET_FLITS);
         [
-            stamp,
-            handle as u64
-                | (f.seq as u64) << 32
-                | (f.vc as u64) << 48
-                | (f.class.is_reply() as u64) << 56
-                | (f.is_tail() as u64) << 57,
+            cycle as u32,
+            handle | (f.seq as u32) << 24 | (f.class.is_reply() as u32) << 30 | (f.is_tail() as u32) << 31,
         ]
     }
 
     #[inline]
-    fn stamp(&self) -> u64 {
-        self[0]
+    fn set_stamp(&mut self, cycle: u64) {
+        self[0] = cycle as u32;
     }
 
     #[inline]
-    fn set_stamp(&mut self, stamp: u64) {
-        self[0] = stamp;
+    fn age(&self, now: u64) -> u32 {
+        (now as u32).wrapping_sub(self[0])
+    }
+
+    #[inline]
+    fn lead(&self, now: u64) -> u32 {
+        self[0].wrapping_sub(now as u32)
     }
 
     #[inline]
     fn handle(&self) -> u32 {
-        self[1] as u32
+        self[1] & ((1 << HANDLE_BITS) - 1)
     }
 
     #[inline]
     fn seq(&self) -> u16 {
-        (self[1] >> 32) as u16
-    }
-
-    #[inline]
-    fn vc(&self) -> u8 {
-        (self[1] >> 48) as u8
-    }
-
-    #[inline]
-    fn set_vc(&mut self, vc: u8) {
-        self[1] = self[1] & !(0xFF << 48) | (vc as u64) << 48;
+        (self[1] >> 24 & 0x3F) as u16
     }
 
     #[inline]
     fn class_ix(&self) -> usize {
-        (self[1] >> 56) as usize & 1
+        (self[1] >> 30 & 1) as usize
     }
 
     #[inline]
@@ -230,7 +240,7 @@ impl SlotExt for Slot {
 
     #[inline]
     fn is_tail(&self) -> bool {
-        self[1] >> 57 & 1 != 0
+        self[1] >> 31 != 0
     }
 }
 
@@ -330,8 +340,8 @@ impl PacketTable {
         &self.entries[h as usize]
     }
 
-    /// The flit `s` holds.
-    pub(crate) fn flit(&self, s: &Slot) -> Flit {
+    /// The flit `s` holds, on VC `vc`.
+    pub(crate) fn flit(&self, s: &Slot, vc: u8) -> Flit {
         let e = self.get(s.handle());
         Flit {
             pkt: e.id,
@@ -341,7 +351,7 @@ impl PacketTable {
             seq: s.seq(),
             len: e.len,
             sink: e.sink,
-            vc: s.vc(),
+            vc,
         }
     }
 
@@ -439,28 +449,45 @@ mod tests {
     fn packed_slot_round_trips_every_field() {
         let mut table = PacketTable::default();
         table.reserve(4);
-        let p = PacketDesc::new(u64::MAX - 3, Coord::new(65535, 2), Coord::new(7, 65534), MessageClass::Reply, 65535);
+        let p = PacketDesc::new(u64::MAX - 3, Coord::new(65535, 2), Coord::new(7, 65534), MessageClass::Reply, 64);
         let sink = u32::MAX - 1;
         let h = table.alloc(&p.flit_at(0, 8).with_sink(sink));
-        for seq in [0u16, 1, 65533, 65534] {
+        let top = (1u32 << HANDLE_BITS) - 1;
+        // Each field at its edges: stamp 2^32 - 1, handle 2^24 - 1, seq 63.
+        for (handle, seq) in [(h, 0u16), (h, 1), (h, 62), (h, 63), (top, 63), (top, 0)] {
             let mut f = p.flit_at(seq, 8).with_sink(sink);
             f.vc = 11;
-            let mut s = Slot::pack(u64::MAX - 9, h, &f);
-            assert_eq!(table.flit(&s), f);
-            assert_eq!((s.stamp(), s.handle(), s.seq()), (u64::MAX - 9, h, seq));
-            assert_eq!((s.is_head(), s.is_tail()), (f.is_head(), f.is_tail()));
-            assert_eq!((s.vc(), s.class_ix()), (11, 1));
-            s.set_vc(255);
-            f.vc = 255;
-            assert_eq!(table.flit(&s), f, "set_vc must touch nothing else");
+            let mut s = Slot::pack(u64::MAX, handle, &f);
+            assert_eq!((s[0], s.handle(), s.seq()), (u32::MAX, handle, seq));
+            assert_eq!((s.is_head(), s.is_tail(), s.class_ix()), (seq == 0, seq == 63, 1));
+            if handle == h {
+                assert_eq!(table.flit(&s, 11), f);
+            }
             s.set_stamp(3);
-            assert_eq!((s.stamp(), table.flit(&s)), (3, f));
+            let fields = (s[0], s.handle(), s.seq(), s.is_tail());
+            assert_eq!(fields, (3, handle, seq, seq == 63), "set_stamp touches nothing else");
         }
-        // The handle takes all 32 bits without spilling into the seq.
+        // The handle takes its 24 bits without spilling into the seq, and
+        // a request's class and tail bits are clear.
+        let f = PacketDesc::new(0, Coord::new(0, 0), Coord::new(1, 0), MessageClass::Request, 2).flit_at(0, 8);
+        let s = Slot::pack(0, top, &f);
+        assert_eq!((s.handle(), s.seq(), s.class_ix()), (top, 0, 0));
+        assert!(s.is_head() && !s.is_tail());
+    }
+
+    #[test]
+    fn ages_and_leads_wrap_with_the_clock() {
         let f = PacketDesc::new(0, Coord::new(0, 0), Coord::new(1, 0), MessageClass::Request, 1).flit_at(0, 8);
-        let s = Slot::pack(0, u32::MAX, &f);
-        assert_eq!((s.handle(), s.seq(), s.vc(), s.class_ix()), (u32::MAX, 0, 0, 0));
-        assert!(s.is_head() && s.is_tail());
+        let wrap = 1u64 << 32;
+        // Stamped 3 cycles before the clock passes 2^32, read 5 after it.
+        let s = Slot::pack(wrap - 3, 0, &f);
+        assert_eq!((s.age(wrap + 5), s.age(wrap - 3)), (8, 0));
+        assert_eq!(s.lead(wrap - 10), 7);
+        // The absolute cycle the snapshot writers rebuild, from either side.
+        assert_eq!(wrap + 5 - s.age(wrap + 5) as u64, wrap - 3);
+        assert_eq!(wrap - 10 + s.lead(wrap - 10) as u64, wrap - 3);
+        let s = Slot::pack(3 * wrap + 2, 0, &f);
+        assert_eq!((s.age(3 * wrap + 2 + u32::MAX as u64), s.lead(3 * wrap - 1)), (u32::MAX, 3));
     }
 
     #[test]

@@ -24,7 +24,7 @@
 
 use crate::audit::{self, AuditConfig, AuditState, Violation};
 use crate::config::NocConfig;
-use crate::flit::{Flit, MessageClass, PacketEntry, Slot, SlotExt};
+use crate::flit::{Flit, MessageClass, PacketEntry, Slot, SlotExt, MAX_PACKET_FLITS};
 use crate::link::{CreditDst, LinkKind, Links};
 use crate::router::{OutputRole, RouterCore, NONE, NO_LINK, PORT_LOCAL};
 use crate::stats::NetStats;
@@ -395,6 +395,11 @@ impl Network {
     /// empty downstream buffer); body/tail flits continue on the claimed
     /// VC. At most one flit per injector per cycle. Returns `false` (and
     /// consumes nothing) when the flit cannot be accepted this cycle.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the head of a packet longer than 64 flits, the most a
+    /// VC slot's 6-bit flit index numbers.
     pub fn try_inject_flit(&mut self, id: InjectorId, mut flit: Flit) -> bool {
         let cfgdepth = self.cfg.vc_buf_flits as u32;
         let class = flit.class;
@@ -417,7 +422,15 @@ impl Network {
             }
         };
         // A head takes its packet's handle; body flits reuse it.
-        let handle = handle.unwrap_or_else(|| self.core.packets.alloc(&flit));
+        let handle = handle.unwrap_or_else(|| {
+            assert!(
+                flit.len <= MAX_PACKET_FLITS,
+                "{}: a packet of {} flits; a VC slot numbers at most {MAX_PACKET_FLITS}",
+                flit.pkt,
+                flit.len
+            );
+            self.core.packets.alloc(&flit)
+        });
         debug_assert_eq!(
             self.core.packets.get(handle).id,
             flit.pkt,
@@ -432,7 +445,7 @@ impl Network {
         flit.vc = vc;
         let link = inj.link;
         let to_router = self.links[link].to_router as usize;
-        self.send_flit(link, self.cycle, Slot::pack(0, handle, &flit));
+        self.send_flit(link, self.cycle, vc, Slot::pack(0, handle, &flit));
         self.stats.injected_flits += 1;
         if let Some(a) = self.audit.as_deref_mut() {
             a.injected[audit::class_ix(class)] += 1;
@@ -453,11 +466,11 @@ impl Network {
     /// packet's last flit in the network, so popping it frees the
     /// packet's entry.
     pub fn pop_ejected(&mut self, router: usize, port: usize) -> Option<Flit> {
-        let slot = self.core.eject_pop(router, port)?;
+        let (slot, vc) = self.core.eject_pop(router, port)?;
         if self.core.routers[router].ejecting == 0 {
             self.ejecting_routers.remove(router);
         }
-        let f = self.core.packets.flit(&slot);
+        let f = self.core.packets.flit(&slot, vc);
         if slot.is_tail() {
             self.core.packets.release(slot.handle());
         }
@@ -527,13 +540,14 @@ impl Network {
     /// popped slot was parked with — to `eject_wait`. A flit ejected
     /// during the step at cycle `t` could earliest be popped once the
     /// clock reads `t + 1`, so the wait is `(cycle - 1) - entry` — zero
-    /// for an ideal sink.
+    /// for an ideal sink, and for a flit re-stamped when the grid was
+    /// armed.
     #[inline]
     fn note_eject_pop(&mut self, router: usize, slot: &Slot) {
         let cycle = self.cycle;
         if let Some(grid) = self.stall.as_deref_mut() {
             if slot.is_tail() {
-                let wait = cycle.saturating_sub(1).saturating_sub(slot.stamp());
+                let wait = slot.age(cycle).saturating_sub(1) as u64;
                 grid.charge(router, NetCause::EjectWait, slot.class_ix(), wait);
             }
         }
@@ -609,15 +623,15 @@ impl Network {
         });
     }
 
-    /// Sends `slot` down link `li` at `now`: it is staged, stamped with
-    /// its arrival cycle, in the downstream input VC it names.
+    /// Sends `slot` down link `li` at `now` on VC `vc`: it is staged,
+    /// stamped with its arrival cycle, in that VC of the fed input port.
     #[inline]
-    fn send_flit(&mut self, li: usize, now: u64, mut slot: Slot) {
+    fn send_flit(&mut self, li: usize, now: u64, vc: u8, mut slot: Slot) {
         let (r, p, kind) = {
             let l = &self.links[li];
             (l.to_router as usize, l.to_port as usize, l.kind)
         };
-        let bit = p * self.core.vcs() + slot.vc() as usize;
+        let bit = p * self.core.vcs() + vc as usize;
         slot.set_stamp(self.links.send_flit(li, now, bit, slot.class_ix()));
         self.core.stage(r, bit, slot);
         self.stats.count_link_flit(kind);
@@ -696,7 +710,7 @@ impl Network {
             let head = self.core.front(vc_base + bit);
             // Pipeline gating: the head must have cleared the router's
             // extra stages before allocation.
-            if head.stamp() + self.cfg.pipeline_extra as u64 > self.cycle {
+            if head.age(self.cycle) < self.cfg.pipeline_extra {
                 continue;
             }
             debug_assert!(head.is_head(), "non-head flit awaiting allocation");
@@ -948,8 +962,8 @@ impl Network {
     /// the router's extra pipeline stages.
     #[inline(always)]
     fn pipeline_clear(&self, ivc: usize, now: u64) -> bool {
-        let extra = self.cfg.pipeline_extra as u64;
-        extra == 0 || self.core.front(ivc).stamp() + extra <= now
+        let extra = self.cfg.pipeline_extra;
+        extra == 0 || self.core.front(ivc).age(now) >= extra
     }
 
     /// What switch allocation grants the lone candidate at mask bit `bit`
@@ -1011,10 +1025,11 @@ impl Network {
     }
 
     /// Attribution post-pass after switch allocation: any input VC still
-    /// fronted by a pipeline-clear *head* flit that holds an output VC
-    /// did not traverse this cycle (a traversal would have popped it;
-    /// a departing tail releases the output VC, and a head that just
-    /// arrived has none). Charges one stall cycle per such packet — to
+    /// fronted by a *head* flit that holds an output VC did not traverse
+    /// this cycle (a traversal would have popped it; a departing tail
+    /// releases the output VC, and a head that just arrived has none).
+    /// Such a head is pipeline-clear: it was allocated only once it had
+    /// cleared the pipeline. Charges one stall cycle per such packet — to
     /// `credit_starve` when the allocated output cannot accept a flit,
     /// otherwise to `switch_loss` (it could move but lost input- or
     /// output-stage arbitration). Charging only head-fronted VCs keeps
@@ -1030,9 +1045,13 @@ impl Network {
             let ivc = self.core.vc(ri, held.trailing_zeros() as usize);
             held &= held - 1;
             let head = self.core.front(ivc);
-            if !head.is_head() || head.stamp() + self.cfg.pipeline_extra as u64 > now {
+            if !head.is_head() {
                 continue;
             }
+            debug_assert!(
+                head.age(now) >= self.cfg.pipeline_extra,
+                "router {ri}: an allocated head in the pipeline"
+            );
             let vc = &self.core.in_vcs[ivc];
             let can_go = out_ready >> (vc.out_port as usize * vcs + vc.out_vc as usize) & 1 != 0;
             let cause = if can_go {
@@ -1052,16 +1071,13 @@ impl Network {
         self.core.in_sa_ptr[fed] = if iv + 1 == vcs { 0 } else { iv as u8 + 1 };
         let ov = self.core.in_vcs[self.core.vc(ri, bit)].out_vc;
         let mut flit = self.core.pop(ri, bit);
-        debug_assert_eq!(flit.vc() as usize, iv, "flit buffered in wrong VC");
         if flit.is_tail() {
             self.core.release(ri, bit);
         }
-        let enq = flit.stamp();
-        flit.set_vc(ov);
         self.stats.buffer_reads += 1;
         self.stats.xbar_traversals += 1;
         self.stats.router_flits[ri] += 1;
-        self.stats.router_cycles[ri] += now.saturating_sub(enq) + 1;
+        self.stats.router_cycles[ri] += flit.age(now) as u64 + 1;
         let feed = self.core.feed_link[fed];
         if feed != NO_LINK {
             // Return a credit for the freed input-buffer slot.
@@ -1070,14 +1086,14 @@ impl Network {
         let kind = match self.core.role(ri, op) {
             OutputRole::Link(l) => {
                 self.core.spend_credit(ri, op * vcs + ov as usize);
-                self.send_flit(l as usize, now, flit);
+                self.send_flit(l as usize, now, ov, flit);
                 TraceKind::Hop
             }
             OutputRole::Eject { .. } => {
                 // The stamp is the entry cycle `note_eject_pop` charges
                 // the queue wait from.
                 flit.set_stamp(now);
-                self.core.eject_push(ri, op, flit);
+                self.core.eject_push(ri, op, flit, ov);
                 self.ejecting_routers.insert(ri);
                 self.stats.ejected_flits += 1;
                 TraceKind::Eject
@@ -1129,7 +1145,7 @@ impl Network {
     /// grid is allocated here; the armed steady state allocates nothing.
     pub fn enable_stalls(&mut self) {
         let cycle = self.cycle;
-        for slot in self.core.eject_queues_mut().iter_mut().flatten() {
+        for (slot, _) in self.core.eject_queues_mut().iter_mut().flatten() {
             slot.set_stamp(cycle);
         }
         self.stall = Some(Box::new(StallGrid::new(self.core.len())));
@@ -1166,7 +1182,7 @@ impl Network {
             .eject_queues()
             .iter()
             .flatten()
-            .filter(|f| f.is_tail())
+            .filter(|(f, _)| f.is_tail())
             .count();
         (bufs + links + eject) as u64
     }
@@ -1318,7 +1334,8 @@ impl Network {
     /// byte format predates the flat router core and is the per-router,
     /// per-port, per-VC nesting of the structs it replaced; the link
     /// section is re-derived from the staged flits and the credit wheel
-    /// (`snap_link`).
+    /// (`snap_link`). Slot stamps are written as the absolute cycles
+    /// they stand for.
     pub fn snapshot_state(&self, e: &mut equinox_snap::Enc) {
         use equinox_snap::Snap;
         // Shape tag: another fabric's state never writes these bytes.
@@ -1329,7 +1346,7 @@ impl Network {
         self.stats.snap(e);
         e.put_usize(self.core.len());
         for r in 0..self.core.len() {
-            self.core.snap_state(r, e);
+            self.core.snap_state(r, self.cycle, e);
         }
         e.put_usize(self.links.len());
         for li in 0..self.links.len() {
@@ -1348,8 +1365,8 @@ impl Network {
             for p in 0..self.core.num_ports(r) {
                 let q = self.core.eject_queue(r, p);
                 e.put_usize(q.len());
-                for s in q {
-                    self.core.packets.flit(s).snap(e);
+                for (s, vc) in q {
+                    self.core.packets.flit(s, *vc).snap(e);
                 }
             }
         }
@@ -1370,8 +1387,8 @@ impl Network {
                 // flits themselves went out above, unstamped).
                 for q in self.core.eject_queues() {
                     e.put_usize(q.len());
-                    for s in q {
-                        e.put_u64(s.stamp());
+                    for (s, _) in q {
+                        e.put_u64(self.cycle - s.age(self.cycle) as u64);
                     }
                 }
             }
@@ -1389,8 +1406,10 @@ impl Network {
         let l = &self.links[li];
         let (r, p) = (l.to_router as usize, l.to_port as usize);
         e.put_usize(self.core.staged_on_port(r, p));
-        let packets = &self.core.packets;
-        self.core.visit_staged_on_port(r, p, |s| (s.stamp(), packets.flit(s)).snap(e));
+        let (packets, now) = (&self.core.packets, self.cycle);
+        self.core.visit_staged_on_port(r, p, now, |s, vc| {
+            (now + s.lead(now) as u64, packets.flit(s, vc)).snap(e);
+        });
         e.put_usize(self.links.credits(li, self.cycle).count());
         for c in self.links.credits(li, self.cycle) {
             c.snap(e);
@@ -1744,7 +1763,7 @@ mod tests {
             let mut held: Vec<u32> = (0..net.core.len())
                 .flat_map(|r| net.core.router_flits(r))
                 .chain(net.core.all_staged())
-                .chain(net.core.eject_queues().iter().flatten())
+                .chain(net.core.eject_queues().iter().flatten().map(|(s, _)| s))
                 .map(|s| s.handle())
                 .chain(net.injectors.iter().filter_map(|inj| inj.streaming.map(|(_, h)| h)))
                 .collect();
@@ -1950,4 +1969,87 @@ mod tests {
         }
     }
 
+    /// What one run of [`run_from`] saw: every popped flit as `(packet,
+    /// seq, pop cycle - start)`, the stats with the clock made relative,
+    /// the stall grid's bytes, and every staged flit's `(lead, packet,
+    /// seq, vc)` in the order the snapshot writes them, after each step.
+    type RunLog = (Vec<(u64, u16, u64)>, NetStats, Vec<u8>, Vec<(u32, u64, u16, u8)>);
+
+    /// Random traffic on a 4x4 mesh with 3-cycle links, a 4-cycle
+    /// interposer feed, two pipeline stages and a sink that pops on two
+    /// cycles of three, on a clock that starts at `start`.
+    fn run_from(start: u64) -> RunLog {
+        use equinox_exec::Rng;
+        let mut cfg = NocConfig::mesh(4);
+        (cfg.link_latency, cfg.ni_latency, cfg.pipeline_extra) = (3, 2, 2);
+        let mut net = Network::new(cfg);
+        let extra = net.add_injection_port(Coord::new(1, 1), 4, LinkKind::Interposer);
+        net.cycle = start;
+        net.enable_stalls();
+        let mut rng = Rng::seed_from_u64(7);
+        let nodes: Vec<Coord> = (0..16).map(|i| Coord::from_index(i, 4)).collect();
+        let mut injectors: Vec<(InjectorId, Coord)> = nodes.iter().map(|&c| (net.local_injector(c), c)).collect();
+        injectors.push((extra, Coord::new(1, 1)));
+        let mut streams: Vec<Option<(PacketDesc, u16)>> = vec![None; injectors.len()];
+        let (mut next_id, mut popped, mut staged) = (0, Vec::new(), Vec::new());
+        for t in 0..1200u64 {
+            for (k, &(inj, src)) in injectors.iter().enumerate() {
+                if streams[k].is_none() && t < 900 && rng.random::<f64>() < 0.25 {
+                    let dst = nodes[rng.random_range(0..nodes.len())];
+                    let len = [1, 5, 36][rng.random_range(0..3)];
+                    streams[k] = Some((PacketDesc::new(next_id, src, dst, MessageClass::Reply, len), 0));
+                    next_id += 1;
+                }
+                if let Some((desc, seq)) = &mut streams[k] {
+                    if net.try_inject_flit(inj, desc.flit_at(*seq, 4)) {
+                        *seq += 1;
+                        if *seq == desc.len {
+                            streams[k] = None;
+                        }
+                    }
+                }
+            }
+            net.step();
+            if t % 3 != 0 {
+                net.drain_ejected(|_, _, f| popped.push((f.pkt.0, f.seq, t)));
+            }
+            for li in 0..net.links.len() {
+                let (r, p) = (net.links[li].to_router as usize, net.links[li].to_port as usize);
+                let packets = &net.core.packets;
+                net.core.visit_staged_on_port(r, p, net.cycle, |s, vc| {
+                    staged.push((s.lead(net.cycle), packets.get(s.handle()).id.0, s.seq(), vc));
+                });
+            }
+        }
+        assert!(net.quiescent(), "the run drains");
+        let mut stats = net.stats().clone();
+        stats.cycles -= start;
+        let mut grid = equinox_snap::Enc::new();
+        net.stall_grid().expect("armed").snap_state(&mut grid);
+        (popped, stats, grid.into_bytes(), staged)
+    }
+
+    #[test]
+    fn a_clock_past_two_to_the_32_changes_nothing_relative() {
+        // The offset run's clock passes 2^32 after 300 cycles, while the
+        // first packets are in flight; stamps keep the low 32 bits.
+        let (at_zero, wrapped) = (run_from(0), run_from((1 << 32) - 300));
+        assert!(at_zero.0.len() > 1000 && at_zero.2.iter().any(|&b| b != 0), "the run moves and stalls");
+        assert!(at_zero.1.router_cycles.iter().sum::<u64>() > 0);
+        assert_eq!(at_zero.0, wrapped.0, "the same flits pop at the same relative cycles");
+        assert_eq!(at_zero.1, wrapped.1, "router_cycles and every other counter");
+        assert_eq!(at_zero.2, wrapped.2, "stall charges, eject wait included");
+        assert_eq!(at_zero.3, wrapped.3, "staged flits, in arrival order");
+    }
+
+    #[test]
+    #[should_panic(expected = "pkt#9: a packet of 65 flits; a VC slot numbers at most 64")]
+    fn a_packet_longer_than_a_slot_numbers_is_refused_at_its_head() {
+        let mut net = Network::new(NocConfig::mesh(4));
+        let inj = net.local_injector(Coord::new(0, 0));
+        let ok = PacketDesc::new(8, Coord::new(0, 0), Coord::new(3, 3), MessageClass::Reply, 64);
+        assert!(net.try_inject_flit(inj, ok.flit_at(0, 4)), "64 flits are numbered");
+        let long = PacketDesc::new(9, Coord::new(1, 0), Coord::new(3, 3), MessageClass::Reply, 65);
+        net.try_inject_flit(net.local_injector(Coord::new(1, 0)), long.flit_at(0, 4));
+    }
 }

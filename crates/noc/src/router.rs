@@ -21,7 +21,7 @@
 //! [`crate::network::Network::step`], which owns the links and statistics;
 //! this module holds the state and keeps its masks and counters true.
 
-use crate::flit::{PacketTable, Slot, SlotExt, EMPTY_SLOT};
+use crate::flit::{PacketTable, Slot, SlotExt, EMPTY_SLOT, HANDLE_BITS};
 use equinox_phys::Coord;
 use std::collections::VecDeque;
 
@@ -135,9 +135,10 @@ pub(crate) struct RouterCore {
     /// Round-robin pointer of the output side's switch arbitration.
     pub out_sa_ptr: Vec<u8>,
     out_role: Vec<OutputRole>,
-    /// Ejection queue of the output side (used by `Eject` ports only),
-    /// stamped with the cycle each flit was parked.
-    eject: Vec<VecDeque<Slot>>,
+    /// Ejection queue of the output side (used by `Eject` ports only):
+    /// each flit stamped with the cycle it was parked, beside the output
+    /// VC it left on.
+    eject: Vec<VecDeque<(Slot, u8)>>,
     // ---- per VC
     pub in_vcs: Vec<InVc>,
     /// Downstream credits of each output VC.
@@ -149,7 +150,8 @@ pub(crate) struct RouterCore {
     /// recorded. Written by the network's VC allocator, cleared by
     /// [`RouterCore::grant`]; never serialised.
     pub want: Vec<u64>,
-    /// Input-VC rings, stamped with the enqueue cycle.
+    /// Input-VC rings, stamped with the enqueue cycle. A slot's VC is
+    /// the ring's.
     slots: Vec<Slot>,
     /// What the flits of each live packet share; the slots carry handles
     /// into it.
@@ -283,9 +285,20 @@ impl RouterCore {
     /// is streaming, all of whose sent flits have left. The network calls
     /// this whenever it adds a port. A cap set by
     /// [`RouterCore::cap_packets`] bounds the room.
+    ///
+    /// # Panics
+    ///
+    /// Panics if more packets can be live than a slot's 24-bit handle
+    /// names, 16.8 M. The 24×24 mesh the driver's `--n` allows, with all
+    /// 64 VC mask bits of every router 254 flits deep, holds 9.4 M slots.
     pub(crate) fn reserve_packets(&mut self, injectors: usize) {
         let eject_ports = self.out_role.iter().filter(|r| matches!(r, OutputRole::Eject { .. })).count();
         let bound = self.slots.len() + self.eject_cap * eject_ports + injectors;
+        assert!(
+            bound <= 1 << HANDLE_BITS,
+            "{bound} packets can be live at once, more than the {} handles a VC slot names",
+            1u32 << HANDLE_BITS
+        );
         self.packets.reserve(bound.min(self.packet_cap));
     }
 
@@ -403,9 +416,11 @@ impl RouterCore {
     }
 
     /// Hands the flits staged in the VCs of input port `p` of router `r`
-    /// to `visit` in arrival order — the order the feeding link carries
-    /// them, one per cycle, so no two share a stamp. Read in place.
-    pub(crate) fn visit_staged_on_port(&self, r: usize, p: usize, mut visit: impl FnMut(&Slot)) {
+    /// to `visit(slot, vc)` in arrival order — the order the feeding link
+    /// carries them, one per cycle, so no two share a stamp — between
+    /// steps at cycle `now`, when every arrival is at or after it. Read
+    /// in place.
+    pub(crate) fn visit_staged_on_port(&self, r: usize, p: usize, now: u64, mut visit: impl FnMut(&Slot, u8)) {
         let base = self.vc(r, p * self.vcs);
         // Per VC of the port, how many of its staged flits went out.
         let mut taken = [0u8; 64];
@@ -414,14 +429,14 @@ impl RouterCore {
             for (v, vc) in self.in_vcs[base..base + self.vcs].iter().enumerate() {
                 if taken[v] < vc.pending {
                     let s = &self.slots[vc.slot((vc.len + taken[v]) as usize, self.depth)];
-                    if next.is_none_or(|(_, n)| s.stamp() < n.stamp()) {
+                    if next.is_none_or(|(_, n)| s.lead(now) < n.lead(now)) {
                         next = Some((v, s));
                     }
                 }
             }
             let Some((v, s)) = next else { return };
             taken[v] += 1;
-            visit(s);
+            visit(s, v as u8);
         }
     }
 
@@ -538,36 +553,38 @@ impl RouterCore {
 
     /// The ejection queue of port `p` of router `r`.
     #[inline]
-    pub(crate) fn eject_queue(&self, r: usize, p: usize) -> &VecDeque<Slot> {
+    pub(crate) fn eject_queue(&self, r: usize, p: usize) -> &VecDeque<(Slot, u8)> {
         &self.eject[self.port(r, p)]
     }
 
     /// All ejection queues, router by router and port by port.
-    pub(crate) fn eject_queues(&self) -> &[VecDeque<Slot>] {
+    pub(crate) fn eject_queues(&self) -> &[VecDeque<(Slot, u8)>] {
         &self.eject
     }
 
     /// The same queues, for re-stamping the parked flits. Their lengths
     /// feed `out_ready` and must not change through this.
-    pub(crate) fn eject_queues_mut(&mut self) -> &mut [VecDeque<Slot>] {
+    pub(crate) fn eject_queues_mut(&mut self) -> &mut [VecDeque<(Slot, u8)>] {
         &mut self.eject
     }
 
-    /// Parks `slot` in the ejection queue of port `p`; a queue that
-    /// reaches the cap stops its port from granting.
+    /// Parks `slot`, which left on output VC `vc`, in the ejection queue
+    /// of port `p`; a queue that reaches the cap stops its port from
+    /// granting.
     #[inline]
-    pub(crate) fn eject_push(&mut self, r: usize, p: usize, slot: Slot) {
+    pub(crate) fn eject_push(&mut self, r: usize, p: usize, slot: Slot, vc: u8) {
         let gp = self.port(r, p);
-        self.eject[gp].push_back(slot);
+        self.eject[gp].push_back((slot, vc));
         self.routers[r].ejecting |= 1 << p;
         if self.eject[gp].len() >= self.eject_cap {
             self.routers[r].out_ready &= !self.port_bits(r, p, p + 1);
         }
     }
 
-    /// Takes the oldest flit out of the ejection queue of port `p`.
+    /// Takes the oldest flit, and its VC, out of the ejection queue of
+    /// port `p`.
     #[inline]
-    pub(crate) fn eject_pop(&mut self, r: usize, p: usize) -> Option<Slot> {
+    pub(crate) fn eject_pop(&mut self, r: usize, p: usize) -> Option<(Slot, u8)> {
         let gp = self.port(r, p);
         let slot = self.eject[gp].pop_front()?;
         if self.eject[gp].is_empty() {
@@ -622,8 +639,10 @@ impl RouterCore {
     /// allocations, arbiter pointers, per-output-VC credits/owners — in
     /// the format of the per-router structs this layout replaced.
     /// Port roles and feed links are topology and skipped; ejection
-    /// queues are written by the network, after the injectors.
-    pub(crate) fn snap_state(&self, r: usize, e: &mut equinox_snap::Enc) {
+    /// queues are written by the network, after the injectors. Stamps go
+    /// out as the absolute cycles they stand for, read between steps at
+    /// cycle `now`.
+    pub(crate) fn snap_state(&self, r: usize, now: u64, e: &mut equinox_snap::Enc) {
         use equinox_snap::Snap;
         let base = self.routers[r].port_base as usize;
         let ports = base..base + self.num_ports(r);
@@ -633,8 +652,9 @@ impl RouterCore {
             for ivc in gp * self.vcs..(gp + 1) * self.vcs {
                 let vc = &self.in_vcs[ivc];
                 e.put_usize(vc.len as usize);
+                let v = (ivc % self.vcs) as u8;
                 for s in self.flits(ivc) {
-                    (s.stamp(), self.packets.flit(s)).snap(e);
+                    (now - s.age(now) as u64, self.packets.flit(s, v)).snap(e);
                 }
                 opt(vc.out_port).map(usize::from).snap(e);
                 opt(vc.out_vc).snap(e);
@@ -662,11 +682,12 @@ mod tests {
         RouterCore::new(&coords, 5, vcs, depth, 4)
     }
 
-    /// A one-flit packet stamped `id`, under handle `id` (these tests keep
-    /// no packet table: the handle only tells the slots apart).
+    /// A one-flit packet stamped `id`, under the handle of `id`'s low 24
+    /// bits (these tests keep no packet table: the handle only tells the
+    /// slots apart).
     fn flit(id: u64, class: MessageClass) -> Slot {
-        let f = PacketDesc::new(id, Coord::new(0, 0), Coord::new(1, 1), class, 1).flits(8)[0];
-        Slot::pack(id, id as u32, &f)
+        let f = PacketDesc::new(id, Coord::new(0, 0), Coord::new(1, 1), class, 1).flit_at(0, 8);
+        Slot::pack(id, id as u32 & ((1 << HANDLE_BITS) - 1), &f)
     }
 
     /// Stages `slot` and lets it arrive at once.
@@ -742,7 +763,7 @@ mod tests {
                 assert_eq!(ids, (arrived..staged).collect::<Vec<_>>(), "depth {depth}");
                 for _ in 0..(arrived - popped).min(1 + round % depth as u64) {
                     assert_eq!(c.front(3).handle() as u64, popped);
-                    assert_eq!(c.pop(0, 3).stamp(), popped);
+                    assert_eq!(c.pop(0, 3)[0] as u64, popped, "word 0 is the stamp");
                     popped += 1;
                 }
                 assert_eq!(c.routers[0].occupied != 0, c.in_vcs[3].len > 0);
@@ -766,19 +787,42 @@ mod tests {
         assert_eq!((c.routers[0].occupied, c.routers[0].class_flits), (1 << 2, [1, 0]));
         assert_eq!(c.staged_on_port(0, 1), 3);
         let mut order = Vec::new();
-        c.visit_staged_on_port(0, 1, |s| order.push(s.stamp()));
-        assert_eq!(order, [7, 8, 9], "arrival order across the port's VCs");
+        c.visit_staged_on_port(0, 1, 7, |s, v| order.push((s[0], v)));
+        assert_eq!(order, [(7, 1), (8, 0), (9, 1)], "arrival order across the port's VCs");
         assert_eq!(c.all_staged().count(), 3);
         // The visible request leaves; its VC keeps the staged reply.
         assert_eq!(c.pop(0, 2).handle() as u64, 1);
         assert_eq!(c.routers[0].occupied, 0);
-        assert_eq!(c.staged(2).map(|s| s.stamp()).collect::<Vec<_>>(), [8]);
+        assert_eq!(c.staged(2).map(|s| s[0]).collect::<Vec<_>>(), [8]);
         c.arrive(0, 3, 1);
         c.arrive(0, 2, 1);
         assert_eq!(c.words(0), c.scan(0));
         assert_eq!((c.routers[0].occupied, c.routers[0].class_flits), (0b11 << 2, [0, 2]));
-        assert_eq!(c.front(c.vc(0, 2)).stamp(), 8);
+        assert_eq!(c.front(c.vc(0, 2))[0], 8);
         assert_eq!(c.staged_on_port(0, 1), 1);
+    }
+
+    #[test]
+    fn staged_flits_keep_arrival_order_across_the_clock_wrap() {
+        let mut c = core(1, 2, 3);
+        let wrap = 1u64 << 32;
+        for (bit, at) in [(2, wrap), (3, wrap - 1), (2, wrap + 1)] {
+            c.stage(0, bit, flit(at, MessageClass::Reply));
+        }
+        let mut order = Vec::new();
+        c.visit_staged_on_port(0, 1, wrap - 1, |s, v| order.push((s.lead(wrap - 1), v)));
+        assert_eq!(order, [(0, 1), (1, 0), (2, 0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "16777217 packets can be live at once, more than the 16777216 handles a VC slot names")]
+    fn more_live_packets_than_handles_are_refused_where_the_table_is_reserved() {
+        let coords = [Coord::new(0, 0)];
+        let mut c = RouterCore::new(&coords, 5, 1, 1, (1 << 24) - 4);
+        c.set_role(0, 4, OutputRole::Eject { sink: None });
+        c.reserve_packets(0);
+        assert_eq!(c.packets.capacity(), 1 << 24, "5 slots and the queue fill the handles");
+        c.reserve_packets(1);
     }
 
     #[test]
@@ -815,7 +859,7 @@ mod tests {
                 eject_bits,
                 "{k} parked"
             );
-            c.eject_push(0, 4, f);
+            c.eject_push(0, 4, f, 1);
             assert_eq!(c.routers[0].ejecting, 1 << 4);
         }
         assert_eq!(c.routers[0].out_ready & eject_bits, 0);

@@ -120,9 +120,10 @@ echo "OK: a flit in flight has one home, its downstream buffer"
 
 echo "== one-descriptor-per-packet guard =="
 # What the flits of a packet share (id, src, dst, len, sink) is stored
-# once, in the network's PacketTable; a VC slot is a stamp and one word
-# of per-flit fields around the packet's handle. So flit.rs keeps Slot at
-# two words, and the SlotExt trait reads no per-packet field.
+# once, in the network's PacketTable; a VC slot is a 32-bit stamp and one
+# 32-bit word of per-flit fields around the packet's handle (its VC is the
+# ring's). So flit.rs keeps Slot at two u32 words, and the SlotExt trait
+# reads no per-packet field.
 flit_rs=crates/noc/src/flit.rs
 slot_trait=""
 while IFS= read -r line; do
@@ -132,12 +133,12 @@ while IFS= read -r line; do
     [ "$line" = "}" ] && break
   fi
 done < "$flit_rs"
-if ! grep -qE '^pub\(crate\) type Slot = \[u64; 2\];$' "$flit_rs" || [ -z "$slot_trait" ] \
+if ! grep -qE '^pub\(crate\) type Slot = \[u32; 2\];$' "$flit_rs" || [ -z "$slot_trait" ] \
     || grep -nE '\bfn (pkt|dst|dst_key|sink|flit)\b' <<< "$slot_trait"; then
   echo "FAIL: a slot holds per-packet fields again — keep them in the PacketTable entry its handle names" >&2
   exit 1
 fi
-echo "OK: each packet's descriptor is stored once; slots are two words"
+echo "OK: each packet's descriptor is stored once; slots are two u32 words"
 
 echo "== one-row-per-packet guard =="
 # The packet tracker is the one run-path store that grows with every
@@ -147,13 +148,15 @@ echo "== one-row-per-packet guard =="
 # tail arrives, so they mark it ejected and retire the delivered prefix,
 # keeping only their live window. Neither keeps a vector of its own per
 # packet: the load-latency sweep sums latencies into a running total and
-# fabric streams each node's packet by flit index.
+# fabric streams each node's packet by flit index, as the Figure 4 heat
+# map (heatmap.rs) streams each CB's.
 per_packet=""
 for f in crates/core/src/*.rs; do
   tests_at=$(grep -n -m1 '^#\[cfg(test)\]' "$f" | cut -d: -f1 || true)
   pattern='Vec<PacketRecord>'
   [ "$f" = crates/core/src/loadlat.rs ] \
     && pattern+='|Vec<(u8|u16|u32|u64|usize|f32|f64)>|Vec::(new|with_capacity)\('
+  [ "$f" = crates/core/src/heatmap.rs ] && pattern+='|Vec<Flit>|\.flits\('
   while IFS=: read -r line text; do
     if [ "$line" -lt "${tests_at:-1000000}" ] && ! [[ "$text" =~ ^[[:space:]]*(//|\*) ]]; then
       per_packet+="$f:$line:$text"$'\n'
