@@ -129,6 +129,19 @@ fn all_lines() -> String {
         ..EirProblem::new(best8())
     };
     line(&mut out, "max_hops4", &p, &tree::search(&p, &mcts(1000, 7)));
+    // Where the UCB pass is hardest to shortcut: a long search whose
+    // parent visit counts drift far between scans, equal means under no
+    // exploration, a negative exploration constant, and a single child
+    // per node.
+    let top = EirProblem::new(top_placements(1).remove(0));
+    line(&mut out, "top8/0/20000", &top, &tree::search(&top, &mcts(20_000, 7)));
+    let p = EirProblem::new(best8());
+    for exploration in [0.0, -0.5] {
+        let cfg = MctsConfig { exploration, ..mcts(1000, 7) };
+        line(&mut out, &format!("exploration{exploration}"), &p, &tree::search(&p, &cfg));
+    }
+    let single = MctsConfig { branching: 1, ..mcts(1000, 7) };
+    line(&mut out, "branching1", &p, &tree::search(&p, &single));
     out.push_str(&draw_stream(&best8()));
     out
 }
