@@ -61,9 +61,9 @@ pub struct SearchResult {
 }
 
 /// Most iterations one search runs. Its tree is sized for the whole
-/// budget up front, a 40-byte node, its 8-byte mean reward, its 8-byte
-/// option and an 8-byte logarithm per iteration, and a node counts its
-/// visits in a `u32`.
+/// budget up front, 72 bytes per iteration: a 40-byte node, its 8-byte
+/// mean reward, its 8-byte option, its 8-byte bar and an 8-byte
+/// logarithm; a node counts its visits in a `u32`.
 /// `equinox_config::ITERS_LIMIT` bounds the `iters` spec field to the
 /// same value.
 pub const ITERS_LIMIT: usize = 1_000_000;
@@ -71,6 +71,17 @@ pub const ITERS_LIMIT: usize = 1_000_000;
 const _: () = assert!(ITERS_LIMIT < u32::MAX as usize);
 
 const NO_NODE: u32 = u32::MAX;
+
+/// How far a lead must score over its bar for [`Tree::best_child`] to
+/// skip a scan: far above the rounding of a UCB1 score, so that a tie
+/// never skips.
+const SKIP_MARGIN: f64 = 1e-9;
+
+/// UCB1's exploration bonus of a child visited `n` times, under a parent
+/// whose visits' logarithm is `ln_parent_visits`.
+fn bonus(exploration: f64, ln_parent_visits: f64, n: u32) -> f64 {
+    exploration * (ln_parent_visits / n as f64).sqrt()
+}
 
 /// The widening schedule: a node at depth < #CBs with `N` visits may
 /// have up to `⌈C·(N+1)^e⌉` children, and never more than `branching`,
@@ -113,6 +124,10 @@ struct Node {
     first_child: u32,
     next_sibling: u32,
     visits: u32,
+    /// The child the last full UCB pass over its children picked;
+    /// `NO_NODE` before one and whenever a child was added since (see
+    /// [`Tree::best_child`]).
+    lead: u32,
     /// Sum of rewards (reward = -cost).
     reward_sum: f64,
     /// A complete leaf's (depth `#CBs`) rollout cost, NaN until its first
@@ -125,13 +140,17 @@ const _: () = assert!(std::mem::size_of::<Node>() == 40);
 
 /// The search tree in arenas sized up front for the iteration budget
 /// (at most one new node per iteration), so that growing it never
-/// allocates.
+/// allocates. A node's mean and bar live beside `nodes`, not in
+/// [`Node`], so that a node stays 40 bytes.
 struct Tree {
     nodes: Vec<Node>,
     /// Per node, `reward_sum / visits` as of its last backpropagation,
-    /// what [`Tree::best_child`] reads; beside `nodes`, not in [`Node`],
-    /// so that a node stays 40 bytes.
+    /// what [`Tree::best_child`] reads.
     means: Vec<f64>,
+    /// Per node, what its lead's score must clear, less the reach of the
+    /// other children's bonuses, for [`Tree::best_child`] to skip the
+    /// scan; unused while the lead is `NO_NODE`.
+    bars: Vec<f64>,
     /// Per node, the group it assigns to CB `order[depth - 1]`, as a mask
     /// over that CB's candidates (see [`Pool`]); the root's is unused.
     options: Vec<u64>,
@@ -139,6 +158,9 @@ struct Tree {
     /// (`ln 1` for none), what [`Tree::best_child`] reads.
     ln: Vec<f64>,
     pool: Pool,
+    /// [`Tree::best_child`] calls, and how many of them skipped the scan.
+    #[cfg(test)]
+    passes: (u64, u64),
 }
 
 impl Tree {
@@ -146,9 +168,12 @@ impl Tree {
         let mut tree = Tree {
             nodes: Vec::with_capacity(cfg.iterations + 1),
             means: Vec::with_capacity(cfg.iterations + 1),
+            bars: Vec::with_capacity(cfg.iterations + 1),
             options: Vec::with_capacity(cfg.iterations + 1),
             ln: (0..=cfg.iterations).map(|n| (n.max(1) as f64).ln()).collect(),
             pool: Pool::new(t),
+            #[cfg(test)]
+            passes: (0, 0),
         };
         tree.push(None, 0);
         tree
@@ -183,14 +208,18 @@ impl Tree {
             first_child: NO_NODE,
             next_sibling: parent.map_or(NO_NODE, |p| self.nodes[p].first_child),
             visits: 0,
+            lead: NO_NODE,
             reward_sum: 0.0,
             cost: f64::NAN,
         });
         self.means.push(0.0);
+        self.bars.push(f64::NAN);
         self.options.push(option);
         if let Some(p) = parent {
-            self.nodes[p].first_child = id as u32;
-            self.nodes[p].children += 1;
+            let parent = &mut self.nodes[p];
+            parent.first_child = id as u32;
+            parent.children += 1;
+            parent.lead = NO_NODE;
         }
         id
     }
@@ -268,14 +297,54 @@ impl Tree {
     /// among equals: its mean reward plus `exploration · sqrt(ln N / n)`
     /// for `N` visits of `cur` and `n` of the child, and infinite for an
     /// unvisited child.
-    fn best_child(&self, cur: usize, exploration: f64) -> usize {
+    ///
+    /// A scan scores every child. It keeps the winner as `cur`'s lead,
+    /// and as its bar `rival − c⁺·√ln N₀`: `rival` is the best score of
+    /// the other children, `N₀` the visits then and `c⁺` the exploration
+    /// constant if positive, else 0. Until `cur` gains a child the descent
+    /// takes only the lead, so no other child's mean or visits move, and
+    /// its bonus grows with `ln N` alone, by at most `c⁺·(√ln N − √ln N₀)`.
+    /// So a lead that scores over `bar + c⁺·√ln N`, by a margin far above
+    /// rounding, still wins strictly, and is returned without a scan.
+    fn best_child(&mut self, cur: usize, exploration: f64) -> usize {
+        let ln_parent_visits = self.ln[self.nodes[cur].visits as usize];
+        let reach = exploration.max(0.0) * ln_parent_visits.sqrt();
+        let lead = self.nodes[cur].lead as usize;
+        let skip = lead != NO_NODE as usize
+            && self.score(lead, ln_parent_visits, exploration) > self.bars[cur] + reach + SKIP_MARGIN;
+        let best = if skip {
+            debug_assert_eq!(self.scan(cur, exploration).0, lead, "a skipped scan picks the lead");
+            lead
+        } else {
+            let (best, rival) = self.scan(cur, exploration);
+            self.nodes[cur].lead = best as u32;
+            self.bars[cur] = rival - reach;
+            best
+        };
+        #[cfg(test)]
+        self.tally(cur, exploration, best, skip);
+        best
+    }
+
+    /// Child `c`'s UCB1 score, for a parent whose visits' logarithm is
+    /// `ln_parent_visits`, worked out as [`Tree::scan`] does.
+    fn score(&self, c: usize, ln_parent_visits: f64, exploration: f64) -> f64 {
+        match self.nodes[c].visits {
+            0 => f64::INFINITY,
+            visits => self.means[c] + bonus(exploration, ln_parent_visits, visits),
+        }
+    }
+
+    /// Scores every child of `cur`: the winner [`Tree::best_child`]
+    /// defines, and the best score among the others (`-∞` if none).
+    fn scan(&self, cur: usize, exploration: f64) -> (usize, f64) {
         let ln_parent_visits = self.ln[self.nodes[cur].visits as usize];
         // The bonus depends on a child's visit count alone, and siblings
         // share a few small counts: each count under 16 is worked out
         // once per call.
         let (mut bonuses, mut known) = ([0.0; 16], 0u16);
-        let mut bonus = |n: u32| {
-            let fresh = || exploration * (ln_parent_visits / n as f64).sqrt();
+        let mut cached = |n: u32| {
+            let fresh = || bonus(exploration, ln_parent_visits, n);
             match bonuses.get_mut(n as usize) {
                 None => fresh(),
                 Some(b) => {
@@ -288,6 +357,7 @@ impl Tree {
             }
         };
         let mut best = (self.nodes[cur].first_child, f64::NEG_INFINITY);
+        let mut rival = f64::NEG_INFINITY;
         let mut child = best.0;
         while child != NO_NODE {
             let n = &self.nodes[child as usize];
@@ -296,15 +366,18 @@ impl Tree {
                 visits => {
                     let mean = self.means[child as usize];
                     debug_assert_eq!(mean.to_bits(), (n.reward_sum / visits as f64).to_bits());
-                    mean + bonus(visits)
+                    mean + cached(visits)
                 }
             };
             if score.partial_cmp(&best.1).expect("no NaN rewards") == Ordering::Greater {
+                rival = best.1;
                 best = (child, score);
+            } else if score > rival {
+                rival = score;
             }
             child = n.next_sibling;
         }
-        best.0 as usize
+        (best.0 as usize, rival)
     }
 
     /// Writes the groups of the nodes on `path` (root first) into `sel`,
@@ -535,6 +608,95 @@ mod tests {
             seed,
             ..Default::default()
         }
+    }
+
+    impl Tree {
+        /// Checks the child [`Tree::best_child`] picked at `cur` against
+        /// [`Tree::plain_ucb1`], and counts the call and whether it skipped
+        /// the scan.
+        pub(super) fn tally(&mut self, cur: usize, exploration: f64, picked: usize, skipped: bool) {
+            assert_eq!(picked, self.plain_ucb1(cur, exploration), "node {cur}, skipped: {skipped}");
+            self.passes.0 += 1;
+            self.passes.1 += u64::from(skipped);
+        }
+
+        /// UCB1 by its definition: every child of `cur` scored afresh,
+        /// the one added last winning among equals.
+        fn plain_ucb1(&self, cur: usize, exploration: f64) -> usize {
+            let ln_n = (self.nodes[cur].visits.max(1) as f64).ln();
+            let (mut best, mut best_score) = (NO_NODE, f64::NEG_INFINITY);
+            let mut child = self.nodes[cur].first_child;
+            while child != NO_NODE {
+                let n = &self.nodes[child as usize];
+                let score = match n.visits {
+                    0 => f64::INFINITY,
+                    v => n.reward_sum / v as f64 + exploration * (ln_n / v as f64).sqrt(),
+                };
+                if best == NO_NODE || score > best_score {
+                    (best, best_score) = (child, score);
+                }
+                child = n.next_sibling;
+            }
+            best as usize
+        }
+    }
+
+    /// The `k` best-scored 8×8 N-Queen placements, as the flagship design
+    /// search ranks them.
+    fn top_placements(k: usize) -> Vec<equinox_placement::Placement> {
+        use equinox_placement::nqueen::{solutions_limited, to_placement};
+        let scorer = equinox_placement::PlacementScorer::new(8, 8);
+        let mut scored: Vec<_> = solutions_limited(8, usize::MAX)
+            .iter()
+            .map(|sol| to_placement(8, sol, None))
+            .map(|p| (scorer.penalty(&p.cbs), p))
+            .collect();
+        scored.sort_by_key(|(s, _)| *s);
+        scored.into_iter().take(k).map(|(_, p)| p).collect()
+    }
+
+    /// Every child `best_child` returns, skipped scan or not, is plain
+    /// UCB1's pick ([`Tree::tally`] checks each), over problems, seeds,
+    /// budgets and exploration constants of either sign; and on the
+    /// flagship search most calls skip the scan.
+    #[test]
+    fn skipped_scans_pick_what_a_full_scan_picks() {
+        let mut problems: Vec<EirProblem> = top_placements(2).into_iter().map(EirProblem::new).collect();
+        problems.push(EirProblem::new(best_nqueen_placement(12, 12, 500, 0)));
+        problems.push(EirProblem { max_hops: 2, ..problem() });
+        for p in &problems {
+            for exploration in [-0.5, 0.0, 0.3, 0.8] {
+                for (seed, iterations) in [(1, 300), (2, 1_200)] {
+                    let cfg = MctsConfig { iterations, exploration, ..quick_cfg(seed) };
+                    let (_, tree) = grow(p, &cfg);
+                    assert!(tree.passes.1 > 0, "{exploration} {seed} {iterations}: no scan skipped");
+                }
+            }
+        }
+        let (_, tree) = grow(&problems[0], &MctsConfig { iterations: 4_000, ..quick_cfg(7) });
+        let (calls, skips) = tree.passes;
+        assert!(skips * 5 > calls * 4, "{skips} of {calls} calls skipped the scan");
+    }
+
+    /// A lead exactly the margin over its bar is scanned again, and one
+    /// further over is not.
+    #[test]
+    fn a_lead_on_its_bar_is_scanned_again() {
+        let p = problem();
+        let t = Tables::new(&p);
+        let mut tree = Tree::new(&t, &quick_cfg(1));
+        let (older, lead) = (tree.push(Some(0), 1), tree.push(Some(0), 2));
+        for (n, reward) in [(0, 0.0), (older, 0.0), (lead, SKIP_MARGIN)] {
+            tree.backpropagate(n, reward);
+        }
+        assert_eq!(tree.best_child(0, 0.0), lead);
+        assert_eq!(tree.best_child(0, 0.0), lead);
+        assert_eq!(tree.passes, (2, 0), "a lead on its bar is scanned");
+        tree.backpropagate(lead, 3.0 * SKIP_MARGIN);
+        assert_eq!(tree.best_child(0, 0.0), lead);
+        assert_eq!(tree.passes, (3, 1), "a lead over its bar skips");
+        tree.push(Some(0), 3);
+        assert_eq!(tree.nodes[0].lead, NO_NODE, "a new child voids the lead");
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! simulator implements — it is not configurable because none of the seven
 //! schemes varies it).
 
+use crate::flit::HANDLE_BITS;
 use crate::topology::TopologyKind;
 use std::ops::Range;
 
@@ -217,6 +218,12 @@ impl NocConfig {
         if self.vc_buf_flits >= u8::MAX as usize {
             return Err("VC buffers hold at most 254 flits".into());
         }
+        // A VC slot names its packet by a 24-bit handle, and every slot
+        // of a five-port router may hold a different packet.
+        let slots = self.num_nodes() * 5 * self.vcs_per_port as usize * self.vc_buf_flits;
+        if slots > 1 << HANDLE_BITS {
+            return Err(format!("{slots} VC slots exceed the {} packet handles", 1u32 << HANDLE_BITS));
+        }
         if self.link_latency == 0 || self.ni_latency == 0 {
             return Err("link latencies must be at least one cycle".into());
         }
@@ -280,6 +287,17 @@ mod tests {
         assert!(c.validate().is_ok());
         c.vc_buf_flits = 255;
         assert!(c.validate().is_err(), "ring positions are u8 with a sentinel");
+
+        let mut c = NocConfig::mesh(48);
+        (c.vcs_per_port, c.vc_buf_flits) = (12, 254);
+        assert_eq!(
+            c.validate(),
+            Err("35112960 VC slots exceed the 16777216 packet handles".into()),
+            "48x48 routers x 5 ports x 12 VCs x 254 flits"
+        );
+        c.width = 24;
+        c.height = 24;
+        assert!(c.validate().is_ok(), "24x24 holds 8778240 slots");
 
         let mut c = NocConfig::single_net(8, false);
         c.partition = VcPartition::ByClass {

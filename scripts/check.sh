@@ -243,6 +243,26 @@ if [ "$(grep -c . <<< "$ln_calls")" != 1 ] \
 fi
 echo "OK: the UCB pass reads ln from its table"
 
+echo "== lead guard =="
+# Tree::best_child returns a node's last winner without scoring its other
+# children while a bound says none of them can overtake it (DESIGN.md
+# "The UCB pass"). Debug builds check every such skip against the full
+# scan, which is how the debug golden_search and alloc_free_search runs
+# check each one, so non-test best_child keeps that assertion.
+best_child_body=""
+while IFS= read -r text; do
+  [ "$text" = "#[cfg(test)]" ] && break
+  [[ -z "$best_child_body" && "$text" != "    fn best_child("* ]] && continue
+  best_child_body+="$text"$'\n'
+  [ "$text" = "    }" ] && break
+done < "$tree_rs"
+if ! grep -qE '^ *debug_assert_eq!\(self\.scan\(cur, exploration\)\.0, lead, ' <<< "$best_child_body"; then
+  printf '%s' "$best_child_body"
+  echo "FAIL: non-test Tree::best_child skips a scan unchecked — keep its debug_assert against the full scan" >&2
+  exit 1
+fi
+echo "OK: debug builds check every skipped UCB scan against the full scan"
+
 echo "== one-setter guard =="
 # Each spec field has one setter, which the CLI, environment and spec-file
 # layers all call with a Raw value, and every field is registered through
