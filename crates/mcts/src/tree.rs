@@ -147,8 +147,9 @@ struct Tree {
     /// Per node, `reward_sum / visits` as of its last backpropagation,
     /// what [`Tree::best_child`] reads.
     means: Vec<f64>,
-    /// Per node, `rival − c⁺·√ln N₀` as of its last scan (see
-    /// [`Tree::best_child`]); unused while its lead is `NO_NODE`.
+    /// Per node, `rival − c⁺·√ln N₀` as of its last scan, the bar
+    /// [`Tree::best_child`] compares its lead's score with; unused while
+    /// the lead is `NO_NODE`.
     bars: Vec<f64>,
     /// Per node, the group it assigns to CB `order[depth - 1]`, as a mask
     /// over that CB's candidates (see [`Pool`]); the root's is unused.
@@ -302,8 +303,7 @@ impl Tree {
     /// the other children, `N₀` the visits then and `c⁺` the exploration
     /// constant if positive, else 0. Until `cur` gains a child the descent
     /// takes only the lead, so no other child's mean or visits move, and
-    /// each one's bonus grows with `ln N` alone, by at most
-    /// `c⁺·(√ln N − √ln N₀)`.
+    /// each one's bonus grows with `ln N` alone, by ≤ `c⁺·(√ln N − √ln N₀)`.
     /// So a lead that scores over `bar + c⁺·√ln N`, by a margin far above
     /// rounding, still wins strictly, and is returned without a scan.
     fn best_child(&mut self, cur: usize, exploration: f64) -> usize {
